@@ -10,7 +10,9 @@
 use crate::error::{FlowError, Result};
 use crate::key::FlowKey;
 use crate::matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType, BIN_SECS};
+use crate::od::ResolutionStats;
 use crate::record::FlowRecord;
+use crate::shard::ShardState;
 use odflow_linalg::Matrix;
 use std::collections::HashSet;
 
@@ -156,28 +158,44 @@ impl OdBinner {
         (self.bytes, self.packets, self.flows, self.bin_records)
     }
 
-    /// Snapshots the accumulation state into a [`BinnerState`]. Distinct
-    /// 5-tuple sets are emitted sorted, so the snapshot is canonical: two
-    /// binners that accepted the same records produce identical state
-    /// regardless of hash-set iteration order.
-    pub(crate) fn export_state(&self) -> BinnerState {
-        let distinct = self
-            .distinct
-            .iter()
-            .map(|set| {
-                let mut keys: Vec<FlowKey> = set.iter().copied().collect();
-                keys.sort_unstable();
-                keys
-            })
-            .collect();
-        BinnerState {
+    /// The canonical (sorted) distinct 5-tuples of one cell, so snapshots
+    /// are identical regardless of hash-set iteration order.
+    fn sorted_keys(set: &HashSet<FlowKey>) -> Vec<FlowKey> {
+        // lint:allow(ordered-iteration) -- the hash order ends on the next line: the keys are sorted before anyone sees them
+        let mut keys: Vec<FlowKey> = set.iter().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Snapshots the accumulation state. The resolver-side fields of the
+    /// returned [`ShardState`] are left at their defaults for the owning
+    /// shard to fill in.
+    pub(crate) fn export_state(&self) -> ShardState {
+        ShardState {
             bytes: self.bytes.clone(),
             packets: self.packets.clone(),
             flows: self.flows.clone(),
-            distinct,
+            distinct: self.distinct.iter().map(Self::sorted_keys).collect(),
             bin_records: self.bin_records.clone(),
             records_accepted: self.records_accepted,
+            resolution: ResolutionStats::default(),
+            dropped_out_of_window: 0,
         }
+    }
+
+    /// Snapshots one bin — its three rows, its cells' distinct 5-tuples
+    /// (sorted) and its record count — in O(row + keys), or `None`
+    /// outside the window.
+    pub(crate) fn export_bin(&self, bin: usize) -> Option<BinState> {
+        let cells = bin * self.num_od..(bin + 1) * self.num_od;
+        Some(BinState {
+            bin,
+            records: *self.bin_records.get(bin)?,
+            bytes: self.bytes.get(cells.clone())?.to_vec(),
+            packets: self.packets.get(cells.clone())?.to_vec(),
+            flows: self.flows.get(cells.clone())?.to_vec(),
+            distinct: self.distinct.get(cells)?.iter().map(Self::sorted_keys).collect(),
+        })
     }
 
     /// Replaces the accumulation state with a snapshot taken from a binner
@@ -189,7 +207,7 @@ impl OdBinner {
     ///
     /// [`FlowError::Codec`] when the snapshot's shape does not match this
     /// binner's `(num_bins, num_od)` geometry.
-    pub(crate) fn restore_state(&mut self, state: &BinnerState) -> Result<()> {
+    pub(crate) fn restore_state(&mut self, state: &ShardState) -> Result<()> {
         let cells = self.num_bins * self.num_od;
         let shape_ok = state.bytes.len() == cells
             && state.packets.len() == cells
@@ -209,11 +227,11 @@ impl OdBinner {
                 ),
             });
         }
-        self.bytes = state.bytes.clone();
-        self.packets = state.packets.clone();
-        self.flows = state.flows.clone();
+        self.bytes.clone_from(&state.bytes);
+        self.packets.clone_from(&state.packets);
+        self.flows.clone_from(&state.flows);
         self.distinct = state.distinct.iter().map(|keys| keys.iter().copied().collect()).collect();
-        self.bin_records = state.bin_records.clone();
+        self.bin_records.clone_from(&state.bin_records);
         self.records_accepted = state.records_accepted;
         Ok(())
     }
@@ -247,17 +265,23 @@ impl OdBinner {
     }
 }
 
-/// Raw snapshot of an [`OdBinner`]'s accumulation state. Crate-internal:
-/// callers see it flattened into [`crate::ShardState`].
+/// Everything one bin has accumulated: the unit an incremental
+/// checkpoint persists for each bin that received records since the
+/// previous one.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct BinnerState {
-    pub(crate) bytes: Vec<f64>,
-    pub(crate) packets: Vec<f64>,
-    pub(crate) flows: Vec<f64>,
-    /// Distinct 5-tuples per cell, sorted ascending — the canonical order.
-    pub(crate) distinct: Vec<Vec<FlowKey>>,
-    pub(crate) bin_records: Vec<u64>,
-    pub(crate) records_accepted: u64,
+pub struct BinState {
+    /// Bin index (window coordinates once it leaves a [`crate::BinShard`]).
+    pub bin: usize,
+    /// Records accepted into the bin.
+    pub records: u64,
+    /// The bin's byte sums, one per OD pair.
+    pub bytes: Vec<f64>,
+    /// The bin's packet sums.
+    pub packets: Vec<f64>,
+    /// The bin's distinct-flow counts.
+    pub flows: Vec<f64>,
+    /// Distinct 5-tuples per OD cell of the bin, sorted ascending.
+    pub distinct: Vec<Vec<FlowKey>>,
 }
 
 #[cfg(test)]
@@ -372,6 +396,25 @@ mod tests {
         assert_eq!(a.bytes.data.as_slice(), b.bytes.data.as_slice());
         assert_eq!(a.packets.data.as_slice(), b.packets.data.as_slice());
         assert_eq!(a.flows.data.as_slice(), b.flows.data.as_slice());
+    }
+
+    #[test]
+    fn bin_export_is_that_bins_slice_of_the_full_snapshot() {
+        let mut b = OdBinner::new(0, 300, 2, 3).unwrap();
+        b.push(1, &rec(0, 1000, 2, 100)).unwrap();
+        b.push(1, &rec(30, 999, 3, 200)).unwrap();
+        b.push(2, &rec(310, 1001, 1, 50)).unwrap();
+        let full = b.export_state();
+        for bin in 0..2 {
+            let one = b.export_bin(bin).unwrap();
+            assert_eq!((one.bin, one.records), (bin, full.bin_records[bin]));
+            assert_eq!(one.bytes, full.bytes[bin * 3..(bin + 1) * 3]);
+            assert_eq!(one.packets, full.packets[bin * 3..(bin + 1) * 3]);
+            assert_eq!(one.flows, full.flows[bin * 3..(bin + 1) * 3]);
+            assert_eq!(one.distinct, full.distinct[bin * 3..(bin + 1) * 3]);
+        }
+        assert_eq!(b.export_bin(0).unwrap().distinct[1].len(), 2, "sorted, both keys kept");
+        assert!(b.export_bin(2).is_none());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! The shard *grain* (bins per shard) is fixed by the engine, never derived
 //! from the thread count; oversubscribed pools simply leave shards queued.
 
-use crate::binning::{BinnerState, OdBinner};
+use crate::binning::{BinState, OdBinner};
 use crate::error::{FlowError, Result};
 use crate::key::FlowKey;
 use crate::matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType};
@@ -150,17 +150,20 @@ impl BinShard {
     /// sets are emitted in sorted order, so two shards that accepted the
     /// same records snapshot to identical state.
     pub fn export_state(&self) -> ShardState {
-        let b = self.binner.export_state();
         ShardState {
-            bytes: b.bytes,
-            packets: b.packets,
-            flows: b.flows,
-            distinct: b.distinct,
-            bin_records: b.bin_records,
-            records_accepted: b.records_accepted,
             resolution: self.resolver.stats(),
             dropped_out_of_window: self.dropped_out_of_window,
+            ..self.binner.export_state()
         }
+    }
+
+    /// Snapshots **global** bin `bin` alone, in O(row + keys) — what an
+    /// incremental checkpoint writes for a bin that received records —
+    /// or `None` when this shard does not own that bin.
+    pub fn export_bin(&self, bin: usize) -> Option<BinState> {
+        let mut state = self.binner.export_bin(bin.checked_sub(self.first_bin)?)?;
+        state.bin = bin;
+        Some(state)
     }
 
     /// Replaces this shard's accumulation state with a snapshot taken
@@ -173,14 +176,7 @@ impl BinShard {
     /// [`FlowError::Codec`] when the snapshot's cell shape does not match
     /// this shard's window.
     pub fn restore_state(&mut self, state: &ShardState) -> Result<()> {
-        self.binner.restore_state(&BinnerState {
-            bytes: state.bytes.clone(),
-            packets: state.packets.clone(),
-            flows: state.flows.clone(),
-            distinct: state.distinct.clone(),
-            bin_records: state.bin_records.clone(),
-            records_accepted: state.records_accepted,
-        })?;
+        self.binner.restore_state(state)?;
         self.resolver.restore_stats(state.resolution);
         self.dropped_out_of_window = state.dropped_out_of_window;
         Ok(())
@@ -212,6 +208,58 @@ pub struct ShardState {
     pub resolution: ResolutionStats,
     /// Records dropped as outside the global window.
     pub dropped_out_of_window: u64,
+}
+
+impl ShardState {
+    /// The state of a shard of this geometry that has accepted nothing.
+    pub fn empty(num_bins: usize, num_od: usize) -> ShardState {
+        let cells = num_bins * num_od;
+        ShardState {
+            bytes: vec![0.0; cells],
+            packets: vec![0.0; cells],
+            flows: vec![0.0; cells],
+            distinct: vec![Vec::new(); cells],
+            bin_records: vec![0; num_bins],
+            records_accepted: 0,
+            resolution: ResolutionStats::default(),
+            dropped_out_of_window: 0,
+        }
+    }
+
+    /// OD pairs per bin, as the cell vectors imply (0 for no bins).
+    pub fn num_od(&self) -> usize {
+        self.bytes.len().checked_div(self.bin_records.len()).unwrap_or(0)
+    }
+
+    /// Overwrites one bin with a newer snapshot of it — how an
+    /// incremental checkpoint is folded into the state it follows.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::Codec`] when the bin lies outside the window or its
+    /// rows are not [`Self::num_od`] wide.
+    pub fn replace_bin(&mut self, bin: BinState) -> Result<()> {
+        let p = self.num_od();
+        let rows = [bin.bytes.len(), bin.packets.len(), bin.flows.len(), bin.distinct.len()];
+        if bin.bin >= self.bin_records.len() || rows != [p; 4] {
+            return Err(FlowError::Codec {
+                reason: format!(
+                    "bin {} with rows {rows:?} does not fit a {} x {p} shard",
+                    bin.bin,
+                    self.bin_records.len()
+                ),
+            });
+        }
+        let cells = bin.bin * p..(bin.bin + 1) * p;
+        self.bytes[cells.clone()].copy_from_slice(&bin.bytes);
+        self.packets[cells.clone()].copy_from_slice(&bin.packets);
+        self.flows[cells.clone()].copy_from_slice(&bin.flows);
+        for (cell, keys) in self.distinct[cells].iter_mut().zip(bin.distinct) {
+            *cell = keys;
+        }
+        self.bin_records[bin.bin] = bin.records;
+        Ok(())
+    }
 }
 
 /// Everything merged out of a sharded ingest run.
@@ -366,6 +414,11 @@ impl ShardedIngest {
     /// Number of analysis bins in the window.
     pub fn num_bins(&self) -> usize {
         self.num_bins
+    }
+
+    /// Number of OD pairs, the width of every bin row.
+    pub fn num_od(&self) -> usize {
+        self.num_od
     }
 
     /// Mints an empty shard over a contiguous sub-range of global bins.
@@ -921,6 +974,48 @@ mod tests {
         // Wrong-geometry restore is rejected, not absorbed.
         let mut narrow = engine.make_shard(0..2).unwrap();
         assert!(matches!(narrow.restore_state(&snap), Err(FlowError::Codec { .. })));
+    }
+
+    #[test]
+    fn folding_dirty_bins_into_an_old_snapshot_gives_the_new_one() {
+        let num_bins = 6;
+        let (_, plan, engine, _) = setup(num_bins);
+        let stream = mixed_stream(&plan, num_bins);
+        let (head, tail) = stream.split_at(stream.len() / 2);
+        let mut shard = engine.make_shard(0..num_bins).unwrap();
+        assert_eq!(
+            shard.export_state(),
+            ShardState::empty(num_bins, shard.export_state().num_od())
+        );
+        for r in head {
+            shard.push_sampled_record(*r).unwrap();
+        }
+        let mut folded = shard.export_state();
+        for r in tail {
+            shard.push_sampled_record(*r).unwrap();
+        }
+        let newer = shard.export_state();
+        for bin in 0..num_bins {
+            if newer.bin_records[bin] != folded.bin_records[bin] {
+                folded.replace_bin(shard.export_bin(bin).unwrap()).unwrap();
+            }
+        }
+        folded.records_accepted = newer.records_accepted;
+        folded.resolution = newer.resolution;
+        folded.dropped_out_of_window = newer.dropped_out_of_window;
+        assert_eq!(folded, newer);
+
+        // A bin outside the window or of the wrong width is rejected.
+        let mut stray = shard.export_bin(0).unwrap();
+        stray.bin = num_bins;
+        assert!(matches!(folded.replace_bin(stray), Err(FlowError::Codec { .. })));
+        let mut short = shard.export_bin(0).unwrap();
+        short.flows.pop();
+        assert!(matches!(folded.replace_bin(short), Err(FlowError::Codec { .. })));
+        // Sub-window shards answer in window coordinates.
+        let tail_shard = engine.make_shard(4..6).unwrap();
+        assert!(tail_shard.export_bin(3).is_none());
+        assert_eq!(tail_shard.export_bin(5).unwrap().bin, 5);
     }
 
     #[test]

@@ -1,16 +1,7 @@
-//! Crash-safe tenant checkpointing and the deterministic kill-point
-//! chaos harness.
+//! Crash-safe tenant checkpointing — a chain of delta generations per
+//! slot — and the deterministic kill-point chaos harness.
 //!
-//! A long-running collector must survive a process crash without
-//! discarding the window it has accumulated. This module persists the
-//! *entire* per-tenant pipeline state — closed-bin matrix rows, distinct
-//! 5-tuple sets, bin watermark, exporter sequence tracking, quarantine
-//! counters, the fitted [`OnlineDetector`](odflow_subspace::OnlineDetector)
-//! model at its exact floats, and the ingest cursor — as a versioned,
-//! checksummed, hand-rolled binary snapshot (the workspace is offline:
-//! no serde).
-//!
-//! ## Format
+//! ## Record
 //!
 //! ```text
 //! [magic 8B][version u32][payload_len u64][fnv1a64(payload) u64][payload]
@@ -18,19 +9,46 @@
 //!
 //! All integers little-endian fixed-width; every `f64` is its exact
 //! [`f64::to_bits`] image, so a restored pipeline resumes *bit-identical*
-//! to the uninterrupted run. Decoding is total: arbitrary byte soup and
-//! bit-flipped snapshots are rejected with a typed [`CheckpointError`],
-//! never a panic, and never an unbounded allocation (every declared
-//! length is validated against the bytes actually present).
+//! to the uninterrupted run. A record's payload is one **generation**:
 //!
-//! ## Generations
+//! * the head — `seq`, the frame cursor, `next_close`, the watermark and
+//!   the resolver, quarantine and exporter-sequence counters;
+//! * the window geometry and one segment per **dirty bin** (a bin whose
+//!   record count moved since the previous generation): its record
+//!   count, its three rows and the sorted distinct 5-tuples of its cells;
+//! * the detector — absent, whole (first fit, or a refit replaced the
+//!   model), or only the refit window's movement (rows dropped from the
+//!   front, rows gained at the back);
+//! * the verdicts issued since the previous generation.
 //!
-//! [`CheckpointStore`] keeps **two alternating slot files** per tenant
-//! (`<tenant>.a.ckpt` / `<tenant>.b.ckpt`), each written via temp file +
-//! atomic rename and carrying a monotonic sequence number inside the
-//! checksummed payload. Recovery reads both slots and resumes from the
-//! *newest valid* one — a torn, truncated, or bit-flipped newest
-//! generation falls back to the previous generation instead of failing.
+//! A **complete** record is the same thing with every bin dirty, the
+//! detector whole and every verdict present; [`encode_state`] and
+//! [`decode_state`] are the codec at that setting. Decoding is total:
+//! arbitrary byte soup and bit-flipped records are rejected with a typed
+//! [`CheckpointError`], never a panic, and never an allocation the bytes
+//! present do not justify (every declared length is checked against
+//! them first).
+//!
+//! ## Chain
+//!
+//! A slot file (`<tenant>.a.ckpt` / `<tenant>.b.ckpt`) is a complete
+//! record followed by zero or more delta records with consecutive `seq`.
+//! The tenant's writer appends each delta with `write_all` + `sync_data`. It
+//! writes a complete record — temp file, fsync, rename, directory fsync —
+//! into the *other* slot as the first generation of a session (after
+//! bind, recovery or a worker restart, so a torn tail is never written
+//! past) and whenever the bytes appended to the chain exceed its first
+//! record's length, which bounds file size, recovery time and total
+//! bytes written at a small multiple of the state.
+//!
+//! ## Recovery
+//!
+//! One rule: [`CheckpointStore::load_newest`] decodes each slot's first
+//! record and folds the records that follow until the first that fails
+//! framing, checksum or continuity; the newest `seq` over both slots
+//! wins. A torn or corrupted record therefore costs exactly the
+//! generations from it onward in its own slot, and a damaged first
+//! record falls back to the other slot's chain.
 //!
 //! ## Chaos harness
 //!
@@ -43,7 +61,7 @@
 //! ends byte-identical to an uninterrupted one.
 
 use odflow_flow::{
-    ExporterSeqState, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
+    BinState, ExporterSeqState, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
 };
 use odflow_linalg::{Centering, EigenMethod, Matrix};
 use odflow_net::IpAddr;
@@ -51,20 +69,26 @@ use odflow_subspace::{
     DegradedReason, Detection, DetectorState, EigenflowDecomposition, ModelState, StatisticKind,
     StreamVerdict, SubspaceConfig,
 };
+use std::borrow::Cow;
 use std::fmt;
+use std::fs::File;
+use std::io::Write as _;
 use std::panic::panic_any;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Leading bytes of every checkpoint file.
+/// Leading bytes of every checkpoint record.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"ODFCKPT\0";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Bytes of header before the payload: magic + version + length + checksum.
 pub const CHECKPOINT_HEADER_LEN: usize = 8 + 4 + 8 + 8;
+
+/// Encoded bytes of one [`FlowKey`].
+const FLOW_KEY_LEN: usize = 4 + 4 + 2 + 2 + 1;
 
 /// Why a checkpoint could not be decoded or persisted. Every corruption
 /// mode maps to exactly one class; recovery treats all of them as "this
@@ -150,7 +174,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// uninterrupted run bit for bit.
 #[derive(Debug, Clone)]
 pub struct PipelineState {
-    /// Monotonic checkpoint generation number (also selects the slot).
+    /// Monotonic checkpoint generation number.
     pub seq: u64,
     /// Frames consumed from the queue when this snapshot was taken — the
     /// replay cursor for recovery.
@@ -180,9 +204,6 @@ struct Enc {
 }
 
 impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
-    }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -204,16 +225,32 @@ impl Enc {
     fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
-    fn f64s(&mut self, vs: &[f64]) {
-        self.usize(vs.len());
-        for &v in vs {
-            self.f64(v);
+    /// Grows the buffer by `n` zeroed `width`-byte elements and returns
+    /// them for filling in one pass — one length update per slice, not
+    /// one per element.
+    fn bulk(&mut self, n: usize, width: usize) -> std::slice::ChunksExactMut<'_, u8> {
+        let at = self.buf.len();
+        self.buf.resize(at + n * width, 0);
+        self.buf[at..].chunks_exact_mut(width)
+    }
+    /// `vs` with no length prefix, for rows whose width the record fixes.
+    fn f64_row(&mut self, vs: &[f64]) {
+        for (dst, v) in self.bulk(vs.len(), 8).zip(vs) {
+            dst.copy_from_slice(&v.to_bits().to_le_bytes());
         }
     }
-    fn u64s(&mut self, vs: &[u64]) {
+    fn f64s(&mut self, vs: &[f64]) {
         self.usize(vs.len());
-        for &v in vs {
-            self.u64(v);
+        self.f64_row(vs);
+    }
+    fn keys(&mut self, keys: &[FlowKey]) {
+        self.usize(keys.len());
+        for (dst, k) in self.bulk(keys.len(), FLOW_KEY_LEN).zip(keys) {
+            dst[0..4].copy_from_slice(&k.src_ip.0.to_le_bytes());
+            dst[4..8].copy_from_slice(&k.dst_ip.0.to_le_bytes());
+            dst[8..10].copy_from_slice(&k.src_port.to_le_bytes());
+            dst[10..12].copy_from_slice(&k.dst_port.to_le_bytes());
+            dst[12] = k.protocol.number();
         }
     }
 }
@@ -224,6 +261,16 @@ struct Dec<'a> {
 }
 
 type DecResult<T> = Result<T, CheckpointError>;
+
+fn corrupt<T>(reason: String) -> DecResult<T> {
+    Err(CheckpointError::Corrupt(reason))
+}
+
+fn le8(b: &[u8]) -> [u8; 8] {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(b);
+    a
+}
 
 impl<'a> Dec<'a> {
     fn new(buf: &'a [u8]) -> Dec<'a> {
@@ -240,6 +287,15 @@ impl<'a> Dec<'a> {
         self.at += n;
         Ok(s)
     }
+    /// `n` elements of `width` bytes each, bounds-checked as one slice —
+    /// the allocation guard that keeps byte-soup decoding bounded: no
+    /// caller sizes a vector before the bytes for it were seen here.
+    fn bulk(&mut self, n: usize, width: usize) -> DecResult<std::slice::ChunksExact<'a, u8>> {
+        match n.checked_mul(width) {
+            Some(need) => Ok(self.take(need)?.chunks_exact(width)),
+            None => corrupt(format!("length {n} overflows")),
+        }
+    }
     fn u8(&mut self) -> DecResult<u8> {
         Ok(self.take(1)?[0])
     }
@@ -252,8 +308,7 @@ impl<'a> Dec<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
     fn u64(&mut self) -> DecResult<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        Ok(u64::from_le_bytes(le8(self.take(8)?)))
     }
     fn f64(&mut self) -> DecResult<f64> {
         Ok(f64::from_bits(self.u64()?))
@@ -262,36 +317,44 @@ impl<'a> Dec<'a> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            t => Err(CheckpointError::Corrupt(format!("bool tag {t}"))),
+            t => corrupt(format!("bool tag {t}")),
         }
     }
     /// Reads a declared element count and validates that at least
-    /// `count * min_elem_bytes` bytes are actually present — the
-    /// allocation guard that keeps byte-soup decoding bounded.
+    /// `count * min_elem_bytes` bytes are actually present.
     fn len(&mut self, min_elem_bytes: usize) -> DecResult<usize> {
-        let n = self.u64()?;
-        let n = usize::try_from(n)
-            .map_err(|_| CheckpointError::Corrupt(format!("length {n} overflows usize")))?;
-        let need = n
-            .checked_mul(min_elem_bytes)
-            .ok_or_else(|| CheckpointError::Corrupt(format!("length {n} overflows")))?;
-        if self.remaining() < need {
-            return Err(CheckpointError::Truncated { needed: need, have: self.remaining() });
+        let n = self.usize_val()?;
+        match n.checked_mul(min_elem_bytes) {
+            Some(need) if need <= self.remaining() => Ok(n),
+            Some(need) => Err(CheckpointError::Truncated { needed: need, have: self.remaining() }),
+            None => corrupt(format!("length {n} overflows")),
         }
-        Ok(n)
     }
     fn usize_val(&mut self) -> DecResult<usize> {
         let v = self.u64()?;
-        usize::try_from(v)
-            .map_err(|_| CheckpointError::Corrupt(format!("value {v} overflows usize")))
+        usize::try_from(v).or_else(|_| corrupt(format!("value {v} overflows usize")))
+    }
+    fn f64_row(&mut self, n: usize) -> DecResult<Vec<f64>> {
+        Ok(self.bulk(n, 8)?.map(|b| f64::from_bits(u64::from_le_bytes(le8(b)))).collect())
     }
     fn f64s(&mut self) -> DecResult<Vec<f64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.f64()).collect()
+        let n = self.usize_val()?;
+        self.f64_row(n)
     }
-    fn u64s(&mut self) -> DecResult<Vec<u64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.u64()).collect()
+    fn keys(&mut self) -> DecResult<Vec<FlowKey>> {
+        let n = self.usize_val()?;
+        Ok(self
+            .bulk(n, FLOW_KEY_LEN)?
+            .map(|b| {
+                FlowKey::new(
+                    IpAddr(u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+                    IpAddr(u32::from_le_bytes([b[4], b[5], b[6], b[7]])),
+                    u16::from_le_bytes([b[8], b[9]]),
+                    u16::from_le_bytes([b[10], b[11]]),
+                    Protocol::from_number(b[12]),
+                )
+            })
+            .collect())
     }
 }
 
@@ -299,81 +362,19 @@ impl<'a> Dec<'a> {
 // Component codecs
 // ---------------------------------------------------------------------------
 
-fn enc_flow_key(e: &mut Enc, k: &FlowKey) {
-    e.u32(k.src_ip.0);
-    e.u32(k.dst_ip.0);
-    e.u16(k.src_port);
-    e.u16(k.dst_port);
-    e.u8(k.protocol.number());
-}
-
-fn dec_flow_key(d: &mut Dec<'_>) -> DecResult<FlowKey> {
-    let src_ip = IpAddr(d.u32()?);
-    let dst_ip = IpAddr(d.u32()?);
-    let src_port = d.u16()?;
-    let dst_port = d.u16()?;
-    let protocol = Protocol::from_number(d.u8()?);
-    Ok(FlowKey::new(src_ip, dst_ip, src_port, dst_port, protocol))
-}
-
-fn enc_shard(e: &mut Enc, s: &ShardState) {
-    e.f64s(&s.bytes);
-    e.f64s(&s.packets);
-    e.f64s(&s.flows);
-    e.usize(s.distinct.len());
-    for keys in &s.distinct {
-        e.usize(keys.len());
-        for k in keys {
-            enc_flow_key(e, k);
-        }
-    }
-    e.u64s(&s.bin_records);
-    e.u64(s.records_accepted);
-    for v in [
-        s.resolution.flows_total,
-        s.resolution.flows_resolved,
-        s.resolution.bytes_total,
-        s.resolution.bytes_resolved,
-        s.resolution.transit_skipped,
-    ] {
+fn enc_resolution(e: &mut Enc, r: &ResolutionStats) {
+    for v in [r.flows_total, r.flows_resolved, r.bytes_total, r.bytes_resolved, r.transit_skipped] {
         e.u64(v);
     }
-    e.u64(s.dropped_out_of_window);
 }
 
-fn dec_shard(d: &mut Dec<'_>) -> DecResult<ShardState> {
-    let bytes = d.f64s()?;
-    let packets = d.f64s()?;
-    let flows = d.f64s()?;
-    let cells = d.len(8)?;
-    let mut distinct = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        let n = d.len(13)?; // 4 + 4 + 2 + 2 + 1 bytes per key
-        let mut keys = Vec::with_capacity(n);
-        for _ in 0..n {
-            keys.push(dec_flow_key(d)?);
-        }
-        distinct.push(keys);
-    }
-    let bin_records = d.u64s()?;
-    let records_accepted = d.u64()?;
-    let resolution = ResolutionStats {
+fn dec_resolution(d: &mut Dec<'_>) -> DecResult<ResolutionStats> {
+    Ok(ResolutionStats {
         flows_total: d.u64()?,
         flows_resolved: d.u64()?,
         bytes_total: d.u64()?,
         bytes_resolved: d.u64()?,
         transit_skipped: d.u64()?,
-    };
-    let dropped_out_of_window = d.u64()?;
-    Ok(ShardState {
-        bytes,
-        packets,
-        flows,
-        distinct,
-        bin_records,
-        records_accepted,
-        resolution,
-        dropped_out_of_window,
     })
 }
 
@@ -421,7 +422,7 @@ fn dec_opt_u32(d: &mut Dec<'_>) -> DecResult<Option<u32>> {
     match d.u8()? {
         0 => Ok(None),
         1 => Ok(Some(d.u32()?)),
-        t => Err(CheckpointError::Corrupt(format!("option tag {t}"))),
+        t => corrupt(format!("option tag {t}")),
     }
 }
 
@@ -456,7 +457,7 @@ fn dec_exporter(d: &mut Dec<'_>) -> DecResult<ExporterSeqState> {
     let last = match d.u8()? {
         0 => None,
         1 => Some((d.u32()?, d.u16()?)),
-        t => return Err(CheckpointError::Corrupt(format!("option tag {t}"))),
+        t => return corrupt(format!("option tag {t}")),
     };
     Ok(ExporterSeqState {
         frames,
@@ -474,26 +475,17 @@ fn dec_exporter(d: &mut Dec<'_>) -> DecResult<ExporterSeqState> {
 fn enc_matrix(e: &mut Enc, m: &Matrix) {
     e.usize(m.nrows());
     e.usize(m.ncols());
-    for &v in m.as_slice() {
-        e.f64(v);
-    }
+    e.f64_row(m.as_slice());
 }
 
 fn dec_matrix(d: &mut Dec<'_>) -> DecResult<Matrix> {
     let rows = d.usize_val()?;
     let cols = d.usize_val()?;
-    let cells = rows
-        .checked_mul(cols)
-        .ok_or_else(|| CheckpointError::Corrupt(format!("matrix {rows}x{cols} overflows")))?;
-    let need = cells
-        .checked_mul(8)
-        .ok_or_else(|| CheckpointError::Corrupt(format!("matrix {rows}x{cols} overflows")))?;
-    if d.remaining() < need {
-        return Err(CheckpointError::Truncated { needed: need, have: d.remaining() });
-    }
-    let data: Vec<f64> = (0..cells).map(|_| d.f64()).collect::<DecResult<_>>()?;
-    Matrix::from_vec(rows, cols, data)
-        .map_err(|e| CheckpointError::Corrupt(format!("matrix shape: {e}")))
+    let Some(cells) = rows.checked_mul(cols) else {
+        return corrupt(format!("matrix {rows}x{cols} overflows"));
+    };
+    Matrix::from_vec(rows, cols, d.f64_row(cells)?)
+        .or_else(|e| corrupt(format!("matrix shape: {e}")))
 }
 
 fn enc_method(e: &mut Enc, m: EigenMethod) {
@@ -520,7 +512,7 @@ fn dec_method(d: &mut Dec<'_>) -> DecResult<EigenMethod> {
             power_iters: d.usize_val()?,
             seed: d.u64()?,
         }),
-        t => Err(CheckpointError::Corrupt(format!("eigen method tag {t}"))),
+        t => corrupt(format!("eigen method tag {t}")),
     }
 }
 
@@ -582,13 +574,22 @@ fn dec_model(d: &mut Dec<'_>) -> DecResult<ModelState> {
     })
 }
 
+fn enc_rows(e: &mut Enc, rows: &[Vec<f64>]) {
+    e.usize(rows.len());
+    for row in rows {
+        e.f64s(row);
+    }
+}
+
+fn dec_rows(d: &mut Dec<'_>) -> DecResult<Vec<Vec<f64>>> {
+    let rows = d.len(8)?;
+    (0..rows).map(|_| d.f64s()).collect()
+}
+
 fn enc_detector(e: &mut Enc, s: &DetectorState) {
     enc_subspace_config(e, s.config);
     enc_model(e, &s.model);
-    e.usize(s.window.len());
-    for row in &s.window {
-        e.f64s(row);
-    }
+    enc_rows(e, &s.window);
     e.usize(s.window_len);
     e.usize(s.refit_every);
     e.usize(s.since_refit);
@@ -596,14 +597,10 @@ fn enc_detector(e: &mut Enc, s: &DetectorState) {
 }
 
 fn dec_detector(d: &mut Dec<'_>) -> DecResult<DetectorState> {
-    let config = dec_subspace_config(d)?;
-    let model = dec_model(d)?;
-    let rows = d.len(8)?;
-    let window: Vec<Vec<f64>> = (0..rows).map(|_| d.f64s()).collect::<DecResult<_>>()?;
     Ok(DetectorState {
-        config,
-        model,
-        window,
+        config: dec_subspace_config(d)?,
+        model: dec_model(d)?,
+        window: dec_rows(d)?,
         window_len: d.usize_val()?,
         refit_every: d.usize_val()?,
         since_refit: d.usize_val()?,
@@ -647,7 +644,7 @@ fn dec_verdict(d: &mut Dec<'_>) -> DecResult<StreamVerdict> {
         let kind = match d.u8()? {
             0 => StatisticKind::Spe,
             1 => StatisticKind::T2,
-            t => return Err(CheckpointError::Corrupt(format!("statistic tag {t}"))),
+            t => return corrupt(format!("statistic tag {t}")),
         };
         detections.push(Detection { bin: dbin, kind, value: d.f64()?, threshold: d.f64()? });
     }
@@ -656,141 +653,464 @@ fn dec_verdict(d: &mut Dec<'_>) -> DecResult<StreamVerdict> {
         1 => Some(DegradedReason::MaskedBin),
         2 => Some(DegradedReason::ImputedBin),
         3 => Some(DegradedReason::WidenedThreshold { imputed_fraction: d.f64()? }),
-        t => return Err(CheckpointError::Corrupt(format!("degraded tag {t}"))),
+        t => return corrupt(format!("degraded tag {t}")),
     };
     Ok(StreamVerdict { bin, spe, t2, detections, degraded })
 }
 
 // ---------------------------------------------------------------------------
-// Top-level codec
+// The generation codec
 // ---------------------------------------------------------------------------
 
-/// Serializes a pipeline snapshot into a self-verifying checkpoint file
-/// image (header + checksummed payload).
-#[must_use]
-pub fn encode_state(state: &PipelineState) -> Vec<u8> {
-    let mut p = Enc::new();
-    p.u64(state.seq);
-    p.u64(state.frames_ingested);
-    p.u64(state.next_close);
-    p.u64(state.watermark_secs);
-    enc_shard(&mut p, &state.shard);
-    enc_quarantine(&mut p, &state.quarantine);
-    p.usize(state.exporters.len());
-    for (id, s) in &state.exporters {
-        p.u8(*id);
-        enc_exporter(&mut p, s);
-    }
-    match &state.detector {
-        None => p.u8(0),
-        Some(det) => {
-            p.u8(1);
-            enc_detector(&mut p, det);
-        }
-    }
-    p.usize(state.live_verdicts.len());
-    for v in &state.live_verdicts {
-        enc_verdict(&mut p, v);
-    }
-
-    let payload = p.buf;
-    let mut out = Vec::with_capacity(CHECKPOINT_HEADER_LEN + payload.len());
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+/// What one record persists: the head in full, and of the bins, the
+/// detector and the verdicts only what moved since the previous
+/// generation. Borrowed from live structures on the way out, owned on
+/// the way in.
+#[derive(Debug)]
+pub(crate) struct Generation<'a> {
+    pub(crate) seq: u64,
+    pub(crate) frames_ingested: u64,
+    pub(crate) next_close: u64,
+    pub(crate) watermark_secs: u64,
+    pub(crate) records_accepted: u64,
+    pub(crate) resolution: ResolutionStats,
+    pub(crate) dropped_out_of_window: u64,
+    pub(crate) quarantine: QuarantineStats,
+    pub(crate) exporters: Cow<'a, [(u8, ExporterSeqState)]>,
+    /// Window geometry, so every record checks itself against the state
+    /// it is folded into.
+    pub(crate) num_bins: usize,
+    pub(crate) num_od: usize,
+    /// The dirty bins, ascending.
+    pub(crate) bins: Vec<BinSegment<'a>>,
+    pub(crate) detector: DetectorPart<'a>,
+    /// Verdicts the previous generation already holds.
+    pub(crate) verdicts_before: usize,
+    pub(crate) verdicts: Cow<'a, [StreamVerdict]>,
 }
 
-/// Deserializes a checkpoint file image. Total over arbitrary input:
-/// rejects with a typed [`CheckpointError`], never panics, and never
-/// allocates beyond what the bytes present can justify.
+/// One bin of a [`Generation`]: [`BinState`], borrowable.
+#[derive(Debug)]
+pub(crate) struct BinSegment<'a> {
+    bin: usize,
+    records: u64,
+    bytes: Cow<'a, [f64]>,
+    packets: Cow<'a, [f64]>,
+    flows: Cow<'a, [f64]>,
+    distinct: Cow<'a, [Vec<FlowKey>]>,
+}
+
+impl From<BinState> for BinSegment<'static> {
+    fn from(b: BinState) -> Self {
+        BinSegment {
+            bin: b.bin,
+            records: b.records,
+            bytes: Cow::Owned(b.bytes),
+            packets: Cow::Owned(b.packets),
+            flows: Cow::Owned(b.flows),
+            distinct: Cow::Owned(b.distinct),
+        }
+    }
+}
+
+impl From<BinSegment<'_>> for BinState {
+    fn from(b: BinSegment<'_>) -> Self {
+        BinState {
+            bin: b.bin,
+            records: b.records,
+            bytes: b.bytes.into_owned(),
+            packets: b.packets.into_owned(),
+            flows: b.flows.into_owned(),
+            distinct: b.distinct.into_owned(),
+        }
+    }
+}
+
+/// The detector's share of a [`Generation`].
+// One per generation and never held in bulk, so a box around the whole
+// detector would buy nothing.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub(crate) enum DetectorPart<'a> {
+    /// No detector is fitted.
+    Absent,
+    /// The whole detector: it was fitted, or refitted, since the previous
+    /// generation.
+    Whole(Cow<'a, DetectorState>),
+    /// The model stands; the refit window lost `dropped` rows at the
+    /// front and gained `gained` at the back.
+    Window { since_refit: usize, next_bin: usize, dropped: usize, gained: Cow<'a, [Vec<f64>]> },
+}
+
+impl PipelineState {
+    /// This state as a generation with everything dirty.
+    fn complete(&self) -> Generation<'_> {
+        let (n, p) = (self.shard.bin_records.len(), self.shard.num_od());
+        fn row<T>(cells: &[T], bin: usize, p: usize) -> &[T] {
+            cells.get(bin * p..(bin + 1) * p).unwrap_or(&[])
+        }
+        let bins = (0..n).map(|bin| BinSegment {
+            bin,
+            records: self.shard.bin_records[bin],
+            bytes: Cow::Borrowed(row(&self.shard.bytes, bin, p)),
+            packets: Cow::Borrowed(row(&self.shard.packets, bin, p)),
+            flows: Cow::Borrowed(row(&self.shard.flows, bin, p)),
+            distinct: Cow::Borrowed(row(&self.shard.distinct, bin, p)),
+        });
+        Generation {
+            seq: self.seq,
+            frames_ingested: self.frames_ingested,
+            next_close: self.next_close,
+            watermark_secs: self.watermark_secs,
+            records_accepted: self.shard.records_accepted,
+            resolution: self.shard.resolution,
+            dropped_out_of_window: self.shard.dropped_out_of_window,
+            quarantine: self.quarantine,
+            exporters: Cow::Borrowed(&self.exporters),
+            num_bins: n,
+            num_od: p,
+            bins: bins.collect(),
+            detector: match &self.detector {
+                None => DetectorPart::Absent,
+                Some(det) => DetectorPart::Whole(Cow::Borrowed(det)),
+            },
+            verdicts_before: 0,
+            verdicts: Cow::Borrowed(&self.live_verdicts),
+        }
+    }
+
+    /// Advances this state by the generation that follows it. Everything
+    /// is checked before anything is changed, so a record that does not
+    /// fit leaves the state exactly the generation it was.
+    fn fold(&mut self, next: Generation<'static>) -> DecResult<()> {
+        if Some(next.seq) != self.seq.checked_add(1) {
+            return corrupt(format!("generation {} does not follow {}", next.seq, self.seq));
+        }
+        next.apply(self)
+    }
+}
+
+impl Generation<'_> {
+    /// Bytes the payload will need, to within the small fixed fields —
+    /// what the encoder reserves up front.
+    fn payload_len_hint(&self) -> usize {
+        let rows = |rows: &[Vec<f64>]| rows.iter().map(|r| 8 + 8 * r.len()).sum::<usize>();
+        let bins: usize = self
+            .bins
+            .iter()
+            .map(|b| {
+                let keys: usize = b.distinct.iter().map(Vec::len).sum();
+                16 + 32 * b.bytes.len() + FLOW_KEY_LEN * keys
+            })
+            .sum();
+        let detector = match &self.detector {
+            DetectorPart::Absent => 0,
+            DetectorPart::Whole(det) => {
+                let m = &det.model.decomp;
+                8 * (m.eigenflows.as_slice().len() + m.loadings.as_slice().len())
+                    + 8 * (m.singular_values.len() + 2 * m.centering.means.len())
+                    + rows(&det.window)
+            }
+            DetectorPart::Window { gained, .. } => rows(gained),
+        };
+        let verdicts: usize = self.verdicts.iter().map(|v| 48 + 25 * v.detections.len()).sum();
+        512 + 48 * self.exporters.len() + bins + detector + verdicts
+    }
+
+    /// Serializes this generation into one self-verifying record.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut e =
+            Enc { buf: Vec::with_capacity(CHECKPOINT_HEADER_LEN + self.payload_len_hint()) };
+        // The header is filled in once the payload it describes exists.
+        e.buf.resize(CHECKPOINT_HEADER_LEN, 0);
+        e.u64(self.seq);
+        e.u64(self.frames_ingested);
+        e.u64(self.next_close);
+        e.u64(self.watermark_secs);
+        e.u64(self.records_accepted);
+        enc_resolution(&mut e, &self.resolution);
+        e.u64(self.dropped_out_of_window);
+        enc_quarantine(&mut e, &self.quarantine);
+        e.usize(self.exporters.len());
+        for (id, s) in self.exporters.iter() {
+            e.u8(*id);
+            enc_exporter(&mut e, s);
+        }
+        e.usize(self.num_bins);
+        e.usize(self.num_od);
+        e.usize(self.bins.len());
+        for b in &self.bins {
+            e.usize(b.bin);
+            e.u64(b.records);
+            e.f64_row(&b.bytes);
+            e.f64_row(&b.packets);
+            e.f64_row(&b.flows);
+            for keys in b.distinct.iter() {
+                e.keys(keys);
+            }
+        }
+        match &self.detector {
+            DetectorPart::Absent => e.u8(0),
+            DetectorPart::Whole(det) => {
+                e.u8(1);
+                enc_detector(&mut e, det);
+            }
+            DetectorPart::Window { since_refit, next_bin, dropped, gained } => {
+                e.u8(2);
+                e.usize(*since_refit);
+                e.usize(*next_bin);
+                e.usize(*dropped);
+                enc_rows(&mut e, gained);
+            }
+        }
+        e.usize(self.verdicts_before);
+        e.usize(self.verdicts.len());
+        for v in self.verdicts.iter() {
+            enc_verdict(&mut e, v);
+        }
+
+        let (header, payload) = e.buf.split_at_mut(CHECKPOINT_HEADER_LEN);
+        header[..8].copy_from_slice(&CHECKPOINT_MAGIC);
+        header[8..12].copy_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        header[20..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
+        e.buf
+    }
+}
+
+impl Generation<'static> {
+    /// Decodes the record at the front of `bytes`, returning it with the
+    /// number of bytes it occupies; whatever follows is the next record's.
+    fn decode(bytes: &[u8]) -> DecResult<(Self, usize)> {
+        let mut h = Dec::new(bytes);
+        if h.take(8)? != CHECKPOINT_MAGIC {
+            return Err(CheckpointError::BadMagic);
+        }
+        let version = h.u32()?;
+        if version != CHECKPOINT_VERSION {
+            return Err(CheckpointError::BadVersion(version));
+        }
+        let declared = h.usize_val()?;
+        let expected_sum = h.u64()?;
+        let payload = h.take(declared)?;
+        let got_sum = fnv1a64(payload);
+        if got_sum != expected_sum {
+            return Err(CheckpointError::BadChecksum { expected: expected_sum, got: got_sum });
+        }
+
+        let mut d = Dec::new(payload);
+        let seq = d.u64()?;
+        let frames_ingested = d.u64()?;
+        let next_close = d.u64()?;
+        let watermark_secs = d.u64()?;
+        let records_accepted = d.u64()?;
+        let resolution = dec_resolution(&mut d)?;
+        let dropped_out_of_window = d.u64()?;
+        let quarantine = dec_quarantine(&mut d)?;
+        let n_exporters = d.len(37)?; // id + fixed exporter body lower bound
+        let mut exporters = Vec::with_capacity(n_exporters);
+        for _ in 0..n_exporters {
+            let id = d.u8()?;
+            exporters.push((id, dec_exporter(&mut d)?));
+        }
+        let num_bins = d.usize_val()?;
+        let num_od = d.usize_val()?;
+        // Bin index, record count, three rows and a key count per cell.
+        let n_bins = d.len(num_od.saturating_mul(32).saturating_add(16))?;
+        let mut bins: Vec<BinSegment<'static>> = Vec::with_capacity(n_bins);
+        for _ in 0..n_bins {
+            let bin = d.usize_val()?;
+            if bin >= num_bins || bins.last().is_some_and(|prev| prev.bin >= bin) {
+                return corrupt(format!("bin segment {bin} out of order or outside the window"));
+            }
+            let records = d.u64()?;
+            let bytes = d.f64_row(num_od)?;
+            let packets = d.f64_row(num_od)?;
+            let flows = d.f64_row(num_od)?;
+            let distinct = (0..num_od).map(|_| d.keys()).collect::<DecResult<Vec<_>>>()?;
+            bins.push(BinState { bin, records, bytes, packets, flows, distinct }.into());
+        }
+        let detector = match d.u8()? {
+            0 => DetectorPart::Absent,
+            1 => DetectorPart::Whole(Cow::Owned(dec_detector(&mut d)?)),
+            2 => DetectorPart::Window {
+                since_refit: d.usize_val()?,
+                next_bin: d.usize_val()?,
+                dropped: d.usize_val()?,
+                gained: Cow::Owned(dec_rows(&mut d)?),
+            },
+            t => return corrupt(format!("detector tag {t}")),
+        };
+        let verdicts_before = d.usize_val()?;
+        let n_verdicts = d.len(8 + 8 + 8 + 8 + 1)?;
+        let mut verdicts = Vec::with_capacity(n_verdicts);
+        for _ in 0..n_verdicts {
+            verdicts.push(dec_verdict(&mut d)?);
+        }
+        if d.remaining() != 0 {
+            return corrupt(format!("{} unconsumed payload bytes", d.remaining()));
+        }
+        let generation = Generation {
+            seq,
+            frames_ingested,
+            next_close,
+            watermark_secs,
+            records_accepted,
+            resolution,
+            dropped_out_of_window,
+            quarantine,
+            exporters: Cow::Owned(exporters),
+            num_bins,
+            num_od,
+            bins,
+            detector,
+            verdicts_before,
+            verdicts: Cow::Owned(verdicts),
+        };
+        Ok((generation, CHECKPOINT_HEADER_LEN + declared))
+    }
+
+    /// The state a complete record holds; a delta is rejected.
+    fn into_state(self) -> DecResult<PipelineState> {
+        // Segments are ascending and inside the window, so as many as
+        // there are bins is all of them.
+        if self.bins.len() != self.num_bins || self.verdicts_before != 0 {
+            return corrupt("a chain must start with a complete record".to_owned());
+        }
+        let mut state = PipelineState {
+            seq: self.seq,
+            frames_ingested: 0,
+            next_close: 0,
+            watermark_secs: 0,
+            shard: ShardState::empty(self.num_bins, self.num_od),
+            quarantine: QuarantineStats::default(),
+            exporters: Vec::new(),
+            detector: None,
+            live_verdicts: Vec::new(),
+        };
+        self.apply(&mut state)?;
+        Ok(state)
+    }
+
+    /// Overwrites in `state` what this generation carries, after checking
+    /// that all of it fits.
+    fn apply(self, state: &mut PipelineState) -> DecResult<()> {
+        let shard = &state.shard;
+        if self.num_bins != shard.bin_records.len() || self.num_od != shard.num_od() {
+            return corrupt(format!(
+                "a {} x {} generation does not fit a {} x {} window",
+                self.num_bins,
+                self.num_od,
+                shard.bin_records.len(),
+                shard.num_od()
+            ));
+        }
+        if self.verdicts_before != state.live_verdicts.len() {
+            return corrupt(format!(
+                "verdicts resume at {} but {} are held",
+                self.verdicts_before,
+                state.live_verdicts.len()
+            ));
+        }
+        match (&self.detector, &state.detector) {
+            (DetectorPart::Absent, None) | (DetectorPart::Whole(_), _) => {}
+            (DetectorPart::Absent, Some(_)) => {
+                return corrupt("the fitted detector vanished".to_owned());
+            }
+            (DetectorPart::Window { .. }, None) => {
+                return corrupt("a window update needs a fitted detector".to_owned());
+            }
+            (DetectorPart::Window { dropped, gained, .. }, Some(det)) => {
+                if *dropped > det.window.len() || gained.iter().any(|r| r.len() != det.model.p) {
+                    return corrupt("window update does not fit the refit window".to_owned());
+                }
+            }
+        }
+
+        state.seq = self.seq;
+        state.frames_ingested = self.frames_ingested;
+        state.next_close = self.next_close;
+        state.watermark_secs = self.watermark_secs;
+        state.shard.records_accepted = self.records_accepted;
+        state.shard.resolution = self.resolution;
+        state.shard.dropped_out_of_window = self.dropped_out_of_window;
+        state.quarantine = self.quarantine;
+        state.exporters = self.exporters.into_owned();
+        for b in self.bins {
+            state.shard.replace_bin(b.into()).or_else(|e| corrupt(e.to_string()))?;
+        }
+        match (self.detector, &mut state.detector) {
+            (DetectorPart::Whole(det), slot) => *slot = Some(det.into_owned()),
+            (DetectorPart::Window { since_refit, next_bin, dropped, gained }, Some(det)) => {
+                det.window.drain(..dropped);
+                det.window.extend(gained.into_owned());
+                det.since_refit = since_refit;
+                det.next_bin = next_bin;
+            }
+            _ => {}
+        }
+        state.live_verdicts.extend(self.verdicts.into_owned());
+        Ok(())
+    }
+}
+
+/// Serializes a pipeline snapshot into a self-verifying complete record
+/// (header + checksummed payload). The shard's cell vectors must have
+/// the `bins x od` shape its `bin_records` implies, as every
+/// [`ShardState`] a shard exports has.
+#[must_use]
+pub fn encode_state(state: &PipelineState) -> Vec<u8> {
+    state.complete().encode()
+}
+
+/// Deserializes one complete record. Total over arbitrary input: rejects
+/// with a typed [`CheckpointError`], never panics, and never allocates
+/// beyond what the bytes present can justify.
 ///
 /// # Errors
 ///
 /// Every [`CheckpointError`] class except `Io`.
 pub fn decode_state(bytes: &[u8]) -> Result<PipelineState, CheckpointError> {
-    let mut h = Dec::new(bytes);
-    if h.take(8)? != CHECKPOINT_MAGIC {
-        return Err(CheckpointError::BadMagic);
+    let (generation, used) = Generation::decode(bytes)?;
+    if used != bytes.len() {
+        return corrupt(format!("{} trailing bytes beyond the record", bytes.len() - used));
     }
-    let version = h.u32()?;
-    if version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::BadVersion(version));
-    }
-    let declared = h.u64()?;
-    let expected_sum = h.u64()?;
-    let declared = usize::try_from(declared)
-        .map_err(|_| CheckpointError::Corrupt(format!("payload length {declared} overflows")))?;
-    if h.remaining() < declared {
-        return Err(CheckpointError::Truncated { needed: declared, have: h.remaining() });
-    }
-    if h.remaining() > declared {
-        return Err(CheckpointError::Corrupt(format!(
-            "{} trailing bytes beyond declared payload",
-            h.remaining() - declared
-        )));
-    }
-    let payload = h.take(declared)?;
-    let got_sum = fnv1a64(payload);
-    if got_sum != expected_sum {
-        return Err(CheckpointError::BadChecksum { expected: expected_sum, got: got_sum });
-    }
+    generation.into_state()
+}
 
-    let mut d = Dec::new(payload);
-    let seq = d.u64()?;
-    let frames_ingested = d.u64()?;
-    let next_close = d.u64()?;
-    let watermark_secs = d.u64()?;
-    let shard = dec_shard(&mut d)?;
-    let quarantine = dec_quarantine(&mut d)?;
-    let n_exporters = d.len(37)?; // id + fixed exporter body lower bound
-    let mut exporters = Vec::with_capacity(n_exporters);
-    for _ in 0..n_exporters {
-        let id = d.u8()?;
-        exporters.push((id, dec_exporter(&mut d)?));
-    }
-    let detector = match d.u8()? {
-        0 => None,
-        1 => Some(dec_detector(&mut d)?),
-        t => return Err(CheckpointError::Corrupt(format!("detector tag {t}"))),
+/// Folds a slot file — a complete record, then deltas — into the newest
+/// state it holds, stopping at the first record that fails framing,
+/// checksum or continuity. Returns that state (if even the first record
+/// was usable) and the failure that ended the chain early (if one did).
+fn load_chain(bytes: &[u8]) -> (Option<PipelineState>, Option<CheckpointError>) {
+    let first = Generation::decode(bytes).and_then(|(g, used)| Ok((g.into_state()?, used)));
+    let (mut state, mut at) = match first {
+        Ok(first) => first,
+        Err(e) => return (None, Some(e)),
     };
-    let n_verdicts = d.len(8 + 8 + 8 + 8 + 1)?;
-    let mut live_verdicts = Vec::with_capacity(n_verdicts);
-    for _ in 0..n_verdicts {
-        live_verdicts.push(dec_verdict(&mut d)?);
+    while at < bytes.len() {
+        let step = Generation::decode(&bytes[at..]).and_then(|(g, used)| {
+            state.fold(g)?;
+            Ok(used)
+        });
+        match step {
+            Ok(used) => at += used,
+            Err(e) => return (Some(state), Some(e)),
+        }
     }
-    if d.remaining() != 0 {
-        return Err(CheckpointError::Corrupt(format!(
-            "{} unconsumed payload bytes",
-            d.remaining()
-        )));
-    }
-    Ok(PipelineState {
-        seq,
-        frames_ingested,
-        next_close,
-        watermark_secs,
-        shard,
-        quarantine,
-        exporters,
-        detector,
-        live_verdicts,
-    })
+    (Some(state), None)
 }
 
 // ---------------------------------------------------------------------------
-// Generation store
+// Slot files: store and chain writer
 // ---------------------------------------------------------------------------
 
-/// Two-slot alternating checkpoint store for one tenant.
+/// The two slot files of one tenant.
 ///
-/// Generation `seq` lands in slot `seq % 2`, written to a temp file and
-/// atomically renamed into place, so at every instant at least one slot
-/// holds a complete previous generation. [`Self::load_newest`] decodes
-/// both slots and returns the valid one with the highest sequence — a
-/// corrupted newest generation silently falls back to the previous one.
+/// Each holds a chain: a complete record, then deltas. At every instant
+/// one slot holds the newest durable generation and the other the chain
+/// before it, so [`Self::load_newest`] always has an exact earlier
+/// generation to fall back to.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -800,11 +1120,15 @@ pub struct CheckpointStore {
 /// Outcome of scanning a tenant's checkpoint slots.
 #[derive(Debug, Default)]
 pub struct LoadOutcome {
-    /// The newest valid snapshot, if any slot decoded.
+    /// The newest valid generation, if any slot's first record decoded.
     pub state: Option<PipelineState>,
-    /// Decode/read failures from rejected slots (missing files are not
-    /// failures). A non-empty list alongside `Some(state)` means recovery
-    /// fell back past a corrupt generation.
+    /// The slot (`0` or `1`) whose chain `state` was folded from — the
+    /// one the next complete record must not replace.
+    pub slot: Option<usize>,
+    /// Read and decode failures (missing files are not failures): a slot
+    /// whose first record was unusable, or the record that ended a chain
+    /// early. A non-empty list alongside `Some(state)` means recovery
+    /// fell back past a torn or corrupt generation.
     pub rejected: Vec<(PathBuf, CheckpointError)>,
 }
 
@@ -828,21 +1152,17 @@ impl CheckpointStore {
         ]
     }
 
-    fn slot_for(&self, seq: u64) -> PathBuf {
-        let idx = (seq % 2) as usize;
-        self.slot_paths()[idx].clone()
-    }
-
-    /// Removes both slot files (and stray temp files) — a fresh daemon
-    /// bind clears stale generations so they can never leak into a later
-    /// recovery.
+    /// Creates the directory and removes both slot files (and stray temp
+    /// files) — a fresh daemon bind clears stale generations so they can
+    /// never leak into a later recovery.
     ///
     /// # Errors
     ///
     /// Filesystem errors other than not-found.
     pub fn reset(&self) -> Result<(), CheckpointError> {
+        std::fs::create_dir_all(&self.dir)?;
         for path in self.slot_paths() {
-            for p in [path.clone(), path.with_extension("ckpt.tmp")] {
+            for p in [path.with_extension("ckpt.tmp"), path] {
                 match std::fs::remove_file(&p) {
                     Ok(()) => {}
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -853,51 +1173,47 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Persists one generation: encode, write to a temp file, fsync,
-    /// atomically rename into the slot selected by `state.seq`.
+    /// Persists `state` as one complete record — the whole of slot
+    /// `state.seq % 2` afterwards. A running tenant appends deltas to
+    /// the chain such a record starts instead (see the module docs).
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] on filesystem failure; the previous
-    /// generation is untouched in either case.
+    /// [`CheckpointError::Io`] on filesystem failure; both slots are as
+    /// they were.
     pub fn write(&self, state: &PipelineState) -> Result<(), CheckpointError> {
-        self.write_bytes(state.seq, &encode_state(state))
+        self.write_complete((state.seq % 2) as usize, &encode_state(state))
     }
 
-    /// Deliberately persists a torn (truncated) generation — the chaos
-    /// harness's simulation of a crash midway through a checkpoint write
-    /// that still managed to surface a partial file. Recovery must reject
-    /// it by checksum and fall back to the previous slot.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] on filesystem failure.
-    pub fn write_torn(&self, state: &PipelineState) -> Result<(), CheckpointError> {
-        let full = encode_state(state);
-        self.write_bytes(state.seq, &full[..full.len() / 2])
-    }
-
-    fn write_bytes(&self, seq: u64, bytes: &[u8]) -> Result<(), CheckpointError> {
-        std::fs::create_dir_all(&self.dir)?;
-        let dest = self.slot_for(seq);
+    /// Replaces slot `slot` with `image` durably: temp file, fsync,
+    /// rename, directory fsync — the rename is what a crash must not
+    /// lose once the caller counts the generation as checkpointed.
+    fn write_complete(&self, slot: usize, image: &[u8]) -> Result<(), CheckpointError> {
+        let dest = &self.slot_paths()[slot % 2];
         let tmp = dest.with_extension("ckpt.tmp");
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &dest)?;
+        let mut f = match File::create(&tmp) {
+            // First use of a directory nobody `reset`.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                std::fs::create_dir_all(&self.dir)?;
+                File::create(&tmp)?
+            }
+            other => other?,
+        };
+        f.write_all(image)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, dest)?;
+        File::open(&self.dir)?.sync_all()?;
         Ok(())
     }
 
     /// Scans both slots and returns the newest valid generation along
-    /// with any rejected slots. Never errors and never panics: a missing
-    /// directory or two corrupt slots simply yield `state: None`.
+    /// with whatever was rejected on the way. Never errors and never
+    /// panics: a missing directory or two corrupt slots simply yield
+    /// `state: None`.
     #[must_use]
     pub fn load_newest(&self) -> LoadOutcome {
         let mut out = LoadOutcome::default();
-        for path in self.slot_paths() {
+        for (slot, path) in self.slot_paths().into_iter().enumerate() {
             let bytes = match std::fs::read(&path) {
                 Ok(b) => b,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
@@ -906,18 +1222,99 @@ impl CheckpointStore {
                     continue;
                 }
             };
-            match decode_state(&bytes) {
-                Ok(state) => {
-                    let newer = out.state.as_ref().is_none_or(|best| state.seq > best.seq);
-                    if newer {
-                        out.state = Some(state);
-                    }
+            let (state, failure) = load_chain(&bytes);
+            if let Some(state) = state {
+                if out.state.as_ref().is_none_or(|best| state.seq > best.seq) {
+                    out.state = Some(state);
+                    out.slot = Some(slot);
                 }
-                Err(e) => out.rejected.push((path, e)),
+            }
+            if let Some(e) = failure {
+                out.rejected.push((path, e));
             }
         }
         out
     }
+}
+
+/// Persists a running tenant's generations, one per call, deciding for
+/// each whether it extends the open chain or starts the next one.
+#[derive(Debug)]
+pub(crate) struct ChainWriter {
+    store: CheckpointStore,
+    /// Where the next complete record goes: never the slot that holds
+    /// the newest durable generation.
+    next_slot: usize,
+    /// The chain this session is appending to. `None` until the session
+    /// has written its own complete record, and again after any failed
+    /// write — bytes of unknown fate are never appended past.
+    chain: Option<OpenChain>,
+}
+
+#[derive(Debug)]
+struct OpenChain {
+    file: File,
+    /// Length of the chain's complete record.
+    first_len: u64,
+    /// Delta bytes appended after it.
+    appended: u64,
+}
+
+impl OpenChain {
+    /// The rebase rule: a chain takes deltas until they outweigh the
+    /// complete record they follow.
+    fn has_room(&self) -> bool {
+        self.appended <= self.first_len
+    }
+}
+
+impl ChainWriter {
+    /// A writer over `store`. `resumed_slot` is [`LoadOutcome::slot`] of
+    /// the generation the session resumed from, if it resumed from one.
+    pub(crate) fn new(store: CheckpointStore, resumed_slot: Option<usize>) -> ChainWriter {
+        ChainWriter { store, next_slot: resumed_slot.map_or(0, |s| (s + 1) % 2), chain: None }
+    }
+
+    /// `true` when the next generation must be a complete record: no
+    /// chain of this session is open, or the open one has had more bytes
+    /// appended than its complete record is long.
+    pub(crate) fn wants_complete(&self) -> bool {
+        !self.chain.as_ref().is_some_and(OpenChain::has_room)
+    }
+
+    /// Makes one encoded generation durable — a complete record exactly
+    /// when [`Self::wants_complete`] said so. Returns only after the
+    /// bytes are synced.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`]; the generations already durable are
+    /// untouched and the next call starts a fresh chain.
+    pub(crate) fn commit(&mut self, image: &[u8]) -> Result<(), CheckpointError> {
+        let result = match self.chain.take().filter(OpenChain::has_room) {
+            Some(mut chain) => append_synced(&mut chain.file, image).map(|()| {
+                chain.appended += image.len() as u64;
+                chain
+            }),
+            None => self.start_chain(image),
+        };
+        self.chain = Some(result?);
+        Ok(())
+    }
+
+    fn start_chain(&mut self, image: &[u8]) -> Result<OpenChain, CheckpointError> {
+        let slot = self.next_slot;
+        self.store.write_complete(slot, image)?;
+        let file = File::options().append(true).open(&self.store.slot_paths()[slot])?;
+        self.next_slot = (slot + 1) % 2;
+        Ok(OpenChain { file, first_len: image.len() as u64, appended: 0 })
+    }
+}
+
+fn append_synced(file: &mut File, image: &[u8]) -> Result<(), CheckpointError> {
+    file.write_all(image)?;
+    file.sync_data()?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1261,7 +1658,8 @@ mod tests {
         store.write(&sample_state(2)).unwrap();
         let [a, b] = store.slot_paths();
         assert!(a.exists() && b.exists(), "both slots populated");
-        assert_eq!(store.load_newest().state.unwrap().seq, 2);
+        let out = store.load_newest();
+        assert_eq!((out.state.unwrap().seq, out.slot), (2, Some(0)));
 
         // Corrupt the newest generation (seq 2 lives in slot a): recovery
         // must fall back to seq 1 and report the rejected slot.
@@ -1270,6 +1668,7 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&a, &bytes).unwrap();
         let out = store.load_newest();
+        assert_eq!(out.slot, Some(1));
         assert_eq!(out.state.unwrap().seq, 1, "falls back to previous generation");
         assert_eq!(out.rejected.len(), 1);
         assert!(matches!(out.rejected[0].1, CheckpointError::BadChecksum { .. }));
@@ -1277,7 +1676,8 @@ mod tests {
         // A torn write (truncated file) is likewise rejected; seq 3 tears
         // over slot b (the last valid generation), so with slot a already
         // corrupt nothing is loadable — and still nothing panics.
-        store.write_torn(&sample_state(3)).unwrap();
+        let torn = encode_state(&sample_state(3));
+        std::fs::write(&b, &torn[..torn.len() / 2]).unwrap();
         let out = store.load_newest();
         assert!(out.state.is_none());
         assert_eq!(out.rejected.len(), 2);
@@ -1289,6 +1689,221 @@ mod tests {
         store.reset().unwrap();
         assert!(store.load_newest().state.is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The generation after `sample_state(seq)`: bin 1 received records,
+    /// the refit window slid by one row, one more verdict was issued.
+    fn sample_delta(prev: &PipelineState) -> (Generation<'static>, PipelineState) {
+        let key = FlowKey::new(
+            IpAddr::from_octets(10, 0, 0, 9),
+            IpAddr::from_octets(10, 16, 0, 9),
+            4242,
+            443,
+            Protocol::Udp,
+        );
+        let verdict =
+            StreamVerdict { bin: 3, spe: 0.5, t2: 2.5, detections: vec![], degraded: None };
+        let bin = BinState {
+            bin: 1,
+            records: 9,
+            bytes: vec![7.5, 8.5],
+            packets: vec![4.0, 5.0],
+            flows: vec![2.0, 3.0],
+            distinct: vec![vec![key], vec![]],
+        };
+        let mut next = prev.clone();
+        next.seq += 1;
+        next.frames_ingested += 40;
+        next.next_close += 1;
+        next.watermark_secs += 300;
+        next.shard.replace_bin(bin.clone()).unwrap();
+        next.shard.records_accepted += 6;
+        next.quarantine.frames_offered += 40;
+        next.exporters[0].1.frames += 40;
+        let det = next.detector.as_mut().unwrap();
+        det.window.remove(0);
+        det.window.push(vec![5.0, 6.0]);
+        det.since_refit += 1;
+        det.next_bin += 1;
+        next.live_verdicts.push(verdict.clone());
+        let delta = Generation {
+            seq: next.seq,
+            frames_ingested: next.frames_ingested,
+            next_close: next.next_close,
+            watermark_secs: next.watermark_secs,
+            records_accepted: next.shard.records_accepted,
+            resolution: next.shard.resolution,
+            dropped_out_of_window: next.shard.dropped_out_of_window,
+            quarantine: next.quarantine,
+            exporters: Cow::Owned(next.exporters.clone()),
+            num_bins: 2,
+            num_od: 2,
+            bins: vec![bin.into()],
+            detector: DetectorPart::Window {
+                since_refit: det.since_refit,
+                next_bin: det.next_bin,
+                dropped: 1,
+                gained: Cow::Owned(vec![vec![5.0, 6.0]]),
+            },
+            verdicts_before: prev.live_verdicts.len(),
+            verdicts: Cow::Owned(vec![verdict]),
+        };
+        (delta, next)
+    }
+
+    #[test]
+    fn a_delta_folds_to_the_state_it_was_cut_from() {
+        let first = sample_state(5);
+        let (delta, second) = sample_delta(&first);
+        let mut chain = encode_state(&first);
+        let delta_bytes = delta.encode();
+        assert!(delta_bytes.len() < chain.len(), "one bin of two, one window row of two");
+        chain.extend_from_slice(&delta_bytes);
+
+        let (state, failure) = load_chain(&chain);
+        assert!(failure.is_none(), "{failure:?}");
+        assert_eq!(encode_state(&state.unwrap()), encode_state(&second));
+
+        // Anything after the last record that is not a record ends the
+        // chain there, at an exact generation.
+        chain.extend_from_slice(&delta_bytes[..delta_bytes.len() - 1]);
+        let (state, failure) = load_chain(&chain);
+        assert_eq!(encode_state(&state.unwrap()), encode_state(&second));
+        assert!(matches!(failure, Some(CheckpointError::Truncated { .. })));
+
+        // A delta is not a state: neither alone nor at the head of a chain.
+        assert!(matches!(decode_state(&delta_bytes), Err(CheckpointError::Corrupt(_))));
+        assert!(load_chain(&delta_bytes).0.is_none());
+    }
+
+    #[test]
+    fn a_record_that_does_not_continue_the_chain_ends_it() {
+        let first = sample_state(5);
+        let head = encode_state(&first);
+        let ends_at_first = |record: Vec<u8>, why: &str| {
+            let mut chain = head.clone();
+            chain.extend_from_slice(&record);
+            let (state, failure) = load_chain(&chain);
+            assert_eq!(encode_state(&state.unwrap()), head, "{why}");
+            assert!(matches!(failure, Some(CheckpointError::Corrupt(_))), "{why}: {failure:?}");
+        };
+        let delta = || sample_delta(&first).0;
+
+        ends_at_first(encode_state(&sample_state(7)), "a gap in seq");
+        ends_at_first(encode_state(&first), "the same seq again");
+        ends_at_first(Generation { verdicts_before: 2, ..delta() }.encode(), "a verdict gap");
+        ends_at_first(Generation { num_bins: 3, ..delta() }.encode(), "another window");
+        let overdrawn = DetectorPart::Window {
+            since_refit: 2,
+            next_bin: 5,
+            dropped: 3,
+            gained: Cow::Owned(vec![]),
+        };
+        ends_at_first(Generation { detector: overdrawn, ..delta() }.encode(), "window overdrawn");
+        let wide = DetectorPart::Window {
+            since_refit: 2,
+            next_bin: 5,
+            dropped: 0,
+            gained: Cow::Owned(vec![vec![1.0; 3]]),
+        };
+        ends_at_first(Generation { detector: wide, ..delta() }.encode(), "row of another width");
+        ends_at_first(
+            Generation { detector: DetectorPart::Absent, ..delta() }.encode(),
+            "the detector vanished",
+        );
+
+        // Records after the first say what changed; a second complete
+        // record restarts the verdict count and is not one of them.
+        ends_at_first(encode_state(&sample_state(6)), "a complete record mid-chain");
+
+        // Without a detector there is no window to move.
+        let mut unfitted = first.clone();
+        unfitted.detector = None;
+        let mut chain = encode_state(&unfitted);
+        chain.extend_from_slice(&delta().encode());
+        let (state, failure) = load_chain(&chain);
+        assert_eq!(state.unwrap().seq, 5);
+        assert!(matches!(failure, Some(CheckpointError::Corrupt(_))));
+    }
+
+    #[test]
+    fn bin_segments_must_ascend_inside_the_window() {
+        let first = sample_state(5);
+        let (delta, _) = sample_delta(&first);
+        let seg = |bin: usize| -> BinSegment<'static> {
+            BinState {
+                bin,
+                records: 1,
+                bytes: vec![0.0; 2],
+                packets: vec![0.0; 2],
+                flows: vec![0.0; 2],
+                distinct: vec![vec![]; 2],
+            }
+            .into()
+        };
+        for bins in [vec![seg(1), seg(0)], vec![seg(1), seg(1)], vec![seg(2)]] {
+            let bytes = Generation { bins, ..sample_delta(&first).0 }.encode();
+            assert!(matches!(Generation::decode(&bytes), Err(CheckpointError::Corrupt(_))));
+        }
+        assert!(Generation::decode(&delta.encode()).is_ok());
+    }
+
+    #[test]
+    fn writer_rebases_into_the_other_slot_once_deltas_outweigh_the_first_record() {
+        let dir = tmp_dir("chain");
+        let store = CheckpointStore::new(&dir, "abilene");
+        let [a, b] = store.slot_paths();
+        let mut writer = ChainWriter::new(store.clone(), None);
+        let mut state = sample_state(0);
+        let mut completes = 0;
+        for _ in 0..12 {
+            let (delta, next) = sample_delta(&state);
+            state = next;
+            let image = if writer.wants_complete() {
+                completes += 1;
+                encode_state(&state)
+            } else {
+                delta.encode()
+            };
+            writer.commit(&image).unwrap();
+            let out = store.load_newest();
+            assert!(out.rejected.is_empty(), "{:?}", out.rejected);
+            assert_eq!(encode_state(&out.state.unwrap()), encode_state(&state));
+        }
+        assert!(completes >= 3, "twelve generations of this size rebase more than once");
+        // Both slots hold a chain, neither more than a delta past twice
+        // its first record.
+        for path in [&a, &b] {
+            let len = std::fs::metadata(path).unwrap().len() as usize;
+            let first = encode_state(&state).len();
+            assert!(len > 0 && len <= 3 * first, "{len} vs a complete record of {first}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resumed_writer_spares_the_slot_it_resumed_from() {
+        let dir = tmp_dir("resume");
+        let store = CheckpointStore::new(&dir, "abilene");
+        store.write(&sample_state(3)).unwrap(); // slot 1
+        let out = store.load_newest();
+        assert_eq!(out.slot, Some(1));
+        let mut writer = ChainWriter::new(store.clone(), out.slot);
+        assert!(writer.wants_complete(), "a session starts with a complete record");
+        writer.commit(&encode_state(&sample_state(4))).unwrap();
+        let [a, b] = store.slot_paths();
+        assert_eq!(decode_state(&std::fs::read(&a).unwrap()).unwrap().seq, 4);
+        assert_eq!(decode_state(&std::fs::read(&b).unwrap()).unwrap().seq, 3);
+        assert!(!writer.wants_complete());
+
+        // A write into a directory that is gone fails, is reported, and
+        // sends the next generation to a fresh chain.
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"not a directory").unwrap();
+        let mut lost = ChainWriter::new(store.clone(), None);
+        assert!(matches!(lost.commit(b"x"), Err(CheckpointError::Io(_))));
+        assert!(lost.wants_complete());
+        std::fs::remove_file(&dir).unwrap();
     }
 
     #[test]

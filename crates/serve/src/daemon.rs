@@ -196,9 +196,10 @@ pub struct TenantRecovery {
     /// The replay cursor: frames of the original stream already covered
     /// by the resumed state.
     pub frames_ingested: u64,
-    /// Checkpoint slots rejected as torn/corrupt during the scan. Greater
-    /// than zero alongside `resumed_seq: Some(..)` means recovery fell
-    /// back past a corrupt newest generation.
+    /// Records rejected as torn/corrupt during the scan: a slot whose
+    /// first record was unusable, or the record that cut a chain short.
+    /// Greater than zero alongside `resumed_seq: Some(..)` means recovery
+    /// fell back past a corrupt newest generation.
     pub slots_rejected: usize,
 }
 
@@ -248,7 +249,7 @@ impl Daemon {
     /// Builds every tenant pipeline and binds the configured sockets.
     /// With a `checkpoint_dir`, stale checkpoint generations are cleared
     /// (a fresh bind must never resume someone else's state) and every
-    /// bin close writes a new one.
+    /// bin close makes a new one durable.
     ///
     /// # Errors
     ///
@@ -305,46 +306,26 @@ impl Daemon {
         let mut pipelines = Vec::with_capacity(config.tenants.len());
         let mut recoveries = Vec::with_capacity(config.tenants.len());
         for (spec, store) in config.tenants.iter().zip(&stores) {
-            let mut pipeline = if recovering {
-                let outcome = store.as_ref().map(CheckpointStore::load_newest).unwrap_or_default();
-                recoveries.push(TenantRecovery {
-                    tenant: spec.config.name.clone(),
-                    resumed_seq: outcome.state.as_ref().map(|s| s.seq),
-                    frames_ingested: outcome.state.as_ref().map_or(0, |s| s.frames_ingested),
-                    slots_rejected: outcome.rejected.len(),
-                });
-                match outcome.state {
-                    Some(state) => TenantPipeline::restore(
-                        spec.config.clone(),
-                        &spec.topology,
-                        spec.ingress.clone(),
-                        spec.routes.clone(),
-                        &state,
-                        Arc::new(TenantCounters::default()),
-                    )?,
-                    None => TenantPipeline::new(
-                        spec.config.clone(),
-                        &spec.topology,
-                        spec.ingress.clone(),
-                        spec.routes.clone(),
-                    )?,
-                }
+            let pipeline = if recovering {
+                let fresh_counters = Arc::new(TenantCounters::default());
+                let (pipeline, recovery) = rebuild_pipeline(spec, store.as_ref(), &fresh_counters)?;
+                recoveries.push(recovery);
+                pipeline
             } else {
-                if let Some(s) = store {
-                    s.reset().map_err(|e| {
-                        ServeError::Config(format!("clearing stale checkpoints: {e}"))
-                    })?;
-                }
-                TenantPipeline::new(
+                let mut pipeline = TenantPipeline::new(
                     spec.config.clone(),
                     &spec.topology,
                     spec.ingress.clone(),
                     spec.routes.clone(),
-                )?
+                )?;
+                if let Some(s) = store {
+                    s.reset().map_err(|e| {
+                        ServeError::Config(format!("clearing stale checkpoints: {e}"))
+                    })?;
+                    pipeline.set_checkpoint_store(s.clone(), None);
+                }
+                pipeline
             };
-            if let Some(s) = store {
-                pipeline.set_checkpoint_store(s.clone());
-            }
             pipelines.push(pipeline);
         }
         let metrics = ServeMetrics {
@@ -800,7 +781,7 @@ impl Supervisor<'_> {
             }
             std::thread::sleep(restart_backoff(self.policy, attempt));
             match rebuild_pipeline(&self.spec, self.store.as_ref(), &counters) {
-                Ok(successor) => pipeline = successor,
+                Ok((successor, _)) => pipeline = successor,
                 Err(e) => {
                     return TenantEnd::Failed { name, reason: format!("restart failed: {e}") }
                 }
@@ -809,16 +790,24 @@ impl Supervisor<'_> {
     }
 }
 
-/// Rebuilds a tenant pipeline for a restarted worker: from the newest
-/// valid checkpoint when one exists, fresh otherwise — threading the
-/// predecessor's counter block and checkpoint store through.
+/// Rebuilds a tenant pipeline from its checkpoints — for a restarted
+/// worker and for [`Daemon::recover`] alike: from the newest valid
+/// generation when one exists, fresh otherwise, on the given counter
+/// block, checkpointing into the slot it did not resume from. Also
+/// reports what the scan found.
 fn rebuild_pipeline(
     spec: &TenantSpec,
     store: Option<&CheckpointStore>,
     counters: &Arc<TenantCounters>,
-) -> Result<TenantPipeline, ServeError> {
-    let restored = store.map(CheckpointStore::load_newest).and_then(|o| o.state);
-    let mut pipeline = match restored {
+) -> Result<(TenantPipeline, TenantRecovery), ServeError> {
+    let outcome = store.map(CheckpointStore::load_newest).unwrap_or_default();
+    let recovery = TenantRecovery {
+        tenant: spec.config.name.clone(),
+        resumed_seq: outcome.state.as_ref().map(|s| s.seq),
+        frames_ingested: outcome.state.as_ref().map_or(0, |s| s.frames_ingested),
+        slots_rejected: outcome.rejected.len(),
+    };
+    let mut pipeline = match outcome.state {
         Some(state) => TenantPipeline::restore(
             spec.config.clone(),
             &spec.topology,
@@ -839,9 +828,9 @@ fn rebuild_pipeline(
         }
     };
     if let Some(s) = store {
-        pipeline.set_checkpoint_store(s.clone());
+        pipeline.set_checkpoint_store(s.clone(), outcome.slot);
     }
-    Ok(pipeline)
+    Ok((pipeline, recovery))
 }
 
 /// Exponential backoff with deterministic splitmix64 jitter: attempt `k`

@@ -29,8 +29,8 @@
 //!    exposes ingest rates, quarantine counters, queue depths/drops, bin
 //!    lag, per-stage timings, and SPE/T² alarm counts as plain text.
 //! 5. **Crash-safe.** With a checkpoint directory configured, every bin
-//!    close persists the full per-tenant pipeline state as a versioned,
-//!    checksummed, two-generation snapshot ([`checkpoint`]);
+//!    close makes one generation durable — a checksummed record of what
+//!    changed, appended to a two-slot chain ([`checkpoint`]);
 //!    [`Daemon::recover`] resumes from the newest valid generation
 //!    bit-identically, workers panic-restart under supervision, and
 //!    persistently panicking tenants are quarantined without touching
@@ -49,7 +49,8 @@ pub mod wire;
 
 pub use checkpoint::{
     decode_state, encode_state, CheckpointError, CheckpointStore, CrashKind, CrashPayload,
-    CrashPoint, CrashSchedule, LoadOutcome, PipelineState, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    CrashPoint, CrashSchedule, LoadOutcome, PipelineState, CHECKPOINT_HEADER_LEN, CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
 };
 pub use daemon::{
     Daemon, DaemonHandle, DaemonReport, ServeConfig, TenantEnd, TenantRecovery, TenantSpec,

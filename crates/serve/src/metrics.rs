@@ -126,6 +126,15 @@ pub struct TenantCounters {
     pub detect_nanos: AtomicU64,
     /// Checkpoint generations durably written.
     pub checkpoints: AtomicU64,
+    /// Bytes of those generations, complete records and deltas alike.
+    pub checkpoint_bytes: AtomicU64,
+    /// Generations that were complete records (chain rebases).
+    pub checkpoint_complete: AtomicU64,
+    /// Bytes of the newest generation (gauge).
+    pub checkpoint_last_bytes: AtomicU64,
+    /// Checkpoint writes that failed; the pipeline kept serving on the
+    /// generations already durable.
+    pub checkpoint_errors: AtomicU64,
     /// Worker restarts after a contained panic.
     pub restarts: AtomicU64,
     /// 1 once the tenant was quarantined for panicking persistently
@@ -260,6 +269,10 @@ impl ServeMetrics {
             line("ingest_nanos_total", g(&c.ingest_nanos));
             line("detect_nanos_total", g(&c.detect_nanos));
             line("checkpoints_total", g(&c.checkpoints));
+            line("checkpoint_bytes_total", g(&c.checkpoint_bytes));
+            line("checkpoint_complete_total", g(&c.checkpoint_complete));
+            line("checkpoint_last_bytes", g(&c.checkpoint_last_bytes));
+            line("checkpoint_errors_total", g(&c.checkpoint_errors));
             line("restarts_total", g(&c.restarts));
             line("quarantined", g(&c.quarantined));
         }
@@ -307,6 +320,14 @@ mod tests {
         assert!(page.contains("odflow_serve_tenant_frames_offered_total{tenant=\"t0\"} 99"));
         assert!(page.contains("odflow_serve_tenant_frames_offered_total{tenant=\"edge\"} 0"));
         assert!(page.contains("odflow_serve_tenant_bin_lag{tenant=\"edge\"} 0"));
+        for metric in [
+            "checkpoint_bytes_total",
+            "checkpoint_complete_total",
+            "checkpoint_last_bytes",
+            "checkpoint_errors_total",
+        ] {
+            assert!(page.contains(&format!("odflow_serve_tenant_{metric}{{tenant=\"t0\"}} 0")));
+        }
         assert!(m.tenant(2).is_none());
     }
 }

@@ -16,7 +16,10 @@
 //! endgame as batch `run_scenario`, so daemon and batch verdicts are
 //! directly comparable.
 
-use crate::checkpoint::{self, CheckpointStore, CrashPoint, CrashSchedule, PipelineState};
+use crate::checkpoint::{
+    self, BinSegment, ChainWriter, CheckpointStore, CrashPoint, CrashSchedule, DetectorPart,
+    Generation, PipelineState,
+};
 use crate::metrics::{monotonic_now, TenantCounters};
 use crate::ServeError;
 use odflow_flow::netflow::decode_datagram_lossy;
@@ -28,6 +31,7 @@ use odflow_linalg::Matrix;
 use odflow_subspace::{
     diagnose, Diagnosis, OnlineDetector, StatisticKind, StreamVerdict, SubspaceConfig,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Static configuration of one tenant's pipeline.
@@ -94,6 +98,29 @@ pub struct TenantFlush {
     pub live_verdicts: Vec<StreamVerdict>,
 }
 
+/// Where a tenant's generations go, and what the previous one held —
+/// which is what lets the next one carry only the difference.
+#[derive(Debug)]
+struct Checkpointer {
+    writer: ChainWriter,
+    /// Per-bin record counts at the previous generation: a bin is dirty
+    /// iff its count has moved, so late and reordered records into bins
+    /// long closed are captured like any other.
+    bin_records: Vec<u64>,
+    /// Verdicts the previous generation holds.
+    verdicts: usize,
+    /// The detector at the previous generation, `None` while unfitted.
+    detector: Option<DetectorMark>,
+}
+
+/// Where a fitted detector stood when a generation was cut.
+#[derive(Debug, Clone, Copy)]
+struct DetectorMark {
+    refits: u64,
+    since_refit: usize,
+    window_rows: usize,
+}
+
 /// The per-tenant streaming state machine. Owned by exactly one worker
 /// thread; all cross-thread observation goes through the shared
 /// [`TenantCounters`].
@@ -120,7 +147,7 @@ pub struct TenantPipeline {
     /// Sequence number the next checkpoint generation will carry.
     ckpt_seq: u64,
     /// Checkpoint destination; `None` disables checkpointing.
-    store: Option<CheckpointStore>,
+    checkpointer: Option<Checkpointer>,
 }
 
 impl TenantPipeline {
@@ -150,7 +177,7 @@ impl TenantPipeline {
             counters: Arc::new(TenantCounters::default()),
             frames_ingested: 0,
             ckpt_seq: 0,
-            store: None,
+            checkpointer: None,
         })
     }
 
@@ -211,14 +238,24 @@ impl TenantPipeline {
             counters,
             frames_ingested: state.frames_ingested,
             ckpt_seq: state.seq + 1,
-            store: None,
+            checkpointer: None,
         })
     }
 
-    /// Enables checkpointing: every bin close now snapshots the full
-    /// pipeline state into `store`.
-    pub fn set_checkpoint_store(&mut self, store: CheckpointStore) {
-        self.store = Some(store);
+    /// Enables checkpointing: every bin close now appends a generation
+    /// to the tenant's chain in `store`, the first of them a complete
+    /// record. `resumed_slot` is [`LoadOutcome::slot`] when this pipeline
+    /// was [restored](Self::restore) from `store`, so that record lands
+    /// in the other slot.
+    ///
+    /// [`LoadOutcome::slot`]: crate::LoadOutcome::slot
+    pub fn set_checkpoint_store(&mut self, store: CheckpointStore, resumed_slot: Option<usize>) {
+        self.checkpointer = Some(Checkpointer {
+            writer: ChainWriter::new(store, resumed_slot),
+            bin_records: Vec::new(),
+            verdicts: 0,
+            detector: None,
+        });
     }
 
     /// Replaces the shared counter block — the supervisor threading one
@@ -319,35 +356,84 @@ impl TenantPipeline {
 
     /// Persists one checkpoint generation covering everything up to and
     /// including the frame that just closed ≥1 bin. Write failures are
-    /// counted, never fatal — the previous generation stays intact and
-    /// the pipeline keeps serving.
+    /// counted, never fatal — the generations already durable stay intact
+    /// and the pipeline keeps serving.
     fn write_checkpoint(&mut self) {
-        if self.store.is_none() && self.config.crash.is_none() {
+        if self.checkpointer.is_none() && self.config.crash.is_none() {
             return;
         }
         let bin = self.next_close.saturating_sub(1);
         self.maybe_crash(CrashPoint::BeforeCheckpoint(bin));
-        if self.store.is_some() {
-            // A torn-write injection surfaces a truncated committed slot
-            // and then dies — the shape recovery must reject by checksum.
+        if let Some(mut ckpt) = self.checkpointer.take() {
+            let complete = ckpt.writer.wants_complete();
+            let image = if complete {
+                checkpoint::encode_state(&self.export_state())
+            } else {
+                self.delta_since(&ckpt).encode()
+            };
+            // A torn-write injection gets half of the generation onto the
+            // disk and then dies — the shape recovery must reject.
             let torn =
                 self.config.crash.as_ref().and_then(|c| c.fire(CrashPoint::TornCheckpoint(bin)));
             if let Some(kind) = torn {
-                let state = self.export_state();
-                let _ = self.store.as_ref().map(|s| s.write_torn(&state));
+                let _ = ckpt.writer.commit(&image[..image.len() / 2]);
                 checkpoint::trigger_crash(CrashPoint::TornCheckpoint(bin), kind);
             }
-            let state = self.export_state();
-            match self.store.as_ref().map(|s| s.write(&state)) {
-                Some(Ok(())) => {
+            match ckpt.writer.commit(&image) {
+                Ok(()) => {
                     self.ckpt_seq += 1;
-                    TenantCounters::add(&self.counters.checkpoints, 1);
+                    ckpt.bin_records.clear();
+                    ckpt.bin_records.extend(
+                        (0..self.engine.num_bins()).filter_map(|b| self.shard.bin_record_count(b)),
+                    );
+                    ckpt.verdicts = self.live_verdicts.len();
+                    ckpt.detector = self.detector.as_ref().map(|d| DetectorMark {
+                        refits: d.refits(),
+                        since_refit: d.since_refit(),
+                        window_rows: d.window().len(),
+                    });
+                    let c = &self.counters;
+                    TenantCounters::add(&c.checkpoint_bytes, image.len() as u64);
+                    TenantCounters::add(&c.checkpoint_complete, u64::from(complete));
+                    TenantCounters::set(&c.checkpoint_last_bytes, image.len() as u64);
+                    // Last: "checkpointed" means durable.
+                    TenantCounters::add(&c.checkpoints, 1);
                 }
-                Some(Err(_)) => TenantCounters::add(&self.counters.ingest_errors, 1),
-                None => {}
+                Err(_) => TenantCounters::add(&self.counters.checkpoint_errors, 1),
             }
+            self.checkpointer = Some(ckpt);
         }
         self.maybe_crash(CrashPoint::AfterCheckpoint(bin));
+    }
+
+    /// The generation that follows the one `prev` describes: the head,
+    /// the bins whose record count moved, the verdicts issued since, and
+    /// the detector — whole if it was fitted or refitted since, else
+    /// only how its refit window moved.
+    fn delta_since(&self, prev: &Checkpointer) -> Generation<'_> {
+        let dirty = (0..self.engine.num_bins())
+            .filter(|&b| self.shard.bin_record_count(b) != prev.bin_records.get(b).copied());
+        Generation {
+            seq: self.ckpt_seq,
+            frames_ingested: self.frames_ingested,
+            next_close: self.next_close as u64,
+            watermark_secs: self.watermark_secs,
+            records_accepted: self.shard.records_accepted(),
+            resolution: self.shard.resolution_stats(),
+            dropped_out_of_window: self.shard.dropped_out_of_window(),
+            quarantine: self.quality.quarantine,
+            exporters: Cow::Owned(self.quality.exporters.export_state()),
+            num_bins: self.engine.num_bins(),
+            num_od: self.engine.num_od(),
+            bins: dirty.filter_map(|b| self.shard.export_bin(b)).map(BinSegment::from).collect(),
+            detector: match &self.detector {
+                None => DetectorPart::Absent,
+                Some(det) => window_moved(det, prev.detector)
+                    .unwrap_or_else(|| DetectorPart::Whole(Cow::Owned(det.export_state()))),
+            },
+            verdicts_before: prev.verdicts,
+            verdicts: Cow::Borrowed(self.live_verdicts.get(prev.verdicts..).unwrap_or(&[])),
+        }
     }
 
     /// Raises the watermark and closes every bin whose end it has passed.
@@ -469,6 +555,21 @@ impl TenantPipeline {
     }
 }
 
+/// How the refit window moved since the generation at which the
+/// detector stood at `prev` — or `None` when the model itself was fitted
+/// or replaced since.
+fn window_moved(det: &OnlineDetector, prev: Option<DetectorMark>) -> Option<DetectorPart<'_>> {
+    let prev = prev.filter(|prev| prev.refits == det.refits())?;
+    let gained = det.since_refit().checked_sub(prev.since_refit)?;
+    let kept = det.window().len().checked_sub(gained)?;
+    Some(DetectorPart::Window {
+        since_refit: det.since_refit(),
+        next_bin: det.bins_seen(),
+        dropped: prev.window_rows.checked_sub(kept)?,
+        gained: Cow::Borrowed(&det.window()[kept..]),
+    })
+}
+
 /// Nanoseconds since `t0`, saturating into `u64`.
 fn elapsed_nanos(t0: std::time::Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -586,6 +687,41 @@ mod tests {
     }
 
     #[test]
+    fn generations_of_a_long_stream_total_a_small_multiple_of_the_final_image() {
+        const BINS: usize = 96;
+        let scenario = Scenario::paper_window(23, BINS).unwrap();
+        let routes = scenario.plan.build_route_table(1.0).unwrap();
+        let ingress = IngressResolver::synthetic(&scenario.topology);
+        let config = TenantConfig::abilene("t0", 0, BINS);
+        let mut tenant = TenantPipeline::new(config, &scenario.topology, ingress, routes).unwrap();
+        let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/tmp/tenant_ckpt_total");
+        let _ = std::fs::remove_dir_all(&dir);
+        tenant.set_checkpoint_store(CheckpointStore::new(&dir, "t0"), None);
+        let generator = scenario.generator();
+        let mut seqs = vec![0u32; scenario.topology.num_pops()];
+        for bin in 0..BINS {
+            for frame in generator.frames_for_bin(bin, &mut seqs) {
+                tenant.ingest_frame(&frame);
+            }
+        }
+        let counters = tenant.counters();
+        let get = TenantCounters::get;
+        assert_eq!(get(&counters.checkpoints), BINS as u64 - 1, "one generation per bin close");
+        assert_eq!(get(&counters.checkpoint_errors), 0);
+        let image = checkpoint::encode_state(&tenant.export_state()).len() as u64;
+        let total = get(&counters.checkpoint_bytes);
+        let completes = get(&counters.checkpoint_complete);
+        // Rewriting the image at every close costs ~BINS/2 images; the
+        // chain costs each bin's rows once plus a rebase whenever the
+        // deltas have outgrown the record they follow.
+        assert!(total <= 8 * image, "{total} bytes over all generations vs an image of {image}");
+        assert!((2..BINS as u64 / 4).contains(&completes), "{completes} complete records");
+        assert!(get(&counters.checkpoint_last_bytes) < image / 4, "the last one was a delta");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn checkpoint_resume_replays_to_a_bit_identical_flush() {
         let scenario = Scenario::paper_window(19, NUM_BINS).unwrap();
         let frames = scenario_frames(&scenario);
@@ -604,7 +740,7 @@ mod tests {
         // Checkpointed run, stopped dead after ~3/4 of the stream.
         let stop_at = frames.len() * 3 / 4;
         let mut victim = tenant_over(&scenario, 6);
-        victim.set_checkpoint_store(store.clone());
+        victim.set_checkpoint_store(store.clone(), None);
         for f in &frames[..stop_at] {
             victim.ingest_frame(f);
         }

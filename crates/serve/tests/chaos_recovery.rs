@@ -2,22 +2,26 @@
 //! recovered from its checkpoints must end byte-identical to an
 //! uninterrupted run — matrices cell for cell, verdict floats bit for
 //! bit — and to the batch `run_scenario` path at `ODFLOW_THREADS` 1
-//! and 4. Corruption of the newest checkpoint generation must fall back
-//! to the previous one, and a persistently panicking tenant must be
-//! quarantined without disturbing its neighbors.
+//! and 4. A corrupted delta must cost exactly one generation, a
+//! corrupted first record must fall back to the other slot's chain, a
+//! second crash after a recovery must recover just the same, and a
+//! persistently panicking tenant must be quarantined without disturbing
+//! its neighbors.
 //!
 //! The harness is fully deterministic: crash points are injected by
 //! [`CrashSchedule`], frames are pre-rendered once and replayed over
 //! real TCP, and the recovery replays the exact unconsumed suffix
 //! `frames[cursor..]` reported by [`TenantRecovery::frames_ingested`].
 
+mod common;
+
 use odflow::experiment::{run_scenario, ExperimentConfig};
 use odflow_gen::Scenario;
 use odflow_serve::wire;
 use odflow_serve::{
     replay_frames, CheckpointStore, CrashPoint, CrashSchedule, Daemon, DaemonReport, LoadGenConfig,
-    ServeConfig, TenantConfig, TenantEnd, TenantFlush, TenantRecovery, TenantSpec, Transport,
-    CONTROL_TENANT,
+    ServeConfig, TenantConfig, TenantCounters, TenantEnd, TenantFlush, TenantPipeline,
+    TenantRecovery, TenantSpec, Transport, CONTROL_TENANT,
 };
 use odflow_subspace::{Diagnosis, StatisticKind};
 use std::io::Write;
@@ -26,10 +30,55 @@ use std::sync::{Arc, OnceLock};
 
 const NUM_BINS: usize = 36;
 const SEED: u64 = 20040519;
-/// The global bin index every crash fires at. Late enough that a stack
-/// of prior checkpoint generations exists (one per closed bin), early
-/// enough that a meaningful tail remains to replay after recovery.
+/// The global bin index the panic tests fire at. Late enough that both
+/// slots hold a chain (one generation per closed bin, several rebases),
+/// early enough that a meaningful tail remains to replay after recovery.
+/// The kill tests choose theirs by the kind of generation the bin
+/// writes: [`delta_bin`] and [`complete_bin`].
 const CRASH_BIN: usize = 27;
+
+/// The bins whose generation is a complete record when the stream runs
+/// uninterrupted from a fresh bind — where the chain rebases. Found by
+/// running the tenant in-process: sizes, and so the schedule, are a
+/// function of the frames alone.
+fn rebase_bins() -> &'static [usize] {
+    static BINS: OnceLock<Vec<usize>> = OnceLock::new();
+    BINS.get_or_init(|| {
+        let (scenario, frames, _) = shared();
+        let spec = abilene_spec(scenario, None);
+        let mut pipeline =
+            TenantPipeline::new(spec.config, &spec.topology, spec.ingress, spec.routes).unwrap();
+        pipeline.set_checkpoint_store(CheckpointStore::new(ckpt_dir("probe"), "abilene"), None);
+        let counters = pipeline.counters();
+        let (mut bins, mut seen) = (Vec::new(), 0);
+        for frame in frames {
+            pipeline.ingest_frame(frame);
+            let completes = TenantCounters::get(&counters.checkpoint_complete);
+            if completes > seen {
+                seen = completes;
+                bins.push(TenantCounters::get(&counters.bins_closed) as usize - 1);
+            }
+        }
+        bins
+    })
+}
+
+/// The last rebase comfortably before the end of the window: a bin
+/// whose generation is a complete record, written into the other slot.
+fn complete_bin() -> usize {
+    let bins = rebase_bins();
+    let bin = *bins.iter().rev().find(|&&b| b < NUM_BINS - 4).unwrap();
+    assert!(bin > 8 && bins.len() >= 3, "both slots hold a chain by bin {bin}: {bins:?}");
+    bin
+}
+
+/// A bin shortly before it whose generation is a delta, appended to a
+/// chain already several records long.
+fn delta_bin() -> usize {
+    let bin = complete_bin() - 2;
+    assert!(!rebase_bins().contains(&bin) && !rebase_bins().contains(&(bin - 1)));
+    bin
+}
 
 /// The scenario, its pre-rendered frame stream, and one uninterrupted
 /// baseline daemon run — shared across every test in the suite. The
@@ -258,9 +307,10 @@ fn baseline_report(frames: &[Vec<u8>], scenario: &Scenario) -> DaemonReport {
     report
 }
 
-/// Kill/recover at every crash boundary in the pipeline; each recovery
-/// must be byte-identical to the uninterrupted daemon *and* to batch
-/// `run_scenario` at threads 1 and 4.
+/// Kill/recover at every crash boundary in the pipeline, once around a
+/// bin whose generation is a delta and once around one whose generation
+/// is a complete record; each recovery must be byte-identical to the
+/// uninterrupted daemon *and* to batch `run_scenario` at threads 1 and 4.
 #[test]
 fn kill_at_every_crash_point_recovers_byte_identical() {
     let (scenario, frames, base) = shared();
@@ -271,44 +321,54 @@ fn kill_at_every_crash_point_recovers_byte_identical() {
     // byte-equal to batch at both thread counts without re-running the
     // batch pipeline per crash point.
     assert_matches_batch("baseline", scenario, baseline);
-    let points = [
-        ("bin_close", CrashPoint::BeforeBinClose(CRASH_BIN)),
-        ("before_ckpt", CrashPoint::BeforeCheckpoint(CRASH_BIN)),
-        ("torn_ckpt", CrashPoint::TornCheckpoint(CRASH_BIN)),
-        ("after_ckpt", CrashPoint::AfterCheckpoint(CRASH_BIN)),
-        ("flush", CrashPoint::BeforeFlush),
-    ];
+    let mut points = vec![("flush".to_owned(), CrashPoint::BeforeFlush)];
+    for (kind, bin) in [("delta", delta_bin()), ("complete", complete_bin())] {
+        points.extend([
+            (format!("{kind}_bin_close"), CrashPoint::BeforeBinClose(bin)),
+            (format!("{kind}_before_ckpt"), CrashPoint::BeforeCheckpoint(bin)),
+            (format!("{kind}_torn_ckpt"), CrashPoint::TornCheckpoint(bin)),
+            (format!("{kind}_after_ckpt"), CrashPoint::AfterCheckpoint(bin)),
+        ]);
+    }
     for (tag, point) in points {
-        let (recovery, report) = kill_and_recover(tag, point, frames, scenario);
+        let (recovery, report) = kill_and_recover(&tag, point, frames, scenario);
         let seq = recovery.resumed_seq.unwrap_or_else(|| panic!("{tag}: must resume a generation"));
         assert!(recovery.frames_ingested > 0, "{tag}: cursor must advance");
-        if point == CrashPoint::TornCheckpoint(CRASH_BIN) {
-            // The torn write landed on disk; recovery must have rejected
-            // it and fallen back to the previous generation.
-            assert!(recovery.slots_rejected >= 1, "{tag}: torn slot must be rejected");
-            assert_eq!(seq, CRASH_BIN as u64 - 1, "{tag}: previous generation");
-        } else {
-            assert_eq!(recovery.slots_rejected, 0, "{tag}: no slot may be rejected");
+        // One generation per bin close from bin 0 on, so bin b's is seq b.
+        match point {
+            CrashPoint::TornCheckpoint(bin) => {
+                // Half of the generation landed on disk — behind the
+                // chain, or as the whole of the other slot; recovery must
+                // have rejected it and resumed the generation before.
+                assert_eq!(recovery.slots_rejected, 1, "{tag}: the torn record is rejected");
+                assert_eq!(seq, bin as u64 - 1, "{tag}: previous generation");
+            }
+            CrashPoint::BeforeBinClose(bin) | CrashPoint::BeforeCheckpoint(bin) => {
+                assert_eq!(recovery.slots_rejected, 0, "{tag}: no record may be rejected");
+                assert_eq!(seq, bin as u64 - 1, "{tag}: this bin's generation never started");
+            }
+            CrashPoint::AfterCheckpoint(bin) => {
+                assert_eq!(recovery.slots_rejected, 0, "{tag}: no record may be rejected");
+                assert_eq!(seq, bin as u64, "{tag}: this bin's generation is durable");
+            }
+            CrashPoint::BeforeFlush => assert_eq!(recovery.slots_rejected, 0, "{tag}"),
         }
         let flush = expect_flushed(&report.tenants[0]);
-        assert_flush_equal(tag, baseline, flush);
+        assert_flush_equal(&tag, baseline, flush);
     }
 }
 
-/// Bit-flip the newest generation after a kill: recovery must classify
-/// it as corrupt, fall back to the previous generation, and *still* end
-/// byte-identical.
-#[test]
-fn corrupted_newest_generation_recovers_from_previous_one() {
-    let (scenario, frames, base) = shared();
-    let baseline = expect_flushed(&base.tenants[0]);
-    let dir = ckpt_dir("bitflip");
+/// Kills a fresh checkpointing daemon right after `bin`'s generation is
+/// durable and returns the checkpoint directory it left behind.
+fn killed_after_checkpoint(tag: &str, bin: usize) -> PathBuf {
+    let (scenario, frames, _) = shared();
+    let dir = ckpt_dir(tag);
     let kill_report = run_daemon(
         ServeConfig {
             tcp_bind: Some("127.0.0.1:0".to_owned()),
             tenants: vec![abilene_spec(
                 scenario,
-                Some(CrashSchedule::kill_at(CrashPoint::AfterCheckpoint(CRASH_BIN))),
+                Some(CrashSchedule::kill_at(CrashPoint::AfterCheckpoint(bin))),
             )],
             checkpoint_dir: Some(dir.clone()),
             ..ServeConfig::default()
@@ -320,37 +380,122 @@ fn corrupted_newest_generation_recovers_from_previous_one() {
         "expected Killed, got {:?}",
         kill_report.tenants[0]
     );
+    dir
+}
 
-    // Find the newest generation on disk and flip one payload byte.
-    let store = CheckpointStore::new(&dir, "abilene");
-    let newest = store.load_newest().state.expect("a valid newest generation exists");
-    assert_eq!(newest.seq, CRASH_BIN as u64);
-    let victim = &store.slot_paths()[(newest.seq % 2) as usize];
-    let mut bytes = std::fs::read(victim).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    std::fs::write(victim, &bytes).unwrap();
-
+/// Recovers from `dir`, replays the uncovered tail, and checks the run
+/// ends byte-identical to the uninterrupted one.
+fn recover_and_finish(tag: &str, dir: &std::path::Path) -> TenantRecovery {
+    let (scenario, frames, base) = shared();
     let (daemon, mut recoveries) = Daemon::recover(
         ServeConfig {
             tcp_bind: Some("127.0.0.1:0".to_owned()),
             tenants: vec![abilene_spec(scenario, None)],
             ..ServeConfig::default()
         },
-        &dir,
+        dir,
     )
     .unwrap();
     let recovery = recoveries.remove(0);
-    assert_eq!(recovery.slots_rejected, 1, "the flipped slot must be rejected");
-    assert_eq!(
-        recovery.resumed_seq,
-        Some(CRASH_BIN as u64 - 1),
-        "recovery must fall back one generation"
-    );
     let cursor = usize::try_from(recovery.frames_ingested).unwrap();
     let report = drive_daemon(daemon, &frames[cursor..]);
-    let flush = expect_flushed(&report.tenants[0]);
-    assert_flush_equal("bitflip", baseline, flush);
+    assert_flush_equal(tag, expect_flushed(&base.tenants[0]), expect_flushed(&report.tenants[0]));
+    recovery
+}
+
+/// The slot file holding the newest generation, and the byte range of
+/// each record of its chain.
+fn newest_chain(dir: &std::path::Path, seq: u64) -> (PathBuf, Vec<std::ops::Range<usize>>) {
+    let store = CheckpointStore::new(dir, "abilene");
+    let newest = store.load_newest();
+    assert_eq!(newest.state.expect("a valid newest generation exists").seq, seq);
+    let path = store.slot_paths()[newest.slot.unwrap()].clone();
+    let spans = common::record_spans(&std::fs::read(&path).unwrap());
+    (path, spans)
+}
+
+fn flip_bit(path: &std::path::Path, at: usize) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[at] ^= 0x01;
+    std::fs::write(path, &bytes).unwrap();
+}
+
+/// Bit-flip the newest generation — a delta — after a kill: recovery
+/// must classify it as corrupt, fall back exactly one generation, and
+/// *still* end byte-identical.
+#[test]
+fn corrupted_newest_generation_recovers_from_previous_one() {
+    let dir = killed_after_checkpoint("bitflip_delta", delta_bin());
+    let (victim, spans) = newest_chain(&dir, delta_bin() as u64);
+    let last = spans.last().unwrap();
+    assert!(spans.len() > 1, "the newest generation is a delta behind a chain");
+    flip_bit(&victim, last.start + last.len() / 2);
+
+    let recovery = recover_and_finish("bitflip_delta", &dir);
+    assert_eq!(recovery.slots_rejected, 1, "the flipped record must be rejected");
+    assert_eq!(
+        recovery.resumed_seq,
+        Some(delta_bin() as u64 - 1),
+        "recovery must fall back one generation"
+    );
+}
+
+/// Bit-flip the *first* record of the newest chain: nothing in that slot
+/// can be trusted, so recovery falls back to the other slot — the chain
+/// that ends where the damaged one began — and still ends
+/// byte-identical.
+#[test]
+fn corrupted_first_record_falls_back_to_the_other_slots_chain() {
+    let dir = killed_after_checkpoint("bitflip_first", delta_bin());
+    let (victim, spans) = newest_chain(&dir, delta_bin() as u64);
+    flip_bit(&victim, spans[0].len() / 2);
+    // The chain was started by the last rebase before the crash.
+    let rebased_at = *rebase_bins().iter().rev().find(|&&b| b <= delta_bin()).unwrap();
+
+    let recovery = recover_and_finish("bitflip_first", &dir);
+    assert_eq!(recovery.slots_rejected, 1, "the whole slot is rejected, once");
+    assert_eq!(
+        recovery.resumed_seq,
+        Some(rebased_at as u64 - 1),
+        "recovery must resume the last generation of the other slot's chain"
+    );
+}
+
+/// Kill, recover, and kill again two bins later — the second death lands
+/// on the recovered session's own young chain, whose first record went
+/// to the slot the first recovery did *not* resume from — then recover
+/// once more: still byte-identical.
+#[test]
+fn double_crash_recovers_byte_identical() {
+    let (scenario, frames, _) = shared();
+    let dir = killed_after_checkpoint("double_crash", delta_bin());
+    let second = CrashPoint::BeforeCheckpoint(delta_bin() + 2);
+    let (daemon, mut recoveries) = Daemon::recover(
+        ServeConfig {
+            tcp_bind: Some("127.0.0.1:0".to_owned()),
+            tenants: vec![abilene_spec(scenario, Some(CrashSchedule::kill_at(second)))],
+            ..ServeConfig::default()
+        },
+        &dir,
+    )
+    .unwrap();
+    let first = recoveries.remove(0);
+    assert_eq!((first.resumed_seq, first.slots_rejected), (Some(delta_bin() as u64), 0));
+    let cursor = usize::try_from(first.frames_ingested).unwrap();
+    let report = drive_daemon(daemon, &frames[cursor..]);
+    assert!(
+        matches!(report.tenants[0], TenantEnd::Killed { point, .. } if point == second),
+        "expected the second kill, got {:?}",
+        report.tenants[0]
+    );
+
+    let recovery = recover_and_finish("double_crash", &dir);
+    assert_eq!(recovery.slots_rejected, 0);
+    assert_eq!(
+        recovery.resumed_seq,
+        Some(delta_bin() as u64 + 1),
+        "one bin into the second session"
+    );
 }
 
 /// A *panic* (not a kill) at the post-checkpoint boundary: the

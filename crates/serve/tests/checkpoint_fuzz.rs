@@ -2,13 +2,25 @@
 //! byte soup and bit-flipped valid checkpoints never panic — they are
 //! rejected with the right error class) and encoding is a bijection on
 //! valid states (byte-level round-trip identity for every component).
+//! And the same for a chain, exhaustively: cut anywhere or with any one
+//! bit flipped, a slot file loads to exactly the generation before the
+//! damage.
 
 use odflow_flow::{
     ExporterSeqState, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
 };
+mod common;
+
+use common::record_spans;
+use odflow_gen::{Scenario, ScenarioConfig};
 use odflow_linalg::{Centering, Matrix};
 use odflow_net::IpAddr;
-use odflow_serve::{decode_state, encode_state, CheckpointError, PipelineState};
+use odflow_net::{AddressPlan, IngressResolver, Topology};
+use odflow_serve::checkpoint::fnv1a64;
+use odflow_serve::{
+    decode_state, encode_state, CheckpointError, CheckpointStore, PipelineState, TenantConfig,
+    TenantCounters, TenantPipeline, CHECKPOINT_HEADER_LEN,
+};
 use odflow_subspace::{
     DegradedReason, Detection, DetectorState, EigenflowDecomposition, ModelState, StatisticKind,
     StreamVerdict, SubspaceConfig,
@@ -214,7 +226,7 @@ proptest! {
     /// decoder paths and still must reject (checksum first).
     #[test]
     fn byte_soup_with_magic_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let mut framed = b"ODFCKPT\0\x01\x00\x00\x00".to_vec();
+        let mut framed = b"ODFCKPT\0\x02\x00\x00\x00".to_vec();
         framed.extend_from_slice(&bytes);
         prop_assert!(decode_state(&framed).is_err());
     }
@@ -274,4 +286,127 @@ proptest! {
         prop_assert_eq!(decoded.live_verdicts.len(), state.live_verdicts.len());
         prop_assert_eq!(decoded.detector.is_some(), state.detector.is_some());
     }
+}
+
+/// A real chain small enough to damage exhaustively: a 3-PoP mesh (9 OD
+/// pairs), 9 thin bins, killed after five and recovered — so the slot
+/// holds the recovered session's complete record (detector fitted) and
+/// the deltas of the three bins it went on to close.
+fn tiny_chain(store: &CheckpointStore) -> Vec<u8> {
+    const BINS: usize = 9;
+    let topology = Topology::synthetic_mesh(3).unwrap();
+    let plan = AddressPlan::synthetic(&topology);
+    let config = ScenarioConfig { num_bins: BINS, total_demand: 12.0, ..Default::default() };
+    let scenario = Scenario::with_network(config, topology, plan, vec![1.0; 3], vec![]).unwrap();
+    let build = |state: Option<&PipelineState>| {
+        let routes = scenario.plan.build_route_table(1.0).unwrap();
+        let ingress = IngressResolver::synthetic(&scenario.topology);
+        let mut config = TenantConfig::abilene("tiny", 0, BINS);
+        config.train_bins = 3;
+        match state {
+            None => TenantPipeline::new(config, &scenario.topology, ingress, routes),
+            Some(state) => TenantPipeline::restore(
+                config,
+                &scenario.topology,
+                ingress,
+                routes,
+                state,
+                std::sync::Arc::new(TenantCounters::default()),
+            ),
+        }
+        .unwrap()
+    };
+    let generator = scenario.generator();
+    let mut seqs = vec![0u32; scenario.topology.num_pops()];
+    let frames: Vec<Vec<u8>> =
+        (0..BINS).flat_map(|b| generator.frames_for_bin(b, &mut seqs)).collect();
+    let bin_of = |f: &Vec<u8>| u32::from_be_bytes([f[8], f[9], f[10], f[11]]) as usize / 300;
+
+    store.reset().unwrap();
+    let mut first = build(None);
+    first.set_checkpoint_store(store.clone(), None);
+    for f in frames.iter().filter(|f| bin_of(f) < 5) {
+        first.ingest_frame(f);
+    }
+    drop(first);
+    let loaded = store.load_newest();
+    let state = loaded.state.expect("the first session left a generation");
+    let mut second = build(Some(&state));
+    second.set_checkpoint_store(store.clone(), loaded.slot);
+    for f in &frames[usize::try_from(state.frames_ingested).unwrap()..] {
+        second.ingest_frame(f);
+    }
+    let newest = store.load_newest();
+    assert!(newest.rejected.is_empty());
+    std::fs::read(&store.slot_paths()[newest.slot.unwrap()]).unwrap()
+}
+
+#[test]
+fn damaged_chain_loads_to_exactly_the_generation_before_the_damage() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fuzz_chain");
+    let store = CheckpointStore::new(&dir, "tiny");
+    let chain = tiny_chain(&store);
+    let spans = record_spans(&chain);
+    assert!(spans.len() >= 4, "a complete record and three deltas: {spans:?}");
+    assert!(chain.len() < 16 * 1024, "small enough to mutate at every byte: {}", chain.len());
+
+    // Load a candidate slot image; both slots hold it in turn so neither
+    // is privileged, the other staying empty.
+    store.reset().unwrap();
+    let [slot, _] = store.slot_paths();
+    let load = |bytes: &[u8]| -> Option<Vec<u8>> {
+        std::fs::write(&slot, bytes).unwrap();
+        store.load_newest().state.map(|s| encode_state(&s))
+    };
+    // The image of every generation of the chain, by folding its prefixes.
+    let generations: Vec<Vec<u8>> =
+        spans.iter().map(|s| load(&chain[..s.end]).expect("an intact prefix loads")).collect();
+    for pair in generations.windows(2) {
+        assert!(pair[0] != pair[1], "every generation differs from the one before");
+    }
+    // What survives damage inside record `k`: the generation before it.
+    let before = |k: usize| k.checked_sub(1).map(|g| &generations[g]);
+
+    for cut in 0..chain.len() {
+        let k = spans.iter().position(|s| cut < s.end).unwrap();
+        assert!(load(&chain[..cut]).as_ref() == before(k), "cut at {cut}, inside record {k}");
+    }
+    let mut damaged = chain.clone();
+    for at in 0..chain.len() {
+        let k = spans.iter().position(|s| at < s.end).unwrap();
+        for bit in 0..8 {
+            damaged[at] ^= 1 << bit;
+            assert!(load(&damaged).as_ref() == before(k), "bit {bit} of byte {at}, record {k}");
+            damaged[at] ^= 1 << bit;
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checksum vouches for the bytes, not for what they claim: every
+/// 8-byte field of a record overwritten with an absurd count, checksum
+/// made good again, must decode (it was a plain counter) or be refused —
+/// from the bytes present alone, not by trying the allocation it names.
+#[test]
+fn absurd_lengths_behind_a_valid_checksum_are_refused_without_allocating() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fuzz_lengths");
+    let store = CheckpointStore::new(&dir, "tiny");
+    let chain = tiny_chain(&store);
+    let spans = record_spans(&chain);
+    let (first, last) = (spans[0].clone(), spans[spans.len() - 1].clone());
+    let mut refused = 0;
+    for span in [first, last] {
+        let record = &chain[span];
+        for at in CHECKPOINT_HEADER_LEN..record.len() - 8 {
+            for absurd in [u64::MAX, 1 << 60, 1 << 40] {
+                let mut forged = record.to_vec();
+                forged[at..at + 8].copy_from_slice(&absurd.to_le_bytes());
+                let sum = fnv1a64(&forged[CHECKPOINT_HEADER_LEN..]);
+                forged[20..CHECKPOINT_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+                refused += usize::from(decode_state(&forged).is_err());
+            }
+        }
+    }
+    assert!(refused > 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -24,12 +24,13 @@ const SEED: u64 = 20040519;
 fn abilene_spec(num_bins: usize, scenario: &Scenario) -> TenantSpec {
     let routes = scenario.plan.build_route_table(1.0).unwrap();
     let ingress = IngressResolver::synthetic(&scenario.topology);
-    TenantSpec {
-        config: TenantConfig::abilene("abilene", 0, num_bins),
-        topology: scenario.topology.clone(),
-        ingress,
-        routes,
-    }
+    let mut config = TenantConfig::abilene("abilene", 0, num_bins);
+    // The replay is unpaced, so the queue holds the whole rendered stream
+    // (~9k frames at 48 bins), as in the chaos suite: with the default
+    // 1024 frames a debug-build worker that falls behind the sender sheds,
+    // and the equivalence asserted here would depend on timing.
+    config.queue_frames = 16_384;
+    TenantSpec { config, topology: scenario.topology.clone(), ingress, routes }
 }
 
 /// Canonical byte encoding of a diagnosis: every float as exact bits,

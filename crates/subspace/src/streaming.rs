@@ -57,6 +57,8 @@ pub struct OnlineDetector {
     refit_every: usize,
     since_refit: usize,
     next_bin: usize,
+    /// Refits performed since this detector was built or restored.
+    refits: u64,
     /// Reusable centered/normal/residual buffers: scoring a bin is
     /// allocation-free after the first push.
     scratch: StateSplit,
@@ -82,6 +84,7 @@ impl OnlineDetector {
             refit_every,
             since_refit: 0,
             next_bin: 0,
+            refits: 0,
             scratch,
         })
     }
@@ -94,6 +97,24 @@ impl OnlineDetector {
     /// Number of observations streamed so far.
     pub fn bins_seen(&self) -> usize {
         self.next_bin
+    }
+
+    /// Refits performed since this detector was built or restored. While
+    /// it stands still the model is the one an earlier snapshot holds, so
+    /// an incremental snapshot need only carry the window's movement.
+    pub fn refits(&self) -> u64 {
+        self.refits
+    }
+
+    /// Clean observations folded into the refit window since the last
+    /// refit (or since the initial fit).
+    pub fn since_refit(&self) -> usize {
+        self.since_refit
+    }
+
+    /// The retained refit window, oldest row first.
+    pub fn window(&self) -> &[Vec<f64>] {
+        &self.window
     }
 
     /// Scores one observation and slides the training window.
@@ -263,6 +284,7 @@ impl OnlineDetector {
             refit_every: s.refit_every,
             since_refit: s.since_refit,
             next_bin: s.next_bin,
+            refits: 0,
             scratch: StateSplit::with_dimension(p),
         })
     }
@@ -278,6 +300,7 @@ impl OnlineDetector {
         let m = Matrix::from_vec(n, p, data).map_err(SubspaceError::from)?;
         self.model = SubspaceModel::fit(&m, self.config)?;
         self.since_refit = 0;
+        self.refits += 1;
         Ok(())
     }
 }
@@ -401,9 +424,16 @@ mod tests {
         let train = traffic(120, 8, 0);
         let mut det = OnlineDetector::new(&train, SubspaceConfig::default(), 50).unwrap();
         let live = traffic(120, 8, 120);
+        let mut clean = 0;
         for row in live.rows_iter() {
-            det.push(row).unwrap();
+            if !det.push(row).unwrap().is_anomalous() {
+                clean += 1;
+            }
         }
+        // Every 50th clean observation refits and restarts the count.
+        assert!(det.refits() >= 1);
+        assert_eq!(det.refits() as usize * 50 + det.since_refit(), clean);
+        assert_eq!(det.window().len(), 120);
         // After refits the thresholds remain positive and usable.
         assert!(det.model().spe_threshold() >= 0.0);
         assert!(det.model().t2_threshold() > 0.0);
