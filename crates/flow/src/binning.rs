@@ -6,15 +6,191 @@
 //! three traffic views — bytes, packets, and *distinct* IP-flow counts — per
 //! `(5-minute bin, OD pair)` cell, and finalizes into a
 //! [`TrafficMatrixSet`].
+//!
+//! ## Who owns the distinct 5-tuples, and for how long
+//!
+//! Counting distinct flows exactly means remembering every `(OD, 5-tuple)`
+//! a bin has seen. The binner holds one [`DistinctFlows`] table per bin —
+//! nothing per cell, nothing at all for a bin no record has reached — and
+//! a table lives exactly as long as its bin can still receive records:
+//!
+//! * [`OdBinner::finish`] frees every table. The shard-filling tasks of the
+//!   batch paths call it as soon as their bin range is rendered, so a
+//!   window's keys are never resident together; a finished binner keeps its
+//!   cell sums and refuses further records.
+//! * A binner that is never finished (the daemon's full-window shard, which
+//!   must dedup a late record into a long-closed bin) keeps its tables
+//!   until it is merged or dropped.
+//!
+//! A table's slot order depends on the process-random hash keys, and it
+//! stops at the table's edge: [`DistinctFlows::insert`] answers new or
+//! duplicate, which no order can change, and [`DistinctFlows::sorted_cells`]
+//! — the only way keys leave — sorts each cell before it returns.
 
 use crate::error::{FlowError, Result};
-use crate::key::FlowKey;
+use crate::key::{FlowKey, Protocol};
 use crate::matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType, BIN_SECS};
 use crate::od::ResolutionStats;
 use crate::record::FlowRecord;
 use crate::shard::ShardState;
 use odflow_linalg::Matrix;
-use std::collections::HashSet;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
+
+/// The exact set of distinct `(OD pair, 5-tuple)` pairs one bin has seen:
+/// an open-addressed, linear-probed table of 20-byte slots at a load of at
+/// most 3/4, doubling as it fills. An empty table owns no memory.
+///
+/// Keys come off the wire, so the table is keyed like the standard
+/// collections: `S` defaults to [`RandomState`], whose keys are drawn per
+/// process, and a sender cannot aim its 5-tuples at one probe chain. Each
+/// insert hashes once, over the pair packed into 18 bytes; whether two
+/// pairs are the same flow is decided by `==` on the pair itself.
+#[derive(Debug, Clone, Default)]
+pub struct DistinctFlows<S = RandomState> {
+    /// Empty, or a power-of-two number of slots.
+    slots: Vec<Slot>,
+    len: usize,
+    hasher: S,
+}
+
+/// Vacant, or the `(od, key)` seated there. 20 bytes: the vacancy rides in
+/// the spare values of the key's protocol tag.
+type Slot = Option<(u32, FlowKey)>;
+
+/// Slots a table starts with on its first insert.
+const INITIAL_SLOTS: usize = 16;
+
+/// `(od, key)` laid out injectively in 18 bytes, hashed with one `write`.
+struct Packed([u8; 18]);
+
+impl Packed {
+    fn new(od: u32, key: &FlowKey) -> Packed {
+        // `Other(6)` and `Tcp` are different flows to `==`, so they must
+        // be different bytes here: the variant rides in the high byte.
+        let protocol = match key.protocol {
+            Protocol::Other(n) => 0x100 | u16::from(n),
+            named => u16::from(named.number()),
+        };
+        let mut b = [0u8; 18];
+        b[0..4].copy_from_slice(&key.src_ip.0.to_le_bytes());
+        b[4..8].copy_from_slice(&key.dst_ip.0.to_le_bytes());
+        b[8..10].copy_from_slice(&key.src_port.to_le_bytes());
+        b[10..12].copy_from_slice(&key.dst_port.to_le_bytes());
+        b[12..14].copy_from_slice(&protocol.to_le_bytes());
+        b[14..18].copy_from_slice(&od.to_le_bytes());
+        Packed(b)
+    }
+}
+
+impl Hash for Packed {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(&self.0);
+    }
+}
+
+impl DistinctFlows {
+    /// An empty table keyed by fresh process-random hash keys.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl<S: BuildHasher> DistinctFlows<S> {
+    /// An empty table hashing with `hasher`.
+    pub fn with_hasher(hasher: S) -> Self {
+        DistinctFlows { slots: Vec::new(), len: 0, hasher }
+    }
+
+    /// Distinct pairs held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when no pair is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes of slot storage the table owns.
+    pub fn table_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot>()
+    }
+
+    /// Makes room for `pairs` pairs in all, so that inserting up to that
+    /// many re-seats nothing.
+    fn reserve(&mut self, pairs: usize) {
+        let mut slots = self.slots.len().max(INITIAL_SLOTS);
+        while pairs * 4 > slots * 3 {
+            slots *= 2;
+        }
+        if slots > self.slots.len() {
+            self.resize(slots);
+        }
+    }
+
+    /// Records `(od, key)`; `true` when the bin had not seen it before.
+    pub fn insert(&mut self, od: u32, key: FlowKey) -> bool {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            self.resize((self.slots.len() * 2).max(INITIAL_SLOTS));
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(od, &key);
+        loop {
+            match self.slots[at] {
+                None => {
+                    self.slots[at] = Some((od, key));
+                    self.len += 1;
+                    return true;
+                }
+                Some(held) if held == (od, key) => return false,
+                Some(_) => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot a pair's probe chain starts at. The table is not empty.
+    fn home(&self, od: u32, key: &FlowKey) -> usize {
+        self.hasher.hash_one(Packed::new(od, key)) as usize & (self.slots.len() - 1)
+    }
+
+    /// Moves to an array of `slots` slots (a power of two with room for
+    /// what is held) and re-seats every held pair.
+    fn resize(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![None; slots]);
+        let mask = slots - 1;
+        for (od, key) in old.into_iter().flatten() {
+            let mut at = self.home(od, &key);
+            while self.slots[at].is_some() {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = Some((od, key));
+        }
+    }
+
+    /// The held keys of each of `num_od` cells, each cell ascending — the
+    /// canonical form snapshots are written in, whatever order the slots
+    /// are in. Pairs of an `od` at or past `num_od` are left out.
+    pub fn sorted_cells(&self, num_od: usize) -> Vec<Vec<FlowKey>> {
+        // Sized first, so that filling a cell never moves it.
+        let mut sizes = vec![0usize; num_od];
+        for &(od, _) in self.slots.iter().flatten() {
+            if let Some(size) = sizes.get_mut(od as usize) {
+                *size += 1;
+            }
+        }
+        let mut cells: Vec<Vec<FlowKey>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for &(od, key) in self.slots.iter().flatten() {
+            if let Some(cell) = cells.get_mut(od as usize) {
+                cell.push(key);
+            }
+        }
+        for cell in &mut cells {
+            cell.sort_unstable();
+        }
+        cells
+    }
+}
 
 /// Accumulates resolved flow records into `(bin, OD)` cells.
 ///
@@ -30,10 +206,10 @@ pub struct OdBinner {
     bytes: Vec<f64>,
     packets: Vec<f64>,
     flows: Vec<f64>,
-    /// Distinct 5-tuples per open cell; drained as flow counts when a cell
-    /// can no longer receive records. Kept exact (no sketch) — cell
-    /// cardinalities at Abilene scale are modest after 1% sampling.
-    distinct: Vec<HashSet<FlowKey>>,
+    /// The distinct `(OD, 5-tuple)` pairs behind `flows`, one table per
+    /// bin; no tables at all once [`Self::finish`] has run. Exact, not a
+    /// sketch.
+    distinct: Vec<DistinctFlows>,
     /// Records accepted per bin — the raw signal behind the
     /// [`DataQuality`](crate::DataQuality) outage/masking repair.
     bin_records: Vec<u64>,
@@ -65,7 +241,7 @@ impl OdBinner {
             bytes: vec![0.0; cells],
             packets: vec![0.0; cells],
             flows: vec![0.0; cells],
-            distinct: vec![HashSet::new(); cells],
+            distinct: vec![DistinctFlows::new(); num_bins],
             bin_records: vec![0; num_bins],
             records_accepted: 0,
         })
@@ -95,17 +271,30 @@ impl OdBinner {
     ///
     /// * [`FlowError::BadOdIndex`] for an OD index outside the matrix.
     /// * [`FlowError::TimestampOutOfRange`] for records outside the window.
+    /// * [`FlowError::AlreadyFinalized`] after [`Self::finish`].
     pub fn push(&mut self, od_index: usize, record: &FlowRecord) -> Result<()> {
-        if od_index >= self.num_od {
-            return Err(FlowError::BadOdIndex { index: od_index, count: self.num_od });
-        }
+        let od = match u32::try_from(od_index) {
+            Ok(od) if od_index < self.num_od => od,
+            _ => return Err(FlowError::BadOdIndex { index: od_index, count: self.num_od }),
+        };
         let bin = self.bin_for(record.window_start)?;
+        if bin >= self.distinct.len() {
+            return Err(FlowError::AlreadyFinalized);
+        }
+        let (earlier, rest) = self.distinct.split_at_mut(bin);
+        let distinct = &mut rest[0];
+        if distinct.is_empty() {
+            // Consecutive bins hold about as many flows, so a bin's table
+            // opens at the size the bin before it came to and skips most
+            // of the doubling ladder.
+            distinct.reserve(earlier.last().map_or(0, DistinctFlows::len));
+        }
         let cell = bin * self.num_od + od_index;
         self.bytes[cell] += record.bytes as f64;
         self.packets[cell] += record.packets as f64;
         // An "IP flow" in a 5-minute bin is a distinct 5-tuple: the same
         // key exported in two 1-minute windows of one bin is one flow.
-        if self.distinct[cell].insert(record.key) {
+        if distinct.insert(od, record.key) {
             self.flows[cell] += 1.0;
         }
         self.bin_records[bin] += 1;
@@ -149,6 +338,24 @@ impl OdBinner {
         self.num_bins
     }
 
+    /// Declares the window filled and frees every distinct-flow table.
+    /// The cell sums, flow counts included, are final and stay readable;
+    /// [`Self::push`] is refused from here on, and a snapshot taken from
+    /// here on carries no 5-tuples.
+    pub fn finish(&mut self) {
+        self.distinct = Vec::new();
+    }
+
+    /// Distinct `(OD, 5-tuple)` pairs resident across the live tables.
+    pub fn distinct_keys_live(&self) -> usize {
+        self.distinct.iter().map(DistinctFlows::len).sum()
+    }
+
+    /// Bytes of slot storage the live tables own.
+    pub fn distinct_table_bytes(&self) -> usize {
+        self.distinct.iter().map(DistinctFlows::table_bytes).sum()
+    }
+
     /// Consumes the binner into its raw `(bytes, packets, flows,
     /// bin_records)` cell vectors (row-major `bin x od`; per-bin record
     /// counts), without the non-empty check of [`Self::finalize`] — the
@@ -158,13 +365,13 @@ impl OdBinner {
         (self.bytes, self.packets, self.flows, self.bin_records)
     }
 
-    /// The canonical (sorted) distinct 5-tuples of one cell, so snapshots
-    /// are identical regardless of hash-set iteration order.
-    fn sorted_keys(set: &HashSet<FlowKey>) -> Vec<FlowKey> {
-        // lint:allow(ordered-iteration) -- the hash order ends on the next line: the keys are sorted before anyone sees them
-        let mut keys: Vec<FlowKey> = set.iter().copied().collect();
-        keys.sort_unstable();
-        keys
+    /// The sorted distinct 5-tuples of each cell of `bin` — all empty for
+    /// a finished binner.
+    fn bin_keys(&self, bin: usize) -> Vec<Vec<FlowKey>> {
+        match self.distinct.get(bin) {
+            Some(table) => table.sorted_cells(self.num_od),
+            None => vec![Vec::new(); self.num_od],
+        }
     }
 
     /// Snapshots the accumulation state. The resolver-side fields of the
@@ -175,7 +382,7 @@ impl OdBinner {
             bytes: self.bytes.clone(),
             packets: self.packets.clone(),
             flows: self.flows.clone(),
-            distinct: self.distinct.iter().map(Self::sorted_keys).collect(),
+            distinct: (0..self.num_bins).flat_map(|bin| self.bin_keys(bin)).collect(),
             bin_records: self.bin_records.clone(),
             records_accepted: self.records_accepted,
             resolution: ResolutionStats::default(),
@@ -184,8 +391,8 @@ impl OdBinner {
     }
 
     /// Snapshots one bin — its three rows, its cells' distinct 5-tuples
-    /// (sorted) and its record count — in O(row + keys), or `None`
-    /// outside the window.
+    /// (sorted) and its record count — in O(row + keys log keys), or
+    /// `None` outside the window.
     pub(crate) fn export_bin(&self, bin: usize) -> Option<BinState> {
         let cells = bin * self.num_od..(bin + 1) * self.num_od;
         Some(BinState {
@@ -193,15 +400,16 @@ impl OdBinner {
             records: *self.bin_records.get(bin)?,
             bytes: self.bytes.get(cells.clone())?.to_vec(),
             packets: self.packets.get(cells.clone())?.to_vec(),
-            flows: self.flows.get(cells.clone())?.to_vec(),
-            distinct: self.distinct.get(cells)?.iter().map(Self::sorted_keys).collect(),
+            flows: self.flows.get(cells)?.to_vec(),
+            distinct: self.bin_keys(bin),
         })
     }
 
     /// Replaces the accumulation state with a snapshot taken from a binner
-    /// of identical geometry. The distinct sets are rebuilt by insertion —
-    /// set membership is all [`Self::push`] ever consults, so restored
-    /// accumulation is bit-identical to the original.
+    /// of identical geometry. The distinct tables are rebuilt by insertion
+    /// (a finished binner takes records again) — membership is all
+    /// [`Self::push`] ever consults, so restored accumulation is
+    /// bit-identical to the original.
     ///
     /// # Errors
     ///
@@ -230,7 +438,20 @@ impl OdBinner {
         self.bytes.clone_from(&state.bytes);
         self.packets.clone_from(&state.packets);
         self.flows.clone_from(&state.flows);
-        self.distinct = state.distinct.iter().map(|keys| keys.iter().copied().collect()).collect();
+        self.distinct = state
+            .distinct
+            .chunks(self.num_od)
+            .map(|bin_cells| {
+                let mut table = DistinctFlows::new();
+                table.reserve(bin_cells.iter().map(Vec::len).sum());
+                for (od, keys) in (0u32..).zip(bin_cells) {
+                    for &key in keys {
+                        table.insert(od, key);
+                    }
+                }
+                table
+            })
+            .collect();
         self.bin_records.clone_from(&state.bin_records);
         self.records_accepted = state.records_accepted;
         Ok(())
@@ -332,6 +553,42 @@ mod tests {
         let set = b.finalize().unwrap();
         assert_eq!(set.flows.data[(0, 0)], 1.0, "one distinct 5-tuple = one flow");
         assert_eq!(set.packets.data[(0, 0)], 3.0);
+    }
+
+    #[test]
+    fn protocol_variants_with_one_wire_number_are_two_flows() {
+        let mut b = OdBinner::new(0, 300, 1, 1).unwrap();
+        let mut r = rec(0, 1000, 1, 10);
+        b.push(0, &r).unwrap();
+        r.key.protocol = Protocol::Other(6);
+        b.push(0, &r).unwrap();
+        b.push(0, &r).unwrap();
+        assert_eq!(b.distinct_keys_live(), 2);
+        assert_eq!(b.finalize().unwrap().flows.data[(0, 0)], 2.0);
+    }
+
+    #[test]
+    fn tables_are_per_bin_lazy_and_freed_by_finish() {
+        assert_eq!(std::mem::size_of::<Slot>(), 20);
+        let mut b = OdBinner::new(0, 300, 3, 4).unwrap();
+        assert_eq!((b.distinct_keys_live(), b.distinct_table_bytes()), (0, 0));
+        for port in 0..100 {
+            b.push(port as usize % 4, &rec(0, port, 1, 10)).unwrap();
+        }
+        let one_bin = b.distinct_table_bytes();
+        assert!((100 * 20 * 4 / 3..=100 * 20 * 4).contains(&one_bin), "{one_bin} bytes");
+        // The next bin's table opens at the size its predecessor came to;
+        // the bin nothing reaches never gets one.
+        b.push(0, &rec(300, 1, 1, 10)).unwrap();
+        assert_eq!(b.distinct_table_bytes(), 2 * one_bin);
+        assert_eq!(b.distinct_keys_live(), 101);
+
+        b.finish();
+        assert_eq!((b.distinct_keys_live(), b.distinct_table_bytes()), (0, 0));
+        assert_eq!(b.push(0, &rec(0, 7, 1, 10)), Err(FlowError::AlreadyFinalized));
+        assert_eq!(b.bin_row(0, TrafficType::Flows).unwrap().iter().sum::<f64>(), 100.0);
+        assert!(b.export_bin(0).unwrap().distinct.iter().all(Vec::is_empty));
+        assert_eq!(b.finalize().unwrap().flows.data[(1, 0)], 1.0);
     }
 
     #[test]

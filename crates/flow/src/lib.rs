@@ -40,7 +40,7 @@ mod sampler;
 mod shard;
 
 pub use aggregate::{FlowAggregator, MINUTE_SECS};
-pub use binning::{BinState, OdBinner};
+pub use binning::{BinState, DistinctFlows, OdBinner};
 pub use digest::{AttributeDigest, Counts};
 pub use error::{FlowError, Result};
 pub use key::{FlowKey, Protocol};

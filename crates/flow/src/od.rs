@@ -10,7 +10,8 @@
 //! flows, ≥90% of bytes).
 
 use crate::record::FlowRecord;
-use odflow_net::{IngressResolver, RouteTable, Topology};
+use odflow_net::{CompiledRoutes, IngressResolver, RouteTable, Topology};
+use std::sync::Arc;
 
 /// Outcome of resolving one flow record to an OD pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,18 +79,30 @@ impl ResolutionStats {
 
 /// Resolves flow records to OD pairs using ingress configuration and the
 /// egress routing table.
+///
+/// The routing state is immutable and shared: a clone is another set of
+/// [`ResolutionStats`] over the same tables, which is how every shard of
+/// an ingest engine gets its own resolver.
 #[derive(Debug, Clone)]
 pub struct OdResolver {
-    ingress: IngressResolver,
-    routes: RouteTable,
+    routing: Arc<Routing>,
     num_pops: usize,
     anonymize: bool,
     stats: ResolutionStats,
 }
 
+/// What a resolver looks records up in.
+#[derive(Debug)]
+struct Routing {
+    ingress: IngressResolver,
+    routes: CompiledRoutes,
+}
+
 impl OdResolver {
-    /// Creates a resolver. When `anonymize` is true (the paper's setting),
-    /// destination addresses are masked by 11 bits before the egress lookup.
+    /// Creates a resolver over the routes installed in `routes` at this
+    /// moment (the table is compiled once, here). When `anonymize` is true
+    /// (the paper's setting), destination addresses are masked by 11 bits
+    /// before the egress lookup.
     pub fn new(
         topology: &Topology,
         ingress: IngressResolver,
@@ -97,8 +110,7 @@ impl OdResolver {
         anonymize: bool,
     ) -> OdResolver {
         OdResolver {
-            ingress,
-            routes,
+            routing: Arc::new(Routing { ingress, routes: routes.compile() }),
             num_pops: topology.num_pops(),
             anonymize,
             stats: ResolutionStats::default(),
@@ -108,7 +120,7 @@ impl OdResolver {
     /// Resolves one record, updating the running statistics.
     pub fn resolve(&mut self, record: &FlowRecord) -> OdResolution {
         // Ingress: was this record exported from an external interface?
-        let Some(origin) = self.ingress.ingress(record.router, record.interface) else {
+        let Some(origin) = self.routing.ingress.ingress(record.router, record.interface) else {
             self.stats.transit_skipped += 1;
             return OdResolution::Transit;
         };
@@ -122,7 +134,7 @@ impl OdResolver {
         } else {
             record.key.dst_ip
         };
-        let Some(egress) = self.routes.egress(dst) else {
+        let Some(egress) = self.routing.routes.egress(dst) else {
             return OdResolution::NoEgress;
         };
         if origin >= self.num_pops || egress >= self.num_pops {

@@ -4,10 +4,14 @@
 //! record at a time — fine for packet-path integration tests, but the last
 //! serial stage of a week-scale scenario run. This module splits the
 //! resolve→bin backend into independent [`BinShard`]s, each owning a
-//! **contiguous range of analysis bins**: its own [`OdResolver`] (and thus
-//! its own [`ResolutionStats`]), its own [`OdBinner`] over the sub-window,
-//! and its own out-of-window drop counter. Shards share no state, so record
-//! batches bin across threads with no locks.
+//! **contiguous range of analysis bins**: its own [`ResolutionStats`] over
+//! the engine's shared, immutable routing tables, its own [`OdBinner`] over
+//! the sub-window, and its own out-of-window drop counter. Shards share no
+//! mutable state, so record batches bin across threads with no locks.
+//!
+//! A shard whose bin range has been rendered is [finished](BinShard::finish)
+//! by the task that filled it: its distinct-flow tables are freed there, and
+//! what travels to [`ShardedIngest::merge`] is cell sums and counters only.
 //!
 //! ## Determinism
 //!
@@ -80,6 +84,8 @@ impl BinShard {
     ///   window but outside this shard's bin range — a routing bug in the
     ///   caller, never silently absorbed.
     /// * [`FlowError::BadOdIndex`] for an OD index outside the matrix.
+    /// * [`FlowError::AlreadyFinalized`] for a resolvable in-window record
+    ///   offered after [`Self::finish`].
     pub fn push_sampled_record(&mut self, mut record: FlowRecord) -> Result<()> {
         if self.anonymize {
             record.key = record.key.with_anonymized_dst();
@@ -130,6 +136,30 @@ impl BinShard {
     /// this shard does not own that bin.
     pub fn bin_record_count(&self, bin: usize) -> Option<u64> {
         self.binner.bin_record_count(bin.checked_sub(self.first_bin)?)
+    }
+
+    /// Declares this shard's bin range filled and frees its distinct-flow
+    /// tables, which no later step reads: the flow counts are already in
+    /// the cells. Every task that fills a shard for [`ShardedIngest::merge`]
+    /// ends with this, so the 5-tuples of a window are never resident
+    /// together; `merge` applies it to whatever arrives unfinished.
+    /// Idempotent.
+    #[must_use]
+    pub fn finish(mut self) -> BinShard {
+        self.binner.finish();
+        self
+    }
+
+    /// Distinct `(OD, 5-tuple)` pairs this shard holds in memory — zero
+    /// once [finished](Self::finish).
+    pub fn distinct_keys_live(&self) -> usize {
+        self.binner.distinct_keys_live()
+    }
+
+    /// Bytes of distinct-flow table storage this shard owns — zero once
+    /// [finished](Self::finish).
+    pub fn distinct_table_bytes(&self) -> usize {
+        self.binner.distinct_table_bytes()
     }
 
     /// Finalizes a *full-window* shard into the traffic matrices — the
@@ -348,7 +378,8 @@ pub struct ShardedIngest {
     num_bins: usize,
     num_od: usize,
     anonymize: bool,
-    /// Stat-free resolver prototype cloned into every shard.
+    /// Stat-free resolver prototype cloned into every shard; the clones
+    /// share its routing tables.
     resolver: OdResolver,
     shard_bins: usize,
 }
@@ -469,7 +500,7 @@ impl ShardedIngest {
     ///   window contiguously.
     /// * [`FlowError::NoData`] if no shard accepted any record (matching
     ///   the serial pipeline's finalize).
-    pub fn merge(&self, shards: Vec<BinShard>) -> Result<IngestOutcome> {
+    pub fn merge(&self, mut shards: Vec<BinShard>) -> Result<IngestOutcome> {
         let mut next_bin = 0usize;
         for s in &shards {
             if s.bins().start != next_bin {
@@ -485,6 +516,11 @@ impl ShardedIngest {
             return Err(FlowError::ShardGap { expected_bin: self.num_bins, got_bin: next_bin });
         }
 
+        // Free the tables of unfinished shards before the window's cell
+        // vectors are allocated beside them.
+        for shard in &mut shards {
+            shard.binner.finish();
+        }
         let cells = self.num_bins * self.num_od;
         let mut bytes = Vec::with_capacity(cells);
         let mut packets = Vec::with_capacity(cells);
@@ -558,7 +594,7 @@ impl ShardedIngest {
             for &r in &partitions[i] {
                 shard.push_sampled_record(*r)?;
             }
-            Ok(shard)
+            Ok(shard.finish())
         })
         .into_iter()
         .collect::<Result<Vec<BinShard>>>()?;
@@ -771,6 +807,44 @@ mod tests {
             .map(|i| engine.make_shard(engine.shard_range(i)).unwrap())
             .collect();
         assert!(matches!(engine.merge(empty), Err(FlowError::NoData)));
+    }
+
+    #[test]
+    fn a_finished_shard_holds_no_keys_and_merges_the_same() {
+        let num_bins = 9;
+        let (_, plan, engine, _) = setup(num_bins);
+        let stream = mixed_stream(&plan, num_bins);
+        let fill = |finish: bool| -> Vec<BinShard> {
+            (0..engine.num_shards())
+                .map(|i| {
+                    let mut shard = engine.make_shard(engine.shard_range(i)).unwrap();
+                    for r in stream.iter().filter(|r| engine.shard_for_ts(r.window_start) == i) {
+                        shard.push_sampled_record(*r).unwrap();
+                    }
+                    assert!(shard.distinct_keys_live() > 0);
+                    assert!(shard.distinct_table_bytes() >= shard.distinct_keys_live() * 20);
+                    if finish {
+                        shard = shard.finish();
+                        assert_eq!(
+                            (shard.distinct_keys_live(), shard.distinct_table_bytes()),
+                            (0, 0)
+                        );
+                    }
+                    shard
+                })
+                .collect()
+        };
+        let (kept, finished) =
+            (engine.merge(fill(false)).unwrap(), engine.merge(fill(true)).unwrap());
+        assert_eq!(kept.matrices.flows.data.as_slice(), finished.matrices.flows.data.as_slice());
+        assert_eq!(kept.matrices.bytes.data.as_slice(), finished.matrices.bytes.data.as_slice());
+        assert_eq!(kept.stats, finished.stats);
+
+        // Filled means filled: a resolvable in-window record is refused.
+        let mut shard = engine.make_shard(0..4).unwrap().finish();
+        let r = record(&plan, 0, 5, 10, 1);
+        assert_eq!(shard.push_sampled_record(r), Err(FlowError::AlreadyFinalized));
+        assert_eq!(shard.records_accepted(), 0);
     }
 
     #[test]

@@ -1,8 +1,14 @@
 //! Property-based tests for the measurement substrate.
 
-use odflow_flow::{netflow, FlowAggregator, FlowKey, FlowRecord, OdBinner, PacketObs, Protocol};
-use odflow_net::IpAddr;
+use odflow_flow::{
+    netflow, DistinctFlows, FlowAggregator, FlowKey, FlowRecord, OdBinner, PacketObs,
+    PipelineConfig, Protocol, ShardedIngest,
+};
+use odflow_net::{AddressPlan, IngressResolver, IpAddr, Topology};
 use proptest::prelude::*;
+use std::collections::hash_map::RandomState;
+use std::collections::BTreeSet;
+use std::hash::{BuildHasher, Hasher};
 
 fn arb_key() -> impl Strategy<Value = FlowKey> {
     (any::<u32>(), any::<u32>(), any::<u16>(), any::<u16>(), any::<u8>()).prop_map(
@@ -23,8 +29,174 @@ fn arb_record() -> impl Strategy<Value = FlowRecord> {
     )
 }
 
+/// Protocols that share a wire number without being the same value —
+/// `Other(6)` is not `Tcp` to `==`, so it is not `Tcp` to the flow count.
+const PROTOCOLS: [Protocol; 6] = [
+    Protocol::Tcp,
+    Protocol::Other(6),
+    Protocol::Udp,
+    Protocol::Other(17),
+    Protocol::Icmp,
+    Protocol::Other(47),
+];
+
+/// OD cells `arb_pair` draws from.
+const PAIR_ODS: usize = 5;
+
+/// `(od, key)` from a universe small enough that a few hundred draws
+/// repeat themselves.
+fn arb_pair() -> impl Strategy<Value = (u32, FlowKey)> {
+    (0..PAIR_ODS as u32, 0u32..4, 0u32..4, 0u16..3, 0u16..2, 0usize..PROTOCOLS.len()).prop_map(
+        |(od, s, d, sp, dp, pr)| (od, FlowKey::new(IpAddr(s), IpAddr(d), sp, dp, PROTOCOLS[pr])),
+    )
+}
+
+/// Hashes everything to one value: every pair lands on one probe chain.
+#[derive(Clone)]
+struct Colliding;
+
+impl BuildHasher for Colliding {
+    type Hasher = Colliding;
+    fn build_hasher(&self) -> Colliding {
+        Colliding
+    }
+}
+
+impl Hasher for Colliding {
+    fn finish(&self) -> u64 {
+        7
+    }
+    fn write(&mut self, _: &[u8]) {}
+}
+
+/// The oracle's pairs as the per-cell sorted export must give them.
+fn oracle_cells(oracle: &BTreeSet<(u32, FlowKey)>) -> Vec<Vec<FlowKey>> {
+    (0..PAIR_ODS as u32)
+        .map(|od| oracle.iter().filter(|p| p.0 == od).map(|p| p.1).collect())
+        .collect()
+}
+
+/// Drives a table and a `BTreeSet` through `pairs`, with a snapshot
+/// (sorted export, re-insert into a fresh table) taken after `cut` of
+/// them: every answer, the size, the load and the export must agree.
+fn check_against_oracle<S: BuildHasher + Clone>(
+    hasher: S,
+    pairs: &[(u32, FlowKey)],
+    cut: usize,
+) -> Result<(), TestCaseError> {
+    let mut table = DistinctFlows::with_hasher(hasher.clone());
+    let mut restored = DistinctFlows::with_hasher(hasher.clone());
+    let mut oracle = BTreeSet::new();
+    prop_assert_eq!(table.table_bytes(), 0, "an empty table owns nothing");
+    for (i, &(od, key)) in pairs.iter().enumerate() {
+        if i == cut {
+            for (od, keys) in (0u32..).zip(table.sorted_cells(PAIR_ODS)) {
+                for key in keys {
+                    prop_assert!(restored.insert(od, key), "a snapshot holds no pair twice");
+                }
+            }
+        }
+        let fresh = oracle.insert((od, key));
+        prop_assert_eq!(table.insert(od, key), fresh, "insert {} of {:?}", i, (od, key));
+        if i >= cut {
+            prop_assert_eq!(restored.insert(od, key), fresh, "restored insert {}", i);
+        }
+        prop_assert_eq!(table.len(), oracle.len());
+        // 20-byte slots at a load of at most 3/4.
+        prop_assert!(table.len() * 20 * 4 <= table.table_bytes() * 3);
+    }
+    prop_assert_eq!(table.sorted_cells(PAIR_ODS), oracle_cells(&oracle));
+    if cut < pairs.len() {
+        prop_assert_eq!(restored.sorted_cells(PAIR_ODS), oracle_cells(&oracle));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn distinct_flows_agree_with_a_btree_set(
+        pairs in proptest::collection::vec(arb_pair(), 0..700),
+        cut in 0usize..700,
+    ) {
+        // 700 draws from 2880 pairs: ~600 distinct, six doublings from 16.
+        check_against_oracle(RandomState::new(), &pairs, cut)?;
+    }
+
+    #[test]
+    fn distinct_flows_survive_total_collision(
+        pairs in proptest::collection::vec(arb_pair(), 0..200),
+        cut in 0usize..200,
+    ) {
+        check_against_oracle(Colliding, &pairs, cut)?;
+    }
+
+    #[test]
+    fn shard_snapshot_dedups_across_the_cut(
+        draws in proptest::collection::vec(
+            (arb_pair(), 0usize..11, 0usize..11, 0u32..0x2000, 0u64..6 * 300, 1u64..9),
+            1..300,
+        ),
+        cut in 0usize..300,
+    ) {
+        // Records over six bins of the Abilene mesh; the 5-tuple universe
+        // is small and destinations differ below the anonymization
+        // boundary too, so flows repeat within a cell on both sides of
+        // the snapshot.
+        let t = Topology::abilene();
+        let plan = AddressPlan::synthetic(&t);
+        let engine = ShardedIngest::new(
+            PipelineConfig::abilene(0, 6),
+            &t,
+            IngressResolver::synthetic(&t),
+            plan.build_route_table(1.0).unwrap(),
+        )
+        .unwrap();
+        let records: Vec<FlowRecord> = draws
+            .iter()
+            .map(|&((_, key), router, dst_pop, host, ts, packets)| FlowRecord {
+                key: FlowKey { dst_ip: plan.customer_addr(dst_pop, 0, host), ..key },
+                router,
+                interface: 0,
+                window_start: ts,
+                packets,
+                bytes: packets * 40,
+            })
+            .collect();
+        let oracle: BTreeSet<(usize, FlowKey)> = draws
+            .iter()
+            .zip(&records)
+            .map(|(&(_, router, dst_pop, _, ts, _), r)| {
+                let cell = ts as usize / 300 * 121 + t.od_index(router, dst_pop).unwrap();
+                (cell, r.key.with_anonymized_dst())
+            })
+            .collect();
+        let cut = cut.min(records.len());
+
+        let mut live = engine.make_shard(0..6).unwrap();
+        for r in &records[..cut] {
+            live.push_sampled_record(*r).unwrap();
+        }
+        let mut restored = engine.make_shard(0..6).unwrap();
+        restored.restore_state(&live.export_state()).unwrap();
+        for r in &records[cut..] {
+            live.push_sampled_record(*r).unwrap();
+            restored.push_sampled_record(*r).unwrap();
+        }
+        let state = live.export_state();
+        prop_assert_eq!(&restored.export_state(), &state);
+
+        for (cell, keys) in state.distinct.iter().enumerate() {
+            let expect: Vec<FlowKey> =
+                oracle.iter().filter(|&&(c, _)| c == cell).map(|&(_, key)| key).collect();
+            prop_assert_eq!(keys, &expect, "cell {}", cell);
+            prop_assert_eq!(state.flows[cell], expect.len() as f64);
+        }
+        prop_assert_eq!(live.distinct_keys_live(), oracle.len());
+        let filled = live.finish();
+        prop_assert_eq!((filled.distinct_keys_live(), filled.distinct_table_bytes()), (0, 0));
+    }
 
     #[test]
     fn netflow_roundtrip_lossless(records in proptest::collection::vec(arb_record(), 0..100)) {

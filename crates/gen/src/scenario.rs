@@ -402,7 +402,10 @@ impl<'a> TraceGenerator<'a> {
     /// bin's records never leave its shard, the merged result is
     /// bit-identical to pushing [`records_for_bin`](Self::records_for_bin)
     /// output through the serial [`odflow_flow::MeasurementPipeline`] —
-    /// for any `ODFLOW_THREADS`.
+    /// for any `ODFLOW_THREADS`. A task
+    /// [finishes](odflow_flow::BinShard::finish) its shard once the range
+    /// is rendered, so the distinct 5-tuples resident at any moment are
+    /// those of the shards being filled, not the window's.
     ///
     /// `config` must share the scenario's bin grid (same `start_secs` and
     /// `bin_secs` — bin-range shard routing relies on scenario bin `b`
@@ -467,7 +470,7 @@ impl<'a> TraceGenerator<'a> {
                     }
                 }
             }
-            Ok(shard)
+            Ok(shard.finish())
         })
         .into_iter()
         .collect::<odflow_flow::Result<Vec<_>>>()?;

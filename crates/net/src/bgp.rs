@@ -8,7 +8,9 @@
 //!
 //! [`RouteTable`] reproduces this: a longest-prefix-match table mapping
 //! destination prefixes to egress PoPs, deliberately *incomplete* so that a
-//! realistic fraction of traffic fails resolution. [`AddressPlan`] is the
+//! realistic fraction of traffic fails resolution. It is the structure
+//! routes are installed into; [`RouteTable::compile`] freezes it into
+//! [`CompiledRoutes`], the per-record lookup form. [`AddressPlan`] is the
 //! synthetic address layout that stands in for Abilene's real customer and
 //! peer address space.
 
@@ -80,6 +82,100 @@ impl RouteTable {
     /// `true` when no routes are installed.
     pub fn is_empty(&self) -> bool {
         self.trie.is_empty()
+    }
+
+    /// Freezes the installed routes into the lookup form the per-record
+    /// path resolves against. The result answers [`CompiledRoutes::egress`]
+    /// exactly as [`Self::egress`] does at the moment of the call; routes
+    /// installed afterwards are not seen.
+    ///
+    /// # Panics
+    ///
+    /// If an installed egress PoP id does not fit in 32 bits — PoP ids are
+    /// indices into a [`Topology`], far below that.
+    pub fn compile(&self) -> CompiledRoutes {
+        let mut slots = vec![Slot::default(); STRIDE_SLOTS];
+        // Pre-order: a covering prefix is written before the more specific
+        // ones inside it, so within a node the longest match ends on top.
+        for (prefix, entry) in self.trie.entries() {
+            let egress = u32::try_from(entry.egress)
+                .ok()
+                .and_then(|pop| pop.checked_add(1))
+                .expect("PoP ids are topology indices and fit in 32 bits");
+            let (addr, len) = (prefix.network().0, u32::from(prefix.len()));
+            // Walk down through every whole stride the prefix is strictly
+            // longer than, creating nodes on the way.
+            let (mut node, mut depth) = (0usize, 0u32);
+            while len > depth + STRIDE_BITS {
+                let at = node + stride_byte(addr, depth);
+                if slots[at].child == 0 {
+                    slots[at].child = u32::try_from(slots.len() / STRIDE_SLOTS)
+                        .expect("a table of 32-bit addresses has fewer than 2^32 nodes");
+                    slots.resize(slots.len() + STRIDE_SLOTS, Slot::default());
+                }
+                node = slots[at].child as usize * STRIDE_SLOTS;
+                depth += STRIDE_BITS;
+            }
+            // Controlled prefix expansion: the `len - depth` bits left fix
+            // the top of this node's byte, the rest of the byte is free.
+            let first = node + stride_byte(addr, depth);
+            let span = 1usize << (depth + STRIDE_BITS - len);
+            for slot in &mut slots[first..first + span] {
+                slot.egress = egress;
+            }
+        }
+        CompiledRoutes { slots }
+    }
+}
+
+/// Address bits one node of [`CompiledRoutes`] consumes.
+const STRIDE_BITS: u32 = 8;
+/// Slots per node: one per value of the stride's byte.
+const STRIDE_SLOTS: usize = 1 << STRIDE_BITS;
+
+/// The byte of `addr` that a node `depth` bits down indexes by.
+fn stride_byte(addr: u32, depth: u32) -> usize {
+    ((addr >> (32 - STRIDE_BITS - depth)) & 0xFF) as usize
+}
+
+/// One slot of a stride-8 node, 8 bytes: the best route among the
+/// prefixes this node holds that cover the slot, and the node one stride
+/// further down, each `0` when absent (node 0 is the root, never a child).
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Egress PoP id plus one.
+    egress: u32,
+    /// Index of the child node.
+    child: u32,
+}
+
+/// A [`RouteTable`] frozen for lookup: a multibit trie of 8-bit strides,
+/// so a destination resolves in at most four dependent loads where the
+/// binary trie takes one per prefix bit. Built once by
+/// [`RouteTable::compile`], immutable afterwards; provenance is dropped —
+/// the record path only asks for the egress PoP.
+#[derive(Debug, Clone)]
+pub struct CompiledRoutes {
+    /// Nodes of [`STRIDE_SLOTS`] slots each, root first.
+    slots: Vec<Slot>,
+}
+
+impl CompiledRoutes {
+    /// The egress PoP of the most specific installed prefix containing
+    /// `dst`, or `None` when no prefix matches.
+    pub fn egress(&self, dst: IpAddr) -> Option<PopId> {
+        let (mut node, mut best) = (0usize, 0u32);
+        for depth in [0, 8, 16, 24] {
+            let slot = self.slots[node + stride_byte(dst.0, depth)];
+            if slot.egress != 0 {
+                best = slot.egress;
+            }
+            if slot.child == 0 {
+                break;
+            }
+            node = slot.child as usize * STRIDE_SLOTS;
+        }
+        best.checked_sub(1).map(|pop| pop as PopId)
     }
 }
 
@@ -377,6 +473,43 @@ mod tests {
         let t = RouteTable::new();
         assert!(t.is_empty());
         assert_eq!(t.egress("10.0.0.1".parse().unwrap()), None);
+    }
+
+    #[test]
+    fn compiled_routes_answer_as_the_table_does() {
+        let mut t = RouteTable::new();
+        assert_eq!(t.compile().egress("10.0.0.1".parse().unwrap()), None);
+        // Lengths on and off the 8-bit stride, nested, installed longest
+        // first so the order of installation cannot be what decides.
+        for (text, pop) in [
+            ("10.1.2.3/32", 6),
+            ("10.1.2.0/23", 5),
+            ("10.1.0.0/16", 4),
+            ("10.0.0.0/9", 3),
+            ("10.0.0.0/8", 2),
+            ("0.0.0.0/0", 1),
+        ] {
+            t.install(text.parse().unwrap(), pop, RouteSource::Bgp);
+        }
+        t.install("10.1.0.0/16".parse().unwrap(), 7, RouteSource::Config);
+        let compiled = t.compile();
+        for (addr, pop) in [
+            ("10.1.2.3", 6),
+            ("10.1.2.4", 5),
+            ("10.1.3.255", 5),
+            ("10.1.4.0", 7),
+            ("10.127.255.255", 3),
+            ("10.128.0.0", 2),
+            ("11.0.0.0", 1),
+            ("255.255.255.255", 1),
+        ] {
+            let addr: IpAddr = addr.parse().unwrap();
+            assert_eq!(compiled.egress(addr), Some(pop), "{addr}");
+            assert_eq!(compiled.egress(addr), t.egress(addr), "{addr}");
+        }
+        // A route installed after compilation is not seen.
+        t.install("11.0.0.0/8".parse().unwrap(), 9, RouteSource::Bgp);
+        assert_eq!(compiled.egress("11.0.0.0".parse().unwrap()), Some(1));
     }
 
     #[test]

@@ -64,6 +64,10 @@ impl RouterConfig {
 #[derive(Debug, Clone)]
 pub struct IngressResolver {
     configs: Vec<RouterConfig>,
+    /// `external[pop]`: the interface indices on which traffic enters the
+    /// backbone at `pop`'s router; empty for a PoP with no config. The
+    /// per-record query reads only this.
+    external: Vec<Vec<u32>>,
 }
 
 impl IngressResolver {
@@ -89,7 +93,23 @@ impl IngressResolver {
             }
             seen[c.pop] = true;
         }
-        Ok(IngressResolver { configs })
+        Ok(Self::indexed(configs))
+    }
+
+    /// Indexes `configs` by PoP, keeping of each router only the external
+    /// interfaces as [`RouterConfig::is_external`] decides them.
+    fn indexed(configs: Vec<RouterConfig>) -> Self {
+        let pops = configs.iter().map(|c| c.pop + 1).max().unwrap_or(0);
+        let mut external = vec![Vec::new(); pops];
+        for c in &configs {
+            let set = &mut external[c.pop];
+            for i in &c.interfaces {
+                if c.is_external(i.index) && !set.contains(&i.index) {
+                    set.push(i.index);
+                }
+            }
+        }
+        IngressResolver { configs, external }
     }
 
     /// The standard synthetic configuration for a topology: every PoP gets
@@ -124,7 +144,7 @@ impl IngressResolver {
             }
             configs.push(RouterConfig { pop, interfaces });
         }
-        IngressResolver { configs }
+        Self::indexed(configs)
     }
 
     /// Attribution query: a packet observed at `router_pop` arriving on
@@ -133,12 +153,7 @@ impl IngressResolver {
     /// ingress) otherwise. Unknown routers/interfaces resolve to `None`,
     /// matching how incomplete config data behaves in practice.
     pub fn ingress(&self, router_pop: PopId, interface: u32) -> Option<PopId> {
-        let cfg = self.configs.iter().find(|c| c.pop == router_pop)?;
-        if cfg.is_external(interface) {
-            Some(router_pop)
-        } else {
-            None
-        }
+        self.external.get(router_pop)?.contains(&interface).then_some(router_pop)
     }
 
     /// All router configs.

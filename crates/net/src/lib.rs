@@ -12,7 +12,8 @@
 //! * [`Prefix`] / [`PrefixTrie`] — longest-prefix-match machinery.
 //! * [`RouteTable`] / [`AddressPlan`] — BGP-plus-config egress resolution
 //!   with deliberately incomplete coverage, reproducing the paper's ≈93%
-//!   flow resolution rate.
+//!   flow resolution rate; [`CompiledRoutes`] is the table frozen for
+//!   per-record lookup.
 //! * [`IngressResolver`] — router-config-based ingress attribution.
 //! * [`anonymize_dst`] — Abilene's 11-bit destination anonymization.
 
@@ -28,7 +29,7 @@ mod spf;
 mod topology;
 
 pub use anonymize::{anonymize_dst, same_anon_block, ANON_BITS, ANON_MASK};
-pub use bgp::{AddressPlan, RouteEntry, RouteSource, RouteTable};
+pub use bgp::{AddressPlan, CompiledRoutes, RouteEntry, RouteSource, RouteTable};
 pub use config::{IngressResolver, Interface, InterfaceRole, RouterConfig};
 pub use error::{NetError, Result};
 pub use prefix::{IpAddr, Prefix, PrefixTrie};

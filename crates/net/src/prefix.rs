@@ -3,7 +3,10 @@
 //! Egress-PoP resolution in the paper (§2.1) walks BGP/ISIS routing tables:
 //! given a destination IP, find the most specific matching prefix and read
 //! off the egress PoP. [`PrefixTrie`] implements the standard binary trie
-//! used by routing software for exactly this query.
+//! used by routing software for exactly this query. It is the structure
+//! routes are installed into, one dependent load per address bit; the
+//! per-record path looks up in [`crate::CompiledRoutes`], compiled from it,
+//! and the trie is what the tests hold that table against.
 
 use crate::error::{NetError, Result};
 use std::fmt;
@@ -239,6 +242,27 @@ impl<T> PrefixTrie<T> {
         }
         self.nodes[node].value.as_ref()
     }
+
+    /// Every stored prefix with its value, in trie pre-order: a prefix
+    /// comes before every more specific prefix it covers, siblings in
+    /// ascending address order. That is the order a compiler of the table
+    /// needs — writing entries in sequence lets the longer prefix win.
+    pub fn entries(&self) -> Vec<(Prefix, &T)> {
+        let mut out = Vec::with_capacity(self.len);
+        let mut stack = vec![(0usize, 0u32, 0u8)];
+        while let Some((node, network, len)) = stack.pop() {
+            if let Some(v) = self.nodes[node].value.as_ref() {
+                out.push((Prefix { network, len }, v));
+            }
+            // The 1-branch is pushed first so the 0-branch pops first.
+            for bit in [1u32, 0] {
+                if let Some(child) = self.nodes[node].children[bit as usize] {
+                    stack.push((child, network | (bit << (31 - len)), len + 1));
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -337,6 +361,21 @@ mod tests {
         assert_eq!(t.get(&"10.0.0.0/8".parse().unwrap()), None);
         assert!(!t.is_empty());
         assert!(PrefixTrie::<u8>::new().is_empty());
+    }
+
+    #[test]
+    fn entries_list_covering_prefixes_first() {
+        let mut t = PrefixTrie::new();
+        for (text, v) in
+            [("10.1.2.0/24", 3), ("0.0.0.0/0", 0), ("10.1.0.0/16", 2), ("9.0.0.0/8", 1)]
+        {
+            t.insert(text.parse().unwrap(), v);
+        }
+        let listed: Vec<(String, i32)> =
+            t.entries().into_iter().map(|(p, &v)| (p.to_string(), v)).collect();
+        let expect = [("0.0.0.0/0", 0), ("9.0.0.0/8", 1), ("10.1.0.0/16", 2), ("10.1.2.0/24", 3)];
+        assert_eq!(listed, expect.map(|(p, v)| (p.to_string(), v)));
+        assert!(PrefixTrie::<u8>::new().entries().is_empty());
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Property-based tests for prefix matching and routing.
 
-use odflow_net::{IpAddr, Prefix, PrefixTrie, SpfTable, Topology};
+use odflow_net::{
+    AddressPlan, IngressResolver, Interface, InterfaceRole, IpAddr, Prefix, PrefixTrie,
+    RouteSource, RouteTable, RouterConfig, SpfTable, Topology,
+};
 use proptest::prelude::*;
 
 /// Reference longest-prefix-match by linear scan.
@@ -12,8 +15,108 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Prefix::new(IpAddr(addr), len).unwrap())
 }
 
+/// The addresses where a prefix's answer can change: its two ends and
+/// the addresses just outside them.
+fn boundaries(p: Prefix) -> [IpAddr; 4] {
+    [p.first(), p.last(), IpAddr(p.first().0.wrapping_sub(1)), IpAddr(p.last().0.wrapping_add(1))]
+}
+
+/// Compiled lookup against the trie it was compiled from, at `probes`
+/// and at every boundary of `prefixes`.
+fn check_compiled(
+    table: &RouteTable,
+    prefixes: &[Prefix],
+    probes: &[u32],
+) -> Result<(), TestCaseError> {
+    let compiled = table.compile();
+    let edges = prefixes.iter().flat_map(|&p| boundaries(p));
+    for addr in probes.iter().map(|&a| IpAddr(a)).chain(edges) {
+        prop_assert_eq!(compiled.egress(addr), table.egress(addr), "at {}", addr);
+    }
+    Ok(())
+}
+
+fn arb_interface() -> impl Strategy<Value = Interface> {
+    (0u32..6, 0usize..3).prop_map(|(index, role)| Interface {
+        index,
+        role: [InterfaceRole::Customer, InterfaceRole::Peer, InterfaceRole::Backbone][role],
+        description: String::new(),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn compiled_routes_match_the_trie(
+        // Each draw installs a prefix and a shorter one over the same
+        // address, so nesting is the rule; the few distinct /0../2 and the
+        // repeated draws re-install prefixes with a different egress.
+        installs in proptest::collection::vec((any::<u32>(), 0u8..=32, 0u8..=32, 0usize..300), 0..40),
+        probes in proptest::collection::vec(any::<u32>(), 0..40),
+    ) {
+        let mut table = RouteTable::new();
+        let mut prefixes = Vec::new();
+        for &(addr, len, shorter, pop) in &installs {
+            for (len, pop) in [(len, pop), (shorter.min(len), pop + 1)] {
+                let prefix = Prefix::new(IpAddr(addr), len).unwrap();
+                table.install(prefix, pop, RouteSource::Bgp);
+                prefixes.push(prefix);
+            }
+        }
+        check_compiled(&table, &prefixes, &probes)?;
+    }
+
+    #[test]
+    fn compiled_routes_match_the_trie_on_the_address_plans(
+        probes in proptest::collection::vec(any::<u32>(), 0..60),
+        coverage in 0u32..=4,
+        mesh in 12usize..80,
+    ) {
+        let coverage = f64::from(coverage) / 4.0;
+        for plan in [
+            AddressPlan::synthetic(&Topology::abilene()),
+            AddressPlan::synthetic_large(&Topology::synthetic_mesh(mesh).unwrap()),
+        ] {
+            let table = plan.build_route_table(coverage).unwrap();
+            let mut prefixes: Vec<Prefix> = plan.unannounced_prefixes().to_vec();
+            prefixes.extend(plan.peer_prefixes().iter().map(|&(p, _)| p));
+            for pop in 0..plan.num_pops() {
+                prefixes.extend_from_slice(plan.customer_prefixes(pop));
+            }
+            check_compiled(&table, &prefixes, &probes)?;
+        }
+    }
+
+    #[test]
+    fn indexed_ingress_matches_the_linear_definition(
+        routers in proptest::collection::vec(
+            (0usize..11, proptest::collection::vec(arb_interface(), 0..6)),
+            0..11,
+        ),
+    ) {
+        // Configs in whatever PoP order they were drawn, the first config
+        // of a PoP kept; interface indices repeat within a router, where
+        // the first entry decides.
+        let mut configs: Vec<RouterConfig> = Vec::new();
+        for (pop, interfaces) in routers {
+            if configs.iter().all(|c| c.pop != pop) {
+                configs.push(RouterConfig { pop, interfaces });
+            }
+        }
+        let resolver = IngressResolver::new(&Topology::abilene(), configs.clone()).unwrap();
+        // PoPs 11..13 are unknown routers, interfaces 6..8 unknown ones.
+        for router in 0..13 {
+            for interface in 0..8 {
+                let linear = configs
+                    .iter()
+                    .find(|c| c.pop == router)
+                    .filter(|c| c.is_external(interface))
+                    .map(|c| c.pop);
+                prop_assert_eq!(resolver.ingress(router, interface), linear);
+            }
+        }
+    }
 
     #[test]
     fn trie_matches_linear_scan(

@@ -118,6 +118,11 @@ pub struct TenantCounters {
     pub queue_depth_peak: AtomicU64,
     /// Highest bin index the tenant's watermark has reached (gauge).
     pub watermark_bin: AtomicU64,
+    /// Distinct `(OD, 5-tuple)` pairs the tenant's shard holds in memory
+    /// (gauge, refreshed at each bin close; zero after flush).
+    pub distinct_keys_live: AtomicU64,
+    /// Bytes of distinct-flow table storage behind them (gauge).
+    pub distinct_table_bytes: AtomicU64,
     /// Nanoseconds spent in frame decode.
     pub decode_nanos: AtomicU64,
     /// Nanoseconds spent pushing records into the shard.
@@ -265,6 +270,8 @@ impl ServeMetrics {
             line("queue_depth_peak", g(&c.queue_depth_peak));
             line("watermark_bin", g(&c.watermark_bin));
             line("bin_lag", c.bin_lag());
+            line("distinct_keys_live", g(&c.distinct_keys_live));
+            line("distinct_table_bytes", g(&c.distinct_table_bytes));
             line("decode_nanos_total", g(&c.decode_nanos));
             line("ingest_nanos_total", g(&c.ingest_nanos));
             line("detect_nanos_total", g(&c.detect_nanos));
@@ -321,6 +328,8 @@ mod tests {
         assert!(page.contains("odflow_serve_tenant_frames_offered_total{tenant=\"edge\"} 0"));
         assert!(page.contains("odflow_serve_tenant_bin_lag{tenant=\"edge\"} 0"));
         for metric in [
+            "distinct_keys_live",
+            "distinct_table_bytes",
             "checkpoint_bytes_total",
             "checkpoint_complete_total",
             "checkpoint_last_bytes",

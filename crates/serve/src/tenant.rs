@@ -343,8 +343,16 @@ impl TenantPipeline {
         let closed_before = self.next_close;
         self.advance_watermark(u64::from(hdr.unix_secs));
         if self.next_close > closed_before {
+            self.publish_distinct_memory();
             self.write_checkpoint();
         }
+    }
+
+    /// Refreshes the gauges of what the shard's distinct-flow tables hold.
+    fn publish_distinct_memory(&self) {
+        let c = &self.counters;
+        TenantCounters::set(&c.distinct_keys_live, self.shard.distinct_keys_live() as u64);
+        TenantCounters::set(&c.distinct_table_bytes, self.shard.distinct_table_bytes() as u64);
     }
 
     /// Fires the chaos schedule at a pipeline boundary, if one is armed.
@@ -538,6 +546,9 @@ impl TenantPipeline {
             self.quality.exporters.lost_flows_total(),
         );
         let mut outcome = self.engine.merge(vec![self.shard])?;
+        // The merge freed the shard's tables.
+        TenantCounters::set(&self.counters.distinct_keys_live, 0);
+        TenantCounters::set(&self.counters.distinct_table_bytes, 0);
         outcome.quality.quarantine = self.quality.quarantine;
         outcome.quality.exporters = self.quality.exporters;
         outcome.repair(self.config.repair);
@@ -607,7 +618,14 @@ mod tests {
             tenant.ingest_frame(f);
         }
         let counters = tenant.counters();
+        // The full-window shard keeps every bin's distinct-flow table
+        // until the flush merges it away; the gauges say so.
+        let keys = TenantCounters::get(&counters.distinct_keys_live);
+        let table = TenantCounters::get(&counters.distinct_table_bytes);
+        assert!(keys > 0 && table >= keys * 20, "{keys} keys in {table} bytes");
         let flush = tenant.flush().unwrap();
+        assert_eq!(TenantCounters::get(&counters.distinct_keys_live), 0);
+        assert_eq!(TenantCounters::get(&counters.distinct_table_bytes), 0);
 
         let routes = scenario.plan.build_route_table(1.0).unwrap();
         let ingress = IngressResolver::synthetic(&scenario.topology);
