@@ -262,13 +262,13 @@ fn bench_large_mesh(c: &mut Criterion) {
     g.finish();
 }
 
-/// The pinned justification for `JACOBI_PARALLEL_MIN_DIM = 128`: both
-/// sweep orderings, forced, at the crossover dimension (and one step
-/// above). The phased, row-contiguous parallel ordering must beat the
-/// strided serial rotation at p = 128 even on a single thread — per-round
-/// dispatch on the persistent pool is a queue push, so the old 192 floor
-/// (set when every round paid three scoped thread spawns) no longer
-/// applies. If this bench ever inverts, raise the constant back.
+/// Both Jacobi sweep orderings, forced, at `JACOBI_PARALLEL_MIN_DIM = 128`
+/// and one step above. The constant is pinned by the numeric contract, not
+/// by this bench: since the serial sweep went row-oriented it wins both
+/// sizes on the 2-vCPU reference box (62 vs 85 ms at 128 on one thread),
+/// and `Auto` goes tridiagonal from 128 anyway. The rows stay so a
+/// many-core box can say whether the round-robin ordering earns its keep
+/// before ROADMAP's `DenseJacobi` retirement deletes it.
 fn bench_jacobi_ordering(c: &mut Criterion) {
     use odflow::linalg::{eigen_symmetric_with, JacobiOptions, JacobiOrdering};
     let mut g = c.benchmark_group("jacobi_ordering");

@@ -15,11 +15,15 @@
 //! 5. [`OdBinner`] — 5-minute binning into the three traffic views:
 //!    **#bytes, #packets, #IP-flows** ([`TrafficMatrixSet`]).
 //!
-//! [`MeasurementPipeline`] wires the stages together serially;
-//! [`ShardedIngest`] splits the resolve→bin backend into per-bin-range
-//! [`BinShard`]s so record batches bin across threads with results
-//! bit-identical to the serial path. [`AttributeDigest`] summarizes the raw
-//! flows behind a detection for the classification stage.
+//! The resolve→bin backend exists once, as [`BinShard`]:
+//! [`ShardedIngest`] fills one shard per bin range across threads and
+//! merges them (bit-identical for any thread count), and
+//! [`MeasurementPipeline`] is the per-packet front end over a single
+//! full-window shard. Wire-format input enters through one admission step,
+//! [`DataQuality::admit_frame`] (lossy decode into the quarantine
+//! counters, then exporter sequence tracking), whatever the driver.
+//! [`AttributeDigest`] summarizes the raw flows behind a detection for the
+//! classification stage.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,6 +14,8 @@
 //! either accepted or lands in **exactly one** quarantine class, and every
 //! record of an accepted frame is either decoded or counted implausible.
 
+use crate::netflow::{decode_datagram_lossy, DatagramHeader};
+use crate::record::FlowRecord;
 use std::collections::BTreeMap;
 
 /// Why a frame was quarantined. Each rejected frame increments exactly one
@@ -327,6 +329,29 @@ impl DataQuality {
             bin_records: vec![0; num_bins],
             bins: vec![BinStatus::Ok; num_bins],
         }
+    }
+
+    /// Admits one export frame exactly as it came off the wire — the one
+    /// step every wire-path ingest (batch, fault storm, daemon) shares:
+    /// lossy decode into the quarantine counters, then per-exporter
+    /// sequence tracking.
+    ///
+    /// `None` means the frame was quarantined. Otherwise the header comes
+    /// back with the frame's plausible records, or with `None` in their
+    /// place when the frame is an exact retransmit the collector dedup
+    /// policy discards.
+    pub fn admit_frame(
+        &mut self,
+        frame: &[u8],
+    ) -> Option<(DatagramHeader, Option<Vec<FlowRecord>>)> {
+        let (hdr, records) = decode_datagram_lossy(frame, &mut self.quarantine)?;
+        let fresh = self.exporters.observe(
+            hdr.engine_id,
+            hdr.flow_sequence,
+            hdr.count,
+            hdr.sampling_interval,
+        );
+        Some((hdr, fresh.then_some(records)))
     }
 
     /// Indices of masked bins, ascending.

@@ -1,13 +1,14 @@
-//! Sharded measurement ingest.
+//! Sharded measurement ingest — the one resolve→bin backend.
 //!
-//! [`MeasurementPipeline`](crate::MeasurementPipeline) resolves and bins one
-//! record at a time — fine for packet-path integration tests, but the last
-//! serial stage of a week-scale scenario run. This module splits the
-//! resolve→bin backend into independent [`BinShard`]s, each owning a
+//! The backend is a set of independent [`BinShard`]s, each owning a
 //! **contiguous range of analysis bins**: its own [`ResolutionStats`] over
 //! the engine's shared, immutable routing tables, its own [`OdBinner`] over
 //! the sub-window, and its own out-of-window drop counter. Shards share no
-//! mutable state, so record batches bin across threads with no locks.
+//! mutable state, so record batches bin across threads with no locks. Every
+//! ingest path is a driver over it: the batch engine ([`ShardedIngest`])
+//! fills one shard per bin range, while
+//! [`MeasurementPipeline`](crate::MeasurementPipeline) and the daemon's
+//! per-tenant pipeline each hold a single shard spanning the window.
 //!
 //! A shard whose bin range has been rendered is [finished](BinShard::finish)
 //! by the task that filled it: its distinct-flow tables are freed there, and
@@ -35,7 +36,6 @@ use crate::binning::{BinState, OdBinner};
 use crate::error::{FlowError, Result};
 use crate::key::FlowKey;
 use crate::matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType};
-use crate::netflow::decode_datagram_lossy;
 use crate::od::{OdResolution, OdResolver, ResolutionStats};
 use crate::pipeline::PipelineConfig;
 use crate::quality::{BinStatus, DataQuality, RepairPolicy};
@@ -604,7 +604,7 @@ impl ShardedIngest {
     /// One-shot ingest of serialized NetFlow v5 export frames — the
     /// hostile-telemetry entry point.
     ///
-    /// Frames pass through [`decode_datagram_lossy`] **serially, in input
+    /// Frames pass through [`DataQuality::admit_frame`] **serially, in input
     /// order** (quarantine counters and per-exporter sequence tracking are
     /// order-sensitive, so this stage never parallelizes); surviving
     /// records then take the same partition → parallel fill → merge path
@@ -620,21 +620,11 @@ impl ShardedIngest {
     /// As for [`Self::ingest_records`]; malformed frames are quarantined,
     /// never errors.
     pub fn ingest_datagrams(&self, frames: &[impl AsRef<[u8]>]) -> Result<IngestOutcome> {
-        let mut quality = DataQuality::clean(self.num_bins);
+        let mut quality = DataQuality::default();
         let mut records = Vec::new();
         for frame in frames {
-            if let Some((hdr, recs)) =
-                decode_datagram_lossy(frame.as_ref(), &mut quality.quarantine)
-            {
-                let fresh = quality.exporters.observe(
-                    hdr.engine_id,
-                    hdr.flow_sequence,
-                    hdr.count,
-                    hdr.sampling_interval,
-                );
-                if fresh {
-                    records.extend(recs);
-                }
+            if let Some((_, Some(fresh))) = quality.admit_frame(frame.as_ref()) {
+                records.extend(fresh);
             }
         }
         let mut outcome = self.ingest_records(&records)?;

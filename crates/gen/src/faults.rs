@@ -1,21 +1,16 @@
 //! Measurement fault injection.
 //!
 //! Real collection infrastructure loses, duplicates, and delays export
-//! records. Two layers live here:
-//!
-//! * [`FaultInjector`] — the original record-level fault processes (drop /
-//!   duplicate / jitter / corrupt), kept for record-stream robustness
-//!   benches.
-//! * [`FaultSchedule`] — the wire-level engine: a **timed, seeded
-//!   schedule** of [`FaultEvent`]s applied to a scenario's serialized
-//!   NetFlow v5 frame stream. Every decision draws from an addressable
-//!   ChaCha stream keyed by `(seed, bin, event index)`, so a fault storm
-//!   is exactly reproducible — the controlled counterpart of the
-//!   collection noise the paper's production data certainly contained but
-//!   could not control. The hardened `odflow_flow` ingest path
-//!   (quarantine, sequence-gap accounting, bin repair) is what turns
-//!   these storms into a [`DataQuality`](odflow_flow::DataQuality) report
-//!   instead of a corrupted matrix.
+//! records. [`FaultSchedule`] is the wire-level engine that reproduces it:
+//! a **timed, seeded schedule** of [`FaultEvent`]s applied to a scenario's
+//! serialized NetFlow v5 frame stream. Every decision draws from an
+//! addressable ChaCha stream keyed by `(seed, bin, event index)`, so a
+//! fault storm is exactly reproducible — the controlled counterpart of the
+//! collection noise the paper's production data certainly contained but
+//! could not control. The hardened `odflow_flow` ingest path (quarantine,
+//! sequence-gap accounting, bin repair) is what turns these storms into a
+//! [`DataQuality`](odflow_flow::DataQuality) report instead of a corrupted
+//! matrix.
 //!
 //! Frame-layout offsets used by the mutators match
 //! [`odflow_flow::netflow`]: 24-byte header (`version` at 0, `count` at
@@ -25,95 +20,7 @@
 
 use crate::error::{GenError, Result};
 use crate::rng::{cell_rng, Stream};
-use odflow_flow::FlowRecord;
 use rand::Rng;
-
-/// Fault process configuration. All probabilities in `[0, 1]`.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultConfig {
-    /// Probability a record is silently dropped (collector loss).
-    pub drop_prob: f64,
-    /// Probability a record is duplicated (retransmitted export).
-    pub duplicate_prob: f64,
-    /// Probability a record's timestamp is jittered into the next minute.
-    pub jitter_prob: f64,
-    /// Probability a record's counters are corrupted (garbled export).
-    pub corrupt_prob: f64,
-}
-
-impl Default for FaultConfig {
-    /// No faults.
-    fn default() -> Self {
-        FaultConfig { drop_prob: 0.0, duplicate_prob: 0.0, jitter_prob: 0.0, corrupt_prob: 0.0 }
-    }
-}
-
-/// Statistics of applied faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Records offered.
-    pub offered: u64,
-    /// Records dropped.
-    pub dropped: u64,
-    /// Extra duplicates emitted.
-    pub duplicated: u64,
-    /// Records with jittered timestamps.
-    pub jittered: u64,
-    /// Records with corrupted counters.
-    pub corrupted: u64,
-}
-
-/// Applies measurement faults to a record stream, deterministically per
-/// `(seed, bin)`.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    config: FaultConfig,
-    seed: u64,
-    stats: FaultStats,
-}
-
-impl FaultInjector {
-    /// Creates an injector with the given fault configuration.
-    pub fn new(config: FaultConfig, seed: u64) -> FaultInjector {
-        FaultInjector { config, seed, stats: FaultStats::default() }
-    }
-
-    /// Applies faults to one bin's records, returning the faulted stream.
-    pub fn apply(&mut self, bin: u64, records: Vec<FlowRecord>) -> Vec<FlowRecord> {
-        let mut rng = cell_rng(self.seed, bin, 0, Stream::Anomaly(0xFA_17));
-        let mut out = Vec::with_capacity(records.len());
-        for mut r in records {
-            self.stats.offered += 1;
-            if rng.gen::<f64>() < self.config.drop_prob {
-                self.stats.dropped += 1;
-                continue;
-            }
-            if rng.gen::<f64>() < self.config.jitter_prob {
-                r.window_start += 60;
-                self.stats.jittered += 1;
-            }
-            if rng.gen::<f64>() < self.config.corrupt_prob {
-                // Garbled counter: an implausible byte count.
-                r.bytes = r.bytes.wrapping_mul(1009) | 1;
-                self.stats.corrupted += 1;
-            }
-            let dup = rng.gen::<f64>() < self.config.duplicate_prob;
-            out.push(r);
-            if dup {
-                self.stats.duplicated += 1;
-                out.push(r);
-            }
-        }
-        out
-    }
-
-    /// Fault statistics so far.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
-    }
-}
-
-// --- Wire-level fault schedule -------------------------------------------
 
 /// Byte offset of the v5 header `version` field.
 const OFF_VERSION: usize = 0;
@@ -454,11 +361,13 @@ fn bump_be_u32(f: &mut [u8], off: usize, delta: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odflow_flow::{FlowKey, Protocol};
+    use odflow_flow::netflow::{decode_datagram_lossy, encode_datagrams};
+    use odflow_flow::{FlowKey, FlowRecord, Protocol, QuarantineStats};
     use odflow_net::IpAddr;
 
-    fn records(n: usize) -> Vec<FlowRecord> {
-        (0..n)
+    /// Encodes `n` plausible records from exporter `pop` into wire frames.
+    fn frames(pop: u8, n: usize, seq: u32) -> Vec<Vec<u8>> {
+        let recs: Vec<FlowRecord> = (0..n)
             .map(|i| FlowRecord {
                 key: FlowKey::new(
                     IpAddr::from_octets(10, 0, 0, 1),
@@ -467,87 +376,11 @@ mod tests {
                     80,
                     Protocol::Tcp,
                 ),
-                router: 0,
+                router: pop as usize,
                 interface: 0,
                 window_start: 0,
                 packets: 2,
-                bytes: 100,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn no_faults_is_identity() {
-        let mut f = FaultInjector::new(FaultConfig::default(), 1);
-        let input = records(50);
-        let out = f.apply(0, input.clone());
-        assert_eq!(out, input);
-        assert_eq!(f.stats().dropped, 0);
-        assert_eq!(f.stats().offered, 50);
-    }
-
-    #[test]
-    fn drop_rate_approximate() {
-        let cfg = FaultConfig { drop_prob: 0.3, ..Default::default() };
-        let mut f = FaultInjector::new(cfg, 2);
-        let mut kept = 0usize;
-        for bin in 0..200 {
-            kept += f.apply(bin, records(100)).len();
-        }
-        let rate = 1.0 - kept as f64 / 20_000.0;
-        assert!((rate - 0.3).abs() < 0.02, "drop rate {rate}");
-    }
-
-    #[test]
-    fn duplicates_increase_count() {
-        let cfg = FaultConfig { duplicate_prob: 0.5, ..Default::default() };
-        let mut f = FaultInjector::new(cfg, 3);
-        let out = f.apply(0, records(1000));
-        assert!(out.len() > 1300 && out.len() < 1700, "got {}", out.len());
-        assert_eq!(out.len() as u64, 1000 + f.stats().duplicated);
-    }
-
-    #[test]
-    fn jitter_moves_to_next_minute() {
-        let cfg = FaultConfig { jitter_prob: 1.0, ..Default::default() };
-        let mut f = FaultInjector::new(cfg, 4);
-        let out = f.apply(0, records(10));
-        assert!(out.iter().all(|r| r.window_start == 60));
-        assert_eq!(f.stats().jittered, 10);
-    }
-
-    #[test]
-    fn corruption_changes_bytes() {
-        let cfg = FaultConfig { corrupt_prob: 1.0, ..Default::default() };
-        let mut f = FaultInjector::new(cfg, 5);
-        let out = f.apply(0, records(10));
-        assert!(out.iter().all(|r| r.bytes != 100));
-        assert_eq!(f.stats().corrupted, 10);
-    }
-
-    #[test]
-    fn deterministic_per_seed_and_bin() {
-        let cfg = FaultConfig { drop_prob: 0.5, duplicate_prob: 0.2, ..Default::default() };
-        let mut a = FaultInjector::new(cfg, 9);
-        let mut b = FaultInjector::new(cfg, 9);
-        assert_eq!(a.apply(3, records(100)), b.apply(3, records(100)));
-        let mut c = FaultInjector::new(cfg, 10);
-        assert_ne!(a.apply(4, records(100)), c.apply(4, records(100)));
-    }
-
-    // --- FaultSchedule ---------------------------------------------------
-
-    use odflow_flow::netflow::{decode_datagram_lossy, encode_datagrams};
-    use odflow_flow::QuarantineStats;
-
-    /// Encodes `n` plausible records from exporter `pop` into wire frames.
-    fn frames(pop: u8, n: usize, seq: u32) -> Vec<Vec<u8>> {
-        let recs: Vec<FlowRecord> = records(n)
-            .into_iter()
-            .map(|mut r| {
-                r.bytes = r.packets * 700;
-                r.router = pop as usize;
-                r
+                bytes: 1400,
             })
             .collect();
         encode_datagrams(&recs, 0, pop, 100, seq).iter().map(|b| b.as_ref().to_vec()).collect()

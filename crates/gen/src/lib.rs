@@ -20,8 +20,6 @@
 //! * [`Scenario`] / [`TraceGenerator`] — bin-addressable rendering: any
 //!   timebin's raw flows can be regenerated on demand, so classification
 //!   never needs a multi-week flow archive;
-//! * [`FaultInjector`] — measurement-fault processes (drop / duplicate /
-//!   jitter / corrupt) for robustness studies;
 //! * [`FaultSchedule`] — a seeded, timed fault-injection engine that
 //!   mutates NetFlow wire frames (corruption, truncation, duplication,
 //!   reordering, export loss, exporter outages, sampling drift, counter
@@ -42,9 +40,7 @@ mod scenario;
 pub use anomaly::{AnomalyKind, InjectedAnomaly, ScanMode};
 pub use diurnal::{DiurnalModel, ABILENE_TZ_OFFSET_HOURS, DAY_SECS, WEEK_SECS};
 pub use error::{GenError, Result};
-pub use faults::{
-    FaultConfig, FaultEvent, FaultInjector, FaultKind, FaultSchedule, FaultStats, FaultStormStats,
-};
+pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultStormStats};
 pub use flows::{draw_dst_port, draw_packet_bytes, synthesize_cell, BaselineParams};
 pub use gravity::GravityModel;
 pub use rng::{cell_rng, lognormal_noise, poisson, Stream};

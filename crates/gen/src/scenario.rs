@@ -393,6 +393,27 @@ impl<'a> TraceGenerator<'a> {
         .collect()
     }
 
+    /// The sharded ingest engine over this scenario's network, after
+    /// checking that `config` shares the scenario's bin grid.
+    fn engine(
+        &self,
+        config: odflow_flow::PipelineConfig,
+        ingress: odflow_net::IngressResolver,
+        routes: odflow_net::RouteTable,
+    ) -> odflow_flow::Result<odflow_flow::ShardedIngest> {
+        let cfg = &self.scenario.config;
+        if config.start_secs != cfg.start_secs || config.bin_secs != cfg.bin_secs {
+            return Err(odflow_flow::FlowError::WindowMisaligned {
+                reason: format!(
+                    "pipeline window (start {} s, bins of {} s) vs scenario grid \
+                     (start {} s, bins of {} s)",
+                    config.start_secs, config.bin_secs, cfg.start_secs, cfg.bin_secs
+                ),
+            });
+        }
+        odflow_flow::ShardedIngest::new(config, &self.scenario.topology, ingress, routes)
+    }
+
     /// The fused generate→bin path: renders every bin of the scenario
     /// **directly into** a sharded ingest engine and merges, producing the
     /// OD traffic matrices without ever materializing a record batch.
@@ -425,18 +446,7 @@ impl<'a> TraceGenerator<'a> {
         ingress: odflow_net::IngressResolver,
         routes: odflow_net::RouteTable,
     ) -> odflow_flow::Result<odflow_flow::IngestOutcome> {
-        let cfg = &self.scenario.config;
-        if config.start_secs != cfg.start_secs || config.bin_secs != cfg.bin_secs {
-            return Err(odflow_flow::FlowError::WindowMisaligned {
-                reason: format!(
-                    "pipeline window (start {} s, bins of {} s) vs scenario grid \
-                     (start {} s, bins of {} s)",
-                    config.start_secs, config.bin_secs, cfg.start_secs, cfg.bin_secs
-                ),
-            });
-        }
-        let engine =
-            odflow_flow::ShardedIngest::new(config, &self.scenario.topology, ingress, routes)?;
+        let engine = self.engine(config, ingress, routes)?;
         let num_shards = engine.num_shards();
         let gen_bins = self.num_bins();
         let shards = odflow_par::map_chunks(num_shards, 1, |task| {
@@ -516,27 +526,44 @@ impl<'a> TraceGenerator<'a> {
         frames
     }
 
-    /// The fault-storm pipeline: renders every bin as NetFlow v5 export
-    /// frames, passes them through a [`FaultSchedule`], and ingests the
-    /// surviving stream through the lossy decode → quarantine → repair
-    /// path.
-    ///
-    /// Per bin (serially, in order — fault decisions, quarantine counters
-    /// and exporter sequence tracking are all order-sensitive):
-    ///
-    /// 1. [`frames_for_bin`](Self::frames_for_bin) renders the export
-    ///    frames with per-exporter sequence continuity;
-    /// 2. [`FaultSchedule::apply_to_frames`] mutates the stream;
-    /// 3. [`odflow_flow::netflow::decode_datagram_lossy`] quarantines
-    ///    malformed frames and implausible records, exact retransmits are
-    ///    deduplicated via sequence tracking.
-    ///
-    /// Surviving records then take the parallel
-    /// [`ShardedIngest::ingest_records`](odflow_flow::ShardedIngest::ingest_records)
-    /// path, and [`IngestOutcome::repair`](odflow_flow::IngestOutcome::repair)
+    /// The scenario's whole export stream as a collector would receive it:
+    /// every bin rendered by [`frames_for_bin`](Self::frames_for_bin) with
+    /// sequence continuity across bins, each bin's frames passed through
+    /// `faults` (when given) before the next is rendered. Bins ascending,
+    /// PoP-exporter order within a bin — the order both the batch wire
+    /// path and the load generator consume. The returned stats count the
+    /// frames rendered (`frames_offered`) and every mutation applied.
+    pub fn faulted_frames(
+        &self,
+        faults: Option<&FaultSchedule>,
+    ) -> (Vec<Vec<u8>>, FaultStormStats) {
+        let mut storm = FaultStormStats::default();
+        let mut seqs = vec![0u32; self.scenario.topology.num_pops()];
+        let mut stream = Vec::new();
+        for bin in 0..self.num_bins() {
+            let frames = self.frames_for_bin(bin, &mut seqs);
+            match faults {
+                Some(schedule) => stream.extend(schedule.apply_to_frames(bin, frames, &mut storm)),
+                None => {
+                    storm.frames_offered += frames.len() as u64;
+                    stream.extend(frames);
+                }
+            }
+        }
+        (stream, storm)
+    }
+
+    /// The fault-storm pipeline: [`faulted_frames`](Self::faulted_frames)
+    /// under `faults`, ingested through
+    /// [`ShardedIngest::ingest_datagrams`](odflow_flow::ShardedIngest::ingest_datagrams)
+    /// (malformed frames and implausible records quarantined, exact
+    /// retransmits deduplicated, survivors binned on the parallel sharded
+    /// path), then
+    /// [`IngestOutcome::repair`](odflow_flow::IngestOutcome::repair)
     /// interpolates or masks outage bins under `policy`. The result is
-    /// bit-identical for any `ODFLOW_THREADS` (the fault/decode stage is
-    /// serial; the fill stage is the determinism-pinned sharded path).
+    /// bit-identical for any `ODFLOW_THREADS`: rendering, faulting and
+    /// frame admission are serial and in order, and the fill stage is the
+    /// determinism-pinned sharded path.
     ///
     /// # Errors
     ///
@@ -549,44 +576,9 @@ impl<'a> TraceGenerator<'a> {
         faults: &FaultSchedule,
         policy: odflow_flow::RepairPolicy,
     ) -> odflow_flow::Result<(odflow_flow::IngestOutcome, FaultStormStats)> {
-        let cfg = &self.scenario.config;
-        if config.start_secs != cfg.start_secs || config.bin_secs != cfg.bin_secs {
-            return Err(odflow_flow::FlowError::WindowMisaligned {
-                reason: format!(
-                    "pipeline window (start {} s, bins of {} s) vs scenario grid \
-                     (start {} s, bins of {} s)",
-                    config.start_secs, config.bin_secs, cfg.start_secs, cfg.bin_secs
-                ),
-            });
-        }
-        let engine =
-            odflow_flow::ShardedIngest::new(config, &self.scenario.topology, ingress, routes)?;
-        let mut quality = odflow_flow::DataQuality::clean(engine.num_bins());
-        let mut storm = FaultStormStats::default();
-        let mut seqs = vec![0u32; self.scenario.topology.num_pops()];
-        let mut records = Vec::new();
-        for bin in 0..self.num_bins() {
-            let frames = self.frames_for_bin(bin, &mut seqs);
-            let frames = faults.apply_to_frames(bin, frames, &mut storm);
-            for frame in &frames {
-                if let Some((hdr, recs)) =
-                    odflow_flow::netflow::decode_datagram_lossy(frame, &mut quality.quarantine)
-                {
-                    let fresh = quality.exporters.observe(
-                        hdr.engine_id,
-                        hdr.flow_sequence,
-                        hdr.count,
-                        hdr.sampling_interval,
-                    );
-                    if fresh {
-                        records.extend(recs);
-                    }
-                }
-            }
-        }
-        let mut outcome = engine.ingest_records(&records)?;
-        outcome.quality.quarantine = quality.quarantine;
-        outcome.quality.exporters = quality.exporters;
+        let engine = self.engine(config, ingress, routes)?;
+        let (frames, storm) = self.faulted_frames(Some(faults));
+        let mut outcome = engine.ingest_datagrams(&frames)?;
         outcome.repair(policy);
         Ok((outcome, storm))
     }
@@ -1115,23 +1107,19 @@ mod tests {
         let config = ScenarioConfig { num_bins: 4, total_demand: 300.0, ..Default::default() };
         let s = Scenario::new(config, vec![]).unwrap();
         let g = s.generator();
-        let mut seqs = vec![0u32; s.topology.num_pops()];
-        let mut exporters = odflow_flow::ExporterSeqStats::default();
-        let mut q = odflow_flow::QuarantineStats::default();
-        for bin in 0..4 {
-            for f in g.frames_for_bin(bin, &mut seqs) {
-                let (hdr, _) =
-                    odflow_flow::netflow::decode_datagram_lossy(&f, &mut q).expect("clean frame");
-                assert!(exporters.observe(
-                    hdr.engine_id,
-                    hdr.flow_sequence,
-                    hdr.count,
-                    hdr.sampling_interval
-                ));
-            }
+        let (frames, storm) = g.faulted_frames(None);
+        assert_eq!(storm.frames_offered, frames.len() as u64);
+        let mut quality = odflow_flow::DataQuality::clean(4);
+        for f in &frames {
+            let admitted = quality.admit_frame(f).expect("clean frame");
+            assert!(admitted.1.is_some(), "no frame of a clean stream is a retransmit");
         }
-        assert_eq!(exporters.lost_flows_total(), 0, "continuous sequences show no loss");
-        assert_eq!(q.frames_rejected(), 0);
+        assert_eq!(quality.exporters.lost_flows_total(), 0, "continuous sequences show no loss");
+        assert_eq!(quality.quarantine.frames_rejected(), 0);
+        // The stream is the per-bin render with one set of counters.
+        let mut seqs = vec![0u32; s.topology.num_pops()];
+        let direct: Vec<Vec<u8>> = (0..4).flat_map(|b| g.frames_for_bin(b, &mut seqs)).collect();
+        assert_eq!(frames, direct);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! Components* (the paper's PCA reference \[11\]).
 //!
 //! For matrices at or below the paper's scale (`p = 121`) the classic serial
-//! cyclic sweep is used unchanged. From [`JACOBI_PARALLEL_MIN_DIM`] upward
+//! cyclic sweep is used, every rotation applied along contiguous rows (the
+//! working matrix is symmetric and the eigenvectors accumulate transposed).
+//! From [`JACOBI_PARALLEL_MIN_DIM`] upward
 //! each sweep switches to a round-robin *parallel ordering*: the `n(n-1)/2`
 //! pivots are organized into `n-1` rounds of `n/2` disjoint planes, and each
 //! round's rotations are applied concurrently — first as column updates
@@ -175,6 +177,8 @@ pub fn eigen_symmetric_with(a: &Matrix, opts: JacobiOptions) -> Result<EigenDeco
     // Work on a symmetrized copy; tiny asymmetries from floating-point
     // accumulation in X^T X are averaged away.
     let mut w = Matrix::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
+    // The eigenvector accumulator: `V` under the parallel ordering, `V^T`
+    // under the serial one (whose rotations then run along rows).
     let mut v = Matrix::identity(n);
 
     let fro = w.frobenius_norm();
@@ -215,7 +219,8 @@ pub fn eigen_symmetric_with(a: &Matrix, opts: JacobiOptions) -> Result<EigenDeco
     order.sort_by(|&i, &j| diag[j].partial_cmp(&diag[i]).expect("finite eigenvalues"));
 
     let eigenvalues: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
-    let eigenvectors = v.select_cols(&order)?;
+    let eigenvectors =
+        if parallel_ordering { v.select_cols(&order)? } else { v.select_rows(&order)?.transpose() };
 
     Ok(EigenDecomposition { eigenvalues, eigenvectors, sweeps })
 }
@@ -309,17 +314,19 @@ pub fn eigen_symmetric_auto(a: &Matrix) -> Result<EigenDecomposition> {
 
 /// Smallest dimension at which the Jacobi iteration switches from the
 /// serial cyclic ordering to the round-robin parallel ordering (under
-/// [`JacobiOrdering::Auto`]). Below this, per-rotation work is too small to
-/// amortize the phased update and the classic sweep (identical to the
-/// original implementation) is used.
+/// [`JacobiOrdering::Auto`]).
 ///
-/// Re-tuned from 192 to 128 when the per-region thread spawn was replaced
-/// by the persistent worker pool: per-round dispatch dropped from three
-/// scoped spawn/join cycles to three queue pushes, and the `jacobi_ordering`
-/// criterion bench (`cargo bench -p odflow_bench -- jacobi_ordering`) pins
-/// the crossover — at p = 128 the phased row-contiguous update already beats
-/// the strided serial rotation even on one thread, and the paper's p = 121
-/// mesh stays safely on the byte-identical serial path.
+/// The two orderings take different arithmetic paths, so the constant is
+/// part of the numeric contract: it stays at 128, where it was set when
+/// the serial sweep still walked columns, and the paper's p = 121 mesh
+/// stays on the byte-identical serial path. It is no longer the speed
+/// crossover — since the serial sweep went row-oriented the
+/// `jacobi_ordering` criterion bench
+/// (`cargo bench -p odflow_bench -- jacobi_ordering`) has it ahead at 128
+/// and 160 on the 2-vCPU reference box — and [`crate::EigenMethod::Auto`]
+/// never reaches the parallel ordering (it goes tridiagonal from 128), so
+/// only explicit `DenseJacobi` callers see it; ROADMAP's "delete what the
+/// system no longer needs" (a) retires it with that backend.
 pub const JACOBI_PARALLEL_MIN_DIM: usize = 128;
 
 /// One Jacobi plane rotation in the `(p, q)` plane.
@@ -354,14 +361,19 @@ fn rotation_for(w: &Matrix, p: usize, q: usize) -> Option<Rotation> {
 }
 
 /// The classic cyclic sweep: pivots visited row by row, each rotation
-/// applied two-sided before the next is computed.
-fn serial_sweep(w: &mut Matrix, v: &mut Matrix) {
+/// applied two-sided before the next is computed. `vt` accumulates the
+/// **transposed** eigenvector matrix, so both updates are
+/// [`rotate_row_pair`] over contiguous rows, where the textbook form walks
+/// columns `p` and `q` of both matrices (a cache line per element at
+/// `p = 121`). Same operands, same expressions, bit-identical results, at
+/// about half the time — and this sweep is most of a `diagnose`.
+fn serial_sweep(w: &mut Matrix, vt: &mut Matrix) {
     let n = w.nrows();
     for p in 0..n - 1 {
         for q in p + 1..n {
             if let Some(rot) = rotation_for(w, p, q) {
-                apply_rotation(w, rot.p, rot.q, rot.c, rot.s);
-                rotate_eigenvectors(v, rot.p, rot.q, rot.c, rot.s);
+                apply_rotation(w, &rot);
+                rotate_row_pair(vt.as_mut_slice(), n, &rot);
             }
         }
     }
@@ -394,11 +406,8 @@ const JACOBI_ROW_BLOCK: usize = 64;
 /// Each phase is one region on the persistent pool, so a round pays three
 /// queue dispatches (not three thread spawn/join cycles — that overhead is
 /// what kept [`JACOBI_PARALLEL_MIN_DIM`] at 192 before the pool became
-/// persistent); the dominant win at moderate sizes is the row-contiguous
-/// memory access of the phased update itself (~3x over the strided serial
-/// rotation even single-threaded). The rotation table is caller-provided
-/// scratch, cleared and refilled per round, so steady-state sweeps
-/// allocate nothing.
+/// persistent). The rotation table is caller-provided scratch, cleared and
+/// refilled per round, so steady-state sweeps allocate nothing.
 fn parallel_sweep(w: &mut Matrix, v: &mut Matrix, rots: &mut Vec<Rotation>) {
     let n = w.nrows();
     let m = n + (n & 1); // round up to even; index n (if any) is the bye
@@ -450,21 +459,11 @@ fn apply_row_rotations(m: &mut Matrix, rots: &[Rotation]) {
     let ncols = m.ncols();
     if odflow_par::max_threads() == 1 {
         // Serial fast path: skip the per-call row-slot and task-tuple
-        // vectors. Rotation planes satisfy `p < q`, so `split_at_mut` at
-        // row `q` hands out both rows disjointly; the per-element
-        // arithmetic below is the exact expression of the parallel path,
-        // keeping the result bit-identical for every thread count.
-        let data = m.as_mut_slice();
+        // vectors. `rotate_row_pair` is the exact per-element expression
+        // of the parallel path, keeping the result bit-identical for
+        // every thread count.
         for rot in rots {
-            let (head, tail) = data.split_at_mut(rot.q * ncols);
-            let row_p = &mut head[rot.p * ncols..rot.p * ncols + ncols];
-            let row_q = &mut tail[..ncols];
-            for (a_el, b_el) in row_p.iter_mut().zip(row_q.iter_mut()) {
-                let a = *a_el;
-                let b = *b_el;
-                *a_el = rot.c * a - rot.s * b;
-                *b_el = rot.s * a + rot.c * b;
-            }
+            rotate_row_pair(m.as_mut_slice(), ncols, rot);
         }
         return;
     }
@@ -533,38 +532,45 @@ fn off_diagonal_norm(a: &Matrix) -> f64 {
     s.sqrt()
 }
 
+/// `M <- J^T M` for one rotation over a row-major buffer: rows `p < q`
+/// (so `split_at_mut` at row `q` hands out both disjointly) become
+/// `c*row_p - s*row_q` and `s*row_p + c*row_q`, element by element.
+fn rotate_row_pair(data: &mut [f64], ncols: usize, rot: &Rotation) {
+    let (head, tail) = data.split_at_mut(rot.q * ncols);
+    let row_p = &mut head[rot.p * ncols..rot.p * ncols + ncols];
+    let row_q = &mut tail[..ncols];
+    for (a_el, b_el) in row_p.iter_mut().zip(row_q.iter_mut()) {
+        let a = *a_el;
+        let b = *b_el;
+        *a_el = rot.c * a - rot.s * b;
+        *b_el = rot.s * a + rot.c * b;
+    }
+}
+
 /// Applies the two-sided Jacobi rotation `J^T W J` in the `(p, q)` plane.
-fn apply_rotation(w: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
+///
+/// `W` is kept exactly symmetric, so rows `p` and `q` hold the same values
+/// as columns `p` and `q`: the rows are rotated in place, the four pivot
+/// entries are then set from their closed forms, and the rows are mirrored
+/// into the columns.
+fn apply_rotation(w: &mut Matrix, rot: &Rotation) {
+    let Rotation { p, q, c, s } = *rot;
     let n = w.nrows();
     let app = w[(p, p)];
     let aqq = w[(q, q)];
     let apq = w[(p, q)];
 
-    w[(p, p)] = c * c * app - 2.0 * s * c * apq + s * s * aqq;
-    w[(q, q)] = s * s * app + 2.0 * s * c * apq + c * c * aqq;
-    w[(p, q)] = 0.0;
-    w[(q, p)] = 0.0;
-
+    let data = w.as_mut_slice();
+    rotate_row_pair(data, n, rot);
+    data[p * n + p] = c * c * app - 2.0 * s * c * apq + s * s * aqq;
+    data[q * n + q] = s * s * app + 2.0 * s * c * apq + c * c * aqq;
+    data[p * n + q] = 0.0;
+    data[q * n + p] = 0.0;
     for i in 0..n {
         if i != p && i != q {
-            let aip = w[(i, p)];
-            let aiq = w[(i, q)];
-            w[(i, p)] = c * aip - s * aiq;
-            w[(p, i)] = w[(i, p)];
-            w[(i, q)] = s * aip + c * aiq;
-            w[(q, i)] = w[(i, q)];
+            data[i * n + p] = data[p * n + i];
+            data[i * n + q] = data[q * n + i];
         }
-    }
-}
-
-/// Accumulates the rotation into the eigenvector matrix: `V <- V J`.
-fn rotate_eigenvectors(v: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
-    let n = v.nrows();
-    for i in 0..n {
-        let vip = v[(i, p)];
-        let viq = v[(i, q)];
-        v[(i, p)] = c * vip - s * viq;
-        v[(i, q)] = s * vip + c * viq;
     }
 }
 
@@ -577,6 +583,56 @@ mod tests {
         let v = &e.eigenvectors;
         let d = Matrix::from_diag(&e.eigenvalues);
         v.matmul(&d).unwrap().matmul(&v.transpose()).unwrap()
+    }
+
+    /// The textbook two-sided rotation, walking columns `p` and `q` of
+    /// `W` and `V` — what [`serial_sweep`] must reproduce to the bit.
+    fn textbook_sweep(w: &mut Matrix, v: &mut Matrix) {
+        let n = w.nrows();
+        for p in 0..n - 1 {
+            for q in p + 1..n {
+                let Some(Rotation { c, s, .. }) = rotation_for(w, p, q) else { continue };
+                let (app, aqq, apq) = (w[(p, p)], w[(q, q)], w[(p, q)]);
+                w[(p, p)] = c * c * app - 2.0 * s * c * apq + s * s * aqq;
+                w[(q, q)] = s * s * app + 2.0 * s * c * apq + c * c * aqq;
+                w[(p, q)] = 0.0;
+                w[(q, p)] = 0.0;
+                for i in (0..n).filter(|&i| i != p && i != q) {
+                    let (aip, aiq) = (w[(i, p)], w[(i, q)]);
+                    w[(i, p)] = c * aip - s * aiq;
+                    w[(p, i)] = w[(i, p)];
+                    w[(i, q)] = s * aip + c * aiq;
+                    w[(q, i)] = w[(i, q)];
+                }
+                for i in 0..n {
+                    let (vip, viq) = (v[(i, p)], v[(i, q)]);
+                    v[(i, p)] = c * vip - s * viq;
+                    v[(i, q)] = s * vip + c * viq;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_oriented_sweep_matches_textbook_rotation_bit_for_bit() {
+        for n in [2usize, 7, 40, 121] {
+            let x = Matrix::from_fn(n + 5, n, |i, j| {
+                ((i * 31 + j * 17) % 23) as f64 - 11.0 + 1e-3 * (i as f64 * 0.7 + j as f64).sin()
+            });
+            let gram = x.transpose().matmul(&x).unwrap();
+            let sym = Matrix::from_fn(n, n, |i, j| 0.5 * (gram[(i, j)] + gram[(j, i)]));
+            let (mut w, mut vt) = (sym.clone(), Matrix::identity(n));
+            let (mut w_ref, mut v_ref) = (sym, Matrix::identity(n));
+            for sweep in 0..4 {
+                serial_sweep(&mut w, &mut vt);
+                textbook_sweep(&mut w_ref, &mut v_ref);
+                let same = |a: &Matrix, b: &Matrix| {
+                    a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+                };
+                assert!(same(&w, &w_ref), "W differs at n={n}, sweep {sweep}");
+                assert!(same(&vt.transpose(), &v_ref), "V differs at n={n}, sweep {sweep}");
+            }
+        }
     }
 
     #[test]

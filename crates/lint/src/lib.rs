@@ -123,9 +123,15 @@ pub fn lint_root(root: &Path) -> std::io::Result<Report> {
     let files = walk::rust_files(root)?;
     let mut diagnostics = Vec::new();
     let mut allows_used = 0usize;
+    let mut lines_scanned = 0usize;
+    let mut crates: Vec<rules::CrateClass> = Vec::new();
     for rel in &files {
         let fc = walk::classify(rel);
         let source = std::fs::read_to_string(root.join(rel))?;
+        lines_scanned += source.lines().count();
+        if !crates.contains(&fc.class) {
+            crates.push(fc.class.clone());
+        }
         let (mut diags, used) = check_source(&fc, &source);
         allows_used += used;
         diagnostics.append(&mut diags);
@@ -134,6 +140,8 @@ pub fn lint_root(root: &Path) -> std::io::Result<Report> {
     Ok(Report {
         root: root.display().to_string(),
         files_scanned: files.len(),
+        lines_scanned,
+        workspace_crates: crates.len(),
         diagnostics,
         allows_used,
     })

@@ -41,6 +41,12 @@ pub struct Report {
     pub root: String,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// Lines in those files, first-party and vendored, tests and comments
+    /// included — the workspace's size as a number a PR can move.
+    pub lines_scanned: usize,
+    /// Crates the scanned files belong to: the root package, each
+    /// `crates/<name>` member and each `vendor/<name>` shim.
+    pub workspace_crates: usize,
     /// All diagnostics, sorted by path, line, column.
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `lint:allow` directives that suppressed a finding.
@@ -62,8 +68,8 @@ impl Report {
         }
         if self.is_clean() {
             out.push_str(&format!(
-                "odflow_lint: clean — {} files, {} suppression(s) in use\n",
-                self.files_scanned, self.allows_used
+                "odflow_lint: clean — {} files, {} lines, {} crates, {} suppression(s) in use\n",
+                self.files_scanned, self.lines_scanned, self.workspace_crates, self.allows_used
             ));
         } else {
             out.push_str(&format!(
@@ -81,6 +87,8 @@ impl Report {
         s.push_str("  \"tool\": \"odflow_lint\",\n");
         s.push_str(&format!("  \"root\": {},\n", json_str(&self.root)));
         s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
+        s.push_str(&format!("  \"lines_scanned\": {},\n", self.lines_scanned));
+        s.push_str(&format!("  \"workspace_crates\": {},\n", self.workspace_crates));
         s.push_str(&format!("  \"allows_used\": {},\n", self.allows_used));
         s.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
         s.push_str("  \"rules\": [");
@@ -138,6 +146,8 @@ mod tests {
         Report {
             root: "/w".into(),
             files_scanned: 3,
+            lines_scanned: 410,
+            workspace_crates: 2,
             diagnostics: vec![Diagnostic {
                 rule: "no-raw-threads".into(),
                 path: "crates/subspace/src/streaming.rs".into(),
@@ -163,7 +173,7 @@ mod tests {
         let mut r = sample();
         r.diagnostics.clear();
         assert!(r.is_clean());
-        assert!(r.render_text().contains("clean"));
+        assert!(r.render_text().contains("clean — 3 files, 410 lines, 2 crates, 2 suppression(s)"));
     }
 
     #[test]
@@ -176,6 +186,8 @@ mod tests {
         assert!(j.contains("\\n"));
         assert!(j.contains("\"clean\": false"));
         assert!(j.contains("\"files_scanned\": 3"));
+        assert!(j.contains("\"lines_scanned\": 410"));
+        assert!(j.contains("\"workspace_crates\": 2"));
         assert!(j.contains("\"rules\": [\"no-ambient-nondeterminism\""));
     }
 }

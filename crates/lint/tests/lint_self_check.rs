@@ -26,6 +26,13 @@ fn live_workspace_is_clean() {
         report.allows_used
     );
     assert!(report.files_scanned > 50, "walk found only {} files", report.files_scanned);
+    assert!(report.lines_scanned > 100 * report.files_scanned, "{} lines", report.lines_scanned);
+    // The root package, the `crates/` members, the `vendor/` shims.
+    let dirs = |d: &str| {
+        let entries = std::fs::read_dir(workspace_root().join(d)).expect(d);
+        entries.filter(|e| e.as_ref().is_ok_and(|e| e.path().is_dir())).count()
+    };
+    assert_eq!(report.workspace_crates, 1 + dirs("crates") + dirs("vendor"));
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //! over UDP datagrams and length-prefixed TCP streams (hand-rolled on
 //! `std::net` — the workspace is offline, no async runtime), routes each
 //! frame to a per-tenant pipeline over a bounded queue, and drives the
-//! existing ingest machinery — `decode_datagram_lossy` →
+//! existing ingest machinery —
+//! [`DataQuality::admit_frame`](odflow_flow::DataQuality::admit_frame) →
 //! [`BinShard`](odflow_flow::BinShard) →
 //! [`OnlineDetector`](odflow_subspace::OnlineDetector) — as bins close.
 //!

@@ -1,10 +1,10 @@
 //! Deterministic loopback load generator.
 //!
-//! Renders a scenario's NetFlow v5 export frames bin by bin through the
-//! existing [`TraceGenerator`] — per-exporter sequence continuity and all
-//! — optionally degrades the stream through a [`FaultSchedule`], and
-//! sends every surviving frame to a daemon over a real socket. The frame
-//! *content* is identical to what the batch wire path feeds
+//! Takes a scenario's NetFlow v5 export stream from
+//! [`TraceGenerator::faulted_frames`](odflow_gen::TraceGenerator::faulted_frames)
+//! — per-exporter sequence continuity and all, optionally degraded through
+//! a [`FaultSchedule`] — and sends every surviving frame to a daemon over a
+//! real socket. It is the very stream the batch wire path feeds
 //! `ingest_datagrams`, which is what makes daemon-vs-batch equivalence
 //! testable end to end.
 //!
@@ -18,7 +18,7 @@
 use crate::daemon::splitmix64;
 use crate::wire::{self, CONTROL_TENANT};
 use crate::ServeError;
-use odflow_gen::{FaultSchedule, FaultStormStats, Scenario, TraceGenerator};
+use odflow_gen::{FaultSchedule, Scenario};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::time::Duration;
@@ -109,7 +109,9 @@ pub struct LoadReport {
     pub drain_sent: bool,
 }
 
-/// Replays every bin of `scenario` against a daemon at `target`.
+/// Replays every bin of `scenario` against a daemon at `target`:
+/// [`replay_frames`] over the scenario's rendered (and, with
+/// `config.faults`, degraded) export stream.
 ///
 /// Frames go out in the exact order the batch path would decode them:
 /// bins ascending, PoP-exporter order within a bin, with `flow_sequence`
@@ -117,62 +119,33 @@ pub struct LoadReport {
 ///
 /// # Errors
 ///
-/// [`ServeError::Io`] on socket setup or (TCP) write failure. UDP send
-/// errors on individual datagrams also surface as errors — the loopback
-/// load generator has no reason to lose frames silently on the *send*
-/// side.
+/// As [`replay_frames`].
 pub fn replay_scenario(
     scenario: &Scenario,
     target: SocketAddr,
     config: &LoadGenConfig,
 ) -> Result<LoadReport, ServeError> {
-    let generator: TraceGenerator<'_> = scenario.generator();
-    let mut seqs = vec![0u32; scenario.topology.num_pops()];
-    let mut storm = FaultStormStats::default();
-    let mut report = LoadReport::default();
-
-    let mut sink = match config.transport {
-        Transport::Udp => {
-            let socket = UdpSocket::bind("127.0.0.1:0")?;
-            socket.connect(target)?;
-            Sink::Udp(socket)
-        }
-        Transport::Tcp => Sink::Tcp(connect_with_retry(target, config)?),
-    };
-
-    for bin in 0..scenario.config.num_bins {
-        let mut frames = generator.frames_for_bin(bin, &mut seqs);
-        report.frames_rendered += frames.len() as u64;
-        if let Some(schedule) = &config.faults {
-            frames = schedule.apply_to_frames(bin, frames, &mut storm);
-        }
-        for frame in &frames {
-            report.bytes_sent += sink.send(config.tenant, frame)?;
-            report.frames_sent += 1;
-        }
-    }
-    if config.send_drain {
-        sink.send(CONTROL_TENANT, wire::CONTROL_DRAIN)?;
-        report.drain_sent = true;
-    }
-    sink.finish()?;
-    Ok(report)
+    let (frames, storm) = scenario.generator().faulted_frames(config.faults.as_ref());
+    let report = replay_frames(&frames, target, config)?;
+    Ok(LoadReport { frames_rendered: storm.frames_offered, ..report })
 }
 
-/// Replays pre-rendered frames (no generator, no faults) against a
-/// daemon at `target` — the recovery path's tool for resending the
-/// unconsumed suffix `frames[cursor..]` of an interrupted run.
+/// Replays pre-rendered frames, as they are, against a daemon at `target`
+/// — also the recovery path's tool for resending the unconsumed suffix
+/// `frames[cursor..]` of an interrupted run.
 ///
 /// # Errors
 ///
-/// [`ServeError::Io`] on socket setup or send failure, as
-/// [`replay_scenario`].
+/// [`ServeError::Io`] on socket setup or (TCP) write failure. UDP send
+/// errors on individual datagrams also surface as errors — the loopback
+/// load generator has no reason to lose frames silently on the *send*
+/// side.
 pub fn replay_frames(
     frames: &[Vec<u8>],
     target: SocketAddr,
     config: &LoadGenConfig,
 ) -> Result<LoadReport, ServeError> {
-    let mut report = LoadReport::default();
+    let mut report = LoadReport { frames_rendered: frames.len() as u64, ..LoadReport::default() };
     let mut sink = match config.transport {
         Transport::Udp => {
             let socket = UdpSocket::bind("127.0.0.1:0")?;
@@ -182,7 +155,6 @@ pub fn replay_frames(
         Transport::Tcp => Sink::Tcp(connect_with_retry(target, config)?),
     };
     for frame in frames {
-        report.frames_rendered += 1;
         report.bytes_sent += sink.send(config.tenant, frame)?;
         report.frames_sent += 1;
     }

@@ -22,7 +22,6 @@ use crate::checkpoint::{
 };
 use crate::metrics::{monotonic_now, TenantCounters};
 use crate::ServeError;
-use odflow_flow::netflow::decode_datagram_lossy;
 use odflow_flow::{
     BinShard, BinStatus, DataQuality, ExporterSeqStats, IngestOutcome, PipelineConfig,
     RepairPolicy, ShardedIngest, TrafficType,
@@ -311,22 +310,14 @@ impl TenantPipeline {
         // always covers the frame whose bin close produced it.
         self.frames_ingested += 1;
         let t0 = monotonic_now();
-        let Some((hdr, records)) = decode_datagram_lossy(frame, &mut self.quality.quarantine)
-        else {
+        let admitted = self.quality.admit_frame(frame);
+        TenantCounters::add(&self.counters.decode_nanos, elapsed_nanos(t0));
+        let Some((hdr, fresh)) = admitted else {
             TenantCounters::add(&self.counters.frames_quarantined, 1);
-            TenantCounters::add(&self.counters.decode_nanos, elapsed_nanos(t0));
             return;
         };
-        let fresh = self.quality.exporters.observe(
-            hdr.engine_id,
-            hdr.flow_sequence,
-            hdr.count,
-            hdr.sampling_interval,
-        );
-        TenantCounters::add(&self.counters.decode_nanos, elapsed_nanos(t0));
-        if !fresh {
-            return;
-        }
+        // An exact retransmit: counted by the sequence tracker, not binned.
+        let Some(records) = fresh else { return };
 
         let t1 = monotonic_now();
         TenantCounters::add(&self.counters.records_decoded, records.len() as u64);
@@ -603,9 +594,7 @@ mod tests {
     }
 
     fn scenario_frames(scenario: &Scenario) -> Vec<Vec<u8>> {
-        let generator = scenario.generator();
-        let mut seqs = vec![0u32; scenario.topology.num_pops()];
-        (0..NUM_BINS).flat_map(|b| generator.frames_for_bin(b, &mut seqs)).collect()
+        scenario.generator().faulted_frames(None).0
     }
 
     #[test]

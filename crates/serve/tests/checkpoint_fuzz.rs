@@ -4,7 +4,10 @@
 //! valid states (byte-level round-trip identity for every component).
 //! And the same for a chain, exhaustively: cut anywhere or with any one
 //! bit flipped, a slot file loads to exactly the generation before the
-//! damage.
+//! damage. The other byte boundary a peer controls, the TCP envelope's
+//! `MessageReader`, gets the same treatment: any chunking of a message
+//! stream reassembles it exactly, and byte soup is refused with a typed
+//! error while the buffer stays inside its stated bound.
 
 use odflow_flow::{
     ExporterSeqState, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
@@ -17,6 +20,9 @@ use odflow_linalg::{Centering, Matrix};
 use odflow_net::IpAddr;
 use odflow_net::{AddressPlan, IngressResolver, Topology};
 use odflow_serve::checkpoint::fnv1a64;
+use odflow_serve::wire::{
+    encode_message, MessageReader, OversizedMessage, MAX_MESSAGE_LEN, MESSAGE_PREFIX_LEN,
+};
 use odflow_serve::{
     decode_state, encode_state, CheckpointError, CheckpointStore, PipelineState, TenantConfig,
     TenantCounters, TenantPipeline, CHECKPOINT_HEADER_LEN,
@@ -212,6 +218,36 @@ fn assert_same_bytes(a: &PipelineState, b: &PipelineState) {
     assert_eq!(encode_state(a), encode_state(b));
 }
 
+/// One reassembled `(tenant, frame)` message.
+type Message = (u8, Vec<u8>);
+
+/// Feeds `stream` to a fresh [`MessageReader`] in the chunks `cuts` mark,
+/// draining after every chunk as a connection handler does. Returns the
+/// messages, the framing error that ended the connection (if any), and
+/// the most the reader held once drained.
+fn read_chunked(
+    stream: &[u8],
+    cuts: &[proptest::sample::Index],
+) -> (Vec<Message>, Option<OversizedMessage>, usize) {
+    let mut ends: Vec<usize> = cuts.iter().map(|c| c.index(stream.len() + 1)).collect();
+    ends.push(stream.len());
+    ends.sort_unstable();
+    let (mut reader, mut got, mut held, mut from) = (MessageReader::new(), Vec::new(), 0, 0);
+    for to in ends {
+        reader.extend(&stream[from..to]);
+        from = to;
+        loop {
+            match reader.next_message() {
+                Ok(Some(message)) => got.push(message),
+                Ok(None) => break,
+                Err(e) => return (got, Some(e), held),
+            }
+        }
+        held = held.max(reader.buffered());
+    }
+    (got, None, held)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -285,6 +321,65 @@ proptest! {
         prop_assert_eq!(decoded.exporters, state.exporters);
         prop_assert_eq!(decoded.live_verdicts.len(), state.live_verdicts.len());
         prop_assert_eq!(decoded.detector.is_some(), state.detector.is_some());
+    }
+    /// However TCP chunks a valid message stream, the reader yields the
+    /// same `(tenant, frame)` sequence and ends empty; and a length prefix
+    /// over the bound behind it is a typed error carrying the declared
+    /// length, never a partial message.
+    #[test]
+    fn any_chunking_of_a_message_stream_reassembles_it(
+        messages in proptest::collection::vec(
+            (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..2000)),
+            0..6,
+        ),
+        cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..16),
+        poison in proptest::option::of((any::<u8>(), MAX_MESSAGE_LEN as u32 + 1..=u32::MAX)),
+        junk in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut stream: Vec<u8> =
+            messages.iter().flat_map(|(tenant, frame)| encode_message(*tenant, frame)).collect();
+        let (got, err, held) = read_chunked(&stream, &cuts);
+        prop_assert_eq!(&got, &messages);
+        prop_assert_eq!(err, None);
+        prop_assert!(held < MESSAGE_PREFIX_LEN + MAX_MESSAGE_LEN);
+
+        if let Some((tenant, declared)) = poison {
+            stream.push(tenant);
+            stream.extend_from_slice(&declared.to_be_bytes());
+            stream.extend_from_slice(&junk);
+            let (got, err, _) = read_chunked(&stream, &cuts);
+            prop_assert_eq!(&got, &messages);
+            prop_assert_eq!(err, Some(OversizedMessage { declared: declared as usize }));
+        }
+    }
+
+    /// Byte soup shaped like the envelope — plausible and absurd length
+    /// prefixes over payloads of unrelated size — never panics the reader,
+    /// never makes it hold more than one bounded message, and only ever
+    /// ends in the typed oversize error.
+    #[test]
+    fn envelope_soup_never_panics_or_overbuffers(
+        segments in proptest::collection::vec(
+            (any::<u8>(), any::<u32>(), 0u8..4, proptest::collection::vec(any::<u8>(), 0..512)),
+            0..40,
+        ),
+        cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..16),
+    ) {
+        let mut stream = Vec::new();
+        for (tenant, declared, shape, payload) in &segments {
+            // Three prefixes in four land inside twice the bound, so the
+            // reader resynchronizes on payload bytes again and again.
+            let declared = if *shape == 0 { *declared } else { declared % (2 * MAX_MESSAGE_LEN as u32) };
+            stream.push(*tenant);
+            stream.extend_from_slice(&declared.to_be_bytes());
+            stream.extend_from_slice(payload);
+        }
+        let (got, err, held) = read_chunked(&stream, &cuts);
+        prop_assert!(held < MESSAGE_PREFIX_LEN + MAX_MESSAGE_LEN, "held {held} bytes");
+        prop_assert!(got.iter().all(|(_, frame)| frame.len() <= MAX_MESSAGE_LEN));
+        if let Some(e) = err {
+            prop_assert!(e.declared > MAX_MESSAGE_LEN);
+        }
     }
 }
 

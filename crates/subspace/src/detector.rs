@@ -3,9 +3,11 @@
 //! The paper's §2.2 extension: the Q statistic (SPE) alone misses anomalies
 //! large enough to be captured *inside* the normal subspace, so detection
 //! runs both statistics and flags a timebin when either exceeds its
-//! threshold. [`SubspaceDetector::analyze`] fits the model and returns the
-//! full statistic timeseries (the material of the paper's Figure 1) plus
-//! the flagged bins.
+//! threshold. [`SubspaceDetector::analyze_with_quality`] fits the model and
+//! returns the full statistic timeseries (the material of the paper's
+//! Figure 1) plus the flagged bins, degrading by the ingest path's
+//! [`DataQuality`] report; [`SubspaceDetector::analyze`] is the same call
+//! under a pristine report.
 
 use crate::error::{Result, SubspaceError};
 use crate::model::{StateSplit, SubspaceConfig, SubspaceModel};
@@ -42,6 +44,43 @@ impl Detection {
         } else {
             self.value / self.threshold
         }
+    }
+}
+
+impl SubspaceModel {
+    /// The scoring kernel — the one place a statistic meets a threshold.
+    /// Splits `x` through the caller's scratch, pushes a [`Detection`] at
+    /// `bin` for each of SPE (against the caller's `spe_threshold`, which
+    /// the quality-aware path may have widened) and T² that exceeds its
+    /// limit, and returns `(spe, t2)`.
+    pub(crate) fn score_into(
+        &self,
+        x: &[f64],
+        bin: usize,
+        spe_threshold: f64,
+        split: &mut StateSplit,
+        detections: &mut Vec<Detection>,
+    ) -> Result<(f64, f64)> {
+        self.split_into(x, split)?;
+        let spe = vecops::norm_sq(&split.residual);
+        let t2 = self.t2_of_centered(&split.centered)?;
+        if spe > spe_threshold {
+            detections.push(Detection {
+                bin,
+                kind: StatisticKind::Spe,
+                value: spe,
+                threshold: spe_threshold,
+            });
+        }
+        if t2 > self.t2_threshold() {
+            detections.push(Detection {
+                bin,
+                kind: StatisticKind::T2,
+                value: t2,
+                threshold: self.t2_threshold(),
+            });
+        }
+        Ok((spe, t2))
     }
 }
 
@@ -150,7 +189,7 @@ impl QualityAnalysis {
     }
 }
 
-/// Bins per scoring task in [`SubspaceDetector::analyze`]; fixed so the
+/// Bins per scoring task in [`SubspaceDetector::analyze_with_quality`]; fixed so the
 /// chunk decomposition (and hence the merged output order) never depends on
 /// the thread count. Scoring regions dispatch onto the persistent
 /// `odflow_par` pool; chunk bodies are single-threaded (per the pool's
@@ -171,79 +210,15 @@ impl SubspaceDetector {
     }
 
     /// Fits the subspace model to `x` (rows = timebins, columns = OD pairs)
-    /// and evaluates both statistics on every row.
-    ///
-    /// Scoring is batched over row chunks across the [`odflow_par`] pool:
-    /// each bin's SPE/T² is an independent projection, so a week of bins
-    /// scores on all cores. Chunks are merged in bin order and each bin runs
-    /// the exact serial per-row arithmetic, so the output is identical for
-    /// every thread count.
+    /// and evaluates both statistics on every row:
+    /// [`analyze_with_quality`](Self::analyze_with_quality) under a
+    /// pristine quality report.
     ///
     /// # Errors
     ///
     /// Propagates model-fitting errors (shape, degeneracy).
     pub fn analyze(&self, x: &Matrix) -> Result<Analysis> {
-        let model = SubspaceModel::fit(x, self.config)?;
-        let n = x.nrows();
-
-        /// Scores for one chunk of rows, in row order.
-        struct ChunkScores {
-            state_norm_sq: Vec<f64>,
-            spe: Vec<f64>,
-            t2: Vec<f64>,
-            detections: Vec<Detection>,
-        }
-
-        let score_chunk = |bins: std::ops::Range<usize>| -> Result<ChunkScores> {
-            let mut out = ChunkScores {
-                state_norm_sq: Vec::with_capacity(bins.len()),
-                spe: Vec::with_capacity(bins.len()),
-                t2: Vec::with_capacity(bins.len()),
-                detections: Vec::new(),
-            };
-            // One scratch split per chunk: scoring allocates nothing per bin.
-            let mut split = StateSplit::with_dimension(x.ncols());
-            for bin in bins {
-                let row = x.row(bin)?;
-                out.state_norm_sq.push(vecops::norm_sq(row));
-                model.split_into(row, &mut split)?;
-                let s = vecops::norm_sq(&split.residual);
-                let t = model.t2_of_centered(&split.centered)?;
-                if s > model.spe_threshold() {
-                    out.detections.push(Detection {
-                        bin,
-                        kind: StatisticKind::Spe,
-                        value: s,
-                        threshold: model.spe_threshold(),
-                    });
-                }
-                if t > model.t2_threshold() {
-                    out.detections.push(Detection {
-                        bin,
-                        kind: StatisticKind::T2,
-                        value: t,
-                        threshold: model.t2_threshold(),
-                    });
-                }
-                out.spe.push(s);
-                out.t2.push(t);
-            }
-            Ok(out)
-        };
-
-        let mut state_norm_sq = Vec::with_capacity(n);
-        let mut spe = Vec::with_capacity(n);
-        let mut t2 = Vec::with_capacity(n);
-        let mut detections = Vec::new();
-        for chunk in odflow_par::map_chunks(n, SCORE_CHUNK_BINS, score_chunk) {
-            let chunk = chunk?;
-            state_norm_sq.extend(chunk.state_norm_sq);
-            spe.extend(chunk.spe);
-            t2.extend(chunk.t2);
-            detections.extend(chunk.detections);
-        }
-
-        Ok(Analysis { model, state_norm_sq, spe, t2, detections })
+        Ok(self.analyze_with_quality(x, &DataQuality::clean(x.nrows()))?.analysis)
     }
 
     /// Quality-aware [`analyze`](Self::analyze): consumes the ingest
@@ -284,14 +259,13 @@ impl SubspaceDetector {
             return Err(SubspaceError::DimensionMismatch { expected: n, got: quality.bins.len() });
         }
         let p = x.ncols();
-        let masked: Vec<bool> = quality.bins.iter().map(|s| *s == BinStatus::Masked).collect();
-        let any_masked = masked.iter().any(|&m| m);
+        let masked = |bin: usize| quality.bins[bin] == BinStatus::Masked;
 
         // Masked rows are synthetic zeros — folding them into the fit
         // would teach the model a fake "dead network" mode and shift the
         // mean. Fit on the surviving rows only.
-        let model = if any_masked {
-            let clean_rows: Vec<usize> = (0..n).filter(|&b| !masked[b]).collect();
+        let model = if (0..n).any(masked) {
+            let clean_rows: Vec<usize> = (0..n).filter(|&b| !masked(b)).collect();
             let mut data = Vec::with_capacity(clean_rows.len() * p);
             for &b in &clean_rows {
                 data.extend_from_slice(x.row(b)?);
@@ -310,6 +284,7 @@ impl SubspaceDetector {
             model.spe_threshold()
         };
 
+        /// Scores for one chunk of rows, in row order.
         struct ChunkScores {
             state_norm_sq: Vec<f64>,
             spe: Vec<f64>,
@@ -317,6 +292,9 @@ impl SubspaceDetector {
             detections: Vec<Detection>,
         }
 
+        // Each bin's SPE/T² is an independent projection, so a week of
+        // bins scores on all cores; chunks merge in bin order and each bin
+        // runs the exact serial per-row arithmetic.
         let score_chunk = |bins: std::ops::Range<usize>| -> Result<ChunkScores> {
             let mut out = ChunkScores {
                 state_norm_sq: Vec::with_capacity(bins.len()),
@@ -324,36 +302,18 @@ impl SubspaceDetector {
                 t2: Vec::with_capacity(bins.len()),
                 detections: Vec::new(),
             };
+            // One scratch split per chunk: scoring allocates nothing per bin.
             let mut split = StateSplit::with_dimension(p);
             for bin in bins {
                 let row = x.row(bin)?;
                 out.state_norm_sq.push(vecops::norm_sq(row));
-                if masked[bin] {
-                    out.spe.push(0.0);
-                    out.t2.push(0.0);
-                    continue;
-                }
-                model.split_into(row, &mut split)?;
-                let s = vecops::norm_sq(&split.residual);
-                let t = model.t2_of_centered(&split.centered)?;
-                if s > spe_threshold {
-                    out.detections.push(Detection {
-                        bin,
-                        kind: StatisticKind::Spe,
-                        value: s,
-                        threshold: spe_threshold,
-                    });
-                }
-                if t > model.t2_threshold() {
-                    out.detections.push(Detection {
-                        bin,
-                        kind: StatisticKind::T2,
-                        value: t,
-                        threshold: model.t2_threshold(),
-                    });
-                }
-                out.spe.push(s);
-                out.t2.push(t);
+                let (spe, t2) = if masked(bin) {
+                    (0.0, 0.0)
+                } else {
+                    model.score_into(row, bin, spe_threshold, &mut split, &mut out.detections)?
+                };
+                out.spe.push(spe);
+                out.t2.push(t2);
             }
             Ok(out)
         };

@@ -36,49 +36,15 @@ impl Diagnosis {
     }
 }
 
-/// Runs detection + identification + merging over all three traffic views.
-///
-/// For each flagged bin the responsible OD flows are identified per
-/// statistic (exact greedy for SPE, iterative greedy for T²) and unioned.
-/// Identification failures at a bin degrade gracefully to an empty OD set
-/// rather than aborting the whole diagnosis — matching how the paper
-/// tolerates its ~10% unexplainable detections.
+/// Runs detection + identification + merging over all three traffic
+/// views: [`diagnose_with_quality`] under a pristine quality report.
 ///
 /// # Errors
 ///
 /// Propagates model-fitting failures (shape/degeneracy). Identification
-/// failures are absorbed as described.
+/// failures are absorbed as [`diagnose_with_quality`] describes.
 pub fn diagnose(set: &TrafficMatrixSet, config: SubspaceConfig) -> Result<Diagnosis> {
-    let detector = SubspaceDetector::new(config);
-    let mut analyses = Vec::with_capacity(3);
-    let mut triples = Vec::new();
-
-    for t in [TrafficType::Bytes, TrafficType::Packets, TrafficType::Flows] {
-        let matrix = set.get(t);
-        let analysis = detector.analyze(&matrix.data)?;
-        for bin in analysis.anomalous_bins() {
-            let row = matrix.data.row(bin)?;
-            let mut flows: Vec<usize> = Vec::new();
-            for d in analysis.detections_at(bin) {
-                let result = match d.kind {
-                    StatisticKind::Spe => identify_spe(&analysis.model, row, bin),
-                    StatisticKind::T2 => identify_t2(&analysis.model, row, bin),
-                };
-                if let Ok(id) = result {
-                    for f in id.od_flows {
-                        if !flows.contains(&f) {
-                            flows.push(f);
-                        }
-                    }
-                }
-            }
-            triples.push(DetectionTriple { traffic_type: t, bin, od_flows: flows });
-        }
-        analyses.push((t, analysis));
-    }
-
-    let events = merge_detections(&triples);
-    Ok(Diagnosis { analyses, triples, events })
+    Ok(diagnose_with_quality(set, config, &DataQuality::clean(set.num_bins()))?.diagnosis)
 }
 
 /// A [`Diagnosis`] carrying the per-bin quality verdicts of the
@@ -95,15 +61,22 @@ pub struct QualityDiagnosis {
     pub widened: bool,
 }
 
-/// [`diagnose`] through the quality-aware scoring path: masked bins are
-/// excluded from model fits and produce no events, and a heavily imputed
-/// window widens the SPE band (see
+/// Runs quality-aware detection + identification + merging over all three
+/// traffic views: masked bins are excluded from model fits and produce no
+/// events, and a heavily imputed window widens the SPE band (see
 /// [`SubspaceDetector::analyze_with_quality`]).
+///
+/// For each flagged bin the responsible OD flows are identified per
+/// statistic (exact greedy for SPE, iterative greedy for T²) and unioned.
+/// Identification failures at a bin degrade gracefully to an empty OD set
+/// rather than aborting the whole diagnosis — matching how the paper
+/// tolerates its ~10% unexplainable detections.
 ///
 /// # Errors
 ///
-/// As for [`diagnose`], plus a dimension mismatch when the quality
-/// report's bin count differs from the matrices' rows.
+/// Propagates model-fitting failures (shape/degeneracy), plus a dimension
+/// mismatch when the quality report's bin count differs from the
+/// matrices' rows. Identification failures are absorbed as described.
 pub fn diagnose_with_quality(
     set: &TrafficMatrixSet,
     config: SubspaceConfig,

@@ -18,13 +18,21 @@
 //! * [`merge_detections`] — §4's aggregation of (type, time, OD flow)
 //!   triples into B/P/F/BP/FP/BF/BFP anomaly events (Tables 1 & 3,
 //!   Figure 2).
-//! * [`diagnose`] — the whole pipeline across the three traffic views.
+//! * [`diagnose_with_quality`] — the whole pipeline across the three
+//!   traffic views.
 //! * [`OnlineDetector`] — the streaming extension the paper's §6 points
 //!   toward.
-//! * [`SubspaceDetector::analyze_with_quality`] / [`diagnose_with_quality`]
-//!   — graceful degradation under measurement faults: masked bins are
-//!   never scored, imputed bins are marked, and heavily imputed windows
-//!   widen the Jackson–Mudholkar band instead of alarming on repairs.
+//!
+//! Data quality is an argument of each of these, not a second entry
+//! point. [`SubspaceDetector::analyze_with_quality`],
+//! [`diagnose_with_quality`] and [`OnlineDetector::push_with_status`] take
+//! the ingest path's [`odflow_flow::DataQuality`] /
+//! [`odflow_flow::BinStatus`]: masked bins are never scored, imputed bins
+//! are marked, and heavily imputed windows widen the Jackson–Mudholkar
+//! band instead of alarming on repairs. `analyze`, [`diagnose`] and `push`
+//! are the same calls under a pristine report, and one crate-private
+//! kernel on [`SubspaceModel`] is the only place a statistic is compared
+//! with a threshold.
 //!
 //! ## Quick example
 //!
@@ -70,4 +78,4 @@ pub use model::{ModelState, StateSplit, SubspaceConfig, SubspaceModel};
 // The eigen-backend selector is part of the fitting configuration; re-export
 // it so detector users configure backends without importing odflow_linalg.
 pub use odflow_linalg::EigenMethod;
-pub use streaming::{DetectorState, OnlineDetector, SharedOnlineDetector, StreamVerdict};
+pub use streaming::{DetectorState, OnlineDetector, StreamVerdict};

@@ -5,16 +5,14 @@
 //! extension: fit the subspace model on a training window, then score each
 //! arriving 5-minute state vector against the frozen thresholds in O(k·p),
 //! refitting periodically so the normal model tracks slow traffic drift.
-//! [`SharedOnlineDetector`] wraps it for concurrent producer/consumer use
-//! (collector thread feeding bins, operator thread reading alarms).
+//! The detector is single-owner; a concurrent pipeline holds it behind a
+//! lock or feeds it from a channel (`examples/streaming_detector.rs`).
 
-use crate::detector::{DegradedReason, Detection, StatisticKind};
+use crate::detector::{DegradedReason, Detection};
 use crate::error::{Result, SubspaceError};
 use crate::model::{ModelState, StateSplit, SubspaceConfig, SubspaceModel};
 use odflow_flow::BinStatus;
-use odflow_linalg::{vecops, Matrix};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use odflow_linalg::Matrix;
 
 /// Outcome of scoring one streamed observation.
 #[derive(Debug, Clone)]
@@ -117,50 +115,52 @@ impl OnlineDetector {
         &self.window
     }
 
-    /// Scores one observation and slides the training window.
-    ///
-    /// Anomalous observations are *not* folded into the refit window —
-    /// keeping the normal model clean of the anomalies it just flagged
-    /// (standard practice; otherwise a sustained attack becomes "normal").
+    /// Scores one clean observation and slides the training window:
+    /// [`push_with_status`](Self::push_with_status) at [`BinStatus::Ok`].
     ///
     /// # Errors
     ///
-    /// [`SubspaceError::DimensionMismatch`] on wrong-length input; refit
-    /// errors propagate.
+    /// As for [`push_with_status`](Self::push_with_status).
     pub fn push(&mut self, x: &[f64]) -> Result<StreamVerdict> {
-        if x.len() != self.model.num_od_pairs() {
-            return Err(SubspaceError::DimensionMismatch {
-                expected: self.model.num_od_pairs(),
-                got: x.len(),
-            });
-        }
+        self.push_with_status(x, BinStatus::Ok)
+    }
+
+    /// Scores one observation by its ingest [`BinStatus`] and advances the
+    /// stream position.
+    ///
+    /// * [`BinStatus::Ok`] scores, and a row that raised no alarm slides
+    ///   into the refit window. Anomalous observations are *not* folded
+    ///   in — keeping the normal model clean of the anomalies it just
+    ///   flagged (standard practice; otherwise a sustained attack becomes
+    ///   "normal").
+    /// * [`BinStatus::Imputed`] scores against the same thresholds (the
+    ///   row is a plausible estimate) but is **never** folded into the
+    ///   refit window — interpolated rows must not train the normal
+    ///   model — and the verdict carries [`DegradedReason::ImputedBin`].
+    /// * [`BinStatus::Masked`] (a collector outage too long to repair)
+    ///   evaluates no statistic: `x` is ignored, no alarm can fire,
+    ///   nothing enters the refit window, and the verdict carries
+    ///   [`DegradedReason::MaskedBin`].
+    ///
+    /// # Errors
+    ///
+    /// [`SubspaceError::DimensionMismatch`] on wrong-length input (the
+    /// stream position does not advance); refit errors propagate. Masked
+    /// pushes never fail.
+    pub fn push_with_status(&mut self, x: &[f64], status: BinStatus) -> Result<StreamVerdict> {
         let bin = self.next_bin;
+        let mut detections = Vec::new();
+        // Scored through the reusable scratch buffers: no per-bin
+        // allocation beyond the verdict itself.
+        let (spe, t2) = if status == BinStatus::Masked {
+            (0.0, 0.0)
+        } else {
+            let limit = self.model.spe_threshold();
+            self.model.score_into(x, bin, limit, &mut self.scratch, &mut detections)?
+        };
         self.next_bin += 1;
 
-        // Score through the reusable scratch buffers — no per-bin
-        // allocation, identical arithmetic to `SubspaceModel::split`.
-        self.model.split_into(x, &mut self.scratch)?;
-        let spe = vecops::norm_sq(&self.scratch.residual);
-        let t2 = self.model.t2_of_centered(&self.scratch.centered)?;
-        let mut detections = Vec::new();
-        if spe > self.model.spe_threshold() {
-            detections.push(Detection {
-                bin,
-                kind: StatisticKind::Spe,
-                value: spe,
-                threshold: self.model.spe_threshold(),
-            });
-        }
-        if t2 > self.model.t2_threshold() {
-            detections.push(Detection {
-                bin,
-                kind: StatisticKind::T2,
-                value: t2,
-                threshold: self.model.t2_threshold(),
-            });
-        }
-
-        if detections.is_empty() {
+        if status == BinStatus::Ok && detections.is_empty() {
             self.window.push(x.to_vec());
             if self.window.len() > self.window_len {
                 self.window.remove(0);
@@ -171,81 +171,12 @@ impl OnlineDetector {
             }
         }
 
-        Ok(StreamVerdict { bin, spe, t2, detections, degraded: None })
-    }
-
-    /// Consumes one *masked* bin (a collector outage too long to repair):
-    /// the stream position advances but no statistic is evaluated, no
-    /// alarm can fire, and nothing enters the refit window. The verdict
-    /// carries [`DegradedReason::MaskedBin`].
-    pub fn push_masked(&mut self) -> StreamVerdict {
-        let bin = self.next_bin;
-        self.next_bin += 1;
-        StreamVerdict {
-            bin,
-            spe: 0.0,
-            t2: 0.0,
-            detections: Vec::new(),
-            degraded: Some(DegradedReason::MaskedBin),
-        }
-    }
-
-    /// Quality-aware [`push`](Self::push): routes the observation by its
-    /// ingest [`BinStatus`].
-    ///
-    /// * [`BinStatus::Ok`] scores normally.
-    /// * [`BinStatus::Imputed`] scores against the same thresholds (the
-    ///   row is a plausible estimate) but is **never** folded into the
-    ///   refit window — interpolated rows must not train the normal
-    ///   model — and the verdict carries [`DegradedReason::ImputedBin`].
-    /// * [`BinStatus::Masked`] skips scoring entirely
-    ///   ([`push_masked`](Self::push_masked)); `x` is ignored.
-    ///
-    /// # Errors
-    ///
-    /// As for [`push`](Self::push); masked pushes never fail.
-    pub fn push_with_status(&mut self, x: &[f64], status: BinStatus) -> Result<StreamVerdict> {
-        match status {
-            BinStatus::Ok => self.push(x),
-            BinStatus::Masked => Ok(self.push_masked()),
-            BinStatus::Imputed => {
-                if x.len() != self.model.num_od_pairs() {
-                    return Err(SubspaceError::DimensionMismatch {
-                        expected: self.model.num_od_pairs(),
-                        got: x.len(),
-                    });
-                }
-                let bin = self.next_bin;
-                self.next_bin += 1;
-                self.model.split_into(x, &mut self.scratch)?;
-                let spe = vecops::norm_sq(&self.scratch.residual);
-                let t2 = self.model.t2_of_centered(&self.scratch.centered)?;
-                let mut detections = Vec::new();
-                if spe > self.model.spe_threshold() {
-                    detections.push(Detection {
-                        bin,
-                        kind: StatisticKind::Spe,
-                        value: spe,
-                        threshold: self.model.spe_threshold(),
-                    });
-                }
-                if t2 > self.model.t2_threshold() {
-                    detections.push(Detection {
-                        bin,
-                        kind: StatisticKind::T2,
-                        value: t2,
-                        threshold: self.model.t2_threshold(),
-                    });
-                }
-                Ok(StreamVerdict {
-                    bin,
-                    spe,
-                    t2,
-                    detections,
-                    degraded: Some(DegradedReason::ImputedBin),
-                })
-            }
-        }
+        let degraded = match status {
+            BinStatus::Ok => None,
+            BinStatus::Imputed => Some(DegradedReason::ImputedBin),
+            BinStatus::Masked => Some(DegradedReason::MaskedBin),
+        };
+        Ok(StreamVerdict { bin, spe, t2, detections, degraded })
     }
 
     /// Snapshots the detector's full state — the fitted model's exact
@@ -327,41 +258,6 @@ pub struct DetectorState {
     pub next_bin: usize,
 }
 
-/// Thread-safe handle around [`OnlineDetector`] for concurrent pipelines.
-#[derive(Debug, Clone)]
-pub struct SharedOnlineDetector {
-    inner: Arc<RwLock<OnlineDetector>>,
-}
-
-impl SharedOnlineDetector {
-    /// Wraps a detector for sharing across threads.
-    pub fn new(detector: OnlineDetector) -> Self {
-        SharedOnlineDetector { inner: Arc::new(RwLock::new(detector)) }
-    }
-
-    /// Scores one observation (exclusive lock).
-    pub fn push(&self, x: &[f64]) -> Result<StreamVerdict> {
-        self.inner.write().push(x)
-    }
-
-    /// Quality-aware push (exclusive lock) — see
-    /// [`OnlineDetector::push_with_status`].
-    pub fn push_with_status(&self, x: &[f64], status: BinStatus) -> Result<StreamVerdict> {
-        self.inner.write().push_with_status(x, status)
-    }
-
-    /// Reads the current thresholds (shared lock) as `(spe, t2)`.
-    pub fn thresholds(&self) -> (f64, f64) {
-        let g = self.inner.read();
-        (g.model().spe_threshold(), g.model().t2_threshold())
-    }
-
-    /// Observations streamed so far.
-    pub fn bins_seen(&self) -> usize {
-        self.inner.read().bins_seen()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,7 +298,7 @@ mod tests {
             let verdict = if i == 25 { det.push(&spiked).unwrap() } else { det.push(row).unwrap() };
             if i == 25 {
                 assert!(verdict.is_anomalous(), "spike must alarm");
-                assert!(verdict.detections.iter().any(|d| d.kind == StatisticKind::Spe));
+                assert!(verdict.detections.iter().any(|d| d.kind == crate::StatisticKind::Spe));
             }
         }
     }
@@ -451,15 +347,15 @@ mod tests {
         let train = traffic(100, 8, 0);
         let mut det = OnlineDetector::new(&train, SubspaceConfig::default(), 0).unwrap();
         let before = det.window.len();
-        let v = det.push_masked();
+        let v = det.push_with_status(&[], BinStatus::Masked).unwrap();
         assert_eq!(v.bin, 0);
         assert!(!v.is_anomalous());
         assert!(!v.is_scored());
         assert_eq!(v.degraded, Some(DegradedReason::MaskedBin));
         assert_eq!(det.window.len(), before, "masked bin must not enter window");
         assert_eq!(det.bins_seen(), 1);
-        // A masked push via the status router ignores the payload entirely.
-        let v2 = det.push_with_status(&[], BinStatus::Masked).unwrap();
+        // A masked push ignores the payload entirely, whatever its length.
+        let v2 = det.push_with_status(&[1.0; 3], BinStatus::Masked).unwrap();
         assert_eq!(v2.bin, 1);
     }
 
@@ -518,28 +414,5 @@ mod tests {
             OnlineDetector::from_state(bad),
             Err(SubspaceError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn shared_detector_concurrent_pushes() {
-        let train = traffic(300, 8, 0);
-        let det = OnlineDetector::new(&train, SubspaceConfig::default(), 0).unwrap();
-        let shared = SharedOnlineDetector::new(det);
-        let (spe_t, t2_t) = shared.thresholds();
-        assert!(spe_t > 0.0 && t2_t > 0.0);
-
-        // Four concurrent pushers on the workspace pool (grain 1 gives one
-        // worker per range); `parallel_for` joins them before returning.
-        odflow_par::with_thread_limit(4, || {
-            odflow_par::parallel_for(4, 1, |workers| {
-                for w in workers {
-                    let live = traffic(50, 8, 300 + w * 50);
-                    for row in live.rows_iter() {
-                        shared.push(row).unwrap();
-                    }
-                }
-            });
-        });
-        assert_eq!(shared.bins_seen(), 200);
     }
 }

@@ -1,9 +1,10 @@
 //! Online detection — the paper's §6 "practical, online diagnosis" goal.
 //!
-//! A collector task (one `scoped_pool` worker) renders live 5-minute bins
-//! and feeds state vectors to a shared online detector (trained on the
-//! preceding day); the main thread consumes verdicts. A DOS flood appears
-//! mid-stream and is flagged within its first bin.
+//! A collector task (one `scoped_pool` worker) owns the online detector
+//! (trained on the preceding day), feeds it the live 5-minute state
+//! vectors, and sends every alarm down a channel; the main thread consumes
+//! them. A DOS flood appears mid-stream and is flagged within its first
+//! bin.
 //!
 //! ```sh
 //! cargo run --release --example streaming_detector
@@ -14,7 +15,7 @@
 use odflow::flow::{MeasurementPipeline, PipelineConfig, TrafficType};
 use odflow::gen::{AnomalyKind, InjectedAnomaly, ScanMode, Scenario, ScenarioConfig};
 use odflow::net::IngressResolver;
-use odflow::subspace::{OnlineDetector, SharedOnlineDetector, SubspaceConfig};
+use odflow::subspace::{OnlineDetector, SubspaceConfig};
 
 fn matrices_for(scenario: &Scenario) -> odflow::flow::TrafficMatrixSet {
     let generator = scenario.generator();
@@ -58,26 +59,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let live = matrices_for(&Scenario::new(live_cfg, vec![dos])?);
 
-    // Train on the flows view and share the detector across threads.
-    let detector =
+    // Train on the flows view; the collector below takes the detector.
+    let mut detector =
         OnlineDetector::new(&training.get(TrafficType::Flows).data, SubspaceConfig::default(), 0)?;
-    let shared = SharedOnlineDetector::new(detector);
-    let (spe_thr, t2_thr) = shared.thresholds();
+    let (spe_thr, t2_thr) = (detector.model().spe_threshold(), detector.model().t2_threshold());
     println!("trained on day 1; thresholds: SPE {spe_thr:.3e}, T2 {t2_thr:.2}");
 
     let (tx, rx) = std::sync::mpsc::sync_channel(16);
     // One pool worker plays the collector; `Pool::scoped` joins it (and
-    // re-throws any panic) before returning, so the closures may borrow
-    // `shared` and the live matrices directly — no clones, no raw spawn.
+    // re-throws any panic) before returning, so the closure may borrow
+    // the live matrices directly — no clones, no raw spawn, and no lock:
+    // verdicts leave the detector's one owner through the channel.
     let pool = scoped_pool::Pool::new(1);
+    let flows = &live.get(TrafficType::Flows).data;
     let mut alarms = 0;
     pool.scoped(|scope| {
-        let shared = &shared;
-        let flows = &live.get(TrafficType::Flows).data;
         scope.execute(move || {
-            for bin in 0..flows.nrows() {
-                let row = flows.row(bin).expect("row");
-                let verdict = shared.push(row).expect("push");
+            for row in flows.rows_iter() {
+                let verdict = detector.push(row).expect("push");
                 if verdict.is_anomalous() {
                     tx.send(verdict).expect("send");
                 }
@@ -96,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     });
 
-    println!("\n{alarms} alarm(s) over {} live bins", shared.bins_seen());
+    println!("\n{alarms} alarm(s) over {} live bins", flows.nrows());
     assert!(alarms >= 1, "the DOS flood must be caught online");
     println!("DOS flood at bins 140-141 caught online");
     Ok(())

@@ -12,14 +12,14 @@ use odflow_classify::{
     classify, AnomalyClass, AnomalyObservation, RuleConfig, ScoredEvent, TruthLabel,
 };
 use odflow_flow::{
-    AttributeDigest, DataQuality, OdResolution, OdResolver, PipelineConfig, RepairPolicy,
-    ResolutionStats, TrafficMatrixSet, TrafficType,
+    AttributeDigest, DataQuality, IngestOutcome, OdResolution, OdResolver, PipelineConfig,
+    RepairPolicy, ResolutionStats, TrafficMatrixSet, TrafficType,
 };
 use odflow_gen::{FaultSchedule, FaultStormStats, Scenario, TraceGenerator};
 use odflow_linalg::Matrix;
-use odflow_net::IngressResolver;
+use odflow_net::{IngressResolver, RouteTable};
 use odflow_subspace::{
-    diagnose, diagnose_with_quality, Analysis, AnomalyEvent, BinVerdict, Diagnosis, SubspaceConfig,
+    diagnose_with_quality, Analysis, AnomalyEvent, BinVerdict, Diagnosis, SubspaceConfig,
     SubspaceDetector,
 };
 
@@ -92,7 +92,8 @@ impl ScenarioRun {
     }
 }
 
-/// Runs the full pipeline over one scenario.
+/// Runs the full pipeline over one scenario: the fused generate→bin
+/// ingest, then the shared tail.
 ///
 /// # Errors
 ///
@@ -102,35 +103,15 @@ pub fn run_scenario(
     scenario: &Scenario,
     config: &ExperimentConfig,
 ) -> Result<ScenarioRun, Box<dyn std::error::Error>> {
-    let generator = scenario.generator();
-
-    // §2.1: the measurement path — the fused generate→bin engine renders
-    // each shard's bin range straight into its per-thread OD binners (no
-    // intermediate record batches) and merges deterministically; the
-    // result is bit-identical to the serial record-by-record pipeline for
-    // any `ODFLOW_THREADS`.
-    let routes = scenario.plan.build_route_table(1.0)?;
-    let ingress = IngressResolver::synthetic(&scenario.topology);
-    let mut pipe_cfg =
-        PipelineConfig::abilene(scenario.config.start_secs, scenario.config.num_bins);
-    // Honor the scenario's bin width (the abilene preset pins the paper's
-    // 300 s): a mismatched window would misroute shard-local records.
-    pipe_cfg.bin_secs = scenario.config.bin_secs;
-    let outcome = generator.bin_scenario(pipe_cfg, ingress, routes)?;
-    let (matrices, resolution) = (outcome.matrices, outcome.stats);
-
-    // §2.2-§3: subspace detection on all three views; §4 step 1-2: merge.
-    let diagnosis = diagnose(&matrices, config.subspace)?;
-
-    // §4 step 3: classify each event.
-    let mut classified = Vec::with_capacity(diagnosis.events.len());
-    for event in &diagnosis.events {
-        let c = classify_event(scenario, &generator, &matrices, event, config);
-        classified.push(c);
-    }
-
-    let truth = truth_labels(scenario);
-    Ok(ScenarioRun { matrices, resolution, diagnosis, classified, truth })
+    // §2.1: the measurement path — the fused engine renders each shard's
+    // bin range straight into its per-thread OD binners (no intermediate
+    // record batches, which is what the four-week batch workload times)
+    // and merges deterministically; the result is bit-identical to the
+    // serial record-by-record pipeline for any `ODFLOW_THREADS`.
+    let run = run_with(scenario, config, |generator, pipe_cfg, ingress, routes| {
+        Ok((generator.bin_scenario(pipe_cfg, ingress, routes)?, FaultStormStats::default()))
+    })?;
+    Ok(run.run)
 }
 
 /// The complete result of one fault-storm scenario run.
@@ -160,8 +141,8 @@ impl FaultedScenarioRun {
 /// [`run_scenario`] under a deterministic fault storm: renders each bin as
 /// NetFlow v5 wire frames, mutates them through `faults`, ingests via the
 /// lossy quarantine-and-account path, repairs short outages under
-/// `policy`, and runs the quality-aware diagnosis (masked bins are never
-/// scored; heavy imputation widens the SPE band).
+/// `policy`, and runs the same tail (masked bins are never scored; heavy
+/// imputation widens the SPE band).
 ///
 /// Bit-identical for any `ODFLOW_THREADS`: the render→fault→decode stage
 /// is serial by construction, and both the record fill and the scoring
@@ -176,24 +157,49 @@ pub fn run_scenario_faulted(
     faults: &FaultSchedule,
     policy: RepairPolicy,
 ) -> Result<FaultedScenarioRun, Box<dyn std::error::Error>> {
-    let generator = scenario.generator();
+    run_with(scenario, config, |generator, pipe_cfg, ingress, routes| {
+        generator.bin_scenario_faulted(pipe_cfg, ingress, routes, faults, policy)
+    })
+}
 
+/// The one scenario runner. The two public runners differ only in
+/// `ingest` — how the generator's traffic becomes OD matrices and a
+/// quality report; the clean path's report is pristine, so its diagnosis
+/// is the plain one.
+fn run_with(
+    scenario: &Scenario,
+    config: &ExperimentConfig,
+    ingest: impl FnOnce(
+        &TraceGenerator<'_>,
+        PipelineConfig,
+        IngressResolver,
+        RouteTable,
+    ) -> odflow_flow::Result<(IngestOutcome, FaultStormStats)>,
+) -> Result<FaultedScenarioRun, Box<dyn std::error::Error>> {
+    let generator = scenario.generator();
     let routes = scenario.plan.build_route_table(1.0)?;
     let ingress = IngressResolver::synthetic(&scenario.topology);
+    // Built once for every event digest of the run; its counters are
+    // never read.
+    let mut resolver = OdResolver::new(&scenario.topology, ingress.clone(), routes.clone(), true);
     let mut pipe_cfg =
         PipelineConfig::abilene(scenario.config.start_secs, scenario.config.num_bins);
+    // Honor the scenario's bin width (the abilene preset pins the paper's
+    // 300 s): a mismatched window would misroute shard-local records.
     pipe_cfg.bin_secs = scenario.config.bin_secs;
-    let (outcome, storm) =
-        generator.bin_scenario_faulted(pipe_cfg, ingress, routes, faults, policy)?;
+    let (outcome, storm) = ingest(&generator, pipe_cfg, ingress, routes)?;
     let (matrices, resolution, quality) = (outcome.matrices, outcome.stats, outcome.quality);
 
+    // §2.2-§3: subspace detection on all three views; §4 step 1-2: merge.
     let qd = diagnose_with_quality(&matrices, config.subspace, &quality)?;
 
-    let mut classified = Vec::with_capacity(qd.diagnosis.events.len());
-    for event in &qd.diagnosis.events {
-        let c = classify_event(scenario, &generator, &matrices, event, config);
-        classified.push(c);
-    }
+    // §4 step 3: classify each event.
+    let classified = qd
+        .diagnosis
+        .events
+        .iter()
+        .map(|event| classify_event(scenario, &generator, &mut resolver, &matrices, event, config))
+        .collect();
 
     let truth = truth_labels(scenario);
     Ok(FaultedScenarioRun {
@@ -243,6 +249,7 @@ pub fn truth_labels(scenario: &Scenario) -> Vec<TruthLabel> {
 fn classify_event(
     scenario: &Scenario,
     generator: &TraceGenerator<'_>,
+    resolver: &mut OdResolver,
     matrices: &TrafficMatrixSet,
     event: &AnomalyEvent,
     config: &ExperimentConfig,
@@ -294,7 +301,7 @@ fn classify_event(
 
     // Rebuild the raw flows behind the event (bin-addressable generator) and
     // digest only the records that resolve into the event's OD flows.
-    let digest = event_digest(scenario, generator, event);
+    let digest = event_digest(generator, resolver, event);
 
     let origins: std::collections::HashSet<usize> =
         event.od_flows.iter().map(|od| od / n).collect();
@@ -417,16 +424,11 @@ fn has_counterpart_spike(
 /// Digest of the raw flows behind an event: regenerates the event's bins
 /// and keeps records resolving into the event's OD flows.
 fn event_digest(
-    scenario: &Scenario,
     generator: &TraceGenerator<'_>,
+    resolver: &mut OdResolver,
     event: &AnomalyEvent,
 ) -> AttributeDigest {
     let mut digest = AttributeDigest::new();
-    let Ok(routes) = scenario.plan.build_route_table(1.0) else {
-        return digest;
-    };
-    let ingress = IngressResolver::synthetic(&scenario.topology);
-    let mut resolver = OdResolver::new(&scenario.topology, ingress, routes, true);
     for bin in event.start_bin..=event.end_bin() {
         if bin >= generator.num_bins() {
             break;

@@ -268,3 +268,77 @@ fn detection_identifies_correct_od_flow() {
         hit.event.od_flows
     );
 }
+
+// ---------------------------------------------------------------------------
+// Golden net: the storm day's verdicts, Table-1 counts and classes, pinned
+// for the clean and the faulted runner. The constants were captured before
+// the two paths were folded into one implementation; a refactor that moves
+// them has changed an output and must not edit them to pass. The
+// `fault_storm` name puts the test under CI's ODFLOW_THREADS=1 and =4 runs.
+// ---------------------------------------------------------------------------
+
+use odflow::experiment::ScenarioRun;
+use odflow::subspace::{count_by_combination, StatisticKind};
+
+/// What is pinned of one run: the FNV-1a of the canonical verdict bytes
+/// (`loopback_e2e`'s encoding: every float as exact bits, every discrete
+/// field in a fixed order), the events per Table-1 column (B, F, P, BF,
+/// BP, FP, BFP), and each classified event as `start:types:class`.
+fn golden(run: &ScenarioRun) -> (u64, [usize; 7], String) {
+    let d = &run.diagnosis;
+    let mut bytes = Vec::new();
+    for (t, a) in &d.analyses {
+        bytes.extend_from_slice(format!("{t:?};").as_bytes());
+        for series in [&a.state_norm_sq, &a.spe, &a.t2] {
+            for &v in series {
+                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+        for det in &a.detections {
+            bytes.extend_from_slice(&det.bin.to_le_bytes());
+            bytes.push(match det.kind {
+                StatisticKind::Spe => 0,
+                StatisticKind::T2 => 1,
+            });
+            bytes.extend_from_slice(&det.value.to_bits().to_le_bytes());
+            bytes.extend_from_slice(&det.threshold.to_bits().to_le_bytes());
+        }
+    }
+    bytes.extend_from_slice(format!("{:?}{:?}", d.triples, d.events).as_bytes());
+    let fnv = bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    let classes: Vec<String> = run
+        .classified
+        .iter()
+        .map(|c| format!("{}:{}:{}", c.event.start_bin, c.event.types.code(), c.class.label()))
+        .collect();
+    (fnv, count_by_combination(&d.events).map(|(_, n)| n), classes.join(" "))
+}
+
+#[test]
+fn fault_storm_day_goldens_are_pinned() {
+    let (scenario, _) = fault_storm_day();
+    let clean = run_scenario(&scenario, &ExperimentConfig::default()).unwrap();
+    assert_eq!(
+        golden(&clean),
+        (
+            0xbcc5_09e8_6a35_ae37,
+            [2, 0, 1, 0, 0, 3, 0],
+            "140:FP:DOS 177:B:UNKNOWN 182:P:UNKNOWN 190:FP:SCAN 192:B:UNKNOWN 236:FP:DOS"
+                .to_owned()
+        ),
+        "run_scenario drifted from the pinned storm day"
+    );
+    assert_eq!(
+        golden(&run_fault_storm_day().run),
+        (
+            0x48b6_eddf_0b94_10fa,
+            [2, 2, 2, 0, 0, 2, 0],
+            "140:FP:DOS 171:F:UNKNOWN 177:B:FALSE-ALARM 179:P:UNKNOWN 182:P:UNKNOWN \
+             190:FP:SCAN 192:B:INGRESS-SHIFT 240:F:UNKNOWN"
+                .to_owned()
+        ),
+        "run_scenario_faulted drifted from the pinned storm day"
+    );
+}
