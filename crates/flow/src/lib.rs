@@ -7,8 +7,9 @@
 //! 1. [`PacketSampler`] — 1% Bernoulli packet sampling at every router.
 //! 2. [`FlowAggregator`] — per-minute 5-tuple aggregation (Juniper Traffic
 //!    Sampling semantics).
-//! 3. [`netflow`] — a NetFlow-v5-shaped export codec (`bytes`-based wire
-//!    format) for end-to-end exercising of the export path.
+//! 3. [`netflow`] — a NetFlow-v5-shaped export codec, decoding records in
+//!    place from the received bytes, for end-to-end exercising of the
+//!    export path.
 //! 4. [`OdResolver`] — ingress attribution from router configs and egress
 //!    resolution by longest-prefix match over BGP+config tables, after
 //!    Abilene's 11-bit destination anonymization.

@@ -22,7 +22,6 @@ use crate::error::{FlowError, Result};
 use crate::key::{FlowKey, Protocol};
 use crate::quality::{QuarantineClass, QuarantineStats};
 use crate::record::FlowRecord;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use odflow_net::IpAddr;
 
 /// NetFlow export version implemented by this codec.
@@ -66,51 +65,44 @@ pub fn encode_datagrams(
     router_pop: u8,
     sampling_interval: u16,
     seq_start: u32,
-) -> Vec<Bytes> {
-    let mut out = Vec::new();
+) -> Vec<Vec<u8>> {
+    let mut out = Vec::with_capacity(records.len().div_ceil(MAX_RECORDS_PER_DATAGRAM));
     let mut seq = seq_start;
-    for chunk in records.chunks(MAX_RECORDS_PER_DATAGRAM.max(1)) {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + RECORD_LEN * chunk.len());
-        buf.put_u16(NETFLOW_VERSION);
-        buf.put_u16(chunk.len() as u16);
-        buf.put_u32(0); // sys_uptime: unused by the pipeline
-        buf.put_u32(export_secs);
-        buf.put_u32(0); // unix_nsecs
-        buf.put_u32(seq);
-        buf.put_u8(0); // engine_type
-        buf.put_u8(router_pop);
-        buf.put_u16(sampling_interval);
+    for chunk in records.chunks(MAX_RECORDS_PER_DATAGRAM) {
+        let mut buf = Vec::with_capacity(frame_wire_len(chunk.len() as u16));
+        buf.extend_from_slice(&NETFLOW_VERSION.to_be_bytes());
+        buf.extend_from_slice(&(chunk.len() as u16).to_be_bytes());
+        buf.extend_from_slice(&[0; 4]); // sys_uptime: unused by the pipeline
+        buf.extend_from_slice(&export_secs.to_be_bytes());
+        buf.extend_from_slice(&[0; 4]); // unix_nsecs
+        buf.extend_from_slice(&seq.to_be_bytes());
+        buf.extend_from_slice(&[0, router_pop]); // engine_type, engine_id
+        buf.extend_from_slice(&sampling_interval.to_be_bytes());
         for r in chunk {
-            encode_record(&mut buf, r);
+            buf.extend_from_slice(&encode_record(r));
         }
         seq = seq.wrapping_add(chunk.len() as u32);
-        out.push(buf.freeze());
+        out.push(buf);
     }
     out
 }
 
-fn encode_record(buf: &mut BytesMut, r: &FlowRecord) {
-    buf.put_u32(r.key.src_ip.0);
-    buf.put_u32(r.key.dst_ip.0);
-    buf.put_u32(0); // nexthop: unused
-    buf.put_u16(r.interface as u16); // input ifIndex
-    buf.put_u16(0); // output ifIndex: unused
-    buf.put_u32(r.packets.min(u32::MAX as u64) as u32);
-    buf.put_u32(r.bytes.min(u32::MAX as u64) as u32);
-    let start_ms = (r.window_start as u32).wrapping_mul(1000);
-    buf.put_u32(start_ms); // first (ms timestamps on the wire)
-    buf.put_u32(start_ms); // last
-    buf.put_u16(r.key.src_port);
-    buf.put_u16(r.key.dst_port);
-    buf.put_u8(0); // pad1
-    buf.put_u8(0); // tcp_flags: not modeled
-    buf.put_u8(r.key.protocol.number());
-    buf.put_u8(0); // tos
-    buf.put_u16(0); // src_as
-    buf.put_u16(0); // dst_as
-    buf.put_u8(0); // src_mask
-    buf.put_u8(0); // dst_mask
-    buf.put_u16(0); // pad2
+/// One record's wire image. Fields the pipeline does not model (nexthop,
+/// output ifIndex, tcp_flags, tos, AS numbers, masks, pads) stay zero.
+fn encode_record(r: &FlowRecord) -> [u8; RECORD_LEN] {
+    let mut rec = [0u8; RECORD_LEN];
+    rec[0..4].copy_from_slice(&r.key.src_ip.0.to_be_bytes());
+    rec[4..8].copy_from_slice(&r.key.dst_ip.0.to_be_bytes());
+    rec[12..14].copy_from_slice(&(r.interface as u16).to_be_bytes()); // input ifIndex
+    rec[16..20].copy_from_slice(&(r.packets.min(u32::MAX as u64) as u32).to_be_bytes());
+    rec[20..24].copy_from_slice(&(r.bytes.min(u32::MAX as u64) as u32).to_be_bytes());
+    let start_ms = (r.window_start as u32).wrapping_mul(1000).to_be_bytes();
+    rec[24..28].copy_from_slice(&start_ms); // first (ms timestamps on the wire)
+    rec[28..32].copy_from_slice(&start_ms); // last
+    rec[32..34].copy_from_slice(&r.key.src_port.to_be_bytes());
+    rec[34..36].copy_from_slice(&r.key.dst_port.to_be_bytes());
+    rec[38] = r.key.protocol.number();
+    rec
 }
 
 /// Total wire length in bytes of a frame whose header declares `count`
@@ -147,87 +139,96 @@ pub fn check_frame_bounds(count: u16, payload_len: usize) -> Option<QuarantineCl
     }
 }
 
+/// The big-endian `u16` at byte `at` of a fixed-size wire structure.
+fn u16_at<const N: usize>(wire: &[u8; N], at: usize) -> u16 {
+    u16::from_be_bytes([wire[at], wire[at + 1]])
+}
+
+/// The big-endian `u32` at byte `at` of a fixed-size wire structure.
+fn u32_at<const N: usize>(wire: &[u8; N], at: usize) -> u32 {
+    u32::from_be_bytes([wire[at], wire[at + 1], wire[at + 2], wire[at + 3]])
+}
+
+fn parse_header(h: &[u8; HEADER_LEN]) -> DatagramHeader {
+    DatagramHeader {
+        version: u16_at(h, 0),
+        count: u16_at(h, 2),
+        unix_secs: u32_at(h, 8),
+        flow_sequence: u32_at(h, 16),
+        engine_id: h[21],
+        sampling_interval: u16_at(h, 22),
+    }
+}
+
+/// The one place a frame's bytes are taken apart: the parsed header and
+/// the record payload as fixed-size wire records, still where they lie.
+/// Never trusts `count` against the payload; [`check_frame_bounds`]
+/// classifies any mismatch, so a frame that comes back `Ok` holds exactly
+/// `count` whole records.
+fn split_frame(
+    data: &[u8],
+) -> std::result::Result<(DatagramHeader, &[[u8; RECORD_LEN]]), QuarantineClass> {
+    let Some((head, payload)) = data.split_first_chunk::<HEADER_LEN>() else {
+        return Err(QuarantineClass::TruncatedHeader);
+    };
+    let hdr = parse_header(head);
+    if hdr.version != NETFLOW_VERSION {
+        return Err(QuarantineClass::WrongVersion);
+    }
+    if let Some(class) = check_frame_bounds(hdr.count, payload.len()) {
+        return Err(class);
+    }
+    Ok((hdr, payload.as_chunks().0))
+}
+
+/// Decodes one wire record where it lies. The record's `router` field is
+/// recovered from the header's `engine_id` and `window_start` from the
+/// `first` timestamp.
+fn decode_record(rec: &[u8; RECORD_LEN], engine_id: u8) -> FlowRecord {
+    FlowRecord {
+        key: FlowKey::new(
+            IpAddr(u32_at(rec, 0)),
+            IpAddr(u32_at(rec, 4)),
+            u16_at(rec, 32),
+            u16_at(rec, 34),
+            Protocol::from_number(rec[38]),
+        ),
+        router: engine_id as usize,
+        interface: u32::from(u16_at(rec, 12)), // input ifIndex
+        window_start: u64::from(u32_at(rec, 24) / 1000), // first, ms on the wire
+        packets: u64::from(u32_at(rec, 16)),
+        bytes: u64::from(u32_at(rec, 20)),
+    }
+}
+
 /// Decodes one export datagram into its header and flow records.
-///
-/// The record's `router` field is recovered from `engine_id` and
-/// `window_start` from the `first` timestamp.
 ///
 /// # Errors
 ///
 /// [`FlowError::Codec`] for truncated datagrams, wrong version, or a count
 /// field inconsistent with the payload length.
 pub fn decode_datagram(data: &[u8]) -> Result<(DatagramHeader, Vec<FlowRecord>)> {
-    if data.len() < HEADER_LEN {
-        return Err(FlowError::Codec {
-            reason: format!("datagram too short for header: {} bytes", data.len()),
-        });
-    }
-    let mut buf = data;
-    let version = buf.get_u16();
-    if version != NETFLOW_VERSION {
-        return Err(FlowError::Codec { reason: format!("unsupported version {version}") });
-    }
-    let count = buf.get_u16();
-    let _sys_uptime = buf.get_u32();
-    let unix_secs = buf.get_u32();
-    let _unix_nsecs = buf.get_u32();
-    let flow_sequence = buf.get_u32();
-    let _engine_type = buf.get_u8();
-    let engine_id = buf.get_u8();
-    let sampling_interval = buf.get_u16();
-
-    if check_frame_bounds(count, buf.remaining()).is_some() {
-        return Err(FlowError::Codec {
-            reason: format!(
-                "count {count} implies {} payload bytes, got {}",
-                count as usize * RECORD_LEN,
-                buf.remaining()
-            ),
-        });
-    }
-
-    let mut records = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        records.push(decode_record(&mut buf, engine_id));
-    }
-
-    Ok((
-        DatagramHeader { version, count, unix_secs, flow_sequence, engine_id, sampling_interval },
-        records,
-    ))
-}
-
-/// Decodes one fixed-size wire record. The caller has already verified the
-/// buffer holds at least [`RECORD_LEN`] bytes.
-fn decode_record(buf: &mut &[u8], engine_id: u8) -> FlowRecord {
-    let src_ip = IpAddr(buf.get_u32());
-    let dst_ip = IpAddr(buf.get_u32());
-    let _nexthop = buf.get_u32();
-    let input = buf.get_u16();
-    let _output = buf.get_u16();
-    let packets = buf.get_u32() as u64;
-    let bytes = buf.get_u32() as u64;
-    let first_ms = buf.get_u32();
-    let _last_ms = buf.get_u32();
-    let src_port = buf.get_u16();
-    let dst_port = buf.get_u16();
-    let _pad1 = buf.get_u8();
-    let _tcp_flags = buf.get_u8();
-    let prot = buf.get_u8();
-    let _tos = buf.get_u8();
-    let _src_as = buf.get_u16();
-    let _dst_as = buf.get_u16();
-    let _src_mask = buf.get_u8();
-    let _dst_mask = buf.get_u8();
-    let _pad2 = buf.get_u16();
-
-    FlowRecord {
-        key: FlowKey::new(src_ip, dst_ip, src_port, dst_port, Protocol::from_number(prot)),
-        router: engine_id as usize,
-        interface: input as u32,
-        window_start: (first_ms / 1000) as u64,
-        packets,
-        bytes,
+    match split_frame(data) {
+        Ok((hdr, records)) => {
+            Ok((hdr, records.iter().map(|r| decode_record(r, hdr.engine_id)).collect()))
+        }
+        Err(class) => {
+            let reason = match (class, data.first_chunk().map(parse_header)) {
+                (QuarantineClass::WrongVersion, Some(h)) => {
+                    format!("unsupported version {}", h.version)
+                }
+                (QuarantineClass::TruncatedFrame | QuarantineClass::OversizedFrame, Some(h)) => {
+                    format!(
+                        "count {} implies {} payload bytes, got {}",
+                        h.count,
+                        h.count as usize * RECORD_LEN,
+                        data.len() - HEADER_LEN
+                    )
+                }
+                _ => format!("datagram too short for header: {} bytes", data.len()),
+            };
+            Err(FlowError::Codec { reason })
+        }
     }
 }
 
@@ -240,75 +241,83 @@ const MAX_BYTES_PER_PACKET: u64 = 65_535;
 /// a flow averaging less has a garbled counter.
 const MIN_BYTES_PER_PACKET: u64 = 20;
 
-/// `true` when a record's byte/packet counters could describe real IPv4
-/// traffic. Garbled exports (bit flips, overflowed counters) fail one of
-/// these bounds with high probability.
-fn record_plausible(r: &FlowRecord) -> bool {
-    match (r.packets, r.bytes) {
+/// `true` when a wire record's `dPkts`/`dOctets` counters could describe
+/// real IPv4 traffic. Garbled exports (bit flips, overflowed counters)
+/// fail one of these bounds with high probability.
+fn counters_plausible(rec: &[u8; RECORD_LEN]) -> bool {
+    match (u64::from(u32_at(rec, 16)), u64::from(u32_at(rec, 20))) {
         (0, 0) => true, // an idle-template record adds nothing; harmless
         (0, _) | (_, 0) => false,
-        (p, b) => b >= p.saturating_mul(MIN_BYTES_PER_PACKET) && b <= p * MAX_BYTES_PER_PACKET,
+        (p, b) => b >= p * MIN_BYTES_PER_PACKET && b <= p * MAX_BYTES_PER_PACKET,
     }
 }
 
-/// Decodes one export datagram, quarantining instead of erroring.
+/// The plausible records of one accepted frame, decoded one at a time
+/// from the frame's own bytes — nothing is materialized unless the caller
+/// collects. Implausible records were already counted by [`decode_frame`]
+/// and are passed over here.
+#[derive(Debug, Clone)]
+pub struct FrameRecords<'a> {
+    records: std::slice::Iter<'a, [u8; RECORD_LEN]>,
+    engine_id: u8,
+    /// Plausible records not yet yielded.
+    plausible: usize,
+}
+
+impl Iterator for FrameRecords<'_> {
+    type Item = FlowRecord;
+
+    fn next(&mut self) -> Option<FlowRecord> {
+        let rec = self.records.by_ref().find(|rec| counters_plausible(rec))?;
+        self.plausible -= 1;
+        Some(decode_record(rec, self.engine_id))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.plausible, Some(self.plausible))
+    }
+}
+
+impl ExactSizeIterator for FrameRecords<'_> {}
+
+/// The lossy decode kernel: classifies and counts one export frame, and
+/// lends out its plausible records without copying them.
 ///
 /// Malformed frames return `None` and increment exactly one quarantine
-/// class counter in `stats`; accepted frames additionally have each
-/// record's byte/packet counters checked for plausibility, with garbled
-/// records dropped into `implausible_records`. The conservation invariant
-/// ([`QuarantineStats::is_conserved`]) holds after any input sequence.
-///
-/// This is the ingest-facing entry point for hostile telemetry; the strict
-/// [`decode_datagram`] remains for trusted wire-equivalence checks.
+/// class counter in `stats`. For an accepted frame the counters are final
+/// on return — plausibility is counted in a pre-pass over the `dPkts` /
+/// `dOctets` fields, so a caller that drops the iterator unread (the
+/// duplicate-frame policy) leaves the same accounting as one that drains
+/// it. The conservation invariant ([`QuarantineStats::is_conserved`])
+/// holds after any input sequence.
+pub fn decode_frame<'a>(
+    data: &'a [u8],
+    stats: &mut QuarantineStats,
+) -> Option<(DatagramHeader, FrameRecords<'a>)> {
+    stats.frames_offered += 1;
+    let (hdr, records) = match split_frame(data) {
+        Ok(parts) => parts,
+        Err(class) => {
+            stats.quarantine_frame(class);
+            return None;
+        }
+    };
+    let plausible = records.iter().filter(|rec| counters_plausible(rec)).count();
+    stats.frames_accepted += 1;
+    stats.records_offered += u64::from(hdr.count);
+    stats.records_accepted += plausible as u64;
+    stats.implausible_records += (records.len() - plausible) as u64;
+    Some((hdr, FrameRecords { records: records.iter(), engine_id: hdr.engine_id, plausible }))
+}
+
+/// [`decode_frame`] with the records collected — the ingest-facing entry
+/// point for hostile telemetry when the caller wants them owned; the
+/// strict [`decode_datagram`] remains for trusted wire-equivalence checks.
 pub fn decode_datagram_lossy(
     data: &[u8],
     stats: &mut QuarantineStats,
 ) -> Option<(DatagramHeader, Vec<FlowRecord>)> {
-    stats.frames_offered += 1;
-    if data.len() < HEADER_LEN {
-        stats.quarantine_frame(QuarantineClass::TruncatedHeader);
-        return None;
-    }
-    let mut buf = data;
-    let version = buf.get_u16();
-    if version != NETFLOW_VERSION {
-        stats.quarantine_frame(QuarantineClass::WrongVersion);
-        return None;
-    }
-    let count = buf.get_u16();
-    let _sys_uptime = buf.get_u32();
-    let unix_secs = buf.get_u32();
-    let _unix_nsecs = buf.get_u32();
-    let flow_sequence = buf.get_u32();
-    let _engine_type = buf.get_u8();
-    let engine_id = buf.get_u8();
-    let sampling_interval = buf.get_u16();
-
-    // Never trust `count` against the payload; the shared boundary helper
-    // classifies any mismatch and the whole frame is quarantined.
-    if let Some(class) = check_frame_bounds(count, buf.remaining()) {
-        stats.quarantine_frame(class);
-        return None;
-    }
-
-    stats.frames_accepted += 1;
-    stats.records_offered += u64::from(count);
-    let mut records = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let r = decode_record(&mut buf, engine_id);
-        if record_plausible(&r) {
-            stats.records_accepted += 1;
-            records.push(r);
-        } else {
-            stats.implausible_records += 1;
-        }
-    }
-
-    Some((
-        DatagramHeader { version, count, unix_secs, flow_sequence, engine_id, sampling_interval },
-        records,
-    ))
+    decode_frame(data, stats).map(|(hdr, records)| (hdr, records.collect()))
 }
 
 #[cfg(test)]
@@ -487,8 +496,8 @@ mod tests {
             packets: 3,
             ..plausible_records(1).remove(0)
         };
-        assert!(!record_plausible(&r));
-        assert!(record_plausible(&plausible_records(1)[0]));
+        assert!(!counters_plausible(&encode_record(&r)));
+        assert!(counters_plausible(&encode_record(&plausible_records(1)[0])));
     }
 
     #[test]

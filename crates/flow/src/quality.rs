@@ -14,8 +14,7 @@
 //! either accepted or lands in **exactly one** quarantine class, and every
 //! record of an accepted frame is either decoded or counted implausible.
 
-use crate::netflow::{decode_datagram_lossy, DatagramHeader};
-use crate::record::FlowRecord;
+use crate::netflow::{decode_frame, DatagramHeader, FrameRecords};
 use std::collections::BTreeMap;
 
 /// Why a frame was quarantined. Each rejected frame increments exactly one
@@ -35,7 +34,7 @@ pub enum QuarantineClass {
 }
 
 /// Counted quarantine for the lossy decode path
-/// ([`decode_datagram_lossy`](crate::netflow::decode_datagram_lossy)).
+/// ([`decode_frame`](crate::netflow::decode_frame)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuarantineStats {
     /// Frames offered to the decoder.
@@ -337,14 +336,15 @@ impl DataQuality {
     /// sequence tracking.
     ///
     /// `None` means the frame was quarantined. Otherwise the header comes
-    /// back with the frame's plausible records, or with `None` in their
-    /// place when the frame is an exact retransmit the collector dedup
-    /// policy discards.
-    pub fn admit_frame(
+    /// back with the frame's plausible records — borrowed from `frame` and
+    /// decoded as the caller iterates — or with `None` in their place when
+    /// the frame is an exact retransmit the collector dedup policy
+    /// discards. Either way the quarantine counters are final on return.
+    pub fn admit_frame<'a>(
         &mut self,
-        frame: &[u8],
-    ) -> Option<(DatagramHeader, Option<Vec<FlowRecord>>)> {
-        let (hdr, records) = decode_datagram_lossy(frame, &mut self.quarantine)?;
+        frame: &'a [u8],
+    ) -> Option<(DatagramHeader, Option<FrameRecords<'a>>)> {
+        let (hdr, records) = decode_frame(frame, &mut self.quarantine)?;
         let fresh = self.exporters.observe(
             hdr.engine_id,
             hdr.flow_sequence,

@@ -902,10 +902,7 @@ mod tests {
         let num_bins = 8;
         let (_, plan, engine, _) = setup(num_bins);
         let stream = exporter_stream(&plan, 3, num_bins, 180);
-        let mut frames: Vec<Vec<u8>> = crate::netflow::encode_datagrams(&stream, 0, 3, 100, 0)
-            .iter()
-            .map(bytes::Bytes::to_vec)
-            .collect();
+        let mut frames = crate::netflow::encode_datagrams(&stream, 0, 3, 100, 0);
         frames[2][0] = 0xFF; // garble frame 2's version field
         let outcome = engine.ingest_datagrams(&frames).unwrap();
         let q = &outcome.quality.quarantine;

@@ -29,6 +29,126 @@ fn arb_record() -> impl Strategy<Value = FlowRecord> {
     )
 }
 
+/// The field-by-field cursor decoder the in-place kernel replaced, kept
+/// as its oracle: a moving slice, one big-endian read per wire field in
+/// wire order, every record materialized before plausibility is judged.
+mod cursor_oracle {
+    use odflow_flow::netflow::{
+        check_frame_bounds, DatagramHeader, HEADER_LEN, NETFLOW_VERSION, RECORD_LEN,
+    };
+    use odflow_flow::{FlowKey, FlowRecord, Protocol, QuarantineClass, QuarantineStats};
+    use odflow_net::IpAddr;
+
+    fn get_u8(buf: &mut &[u8]) -> u8 {
+        let (head, rest) = buf.split_at(1);
+        *buf = rest;
+        head[0]
+    }
+
+    fn get_u16(buf: &mut &[u8]) -> u16 {
+        let (head, rest) = buf.split_at(2);
+        *buf = rest;
+        u16::from_be_bytes([head[0], head[1]])
+    }
+
+    fn get_u32(buf: &mut &[u8]) -> u32 {
+        let (head, rest) = buf.split_at(4);
+        *buf = rest;
+        u32::from_be_bytes([head[0], head[1], head[2], head[3]])
+    }
+
+    fn decode_record(buf: &mut &[u8], engine_id: u8) -> FlowRecord {
+        let src_ip = IpAddr(get_u32(buf));
+        let dst_ip = IpAddr(get_u32(buf));
+        let _nexthop = get_u32(buf);
+        let input = get_u16(buf);
+        let _output = get_u16(buf);
+        let packets = get_u32(buf) as u64;
+        let bytes = get_u32(buf) as u64;
+        let first_ms = get_u32(buf);
+        let _last_ms = get_u32(buf);
+        let src_port = get_u16(buf);
+        let dst_port = get_u16(buf);
+        let _pad1 = get_u8(buf);
+        let _tcp_flags = get_u8(buf);
+        let prot = get_u8(buf);
+        let _tos = get_u8(buf);
+        let _src_as = get_u16(buf);
+        let _dst_as = get_u16(buf);
+        let _src_mask = get_u8(buf);
+        let _dst_mask = get_u8(buf);
+        let _pad2 = get_u16(buf);
+        FlowRecord {
+            key: FlowKey::new(src_ip, dst_ip, src_port, dst_port, Protocol::from_number(prot)),
+            router: engine_id as usize,
+            interface: input as u32,
+            window_start: (first_ms / 1000) as u64,
+            packets,
+            bytes,
+        }
+    }
+
+    fn record_plausible(r: &FlowRecord) -> bool {
+        match (r.packets, r.bytes) {
+            (0, 0) => true,
+            (0, _) | (_, 0) => false,
+            (p, b) => b >= p.saturating_mul(20) && b <= p * 65_535,
+        }
+    }
+
+    pub fn decode_datagram_lossy(
+        data: &[u8],
+        stats: &mut QuarantineStats,
+    ) -> Option<(DatagramHeader, Vec<FlowRecord>)> {
+        stats.frames_offered += 1;
+        if data.len() < HEADER_LEN {
+            stats.quarantine_frame(QuarantineClass::TruncatedHeader);
+            return None;
+        }
+        let mut buf = data;
+        let version = get_u16(&mut buf);
+        if version != NETFLOW_VERSION {
+            stats.quarantine_frame(QuarantineClass::WrongVersion);
+            return None;
+        }
+        let count = get_u16(&mut buf);
+        let _sys_uptime = get_u32(&mut buf);
+        let unix_secs = get_u32(&mut buf);
+        let _unix_nsecs = get_u32(&mut buf);
+        let flow_sequence = get_u32(&mut buf);
+        let _engine_type = get_u8(&mut buf);
+        let engine_id = get_u8(&mut buf);
+        let sampling_interval = get_u16(&mut buf);
+        if let Some(class) = check_frame_bounds(count, buf.len()) {
+            stats.quarantine_frame(class);
+            return None;
+        }
+        stats.frames_accepted += 1;
+        stats.records_offered += u64::from(count);
+        let mut records = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            let r = decode_record(&mut buf, engine_id);
+            if record_plausible(&r) {
+                stats.records_accepted += 1;
+                records.push(r);
+            } else {
+                stats.implausible_records += 1;
+            }
+        }
+        assert_eq!(buf.len(), 0, "the bounds check left exactly `count` records");
+        debug_assert_eq!(count as usize * RECORD_LEN, data.len() - HEADER_LEN);
+        let hdr = DatagramHeader {
+            version,
+            count,
+            unix_secs,
+            flow_sequence,
+            engine_id,
+            sampling_interval,
+        };
+        Some((hdr, records))
+    }
+}
+
 /// Protocols that share a wire number without being the same value —
 /// `Other(6)` is not `Tcp` to `==`, so it is not `Tcp` to the flow count.
 const PROTOCOLS: [Protocol; 6] = [
@@ -315,6 +435,71 @@ proptest! {
         }
     }
 
+    /// The in-place kernel against the cursor decoder it replaced, over
+    /// whatever a wire can deliver — valid frames (the record strategy
+    /// draws plenty of implausible counters), truncations, single-bit
+    /// flips, byte soup: the borrowed iterator yields exactly the oracle's
+    /// records and leaves exactly its counters, `len()` is right before a
+    /// single record is decoded, and an exact retransmit — whose records
+    /// are never looked at — is counted all the same.
+    #[test]
+    fn in_place_decoder_matches_the_cursor_decoder(
+        records in proptest::collection::vec(arb_record(), 0..70),
+        engine in any::<u8>(),
+        seq in any::<u32>(),
+        damage in 0u8..4,
+        at in any::<proptest::sample::Index>(),
+        bit in 0u8..8,
+        soup in proptest::collection::vec(any::<u8>(), 0..400),
+    ) {
+        let mut frames = netflow::encode_datagrams(&records, 77, engine, 100, seq);
+        if damage == 3 || frames.is_empty() {
+            frames.push(soup);
+        }
+        for frame in &mut frames {
+            match damage {
+                1 => frame.truncate(at.index(frame.len() + 1)),
+                2 if !frame.is_empty() => {
+                    let byte = at.index(frame.len());
+                    frame[byte] ^= 1 << bit;
+                }
+                _ => {}
+            }
+        }
+        let mut expected = odflow_flow::QuarantineStats::default();
+        let mut got = odflow_flow::QuarantineStats::default();
+        let mut quality = odflow_flow::DataQuality::default();
+        for frame in &frames {
+            let oracle = cursor_oracle::decode_datagram_lossy(frame, &mut expected);
+            let lent = netflow::decode_frame(frame, &mut got);
+            prop_assert_eq!(got, expected);
+            prop_assert_eq!(lent.is_some(), oracle.is_some());
+            if let (Some((hdr, lent)), Some((oracle_hdr, oracle_records))) = (lent, oracle) {
+                prop_assert_eq!(hdr, oracle_hdr);
+                prop_assert_eq!(lent.len(), oracle_records.len());
+                prop_assert_eq!(lent.collect::<Vec<FlowRecord>>(), oracle_records);
+            }
+            // Through admission, twice: the retransmit is recognized by
+            // its header, handed out with no records, and counted.
+            let before = quality.quarantine;
+            let first = quality.admit_frame(frame).map(|(_, records)| records.map(Iterator::count));
+            let once = quality.quarantine;
+            let again = quality.admit_frame(frame).map(|(_, records)| records.map(Iterator::count));
+            if let Some(fresh) = first {
+                prop_assert_eq!(fresh, Some((once.records_accepted - before.records_accepted) as usize));
+                prop_assert_eq!(again, Some(None));
+            } else {
+                prop_assert_eq!(again, None);
+            }
+            let mut twice = before;
+            for _ in 0..2 {
+                let _ = cursor_oracle::decode_datagram_lossy(frame, &mut twice);
+            }
+            prop_assert_eq!(quality.quarantine, twice);
+        }
+        prop_assert!(got.is_conserved());
+    }
+
     #[test]
     fn corrupted_valid_frames_stay_conserved(
         records in proptest::collection::vec(arb_record(), 1..40),
@@ -328,11 +513,7 @@ proptest! {
             .into_iter()
             .map(|mut r| { r.router = 3; r.interface %= 65_536; r })
             .collect();
-        let mut dgrams: Vec<Vec<u8>> =
-            netflow::encode_datagrams(&records, 99, 3, 100, 0)
-                .iter()
-                .map(bytes::Bytes::to_vec)
-                .collect();
+        let mut dgrams = netflow::encode_datagrams(&records, 99, 3, 100, 0);
         for (idx, val) in &flips {
             let d = &mut dgrams[0];
             let at = *idx as usize % d.len();

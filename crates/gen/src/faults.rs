@@ -383,7 +383,7 @@ mod tests {
                 bytes: 1400,
             })
             .collect();
-        encode_datagrams(&recs, 0, pop, 100, seq).iter().map(|b| b.as_ref().to_vec()).collect()
+        encode_datagrams(&recs, 0, pop, 100, seq)
     }
 
     fn one_event(kind: FaultKind) -> FaultSchedule {

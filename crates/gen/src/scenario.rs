@@ -512,15 +512,13 @@ impl<'a> TraceGenerator<'a> {
             if recs.is_empty() {
                 continue;
             }
-            for frame in odflow_flow::netflow::encode_datagrams(
+            frames.extend(odflow_flow::netflow::encode_datagrams(
                 recs,
                 export_secs,
                 router as u8,
                 interval,
                 seqs[router],
-            ) {
-                frames.push(frame.to_vec());
-            }
+            ));
             seqs[router] = seqs[router].wrapping_add(recs.len() as u32);
         }
         frames

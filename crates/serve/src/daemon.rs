@@ -17,6 +17,37 @@
 //! task count (every task is a long-lived loop; a smaller pool would
 //! deadlock).
 //!
+//! ## Admission
+//!
+//! A frame's bytes are written once on their way in. A socket read lands
+//! in the connection's [`MessageReader`], which lends each complete frame
+//! out of its buffer; the frame is copied into the batch the listener is
+//! filling for its tenant; and after the read, every batch that holds
+//! anything goes to its tenant's queue whole — one clock read, one lock,
+//! one wake-up for however many frames the read held (a UDP datagram is a
+//! batch of one). The worker takes a batch per wake, decodes the records
+//! where they lie, and hands the emptied buffer back through the queue
+//! for the listener to fill again, so the steady state allocates nothing.
+//!
+//! The queue's bound stays in **frames** ([`TenantConfig::queue_frames`]):
+//! a batch that does not fit is admitted up to the remaining capacity in
+//! arrival order and the rest shed and counted, so `offered = enqueued +
+//! dropped` holds frame for frame. A control message first flushes the
+//! batches pending ahead of it.
+//!
+//! ## The listener's idle nap
+//!
+//! The TCP listener polls non-blocking sockets. After a sweep that moved
+//! nothing it sleeps an eighth of the time since bytes last arrived —
+//! never less than 50 µs, never more than [`ServeConfig::tick`]. A sender
+//! that pauses for a millisecond between bursts is therefore picked up
+//! within about a tenth of one, while a daemon nobody talks to is back to
+//! one poll per tick after eight ticks of quiet. Both constants are
+//! private: the floor is what the kernel's timer slack makes the shortest
+//! useful sleep, and the fraction bounds the wait *relative to the pause
+//! the peer itself chose*, so there is no traffic pattern a different
+//! value would suit better — and nothing for an operator to tune.
+//!
 //! ## Shutdown contract
 //!
 //! A drain request — [`DaemonHandle::drain`], or the wire control message
@@ -28,8 +59,8 @@
 //! counted. [`Daemon::run`] returns only when every tenant has flushed.
 
 use crate::checkpoint::{CheckpointStore, CrashKind, CrashPayload, CrashPoint};
-use crate::metrics::{monotonic_now, ServeMetrics, TenantCounters};
-use crate::queue::{BoundedQueue, Pop};
+use crate::metrics::{elapsed_nanos, monotonic_now, ServeMetrics, TenantCounters};
+use crate::queue::{BoundedQueue, FrameBatch, Pop};
 use crate::tenant::{TenantConfig, TenantFlush, TenantPipeline};
 use crate::wire::{self, MessageReader, CONTROL_TENANT};
 use crate::ServeError;
@@ -39,7 +70,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One tenant's full provisioning: detection configuration plus the
 /// routing state its resolver needs.
@@ -208,13 +239,6 @@ pub struct TenantRecovery {
 pub struct DaemonReport {
     /// Per-tenant end states.
     pub tenants: Vec<TenantEnd>,
-}
-
-/// A frame admitted to a tenant queue, stamped for latency accounting.
-#[derive(Debug)]
-struct QueuedFrame {
-    frame: Vec<u8>,
-    queued: Instant,
 }
 
 /// A bound-but-not-yet-running daemon. Binding is separate from running
@@ -420,7 +444,7 @@ impl Daemon {
             tick,
         } = self;
         let n = pipelines.len();
-        let queues: Vec<Arc<BoundedQueue<QueuedFrame>>> =
+        let queues: Vec<Arc<BoundedQueue<FrameBatch>>> =
             queue_caps.iter().map(|&c| Arc::new(BoundedQueue::new(c))).collect();
         let results: Mutex<Vec<Option<TenantEnd>>> = Mutex::new((0..n).map(|_| None).collect());
         let listener_count = usize::from(udp.is_some()) + usize::from(tcp.is_some());
@@ -499,7 +523,7 @@ impl Daemon {
 /// The shared admission path: envelope → control or tenant queue.
 struct Admission<'a> {
     control: &'a Control,
-    queues: &'a [Arc<BoundedQueue<QueuedFrame>>],
+    queues: &'a [Arc<BoundedQueue<FrameBatch>>],
 }
 
 impl Admission<'_> {
@@ -507,51 +531,98 @@ impl Admission<'_> {
         self.control.draining.load(Ordering::SeqCst)
     }
 
-    /// Routes one enveloped frame. Never blocks: a full queue sheds the
-    /// frame and counts the drop.
-    fn admit(&self, tenant: u8, frame: &[u8]) {
-        if tenant == CONTROL_TENANT {
-            if wire::is_drain_control(tenant, frame) {
-                TenantCounters::add(&self.control.metrics.control_messages, 1);
-                self.control.draining.store(true, Ordering::SeqCst);
-            } else {
-                TenantCounters::add(&self.control.metrics.envelope_errors, 1);
-            }
-            return;
-        }
-        let idx = usize::from(tenant);
-        let (Some(queue), Some(counters)) =
-            (self.queues.get(idx), self.control.metrics.tenant(idx))
-        else {
-            TenantCounters::add(&self.control.metrics.unknown_tenant, 1);
-            return;
-        };
-        TenantCounters::add(&counters.frames_offered, 1);
-        let item = QueuedFrame { frame: frame.to_vec(), queued: monotonic_now() };
-        if queue.try_push(item).is_ok() {
-            TenantCounters::add(&counters.frames_enqueued, 1);
-            let depth = queue.len() as u64;
-            TenantCounters::set(&counters.queue_depth, depth);
-            TenantCounters::raise(&counters.queue_depth_peak, depth);
-        } else {
-            TenantCounters::add(&counters.frames_dropped_backpressure, 1);
+    /// A listener's own batcher over these queues.
+    fn batcher(&self) -> Batcher<'_> {
+        Batcher {
+            adm: self,
+            pending: self.queues.iter().map(|_| FrameBatch::default()).collect(),
+            filling: Vec::new(),
         }
     }
 }
 
-/// UDP listener loop: one datagram, one envelope, one admission.
+/// One listener's side of admission: the batch it is filling for each
+/// tenant. Frames are [offered](Self::offer) as they are parsed and
+/// [flushed](Self::flush) once per socket read.
+struct Batcher<'a> {
+    adm: &'a Admission<'a>,
+    pending: Vec<FrameBatch>,
+    /// Tenants whose pending batch holds a frame, so a flush costs what
+    /// the read touched, not one look at every hosted tenant.
+    filling: Vec<usize>,
+}
+
+impl Batcher<'_> {
+    /// Routes one enveloped frame: a tenant's frame joins that tenant's
+    /// pending batch, a control message takes effect on the spot.
+    fn offer(&mut self, tenant: u8, frame: &[u8]) {
+        let metrics = &self.adm.control.metrics;
+        if tenant == CONTROL_TENANT {
+            // What arrived ahead of a control message is admitted ahead
+            // of it: a drain wakes paused workers, and they must find the
+            // queues as full as the frames before it made them.
+            self.flush();
+            if wire::is_drain_control(tenant, frame) {
+                TenantCounters::add(&metrics.control_messages, 1);
+                self.adm.control.draining.store(true, Ordering::SeqCst);
+            } else {
+                TenantCounters::add(&metrics.envelope_errors, 1);
+            }
+            return;
+        }
+        let idx = usize::from(tenant);
+        match self.pending.get_mut(idx) {
+            Some(batch) => {
+                if batch.is_empty() {
+                    self.filling.push(idx);
+                }
+                batch.push(frame);
+            }
+            None => TenantCounters::add(&metrics.unknown_tenant, 1),
+        }
+    }
+
+    /// Hands every pending batch to its tenant's queue: one clock read,
+    /// one lock and one wake-up per batch. Never blocks: a full queue
+    /// sheds the frames that do not fit and counts the drop.
+    fn flush(&mut self) {
+        let metrics = &self.adm.control.metrics;
+        for idx in self.filling.drain(..) {
+            let (Some(batch), Some(queue), Some(counters)) =
+                (self.pending.get_mut(idx), self.adm.queues.get(idx), metrics.tenant(idx))
+            else {
+                continue;
+            };
+            let admitted = queue.push_frames(batch, monotonic_now());
+            TenantCounters::add(&metrics.admission_batches, 1);
+            let (enqueued, shed) = (admitted.enqueued as u64, admitted.shed as u64);
+            TenantCounters::add(&counters.frames_offered, enqueued + shed);
+            TenantCounters::add(&counters.frames_enqueued, enqueued);
+            TenantCounters::add(&counters.frames_dropped_backpressure, shed);
+            TenantCounters::set(&counters.queue_depth, admitted.depth as u64);
+            TenantCounters::raise(&counters.queue_depth_peak, admitted.depth as u64);
+        }
+    }
+}
+
+/// UDP listener loop: one datagram, one envelope, one admission — a batch
+/// of one through the same path as TCP's.
 fn run_udp_listener(socket: &UdpSocket, adm: &Admission<'_>, tick: Duration) {
     if socket.set_read_timeout(Some(tick)).is_err() {
         TenantCounters::add(&adm.control.metrics.io_errors, 1);
         return;
     }
+    let mut batcher = adm.batcher();
     let mut buf = vec![0u8; 65536];
     while !adm.draining() {
         match socket.recv_from(&mut buf) {
             Ok((len, _peer)) => {
                 TenantCounters::add(&adm.control.metrics.udp_datagrams, 1);
                 match wire::decode_datagram(&buf[..len]) {
-                    Some((tenant, frame)) => adm.admit(tenant, frame),
+                    Some((tenant, frame)) => {
+                        batcher.offer(tenant, frame);
+                        batcher.flush();
+                    }
                     None => TenantCounters::add(&adm.control.metrics.envelope_errors, 1),
                 }
             }
@@ -564,89 +635,155 @@ fn run_udp_listener(socket: &UdpSocket, adm: &Admission<'_>, tick: Duration) {
     }
 }
 
+/// Reads one connection may make per turn of the sweep. Four reads move
+/// up to 256 KiB — more than a default loopback receive queue holds, so a
+/// well-behaved peer is emptied in one turn — while a peer that never
+/// runs dry holds up its neighbours and the drain check for a fraction of
+/// a millisecond, not for as long as it likes.
+const READS_PER_TURN: usize = 4;
+
+/// The shortest idle nap. About the kernel's default timer slack: asking
+/// for less does not wake the listener sooner, it only polls harder.
+const NAP_FLOOR: Duration = Duration::from_micros(50);
+
+/// An idle nap lasts this fraction of the quiet so far, so bytes that
+/// end a pause wait at most an eighth of the pause's length again (a
+/// doubling ladder's worst case is the whole pause), and a socket that
+/// has been quiet for eight ticks is back to one poll per tick.
+const NAP_QUIET_DIVISOR: u32 = 8;
+
+/// How long to sleep after a sweep that moved nothing, `quiet` after the
+/// last one that did: the wait tracks how recently the peers last had
+/// something to say, so it needs no configuring — `tick` stays the
+/// ceiling, for an idle daemon.
+fn idle_nap(quiet: Duration, tick: Duration) -> Duration {
+    (quiet / NAP_QUIET_DIVISOR).max(NAP_FLOOR).min(tick)
+}
+
+/// How a connection's turn ended.
+struct Turn {
+    /// Bytes arrived.
+    moved: bool,
+    /// The connection stays open.
+    keep: bool,
+}
+
+/// One connection's turn of the sweep: up to `max_reads` reads, each
+/// followed by admitting — in order, as one batch per tenant — every
+/// message it completed. The turn ends early when the source has nothing
+/// more (`WouldBlock`), and for good on end of stream, a read error or a
+/// length prefix over the bound; a partial message lost that way is
+/// counted. A partial message otherwise stays in `reader` for the next
+/// turn.
+fn connection_turn(
+    src: &mut impl Read,
+    reader: &mut MessageReader,
+    batcher: &mut Batcher<'_>,
+    max_reads: usize,
+) -> Turn {
+    let metrics = &batcher.adm.control.metrics;
+    let mut turn = Turn { moved: false, keep: true };
+    for _ in 0..max_reads {
+        match reader.read_from(src) {
+            Ok(0) => turn.keep = false,
+            Ok(_) => {
+                turn.moved = true;
+                let mut messages = 0;
+                loop {
+                    match reader.next_message() {
+                        Ok(Some((tenant, frame))) => {
+                            messages += 1;
+                            batcher.offer(tenant, frame);
+                        }
+                        Ok(None) => break,
+                        Err(_oversized) => {
+                            TenantCounters::add(&metrics.envelope_errors, 1);
+                            turn.keep = false;
+                            break;
+                        }
+                    }
+                }
+                TenantCounters::add(&metrics.tcp_messages, messages);
+                batcher.flush();
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(_) => {
+                TenantCounters::add(&metrics.io_errors, 1);
+                turn.keep = false;
+            }
+        }
+        if !turn.keep {
+            if reader.buffered() > 0 {
+                TenantCounters::add(&metrics.tcp_truncated_streams, 1);
+            }
+            break;
+        }
+    }
+    turn
+}
+
 /// TCP listener loop: non-blocking accept plus a round-robin read sweep
-/// over the open connections, reassembling length-prefixed messages.
+/// over the open connections, a bounded [turn](connection_turn) each.
+/// After a sweep that moved nothing the listener [naps](idle_nap) — never
+/// for longer than an eighth of the time the sockets have been quiet.
 ///
 /// The drain flag is sampled at the top of each sweep and honoured at
-/// the bottom, so the sweep that *parses* a drain message still finishes
-/// processing every connection's already-received bytes, and one final
-/// full sweep runs after the flag is seen — messages sent before the
-/// drain on any connection are admitted before the listener exits.
+/// the bottom, and from the moment it is set turns are no longer
+/// bounded: the sweep that *parses* a drain message still finishes every
+/// later connection's already-received bytes, and one final full sweep
+/// runs every connection dry after the flag is seen — messages sent
+/// before the drain on any connection are admitted before the listener
+/// exits.
 fn run_tcp_listener(listener: &TcpListener, adm: &Admission<'_>, tick: Duration) {
+    let metrics = &adm.control.metrics;
+    let mut batcher = adm.batcher();
     let mut conns: Vec<(TcpStream, MessageReader)> = Vec::new();
-    let mut buf = vec![0u8; 65536];
+    let mut last_moved = monotonic_now();
     loop {
         let draining = adm.draining();
-        let mut progressed = false;
+        let mut moved = false;
         loop {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     if stream.set_nonblocking(true).is_err() {
-                        TenantCounters::add(&adm.control.metrics.io_errors, 1);
+                        TenantCounters::add(&metrics.io_errors, 1);
                         continue;
                     }
-                    TenantCounters::add(&adm.control.metrics.tcp_connections, 1);
+                    TenantCounters::add(&metrics.tcp_connections, 1);
                     conns.push((stream, MessageReader::new()));
-                    progressed = true;
+                    moved = true;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(_) => {
-                    TenantCounters::add(&adm.control.metrics.io_errors, 1);
+                    TenantCounters::add(&metrics.io_errors, 1);
                     break;
                 }
             }
         }
         let mut i = 0;
-        while i < conns.len() {
-            let mut drop_conn = false;
-            while let Some((stream, reader)) = conns.get_mut(i) {
-                match stream.read(&mut buf) {
-                    Ok(0) => {
-                        drop_conn = true;
-                        break;
-                    }
-                    Ok(nread) => {
-                        progressed = true;
-                        reader.extend(&buf[..nread]);
-                        loop {
-                            match reader.next_message() {
-                                Ok(Some((tenant, frame))) => {
-                                    TenantCounters::add(&adm.control.metrics.tcp_messages, 1);
-                                    adm.admit(tenant, &frame);
-                                }
-                                Ok(None) => break,
-                                Err(_oversized) => {
-                                    TenantCounters::add(&adm.control.metrics.envelope_errors, 1);
-                                    drop_conn = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if drop_conn {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        TenantCounters::add(&adm.control.metrics.io_errors, 1);
-                        drop_conn = true;
-                        break;
-                    }
-                }
-            }
-            if drop_conn {
-                conns.swap_remove(i);
-            } else {
+        while let Some((stream, reader)) = conns.get_mut(i) {
+            let max_reads = if adm.draining() { usize::MAX } else { READS_PER_TURN };
+            let turn = connection_turn(stream, reader, &mut batcher, max_reads);
+            moved |= turn.moved;
+            if turn.keep {
                 i += 1;
+            } else {
+                conns.swap_remove(i);
             }
         }
         if draining {
             break;
         }
-        if !progressed {
-            std::thread::sleep(tick);
+        if moved {
+            last_moved = monotonic_now();
+        } else {
+            TenantCounters::add(&metrics.tcp_idle_polls, 1);
+            std::thread::sleep(idle_nap(last_moved.elapsed(), tick));
         }
     }
+    // Whatever partial message a still-open connection holds dies here.
+    let cut_short = conns.iter().filter(|(_, reader)| reader.buffered() > 0).count();
+    TenantCounters::add(&metrics.tcp_truncated_streams, cut_short as u64);
 }
 
 /// Metrics endpoint loop: a hand-rolled HTTP/1.0 responder for
@@ -741,10 +878,29 @@ struct Supervisor<'a> {
     spec: TenantSpec,
     store: Option<CheckpointStore>,
     policy: RestartPolicy,
-    queue: Arc<BoundedQueue<QueuedFrame>>,
+    queue: Arc<BoundedQueue<FrameBatch>>,
     control: &'a Control,
     sources: &'a AtomicUsize,
     tick: Duration,
+}
+
+/// The batch a tenant's worker is working through. The supervisor owns
+/// it, outside the unwind boundary, so a contained panic costs the frame
+/// that was being ingested — as it did when frames were popped one at a
+/// time — and the successor carries on with the rest of the batch.
+#[derive(Debug, Default)]
+struct InHand {
+    batch: FrameBatch,
+    /// Index of the next frame to ingest; moved on *before* the frame is.
+    next: usize,
+}
+
+impl InHand {
+    fn next_frame(&mut self) -> Option<&[u8]> {
+        let frame = self.batch.frame(self.next)?;
+        self.next += 1;
+        Some(frame)
+    }
 }
 
 impl Supervisor<'_> {
@@ -753,11 +909,19 @@ impl Supervisor<'_> {
         let name = self.spec.config.name.clone();
         let mut consecutive: u32 = 0;
         let mut attempt: u64 = 0;
+        let mut hand = InHand::default();
         loop {
             let bins_before = TenantCounters::get(&counters.bins_closed);
             // lint:allow(no-panic-in-ingest) -- the audited supervision boundary: this is the one place worker unwinds are caught, classified, and turned into restart/quarantine policy
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run_tenant_worker(pipeline, &self.queue, self.control, self.sources, self.tick)
+                run_tenant_worker(
+                    pipeline,
+                    &self.queue,
+                    &mut hand,
+                    self.control,
+                    self.sources,
+                    self.tick,
+                )
             }));
             let payload = match result {
                 Ok(end) => return end,
@@ -852,17 +1016,27 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Tenant worker loop: dequeue, stamp latency, ingest; on queue closure
-/// (or an idle drain with no listeners left) flush and report.
+/// Tenant worker loop: dequeue a batch, stamp its latency, ingest its
+/// frames, hand the emptied batch back; on queue closure (or an idle
+/// drain with no listeners left) flush and report. Starts with whatever a
+/// panicked predecessor left in `hand`.
 fn run_tenant_worker(
     mut pipeline: TenantPipeline,
-    queue: &BoundedQueue<QueuedFrame>,
+    queue: &BoundedQueue<FrameBatch>,
+    hand: &mut InHand,
     control: &Control,
     sources: &AtomicUsize,
     tick: Duration,
 ) -> TenantEnd {
     let counters = pipeline.counters();
     loop {
+        while let Some(frame) = hand.next_frame() {
+            pipeline.ingest_frame(frame);
+        }
+        if !hand.batch.is_empty() {
+            let spent = std::mem::take(hand);
+            TenantCounters::set(&counters.queue_depth, queue.recycle(spent.batch) as u64);
+        }
         // A pause holds the worker (admission keeps filling the queue);
         // a drain overrides it so shutdown always completes.
         if control.paused.load(Ordering::SeqCst) && !control.draining.load(Ordering::SeqCst) {
@@ -870,11 +1044,12 @@ fn run_tenant_worker(
             continue;
         }
         match queue.pop_timeout(tick) {
-            Pop::Item(item) => {
-                let nanos = u64::try_from(item.queued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                control.metrics.enqueue_latency.record(nanos);
-                pipeline.ingest_frame(&item.frame);
-                TenantCounters::set(&counters.queue_depth, queue.len() as u64);
+            Pop::Item(batch) => {
+                if let Some(queued) = batch.queued_at() {
+                    let waited = elapsed_nanos(queued);
+                    control.metrics.enqueue_latency.record_n(waited, batch.len() as u64);
+                }
+                *hand = InHand { batch, next: 0 };
             }
             Pop::Empty => {
                 // With no listeners configured nobody closes the queues;
@@ -889,6 +1064,9 @@ fn run_tenant_worker(
             Pop::Closed => break,
         }
     }
+    // Nobody pushes any more, so unlike the gauge's earlier values —
+    // admission and this worker both store it — this one is exact.
+    TenantCounters::set(&counters.queue_depth, queue.len() as u64);
     let name = pipeline.name().to_owned();
     match pipeline.flush() {
         Ok(flush) => TenantEnd::Flushed(Box::new(flush)),
@@ -911,6 +1089,167 @@ mod tests {
             ingress,
             routes,
         }
+    }
+
+    /// What `run` builds around [`Admission`], for one tenant and no
+    /// sockets.
+    fn admission_fixture(capacity: usize) -> (Control, Vec<Arc<BoundedQueue<FrameBatch>>>) {
+        let control = Control {
+            draining: AtomicBool::new(false),
+            paused: AtomicBool::new(false),
+            metrics: ServeMetrics::new(&["t0".to_owned()]),
+        };
+        (control, vec![Arc::new(BoundedQueue::new(capacity))])
+    }
+
+    /// Message `k` of the test streams: a 100-byte frame that names itself.
+    fn numbered_message(k: u32) -> Vec<u8> {
+        let mut frame = vec![k as u8; 100];
+        frame[..4].copy_from_slice(&k.to_be_bytes());
+        wire::encode_message(0, &frame)
+    }
+
+    /// The numbers of the frames queued, in pop order.
+    fn drain_numbers(queue: &BoundedQueue<FrameBatch>) -> Vec<u32> {
+        let mut got = Vec::new();
+        while let Pop::Item(batch) = queue.pop_timeout(Duration::ZERO) {
+            for i in 0..batch.len() {
+                let f = batch.frame(i).unwrap();
+                assert_eq!(f.len(), 100);
+                got.push(u32::from_be_bytes([f[0], f[1], f[2], f[3]]));
+            }
+        }
+        got
+    }
+
+    /// A peer that always has more: 1000 bytes of the endless numbered
+    /// stream per read, never `WouldBlock`.
+    struct Firehose {
+        sent: usize,
+        reads: usize,
+    }
+
+    impl Read for Firehose {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(1000);
+            for slot in &mut buf[..n] {
+                let message = numbered_message((self.sent / 105) as u32);
+                *slot = message[self.sent % 105];
+                self.sent += 1;
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_turn_ends_after_its_reads_with_the_partial_tail_kept() {
+        let (control, queues) = admission_fixture(1024);
+        let adm = Admission { control: &control, queues: &queues };
+        let mut batcher = adm.batcher();
+        let mut reader = MessageReader::new();
+        let mut peer = Firehose { sent: 0, reads: 0 };
+
+        let turn = connection_turn(&mut peer, &mut reader, &mut batcher, READS_PER_TURN);
+        assert!(turn.moved && turn.keep);
+        assert_eq!(peer.reads, READS_PER_TURN, "the turn ends though the peer never ran dry");
+        // 4000 bytes are 38 whole 105-byte messages and 10 bytes of the 39th.
+        assert_eq!(drain_numbers(&queues[0]), (0..38).collect::<Vec<u32>>());
+        assert_eq!(reader.buffered(), 10);
+        let get = TenantCounters::get;
+        assert_eq!(get(&control.metrics.tcp_messages), 38);
+        assert_eq!(get(&control.metrics.admission_batches), READS_PER_TURN as u64);
+
+        // The next turn picks the stream up mid-message.
+        let turn = connection_turn(&mut peer, &mut reader, &mut batcher, READS_PER_TURN);
+        assert!(turn.moved && turn.keep);
+        assert_eq!(peer.reads, 2 * READS_PER_TURN);
+        assert_eq!(drain_numbers(&queues[0]), (38..76).collect::<Vec<u32>>());
+        assert_eq!(reader.buffered(), 20);
+        assert_eq!(get(&control.metrics.tcp_truncated_streams), 0);
+    }
+
+    /// A peer that plays back a script; past its end the stream is over.
+    struct Scripted(std::collections::VecDeque<std::io::Result<Vec<u8>>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let bytes = self.0.pop_front().unwrap_or(Ok(Vec::new()))?;
+            buf[..bytes.len()].copy_from_slice(&bytes);
+            Ok(bytes.len())
+        }
+    }
+
+    #[test]
+    fn nothing_is_lost_across_turns_and_a_cut_stream_is_counted() {
+        let (control, queues) = admission_fixture(1024);
+        let adm = Admission { control: &control, queues: &queues };
+        let mut batcher = adm.batcher();
+        let mut reader = MessageReader::new();
+        let stream: Vec<u8> = (0..5).flat_map(numbered_message).collect();
+        let would_block = || Err(std::io::Error::from(ErrorKind::WouldBlock));
+        let mut peer = Scripted(
+            [
+                Ok(stream[..250].to_vec()), // two messages and 40 bytes
+                would_block(),
+                Ok(stream[250..].to_vec()),
+                would_block(),
+                Ok(numbered_message(5)[..50].to_vec()), // half a message, then the end
+            ]
+            .into(),
+        );
+        let get = TenantCounters::get;
+
+        let turn = connection_turn(&mut peer, &mut reader, &mut batcher, READS_PER_TURN);
+        assert!(turn.moved && turn.keep);
+        assert_eq!((queues[0].len(), reader.buffered()), (2, 40));
+        let turn = connection_turn(&mut peer, &mut reader, &mut batcher, READS_PER_TURN);
+        assert!(turn.moved && turn.keep);
+        assert_eq!(drain_numbers(&queues[0]), vec![0, 1, 2, 3, 4]);
+        assert_eq!(reader.buffered(), 0);
+
+        let turn = connection_turn(&mut peer, &mut reader, &mut batcher, READS_PER_TURN);
+        assert!(turn.moved && !turn.keep, "end of stream closes the connection");
+        assert_eq!(get(&control.metrics.tcp_truncated_streams), 1, "half a message was lost");
+        assert_eq!(get(&control.metrics.tcp_messages), 5);
+        assert_eq!(get(&control.metrics.tenant(0).unwrap().frames_offered), 5);
+        assert!(queues[0].is_empty());
+
+        // A clean end of stream is not a loss.
+        let turn = connection_turn(&mut peer, &mut MessageReader::new(), &mut batcher, 1);
+        assert!(!turn.moved && !turn.keep);
+        assert_eq!(get(&control.metrics.tcp_truncated_streams), 1);
+    }
+
+    #[test]
+    fn a_drain_takes_effect_after_the_frames_ahead_of_it() {
+        let (control, queues) = admission_fixture(1024);
+        let adm = Admission { control: &control, queues: &queues };
+        let mut batcher = adm.batcher();
+        let mut stream: Vec<u8> = (0..3).flat_map(numbered_message).collect();
+        stream.extend(wire::encode_message(CONTROL_TENANT, wire::CONTROL_DRAIN));
+        stream.extend(numbered_message(3));
+        let mut peer = Scripted([Ok(stream)].into());
+        let turn = connection_turn(&mut peer, &mut MessageReader::new(), &mut batcher, 1);
+        assert!(turn.moved && turn.keep);
+        assert!(adm.draining());
+        // One read, two batches: the drain flushed what preceded it.
+        let Pop::Item(ahead) = queues[0].pop_timeout(Duration::ZERO) else { panic!("queued") };
+        assert_eq!(ahead.len(), 3);
+        assert_eq!(drain_numbers(&queues[0]), vec![3]);
+        assert_eq!(TenantCounters::get(&control.metrics.admission_batches), 2);
+    }
+
+    #[test]
+    fn idle_nap_is_an_eighth_of_the_quiet_between_floor_and_tick() {
+        let tick = Duration::from_millis(5);
+        let us = Duration::from_micros;
+        assert_eq!(idle_nap(Duration::ZERO, tick), NAP_FLOOR);
+        assert_eq!(idle_nap(us(399), tick), NAP_FLOOR);
+        assert_eq!(idle_nap(us(4_000), tick), us(500));
+        assert_eq!(idle_nap(us(40_000), tick), tick, "eight ticks of quiet: back to one per tick");
+        assert_eq!(idle_nap(Duration::from_secs(60), tick), tick);
+        assert_eq!(idle_nap(Duration::ZERO, us(10)), us(10), "a tick under the floor still caps");
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use daemon::{
 };
 pub use loadgen::{replay_frames, replay_scenario, LoadGenConfig, LoadReport, Transport};
 pub use metrics::{LatencyHistogram, ServeMetrics, TenantCounters};
-pub use queue::{BoundedQueue, Pop};
+pub use queue::{Admitted, BoundedQueue, FrameBatch, Pop};
 pub use tenant::{TenantConfig, TenantFlush, TenantPipeline};
 pub use wire::{MessageReader, CONTROL_DRAIN, CONTROL_TENANT, MAX_MESSAGE_LEN};
 

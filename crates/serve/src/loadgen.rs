@@ -230,8 +230,8 @@ mod tests {
                         break;
                     }
                     reader.extend(&buf[..n]);
-                    while let Some(m) = reader.next_message().unwrap() {
-                        messages_ref.push(m);
+                    while let Some((tenant, frame)) = reader.next_message().unwrap() {
+                        messages_ref.push((tenant, frame.to_vec()));
                     }
                 }
             });

@@ -21,6 +21,11 @@ pub fn monotonic_now() -> Instant {
     Instant::now()
 }
 
+/// Nanoseconds since `t0`, saturating into `u64`.
+pub(crate) fn elapsed_nanos(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Number of power-of-two latency buckets: bucket `i` counts samples in
 /// `[2^i, 2^(i+1))` nanoseconds, with the last bucket open-ended. 40
 /// buckets reach ~18 minutes, far past any plausible enqueue latency.
@@ -51,12 +56,18 @@ impl LatencyHistogram {
 
     /// Records one sample, in nanoseconds.
     pub fn record(&self, nanos: u64) {
+        self.record_n(nanos, 1);
+    }
+
+    /// Records `n` samples of the same value with one `fetch_add` — the
+    /// frames of a batch share its time in the queue.
+    pub fn record_n(&self, nanos: u64, n: u64) {
         let idx = if nanos == 0 {
             0
         } else {
             ((63 - u64::leading_zeros(nanos) as u64) as usize).min(HISTOGRAM_BUCKETS - 1)
         };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Total samples recorded.
@@ -123,9 +134,11 @@ pub struct TenantCounters {
     pub distinct_keys_live: AtomicU64,
     /// Bytes of distinct-flow table storage behind them (gauge).
     pub distinct_table_bytes: AtomicU64,
-    /// Nanoseconds spent in frame decode.
+    /// Nanoseconds spent admitting frames: bounds and plausibility checks,
+    /// quarantine and exporter-sequence accounting.
     pub decode_nanos: AtomicU64,
-    /// Nanoseconds spent pushing records into the shard.
+    /// Nanoseconds spent decoding records in place and pushing them into
+    /// the shard.
     pub ingest_nanos: AtomicU64,
     /// Nanoseconds spent closing bins through the detector.
     pub detect_nanos: AtomicU64,
@@ -189,6 +202,14 @@ pub struct ServeMetrics {
     /// Envelope-level rejects: empty datagrams, oversized message
     /// declarations (connection dropped).
     pub envelope_errors: AtomicU64,
+    /// TCP streams that ended — peer close, read error, oversize drop or
+    /// listener exit — holding part of a message that is now lost.
+    pub tcp_truncated_streams: AtomicU64,
+    /// TCP listener sweeps that moved nothing (each is followed by a nap).
+    pub tcp_idle_polls: AtomicU64,
+    /// Batches handed to tenant queues; frames per batch is
+    /// `tcp_messages / admission_batches` on a TCP-only daemon.
+    pub admission_batches: AtomicU64,
     /// Frames addressed to a tenant index the daemon does not host.
     pub unknown_tenant: AtomicU64,
     /// Socket read errors absorbed on the hot path.
@@ -233,6 +254,14 @@ impl ServeMetrics {
         let _ = writeln!(out, "odflow_serve_tcp_messages_total {}", g(&self.tcp_messages));
         let _ = writeln!(out, "odflow_serve_tcp_connections_total {}", g(&self.tcp_connections));
         let _ = writeln!(out, "odflow_serve_envelope_errors_total {}", g(&self.envelope_errors));
+        let _ = writeln!(
+            out,
+            "odflow_serve_tcp_truncated_streams_total {}",
+            g(&self.tcp_truncated_streams)
+        );
+        let _ = writeln!(out, "odflow_serve_tcp_idle_polls_total {}", g(&self.tcp_idle_polls));
+        let _ =
+            writeln!(out, "odflow_serve_admission_batches_total {}", g(&self.admission_batches));
         let _ = writeln!(out, "odflow_serve_unknown_tenant_total {}", g(&self.unknown_tenant));
         let _ = writeln!(out, "odflow_serve_io_errors_total {}", g(&self.io_errors));
         let _ = writeln!(out, "odflow_serve_control_messages_total {}", g(&self.control_messages));
@@ -305,6 +334,9 @@ mod tests {
         assert_eq!(h.quantile(1.0), 1 << 21);
         h.record(0); // zero maps to the first bucket, no underflow
         assert_eq!(h.count(), 101);
+        h.record_n(1 << 30, 45); // a batch of frames is 45 samples
+        assert_eq!(h.count(), 146);
+        assert_eq!(h.quantile(1.0), 1 << 31);
     }
 
     #[test]
@@ -324,6 +356,11 @@ mod tests {
         TenantCounters::add(&m.udp_datagrams, 3);
         let page = m.render();
         assert!(page.contains("odflow_serve_udp_datagrams_total 3"));
+        for metric in
+            ["tcp_truncated_streams_total", "tcp_idle_polls_total", "admission_batches_total"]
+        {
+            assert!(page.contains(&format!("odflow_serve_{metric} 0")), "{metric}");
+        }
         assert!(page.contains("odflow_serve_tenant_frames_offered_total{tenant=\"t0\"} 99"));
         assert!(page.contains("odflow_serve_tenant_frames_offered_total{tenant=\"edge\"} 0"));
         assert!(page.contains("odflow_serve_tenant_bin_lag{tenant=\"edge\"} 0"));

@@ -1,11 +1,18 @@
 //! Bounded MPSC queues with drop-and-account backpressure.
 //!
 //! Every inter-stage hand-off in the daemon goes through a
-//! [`BoundedQueue`]: admission (`try_push`) **never blocks and never
-//! grows the queue past its capacity** — an overloaded tenant sheds the
-//! newest frames and the caller counts the drop. Consumption
-//! (`pop_timeout`) blocks with a timeout so workers stay responsive to
-//! drain/pause control without spinning.
+//! [`BoundedQueue`]: admission **never blocks and never grows the queue
+//! past its capacity** — an overloaded tenant sheds the newest frames and
+//! the caller counts the drop. Consumption (`pop_timeout`) blocks with a
+//! timeout so workers stay responsive to drain/pause control without
+//! spinning.
+//!
+//! Capacity is counted in units of work, not in queue entries: an item
+//! pushed with [`BoundedQueue::try_push`] weighs one, a [`FrameBatch`]
+//! pushed with [`BoundedQueue::push_frames`] weighs its frames. The
+//! daemon moves frames by the batch — everything one socket read held for
+//! a tenant costs one lock and one wake-up — while `queue_frames` stays a
+//! bound on frames.
 //!
 //! Built on `std::sync` (`Mutex` + `Condvar`); lock poisoning is
 //! recovered via `PoisonError::into_inner`, so no code path here can
@@ -13,7 +20,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Result of a [`BoundedQueue::pop_timeout`].
 #[derive(Debug, PartialEq, Eq)]
@@ -28,7 +35,12 @@ pub enum Pop<T> {
 
 #[derive(Debug)]
 struct State<T> {
-    items: VecDeque<T>,
+    /// Queued items, each with the units of capacity it holds.
+    items: VecDeque<(T, usize)>,
+    /// Units held by `items`; never above the queue's capacity.
+    load: usize,
+    /// Spent items on their way back to the producer.
+    spares: Vec<T>,
     closed: bool,
 }
 
@@ -42,14 +54,18 @@ pub struct BoundedQueue<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items (clamped to ≥ 1).
+    /// A queue holding at most `capacity` units (clamped to ≥ 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         BoundedQueue {
-            state: Mutex::new(State { items: VecDeque::with_capacity(capacity), closed: false }),
+            state: Mutex::new(State {
+                items: VecDeque::new(),
+                load: 0,
+                spares: Vec::new(),
+                closed: false,
+            }),
             not_empty: Condvar::new(),
-            capacity,
+            capacity: capacity.max(1),
         }
     }
 
@@ -63,20 +79,20 @@ impl<T> BoundedQueue<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Non-blocking enqueue. Returns the item back when the queue is
-    /// full or closed — the caller drops it and increments its
-    /// backpressure counter; nothing in this path waits or allocates
-    /// beyond the ring.
+    /// Non-blocking enqueue of one unit. Returns the item back when the
+    /// queue is full or closed — the caller drops it and increments its
+    /// backpressure counter; nothing in this path waits.
     ///
     /// # Errors
     ///
     /// `Err(item)` when the queue is at capacity or closed.
     pub fn try_push(&self, item: T) -> Result<(), T> {
         let mut s = self.lock();
-        if s.closed || s.items.len() >= self.capacity {
+        if s.closed || s.load >= self.capacity {
             return Err(item);
         }
-        s.items.push_back(item);
+        s.items.push_back((item, 1));
+        s.load += 1;
         drop(s);
         self.not_empty.notify_one();
         Ok(())
@@ -87,27 +103,23 @@ impl<T> BoundedQueue<T> {
     /// accepted items.
     pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
         let mut s = self.lock();
-        if let Some(item) = s.items.pop_front() {
-            return Pop::Item(item);
+        if s.items.is_empty() && !s.closed {
+            s = self.not_empty.wait_timeout(s, timeout).unwrap_or_else(PoisonError::into_inner).0;
         }
-        if s.closed {
-            return Pop::Closed;
+        match s.items.pop_front() {
+            Some((item, units)) => {
+                s.load -= units;
+                Pop::Item(item)
+            }
+            None if s.closed => Pop::Closed,
+            None => Pop::Empty,
         }
-        let (mut s, _) =
-            self.not_empty.wait_timeout(s, timeout).unwrap_or_else(PoisonError::into_inner);
-        if let Some(item) = s.items.pop_front() {
-            return Pop::Item(item);
-        }
-        if s.closed {
-            return Pop::Closed;
-        }
-        Pop::Empty
     }
 
-    /// Current queue depth.
+    /// Units currently queued.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lock().items.len()
+        self.lock().load
     }
 
     /// `true` when nothing is queued.
@@ -121,6 +133,127 @@ impl<T> BoundedQueue<T> {
     pub fn close(&self) {
         self.lock().closed = true;
         self.not_empty.notify_all();
+    }
+}
+
+/// The frames one socket read held for one tenant: their bytes end to
+/// end in one buffer, plus where each frame ends.
+#[derive(Debug, Default)]
+pub struct FrameBatch {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+    /// When admission handed the batch to the queue.
+    queued: Option<Instant>,
+}
+
+impl FrameBatch {
+    /// Appends one frame.
+    pub fn push(&mut self, frame: &[u8]) {
+        self.bytes.extend_from_slice(frame);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Frames held.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when no frame is held.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Frame `idx` in arrival order.
+    #[must_use]
+    pub fn frame(&self, idx: usize) -> Option<&[u8]> {
+        let end = *self.ends.get(idx)?;
+        let start = idx.checked_sub(1).and_then(|prev| self.ends.get(prev)).copied().unwrap_or(0);
+        self.bytes.get(start..end)
+    }
+
+    /// When the batch was queued; `None` until [`BoundedQueue::push_frames`]
+    /// accepts it.
+    #[must_use]
+    pub fn queued_at(&self) -> Option<Instant> {
+        self.queued
+    }
+
+    /// Keeps the first `frames` frames.
+    fn truncate(&mut self, frames: usize) {
+        self.ends.truncate(frames);
+        self.bytes.truncate(self.ends.last().copied().unwrap_or(0));
+    }
+
+    /// Empties the batch; the buffers keep their allocation.
+    fn clear(&mut self) {
+        self.truncate(0);
+        self.queued = None;
+    }
+}
+
+/// What became of one offered batch: `enqueued + shed` is what was
+/// offered, `depth` the frames queued once it was in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Admitted {
+    /// Frames accepted into the queue.
+    pub enqueued: usize,
+    /// Frames refused because the queue was full or closed.
+    pub shed: usize,
+    /// Frames queued right after the push.
+    pub depth: usize,
+}
+
+/// Spent batches the queue keeps for the producer: a read in the filling,
+/// one in the worker's hands and a couple queued is the steady state, so
+/// a handful covers it, and a backlog's worth of buffers is freed by the
+/// producer as soon as the backlog is gone rather than kept for the next.
+const SPARE_BATCHES: usize = 4;
+
+impl BoundedQueue<FrameBatch> {
+    /// Offers every frame of `batch`, stamped `now`, under one lock and
+    /// one wake-up; `batch` comes back empty and ready to fill again — a
+    /// recycled buffer when the consumer has returned one. Never blocks:
+    /// a batch that does not fit is accepted up to the remaining capacity
+    /// in arrival order and the rest shed, a closed queue sheds it whole.
+    pub fn push_frames(&self, batch: &mut FrameBatch, now: Instant) -> Admitted {
+        let offered = batch.len();
+        let mut s = self.lock();
+        let room = if s.closed { 0 } else { self.capacity - s.load };
+        let enqueued = offered.min(room);
+        if enqueued > 0 {
+            batch.truncate(enqueued);
+            batch.queued = Some(now);
+            let next = s.spares.pop().unwrap_or_default();
+            s.items.push_back((std::mem::replace(batch, next), enqueued));
+            s.load += enqueued;
+        }
+        let surplus = if s.spares.len() > SPARE_BATCHES {
+            s.spares.split_off(SPARE_BATCHES)
+        } else {
+            Vec::new()
+        };
+        let depth = s.load;
+        drop(s);
+        if enqueued > 0 {
+            self.not_empty.notify_one();
+        } else {
+            batch.clear();
+        }
+        // Freed here, outside the lock, on the thread that allocated them.
+        drop(surplus);
+        Admitted { enqueued, shed: offered - enqueued, depth }
+    }
+
+    /// Hands a consumed batch back for [`Self::push_frames`] to refill,
+    /// so the steady state allocates nothing and the consumer frees
+    /// nothing it did not allocate. Returns the frames still queued.
+    pub fn recycle(&self, mut spent: FrameBatch) -> usize {
+        spent.clear();
+        let mut s = self.lock();
+        s.spares.push(spent);
+        s.load
     }
 }
 
@@ -164,6 +297,85 @@ mod tests {
         assert_eq!(q.capacity(), 1);
         assert!(q.try_push(7).is_ok());
         assert_eq!(q.try_push(8), Err(8));
+    }
+
+    fn batch_of(frames: std::ops::Range<u8>) -> FrameBatch {
+        let mut batch = FrameBatch::default();
+        for f in frames {
+            // Frame `f` is `f % 3` bytes of `f`: empty frames included.
+            batch.push(&vec![f; usize::from(f % 3)]);
+        }
+        batch
+    }
+
+    fn frames_of(batch: &FrameBatch) -> Vec<Vec<u8>> {
+        (0..batch.len()).map(|i| batch.frame(i).unwrap().to_vec()).collect()
+    }
+
+    #[test]
+    fn oversize_batch_is_cut_at_capacity_in_order() {
+        let q = BoundedQueue::new(5);
+        let now = crate::metrics::monotonic_now();
+        let mut batch = batch_of(0..3);
+        assert_eq!(q.push_frames(&mut batch, now), Admitted { enqueued: 3, shed: 0, depth: 3 });
+        assert!(batch.is_empty(), "the caller gets an empty batch back to fill");
+        // Seven more into a room of two: the first two go in, five are shed.
+        let mut batch = batch_of(3..10);
+        assert_eq!(q.push_frames(&mut batch, now), Admitted { enqueued: 2, shed: 5, depth: 5 });
+        assert_eq!(q.len(), 5, "depth never above capacity");
+        // Full: shed whole, and the batch still comes back empty.
+        let mut batch = batch_of(10..12);
+        assert_eq!(q.push_frames(&mut batch, now), Admitted { enqueued: 0, shed: 2, depth: 5 });
+        assert!(batch.is_empty());
+        // The generic push sees the same load.
+        assert!(q.try_push(batch_of(0..1)).is_err());
+
+        let Pop::Item(first) = q.pop_timeout(Duration::ZERO) else { panic!("a batch is queued") };
+        assert_eq!(frames_of(&first), frames_of(&batch_of(0..3)));
+        assert_eq!(first.queued_at(), Some(now));
+        assert_eq!(q.len(), 2);
+        let Pop::Item(second) = q.pop_timeout(Duration::ZERO) else { panic!("a batch is queued") };
+        assert_eq!(frames_of(&second), frames_of(&batch_of(3..5)), "cut in arrival order");
+        assert!(matches!(q.pop_timeout(Duration::ZERO), Pop::Empty));
+        assert!(first.frame(3).is_none());
+    }
+
+    #[test]
+    fn closed_queue_refuses_a_batch_whole() {
+        let q = BoundedQueue::new(8);
+        let now = crate::metrics::monotonic_now();
+        assert_eq!(q.push_frames(&mut batch_of(0..2), now).enqueued, 2);
+        q.close();
+        let mut late = batch_of(2..5);
+        assert_eq!(q.push_frames(&mut late, now), Admitted { enqueued: 0, shed: 3, depth: 2 });
+        assert!(late.is_empty());
+        assert!(matches!(q.pop_timeout(Duration::ZERO), Pop::Item(b) if b.len() == 2));
+        assert!(matches!(q.pop_timeout(Duration::ZERO), Pop::Closed));
+    }
+
+    #[test]
+    fn recycled_batches_come_back_empty_with_their_allocation() {
+        let q = BoundedQueue::new(64);
+        let now = crate::metrics::monotonic_now();
+        let mut filling = FrameBatch::default();
+        filling.push(&[7u8; 4096]);
+        q.push_frames(&mut filling, now);
+        assert_eq!(filling.bytes.capacity(), 0, "no spare yet: a fresh batch");
+        let Pop::Item(spent) = q.pop_timeout(Duration::ZERO) else { panic!("a batch is queued") };
+        let (buffer, room) = (spent.bytes.as_ptr(), spent.bytes.capacity());
+        assert_eq!(q.recycle(spent), 0, "recycle reports the frames still queued");
+        // The next push swaps the spare in: same buffer, emptied.
+        filling.push(&[1, 2, 3]);
+        q.push_frames(&mut filling, now);
+        assert!(filling.is_empty() && filling.queued_at().is_none());
+        assert_eq!((filling.bytes.as_ptr(), filling.bytes.capacity()), (buffer, room));
+        // A backlog's worth of returned buffers is trimmed to a handful
+        // by the pushing side.
+        for _ in 0..3 * SPARE_BATCHES {
+            q.recycle(batch_of(0..2));
+        }
+        q.push_frames(&mut batch_of(0..1), now);
+        assert_eq!(q.lock().spares.len(), SPARE_BATCHES);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::checkpoint::{
     self, BinSegment, ChainWriter, CheckpointStore, CrashPoint, CrashSchedule, DetectorPart,
     Generation, PipelineState,
 };
-use crate::metrics::{monotonic_now, TenantCounters};
+use crate::metrics::{elapsed_nanos, monotonic_now, TenantCounters};
 use crate::ServeError;
 use odflow_flow::{
     BinShard, BinStatus, DataQuality, ExporterSeqStats, IngestOutcome, PipelineConfig,
@@ -319,6 +319,7 @@ impl TenantPipeline {
         // An exact retransmit: counted by the sequence tracker, not binned.
         let Some(records) = fresh else { return };
 
+        // The records decode as they are pushed, straight from `frame`.
         let t1 = monotonic_now();
         TenantCounters::add(&self.counters.records_decoded, records.len() as u64);
         for record in records {
@@ -570,11 +571,6 @@ fn window_moved(det: &OnlineDetector, prev: Option<DetectorMark>) -> Option<Dete
         dropped: prev.window_rows.checked_sub(kept)?,
         gained: Cow::Borrowed(&det.window()[kept..]),
     })
-}
-
-/// Nanoseconds since `t0`, saturating into `u64`.
-fn elapsed_nanos(t0: std::time::Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

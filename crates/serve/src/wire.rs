@@ -82,15 +82,31 @@ impl std::fmt::Display for OversizedMessage {
     }
 }
 
+/// Bytes [`MessageReader::read_from`] asks its source for at a time: a
+/// loopback or LAN socket hands over its whole receive queue in a few
+/// reads of this size, and at ~45 full frames apiece a read is what one
+/// admission batch amortizes its lock and wake-up over.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Incremental parser for the length-prefixed TCP stream. Feed it bytes
-/// as they arrive; it yields complete `(tenant, frame)` messages.
+/// as they arrive; it lends out complete `(tenant, frame)` messages from
+/// its own buffer.
+///
+/// Received bytes are written once, at the end of the buffer, and never
+/// moved while messages are being taken: a cursor walks over them, and
+/// whatever partial message is left is moved to the front once, when the
+/// next bytes arrive.
 ///
 /// Buffering is bounded by construction: an incomplete message holds at
 /// most [`MESSAGE_PREFIX_LEN`]` + `[`MAX_MESSAGE_LEN`] bytes, because a
 /// larger declared length errors before any payload is buffered.
 #[derive(Debug, Default)]
 pub struct MessageReader {
+    /// `buf[head..tail]` is received and not yet taken; `buf[tail..]` is
+    /// initialized spare room, so a read needs no zeroing first.
     buf: Vec<u8>,
+    head: usize,
+    tail: usize,
 }
 
 impl MessageReader {
@@ -100,42 +116,69 @@ impl MessageReader {
         MessageReader::default()
     }
 
+    /// Moves the untaken bytes to the front and makes sure `room` more
+    /// fit behind them — the one compaction per arrival.
+    fn make_room(&mut self, room: usize) {
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        if self.buf.len() < self.tail + room {
+            self.buf.resize(self.tail + room, 0);
+        }
+    }
+
     /// Appends bytes read off the socket.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.make_room(bytes.len());
+        self.buf[self.tail..self.tail + bytes.len()].copy_from_slice(bytes);
+        self.tail += bytes.len();
+    }
+
+    /// Reads once from `src` straight into the buffer; returns what the
+    /// read returned (`Ok(0)` is the source's end of stream).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `src.read` fails with, `WouldBlock` included.
+    pub fn read_from(&mut self, src: &mut impl std::io::Read) -> std::io::Result<usize> {
+        self.make_room(READ_CHUNK);
+        let nread = src.read(&mut self.buf[self.tail..])?;
+        self.tail += nread;
+        Ok(nread)
     }
 
     /// Bytes buffered toward the next message.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.tail - self.head
     }
 
-    /// The next complete `(tenant, frame)` message, `Ok(None)` while the
-    /// buffer holds only a partial message.
+    /// The next complete `(tenant, frame)` message, borrowed until the
+    /// next call; `Ok(None)` while the buffer holds only a partial
+    /// message.
     ///
     /// # Errors
     ///
     /// [`OversizedMessage`] when the length prefix declares more than
     /// [`MAX_MESSAGE_LEN`] bytes; the caller must drop the connection
     /// (and count it) — the stream can no longer be re-synchronized.
-    pub fn next_message(&mut self) -> Result<Option<(u8, Vec<u8>)>, OversizedMessage> {
-        if self.buf.len() < MESSAGE_PREFIX_LEN {
+    pub fn next_message(&mut self) -> Result<Option<(u8, &[u8])>, OversizedMessage> {
+        let pending = &self.buf[self.head..self.tail];
+        let Some(&[tenant, l0, l1, l2, l3]) = pending.first_chunk() else {
             return Ok(None);
-        }
-        let tenant = self.buf[0];
-        let declared =
-            u32::from_be_bytes([self.buf[1], self.buf[2], self.buf[3], self.buf[4]]) as usize;
+        };
+        let declared = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
         if declared > MAX_MESSAGE_LEN {
             return Err(OversizedMessage { declared });
         }
         let total = MESSAGE_PREFIX_LEN + declared;
-        if self.buf.len() < total {
+        if pending.len() < total {
             return Ok(None);
         }
-        let frame = self.buf[MESSAGE_PREFIX_LEN..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some((tenant, frame)))
+        self.head += total;
+        Ok(Some((tenant, &pending[MESSAGE_PREFIX_LEN..total])))
     }
 }
 
@@ -169,8 +212,8 @@ mod tests {
         let mut got = Vec::new();
         for &b in &stream {
             r.extend(&[b]);
-            while let Some(m) = r.next_message().unwrap() {
-                got.push(m);
+            while let Some((tenant, frame)) = r.next_message().unwrap() {
+                got.push((tenant, frame.to_vec()));
             }
         }
         assert_eq!(got, vec![(0u8, vec![1, 2, 3]), (1u8, vec![9; 100])]);
@@ -212,7 +255,7 @@ mod tests {
         r.extend(&encode_message(0, &frame));
         let (_, tcp_frame) = r.next_message().unwrap().unwrap();
         let mut q_tcp = QuarantineStats::default();
-        assert!(odflow_flow::netflow::decode_datagram_lossy(&tcp_frame, &mut q_tcp).is_none());
+        assert!(odflow_flow::netflow::decode_datagram_lossy(tcp_frame, &mut q_tcp).is_none());
 
         assert_eq!(q_udp.truncated_frame, 1);
         assert_eq!(q_tcp.truncated_frame, 1);

@@ -238,7 +238,7 @@ fn read_chunked(
         from = to;
         loop {
             match reader.next_message() {
-                Ok(Some(message)) => got.push(message),
+                Ok(Some((tenant, frame))) => got.push((tenant, frame.to_vec())),
                 Ok(None) => break,
                 Err(e) => return (got, Some(e), held),
             }

@@ -269,3 +269,59 @@ fn stalled_metrics_client_is_reaped_not_serviced() {
     });
     pool.shutdown();
 }
+
+/// A peer that hangs up mid-message loses bytes no frame counter can
+/// see; the daemon counts the cut stream on its own line, offers nothing
+/// of it to the tenant, and serves the next connection as if nothing had
+/// happened.
+#[test]
+fn stream_cut_mid_message_is_counted_and_the_next_connection_is_served() {
+    let scenario = Scenario::paper_window(7, 6).unwrap();
+    let daemon = Daemon::bind(ServeConfig {
+        tcp_bind: Some("127.0.0.1:0".to_owned()),
+        tenants: vec![abilene_spec(6, &scenario)],
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = daemon.tcp_addr().unwrap();
+    let handle = daemon.handle();
+    let mut slot: Option<DaemonReport> = None;
+    let mut sent = 0u64;
+    let pool = scoped_pool::Pool::new(1);
+    pool.scoped(|scope| {
+        let slot_ref = &mut slot;
+        scope.execute(move || {
+            *slot_ref = Some(daemon.run());
+        });
+        let frames = scenario.generator().faulted_frames(None).0;
+        let message = odflow_serve::wire::encode_message(0, &frames[0]);
+        let mut cut = std::net::TcpStream::connect(addr).unwrap();
+        cut.write_all(&message[..message.len() / 2]).unwrap();
+        drop(cut);
+        let truncated = "odflow_serve_tcp_truncated_streams_total 1";
+        let mut waited_ms = 0;
+        while !handle.metrics_text().contains(truncated) {
+            assert!(waited_ms < 10_000, "the cut stream was never counted");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            waited_ms += 1;
+        }
+        let counters = handle.tenant_counters(0).unwrap();
+        let offered = || counters.frames_offered.load(std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(offered(), 0, "half a message is no frame");
+
+        let report = replay_scenario(&scenario, addr, &LoadGenConfig::new(Transport::Tcp)).unwrap();
+        sent = report.frames_sent;
+    });
+    pool.shutdown();
+    let counters = handle.tenant_counters(0).unwrap();
+    assert_eq!(counters.frames_offered.load(std::sync::atomic::Ordering::SeqCst), sent);
+    let TenantEnd::Flushed(flush) = &slot.unwrap().tenants[0] else {
+        panic!("the tenant must flush");
+    };
+    assert_eq!(flush.outcome.quality.quarantine.frames_accepted, sent);
+    let page = handle.metrics_text();
+    assert!(page.contains("odflow_serve_tcp_truncated_streams_total 1"), "{page}");
+    assert!(page.contains("odflow_serve_tcp_connections_total 2"));
+    assert!(page.contains(&format!("odflow_serve_tcp_messages_total {}", sent + 1)));
+    assert!(page.contains(&format!("odflow_serve_enqueue_latency_samples_total {sent}")));
+}

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Stage 3: NetFlow v5 wire round-trip. ---
     let datagrams = netflow::encode_datagrams(&records, 0, 0, 100, 0);
-    let wire_bytes: usize = datagrams.iter().map(bytes::Bytes::len).sum();
+    let wire_bytes: usize = datagrams.iter().map(Vec::len).sum();
     let mut decoded = Vec::new();
     for d in &datagrams {
         decoded.extend(netflow::decode_datagram(d)?.1);
