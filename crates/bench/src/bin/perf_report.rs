@@ -39,7 +39,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use odflow::flow::PipelineConfig;
+use odflow::flow::{PipelineConfig, ShardedIngest};
 use odflow::gen::{Scenario, ScenarioConfig};
 use odflow::linalg::{
     eigen_symmetric, eigen_symmetric_auto, eigen_symmetric_tridiagonal, scatter, EigenMethod,
@@ -136,7 +136,12 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-fn write_json(path: &str, quick: bool, stages: &[StageResult]) -> std::io::Result<()> {
+fn write_json(
+    path: &str,
+    quick: bool,
+    ingest_shard_bins: Option<usize>,
+    stages: &[StageResult],
+) -> std::io::Result<()> {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"odflow-perf-report/v1\",\n");
@@ -147,12 +152,17 @@ fn write_json(path: &str, quick: bool, stages: &[StageResult]) -> std::io::Resul
     // part of every parallel column, so baselines must be comparable on it.
     out.push_str(&format!("  \"pool\": \"{}\",\n", json_escape(odflow_par::POOL_KIND)));
     // Self-describing multi-core CI artifacts: the raw env override (if
-    // any), the ingest shard grain, and this run's high-water memory mark.
+    // any), the shard grain the `ingest` stage's engine chose for its
+    // window (null when the stage did not run), and this run's high-water
+    // memory mark.
     match std::env::var(odflow_par::THREADS_ENV) {
         Ok(v) => out.push_str(&format!("  \"odflow_threads_env\": \"{}\",\n", json_escape(&v))),
         Err(_) => out.push_str("  \"odflow_threads_env\": null,\n"),
     }
-    out.push_str(&format!("  \"ingest_shard_bins\": {},\n", odflow::flow::DEFAULT_SHARD_BINS));
+    match ingest_shard_bins {
+        Some(bins) => out.push_str(&format!("  \"ingest_shard_bins\": {bins},\n")),
+        None => out.push_str("  \"ingest_shard_bins\": null,\n"),
+    }
     out.push_str(&format!("  \"peak_rss_kb\": {},\n", peak_rss_kb()));
     out.push_str("  \"stages\": [\n");
     for (i, s) in stages.iter().enumerate() {
@@ -210,6 +220,7 @@ fn main() {
     );
 
     let mut stages = Vec::new();
+    let mut ingest_shard_bins = None;
 
     // Region dispatch overhead of the fan-out substrate itself: empty-body
     // regions, so all that is measured is chunk bookkeeping plus (in the
@@ -321,8 +332,11 @@ fn main() {
         let routes = scenario.plan.build_route_table(1.0).unwrap();
         let ingress = IngressResolver::synthetic(&scenario.topology);
         let pipe_cfg = PipelineConfig::abilene(0, num_bins);
-        let shards = num_bins.div_ceil(odflow::flow::DEFAULT_SHARD_BINS);
-        let label = format!("{num_bins} bins p=121 ({shards} shards)",);
+        let engine =
+            ShardedIngest::new(pipe_cfg, &scenario.topology, ingress.clone(), routes.clone())
+                .unwrap();
+        ingest_shard_bins = Some(engine.shard_bins());
+        let label = format!("{num_bins} bins p=121 ({} shards)", engine.num_shards());
         stages.push(run_stage("ingest", label, reps.min(2), || {
             generator
                 .bin_scenario(pipe_cfg, ingress.clone(), routes.clone())
@@ -346,9 +360,11 @@ fn main() {
         let ingress = IngressResolver::synthetic(&scenario.topology);
         let mut pipe_cfg = PipelineConfig::abilene(0, num_bins);
         pipe_cfg.bin_secs = scenario.config.bin_secs;
-        let shards = num_bins.div_ceil(odflow::flow::DEFAULT_SHARD_BINS);
         if filter.enabled("large_mesh_pipeline") {
-            let label = format!("{num_bins} bins p=90000 ({shards} shards)");
+            let engine =
+                ShardedIngest::new(pipe_cfg, &scenario.topology, ingress.clone(), routes.clone())
+                    .unwrap();
+            let label = format!("{num_bins} bins p=90000 ({} shards)", engine.num_shards());
             stages.push(run_stage("large_mesh_pipeline", label, 1, || {
                 generator
                     .bin_scenario(pipe_cfg, ingress.clone(), routes.clone())
@@ -544,7 +560,7 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    match write_json(&out_path, quick, &stages) {
+    match write_json(&out_path, quick, ingest_shard_bins, &stages) {
         Ok(()) => println!("wrote {out_path}"),
         Err(e) => {
             eprintln!("failed to write {out_path}: {e}");

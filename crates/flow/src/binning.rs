@@ -20,7 +20,7 @@
 //!   cell sums and refuses further records.
 //! * A binner that is never finished (the daemon's full-window shard, which
 //!   must dedup a late record into a long-closed bin) keeps its tables
-//!   until it is merged or dropped.
+//!   until it is flushed or dropped.
 //!
 //! A table's slot order depends on the process-random hash keys, and it
 //! stops at the table's edge: [`DistinctFlows::insert`] answers new or
@@ -36,6 +36,7 @@ use crate::shard::ShardState;
 use odflow_linalg::Matrix;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::DerefMut;
 
 /// The exact set of distinct `(OD pair, 5-tuple)` pairs one bin has seen:
 /// an open-addressed, linear-probed table of 20-byte slots at a load of at
@@ -197,15 +198,21 @@ impl<S: BuildHasher> DistinctFlows<S> {
 /// The observation window `[start_secs, start_secs + num_bins * bin_secs)`
 /// is fixed at construction; records outside it are rejected so silent
 /// misalignment cannot corrupt a matrix.
+///
+/// `S` is where the three row-major cell vectors live: a binner owns them
+/// (`Vec<f64>`, the default — the serial pipeline, a daemon tenant), or
+/// accumulates into row ranges lent by the sharded engine
+/// (`&mut [f64]`), which is how a window's cells are written exactly once.
+/// [`Self::push`] is the same code either way.
 #[derive(Debug)]
-pub struct OdBinner {
+pub struct OdBinner<S = Vec<f64>> {
     start_secs: u64,
     bin_secs: u64,
     num_bins: usize,
     num_od: usize,
-    bytes: Vec<f64>,
-    packets: Vec<f64>,
-    flows: Vec<f64>,
+    bytes: S,
+    packets: S,
+    flows: S,
     /// The distinct `(OD, 5-tuple)` pairs behind `flows`, one table per
     /// bin; no tables at all once [`Self::finish`] has run. Exact, not a
     /// sketch.
@@ -226,30 +233,61 @@ impl OdBinner {
     /// [`FlowError::InvalidBinWidth`] if `bin_secs == 0`, and
     /// [`FlowError::NoData`] if the window or OD space is empty.
     pub fn new(start_secs: u64, bin_secs: u64, num_bins: usize, num_od: usize) -> Result<Self> {
-        if bin_secs == 0 {
-            return Err(FlowError::InvalidBinWidth { width_secs: 0 });
-        }
-        if num_bins == 0 || num_od == 0 {
-            return Err(FlowError::NoData);
-        }
-        let cells = num_bins * num_od;
-        Ok(OdBinner {
-            start_secs,
-            bin_secs,
-            num_bins,
-            num_od,
-            bytes: vec![0.0; cells],
-            packets: vec![0.0; cells],
-            flows: vec![0.0; cells],
-            distinct: vec![DistinctFlows::new(); num_bins],
-            bin_records: vec![0; num_bins],
-            records_accepted: 0,
-        })
+        let cells = || vec![0.0; num_bins * num_od];
+        Self::over(start_secs, bin_secs, num_od, cells(), cells(), cells())
     }
 
     /// Convenience constructor with the paper's 5-minute bins.
     pub fn with_default_bins(start_secs: u64, num_bins: usize, num_od: usize) -> Result<Self> {
         Self::new(start_secs, BIN_SECS, num_bins, num_od)
+    }
+}
+
+impl<S: DerefMut<Target = [f64]>> OdBinner<S> {
+    /// A binner over caller-provided, zeroed cell storage: three row-major
+    /// `bin x od` vectors of one length, which fixes the number of bins.
+    ///
+    /// # Errors
+    ///
+    /// As for [`OdBinner::new`]; [`FlowError::Codec`] when the three
+    /// vectors are not the same whole number of `num_od`-wide rows.
+    pub(crate) fn over(
+        start_secs: u64,
+        bin_secs: u64,
+        num_od: usize,
+        bytes: S,
+        packets: S,
+        flows: S,
+    ) -> Result<Self> {
+        if bin_secs == 0 {
+            return Err(FlowError::InvalidBinWidth { width_secs: 0 });
+        }
+        if bytes.is_empty() || num_od == 0 {
+            return Err(FlowError::NoData);
+        }
+        let num_bins = bytes.len() / num_od;
+        if [bytes.len(), packets.len(), flows.len()] != [num_bins * num_od; 3] {
+            return Err(FlowError::Codec {
+                reason: format!(
+                    "cell storage of {}/{}/{} values is not whole rows of {num_od}",
+                    bytes.len(),
+                    packets.len(),
+                    flows.len()
+                ),
+            });
+        }
+        Ok(OdBinner {
+            start_secs,
+            bin_secs,
+            num_bins,
+            num_od,
+            bytes,
+            packets,
+            flows,
+            distinct: vec![DistinctFlows::new(); num_bins],
+            bin_records: vec![0; num_bins],
+            records_accepted: 0,
+        })
     }
 
     /// The bin index covering timestamp `ts`.
@@ -356,15 +394,26 @@ impl OdBinner {
         self.distinct.iter().map(DistinctFlows::table_bytes).sum()
     }
 
-    /// Consumes the binner into its raw `(bytes, packets, flows,
-    /// bin_records)` cell vectors (row-major `bin x od`; per-bin record
-    /// counts), without the non-empty check of [`Self::finalize`] — the
-    /// sharded merge concatenates shard rows and applies the emptiness
-    /// check to the whole window instead.
-    pub(crate) fn into_cells(self) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u64>) {
-        (self.bytes, self.packets, self.flows, self.bin_records)
+    /// Writes zero over every cell, in address order. Only for a binner no
+    /// record has reached: the cells are zero already, so nothing changes
+    /// but which thread first touches their pages, and in what order.
+    pub(crate) fn zero_cells(&mut self) {
+        debug_assert_eq!(self.records_accepted, 0);
+        for cells in [&mut self.bytes, &mut self.packets, &mut self.flows] {
+            cells.fill(0.0);
+        }
     }
 
+    /// Consumes the binner into its `(bytes, packets, flows, bin_records)`
+    /// (row-major `bin x od` cells; per-bin record counts), without the
+    /// non-empty check of [`OdBinner::finalize`] — the sharded engine
+    /// applies that check to the whole window instead.
+    pub(crate) fn into_cells(self) -> (S, S, S, Vec<u64>) {
+        (self.bytes, self.packets, self.flows, self.bin_records)
+    }
+}
+
+impl OdBinner {
     /// The sorted distinct 5-tuples of each cell of `bin` — all empty for
     /// a finished binner.
     fn bin_keys(&self, bin: usize) -> Vec<Vec<FlowKey>> {

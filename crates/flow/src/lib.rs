@@ -17,10 +17,11 @@
 //!    **#bytes, #packets, #IP-flows** ([`TrafficMatrixSet`]).
 //!
 //! The resolve→bin backend exists once, as [`BinShard`]:
-//! [`ShardedIngest`] fills one shard per bin range across threads and
-//! merges them (bit-identical for any thread count), and
-//! [`MeasurementPipeline`] is the per-packet front end over a single
-//! full-window shard. Wire-format input enters through one admission step,
+//! [`ShardedIngest`] fills one shard per bin range across threads, each
+//! writing its own rows of the window's matrices in place (bit-identical
+//! for any thread count), and [`MeasurementPipeline`] is the per-packet
+//! front end over a single full-window shard. Wire-format input enters
+//! through one admission step,
 //! [`DataQuality::admit_frame`] (lossy decode into the quarantine
 //! counters, then exporter sequence tracking), whatever the driver.
 //! [`AttributeDigest`] summarizes the raw flows behind a detection for the

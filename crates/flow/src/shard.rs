@@ -5,32 +5,51 @@
 //! the engine's shared, immutable routing tables, its own [`OdBinner`] over
 //! the sub-window, and its own out-of-window drop counter. Shards share no
 //! mutable state, so record batches bin across threads with no locks. Every
-//! ingest path is a driver over it: the batch engine ([`ShardedIngest`])
-//! fills one shard per bin range, while
+//! ingest path is a driver over it: the batch engine
+//! ([`ShardedIngest::fill_shards`]) fills one shard per bin range, while
 //! [`MeasurementPipeline`](crate::MeasurementPipeline) and the daemon's
 //! per-tenant pipeline each hold a single shard spanning the window.
 //!
-//! A shard whose bin range has been rendered is [finished](BinShard::finish)
-//! by the task that filled it: its distinct-flow tables are freed there, and
-//! what travels to [`ShardedIngest::merge`] is cell sums and counters only.
+//! ## The window is written once
+//!
+//! The batch engine allocates the window's three row-major cell vectors
+//! and lends every shard the row range of its bins; a shard accumulates
+//! straight into those rows, and when the last shard is done the vectors
+//! *are* the traffic matrices — nothing is concatenated or copied. The
+//! task that fills a shard also [finishes](BinShard::finish) it, which
+//! frees its distinct-flow tables, so the 5-tuples of a window are never
+//! resident together. A streaming consumer's single full-window shard owns
+//! its cells instead, and [`ShardedIngest::merge`] moves them out.
+//!
+//! Before a shard task scatters records into its rows it writes zero over
+//! them in address order. The values do not change; what changes is how
+//! the pages are first touched: on the reference VM a page faulted in by a
+//! random `+=` from a pool worker costs ≈ 14 µs against ≈ 1.6 µs when the
+//! same worker sweeps the range sequentially, and at 90 000 OD pairs the
+//! window is 12 700 pages.
 //!
 //! ## Determinism
 //!
-//! The merged result is **bit-identical to the serial pipeline for any
-//! thread count and any shard grain**, by construction rather than by
-//! tolerance:
+//! The result is **bit-identical to the serial pipeline for any thread
+//! count and any shard grain**, by construction rather than by tolerance:
 //!
 //! * Every record of bin `b` lands in the one shard owning `b`, in the same
 //!   relative order as the serial stream, so each `(bin, od)` cell
 //!   accumulates its `f64` sums in exactly the serial order.
-//! * Merging concatenates shard rows — contiguous bin ranges in ascending
-//!   order — without touching cell values. No floating-point reassociation
-//!   ever happens across shards.
+//! * A shard's rows are the window's rows: a cell is written by one shard
+//!   only, and no floating-point value is ever combined across shards.
 //! * All cross-shard accounting ([`ResolutionStats`], dropped-record
 //!   counters) is integral, and integer sums are order-independent.
 //!
-//! The shard *grain* (bins per shard) is fixed by the engine, never derived
-//! from the thread count; oversubscribed pools simply leave shards queued.
+//! ## The grain
+//!
+//! Bins per shard is `min(`[`DEFAULT_SHARD_BINS`]`, ceil(num_bins / 8))` — a
+//! function of the window alone, **never of the thread count**: the pool's
+//! contract is that chunk boundaries depend on the input only, and an
+//! oversubscribed pool simply leaves shards queued. The cap amortizes
+//! per-shard setup over a long window; aiming for eight shards keeps a
+//! short one (the 24-bin large-mesh window is 8 × 3 bins) from collapsing
+//! into one or two uneven shards that leave a worker idle.
 
 use crate::binning::{BinState, OdBinner};
 use crate::error::{FlowError, Result};
@@ -41,12 +60,18 @@ use crate::pipeline::PipelineConfig;
 use crate::quality::{BinStatus, DataQuality, RepairPolicy};
 use crate::record::FlowRecord;
 use odflow_linalg::Matrix;
-use std::ops::Range;
+use std::ops::{DerefMut, Range};
 
-/// Default number of analysis bins per shard: small enough that a paper
-/// week (2016 bins) splits into ~126 shards for load balance across
+/// Most analysis bins a shard holds unless overridden: small enough that a
+/// paper week (2016 bins) splits into 126 shards for load balance across
 /// heterogeneous (diurnal) bins, large enough to amortize per-shard setup.
 pub const DEFAULT_SHARD_BINS: usize = 16;
+
+/// Shards a window too short for [`DEFAULT_SHARD_BINS`]-bin shards is cut
+/// into instead, to within the rounding of whole bins (five to eight of
+/// them; one per bin once it is shorter than this): a few per worker on
+/// the pools this runs on, so unequal bins even out.
+const SHORT_WINDOW_SHARDS: usize = 8;
 
 /// One independent slice of the ingest backend: resolves and bins records
 /// whose timestamps fall into its contiguous bin range.
@@ -55,12 +80,15 @@ pub const DEFAULT_SHARD_BINS: usize = 16;
 /// backend — [`crate::MeasurementPipeline`] is implemented as that
 /// degenerate single-shard case, which is what makes the sharded and serial
 /// paths equivalent by construction.
+///
+/// `S` is the cell storage of its [`OdBinner`]: owned by default, or row
+/// ranges of the window's vectors lent by [`ShardedIngest::fill_shards`].
 #[derive(Debug)]
-pub struct BinShard {
+pub struct BinShard<S = Vec<f64>> {
     /// Global index of the first bin this shard owns.
     first_bin: usize,
     resolver: OdResolver,
-    binner: OdBinner,
+    binner: OdBinner<S>,
     anonymize: bool,
     /// Global observation window (trace-epoch seconds, end exclusive) —
     /// records outside it are *dropped and counted*, records inside it but
@@ -69,7 +97,7 @@ pub struct BinShard {
     dropped_out_of_window: u64,
 }
 
-impl BinShard {
+impl<S: DerefMut<Target = [f64]>> BinShard<S> {
     /// Offers one pre-sampled flow record.
     ///
     /// Mirrors the serial pipeline's record path exactly: anonymize (when
@@ -140,12 +168,12 @@ impl BinShard {
 
     /// Declares this shard's bin range filled and frees its distinct-flow
     /// tables, which no later step reads: the flow counts are already in
-    /// the cells. Every task that fills a shard for [`ShardedIngest::merge`]
-    /// ends with this, so the 5-tuples of a window are never resident
-    /// together; `merge` applies it to whatever arrives unfinished.
-    /// Idempotent.
+    /// the cells. [`ShardedIngest::fill_shards`] ends every shard task with
+    /// this, so the 5-tuples of a window are never resident together;
+    /// [`ShardedIngest::merge`] applies it to a shard that arrives
+    /// unfinished. Idempotent.
     #[must_use]
-    pub fn finish(mut self) -> BinShard {
+    pub fn finish(mut self) -> Self {
         self.binner.finish();
         self
     }
@@ -161,11 +189,11 @@ impl BinShard {
     pub fn distinct_table_bytes(&self) -> usize {
         self.binner.distinct_table_bytes()
     }
+}
 
+impl BinShard {
     /// Finalizes a *full-window* shard into the traffic matrices — the
-    /// serial pipeline's endgame. Multi-shard engines use
-    /// [`ShardedIngest::merge`] instead, which concatenates without
-    /// per-shard emptiness checks.
+    /// serial pipeline's endgame.
     ///
     /// # Errors
     ///
@@ -292,7 +320,7 @@ impl ShardState {
     }
 }
 
-/// Everything merged out of a sharded ingest run.
+/// Everything a sharded ingest run produces for its window.
 #[derive(Debug)]
 pub struct IngestOutcome {
     /// The three OD traffic matrices over the full window.
@@ -362,15 +390,15 @@ impl IngestOutcome {
     }
 }
 
-/// Factory and merge point for a deterministic set of [`BinShard`]s
-/// covering one observation window.
+/// The sharded ingest engine over one observation window: it owns the
+/// window's geometry and routing state, never traffic.
 ///
-/// The engine itself holds no traffic state: callers mint shards with
-/// [`Self::make_shard`], fill them on any threads they like (the fused
-/// generate→bin path in `odflow-gen` renders each shard's bins straight
-/// into it), and hand them back to [`Self::merge`]. For pre-materialized
-/// record batches, [`Self::ingest_records`] does the partition → parallel
-/// fill → merge dance in one call.
+/// [`Self::fill_shards`] is the batch driver — it allocates the window's
+/// cells once, lends each shard its row range and runs the caller's fill
+/// on the [`odflow_par`] pool; the fused generate→bin path in `odflow-gen`
+/// and [`Self::ingest_records`] are both that call. A streaming consumer
+/// instead [mints](Self::make_shard) one owned shard spanning the window,
+/// feeds it for as long as it likes, and hands it to [`Self::merge`].
 #[derive(Debug, Clone)]
 pub struct ShardedIngest {
     start_secs: u64,
@@ -413,17 +441,22 @@ impl ShardedIngest {
             num_od: topology.num_od_pairs(),
             anonymize: config.anonymize,
             resolver: OdResolver::new(topology, ingress, routes, config.anonymize),
-            shard_bins: DEFAULT_SHARD_BINS,
+            shard_bins: DEFAULT_SHARD_BINS.min(config.num_bins.div_ceil(SHORT_WINDOW_SHARDS)),
         })
     }
 
     /// Overrides the shard grain (bins per shard, clamped to at least 1).
-    /// The grain affects load balance only — merged results are identical
-    /// for every grain.
+    /// The grain affects load balance only — results are identical for
+    /// every grain.
     #[must_use]
     pub fn with_shard_bins(mut self, shard_bins: usize) -> Self {
         self.shard_bins = shard_bins.max(1);
         self
+    }
+
+    /// Bins per shard (the last shard may hold fewer).
+    pub fn shard_bins(&self) -> usize {
+        self.shard_bins
     }
 
     /// Number of shards the window splits into.
@@ -452,7 +485,8 @@ impl ShardedIngest {
         self.num_od
     }
 
-    /// Mints an empty shard over a contiguous sub-range of global bins.
+    /// Mints an empty shard, owning its cells, over a contiguous sub-range
+    /// of global bins.
     ///
     /// # Errors
     ///
@@ -461,14 +495,29 @@ impl ShardedIngest {
         if bins.is_empty() || bins.end > self.num_bins {
             return Err(FlowError::NoData);
         }
-        let binner = OdBinner::new(
-            self.start_secs + bins.start as u64 * self.bin_secs,
+        let cells = || vec![0.0; bins.len() * self.num_od];
+        self.shard_over(bins.start, cells(), cells(), cells())
+    }
+
+    /// A shard starting at global bin `first_bin`, as many bins long as the
+    /// (zeroed) cell storage has rows.
+    fn shard_over<S: DerefMut<Target = [f64]>>(
+        &self,
+        first_bin: usize,
+        bytes: S,
+        packets: S,
+        flows: S,
+    ) -> Result<BinShard<S>> {
+        let binner = OdBinner::over(
+            self.start_secs + first_bin as u64 * self.bin_secs,
             self.bin_secs,
-            bins.len(),
             self.num_od,
+            bytes,
+            packets,
+            flows,
         )?;
         Ok(BinShard {
-            first_bin: bins.start,
+            first_bin,
             resolver: self.resolver.clone(),
             binner,
             anonymize: self.anonymize,
@@ -488,61 +537,101 @@ impl ShardedIngest {
         bin.min(self.num_bins - 1) / self.shard_bins
     }
 
-    /// Merges filled shards back into the full-window result.
+    /// The batch driver: allocates the window's three cell vectors, lends
+    /// every shard its own row range of them, runs `fill(i, shard)` for
+    /// each shard `i` across the persistent [`odflow_par`] pool, and wraps
+    /// the filled vectors — never copied — into the outcome.
     ///
-    /// `shards` must be exactly the engine's shards in ascending bin order
-    /// (the natural result of filling `(0..num_shards()).map(shard_range)`);
-    /// rows concatenate, statistics and drop counters sum.
+    /// `fill` must push into shard `i` exactly the records of
+    /// [`shard_range(i)`](Self::shard_range), in stream order (plus, into
+    /// an edge shard, whatever lies beyond that edge of the window, to be
+    /// counted as drops). It runs as a single-threaded task body, which is
+    /// what the pool's no-nesting contract asks for; each shard is
+    /// [finished](BinShard::finish) as soon as its `fill` returns.
     ///
     /// # Errors
     ///
-    /// * [`FlowError::ShardGap`] if the shard set does not tile the
-    ///   window contiguously.
-    /// * [`FlowError::NoData`] if no shard accepted any record (matching
-    ///   the serial pipeline's finalize).
-    pub fn merge(&self, mut shards: Vec<BinShard>) -> Result<IngestOutcome> {
-        let mut next_bin = 0usize;
-        for s in &shards {
-            if s.bins().start != next_bin {
-                return Err(FlowError::ShardGap {
-                    expected_bin: next_bin,
-                    got_bin: s.bins().start,
-                });
-            }
-            next_bin = s.bins().end;
+    /// The first failing shard's error, in shard order, with no outcome;
+    /// [`FlowError::NoData`] if no shard accepted any record (matching the
+    /// serial pipeline's finalize).
+    pub fn fill_shards(
+        &self,
+        fill: impl Fn(usize, &mut BinShard<&mut [f64]>) -> Result<()> + Sync,
+    ) -> Result<IngestOutcome> {
+        let cells = self.num_bins * self.num_od;
+        let (mut bytes, mut packets, mut flows) =
+            (vec![0.0; cells], vec![0.0; cells], vec![0.0; cells]);
+        let rows = self.shard_bins * self.num_od;
+        let mut shards = bytes
+            .chunks_mut(rows)
+            .zip(packets.chunks_mut(rows))
+            .zip(flows.chunks_mut(rows))
+            .enumerate()
+            .map(|(i, ((b, p), f))| Ok((self.shard_over(i * self.shard_bins, b, p, f)?, Ok(()))))
+            .collect::<Result<Vec<(BinShard<&mut [f64]>, Result<()>)>>>()?;
+        odflow_par::parallel_chunks(&mut shards, 1, |i, task| {
+            let (shard, status) = &mut task[0];
+            // The vectors come from the allocator as untouched zero pages.
+            // Writing the shard's rows in address order first makes this
+            // task fault them in sequentially (≈ 1.6 µs a page here) rather
+            // than one random `+=` at a time (≈ 14 µs a page).
+            shard.binner.zero_cells();
+            *status = fill(i, shard);
+            shard.binner.finish();
+        });
+
+        let mut tally = ShardTally::default();
+        for (shard, status) in shards {
+            status?;
+            tally.add(shard);
+        }
+        self.outcome(bytes, packets, flows, tally)
+    }
+
+    /// Wraps a streaming consumer's full-window shard into the window's
+    /// result. The shard's cell vectors are moved, not copied.
+    ///
+    /// `shards` must be exactly one shard spanning `0..num_bins()` (a
+    /// window filled shard by shard goes through [`Self::fill_shards`],
+    /// whose shards never own cells).
+    ///
+    /// # Errors
+    ///
+    /// * [`FlowError::ShardGap`] unless `shards` is that one shard.
+    /// * [`FlowError::NoData`] if it accepted no record (matching the
+    ///   serial pipeline's finalize).
+    pub fn merge(&self, shards: Vec<BinShard>) -> Result<IngestOutcome> {
+        let gap = |expected_bin, got_bin| Err(FlowError::ShardGap { expected_bin, got_bin });
+        let mut shards = shards.into_iter();
+        let Some(mut shard) = shards.next() else { return gap(0, self.num_bins) };
+        let bins = shard.bins();
+        if bins.start != 0 {
+            return gap(0, bins.start);
         }
         // Cover must reach the window end; `got_bin` is where it stopped.
-        if next_bin != self.num_bins {
-            return Err(FlowError::ShardGap { expected_bin: self.num_bins, got_bin: next_bin });
+        if bins.end != self.num_bins {
+            return gap(self.num_bins, bins.end);
         }
+        if let Some(extra) = shards.next() {
+            return gap(self.num_bins, extra.bins().start);
+        }
+        shard.binner.finish();
+        let mut tally = ShardTally::default();
+        let (bytes, packets, flows) = tally.add(shard);
+        self.outcome(bytes, packets, flows, tally)
+    }
 
-        // Free the tables of unfinished shards before the window's cell
-        // vectors are allocated beside them.
-        for shard in &mut shards {
-            shard.binner.finish();
-        }
-        let cells = self.num_bins * self.num_od;
-        let mut bytes = Vec::with_capacity(cells);
-        let mut packets = Vec::with_capacity(cells);
-        let mut flows = Vec::with_capacity(cells);
-        let mut bin_records = Vec::with_capacity(self.num_bins);
-        let mut stats = ResolutionStats::default();
-        let mut dropped = 0u64;
-        let mut accepted = 0u64;
-        for shard in shards {
-            stats.merge(&shard.resolver.stats());
-            dropped += shard.dropped_out_of_window;
-            accepted += shard.binner.records_accepted();
-            let (b, p, f, n) = shard.binner.into_cells();
-            bytes.extend_from_slice(&b);
-            packets.extend_from_slice(&p);
-            flows.extend_from_slice(&f);
-            bin_records.extend_from_slice(&n);
-        }
-        if accepted == 0 {
+    /// The window's result over its filled cell vectors.
+    fn outcome(
+        &self,
+        bytes: Vec<f64>,
+        packets: Vec<f64>,
+        flows: Vec<f64>,
+        tally: ShardTally,
+    ) -> Result<IngestOutcome> {
+        if tally.accepted == 0 {
             return Err(FlowError::NoData);
         }
-
         let build = |t: TrafficType, data: Vec<f64>| -> Result<TrafficMatrix> {
             Ok(TrafficMatrix {
                 traffic_type: t,
@@ -553,8 +642,8 @@ impl ShardedIngest {
             })
         };
         let quality = DataQuality {
-            bins: vec![BinStatus::Ok; bin_records.len()],
-            bin_records,
+            bins: vec![BinStatus::Ok; tally.bin_records.len()],
+            bin_records: tally.bin_records,
             ..DataQuality::default()
         };
         Ok(IngestOutcome {
@@ -563,42 +652,30 @@ impl ShardedIngest {
                 packets: build(TrafficType::Packets, packets)?,
                 flows: build(TrafficType::Flows, flows)?,
             },
-            stats,
-            dropped_out_of_window: dropped,
+            stats: tally.stats,
+            dropped_out_of_window: tally.dropped,
             quality,
         })
     }
 
     /// One-shot ingest of a pre-materialized record batch: partitions the
-    /// stream by owning shard (stable, preserving per-bin record order),
-    /// fills every shard across the persistent [`odflow_par`] pool, and
-    /// merges. Shard fills are single-threaded task bodies — the record
-    /// push loop opens no inner region — which is exactly what the pool's
-    /// no-nesting contract asks of task bodies.
+    /// stream by owning shard (stable, preserving per-bin record order) and
+    /// [fills the shards](Self::fill_shards) from their partitions.
     ///
     /// Bit-identical to pushing the same records through the serial
     /// pipeline, for any `ODFLOW_THREADS`.
     ///
     /// # Errors
     ///
-    /// As for [`BinShard::push_sampled_record`] and [`Self::merge`].
+    /// As for [`BinShard::push_sampled_record`] and [`Self::fill_shards`].
     pub fn ingest_records(&self, records: &[FlowRecord]) -> Result<IngestOutcome> {
-        let num_shards = self.num_shards();
-        let mut partitions: Vec<Vec<&FlowRecord>> = vec![Vec::new(); num_shards];
+        let mut partitions: Vec<Vec<&FlowRecord>> = vec![Vec::new(); self.num_shards()];
         for r in records {
             partitions[self.shard_for_ts(r.window_start)].push(r);
         }
-        let shards = odflow_par::map_chunks(num_shards, 1, |range| {
-            let i = range.start;
-            let mut shard = self.make_shard(self.shard_range(i))?;
-            for &r in &partitions[i] {
-                shard.push_sampled_record(*r)?;
-            }
-            Ok(shard.finish())
+        self.fill_shards(|i, shard| {
+            partitions[i].iter().try_for_each(|&r| shard.push_sampled_record(*r))
         })
-        .into_iter()
-        .collect::<Result<Vec<BinShard>>>()?;
-        self.merge(shards)
     }
 
     /// One-shot ingest of serialized NetFlow v5 export frames — the
@@ -607,8 +684,8 @@ impl ShardedIngest {
     /// Frames pass through [`DataQuality::admit_frame`] **serially, in input
     /// order** (quarantine counters and per-exporter sequence tracking are
     /// order-sensitive, so this stage never parallelizes); surviving
-    /// records then take the same partition → parallel fill → merge path
-    /// as [`Self::ingest_records`]. The returned outcome's quality report
+    /// records then take the same partition → parallel fill path as
+    /// [`Self::ingest_records`]. The returned outcome's quality report
     /// carries the quarantine and exporter-gap accounting alongside the
     /// per-bin record counts. Bit-identical for any `ODFLOW_THREADS`.
     ///
@@ -631,6 +708,29 @@ impl ShardedIngest {
         outcome.quality.quarantine = quality.quarantine;
         outcome.quality.exporters = quality.exporters;
         Ok(outcome)
+    }
+}
+
+/// What the shards of a window counted, summed in shard order (integers
+/// all, so the order is immaterial) with their per-bin record counts
+/// laid end to end.
+#[derive(Default)]
+struct ShardTally {
+    stats: ResolutionStats,
+    dropped: u64,
+    accepted: u64,
+    bin_records: Vec<u64>,
+}
+
+impl ShardTally {
+    /// Counts in the next shard of the window and hands back its cells.
+    fn add<S: DerefMut<Target = [f64]>>(&mut self, shard: BinShard<S>) -> (S, S, S) {
+        self.stats.merge(&shard.resolver.stats());
+        self.dropped += shard.dropped_out_of_window;
+        self.accepted += shard.binner.records_accepted();
+        let (bytes, packets, flows, bin_records) = shard.binner.into_cells();
+        self.bin_records.extend(bin_records);
+        (bytes, packets, flows)
     }
 }
 
@@ -743,7 +843,7 @@ mod tests {
         // serial pipeline must preserve that.
         assert_eq!(serial_sampler, (0, 0));
 
-        let merged = engine.merge(shards).unwrap();
+        let merged = engine.ingest_records(&stream).unwrap();
         assert_eq!(merged.dropped_out_of_window, serial_dropped);
         assert_eq!(merged.stats, serial_stats);
         assert_eq!(merged.matrices.bytes.data.as_slice(), serial_set.bytes.data.as_slice());
@@ -785,18 +885,30 @@ mod tests {
 
     #[test]
     fn merge_rejects_gaps_and_empty_ingest() {
-        let (_, _, engine, _) = setup(12);
-        // Missing middle shard -> gap.
-        let shards = vec![
-            engine.make_shard(engine.shard_range(0)).unwrap(),
-            engine.make_shard(engine.shard_range(2)).unwrap(),
-        ];
-        assert!(engine.merge(shards).is_err());
-        // Complete but empty cover -> NoData, as in the serial pipeline.
-        let empty: Vec<BinShard> = (0..engine.num_shards())
-            .map(|i| engine.make_shard(engine.shard_range(i)).unwrap())
-            .collect();
-        assert!(matches!(engine.merge(empty), Err(FlowError::NoData)));
+        let (_, plan, engine, _) = setup(12);
+        let gap = |expected_bin, got_bin| Err(FlowError::ShardGap { expected_bin, got_bin });
+        // Merging the shards that start at `starts[i]` and run to the next
+        // start (the last to `end`).
+        let merge = |starts: &[usize], end: usize| {
+            let ends = starts.iter().skip(1).chain([&end]);
+            let shards = starts.iter().zip(ends).map(|(&lo, &hi)| engine.make_shard(lo..hi));
+            engine.merge(shards.collect::<Result<_>>().unwrap()).map(|_| ())
+        };
+        assert_eq!(merge(&[], 0), gap(0, 12));
+        assert_eq!(merge(&[4], 12), gap(0, 4));
+        assert_eq!(merge(&[0], 4), gap(12, 4));
+        // A tiling of several owned shards is not a window either: the
+        // batch driver never makes one, and nothing concatenates them.
+        assert_eq!(merge(&[0, 4], 12), gap(12, 4));
+        let twice = vec![engine.make_shard(0..12).unwrap(), engine.make_shard(0..12).unwrap()];
+        assert_eq!(engine.merge(twice).map(|_| ()), gap(12, 0));
+        // The full-window shard, empty -> NoData, as in the serial pipeline
+        // and as the batch driver answers when no shard accepts a record.
+        assert_eq!(merge(&[0], 12), Err(FlowError::NoData));
+        assert!(matches!(engine.fill_shards(|_, _| Ok(())), Err(FlowError::NoData)));
+        let mut shard = engine.make_shard(0..12).unwrap();
+        shard.push_sampled_record(record(&plan, 0, 5, 10, 1)).unwrap();
+        assert_eq!(engine.merge(vec![shard]).unwrap().quality.bin_records[0], 1);
     }
 
     #[test]
@@ -804,31 +916,39 @@ mod tests {
         let num_bins = 9;
         let (_, plan, engine, _) = setup(num_bins);
         let stream = mixed_stream(&plan, num_bins);
-        let fill = |finish: bool| -> Vec<BinShard> {
-            (0..engine.num_shards())
-                .map(|i| {
-                    let mut shard = engine.make_shard(engine.shard_range(i)).unwrap();
-                    for r in stream.iter().filter(|r| engine.shard_for_ts(r.window_start) == i) {
-                        shard.push_sampled_record(*r).unwrap();
-                    }
-                    assert!(shard.distinct_keys_live() > 0);
-                    assert!(shard.distinct_table_bytes() >= shard.distinct_keys_live() * 20);
-                    if finish {
-                        shard = shard.finish();
-                        assert_eq!(
-                            (shard.distinct_keys_live(), shard.distinct_table_bytes()),
-                            (0, 0)
-                        );
-                    }
-                    shard
-                })
-                .collect()
+        let fill = |finish: bool| -> BinShard {
+            let mut shard = engine.make_shard(0..num_bins).unwrap();
+            for r in &stream {
+                shard.push_sampled_record(*r).unwrap();
+            }
+            assert!(shard.distinct_keys_live() > 0);
+            assert!(shard.distinct_table_bytes() >= shard.distinct_keys_live() * 20);
+            if finish {
+                shard = shard.finish();
+                assert_eq!((shard.distinct_keys_live(), shard.distinct_table_bytes()), (0, 0));
+            }
+            shard
         };
         let (kept, finished) =
-            (engine.merge(fill(false)).unwrap(), engine.merge(fill(true)).unwrap());
+            (engine.merge(vec![fill(false)]).unwrap(), engine.merge(vec![fill(true)]).unwrap());
         assert_eq!(kept.matrices.flows.data.as_slice(), finished.matrices.flows.data.as_slice());
         assert_eq!(kept.matrices.bytes.data.as_slice(), finished.matrices.bytes.data.as_slice());
         assert_eq!(kept.stats, finished.stats);
+
+        // The batch driver finishes every shard it lends rows to, and a
+        // shard is handed to `fill` with zeroed rows and nothing counted.
+        let outcome = engine
+            .fill_shards(|i, shard| {
+                assert_eq!(shard.bins(), engine.shard_range(i));
+                assert_eq!((shard.records_accepted(), shard.distinct_keys_live()), (0, 0));
+                stream
+                    .iter()
+                    .filter(|r| engine.shard_for_ts(r.window_start) == i)
+                    .try_for_each(|r| shard.push_sampled_record(*r))
+            })
+            .unwrap();
+        assert_eq!(outcome.matrices.flows.data.as_slice(), kept.matrices.flows.data.as_slice());
+        assert_eq!(outcome.stats, kept.stats);
 
         // Filled means filled: a resolvable in-window record is refused.
         let mut shard = engine.make_shard(0..4).unwrap().finish();

@@ -8,8 +8,8 @@
 //! `crates/linalg` and `crates/subspace`) and for any shard grain.
 
 use odflow_flow::{
-    FlowKey, FlowRecord, MeasurementPipeline, PipelineConfig, Protocol, ResolutionStats,
-    ShardedIngest, TrafficMatrixSet,
+    FlowError, FlowKey, FlowRecord, MeasurementPipeline, PipelineConfig, Protocol, ResolutionStats,
+    ShardedIngest, TrafficMatrixSet, DEFAULT_SHARD_BINS,
 };
 use odflow_net::{AddressPlan, IngressResolver, Topology};
 use odflow_par::with_thread_limit;
@@ -128,6 +128,143 @@ fn sharded_ingest_equivalence_fixed_stream() {
         assert_eq!(outcome.stats, stats, "threads={threads}");
         assert_eq!(outcome.dropped_out_of_window, dropped, "threads={threads}");
         assert_bitwise_equal(&outcome.matrices, &set);
+    }
+}
+
+/// The fixture stream of [`sharded_ingest_equivalence_fixed_stream`],
+/// scaled to a window of `num_bins` bins: resolvable, unresolvable and
+/// transit records, about one in twenty past the window's end.
+fn fixed_stream(plan: &AddressPlan, num_bins: usize, count: u32) -> Vec<FlowRecord> {
+    (0..count)
+        .map(|i| {
+            let spec = RecSpec {
+                src_pop: (i % 11) as usize,
+                dst_pop: ((i / 7) % 11) as usize,
+                flavor: (i % 17 == 0) as u8 + 2 * u8::from(i % 23 == 0),
+                ts_frac: (i % 1000) as f64 / 950.0,
+                salt: i,
+                packets: 1 + (i % 9) as u64,
+                bytes: 40 + (i * 13 % 9000) as u64,
+            };
+            build_record(plan, &spec, num_bins as u64 * 300)
+        })
+        .collect()
+}
+
+#[test]
+fn in_place_engine_matches_serial_pipeline_for_every_window_length() {
+    // Under the engine's own grain rule, window lengths 1..=40 cover
+    // windows shorter than eight bins (one bin per shard), exact tilings
+    // and ragged last shards.
+    let t = Topology::abilene();
+    let plan = AddressPlan::synthetic(&t);
+    let routes = plan.build_route_table(1.0).unwrap();
+    let ingress = IngressResolver::synthetic(&t);
+    let mut grains = Vec::new();
+    for num_bins in 1..=40usize {
+        let cfg = PipelineConfig::abilene(0, num_bins);
+        let records = fixed_stream(&plan, num_bins, 1500);
+        let (set, stats, dropped, _) = run_serial(cfg, &t, &plan, &records);
+        assert!(dropped > 0, "fixture must exercise the out-of-window path");
+        let engine = ShardedIngest::new(cfg, &t, ingress.clone(), routes.clone()).unwrap();
+        assert_eq!(engine.shard_bins(), DEFAULT_SHARD_BINS.min(num_bins.div_ceil(8)));
+        assert_eq!(engine.num_shards(), num_bins.div_ceil(engine.shard_bins()));
+        let shards = engine.num_shards();
+        assert!((num_bins.min(5)..=8).contains(&shards), "bins={num_bins}: {shards} shards");
+        grains.push(engine.shard_bins());
+        for threads in [1usize, 2, 5] {
+            let outcome = with_thread_limit(threads, || engine.ingest_records(&records).unwrap());
+            assert_eq!(outcome.stats, stats, "bins={num_bins} threads={threads}");
+            assert_eq!(outcome.dropped_out_of_window, dropped, "bins={num_bins}");
+            assert_eq!(outcome.quality.bin_records.len(), num_bins);
+            assert_bitwise_equal(&outcome.matrices, &set);
+        }
+    }
+    grains.dedup();
+    assert_eq!(grains, [1, 2, 3, 4, 5], "the rule moved the grain across the sweep");
+}
+
+#[test]
+fn grain_rule_caps_at_the_default_and_yields_to_an_override() {
+    let t = Topology::abilene();
+    let plan = AddressPlan::synthetic(&t);
+    let routes = plan.build_route_table(1.0).unwrap();
+    let ingress = IngressResolver::synthetic(&t);
+    let engine = |num_bins: usize| {
+        let cfg = PipelineConfig::abilene(0, num_bins);
+        ShardedIngest::new(cfg, &t, ingress.clone(), routes.clone()).unwrap()
+    };
+    // The large-mesh window is 8 x 3 bins; a paper week keeps 126 x 16.
+    for (num_bins, grain, shards) in
+        [(24usize, 3usize, 8usize), (127, 16, 8), (128, 16, 8), (129, 16, 9), (2016, 16, 126)]
+    {
+        let e = engine(num_bins);
+        assert_eq!((e.shard_bins(), e.num_shards()), (grain, shards), "bins={num_bins}");
+    }
+    // An explicit grain wins over the rule, and changes no output.
+    let records = fixed_stream(&plan, 24, 1500);
+    let ruled = engine(24).ingest_records(&records).unwrap();
+    for grain in [1usize, 5, 16, 100] {
+        let e = engine(24).with_shard_bins(grain);
+        assert_eq!((e.shard_bins(), e.num_shards()), (grain, 24usize.div_ceil(grain)));
+        let outcome = e.ingest_records(&records).unwrap();
+        assert_eq!(outcome.stats, ruled.stats);
+        assert_bitwise_equal(&outcome.matrices, &ruled.matrices);
+    }
+    assert_eq!(engine(24).with_shard_bins(0).shard_bins(), 1, "clamped to at least one bin");
+}
+
+#[test]
+fn fill_shards_routes_drops_to_the_last_shard_and_surfaces_push_errors() {
+    let t = Topology::abilene();
+    let plan = AddressPlan::synthetic(&t);
+    let routes = plan.build_route_table(1.0).unwrap();
+    let ingress = IngressResolver::synthetic(&t);
+    let num_bins = 11;
+    let cfg = PipelineConfig::abilene(0, num_bins);
+    let engine = ShardedIngest::new(cfg, &t, ingress, routes).unwrap();
+    assert_eq!((engine.shard_bins(), engine.num_shards()), (2, 6));
+    let records = fixed_stream(&plan, num_bins, 1500);
+    let (_, _, dropped, _) = run_serial(cfg, &t, &plan, &records);
+    let owner = |r: &FlowRecord| (r.window_start / 300).min(num_bins as u64 - 1) as usize / 2;
+
+    // What lies past the window's end is offered to the last shard, which
+    // counts it; no other shard drops anything.
+    let outcome = engine
+        .fill_shards(|i, shard| {
+            assert_eq!(shard.bins(), engine.shard_range(i));
+            for r in records.iter().filter(|r| owner(r) == i) {
+                shard.push_sampled_record(*r)?;
+            }
+            let expect = if i + 1 == engine.num_shards() { dropped } else { 0 };
+            assert_eq!(shard.dropped_out_of_window(), expect, "shard {i}");
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(outcome.dropped_out_of_window, dropped);
+
+    // A record of shard 4's bins pushed into shards 1 and 3 is a routing
+    // error in each; the call answers with the first in shard order and
+    // hands out no matrices, though every other shard filled cleanly.
+    let stray = *records.iter().find(|r| owner(r) == 4).unwrap();
+    for threads in [1usize, 2, 5] {
+        let result = with_thread_limit(threads, || {
+            engine.fill_shards(|i, shard| {
+                for r in records.iter().filter(|r| owner(r) == i) {
+                    shard.push_sampled_record(*r)?;
+                }
+                if i == 1 || i == 3 {
+                    shard.push_sampled_record(stray)?;
+                }
+                Ok(())
+            })
+        });
+        let (start, end) = (2 * 300, 4 * 300);
+        assert_eq!(
+            result.err(),
+            Some(FlowError::TimestampOutOfRange { ts: stray.window_start, start, end }),
+            "threads={threads}"
+        );
     }
 }
 

@@ -287,34 +287,20 @@ impl<'a> TraceGenerator<'a> {
     /// The *unperturbed* baseline mean of a cell (gravity x diurnal), before
     /// anomaly modifiers — exposed for ground-truth calibration and tests.
     pub fn base_mean(&self, bin: usize, origin: PopId, destination: PopId) -> f64 {
-        let ts = self.bin_start(bin);
+        self.gravity.od_mean(origin, destination) * self.diurnal_multiplier(bin, origin)
+    }
+
+    /// The seasonal multiplier of every cell of `bin` whose origin is
+    /// `origin`: a function of the bin and the origin's timezone only.
+    fn diurnal_multiplier(&self, bin: usize, origin: PopId) -> f64 {
         let tz = ABILENE_TZ_OFFSET_HOURS[origin % ABILENE_TZ_OFFSET_HOURS.len()];
-        self.gravity.od_mean(origin, destination) * self.scenario.config.diurnal.multiplier(ts, tz)
+        self.scenario.config.diurnal.multiplier(self.bin_start(bin), tz)
     }
 
     /// The effective mean after OUTAGE / INGRESS-SHIFT modifiers.
     pub fn effective_mean(&self, bin: usize, origin: PopId, destination: PopId) -> f64 {
-        self.perturbed_mean(bin, origin, destination, self.scenario.schedule.iter())
-    }
-
-    /// Folds anomaly modifiers over the baseline mean. The one
-    /// implementation behind both [`effective_mean`](Self::effective_mean)
-    /// (full schedule) and the rendering hot path (per-bin active subset —
-    /// bit-identical, since inactive modifiers multiply by exactly 1.0 and
-    /// add exactly 0.0).
-    fn perturbed_mean<'b>(
-        &self,
-        bin: usize,
-        origin: PopId,
-        destination: PopId,
-        anomalies: impl Iterator<Item = &'b InjectedAnomaly>,
-    ) -> f64 {
-        let mut mean = self.base_mean(bin, origin, destination);
-        for a in anomalies {
-            mean *= a.baseline_factor(bin, origin, destination);
-            mean += a.shifted_in_mean(bin, origin, destination, |o, d| self.base_mean(bin, o, d));
-        }
-        mean
+        let base = |o, d| self.base_mean(bin, o, d);
+        perturbed_mean(bin, origin, destination, base, self.scenario.schedule.iter())
     }
 
     /// Renders all sampled flow records of one bin: baseline for every OD
@@ -340,10 +326,17 @@ impl<'a> TraceGenerator<'a> {
         // a bit of the result (see `perturbed_mean`).
         let active: Vec<&InjectedAnomaly> =
             self.scenario.schedule.iter().filter(|a| a.active_in(bin)).collect();
+        // `base_mean` with its diurnal factor — two `rem_euclid` and a
+        // `cos` that depend on (bin, origin) alone — evaluated once per
+        // origin instead of once per cell: the same value in the same
+        // product. An INGRESS-SHIFT reads other origins' baselines, so the
+        // table covers every origin before the first cell is rendered.
+        let diurnal: Vec<f64> = (0..n).map(|o| self.diurnal_multiplier(bin, o)).collect();
+        let base = |o: PopId, d: PopId| self.gravity.od_mean(o, d) * diurnal[o];
         for origin in 0..n {
             for destination in 0..n {
                 let od = origin * n + destination;
-                let mean = self.perturbed_mean(bin, origin, destination, active.iter().copied());
+                let mean = perturbed_mean(bin, origin, destination, base, active.iter().copied());
                 let mut rng = cell_rng(cfg.seed, bin as u64, od as u64, Stream::Baseline);
                 synthesize_cell_into(
                     &cfg.baseline,
@@ -415,18 +408,19 @@ impl<'a> TraceGenerator<'a> {
     }
 
     /// The fused generate→bin path: renders every bin of the scenario
-    /// **directly into** a sharded ingest engine and merges, producing the
-    /// OD traffic matrices without ever materializing a record batch.
+    /// **directly into** the shards of a sharded ingest engine
+    /// ([`ShardedIngest::fill_shards`](odflow_flow::ShardedIngest::fill_shards)),
+    /// producing the OD traffic matrices without ever materializing a
+    /// record batch or a second copy of a cell.
     ///
     /// Each [`BinShard`](odflow_flow::BinShard) owns a contiguous bin
     /// range; the pool renders shard ranges concurrently, and since a
-    /// bin's records never leave its shard, the merged result is
-    /// bit-identical to pushing [`records_for_bin`](Self::records_for_bin)
-    /// output through the serial [`odflow_flow::MeasurementPipeline`] —
-    /// for any `ODFLOW_THREADS`. A task
-    /// [finishes](odflow_flow::BinShard::finish) its shard once the range
-    /// is rendered, so the distinct 5-tuples resident at any moment are
-    /// those of the shards being filled, not the window's.
+    /// bin's records never leave its shard, the result is bit-identical to
+    /// pushing [`records_for_bin`](Self::records_for_bin) output through
+    /// the serial [`odflow_flow::MeasurementPipeline`] — for any
+    /// `ODFLOW_THREADS`. A shard is finished once its range is rendered,
+    /// so the distinct 5-tuples resident at any moment are those of the
+    /// shards being filled, not the window's.
     ///
     /// `config` must share the scenario's bin grid (same `start_secs` and
     /// `bin_secs` — bin-range shard routing relies on scenario bin `b`
@@ -439,7 +433,7 @@ impl<'a> TraceGenerator<'a> {
     ///
     /// * [`odflow_flow::FlowError::WindowMisaligned`] when the bin grids
     ///   disagree.
-    /// * Propagates engine construction/merge errors from `odflow_flow`.
+    /// * Propagates engine construction/fill errors from `odflow_flow`.
     pub fn bin_scenario(
         &self,
         config: odflow_flow::PipelineConfig,
@@ -447,44 +441,26 @@ impl<'a> TraceGenerator<'a> {
         routes: odflow_net::RouteTable,
     ) -> odflow_flow::Result<odflow_flow::IngestOutcome> {
         let engine = self.engine(config, ingress, routes)?;
-        let num_shards = engine.num_shards();
         let gen_bins = self.num_bins();
-        let shards = odflow_par::map_chunks(num_shards, 1, |task| {
-            let i = task.start;
-            let range = engine.shard_range(i);
-            let mut shard = engine.make_shard(range.clone())?;
-            let mut err = None;
-            let render = |bin: usize, shard: &mut odflow_flow::BinShard, err: &mut Option<_>| {
-                self.records_for_bin_into(bin, &mut |record| {
-                    if err.is_none() {
-                        if let Err(e) = shard.push_sampled_record(record) {
-                            *err = Some(e);
-                        }
-                    }
-                });
-            };
-            for bin in range.start..range.end.min(gen_bins) {
-                render(bin, &mut shard, &mut err);
-                if let Some(e) = err.take() {
-                    return Err(e);
-                }
-            }
+        engine.fill_shards(|_, shard| {
+            let own = shard.bins();
             // Scenario bins beyond the engine window (if any) still reach
             // the pipeline in the serial path — as counted drops. The last
             // shard absorbs them so the accounting matches exactly.
-            if i + 1 == num_shards {
-                for bin in engine.num_bins()..gen_bins {
-                    render(bin, &mut shard, &mut err);
-                    if let Some(e) = err.take() {
-                        return Err(e);
+            let beyond = if own.end == engine.num_bins() { own.end..gen_bins } else { 0..0 };
+            for bin in (own.start..own.end.min(gen_bins)).chain(beyond) {
+                let mut err = None;
+                self.records_for_bin_into(bin, &mut |record| {
+                    if err.is_none() {
+                        err = shard.push_sampled_record(record).err();
                     }
+                });
+                if let Some(e) = err {
+                    return Err(e);
                 }
             }
-            Ok(shard.finish())
+            Ok(())
         })
-        .into_iter()
-        .collect::<odflow_flow::Result<Vec<_>>>()?;
-        engine.merge(shards)
     }
 
     /// Renders one bin's records as NetFlow v5 export frames, one exporter
@@ -596,6 +572,26 @@ impl<'a> TraceGenerator<'a> {
             &self.scenario.plan,
         )
     }
+}
+
+/// Folds anomaly modifiers over the baseline mean `base(origin,
+/// destination)` of one cell of `bin`. The one implementation behind both
+/// [`TraceGenerator::effective_mean`] (full schedule) and the rendering hot
+/// path (per-bin active subset — bit-identical, since inactive modifiers
+/// multiply by exactly 1.0 and add exactly 0.0).
+fn perturbed_mean<'b>(
+    bin: usize,
+    origin: PopId,
+    destination: PopId,
+    base: impl Fn(PopId, PopId) -> f64,
+    anomalies: impl Iterator<Item = &'b InjectedAnomaly>,
+) -> f64 {
+    let mut mean = base(origin, destination);
+    for a in anomalies {
+        mean *= a.baseline_factor(bin, origin, destination);
+        mean += a.shifted_in_mean(bin, origin, destination, &base);
+    }
+    mean
 }
 
 /// Builds an anomaly schedule with the paper's Table 3 mix, generalized
@@ -1257,6 +1253,79 @@ mod tests {
         // The gain equals 85% of the drained base mean.
         let gain = g.effective_mean(105, 8, 0) - g.base_mean(105, 8, 0);
         assert!((gain - 0.85 * g.base_mean(105, 6, 0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn hoisted_diurnal_table_renders_what_per_cell_evaluation_did() {
+        // An OUTAGE and an INGRESS-SHIFT active in one bin, with a DOS on
+        // top so injected records follow the baseline cells.
+        let anomaly = |id, kind, od_pairs: Vec<(usize, usize)>, shift_to| InjectedAnomaly {
+            id,
+            kind,
+            start_bin: 100,
+            duration_bins: 20,
+            od_pairs,
+            intensity: 300.0,
+            port: 0,
+            scan_mode: ScanMode::Network,
+            shift_to,
+            packets_per_flow: 0.0,
+            packet_bytes: 0,
+        };
+        let s = small_scenario(vec![
+            anomaly(5, AnomalyKind::Outage, vec![(6, 0), (2, 2)], None),
+            anomaly(6, AnomalyKind::IngressShift, vec![(6, 0), (6, 1), (3, 7)], Some(8)),
+            anomaly(7, AnomalyKind::Dos, vec![(2, 9)], None),
+        ]);
+        let g = s.generator();
+        let (cfg, n) = (&s.config, s.topology.num_pops());
+        for bin in [99usize, 105, 119, 120] {
+            // The renderer as it was before the hoist: every cell's mean
+            // from `base_mean`, diurnal factor re-evaluated per cell (and
+            // per drained pair inside the shift closure).
+            let active: Vec<&InjectedAnomaly> =
+                s.schedule.iter().filter(|a| a.active_in(bin)).collect();
+            let mut reference = Vec::new();
+            for origin in 0..n {
+                for destination in 0..n {
+                    let base = |o, d| g.base_mean(bin, o, d);
+                    let mean =
+                        perturbed_mean(bin, origin, destination, base, active.iter().copied());
+                    // `effective_mean` (full schedule) is that same mean.
+                    assert_eq!(
+                        mean.to_bits(),
+                        g.effective_mean(bin, origin, destination).to_bits(),
+                        "bin {bin} cell ({origin}, {destination})"
+                    );
+                    let od = (origin * n + destination) as u64;
+                    let mut rng = cell_rng(cfg.seed, bin as u64, od, Stream::Baseline);
+                    synthesize_cell_into(
+                        &cfg.baseline,
+                        &s.plan,
+                        origin,
+                        destination,
+                        mean,
+                        g.bin_start(bin),
+                        cfg.bin_secs,
+                        &mut rng,
+                        &mut |r| reference.push(r),
+                    );
+                }
+            }
+            for a in &active {
+                reference.extend(a.synthesize(
+                    cfg.seed,
+                    bin,
+                    g.bin_start(bin),
+                    cfg.bin_secs,
+                    &s.plan,
+                ));
+            }
+            assert_eq!(g.records_for_bin(bin), reference, "bin {bin}");
+        }
+        // The shift really reaches across origins in the bins compared.
+        assert!(g.effective_mean(105, 8, 7) > g.base_mean(105, 8, 7));
+        assert!(g.effective_mean(105, 2, 2) < g.base_mean(105, 2, 2) * 0.05);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! on the thread count.
 
 use crate::error::{LinalgError, Result};
+use std::ops::Range;
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -235,14 +236,18 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Blocked i-k-j kernel: output rows are computed in independent row
-    /// blocks (parallelized across the persistent [`odflow_par`] pool) and
-    /// the k loop is tiled so the active slice of `rhs` stays
-    /// cache-resident. Inside a block, a 2-row × 4-k register-tiled
-    /// micro-kernel (`matmul_tile_2x4`) runs fixed-width,
-    /// autovectorization-friendly inner loops; every output element still
-    /// accumulates in ascending-k order, so results are bit-identical to
-    /// the plain loop for every thread count. Returns
+    /// Blocked i-k-j kernel: the output is cut into independent blocks
+    /// (parallelized across the persistent [`odflow_par`] pool) and the k
+    /// loop is tiled so the active slice of `rhs` stays cache-resident.
+    /// Blocks are bands of rows — unless the output is short and wide
+    /// (the randomized fit's `Qᵀ X` is 18 x 90 000, which is one row band
+    /// and a sliver), when they are bands of columns instead, each small
+    /// enough that its slice of `rhs` is read from memory once. Inside a
+    /// block, a 2-row × 4-k register-tiled micro-kernel
+    /// (`matmul_tile_2x4`) runs fixed-width, autovectorization-friendly
+    /// inner loops; every output element still accumulates in ascending-k
+    /// order, so results are bit-identical to the plain loop for every
+    /// thread count and either banding. Returns
     /// [`LinalgError::ShapeMismatch`] when `self.ncols() != rhs.nrows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {
@@ -257,37 +262,130 @@ impl Matrix {
         if n == 0 || inner == 0 || m == 0 {
             return Ok(out);
         }
-        // k-tiling re-walks each output row once per tile, so it only pays
-        // when rhs is too big to stay cache-resident across a full k pass.
-        // Per-element accumulation stays in ascending-k order either way, so
-        // the tile choice never changes results.
-        let kb = if inner * m <= (1 << 19) { inner } else { 64 };
-        // Row block: small matrices run in one inline chunk (pooled
-        // dispatch is cheap but not free); the split affects scheduling
-        // only, never accumulation order.
+        let (a, b) = (&self.data, &rhs.data);
+        // Small matrices run in one inline chunk (pooled dispatch is cheap
+        // but not free); the split affects scheduling only, never
+        // accumulation order.
         let flops = n * inner * m;
-        let row_block = if flops < (1 << 20) { n } else { 16 };
-        let a = &self.data;
-        let b = &rhs.data;
-        odflow_par::parallel_chunks(&mut out.data, row_block * m, |blk, out_rows| {
-            let i0 = blk * row_block;
-            for k0 in (0..inner).step_by(kb) {
-                let k1 = (k0 + kb).min(inner);
-                // Row pairs through the register-tiled micro-kernel; a
-                // trailing odd row takes the single-row kernel.
-                let mut pairs = out_rows.chunks_exact_mut(2 * m);
-                let mut i = i0;
-                for pair in &mut pairs {
-                    let (out0, out1) = pair.split_at_mut(m);
-                    let a0 = &a[i * inner..(i + 1) * inner];
-                    let a1 = &a[(i + 1) * inner..(i + 2) * inner];
-                    matmul_tile_2x4(a0, a1, b, out0, out1, m, k0, k1);
-                    i += 2;
+        let row_block = if flops < (1 << 20) { n } else { MATMUL_ROW_BLOCK };
+        if n < 4 * row_block && m >= 4 * MATMUL_COL_BLOCK {
+            // Too few row bands to share out, plenty of columns: band `c`
+            // holds columns `c * MATMUL_COL_BLOCK..` of every output row.
+            let mut bands: Vec<Vec<&mut [f64]>> =
+                (0..m.div_ceil(MATMUL_COL_BLOCK)).map(|_| Vec::with_capacity(n)).collect();
+            for row in out.data.chunks_mut(m) {
+                for (band, cells) in bands.iter_mut().zip(row.chunks_mut(MATMUL_COL_BLOCK)) {
+                    band.push(cells);
                 }
-                let tail = pairs.into_remainder();
-                if !tail.is_empty() {
-                    let a_row = &a[i * inner..(i + 1) * inner];
-                    matmul_tile_1x4(a_row, b, tail, m, k0, k1);
+            }
+            odflow_par::parallel_chunks(&mut bands, 1, |c, band| {
+                let c0 = c * MATMUL_COL_BLOCK;
+                matmul_block(a, inner, b, m, 0, c0..(c0 + MATMUL_COL_BLOCK).min(m), &mut band[0]);
+            });
+        } else {
+            odflow_par::parallel_chunks(&mut out.data, row_block * m, |blk, out_rows| {
+                let mut rows: Vec<&mut [f64]> = out_rows.chunks_mut(m).collect();
+                matmul_block(a, inner, b, m, blk * row_block, 0..m, &mut rows);
+            });
+        }
+        Ok(out)
+    }
+
+    /// Matrix product with the right factor transposed, `self * rhsᵀ`, for
+    /// two matrices of equal width — every output element is the dot of a
+    /// row of `self` with a row of `rhs`, so neither needs transposing
+    /// first. Bit-identical to `self.matmul(&rhs.transpose())` for every
+    /// thread count: each element accumulates its products in ascending-k
+    /// order from 0.0, in one chain, however the sweep is tiled (k is
+    /// tiled so a tile of `rhs` serves every row of a band from cache, and
+    /// a 2 × 4 block of elements advances together so eight independent
+    /// chains hide the add latency a lone dot would stall on).
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::ShapeMismatch`] when `self.ncols() != rhs.ncols()`.
+    pub fn matmul_nt(&self, rhs: &Matrix) -> Result<Matrix> {
+        if self.cols != rhs.cols {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul_nt",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let (n, inner, m) = (self.rows, self.cols, rhs.rows);
+        let mut out = Matrix::zeros(n, m);
+        if n == 0 || inner == 0 || m == 0 {
+            return Ok(out);
+        }
+        let (a, b) = (&self.data, &rhs.data);
+        let row_block = if n * inner * m < (1 << 20) { n } else { NT_ROW_BLOCK };
+        odflow_par::parallel_chunks(&mut out.data, row_block * m, |blk, out_rows| {
+            touch_zeroed(out_rows);
+            for k0 in (0..inner).step_by(NT_K_TILE) {
+                let k = k0..(k0 + NT_K_TILE).min(inner);
+                // Row `r`'s share of this k tile. A 2 x 4 block of elements
+                // that hangs over the last row or column of the output
+                // repeats that row; the repeats' sums are computed and
+                // dropped.
+                let tile = |data, r: usize, last: usize| k_tile(data, inner, r.min(last), &k);
+                for (pair, out_pair) in out_rows.chunks_mut(2 * m).enumerate() {
+                    let i = blk * row_block + 2 * pair;
+                    let (out0, out1) = out_pair.split_at_mut(m);
+                    let (a0, a1) = (tile(a, i, n - 1), tile(a, i + 1, n - 1));
+                    for j in (0..m).step_by(4) {
+                        let w = (m - j).min(4);
+                        let mut acc = [[0.0f64; 4]; 2];
+                        acc[0][..w].copy_from_slice(&out0[j..j + w]);
+                        if !out1.is_empty() {
+                            acc[1][..w].copy_from_slice(&out1[j..j + w]);
+                        }
+                        let b_rows = std::array::from_fn(|l| tile(b, j + l, m - 1));
+                        dot_tile_2x4(a0, a1, b_rows, &mut acc);
+                        out0[j..j + w].copy_from_slice(&acc[0][..w]);
+                        if !out1.is_empty() {
+                            out1[j..j + w].copy_from_slice(&acc[1][..w]);
+                        }
+                    }
+                }
+            }
+        });
+        Ok(out)
+    }
+
+    /// Matrix product with the left factor transposed, `selfᵀ * rhs`, for
+    /// two matrices of equal height. Bit-identical to
+    /// `self.transpose().matmul(rhs)` for every thread count — each output
+    /// element accumulates in ascending-k order from 0.0 — without the
+    /// transpose: output rows fan out in bands, and a band reads only its
+    /// own columns of `self`, a slice small enough to stay cache-resident
+    /// while the band is swept.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::ShapeMismatch`] when `self.nrows() != rhs.nrows()`.
+    pub fn matmul_tn(&self, rhs: &Matrix) -> Result<Matrix> {
+        if self.rows != rhs.rows {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul_tn",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let (n, inner, m) = (self.cols, self.rows, rhs.cols);
+        let mut out = Matrix::zeros(n, m);
+        if n == 0 || inner == 0 || m == 0 {
+            return Ok(out);
+        }
+        let (a, b) = (&self.data, &rhs.data);
+        let row_block = if n * inner * m < (1 << 20) { n } else { TN_ROW_BLOCK };
+        odflow_par::parallel_chunks(&mut out.data, row_block * m, |blk, out_rows| {
+            touch_zeroed(out_rows);
+            for (i, out_row) in (blk * row_block..).zip(out_rows.chunks_mut(m)) {
+                for (k, b_row) in b.chunks_exact(m).enumerate() {
+                    let aki = a[k * n + i];
+                    for (o, &bkj) in out_row.iter_mut().zip(b_row) {
+                        *o += aki * bkj;
+                    }
                 }
             }
         });
@@ -524,17 +622,16 @@ fn matmul_tile_2x4(
     out0: &mut [f64],
     out1: &mut [f64],
     m: usize,
+    cols: &Range<usize>,
     k0: usize,
     k1: usize,
 ) {
+    let b_row = |k: usize| &b[k * m + cols.start..k * m + cols.end];
     let mut k = k0;
     while k + 4 <= k1 {
         let (a00, a01, a02, a03) = (a0[k], a0[k + 1], a0[k + 2], a0[k + 3]);
         let (a10, a11, a12, a13) = (a1[k], a1[k + 1], a1[k + 2], a1[k + 3]);
-        let b0 = &b[k * m..(k + 1) * m];
-        let b1 = &b[(k + 1) * m..(k + 2) * m];
-        let b2 = &b[(k + 2) * m..(k + 3) * m];
-        let b3 = &b[(k + 3) * m..(k + 4) * m];
+        let (b0, b1, b2, b3) = (b_row(k), b_row(k + 1), b_row(k + 2), b_row(k + 3));
         let rows = out0.iter_mut().zip(out1.iter_mut());
         let cols = b0.iter().zip(b1).zip(b2).zip(b3);
         for ((o0, o1), (((&b0j, &b1j), &b2j), &b3j)) in rows.zip(cols) {
@@ -557,8 +654,7 @@ fn matmul_tile_2x4(
     // ascending, still sharing the b row across both output rows.
     while k < k1 {
         let (a0k, a1k) = (a0[k], a1[k]);
-        let b_row = &b[k * m..(k + 1) * m];
-        for ((o0, o1), &bkj) in out0.iter_mut().zip(out1.iter_mut()).zip(b_row) {
+        for ((o0, o1), &bkj) in out0.iter_mut().zip(out1.iter_mut()).zip(b_row(k)) {
             *o0 += a0k * bkj;
             *o1 += a1k * bkj;
         }
@@ -568,14 +664,20 @@ fn matmul_tile_2x4(
 
 /// Single-row variant of `matmul_tile_2x4` for the trailing odd output row
 /// of a block. Same ascending-k accumulation order.
-fn matmul_tile_1x4(a_row: &[f64], b: &[f64], out: &mut [f64], m: usize, k0: usize, k1: usize) {
+fn matmul_tile_1x4(
+    a_row: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    cols: &Range<usize>,
+    k0: usize,
+    k1: usize,
+) {
+    let b_row = |k: usize| &b[k * m + cols.start..k * m + cols.end];
     let mut k = k0;
     while k + 4 <= k1 {
         let (ak0, ak1, ak2, ak3) = (a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]);
-        let b0 = &b[k * m..(k + 1) * m];
-        let b1 = &b[(k + 1) * m..(k + 2) * m];
-        let b2 = &b[(k + 2) * m..(k + 3) * m];
-        let b3 = &b[(k + 3) * m..(k + 4) * m];
+        let (b0, b1, b2, b3) = (b_row(k), b_row(k + 1), b_row(k + 2), b_row(k + 3));
         let cols = b0.iter().zip(b1).zip(b2).zip(b3);
         for (o, (((&b0j, &b1j), &b2j), &b3j)) in out.iter_mut().zip(cols) {
             let mut acc = *o;
@@ -589,13 +691,108 @@ fn matmul_tile_1x4(a_row: &[f64], b: &[f64], out: &mut [f64], m: usize, k0: usiz
     }
     while k < k1 {
         let ak = a_row[k];
-        let b_row = &b[k * m..(k + 1) * m];
-        for (o, &bkj) in out.iter_mut().zip(b_row) {
+        for (o, &bkj) in out.iter_mut().zip(b_row(k)) {
             *o += ak * bkj;
         }
         k += 1;
     }
 }
+
+/// One block of [`Matrix::matmul`]'s output: `rows[r]` holds columns `cols`
+/// of output row `i0 + r` and gains `a[i0 + r, :] * b[:, cols]`, for `a`
+/// row-major `_ x inner` and `b` row-major `inner x m`.
+fn matmul_block(
+    a: &[f64],
+    inner: usize,
+    b: &[f64],
+    m: usize,
+    i0: usize,
+    cols: Range<usize>,
+    rows: &mut [&mut [f64]],
+) {
+    // k-tiling re-walks each output row once per tile, so it only pays when
+    // the block's slice of `b` is too big to stay cache-resident across a
+    // full k pass. Per-element accumulation stays in ascending-k order
+    // either way, so the tile choice never changes results.
+    let kb = if inner * cols.len() <= (1 << 19) { inner } else { 64 };
+    let a_row = |i: usize| &a[i * inner..(i + 1) * inner];
+    rows.iter_mut().for_each(|row| touch_zeroed(row));
+    for k0 in (0..inner).step_by(kb) {
+        let k1 = (k0 + kb).min(inner);
+        // Row pairs through the register-tiled micro-kernel; a trailing
+        // odd row takes the single-row kernel.
+        let mut pairs = rows.chunks_exact_mut(2);
+        let mut i = i0;
+        for pair in &mut pairs {
+            let (out0, out1) = pair.split_at_mut(1);
+            matmul_tile_2x4(a_row(i), a_row(i + 1), b, out0[0], out1[0], m, &cols, k0, k1);
+            i += 2;
+        }
+        if let [tail] = pairs.into_remainder() {
+            matmul_tile_1x4(a_row(i), b, tail, m, &cols, k0, k1);
+        }
+    }
+}
+
+/// Writes zero over a product task's block of the freshly allocated, still
+/// all-zero output before the task starts accumulating into it. The
+/// allocator hands a large zeroed matrix over as untouched pages, and a
+/// page whose first access is the read half of a `+=` is faulted in twice
+/// (the shared zero page, then a private copy on the store); with two
+/// pool workers doing that at once, the 18 x 90 000 `Qᵀ X` of the
+/// randomized fit took 54 ms on the reference VM against 8 ms when every
+/// page's first access is this store.
+fn touch_zeroed(block: &mut [f64]) {
+    block.fill(0.0);
+}
+
+/// Elements `k` of row `r` of a row-major matrix `width` wide.
+fn k_tile<'a>(data: &'a [f64], width: usize, r: usize, k: &Range<usize>) -> &'a [f64] {
+    &data[r * width + k.start..r * width + k.end]
+}
+
+/// The 2 × 4 block of dots `a_r · b_c` behind [`Matrix::matmul_nt`], over
+/// one k tile: `acc[r][c]` gains `a_r[k] * b_c[k]` for every `k` of the
+/// (equal-length) slices, ascending — eight separate chains, each the
+/// order a lone dot product would take.
+fn dot_tile_2x4(a0: &[f64], a1: &[f64], b: [&[f64]; 4], acc: &mut [[f64; 4]; 2]) {
+    let [b0, b1, b2, b3] = b;
+    let [mut s00, mut s01, mut s02, mut s03] = acc[0];
+    let [mut s10, mut s11, mut s12, mut s13] = acc[1];
+    let a = a0.iter().zip(a1);
+    let b = b0.iter().zip(b1).zip(b2).zip(b3);
+    for ((&x0, &x1), (((&y0, &y1), &y2), &y3)) in a.zip(b) {
+        s00 += x0 * y0;
+        s01 += x0 * y1;
+        s02 += x0 * y2;
+        s03 += x0 * y3;
+        s10 += x1 * y0;
+        s11 += x1 * y1;
+        s12 += x1 * y2;
+        s13 += x1 * y3;
+    }
+    *acc = [[s00, s01, s02, s03], [s10, s11, s12, s13]];
+}
+
+/// Output rows per parallel task of [`Matrix::matmul`]; fixed, like every
+/// block size here, so the decomposition depends on the shapes alone.
+const MATMUL_ROW_BLOCK: usize = 16;
+
+/// Output columns per task when [`Matrix::matmul`] bands a short, wide
+/// product by columns: with a few dozen rows on either side, a band's
+/// slices of `rhs` and of the output are a few hundred kB — cache-sized.
+const MATMUL_COL_BLOCK: usize = 1024;
+
+/// Output rows per task of [`Matrix::matmul_nt`]: every task streams all
+/// of `rhs` once, so bands are as tall as still leaves a sketch-width
+/// product (18 rows) several tasks to share out.
+const NT_ROW_BLOCK: usize = 4;
+
+/// Reduction-dimension tile of [`Matrix::matmul_nt`]: 2 kB of each row.
+const NT_K_TILE: usize = 256;
+
+/// Output rows per task of [`Matrix::matmul_tn`].
+const TN_ROW_BLOCK: usize = 1024;
 
 /// Rows per parallel task in [`symv_block`]; fixed so the decomposition —
 /// and therefore the result — depends only on the problem size.
@@ -779,9 +976,18 @@ mod tests {
         // The 2x4 register tile must reproduce the plain ascending-k
         // triple loop bit for bit, across odd/even row counts and k
         // remainders 0..3, under any thread limit.
-        for &(n, inner, m) in
-            &[(1usize, 1usize, 1usize), (2, 4, 3), (3, 5, 2), (7, 9, 11), (16, 13, 6), (33, 66, 15)]
-        {
+        // The last two shapes are short and wide enough to be banded by
+        // columns (an odd row count and a ragged last band; a k tile of 64).
+        for &(n, inner, m) in &[
+            (1usize, 1usize, 1usize),
+            (2, 4, 3),
+            (3, 5, 2),
+            (7, 9, 11),
+            (16, 13, 6),
+            (33, 66, 15),
+            (5, 7, 4 * MATMUL_COL_BLOCK + 3),
+            (18, 600, 4 * MATMUL_COL_BLOCK),
+        ] {
             let a = Matrix::from_fn(n, inner, |i, j| ((i * 37 + j * 11) % 97) as f64 / 97.0 - 0.31);
             let b = Matrix::from_fn(inner, m, |i, j| ((i * 23 + j * 41) % 89) as f64 / 89.0 + 0.07);
             let mut naive = Matrix::zeros(n, m);
@@ -802,6 +1008,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn transposed_factor_products_match_transpose_then_matmul_bitwise() {
+        // Shapes cover odd row counts, column counts off the 4-wide tile,
+        // reductions shorter than, equal to and ragged against the k tile,
+        // and sizes on both sides of the inline/banded split.
+        for &(n, inner, m) in &[
+            (1usize, 1usize, 1usize),
+            (2, 4, 3),
+            (3, NT_K_TILE, 5),
+            (7, 2 * NT_K_TILE + 9, 6),
+            (18, 5000, 24),
+            (9, 3000, 41),
+            (2 * TN_ROW_BLOCK + 5, 6, 7),
+        ] {
+            let a = Matrix::from_fn(n, inner, |i, j| ((i * 37 + j * 11) % 97) as f64 / 97.0 - 0.31);
+            let b = Matrix::from_fn(m, inner, |i, j| ((i * 23 + j * 41) % 89) as f64 / 89.0 - 0.4);
+            let nt = a.matmul(&b.transpose()).unwrap();
+            let (at, bt) = (a.transpose(), b.transpose());
+            let tn = a.matmul(&bt).unwrap();
+            for threads in [1usize, 2, 5] {
+                odflow_par::with_thread_limit(threads, || {
+                    let tag = format!("n={n} inner={inner} m={m} threads={threads}");
+                    assert_eq!(a.matmul_nt(&b).unwrap().as_slice(), nt.as_slice(), "nt {tag}");
+                    assert_eq!(at.matmul_tn(&bt).unwrap().as_slice(), tn.as_slice(), "tn {tag}");
+                });
+            }
+        }
+        assert!(Matrix::zeros(2, 3).matmul_nt(&Matrix::zeros(2, 4)).is_err());
+        assert!(Matrix::zeros(2, 3).matmul_tn(&Matrix::zeros(3, 3)).is_err());
+        assert_eq!(Matrix::zeros(2, 0).matmul_nt(&Matrix::zeros(3, 0)).unwrap().shape(), (2, 3));
+        assert_eq!(Matrix::zeros(0, 2).matmul_tn(&Matrix::zeros(0, 3)).unwrap().shape(), (2, 3));
     }
 
     #[test]

@@ -9,7 +9,25 @@
 //! Gaussian `Ω`, tighten the range with a few power iterations, and solve a
 //! dense eigenproblem on the tiny `(k + oversample)²` projected matrix.
 //! Nothing `p x p` is ever materialized — the largest intermediates are
-//! `p x (k + oversample)` panels.
+//! `(k + oversample) x p` panels.
+//!
+//! ## Panels are stored vectors-in-rows
+//!
+//! With `m = k + oversample`, every panel of basis vectors — the sketch
+//! `Ωᵀ`, the range basis `Qᵀ` (`m x n`), the power-iteration panel `Zᵀ` and
+//! the projection `B = Qᵀ X` (both `m x p`) — keeps one vector per
+//! contiguous row, the orientation `Qᵀ X` produces anyway. Gram-Schmidt
+//! then runs in place on whole rows, and the factorization needs exactly
+//! three product kernels, none of which materializes a transpose:
+//!
+//! * [`Matrix::matmul`] (`A B`) for `Qᵀ X`, banded along the 90 000-wide
+//!   side of its short, wide output;
+//! * [`Matrix::matmul_nt`] (`A Bᵀ`) for `Ωᵀ Xᵀ`, `Zᵀ Xᵀ` and `B Bᵀ` — rows
+//!   dotted with rows;
+//! * [`Matrix::matmul_tn`] (`Aᵀ B`) for `U = Q W` and `V = Bᵀ W`, the only
+//!   place the `p x r` output orientation appears.
+//!
+//! `Ωᵀ` lives for the one statement that sketches with it.
 //!
 //! Reference: Halko, Martinsson & Tropp, *Finding Structure with
 //! Randomness* (SIAM Rev. 2011), Algorithms 4.3-4.4 + 5.1. The sketching
@@ -20,11 +38,12 @@
 //! ## Determinism
 //!
 //! The Gaussian sketch is drawn from a `ChaCha8Rng` seeded explicitly by
-//! the caller and filled in one fixed row-major order, and every matrix
-//! product runs on the `odflow_par` kernels whose reductions are combined
-//! in chunk order. The whole factorization is therefore **bit-identical
-//! for every thread count and every run with the same seed** — the same
-//! contract as the dense Jacobi path.
+//! the caller and consumed in one fixed order, every matrix product runs
+//! on kernels that accumulate each output element in ascending-k order
+//! whatever the banding, and every reduction is combined in chunk order.
+//! The whole factorization is therefore **bit-identical for every thread
+//! count and every run with the same seed** — the same contract as the
+//! dense Jacobi path.
 
 use crate::eigen::eigen_symmetric;
 use crate::error::{LinalgError, Result};
@@ -104,26 +123,24 @@ pub fn randomized_thin_svd(x: &Matrix, rank: usize, opts: RandomizedSvdOptions) 
     // rank bound where the randomized route degenerates gracefully.
     let m = (rank + opts.oversample).clamp(1, n.min(p));
 
-    // Y = X Ω with Ω ~ N(0, 1)^{p x m}, drawn from one seeded stream in
-    // fixed row-major order (thread-count independent by construction).
-    let omega = gaussian_matrix(p, m, opts.seed);
-    let mut q = x.matmul(&omega)?;
-    orthonormalize_columns(&mut q);
+    // Yᵀ = Ωᵀ Xᵀ with Ω ~ N(0, 1)^{p x m}, drawn from one seeded stream
+    // (thread-count independent by construction).
+    let mut qt = gaussian_sketch(m, p, opts.seed).matmul_nt(x)?;
+    orthonormalize_rows(&mut qt);
 
     // Power iterations Q <- orth(X orth(X^T Q)) tighten the captured range
-    // toward the true top singular subspace. X^T Q is computed as
-    // (Q^T X)^T so the only transposes materialized are m-wide panels.
+    // toward the true top singular subspace.
     for _ in 0..opts.power_iters {
-        let mut z = q.transpose().matmul(x)?.transpose(); // p x m
-        orthonormalize_columns(&mut z);
-        q = x.matmul(&z)?;
-        orthonormalize_columns(&mut q);
+        let mut zt = qt.matmul(x)?; // m x p
+        orthonormalize_rows(&mut zt);
+        qt = zt.matmul_nt(x)?;
+        orthonormalize_rows(&mut qt);
     }
 
     // Project: B = Q^T X (m x p), then solve the tiny m x m eigenproblem
     // of B B^T. Eigenvalues are σ², eigenvectors rotate Q into U.
-    let b = q.transpose().matmul(x)?;
-    let small = b.matmul(&b.transpose())?;
+    let b = qt.matmul(x)?;
+    let small = b.matmul_nt(&b)?;
     let eig = eigen_symmetric(&small)?;
 
     let sigma_max = eig.eigenvalues.first().copied().unwrap_or(0.0).max(0.0).sqrt();
@@ -145,7 +162,7 @@ pub fn randomized_thin_svd(x: &Matrix, rank: usize, opts: RandomizedSvdOptions) 
     let w = eig.eigenvectors.select_cols(&keep)?;
 
     // U = Q W (n x r): rotate the orthonormal basis onto singular order.
-    let u = q.matmul(&w)?;
+    let u = qt.matmul_tn(&w)?;
 
     // V = B^T W Σ^{-1} (p x r), re-normalized per column to absorb rounding
     // drift in the small singular values — the same guard `thin_svd` uses.
@@ -155,7 +172,7 @@ pub fn randomized_thin_svd(x: &Matrix, rank: usize, opts: RandomizedSvdOptions) 
     // map_reduce accumulating all r squared norms (per-column partials
     // summed in chunk order, so the reduction is deterministic) and one
     // parallel scale — instead of 2r strided per-column sweeps.
-    let mut v = b.transpose().matmul(&w)?;
+    let mut v = b.matmul_tn(&w)?;
     let r = sigma.len();
     let vp = v.nrows();
     let data = v.as_mut_slice();
@@ -209,19 +226,20 @@ pub fn randomized_thin_svd(x: &Matrix, rank: usize, opts: RandomizedSvdOptions) 
 /// singular panel; fixed so reductions are deterministic.
 const V_COL_BLOCK: usize = 4096;
 
-/// A `rows x cols` matrix of standard normal draws from one seeded ChaCha8
-/// stream, filled in row-major order. Box-Muller over the shim's 53-bit
-/// uniform doubles.
-fn gaussian_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+/// The transpose of a `p x m` matrix Ω of standard normal draws from one
+/// seeded ChaCha8 stream: the stream fills Ω in row-major order, draw
+/// `i` being `Ω[i / m][i % m]`, and lands here at row `i % m`, column
+/// `i / m`. Box-Muller over the shim's 53-bit uniform doubles.
+fn gaussian_sketch(m: usize, p: usize, seed: u64) -> Matrix {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut out = Matrix::zeros(rows, cols);
+    let mut out = Matrix::zeros(m, p);
     let data = out.as_mut_slice();
     let mut i = 0;
     while i < data.len() {
         let (z0, z1) = box_muller(&mut rng);
-        data[i] = z0;
+        data[i % m * p + i / m] = z0;
         if i + 1 < data.len() {
-            data[i + 1] = z1;
+            data[(i + 1) % m * p + (i + 1) / m] = z1;
         }
         i += 2;
     }
@@ -244,36 +262,32 @@ fn uniform_f64(rng: &mut impl RngCore) -> f64 {
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Orthonormalizes the columns of `m` in place by modified Gram-Schmidt
-/// with one re-orthogonalization pass. Numerically dead columns (norm
-/// below `1e-12` of the largest seen) are zeroed: they contribute zero
-/// rows to the projected problem and are dropped by the σ cutoff later.
-fn orthonormalize_columns(m: &mut Matrix) {
-    let (n, k) = m.shape();
-    let mut cols: Vec<Vec<f64>> = (0..k).map(|j| m.col(j).expect("col in range")).collect();
+/// Orthonormalizes the rows of `m` in place by modified Gram-Schmidt with
+/// one re-orthogonalization pass. Numerically dead rows (norm below
+/// `1e-12` of the largest seen) are zeroed: they contribute zero rows to
+/// the projected problem and are dropped by the σ cutoff later.
+fn orthonormalize_rows(m: &mut Matrix) {
+    let width = m.ncols();
     let mut max_norm = 0.0f64;
-    for j in 0..k {
-        // Two MGS passes against the already-fixed columns keep the basis
+    for j in 0..m.nrows() {
+        let (fixed, rest) = m.as_mut_slice().split_at_mut(j * width);
+        let row = &mut rest[..width];
+        // Two MGS passes against the already-fixed rows keep the basis
         // orthogonal to working precision even for ill-conditioned panels.
         for _ in 0..2 {
-            for i in 0..j {
-                let (head, tail) = cols.split_at_mut(j);
-                let coeff = vecops::dot(&head[i], &tail[0]);
-                vecops::axpy(-coeff, &head[i], &mut tail[0]);
+            for basis in fixed.chunks_exact(width) {
+                let coeff = vecops::dot(basis, row);
+                vecops::axpy(-coeff, basis, row);
             }
         }
-        let norm = vecops::norm(&cols[j]);
+        let norm = vecops::norm(row);
         max_norm = max_norm.max(norm);
         if norm > 1e-12 * max_norm.max(1e-300) {
-            vecops::scale(&mut cols[j], 1.0 / norm);
+            vecops::scale(row, 1.0 / norm);
         } else {
-            cols[j].iter_mut().for_each(|v| *v = 0.0);
+            row.fill(0.0);
         }
     }
-    for (j, col) in cols.iter().enumerate() {
-        m.set_col(j, col).expect("col length matches");
-    }
-    debug_assert_eq!(m.nrows(), n);
 }
 
 #[cfg(test)]
@@ -294,6 +308,145 @@ mod tests {
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             v + noise * ((z as f64 / u64::MAX as f64) - 0.5)
         })
+    }
+
+    /// The factorization as it was before panels moved to rows, kept as the
+    /// oracle the restructured one must reproduce bit for bit: Ω filled
+    /// row-major `p x m` and held to the end, `p x m` panels whose columns
+    /// are copied out, orthonormalized and copied back, and a materialized
+    /// transpose around every product that needs one.
+    fn parent_randomized_thin_svd(x: &Matrix, rank: usize, opts: RandomizedSvdOptions) -> Svd {
+        fn gaussian_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut out = Matrix::zeros(rows, cols);
+            let data = out.as_mut_slice();
+            let mut i = 0;
+            while i < data.len() {
+                let (z0, z1) = box_muller(&mut rng);
+                data[i] = z0;
+                if i + 1 < data.len() {
+                    data[i + 1] = z1;
+                }
+                i += 2;
+            }
+            out
+        }
+        fn orthonormalize_columns(m: &mut Matrix) {
+            let k = m.ncols();
+            let mut cols: Vec<Vec<f64>> = (0..k).map(|j| m.col(j).unwrap()).collect();
+            let mut max_norm = 0.0f64;
+            for j in 0..k {
+                for _ in 0..2 {
+                    for i in 0..j {
+                        let (head, tail) = cols.split_at_mut(j);
+                        let coeff = vecops::dot(&head[i], &tail[0]);
+                        vecops::axpy(-coeff, &head[i], &mut tail[0]);
+                    }
+                }
+                let norm = vecops::norm(&cols[j]);
+                max_norm = max_norm.max(norm);
+                if norm > 1e-12 * max_norm.max(1e-300) {
+                    vecops::scale(&mut cols[j], 1.0 / norm);
+                } else {
+                    cols[j].iter_mut().for_each(|v| *v = 0.0);
+                }
+            }
+            for (j, col) in cols.iter().enumerate() {
+                m.set_col(j, col).unwrap();
+            }
+        }
+
+        let (n, p) = x.shape();
+        let m = (rank + opts.oversample).clamp(1, n.min(p));
+        let omega = gaussian_matrix(p, m, opts.seed);
+        let mut q = x.matmul(&omega).unwrap();
+        orthonormalize_columns(&mut q);
+        for _ in 0..opts.power_iters {
+            let mut z = q.transpose().matmul(x).unwrap().transpose();
+            orthonormalize_columns(&mut z);
+            q = x.matmul(&z).unwrap();
+            orthonormalize_columns(&mut q);
+        }
+        let b = q.transpose().matmul(x).unwrap();
+        let small = b.matmul(&b.transpose()).unwrap();
+        let eig = eigen_symmetric(&small).unwrap();
+        let sigma_max = eig.eigenvalues.first().copied().unwrap_or(0.0).max(0.0).sqrt();
+        assert!(sigma_max > 0.0, "the oracle is for data the sketch does not annihilate");
+        let mut sigma = Vec::new();
+        let mut keep = Vec::new();
+        for (i, &l) in eig.eigenvalues.iter().enumerate() {
+            let s = l.max(0.0).sqrt();
+            if s > 1e-12 * sigma_max {
+                sigma.push(s);
+                keep.push(i);
+            }
+        }
+        let w = eig.eigenvectors.select_cols(&keep).unwrap();
+        let u = q.matmul(&w).unwrap();
+        let mut v = b.transpose().matmul(&w).unwrap();
+        // Column norms summed per V_COL_BLOCK-row block, blocks combined in
+        // order — the reduction the shipped code runs through `map_reduce`.
+        let r = sigma.len();
+        let mut norms_sq: Option<Vec<f64>> = None;
+        for block in v.as_slice().chunks(V_COL_BLOCK * r) {
+            let mut acc = vec![0.0f64; r];
+            for row in block.chunks_exact(r) {
+                for (a, &val) in acc.iter_mut().zip(row) {
+                    *a += val * val;
+                }
+            }
+            norms_sq = Some(match norms_sq {
+                None => acc,
+                Some(mut sum) => {
+                    for (s, a) in sum.iter_mut().zip(&acc) {
+                        *s += a;
+                    }
+                    sum
+                }
+            });
+        }
+        let norms_sq = norms_sq.unwrap();
+        for row in v.as_mut_slice().chunks_exact_mut(r) {
+            for (val, &ns) in row.iter_mut().zip(&norms_sq) {
+                let norm = ns.sqrt();
+                *val *= if norm > 1e-300 { 1.0 / norm } else { 1.0 };
+            }
+        }
+        Svd { u, sigma, v }
+    }
+
+    #[test]
+    fn row_panels_reproduce_the_column_panel_factorization_bit_for_bit() {
+        // (n, p, rank, oversample, power_iters): tall and wide data, odd n,
+        // a sketch clamped by n (n < rank + oversample) and by p, a single
+        // sketch column, no power iterations, and a p wide enough that
+        // `Qᵀ X` is banded by columns and V is normalized in several blocks.
+        let shapes = [
+            (40usize, 200usize, 3usize, 8usize, 2usize),
+            (25, 61, 4, 8, 2),
+            (7, 120, 5, 8, 2),
+            (60, 9, 4, 8, 1),
+            (31, 33, 1, 0, 3),
+            (12, 50, 2, 3, 0),
+            (9, 2 * V_COL_BLOCK + 17, 3, 4, 1),
+        ];
+        for (case, &(n, p, rank, oversample, power_iters)) in shapes.iter().enumerate() {
+            let x = low_rank_plus_noise(n, p, rank + 1, 0.3);
+            let opts = RandomizedSvdOptions { oversample, power_iters, seed: 11 + case as u64 };
+            let want = parent_randomized_thin_svd(&x, rank, opts);
+            for threads in [1usize, 2, 5] {
+                let got = odflow_par::with_thread_limit(threads, || {
+                    randomized_thin_svd(&x, rank, opts).unwrap()
+                });
+                let tag = format!("case {case} ({n} x {p}), threads={threads}");
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.sigma), bits(&want.sigma), "sigma, {tag}");
+                assert_eq!(got.u.shape(), want.u.shape(), "{tag}");
+                assert_eq!(bits(got.u.as_slice()), bits(want.u.as_slice()), "u, {tag}");
+                assert_eq!(got.v.shape(), want.v.shape(), "{tag}");
+                assert_eq!(bits(got.v.as_slice()), bits(want.v.as_slice()), "v, {tag}");
+            }
+        }
     }
 
     #[test]
@@ -404,7 +557,7 @@ mod tests {
 
     #[test]
     fn gaussian_sketch_has_sane_moments() {
-        let g = gaussian_matrix(200, 50, 7);
+        let g = gaussian_sketch(50, 200, 7);
         let data = g.as_slice();
         let mean: f64 = data.iter().sum::<f64>() / data.len() as f64;
         let var: f64 =
@@ -415,21 +568,19 @@ mod tests {
     }
 
     #[test]
-    fn orthonormalize_handles_dependent_columns() {
-        // Third column is the sum of the first two: it must be zeroed, not
+    fn orthonormalize_handles_dependent_rows() {
+        // Third row is the sum of the first two: it must be zeroed, not
         // turned into NaNs.
-        let mut m = Matrix::from_fn(6, 3, |i, j| match j {
+        let mut m = Matrix::from_fn(3, 6, |j, i| match j {
             0 => (i as f64 + 1.0).sin(),
             1 => (i as f64 + 1.0).cos(),
             _ => (i as f64 + 1.0).sin() + (i as f64 + 1.0).cos(),
         });
-        orthonormalize_columns(&mut m);
+        orthonormalize_rows(&mut m);
         assert!(m.all_finite());
-        let c2 = m.col(2).unwrap();
-        assert!(vecops::norm(&c2) < 1e-9, "dependent column should be zeroed");
-        let c0 = m.col(0).unwrap();
-        let c1 = m.col(1).unwrap();
-        assert!(vecops::dot(&c0, &c1).abs() < 1e-10);
-        assert!((vecops::norm(&c0) - 1.0).abs() < 1e-10);
+        let (r0, r1, r2) = (m.row(0).unwrap(), m.row(1).unwrap(), m.row(2).unwrap());
+        assert!(vecops::norm(r2) < 1e-9, "dependent row should be zeroed");
+        assert!(vecops::dot(r0, r1).abs() < 1e-10);
+        assert!((vecops::norm(r0) - 1.0).abs() < 1e-10);
     }
 }

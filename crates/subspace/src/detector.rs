@@ -49,10 +49,11 @@ impl Detection {
 
 impl SubspaceModel {
     /// The scoring kernel — the one place a statistic meets a threshold.
-    /// Splits `x` through the caller's scratch, pushes a [`Detection`] at
-    /// `bin` for each of SPE (against the caller's `spe_threshold`, which
-    /// the quality-aware path may have widened) and T² that exceeds its
-    /// limit, and returns `(spe, t2)`.
+    /// Splits `x` through the caller's scratch (SPE from its residual, T²
+    /// from the same axis scores the split was built on), pushes a
+    /// [`Detection`] at `bin` for each of SPE (against the caller's
+    /// `spe_threshold`, which the quality-aware path may have widened) and
+    /// T² that exceeds its limit, and returns `(spe, t2)`.
     pub(crate) fn score_into(
         &self,
         x: &[f64],
@@ -63,7 +64,7 @@ impl SubspaceModel {
     ) -> Result<(f64, f64)> {
         self.split_into(x, split)?;
         let spe = vecops::norm_sq(&split.residual);
-        let t2 = self.t2_of_centered(&split.centered)?;
+        let t2 = self.t2_of_scores(&split.scores);
         if spe > spe_threshold {
             detections.push(Detection {
                 bin,

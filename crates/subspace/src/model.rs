@@ -86,6 +86,10 @@ impl SubspaceConfig {
 pub struct StateSplit {
     /// The centered observation.
     pub centered: Vec<f64>,
+    /// Its scores along the normal subspace's principal axes (`Pᵀ x_c`,
+    /// strongest axis first) — what `normal` is rebuilt from and what t²
+    /// is the variance-weighted square sum of.
+    pub scores: Vec<f64>,
     /// Projection onto the normal subspace (`x̂`, centered coordinates).
     pub normal: Vec<f64>,
     /// Residual (`x̃`): the anomalous component.
@@ -96,7 +100,12 @@ impl StateSplit {
     /// An empty split whose buffers are sized for `p` OD pairs — the
     /// reusable scratch for [`SubspaceModel::split_into`].
     pub fn with_dimension(p: usize) -> Self {
-        StateSplit { centered: vec![0.0; p], normal: vec![0.0; p], residual: vec![0.0; p] }
+        StateSplit {
+            centered: vec![0.0; p],
+            scores: Vec::new(),
+            normal: vec![0.0; p],
+            residual: vec![0.0; p],
+        }
     }
 }
 
@@ -244,31 +253,59 @@ impl SubspaceModel {
     ///
     /// [`SubspaceError::DimensionMismatch`] for wrong-length input.
     pub fn split_into(&self, x: &[f64], out: &mut StateSplit) -> Result<()> {
-        if x.len() != self.p {
-            return Err(SubspaceError::DimensionMismatch { expected: self.p, got: x.len() });
-        }
-        out.centered.clear();
-        out.centered.extend_from_slice(x);
-        self.decomp.centering.apply_row(&mut out.centered)?;
+        self.center_into(x, &mut out.centered)?;
 
-        // x̂ = P P^T x_c over the top-k principal axes. The loadings matrix
-        // is row-major `p x r`, so axis `i` is the stride-`r` column `i`;
-        // iterating rows in order keeps the summation order identical to
-        // materializing the column first.
-        let k = self.config.k.min(self.decomp.rank());
+        // x̂ = P Pᵀ x_c over the top-k principal axes, in two sweeps of the
+        // row-major `p x r` loadings: scores first, then every element of
+        // x̂ as the score-weighted sum of its own loadings row, strongest
+        // axis first from 0.0.
+        self.axis_scores(&out.centered, &mut out.scores);
         let r = self.decomp.loadings.ncols();
-        let axes = self.decomp.loadings.as_slice();
+        let axes = self.decomp.loadings.as_slice().chunks_exact(r);
         out.normal.clear();
-        out.normal.resize(self.p, 0.0);
-        for i in 0..k {
-            let score = axis_dot(axes, r, i, &out.centered);
-            for (j, nrm) in out.normal.iter_mut().enumerate() {
-                *nrm += score * axes[j * r + i];
+        out.residual.clear();
+        for (row, &c) in axes.zip(&out.centered) {
+            let mut nrm = 0.0;
+            for (score, a) in out.scores.iter().zip(row) {
+                nrm += score * a;
+            }
+            out.normal.push(nrm);
+            out.residual.push(c - nrm);
+        }
+        Ok(())
+    }
+
+    /// The number of principal axes spanning the normal subspace.
+    fn normal_dim(&self) -> usize {
+        self.config.k.min(self.decomp.rank())
+    }
+
+    /// Scores of a centered observation along the normal axes: one sweep
+    /// over the loadings rows, every axis accumulating `loading * x_c` from
+    /// 0.0 in ascending OD order. Detection results are bit-exact (against
+    /// history, and across thread counts) only while each accumulator keeps
+    /// that order; the sweep may not be unrolled across rows or split.
+    fn axis_scores(&self, centered: &[f64], scores: &mut Vec<f64>) {
+        let r = self.decomp.loadings.ncols();
+        scores.clear();
+        scores.resize(self.normal_dim(), 0.0);
+        for (row, c) in self.decomp.loadings.as_slice().chunks_exact(r).zip(centered) {
+            for (acc, a) in scores.iter_mut().zip(row) {
+                *acc += a * c;
             }
         }
-        out.residual.clear();
-        out.residual.extend(out.centered.iter().zip(&out.normal).map(|(c, nrm)| c - nrm));
-        Ok(())
+    }
+
+    /// t² from the scores of [`Self::axis_scores`].
+    pub(crate) fn t2_of_scores(&self, scores: &[f64]) -> f64 {
+        let mut t2 = 0.0;
+        for (i, z) in scores.iter().enumerate() {
+            let lambda = self.decomp.eigenvalue(i);
+            if lambda > 1e-300 {
+                t2 += z * z / lambda;
+            }
+        }
+        t2
     }
 
     /// The squared prediction error `||x̃||²` of one observation.
@@ -279,40 +316,31 @@ impl SubspaceModel {
     /// The t² statistic of one observation: the sum of squared
     /// unit-variance scores along the top-k axes.
     pub fn t2(&self, x: &[f64]) -> Result<f64> {
-        if x.len() != self.p {
-            return Err(SubspaceError::DimensionMismatch { expected: self.p, got: x.len() });
-        }
-        let mut centered = x.to_vec();
-        self.decomp.centering.apply_row(&mut centered)?;
-        self.t2_of_centered(&centered)
+        self.t2_of_centered(&self.center(x)?)
     }
 
-    /// t² from an already-centered observation. Axis columns are read
-    /// strided in place (no per-axis allocation); the summation order
-    /// matches the historical column-materializing implementation exactly.
+    /// t² from an already-centered observation.
     pub(crate) fn t2_of_centered(&self, centered: &[f64]) -> Result<f64> {
-        let k = self.config.k.min(self.decomp.rank());
-        let r = self.decomp.loadings.ncols();
-        let axes = self.decomp.loadings.as_slice();
-        let mut t2 = 0.0;
-        for i in 0..k {
-            let z = axis_dot(axes, r, i, centered);
-            let lambda = self.decomp.eigenvalue(i);
-            if lambda > 1e-300 {
-                t2 += z * z / lambda;
-            }
-        }
-        Ok(t2)
+        let mut scores = Vec::new();
+        self.axis_scores(centered, &mut scores);
+        Ok(self.t2_of_scores(&scores))
     }
 
     /// Centers a raw observation with the training means.
     pub(crate) fn center(&self, x: &[f64]) -> Result<Vec<f64>> {
+        let mut centered = Vec::new();
+        self.center_into(x, &mut centered)?;
+        Ok(centered)
+    }
+
+    /// [`Self::center`] into a caller-owned buffer.
+    fn center_into(&self, x: &[f64], centered: &mut Vec<f64>) -> Result<()> {
         if x.len() != self.p {
             return Err(SubspaceError::DimensionMismatch { expected: self.p, got: x.len() });
         }
-        let mut centered = x.to_vec();
-        self.decomp.centering.apply_row(&mut centered)?;
-        Ok(centered)
+        centered.clear();
+        centered.extend_from_slice(x);
+        Ok(self.decomp.centering.apply_row(centered)?)
     }
 
     /// Snapshots every number behind this fitted model. Restoring the
@@ -363,12 +391,27 @@ impl SubspaceModel {
 
     /// The SPE timeseries over a full matrix (one value per row).
     pub fn spe_series(&self, x: &Matrix) -> Result<Vec<f64>> {
-        x.rows_iter().map(|row| self.spe(row)).collect()
+        let mut split = StateSplit::with_dimension(self.p);
+        x.rows_iter()
+            .map(|row| {
+                self.split_into(row, &mut split)?;
+                Ok(vecops::norm_sq(&split.residual))
+            })
+            .collect()
     }
 
     /// The t² timeseries over a full matrix (one value per row).
     pub fn t2_series(&self, x: &Matrix) -> Result<Vec<f64>> {
-        x.rows_iter().map(|row| self.t2(row)).collect()
+        // t² needs the scores only, so the sweep that rebuilds `normal` and
+        // `residual` is skipped.
+        let mut split = StateSplit::default();
+        x.rows_iter()
+            .map(|row| {
+                self.center_into(row, &mut split.centered)?;
+                self.axis_scores(&split.centered, &mut split.scores);
+                Ok(self.t2_of_scores(&split.scores))
+            })
+            .collect()
     }
 }
 
@@ -392,21 +435,6 @@ pub struct ModelState {
     pub t2_threshold: f64,
     /// Whether training data was exactly low-rank.
     pub degenerate_residual: bool,
-}
-
-/// Dot of the stride-`r` axis column `i` of the row-major loadings slice
-/// with `v`, accumulated in ascending-row order — the single order-pinned
-/// projection kernel shared by the SPE and T² paths. The bit-exactness of
-/// detection results (vs the historical column-materializing
-/// implementation, and across thread counts) depends on this exact
-/// summation order; do not unroll or reorder.
-#[inline]
-fn axis_dot(axes: &[f64], r: usize, i: usize, v: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (j, c) in v.iter().enumerate() {
-        acc += axes[j * r + i] * c;
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -512,6 +540,10 @@ mod tests {
         let t2s = model.t2_series(&x).unwrap();
         let mean: f64 = t2s.iter().sum::<f64>() / t2s.len() as f64;
         assert!((mean - 4.0).abs() < 0.2, "mean t² {mean} should be ≈ k = 4");
+        // The series is the per-row statistic, bit for bit.
+        for (row, series) in x.rows_iter().zip(&t2s) {
+            assert_eq!(series.to_bits(), model.t2(row).unwrap().to_bits());
+        }
     }
 
     #[test]
@@ -519,6 +551,10 @@ mod tests {
         let x = traffic(500, 10, None);
         let model = SubspaceModel::fit_default(&x).unwrap();
         let spe = model.spe_series(&x).unwrap();
+        // The series is the per-row statistic, bit for bit.
+        for (row, series) in x.rows_iter().zip(&spe) {
+            assert_eq!(series.to_bits(), model.spe(row).unwrap().to_bits());
+        }
         let alarms = spe.iter().filter(|&&v| v > model.spe_threshold()).count();
         // alpha = 0.001 over 500 bins -> expect ~0-3 alarms.
         assert!(alarms <= 10, "too many SPE alarms on clean data: {alarms}");

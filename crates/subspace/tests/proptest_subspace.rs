@@ -1,8 +1,9 @@
 //! Property-based tests for the subspace method's algebraic invariants.
 
-use odflow_linalg::{vecops, Matrix};
+use odflow_linalg::{vecops, EigenMethod, Matrix};
 use odflow_subspace::{
-    identify_spe, merge_detections, DetectionTriple, SubspaceConfig, SubspaceModel, TypeSet,
+    identify_spe, merge_detections, DetectionTriple, SubspaceConfig, SubspaceDetector,
+    SubspaceModel, TypeSet,
 };
 use proptest::prelude::*;
 
@@ -26,8 +27,102 @@ fn arb_traffic() -> impl Strategy<Value = Matrix> {
         })
 }
 
+/// Dot of the stride-`r` axis column `i` of the row-major loadings slice
+/// with `v`, accumulated in ascending-row order from 0.0: the per-axis
+/// projection kernel scoring ran on before its passes were fused.
+fn axis_dot(axes: &[f64], r: usize, i: usize, v: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (j, c) in v.iter().enumerate() {
+        acc += axes[j * r + i] * c;
+    }
+    acc
+}
+
+/// `(centered, normal, residual, spe, t2)` of one observation by the
+/// per-axis arithmetic: for each of the top-k axes one strided dot and one
+/// strided accumulation into x̂, then k more dots for t².
+fn per_axis_reference(
+    model: &SubspaceModel,
+    x: &[f64],
+) -> (Vec<f64>, Vec<f64>, Vec<f64>, f64, f64) {
+    let decomp = model.decomposition();
+    let mut centered = x.to_vec();
+    decomp.centering.apply_row(&mut centered).unwrap();
+    let k = model.config().k.min(decomp.rank());
+    let r = decomp.loadings.ncols();
+    let axes = decomp.loadings.as_slice();
+    let mut normal = vec![0.0; x.len()];
+    for i in 0..k {
+        let score = axis_dot(axes, r, i, &centered);
+        for (j, nrm) in normal.iter_mut().enumerate() {
+            *nrm += score * axes[j * r + i];
+        }
+    }
+    let residual: Vec<f64> = centered.iter().zip(&normal).map(|(c, nrm)| c - nrm).collect();
+    let mut t2 = 0.0;
+    for i in 0..k {
+        let z = axis_dot(axes, r, i, &centered);
+        let lambda = decomp.eigenvalue(i);
+        if lambda > 1e-300 {
+            t2 += z * z / lambda;
+        }
+    }
+    let spe = vecops::norm_sq(&residual);
+    (centered, normal, residual, spe, t2)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn fused_scoring_is_the_per_axis_arithmetic_bit_for_bit(
+        n in 6usize..40,
+        p in 3usize..48,
+        k_pick in 0usize..1000,
+        shape in 0u8..4,
+        oversample in 1usize..7,
+        seed in any::<u64>(),
+    ) {
+        let x = Matrix::from_fn(n, p, |i, j| {
+            let mut z = (seed ^ ((i * 257 + j) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^= z >> 31;
+            let noise = (z as f64 / u64::MAX as f64) - 0.5;
+            20.0 + (j % 5) as f64 * ((i * (1 + j % 3)) as f64 * 0.4).sin() + 3.0 * noise
+        });
+        // shape 0: k = 1; 1: k = r (a sketch of exactly k columns keeps k
+        // triplets); 2: r = k + oversample; 3: the dense full spectrum.
+        let k_max = (n - 1).min(p - 1);
+        let k = if shape == 0 { 1 } else { 1 + k_pick % k_max };
+        let method = match shape {
+            1 => EigenMethod::RandomizedTruncated { oversample: 0, power_iters: 1, seed },
+            2 => EigenMethod::RandomizedTruncated { oversample, power_iters: 2, seed },
+            _ => EigenMethod::DenseJacobi,
+        };
+        let config = SubspaceConfig { k, method, ..SubspaceConfig::default() };
+        let analysis = SubspaceDetector::new(config).analyze(&x).unwrap();
+        let model = &analysis.model;
+        if shape == 1 {
+            prop_assert_eq!(model.decomposition().rank(), k, "a k-column sketch keeps k triplets");
+        }
+        for (i, row) in x.rows_iter().enumerate() {
+            let (centered, normal, residual, spe, t2) = per_axis_reference(model, row);
+            let split = model.split(row).unwrap();
+            prop_assert_eq!(bits(&split.centered), bits(&centered));
+            prop_assert_eq!(bits(&split.normal), bits(&normal));
+            prop_assert_eq!(bits(&split.residual), bits(&residual));
+            prop_assert_eq!(split.scores.len(), k.min(model.decomposition().rank()));
+            prop_assert_eq!(model.spe(row).unwrap().to_bits(), spe.to_bits());
+            prop_assert_eq!(model.t2(row).unwrap().to_bits(), t2.to_bits());
+            // `score_into`, as `analyze` drives it.
+            prop_assert_eq!(analysis.spe[i].to_bits(), spe.to_bits(), "row {}", i);
+            prop_assert_eq!(analysis.t2[i].to_bits(), t2.to_bits(), "row {}", i);
+        }
+    }
 
     #[test]
     fn split_is_exact_and_orthogonal(x in arb_traffic()) {
