@@ -262,66 +262,10 @@ fn bench_large_mesh(c: &mut Criterion) {
     g.finish();
 }
 
-/// Both Jacobi sweep orderings, forced, at `JACOBI_PARALLEL_MIN_DIM = 128`
-/// and one step above. The constant is pinned by the numeric contract, not
-/// by this bench: since the serial sweep went row-oriented it wins both
-/// sizes on the 2-vCPU reference box (62 vs 85 ms at 128 on one thread),
-/// and `Auto` goes tridiagonal from 128 anyway. The rows stay so a
-/// many-core box can say whether the round-robin ordering earns its keep
-/// before ROADMAP's `DenseJacobi` retirement deletes it.
-fn bench_jacobi_ordering(c: &mut Criterion) {
-    use odflow::linalg::{eigen_symmetric_with, JacobiOptions, JacobiOrdering};
-    let mut g = c.benchmark_group("jacobi_ordering");
-    g.sample_size(10);
-    for &p in &[128usize, 160] {
-        let x = traffic_matrix(2 * p, p);
-        let cov = odflow::linalg::covariance(&x).unwrap();
-        for (label, ordering) in
-            [("serial", JacobiOrdering::Serial), ("parallel", JacobiOrdering::Parallel)]
-        {
-            g.bench_with_input(BenchmarkId::new(label, p), &cov, |b, cov| {
-                b.iter(|| {
-                    eigen_symmetric_with(
-                        black_box(cov),
-                        JacobiOptions { ordering, ..JacobiOptions::default() },
-                    )
-                    .unwrap()
-                });
-            });
-        }
-    }
-    g.finish();
-}
-
-/// The pinned justification for the Auto dense crossover
-/// (`AUTO_TRIDIAG_MIN_DIM = 128`, `AUTO_DENSE_MAX_DIM = 512`): the blocked
-/// Householder + implicit-shift QR solver against cyclic Jacobi at the
-/// crossover dimension, the quick-report midpoint, and the Auto ceiling.
-/// The tridiagonal pipeline must win (increasingly with dimension) across
-/// the whole span; if it ever inverts at p = 128, raise the crossover.
-fn bench_tridiag_vs_jacobi(c: &mut Criterion) {
-    use odflow::linalg::{eigen_symmetric, eigen_symmetric_tridiagonal};
-    let mut g = c.benchmark_group("tridiag_vs_jacobi");
-    g.sample_size(10);
-    for &p in &[128usize, 256, 512] {
-        let x = traffic_matrix(2 * p, p);
-        let cov = odflow::linalg::covariance(&x).unwrap();
-        g.bench_with_input(BenchmarkId::new("tridiagonal", p), &cov, |b, cov| {
-            b.iter(|| eigen_symmetric_tridiagonal(black_box(cov)).unwrap());
-        });
-        g.bench_with_input(BenchmarkId::new("jacobi", p), &cov, |b, cov| {
-            b.iter(|| eigen_symmetric(black_box(cov)).unwrap());
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_linalg,
     bench_gram_covariance,
-    bench_jacobi_ordering,
-    bench_tridiag_vs_jacobi,
     bench_subspace,
     bench_thresholds,
     bench_measurement,

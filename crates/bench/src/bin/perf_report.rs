@@ -2,8 +2,7 @@
 //! numerics core.
 //!
 //! Times every hot stage of the reproduction (the fan-out dispatch
-//! microbench, Gram matrix, dense eigendecomposition (the Auto-crossover
-//! solver plus pinned tridiagonal/Jacobi stages), blocked matmul,
+//! microbench, Gram matrix, dense eigendecomposition, blocked matmul,
 //! subspace model fit, batch detection, scenario materialization, the
 //! fused sharded ingest, the 90k-OD-pair large-mesh pipeline, the
 //! end-to-end pipeline, the fault-storm frame-ingest path, the daemon's
@@ -41,9 +40,7 @@ use std::time::Instant;
 
 use odflow::flow::{PipelineConfig, ShardedIngest};
 use odflow::gen::{Scenario, ScenarioConfig};
-use odflow::linalg::{
-    eigen_symmetric, eigen_symmetric_auto, eigen_symmetric_tridiagonal, scatter, EigenMethod,
-};
+use odflow::linalg::{eigen_symmetric, scatter, EigenMethod};
 use odflow::net::IngressResolver;
 use odflow::subspace::{SubspaceConfig, SubspaceDetector, SubspaceModel};
 use odflow_bench::{traffic_matrix, PERF_STAGES};
@@ -264,34 +261,16 @@ fn main() {
         }));
     }
 
-    // Dense eigendecomposition on a covariance-sized mesh through the Auto
-    // crossover — which lands on the blocked tridiagonal solver at these
-    // dimensions (both are ≥ AUTO_TRIDIAG_MIN_DIM), exactly what a default
-    // model fit pays.
-    if filter.enabled("eigen") {
-        let d = if quick { 256 } else { 384 };
-        let x = traffic_matrix(2 * d, d);
-        let cov = odflow::linalg::covariance(&x).unwrap();
-        stages.push(run_stage("eigen", format!("p={d} tridiagonal"), reps, || {
-            eigen_symmetric_auto(&cov).unwrap()
-        }));
-    }
-
-    // The tridiagonal solver pinned explicitly at two dimensions (the Auto
-    // crossover's midpoint and ceiling), plus the Jacobi reference at the
-    // smaller one so the dense-vs-dense gap stays visible in every report.
+    // The dense eigensolver at the paper's dimension (the only dense size a
+    // benchmark workload runs, where its regions are one inline task), at
+    // a mid-size mesh, and at `Auto`'s dense ceiling, where they fan out.
     if filter.enabled("eigen_tridiag") {
-        for &d in &[256usize, 512] {
+        for &d in &[121usize, 256, 512] {
             let x = traffic_matrix(2 * d, d);
             let cov = odflow::linalg::covariance(&x).unwrap();
             stages.push(run_stage("eigen_tridiag", format!("p={d}"), reps, || {
-                eigen_symmetric_tridiagonal(&cov).unwrap()
+                eigen_symmetric(&cov).unwrap()
             }));
-            if d == 256 {
-                stages.push(run_stage("eigen_tridiag", format!("p={d} jacobi-ref"), reps, || {
-                    eigen_symmetric(&cov).unwrap()
-                }));
-            }
         }
     }
 

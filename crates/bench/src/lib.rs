@@ -31,7 +31,6 @@ pub const PERF_STAGES: &[&str] = &[
     "fanout",
     "gram",
     "matmul",
-    "eigen",
     "eigen_tridiag",
     "model_fit",
     "detector",

@@ -1,43 +1,25 @@
-//! Pluggable eigen-backends for model fitting.
+//! Choosing how a model fit gets its singular triplets.
 //!
 //! Every consumer of the subspace method ultimately needs one thing from
-//! this crate: the top singular triplets of an `n x p` data matrix. How
-//! they are computed is a *backend* decision — the paper-scale dense route
-//! (full Gram matrix + cyclic Jacobi) is exact but `O(p³)` and `O(p²)`
-//! memory, while the randomized range finder ([`randomized_thin_svd`])
-//! touches nothing larger than a `p x (k + oversample)` panel and runs the
-//! detector at 90 000 OD pairs.
-//!
-//! [`EigenMethod`] is the configuration-level selector carried by
-//! `SubspaceConfig` and threaded through the whole fitting stack;
-//! [`EigenBackend`] is the trait seam future solvers (Lanczos, GPU,
-//! incremental refit) plug into without touching any call site above this
-//! crate.
+//! this crate: the top singular triplets of an `n x p` data matrix. The
+//! paper-scale dense route (full Gram matrix + [`crate::eigen_symmetric`])
+//! is exact but `O(p³)` time and `O(p²)` memory, while the randomized range
+//! finder ([`randomized_thin_svd`]) touches nothing larger than a
+//! `p x (k + oversample)` panel and runs the detector at 90 000 OD pairs.
+//! [`EigenMethod`] is the selector `SubspaceConfig` carries, and
+//! [`truncated_svd`] the one place it is acted on.
 
 use crate::error::Result;
 use crate::matrix::Matrix;
 use crate::randomized::{randomized_thin_svd, RandomizedSvdOptions, DEFAULT_SKETCH_SEED};
-use crate::svd::{thin_svd_with, Svd};
+use crate::svd::{thin_svd, Svd};
 
 /// Largest OD-space dimension `p` at which [`EigenMethod::Auto`] stays on
-/// a dense exact path. Below this the full `p x p` Gram eigenproblem is
-/// affordable (the tridiagonal solver keeps it so through mid-size
-/// meshes); above it `Auto` switches to the randomized truncated solver,
-/// whose cost grows only linearly in `p`.
-///
-/// Raised from 256 to 512 when the blocked tridiagonal backend landed:
-/// Jacobi at `p = 512` costs seconds, the tridiagonal pipeline hundreds of
-/// milliseconds, so meshes that used to fall off the exact path now keep
-/// their full spectrum.
+/// the dense exact path. Up to here the full `p x p` Gram eigenproblem is
+/// affordable (hundreds of milliseconds at 512); above it `Auto` switches
+/// to the randomized truncated solver, whose cost grows only linearly in
+/// `p`.
 pub const AUTO_DENSE_MAX_DIM: usize = 512;
-
-/// Smallest dimension at which the dense exact path switches from cyclic
-/// Jacobi to the blocked Householder + implicit-shift QR solver (under
-/// [`EigenMethod::Auto`]). Below this Jacobi's simplicity wins — and,
-/// deliberately, the paper's `p = 121` Abilene mesh stays on the
-/// historical Jacobi arithmetic, keeping its detection output
-/// byte-identical across releases.
-pub const AUTO_TRIDIAG_MIN_DIM: usize = 128;
 
 /// How to compute the eigen/singular decomposition during model fitting.
 ///
@@ -46,44 +28,34 @@ pub const AUTO_TRIDIAG_MIN_DIM: usize = 128;
 /// ```
 /// use odflow_linalg::EigenMethod;
 ///
-/// // Auto picks the dense exact Jacobi path at the paper's scale...
-/// assert_eq!(EigenMethod::Auto.resolve(121), EigenMethod::DenseJacobi);
-/// // ...the dense tridiagonal path for mid-size meshes...
-/// assert_eq!(EigenMethod::Auto.resolve(256), EigenMethod::DenseTridiagonal);
+/// // Auto takes the dense exact path at the paper's scale and for
+/// // mid-size meshes...
+/// assert_eq!(EigenMethod::Auto.resolve(121), EigenMethod::DenseTridiagonal);
+/// assert_eq!(EigenMethod::Auto.resolve(512), EigenMethod::DenseTridiagonal);
 /// // ...and the randomized truncated path at large-mesh scale.
 /// assert!(matches!(
 ///     EigenMethod::Auto.resolve(90_000),
 ///     EigenMethod::RandomizedTruncated { .. }
 /// ));
 /// // Explicit choices resolve to themselves.
-/// assert_eq!(EigenMethod::DenseJacobi.resolve(90_000), EigenMethod::DenseJacobi);
+/// assert_eq!(EigenMethod::DenseTridiagonal.resolve(90_000), EigenMethod::DenseTridiagonal);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EigenMethod {
-    /// Full `p x p` Gram matrix + cyclic Jacobi eigendecomposition: exact,
-    /// the historical default, and the reference every other backend is
-    /// tested against. Memory and time grow as `O(p²)` / `O(p³)` — with a
-    /// large sweep-count constant that makes it the slow choice past
-    /// [`AUTO_TRIDIAG_MIN_DIM`].
-    DenseJacobi,
     /// Full `p x p` Gram matrix + blocked Householder tridiagonalization
-    /// and implicit Wilkinson-shift QR
-    /// ([`crate::eigen_symmetric_tridiagonal`]): the same exact full
-    /// spectrum as [`EigenMethod::DenseJacobi`] at a fraction of the
-    /// arithmetic (~4x at `p = 256`), bit-identical for every thread
-    /// count. Eigenvector signs and low-order bits differ from Jacobi —
-    /// the methods take different arithmetic paths to the same
-    /// eigensystem.
+    /// and implicit Wilkinson-shift QR ([`crate::eigen_symmetric`]): the
+    /// exact full spectrum, bit-identical for every thread count. Memory
+    /// and time grow as `O(p²)` / `O(p³)`.
     ///
     /// ```
     /// use odflow_linalg::{truncated_svd, EigenMethod, Matrix};
     ///
-    /// let x = Matrix::from_fn(40, 24, |i, j| ((i * 3 + j * 7) % 11) as f64);
-    /// let tri = truncated_svd(&x, 4, EigenMethod::DenseTridiagonal).unwrap();
-    /// let jac = truncated_svd(&x, 4, EigenMethod::DenseJacobi).unwrap();
-    /// for (a, b) in tri.sigma.iter().zip(&jac.sigma).take(4) {
-    ///     assert!((a - b).abs() < 1e-8 * (1.0 + a));
-    /// }
+    /// let x = Matrix::from_fn(40, 24, |i, j| {
+    ///     ((i * 3 + j * 7) % 11) as f64 + if i == j { 5.0 } else { 0.0 }
+    /// });
+    /// let svd = truncated_svd(&x, 4, EigenMethod::DenseTridiagonal).unwrap();
+    /// assert_eq!(svd.rank(), 24); // the whole spectrum, whatever rank was asked
+    /// assert!(svd.reconstruct().unwrap().approx_eq(&x, 1e-8));
     /// ```
     DenseTridiagonal,
     /// Halko-style randomized range finder: Gaussian sketch, a few power
@@ -99,8 +71,7 @@ pub enum EigenMethod {
         /// Seed of the ChaCha8 Gaussian sketch stream.
         seed: u64,
     },
-    /// Pick by problem size: [`EigenMethod::DenseJacobi`] below
-    /// [`AUTO_TRIDIAG_MIN_DIM`], [`EigenMethod::DenseTridiagonal`] up to
+    /// Pick by problem size: [`EigenMethod::DenseTridiagonal`] up to
     /// [`AUTO_DENSE_MAX_DIM`], otherwise
     /// [`EigenMethod::RandomizedTruncated`] with default parameters
     /// (`oversample = 8`, `power_iters = 2`, a fixed seed). This is the
@@ -114,129 +85,41 @@ impl EigenMethod {
     /// OD-space dimension `p`; explicit choices return themselves.
     pub fn resolve(self, p: usize) -> EigenMethod {
         match self {
+            EigenMethod::Auto if p <= AUTO_DENSE_MAX_DIM => EigenMethod::DenseTridiagonal,
             EigenMethod::Auto => {
-                if p < AUTO_TRIDIAG_MIN_DIM {
-                    EigenMethod::DenseJacobi
-                } else if p <= AUTO_DENSE_MAX_DIM {
-                    EigenMethod::DenseTridiagonal
-                } else {
-                    let d = RandomizedSvdOptions::default();
-                    EigenMethod::RandomizedTruncated {
-                        oversample: d.oversample,
-                        power_iters: d.power_iters,
-                        seed: DEFAULT_SKETCH_SEED,
-                    }
+                let d = RandomizedSvdOptions::default();
+                EigenMethod::RandomizedTruncated {
+                    oversample: d.oversample,
+                    power_iters: d.power_iters,
+                    seed: DEFAULT_SKETCH_SEED,
                 }
             }
             other => other,
         }
     }
 
-    /// Collapses to a concrete **dense** eigensolver for full-spectrum
-    /// work at dimension `p` — the dispatch [`crate::thin_svd_with`] uses.
-    /// Explicit dense choices return themselves; `Auto` *and*
-    /// `RandomizedTruncated` (which cannot produce a full spectrum) fall
-    /// back to the dimension-based dense crossover.
-    pub fn resolve_dense(self, p: usize) -> EigenMethod {
-        match self {
-            EigenMethod::DenseJacobi | EigenMethod::DenseTridiagonal => self,
-            EigenMethod::Auto | EigenMethod::RandomizedTruncated { .. } => {
-                if p < AUTO_TRIDIAG_MIN_DIM {
-                    EigenMethod::DenseJacobi
-                } else {
-                    EigenMethod::DenseTridiagonal
-                }
-            }
-        }
-    }
-
-    /// `true` when fitting at dimension `p` takes a dense exact path.
+    /// `true` when fitting at dimension `p` takes the dense exact path and
+    /// so returns the full spectrum.
     pub fn is_dense_for(self, p: usize) -> bool {
-        matches!(self.resolve(p), EigenMethod::DenseJacobi | EigenMethod::DenseTridiagonal)
-    }
-}
-
-/// The backend seam: anything that can produce the top singular triplets
-/// of a data matrix can drive the subspace method.
-///
-/// Contract: `fit_svd(x, rank)` returns the top triplets of `x` in
-/// descending σ order with orthonormal `U`/`V` panels — up to the
-/// **numerical rank** of the data, which may be fewer than `rank`
-/// (numerically zero directions are dropped rather than returned as
-/// garbage), and may be more (the dense backend returns the full
-/// spectrum; the randomized backend returns its `rank + oversample`
-/// sketch width). Callers must size against the returned [`Svd::rank`],
-/// never against the request.
-pub trait EigenBackend {
-    /// Human-readable backend name for reports and logs.
-    fn name(&self) -> &'static str;
-
-    /// Computes (at least) the top-`rank` thin SVD of `x`.
-    ///
-    /// # Errors
-    ///
-    /// Backend-specific numeric failures (empty/non-finite input,
-    /// non-convergence).
-    fn fit_svd(&self, x: &Matrix, rank: usize) -> Result<Svd>;
-}
-
-/// The exact dense backend: full Gram matrix + cyclic Jacobi.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DenseJacobiBackend;
-
-impl EigenBackend for DenseJacobiBackend {
-    fn name(&self) -> &'static str {
-        "dense-jacobi"
-    }
-
-    fn fit_svd(&self, x: &Matrix, _rank: usize) -> Result<Svd> {
-        // The dense route computes the full spectrum regardless of the
-        // requested rank: callers relying on tail eigenvalues (detection
-        // thresholds) get them exactly.
-        thin_svd_with(x, 0.0, EigenMethod::DenseJacobi)
-    }
-}
-
-/// The exact dense backend on the fast path: full Gram matrix + blocked
-/// Householder tridiagonalization + implicit-shift QR.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DenseTridiagonalBackend;
-
-impl EigenBackend for DenseTridiagonalBackend {
-    fn name(&self) -> &'static str {
-        "dense-tridiagonal"
-    }
-
-    fn fit_svd(&self, x: &Matrix, _rank: usize) -> Result<Svd> {
-        // Full spectrum, same as the Jacobi backend — only the Gram
-        // eigensolver differs.
-        thin_svd_with(x, 0.0, EigenMethod::DenseTridiagonal)
-    }
-}
-
-/// The randomized truncated backend (see [`randomized_thin_svd`]).
-#[derive(Debug, Clone, Copy)]
-pub struct RandomizedTruncatedBackend {
-    /// Sketch options forwarded to [`randomized_thin_svd`].
-    pub options: RandomizedSvdOptions,
-}
-
-impl EigenBackend for RandomizedTruncatedBackend {
-    fn name(&self) -> &'static str {
-        "randomized-truncated"
-    }
-
-    fn fit_svd(&self, x: &Matrix, rank: usize) -> Result<Svd> {
-        randomized_thin_svd(x, rank, self.options)
+        self.resolve(p) == EigenMethod::DenseTridiagonal
     }
 }
 
 /// Computes (at least) the top-`rank` thin SVD of `x` with the selected
 /// method — the one dispatch point every fitting path goes through.
 ///
+/// Triplets come in descending σ order with orthonormal `U`/`V` panels, up
+/// to the **numerical rank** of the data, which may be fewer than `rank`
+/// (numerically zero directions are dropped rather than returned as
+/// garbage) and may be more: the dense path returns the full spectrum, so
+/// callers relying on tail eigenvalues (detection thresholds) get them
+/// exactly, and the randomized path returns its `rank + oversample` sketch
+/// width. Size against the returned [`Svd::rank`], never the request.
+///
 /// # Errors
 ///
-/// Propagates the backend's numeric errors.
+/// Propagates the solver's numeric errors (empty or non-finite input,
+/// non-convergence).
 ///
 /// # Examples
 ///
@@ -244,21 +127,17 @@ impl EigenBackend for RandomizedTruncatedBackend {
 /// use odflow_linalg::{truncated_svd, EigenMethod, Matrix};
 ///
 /// let x = Matrix::from_fn(30, 40, |i, j| ((i * 3 + j * 7) % 11) as f64);
-/// let dense = truncated_svd(&x, 5, EigenMethod::DenseJacobi).unwrap();
+/// let dense = truncated_svd(&x, 5, EigenMethod::DenseTridiagonal).unwrap();
 /// let auto = truncated_svd(&x, 5, EigenMethod::Auto).unwrap(); // p=40 -> dense
 /// assert_eq!(dense.sigma, auto.sigma);
 /// ```
 pub fn truncated_svd(x: &Matrix, rank: usize, method: EigenMethod) -> Result<Svd> {
     match method.resolve(x.ncols()) {
-        EigenMethod::DenseJacobi => DenseJacobiBackend.fit_svd(x, rank),
-        EigenMethod::DenseTridiagonal => DenseTridiagonalBackend.fit_svd(x, rank),
         EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
-            RandomizedTruncatedBackend {
-                options: RandomizedSvdOptions { oversample, power_iters, seed },
-            }
-            .fit_svd(x, rank)
+            randomized_thin_svd(x, rank, RandomizedSvdOptions { oversample, power_iters, seed })
         }
-        EigenMethod::Auto => unreachable!("resolve() never returns Auto"),
+        // `resolve` never returns `Auto`.
+        EigenMethod::DenseTridiagonal | EigenMethod::Auto => thin_svd(x, 0.0),
     }
 }
 
@@ -268,11 +147,8 @@ mod tests {
 
     #[test]
     fn auto_resolves_by_dimension() {
-        assert_eq!(EigenMethod::Auto.resolve(2), EigenMethod::DenseJacobi);
-        // The paper's Abilene mesh stays on the historical Jacobi path.
-        assert_eq!(EigenMethod::Auto.resolve(121), EigenMethod::DenseJacobi);
-        assert_eq!(EigenMethod::Auto.resolve(AUTO_TRIDIAG_MIN_DIM - 1), EigenMethod::DenseJacobi);
-        assert_eq!(EigenMethod::Auto.resolve(AUTO_TRIDIAG_MIN_DIM), EigenMethod::DenseTridiagonal);
+        assert_eq!(EigenMethod::Auto.resolve(2), EigenMethod::DenseTridiagonal);
+        assert_eq!(EigenMethod::Auto.resolve(121), EigenMethod::DenseTridiagonal);
         assert_eq!(EigenMethod::Auto.resolve(AUTO_DENSE_MAX_DIM), EigenMethod::DenseTridiagonal);
         match EigenMethod::Auto.resolve(AUTO_DENSE_MAX_DIM + 1) {
             EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
@@ -289,7 +165,6 @@ mod tests {
 
     #[test]
     fn explicit_methods_resolve_to_themselves() {
-        assert_eq!(EigenMethod::DenseJacobi.resolve(1_000_000), EigenMethod::DenseJacobi);
         assert_eq!(EigenMethod::DenseTridiagonal.resolve(2), EigenMethod::DenseTridiagonal);
         assert!(EigenMethod::DenseTridiagonal.is_dense_for(1_000_000));
         let r = EigenMethod::RandomizedTruncated { oversample: 3, power_iters: 1, seed: 42 };
@@ -298,65 +173,44 @@ mod tests {
     }
 
     #[test]
-    fn resolve_dense_always_lands_on_a_dense_method() {
-        // Explicit dense choices pass through at every dimension.
-        assert_eq!(EigenMethod::DenseJacobi.resolve_dense(10_000), EigenMethod::DenseJacobi);
-        assert_eq!(EigenMethod::DenseTridiagonal.resolve_dense(4), EigenMethod::DenseTridiagonal);
-        // Auto and randomized fall back to the dimension crossover.
-        assert_eq!(EigenMethod::Auto.resolve_dense(121), EigenMethod::DenseJacobi);
-        assert_eq!(
-            EigenMethod::Auto.resolve_dense(AUTO_TRIDIAG_MIN_DIM),
-            EigenMethod::DenseTridiagonal
-        );
-        let r = EigenMethod::RandomizedTruncated { oversample: 3, power_iters: 1, seed: 42 };
-        assert_eq!(r.resolve_dense(50), EigenMethod::DenseJacobi);
-        assert_eq!(r.resolve_dense(AUTO_DENSE_MAX_DIM + 1), EigenMethod::DenseTridiagonal);
-    }
-
-    #[test]
     fn dense_backend_returns_full_spectrum() {
         let x = Matrix::from_fn(12, 6, |i, j| ((i + 1) * (j + 2)) as f64 + (i as f64 * 0.3).sin());
-        let svd = DenseJacobiBackend.fit_svd(&x, 2).unwrap();
-        assert!(svd.rank() >= 2);
-        assert_eq!(DenseJacobiBackend.name(), "dense-jacobi");
+        let svd = truncated_svd(&x, 2, EigenMethod::DenseTridiagonal).unwrap();
+        assert!(svd.rank() > 2, "asked for 2, the dense path keeps all {}", svd.rank());
     }
 
     #[test]
     fn tridiagonal_backend_matches_jacobi_spectrum() {
+        // σ² against the eigenvalues an independent solver finds for XᵀX —
+        // the sort, clamp and square root between `eigen_symmetric` and
+        // the returned triplets. Entries mod 13 repeat every 13 rows, so
+        // the 18 x 18 Gram is rank-deficient and the tail is rounding.
         let x = Matrix::from_fn(30, 18, |i, j| ((i * 5 + j * 3) % 13) as f64 - 6.0);
-        let jac = DenseJacobiBackend.fit_svd(&x, 4).unwrap();
-        let tri = DenseTridiagonalBackend.fit_svd(&x, 4).unwrap();
-        assert_eq!(DenseTridiagonalBackend.name(), "dense-tridiagonal");
-        assert_eq!(jac.rank(), tri.rank());
-        // Compare eigenvalues (σ²), not σ: for numerically-zero tail
-        // values the sqrt amplifies the eigensolvers' eps·λ_max jitter.
-        let scale = 1.0 + jac.sigma[0] * jac.sigma[0];
-        for (a, b) in jac.sigma.iter().zip(&tri.sigma) {
-            assert!((a * a - b * b).abs() <= 1e-11 * scale, "sigma mismatch: {a} vs {b}");
+        let svd = truncated_svd(&x, 4, EigenMethod::DenseTridiagonal).unwrap();
+        let oracle = crate::eigen::jacobi::jacobi_oracle(&crate::cov::scatter(&x).unwrap());
+        let scale = 1.0 + oracle.eigenvalues[0];
+        assert!(svd.rank() >= 13);
+        for (s, l) in svd.sigma.iter().zip(&oracle.eigenvalues) {
+            assert!((s * s - l).abs() <= 1e-11 * scale, "σ² = {} vs λ = {l}", s * s);
         }
     }
 
     #[test]
     fn dispatch_matches_direct_calls() {
         let x = Matrix::from_fn(25, 30, |i, j| ((i * 5 + j * 3) % 13) as f64 - 6.0);
-        let via_enum = truncated_svd(&x, 4, EigenMethod::DenseJacobi).unwrap();
-        let direct = crate::svd::thin_svd(&x, 0.0).unwrap();
-        assert_eq!(via_enum.sigma, direct.sigma);
-
-        let via_enum = truncated_svd(&x, 4, EigenMethod::DenseTridiagonal).unwrap();
-        let direct = thin_svd_with(&x, 0.0, EigenMethod::DenseTridiagonal).unwrap();
-        assert_eq!(via_enum.sigma, direct.sigma);
+        let direct = thin_svd(&x, 0.0).unwrap();
+        for method in [EigenMethod::DenseTridiagonal, EigenMethod::Auto] {
+            assert_eq!(truncated_svd(&x, 4, method).unwrap().sigma, direct.sigma);
+        }
 
         let method = EigenMethod::RandomizedTruncated { oversample: 6, power_iters: 2, seed: 7 };
         let via_enum = truncated_svd(&x, 4, method).unwrap();
-        let direct = crate::randomized::randomized_thin_svd(
+        let direct = randomized_thin_svd(
             &x,
             4,
             RandomizedSvdOptions { oversample: 6, power_iters: 2, seed: 7 },
         )
         .unwrap();
         assert_eq!(via_enum.sigma, direct.sigma);
-        let backend = RandomizedTruncatedBackend { options: RandomizedSvdOptions::default() };
-        assert_eq!(backend.name(), "randomized-truncated");
     }
 }

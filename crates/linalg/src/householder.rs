@@ -1,7 +1,7 @@
 //! Blocked Householder tridiagonalization with compact-WY back-transform.
 //!
-//! First stage of the [`crate::eigen_symmetric_tridiagonal`] solver: a
-//! symmetric `A` is reduced to `T = Qᵀ A Q` with `T` tridiagonal and
+//! First stage of the [`crate::eigen_symmetric`] solver: a symmetric `A`
+//! is reduced to `T = Qᵀ A Q` with `T` tridiagonal and
 //! `Q = H₀ H₁ ⋯ H_{n-3}` a product of Householder reflectors
 //! `H_j = I - τ_j v_j v_jᵀ` (LAPACK `dsytrd` convention: `v_j` is zero
 //! through index `j`, one at `j + 1`, stored below). The reduction is
@@ -32,8 +32,12 @@ use crate::vecops;
 pub(crate) const TRIDIAG_PANEL: usize = 32;
 
 /// Rows per parallel task in [`syr2k_update`]; fixed so the decomposition
-/// depends only on the trailing-block size.
-const SYR2K_ROW_BLOCK: usize = 16;
+/// depends only on the trailing-block size. 256 because the paper's
+/// `p = 121` opens only four of these regions, ≈ 0.3 ms of a 6.6 ms solve
+/// together, and splitting them across two threads measured no faster (a
+/// region costs 13–50 µs once a second thread is woken): up to 256 rows
+/// the region is one task, which `odflow_par` runs on the caller.
+const SYR2K_ROW_BLOCK: usize = 256;
 
 /// The Householder factorization of a symmetric matrix: tridiagonal
 /// `(d, e)` plus the reflectors needed to rebuild `Q`.
@@ -323,7 +327,9 @@ mod tests {
 
     #[test]
     fn blocked_reduction_is_thread_count_invariant() {
-        let n = 2 * TRIDIAG_PANEL + 13;
+        // The first panels' trailing updates (and their symv calls) are
+        // two tasks each, the last one ragged.
+        let n = 2 * SYR2K_ROW_BLOCK + 13;
         let a = sym(n);
         let serial = odflow_par::with_thread_limit(1, || tridiagonalize(a.clone()));
         for &threads in &[4usize, 64] {

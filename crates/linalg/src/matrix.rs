@@ -795,8 +795,12 @@ const NT_K_TILE: usize = 256;
 const TN_ROW_BLOCK: usize = 1024;
 
 /// Rows per parallel task in [`symv_block`]; fixed so the decomposition —
-/// and therefore the result — depends only on the problem size.
-const SYMV_ROW_BLOCK: usize = 64;
+/// and therefore the result — depends only on the problem size. 256
+/// because the Householder panel calls this once per column and a region
+/// costs 13–50 µs once a second thread is woken, against a few µs for all
+/// 120 dot products of the paper's largest trailing block: up to 256 rows
+/// the region is one task, which `odflow_par` runs on the caller.
+const SYMV_ROW_BLOCK: usize = 256;
 
 /// Trailing-block symmetric matvec: for an `n x n` row-major `data` and a
 /// vector `v` of length `n - lo`, returns `y[i - lo] = data[i, lo..n] · v`
@@ -1061,7 +1065,7 @@ mod tests {
 
     #[test]
     fn symv_matches_matvec_on_symmetric_input() {
-        let n = 70; // spans two SYMV_ROW_BLOCK panels
+        let n = SYMV_ROW_BLOCK + 6; // spans two row blocks
         let a = Matrix::from_fn(n, n, |i, j| {
             let (lo, hi) = (i.min(j), i.max(j));
             ((lo * 7 + hi * 3) % 17) as f64 - 8.0
@@ -1078,7 +1082,7 @@ mod tests {
 
     #[test]
     fn symv_is_thread_count_invariant() {
-        let n = 130;
+        let n = 2 * SYMV_ROW_BLOCK + 13; // three tasks, the last ragged
         let a = Matrix::from_fn(n, n, |i, j| 1.0 / ((i + j + 1) as f64));
         let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
         let serial = odflow_par::with_thread_limit(1, || a.symv(&v).unwrap());

@@ -43,7 +43,7 @@
 //! whatever the banding, and every reduction is combined in chunk order.
 //! The whole factorization is therefore **bit-identical for every thread
 //! count and every run with the same seed** — the same contract as the
-//! dense Jacobi path.
+//! dense path.
 
 use crate::eigen::eigen_symmetric;
 use crate::error::{LinalgError, Result};

@@ -8,8 +8,7 @@
 //! singular vectors `u_i`) are the common temporal patterns, ordered by
 //! captured variance.
 
-use crate::backend::EigenMethod;
-use crate::eigen::{eigen_symmetric_tridiagonal, eigen_symmetric_with, JacobiOptions};
+use crate::eigen::eigen_symmetric;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::vecops;
@@ -76,10 +75,12 @@ fn scale_cols(m: &Matrix, s: &[f64]) -> Matrix {
 /// Computes the thin SVD of `x`, dropping singular values below
 /// `rel_cutoff * σ_max` (pass `0.0` to keep all `min(n, p)` triplets).
 ///
-/// The Gram eigensolve follows [`EigenMethod::Auto`]'s dense crossover:
-/// cyclic Jacobi below [`crate::AUTO_TRIDIAG_MIN_DIM`], the blocked
-/// tridiagonal solver at or above it. Use [`thin_svd_with`] to pin a
-/// specific dense eigensolver.
+/// The singular values are square roots of the Gram matrix's eigenvalues
+/// ([`eigen_symmetric`]), which are exact to about `ε · λ_max`; a singular
+/// value below `≈ √ε · σ_max` (`1.5e-8 · σ_max`) is therefore rounding, not
+/// data, and a `rel_cutoff` under that floor keeps or drops such triplets
+/// by accident. To read a numerical rank off the result, cut at `1e-6` or
+/// above.
 ///
 /// The `U = X V Σ⁻¹` column assembly fans out over the [`odflow_par`]
 /// pool; each column is extracted, rescaled, and re-normalized by exactly
@@ -103,35 +104,6 @@ fn scale_cols(m: &Matrix, s: &[f64]) -> Matrix {
 /// * [`LinalgError::NonFinite`] when `x` contains NaN/infinities.
 /// * Propagates eigensolver errors (practically unreachable for finite data).
 pub fn thin_svd(x: &Matrix, rel_cutoff: f64) -> Result<Svd> {
-    thin_svd_with(x, rel_cutoff, EigenMethod::Auto)
-}
-
-/// [`thin_svd`] with an explicit choice of dense Gram eigensolver.
-///
-/// The Gram eigenproblem is dispatched through
-/// [`EigenMethod::resolve_dense`]: explicit dense methods are honored
-/// verbatim, while `Auto` (and the randomized method, which cannot
-/// produce a full spectrum) pick cyclic Jacobi below the tridiagonal
-/// crossover dimension and the blocked Householder + implicit-shift QR
-/// solver at or above it. Everything downstream of the eigensolve — the
-/// cutoff sweep and the `U = X V Σ⁻¹` assembly — is shared, so the two
-/// dense paths differ only in eigensolver arithmetic.
-///
-/// ```
-/// use odflow_linalg::{thin_svd_with, EigenMethod, Matrix};
-///
-/// let x = Matrix::from_fn(48, 12, |i, j| ((i * 7 + j * 13) % 23) as f64);
-/// let jac = thin_svd_with(&x, 0.0, EigenMethod::DenseJacobi).unwrap();
-/// let tri = thin_svd_with(&x, 0.0, EigenMethod::DenseTridiagonal).unwrap();
-/// for (a, b) in jac.sigma.iter().zip(&tri.sigma) {
-///     assert!((a - b).abs() < 1e-8 * (1.0 + a));
-/// }
-/// ```
-///
-/// # Errors
-///
-/// Same contract as [`thin_svd`].
-pub fn thin_svd_with(x: &Matrix, rel_cutoff: f64, method: EigenMethod) -> Result<Svd> {
     if x.nrows() == 0 || x.ncols() == 0 {
         return Err(LinalgError::Empty { op: "thin_svd" });
     }
@@ -140,11 +112,7 @@ pub fn thin_svd_with(x: &Matrix, rel_cutoff: f64, method: EigenMethod) -> Result
     }
 
     let gram = crate::cov::scatter(x)?; // X^T X, p x p
-    let eig = match method.resolve_dense(x.ncols()) {
-        EigenMethod::DenseTridiagonal => eigen_symmetric_tridiagonal(&gram)?,
-        // resolve_dense only ever returns a dense method.
-        _ => eigen_symmetric_with(&gram, JacobiOptions::default())?,
-    };
+    let eig = eigen_symmetric(&gram)?;
 
     let sigma_max = eig.eigenvalues.first().copied().unwrap_or(0.0).max(0.0).sqrt();
     let cutoff = rel_cutoff * sigma_max;
@@ -297,29 +265,18 @@ mod tests {
     }
 
     #[test]
-    fn thin_svd_with_tridiagonal_matches_jacobi() {
-        let x = data_matrix(40, 12);
-        let jac = thin_svd_with(&x, 0.0, EigenMethod::DenseJacobi).unwrap();
-        let tri = thin_svd_with(&x, 0.0, EigenMethod::DenseTridiagonal).unwrap();
-        assert_eq!(jac.rank(), tri.rank());
-        let scale = 1.0 + jac.sigma[0];
-        for (a, b) in jac.sigma.iter().zip(&tri.sigma) {
-            assert!((a - b).abs() < 1e-9 * scale, "sigma mismatch: {a} vs {b}");
-        }
-        // Reconstruction through the tridiagonal path is exact too.
-        assert!(tri.reconstruct().unwrap().approx_eq(&x, 1e-8));
-    }
-
-    #[test]
-    fn thin_svd_default_pins_jacobi_below_crossover() {
-        // At small p the Auto dense crossover lands on Jacobi, so the
-        // default entry point is bitwise-identical to the explicit choice.
-        let x = data_matrix(30, 9);
-        let auto = thin_svd(&x, 0.0).unwrap();
-        let jac = thin_svd_with(&x, 0.0, EigenMethod::DenseJacobi).unwrap();
-        assert_eq!(auto.sigma, jac.sigma);
-        assert_eq!(auto.u.as_slice(), jac.u.as_slice());
-        assert_eq!(auto.v.as_slice(), jac.v.as_slice());
+    fn rank_is_recovered_above_the_gram_floor() {
+        // Outer products of a few fixed vectors: exact rank 1 and rank 2.
+        // The Gram route resolves σ down to ≈ √ε · σ_max, so a cutoff of
+        // 1e-6 separates data from rounding; 0.0 asks for everything.
+        let (a, b) = ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2.0, -1.0, 0.5, 3.0]);
+        let (c, d) = ([1.0, -1.0, 2.0, 0.0, 1.0, -3.0], [0.5, 1.0, -2.0, 1.0]);
+        let rank1 = Matrix::from_fn(6, 4, |i, j| a[i] * b[j]);
+        let rank2 = Matrix::from_fn(6, 4, |i, j| a[i] * b[j] + c[i] * d[j]);
+        assert_eq!(thin_svd(&rank1, 1e-6).unwrap().rank(), 1);
+        assert_eq!(thin_svd(&rank2, 1e-6).unwrap().rank(), 2);
+        let full = Matrix::from_fn(6, 4, |i, j| rank2[(i, j)] + if i == j { 1.0 } else { 0.0 });
+        assert_eq!(thin_svd(&full, 0.0).unwrap().rank(), 4);
     }
 
     #[test]

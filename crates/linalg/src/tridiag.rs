@@ -1,7 +1,7 @@
 //! Implicit Wilkinson-shift QR on a symmetric tridiagonal matrix.
 //!
-//! Second stage of the [`crate::eigen_symmetric_tridiagonal`] solver: given
-//! the tridiagonal `(d, e)` produced by the blocked Householder reduction,
+//! Second stage of the [`crate::eigen_symmetric`] solver: given the
+//! tridiagonal `(d, e)` produced by the blocked Householder reduction,
 //! each QR sweep chases a bulge down the active block with a sequence of
 //! Givens rotations whose shift is the Wilkinson choice (the eigenvalue of
 //! the trailing 2×2 closest to the corner), deflating one eigenvalue at a
@@ -25,8 +25,12 @@ use crate::matrix::Matrix;
 /// Rows of the eigenvector accumulator per parallel task when replaying a
 /// sweep's rotations; a multiple of the 4-row ILP interleave so chunk
 /// boundaries never change which lane a row runs in (they couldn't change
-/// the result anyway — lanes are arithmetically identical).
-const QR_ROW_BLOCK: usize = 32;
+/// the result anyway — lanes are arithmetically identical). 256 because a
+/// region costs 13–50 µs once a second thread is woken and a solve opens one
+/// per sweep (≈ 250 at `p = 121`), while replaying a sweep into 121 rows is
+/// ≈ 10 µs of work: up to 256 rows the region is one task, which
+/// `odflow_par` runs on the caller without touching the pool.
+const QR_ROW_BLOCK: usize = 256;
 
 /// Iteration budget per eigenvalue; the Wilkinson shift converges cubically
 /// so real inputs take 2-3 sweeps per eigenvalue — 40 total across the
@@ -269,7 +273,9 @@ mod tests {
 
     #[test]
     fn rotation_replay_is_thread_count_invariant() {
-        let n = 97; // odd: exercises the non-quad remainder rows
+        // Three tasks, the last with an odd row count for the non-quad
+        // remainder lane.
+        let n = 2 * QR_ROW_BLOCK + 13;
         let d: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 13) % 7) as f64).collect();
         let e: Vec<f64> = (0..n - 1).map(|i| 0.5 + ((i * 5) % 3) as f64 * 0.1).collect();
         let run = |threads| {

@@ -2,9 +2,9 @@
 //!
 //! A data-parallel substrate built on a **lazily-initialized persistent
 //! worker pool** (the vendored [`scoped_pool`] shim). The hot paths of the
-//! subspace method — `X^T X` at week scale, blocked matmul, Jacobi sweeps,
-//! scenario materialization, sharded ingest, batch SPE/T² scoring — are all
-//! embarrassingly parallel over row blocks, bins, or chunk ranges; this
+//! subspace method — `X^T X` at week scale, blocked matmul, eigenvector
+//! updates, scenario materialization, sharded ingest, batch SPE/T² scoring
+//! — are all embarrassingly parallel over row blocks, bins, or chunk ranges; this
 //! crate gives them one shared fan-out primitive whose dispatch cost is a
 //! queue push and a worker wake-up, not an OS thread spawn per region.
 //!
@@ -173,8 +173,9 @@ fn chunk_ranges(n: usize, grain: usize) -> (usize, usize) {
 /// per-task synchronization scaffolding (Mutex slot vectors) entirely on
 /// the serial path: the work runs in identical chunk order with identical
 /// arithmetic either way, so the fast path is bitwise-invisible — it only
-/// removes allocation and lock overhead from serial hot loops (tight
-/// Jacobi sweeps under `with_thread_limit(1)`, nested regions on workers).
+/// removes allocation and lock overhead from serial hot loops (the dense
+/// eigensolver's per-sweep regions at paper scale, nested regions on
+/// workers).
 fn runs_serially(num_tasks: usize) -> bool {
     num_tasks <= 1 || max_threads() <= 1 || scoped_pool::is_worker_thread()
 }
@@ -247,7 +248,7 @@ pub fn parallel_for(n: usize, grain: usize, f: impl Fn(Range<usize>) + Sync) {
 ///
 /// This is the mutation-friendly primitive: each chunk is a disjoint
 /// `&mut [T]`, so row-blocked kernels (matmul output rows, column centering,
-/// Jacobi row updates) parallelize without interior mutability.
+/// QR rotation replay) parallelize without interior mutability.
 pub fn parallel_chunks<T: Send>(
     data: &mut [T],
     chunk_len: usize,

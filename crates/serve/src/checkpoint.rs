@@ -488,10 +488,11 @@ fn dec_matrix(d: &mut Dec<'_>) -> DecResult<Matrix> {
         .or_else(|e| corrupt(format!("matrix shape: {e}")))
 }
 
+/// Tags are the file format: 1 belonged to a retired method and is not
+/// reused, so a file carrying it decodes as corrupt.
 fn enc_method(e: &mut Enc, m: EigenMethod) {
     match m {
         EigenMethod::Auto => e.u8(0),
-        EigenMethod::DenseJacobi => e.u8(1),
         EigenMethod::DenseTridiagonal => e.u8(2),
         EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
             e.u8(3);
@@ -505,7 +506,6 @@ fn enc_method(e: &mut Enc, m: EigenMethod) {
 fn dec_method(d: &mut Dec<'_>) -> DecResult<EigenMethod> {
     match d.u8()? {
         0 => Ok(EigenMethod::Auto),
-        1 => Ok(EigenMethod::DenseJacobi),
         2 => Ok(EigenMethod::DenseTridiagonal),
         3 => Ok(EigenMethod::RandomizedTruncated {
             oversample: d.usize_val()?,

@@ -16,7 +16,7 @@ mod common;
 
 use common::record_spans;
 use odflow_gen::{Scenario, ScenarioConfig};
-use odflow_linalg::{Centering, Matrix};
+use odflow_linalg::{Centering, EigenMethod, Matrix};
 use odflow_net::IpAddr;
 use odflow_net::{AddressPlan, IngressResolver, Topology};
 use odflow_serve::checkpoint::fnv1a64;
@@ -503,5 +503,53 @@ fn absurd_lengths_behind_a_valid_checksum_are_refused_without_allocating() {
         }
     }
     assert!(refused > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Method tag 1 named an eigensolver that no longer exists. A record
+/// carrying it — every other byte valid, the checksum made good again —
+/// is corrupt: not a panic, not a silent remap onto another method, and
+/// recovery falls back to the other slot.
+#[test]
+fn retired_eigen_method_tag_is_refused_and_recovery_falls_back() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fuzz_method_tag");
+    let store = CheckpointStore::new(&dir, "tiny");
+    let chain = tiny_chain(&store);
+    let mut state = decode_state(&chain[record_spans(&chain)[0].clone()]).unwrap();
+    state.detector = Some(small_detector(&(1..=16).map(f64::from).collect::<Vec<_>>()));
+
+    // The method tags are the bytes that move when the method does.
+    let mut pinned = state.clone();
+    let detector = pinned.detector.as_mut().unwrap();
+    detector.config.method = EigenMethod::DenseTridiagonal;
+    detector.model.config.method = EigenMethod::DenseTridiagonal;
+    let (valid, other) = (encode_state(&state), encode_state(&pinned));
+    let tags: Vec<usize> =
+        (CHECKPOINT_HEADER_LEN..valid.len()).filter(|&i| valid[i] != other[i]).collect();
+    assert!(!tags.is_empty() && tags.iter().all(|&i| (valid[i], other[i]) == (0, 2)), "{tags:?}");
+
+    let mut forged = valid.clone();
+    for &i in &tags {
+        forged[i] = 1;
+    }
+    let sum = fnv1a64(&forged[CHECKPOINT_HEADER_LEN..]);
+    forged[20..CHECKPOINT_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    match decode_state(&forged) {
+        Err(CheckpointError::Corrupt(why)) => assert!(why.contains("eigen method tag 1"), "{why}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+
+    store.reset().unwrap();
+    let [a, b] = store.slot_paths();
+    std::fs::write(&a, &forged).unwrap();
+    std::fs::write(&b, &valid).unwrap();
+    let loaded = store.load_newest();
+    assert_eq!(loaded.slot, Some(1));
+    assert_eq!(encode_state(&loaded.state.expect("the intact slot loads")), valid);
+    assert!(
+        matches!(&loaded.rejected[..], [(path, CheckpointError::Corrupt(_))] if *path == a),
+        "{:?}",
+        loaded.rejected
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

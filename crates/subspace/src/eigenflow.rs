@@ -11,7 +11,7 @@
 //! flows".
 
 use crate::error::{Result, SubspaceError};
-use odflow_linalg::{center_columns, thin_svd_with, truncated_svd, Centering, EigenMethod, Matrix};
+use odflow_linalg::{center_columns, truncated_svd, Centering, EigenMethod, Matrix};
 
 /// The eigenflow decomposition of an `n x p` OD traffic matrix.
 #[derive(Debug, Clone)]
@@ -46,89 +46,55 @@ impl EigenflowDecomposition {
     /// the paper requires ("the multivariate mean ... for eigenflows is
     /// equal to zero by construction").
     ///
-    /// This is the exact dense path (full spectrum): cyclic Jacobi below
-    /// the tridiagonal crossover dimension, blocked Householder +
-    /// implicit-shift QR at or above it (see
-    /// [`odflow_linalg::AUTO_TRIDIAG_MIN_DIM`]). Use [`Self::fit_with`] to
-    /// pin a backend — at large-mesh scale (`p ≈ 90 000`) the dense Gram
-    /// matrix
-    /// is out of reach by design.
+    /// This is the exact dense path (full spectrum) whatever `p` is. Use
+    /// [`Self::fit_with`] to choose — at large-mesh scale (`p ≈ 90 000`) the
+    /// dense Gram matrix is out of reach by design.
     ///
     /// # Errors
     ///
     /// * [`SubspaceError::InsufficientData`] unless `n >= 2` and `p >= 2`.
     /// * [`SubspaceError::Numeric`] for non-finite input.
     pub fn fit(x: &Matrix) -> Result<Self> {
-        Self::fit_full(x, EigenMethod::Auto)
+        Self::fit_with(x, 0, EigenMethod::DenseTridiagonal)
     }
 
-    /// The shared full-spectrum dense path: center, thin-SVD with the
-    /// requested dense eigensolver, record the exact total energy.
-    fn fit_full(x: &Matrix, method: EigenMethod) -> Result<Self> {
-        let (n, _) = Self::check_shape(x)?;
+    /// Computes the decomposition with an explicit [`EigenMethod`],
+    /// retaining (at least) the top `rank` eigenflows.
+    ///
+    /// The dense method (`DenseTridiagonal`, or `Auto` resolving to it)
+    /// ignores `rank` and keeps the full spectrum, so its
+    /// [`Self::total_energy`] is exactly the retained `Σ σ²`. The
+    /// randomized method keeps `rank + oversample` triplets and records
+    /// the unseen tail energy from the centered data's Frobenius norm,
+    /// which costs one pass — never a `p x p` matrix.
+    ///
+    /// # Errors
+    ///
+    /// * [`SubspaceError::InsufficientData`] unless `n >= 2` and `p >= 2`.
+    /// * Numeric errors from the selected solver.
+    pub fn fit_with(x: &Matrix, rank: usize, method: EigenMethod) -> Result<Self> {
+        let (n, p) = x.shape();
+        if n < 2 || p < 2 {
+            return Err(SubspaceError::InsufficientData { n, p, need: "need n >= 2 and p >= 2" });
+        }
         let (centered, centering) = center_columns(x)?;
-        let svd = thin_svd_with(&centered, 0.0, method)?;
-        let total_energy: f64 = svd.sigma.iter().map(|s| s * s).sum();
+        let svd = truncated_svd(&centered, rank.max(1), method)?;
+        let dense = method.is_dense_for(p);
+        let total_energy = if dense {
+            svd.sigma.iter().map(|s| s * s).sum()
+        } else {
+            let f = centered.frobenius_norm();
+            f * f
+        };
         Ok(EigenflowDecomposition {
+            truncated: !dense && svd.rank() < n.min(p),
             eigenflows: svd.u,
             loadings: svd.v,
             singular_values: svd.sigma,
             centering,
             n,
             total_energy,
-            truncated: false,
         })
-    }
-
-    /// Computes the decomposition with an explicit eigen-backend,
-    /// retaining (at least) the top `rank` eigenflows.
-    ///
-    /// The dense methods (`DenseJacobi`, `DenseTridiagonal`, or `Auto`
-    /// resolving to either) take exactly the [`Self::fit`] full-spectrum
-    /// path — bit-identical to `fit` whenever `Auto` would pick the same
-    /// solver. The randomized backend keeps `rank + oversample` triplets
-    /// and records the unseen tail energy in [`Self::total_energy`]
-    /// (computed from the centered data's Frobenius norm, which costs one
-    /// pass — never a `p x p` matrix).
-    ///
-    /// # Errors
-    ///
-    /// * [`SubspaceError::InsufficientData`] unless `n >= 2` and `p >= 2`.
-    /// * Numeric errors from the selected backend.
-    pub fn fit_with(x: &Matrix, rank: usize, method: EigenMethod) -> Result<Self> {
-        let (n, p) = Self::check_shape(x)?;
-        match method.resolve(p) {
-            dense @ (EigenMethod::DenseJacobi | EigenMethod::DenseTridiagonal) => {
-                Self::fit_full(x, dense)
-            }
-            resolved => {
-                let (centered, centering) = center_columns(x)?;
-                let total_energy = {
-                    let f = centered.frobenius_norm();
-                    f * f
-                };
-                let svd = truncated_svd(&centered, rank.max(1), resolved)?;
-                let truncated = svd.rank() < n.min(p);
-                Ok(EigenflowDecomposition {
-                    eigenflows: svd.u,
-                    loadings: svd.v,
-                    singular_values: svd.sigma,
-                    centering,
-                    n,
-                    total_energy,
-                    truncated,
-                })
-            }
-        }
-    }
-
-    /// Shared shape validation for the fitting entry points.
-    fn check_shape(x: &Matrix) -> Result<(usize, usize)> {
-        let (n, p) = x.shape();
-        if n < 2 || p < 2 {
-            return Err(SubspaceError::InsufficientData { n, p, need: "need n >= 2 and p >= 2" });
-        }
-        Ok((n, p))
     }
 
     /// Number of eigenflows retained.
@@ -303,7 +269,7 @@ mod tests {
     fn fit_with_dense_is_bit_identical_to_fit() {
         let x = diurnal_matrix(120, 10);
         let direct = EigenflowDecomposition::fit(&x).unwrap();
-        for method in [EigenMethod::DenseJacobi, EigenMethod::Auto] {
+        for method in [EigenMethod::DenseTridiagonal, EigenMethod::Auto] {
             let via = EigenflowDecomposition::fit_with(&x, 4, method).unwrap();
             assert_eq!(via.singular_values, direct.singular_values);
             assert_eq!(via.loadings.as_slice(), direct.loadings.as_slice());
@@ -315,17 +281,15 @@ mod tests {
 
     #[test]
     fn fit_with_tridiagonal_is_full_spectrum_and_agrees() {
+        // Full spectrum whatever rank is asked, and its energy agrees with
+        // what the data says without any eigensolver: ‖centered X‖²_F.
         let x = diurnal_matrix(90, 12);
-        let jac = EigenflowDecomposition::fit_with(&x, 4, EigenMethod::DenseJacobi).unwrap();
         let tri = EigenflowDecomposition::fit_with(&x, 4, EigenMethod::DenseTridiagonal).unwrap();
         assert!(!tri.truncated);
-        assert_eq!(jac.rank(), tri.rank());
-        // Agreement on eigenvalues (σ²) at eigensolver precision.
-        let scale = 1.0 + jac.singular_values[0] * jac.singular_values[0];
-        for (a, b) in jac.singular_values.iter().zip(&tri.singular_values) {
-            assert!((a * a - b * b).abs() <= 1e-10 * scale, "{a} vs {b}");
-        }
-        assert!((jac.total_energy - tri.total_energy).abs() <= 1e-10 * (1.0 + jac.total_energy));
+        assert_eq!(tri.rank(), 12);
+        let (centered, _) = center_columns(&x).unwrap();
+        let energy = centered.frobenius_norm().powi(2);
+        assert!((tri.total_energy - energy).abs() <= 1e-10 * (1.0 + energy));
     }
 
     #[test]

@@ -26,10 +26,9 @@ use odflow_stats::{q_threshold, t2_threshold};
 /// # Examples
 ///
 /// The eigen-backend is part of the configuration: the default
-/// [`EigenMethod::Auto`] stays on an exact dense path through mid-size
-/// meshes (cyclic Jacobi at the paper's scale, the blocked tridiagonal
-/// solver above it) and switches to the randomized truncated solver once
-/// the OD space outgrows the dense Gram matrix.
+/// [`EigenMethod::Auto`] stays on the exact dense path through mid-size
+/// meshes and switches to the randomized truncated solver once the OD
+/// space outgrows the dense Gram matrix.
 ///
 /// ```
 /// use odflow_linalg::EigenMethod;
@@ -37,8 +36,8 @@ use odflow_stats::{q_threshold, t2_threshold};
 ///
 /// // The paper's defaults: k = 4, 99.9% confidence, Auto backend.
 /// let cfg = SubspaceConfig::default();
-/// assert!(cfg.method.is_dense_for(121)); // Abilene: dense Jacobi
-/// assert!(cfg.method.is_dense_for(512)); // mid-size: dense tridiagonal
+/// assert!(cfg.method.is_dense_for(121)); // Abilene: dense, exact
+/// assert!(cfg.method.is_dense_for(512)); // mid-size: still dense
 /// assert!(!cfg.method.is_dense_for(90_000)); // large mesh: randomized
 ///
 /// // Pinning an explicit backend (e.g. for reproducing a CI run):
@@ -61,9 +60,8 @@ pub struct SubspaceConfig {
     /// 99.9% confidence level, i.e. `alpha = 0.001`.
     pub alpha: f64,
     /// Eigen-backend used at fit time (see [`EigenMethod`]). `Auto` — the
-    /// default — picks a dense exact solver (Jacobi, then tridiagonal) for
-    /// small-to-mid OD spaces and the randomized truncated solver for
-    /// large ones.
+    /// default — picks the dense exact solver for small-to-mid OD spaces
+    /// and the randomized truncated solver for large ones.
     pub method: EigenMethod,
 }
 
@@ -126,10 +124,9 @@ pub struct SubspaceModel {
 impl SubspaceModel {
     /// Fits the model to an `n x p` traffic matrix (rows = 5-minute bins,
     /// columns = OD pairs) using the eigen-backend selected by
-    /// `config.method` ([`EigenMethod::Auto`] by default: exact dense
-    /// Jacobi at the paper's scale, the exact blocked tridiagonal solver
-    /// for mid-size meshes, randomized truncated once `p` outgrows the
-    /// dense Gram matrix).
+    /// `config.method` ([`EigenMethod::Auto`] by default: the exact dense
+    /// solver through mid-size meshes, randomized truncated once `p`
+    /// outgrows the dense Gram matrix).
     ///
     /// # Errors
     ///

@@ -1,6 +1,7 @@
-//! Backend equivalence: the randomized truncated eigensolver and the
-//! blocked tridiagonal solver must agree with the exact dense Jacobi path
-//! wherever both can run.
+//! Backend equivalence: the randomized truncated eigensolver must agree
+//! with the exact dense path wherever both can run. (The dense solver's
+//! own oracle — cyclic Jacobi — is in `odflow_linalg`'s `eigen.rs` unit
+//! tests, the only place that can see it.)
 //!
 //! Pinned properties, at Abilene scale (`p = 121`) and across
 //! `ODFLOW_THREADS ∈ {1, typical, oversubscribed}`:
@@ -8,8 +9,8 @@
 //! * top-`k` covariance eigenvalues within relative tolerance,
 //! * near-zero principal angles between the two normal subspaces,
 //! * **identical** SPE/T² anomaly verdicts (same bins, same statistics),
-//! * the randomized and tridiagonal paths each bit-identical for every
-//!   thread count,
+//! * the randomized and dense paths each bit-identical for every thread
+//!   count,
 //! * the default Abilene-scale detection output **byte-identical** for
 //!   every thread count.
 
@@ -128,46 +129,6 @@ fn abilene_scale_backends_agree() {
 }
 
 #[test]
-fn tridiagonal_backend_agrees_with_jacobi_at_abilene_scale() {
-    // Same contract the randomized backend is held to, for the blocked
-    // tridiagonal solver: eigenvalues, principal angles, and — decisively —
-    // identical SPE/T² verdicts on the paper's p = 121 with injected spikes.
-    let x = traffic(400, 121, &[(150, 40, 4000.0), (290, 7, 3500.0)]);
-    let k = 4;
-    let jac = SubspaceModel::fit(
-        &x,
-        SubspaceConfig { method: EigenMethod::DenseJacobi, ..SubspaceConfig::default() },
-    )
-    .unwrap();
-    let tri = SubspaceModel::fit(
-        &x,
-        SubspaceConfig { method: EigenMethod::DenseTridiagonal, ..SubspaceConfig::default() },
-    )
-    .unwrap();
-    assert_models_agree(&jac, &tri, k, &x);
-
-    let jac_det = SubspaceDetector::new(SubspaceConfig {
-        method: EigenMethod::DenseJacobi,
-        ..SubspaceConfig::default()
-    })
-    .analyze(&x)
-    .unwrap();
-    let tri_det = SubspaceDetector::new(SubspaceConfig {
-        method: EigenMethod::DenseTridiagonal,
-        ..SubspaceConfig::default()
-    })
-    .analyze(&x)
-    .unwrap();
-    assert_eq!(jac_det.anomalous_bins(), tri_det.anomalous_bins());
-    for (a, b) in jac_det.detections.iter().zip(&tri_det.detections) {
-        assert_eq!(a.bin, b.bin);
-        assert_eq!(a.kind, b.kind);
-    }
-    assert!(tri_det.anomalous_bins().contains(&150));
-    assert!(tri_det.anomalous_bins().contains(&290));
-}
-
-#[test]
 fn tridiagonal_fit_is_thread_count_invariant() {
     let x = traffic(300, 121, &[(100, 11, 3000.0)]);
     let cfg = SubspaceConfig { method: EigenMethod::DenseTridiagonal, ..SubspaceConfig::default() };
@@ -197,10 +158,9 @@ fn tridiagonal_fit_is_thread_count_invariant() {
 
 #[test]
 fn abilene_default_detection_is_byte_identical_across_thread_counts() {
-    // The release gate behind `AUTO_TRIDIAG_MIN_DIM`: the default
-    // (Auto-method) detection pipeline at the paper's p = 121 produces
-    // byte-identical output — statistics, thresholds, verdicts — for
-    // serial, typical, and oversubscribed pools.
+    // The default (Auto-method) detection pipeline at the paper's p = 121
+    // produces byte-identical output — statistics, thresholds, verdicts —
+    // for serial, typical, and oversubscribed pools.
     let x = traffic(400, 121, &[(150, 40, 4000.0), (290, 7, 3500.0)]);
     let analyze =
         |threads| with_thread_limit(threads, || SubspaceDetector::default().analyze(&x).unwrap());
@@ -255,7 +215,7 @@ fn wide_matrix_randomized_agrees_with_dense() {
     let k = 4;
     let dense = SubspaceModel::fit(
         &x,
-        SubspaceConfig { k, method: EigenMethod::DenseJacobi, ..SubspaceConfig::default() },
+        SubspaceConfig { k, method: EigenMethod::DenseTridiagonal, ..SubspaceConfig::default() },
     )
     .unwrap();
     let rnd = SubspaceModel::fit(
@@ -281,25 +241,22 @@ proptest! {
         let k = 4;
         let x = traffic(n, p, &[(spike_bin, p / 3, spike_mag)]);
         let dense_cfg = SubspaceConfig { k, ..SubspaceConfig::default() };
-        let tri_cfg =
-            SubspaceConfig { k, method: EigenMethod::DenseTridiagonal, ..SubspaceConfig::default() };
         let rnd_cfg = SubspaceConfig { k, method: randomized(seed), ..SubspaceConfig::default() };
 
         // Serial and typical-width pools must agree bit-for-bit per
-        // backend, and all three backends must agree on everything above.
+        // backend, and the two backends must agree on everything above.
         let dense = with_thread_limit(1, || SubspaceModel::fit(&x, dense_cfg).unwrap());
-        let tri_serial = with_thread_limit(1, || SubspaceModel::fit(&x, tri_cfg).unwrap());
-        let tri_typical = with_thread_limit(threads, || SubspaceModel::fit(&x, tri_cfg).unwrap());
+        let dense_typical = with_thread_limit(threads, || SubspaceModel::fit(&x, dense_cfg).unwrap());
         let rnd_serial = with_thread_limit(1, || SubspaceModel::fit(&x, rnd_cfg).unwrap());
         let rnd_typical = with_thread_limit(threads, || SubspaceModel::fit(&x, rnd_cfg).unwrap());
 
         prop_assert_eq!(
-            tri_serial.decomposition().singular_values.clone(),
-            tri_typical.decomposition().singular_values.clone()
+            dense.decomposition().singular_values.clone(),
+            dense_typical.decomposition().singular_values.clone()
         );
         prop_assert_eq!(
-            tri_serial.decomposition().loadings.as_slice(),
-            tri_typical.decomposition().loadings.as_slice()
+            dense.decomposition().loadings.as_slice(),
+            dense_typical.decomposition().loadings.as_slice()
         );
         prop_assert_eq!(
             rnd_serial.decomposition().singular_values.clone(),
@@ -310,7 +267,6 @@ proptest! {
             rnd_typical.decomposition().loadings.as_slice()
         );
         assert_models_agree(&dense, &rnd_serial, k, &x);
-        assert_models_agree(&dense, &tri_serial, k, &x);
 
         // And both backends flag the injected spike through *some*
         // statistic (a training-window spike this large can be absorbed

@@ -101,7 +101,7 @@ proptest! {
         let method = match shape {
             1 => EigenMethod::RandomizedTruncated { oversample: 0, power_iters: 1, seed },
             2 => EigenMethod::RandomizedTruncated { oversample, power_iters: 2, seed },
-            _ => EigenMethod::DenseJacobi,
+            _ => EigenMethod::DenseTridiagonal,
         };
         let config = SubspaceConfig { k, method, ..SubspaceConfig::default() };
         let analysis = SubspaceDetector::new(config).analyze(&x).unwrap();

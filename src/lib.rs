@@ -13,7 +13,7 @@
 //!   #IP-flows).
 //! * [`gen`] — a deterministic whole-network traffic generator with
 //!   labeled injections of every anomaly class in the paper's Table 2.
-//! * [`linalg`] / [`stats`] — self-contained numerics: Jacobi
+//! * [`linalg`] / [`stats`] — self-contained numerics: symmetric
 //!   eigendecomposition, thin SVD, and the Q-statistic / T² thresholds.
 //! * [`subspace`] — the core contribution: eigenflows, the `k = 4`
 //!   normal/anomalous split, SPE + T² detection, OD-flow identification,

@@ -273,8 +273,13 @@ fn detection_identifies_correct_od_flow() {
 // Golden net: the storm day's verdicts, Table-1 counts and classes, pinned
 // for the clean and the faulted runner. The constants were captured before
 // the two paths were folded into one implementation; a refactor that moves
-// them has changed an output and must not edit them to pass. The
-// `fault_storm` name puts the test under CI's ODFLOW_THREADS=1 and =4 runs.
+// them has changed an output and must not edit them to pass. They have
+// been re-pinned once: when the dense eigensolver at p = 121 went from
+// cyclic Jacobi to Householder + QR the two FNV words moved (every SPE, T²
+// and threshold within rounding of its old value — CHANGES.md has the
+// largest relative differences) while the counts and classes did not. The
+// rule stands from here. The `fault_storm` name puts the test under CI's
+// ODFLOW_THREADS=1 and =4 runs.
 // ---------------------------------------------------------------------------
 
 use odflow::experiment::ScenarioRun;
@@ -323,7 +328,7 @@ fn fault_storm_day_goldens_are_pinned() {
     assert_eq!(
         golden(&clean),
         (
-            0xbcc5_09e8_6a35_ae37,
+            0x7229_e5e7_e7f2_2005,
             [2, 0, 1, 0, 0, 3, 0],
             "140:FP:DOS 177:B:UNKNOWN 182:P:UNKNOWN 190:FP:SCAN 192:B:UNKNOWN 236:FP:DOS"
                 .to_owned()
@@ -333,7 +338,7 @@ fn fault_storm_day_goldens_are_pinned() {
     assert_eq!(
         golden(&run_fault_storm_day().run),
         (
-            0x48b6_eddf_0b94_10fa,
+            0x3fa0_43a8_c55b_5b51,
             [2, 2, 2, 0, 0, 2, 0],
             "140:FP:DOS 171:F:UNKNOWN 177:B:FALSE-ALARM 179:P:UNKNOWN 182:P:UNKNOWN \
              190:FP:SCAN 192:B:INGRESS-SHIFT 240:F:UNKNOWN"
