@@ -1,22 +1,31 @@
-//! # odflow-bench — the experiment harness
+//! # odflow_bench — the measuring tools
 //!
-//! Regenerates every table and figure of Lakhina, Crovella & Diot
-//! (IMC 2004) from the synthetic Abilene substrate. One binary per
-//! artifact (see `src/bin/`), plus Criterion micro-benchmarks for the
-//! computational pipeline stages (see `benches/`).
+//! One tool per question, and no question asked twice:
 //!
-//! | binary | paper artifact |
-//! |---|---|
-//! | `fig1_subspace_timeseries` | Figure 1 — state/residual/t² panels |
-//! | `table1_anomaly_counts` | Table 1 — counts per B/F/P combination |
-//! | `fig2_scope_histograms` | Figure 2 — duration & OD-count histograms |
-//! | `table2_taxonomy` | Table 2 — signature verification per class |
-//! | `table3_classification` | Table 3 — class × traffic-type counts |
-//! | `resolution_rate` | §2.1 — ≥93% flow / ≥90% byte OD resolution |
-//! | `ablation_k_sweep` | sensitivity to the normal-subspace dimension |
-//! | `ablation_sampling` | sensitivity to the packet sampling rate |
-//! | `ablation_stats` | SPE-only vs T²-only vs combined detection |
-//! | `ablation_dominance` | classification vs the dominance threshold `p` |
+//! * `paper_report` — *what does the paper's table say.* Regenerates every
+//!   table and figure of Lakhina, Crovella & Diot (IMC 2004) from the
+//!   seeded synthetic Abilene study and prints them to stdout; its default
+//!   output is committed as `golden/paper_report.txt` and diffed on every
+//!   PR. Arguments are section names (none = all but `fig1-csv`):
+//!
+//!   | section | paper artifact |
+//!   |---|---|
+//!   | `table1` | Table 1 — counts per B/F/P combination |
+//!   | `table2` | Table 2 — signature verification per class |
+//!   | `table3` | Table 3 — class × traffic-type counts, recall / precision |
+//!   | `fig1` | Figure 1 — state / residual / t² panels |
+//!   | `fig2` | Figure 2 — duration & OD-count histograms |
+//!   | `resolution` | §2.1 — ≥93% flow / ≥90% byte OD resolution |
+//!   | `ablation-k` | sensitivity to the normal-subspace dimension |
+//!   | `ablation-sampling` | sensitivity to the packet sampling rate |
+//!   | `ablation-stats` | SPE-only vs T²-only vs combined detection |
+//!   | `ablation-dominance` | classification vs the dominance threshold `p` |
+//!   | `fig1-csv` | Figure 1's full series as CSV (on request only) |
+//!
+//! * `perf_report` / `perf_gate` — *how fast is a kernel.* The six
+//!   [`PERF_STAGES`] rows, gated on `serial_ms`.
+//! * `e2e_bench` — *how fast is the system.* The repo's benchmark
+//!   (`BENCHMARK.json`): five verified workloads and `--compare`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,61 +36,17 @@ pub mod plot;
 /// source of truth shared by `perf_report` (which validates `--stage`
 /// arguments against it) and `perf_gate` (which requires all of them in a
 /// full report, so a new stage is gated the moment it is registered here).
-pub const PERF_STAGES: &[&str] = &[
-    "fanout",
-    "gram",
-    "matmul",
-    "eigen_tridiag",
-    "model_fit",
-    "detector",
-    "generator",
-    "ingest",
-    "large_mesh_pipeline",
-    "large_mesh_detect",
-    "pipeline",
-    "fault_storm",
-    "serve_ingest",
-    "checkpoint",
-];
+pub const PERF_STAGES: &[&str] =
+    &["fanout", "gram", "matmul", "eigen_tridiag", "model_fit", "detector"];
 
-use odflow::experiment::{run_scenario, ExperimentConfig, ScenarioRun};
-use odflow::gen::Scenario;
-
-/// Runs the standard four-week study (the paper's data design) and returns
-/// the per-week results. The seed fixes everything: reruns are identical.
-///
-/// # Panics
-///
-/// Panics on scenario or pipeline failures — harness binaries are
-/// fail-fast by design.
-pub fn run_four_weeks(seed: u64, config: &ExperimentConfig) -> Vec<ScenarioRun> {
-    Scenario::paper_four_weeks(seed)
-        .expect("paper scenario construction")
-        .iter()
-        .map(|s| run_scenario(s, config).expect("scenario run"))
-        .collect()
-}
-
-/// Runs a single paper week.
-///
-/// # Panics
-///
-/// As for [`run_four_weeks`].
-pub fn run_week(seed: u64, week: u64, config: &ExperimentConfig) -> (Scenario, ScenarioRun) {
-    let scenario = Scenario::paper_week(seed, week).expect("paper scenario construction");
-    let run = run_scenario(&scenario, config).expect("scenario run");
-    (scenario, run)
-}
-
-/// The fixed seed every table/figure binary uses, so EXPERIMENTS.md numbers
-/// are reproducible with `cargo run -p odflow-bench --bin <name>`.
+/// The fixed seed `paper_report` runs the study with, so the committed
+/// golden is reproducible.
 pub const HARNESS_SEED: u64 = 20040519; // the tech report's date
 
 /// Synthetic OD matrix shaped like the paper's data (two diurnal harmonics
 /// with per-column phases, plus deterministic noise): `n` bins × `p` pairs.
 ///
-/// Shared by the criterion `pipeline` benches and the `perf_report`
-/// trajectory harness so both always measure the same workload.
+/// The fixed input of every `perf_report` kernel row.
 pub fn traffic_matrix(n: usize, p: usize) -> odflow::linalg::Matrix {
     odflow::linalg::Matrix::from_fn(n, p, |i, j| {
         let t = i as f64 / 288.0 * std::f64::consts::TAU;

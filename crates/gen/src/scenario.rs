@@ -358,34 +358,6 @@ impl<'a> TraceGenerator<'a> {
         }
     }
 
-    /// Renders a contiguous range of bins, fanning the per-bin work across
-    /// the [`odflow_par`] pool. Returns one `Vec<FlowRecord>` per bin, in
-    /// bin order.
-    ///
-    /// Every bin is rendered by the same deterministic
-    /// [`records_for_bin`](Self::records_for_bin) seeded from
-    /// `(scenario seed, bin)`, so the output is identical for any thread
-    /// count — this is what makes week-scale (2016-bin) materialization
-    /// scale with cores without giving up reproducibility.
-    ///
-    /// Prefer [`bin_scenario`](Self::bin_scenario) when the records are
-    /// destined for OD matrices: it skips this method's per-bin vectors
-    /// entirely.
-    pub fn records_for_bins(&self, bins: std::ops::Range<usize>) -> Vec<Vec<FlowRecord>> {
-        let lo = bins.start;
-        let count = bins.len();
-        // A few bins per task keeps ~500 tasks per week for load balance
-        // across heterogeneous bins; per-task dispatch on the persistent
-        // pool is a queue push, so the grain is set by result-slot
-        // bookkeeping (one Vec per task), not by fan-out amortization.
-        odflow_par::map_chunks(count, 4, |chunk| {
-            chunk.map(|i| self.records_for_bin(lo + i)).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
     /// The sharded ingest engine over this scenario's network, after
     /// checking that `config` shares the scenario's bin grid.
     fn engine(
@@ -1168,20 +1140,6 @@ mod tests {
         for a in &s.schedule {
             assert!(a.end_bin() < 24);
         }
-    }
-
-    #[test]
-    fn records_for_bins_matches_serial_per_bin_rendering() {
-        let s = small_scenario(vec![]);
-        let g = s.generator();
-        let batch = odflow_par::with_thread_limit(8, || g.records_for_bins(20..30));
-        assert_eq!(batch.len(), 10);
-        for (i, records) in batch.iter().enumerate() {
-            assert_eq!(records, &g.records_for_bin(20 + i), "bin {}", 20 + i);
-        }
-        // Thread-count invariance: the serial fallback renders the same bytes.
-        let serial = odflow_par::with_thread_limit(1, || g.records_for_bins(20..30));
-        assert_eq!(batch, serial);
     }
 
     #[test]

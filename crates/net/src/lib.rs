@@ -7,8 +7,6 @@
 //! * [`Topology`] — PoPs and weighted backbone links
 //!   ([`Topology::abilene`] reconstructs the 2003 network; `p = 121` OD
 //!   pairs).
-//! * [`SpfTable`] — ISIS-style shortest-path routing with link-failure
-//!   support (drives OUTAGE / INGRESS-SHIFT scenarios).
 //! * [`Prefix`] / [`PrefixTrie`] — longest-prefix-match machinery.
 //! * [`RouteTable`] / [`AddressPlan`] — BGP-plus-config egress resolution
 //!   with deliberately incomplete coverage, reproducing the paper's ≈93%
@@ -25,7 +23,6 @@ mod bgp;
 mod config;
 mod error;
 mod prefix;
-mod spf;
 mod topology;
 
 pub use anonymize::{anonymize_dst, same_anon_block, ANON_BITS, ANON_MASK};
@@ -33,5 +30,4 @@ pub use bgp::{AddressPlan, CompiledRoutes, RouteEntry, RouteSource, RouteTable};
 pub use config::{IngressResolver, Interface, InterfaceRole, RouterConfig};
 pub use error::{NetError, Result};
 pub use prefix::{IpAddr, Prefix, PrefixTrie};
-pub use spf::SpfTable;
 pub use topology::{Link, Pop, PopId, Topology, TopologyBuilder};

@@ -2,7 +2,7 @@
 
 use odflow_net::{
     AddressPlan, IngressResolver, Interface, InterfaceRole, IpAddr, Prefix, PrefixTrie,
-    RouteSource, RouteTable, RouterConfig, SpfTable, Topology,
+    RouteSource, RouteTable, RouterConfig, Topology,
 };
 use proptest::prelude::*;
 
@@ -169,36 +169,5 @@ proptest! {
         let addr = plan.customer_addr(pop, block, host);
         let anon = odflow_net::anonymize_dst(addr);
         prop_assert_eq!(table.egress(addr), table.egress(anon));
-    }
-
-    #[test]
-    fn spf_triangle_inequality(seed_failed in proptest::collection::vec(0usize..14, 0..2)) {
-        let t = Topology::abilene();
-        let spf = SpfTable::compute(&t, &seed_failed);
-        let n = t.num_pops();
-        for a in 0..n {
-            for b in 0..n {
-                for c in 0..n {
-                    if spf.reachable(a, b) && spf.reachable(b, c) && spf.reachable(a, c) {
-                        let via = spf.distance(a, b).unwrap() + spf.distance(b, c).unwrap();
-                        prop_assert!(spf.distance(a, c).unwrap() <= via + 1e-9);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn spf_symmetric_for_undirected_graph(fail in proptest::collection::vec(0usize..14, 0..3)) {
-        let t = Topology::abilene();
-        let spf = SpfTable::compute(&t, &fail);
-        for a in 0..t.num_pops() {
-            for b in 0..t.num_pops() {
-                prop_assert_eq!(spf.reachable(a, b), spf.reachable(b, a));
-                if spf.reachable(a, b) {
-                    prop_assert!((spf.distance(a, b).unwrap() - spf.distance(b, a).unwrap()).abs() < 1e-9);
-                }
-            }
-        }
     }
 }

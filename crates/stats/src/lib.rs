@@ -12,7 +12,6 @@
 //!   `quantile`, built on from-scratch special functions ([`special`]).
 //! * [`Histogram`] / [`summarize`] — reporting helpers for the paper's
 //!   Figure 2 histograms.
-//! * [`Ewma`] — a univariate control-chart baseline used in ablations.
 //!
 //! Everything is implemented from first principles (Lanczos log-gamma,
 //! series/continued-fraction incomplete gamma & beta) and validated against
@@ -25,7 +24,6 @@
 mod describe;
 pub mod dist;
 mod error;
-mod ewma;
 mod histogram;
 mod qstat;
 pub mod special;
@@ -33,7 +31,6 @@ mod tsq;
 
 pub use describe::{quantile, summarize, Summary};
 pub use error::{Result, StatsError};
-pub use ewma::{Ewma, EwmaOutput};
 pub use histogram::Histogram;
 pub use qstat::{q_threshold, qstat_params, QStatParams};
 pub use tsq::{t2_scores, t2_threshold};

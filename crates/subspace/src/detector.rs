@@ -459,21 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn pristine_quality_reproduces_analyze_bit_for_bit() {
-        let x = traffic_with_spikes(400, 10, &[(200, 3, 200.0)]);
-        let det = SubspaceDetector::default();
-        let plain = det.analyze(&x).unwrap();
-        let qa = det.analyze_with_quality(&x, &DataQuality::clean(400)).unwrap();
-        assert_eq!(qa.analysis.spe, plain.spe);
-        assert_eq!(qa.analysis.t2, plain.t2);
-        assert_eq!(qa.analysis.state_norm_sq, plain.state_norm_sq);
-        assert_eq!(qa.analysis.detections, plain.detections);
-        assert!(!qa.widened);
-        assert_eq!(qa.spe_threshold.to_bits(), plain.model.spe_threshold().to_bits());
-        assert!(qa.verdicts.iter().all(|v| *v == BinVerdict::Scored));
-    }
-
-    #[test]
     fn masked_bins_never_alarm_and_stay_out_of_fit() {
         // Plant an enormous spike in a masked bin: without masking this
         // alarms loudly; with masking it must produce no detection at all.

@@ -266,20 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn fit_with_dense_is_bit_identical_to_fit() {
-        let x = diurnal_matrix(120, 10);
-        let direct = EigenflowDecomposition::fit(&x).unwrap();
-        for method in [EigenMethod::DenseTridiagonal, EigenMethod::Auto] {
-            let via = EigenflowDecomposition::fit_with(&x, 4, method).unwrap();
-            assert_eq!(via.singular_values, direct.singular_values);
-            assert_eq!(via.loadings.as_slice(), direct.loadings.as_slice());
-            assert_eq!(via.eigenflows.as_slice(), direct.eigenflows.as_slice());
-            assert_eq!(via.total_energy.to_bits(), direct.total_energy.to_bits());
-            assert!(!via.truncated);
-        }
-    }
-
-    #[test]
     fn fit_with_tridiagonal_is_full_spectrum_and_agrees() {
         // Full spectrum whatever rank is asked, and its energy agrees with
         // what the data says without any eigensolver: ‖centered X‖²_F.

@@ -5,8 +5,8 @@
 //! "Characterization of Network-Wide Anomalies in Traffic Flows"**
 //! (IMC 2004 / BUCS-TR-2004-020) as a production-quality Rust workspace:
 //!
-//! * [`net`] — the Abilene-like backbone: topology, ISIS-style SPF,
-//!   BGP+config egress resolution, 11-bit destination anonymization.
+//! * [`net`] — the Abilene-like backbone: topology, BGP+config egress
+//!   resolution, 11-bit destination anonymization.
 //! * [`flow`] — the measurement substrate: 1% packet sampling, per-minute
 //!   5-tuple aggregation, NetFlow-v5-style export codec, OD resolution,
 //!   and 5-minute binning into the three traffic views (#bytes, #packets,
