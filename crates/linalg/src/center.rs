@@ -70,18 +70,25 @@ pub fn center_columns(x: &Matrix) -> Result<(Matrix, Centering)> {
     if x.nrows() == 0 {
         return Err(LinalgError::Empty { op: "center_columns" });
     }
-    let p = x.ncols();
     let means = column_means(x);
+    let out = subtract_means(x, &means);
+    let scales = vec![1.0; x.ncols()];
+    Ok((out, Centering { means, scales }))
+}
+
+/// A copy of `x` with `means[j]` subtracted from every element of column
+/// `j`.
+pub(crate) fn subtract_means(x: &Matrix, means: &[f64]) -> Matrix {
+    let p = x.ncols().max(1);
     let mut out = x.clone();
-    odflow_par::parallel_chunks(out.as_mut_slice(), CENTER_ROW_BLOCK * p.max(1), |_, rows| {
-        for row in rows.chunks_exact_mut(p.max(1)) {
-            for (v, &m) in row.iter_mut().zip(&means) {
+    odflow_par::parallel_chunks(out.as_mut_slice(), CENTER_ROW_BLOCK * p, |_, rows| {
+        for row in rows.chunks_exact_mut(p) {
+            for (v, &m) in row.iter_mut().zip(means) {
                 *v -= m;
             }
         }
     });
-    let scales = vec![1.0; p];
-    Ok((out, Centering { means, scales }))
+    out
 }
 
 /// Centers each column and divides by its sample standard deviation

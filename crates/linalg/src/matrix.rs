@@ -240,14 +240,13 @@ impl Matrix {
     /// (parallelized across the persistent [`odflow_par`] pool) and the k
     /// loop is tiled so the active slice of `rhs` stays cache-resident.
     /// Blocks are bands of rows — unless the output is short and wide
-    /// (the randomized fit's `Qᵀ X` is 18 x 90 000, which is one row band
-    /// and a sliver), when they are bands of columns instead, each small
-    /// enough that its slice of `rhs` is read from memory once. Inside a
-    /// block, a 2-row × 4-k register-tiled micro-kernel
-    /// (`matmul_tile_2x4`) runs fixed-width, autovectorization-friendly
-    /// inner loops; every output element still accumulates in ascending-k
-    /// order, so results are bit-identical to the plain loop for every
-    /// thread count and either banding. Returns
+    /// (18 x 90 000 is one row band and a sliver), when they are bands of
+    /// columns instead, each small enough that its slice of `rhs` is read
+    /// from memory once. Inside a block, a 2-row × 4-k register-tiled
+    /// micro-kernel (`matmul_tile_2x4`) runs fixed-width,
+    /// autovectorization-friendly inner loops; every output element still
+    /// accumulates in ascending-k order, so results are bit-identical to
+    /// the plain loop for every thread count and either banding. Returns
     /// [`LinalgError::ShapeMismatch`] when `self.ncols() != rhs.nrows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {
@@ -269,18 +268,10 @@ impl Matrix {
         let flops = n * inner * m;
         let row_block = if flops < (1 << 20) { n } else { MATMUL_ROW_BLOCK };
         if n < 4 * row_block && m >= 4 * MATMUL_COL_BLOCK {
-            // Too few row bands to share out, plenty of columns: band `c`
-            // holds columns `c * MATMUL_COL_BLOCK..` of every output row.
-            let mut bands: Vec<Vec<&mut [f64]>> =
-                (0..m.div_ceil(MATMUL_COL_BLOCK)).map(|_| Vec::with_capacity(n)).collect();
-            for row in out.data.chunks_mut(m) {
-                for (band, cells) in bands.iter_mut().zip(row.chunks_mut(MATMUL_COL_BLOCK)) {
-                    band.push(cells);
-                }
-            }
+            // Too few row bands to share out, plenty of columns.
+            let mut bands = column_bands(&mut out.data, m);
             odflow_par::parallel_chunks(&mut bands, 1, |c, band| {
-                let c0 = c * MATMUL_COL_BLOCK;
-                matmul_block(a, inner, b, m, 0, c0..(c0 + MATMUL_COL_BLOCK).min(m), &mut band[0]);
+                matmul_block(a, inner, b, m, 0, band_cols(c, 0..m), &mut band[0]);
             });
         } else {
             odflow_par::parallel_chunks(&mut out.data, row_block * m, |blk, out_rows| {
@@ -312,44 +303,37 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let (n, inner, m) = (self.rows, self.cols, rhs.rows);
-        let mut out = Matrix::zeros(n, m);
-        if n == 0 || inner == 0 || m == 0 {
-            return Ok(out);
-        }
-        let (a, b) = (&self.data, &rhs.data);
-        let row_block = if n * inner * m < (1 << 20) { n } else { NT_ROW_BLOCK };
-        odflow_par::parallel_chunks(&mut out.data, row_block * m, |blk, out_rows| {
-            touch_zeroed(out_rows);
-            for k0 in (0..inner).step_by(NT_K_TILE) {
-                let k = k0..(k0 + NT_K_TILE).min(inner);
-                // Row `r`'s share of this k tile. A 2 x 4 block of elements
-                // that hangs over the last row or column of the output
-                // repeats that row; the repeats' sums are computed and
-                // dropped.
-                let tile = |data, r: usize, last: usize| k_tile(data, inner, r.min(last), &k);
-                for (pair, out_pair) in out_rows.chunks_mut(2 * m).enumerate() {
-                    let i = blk * row_block + 2 * pair;
-                    let (out0, out1) = out_pair.split_at_mut(m);
-                    let (a0, a1) = (tile(a, i, n - 1), tile(a, i + 1, n - 1));
-                    for j in (0..m).step_by(4) {
-                        let w = (m - j).min(4);
-                        let mut acc = [[0.0f64; 4]; 2];
-                        acc[0][..w].copy_from_slice(&out0[j..j + w]);
-                        if !out1.is_empty() {
-                            acc[1][..w].copy_from_slice(&out1[j..j + w]);
-                        }
-                        let b_rows = std::array::from_fn(|l| tile(b, j + l, m - 1));
-                        dot_tile_2x4(a0, a1, b_rows, &mut acc);
-                        out0[j..j + w].copy_from_slice(&acc[0][..w]);
-                        if !out1.is_empty() {
-                            out1[j..j + w].copy_from_slice(&acc[1][..w]);
-                        }
-                    }
-                }
-            }
-        });
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        nt_into(&self.data, &rhs.data, self.cols, None, &mut out.data, true);
         Ok(out)
+    }
+
+    /// [`Self::matmul_nt`] against the column-centered `rhs − 1μᵀ` (μ =
+    /// `rhs_means`) without centering a copy of `rhs`: each task centers
+    /// the k tile it is about to read into a scratch tile. `x − μ` is the
+    /// double a centered copy would hold, so the product is bit-identical
+    /// to `matmul_nt` on that copy. Shapes are the caller's to check.
+    pub(crate) fn matmul_nt_centered(&self, rhs: &Matrix, rhs_means: &[f64]) -> Matrix {
+        debug_assert_eq!((self.cols, rhs_means.len()), (rhs.cols, rhs.cols));
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        nt_into(&self.data, &rhs.data, self.cols, Some(rhs_means), &mut out.data, true);
+        out
+    }
+
+    /// `self · (rhs − 1μᵀ)` (μ = `rhs_means`) without centering a copy of
+    /// `rhs`, banded by columns whatever the shape: each task centers its
+    /// band of `rhs` into a scratch band ([`centered_band_product`]). Every
+    /// output element accumulates in ascending-k order from 0.0, so the
+    /// result is bit-identical to [`Self::matmul`] on a centered copy.
+    /// Shapes are the caller's to check.
+    pub(crate) fn matmul_centered(&self, rhs: &Matrix, rhs_means: &[f64]) -> Matrix {
+        debug_assert_eq!((self.cols, rhs_means.len()), (rhs.rows, rhs.cols));
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut bands = column_bands(&mut out.data, rhs.cols);
+        odflow_par::parallel_chunks(&mut bands, 1, |c, band| {
+            centered_band_product(self, rhs, rhs_means, band_cols(c, 0..rhs.cols), &mut band[0]);
+        });
+        out
     }
 
     /// Matrix product with the left factor transposed, `selfᵀ * rhs`, for
@@ -379,15 +363,7 @@ impl Matrix {
         let (a, b) = (&self.data, &rhs.data);
         let row_block = if n * inner * m < (1 << 20) { n } else { TN_ROW_BLOCK };
         odflow_par::parallel_chunks(&mut out.data, row_block * m, |blk, out_rows| {
-            touch_zeroed(out_rows);
-            for (i, out_row) in (blk * row_block..).zip(out_rows.chunks_mut(m)) {
-                for (k, b_row) in b.chunks_exact(m).enumerate() {
-                    let aki = a[k * n + i];
-                    for (o, &bkj) in out_row.iter_mut().zip(b_row) {
-                        *o += aki * bkj;
-                    }
-                }
-            }
+            tn_block(a, n, b, m, blk * row_block, out_rows);
         });
         Ok(out)
     }
@@ -751,6 +727,137 @@ fn k_tile<'a>(data: &'a [f64], width: usize, r: usize, k: &Range<usize>) -> &'a 
     &data[r * width + k.start..r * width + k.end]
 }
 
+/// The body of [`Matrix::matmul_nt`]: `out` (row-major `n x m`) gains
+/// `a · (b − 1μᵀ)ᵀ` for row-major `a` (`n x inner`) and `b` (`m x inner`),
+/// μ = `b_means` (nothing subtracted when `None`). Tasks are bands of
+/// output rows; each walks the reduction in [`NT_K_TILE`] tiles so a tile
+/// of `b` serves every row of the band from cache — centered first into a
+/// scratch tile when there are means — and advances a 2 × 4 block of
+/// elements at a time. Every element continues its one ascending-k chain
+/// from its current value, so folding a wide product into `out` tile by
+/// tile, or call by call over consecutive column ranges, is bit-identical
+/// to one call over the whole range. `fresh` marks a newly allocated
+/// all-zero `out`, which each task stores over before reading (see
+/// [`touch_zeroed`]).
+pub(crate) fn nt_into(
+    a: &[f64],
+    b: &[f64],
+    inner: usize,
+    b_means: Option<&[f64]>,
+    out: &mut [f64],
+    fresh: bool,
+) {
+    if inner == 0 || a.is_empty() || b.is_empty() {
+        return;
+    }
+    let (n, m) = (a.len() / inner, b.len() / inner);
+    let row_block = if n * inner * m < (1 << 20) { n } else { NT_ROW_BLOCK };
+    odflow_par::parallel_chunks(out, row_block * m, |blk, out_rows| {
+        if fresh {
+            touch_zeroed(out_rows);
+        }
+        let mut scratch = Vec::new();
+        for k0 in (0..inner).step_by(NT_K_TILE) {
+            let k = k0..(k0 + NT_K_TILE).min(inner);
+            // Where `b`'s rows are read for this k tile: in place, or
+            // centered into the scratch tile (`m x k.len()`).
+            let (b_data, b_width, b_k) = match b_means {
+                None => (b, inner, k.clone()),
+                Some(means) => {
+                    scratch.clear();
+                    for row in b.chunks_exact(inner) {
+                        let centered = row[k.clone()].iter().zip(&means[k.clone()]);
+                        scratch.extend(centered.map(|(&v, &mu)| v - mu));
+                    }
+                    (&scratch[..], k.len(), 0..k.len())
+                }
+            };
+            // Row `r`'s share of this k tile. A 2 x 4 block of elements
+            // that hangs over the last row or column of the output repeats
+            // that row; the repeats' sums are computed and dropped.
+            let a_tile = |r: usize| k_tile(a, inner, r.min(n - 1), &k);
+            let b_tile = |r: usize| k_tile(b_data, b_width, r.min(m - 1), &b_k);
+            for (pair, out_pair) in out_rows.chunks_mut(2 * m).enumerate() {
+                let i = blk * row_block + 2 * pair;
+                let (out0, out1) = out_pair.split_at_mut(m);
+                let (a0, a1) = (a_tile(i), a_tile(i + 1));
+                for j in (0..m).step_by(4) {
+                    let w = (m - j).min(4);
+                    let mut acc = [[0.0f64; 4]; 2];
+                    acc[0][..w].copy_from_slice(&out0[j..j + w]);
+                    if !out1.is_empty() {
+                        acc[1][..w].copy_from_slice(&out1[j..j + w]);
+                    }
+                    dot_tile_2x4(a0, a1, std::array::from_fn(|l| b_tile(j + l)), &mut acc);
+                    out0[j..j + w].copy_from_slice(&acc[0][..w]);
+                    if !out1.is_empty() {
+                        out1[j..j + w].copy_from_slice(&acc[1][..w]);
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// Output rows `i0..` of `aᵀ b` for row-major `a` (`_ x n`) and `b`
+/// (`_ x m`), written over `out_rows` (whole rows, `m` wide): each element
+/// accumulates `a[k, i] · b[k, j]` in ascending-k order from 0.0. The body
+/// of [`Matrix::matmul_tn`].
+pub(crate) fn tn_block(a: &[f64], n: usize, b: &[f64], m: usize, i0: usize, out_rows: &mut [f64]) {
+    touch_zeroed(out_rows);
+    for (i, out_row) in (i0..).zip(out_rows.chunks_mut(m)) {
+        for (k, b_row) in b.chunks_exact(m).enumerate() {
+            let aki = a[k * n + i];
+            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
+                *o += aki * bkj;
+            }
+        }
+    }
+}
+
+/// Cuts every row of a row-major buffer `width` wide into
+/// [`MATMUL_COL_BLOCK`]-column pieces: band `c` holds columns
+/// [`band_cols`]`(c, 0..width)` of every row, in row order.
+pub(crate) fn column_bands(data: &mut [f64], width: usize) -> Vec<Vec<&mut [f64]>> {
+    let rows = data.len() / width.max(1);
+    let mut bands: Vec<Vec<&mut [f64]>> =
+        (0..width.div_ceil(MATMUL_COL_BLOCK)).map(|_| Vec::with_capacity(rows)).collect();
+    for row in data.chunks_mut(width.max(1)) {
+        for (band, cells) in bands.iter_mut().zip(row.chunks_mut(MATMUL_COL_BLOCK)) {
+            band.push(cells);
+        }
+    }
+    bands
+}
+
+/// The columns of band `c` of the column range `span`.
+pub(crate) fn band_cols(c: usize, span: Range<usize>) -> Range<usize> {
+    let c0 = span.start + c * MATMUL_COL_BLOCK;
+    c0..(c0 + MATMUL_COL_BLOCK).min(span.end)
+}
+
+/// Columns `cols` of `a · (x − 1μᵀ)` (μ = `means`): `out[r]` receives
+/// row `r`'s share. The band of `x` is centered into a scratch band
+/// (`x.nrows() x cols.len()`, a few hundred kB at a sketch's width) and
+/// the product reads it from cache through [`matmul_block`], so every
+/// element accumulates in ascending-k order from 0.0 — the bits of
+/// [`Matrix::matmul`] on a centered copy, which is never made.
+pub(crate) fn centered_band_product(
+    a: &Matrix,
+    x: &Matrix,
+    means: &[f64],
+    cols: Range<usize>,
+    out: &mut [&mut [f64]],
+) {
+    let width = cols.len();
+    let mut band = Vec::with_capacity(x.rows * width);
+    for row in x.rows_iter() {
+        let centered = row[cols.clone()].iter().zip(&means[cols.clone()]);
+        band.extend(centered.map(|(&v, &mu)| v - mu));
+    }
+    matmul_block(&a.data, a.cols, &band, width, 0, 0..width, out);
+}
+
 /// The 2 × 4 block of dots `a_r · b_c` behind [`Matrix::matmul_nt`], over
 /// one k tile: `acc[r][c]` gains `a_r[k] * b_c[k]` for every `k` of the
 /// (equal-length) slices, ascending — eight separate chains, each the
@@ -781,7 +888,7 @@ const MATMUL_ROW_BLOCK: usize = 16;
 /// Output columns per task when [`Matrix::matmul`] bands a short, wide
 /// product by columns: with a few dozen rows on either side, a band's
 /// slices of `rhs` and of the output are a few hundred kB — cache-sized.
-const MATMUL_COL_BLOCK: usize = 1024;
+pub(crate) const MATMUL_COL_BLOCK: usize = 1024;
 
 /// Output rows per task of [`Matrix::matmul_nt`]: every task streams all
 /// of `rhs` once, so bands are as tall as still leaves a sketch-width

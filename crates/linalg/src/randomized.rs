@@ -8,26 +8,46 @@
 //! a handful of tall-skinny products: sketch `Y = X Ω` with a seeded
 //! Gaussian `Ω`, tighten the range with a few power iterations, and solve a
 //! dense eigenproblem on the tiny `(k + oversample)²` projected matrix.
-//! Nothing `p x p` is ever materialized — the largest intermediates are
-//! `(k + oversample) x p` panels.
+//! Nothing `p x p` is ever materialized, and nothing `n x p` either: the
+//! largest intermediates are `(k + oversample) x p` panels, one at a time.
+//!
+//! ## The window is read where it lies
+//!
+//! A model fit factors the column-centered window `Xc = X − 1μᵀ` (the
+//! paper's zero-mean eigenflows), and at the large-mesh scale a centered
+//! copy would be 17 MB. None is made: the products that read the data
+//! subtract `μ[j]` from each element as they load it, into a cache-sized
+//! scratch tile. `x − μ` is the double a centered copy would hold, and
+//! every kernel accumulates each output element in one ascending chain from
+//! 0.0, so the factorization is the copy's bit for bit. One row-major pass
+//! over `x` checks every centered value for finiteness and sums the total
+//! energy `‖Xc‖²_F` the fit needs for its unseen tail. [`randomized_thin_svd`]
+//! is the zero-offset case: `x − 0.0` is `x`.
 //!
 //! ## Panels are stored vectors-in-rows
 //!
 //! With `m = k + oversample`, every panel of basis vectors — the sketch
-//! `Ωᵀ`, the range basis `Qᵀ` (`m x n`), the power-iteration panel `Zᵀ` and
-//! the projection `B = Qᵀ X` (both `m x p`) — keeps one vector per
-//! contiguous row, the orientation `Qᵀ X` produces anyway. Gram-Schmidt
-//! then runs in place on whole rows, and the factorization needs exactly
-//! three product kernels, none of which materializes a transpose:
+//! `Ωᵀ`, the range basis `Qᵀ` (`m x n`) and the power-iteration panel `Zᵀ`
+//! (`m x p`) — keeps one vector per contiguous row, the orientation
+//! `Qᵀ Xc` produces anyway, so Gram-Schmidt runs in place on whole rows and
+//! no product materializes a transpose. The panels `m x p` in size are
+//! alive one at a time: `Ωᵀ` for the one statement that sketches with it,
+//! `Zᵀ` for one power iteration, and the right singular vectors `V`
+//! (`p x r`, `r ≤ m`) at the end. The projection `B = Qᵀ Xc` is never
+//! stored: it is computed in column bands twice, once folded into the
+//! `m x m` matrix `B Bᵀ` and once, after that small eigenproblem, turned
+//! straight into its band's rows of `V = Bᵀ W` — one more `m x n x p`
+//! product in exchange for the panel. The kernels:
 //!
-//! * [`Matrix::matmul`] (`A B`) for `Qᵀ X`, banded along the 90 000-wide
-//!   side of its short, wide output;
-//! * [`Matrix::matmul_nt`] (`A Bᵀ`) for `Ωᵀ Xᵀ`, `Zᵀ Xᵀ` and `B Bᵀ` — rows
-//!   dotted with rows;
-//! * [`Matrix::matmul_tn`] (`Aᵀ B`) for `U = Q W` and `V = Bᵀ W`, the only
-//!   place the `p x r` output orientation appears.
-//!
-//! `Ωᵀ` lives for the one statement that sketches with it.
+//! * `Matrix::matmul_nt_centered` (`A Xcᵀ`) for `Ωᵀ Xcᵀ` and `Zᵀ Xcᵀ`,
+//!   rows dotted with rows, centering each k tile of `X` as it is loaded;
+//! * `centered_band_product` (`A Xc`, one column band) for `Qᵀ Xc`, banded
+//!   along the 90 000-wide side, centering each band of `X` as it is
+//!   loaded — behind `Matrix::matmul_centered` for `Zᵀ` and behind both
+//!   passes over `B`;
+//! * `nt_into` folding each group of `B`'s columns into `B Bᵀ`, `tn_block`
+//!   turning a band of `B` into rows of `V`, and [`Matrix::matmul_tn`] for
+//!   `U = Q W`.
 //!
 //! Reference: Halko, Martinsson & Tropp, *Finding Structure with
 //! Randomness* (SIAM Rev. 2011), Algorithms 4.3-4.4 + 5.1. The sketching
@@ -47,7 +67,9 @@
 
 use crate::eigen::eigen_symmetric;
 use crate::error::{LinalgError, Result};
-use crate::matrix::Matrix;
+use crate::matrix::{
+    band_cols, centered_band_product, column_bands, nt_into, tn_block, Matrix, MATMUL_COL_BLOCK,
+};
 use crate::svd::Svd;
 use crate::vecops;
 use rand::{RngCore, SeedableRng};
@@ -84,8 +106,11 @@ pub const DEFAULT_SKETCH_SEED: u64 = 0x0DF1_0E16;
 /// The first `rank` triplets carry the range-finder's accuracy guarantee;
 /// the `oversample` extras are decreasingly accurate probes of the residual
 /// spectrum (useful as tail estimates, e.g. for detection thresholds).
-/// Triplets whose singular value falls below `1e-12 σ_max` are dropped —
-/// their right singular vectors would be numerically meaningless.
+/// Triplets whose singular value falls below `√ε · σ_max` (`1.5e-8 ·
+/// σ_max`) are dropped: σ is the square root of an eigenvalue of the
+/// projected Gram matrix `B Bᵀ`, exact to about `ε · σ_max²`, so a smaller
+/// σ is rounding, not data — the floor [`crate::thin_svd`] states for its
+/// own Gram route.
 ///
 /// # Errors
 ///
@@ -111,45 +136,60 @@ pub const DEFAULT_SKETCH_SEED: u64 = 0x0DF1_0E16;
 /// }
 /// ```
 pub fn randomized_thin_svd(x: &Matrix, rank: usize, opts: RandomizedSvdOptions) -> Result<Svd> {
+    let (svd, _energy) = centered_randomized_svd(x, &vec![0.0; x.ncols()], rank, opts)?;
+    Ok(svd)
+}
+
+/// [`randomized_thin_svd`] of the column-centered `X − 1μᵀ` (μ = `means`,
+/// one per column of `x`), read where `x` lies, and the total energy
+/// `‖X − 1μᵀ‖²_F`. The fit's route; see the module docs.
+///
+/// # Errors
+///
+/// As [`randomized_thin_svd`], with [`LinalgError::NonFinite`] raised for
+/// a non-finite *centered* value — a column whose mean overflows, say.
+pub(crate) fn centered_randomized_svd(
+    x: &Matrix,
+    means: &[f64],
+    rank: usize,
+    opts: RandomizedSvdOptions,
+) -> Result<(Svd, f64)> {
     let (n, p) = x.shape();
     if n == 0 || p == 0 || rank == 0 {
         return Err(LinalgError::Empty { op: "randomized_thin_svd" });
     }
-    if !x.all_finite() {
-        return Err(LinalgError::NonFinite { op: "randomized_thin_svd" });
-    }
+    let energy = centered_energy(x, means)?;
 
     // Sketch width: requested rank + oversampling, clamped to the exact
     // rank bound where the randomized route degenerates gracefully.
     let m = (rank + opts.oversample).clamp(1, n.min(p));
 
-    // Yᵀ = Ωᵀ Xᵀ with Ω ~ N(0, 1)^{p x m}, drawn from one seeded stream
+    // Yᵀ = Ωᵀ Xcᵀ with Ω ~ N(0, 1)^{p x m}, drawn from one seeded stream
     // (thread-count independent by construction).
-    let mut qt = gaussian_sketch(m, p, opts.seed).matmul_nt(x)?;
+    let mut qt = gaussian_sketch(m, p, opts.seed).matmul_nt_centered(x, means);
     orthonormalize_rows(&mut qt);
 
-    // Power iterations Q <- orth(X orth(X^T Q)) tighten the captured range
+    // Power iterations Q <- orth(Xc orth(Xcᵀ Q)) tighten the captured range
     // toward the true top singular subspace.
     for _ in 0..opts.power_iters {
-        let mut zt = qt.matmul(x)?; // m x p
+        let mut zt = qt.matmul_centered(x, means); // m x p
         orthonormalize_rows(&mut zt);
-        qt = zt.matmul_nt(x)?;
+        qt = zt.matmul_nt_centered(x, means);
         orthonormalize_rows(&mut qt);
     }
 
-    // Project: B = Q^T X (m x p), then solve the tiny m x m eigenproblem
-    // of B B^T. Eigenvalues are σ², eigenvectors rotate Q into U.
-    let b = qt.matmul(x)?;
-    let small = b.matmul_nt(&b)?;
-    let eig = eigen_symmetric(&small)?;
+    // Project: the tiny m x m eigenproblem of B Bᵀ, B = Qᵀ Xc. Eigenvalues
+    // are σ², eigenvectors rotate Q into U.
+    let eig = eigen_symmetric(&projected_gram(&qt, x, means))?;
 
     let sigma_max = eig.eigenvalues.first().copied().unwrap_or(0.0).max(0.0).sqrt();
     if sigma_max == 0.0 {
         // All-zero input (or a sketch that annihilated it): degenerate SVD,
         // mirroring `thin_svd`'s convention.
-        return Ok(Svd { u: Matrix::zeros(n, 1), sigma: vec![0.0], v: Matrix::zeros(p, 1) });
+        let svd = Svd { u: Matrix::zeros(n, 1), sigma: vec![0.0], v: Matrix::zeros(p, 1) };
+        return Ok((svd, energy));
     }
-    let cutoff = 1e-12 * sigma_max;
+    let cutoff = f64::EPSILON.sqrt() * sigma_max;
     let mut sigma = Vec::new();
     let mut keep = Vec::new();
     for (i, &l) in eig.eigenvalues.iter().enumerate() {
@@ -164,15 +204,15 @@ pub fn randomized_thin_svd(x: &Matrix, rank: usize, opts: RandomizedSvdOptions) 
     // U = Q W (n x r): rotate the orthonormal basis onto singular order.
     let u = qt.matmul_tn(&w)?;
 
-    // V = B^T W Σ^{-1} (p x r), re-normalized per column to absorb rounding
+    // V = Bᵀ W Σ^{-1} (p x r), re-normalized per column to absorb rounding
     // drift in the small singular values — the same guard `thin_svd` uses.
     // Under the normalization the Σ^{-1} rescale cancels analytically
-    // (each raw column of B^T W has norm σ_j), so only the exact column
+    // (each raw column of Bᵀ W has norm σ_j), so only the exact column
     // norms are applied: two row-major passes over the panel — one
     // map_reduce accumulating all r squared norms (per-column partials
     // summed in chunk order, so the reduction is deterministic) and one
     // parallel scale — instead of 2r strided per-column sweeps.
-    let mut v = b.matmul_tn(&w)?;
+    let mut v = projected_rotation(&qt, x, means, &w);
     let r = sigma.len();
     let vp = v.nrows();
     let data = v.as_mut_slice();
@@ -219,7 +259,74 @@ pub fn randomized_thin_svd(x: &Matrix, rank: usize, opts: RandomizedSvdOptions) 
         }
     });
 
-    Ok(Svd { u, sigma, v })
+    Ok((Svd { u, sigma, v }, energy))
+}
+
+/// `‖X − 1μᵀ‖²_F` in one row-major pass over `x`, which is also the check
+/// that every centered value is finite. The sum runs in exactly the order
+/// [`Matrix::frobenius_norm`] takes over a centered copy, and is squared
+/// back from that norm's root, so the energy is the bits the fit has
+/// always recorded.
+fn centered_energy(x: &Matrix, means: &[f64]) -> Result<f64> {
+    let mut sum = 0.0;
+    let mut finite = true;
+    for row in x.rows_iter() {
+        for (&v, &mu) in row.iter().zip(means) {
+            let c = v - mu;
+            finite &= c.is_finite();
+            sum += c * c;
+        }
+    }
+    if !finite {
+        return Err(LinalgError::NonFinite { op: "randomized_thin_svd" });
+    }
+    let norm = sum.sqrt();
+    Ok(norm * norm)
+}
+
+/// Columns of `B` computed, then folded into `B Bᵀ`, per round of
+/// [`projected_gram`]: eight column bands, so a round's bands share out
+/// over the pool and its `m x 8192` slice of `B` (1.2 MB at `m = 18`)
+/// stays cache-sized.
+const GRAM_GROUP_COLS: usize = 8 * MATMUL_COL_BLOCK;
+
+/// `B Bᵀ` (`m x m`) for `B = Qᵀ (X − 1μᵀ)`, without storing `B`: each
+/// round computes [`GRAM_GROUP_COLS`] columns of it, one column band per
+/// task, then folds them into the result with row bands of it as tasks.
+/// Every element continues one ascending chain over `B`'s columns from
+/// 0.0, so the result is bit-identical to `B.matmul_nt(&B)`.
+fn projected_gram(qt: &Matrix, x: &Matrix, means: &[f64]) -> Matrix {
+    let (m, p) = (qt.nrows(), x.ncols());
+    let mut gram = Matrix::zeros(m, m);
+    let mut group = vec![0.0; m * GRAM_GROUP_COLS.min(p)];
+    for g0 in (0..p).step_by(GRAM_GROUP_COLS) {
+        let cols = g0..(g0 + GRAM_GROUP_COLS).min(p);
+        let b = &mut group[..m * cols.len()];
+        let mut bands = column_bands(b, cols.len());
+        odflow_par::parallel_chunks(&mut bands, 1, |c, band| {
+            centered_band_product(qt, x, means, band_cols(c, cols.clone()), &mut band[0]);
+        });
+        nt_into(b, b, cols.len(), None, gram.as_mut_slice(), false);
+    }
+    gram
+}
+
+/// `V = Bᵀ W` (`p x r`) for `B = Qᵀ (X − 1μᵀ)`, without storing `B`: each
+/// task recomputes one column band of `B` and writes that band's rows of
+/// `V`, every element accumulating over `B`'s rows in ascending order from
+/// 0.0 — the bits of `B.matmul_tn(W)`.
+fn projected_rotation(qt: &Matrix, x: &Matrix, means: &[f64], w: &Matrix) -> Matrix {
+    let (m, p, r) = (qt.nrows(), x.ncols(), w.ncols());
+    let mut v = Matrix::zeros(p, r);
+    odflow_par::parallel_chunks(v.as_mut_slice(), MATMUL_COL_BLOCK * r, |c, v_rows| {
+        let cols = band_cols(c, 0..p);
+        let width = cols.len();
+        let mut b = vec![0.0; m * width];
+        let mut rows: Vec<&mut [f64]> = b.chunks_mut(width).collect();
+        centered_band_product(qt, x, means, cols, &mut rows);
+        tn_block(&b, width, w.as_slice(), r, 0, v_rows);
+    });
+    v
 }
 
 /// Rows per parallel block when rescaling/normalizing the `p x r` right
@@ -449,6 +556,168 @@ mod tests {
         }
     }
 
+    /// The fit's route before it read the window where it lies: a centered
+    /// copy from `center_columns`, then the range finder on the public
+    /// kernels with `B = Qᵀ Xc` stored whole (`m x p`) beside `V`, and the
+    /// energy from the copy's Frobenius norm. Kept as the oracle the
+    /// copy-free route must reproduce bit for bit. (Its rank cutoff is the
+    /// shipped `√ε` floor.)
+    fn materialized_centered_svd(
+        x: &Matrix,
+        rank: usize,
+        opts: RandomizedSvdOptions,
+    ) -> (Svd, f64) {
+        let (xc, _) = crate::center::center_columns(x).unwrap();
+        let (n, p) = xc.shape();
+        let m = (rank + opts.oversample).clamp(1, n.min(p));
+        let mut qt = gaussian_sketch(m, p, opts.seed).matmul_nt(&xc).unwrap();
+        orthonormalize_rows(&mut qt);
+        for _ in 0..opts.power_iters {
+            let mut zt = qt.matmul(&xc).unwrap();
+            orthonormalize_rows(&mut zt);
+            qt = zt.matmul_nt(&xc).unwrap();
+            orthonormalize_rows(&mut qt);
+        }
+        let b = qt.matmul(&xc).unwrap();
+        let eig = eigen_symmetric(&b.matmul_nt(&b).unwrap()).unwrap();
+        let sigma_max = eig.eigenvalues[0].max(0.0).sqrt();
+        assert!(sigma_max > 0.0, "the oracle is for data the sketch does not annihilate");
+        let (sigma, keep): (Vec<f64>, Vec<usize>) = eig
+            .eigenvalues
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| (l.max(0.0).sqrt(), i))
+            .filter(|&(s, _)| s > f64::EPSILON.sqrt() * sigma_max)
+            .unzip();
+        let w = eig.eigenvectors.select_cols(&keep).unwrap();
+        let u = qt.matmul_tn(&w).unwrap();
+        let mut v = b.matmul_tn(&w).unwrap();
+        // Column norms summed per V_COL_BLOCK-row block, blocks combined in
+        // order.
+        let r = sigma.len();
+        let norms_sq = v
+            .as_slice()
+            .chunks(V_COL_BLOCK * r)
+            .map(|block| {
+                let mut acc = vec![0.0f64; r];
+                for row in block.chunks_exact(r) {
+                    for (a, &val) in acc.iter_mut().zip(row) {
+                        *a += val * val;
+                    }
+                }
+                acc
+            })
+            .reduce(|mut sum, acc| {
+                sum.iter_mut().zip(&acc).for_each(|(s, a)| *s += a);
+                sum
+            })
+            .unwrap();
+        for row in v.as_mut_slice().chunks_exact_mut(r) {
+            for (val, &ns) in row.iter_mut().zip(&norms_sq) {
+                let norm = ns.sqrt();
+                *val *= if norm > 1e-300 { 1.0 / norm } else { 1.0 };
+            }
+        }
+        let f = xc.frobenius_norm();
+        (Svd { u, sigma, v }, f * f)
+    }
+
+    /// Asserts the copy-free route on `x` equals the materialized oracle
+    /// bit for bit — σ, U, V and the energy — at thread limits 1, 2 and 5.
+    fn assert_copy_free_matches(x: &Matrix, rank: usize, opts: RandomizedSvdOptions, tag: &str) {
+        let (want, want_energy) = materialized_centered_svd(x, rank, opts);
+        let means = crate::center::column_means(x);
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for threads in [1usize, 2, 5] {
+            let (got, energy) = odflow_par::with_thread_limit(threads, || {
+                centered_randomized_svd(x, &means, rank, opts).unwrap()
+            });
+            let tag = format!("{tag}, threads={threads}");
+            assert_eq!(bits(&got.sigma), bits(&want.sigma), "sigma, {tag}");
+            assert_eq!(got.u.shape(), want.u.shape(), "{tag}");
+            assert_eq!(bits(got.u.as_slice()), bits(want.u.as_slice()), "u, {tag}");
+            assert_eq!(got.v.shape(), want.v.shape(), "{tag}");
+            assert_eq!(bits(got.v.as_slice()), bits(want.v.as_slice()), "v, {tag}");
+            assert_eq!(energy.to_bits(), want_energy.to_bits(), "energy, {tag}");
+        }
+    }
+
+    /// [`low_rank_plus_noise`] on column levels of 50-550, so centering has
+    /// real work to do.
+    fn leveled(n: usize, p: usize, rank: usize) -> Matrix {
+        let mut x = low_rank_plus_noise(n, p, rank, 0.3);
+        for row in x.as_mut_slice().chunks_exact_mut(p) {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v += 50.0 * (1 + j % 11) as f64;
+            }
+        }
+        x
+    }
+
+    /// The column counts where the copy-free route's tiling changes: the
+    /// `matmul_nt` k tile (256), the column band (`MATMUL_COL_BLOCK`), and
+    /// a round of the Gram fold (`GRAM_GROUP_COLS`), each below, at and
+    /// above; several bands with a ragged last one; and `p < n`.
+    const BOUNDARY_WIDTHS: [usize; 11] = [
+        255,
+        256,
+        257,
+        MATMUL_COL_BLOCK - 1,
+        MATMUL_COL_BLOCK,
+        MATMUL_COL_BLOCK + 1,
+        3 * MATMUL_COL_BLOCK + 5,
+        GRAM_GROUP_COLS - 1,
+        GRAM_GROUP_COLS,
+        GRAM_GROUP_COLS + 1,
+        9,
+    ];
+
+    #[test]
+    fn copy_free_route_reproduces_the_materialized_centering_bit_for_bit() {
+        // (n, rank, oversample, power_iters) per width: odd and even n, a
+        // sketch clamped by n (n < rank + oversample), oversample 0, and
+        // zero to three power iterations.
+        let shapes = [
+            (9, 3, 8, 2),
+            (10, 3, 8, 0),
+            (11, 4, 8, 1),
+            (7, 5, 8, 3),
+            (12, 4, 8, 2),
+            (13, 2, 0, 2),
+            (24, 10, 8, 2),
+            (5, 2, 8, 1),
+            (6, 3, 0, 3),
+            (17, 4, 8, 0),
+            (40, 4, 8, 1),
+        ];
+        for (case, (&p, &(n, rank, oversample, power_iters))) in
+            BOUNDARY_WIDTHS.iter().zip(&shapes).enumerate()
+        {
+            let x = leveled(n, p, rank + 1);
+            let opts = RandomizedSvdOptions { oversample, power_iters, seed: 31 + case as u64 };
+            assert_copy_free_matches(&x, rank, opts, &format!("case {case} ({n} x {p})"));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn copy_free_route_matches_the_materialized_centering_on_random_shapes(
+            n in 2usize..30,
+            width in proptest::prelude::any::<proptest::sample::Index>(),
+            rank in 1usize..8,
+            oversample in 0usize..10,
+            power_iters in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            let p = BOUNDARY_WIDTHS[width.index(BOUNDARY_WIDTHS.len())];
+            let x = leveled(n, p, rank.min(n));
+            let opts = RandomizedSvdOptions { oversample, power_iters, seed };
+            assert_copy_free_matches(&x, rank, opts, &format!("{n} x {p}, rank {rank}"));
+        }
+    }
+
     #[test]
     fn matches_dense_on_low_rank_data() {
         let x = low_rank_plus_noise(60, 300, 4, 1e-6);
@@ -535,6 +804,30 @@ mod tests {
         let svd = randomized_thin_svd(&x, 2, RandomizedSvdOptions::default()).unwrap();
         let xr = svd.reconstruct_rank(2).unwrap();
         assert!(xr.approx_eq(&x, 1e-7 * x.max_abs()), "rank-2 reconstruction off");
+    }
+
+    #[test]
+    fn exact_rank_two_keeps_two_triplets() {
+        // Rank-2 variation on column levels of 1e6 and up: centering leaves
+        // rounding at about 1e-10 of the signal, which a 10-wide sketch
+        // (rank 2 + oversample 8) turns into eight σ of 1e-11..1e-10 σ_max —
+        // kept under a 1e-12 cutoff, below the √ε floor the Gram route
+        // actually resolves.
+        let x = Matrix::from_fn(30, 150, |i, j| {
+            let (a, b) = ((i as f64 + 1.0) * (j as f64 * 0.1).sin(), (i as f64 * 0.3).cos());
+            1e6 * (1.0 + j as f64) + a + b * (j as f64 + 1.0)
+        });
+        let (xc, centering) = crate::center::center_columns(&x).unwrap();
+        for seed in 0..5 {
+            let opts = RandomizedSvdOptions { seed, ..RandomizedSvdOptions::default() };
+            let (svd, _) = centered_randomized_svd(&x, &centering.means, 2, opts).unwrap();
+            assert_eq!(svd.rank(), 2, "seed {seed}: σ = {:?}", svd.sigma);
+            let xr = svd.reconstruct().unwrap();
+            assert!(
+                xr.approx_eq(&xc, 1e-6 * xc.max_abs()),
+                "seed {seed}: rank-2 reconstruction off"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! flows".
 
 use crate::error::{Result, SubspaceError};
-use odflow_linalg::{center_columns, truncated_svd, Centering, EigenMethod, Matrix};
+use odflow_linalg::{column_means, truncated_svd, Centering, EigenMethod, Matrix};
 
 /// The eigenflow decomposition of an `n x p` OD traffic matrix.
 #[derive(Debug, Clone)]
@@ -62,36 +62,32 @@ impl EigenflowDecomposition {
     /// retaining (at least) the top `rank` eigenflows.
     ///
     /// The dense method (`DenseTridiagonal`, or `Auto` resolving to it)
-    /// ignores `rank` and keeps the full spectrum, so its
-    /// [`Self::total_energy`] is exactly the retained `Σ σ²`. The
-    /// randomized method keeps `rank + oversample` triplets and records
-    /// the unseen tail energy from the centered data's Frobenius norm,
-    /// which costs one pass — never a `p x p` matrix.
+    /// ignores `rank` and keeps the full spectrum of a centered copy of
+    /// `x`, so its [`Self::total_energy`] is exactly the retained `Σ σ²`.
+    /// The randomized method keeps `rank + oversample` triplets and never
+    /// copies `x`: its products subtract the column means as they load
+    /// each element, and one row-major pass over `x` — the finiteness check
+    /// of the centered values — sums the energy `Σ (x − μ)²` that fixes the
+    /// unseen tail. Neither materializes anything `p x p`.
     ///
     /// # Errors
     ///
     /// * [`SubspaceError::InsufficientData`] unless `n >= 2` and `p >= 2`.
-    /// * Numeric errors from the selected solver.
+    /// * Numeric errors from the selected solver, non-finite centered
+    ///   values among them.
     pub fn fit_with(x: &Matrix, rank: usize, method: EigenMethod) -> Result<Self> {
         let (n, p) = x.shape();
         if n < 2 || p < 2 {
             return Err(SubspaceError::InsufficientData { n, p, need: "need n >= 2 and p >= 2" });
         }
-        let (centered, centering) = center_columns(x)?;
-        let svd = truncated_svd(&centered, rank.max(1), method)?;
-        let dense = method.is_dense_for(p);
-        let total_energy = if dense {
-            svd.sigma.iter().map(|s| s * s).sum()
-        } else {
-            let f = centered.frobenius_norm();
-            f * f
-        };
+        let means = column_means(x);
+        let (svd, total_energy) = truncated_svd(x, &means, rank.max(1), method)?;
         Ok(EigenflowDecomposition {
-            truncated: !dense && svd.rank() < n.min(p),
+            truncated: !method.is_dense_for(p) && svd.rank() < n.min(p),
             eigenflows: svd.u,
             loadings: svd.v,
             singular_values: svd.sigma,
-            centering,
+            centering: Centering { means, scales: vec![1.0; p] },
             n,
             total_energy,
         })
@@ -173,6 +169,7 @@ impl EigenflowDecomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odflow_linalg::center_columns;
 
     /// A synthetic OD matrix: a shared diurnal pattern with per-column
     /// amplitudes, plus small deterministic noise.
