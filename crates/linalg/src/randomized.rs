@@ -16,8 +16,9 @@
 //! A model fit factors the column-centered window `Xc = X − 1μᵀ` (the
 //! paper's zero-mean eigenflows), and at the large-mesh scale a centered
 //! copy would be 17 MB. None is made: the products that read the data
-//! subtract `μ[j]` from each element as they load it, into a cache-sized
-//! scratch tile. `x − μ` is the double a centered copy would hold, and
+//! subtract `μ[j]` from each element as they load it — in the micro-kernel
+//! itself, or into a cache-sized scratch band. `x − μ` is the double a
+//! centered copy would hold, and
 //! every kernel accumulates each output element in one ascending chain from
 //! 0.0, so the factorization is the copy's bit for bit. One row-major pass
 //! over `x` checks every centered value for finiteness and sums the total
@@ -40,11 +41,12 @@
 //! product in exchange for the panel. The kernels:
 //!
 //! * `Matrix::matmul_nt_centered` (`A Xcᵀ`) for `Ωᵀ Xcᵀ` and `Zᵀ Xcᵀ`,
-//!   rows dotted with rows, centering each k tile of `X` as it is loaded;
+//!   rows dotted with rows, its micro-kernel centering each element of `X`
+//!   as it loads it;
 //! * `centered_band_product` (`A Xc`, one column band) for `Qᵀ Xc`, banded
-//!   along the 90 000-wide side, centering each band of `X` as it is
-//!   loaded — behind `Matrix::matmul_centered` for `Zᵀ` and behind both
-//!   passes over `B`;
+//!   along the 90 000-wide side, each band of `X` centered into a scratch
+//!   band that its many rows of `A` then read from cache — behind
+//!   `Matrix::matmul_centered` for `Zᵀ` and behind both passes over `B`;
 //! * `nt_into` folding each group of `B`'s columns into `B Bᵀ`, `tn_block`
 //!   turning a band of `B` into rows of `V`, and [`Matrix::matmul_tn`] for
 //!   `U = Q W`.
