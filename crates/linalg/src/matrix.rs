@@ -304,20 +304,20 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        nt_into(&self.data, &rhs.data, self.cols, None, &mut out.data, true);
+        nt_into(&self.data, None, &rhs.data, self.cols, &mut out.data, true);
         Ok(out)
     }
 
-    /// [`Self::matmul_nt`] against the column-centered `rhs − 1μᵀ` (μ =
-    /// `rhs_means`) without centering a copy of `rhs`: the micro-kernel
-    /// subtracts `μ[k]` from each element of `rhs` as it loads it. `x − μ`
-    /// is the double a centered copy would hold, so the product is
-    /// bit-identical to `matmul_nt` on that copy. Shapes are the caller's
-    /// to check.
-    pub(crate) fn matmul_nt_centered(&self, rhs: &Matrix, rhs_means: &[f64]) -> Matrix {
-        debug_assert_eq!((self.cols, rhs_means.len()), (rhs.cols, rhs.cols));
+    /// `(self − 1μᵀ) · rhsᵀ` (μ = `means`, one per column of `self`)
+    /// without centering a copy of `self`: each task centers the k tile of
+    /// the two rows it is about to dot into a scratch pair, once for every
+    /// row of `rhs`. `x − μ` is the double a centered copy would hold, so
+    /// the product is bit-identical to [`Self::matmul_nt`] on that copy.
+    /// Shapes are the caller's to check.
+    pub(crate) fn centered_matmul_nt(&self, means: &[f64], rhs: &Matrix) -> Matrix {
+        debug_assert_eq!((self.cols, means.len()), (rhs.cols, rhs.cols));
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        nt_into(&self.data, &rhs.data, self.cols, Some(rhs_means), &mut out.data, true);
+        nt_into(&self.data, Some(means), &rhs.data, self.cols, &mut out.data, true);
         out
     }
 
@@ -729,22 +729,22 @@ fn k_tile<'a>(data: &'a [f64], width: usize, r: usize, k: &Range<usize>) -> &'a 
 }
 
 /// The body of [`Matrix::matmul_nt`]: `out` (row-major `n x m`) gains
-/// `a · (b − 1μᵀ)ᵀ` for row-major `a` (`n x inner`) and `b` (`m x inner`),
-/// μ = `b_means` (nothing subtracted when `None`). Tasks are bands of
+/// `(a − 1μᵀ) · bᵀ` for row-major `a` (`n x inner`) and `b` (`m x inner`),
+/// μ = `a_means` (nothing subtracted when `None`). Tasks are bands of
 /// output rows; each walks the reduction in [`NT_K_TILE`] tiles so a tile
 /// of `b` serves every row of the band from cache, and advances a 2 × 4
-/// block of elements at a time, subtracting μ from each element of `b` as
-/// the block loads it. Every element continues its one ascending-k chain
-/// from its current value, so folding a wide product into `out` tile by
-/// tile, or call by call over consecutive column ranges, is bit-identical
-/// to one call over the whole range. `fresh` marks a newly allocated
-/// all-zero `out`, which each task stores over before reading (see
-/// [`touch_zeroed`]).
+/// block of elements at a time — the pair of `a` rows centered into a
+/// scratch pair first when there are means, once for all of `b`. Every
+/// element continues its one ascending-k chain from its current value, so
+/// folding a wide product into `out` tile by tile, or call by call over
+/// consecutive column ranges, is bit-identical to one call over the whole
+/// range. `fresh` marks a newly allocated all-zero `out`, which each task
+/// stores over before reading (see [`touch_zeroed`]).
 pub(crate) fn nt_into(
     a: &[f64],
+    a_means: Option<&[f64]>,
     b: &[f64],
     inner: usize,
-    b_means: Option<&[f64]>,
     out: &mut [f64],
     fresh: bool,
 ) {
@@ -757,6 +757,7 @@ pub(crate) fn nt_into(
         if fresh {
             touch_zeroed(out_rows);
         }
+        let mut centered = Vec::new();
         for k0 in (0..inner).step_by(NT_K_TILE) {
             let k = k0..(k0 + NT_K_TILE).min(inner);
             // Row `r`'s share of this k tile. A 2 x 4 block of elements
@@ -766,7 +767,15 @@ pub(crate) fn nt_into(
             for (pair, out_pair) in out_rows.chunks_mut(2 * m).enumerate() {
                 let i = blk * row_block + 2 * pair;
                 let (out0, out1) = out_pair.split_at_mut(m);
-                let (a0, a1) = (tile(a, i, n - 1), tile(a, i + 1, n - 1));
+                let (mut a0, mut a1) = (tile(a, i, n - 1), tile(a, i + 1, n - 1));
+                if let Some(means) = a_means {
+                    centered.clear();
+                    for row in [a0, a1] {
+                        let row = row.iter().zip(&means[k.clone()]);
+                        centered.extend(row.map(|(&v, &mu)| v - mu));
+                    }
+                    (a0, a1) = centered.split_at(k.len());
+                }
                 for j in (0..m).step_by(4) {
                     let w = (m - j).min(4);
                     let mut acc = [[0.0f64; 4]; 2];
@@ -775,12 +784,7 @@ pub(crate) fn nt_into(
                         acc[1][..w].copy_from_slice(&out1[j..j + w]);
                     }
                     let b_rows = std::array::from_fn(|l| tile(b, j + l, m - 1));
-                    match b_means {
-                        None => dot_tile_2x4(a0, a1, b_rows, &mut acc),
-                        Some(means) => {
-                            centered_dot_tile_2x4(a0, a1, b_rows, &means[k.clone()], &mut acc);
-                        }
-                    }
+                    dot_tile_2x4(a0, a1, b_rows, &mut acc);
                     out0[j..j + w].copy_from_slice(&acc[0][..w]);
                     if !out1.is_empty() {
                         out1[j..j + w].copy_from_slice(&acc[1][..w]);
@@ -861,36 +865,6 @@ fn dot_tile_2x4(a0: &[f64], a1: &[f64], b: [&[f64]; 4], acc: &mut [[f64; 4]; 2])
     let a = a0.iter().zip(a1);
     let b = b0.iter().zip(b1).zip(b2).zip(b3);
     for ((&x0, &x1), (((&y0, &y1), &y2), &y3)) in a.zip(b) {
-        s00 += x0 * y0;
-        s01 += x0 * y1;
-        s02 += x0 * y2;
-        s03 += x0 * y3;
-        s10 += x1 * y0;
-        s11 += x1 * y1;
-        s12 += x1 * y2;
-        s13 += x1 * y3;
-    }
-    *acc = [[s00, s01, s02, s03], [s10, s11, s12, s13]];
-}
-
-/// [`dot_tile_2x4`] against `b_c − μ`: `acc[r][c]` gains
-/// `a_r[k] * (b_c[k] − mu[k])`, each difference taken as the element is
-/// loaded — the double a centered copy of `b` would hold — in the same
-/// eight ascending chains.
-fn centered_dot_tile_2x4(
-    a0: &[f64],
-    a1: &[f64],
-    b: [&[f64]; 4],
-    mu: &[f64],
-    acc: &mut [[f64; 4]; 2],
-) {
-    let [b0, b1, b2, b3] = b;
-    let [mut s00, mut s01, mut s02, mut s03] = acc[0];
-    let [mut s10, mut s11, mut s12, mut s13] = acc[1];
-    let a = a0.iter().zip(a1).zip(mu);
-    let b = b0.iter().zip(b1).zip(b2).zip(b3);
-    for (((&x0, &x1), &m), (((&y0, &y1), &y2), &y3)) in a.zip(b) {
-        let (y0, y1, y2, y3) = (y0 - m, y1 - m, y2 - m, y3 - m);
         s00 += x0 * y0;
         s01 += x0 * y1;
         s02 += x0 * y2;

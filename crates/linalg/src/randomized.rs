@@ -16,14 +16,13 @@
 //! A model fit factors the column-centered window `Xc = X − 1μᵀ` (the
 //! paper's zero-mean eigenflows), and at the large-mesh scale a centered
 //! copy would be 17 MB. None is made: the products that read the data
-//! subtract `μ[j]` from each element as they load it — in the micro-kernel
-//! itself, or into a cache-sized scratch band. `x − μ` is the double a
-//! centered copy would hold, and
-//! every kernel accumulates each output element in one ascending chain from
-//! 0.0, so the factorization is the copy's bit for bit. One row-major pass
-//! over `x` checks every centered value for finiteness and sums the total
-//! energy `‖Xc‖²_F` the fit needs for its unseen tail. [`randomized_thin_svd`]
-//! is the zero-offset case: `x − 0.0` is `x`.
+//! subtract `μ[j]` from each element as they load it into a cache-sized
+//! scratch tile. `x − μ` is the double a centered copy would hold, and
+//! every kernel accumulates each output element in one ascending chain
+//! from 0.0, so the factorization is the copy's bit for bit. One row-major
+//! pass over `x` checks every centered value for finiteness and sums the
+//! total energy `‖Xc‖²_F` the fit needs for its unseen tail.
+//! [`randomized_thin_svd`] is the zero-offset case: `x − 0.0` is `x`.
 //!
 //! ## Panels are stored vectors-in-rows
 //!
@@ -31,7 +30,8 @@
 //! `Ωᵀ`, the range basis `Qᵀ` (`m x n`) and the power-iteration panel `Zᵀ`
 //! (`m x p`) — keeps one vector per contiguous row, the orientation
 //! `Qᵀ Xc` produces anyway, so Gram-Schmidt runs in place on whole rows and
-//! no product materializes a transpose. The panels `m x p` in size are
+//! nothing `p`-sized is ever transposed (only the `n x m` products `Xc Ω`
+//! and `Xc Z` are, into the rows of `Qᵀ`). The panels `m x p` in size are
 //! alive one at a time: `Ωᵀ` for the one statement that sketches with it,
 //! `Zᵀ` for one power iteration, and the right singular vectors `V`
 //! (`p x r`, `r ≤ m`) at the end. The projection `B = Qᵀ Xc` is never
@@ -40,9 +40,9 @@
 //! straight into its band's rows of `V = Bᵀ W` — one more `m x n x p`
 //! product in exchange for the panel. The kernels:
 //!
-//! * `Matrix::matmul_nt_centered` (`A Xcᵀ`) for `Ωᵀ Xcᵀ` and `Zᵀ Xcᵀ`,
-//!   rows dotted with rows, its micro-kernel centering each element of `X`
-//!   as it loads it;
+//! * `Matrix::centered_matmul_nt` (`Xc Aᵀ`) for `Xc Ω` and `Xc Z`, rows
+//!   dotted with rows, each pair of rows of `X` centered once per k tile
+//!   for every row of `A`;
 //! * `centered_band_product` (`A Xc`, one column band) for `Qᵀ Xc`, banded
 //!   along the 90 000-wide side, each band of `X` centered into a scratch
 //!   band that its many rows of `A` then read from cache — behind
@@ -166,9 +166,9 @@ pub(crate) fn centered_randomized_svd(
     // rank bound where the randomized route degenerates gracefully.
     let m = (rank + opts.oversample).clamp(1, n.min(p));
 
-    // Yᵀ = Ωᵀ Xcᵀ with Ω ~ N(0, 1)^{p x m}, drawn from one seeded stream
-    // (thread-count independent by construction).
-    let mut qt = gaussian_sketch(m, p, opts.seed).matmul_nt_centered(x, means);
+    // Y = Xc Ω with Ω ~ N(0, 1)^{p x m}, drawn from one seeded stream
+    // (thread-count independent by construction); Qᵀ starts as Yᵀ.
+    let mut qt = x.centered_matmul_nt(means, &gaussian_sketch(m, p, opts.seed)).transpose();
     orthonormalize_rows(&mut qt);
 
     // Power iterations Q <- orth(Xc orth(Xcᵀ Q)) tighten the captured range
@@ -176,7 +176,7 @@ pub(crate) fn centered_randomized_svd(
     for _ in 0..opts.power_iters {
         let mut zt = qt.matmul_centered(x, means); // m x p
         orthonormalize_rows(&mut zt);
-        qt = zt.matmul_nt_centered(x, means);
+        qt = x.centered_matmul_nt(means, &zt).transpose();
         orthonormalize_rows(&mut qt);
     }
 
@@ -308,7 +308,7 @@ fn projected_gram(qt: &Matrix, x: &Matrix, means: &[f64]) -> Matrix {
         odflow_par::parallel_chunks(&mut bands, 1, |c, band| {
             centered_band_product(qt, x, means, band_cols(c, cols.clone()), &mut band[0]);
         });
-        nt_into(b, b, cols.len(), None, gram.as_mut_slice(), false);
+        nt_into(b, None, b, cols.len(), gram.as_mut_slice(), false);
     }
     gram
 }
