@@ -14,13 +14,16 @@
 //! nothing per cell, nothing at all for a bin no record has reached — and
 //! a table lives exactly as long as its bin can still receive records:
 //!
-//! * [`OdBinner::finish`] frees every table. The shard-filling tasks of the
+//! * [`OdBinner::seal`] frees the tables of the window's leading bins. A
+//!   streaming consumer seals a bin once the
+//!   [lateness rule](crate::Watermark) says no record can reach it any
+//!   more — [`LATENESS_HORIZON_BINS`](crate::LATENESS_HORIZON_BINS) bins
+//!   after it closed — so a daemon tenant holds that many bins' keys plus
+//!   the open bin's, not the window's. A sealed bin keeps its cell sums and
+//!   refuses further records.
+//! * [`OdBinner::finish`] seals every bin. The shard-filling tasks of the
 //!   batch paths call it as soon as their bin range is rendered, so a
-//!   window's keys are never resident together; a finished binner keeps its
-//!   cell sums and refuses further records.
-//! * A binner that is never finished (the daemon's full-window shard, which
-//!   must dedup a late record into a long-closed bin) keeps its tables
-//!   until it is flushed or dropped.
+//!   window's keys are never resident together.
 //!
 //! A table's slot order depends on the process-random hash keys, and it
 //! stops at the table's edge: [`DistinctFlows::insert`] answers new or
@@ -214,9 +217,11 @@ pub struct OdBinner<S = Vec<f64>> {
     packets: S,
     flows: S,
     /// The distinct `(OD, 5-tuple)` pairs behind `flows`, one table per
-    /// bin; no tables at all once [`Self::finish`] has run. Exact, not a
-    /// sketch.
+    /// bin — empty for a sealed bin, and no tables at all once
+    /// [`Self::finish`] has run. Exact, not a sketch.
     distinct: Vec<DistinctFlows>,
+    /// Bins `0..sealed` are sealed: tables freed, records refused.
+    sealed: usize,
     /// Records accepted per bin — the raw signal behind the
     /// [`DataQuality`](crate::DataQuality) outage/masking repair.
     bin_records: Vec<u64>,
@@ -285,6 +290,7 @@ impl<S: DerefMut<Target = [f64]>> OdBinner<S> {
             packets,
             flows,
             distinct: vec![DistinctFlows::new(); num_bins],
+            sealed: 0,
             bin_records: vec![0; num_bins],
             records_accepted: 0,
         })
@@ -309,14 +315,15 @@ impl<S: DerefMut<Target = [f64]>> OdBinner<S> {
     ///
     /// * [`FlowError::BadOdIndex`] for an OD index outside the matrix.
     /// * [`FlowError::TimestampOutOfRange`] for records outside the window.
-    /// * [`FlowError::AlreadyFinalized`] after [`Self::finish`].
+    /// * [`FlowError::AlreadyFinalized`] for a record of a sealed bin — any
+    ///   bin after [`Self::finish`].
     pub fn push(&mut self, od_index: usize, record: &FlowRecord) -> Result<()> {
         let od = match u32::try_from(od_index) {
             Ok(od) if od_index < self.num_od => od,
             _ => return Err(FlowError::BadOdIndex { index: od_index, count: self.num_od }),
         };
         let bin = self.bin_for(record.window_start)?;
-        if bin >= self.distinct.len() {
+        if bin < self.sealed || bin >= self.distinct.len() {
             return Err(FlowError::AlreadyFinalized);
         }
         let (earlier, rest) = self.distinct.split_at_mut(bin);
@@ -357,8 +364,7 @@ impl<S: DerefMut<Target = [f64]>> OdBinner<S> {
     /// This is the streaming tap: a long-running collector closes bins as
     /// its export watermark advances and feeds each closed row straight
     /// into an online detector, while the binner keeps accumulating later
-    /// bins. Reading a row does not freeze it — the caller decides when a
-    /// bin can no longer receive records.
+    /// bins. Reading a row does not freeze it; sealing the bin does.
     pub fn bin_row(&self, bin: usize, t: TrafficType) -> Option<&[f64]> {
         if bin >= self.num_bins {
             return None;
@@ -376,11 +382,23 @@ impl<S: DerefMut<Target = [f64]>> OdBinner<S> {
         self.num_bins
     }
 
-    /// Declares the window filled and frees every distinct-flow table.
-    /// The cell sums, flow counts included, are final and stay readable;
-    /// [`Self::push`] is refused from here on, and a snapshot taken from
-    /// here on carries no 5-tuples.
+    /// Seals the window's first `bins` bins (all of them, if `bins` is
+    /// larger): frees their distinct-flow tables and refuses their
+    /// records from here on. Their cell sums, flow counts included, are
+    /// final and stay readable, and a snapshot carries no 5-tuples for
+    /// them. Sealing fewer bins than are sealed already changes nothing.
+    pub(crate) fn seal(&mut self, bins: usize) {
+        let bins = bins.min(self.num_bins);
+        for table in self.distinct.iter_mut().take(bins).skip(self.sealed) {
+            *table = DistinctFlows::default();
+        }
+        self.sealed = self.sealed.max(bins);
+    }
+
+    /// Declares the window filled: seals every bin and drops the emptied
+    /// tables themselves.
     pub fn finish(&mut self) {
+        self.seal(self.num_bins);
         self.distinct = Vec::new();
     }
 
@@ -436,6 +454,7 @@ impl OdBinner {
             records_accepted: self.records_accepted,
             resolution: ResolutionStats::default(),
             dropped_out_of_window: 0,
+            dropped_late: 0,
         }
     }
 
@@ -456,9 +475,9 @@ impl OdBinner {
 
     /// Replaces the accumulation state with a snapshot taken from a binner
     /// of identical geometry. The distinct tables are rebuilt by insertion
-    /// (a finished binner takes records again) — membership is all
-    /// [`Self::push`] ever consults, so restored accumulation is
-    /// bit-identical to the original.
+    /// and nothing stays sealed (the owner re-seals what its watermark
+    /// says) — membership is all [`Self::push`] ever consults, so restored
+    /// accumulation is bit-identical to the original.
     ///
     /// # Errors
     ///
@@ -501,6 +520,7 @@ impl OdBinner {
                 table
             })
             .collect();
+        self.sealed = 0;
         self.bin_records.clone_from(&state.bin_records);
         self.records_accepted = state.records_accepted;
         Ok(())
@@ -638,6 +658,31 @@ mod tests {
         assert_eq!(b.bin_row(0, TrafficType::Flows).unwrap().iter().sum::<f64>(), 100.0);
         assert!(b.export_bin(0).unwrap().distinct.iter().all(Vec::is_empty));
         assert_eq!(b.finalize().unwrap().flows.data[(1, 0)], 1.0);
+    }
+
+    #[test]
+    fn sealing_frees_the_leading_bins_and_refuses_their_records() {
+        let mut b = OdBinner::new(0, 300, 4, 2).unwrap();
+        for bin in 0..4u64 {
+            for port in 0..10 {
+                b.push(usize::from(port % 2), &rec(bin * 300, port, 1, 100)).unwrap();
+            }
+        }
+        assert_eq!(b.distinct_keys_live(), 40);
+        b.seal(2);
+        assert_eq!(b.distinct_keys_live(), 20);
+        assert_eq!(b.push(0, &rec(310, 99, 1, 10)), Err(FlowError::AlreadyFinalized));
+        // An open bin still dedups; a sealed one keeps its cells.
+        b.push(1, &rec(610, 3, 1, 10)).unwrap();
+        assert_eq!(b.bin_row(1, TrafficType::Flows).unwrap(), [5.0, 5.0]);
+        assert!(b.export_bin(1).unwrap().distinct.iter().all(Vec::is_empty));
+        assert_eq!(b.export_bin(2).unwrap().distinct[1].len(), 5);
+        b.seal(1);
+        assert_eq!(b.distinct_keys_live(), 20, "sealing fewer bins changes nothing");
+        b.seal(usize::MAX);
+        assert_eq!((b.distinct_keys_live(), b.distinct_table_bytes()), (0, 0));
+        let set = b.finalize().unwrap();
+        assert_eq!((set.flows.data[(2, 1)], set.bytes.data[(2, 1)]), (5.0, 510.0));
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! front end over a single full-window shard. Wire-format input enters
 //! through one admission step,
 //! [`DataQuality::admit_frame`] (lossy decode into the quarantine
-//! counters, then exporter sequence tracking), whatever the driver.
+//! counters, then exporter sequence tracking), and one lateness rule,
+//! [`Watermark::judge_frame`] (records of a sealed bin refused and
+//! counted), whatever the driver.
 //! [`AttributeDigest`] summarizes the raw flows behind a detection for the
 //! classification stage.
 
@@ -35,6 +37,7 @@ mod binning;
 mod digest;
 mod error;
 mod key;
+mod lateness;
 mod matrix;
 pub mod netflow;
 mod od;
@@ -50,6 +53,7 @@ pub use binning::{BinState, DistinctFlows, OdBinner};
 pub use digest::{AttributeDigest, Counts};
 pub use error::{FlowError, Result};
 pub use key::{FlowKey, Protocol};
+pub use lateness::{Watermark, WatermarkState, LATENESS_HORIZON_BINS};
 pub use matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType, BIN_SECS};
 pub use od::{OdResolution, OdResolver, ResolutionStats};
 pub use packet::PacketObs;

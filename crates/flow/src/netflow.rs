@@ -181,6 +181,12 @@ fn split_frame(
     Ok((hdr, payload.as_chunks().0))
 }
 
+/// A wire record's start time in seconds: its `first` field, which the
+/// wire carries in milliseconds.
+fn record_start_secs(rec: &[u8; RECORD_LEN]) -> u64 {
+    u64::from(u32_at(rec, 24) / 1000)
+}
+
 /// Decodes one wire record where it lies. The record's `router` field is
 /// recovered from the header's `engine_id` and `window_start` from the
 /// `first` timestamp.
@@ -195,10 +201,18 @@ fn decode_record(rec: &[u8; RECORD_LEN], engine_id: u8) -> FlowRecord {
         ),
         router: engine_id as usize,
         interface: u32::from(u16_at(rec, 12)), // input ifIndex
-        window_start: u64::from(u32_at(rec, 24) / 1000), // first, ms on the wire
+        window_start: record_start_secs(rec),
         packets: u64::from(u32_at(rec, 16)),
         bytes: u64::from(u32_at(rec, 20)),
     }
+}
+
+/// Record `index` of a well-formed frame, decoded where it lies — how a
+/// caller that kept only [`FrameRecords::positions`] decodes a record
+/// later. `None` when the frame is malformed or has no such record.
+pub(crate) fn record_at(frame: &[u8], index: u16) -> Option<FlowRecord> {
+    let (hdr, records) = split_frame(frame).ok()?;
+    records.get(usize::from(index)).map(|rec| decode_record(rec, hdr.engine_id))
 }
 
 /// Decodes one export datagram into its header and flow records.
@@ -259,9 +273,25 @@ fn counters_plausible(rec: &[u8; RECORD_LEN]) -> bool {
 #[derive(Debug, Clone)]
 pub struct FrameRecords<'a> {
     records: std::slice::Iter<'a, [u8; RECORD_LEN]>,
+    /// Records in the frame, plausible or not.
+    count: usize,
     engine_id: u8,
     /// Plausible records not yet yielded.
     plausible: usize,
+}
+
+impl<'a> FrameRecords<'a> {
+    /// The plausible records not yet yielded, as their positions in the
+    /// frame with their start times, nothing else decoded — for a caller
+    /// that sorts records before it decodes them, with [`record_at`].
+    pub(crate) fn positions(self) -> impl Iterator<Item = (u16, u64)> + 'a {
+        let first = self.count - self.records.len();
+        self.records
+            .enumerate()
+            .filter(|(_, rec)| counters_plausible(rec))
+            // A frame holds at most `u16::MAX` records (`count` is a u16).
+            .map(move |(i, rec)| ((first + i) as u16, record_start_secs(rec)))
+    }
 }
 
 impl Iterator for FrameRecords<'_> {
@@ -307,7 +337,13 @@ pub fn decode_frame<'a>(
     stats.records_offered += u64::from(hdr.count);
     stats.records_accepted += plausible as u64;
     stats.implausible_records += (records.len() - plausible) as u64;
-    Some((hdr, FrameRecords { records: records.iter(), engine_id: hdr.engine_id, plausible }))
+    let records = FrameRecords {
+        records: records.iter(),
+        count: records.len(),
+        engine_id: hdr.engine_id,
+        plausible,
+    };
+    Some((hdr, records))
 }
 
 /// [`decode_frame`] with the records collected — the ingest-facing entry
@@ -486,6 +522,26 @@ mod tests {
         assert_eq!(q.implausible_records, 1);
         assert_eq!(q.records_accepted, 2);
         assert!(q.is_conserved());
+    }
+
+    #[test]
+    fn positions_name_the_records_the_iterator_decodes() {
+        let mut records = plausible_records(7);
+        records[2].bytes = 0; // implausible: passed over either way
+        let frame = encode_datagrams(&records, 0, 4, 100, 0).remove(0);
+        let (_, decoded) = decode_frame(&frame, &mut QuarantineStats::default()).unwrap();
+        let positions: Vec<(u16, u64)> = decoded.clone().positions().collect();
+        assert_eq!(positions.iter().map(|p| p.0).collect::<Vec<_>>(), [0, 1, 3, 4, 5, 6]);
+        let by_position: Vec<FlowRecord> =
+            positions.iter().map(|&(i, _)| record_at(&frame, i).unwrap()).collect();
+        assert!(positions.iter().zip(&by_position).all(|(p, r)| p.1 == r.window_start));
+        let mut rest = decoded.clone();
+        assert_eq!(rest.next().as_ref(), by_position.first());
+        assert_eq!(by_position, decoded.collect::<Vec<_>>());
+        // Once a record is yielded, the positions are those of the rest.
+        assert_eq!(rest.positions().next(), Some(positions[1]));
+        assert!(record_at(&frame, 7).is_none());
+        assert!(record_at(&frame[..30], 0).is_none());
     }
 
     #[test]

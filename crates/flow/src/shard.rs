@@ -19,7 +19,9 @@
 //! task that fills a shard also [finishes](BinShard::finish) it, which
 //! frees its distinct-flow tables, so the 5-tuples of a window are never
 //! resident together. A streaming consumer's single full-window shard owns
-//! its cells instead, and [`ShardedIngest::merge`] moves them out.
+//! its cells instead, [seals](BinShard::seal) its bins as its
+//! [`Watermark`] passes them, and [`ShardedIngest::merge`] moves the cells
+//! out.
 //!
 //! Before a shard task scatters records into its rows it writes zero over
 //! them in address order. The values do not change; what changes is how
@@ -54,7 +56,9 @@
 use crate::binning::{BinState, OdBinner};
 use crate::error::{FlowError, Result};
 use crate::key::FlowKey;
+use crate::lateness::{Watermark, WatermarkState};
 use crate::matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType};
+use crate::netflow;
 use crate::od::{OdResolution, OdResolver, ResolutionStats};
 use crate::pipeline::PipelineConfig;
 use crate::quality::{BinStatus, DataQuality, RepairPolicy};
@@ -95,6 +99,9 @@ pub struct BinShard<S = Vec<f64>> {
     /// outside the shard's own sub-window are routing errors.
     window: Range<u64>,
     dropped_out_of_window: u64,
+    /// Records a [`Watermark`] refused for a sealed bin before they
+    /// reached this shard, counted here beside the out-of-window drops.
+    dropped_late: u64,
 }
 
 impl<S: DerefMut<Target = [f64]>> BinShard<S> {
@@ -112,8 +119,8 @@ impl<S: DerefMut<Target = [f64]>> BinShard<S> {
     ///   window but outside this shard's bin range — a routing bug in the
     ///   caller, never silently absorbed.
     /// * [`FlowError::BadOdIndex`] for an OD index outside the matrix.
-    /// * [`FlowError::AlreadyFinalized`] for a resolvable in-window record
-    ///   offered after [`Self::finish`].
+    /// * [`FlowError::AlreadyFinalized`] for a resolvable record of a
+    ///   [sealed](Self::seal) bin — any bin after [`Self::finish`].
     pub fn push_sampled_record(&mut self, mut record: FlowRecord) -> Result<()> {
         if self.anonymize {
             record.key = record.key.with_anonymized_dst();
@@ -146,6 +153,26 @@ impl<S: DerefMut<Target = [f64]>> BinShard<S> {
     /// Records this shard dropped as outside the global window.
     pub fn dropped_out_of_window(&self) -> u64 {
         self.dropped_out_of_window
+    }
+
+    /// Counts `records` a [`Watermark`] refused as late for this shard's
+    /// window. They never reach the resolver or the cells.
+    pub fn count_late(&mut self, records: u64) {
+        self.dropped_late += records;
+    }
+
+    /// Records refused as late, as counted by [`Self::count_late`].
+    pub fn dropped_late(&self) -> u64 {
+        self.dropped_late
+    }
+
+    /// Seals the window's first `bins` **global** bins (those of them this
+    /// shard owns): frees their distinct-flow tables and refuses their
+    /// records, while their rows stay readable — what a streaming consumer
+    /// does as its [`Watermark::sealed_bins`] grows. Sealing fewer bins
+    /// than are sealed already changes nothing.
+    pub fn seal(&mut self, bins: usize) {
+        self.binner.seal(bins.saturating_sub(self.first_bin));
     }
 
     /// Records this shard accepted into cells.
@@ -211,6 +238,7 @@ impl BinShard {
         ShardState {
             resolution: self.resolver.stats(),
             dropped_out_of_window: self.dropped_out_of_window,
+            dropped_late: self.dropped_late,
             ..self.binner.export_state()
         }
     }
@@ -237,6 +265,7 @@ impl BinShard {
         self.binner.restore_state(state)?;
         self.resolver.restore_stats(state.resolution);
         self.dropped_out_of_window = state.dropped_out_of_window;
+        self.dropped_late = state.dropped_late;
         Ok(())
     }
 }
@@ -266,6 +295,8 @@ pub struct ShardState {
     pub resolution: ResolutionStats,
     /// Records dropped as outside the global window.
     pub dropped_out_of_window: u64,
+    /// Records refused as late (see [`BinShard::count_late`]).
+    pub dropped_late: u64,
 }
 
 impl ShardState {
@@ -281,6 +312,7 @@ impl ShardState {
             records_accepted: 0,
             resolution: ResolutionStats::default(),
             dropped_out_of_window: 0,
+            dropped_late: 0,
         }
     }
 
@@ -329,6 +361,10 @@ pub struct IngestOutcome {
     pub stats: ResolutionStats,
     /// Out-of-window records dropped, summed across shards.
     pub dropped_out_of_window: u64,
+    /// Records refused as late: judged by the frame path's [`Watermark`]
+    /// to fall into a sealed bin. Always zero on the fused record path,
+    /// which has no watermark.
+    pub dropped_late: u64,
     /// Data-quality accounting: quarantine counters (wire path), exporter
     /// sequence gaps, per-bin record counts, and per-bin repair status.
     pub quality: DataQuality,
@@ -485,6 +521,12 @@ impl ShardedIngest {
         self.num_od
     }
 
+    /// The lateness watermark over this window, standing where `state`
+    /// says (`WatermarkState::default()` for a stream not yet begun).
+    pub fn watermark(&self, state: WatermarkState) -> Watermark {
+        Watermark::new(self.start_secs, self.bin_secs, self.num_bins, state)
+    }
+
     /// Mints an empty shard, owning its cells, over a contiguous sub-range
     /// of global bins.
     ///
@@ -523,6 +565,7 @@ impl ShardedIngest {
             anonymize: self.anonymize,
             window: self.window(),
             dropped_out_of_window: 0,
+            dropped_late: 0,
         })
     }
 
@@ -654,6 +697,7 @@ impl ShardedIngest {
             },
             stats: tally.stats,
             dropped_out_of_window: tally.dropped,
+            dropped_late: tally.late,
             quality,
         })
     }
@@ -681,11 +725,16 @@ impl ShardedIngest {
     /// One-shot ingest of serialized NetFlow v5 export frames — the
     /// hostile-telemetry entry point.
     ///
-    /// Frames pass through [`DataQuality::admit_frame`] **serially, in input
-    /// order** (quarantine counters and per-exporter sequence tracking are
-    /// order-sensitive, so this stage never parallelizes); surviving
-    /// records then take the same partition → parallel fill path as
-    /// [`Self::ingest_records`]. The returned outcome's quality report
+    /// Frames pass through [`DataQuality::admit_frame`] and the window's
+    /// [`Watermark`] **serially, in input order** (quarantine counters,
+    /// exporter sequence tracking and the lateness rule are all
+    /// order-sensitive, so this stage never parallelizes), exactly as a
+    /// daemon tenant takes them: a record of a sealed bin is refused and
+    /// counted in [`IngestOutcome::dropped_late`]. The stage keeps only
+    /// where each surviving record lies — eight bytes, not a decoded copy
+    /// of the stream — partitioned by owning shard; each shard's fill task
+    /// decodes its records from the frames, and the fill is the same as
+    /// [`Self::ingest_records`]'s. The returned outcome's quality report
     /// carries the quarantine and exporter-gap accounting alongside the
     /// per-bin record counts. Bit-identical for any `ODFLOW_THREADS`.
     ///
@@ -694,21 +743,53 @@ impl ShardedIngest {
     ///
     /// # Errors
     ///
-    /// As for [`Self::ingest_records`]; malformed frames are quarantined,
-    /// never errors.
-    pub fn ingest_datagrams(&self, frames: &[impl AsRef<[u8]>]) -> Result<IngestOutcome> {
+    /// As for [`Self::ingest_records`]; [`FlowError::Codec`] for more than
+    /// `u32::MAX` frames. Malformed frames are quarantined, never errors.
+    pub fn ingest_datagrams(&self, frames: &[impl AsRef<[u8]> + Sync]) -> Result<IngestOutcome> {
         let mut quality = DataQuality::default();
-        let mut records = Vec::new();
-        for frame in frames {
-            if let Some((_, Some(fresh))) = quality.admit_frame(frame.as_ref()) {
-                records.extend(fresh);
-            }
+        let mut watermark = self.watermark(WatermarkState::default());
+        let mut late = 0;
+        let mut partitions: Vec<Vec<WireRef>> = vec![Vec::new(); self.num_shards()];
+        for (at, frame) in frames.iter().enumerate() {
+            let Some((hdr, Some(records))) = quality.admit_frame(frame.as_ref()) else {
+                continue;
+            };
+            let frame = u32::try_from(at).map_err(|_| FlowError::Codec {
+                reason: format!("frame {at}: more frames than one call can index"),
+            })?;
+            late += watermark.judge_frame(
+                hdr.unix_secs,
+                records.positions(),
+                |&(_, secs)| secs,
+                |(record, secs)| {
+                    partitions[self.shard_for_ts(secs)].push(WireRef { frame, record });
+                },
+            );
         }
-        let mut outcome = self.ingest_records(&records)?;
+        let mut outcome = self.fill_shards(|i, shard| {
+            partitions[i].iter().try_for_each(|r| {
+                match netflow::record_at(frames[r.frame as usize].as_ref(), r.record) {
+                    Some(record) => shard.push_sampled_record(record),
+                    None => Err(FlowError::Codec {
+                        reason: format!("record {} of frame {} is gone", r.record, r.frame),
+                    }),
+                }
+            })
+        })?;
+        outcome.dropped_late = late;
         outcome.quality.quarantine = quality.quarantine;
         outcome.quality.exporters = quality.exporters;
         Ok(outcome)
     }
+}
+
+/// Record `record` of input frame `frame`: where an admitted wire record
+/// lies, in eight bytes where the decoded record takes 56 — what
+/// [`ShardedIngest::ingest_datagrams`] partitions.
+#[derive(Debug, Clone, Copy)]
+struct WireRef {
+    frame: u32,
+    record: u16,
 }
 
 /// What the shards of a window counted, summed in shard order (integers
@@ -718,6 +799,7 @@ impl ShardedIngest {
 struct ShardTally {
     stats: ResolutionStats,
     dropped: u64,
+    late: u64,
     accepted: u64,
     bin_records: Vec<u64>,
 }
@@ -727,6 +809,7 @@ impl ShardTally {
     fn add<S: DerefMut<Target = [f64]>>(&mut self, shard: BinShard<S>) -> (S, S, S) {
         self.stats.merge(&shard.resolver.stats());
         self.dropped += shard.dropped_out_of_window;
+        self.late += shard.dropped_late;
         self.accepted += shard.binner.records_accepted();
         let (bytes, packets, flows, bin_records) = shard.binner.into_cells();
         self.bin_records.extend(bin_records);
@@ -1036,6 +1119,146 @@ mod tests {
         assert_eq!(outcome.quality.exporters.lost_flows_total(), 30);
         assert!(!outcome.quality.is_pristine());
         assert_eq!(outcome.quality.bin_records.iter().sum::<u64>(), 150);
+    }
+
+    /// A clean 20-bin export stream of exporter 3, one burst per bin
+    /// exported at the bin's start. `extra(bin, seq)` may add frames after
+    /// bin `bin`'s burst, numbered from `seq` onward in the exporter's
+    /// sequence; it returns them with the records they carry.
+    fn stream_with(
+        plan: &AddressPlan,
+        mut extra: impl FnMut(usize, u32) -> (Vec<Vec<u8>>, u32),
+    ) -> Vec<Vec<u8>> {
+        let mut seq = 0u32;
+        let mut frames = Vec::new();
+        for bin in 0..20usize {
+            let records = bin_records(plan, bin);
+            frames.extend(crate::netflow::encode_datagrams(
+                &records,
+                bin as u32 * 300,
+                3,
+                100,
+                seq,
+            ));
+            seq += records.len() as u32;
+            let (more, carried) = extra(bin, seq);
+            frames.extend(more);
+            seq += carried;
+        }
+        frames
+    }
+
+    /// Exporter 3's records of one bin: 40 of them, ten OD pairs.
+    fn bin_records(plan: &AddressPlan, bin: usize) -> Vec<FlowRecord> {
+        (0..40u32)
+            .map(|i| {
+                let dst = (i as usize % 10 + 4) % 11;
+                record(plan, 3, dst, bin as u64 * 300 + u64::from(i * 7), bin as u32 * 40 + i)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ingest_datagrams_refuses_what_the_horizon_sealed() {
+        let (_, plan, engine, _) = setup(20);
+        let clean = engine.ingest_datagrams(&stream_with(&plan, |_, _| (vec![], 0))).unwrap();
+        assert_eq!(clean.dropped_late, 0);
+        // While bin 14 fills, exporter 3 re-exports bins 2 and 9: eight
+        // bins past bin 13, bin 2 is sealed; bin 9 is closed, not sealed.
+        let frames = stream_with(&plan, |bin, seq| {
+            if bin != 14 {
+                return (vec![], 0);
+            }
+            let mut late = bin_records(&plan, 2);
+            late.extend(bin_records(&plan, 9));
+            (crate::netflow::encode_datagrams(&late, 14 * 300, 3, 100, seq), late.len() as u32)
+        });
+        let outcome = engine.ingest_datagrams(&frames).unwrap();
+        assert_eq!(outcome.dropped_late, 40, "bin 2's records are refused");
+        // What the admission stage keeps per record, against a decoded copy.
+        assert_eq!((std::mem::size_of::<WireRef>(), std::mem::size_of::<FlowRecord>()), (8, 56));
+        let records = |o: &IngestOutcome, bin: usize| o.quality.bin_records[bin];
+        assert_eq!(records(&outcome, 2), records(&clean, 2));
+        assert_eq!(records(&outcome, 9), 2 * records(&clean, 9), "bin 9's land again");
+        let row = |o: &IngestOutcome, t: TrafficType, bin: usize| {
+            o.matrices.get(t).data.row(bin).unwrap().to_vec()
+        };
+        assert_eq!(row(&outcome, TrafficType::Flows, 9), row(&clean, TrafficType::Flows, 9));
+        let bytes = |o: &IngestOutcome| row(o, TrafficType::Bytes, 9).iter().sum::<f64>();
+        assert_eq!(bytes(&outcome), 2.0 * bytes(&clean));
+        // Every decoded record is placed somewhere, the refused ones too:
+        // in a cell, out of the window, unresolved or transit, or late.
+        for o in [&clean, &outcome] {
+            let s = &o.stats;
+            let placed = o.quality.bin_records.iter().sum::<u64>()
+                + o.dropped_out_of_window
+                + (s.flows_total - s.flows_resolved + s.transit_skipped)
+                + o.dropped_late;
+            assert_eq!(placed, o.quality.quarantine.records_accepted);
+        }
+    }
+
+    #[test]
+    fn a_far_future_header_closes_nothing_past_the_data() {
+        let (_, plan, engine, _) = setup(20);
+        let clean = engine.ingest_datagrams(&stream_with(&plan, |_, _| (vec![], 0))).unwrap();
+        // After bin 5, exporter 9 sends one empty frame stamped u32::MAX.
+        let frames = stream_with(&plan, |bin, _| {
+            if bin != 5 {
+                return (vec![], 0);
+            }
+            let mut frame =
+                crate::netflow::encode_datagrams(&bin_records(&plan, 0), 0, 9, 100, 0).remove(0);
+            frame.truncate(crate::netflow::HEADER_LEN);
+            frame[2..4].copy_from_slice(&0u16.to_be_bytes());
+            frame[8..12].copy_from_slice(&u32::MAX.to_be_bytes());
+            (vec![frame], 0)
+        });
+        let outcome = engine.ingest_datagrams(&frames).unwrap();
+        assert_eq!(outcome.quality.quarantine.frames_accepted, frames.len() as u64);
+        assert_eq!(outcome.dropped_late, 0, "an uncapped watermark would seal the window");
+        for t in TrafficType::ALL {
+            assert_eq!(
+                outcome.matrices.get(t).data.as_slice(),
+                clean.matrices.get(t).data.as_slice()
+            );
+        }
+    }
+
+    #[test]
+    fn sealed_bins_and_late_counts_survive_a_snapshot() {
+        let num_bins = 8;
+        let (_, plan, engine, _) = setup(num_bins);
+        let mut shard = engine.make_shard(0..num_bins).unwrap();
+        for r in mixed_stream(&plan, num_bins) {
+            shard.push_sampled_record(r).unwrap();
+        }
+        let keys_before = shard.distinct_keys_live();
+        shard.seal(3);
+        shard.count_late(5);
+        assert!(shard.distinct_keys_live() < keys_before);
+        let snap = shard.export_state();
+        assert_eq!(snap.dropped_late, 5);
+        assert!(snap.distinct[..3 * snap.num_od()].iter().all(Vec::is_empty));
+        assert!(snap.distinct[3 * snap.num_od()..].iter().any(|k| !k.is_empty()));
+
+        let mut restored = engine.make_shard(0..num_bins).unwrap();
+        restored.restore_state(&snap).unwrap();
+        restored.seal(3);
+        assert_eq!(restored.export_state(), snap);
+        assert_eq!(restored.distinct_keys_live(), shard.distinct_keys_live());
+        let in_bin_1 = record(&plan, 0, 5, 300 + 10, 1);
+        for s in [&mut shard, &mut restored] {
+            assert_eq!(s.push_sampled_record(in_bin_1), Err(FlowError::AlreadyFinalized));
+        }
+        // A shard seals the bins it owns, in window coordinates.
+        let mut tail = engine.make_shard(4..8).unwrap();
+        tail.push_sampled_record(record(&plan, 0, 5, 4 * 300, 1)).unwrap();
+        tail.push_sampled_record(record(&plan, 0, 5, 6 * 300, 2)).unwrap();
+        tail.seal(5);
+        assert_eq!(tail.distinct_keys_live(), 1);
+        let merged = engine.merge(vec![shard]).unwrap();
+        assert_eq!(merged.dropped_late, 5);
     }
 
     #[test]

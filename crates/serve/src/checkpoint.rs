@@ -11,11 +11,13 @@
 //! [`f64::to_bits`] image, so a restored pipeline resumes *bit-identical*
 //! to the uninterrupted run. A record's payload is one **generation**:
 //!
-//! * the head — `seq`, the frame cursor, `next_close`, the watermark and
-//!   the resolver, quarantine and exporter-sequence counters;
+//! * the head — `seq`, the frame cursor, `next_close`, the watermark with
+//!   the latest in-window record time that caps it, and the resolver,
+//!   out-of-window, late, quarantine and exporter-sequence counters;
 //! * the window geometry and one segment per **dirty bin** (a bin whose
 //!   record count moved since the previous generation): its record
-//!   count, its three rows and the sorted distinct 5-tuples of its cells;
+//!   count, its three rows and the sorted distinct 5-tuples of its cells
+//!   (none for a bin the lateness rule has sealed);
 //! * the detector — absent, whole (first fit, or a refit replaced the
 //!   model), or only the refit window's movement (rows dropped from the
 //!   front, rows gained at the back);
@@ -38,8 +40,9 @@
 //! into the *other* slot as the first generation of a session (after
 //! bind, recovery or a worker restart, so a torn tail is never written
 //! past) and whenever the bytes appended to the chain exceed its first
-//! record's length, which bounds file size, recovery time and total
-//! bytes written at a small multiple of the state.
+//! record's length, which bounds file size and recovery time at a small
+//! multiple of the state, and total bytes written at a small multiple of
+//! what the window took in — each bin's rows and 5-tuples once.
 //!
 //! ## Recovery
 //!
@@ -62,6 +65,7 @@
 
 use odflow_flow::{
     BinState, ExporterSeqState, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
+    WatermarkState,
 };
 use odflow_linalg::{Centering, EigenMethod, Matrix};
 use odflow_net::IpAddr;
@@ -82,13 +86,13 @@ use std::sync::Arc;
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"ODFCKPT\0";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Bytes of header before the payload: magic + version + length + checksum.
 pub const CHECKPOINT_HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
 /// Encoded bytes of one [`FlowKey`].
-const FLOW_KEY_LEN: usize = 4 + 4 + 2 + 2 + 1;
+pub(crate) const FLOW_KEY_LEN: usize = 4 + 4 + 2 + 2 + 1;
 
 /// Why a checkpoint could not be decoded or persisted. Every corruption
 /// mode maps to exactly one class; recovery treats all of them as "this
@@ -181,8 +185,8 @@ pub struct PipelineState {
     pub frames_ingested: u64,
     /// Next bin the pipeline will close.
     pub next_close: u64,
-    /// The export-timestamp watermark (trace-epoch seconds).
-    pub watermark_secs: u64,
+    /// The export-time watermark, which says which bins are sealed.
+    pub watermark: WatermarkState,
     /// The full shard accumulation state.
     pub shard: ShardState,
     /// Wire-path quarantine counters.
@@ -424,6 +428,27 @@ fn dec_opt_u32(d: &mut Dec<'_>) -> DecResult<Option<u32>> {
         1 => Ok(Some(d.u32()?)),
         t => corrupt(format!("option tag {t}")),
     }
+}
+
+fn enc_watermark(e: &mut Enc, w: WatermarkState) {
+    e.u64(w.secs);
+    match w.latest_record_secs {
+        None => e.u8(0),
+        Some(secs) => {
+            e.u8(1);
+            e.u64(secs);
+        }
+    }
+}
+
+fn dec_watermark(d: &mut Dec<'_>) -> DecResult<WatermarkState> {
+    let secs = d.u64()?;
+    let latest_record_secs = match d.u8()? {
+        0 => None,
+        1 => Some(d.u64()?),
+        t => return corrupt(format!("option tag {t}")),
+    };
+    Ok(WatermarkState { secs, latest_record_secs })
 }
 
 fn enc_exporter(e: &mut Enc, s: &ExporterSeqState) {
@@ -671,10 +696,11 @@ pub(crate) struct Generation<'a> {
     pub(crate) seq: u64,
     pub(crate) frames_ingested: u64,
     pub(crate) next_close: u64,
-    pub(crate) watermark_secs: u64,
+    pub(crate) watermark: WatermarkState,
     pub(crate) records_accepted: u64,
     pub(crate) resolution: ResolutionStats,
     pub(crate) dropped_out_of_window: u64,
+    pub(crate) dropped_late: u64,
     pub(crate) quarantine: QuarantineStats,
     pub(crate) exporters: Cow<'a, [(u8, ExporterSeqState)]>,
     /// Window geometry, so every record checks itself against the state
@@ -761,10 +787,11 @@ impl PipelineState {
             seq: self.seq,
             frames_ingested: self.frames_ingested,
             next_close: self.next_close,
-            watermark_secs: self.watermark_secs,
+            watermark: self.watermark,
             records_accepted: self.shard.records_accepted,
             resolution: self.shard.resolution,
             dropped_out_of_window: self.shard.dropped_out_of_window,
+            dropped_late: self.shard.dropped_late,
             quarantine: self.quarantine,
             exporters: Cow::Borrowed(&self.exporters),
             num_bins: n,
@@ -826,10 +853,11 @@ impl Generation<'_> {
         e.u64(self.seq);
         e.u64(self.frames_ingested);
         e.u64(self.next_close);
-        e.u64(self.watermark_secs);
+        enc_watermark(&mut e, self.watermark);
         e.u64(self.records_accepted);
         enc_resolution(&mut e, &self.resolution);
         e.u64(self.dropped_out_of_window);
+        e.u64(self.dropped_late);
         enc_quarantine(&mut e, &self.quarantine);
         e.usize(self.exporters.len());
         for (id, s) in self.exporters.iter() {
@@ -902,10 +930,11 @@ impl Generation<'static> {
         let seq = d.u64()?;
         let frames_ingested = d.u64()?;
         let next_close = d.u64()?;
-        let watermark_secs = d.u64()?;
+        let watermark = dec_watermark(&mut d)?;
         let records_accepted = d.u64()?;
         let resolution = dec_resolution(&mut d)?;
         let dropped_out_of_window = d.u64()?;
+        let dropped_late = d.u64()?;
         let quarantine = dec_quarantine(&mut d)?;
         let n_exporters = d.len(37)?; // id + fixed exporter body lower bound
         let mut exporters = Vec::with_capacity(n_exporters);
@@ -954,10 +983,11 @@ impl Generation<'static> {
             seq,
             frames_ingested,
             next_close,
-            watermark_secs,
+            watermark,
             records_accepted,
             resolution,
             dropped_out_of_window,
+            dropped_late,
             quarantine,
             exporters: Cow::Owned(exporters),
             num_bins,
@@ -981,7 +1011,7 @@ impl Generation<'static> {
             seq: self.seq,
             frames_ingested: 0,
             next_close: 0,
-            watermark_secs: 0,
+            watermark: WatermarkState::default(),
             shard: ShardState::empty(self.num_bins, self.num_od),
             quarantine: QuarantineStats::default(),
             exporters: Vec::new(),
@@ -1030,10 +1060,11 @@ impl Generation<'static> {
         state.seq = self.seq;
         state.frames_ingested = self.frames_ingested;
         state.next_close = self.next_close;
-        state.watermark_secs = self.watermark_secs;
+        state.watermark = self.watermark;
         state.shard.records_accepted = self.records_accepted;
         state.shard.resolution = self.resolution;
         state.shard.dropped_out_of_window = self.dropped_out_of_window;
+        state.shard.dropped_late = self.dropped_late;
         state.quarantine = self.quarantine;
         state.exporters = self.exporters.into_owned();
         for b in self.bins {
@@ -1470,7 +1501,7 @@ mod tests {
             seq,
             frames_ingested: 1234,
             next_close: 7,
-            watermark_secs: 2100,
+            watermark: WatermarkState { secs: 2100, latest_record_secs: Some(2345) },
             shard: ShardState {
                 bytes: vec![1.5, 0.0, 2.25, 3.5],
                 packets: vec![1.0, 0.0, 2.0, 3.0],
@@ -1491,6 +1522,7 @@ mod tests {
                     transit_skipped: 2,
                 },
                 dropped_out_of_window: 1,
+                dropped_late: 4,
             },
             quarantine: QuarantineStats {
                 frames_offered: 40,
@@ -1715,7 +1747,9 @@ mod tests {
         next.seq += 1;
         next.frames_ingested += 40;
         next.next_close += 1;
-        next.watermark_secs += 300;
+        next.watermark.secs += 300;
+        next.watermark.latest_record_secs = Some(2645);
+        next.shard.dropped_late += 2;
         next.shard.replace_bin(bin.clone()).unwrap();
         next.shard.records_accepted += 6;
         next.quarantine.frames_offered += 40;
@@ -1730,10 +1764,11 @@ mod tests {
             seq: next.seq,
             frames_ingested: next.frames_ingested,
             next_close: next.next_close,
-            watermark_secs: next.watermark_secs,
+            watermark: next.watermark,
             records_accepted: next.shard.records_accepted,
             resolution: next.shard.resolution,
             dropped_out_of_window: next.shard.dropped_out_of_window,
+            dropped_late: next.shard.dropped_late,
             quarantine: next.quarantine,
             exporters: Cow::Owned(next.exporters.clone()),
             num_bins: 2,

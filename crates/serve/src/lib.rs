@@ -9,6 +9,7 @@
 //! frame to a per-tenant pipeline over a bounded queue, and drives the
 //! existing ingest machinery —
 //! [`DataQuality::admit_frame`](odflow_flow::DataQuality::admit_frame) →
+//! [`Watermark`](odflow_flow::Watermark) →
 //! [`BinShard`](odflow_flow::BinShard) →
 //! [`OnlineDetector`](odflow_subspace::OnlineDetector) — as bins close.
 //!
@@ -20,7 +21,9 @@
 //!    crate's sources.
 //! 2. **Never grow without bound.** Every inter-stage queue is a
 //!    [`BoundedQueue`]; overload drops frames *and counts them* per
-//!    tenant instead of buffering to death.
+//!    tenant instead of buffering to death. A tenant keeps the distinct
+//!    5-tuples of the bins the lateness rule still lets change, not the
+//!    window's.
 //! 3. **Deterministic end state.** Per tenant, frames are decoded
 //!    serially in arrival order and records fill a single full-window
 //!    shard, so the drained daemon's matrices and diagnosis are

@@ -110,6 +110,9 @@ pub struct TenantCounters {
     pub frames_quarantined: AtomicU64,
     /// Flow records decoded and pushed toward the binner.
     pub records_decoded: AtomicU64,
+    /// Of those, records refused because the lateness rule had sealed
+    /// their bin.
+    pub records_late_dropped: AtomicU64,
     /// Records the shard could not place (resolver failures beyond the
     /// quiet out-of-window accounting).
     pub ingest_errors: AtomicU64,
@@ -289,6 +292,7 @@ impl ServeMetrics {
             line("frames_dropped_backpressure_total", g(&c.frames_dropped_backpressure));
             line("frames_quarantined_total", g(&c.frames_quarantined));
             line("records_decoded_total", g(&c.records_decoded));
+            line("records_late_dropped_total", g(&c.records_late_dropped));
             line("ingest_errors_total", g(&c.ingest_errors));
             line("exporter_lost_flows_total", g(&c.exporter_lost_flows));
             line("bins_closed_total", g(&c.bins_closed));
@@ -365,6 +369,7 @@ mod tests {
         assert!(page.contains("odflow_serve_tenant_frames_offered_total{tenant=\"edge\"} 0"));
         assert!(page.contains("odflow_serve_tenant_bin_lag{tenant=\"edge\"} 0"));
         for metric in [
+            "records_late_dropped_total",
             "distinct_keys_live",
             "distinct_table_bytes",
             "checkpoint_bytes_total",

@@ -9,12 +9,17 @@
 //! records fill a **single full-window shard**, the degenerate grain the
 //! workspace's equivalence tests pin to the batch path.
 //!
-//! Bins close as the export-timestamp watermark passes their end; each
+//! Bins close as the export-time [`Watermark`] passes their end; each
 //! closed bin's bytes row feeds the [`OnlineDetector`] (once a training
-//! prefix has accumulated). At drain, [`TenantPipeline::flush`] merges
-//! the shard into the same [`IngestOutcome`] → repair → `diagnose`
-//! endgame as batch `run_scenario`, so daemon and batch verdicts are
-//! directly comparable.
+//! prefix has accumulated). A closed bin still takes late records for
+//! [`LATENESS_HORIZON_BINS`](odflow_flow::LATENESS_HORIZON_BINS) bins;
+//! then the watermark seals it — its records are refused and counted, its
+//! distinct-flow table freed — so the shard holds the 5-tuples of the
+//! bins that can still change, not the window's. The watermark judges
+//! frames exactly as the batch `ShardedIngest::ingest_datagrams` does, and
+//! at drain [`TenantPipeline::flush`] merges the shard into the same
+//! [`IngestOutcome`] → repair → `diagnose` endgame as batch
+//! `run_scenario`, so daemon and batch verdicts are directly comparable.
 
 use crate::checkpoint::{
     self, BinSegment, ChainWriter, CheckpointStore, CrashPoint, CrashSchedule, DetectorPart,
@@ -24,7 +29,7 @@ use crate::metrics::{elapsed_nanos, monotonic_now, TenantCounters};
 use crate::ServeError;
 use odflow_flow::{
     BinShard, BinStatus, DataQuality, ExporterSeqStats, IngestOutcome, PipelineConfig,
-    RepairPolicy, ShardedIngest, TrafficType,
+    RepairPolicy, ShardedIngest, TrafficType, Watermark, WatermarkState,
 };
 use odflow_linalg::Matrix;
 use odflow_subspace::{
@@ -102,10 +107,14 @@ pub struct TenantFlush {
 #[derive(Debug)]
 struct Checkpointer {
     writer: ChainWriter,
-    /// Per-bin record counts at the previous generation: a bin is dirty
-    /// iff its count has moved, so late and reordered records into bins
-    /// long closed are captured like any other.
+    /// Per-bin record counts at the previous generation. A bin is dirty
+    /// when its count has moved — late records into a closed bin inside
+    /// the lateness horizon are captured like any other; a sealed bin's
+    /// count never moves again — or when it was sealed since, which
+    /// empties its key sets.
     bin_records: Vec<u64>,
+    /// Bins sealed at the previous generation.
+    sealed: usize,
     /// Verdicts the previous generation holds.
     verdicts: usize,
     /// The detector at the previous generation, `None` while unfitted.
@@ -134,8 +143,8 @@ pub struct TenantPipeline {
     detector: Option<OnlineDetector>,
     /// Next bin index awaiting closure.
     next_close: usize,
-    /// Highest export timestamp seen (trace-epoch seconds).
-    watermark_secs: u64,
+    /// Judges every frame's records and closes and seals bins.
+    watermark: Watermark,
     live_verdicts: Vec<StreamVerdict>,
     counters: Arc<TenantCounters>,
     /// Frames consumed off the queue so far — the checkpoint replay
@@ -165,13 +174,13 @@ impl TenantPipeline {
         let num_bins = engine.num_bins();
         let shard = engine.make_shard(0..num_bins)?;
         Ok(TenantPipeline {
+            watermark: engine.watermark(WatermarkState::default()),
             config,
             engine,
             shard,
             quality: DataQuality::clean(num_bins),
             detector: None,
             next_close: 0,
-            watermark_secs: 0,
             live_verdicts: Vec::new(),
             counters: Arc::new(TenantCounters::default()),
             frames_ingested: 0,
@@ -182,7 +191,8 @@ impl TenantPipeline {
 
     /// Rebuilds a pipeline from a checkpoint snapshot, resuming exactly
     /// where the snapshot was cut: same accumulated cells, same exporter
-    /// sequence context, same fitted detector floats, same watermark.
+    /// sequence context, same fitted detector floats, same watermark —
+    /// and the same bins sealed, re-sealed from it.
     /// Replaying the original frame stream from
     /// [`PipelineState::frames_ingested`] onward then reproduces the
     /// uninterrupted run bit for bit.
@@ -206,8 +216,10 @@ impl TenantPipeline {
     ) -> Result<TenantPipeline, ServeError> {
         let engine = ShardedIngest::new(config.pipeline, topology, ingress, routes)?;
         let num_bins = engine.num_bins();
+        let watermark = engine.watermark(state.watermark);
         let mut shard = engine.make_shard(0..num_bins)?;
         shard.restore_state(&state.shard)?;
+        shard.seal(watermark.sealed_bins());
         let mut quality = DataQuality::clean(num_bins);
         quality.quarantine = state.quarantine;
         quality.exporters = ExporterSeqStats::from_state(&state.exporters);
@@ -232,7 +244,7 @@ impl TenantPipeline {
             quality,
             detector,
             next_close,
-            watermark_secs: state.watermark_secs,
+            watermark,
             live_verdicts: state.live_verdicts.clone(),
             counters,
             frames_ingested: state.frames_ingested,
@@ -252,6 +264,7 @@ impl TenantPipeline {
         self.checkpointer = Some(Checkpointer {
             writer: ChainWriter::new(store, resumed_slot),
             bin_records: Vec::new(),
+            sealed: 0,
             verdicts: 0,
             detector: None,
         });
@@ -277,7 +290,7 @@ impl TenantPipeline {
             seq: self.ckpt_seq,
             frames_ingested: self.frames_ingested,
             next_close: self.next_close as u64,
-            watermark_secs: self.watermark_secs,
+            watermark: self.watermark.state(),
             shard: self.shard.export_state(),
             quarantine: self.quality.quarantine,
             exporters: self.quality.exporters.export_state(),
@@ -302,9 +315,9 @@ impl TenantPipeline {
     /// Offers one NetFlow v5 frame exactly as it came off a socket.
     ///
     /// Never fails and never panics: malformed frames are quarantined,
-    /// duplicate exporter sequences deduplicated, unplaceable records
-    /// counted — all into the shared counters and the flush-time quality
-    /// report.
+    /// duplicate exporter sequences deduplicated, records of sealed bins
+    /// refused, unplaceable records counted — all into the shared counters
+    /// and the flush-time quality report.
     pub fn ingest_frame(&mut self, frame: &[u8]) {
         // Counted before any early return, so the cursor in a checkpoint
         // always covers the frame whose bin close produced it.
@@ -319,21 +332,33 @@ impl TenantPipeline {
         // An exact retransmit: counted by the sequence tracker, not binned.
         let Some(records) = fresh else { return };
 
-        // The records decode as they are pushed, straight from `frame`.
+        // The records decode as they are judged and pushed, straight from
+        // `frame`; then the header moves the watermark.
         let t1 = monotonic_now();
-        TenantCounters::add(&self.counters.records_decoded, records.len() as u64);
-        for record in records {
-            // A full-window shard counts out-of-window records quietly;
-            // any other error (misroute, bad OD index) is impossible by
-            // construction but still must not panic or abort the frame.
-            if self.shard.push_sampled_record(record).is_err() {
-                TenantCounters::add(&self.counters.ingest_errors, 1);
-            }
+        let counters = &self.counters;
+        TenantCounters::add(&counters.records_decoded, records.len() as u64);
+        let shard = &mut self.shard;
+        let late = self.watermark.judge_frame(
+            hdr.unix_secs,
+            records,
+            |record| record.window_start,
+            |record| {
+                // A full-window shard counts out-of-window records quietly;
+                // any other error (misroute, bad OD index) is impossible by
+                // construction but still must not panic or abort the frame.
+                if shard.push_sampled_record(record).is_err() {
+                    TenantCounters::add(&counters.ingest_errors, 1);
+                }
+            },
+        );
+        if late > 0 {
+            self.shard.count_late(late);
+            TenantCounters::add(&counters.records_late_dropped, late);
         }
-        TenantCounters::add(&self.counters.ingest_nanos, elapsed_nanos(t1));
+        TenantCounters::add(&counters.ingest_nanos, elapsed_nanos(t1));
 
         let closed_before = self.next_close;
-        self.advance_watermark(u64::from(hdr.unix_secs));
+        self.close_to_watermark();
         if self.next_close > closed_before {
             self.publish_distinct_memory();
             self.write_checkpoint();
@@ -386,6 +411,7 @@ impl TenantPipeline {
                     ckpt.bin_records.extend(
                         (0..self.engine.num_bins()).filter_map(|b| self.shard.bin_record_count(b)),
                     );
+                    ckpt.sealed = self.watermark.sealed_bins();
                     ckpt.verdicts = self.live_verdicts.len();
                     ckpt.detector = self.detector.as_ref().map(|d| DetectorMark {
                         refits: d.refits(),
@@ -407,20 +433,24 @@ impl TenantPipeline {
     }
 
     /// The generation that follows the one `prev` describes: the head,
-    /// the bins whose record count moved, the verdicts issued since, and
-    /// the detector — whole if it was fitted or refitted since, else
-    /// only how its refit window moved.
+    /// the bins whose record count moved or that were sealed since, the
+    /// verdicts issued since, and the detector — whole if it was fitted or
+    /// refitted since, else only how its refit window moved.
     fn delta_since(&self, prev: &Checkpointer) -> Generation<'_> {
-        let dirty = (0..self.engine.num_bins())
-            .filter(|&b| self.shard.bin_record_count(b) != prev.bin_records.get(b).copied());
+        let sealed = prev.sealed..self.watermark.sealed_bins();
+        let dirty = (0..self.engine.num_bins()).filter(|&b| {
+            sealed.contains(&b)
+                || self.shard.bin_record_count(b) != prev.bin_records.get(b).copied()
+        });
         Generation {
             seq: self.ckpt_seq,
             frames_ingested: self.frames_ingested,
             next_close: self.next_close as u64,
-            watermark_secs: self.watermark_secs,
+            watermark: self.watermark.state(),
             records_accepted: self.shard.records_accepted(),
             resolution: self.shard.resolution_stats(),
             dropped_out_of_window: self.shard.dropped_out_of_window(),
+            dropped_late: self.shard.dropped_late(),
             quarantine: self.quality.quarantine,
             exporters: Cow::Owned(self.quality.exporters.export_state()),
             num_bins: self.engine.num_bins(),
@@ -436,22 +466,19 @@ impl TenantPipeline {
         }
     }
 
-    /// Raises the watermark and closes every bin whose end it has passed.
-    fn advance_watermark(&mut self, export_secs: u64) {
-        if export_secs > self.watermark_secs {
-            self.watermark_secs = export_secs;
-        }
+    /// Closes every bin whose end the watermark has passed, then seals
+    /// every bin it has passed by the lateness horizon.
+    fn close_to_watermark(&mut self) {
         let (start_secs, bin_secs) =
             (self.config.pipeline.start_secs, self.config.pipeline.bin_secs);
-        if self.watermark_secs >= start_secs {
-            let wm_bin = (self.watermark_secs - start_secs) / bin_secs;
-            TenantCounters::raise(&self.counters.watermark_bin, wm_bin);
+        let secs = self.watermark.state().secs;
+        if secs >= start_secs {
+            TenantCounters::raise(&self.counters.watermark_bin, (secs - start_secs) / bin_secs);
         }
-        while self.next_close < self.engine.num_bins()
-            && self.watermark_secs >= start_secs + (self.next_close as u64 + 1) * bin_secs
-        {
+        while self.next_close < self.watermark.closed_bins() {
             self.close_bin();
         }
+        self.shard.seal(self.watermark.sealed_bins());
     }
 
     /// Closes bin `self.next_close`: snapshots its bytes row, fits or
@@ -576,6 +603,7 @@ fn window_moved(det: &OnlineDetector, prev: Option<DetectorMark>) -> Option<Dete
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odflow_flow::LATENESS_HORIZON_BINS;
     use odflow_gen::Scenario;
     use odflow_net::IngressResolver;
 
@@ -603,8 +631,8 @@ mod tests {
             tenant.ingest_frame(f);
         }
         let counters = tenant.counters();
-        // The full-window shard keeps every bin's distinct-flow table
-        // until the flush merges it away; the gauges say so.
+        // The shard keeps the distinct-flow tables of the bins not yet
+        // sealed until the flush merges them away; the gauges say so.
         let keys = TenantCounters::get(&counters.distinct_keys_live);
         let table = TenantCounters::get(&counters.distinct_table_bytes);
         assert!(keys > 0 && table >= keys * 20, "{keys} keys in {table} bytes");
@@ -633,13 +661,14 @@ mod tests {
         );
         assert_eq!(flush.outcome.quality.bin_records, batch.quality.bin_records);
         assert_eq!(flush.outcome.quality.quarantine, batch.quality.quarantine);
+        assert_eq!((flush.outcome.dropped_late, batch.dropped_late), (0, 0));
         assert!(flush.diagnosis.is_some());
         // Decoded records include the unresolvable/transit share the
         // binner excludes (the paper's ~7% resolution loss), so the
         // counter bounds the binned total from above.
         let decoded = TenantCounters::get(&counters.records_decoded);
         let binned = batch.quality.bin_records.iter().sum::<u64>();
-        assert!(decoded >= binned && binned > 0, "decoded {decoded} >= binned {binned}");
+        assert!(decoded > binned && binned > 0, "decoded {decoded} > binned {binned}");
         // All but the final bin close off the watermark; flush closes it.
         assert_eq!(TenantCounters::get(&counters.bins_closed), NUM_BINS as u64);
     }
@@ -683,6 +712,95 @@ mod tests {
     }
 
     #[test]
+    fn a_far_future_header_closes_at_most_one_bin_past_the_data() {
+        let scenario = Scenario::paper_window(29, NUM_BINS).unwrap();
+        let generator = scenario.generator();
+        let mut seqs = vec![0u32; scenario.topology.num_pops()];
+        let bins: Vec<Vec<Vec<u8>>> =
+            (0..NUM_BINS).map(|bin| generator.frames_for_bin(bin, &mut seqs)).collect();
+        // An empty frame from an exporter no router runs, stamped u32::MAX.
+        let mut forged = vec![0u8; odflow_flow::netflow::HEADER_LEN];
+        forged[0..2].copy_from_slice(&5u16.to_be_bytes());
+        forged[8..12].copy_from_slice(&u32::MAX.to_be_bytes());
+        forged[21] = 200;
+        let run = |forge: bool| {
+            let mut tenant = tenant_over(&scenario, 3);
+            let counters = tenant.counters();
+            let mut closed = Vec::new();
+            for (bin, frames) in bins.iter().enumerate() {
+                for frame in frames {
+                    tenant.ingest_frame(frame);
+                }
+                if forge && bin == 4 {
+                    tenant.ingest_frame(&forged);
+                }
+                closed.push(TenantCounters::get(&counters.bins_closed));
+            }
+            (tenant.flush().unwrap(), closed)
+        };
+        let (clean, clean_closed) = run(false);
+        let (flush, closed) = run(true);
+        // Bin 4's frames leave four bins closed. The forged header closes
+        // bin 4 and the bin after it, bin 5 — not the other six, which an
+        // uncapped watermark would have closed and then sealed.
+        assert_eq!(clean_closed[4], 4);
+        assert_eq!(closed[4], 6);
+        assert_eq!(closed[6..], clean_closed[6..]);
+        assert_eq!(flush.outcome.dropped_late, 0);
+        for t in TrafficType::ALL {
+            assert_eq!(
+                flush.outcome.matrices.get(t).data.as_slice(),
+                clean.outcome.matrices.get(t).data.as_slice()
+            );
+        }
+        assert_eq!(flush.live_verdicts.len(), clean.live_verdicts.len());
+    }
+
+    #[test]
+    fn a_tenant_holds_the_keys_of_the_horizon_not_of_the_window() {
+        const BINS: usize = 504;
+        let config = odflow_gen::ScenarioConfig {
+            seed: 31,
+            num_bins: BINS,
+            total_demand: 400.0,
+            ..Default::default()
+        };
+        let scenario = Scenario::new(config, vec![]).unwrap();
+        let routes = scenario.plan.build_route_table(1.0).unwrap();
+        let ingress = IngressResolver::synthetic(&scenario.topology);
+        let mut config = TenantConfig::abilene("t0", 0, BINS);
+        config.train_bins = 0;
+        let mut tenant = TenantPipeline::new(config, &scenario.topology, ingress, routes).unwrap();
+        let generator = scenario.generator();
+        let mut seqs = vec![0u32; scenario.topology.num_pops()];
+        // Keys held after every frame, and after the last frame of each bin.
+        let (mut peak, mut at_bin_end) = (0, Vec::new());
+        for bin in 0..BINS {
+            for frame in generator.frames_for_bin(bin, &mut seqs) {
+                tenant.ingest_frame(&frame);
+                peak = peak.max(tenant.shard.distinct_keys_live());
+            }
+            at_bin_end.push(tenant.shard.distinct_keys_live());
+        }
+        let flush = tenant.flush().unwrap();
+        assert_eq!(flush.outcome.dropped_late, 0);
+        // Distinct (OD, 5-tuple) pairs per bin are its flow counts.
+        let keys: Vec<usize> = (0..BINS)
+            .map(|b| flush.outcome.matrices.flows.data.row(b).unwrap().iter().sum::<f64>() as usize)
+            .collect();
+        let horizon =
+            |bin: usize| keys[bin.saturating_sub(LATENESS_HORIZON_BINS)..=bin].iter().sum();
+        // Once bin `b` is full, bins b-H..=b are exactly what is held.
+        for (bin, &held) in at_bin_end.iter().enumerate() {
+            assert_eq!(held, horizon(bin), "after bin {bin}");
+        }
+        let widest = (0..BINS).map(horizon).max().unwrap();
+        assert_eq!(peak, widest, "never more than H + 1 bins of keys");
+        let window: usize = keys.iter().sum();
+        assert!(window > 40 * peak, "{window} keys in the window, {peak} held at most");
+    }
+
+    #[test]
     fn empty_window_flush_is_a_clean_error() {
         let scenario = Scenario::paper_window(17, NUM_BINS).unwrap();
         let tenant = tenant_over(&scenario, 0);
@@ -690,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn generations_of_a_long_stream_total_a_small_multiple_of_the_final_image() {
+    fn generations_of_a_long_stream_total_a_small_multiple_of_its_rows_and_keys() {
         const BINS: usize = 96;
         let scenario = Scenario::paper_window(23, BINS).unwrap();
         let routes = scenario.plan.build_route_table(1.0).unwrap();
@@ -713,12 +831,21 @@ mod tests {
         assert_eq!(get(&counters.checkpoints), BINS as u64 - 1, "one generation per bin close");
         assert_eq!(get(&counters.checkpoint_errors), 0);
         let image = checkpoint::encode_state(&tenant.export_state()).len() as u64;
+        // What the stream put into the window, each bin's rows and keys
+        // once: the final image plus the keys sealing has dropped from it.
+        let sealed = tenant.watermark.sealed_bins();
+        assert_eq!(sealed, BINS - 1 - LATENESS_HORIZON_BINS);
+        let sealed_keys: f64 = (0..sealed)
+            .map(|b| tenant.shard.bin_row(b, TrafficType::Flows).unwrap().iter().sum::<f64>())
+            .sum();
+        let once = image + checkpoint::FLOW_KEY_LEN as u64 * sealed_keys as u64;
+        assert!(image < once / 3, "the final image holds {image} of {once} bytes");
         let total = get(&counters.checkpoint_bytes);
         let completes = get(&counters.checkpoint_complete);
-        // Rewriting the image at every close costs ~BINS/2 images; the
-        // chain costs each bin's rows once plus a rebase whenever the
-        // deltas have outgrown the record they follow.
-        assert!(total <= 8 * image, "{total} bytes over all generations vs an image of {image}");
+        // Rewriting the state at every close costs ~BINS/2 states; the
+        // chain writes each bin's rows and keys about once, plus a rebase
+        // whenever the deltas have outgrown the record they follow.
+        assert!(total <= 3 * once, "{total} bytes over all generations vs {once} once");
         assert!((2..BINS as u64 / 4).contains(&completes), "{completes} complete records");
         assert!(get(&counters.checkpoint_last_bytes) < image / 4, "the last one was a delta");
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,21 +1,24 @@
 //! Kill-point chaos tests: a daemon killed at *any* crash boundary and
 //! recovered from its checkpoints must end byte-identical to an
-//! uninterrupted run — matrices cell for cell, verdict floats bit for
-//! bit — and to the batch `run_scenario` path at `ODFLOW_THREADS` 1
-//! and 4. A corrupted delta must cost exactly one generation, a
+//! uninterrupted run — matrices cell for cell, late records refused and
+//! landed alike, verdict floats bit for bit — and to the batch wire path
+//! over the same frames at `ODFLOW_THREADS` 1 and 4. A corrupted delta must cost exactly one generation, a
 //! corrupted first record must fall back to the other slot's chain, a
 //! second crash after a recovery must recover just the same, and a
 //! persistently panicking tenant must be quarantined without disturbing
 //! its neighbors.
 //!
 //! The harness is fully deterministic: crash points are injected by
-//! [`CrashSchedule`], frames are pre-rendered once and replayed over
-//! real TCP, and the recovery replays the exact unconsumed suffix
-//! `frames[cursor..]` reported by [`TenantRecovery::frames_ingested`].
+//! [`CrashSchedule`], frames are pre-rendered once — with late re-exports
+//! on both sides of every bin close, so every crash point falls between
+//! late records — and replayed over real TCP, and the recovery replays
+//! the exact unconsumed suffix `frames[cursor..]` reported by
+//! [`TenantRecovery::frames_ingested`].
 
 mod common;
 
-use odflow::experiment::{run_scenario, ExperimentConfig};
+use odflow_flow::netflow::encode_datagrams;
+use odflow_flow::{FlowRecord, ShardedIngest, LATENESS_HORIZON_BINS};
 use odflow_gen::Scenario;
 use odflow_serve::wire;
 use odflow_serve::{
@@ -23,7 +26,7 @@ use odflow_serve::{
     ServeConfig, TenantConfig, TenantCounters, TenantEnd, TenantFlush, TenantPipeline,
     TenantRecovery, TenantSpec, Transport, CONTROL_TENANT,
 };
-use odflow_subspace::{Diagnosis, StatisticKind};
+use odflow_subspace::{diagnose, Diagnosis, StatisticKind};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -120,11 +123,47 @@ fn ckpt_dir(tag: &str) -> PathBuf {
 
 /// Every export frame of the scenario, pre-rendered in the exact order
 /// the load generator would send them (bins ascending, PoP order within
-/// a bin, sequence continuity across bins).
+/// a bin, sequence continuity across bins) — plus, around the frame that
+/// closes bin `b - 1` (the first of bin `b`), a late re-export on either
+/// side of it. Each carries two records of bin `b - 2`, closed but not
+/// sealed, which land, and — once there is one — two of a bin the
+/// lateness rule has sealed, which are refused.
 fn render_frames(scenario: &Scenario) -> Vec<Vec<u8>> {
     let generator = scenario.generator();
+    let num_bins = scenario.config.num_bins;
+    // The last PoP re-exports: its frames end each bin, so a re-export
+    // just before bin `b`'s first frame, or one rendered before bin `b`,
+    // keeps its flow sequence continuous.
+    let pop = scenario.topology.num_pops() - 1;
+    let kept: Vec<Vec<FlowRecord>> = (0..num_bins)
+        .map(|b| {
+            generator.records_for_bin(b).into_iter().filter(|r| r.router == pop).take(2).collect()
+        })
+        .collect();
+    let late = |export_bin: usize, landed: usize, seq: &mut u32| {
+        let sealed = export_bin.checked_sub(LATENESS_HORIZON_BINS + 1);
+        let records: Vec<FlowRecord> =
+            sealed.into_iter().chain([landed]).flat_map(|b| kept[b].iter().copied()).collect();
+        let export_secs = (export_bin * 300) as u32;
+        let frames = encode_datagrams(&records, export_secs, pop as u8, 100, *seq);
+        *seq += records.len() as u32;
+        frames
+    };
     let mut seqs = vec![0u32; scenario.topology.num_pops()];
-    (0..scenario.config.num_bins).flat_map(|b| generator.frames_for_bin(b, &mut seqs)).collect()
+    let mut frames = Vec::new();
+    for bin in 0..num_bins {
+        if bin < 2 {
+            frames.extend(generator.frames_for_bin(bin, &mut seqs));
+            continue;
+        }
+        frames.extend(late(bin - 1, bin - 2, &mut seqs[pop]));
+        let after = late(bin, bin - 2, &mut seqs[pop]);
+        let mut rendered = generator.frames_for_bin(bin, &mut seqs).into_iter();
+        frames.extend(rendered.next());
+        frames.extend(after);
+        frames.extend(rendered);
+    }
+    frames
 }
 
 /// Binds `config`, runs the daemon on a worker thread, and replays
@@ -204,6 +243,7 @@ fn assert_flush_equal(label: &str, a: &TenantFlush, b: &TenantFlush) {
     );
     assert_eq!(a.outcome.quality.bin_records, b.outcome.quality.bin_records, "{label}: records");
     assert_eq!(a.outcome.quality.quarantine, b.outcome.quality.quarantine, "{label}: quarantine");
+    assert_eq!(a.outcome.dropped_late, b.outcome.dropped_late, "{label}: late records");
     let (da, db) = (a.diagnosis.as_ref().unwrap(), b.diagnosis.as_ref().unwrap());
     assert_eq!(
         canonical_verdict_bytes(da),
@@ -219,14 +259,26 @@ fn assert_flush_equal(label: &str, a: &TenantFlush, b: &TenantFlush) {
     }
 }
 
-/// The recovered flush must also match the *batch* `run_scenario` path
-/// bit for bit, at explicit thread limits 1 and 4.
-fn assert_matches_batch(label: &str, scenario: &Scenario, flush: &TenantFlush) {
+/// The recovered flush must also match the *batch* wire path over the
+/// same frames — datagram ingest, repair, diagnosis — bit for bit, at
+/// explicit thread limits 1 and 4.
+fn assert_matches_batch(label: &str, frames: &[Vec<u8>], flush: &TenantFlush) {
     let flush_bytes = canonical_verdict_bytes(flush.diagnosis.as_ref().unwrap());
+    let spec = abilene_spec(&shared().0, None);
+    let engine =
+        ShardedIngest::new(spec.config.pipeline, &spec.topology, spec.ingress, spec.routes)
+            .unwrap();
     for threads in [1usize, 4] {
-        let batch = odflow_par::with_thread_limit(threads, || {
-            run_scenario(scenario, &ExperimentConfig::default()).unwrap()
+        let (batch, diagnosis) = odflow_par::with_thread_limit(threads, || {
+            let mut batch = engine.ingest_datagrams(frames).unwrap();
+            batch.repair(spec.config.repair);
+            let diagnosis = diagnose(&batch.matrices, spec.config.subspace).unwrap();
+            (batch, diagnosis)
         });
+        assert_eq!(
+            flush.outcome.dropped_late, batch.dropped_late,
+            "{label}: late, threads={threads}"
+        );
         assert_eq!(
             flush.outcome.matrices.bytes.data.as_slice(),
             batch.matrices.bytes.data.as_slice(),
@@ -244,7 +296,7 @@ fn assert_matches_batch(label: &str, scenario: &Scenario, flush: &TenantFlush) {
         );
         assert_eq!(
             flush_bytes,
-            canonical_verdict_bytes(&batch.diagnosis),
+            canonical_verdict_bytes(&diagnosis),
             "{label}: diagnosis vs batch, threads={threads}"
         );
     }
@@ -310,7 +362,7 @@ fn baseline_report(frames: &[Vec<u8>], scenario: &Scenario) -> DaemonReport {
 /// Kill/recover at every crash boundary in the pipeline, once around a
 /// bin whose generation is a delta and once around one whose generation
 /// is a complete record; each recovery must be byte-identical to the
-/// uninterrupted daemon *and* to batch `run_scenario` at threads 1 and 4.
+/// uninterrupted daemon *and* to the batch wire path at threads 1 and 4.
 #[test]
 fn kill_at_every_crash_point_recovers_byte_identical() {
     let (scenario, frames, base) = shared();
@@ -320,7 +372,9 @@ fn kill_at_every_crash_point_recovers_byte_identical() {
     // byte equality is transitive, so every recovered run is thereby
     // byte-equal to batch at both thread counts without re-running the
     // batch pipeline per crash point.
-    assert_matches_batch("baseline", scenario, baseline);
+    assert_matches_batch("baseline", frames, baseline);
+    let late = baseline.outcome.dropped_late;
+    assert!(late > 0 && late < 4 * NUM_BINS as u64, "{late} records refused as late");
     let mut points = vec![("flush".to_owned(), CrashPoint::BeforeFlush)];
     for (kind, bin) in [("delta", delta_bin()), ("complete", complete_bin())] {
         points.extend([

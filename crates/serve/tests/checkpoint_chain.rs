@@ -1,18 +1,24 @@
 //! The checkpoint chain against its two references: the full state it
 //! stands for (at every generation of a faulted stream, the chain on
-//! disk folds to exactly the pipeline's complete image) and the format's
-//! committed goldens (a v1 file is refused by version, a v2 chain keeps
-//! loading and re-encodes to its own bytes).
+//! disk folds to exactly the pipeline's complete image, late records and
+//! sealed bins included) and the format's committed goldens (v1 and v2
+//! files are refused by version, a v3 chain keeps loading and re-encodes
+//! to its own bytes).
 
 mod common;
 
 use odflow_flow::netflow::encode_datagrams;
+use odflow_flow::{
+    FlowKey, FlowRecord, OdResolution, OdResolver, PipelineConfig, WatermarkState,
+    LATENESS_HORIZON_BINS,
+};
 use odflow_gen::{FaultEvent, FaultKind, FaultSchedule, FaultStormStats, Scenario};
 use odflow_net::IngressResolver;
 use odflow_serve::{
-    decode_state, encode_state, CheckpointError, CheckpointStore, TenantConfig, TenantCounters,
-    TenantPipeline,
+    decode_state, encode_state, CheckpointError, CheckpointStore, PipelineState, TenantConfig,
+    TenantCounters, TenantPipeline,
 };
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 const NUM_BINS: usize = 24;
@@ -24,10 +30,31 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// The bin the late exports re-export, and the bins they arrive in: six
+/// and eleven bins late, on either side of the lateness horizon.
+const LATE_BIN: usize = 4;
+const LANDS_AT: usize = 10;
+const REFUSED_AT: usize = 15;
+const _: () = assert!(
+    LANDS_AT - LATE_BIN <= LATENESS_HORIZON_BINS && REFUSED_AT - LATE_BIN > LATENESS_HORIZON_BINS
+);
+
+/// What both late exports carry: one router's records of [`LATE_BIN`].
+fn late_export(scenario: &Scenario) -> Vec<FlowRecord> {
+    let records: Vec<FlowRecord> = scenario
+        .generator()
+        .records_for_bin(LATE_BIN)
+        .into_iter()
+        .filter(|r| r.router == 0)
+        .collect();
+    assert!(!records.is_empty());
+    records
+}
+
 /// The storm's fault mix over a 24-bin window, plus what makes bins
 /// other than the closing one dirty: a short clock skew (records land
-/// two bins ahead of their export) and two late exports (bin 4's
-/// records of one router arriving while bins 10 and 15 fill).
+/// two bins ahead of their export) and the two late exports of
+/// [`late_export`], while bins [`LANDS_AT`] and [`REFUSED_AT`] fill.
 fn faulted_frames(scenario: &Scenario) -> Vec<Vec<u8>> {
     let mut events = FaultSchedule::storm(SEED, NUM_BINS).unwrap().events().to_vec();
     events.push(FaultEvent {
@@ -43,15 +70,10 @@ fn faulted_frames(scenario: &Scenario) -> Vec<Vec<u8>> {
     for bin in 0..NUM_BINS {
         let rendered = generator.frames_for_bin(bin, &mut seqs);
         frames.extend(schedule.apply_to_frames(bin, rendered, &mut stats));
-        if bin == 10 || bin == 15 {
-            let late: Vec<_> =
-                generator.records_for_bin(4).into_iter().filter(|r| r.router == 0).collect();
-            assert!(!late.is_empty());
+        if bin == LANDS_AT || bin == REFUSED_AT {
             let export_secs = (bin * 300) as u32;
             let seq = 1_000_000 * bin as u32;
-            for frame in encode_datagrams(&late, export_secs, 0, 100, seq) {
-                frames.push(frame.to_vec());
-            }
+            frames.extend(encode_datagrams(&late_export(scenario), export_secs, 0, 100, seq));
         }
     }
     assert!(stats.bins_reordered > 0 && stats.frames_duplicated > 0, "{stats:?}");
@@ -68,14 +90,48 @@ fn tenant(scenario: &Scenario) -> TenantPipeline {
     TenantPipeline::new(config, &scenario.topology, ingress, routes).unwrap()
 }
 
+/// The `(OD, 5-tuple)` pairs a state holds for one bin.
+fn bin_keys(state: &PipelineState, bin: usize) -> BTreeSet<(usize, FlowKey)> {
+    let p = state.shard.num_od();
+    let cells = state.shard.distinct[bin * p..(bin + 1) * p].iter().enumerate();
+    cells.flat_map(|(od, keys)| keys.iter().map(move |&k| (od, k))).collect()
+}
+
+/// The `(OD, 5-tuple)` pairs `records` put into cells, as the tenant's
+/// shard resolves them, each with a count of the records behind it.
+fn resolved_pairs(
+    scenario: &Scenario,
+    records: &[FlowRecord],
+) -> (BTreeSet<(usize, FlowKey)>, u64) {
+    let routes = scenario.plan.build_route_table(1.0).unwrap();
+    let ingress = IngressResolver::synthetic(&scenario.topology);
+    let anonymize = PipelineConfig::abilene(0, NUM_BINS).anonymize;
+    let mut resolver = OdResolver::new(&scenario.topology, ingress, routes, anonymize);
+    let (mut pairs, mut landed) = (BTreeSet::new(), 0);
+    for mut r in records.iter().copied() {
+        if anonymize {
+            r.key = r.key.with_anonymized_dst();
+        }
+        if let OdResolution::Resolved { od_index } = resolver.resolve(&r) {
+            pairs.insert((od_index, r.key));
+            landed += 1;
+        }
+    }
+    (pairs, landed)
+}
+
 /// Runs the faulted stream through a checkpointing tenant, comparing
-/// disk against memory after every generation; returns both slot files.
+/// disk against memory after every generation, and checks what the two
+/// late exports did to [`LATE_BIN`]; returns both slot files.
 fn chain_tracks_pipeline(tag: &str, scenario: &Scenario, frames: &[Vec<u8>]) -> [Vec<u8>; 2] {
     let store = CheckpointStore::new(scratch(tag), "t0");
     let mut pipeline = tenant(scenario);
     pipeline.set_checkpoint_store(store.clone(), None);
     let counters = pipeline.counters();
-    let (mut generations, mut late_bin_records) = (0, Vec::new());
+    let p = scenario.topology.num_od_pairs();
+    // The late bin at each generation: its record count and the late
+    // drops, its flow counts, its 5-tuples.
+    let (mut generations, mut late_bin) = (0, Vec::new());
     for frame in frames {
         pipeline.ingest_frame(frame);
         let written = TenantCounters::get(&counters.checkpoints);
@@ -90,20 +146,43 @@ fn chain_tracks_pipeline(tag: &str, scenario: &Scenario, frames: &[Vec<u8>]) -> 
         let mut live = pipeline.export_state();
         assert_eq!(live.seq, on_disk.seq + 1, "the pipeline is already on the next generation");
         live.seq = on_disk.seq;
-        late_bin_records.push(live.shard.bin_records[4]);
         assert!(
             encode_state(&on_disk) == encode_state(&live),
             "generation {generations}: the chain folded to another state than the pipeline's"
         );
+        let flows = live.shard.flows[LATE_BIN * p..(LATE_BIN + 1) * p].to_vec();
+        let point = (live.shard.bin_records[LATE_BIN], live.shard.dropped_late);
+        late_bin.push((point, flows, bin_keys(&live, LATE_BIN)));
     }
     assert_eq!(TenantCounters::get(&counters.checkpoint_errors), 0);
     let completes = TenantCounters::get(&counters.checkpoint_complete);
     assert!(completes >= 2 && completes < generations / 2, "{completes} of {generations}");
-    // Bin 4 across the generations: empty, its first frame, full at its
-    // close — and then the two late exports, long after.
-    late_bin_records.dedup();
-    assert_eq!(late_bin_records.len(), 5, "bin 4 grew twice after closing: {late_bin_records:?}");
+
+    // The late bin across the generations: empty, its first frame, full
+    // at its close, the export six bins late — and the one eleven bins
+    // late, which changes nothing but the late count.
+    let mut points: Vec<_> = late_bin.iter().map(|g| g.0).collect();
+    points.dedup();
+    let late = late_export(scenario);
+    let (full, landed) = (points[2], points[3]);
+    assert_eq!(points.len(), 5, "{points:?}");
+    assert_eq!(points[4], (landed.0, late.len() as u64), "refused whole, bin untouched");
+    // The export that lands dedups exactly: every resolvable record
+    // counts again, and the 5-tuples join the bin's sets, which grow by
+    // the ones they lacked only.
+    let (pairs, resolved) = resolved_pairs(scenario, &late);
+    assert_eq!(landed, (full.0 + resolved, 0));
+    let at = |point| late_bin.iter().find(|g| g.0 == point).unwrap();
+    let (before, after) = (&at(full).2, &at(landed).2);
+    assert_eq!(after, &before.union(&pairs).copied().collect::<BTreeSet<_>>());
+    assert_eq!(at(landed).1.iter().sum::<f64>(), after.len() as f64);
+    // Sealed by the time the second export arrives: its rows stand, its
+    // key sets are written empty.
+    let sealed = late_bin.last().unwrap();
+    assert!(sealed.2.is_empty() && sealed.1 == at(landed).1);
+
     let flush = pipeline.flush().unwrap();
+    assert_eq!(flush.outcome.dropped_late, late.len() as u64);
     assert!(flush.live_verdicts.iter().any(|v| !v.is_scored()), "the blackout masked a bin");
     store.slot_paths().map(|p| std::fs::read(p).unwrap())
 }
@@ -137,28 +216,55 @@ fn golden_v1_file_is_refused_by_version() {
     assert!(matches!(out.rejected[..], [(_, CheckpointError::BadVersion(1))]));
 }
 
-/// `golden_v2_chain.ckpt` is a slot file of this format: the complete
-/// record a recovered 10-bin tenant (fitted at bin 3, randomized
-/// truncated backend to keep the loadings small) wrote as generation 4,
-/// then the deltas of generations 5, 6 and 7. Any build that speaks
-/// version 2 must load it to generation 7 and re-encode its first record
-/// to the same bytes; a change that cannot is a new version.
+/// `golden_v2_chain.ckpt` is a slot file the last v2 build wrote (a
+/// recovered 10-bin tenant's complete record and three deltas). Its head
+/// carries neither the watermark's cap nor the late count, so this build
+/// refuses it by version, as it does v1.
 #[test]
-fn golden_v2_chain_loads_and_its_first_record_reencodes_to_itself() {
+fn golden_v2_chain_is_refused_by_version() {
     let bytes = golden("golden_v2_chain.ckpt");
+    let spans = common::record_spans(&bytes);
+    assert_eq!(spans.len(), 4, "a complete record, then three deltas");
+    assert!(matches!(decode_state(&bytes[spans[0].clone()]), Err(CheckpointError::BadVersion(2))));
+    let dir = scratch("golden_v2");
+    let store = CheckpointStore::new(&dir, "golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(&store.slot_paths()[1], &bytes).unwrap();
+    let out = store.load_newest();
+    assert!(out.state.is_none());
+    assert!(matches!(out.rejected[..], [(_, CheckpointError::BadVersion(2))]));
+}
+
+/// `golden_v3_chain.ckpt` is a slot file of this format. A 14-bin tenant
+/// over an anomaly-free Abilene scenario (`total_demand` 40, fitted at
+/// bin 6 with a randomized truncated backend to keep the loadings small)
+/// was killed after generation 8 and recovered, and wrote the complete
+/// record of generation 9 and the deltas of generations 10, 11 and 12.
+/// While bin 10 filled, every router re-exported its records of bin 1
+/// (sealed by then: refused and counted) and bin 7 (closed, not sealed:
+/// landed). Any build that speaks version 3 must load it to generation 12
+/// and re-encode its first record to the same bytes; a change that
+/// cannot is a new version.
+#[test]
+fn golden_v3_chain_loads_and_its_first_record_reencodes_to_itself() {
+    let bytes = golden("golden_v3_chain.ckpt");
     let spans = common::record_spans(&bytes);
     assert_eq!(spans.len(), 4, "a complete record, then three deltas");
     let first = &bytes[spans[0].clone()];
     let base = decode_state(first).unwrap();
-    assert_eq!(base.seq, 4);
+    assert_eq!((base.seq, base.next_close), (9, 10));
     assert!(base.detector.is_some());
     assert!(encode_state(&base) == first, "the codec is canonical");
     assert!(
         matches!(decode_state(&bytes), Err(CheckpointError::Corrupt(_))),
         "a chain, not an image"
     );
+    // Ten bins closed, the first two sealed: written without 5-tuples.
+    let keys = |state: &PipelineState, bin: usize| bin_keys(state, bin).len();
+    assert!((0..2).all(|b| keys(&base, b) == 0) && (2..10).all(|b| keys(&base, b) > 0));
+    assert_eq!(base.shard.dropped_late, 0);
 
-    let dir = scratch("golden_v2");
+    let dir = scratch("golden_v3");
     let store = CheckpointStore::new(&dir, "golden");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(&store.slot_paths()[1], &bytes).unwrap();
@@ -166,8 +272,13 @@ fn golden_v2_chain_loads_and_its_first_record_reencodes_to_itself() {
     assert!(out.rejected.is_empty(), "{:?}", out.rejected);
     assert_eq!(out.slot, Some(1));
     let newest = out.state.unwrap();
-    assert_eq!((newest.seq, newest.next_close), (7, 8));
+    assert_eq!((newest.seq, newest.next_close), (12, 13));
     assert_eq!(newest.live_verdicts.len(), base.live_verdicts.len() + 3);
-    assert_eq!(newest.detector.unwrap().next_bin, base.detector.unwrap().next_bin + 3);
+    assert_eq!(newest.detector.as_ref().unwrap().next_bin, base.detector.unwrap().next_bin + 3);
     assert!(newest.frames_ingested > base.frames_ingested);
+    assert_eq!(newest.watermark, WatermarkState { secs: 3900, latest_record_secs: Some(3900) });
+    assert_eq!(newest.shard.dropped_late, 31);
+    assert_eq!(newest.shard.bin_records[1], base.shard.bin_records[1]);
+    assert!(newest.shard.bin_records[7] > base.shard.bin_records[7]);
+    assert!((0..5).all(|b| keys(&newest, b) == 0) && keys(&newest, 7) > 0);
 }

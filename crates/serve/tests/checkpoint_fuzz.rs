@@ -11,6 +11,7 @@
 
 use odflow_flow::{
     ExporterSeqState, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
+    WatermarkState,
 };
 mod common;
 
@@ -123,7 +124,8 @@ fn arb_state() -> impl Strategy<Value = PipelineState> {
             ),
             (
                 any::<u64>(),
-                proptest::collection::vec(any::<u64>(), 9),
+                proptest::collection::vec(any::<u64>(), 10),
+                proptest::option::of(any::<u64>()),
                 proptest::collection::vec(arb_exporter(), 0..4),
                 proptest::collection::vec(arb_verdict(), 0..4),
                 any::<bool>(),
@@ -143,13 +145,21 @@ fn arb_state() -> impl Strategy<Value = PipelineState> {
                         distinct,
                         bin_records,
                     ),
-                    (records_accepted, counts, exporters, live_verdicts, with_detector, det_floats),
+                    (
+                        records_accepted,
+                        counts,
+                        latest_record_secs,
+                        exporters,
+                        live_verdicts,
+                        with_detector,
+                        det_floats,
+                    ),
                 )| {
                     PipelineState {
                         seq,
                         frames_ingested,
                         next_close,
-                        watermark_secs: watermark,
+                        watermark: WatermarkState { secs: watermark, latest_record_secs },
                         shard: ShardState {
                             bytes,
                             packets,
@@ -165,6 +175,7 @@ fn arb_state() -> impl Strategy<Value = PipelineState> {
                                 transit_skipped: counts[4],
                             },
                             dropped_out_of_window: counts[5],
+                            dropped_late: counts[9],
                         },
                         quarantine: QuarantineStats {
                             frames_offered: counts[6],
@@ -262,7 +273,7 @@ proptest! {
     /// decoder paths and still must reject (checksum first).
     #[test]
     fn byte_soup_with_magic_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let mut framed = b"ODFCKPT\0\x02\x00\x00\x00".to_vec();
+        let mut framed = b"ODFCKPT\0\x03\x00\x00\x00".to_vec();
         framed.extend_from_slice(&bytes);
         prop_assert!(decode_state(&framed).is_err());
     }
@@ -315,6 +326,8 @@ proptest! {
         // generate NaN bit patterns on purpose).
         prop_assert_eq!(decoded.seq, state.seq);
         prop_assert_eq!(decoded.frames_ingested, state.frames_ingested);
+        prop_assert_eq!(decoded.watermark, state.watermark);
+        prop_assert_eq!(decoded.shard.dropped_late, state.shard.dropped_late);
         prop_assert_eq!(decoded.shard.bin_records, state.shard.bin_records);
         prop_assert_eq!(decoded.shard.distinct, state.shard.distinct);
         prop_assert_eq!(decoded.quarantine, state.quarantine);

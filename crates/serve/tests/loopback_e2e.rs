@@ -12,11 +12,12 @@ use odflow::experiment::{run_scenario, ExperimentConfig};
 use odflow_gen::Scenario;
 use odflow_net::IngressResolver;
 use odflow_serve::{
-    replay_scenario, Daemon, DaemonReport, LoadGenConfig, ServeConfig, TenantConfig, TenantEnd,
-    TenantSpec, Transport,
+    replay_scenario, Daemon, DaemonReport, LoadGenConfig, ServeConfig, TenantConfig,
+    TenantCounters, TenantEnd, TenantSpec, Transport,
 };
 use odflow_subspace::{Diagnosis, StatisticKind};
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 const NUM_BINS: usize = 48;
 const SEED: u64 = 20040519;
@@ -60,10 +61,15 @@ fn canonical_verdict_bytes(d: &Diagnosis) -> Vec<u8> {
 }
 
 /// Runs a daemon on a worker thread while the caller replays `scenario`
-/// into it over TCP with a trailing drain; returns the daemon report.
-fn serve_roundtrip(scenario: &Scenario, config: ServeConfig) -> DaemonReport {
+/// into it over TCP with a trailing drain; returns the daemon report and
+/// tenant 0's counters.
+fn serve_roundtrip(
+    scenario: &Scenario,
+    config: ServeConfig,
+) -> (DaemonReport, Arc<TenantCounters>) {
     let daemon = Daemon::bind(config).unwrap();
     let addr = daemon.tcp_addr().unwrap();
+    let counters = daemon.handle().tenant_counters(0).unwrap();
     let mut slot: Option<DaemonReport> = None;
     let pool = scoped_pool::Pool::new(1);
     pool.scoped(|scope| {
@@ -76,13 +82,13 @@ fn serve_roundtrip(scenario: &Scenario, config: ServeConfig) -> DaemonReport {
         assert_eq!(report.frames_rendered, report.frames_sent);
     });
     pool.shutdown();
-    slot.unwrap()
+    (slot.unwrap(), counters)
 }
 
 #[test]
 fn loopback_daemon_matches_batch_run_scenario_at_threads_1_and_4() {
     let scenario = Scenario::paper_window(SEED, NUM_BINS).unwrap();
-    let report = serve_roundtrip(
+    let (report, counters) = serve_roundtrip(
         &scenario,
         ServeConfig {
             tcp_bind: Some("127.0.0.1:0".to_owned()),
@@ -99,6 +105,15 @@ fn loopback_daemon_matches_batch_run_scenario_at_threads_1_and_4() {
         flush.outcome.quality.quarantine.frames_accepted
     });
     assert_eq!(flush.outcome.quality.exporters.lost_flows_total(), 0);
+    // Conservation at flush: every decoded record was accepted into a
+    // cell, dropped outside the window, left unresolved, or refused late.
+    let o = &flush.outcome;
+    let decoded = TenantCounters::get(&counters.records_decoded);
+    let accepted: u64 = o.quality.bin_records.iter().sum();
+    let unresolved = o.stats.flows_total - o.stats.flows_resolved + o.stats.transit_skipped;
+    assert_eq!(decoded, accepted + o.dropped_out_of_window + unresolved + o.dropped_late);
+    assert_eq!(o.dropped_late, TenantCounters::get(&counters.records_late_dropped));
+    assert!(decoded > accepted && unresolved > 0, "the paper's ~7 % goes unresolved");
     let daemon_diag = flush.diagnosis.as_ref().expect("flush diagnosis must run");
     let daemon_bytes = canonical_verdict_bytes(daemon_diag);
 
