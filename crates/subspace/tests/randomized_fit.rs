@@ -1,15 +1,14 @@
 //! The randomized fit at width: every output bit pinned, and the inputs
 //! that must not reach it turned into typed outcomes.
 //!
-//! `EigenMethod::Auto` takes the randomized range finder once `p` exceeds
-//! 512, the large-mesh regime. The goldens below are FNV-1a words over the
-//! exact bits of two such fits — singular values, loadings, eigenflows,
-//! total energy, both thresholds and the SPE / T² series over the training
-//! window. They were captured before the fit stopped copying the centered
-//! window; like the storm-day goldens, they are never re-pinned to make a
-//! refactor pass.
+//! The goldens below are FNV-1a words over the exact bits of two wide
+//! fits under the randomized range finder with its default options —
+//! singular values, loadings, eigenflows, total energy, both thresholds
+//! and the SPE / T² series over the training window. They were captured
+//! before the fit stopped copying the centered window; like the storm-day
+//! goldens, they are never re-pinned to make a refactor pass.
 
-use odflow_linalg::{EigenMethod, Matrix};
+use odflow_linalg::{EigenMethod, Matrix, DEFAULT_SKETCH_SEED};
 use odflow_par::with_thread_limit;
 use odflow_subspace::{EigenflowDecomposition, SubspaceConfig, SubspaceError, SubspaceModel};
 
@@ -60,11 +59,15 @@ fn field_words(model: &SubspaceModel, x: &Matrix) -> [u64; 6] {
     ]
 }
 
-/// Fits `x` under `Auto` at the serial fallback and at the default pool,
+/// The randomized range finder with the options `Auto` has always given
+/// it: an 8-column oversample, two power iterations, the default seed.
+const SKETCH: EigenMethod =
+    EigenMethod::RandomizedTruncated { oversample: 8, power_iters: 2, seed: DEFAULT_SKETCH_SEED };
+
+/// Fits `x` under `method` at the serial fallback and at the default pool,
 /// and returns the digest both must share.
-fn digest(x: &Matrix, k: usize) -> u64 {
-    let cfg = SubspaceConfig { k, method: EigenMethod::Auto, ..SubspaceConfig::default() };
-    assert!(!cfg.method.is_dense_for(x.ncols()), "the fixture must resolve randomized");
+fn digest(x: &Matrix, k: usize, method: EigenMethod) -> u64 {
+    let cfg = SubspaceConfig { k, method, ..SubspaceConfig::default() };
     let fit = || {
         let model = SubspaceModel::fit(x, cfg).unwrap();
         let d = model.decomposition();
@@ -86,24 +89,25 @@ fn wide_randomized_fit_goldens_are_pinned() {
     // The large-mesh shape in miniature: 24 bins, k = 10, an 18-wide
     // sketch, products banded across twenty 1024-column bands.
     assert_eq!(
-        digest(&noisy_traffic(24, 20_000, 7), 10),
+        digest(&noisy_traffic(24, 20_000, 7), 10, SKETCH),
         0xd8c4_d70f_7e93_8c0a,
         "24 x 20000 drifted"
     );
     // An odd bin count, and three full 1024-column bands plus a ragged
     // five-column fourth.
     assert_eq!(
-        digest(&noisy_traffic(17, 3 * 1024 + 5, 11), 4),
+        digest(&noisy_traffic(17, 3 * 1024 + 5, 11), 4, SKETCH),
         0x7671_c13a_47a7_c4fb,
         "17 x 3077 drifted"
     );
 }
 
-fn fit_auto(x: &Matrix, k: usize) -> Result<SubspaceModel, SubspaceError> {
-    SubspaceModel::fit(
-        x,
-        SubspaceConfig { k, method: EigenMethod::Auto, ..SubspaceConfig::default() },
-    )
+/// Both methods a wide window can be fitted with: `Auto`'s own choice and
+/// the explicit range finder.
+const WIDE_METHODS: [EigenMethod; 2] = [EigenMethod::Auto, SKETCH];
+
+fn fit_wide(x: &Matrix, k: usize, method: EigenMethod) -> Result<SubspaceModel, SubspaceError> {
+    SubspaceModel::fit(x, SubspaceConfig { k, method, ..SubspaceConfig::default() })
 }
 
 #[test]
@@ -111,51 +115,61 @@ fn constant_window_gives_a_degenerate_model_not_nan() {
     // Every OD pair flat over the window (each at its own level): the
     // centered data is exactly zero.
     let x = Matrix::from_fn(30, 600, |_, j| 1e3 + j as f64);
-    let model = fit_auto(&x, 4).unwrap();
-    assert!(model.degenerate_residual());
-    assert!(model.spe_threshold().is_finite());
-    assert!(model.t2_threshold().is_finite());
-    let d = model.decomposition();
-    assert_eq!(d.total_energy, 0.0);
-    assert!(d.singular_values.iter().all(|s| s.is_finite()));
-    assert!(d.loadings.all_finite() && d.eigenflows.all_finite());
-    assert!(model.spe_series(&x).unwrap().iter().all(|&s| s == 0.0));
-    assert!(model.t2_series(&x).unwrap().iter().all(|t| t.is_finite()));
+    for method in WIDE_METHODS {
+        let model = fit_wide(&x, 4, method).unwrap();
+        assert!(model.degenerate_residual(), "{method:?}");
+        assert!(model.spe_threshold().is_finite());
+        assert!(model.t2_threshold().is_finite());
+        let d = model.decomposition();
+        assert_eq!(d.total_energy, 0.0);
+        assert!(d.singular_values.iter().all(|s| s.is_finite()));
+        assert!(d.loadings.all_finite() && d.eigenflows.all_finite());
+        assert!(model.spe_series(&x).unwrap().iter().all(|&s| s == 0.0));
+        assert!(model.t2_series(&x).unwrap().iter().all(|t| t.is_finite()));
+    }
 }
 
 #[test]
 fn non_finite_centered_values_are_refused() {
-    let non_finite = |x: &Matrix| match fit_auto(x, 4) {
-        Err(SubspaceError::Numeric { reason }) => {
-            assert!(reason.contains("NaN or infinite"), "{reason}");
-        }
-        other => panic!("expected a non-finite refusal, got {other:?}"),
-    };
     let clean = noisy_traffic(20, 700, 3);
     let mut nan = clean.clone();
     nan[(7, 311)] = f64::NAN;
-    non_finite(&nan);
     // Every cell finite, but the column's sum — and so its mean —
     // overflows: the centered values are infinite.
-    for sign in [1.0, -1.0] {
+    let huge = |sign: f64| {
         let mut huge = clean.clone();
         for i in 0..huge.nrows() {
             huge[(i, 42)] = sign * 1.7e308;
         }
         assert!(huge.all_finite());
-        non_finite(&huge);
+        huge
+    };
+    for x in [nan, huge(1.0), huge(-1.0)] {
+        for method in WIDE_METHODS {
+            match fit_wide(&x, 4, method) {
+                Err(SubspaceError::Numeric { reason }) => {
+                    assert!(reason.contains("NaN or infinite"), "{method:?}: {reason}");
+                }
+                other => panic!("{method:?}: expected a non-finite refusal, got {other:?}"),
+            }
+        }
     }
 }
 
 #[test]
 fn too_few_bins_is_insufficient_data() {
     let x = noisy_traffic(4, 700, 5);
-    for k in [4, 6] {
-        assert!(matches!(fit_auto(&x, k), Err(SubspaceError::InsufficientData { .. })), "k={k}");
-    }
     let one_bin = noisy_traffic(1, 700, 5);
-    assert!(matches!(
-        EigenflowDecomposition::fit_with(&one_bin, 4, EigenMethod::Auto),
-        Err(SubspaceError::InsufficientData { .. })
-    ));
+    for method in WIDE_METHODS {
+        for k in [4, 6] {
+            assert!(
+                matches!(fit_wide(&x, k, method), Err(SubspaceError::InsufficientData { .. })),
+                "{method:?}, k={k}"
+            );
+        }
+        assert!(matches!(
+            EigenflowDecomposition::fit_with(&one_bin, 4, method),
+            Err(SubspaceError::InsufficientData { .. })
+        ));
+    }
 }
