@@ -2,24 +2,30 @@
 //!
 //! Every consumer of the subspace method ultimately needs one thing from
 //! this crate: the top singular triplets of an `n x p` data matrix. The
-//! paper-scale dense route (full Gram matrix + [`crate::eigen_symmetric`])
-//! is exact but `O(p³)` time and `O(p²)` memory, while the randomized range
-//! finder ([`crate::randomized_thin_svd`]) touches nothing larger than a
-//! `p x (k + oversample)` panel and runs the detector at 90 000 OD pairs.
-//! [`EigenMethod`] is the selector `SubspaceConfig` carries, and
-//! [`truncated_svd`] the one place it is acted on.
+//! dense route is exact and factors whichever Gram matrix is small: the
+//! `p x p` column Gram `XᵀX` of the paper's tall windows (2016 bins × 121
+//! OD pairs), or the `n x n` row Gram `XXᵀ` of a window with fewer bins
+//! than OD pairs (24 bins × 90 000 OD pairs is a 24 × 24 eigenproblem).
+//! Only a window long *and* wide outgrows both; the randomized range
+//! finder ([`crate::randomized_thin_svd`]) takes it, touching nothing
+//! larger than a `p x (k + oversample)` panel. [`EigenMethod`] is the
+//! selector `SubspaceConfig` carries, and [`truncated_svd`] the one place
+//! it is acted on.
 
 use crate::center::subtract_means;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-use crate::randomized::{centered_randomized_svd, RandomizedSvdOptions, DEFAULT_SKETCH_SEED};
+use crate::randomized::{
+    centered_randomized_svd, centered_row_gram_svd, RandomizedSvdOptions, DEFAULT_SKETCH_SEED,
+};
 use crate::svd::{thin_svd, Svd};
 
-/// Largest OD-space dimension `p` at which [`EigenMethod::Auto`] stays on
-/// the dense exact path. Up to here the full `p x p` Gram eigenproblem is
-/// affordable (hundreds of milliseconds at 512); above it `Auto` switches
-/// to the randomized truncated solver, whose cost grows only linearly in
-/// `p`.
+/// Largest Gram dimension [`EigenMethod::Auto`] factors exactly: a window
+/// with at most this many OD pairs `p` *or* at most this many bins `n`
+/// stays on the dense exact path, through its `p x p` or its `n x n` Gram
+/// matrix (hundreds of milliseconds at 512). Only when both sides exceed
+/// it does `Auto` switch to the randomized truncated solver, whose cost
+/// grows only linearly in each side.
 pub const AUTO_DENSE_MAX_DIM: usize = 512;
 
 /// How to compute the eigen/singular decomposition during model fitting.
@@ -29,24 +35,29 @@ pub const AUTO_DENSE_MAX_DIM: usize = 512;
 /// ```
 /// use odflow_linalg::EigenMethod;
 ///
-/// // Auto takes the dense exact path at the paper's scale and for
-/// // mid-size meshes...
-/// assert_eq!(EigenMethod::Auto.resolve(121), EigenMethod::DenseTridiagonal);
-/// assert_eq!(EigenMethod::Auto.resolve(512), EigenMethod::DenseTridiagonal);
-/// // ...and the randomized truncated path at large-mesh scale.
+/// // Auto takes the dense exact path at the paper's scale, for mid-size
+/// // meshes, and for any window with few enough bins...
+/// assert_eq!(EigenMethod::Auto.resolve((2016, 121)), EigenMethod::DenseTridiagonal);
+/// assert_eq!(EigenMethod::Auto.resolve((2016, 512)), EigenMethod::DenseTridiagonal);
+/// assert_eq!(EigenMethod::Auto.resolve((24, 90_000)), EigenMethod::DenseTridiagonal);
+/// // ...and the randomized truncated path only when both sides are large.
 /// assert!(matches!(
-///     EigenMethod::Auto.resolve(90_000),
+///     EigenMethod::Auto.resolve((2016, 90_000)),
 ///     EigenMethod::RandomizedTruncated { .. }
 /// ));
 /// // Explicit choices resolve to themselves.
-/// assert_eq!(EigenMethod::DenseTridiagonal.resolve(90_000), EigenMethod::DenseTridiagonal);
+/// let dense = EigenMethod::DenseTridiagonal;
+/// assert_eq!(dense.resolve((2016, 90_000)), EigenMethod::DenseTridiagonal);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EigenMethod {
-    /// Full `p x p` Gram matrix + blocked Householder tridiagonalization
-    /// and implicit Wilkinson-shift QR ([`crate::eigen_symmetric`]): the
-    /// exact full spectrum, bit-identical for every thread count. Memory
-    /// and time grow as `O(p²)` / `O(p³)`.
+    /// A dense Gram matrix + blocked Householder tridiagonalization and
+    /// implicit Wilkinson-shift QR ([`crate::eigen_symmetric`]): the exact
+    /// spectrum, bit-identical for every thread count. A window at most
+    /// `max(n, AUTO_DENSE_MAX_DIM)` wide is factored through its `p x p`
+    /// column Gram (memory and time `O(p²)` / `O(p³)`), a wider one through
+    /// its `n x n` row Gram (`O(n²)` / `O(n² p)`, beside the `p x r`
+    /// loadings).
     ///
     /// ```
     /// use odflow_linalg::{truncated_svd, EigenMethod, Matrix};
@@ -72,8 +83,8 @@ pub enum EigenMethod {
         /// Seed of the ChaCha8 Gaussian sketch stream.
         seed: u64,
     },
-    /// Pick by problem size: [`EigenMethod::DenseTridiagonal`] up to
-    /// [`AUTO_DENSE_MAX_DIM`], otherwise
+    /// Pick by problem size: [`EigenMethod::DenseTridiagonal`] when either
+    /// side of the window is at most [`AUTO_DENSE_MAX_DIM`], otherwise
     /// [`EigenMethod::RandomizedTruncated`] with default parameters
     /// (`oversample = 8`, `power_iters = 2`, a fixed seed). This is the
     /// default carried by `SubspaceConfig`.
@@ -83,10 +94,11 @@ pub enum EigenMethod {
 
 impl EigenMethod {
     /// Collapses [`EigenMethod::Auto`] into a concrete method for an
-    /// OD-space dimension `p`; explicit choices return themselves.
-    pub fn resolve(self, p: usize) -> EigenMethod {
+    /// `n x p` window (`shape = (n, p)`: bins, OD pairs); explicit choices
+    /// return themselves.
+    pub fn resolve(self, (n, p): (usize, usize)) -> EigenMethod {
         match self {
-            EigenMethod::Auto if p <= AUTO_DENSE_MAX_DIM => EigenMethod::DenseTridiagonal,
+            EigenMethod::Auto if n.min(p) <= AUTO_DENSE_MAX_DIM => EigenMethod::DenseTridiagonal,
             EigenMethod::Auto => {
                 let d = RandomizedSvdOptions::default();
                 EigenMethod::RandomizedTruncated {
@@ -99,10 +111,10 @@ impl EigenMethod {
         }
     }
 
-    /// `true` when fitting at dimension `p` takes the dense exact path and
-    /// so returns the full spectrum.
-    pub fn is_dense_for(self, p: usize) -> bool {
-        self.resolve(p) == EigenMethod::DenseTridiagonal
+    /// `true` when fitting an `n x p` window (`shape = (n, p)`) takes the
+    /// dense exact path and so returns the full spectrum.
+    pub fn is_dense_for(self, shape: (usize, usize)) -> bool {
+        self.resolve(shape) == EigenMethod::DenseTridiagonal
     }
 }
 
@@ -120,13 +132,14 @@ impl EigenMethod {
 /// exactly, and the randomized path returns its `rank + oversample` sketch
 /// width. Size against the returned [`Svd::rank`], never the request.
 ///
-/// The dense path centers a copy of `x` (`n x p`, `p` at most
-/// [`AUTO_DENSE_MAX_DIM`] under `Auto`) for the Gram matrix, and its
-/// energy is `Σ σ²` over the full spectrum it returns. The randomized path
-/// never copies `x`: its products subtract μ from each element as they
-/// load it, and its energy — whose excess over the retained `Σ σ²` is the
-/// tail the truncation leaves unseen — is one row-major pass over `x` that
-/// doubles as the finiteness check of the centered values.
+/// The dense path's energy is `Σ σ²` over the spectrum it returns. Its
+/// column Gram (`p ≤ max(n, AUTO_DENSE_MAX_DIM)`) centers a copy of `x`;
+/// its row Gram (any wider window) reads `x` where it lies, subtracting μ
+/// from each element as it loads it, and drops triplets below
+/// `√ε · σ_max` as rounding, not data. The randomized path reads `x` the
+/// same way, and its energy — whose excess over the retained `Σ σ²` is
+/// the tail the truncation leaves unseen — is one row-major pass over `x`
+/// that doubles as the finiteness check of the centered values.
 ///
 /// # Errors
 ///
@@ -137,13 +150,21 @@ impl EigenMethod {
 /// # Examples
 ///
 /// ```
-/// use odflow_linalg::{column_means, truncated_svd, EigenMethod, Matrix};
+/// use odflow_linalg::{center_columns, column_means, truncated_svd, EigenMethod, Matrix};
 ///
 /// let x = Matrix::from_fn(30, 40, |i, j| ((i * 3 + j * 7) % 11) as f64);
 /// let means = column_means(&x);
 /// let (dense, energy) = truncated_svd(&x, &means, 5, EigenMethod::DenseTridiagonal).unwrap();
 /// let (auto, _) = truncated_svd(&x, &means, 5, EigenMethod::Auto).unwrap(); // p=40 -> dense
 /// assert_eq!(dense.sigma, auto.sigma);
+///
+/// // A window wider than 512 with fewer bins goes through its 12 x 12 row
+/// // Gram: the triplets rebuild the centered window, to the Gram route's
+/// // √ε resolution.
+/// let wide = Matrix::from_fn(12, 600, |i, j| ((i * 5 + j * 3) % 13) as f64);
+/// let (row_gram, _) = truncated_svd(&wide, &column_means(&wide), 2, EigenMethod::Auto).unwrap();
+/// let (centered, _) = center_columns(&wide).unwrap();
+/// assert!(row_gram.reconstruct().unwrap().approx_eq(&centered, 1e-6 * centered.max_abs()));
 ///
 /// // A sketch keeps its width of triplets, and still reports the energy
 /// // of the whole centered matrix.
@@ -165,13 +186,17 @@ pub fn truncated_svd(
             rhs: (1, means.len()),
         });
     }
-    match method.resolve(x.ncols()) {
+    let (n, p) = x.shape();
+    match method.resolve((n, p)) {
         EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
             let opts = RandomizedSvdOptions { oversample, power_iters, seed };
             centered_randomized_svd(x, means, rank, opts)
         }
         // `resolve` never returns `Auto`.
         EigenMethod::DenseTridiagonal | EigenMethod::Auto => {
+            if p > n.max(AUTO_DENSE_MAX_DIM) {
+                return centered_row_gram_svd(x, means);
+            }
             let svd = thin_svd(&subtract_means(x, means), 0.0)?;
             let energy = svd.sigma.iter().map(|s| s * s).sum();
             Ok((svd, energy))
@@ -185,29 +210,36 @@ mod tests {
 
     #[test]
     fn auto_resolves_by_dimension() {
-        assert_eq!(EigenMethod::Auto.resolve(2), EigenMethod::DenseTridiagonal);
-        assert_eq!(EigenMethod::Auto.resolve(121), EigenMethod::DenseTridiagonal);
-        assert_eq!(EigenMethod::Auto.resolve(AUTO_DENSE_MAX_DIM), EigenMethod::DenseTridiagonal);
-        match EigenMethod::Auto.resolve(AUTO_DENSE_MAX_DIM + 1) {
-            EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
-                assert_eq!(oversample, 8);
-                assert_eq!(power_iters, 2);
-                assert_eq!(seed, DEFAULT_SKETCH_SEED);
-            }
-            other => panic!("expected randomized, got {other:?}"),
+        let dense = |shape| EigenMethod::Auto.resolve(shape) == EigenMethod::DenseTridiagonal;
+        let big = AUTO_DENSE_MAX_DIM + 1;
+        // Dense when either side is small enough for its Gram matrix.
+        for shape in [(2, 2), (2016, 121), (big, AUTO_DENSE_MAX_DIM), (AUTO_DENSE_MAX_DIM, big)] {
+            assert!(dense(shape), "{shape:?}");
         }
-        assert!(EigenMethod::Auto.is_dense_for(121));
-        assert!(EigenMethod::Auto.is_dense_for(AUTO_DENSE_MAX_DIM));
-        assert!(!EigenMethod::Auto.is_dense_for(90_000));
+        assert!(dense((24, 90_000)) && dense((90_000, 24)));
+        // Randomized only when both exceed it.
+        for shape in [(big, big), (2016, 90_000)] {
+            match EigenMethod::Auto.resolve(shape) {
+                EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
+                    assert_eq!(oversample, 8);
+                    assert_eq!(power_iters, 2);
+                    assert_eq!(seed, DEFAULT_SKETCH_SEED);
+                }
+                other => panic!("{shape:?}: expected randomized, got {other:?}"),
+            }
+        }
+        assert!(EigenMethod::Auto.is_dense_for((2016, 121)));
+        assert!(EigenMethod::Auto.is_dense_for((24, 90_000)));
+        assert!(!EigenMethod::Auto.is_dense_for((2016, 90_000)));
     }
 
     #[test]
     fn explicit_methods_resolve_to_themselves() {
-        assert_eq!(EigenMethod::DenseTridiagonal.resolve(2), EigenMethod::DenseTridiagonal);
-        assert!(EigenMethod::DenseTridiagonal.is_dense_for(1_000_000));
+        assert_eq!(EigenMethod::DenseTridiagonal.resolve((2, 2)), EigenMethod::DenseTridiagonal);
+        assert!(EigenMethod::DenseTridiagonal.is_dense_for((1_000_000, 1_000_000)));
         let r = EigenMethod::RandomizedTruncated { oversample: 3, power_iters: 1, seed: 42 };
-        assert_eq!(r.resolve(4), r);
-        assert!(!r.is_dense_for(4));
+        assert_eq!(r.resolve((4, 4)), r);
+        assert!(!r.is_dense_for((4, 4)));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! covariance (or scatter) matrix `X^T X`, with `p = 121` OD pairs for the
 //! Abilene-like topology. [`eigen_symmetric`] is the one dense solver in
 //! the workspace, at every dimension from the randomized backend's
-//! `(k + oversample)²` projected problem up to the largest mesh
+//! `(k + oversample)²` projected problem up to the largest Gram matrix —
+//! `p x p`, or `n x n` for a window with fewer bins than OD pairs —
 //! [`crate::EigenMethod::Auto`] keeps dense: the direct-method pipeline
 //! every dense LAPACK eigensolver uses, here with a blocked `dsytrd`-style
 //! panel reduction ([`crate::householder`]: compact-WY back-transform,

@@ -1,13 +1,15 @@
 //! Randomized truncated SVD via a Halko-style range finder.
 //!
-//! The dense path factors an `n x p` data matrix through the `p x p` Gram
-//! eigenproblem — out of reach by design once `p` hits the large-mesh scale
-//! (90 000 OD pairs would mean a 65 GB Gram matrix). But the subspace
-//! method only ever needs the top `k ≈ 5-10` eigenflows, and when the data
-//! is (numerically) low-rank a *randomized range finder* recovers them from
-//! a handful of tall-skinny products: sketch `Y = X Ω` with a seeded
-//! Gaussian `Ω`, tighten the range with a few power iterations, and solve a
-//! dense eigenproblem on the tiny `(k + oversample)²` projected matrix.
+//! The dense path factors an `n x p` data matrix through whichever Gram
+//! eigenproblem is small, `p x p` or `n x n` — both out of reach by design
+//! once the window is long *and* wide (90 000 OD pairs would mean a 65 GB
+//! column Gram, and a week's 2016 bins a row Gram costing `n² p ≈ 4·10¹¹`
+//! multiply-adds). But the subspace method only ever needs the top
+//! `k ≈ 5-10` eigenflows, and when the data is (numerically) low-rank a
+//! *randomized range finder* recovers them from a handful of tall-skinny
+//! products: sketch `Y = X Ω` with a seeded Gaussian `Ω`, tighten the
+//! range with a few power iterations, and solve a dense eigenproblem on
+//! the tiny `(k + oversample)²` projected matrix.
 //! Nothing `p x p` is ever materialized, and nothing `n x p` either: the
 //! largest intermediates are `(k + oversample) x p` panels, one at a time.
 //!
@@ -51,6 +53,16 @@
 //!   turning a band of `B` into rows of `V`, and [`Matrix::matmul_tn`] for
 //!   `U = Q W`.
 //!
+//! ## The short side: the identity for `Q`
+//!
+//! With `Q = I` the projection is the window itself, `B = Xc`, and `B Bᵀ`
+//! is the `n x n` row Gram `G = Xc Xcᵀ`: the same two banded passes — `G`
+//! folded from centered column bands of `X`, then `V = Xcᵀ W Σ⁻¹` band by
+//! band — factor the window exactly, with `U = W`. The dense path takes
+//! this route for a window wider than it is long (24 bins × 90 000 OD
+//! pairs: a 24 × 24 eigenproblem, `≈ 5·10⁷` multiply-adds a pass), so the
+//! range finder is left only the windows long and wide at once.
+//!
 //! Reference: Halko, Martinsson & Tropp, *Finding Structure with
 //! Randomness* (SIAM Rev. 2011), Algorithms 4.3-4.4 + 5.1. The sketching
 //! route into traffic anomography follows Mardani & Giannakis's low-rank
@@ -65,7 +77,7 @@
 //! whatever the banding, and every reduction is combined in chunk order.
 //! The whole factorization is therefore **bit-identical for every thread
 //! count and every run with the same seed** — the same contract as the
-//! dense path.
+//! dense path, whose row Gram runs on exactly these kernels.
 
 use crate::eigen::eigen_symmetric;
 use crate::error::{LinalgError, Result};
@@ -76,6 +88,7 @@ use crate::svd::Svd;
 use crate::vecops;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// Options for [`randomized_thin_svd`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,16 +193,48 @@ pub(crate) fn centered_randomized_svd(
         orthonormalize_rows(&mut qt);
     }
 
-    // Project: the tiny m x m eigenproblem of B Bᵀ, B = Qᵀ Xc. Eigenvalues
-    // are σ², eigenvectors rotate Q into U.
-    let eig = eigen_symmetric(&projected_gram(&qt, x, means))?;
+    let svd = factor_projection(Some(&qt), x, means)?;
+    Ok((svd, energy))
+}
+
+/// The exact thin SVD of the column-centered `Xc = X − 1μᵀ` (μ = `means`)
+/// through its `n x n` row Gram `G = Xc Xcᵀ`, read where `x` lies, and its
+/// energy `Σ σ²`: the range finder's projection with the identity for `Q`
+/// — `B = Xc`, `B Bᵀ = G` — so `eigen_symmetric(G)` gives σ² and `U`, and
+/// one banded pass gives `V = Xcᵀ U Σ⁻¹`. Triplets below `√ε · σ_max` are
+/// dropped, as on the randomized route; what remains is every direction
+/// the data has, so the energy is their `Σ σ²`. The finiteness check is
+/// `G`'s diagonal: `G[i][i] = Σ_j (x_ij − μ_j)²` is a sum of squares, which
+/// no NaN or infinite centered value leaves finite, and `eigen_symmetric`
+/// refuses a non-finite input.
+///
+/// # Errors
+///
+/// [`LinalgError::Empty`] for a matrix with zero rows or columns;
+/// [`LinalgError::NonFinite`] for a non-finite centered value.
+pub(crate) fn centered_row_gram_svd(x: &Matrix, means: &[f64]) -> Result<(Svd, f64)> {
+    if x.nrows() == 0 || x.ncols() == 0 {
+        return Err(LinalgError::Empty { op: "row_gram_svd" });
+    }
+    let svd = factor_projection(None, x, means)?;
+    let energy = svd.sigma.iter().map(|s| s * s).sum();
+    Ok((svd, energy))
+}
+
+/// The SVD of `Xc = X − 1μᵀ` restricted to the range of the orthonormal
+/// rows of `qt` (`Qᵀ`, `m x n`), or of `Xc` itself when `qt` is `None` (the
+/// identity): the `m x m` eigenproblem of `B Bᵀ` for `B = Qᵀ Xc`, whose
+/// eigenvalues are σ² and whose eigenvectors `W` rotate `Q` into `U`, then
+/// `V = Bᵀ W Σ⁻¹`. Triplets with σ below `√ε · σ_max` are dropped.
+fn factor_projection(qt: Option<&Matrix>, x: &Matrix, means: &[f64]) -> Result<Svd> {
+    let (n, p) = x.shape();
+    let eig = eigen_symmetric(&projected_gram(qt, x, means))?;
 
     let sigma_max = eig.eigenvalues.first().copied().unwrap_or(0.0).max(0.0).sqrt();
     if sigma_max == 0.0 {
         // All-zero input (or a sketch that annihilated it): degenerate SVD,
         // mirroring `thin_svd`'s convention.
-        let svd = Svd { u: Matrix::zeros(n, 1), sigma: vec![0.0], v: Matrix::zeros(p, 1) };
-        return Ok((svd, energy));
+        return Ok(Svd { u: Matrix::zeros(n, 1), sigma: vec![0.0], v: Matrix::zeros(p, 1) });
     }
     let cutoff = f64::EPSILON.sqrt() * sigma_max;
     let mut sigma = Vec::new();
@@ -203,9 +248,6 @@ pub(crate) fn centered_randomized_svd(
     }
     let w = eig.eigenvectors.select_cols(&keep)?;
 
-    // U = Q W (n x r): rotate the orthonormal basis onto singular order.
-    let u = qt.matmul_tn(&w)?;
-
     // V = Bᵀ W Σ^{-1} (p x r), re-normalized per column to absorb rounding
     // drift in the small singular values — the same guard `thin_svd` uses.
     // Under the normalization the Σ^{-1} rescale cancels analytically
@@ -214,7 +256,7 @@ pub(crate) fn centered_randomized_svd(
     // map_reduce accumulating all r squared norms (per-column partials
     // summed in chunk order, so the reduction is deterministic) and one
     // parallel scale — instead of 2r strided per-column sweeps.
-    let mut v = projected_rotation(&qt, x, means, &w);
+    let mut v = projected_rotation(qt, x, means, &w);
     let r = sigma.len();
     let vp = v.nrows();
     let data = v.as_mut_slice();
@@ -261,7 +303,12 @@ pub(crate) fn centered_randomized_svd(
         }
     });
 
-    Ok((Svd { u, sigma, v }, energy))
+    // U = Q W (n x r): rotate the orthonormal basis onto singular order.
+    let u = match qt {
+        Some(qt) => qt.matmul_tn(&w)?,
+        None => w,
+    };
+    Ok(Svd { u, sigma, v })
 }
 
 /// `‖X − 1μᵀ‖²_F` in one row-major pass over `x`, which is also the check
@@ -288,17 +335,40 @@ fn centered_energy(x: &Matrix, means: &[f64]) -> Result<f64> {
 
 /// Columns of `B` computed, then folded into `B Bᵀ`, per round of
 /// [`projected_gram`]: eight column bands, so a round's bands share out
-/// over the pool and its `m x 8192` slice of `B` (1.2 MB at `m = 18`)
-/// stays cache-sized.
+/// over the pool and its `m x 8192` slice of `B` (1.2 MB at `m = 18`, 1.5
+/// MB for the row Gram of 24 bins) stays cache-sized.
 const GRAM_GROUP_COLS: usize = 8 * MATMUL_COL_BLOCK;
 
-/// `B Bᵀ` (`m x m`) for `B = Qᵀ (X − 1μᵀ)`, without storing `B`: each
-/// round computes [`GRAM_GROUP_COLS`] columns of it, one column band per
-/// task, then folds them into the result with row bands of it as tasks.
-/// Every element continues one ascending chain over `B`'s columns from
-/// 0.0, so the result is bit-identical to `B.matmul_nt(&B)`.
-fn projected_gram(qt: &Matrix, x: &Matrix, means: &[f64]) -> Matrix {
-    let (m, p) = (qt.nrows(), x.ncols());
+/// Columns `cols` of `B = Qᵀ (X − 1μᵀ)` — of `X − 1μᵀ` itself when `qt` is
+/// `None` — written over `out`, one slice per row of `B`.
+fn project_band(
+    qt: Option<&Matrix>,
+    x: &Matrix,
+    means: &[f64],
+    cols: Range<usize>,
+    out: &mut [&mut [f64]],
+) {
+    match qt {
+        Some(qt) => centered_band_product(qt, x, means, cols, out),
+        None => {
+            for (row, dst) in x.rows_iter().zip(out) {
+                let centered = row[cols.clone()].iter().zip(&means[cols.clone()]);
+                for (d, (&v, &mu)) in dst.iter_mut().zip(centered) {
+                    *d = v - mu;
+                }
+            }
+        }
+    }
+}
+
+/// `B Bᵀ` (`m x m`) for `B = Qᵀ (X − 1μᵀ)` (`B = X − 1μᵀ` when `qt` is
+/// `None`), without storing `B`: each round computes [`GRAM_GROUP_COLS`]
+/// columns of it, one column band per task, then folds them into the
+/// result with row bands of it as tasks. Every element continues one
+/// ascending chain over `B`'s columns from 0.0, so the result is
+/// bit-identical to `B.matmul_nt(&B)`.
+fn projected_gram(qt: Option<&Matrix>, x: &Matrix, means: &[f64]) -> Matrix {
+    let (m, p) = (qt.map_or(x.nrows(), Matrix::nrows), x.ncols());
     let mut gram = Matrix::zeros(m, m);
     let mut group = vec![0.0; m * GRAM_GROUP_COLS.min(p)];
     for g0 in (0..p).step_by(GRAM_GROUP_COLS) {
@@ -306,26 +376,26 @@ fn projected_gram(qt: &Matrix, x: &Matrix, means: &[f64]) -> Matrix {
         let b = &mut group[..m * cols.len()];
         let mut bands = column_bands(b, cols.len());
         odflow_par::parallel_chunks(&mut bands, 1, |c, band| {
-            centered_band_product(qt, x, means, band_cols(c, cols.clone()), &mut band[0]);
+            project_band(qt, x, means, band_cols(c, cols.clone()), &mut band[0]);
         });
         nt_into(b, None, b, cols.len(), gram.as_mut_slice(), false);
     }
     gram
 }
 
-/// `V = Bᵀ W` (`p x r`) for `B = Qᵀ (X − 1μᵀ)`, without storing `B`: each
-/// task recomputes one column band of `B` and writes that band's rows of
-/// `V`, every element accumulating over `B`'s rows in ascending order from
-/// 0.0 — the bits of `B.matmul_tn(W)`.
-fn projected_rotation(qt: &Matrix, x: &Matrix, means: &[f64], w: &Matrix) -> Matrix {
-    let (m, p, r) = (qt.nrows(), x.ncols(), w.ncols());
+/// `V = Bᵀ W` (`p x r`) for `B = Qᵀ (X − 1μᵀ)` (`B = X − 1μᵀ` when `qt` is
+/// `None`), without storing `B`: each task recomputes one column band of
+/// `B` and writes that band's rows of `V`, every element accumulating over
+/// `B`'s rows in ascending order from 0.0 — the bits of `B.matmul_tn(W)`.
+fn projected_rotation(qt: Option<&Matrix>, x: &Matrix, means: &[f64], w: &Matrix) -> Matrix {
+    let (m, p, r) = (w.nrows(), x.ncols(), w.ncols());
     let mut v = Matrix::zeros(p, r);
     odflow_par::parallel_chunks(v.as_mut_slice(), MATMUL_COL_BLOCK * r, |c, v_rows| {
         let cols = band_cols(c, 0..p);
         let width = cols.len();
         let mut b = vec![0.0; m * width];
         let mut rows: Vec<&mut [f64]> = b.chunks_mut(width).collect();
-        centered_band_product(qt, x, means, cols, &mut rows);
+        project_band(qt, x, means, cols, &mut rows);
         tn_block(&b, width, w.as_slice(), r, 0, v_rows);
     });
     v
@@ -594,9 +664,15 @@ mod tests {
         let w = eig.eigenvectors.select_cols(&keep).unwrap();
         let u = qt.matmul_tn(&w).unwrap();
         let mut v = b.matmul_tn(&w).unwrap();
-        // Column norms summed per V_COL_BLOCK-row block, blocks combined in
-        // order.
-        let r = sigma.len();
+        normalize_columns(&mut v);
+        let f = xc.frobenius_norm();
+        (Svd { u, sigma, v }, f * f)
+    }
+
+    /// Scales every column of `v` to unit norm, the norms summed per
+    /// `V_COL_BLOCK`-row block and the blocks combined in order.
+    fn normalize_columns(v: &mut Matrix) {
+        let r = v.ncols();
         let norms_sq = v
             .as_slice()
             .chunks(V_COL_BLOCK * r)
@@ -620,8 +696,6 @@ mod tests {
                 *val *= if norm > 1e-300 { 1.0 / norm } else { 1.0 };
             }
         }
-        let f = xc.frobenius_norm();
-        (Svd { u, sigma, v }, f * f)
     }
 
     /// Asserts the copy-free route on `x` equals the materialized oracle
@@ -718,6 +792,90 @@ mod tests {
             let opts = RandomizedSvdOptions { oversample, power_iters, seed };
             assert_copy_free_matches(&x, rank, opts, &format!("{n} x {p}, rank {rank}"));
         }
+    }
+
+    /// The row-Gram route on a centered copy and the public kernels: `G =
+    /// Xc Xcᵀ` by `matmul_nt`, `U = W` its kept eigenvectors, `V = Xcᵀ W`
+    /// by `matmul_tn` normalized per column, the energy `Σ σ²`. Kept as the
+    /// oracle the copy-free route must reproduce bit for bit.
+    fn materialized_row_gram_svd(x: &Matrix) -> (Svd, f64) {
+        let (xc, _) = crate::center::center_columns(x).unwrap();
+        let (n, p) = xc.shape();
+        let eig = eigen_symmetric(&xc.matmul_nt(&xc).unwrap()).unwrap();
+        let sigma_max = eig.eigenvalues[0].max(0.0).sqrt();
+        if sigma_max == 0.0 {
+            let svd = Svd { u: Matrix::zeros(n, 1), sigma: vec![0.0], v: Matrix::zeros(p, 1) };
+            return (svd, 0.0);
+        }
+        let (sigma, keep): (Vec<f64>, Vec<usize>) = eig
+            .eigenvalues
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| (l.max(0.0).sqrt(), i))
+            .filter(|&(s, _)| s > f64::EPSILON.sqrt() * sigma_max)
+            .unzip();
+        let u = eig.eigenvectors.select_cols(&keep).unwrap();
+        let mut v = xc.matmul_tn(&u).unwrap();
+        normalize_columns(&mut v);
+        let energy = sigma.iter().map(|s| s * s).sum();
+        (Svd { u, sigma, v }, energy)
+    }
+
+    #[test]
+    fn row_gram_reads_the_window_where_it_lies_bit_for_bit() {
+        // Both sides of the column band (`MATMUL_COL_BLOCK`) and of a round
+        // of the Gram fold (`GRAM_GROUP_COLS`), at odd and even bin counts
+        // down to two; thread limits 1, 2 and 5 on each.
+        let widths = [
+            MATMUL_COL_BLOCK - 1,
+            MATMUL_COL_BLOCK,
+            MATMUL_COL_BLOCK + 1,
+            GRAM_GROUP_COLS - 1,
+            GRAM_GROUP_COLS,
+            GRAM_GROUP_COLS + 1,
+        ];
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (case, (&p, n)) in widths.iter().zip([2usize, 24, 17, 9, 2, 24]).enumerate() {
+            let x = leveled(n, p, 5.min(n));
+            let means = crate::center::column_means(&x);
+            let (want, want_energy) = materialized_row_gram_svd(&x);
+            assert!(want.rank() >= n.min(5) - 1, "case {case}: σ = {:?}", want.sigma);
+            for threads in [1usize, 2, 5] {
+                let (got, energy) = odflow_par::with_thread_limit(threads, || {
+                    centered_row_gram_svd(&x, &means).unwrap()
+                });
+                let tag = format!("case {case} ({n} x {p}), threads={threads}");
+                assert_eq!(bits(&got.sigma), bits(&want.sigma), "sigma, {tag}");
+                assert_eq!(got.u.shape(), want.u.shape(), "{tag}");
+                assert_eq!(bits(got.u.as_slice()), bits(want.u.as_slice()), "u, {tag}");
+                assert_eq!(got.v.shape(), want.v.shape(), "{tag}");
+                assert_eq!(bits(got.v.as_slice()), bits(want.v.as_slice()), "v, {tag}");
+                assert_eq!(energy.to_bits(), want_energy.to_bits(), "energy, {tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_gram_of_a_constant_window_is_the_zero_triplet() {
+        let x = Matrix::from_fn(7, MATMUL_COL_BLOCK + 3, |_, j| 40.0 + j as f64);
+        let (svd, energy) = centered_row_gram_svd(&x, &crate::center::column_means(&x)).unwrap();
+        assert_eq!(svd.sigma, vec![0.0]);
+        assert_eq!((svd.u.shape(), svd.v.shape()), ((7, 1), (MATMUL_COL_BLOCK + 3, 1)));
+        assert_eq!(energy, 0.0);
+    }
+
+    #[test]
+    fn row_gram_refuses_non_finite_centered_values() {
+        let mut x = leveled(6, 700, 3);
+        let means = crate::center::column_means(&x);
+        x[(4, 650)] = f64::INFINITY;
+        assert!(matches!(centered_row_gram_svd(&x, &means), Err(LinalgError::NonFinite { .. })));
+        x[(4, 650)] = f64::NAN;
+        assert!(matches!(centered_row_gram_svd(&x, &means), Err(LinalgError::NonFinite { .. })));
+        assert!(matches!(
+            centered_row_gram_svd(&Matrix::zeros(0, 700), &[0.0; 700]),
+            Err(LinalgError::Empty { .. })
+        ));
     }
 
     #[test]

@@ -46,9 +46,10 @@ impl EigenflowDecomposition {
     /// the paper requires ("the multivariate mean ... for eigenflows is
     /// equal to zero by construction").
     ///
-    /// This is the exact dense path (full spectrum) whatever `p` is. Use
-    /// [`Self::fit_with`] to choose — at large-mesh scale (`p ≈ 90 000`) the
-    /// dense Gram matrix is out of reach by design.
+    /// This is the exact dense path (full spectrum) whatever the shape. Use
+    /// [`Self::fit_with`] to choose — a window both long and wide (a week of
+    /// bins over `p ≈ 90 000` OD pairs) outgrows either dense Gram matrix
+    /// by design.
     ///
     /// # Errors
     ///
@@ -61,14 +62,17 @@ impl EigenflowDecomposition {
     /// Computes the decomposition with an explicit [`EigenMethod`],
     /// retaining (at least) the top `rank` eigenflows.
     ///
-    /// The dense method (`DenseTridiagonal`, or `Auto` resolving to it)
-    /// ignores `rank` and keeps the full spectrum of a centered copy of
-    /// `x`, so its [`Self::total_energy`] is exactly the retained `Σ σ²`.
-    /// The randomized method keeps `rank + oversample` triplets and never
-    /// copies `x`: its products subtract the column means as they load
-    /// each element, and one row-major pass over `x` — the finiteness check
-    /// of the centered values — sums the energy `Σ (x − μ)²` that fixes the
-    /// unseen tail. Neither materializes anything `p x p`.
+    /// The dense method (`DenseTridiagonal`, or `Auto` resolving to it —
+    /// whenever `n` or `p` is at most 512) ignores `rank` and keeps the
+    /// full spectrum, so its [`Self::total_energy`] is exactly the retained
+    /// `Σ σ²` and the decomposition is never `truncated`. It factors a
+    /// centered copy's `p x p` Gram while `p ≤ max(n, 512)`, and a wider
+    /// window's `n x n` row Gram read where `x` lies, dropping triplets
+    /// below `√ε · σ_max` as rounding. The randomized method keeps
+    /// `rank + oversample` triplets and never copies `x`: its products
+    /// subtract the column means as they load each element, and one
+    /// row-major pass over `x` — the finiteness check of the centered
+    /// values — sums the energy `Σ (x − μ)²` that fixes the unseen tail.
     ///
     /// # Errors
     ///
@@ -83,7 +87,7 @@ impl EigenflowDecomposition {
         let means = column_means(x);
         let (svd, total_energy) = truncated_svd(x, &means, rank.max(1), method)?;
         Ok(EigenflowDecomposition {
-            truncated: !method.is_dense_for(p) && svd.rank() < n.min(p),
+            truncated: !method.is_dense_for((n, p)) && svd.rank() < n.min(p),
             eigenflows: svd.u,
             loadings: svd.v,
             singular_values: svd.sigma,

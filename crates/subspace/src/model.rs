@@ -26,9 +26,9 @@ use odflow_stats::{q_threshold, t2_threshold};
 /// # Examples
 ///
 /// The eigen-backend is part of the configuration: the default
-/// [`EigenMethod::Auto`] stays on the exact dense path through mid-size
-/// meshes and switches to the randomized truncated solver once the OD
-/// space outgrows the dense Gram matrix.
+/// [`EigenMethod::Auto`] stays on the exact dense path while either side
+/// of the window — bins or OD pairs — is at most 512, and switches to the
+/// randomized truncated solver only when both outgrow a dense Gram matrix.
 ///
 /// ```
 /// use odflow_linalg::EigenMethod;
@@ -36,9 +36,10 @@ use odflow_stats::{q_threshold, t2_threshold};
 ///
 /// // The paper's defaults: k = 4, 99.9% confidence, Auto backend.
 /// let cfg = SubspaceConfig::default();
-/// assert!(cfg.method.is_dense_for(121)); // Abilene: dense, exact
-/// assert!(cfg.method.is_dense_for(512)); // mid-size: still dense
-/// assert!(!cfg.method.is_dense_for(90_000)); // large mesh: randomized
+/// assert!(cfg.method.is_dense_for((2016, 121))); // Abilene week: dense, exact
+/// assert!(cfg.method.is_dense_for((2016, 512))); // mid-size: still dense
+/// assert!(cfg.method.is_dense_for((24, 90_000))); // two hours of a large mesh: exact
+/// assert!(!cfg.method.is_dense_for((2016, 90_000))); // a week of it: randomized
 ///
 /// // Pinning an explicit backend (e.g. for reproducing a CI run):
 /// let pinned = SubspaceConfig {
@@ -60,8 +61,8 @@ pub struct SubspaceConfig {
     /// 99.9% confidence level, i.e. `alpha = 0.001`.
     pub alpha: f64,
     /// Eigen-backend used at fit time (see [`EigenMethod`]). `Auto` — the
-    /// default — picks the dense exact solver for small-to-mid OD spaces
-    /// and the randomized truncated solver for large ones.
+    /// default — picks the dense exact solver when the window has at most
+    /// 512 bins or OD pairs, and the randomized truncated solver otherwise.
     pub method: EigenMethod,
 }
 
@@ -125,8 +126,8 @@ impl SubspaceModel {
     /// Fits the model to an `n x p` traffic matrix (rows = 5-minute bins,
     /// columns = OD pairs) using the eigen-backend selected by
     /// `config.method` ([`EigenMethod::Auto`] by default: the exact dense
-    /// solver through mid-size meshes, randomized truncated once `p`
-    /// outgrows the dense Gram matrix).
+    /// solver while `n` or `p` is at most 512, randomized truncated once
+    /// both outgrow a dense Gram matrix).
     ///
     /// # Errors
     ///

@@ -216,9 +216,11 @@ fn run_with(
 ///
 /// The eigen-backend comes from `config.method`: with the default
 /// [`odflow_subspace::EigenMethod::Auto`] this runs the exact dense solver
-/// at the paper's scale and the randomized truncated solver at large-mesh
-/// scale (90 000 OD pairs), never materializing a `p x p` matrix. This is
-/// what the `large_mesh_detect` perf stage times.
+/// whenever the window has at most 512 bins or OD pairs — the paper's
+/// `p x p` Gram at 121 OD pairs, the `n x n` row Gram of a short
+/// large-mesh window (24 bins × 90 000 OD pairs) — and the randomized
+/// truncated solver only when both sides are larger. This is the stage
+/// `e2e_bench`'s `large_mesh` workload times after ingest.
 ///
 /// # Errors
 ///
