@@ -280,7 +280,7 @@ mod tests {
         // must be reported missing.
         let stages = parse_stages(SAMPLE);
         let missing = missing_required(&stages);
-        assert_eq!(missing, ["fanout", "eigen_tridiag", "model_fit", "detector"]);
+        assert_eq!(missing, ["fanout", "eigen_tridiag", "model_fit", "detector", "wide_fit"]);
     }
 
     #[test]
@@ -330,7 +330,7 @@ mod tests {
                 parallel_ms: 1.0,
             })
             .collect();
-        assert_eq!(stages.len(), 6, "the kernel rows and nothing else");
+        assert_eq!(stages.len(), 7, "the kernel rows and nothing else");
         assert!(missing_required(&stages).is_empty());
     }
 }

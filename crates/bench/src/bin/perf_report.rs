@@ -3,7 +3,8 @@
 //!
 //! Times the kernels no `e2e_bench` workload isolates — the fan-out
 //! dispatch microbench, Gram matrix, blocked matmul, dense
-//! eigendecomposition, subspace model fit and batch detection — twice:
+//! eigendecomposition, subspace model fit, batch detection and a wide
+//! window's fit by row Gram and by sketch — twice:
 //! once with the pool pinned to a single thread (the serial baseline) and
 //! once with the full pool. Whole-system numbers (generator, ingest, the
 //! 90k-OD mesh, the daemon, checkpoints) are `e2e_bench`'s, where a
@@ -34,8 +35,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use odflow::linalg::{eigen_symmetric, scatter};
-use odflow::subspace::{SubspaceDetector, SubspaceModel};
+use odflow::linalg::{eigen_symmetric, scatter, EigenMethod, DEFAULT_SKETCH_SEED};
+use odflow::subspace::{EigenflowDecomposition, SubspaceDetector, SubspaceModel};
 use odflow_bench::{traffic_matrix, PERF_STAGES};
 
 /// Which stages this invocation measures: all of them, or the `--stage`
@@ -262,6 +263,29 @@ fn main() {
             stages.push(run_stage("detector", "n=2016 p=121 analyze".into(), reps, || {
                 SubspaceDetector::default().analyze(&x).unwrap()
             }));
+        }
+    }
+
+    // A wide window fitted both ways `Auto` chooses between: the exact row
+    // Gram (`DenseTridiagonal` on a window wider than 512) and the default
+    // sketch, at the large mesh's 24 bins, at the most bins `Auto` gives
+    // the row Gram for k = 10 (63), and past that (96).
+    if filter.enabled("wide_fit") {
+        let p = 20_000;
+        let sketch = EigenMethod::RandomizedTruncated {
+            oversample: 8,
+            power_iters: 2,
+            seed: DEFAULT_SKETCH_SEED,
+        };
+        let routes = [("row-gram", EigenMethod::DenseTridiagonal), ("sketch", sketch)];
+        for n in [24usize, 63, 96] {
+            let x = traffic_matrix(n, p);
+            for (route, method) in routes {
+                let workload = format!("n={n} p={p} k=10 {route}");
+                stages.push(run_stage("wide_fit", workload, reps, || {
+                    EigenflowDecomposition::fit_with(&x, 10, method).unwrap()
+                }));
+            }
         }
     }
 

@@ -22,7 +22,7 @@
 //!   | `ablation-dominance` | classification vs the dominance threshold `p` |
 //!   | `fig1-csv` | Figure 1's full series as CSV (on request only) |
 //!
-//! * `perf_report` / `perf_gate` — *how fast is a kernel.* The six
+//! * `perf_report` / `perf_gate` — *how fast is a kernel.* The seven
 //!   [`PERF_STAGES`] rows, gated on `serial_ms`.
 //! * `e2e_bench` — *how fast is the system.* The repo's benchmark
 //!   (`BENCHMARK.json`): five verified workloads and `--compare`.
@@ -37,7 +37,7 @@ pub mod plot;
 /// arguments against it) and `perf_gate` (which requires all of them in a
 /// full report, so a new stage is gated the moment it is registered here).
 pub const PERF_STAGES: &[&str] =
-    &["fanout", "gram", "matmul", "eigen_tridiag", "model_fit", "detector"];
+    &["fanout", "gram", "matmul", "eigen_tridiag", "model_fit", "detector", "wide_fit"];
 
 /// The fixed seed `paper_report` runs the study with, so the committed
 /// golden is reproducible.

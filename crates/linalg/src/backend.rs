@@ -4,28 +4,32 @@
 //! this crate: the top singular triplets of an `n x p` data matrix. The
 //! dense route is exact and factors whichever Gram matrix is small: the
 //! `p x p` column Gram `XᵀX` of the paper's tall windows (2016 bins × 121
-//! OD pairs), or the `n x n` row Gram `XXᵀ` of a window with fewer bins
-//! than OD pairs (24 bins × 90 000 OD pairs is a 24 × 24 eigenproblem).
-//! Only a window long *and* wide outgrows both; the randomized range
-//! finder ([`crate::randomized_thin_svd`]) takes it, touching nothing
-//! larger than a `p x (k + oversample)` panel. [`EigenMethod`] is the
-//! selector `SubspaceConfig` carries, and [`truncated_svd`] the one place
-//! it is acted on.
+//! OD pairs), or the `n x n` row Gram `XXᵀ` of a window with few bins and
+//! many OD pairs (24 bins × 90 000 OD pairs is a 24 × 24 eigenproblem).
+//! The randomized range finder ([`crate::randomized_thin_svd`]) takes the
+//! windows long *and* wide, touching nothing larger than a
+//! `p x (k + oversample)` panel. [`EigenMethod`] is the selector
+//! `SubspaceConfig` carries, and [`truncated_svd`] the one place it is
+//! acted on.
 
 use crate::center::subtract_means;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::randomized::{
-    centered_randomized_svd, centered_row_gram_svd, RandomizedSvdOptions, DEFAULT_SKETCH_SEED,
+    centered_randomized_svd, centered_row_gram_svd, row_gram_within_sketch_cost,
+    RandomizedSvdOptions, DEFAULT_SKETCH_SEED,
 };
 use crate::svd::{thin_svd, Svd};
 
-/// Largest Gram dimension [`EigenMethod::Auto`] factors exactly: a window
-/// with at most this many OD pairs `p` *or* at most this many bins `n`
-/// stays on the dense exact path, through its `p x p` or its `n x n` Gram
-/// matrix (hundreds of milliseconds at 512). Only when both sides exceed
-/// it does `Auto` switch to the randomized truncated solver, whose cost
-/// grows only linearly in each side.
+/// Largest Gram dimension [`EigenMethod::Auto`] factors exactly. A window
+/// with at most this many OD pairs `p` stays on the dense exact path
+/// through its `p x p` column Gram: `O(p²)` memory and `O(n p² + p³)`
+/// time, hundreds of milliseconds at 512. A wider one with at most this
+/// many bins `n` goes through its `n x n` row Gram only while that costs
+/// no more than the randomized sketch it replaces: the row Gram's
+/// `O(n² p)` multiply-adds and `p x (n − 1)` loadings grow with `p` as the
+/// sketch's `O(n (k + oversample) p)` does, but `n / (k + oversample)`
+/// times faster. Every other window takes the randomized truncated solver.
 pub const AUTO_DENSE_MAX_DIM: usize = 512;
 
 /// How to compute the eigen/singular decomposition during model fitting.
@@ -36,18 +40,21 @@ pub const AUTO_DENSE_MAX_DIM: usize = 512;
 /// use odflow_linalg::EigenMethod;
 ///
 /// // Auto takes the dense exact path at the paper's scale, for mid-size
-/// // meshes, and for any window with few enough bins...
-/// assert_eq!(EigenMethod::Auto.resolve((2016, 121)), EigenMethod::DenseTridiagonal);
-/// assert_eq!(EigenMethod::Auto.resolve((2016, 512)), EigenMethod::DenseTridiagonal);
-/// assert_eq!(EigenMethod::Auto.resolve((24, 90_000)), EigenMethod::DenseTridiagonal);
-/// // ...and the randomized truncated path only when both sides are large.
-/// assert!(matches!(
-///     EigenMethod::Auto.resolve((2016, 90_000)),
-///     EigenMethod::RandomizedTruncated { .. }
-/// ));
-/// // Explicit choices resolve to themselves.
+/// // meshes, and for a wide window with few bins (k = 10 here)...
 /// let dense = EigenMethod::DenseTridiagonal;
-/// assert_eq!(dense.resolve((2016, 90_000)), EigenMethod::DenseTridiagonal);
+/// assert_eq!(EigenMethod::Auto.resolve((2016, 121), 10), dense);
+/// assert_eq!(EigenMethod::Auto.resolve((2016, 512), 10), dense);
+/// assert_eq!(EigenMethod::Auto.resolve((24, 90_000), 10), dense);
+/// // ...and the randomized truncated path once the wide window has more
+/// // bins than its row Gram can factor for the sketch's cost.
+/// for n in [96, 2016] {
+///     assert!(matches!(
+///         EigenMethod::Auto.resolve((n, 90_000), 10),
+///         EigenMethod::RandomizedTruncated { .. }
+///     ));
+/// }
+/// // Explicit choices resolve to themselves.
+/// assert_eq!(dense.resolve((2016, 90_000), 10), dense);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EigenMethod {
@@ -83,38 +90,43 @@ pub enum EigenMethod {
         /// Seed of the ChaCha8 Gaussian sketch stream.
         seed: u64,
     },
-    /// Pick by problem size: [`EigenMethod::DenseTridiagonal`] when either
-    /// side of the window is at most [`AUTO_DENSE_MAX_DIM`], otherwise
-    /// [`EigenMethod::RandomizedTruncated`] with default parameters
-    /// (`oversample = 8`, `power_iters = 2`, a fixed seed). This is the
-    /// default carried by `SubspaceConfig`.
+    /// Pick by problem size: [`EigenMethod::DenseTridiagonal`] when the
+    /// window has at most [`AUTO_DENSE_MAX_DIM`] OD pairs, or at most that
+    /// many bins and few enough that its row Gram costs no more than the
+    /// sketch (`2n ≤ (2q + 3)(k + oversample)`: 63 bins at `k = 10`);
+    /// otherwise [`EigenMethod::RandomizedTruncated`] with default
+    /// parameters (`oversample = 8`, `power_iters = 2`, a fixed seed). This
+    /// is the default carried by `SubspaceConfig`.
     #[default]
     Auto,
 }
 
 impl EigenMethod {
-    /// Collapses [`EigenMethod::Auto`] into a concrete method for an
-    /// `n x p` window (`shape = (n, p)`: bins, OD pairs); explicit choices
-    /// return themselves.
-    pub fn resolve(self, (n, p): (usize, usize)) -> EigenMethod {
-        match self {
-            EigenMethod::Auto if n.min(p) <= AUTO_DENSE_MAX_DIM => EigenMethod::DenseTridiagonal,
-            EigenMethod::Auto => {
-                let d = RandomizedSvdOptions::default();
-                EigenMethod::RandomizedTruncated {
-                    oversample: d.oversample,
-                    power_iters: d.power_iters,
-                    seed: DEFAULT_SKETCH_SEED,
-                }
+    /// Collapses [`EigenMethod::Auto`] into a concrete method for the top
+    /// `rank` triplets of an `n x p` window (`shape = (n, p)`: bins, OD
+    /// pairs); explicit choices return themselves.
+    pub fn resolve(self, (n, p): (usize, usize), rank: usize) -> EigenMethod {
+        if self != EigenMethod::Auto {
+            return self;
+        }
+        let d = RandomizedSvdOptions::default();
+        let row_gram = n <= AUTO_DENSE_MAX_DIM && row_gram_within_sketch_cost((n, p), rank, d);
+        if p <= AUTO_DENSE_MAX_DIM || row_gram {
+            EigenMethod::DenseTridiagonal
+        } else {
+            EigenMethod::RandomizedTruncated {
+                oversample: d.oversample,
+                power_iters: d.power_iters,
+                seed: DEFAULT_SKETCH_SEED,
             }
-            other => other,
         }
     }
 
-    /// `true` when fitting an `n x p` window (`shape = (n, p)`) takes the
-    /// dense exact path and so returns the full spectrum.
-    pub fn is_dense_for(self, shape: (usize, usize)) -> bool {
-        self.resolve(shape) == EigenMethod::DenseTridiagonal
+    /// `true` when fitting the top `rank` triplets of an `n x p` window
+    /// (`shape = (n, p)`) takes the dense exact path and so returns the
+    /// full spectrum.
+    pub fn is_dense_for(self, shape: (usize, usize), rank: usize) -> bool {
+        self.resolve(shape, rank) == EigenMethod::DenseTridiagonal
     }
 }
 
@@ -187,7 +199,7 @@ pub fn truncated_svd(
         });
     }
     let (n, p) = x.shape();
-    match method.resolve((n, p)) {
+    match method.resolve((n, p), rank) {
         EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
             let opts = RandomizedSvdOptions { oversample, power_iters, seed };
             centered_randomized_svd(x, means, rank, opts)
@@ -210,36 +222,39 @@ mod tests {
 
     #[test]
     fn auto_resolves_by_dimension() {
-        let dense = |shape| EigenMethod::Auto.resolve(shape) == EigenMethod::DenseTridiagonal;
+        let dense = |shape, rank| EigenMethod::Auto.is_dense_for(shape, rank);
         let big = AUTO_DENSE_MAX_DIM + 1;
-        // Dense when either side is small enough for its Gram matrix.
-        for shape in [(2, 2), (2016, 121), (big, AUTO_DENSE_MAX_DIM), (AUTO_DENSE_MAX_DIM, big)] {
-            assert!(dense(shape), "{shape:?}");
+        // At most AUTO_DENSE_MAX_DIM OD pairs: the column Gram, whatever n.
+        for shape in [(2, 2), (2016, 121), (90_000, 24), (big, AUTO_DENSE_MAX_DIM)] {
+            assert!(dense(shape, 4), "{shape:?}");
         }
-        assert!(dense((24, 90_000)) && dense((90_000, 24)));
-        // Randomized only when both exceed it.
-        for shape in [(big, big), (2016, 90_000)] {
-            match EigenMethod::Auto.resolve(shape) {
+        // A wider window: the row Gram while 2n ≤ 7 (k + 8), the sketch's
+        // width clamped to n — up to 42 bins at k = 4, 63 at k = 10, and any
+        // n whose sketch would span every bin — if n ≤ AUTO_DENSE_MAX_DIM.
+        for (n, k) in [(24, 4), (42, 4), (24, 10), (63, 10), (2, 1), (300, 300)] {
+            assert!(dense((n, 90_000), k), "n = {n}, k = {k}");
+        }
+        for (n, k) in [(43, 4), (64, 10), (96, 10), (big, big), (2016, 4)] {
+            match EigenMethod::Auto.resolve((n, 90_000), k) {
                 EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
                     assert_eq!(oversample, 8);
                     assert_eq!(power_iters, 2);
                     assert_eq!(seed, DEFAULT_SKETCH_SEED);
                 }
-                other => panic!("{shape:?}: expected randomized, got {other:?}"),
+                other => panic!("n = {n}, k = {k}: expected randomized, got {other:?}"),
             }
         }
-        assert!(EigenMethod::Auto.is_dense_for((2016, 121)));
-        assert!(EigenMethod::Auto.is_dense_for((24, 90_000)));
-        assert!(!EigenMethod::Auto.is_dense_for((2016, 90_000)));
+        assert!(!dense((big, big), 4));
     }
 
     #[test]
     fn explicit_methods_resolve_to_themselves() {
-        assert_eq!(EigenMethod::DenseTridiagonal.resolve((2, 2)), EigenMethod::DenseTridiagonal);
-        assert!(EigenMethod::DenseTridiagonal.is_dense_for((1_000_000, 1_000_000)));
+        let dense = EigenMethod::DenseTridiagonal;
+        assert_eq!(dense.resolve((2, 2), 1), dense);
+        assert!(dense.is_dense_for((1_000_000, 1_000_000), 4));
         let r = EigenMethod::RandomizedTruncated { oversample: 3, power_iters: 1, seed: 42 };
-        assert_eq!(r.resolve((4, 4)), r);
-        assert!(!r.is_dense_for((4, 4)));
+        assert_eq!(r.resolve((4, 4), 2), r);
+        assert!(!r.is_dense_for((4, 4), 2));
     }
 
     #[test]

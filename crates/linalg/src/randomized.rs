@@ -60,8 +60,11 @@
 //! folded from centered column bands of `X`, then `V = Xcᵀ W Σ⁻¹` band by
 //! band — factor the window exactly, with `U = W`. The dense path takes
 //! this route for a window wider than it is long (24 bins × 90 000 OD
-//! pairs: a 24 × 24 eigenproblem, `≈ 5·10⁷` multiply-adds a pass), so the
-//! range finder is left only the windows long and wide at once.
+//! pairs: a 24 × 24 eigenproblem, `≈ 5·10⁷` multiply-adds a pass). Its
+//! passes are `n` wide where the sketch's are `k + oversample`, so
+//! [`crate::EigenMethod::Auto`] takes it only while it costs no more than
+//! the sketch would (`row_gram_within_sketch_cost`), and leaves the range
+//! finder every window with more bins than that.
 //!
 //! Reference: Halko, Martinsson & Tropp, *Finding Structure with
 //! Randomness* (SIAM Rev. 2011), Algorithms 4.3-4.4 + 5.1. The sketching
@@ -174,10 +177,7 @@ pub(crate) fn centered_randomized_svd(
         return Err(LinalgError::Empty { op: "randomized_thin_svd" });
     }
     let energy = centered_energy(x, means)?;
-
-    // Sketch width: requested rank + oversampling, clamped to the exact
-    // rank bound where the randomized route degenerates gracefully.
-    let m = (rank + opts.oversample).clamp(1, n.min(p));
+    let m = sketch_width((n, p), rank, opts.oversample);
 
     // Y = Xc Ω with Ω ~ N(0, 1)^{p x m}, drawn from one seeded stream
     // (thread-count independent by construction); Qᵀ starts as Yᵀ.
@@ -195,6 +195,41 @@ pub(crate) fn centered_randomized_svd(
 
     let svd = factor_projection(Some(&qt), x, means)?;
     Ok((svd, energy))
+}
+
+/// Columns of the sketch for the top `rank` triplets of an `n x p` matrix:
+/// the requested rank plus the oversample, clamped to the exact rank bound
+/// where the randomized route degenerates gracefully.
+fn sketch_width((n, p): (usize, usize), rank: usize, oversample: usize) -> usize {
+    (rank + oversample).clamp(1, n.min(p))
+}
+
+/// `true` when [`centered_row_gram_svd`] of an `n x p` window costs no more
+/// multiply-adds than the sketch `opts` would for its top `rank` triplets.
+///
+/// Every pass over the window costs `p` times its width. The sketch makes
+/// `2q + 3` passes `m` wide (`q` power iterations, `m` its width): `Xc Ω`,
+/// two per power iteration, and `B = Qᵀ Xc` twice, once into `B Bᵀ` and
+/// once into `V`. The row Gram makes two about `n` wide: `G`, then `V` over
+/// its up to `n − 1` triplets. So the row Gram wins while `2n ≤ (2q + 3) m`
+/// — `n ≤ 63` at `k = 10` and the default options, `n ≤ 42` at `k = 4` —
+/// and its `p x (n − 1)` loadings are then at most 3.5 times the sketch's
+/// `p x m` panel, and never larger than the window.
+///
+/// Measured on 2 vCPUs at `p = 20 000` (best of three fits), the row Gram
+/// took 0.52× the sketch's time at `n = 64, k = 10` and 0.57× at `n = 48,
+/// k = 4` on the default pool (0.82× and 0.91× on one thread), and broke
+/// even near `n = 90` and `n = 70`: the sketch's passes run slower per
+/// multiply-add than the row Gram's and it draws `p·m` Gaussians besides,
+/// so the count leaves the exact route a margin rather than a loss. Past
+/// the break-even the row Gram's `O(n² p)` grows away from the sketch's
+/// `O(n m p)`: 5.2× the sketch's time at `n = 256, k = 10`.
+pub(crate) fn row_gram_within_sketch_cost(
+    shape: (usize, usize),
+    rank: usize,
+    opts: RandomizedSvdOptions,
+) -> bool {
+    2 * shape.0 <= (2 * opts.power_iters + 3) * sketch_width(shape, rank, opts.oversample)
 }
 
 /// The exact thin SVD of the column-centered `Xc = X − 1μᵀ` (μ = `means`)

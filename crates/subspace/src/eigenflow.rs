@@ -63,8 +63,9 @@ impl EigenflowDecomposition {
     /// retaining (at least) the top `rank` eigenflows.
     ///
     /// The dense method (`DenseTridiagonal`, or `Auto` resolving to it —
-    /// whenever `n` or `p` is at most 512) ignores `rank` and keeps the
-    /// full spectrum, so its [`Self::total_energy`] is exactly the retained
+    /// whenever `p` is at most 512, or `n` few enough bins that the row
+    /// Gram costs no more than the sketch) keeps the full spectrum whatever
+    /// `rank` is, so its [`Self::total_energy`] is exactly the retained
     /// `Σ σ²` and the decomposition is never `truncated`. It factors a
     /// centered copy's `p x p` Gram while `p ≤ max(n, 512)`, and a wider
     /// window's `n x n` row Gram read where `x` lies, dropping triplets
@@ -85,9 +86,10 @@ impl EigenflowDecomposition {
             return Err(SubspaceError::InsufficientData { n, p, need: "need n >= 2 and p >= 2" });
         }
         let means = column_means(x);
-        let (svd, total_energy) = truncated_svd(x, &means, rank.max(1), method)?;
+        let rank = rank.max(1);
+        let (svd, total_energy) = truncated_svd(x, &means, rank, method)?;
         Ok(EigenflowDecomposition {
-            truncated: !method.is_dense_for((n, p)) && svd.rank() < n.min(p),
+            truncated: !method.is_dense_for((n, p), rank) && svd.rank() < n.min(p),
             eigenflows: svd.u,
             loadings: svd.v,
             singular_values: svd.sigma,

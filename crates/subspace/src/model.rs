@@ -26,9 +26,10 @@ use odflow_stats::{q_threshold, t2_threshold};
 /// # Examples
 ///
 /// The eigen-backend is part of the configuration: the default
-/// [`EigenMethod::Auto`] stays on the exact dense path while either side
-/// of the window — bins or OD pairs — is at most 512, and switches to the
-/// randomized truncated solver only when both outgrow a dense Gram matrix.
+/// [`EigenMethod::Auto`] stays on the exact dense path while the window
+/// has at most 512 OD pairs, or few enough bins that its row Gram costs no
+/// more than a randomized sketch, and takes the randomized truncated
+/// solver otherwise.
 ///
 /// ```
 /// use odflow_linalg::EigenMethod;
@@ -36,10 +37,12 @@ use odflow_stats::{q_threshold, t2_threshold};
 ///
 /// // The paper's defaults: k = 4, 99.9% confidence, Auto backend.
 /// let cfg = SubspaceConfig::default();
-/// assert!(cfg.method.is_dense_for((2016, 121))); // Abilene week: dense, exact
-/// assert!(cfg.method.is_dense_for((2016, 512))); // mid-size: still dense
-/// assert!(cfg.method.is_dense_for((24, 90_000))); // two hours of a large mesh: exact
-/// assert!(!cfg.method.is_dense_for((2016, 90_000))); // a week of it: randomized
+/// let dense = |shape| cfg.method.is_dense_for(shape, cfg.k);
+/// assert!(dense((2016, 121))); // Abilene week: dense, exact
+/// assert!(dense((2016, 512))); // mid-size: still dense
+/// assert!(dense((24, 90_000))); // two hours of a large mesh: exact
+/// assert!(!dense((288, 90_000))); // a day of it: randomized
+/// assert!(!dense((2016, 90_000))); // a week of it: randomized
 ///
 /// // Pinning an explicit backend (e.g. for reproducing a CI run):
 /// let pinned = SubspaceConfig {
@@ -62,7 +65,8 @@ pub struct SubspaceConfig {
     pub alpha: f64,
     /// Eigen-backend used at fit time (see [`EigenMethod`]). `Auto` — the
     /// default — picks the dense exact solver when the window has at most
-    /// 512 bins or OD pairs, and the randomized truncated solver otherwise.
+    /// 512 OD pairs or few enough bins, and the randomized truncated solver
+    /// otherwise.
     pub method: EigenMethod,
 }
 
@@ -126,8 +130,8 @@ impl SubspaceModel {
     /// Fits the model to an `n x p` traffic matrix (rows = 5-minute bins,
     /// columns = OD pairs) using the eigen-backend selected by
     /// `config.method` ([`EigenMethod::Auto`] by default: the exact dense
-    /// solver while `n` or `p` is at most 512, randomized truncated once
-    /// both outgrow a dense Gram matrix).
+    /// solver while `p` is at most 512 or the window's bins few enough for
+    /// its row Gram, randomized truncated otherwise).
     ///
     /// # Errors
     ///

@@ -216,10 +216,10 @@ fn run_with(
 ///
 /// The eigen-backend comes from `config.method`: with the default
 /// [`odflow_subspace::EigenMethod::Auto`] this runs the exact dense solver
-/// whenever the window has at most 512 bins or OD pairs — the paper's
-/// `p x p` Gram at 121 OD pairs, the `n x n` row Gram of a short
-/// large-mesh window (24 bins × 90 000 OD pairs) — and the randomized
-/// truncated solver only when both sides are larger. This is the stage
+/// on the paper's `p x p` Gram at 121 OD pairs and on the `n x n` row Gram
+/// of a short large-mesh window (24 bins × 90 000 OD pairs), and the
+/// randomized truncated solver on a wide window with more bins than its
+/// row Gram can factor for the sketch's cost. This is the stage
 /// `e2e_bench`'s `large_mesh` workload times after ingest.
 ///
 /// # Errors
