@@ -219,7 +219,8 @@ fn sketch_width((n, p): (usize, usize), rank: usize, oversample: usize) -> usize
 /// Measured on 2 vCPUs at `p = 20 000` (best of three fits), the row Gram
 /// took 0.52× the sketch's time at `n = 64, k = 10` and 0.57× at `n = 48,
 /// k = 4` on the default pool (0.82× and 0.91× on one thread), and broke
-/// even near `n = 90` and `n = 70`: the sketch's passes run slower per
+/// even near `n = 90` and `n = 70` (one thread: 85 and 52): the sketch's
+/// passes run slower per
 /// multiply-add than the row Gram's and it draws `p·m` Gaussians besides,
 /// so the count leaves the exact route a margin rather than a loss. Past
 /// the break-even the row Gram's `O(n² p)` grows away from the sketch's
