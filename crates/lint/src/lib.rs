@@ -33,12 +33,17 @@
 //! As a library, [`lint_root`] runs the full walk and returns a
 //! [`report::Report`]; [`check_source`] lints one in-memory file (this is
 //! what the fixture tests drive).
+//!
+//! The report also carries the workspace's size and its public surface:
+//! the `pub` items nothing names and those only tests name (see
+//! [`surface`] for how they are counted and what the count cannot see).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;
 pub mod rules;
+pub mod surface;
 pub mod tokenize;
 pub mod walk;
 
@@ -125,6 +130,7 @@ pub fn lint_root(root: &Path) -> std::io::Result<Report> {
     let mut allows_used = 0usize;
     let mut lines_scanned = 0usize;
     let mut crates: Vec<rules::CrateClass> = Vec::new();
+    let mut first_party = Vec::new();
     for rel in &files {
         let fc = walk::classify(rel);
         let source = std::fs::read_to_string(root.join(rel))?;
@@ -135,7 +141,11 @@ pub fn lint_root(root: &Path) -> std::io::Result<Report> {
         let (mut diags, used) = check_source(&fc, &source);
         allows_used += used;
         diagnostics.append(&mut diags);
+        if !matches!(fc.class, rules::CrateClass::Vendor(_)) {
+            first_party.push((fc.rel, tokenize::lex(&source).tokens));
+        }
     }
+    let (dead_pub_items, test_only_pub_items) = surface::pub_surface(&first_party);
     diagnostics.sort_by(|a, b| (&a.path, a.line, a.col).cmp(&(&b.path, b.line, b.col)));
     Ok(Report {
         root: root.display().to_string(),
@@ -144,6 +154,8 @@ pub fn lint_root(root: &Path) -> std::io::Result<Report> {
         workspace_crates: crates.len(),
         diagnostics,
         allows_used,
+        dead_pub_items,
+        test_only_pub_items,
     })
 }
 

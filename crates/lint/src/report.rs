@@ -51,6 +51,11 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `lint:allow` directives that suppressed a finding.
     pub allows_used: usize,
+    /// `pub` items nothing names, as `path:line name` (see
+    /// [`crate::surface`]).
+    pub dead_pub_items: Vec<String>,
+    /// `pub` items only test code names, as `path:line name`.
+    pub test_only_pub_items: Vec<String>,
 }
 
 impl Report {
@@ -68,8 +73,14 @@ impl Report {
         }
         if self.is_clean() {
             out.push_str(&format!(
-                "odflow_lint: clean — {} files, {} lines, {} crates, {} suppression(s) in use\n",
-                self.files_scanned, self.lines_scanned, self.workspace_crates, self.allows_used
+                "odflow_lint: clean — {} files, {} lines, {} crates, {} suppression(s) in use, \
+                 {} dead / {} test-only pub items\n",
+                self.files_scanned,
+                self.lines_scanned,
+                self.workspace_crates,
+                self.allows_used,
+                self.dead_pub_items.len(),
+                self.test_only_pub_items.len()
             ));
         } else {
             out.push_str(&format!(
@@ -99,6 +110,13 @@ impl Report {
             s.push_str(&json_str(r.name));
         }
         s.push_str("],\n");
+        for (key, items) in [
+            ("dead_pub_items", &self.dead_pub_items),
+            ("test_only_pub_items", &self.test_only_pub_items),
+        ] {
+            let items: Vec<String> = items.iter().map(|i| json_str(i)).collect();
+            s.push_str(&format!("  \"{key}\": [{}],\n", items.join(", ")));
+        }
         s.push_str("  \"violations\": [\n");
         for (i, d) in self.diagnostics.iter().enumerate() {
             s.push_str(&format!(
@@ -156,6 +174,8 @@ mod tests {
                 message: "raw `thread::spawn`".into(),
             }],
             allows_used: 2,
+            dead_pub_items: vec!["crates/a/src/lib.rs:3 unused".into()],
+            test_only_pub_items: Vec::new(),
         }
     }
 
@@ -173,7 +193,10 @@ mod tests {
         let mut r = sample();
         r.diagnostics.clear();
         assert!(r.is_clean());
-        assert!(r.render_text().contains("clean — 3 files, 410 lines, 2 crates, 2 suppression(s)"));
+        assert!(r.render_text().contains(
+            "clean — 3 files, 410 lines, 2 crates, 2 suppression(s) in use, \
+             1 dead / 0 test-only pub items"
+        ));
     }
 
     #[test]
@@ -188,6 +211,8 @@ mod tests {
         assert!(j.contains("\"files_scanned\": 3"));
         assert!(j.contains("\"lines_scanned\": 410"));
         assert!(j.contains("\"workspace_crates\": 2"));
+        assert!(j.contains("\"dead_pub_items\": [\"crates/a/src/lib.rs:3 unused\"],"));
+        assert!(j.contains("\"test_only_pub_items\": [],"));
         assert!(j.contains("\"rules\": [\"no-ambient-nondeterminism\""));
     }
 }

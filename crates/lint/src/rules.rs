@@ -378,7 +378,7 @@ fn panic_in_ingest(toks: &[Token], out: &mut Vec<Finding>) {
 /// Marks every token inside a `#[cfg(test)]`-gated item: from the `#` of
 /// the attribute through the item's closing brace (or terminating `;` for
 /// brace-less items such as `#[cfg(test)] use …;`).
-fn cfg_test_mask(toks: &[Token]) -> Vec<bool> {
+pub(crate) fn cfg_test_mask(toks: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
     while i + 6 < toks.len() {
