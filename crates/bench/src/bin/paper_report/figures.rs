@@ -1,8 +1,8 @@
 //! Figures 1 and 2.
 
-use odflow::stats::{summarize, Histogram};
 use odflow_bench::plot::{ascii_panel, csv};
 
+use crate::describe::{summarize, Histogram};
 use crate::{check, Check, Study};
 
 /// The paper's Figure 1 covers 3.5 days (4/8 - 4/11): the same span of

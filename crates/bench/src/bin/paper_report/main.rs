@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 
 mod ablations;
+mod describe;
 mod figures;
 mod tables;
 

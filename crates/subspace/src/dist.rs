@@ -1,30 +1,31 @@
-//! Probability distributions: Normal, chi-squared, F, and Student-t.
+//! The standard normal and F distributions behind the two thresholds.
 //!
-//! Each distribution exposes `pdf`, `cdf`, and `quantile` (inverse CDF).
 //! The subspace method needs exactly two quantiles — the standard-normal
 //! `c_α` inside the Jackson–Mudholkar Q-statistic threshold and the
-//! `F_{k, n-k, α}` quantile inside the T² threshold — but the full family is
-//! provided for the harness's ablation studies and for downstream users.
+//! `F_{k, n-k, α}` quantile inside the T² threshold. Chi-squared and
+//! Student-t live here too, compiled for tests only: they are the oracles
+//! the thresholds and the F quantile are checked against.
 //!
-//! Quantiles are computed by monotone bisection refined with Newton steps on
-//! the analytic CDFs, giving ~1e-12 accuracy; speed is irrelevant here
-//! because thresholds are computed once per detection window.
+//! Quantiles are computed by monotone bisection on the analytic CDFs
+//! (the normal one by a rational approximation refined by a Halley step),
+//! giving ~1e-12 accuracy; speed is irrelevant here because thresholds are
+//! computed once per fit.
 
-use crate::error::{Result, StatsError};
-use crate::special::{beta_inc, erf, gamma_p, ln_gamma};
+use crate::error::{Result, SubspaceError};
+use crate::special::{beta_inc, erf};
+
+/// The error for a probability outside the open interval `(0, 1)`.
+pub(crate) fn bad_probability(p: f64) -> SubspaceError {
+    SubspaceError::Threshold { reason: format!("probability must be in (0, 1), got {p}") }
+}
 
 /// Standard normal distribution `N(0, 1)`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Normal;
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Normal;
 
 impl Normal {
-    /// Probability density function.
-    pub fn pdf(x: f64) -> f64 {
-        (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
-    }
-
     /// Cumulative distribution function `Φ(x)`.
-    pub fn cdf(x: f64) -> f64 {
+    pub(crate) fn cdf(x: f64) -> f64 {
         0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
     }
 
@@ -35,10 +36,10 @@ impl Normal {
     ///
     /// # Errors
     ///
-    /// [`StatsError::InvalidProbability`] unless `0 < p < 1`.
-    pub fn quantile(p: f64) -> Result<f64> {
+    /// [`SubspaceError::Threshold`] unless `0 < p < 1`.
+    pub(crate) fn quantile(p: f64) -> Result<f64> {
         if !(p > 0.0 && p < 1.0) {
-            return Err(StatsError::InvalidProbability { p });
+            return Err(bad_probability(p));
         }
         // Acklam's algorithm.
         const A: [f64; 6] = [
@@ -94,100 +95,21 @@ impl Normal {
     }
 }
 
-/// Chi-squared distribution with `k` degrees of freedom.
-#[derive(Debug, Clone, Copy)]
-pub struct ChiSquared {
-    /// Degrees of freedom (must be positive; fractional values allowed).
-    pub k: f64,
-}
-
-impl ChiSquared {
-    /// Creates a chi-squared distribution.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::InvalidParameter`] if `k <= 0` or non-finite.
-    pub fn new(k: f64) -> Result<Self> {
-        if !(k > 0.0 && k.is_finite()) {
-            return Err(StatsError::InvalidParameter { what: "chi-squared df", value: k });
-        }
-        Ok(ChiSquared { k })
-    }
-
-    /// Probability density function (0 for `x < 0`).
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        let h = self.k / 2.0;
-        ((h - 1.0) * x.ln() - x / 2.0 - h * 2.0_f64.ln() - ln_gamma(h)).exp()
-    }
-
-    /// Cumulative distribution function `P(k/2, x/2)`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        gamma_p(self.k / 2.0, x / 2.0)
-    }
-
-    /// Quantile (inverse CDF).
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::InvalidProbability`] unless `0 < p < 1`.
-    pub fn quantile(&self, p: f64) -> Result<f64> {
-        if !(p > 0.0 && p < 1.0) {
-            return Err(StatsError::InvalidProbability { p });
-        }
-        // Initial bracket: mean +/- spread, expanded geometrically.
-        invert_cdf(|x| self.cdf(x), p, 0.0, (self.k + 10.0) * 10.0)
-    }
-}
-
 /// F distribution with `d1` (numerator) and `d2` (denominator) degrees of
-/// freedom. The T² detection threshold is `k(n-1)/(n-k) * F_{k, n-k, α}`.
+/// freedom, both positive. The T² detection threshold is
+/// `k(n-1)/(n-k) * F_{k, n-k, α}`.
 #[derive(Debug, Clone, Copy)]
-pub struct FDist {
+pub(crate) struct FDist {
     /// Numerator degrees of freedom.
-    pub d1: f64,
+    pub(crate) d1: f64,
     /// Denominator degrees of freedom.
-    pub d2: f64,
+    pub(crate) d2: f64,
 }
 
 impl FDist {
-    /// Creates an F distribution.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::InvalidParameter`] if either df is non-positive or
-    /// non-finite.
-    pub fn new(d1: f64, d2: f64) -> Result<Self> {
-        if !(d1 > 0.0 && d1.is_finite()) {
-            return Err(StatsError::InvalidParameter { what: "F numerator df", value: d1 });
-        }
-        if !(d2 > 0.0 && d2.is_finite()) {
-            return Err(StatsError::InvalidParameter { what: "F denominator df", value: d2 });
-        }
-        Ok(FDist { d1, d2 })
-    }
-
-    /// Probability density function (0 for `x < 0`).
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        let (d1, d2) = (self.d1, self.d2);
-        let ln_b = ln_gamma(d1 / 2.0) + ln_gamma(d2 / 2.0) - ln_gamma((d1 + d2) / 2.0);
-        let ln_pdf = (d1 / 2.0) * (d1 / d2).ln() + (d1 / 2.0 - 1.0) * x.ln()
-            - ((d1 + d2) / 2.0) * (1.0 + d1 * x / d2).ln()
-            - ln_b;
-        ln_pdf.exp()
-    }
-
     /// Cumulative distribution function via the incomplete beta:
     /// `F(x) = I_{d1 x / (d1 x + d2)}(d1/2, d2/2)`.
-    pub fn cdf(&self, x: f64) -> f64 {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             return 0.0;
         }
@@ -199,47 +121,53 @@ impl FDist {
     ///
     /// # Errors
     ///
-    /// [`StatsError::InvalidProbability`] unless `0 < p < 1`.
-    pub fn quantile(&self, p: f64) -> Result<f64> {
+    /// [`SubspaceError::Threshold`] unless `0 < p < 1`, or when the bracket
+    /// never closes.
+    pub(crate) fn quantile(&self, p: f64) -> Result<f64> {
         if !(p > 0.0 && p < 1.0) {
-            return Err(StatsError::InvalidProbability { p });
+            return Err(bad_probability(p));
         }
         invert_cdf(|x| self.cdf(x), p, 0.0, 1e4)
     }
 }
 
-/// Student-t distribution with `nu` degrees of freedom.
-#[derive(Debug, Clone, Copy)]
-pub struct StudentT {
-    /// Degrees of freedom.
-    pub nu: f64,
+/// Chi-squared distribution with `k` degrees of freedom — the oracle for
+/// the Q threshold's single-eigenvalue case and the T² threshold's
+/// large-`n` limit.
+#[cfg(test)]
+pub(crate) struct ChiSquared {
+    /// Degrees of freedom (positive; fractional values allowed).
+    pub(crate) k: f64,
 }
 
-impl StudentT {
-    /// Creates a Student-t distribution.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::InvalidParameter`] if `nu <= 0` or non-finite.
-    pub fn new(nu: f64) -> Result<Self> {
-        if !(nu > 0.0 && nu.is_finite()) {
-            return Err(StatsError::InvalidParameter { what: "Student-t df", value: nu });
+#[cfg(test)]
+impl ChiSquared {
+    /// Cumulative distribution function `P(k/2, x/2)`.
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
+        if x <= 0.0 {
+            return 0.0;
         }
-        Ok(StudentT { nu })
+        crate::special::gamma_p(self.k / 2.0, x / 2.0)
     }
 
-    /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let nu = self.nu;
-        let ln_pdf = ln_gamma((nu + 1.0) / 2.0)
-            - ln_gamma(nu / 2.0)
-            - 0.5 * (nu * std::f64::consts::PI).ln()
-            - ((nu + 1.0) / 2.0) * (1.0 + x * x / nu).ln();
-        ln_pdf.exp()
+    /// Quantile (inverse CDF) of `0 < p < 1`.
+    pub(crate) fn quantile(&self, p: f64) -> f64 {
+        // Initial bracket: mean +/- spread, expanded geometrically.
+        invert_cdf(|x| self.cdf(x), p, 0.0, (self.k + 10.0) * 10.0).expect("chi-squared bracket")
     }
+}
 
+/// Student-t distribution with `nu` degrees of freedom — the oracle for
+/// the F quantile through `t²_ν = F_{1,ν}`.
+#[cfg(test)]
+struct StudentT {
+    nu: f64,
+}
+
+#[cfg(test)]
+impl StudentT {
     /// Cumulative distribution function via the incomplete beta.
-    pub fn cdf(&self, x: f64) -> f64 {
+    fn cdf(&self, x: f64) -> f64 {
         let nu = self.nu;
         let z = nu / (nu + x * x);
         let tail = 0.5 * beta_inc(nu / 2.0, 0.5, z);
@@ -250,23 +178,16 @@ impl StudentT {
         }
     }
 
-    /// Quantile (inverse CDF).
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::InvalidProbability`] unless `0 < p < 1`.
-    pub fn quantile(&self, p: f64) -> Result<f64> {
-        if !(p > 0.0 && p < 1.0) {
-            return Err(StatsError::InvalidProbability { p });
-        }
+    /// Quantile (inverse CDF) of `0 < p < 1`.
+    fn quantile(&self, p: f64) -> f64 {
         if (p - 0.5).abs() < 1e-16 {
-            return Ok(0.0);
+            return 0.0;
         }
         // Exploit symmetry: solve for the upper half only.
         if p < 0.5 {
-            return Ok(-(self.quantile(1.0 - p)?));
+            return -self.quantile(1.0 - p);
         }
-        invert_cdf(|x| self.cdf(x), p, 0.0, 1e5)
+        invert_cdf(|x| self.cdf(x), p, 0.0, 1e5).expect("Student-t bracket")
     }
 }
 
@@ -282,7 +203,9 @@ fn invert_cdf(cdf: impl Fn(f64) -> f64, p: f64, lo0: f64, hi0: f64) -> Result<f6
         hi *= 2.0;
         expansions += 1;
         if expansions > 200 {
-            return Err(StatsError::NoConvergence { op: "invert_cdf (bracket)" });
+            return Err(SubspaceError::Threshold {
+                reason: "invert_cdf (bracket): failed to converge".into(),
+            });
         }
     }
     // Bisection to ~1e-13 relative.
@@ -303,6 +226,24 @@ fn invert_cdf(cdf: impl Fn(f64) -> f64, p: f64, lo0: f64, hi0: f64) -> Result<f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::special::ln_gamma;
+    use proptest::prelude::*;
+
+    impl FDist {
+        /// Probability density function (0 for `x < 0`), the reference the
+        /// CDF's numeric derivative is checked against.
+        fn pdf(&self, x: f64) -> f64 {
+            if x <= 0.0 {
+                return 0.0;
+            }
+            let (d1, d2) = (self.d1, self.d2);
+            let ln_b = ln_gamma(d1 / 2.0) + ln_gamma(d2 / 2.0) - ln_gamma((d1 + d2) / 2.0);
+            let ln_pdf = (d1 / 2.0) * (d1 / d2).ln() + (d1 / 2.0 - 1.0) * x.ln()
+                - ((d1 + d2) / 2.0) * (1.0 + d1 * x / d2).ln()
+                - ln_b;
+            ln_pdf.exp()
+        }
+    }
 
     #[test]
     fn normal_cdf_known() {
@@ -341,18 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn normal_pdf_peak() {
-        assert!((Normal::pdf(0.0) - 0.398_942_280_401_432_7).abs() < 1e-12);
-        assert!(Normal::pdf(3.0) < Normal::pdf(0.0));
-    }
-
-    #[test]
     fn chi_squared_known() {
         // χ²_{0.95}(10) = 18.307038...
-        let c = ChiSquared::new(10.0).unwrap();
-        assert!((c.quantile(0.95).unwrap() - 18.307_038_053_275_14).abs() < 1e-6);
+        let c = ChiSquared { k: 10.0 };
+        assert!((c.quantile(0.95) - 18.307_038_053_275_14).abs() < 1e-6);
         // χ²(2) CDF is 1 - e^{-x/2}.
-        let c2 = ChiSquared::new(2.0).unwrap();
+        let c2 = ChiSquared { k: 2.0 };
         for &x in &[0.5, 1.0, 3.0] {
             assert!((c2.cdf(x) - (1.0 - (-x / 2.0).exp())).abs() < 1e-12);
         }
@@ -360,52 +295,31 @@ mod tests {
 
     #[test]
     fn chi_squared_cdf_quantile_roundtrip() {
-        let c = ChiSquared::new(7.0).unwrap();
+        let c = ChiSquared { k: 7.0 };
         for &p in &[0.01, 0.5, 0.95, 0.999] {
-            let x = c.quantile(p).unwrap();
+            let x = c.quantile(p);
             assert!((c.cdf(x) - p).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn chi_squared_pdf_integrates_near_one() {
-        let c = ChiSquared::new(4.0).unwrap();
-        // Trapezoid over [0, 60] with fine steps.
-        let n = 60_000;
-        let h = 60.0 / n as f64;
-        let mut integral = 0.0;
-        for i in 0..n {
-            let x0 = i as f64 * h;
-            integral += 0.5 * (c.pdf(x0) + c.pdf(x0 + h)) * h;
-        }
-        assert!((integral - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn chi_squared_rejects_bad_params() {
-        assert!(ChiSquared::new(0.0).is_err());
-        assert!(ChiSquared::new(-1.0).is_err());
-        assert!(ChiSquared::new(f64::NAN).is_err());
     }
 
     #[test]
     fn f_dist_known_quantiles() {
         // Published F table values:
         // F_{0.95}(5, 10) = 3.3258
-        let f = FDist::new(5.0, 10.0).unwrap();
+        let f = FDist { d1: 5.0, d2: 10.0 };
         assert!((f.quantile(0.95).unwrap() - 3.325_8).abs() < 1e-3);
         // F_{0.95}(1, 1) = 161.45
-        let f11 = FDist::new(1.0, 1.0).unwrap();
+        let f11 = FDist { d1: 1.0, d2: 1.0 };
         assert!((f11.quantile(0.95).unwrap() - 161.447_6).abs() < 0.05);
         // F_{0.99}(4, 2012): for large d2 approaches χ²_{0.99}(4)/4 = 13.2767/4.
-        let fbig = FDist::new(4.0, 2012.0).unwrap();
+        let fbig = FDist { d1: 4.0, d2: 2012.0 };
         let approx = 13.276_7 / 4.0;
         assert!((fbig.quantile(0.99).unwrap() - approx).abs() < 0.02);
     }
 
     #[test]
     fn f_dist_cdf_quantile_roundtrip() {
-        let f = FDist::new(4.0, 117.0).unwrap(); // k=4, n-k for a 121-bin window
+        let f = FDist { d1: 4.0, d2: 117.0 }; // k=4, n-k for a 121-bin window
         for &p in &[0.5, 0.9, 0.999] {
             let x = f.quantile(p).unwrap();
             assert!((f.cdf(x) - p).abs() < 1e-10);
@@ -416,8 +330,8 @@ mod tests {
     fn f_dist_reciprocal_symmetry() {
         // If X ~ F(d1, d2), then 1/X ~ F(d2, d1):
         // quantile_{F(d1,d2)}(p) == 1 / quantile_{F(d2,d1)}(1-p)
-        let f_ab = FDist::new(3.0, 8.0).unwrap();
-        let f_ba = FDist::new(8.0, 3.0).unwrap();
+        let f_ab = FDist { d1: 3.0, d2: 8.0 };
+        let f_ba = FDist { d1: 8.0, d2: 3.0 };
         let p = 0.9;
         let lhs = f_ab.quantile(p).unwrap();
         let rhs = 1.0 / f_ba.quantile(1.0 - p).unwrap();
@@ -425,29 +339,21 @@ mod tests {
     }
 
     #[test]
-    fn f_dist_rejects_bad_params() {
-        assert!(FDist::new(0.0, 5.0).is_err());
-        assert!(FDist::new(5.0, -1.0).is_err());
-        assert!(FDist::new(f64::INFINITY, 5.0).is_err());
-    }
-
-    #[test]
     fn student_t_known() {
         // t_{0.975}(10) = 2.228138852
-        let t = StudentT::new(10.0).unwrap();
-        assert!((t.quantile(0.975).unwrap() - 2.228_138_852).abs() < 1e-6);
+        let t = StudentT { nu: 10.0 };
+        assert!((t.quantile(0.975) - 2.228_138_852).abs() < 1e-6);
         // t(1) is Cauchy: CDF(1) = 3/4.
-        let cauchy = StudentT::new(1.0).unwrap();
+        let cauchy = StudentT { nu: 1.0 };
         assert!((cauchy.cdf(1.0) - 0.75).abs() < 1e-10);
         // Symmetry of quantiles.
-        assert!((t.quantile(0.1).unwrap() + t.quantile(0.9).unwrap()).abs() < 1e-9);
-        assert_eq!(t.quantile(0.5).unwrap(), 0.0);
+        assert!((t.quantile(0.1) + t.quantile(0.9)).abs() < 1e-9);
+        assert_eq!(t.quantile(0.5), 0.0);
     }
 
     #[test]
     fn student_t_approaches_normal() {
-        let t = StudentT::new(1e6).unwrap();
-        let q_t = t.quantile(0.975).unwrap();
+        let q_t = StudentT { nu: 1e6 }.quantile(0.975);
         let q_n = Normal::quantile(0.975).unwrap();
         assert!((q_t - q_n).abs() < 1e-4);
     }
@@ -456,17 +362,15 @@ mod tests {
     fn t_squared_relation_to_f() {
         // T^2 with 1 variable: t_{nu}(1-α/2)^2 == F_{1,nu}(1-α)
         let nu = 20.0;
-        let t = StudentT::new(nu).unwrap();
-        let f = FDist::new(1.0, nu).unwrap();
-        let tq = t.quantile(0.975).unwrap();
-        let fq = f.quantile(0.95).unwrap();
+        let tq = StudentT { nu }.quantile(0.975);
+        let fq = FDist { d1: 1.0, d2: nu }.quantile(0.95).unwrap();
         assert!((tq * tq - fq).abs() < 1e-6);
     }
 
     #[test]
     fn pdf_cdf_consistency_f() {
         // Numeric derivative of the CDF should match the PDF.
-        let f = FDist::new(6.0, 14.0).unwrap();
+        let f = FDist { d1: 6.0, d2: 14.0 };
         for &x in &[0.5, 1.0, 2.0] {
             let h = 1e-6;
             let d = (f.cdf(x + h) - f.cdf(x - h)) / (2.0 * h);
@@ -474,9 +378,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn student_t_rejects_bad_params() {
-        assert!(StudentT::new(0.0).is_err());
-        assert!(StudentT::new(f64::NAN).is_err());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn normal_cdf_monotone(a in -8.0f64..8.0, b in -8.0f64..8.0) {
+            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+            prop_assert!(Normal::cdf(lo) <= Normal::cdf(hi) + 1e-15);
+        }
+
+        #[test]
+        fn normal_quantile_inverts_cdf(p in 0.0001f64..0.9999) {
+            let x = Normal::quantile(p).unwrap();
+            prop_assert!((Normal::cdf(x) - p).abs() < 1e-9);
+        }
+
+        #[test]
+        fn chi_squared_cdf_bounds(k in 0.5f64..60.0, x in 0.0f64..200.0) {
+            let v = ChiSquared { k }.cdf(x);
+            prop_assert!((0.0..=1.0).contains(&v));
+        }
+
+        #[test]
+        fn f_quantile_roundtrip(d1 in 1.0f64..30.0, d2 in 2.0f64..300.0, p in 0.01f64..0.999) {
+            let f = FDist { d1, d2 };
+            let x = f.quantile(p).unwrap();
+            prop_assert!((f.cdf(x) - p).abs() < 1e-8,
+                "d1={d1} d2={d2} p={p}: cdf(q)={}", f.cdf(x));
+        }
     }
 }

@@ -21,9 +21,11 @@ pub enum SubspaceError {
         /// Number of OD pairs (k must be < p).
         p: usize,
     },
-    /// A statistic threshold could not be computed.
+    /// A statistic threshold could not be computed (a false-alarm rate
+    /// outside `(0, 1)`, no degrees of freedom, a quantile that did not
+    /// converge).
     Threshold {
-        /// The underlying statistics error, stringified.
+        /// What was wrong.
         reason: String,
     },
     /// Linear algebra failed (degenerate covariance, non-finite data).
@@ -76,12 +78,6 @@ impl From<odflow_linalg::LinalgError> for SubspaceError {
     }
 }
 
-impl From<odflow_stats::StatsError> for SubspaceError {
-    fn from(e: odflow_stats::StatsError) -> Self {
-        SubspaceError::Threshold { reason: e.to_string() }
-    }
-}
-
 /// Convenience alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, SubspaceError>;
 
@@ -107,8 +103,5 @@ mod tests {
         let le = odflow_linalg::LinalgError::Empty { op: "scatter" };
         let se: SubspaceError = le.into();
         assert!(matches!(se, SubspaceError::Numeric { .. }));
-        let st = odflow_stats::StatsError::InvalidProbability { p: 2.0 };
-        let se: SubspaceError = st.into();
-        assert!(matches!(se, SubspaceError::Threshold { .. }));
     }
 }

@@ -11,6 +11,8 @@
 //!   with the exact decomposition `x = x̂ + x̃` and both detection
 //!   statistics: SPE (`||x̃||²` vs the Jackson–Mudholkar `δ²_α`) and t²
 //!   (normal-subspace scores vs `T²_{k,n,α}`).
+//! * [`q_threshold`] / [`t2_threshold`] — those two thresholds, computed
+//!   from first-principles normal and F quantiles.
 //! * [`SubspaceDetector`] — fit + score + flag over a window (the
 //!   material of the paper's Figure 1).
 //! * [`identify_spe`] / [`identify_t2`] — the §4 procedure finding the
@@ -56,14 +58,18 @@
 
 mod detector;
 mod diagnose;
+mod dist;
 mod eigenflow;
 mod error;
 mod events;
 mod identify;
 mod model;
+mod qstat;
+mod special;
 mod streaming;
 #[cfg(test)]
 pub(crate) mod testutil;
+mod tsq;
 
 pub use detector::{
     Analysis, BinVerdict, DegradedReason, Detection, QualityAnalysis, StatisticKind,
@@ -78,4 +84,6 @@ pub use model::{ModelState, StateSplit, SubspaceConfig, SubspaceModel};
 // The eigen-backend selector is part of the fitting configuration; re-export
 // it so detector users configure backends without importing odflow_linalg.
 pub use odflow_linalg::EigenMethod;
+pub use qstat::q_threshold;
 pub use streaming::{DetectorState, OnlineDetector, StreamVerdict};
+pub use tsq::t2_threshold;

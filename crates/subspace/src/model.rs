@@ -18,8 +18,9 @@
 
 use crate::eigenflow::EigenflowDecomposition;
 use crate::error::{Result, SubspaceError};
+use crate::qstat::q_threshold;
+use crate::tsq::t2_threshold;
 use odflow_linalg::{vecops, EigenMethod, Matrix};
-use odflow_stats::{q_threshold, t2_threshold};
 
 /// Configuration of the subspace model.
 ///
@@ -73,13 +74,6 @@ pub struct SubspaceConfig {
 impl Default for SubspaceConfig {
     fn default() -> Self {
         SubspaceConfig { k: 4, alpha: 0.001, method: EigenMethod::Auto }
-    }
-}
-
-impl SubspaceConfig {
-    /// The paper's defaults with an explicit eigen-backend.
-    pub fn with_method(method: EigenMethod) -> Self {
-        SubspaceConfig { method, ..SubspaceConfig::default() }
     }
 }
 
@@ -155,22 +149,17 @@ impl SubspaceModel {
         let decomp = EigenflowDecomposition::fit_with(x, config.k, config.method)?;
         let eigenvalues = decomp.eigenvalues_padded(p);
 
-        let (spe_threshold, degenerate_residual) =
-            match q_threshold(&eigenvalues, config.k, config.alpha) {
-                Ok(t) => (t, false),
-                // Exactly low-rank training data: no residual variance.
-                Err(odflow_stats::StatsError::InvalidParameter { .. }) => (0.0, true),
-                Err(e) => return Err(e.into()),
-            };
+        // `None`: exactly low-rank training data, no residual variance.
+        let spe_threshold = q_threshold(&eigenvalues, config.k, config.alpha)?;
         let t2 = t2_threshold(config.k, n, config.alpha)?;
 
         Ok(SubspaceModel {
             decomp,
             config,
             p,
-            spe_threshold,
+            spe_threshold: spe_threshold.unwrap_or(0.0),
             t2_threshold: t2,
-            degenerate_residual,
+            degenerate_residual: spe_threshold.is_none(),
         })
     }
 
@@ -221,11 +210,7 @@ impl SubspaceModel {
     /// yields 0 exactly as at fit time.
     pub fn spe_threshold_at(&self, alpha: f64) -> Result<f64> {
         let eigenvalues = self.decomp.eigenvalues_padded(self.p);
-        match q_threshold(&eigenvalues, self.config.k, alpha) {
-            Ok(t) => Ok(t),
-            Err(odflow_stats::StatsError::InvalidParameter { .. }) => Ok(0.0),
-            Err(e) => Err(e.into()),
-        }
+        Ok(q_threshold(&eigenvalues, self.config.k, alpha)?.unwrap_or(0.0))
     }
 
     /// `true` when training data was exactly low-rank (see struct docs).

@@ -25,60 +25,42 @@
 //! regardless of which eigenvalues the residual retains, which is what lets
 //! the paper move the boundary `k` without re-deriving the test.
 
-use crate::dist::Normal;
-use crate::error::{Result, StatsError};
+use crate::dist::{bad_probability, Normal};
+use crate::error::Result;
 
-/// The residual spectral sums and derived quantities behind the threshold.
-///
-/// Exposed so the detection layer can report *why* a threshold took the
-/// value it did (useful when an operator tunes `k`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QStatParams {
+/// The residual spectral sums behind the threshold.
+struct ResidualSums {
     /// `φ_1 = Σ λ_j` over residual eigenvalues.
-    pub phi1: f64,
+    phi1: f64,
     /// `φ_2 = Σ λ_j²` over residual eigenvalues.
-    pub phi2: f64,
-    /// `φ_3 = Σ λ_j³` over residual eigenvalues.
-    pub phi3: f64,
-    /// The power-transform exponent `h0`.
-    pub h0: f64,
+    phi2: f64,
+    /// The power-transform exponent `h0` (where `φ_3 = Σ λ_j³` enters).
+    h0: f64,
 }
 
-/// Computes the residual spectral sums for eigenvalues beyond index `k`.
+/// Computes the residual spectral sums for eigenvalues beyond index `k`;
+/// `None` when `k` leaves no residual eigenvalue or the residual carries no
+/// variance at all.
 ///
 /// Eigenvalues must be sorted descending (as produced by
 /// `odflow_linalg::eigen_symmetric`). Small negative eigenvalues (numerical
 /// noise in rank-deficient covariances) are clamped to zero.
-///
-/// # Errors
-///
-/// * [`StatsError::InvalidParameter`] if `k >= eigenvalues.len()` (no
-///   residual subspace — every direction is "normal") or if the residual
-///   carries no variance at all.
-pub fn qstat_params(eigenvalues: &[f64], k: usize) -> Result<QStatParams> {
-    if k >= eigenvalues.len() {
-        return Err(StatsError::InvalidParameter {
-            what: "normal subspace dimension k (must leave a residual)",
-            value: k as f64,
-        });
-    }
+fn residual_sums(eigenvalues: &[f64], k: usize) -> Option<ResidualSums> {
+    let residual = eigenvalues.get(k..).filter(|r| !r.is_empty())?;
     let mut phi1 = 0.0;
     let mut phi2 = 0.0;
     let mut phi3 = 0.0;
-    for &l in &eigenvalues[k..] {
+    for &l in residual {
         let l = l.max(0.0);
         phi1 += l;
         phi2 += l * l;
         phi3 += l * l * l;
     }
     if phi1 <= 0.0 || phi2 <= 0.0 {
-        return Err(StatsError::InvalidParameter {
-            what: "residual variance (all residual eigenvalues are zero)",
-            value: phi1,
-        });
+        return None;
     }
     let h0 = 1.0 - 2.0 * phi1 * phi3 / (3.0 * phi2 * phi2);
-    Ok(QStatParams { phi1, phi2, phi3, h0 })
+    Some(ResidualSums { phi1, phi2, h0 })
 }
 
 /// Computes the Q-statistic threshold `δ²_α` at confidence level `1 - alpha`.
@@ -87,25 +69,32 @@ pub fn qstat_params(eigenvalues: &[f64], k: usize) -> Result<QStatParams> {
 /// the normal-subspace dimension (the paper uses `k = 4`); `alpha` is the
 /// false-alarm rate (the paper uses `alpha = 0.001`, i.e. 99.9% confidence).
 ///
+/// Returns `Ok(None)` when the residual carries no variance: `k` leaves no
+/// residual eigenvalue, or every residual eigenvalue is zero (exactly
+/// low-rank data).
+///
 /// # Errors
 ///
-/// * [`StatsError::InvalidProbability`] unless `0 < alpha < 1`.
-/// * Propagates [`qstat_params`] errors for degenerate spectra.
+/// [`SubspaceError::Threshold`](crate::SubspaceError::Threshold) unless
+/// `0 < alpha < 1`.
 ///
 /// # Examples
 ///
 /// ```
-/// use odflow_stats::q_threshold;
+/// use odflow_subspace::q_threshold;
 ///
 /// let eigenvalues = vec![100.0, 10.0, 1.0, 0.5, 0.25, 0.1];
-/// let delta = q_threshold(&eigenvalues, 2, 0.001).unwrap();
+/// let delta = q_threshold(&eigenvalues, 2, 0.001).unwrap().unwrap();
 /// assert!(delta > 0.0);
+/// assert_eq!(q_threshold(&eigenvalues, 6, 0.001).unwrap(), None);
 /// ```
-pub fn q_threshold(eigenvalues: &[f64], k: usize, alpha: f64) -> Result<f64> {
+pub fn q_threshold(eigenvalues: &[f64], k: usize, alpha: f64) -> Result<Option<f64>> {
     if !(alpha > 0.0 && alpha < 1.0) {
-        return Err(StatsError::InvalidProbability { p: alpha });
+        return Err(bad_probability(alpha));
     }
-    let p = qstat_params(eigenvalues, k)?;
+    let Some(p) = residual_sums(eigenvalues, k) else {
+        return Ok(None);
+    };
     let c_alpha = Normal::quantile(1.0 - alpha)?;
 
     // The power transform Q^h0 is approximately normal with
@@ -135,26 +124,52 @@ pub fn q_threshold(eigenvalues: &[f64], k: usize, alpha: f64) -> Result<f64> {
         // The normal approximation of Q^h0 broke down (extreme α or
         // pathological spectrum). Fall back to a two-moment normal
         // approximation on Q itself: mean φ1, variance 2 φ2.
-        return Ok(p.phi1 + c_alpha * (2.0 * p.phi2).sqrt());
+        return Ok(Some(p.phi1 + c_alpha * (2.0 * p.phi2).sqrt()));
     }
-    Ok(p.phi1 * term.powf(1.0 / h0))
+    Ok(Some(p.phi1 * term.powf(1.0 / h0)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SubspaceError;
 
     fn spectrum() -> Vec<f64> {
         vec![1000.0, 200.0, 80.0, 40.0, 10.0, 5.0, 2.0, 1.0, 0.5, 0.2]
     }
 
+    /// `δ²_α` of a spectrum whose residual carries variance.
+    fn q(eigenvalues: &[f64], k: usize, alpha: f64) -> f64 {
+        q_threshold(eigenvalues, k, alpha).unwrap().expect("residual variance")
+    }
+
+    #[test]
+    fn no_residual_variance_is_none_and_bad_alpha_an_error() {
+        let ev = [4.0, 3.0, 0.0, -1e-15];
+        for k in [0, 1] {
+            assert!(q_threshold(&ev, k, 0.001).unwrap().is_some(), "k = {k}");
+        }
+        for k in [2, 3, 4, 9] {
+            assert_eq!(q_threshold(&ev, k, 0.001).unwrap(), None, "k = {k}");
+        }
+        assert_eq!(q_threshold(&[0.0; 5], 1, 0.001).unwrap(), None);
+        assert_eq!(q_threshold(&[], 0, 0.001).unwrap(), None);
+        for alpha in [0.0, 1.0, -0.5, f64::NAN] {
+            // Checked before the spectrum: a degenerate one is no excuse.
+            for k in [1, 3] {
+                let bad = q_threshold(&ev, k, alpha);
+                assert!(matches!(bad, Err(SubspaceError::Threshold { .. })), "{alpha}, {k}");
+            }
+        }
+    }
+
     #[test]
     fn params_known_sums() {
         let ev = vec![4.0, 3.0, 2.0, 1.0];
-        let p = qstat_params(&ev, 2).unwrap();
+        let p = residual_sums(&ev, 2).unwrap();
         assert_eq!(p.phi1, 3.0); // 2 + 1
         assert_eq!(p.phi2, 5.0); // 4 + 1
-        assert_eq!(p.phi3, 9.0); // 8 + 1
+                                 // φ_3 = 8 + 1
         let h0 = 1.0 - 2.0 * 3.0 * 9.0 / (3.0 * 25.0);
         assert!((p.h0 - h0).abs() < 1e-15);
     }
@@ -162,39 +177,39 @@ mod tests {
     #[test]
     fn params_clamp_negative_eigenvalues() {
         let ev = vec![10.0, 1.0, -1e-12];
-        let p = qstat_params(&ev, 1).unwrap();
+        let p = residual_sums(&ev, 1).unwrap();
         assert_eq!(p.phi1, 1.0);
     }
 
     #[test]
     fn params_reject_no_residual() {
         let ev = vec![4.0, 3.0];
-        assert!(qstat_params(&ev, 2).is_err());
-        assert!(qstat_params(&ev, 5).is_err());
+        assert!(residual_sums(&ev, 2).is_none());
+        assert!(residual_sums(&ev, 5).is_none());
     }
 
     #[test]
     fn params_reject_zero_residual_variance() {
         let ev = vec![4.0, 0.0, 0.0];
-        assert!(qstat_params(&ev, 1).is_err());
+        assert!(residual_sums(&ev, 1).is_none());
     }
 
     #[test]
     fn threshold_positive_and_scales_with_variance() {
-        let t1 = q_threshold(&spectrum(), 4, 0.001).unwrap();
+        let t1 = q(&spectrum(), 4, 0.001);
         assert!(t1 > 0.0);
         // Scaling all eigenvalues by c scales the threshold by c
         // (Q is a sum of λ-weighted chi-squares).
         let scaled: Vec<f64> = spectrum().iter().map(|l| l * 7.0).collect();
-        let t2 = q_threshold(&scaled, 4, 0.001).unwrap();
+        let t2 = q(&scaled, 4, 0.001);
         assert!((t2 / t1 - 7.0).abs() < 1e-9);
     }
 
     #[test]
     fn threshold_monotone_in_alpha() {
         // Smaller alpha (higher confidence) -> larger threshold.
-        let t_strict = q_threshold(&spectrum(), 4, 0.001).unwrap();
-        let t_loose = q_threshold(&spectrum(), 4, 0.05).unwrap();
+        let t_strict = q(&spectrum(), 4, 0.001);
+        let t_loose = q(&spectrum(), 4, 0.05);
         assert!(t_strict > t_loose);
     }
 
@@ -205,7 +220,7 @@ mod tests {
         let s = spectrum();
         let mut prev = f64::INFINITY;
         for k in 1..(s.len() - 1) {
-            let t = q_threshold(&s, k, 0.001).unwrap();
+            let t = q(&s, k, 0.001);
             assert!(t <= prev + 1e-9, "threshold grew at k={k}: {t} > {prev}");
             prev = t;
         }
@@ -214,8 +229,8 @@ mod tests {
     #[test]
     fn threshold_exceeds_mean_residual_energy() {
         // E[||x~||^2] = φ_1; a 99.9% threshold must sit well above the mean.
-        let p = qstat_params(&spectrum(), 4).unwrap();
-        let t = q_threshold(&spectrum(), 4, 0.001).unwrap();
+        let p = residual_sums(&spectrum(), 4).unwrap();
+        let t = q(&spectrum(), 4, 0.001);
         assert!(t > p.phi1, "threshold {t} below mean residual energy {}", p.phi1);
     }
 
@@ -226,9 +241,8 @@ mod tests {
         // λ * quantile(χ²(1), 1-α).
         let ev = vec![100.0, 50.0, 2.0];
         let alpha = 0.01;
-        let t = q_threshold(&ev, 2, alpha).unwrap();
-        let chi = crate::dist::ChiSquared::new(1.0).unwrap();
-        let exact = 2.0 * chi.quantile(1.0 - alpha).unwrap();
+        let t = q(&ev, 2, alpha);
+        let exact = 2.0 * crate::dist::ChiSquared { k: 1.0 }.quantile(1.0 - alpha);
         let rel = (t - exact).abs() / exact;
         assert!(rel < 0.25, "JM single-eigenvalue threshold off by {rel}: {t} vs {exact}");
     }
@@ -253,11 +267,11 @@ mod tests {
         let mut ev = vec![1e6, 1e5];
         ev.extend_from_slice(&residual);
 
-        let p = qstat_params(&ev, 2).unwrap();
+        let p = residual_sums(&ev, 2).unwrap();
         assert!(p.h0 < 0.0, "spectrum chosen to exercise h0 < 0, got {}", p.h0);
 
         let alpha = 0.005;
-        let t = q_threshold(&ev, 2, alpha).unwrap();
+        let t = q(&ev, 2, alpha);
         assert!(t > p.phi1, "threshold {t} must exceed mean residual energy {}", p.phi1);
 
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
@@ -291,7 +305,7 @@ mod tests {
         let mut ev = vec![1e4, 1e3]; // "normal" eigenvalues, ignored by Q
         ev.extend_from_slice(&residual);
         let alpha = 0.01;
-        let t = q_threshold(&ev, 2, alpha).unwrap();
+        let t = q(&ev, 2, alpha);
 
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
         let trials = 200_000;

@@ -21,8 +21,8 @@
 //! `k` and `n - k` degrees of freedom (paper §2.2; Jackson 1991, the paper's
 //! reference \[11\]).
 
-use crate::dist::FDist;
-use crate::error::{Result, StatsError};
+use crate::dist::{bad_probability, FDist};
+use crate::error::{Result, SubspaceError};
 
 /// Computes the T² detection threshold `T²_{k,n,α}`.
 ///
@@ -33,50 +33,32 @@ use crate::error::{Result, StatsError};
 ///
 /// # Errors
 ///
-/// * [`StatsError::InvalidParameter`] if `k == 0` or `n <= k` (the F
-///   distribution needs positive degrees of freedom in both positions).
-/// * [`StatsError::InvalidProbability`] unless `0 < alpha < 1`.
+/// [`SubspaceError::Threshold`] if `k == 0` or `n <= k` (the F
+/// distribution needs positive degrees of freedom in both positions), or
+/// unless `0 < alpha < 1`.
 ///
 /// # Examples
 ///
 /// ```
-/// use odflow_stats::t2_threshold;
+/// use odflow_subspace::t2_threshold;
 ///
 /// // A week of 5-minute bins: n = 2016, k = 4 eigenflows, 99.9% confidence.
 /// let t2 = t2_threshold(4, 2016, 0.001).unwrap();
 /// assert!(t2 > 0.0);
 /// ```
 pub fn t2_threshold(k: usize, n: usize, alpha: f64) -> Result<f64> {
-    if k == 0 {
-        return Err(StatsError::InvalidParameter {
-            what: "normal subspace dimension k",
-            value: 0.0,
-        });
-    }
-    if n <= k {
-        return Err(StatsError::InvalidParameter {
-            what: "sample count n (must exceed k)",
-            value: n as f64,
-        });
+    if k == 0 || n <= k {
+        let reason = format!("T² needs 0 < k < n degrees of freedom, got k = {k}, n = {n}");
+        return Err(SubspaceError::Threshold { reason });
     }
     if !(alpha > 0.0 && alpha < 1.0) {
-        return Err(StatsError::InvalidProbability { p: alpha });
+        return Err(bad_probability(alpha));
     }
     let kf = k as f64;
     let nf = n as f64;
-    let f = FDist::new(kf, nf - kf)?;
+    let f = FDist { d1: kf, d2: nf - kf };
     let fq = f.quantile(1.0 - alpha)?;
     Ok(kf * (nf - 1.0) / (nf - kf) * fq)
-}
-
-/// Computes the t² score timeseries from normalized principal-component
-/// scores.
-///
-/// `scores` is an `n x k` row-major slice-of-rows view: `scores[j]` holds the
-/// `k` unit-variance normal-subspace coordinates of timebin `j` (the paper's
-/// `u_{ij}`). Returns `t²_j = Σ_i u²_{ij}` for each timebin.
-pub fn t2_scores(scores: &[Vec<f64>]) -> Vec<f64> {
-    scores.iter().map(|row| row.iter().map(|u| u * u).sum()).collect()
 }
 
 #[cfg(test)]
@@ -95,8 +77,7 @@ mod tests {
     fn threshold_approaches_chi_square_for_large_n() {
         // As n -> inf, T² -> χ²_{1-α}(k).
         let t2 = t2_threshold(4, 1_000_000, 0.001).unwrap();
-        let chi = crate::dist::ChiSquared::new(4.0).unwrap();
-        let c = chi.quantile(0.999).unwrap();
+        let c = crate::dist::ChiSquared { k: 4.0 }.quantile(0.999);
         assert!((t2 - c).abs() < 0.01, "T² {t2} vs χ² {c}");
     }
 
@@ -117,13 +98,6 @@ mod tests {
         assert!(t2_threshold(4, 3, 0.001).is_err());
         assert!(t2_threshold(4, 100, 0.0).is_err());
         assert!(t2_threshold(4, 100, 1.0).is_err());
-    }
-
-    #[test]
-    fn scores_sum_of_squares() {
-        let scores = vec![vec![1.0, 2.0], vec![0.0, 0.0], vec![-3.0, 4.0]];
-        assert_eq!(t2_scores(&scores), vec![5.0, 0.0, 25.0]);
-        assert!(t2_scores(&[]).is_empty());
     }
 
     #[test]

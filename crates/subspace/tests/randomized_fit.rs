@@ -14,9 +14,9 @@
 
 use odflow_linalg::{center_columns, thin_svd, EigenMethod, Matrix, DEFAULT_SKETCH_SEED};
 use odflow_par::with_thread_limit;
-use odflow_stats::{q_threshold, t2_threshold};
 use odflow_subspace::{
-    EigenflowDecomposition, ModelState, SubspaceConfig, SubspaceError, SubspaceModel,
+    q_threshold, t2_threshold, EigenflowDecomposition, ModelState, SubspaceConfig, SubspaceError,
+    SubspaceModel,
 };
 
 /// Seeded synthetic OD traffic: two shared temporal patterns with
@@ -154,7 +154,8 @@ fn column_gram_model(x: &Matrix, config: SubspaceConfig) -> SubspaceModel {
         n,
         truncated: false,
     };
-    let spe_threshold = q_threshold(&decomp.eigenvalues_padded(p), config.k, config.alpha).unwrap();
+    let spe_threshold =
+        q_threshold(&decomp.eigenvalues_padded(p), config.k, config.alpha).unwrap().unwrap();
     let t2_threshold = t2_threshold(config.k, n, config.alpha).unwrap();
     let state =
         ModelState { decomp, config, p, spe_threshold, t2_threshold, degenerate_residual: false };

@@ -13,11 +13,11 @@
 //!   #IP-flows).
 //! * [`gen`] — a deterministic whole-network traffic generator with
 //!   labeled injections of every anomaly class in the paper's Table 2.
-//! * [`linalg`] / [`stats`] — self-contained numerics: symmetric
-//!   eigendecomposition, thin SVD, and the Q-statistic / T² thresholds.
+//! * [`linalg`] — self-contained numerics: symmetric eigendecomposition,
+//!   thin SVD, the covariance and row Gram kernels.
 //! * [`subspace`] — the core contribution: eigenflows, the `k = 4`
-//!   normal/anomalous split, SPE + T² detection, OD-flow identification,
-//!   and B/P/F event merging.
+//!   normal/anomalous split, SPE + T² detection against the Q-statistic /
+//!   T² thresholds, OD-flow identification, and B/P/F event merging.
 //! * [`classify`] — the Table 2 rule engine with the `p = 0.2` dominance
 //!   heuristic and ground-truth scoring.
 //! * [`experiment`] — the end-to-end runner used by the examples and by
@@ -49,9 +49,6 @@ pub use odflow_par as par;
 
 /// Re-export of the dense linear-algebra substrate.
 pub use odflow_linalg as linalg;
-
-/// Re-export of the statistics substrate (distributions, thresholds).
-pub use odflow_stats as stats;
 
 /// Re-export of the network substrate (topology, routing, addressing).
 pub use odflow_net as net;

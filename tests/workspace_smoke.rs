@@ -17,10 +17,6 @@ fn reexport_surface_is_intact() {
     let eig = odflow::linalg::eigen_symmetric(&m).expect("eigen");
     assert!((eig.eigenvalues[0] - 2.0).abs() < 1e-12);
 
-    // stats
-    let t2 = odflow::stats::t2_threshold(4, 2016, 0.001).expect("t2 threshold");
-    assert!(t2 > 0.0);
-
     // net
     let topology = odflow::net::Topology::abilene();
     assert_eq!(topology.num_pops(), 11);
@@ -43,6 +39,8 @@ fn reexport_surface_is_intact() {
     // subspace
     let subspace_cfg = odflow::subspace::SubspaceConfig::default();
     assert_eq!(subspace_cfg.k, 4);
+    let t2 = odflow::subspace::t2_threshold(4, 2016, 0.001).expect("t2 threshold");
+    assert!(t2 > 0.0);
 
     // classify
     let rules = odflow::classify::RuleConfig::default();
