@@ -32,7 +32,7 @@
 
 use crate::error::{FlowError, Result};
 use crate::key::{FlowKey, Protocol};
-use crate::matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType, BIN_SECS};
+use crate::matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType};
 use crate::od::ResolutionStats;
 use crate::record::FlowRecord;
 use crate::shard::ShardState;
@@ -230,7 +230,7 @@ pub struct OdBinner<S = Vec<f64>> {
 
 impl OdBinner {
     /// Creates a binner for a window of `num_bins` bins of `bin_secs`
-    /// seconds (use [`BIN_SECS`] for the paper's 5 minutes) starting at
+    /// seconds (use [`BIN_SECS`](crate::BIN_SECS) for the paper's 5 minutes) starting at
     /// `start_secs`, over `num_od` OD pairs.
     ///
     /// # Errors
@@ -240,11 +240,6 @@ impl OdBinner {
     pub fn new(start_secs: u64, bin_secs: u64, num_bins: usize, num_od: usize) -> Result<Self> {
         let cells = || vec![0.0; num_bins * num_od];
         Self::over(start_secs, bin_secs, num_od, cells(), cells(), cells())
-    }
-
-    /// Convenience constructor with the paper's 5-minute bins.
-    pub fn with_default_bins(start_secs: u64, num_bins: usize, num_od: usize) -> Result<Self> {
-        Self::new(start_secs, BIN_SECS, num_bins, num_od)
     }
 }
 
@@ -578,6 +573,7 @@ pub struct BinState {
 mod tests {
     use super::*;
     use crate::key::Protocol;
+    use crate::matrix::BIN_SECS;
     use odflow_net::IpAddr;
 
     fn rec(ts: u64, src_port: u16, packets: u64, bytes: u64) -> FlowRecord {
@@ -777,7 +773,7 @@ mod tests {
 
     #[test]
     fn finalized_set_is_aligned() {
-        let mut b = OdBinner::with_default_bins(500, 3, 121).unwrap();
+        let mut b = OdBinner::new(500, BIN_SECS, 3, 121).unwrap();
         b.push(7, &rec(600, 1, 1, 1)).unwrap();
         let set = b.finalize().unwrap();
         assert!(set.validate().is_ok());

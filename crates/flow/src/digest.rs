@@ -140,11 +140,6 @@ impl AttributeDigest {
         Self::dominant(&self.by_src_block, self.total.get(t), t).map(|(k, s)| (IpAddr(k), s))
     }
 
-    /// Dominant destination /21 block by measure `t`.
-    pub fn dominant_dst_block(&self, t: crate::matrix::TrafficType) -> Option<(IpAddr, f64)> {
-        Self::dominant(&self.by_dst_block, self.total.get(t), t).map(|(k, s)| (IpAddr(k), s))
-    }
-
     /// Dominant exact destination address by measure `t`.
     pub fn dominant_dst_addr(&self, t: crate::matrix::TrafficType) -> Option<(IpAddr, f64)> {
         Self::dominant(&self.by_dst_addr, self.total.get(t), t).map(|(k, s)| (IpAddr(k), s))

@@ -88,22 +88,6 @@ impl TrafficMatrix {
         (i < self.num_bins()).then_some(i)
     }
 
-    /// The per-timebin state vector `x` (traffic of all OD flows at bin `i`).
-    pub fn state_vector(&self, i: usize) -> Result<&[f64]> {
-        self.data.row(i).map_err(|_| FlowError::TimestampOutOfRange {
-            ts: self.bin_start(i),
-            start: self.start_secs,
-            end: self.bin_start(self.num_bins()),
-        })
-    }
-
-    /// Timeseries of a single OD pair (column `od`).
-    pub fn od_series(&self, od: usize) -> Result<Vec<f64>> {
-        self.data
-            .col(od)
-            .map_err(|_| FlowError::BadOdIndex { index: od, count: self.num_od_pairs() })
-    }
-
     /// Total traffic across all OD pairs per timebin (`sum over columns`).
     pub fn totals(&self) -> Vec<f64> {
         self.data.rows_iter().map(|r| r.iter().sum()).collect()
@@ -183,15 +167,6 @@ mod tests {
         assert_eq!(m.bin_for(1300), Some(1));
         assert_eq!(m.bin_for(999), None);
         assert_eq!(m.bin_for(1000 + 10 * 300), None);
-    }
-
-    #[test]
-    fn state_vector_and_series() {
-        let m = tm(TrafficType::Packets, 3, 2);
-        assert_eq!(m.state_vector(1).unwrap(), &[2.0, 3.0]);
-        assert!(m.state_vector(5).is_err());
-        assert_eq!(m.od_series(0).unwrap(), vec![0.0, 2.0, 4.0]);
-        assert!(m.od_series(7).is_err());
     }
 
     #[test]

@@ -252,11 +252,6 @@ impl ExporterSeqStats {
         self.exporters.values().map(|e| e.lost_flows).sum()
     }
 
-    /// Number of exporters whose advertised sampling interval drifted.
-    pub fn drifted_exporters(&self) -> usize {
-        self.exporters.values().filter(|e| e.frames > 0 && e.sampling_lo != e.sampling_hi).count()
-    }
-
     /// Snapshots every exporter's tracking, in ascending exporter-id
     /// order (the `BTreeMap` order — canonical by construction).
     pub fn export_state(&self) -> Vec<(u8, ExporterSeqState)> {
@@ -477,9 +472,9 @@ mod tests {
         let mut s = ExporterSeqStats::default();
         s.observe(2, 0, 10, 100);
         s.observe(2, 10, 10, 100);
-        assert_eq!(s.drifted_exporters(), 0);
+        let (_, e) = s.per_exporter().next().expect("one exporter");
+        assert_eq!((e.sampling_lo, e.sampling_hi), (100, 100));
         s.observe(2, 20, 10, 400);
-        assert_eq!(s.drifted_exporters(), 1);
         let (_, e) = s.per_exporter().next().expect("one exporter");
         assert_eq!((e.sampling_lo, e.sampling_hi), (100, 400));
     }
@@ -504,7 +499,8 @@ mod tests {
         }
         assert_eq!(restored, live);
         assert_eq!(live.lost_flows_total(), 30);
-        assert_eq!(live.drifted_exporters(), 1);
+        let (_, e7) = live.per_exporter().find(|(id, _)| *id == 7).expect("exporter 7");
+        assert_eq!((e7.sampling_lo, e7.sampling_hi), (100, 400), "its drift survived");
     }
 
     #[test]

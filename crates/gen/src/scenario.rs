@@ -528,22 +528,6 @@ impl<'a> TraceGenerator<'a> {
         outcome.repair(policy);
         Ok((outcome, storm))
     }
-
-    /// Renders only the records an anomaly contributes to a bin (for
-    /// focused inspection in the classification stage).
-    pub fn anomaly_records_for_bin(
-        &self,
-        anomaly: &InjectedAnomaly,
-        bin: usize,
-    ) -> Vec<FlowRecord> {
-        anomaly.synthesize(
-            self.scenario.config.seed,
-            bin,
-            self.bin_start(bin),
-            self.scenario.config.bin_secs,
-            &self.scenario.plan,
-        )
-    }
 }
 
 /// Folds anomaly modifiers over the baseline mean `base(origin,
@@ -1350,20 +1334,5 @@ mod tests {
                 assert!(!a.od_pairs.is_empty());
             }
         }
-    }
-
-    #[test]
-    fn anomaly_records_helper_matches_direct_synthesis() {
-        let s = Scenario::paper_week(11, 0).unwrap();
-        let g = s.generator();
-        let a = &s.schedule[0];
-        let direct = a.synthesize(
-            s.config.seed,
-            a.start_bin,
-            g.bin_start(a.start_bin),
-            s.config.bin_secs,
-            &s.plan,
-        );
-        assert_eq!(g.anomaly_records_for_bin(a, a.start_bin), direct);
     }
 }

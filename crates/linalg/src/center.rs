@@ -1,21 +1,21 @@
-//! Column centering and standardization of data matrices.
+//! Column centering of data matrices.
 //!
 //! The subspace method requires the OD-flow matrix `X` to have zero-mean
 //! columns before PCA ("the multivariate mean, which for eigenflows is equal
 //! to zero by construction" — §2.2 of the paper). [`Centering`] records the
-//! per-column offsets/scales so new observations (streaming detection) can be
+//! per-column offsets so new observations (streaming detection) can be
 //! transformed consistently with the training data.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-use crate::vecops;
 
 /// How each column of a data matrix was transformed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Centering {
     /// Per-column means subtracted from the data.
     pub means: Vec<f64>,
-    /// Per-column scale divisors (all `1.0` for plain centering).
+    /// Per-column scale divisors (all `1.0`: columns are centered, not
+    /// scaled).
     pub scales: Vec<f64>,
 }
 
@@ -39,21 +39,6 @@ impl Centering {
         }
         for ((x, &m), &s) in row.iter_mut().zip(&self.means).zip(&self.scales) {
             *x = (*x - m) / s;
-        }
-        Ok(())
-    }
-
-    /// Invert the transform for a single observation (row), in place.
-    pub fn invert_row(&self, row: &mut [f64]) -> Result<()> {
-        if row.len() != self.means.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "Centering::invert_row",
-                lhs: (1, self.means.len()),
-                rhs: (1, row.len()),
-            });
-        }
-        for ((x, &m), &s) in row.iter_mut().zip(&self.means).zip(&self.scales) {
-            *x = *x * s + m;
         }
         Ok(())
     }
@@ -89,44 +74,6 @@ pub(crate) fn subtract_means(x: &Matrix, means: &[f64]) -> Matrix {
         }
     });
     out
-}
-
-/// Centers each column and divides by its sample standard deviation
-/// (z-scoring). Columns with standard deviation below `1e-12` are left at
-/// unit scale to avoid amplifying numerical noise — a constant OD flow
-/// carries no variance signal either way.
-pub fn standardize_columns(x: &Matrix) -> Result<(Matrix, Centering)> {
-    if x.nrows() == 0 {
-        return Err(LinalgError::Empty { op: "standardize_columns" });
-    }
-    let p = x.ncols();
-    let means = column_means(x);
-    // Per-column standard deviations, computed over parallel column blocks
-    // (each block walks its own strided columns; blocks never overlap).
-    let scales: Vec<f64> = odflow_par::map_chunks(p, 16, |cols| {
-        cols.map(|j| {
-            let col = x.col(j).expect("column index within bounds");
-            let sd = vecops::std_dev(&col);
-            if sd > 1e-12 {
-                sd
-            } else {
-                1.0
-            }
-        })
-        .collect::<Vec<f64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    let mut out = x.clone();
-    odflow_par::parallel_chunks(out.as_mut_slice(), CENTER_ROW_BLOCK * p.max(1), |_, rows| {
-        for row in rows.chunks_exact_mut(p.max(1)) {
-            for ((v, &m), &s) in row.iter_mut().zip(&means).zip(&scales) {
-                *v = (*v - m) / s;
-            }
-        }
-    });
-    Ok((out, Centering { means, scales }))
 }
 
 /// Rows per parallel block for centering passes. Fixed so the block-ordered
@@ -196,34 +143,14 @@ mod tests {
     }
 
     #[test]
-    fn standardize_unit_variance() {
-        let (z, t) = standardize_columns(&sample()).unwrap();
-        for j in 0..2 {
-            let col = z.col(j).unwrap();
-            assert!(vecops::mean(&col).abs() < 1e-12);
-            assert!((vecops::variance(&col) - 1.0).abs() < 1e-12);
+    fn apply_row_matches_the_centered_training_row() {
+        let x = sample();
+        let (c, t) = center_columns(&x).unwrap();
+        for i in 0..x.nrows() {
+            let mut row = x.row(i).unwrap().to_vec();
+            t.apply_row(&mut row).unwrap();
+            assert_eq!(row, c.row(i).unwrap());
         }
-        assert!(t.scales[0] > 0.0);
-    }
-
-    #[test]
-    fn standardize_constant_column_stays_finite() {
-        let x = Matrix::from_rows(&[vec![2.0, 1.0], vec![2.0, 3.0]]).unwrap();
-        let (z, t) = standardize_columns(&x).unwrap();
-        assert!(z.all_finite());
-        assert_eq!(t.scales[0], 1.0); // constant column: scale left at 1
-        assert_eq!(z[(0, 0)], 0.0);
-    }
-
-    #[test]
-    fn apply_invert_roundtrip() {
-        let (_, t) = standardize_columns(&sample()).unwrap();
-        let mut row = vec![4.0, 20.0];
-        let orig = row.clone();
-        t.apply_row(&mut row).unwrap();
-        t.invert_row(&mut row).unwrap();
-        assert!((row[0] - orig[0]).abs() < 1e-12);
-        assert!((row[1] - orig[1]).abs() < 1e-12);
     }
 
     #[test]
@@ -231,13 +158,11 @@ mod tests {
         let (_, t) = center_columns(&sample()).unwrap();
         let mut short = vec![1.0];
         assert!(t.apply_row(&mut short).is_err());
-        assert!(t.invert_row(&mut short).is_err());
         assert_eq!(t.ncols(), 2);
     }
 
     #[test]
     fn empty_input_rejected() {
         assert!(center_columns(&Matrix::zeros(0, 3)).is_err());
-        assert!(standardize_columns(&Matrix::zeros(0, 3)).is_err());
     }
 }

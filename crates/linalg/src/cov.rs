@@ -2,9 +2,7 @@
 //!
 //! PCA in the subspace method diagonalizes `X^T X` (the scatter matrix of the
 //! centered OD-flow timeseries). We expose both the raw scatter matrix and
-//! the unbiased sample covariance, plus the correlation matrix used when
-//! traffic types with wildly different magnitudes (bytes vs flows) must be
-//! compared on common footing.
+//! the unbiased sample covariance.
 
 use crate::center::center_columns;
 use crate::error::{LinalgError, Result};
@@ -35,28 +33,6 @@ pub fn covariance(x: &Matrix) -> Result<Matrix> {
     let mut s = gram_txx(&c)?;
     s.scale_mut(1.0 / (x.nrows() as f64 - 1.0));
     Ok(s)
-}
-
-/// Correlation matrix of the columns of `x`.
-///
-/// Columns with zero variance yield zero correlation against everything
-/// (and 1.0 on their own diagonal) rather than NaN, so downstream eigen
-/// analysis stays finite when an OD pair is silent all week.
-pub fn correlation(x: &Matrix) -> Result<Matrix> {
-    let cov = covariance(x)?;
-    let p = cov.ncols();
-    let sd: Vec<f64> = (0..p).map(|j| cov[(j, j)].max(0.0).sqrt()).collect();
-    let mut out = Matrix::zeros(p, p);
-    for i in 0..p {
-        for j in 0..p {
-            if i == j {
-                out[(i, j)] = 1.0;
-            } else if sd[i] > 1e-150 && sd[j] > 1e-150 {
-                out[(i, j)] = cov[(i, j)] / (sd[i] * sd[j]);
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Rows per parallel block in [`gram_txx`]. Fixed (never derived from the
@@ -227,34 +203,6 @@ mod tests {
         for j in 0..4 {
             assert!(c[(j, j)] >= 0.0);
         }
-    }
-
-    #[test]
-    fn correlation_diagonal_ones_and_bounds() {
-        let x = Matrix::from_fn(30, 3, |i, j| ((i * 7 + j * j * 5 + 3) % 23) as f64);
-        let r = correlation(&x).unwrap();
-        for i in 0..3 {
-            assert!((r[(i, i)] - 1.0).abs() < 1e-12);
-            for j in 0..3 {
-                assert!(r[(i, j)] <= 1.0 + 1e-9 && r[(i, j)] >= -1.0 - 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn correlation_perfect() {
-        let x = Matrix::from_rows(&[vec![1.0, -1.0], vec![2.0, -2.0], vec![3.0, -3.0]]).unwrap();
-        let r = correlation(&x).unwrap();
-        assert!((r[(0, 1)] + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn correlation_constant_column_finite() {
-        let x = Matrix::from_rows(&[vec![5.0, 1.0], vec![5.0, 2.0], vec![5.0, 3.0]]).unwrap();
-        let r = correlation(&x).unwrap();
-        assert!(r.all_finite());
-        assert_eq!(r[(0, 1)], 0.0);
-        assert_eq!(r[(0, 0)], 1.0);
     }
 
     #[test]

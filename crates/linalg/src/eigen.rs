@@ -56,15 +56,6 @@ impl EigenDecomposition {
         }
         clamped.iter().take(k).sum::<f64>() / total
     }
-
-    /// Effective rank: number of eigenvalues above `tol * max_eigenvalue`.
-    pub fn effective_rank(&self, tol: f64) -> usize {
-        let max = self.eigenvalues.first().copied().unwrap_or(0.0).max(0.0);
-        if max == 0.0 {
-            return 0;
-        }
-        self.eigenvalues.iter().filter(|&&l| l > tol * max).count()
-    }
 }
 
 /// Largest tolerated asymmetry `max |a_ij - a_ji|` in the input, relative
@@ -475,7 +466,6 @@ mod tests {
         assert!((e.eigenvalues[0] - 14.0).abs() < 1e-10);
         assert!(e.eigenvalues[1].abs() < 1e-10);
         assert!(e.eigenvalues[2].abs() < 1e-10);
-        assert_eq!(e.effective_rank(1e-9), 1);
     }
 
     #[test]

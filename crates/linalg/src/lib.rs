@@ -5,15 +5,19 @@
 //! Householder tridiagonalization with implicit-shift QR
 //! ([`eigen_symmetric`]), thin SVD via the Gram eigenproblem ([`thin_svd`])
 //! or a randomized range finder ([`randomized_thin_svd`]), column
-//! centering/standardization, and covariance / correlation matrices.
+//! centering, and covariance / scatter matrices.
 //!
 //! The paper this workspace reproduces (Lakhina, Crovella & Diot,
 //! *Characterization of Network-Wide Anomalies in Traffic Flows*, IMC 2004)
 //! performs PCA over an `n x p` multivariate timeseries of origin-destination
-//! flow traffic with `p = 121`. Everything here is sized and tested for that
-//! regime — tall-skinny data, small dense symmetric eigenproblems — and is
-//! implemented from scratch so the workspace carries no external numerics
-//! dependency (Rust PCA tooling being thin is exactly why).
+//! flow traffic with `p = 121`: tall-skinny data, a small dense symmetric
+//! eigenproblem. The same kernels factor wide windows too —
+//! [`truncated_svd`] takes a window of few bins over many OD pairs (a
+//! `24 x 90 000` mesh window) exactly through its `n x n` row Gram, read
+//! where it lies, and a window wide on both sides through the randomized
+//! solver. Everything is implemented from scratch so the workspace carries
+//! no external numerics dependency (Rust PCA tooling being thin is exactly
+//! why).
 //!
 //! ## Quick example
 //!
@@ -43,8 +47,8 @@ mod tridiag;
 pub mod vecops;
 
 pub use backend::{truncated_svd, EigenMethod, AUTO_DENSE_MAX_DIM};
-pub use center::{center_columns, column_means, standardize_columns, Centering};
-pub use cov::{correlation, covariance, scatter};
+pub use center::{center_columns, column_means, Centering};
+pub use cov::{covariance, scatter};
 /// [`eigen_symmetric`] under the name the frozen `e2e_bench` imports; the
 /// next `[benchmark]` PR switches that import and this line goes.
 pub use eigen::eigen_symmetric as eigen_symmetric_auto;

@@ -102,11 +102,6 @@ impl Matrix {
         Ok(Matrix { rows: rows.len(), cols, data })
     }
 
-    /// Creates a column vector (shape `n x 1`) from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Matrix { rows: v.len(), cols: 1, data: v.to_vec() }
-    }
-
     /// Creates a diagonal matrix from a slice of diagonal entries.
     pub fn from_diag(d: &[f64]) -> Self {
         let mut m = Matrix::zeros(d.len(), d.len());
@@ -156,11 +151,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consume the matrix and return its row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Bounds-checked element access.
@@ -441,11 +431,6 @@ impl Matrix {
         self.zip_with(rhs, "sub", |a, b| a - b)
     }
 
-    /// Element-wise product (Hadamard product).
-    pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "hadamard", |a, b| a * b)
-    }
-
     fn zip_with(
         &self,
         rhs: &Matrix,
@@ -471,13 +456,6 @@ impl Matrix {
         let mut m = self.clone();
         m.scale_mut(s);
         m
-    }
-
-    /// Apply `f` to every element, in place.
-    pub fn map_mut(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
     }
 
     /// Frobenius norm: `sqrt(sum of squared entries)`.
@@ -1209,7 +1187,6 @@ mod tests {
         let b = Matrix::filled(2, 2, 1.0);
         assert_eq!(a.add(&b).unwrap()[(0, 0)], 2.0);
         assert_eq!(a.sub(&b).unwrap()[(1, 1)], 3.0);
-        assert_eq!(a.hadamard(&a).unwrap()[(1, 0)], 9.0);
         assert!(a.add(&Matrix::zeros(3, 3)).is_err());
     }
 
@@ -1218,7 +1195,7 @@ mod tests {
         let mut a = m22();
         a.scale_mut(2.0);
         assert_eq!(a[(1, 1)], 8.0);
-        a.map_mut(|x| x / 2.0);
+        a.scale_mut(0.5);
         assert_eq!(a, m22());
         assert_eq!(m22().scaled(0.0).frobenius_norm(), 0.0);
     }
@@ -1284,9 +1261,7 @@ mod tests {
     }
 
     #[test]
-    fn col_vector_and_diag() {
-        let v = Matrix::col_vector(&[1.0, 2.0, 3.0]);
-        assert_eq!(v.shape(), (3, 1));
+    fn from_diag_known() {
         let d = Matrix::from_diag(&[1.0, 2.0]);
         assert_eq!(d[(1, 1)], 2.0);
         assert_eq!(d[(0, 1)], 0.0);

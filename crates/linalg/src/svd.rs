@@ -48,16 +48,6 @@ impl Svd {
         let us = scale_cols(&uk, &self.sigma[..k]);
         us.matmul(&vk.transpose())
     }
-
-    /// Fraction of total squared Frobenius mass captured by the top `k`
-    /// singular values.
-    pub fn energy_captured(&self, k: usize) -> f64 {
-        let total: f64 = self.sigma.iter().map(|s| s * s).sum();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        self.sigma.iter().take(k).map(|s| s * s).sum::<f64>() / total
-    }
 }
 
 /// Multiplies column `j` of `m` by `s[j]`.
@@ -241,15 +231,6 @@ mod tests {
         let err = svd.reconstruct_rank(k).unwrap().sub(&x).unwrap().frobenius_norm();
         let tail: f64 = svd.sigma[k..].iter().map(|s| s * s).sum::<f64>().sqrt();
         assert!((err - tail).abs() < 1e-8, "err {err} vs tail {tail}");
-    }
-
-    #[test]
-    fn energy_captured_bounds() {
-        let x = data_matrix(20, 5);
-        let svd = thin_svd(&x, 0.0).unwrap();
-        assert!(svd.energy_captured(0) == 0.0);
-        assert!((svd.energy_captured(svd.rank()) - 1.0).abs() < 1e-12);
-        assert!(svd.energy_captured(2) <= 1.0);
     }
 
     #[test]

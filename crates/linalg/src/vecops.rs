@@ -137,20 +137,6 @@ pub fn mean(v: &[f64]) -> f64 {
     }
 }
 
-/// Unbiased sample variance (divides by `n - 1`); 0.0 for slices of length < 2.
-pub fn variance(v: &[f64]) -> f64 {
-    if v.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(v);
-    v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() - 1) as f64
-}
-
-/// Sample standard deviation (square root of [`variance`]).
-pub fn std_dev(v: &[f64]) -> f64 {
-    variance(v).sqrt()
-}
-
 /// Normalize `v` to unit Euclidean norm in place.
 ///
 /// Vectors whose norm is below `1e-300` are left untouched (a zero vector has
@@ -162,34 +148,6 @@ pub fn normalize(v: &mut [f64]) -> bool {
     }
     scale(v, 1.0 / n);
     true
-}
-
-/// Index and value of the maximum element; `None` for an empty slice.
-/// NaN entries are skipped.
-pub fn argmax(v: &[f64]) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &x) in v.iter().enumerate() {
-        if x.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, b)) if x <= b => {}
-            _ => best = Some((i, x)),
-        }
-    }
-    best
-}
-
-/// Index and value of the minimum element; `None` for an empty slice.
-/// NaN entries are skipped.
-pub fn argmin(v: &[f64]) -> Option<(usize, f64)> {
-    argmax(&v.iter().map(|x| -x).collect::<Vec<_>>()).map(|(i, x)| (i, -x))
-}
-
-/// Linear interpolation between `a` and `b` at parameter `t in [0,1]`.
-#[inline]
-pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
-    a + (b - a) * t
 }
 
 #[cfg(test)]
@@ -278,19 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_variance_known() {
+    fn mean_known() {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&v) - 5.0).abs() < 1e-12);
-        // Sample variance with n-1 denominator: sum sq dev = 32, / 7
-        assert!((variance(&v) - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[1.0]), 0.0);
-    }
-
-    #[test]
-    fn std_dev_is_sqrt_variance() {
-        let v = [1.0, 3.0];
-        assert!((std_dev(&v) - variance(&v).sqrt()).abs() < 1e-15);
     }
 
     #[test]
@@ -304,26 +253,9 @@ mod tests {
     }
 
     #[test]
-    fn argmax_argmin() {
-        let v = [1.0, 5.0, -2.0, 5.0];
-        assert_eq!(argmax(&v), Some((1, 5.0))); // first max wins
-        assert_eq!(argmin(&v), Some((2, -2.0)));
-        assert_eq!(argmax(&[]), None);
-        let with_nan = [f64::NAN, 2.0];
-        assert_eq!(argmax(&with_nan), Some((1, 2.0)));
-    }
-
-    #[test]
     fn scale_in_place() {
         let mut v = vec![1.0, -2.0];
         scale(&mut v, -3.0);
         assert_eq!(v, vec![-3.0, 6.0]);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        assert_eq!(lerp(2.0, 10.0, 0.0), 2.0);
-        assert_eq!(lerp(2.0, 10.0, 1.0), 10.0);
-        assert_eq!(lerp(2.0, 10.0, 0.5), 6.0);
     }
 }

@@ -138,7 +138,8 @@ impl Default for ServeConfig {
 #[derive(Debug)]
 struct Control {
     draining: AtomicBool,
-    paused: AtomicBool,
+    /// [`ServeConfig::start_paused`]; only a drain ends the pause.
+    paused: bool,
     metrics: ServeMetrics,
 }
 
@@ -153,22 +154,6 @@ impl DaemonHandle {
     /// Requests a graceful drain-and-flush shutdown.
     pub fn drain(&self) {
         self.control.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// `true` once a drain has been requested.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.control.draining.load(Ordering::SeqCst)
-    }
-
-    /// Pauses tenant workers (admission keeps running).
-    pub fn pause(&self) {
-        self.control.paused.store(true, Ordering::SeqCst);
-    }
-
-    /// Resumes paused tenant workers.
-    pub fn resume(&self) {
-        self.control.paused.store(false, Ordering::SeqCst);
     }
 
     /// The current metrics page, identical to `GET /metrics`.
@@ -380,7 +365,7 @@ impl Daemon {
             Daemon {
                 control: Arc::new(Control {
                     draining: AtomicBool::new(false),
-                    paused: AtomicBool::new(config.start_paused),
+                    paused: config.start_paused,
                     metrics,
                 }),
                 pipelines,
@@ -1039,7 +1024,7 @@ fn run_tenant_worker(
         }
         // A pause holds the worker (admission keeps filling the queue);
         // a drain overrides it so shutdown always completes.
-        if control.paused.load(Ordering::SeqCst) && !control.draining.load(Ordering::SeqCst) {
+        if control.paused && !control.draining.load(Ordering::SeqCst) {
             std::thread::sleep(tick);
             continue;
         }
@@ -1096,7 +1081,7 @@ mod tests {
     fn admission_fixture(capacity: usize) -> (Control, Vec<Arc<BoundedQueue<FrameBatch>>>) {
         let control = Control {
             draining: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
+            paused: false,
             metrics: ServeMetrics::new(&["t0".to_owned()]),
         };
         (control, vec![Arc::new(BoundedQueue::new(capacity))])
@@ -1271,7 +1256,6 @@ mod tests {
         assert!(daemon.tcp_addr().is_some());
         assert!(daemon.metrics_addr().is_some());
         let handle = daemon.handle();
-        assert!(!handle.is_draining());
         assert!(handle.tenant_counters(0).is_some());
         assert!(handle.tenant_counters(1).is_none());
         assert!(handle.metrics_text().contains("tenant=\"t0\""));

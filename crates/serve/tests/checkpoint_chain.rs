@@ -18,6 +18,7 @@ use odflow_serve::{
     decode_state, encode_state, CheckpointError, CheckpointStore, PipelineState, TenantConfig,
     TenantCounters, TenantPipeline,
 };
+use odflow_subspace::DegradedReason;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -183,7 +184,8 @@ fn chain_tracks_pipeline(tag: &str, scenario: &Scenario, frames: &[Vec<u8>]) -> 
 
     let flush = pipeline.flush().unwrap();
     assert_eq!(flush.outcome.dropped_late, late.len() as u64);
-    assert!(flush.live_verdicts.iter().any(|v| !v.is_scored()), "the blackout masked a bin");
+    let masked = Some(DegradedReason::MaskedBin);
+    assert!(flush.live_verdicts.iter().any(|v| v.degraded == masked), "the blackout masked a bin");
     store.slot_paths().map(|p| std::fs::read(p).unwrap())
 }
 

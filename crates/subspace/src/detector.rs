@@ -36,17 +36,6 @@ pub struct Detection {
     pub threshold: f64,
 }
 
-impl Detection {
-    /// How far above threshold the statistic was, as a ratio (`>= 1`).
-    pub fn severity(&self) -> f64 {
-        if self.threshold <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.value / self.threshold
-        }
-    }
-}
-
 impl SubspaceModel {
     /// The scoring kernel — the one place a statistic meets a threshold.
     /// Splits `x` through the caller's scratch (SPE from its residual, T²
@@ -113,14 +102,6 @@ impl Analysis {
     pub fn detections_at(&self, bin: usize) -> Vec<Detection> {
         self.detections.iter().filter(|d| d.bin == bin).copied().collect()
     }
-
-    /// Fraction of bins flagged (an operator-facing alarm-budget summary).
-    pub fn alarm_rate(&self) -> f64 {
-        if self.spe.is_empty() {
-            return 0.0;
-        }
-        self.anomalous_bins().len() as f64 / self.spe.len() as f64
-    }
 }
 
 /// Imputed-bin fraction above which the quality-aware path stops trusting
@@ -161,13 +142,6 @@ pub enum BinVerdict {
     Degraded(DegradedReason),
 }
 
-impl BinVerdict {
-    /// `true` unless the verdict was withheld entirely.
-    pub fn is_scored(&self) -> bool {
-        !matches!(self, BinVerdict::Degraded(DegradedReason::MaskedBin))
-    }
-}
-
 /// [`Analysis`] augmented with per-bin quality verdicts.
 #[derive(Debug, Clone)]
 pub struct QualityAnalysis {
@@ -181,13 +155,6 @@ pub struct QualityAnalysis {
     /// `true` when the imputed fraction exceeded
     /// [`IMPUTED_FRACTION_BOUND`] and the SPE band was widened.
     pub widened: bool,
-}
-
-impl QualityAnalysis {
-    /// Bins whose verdicts were withheld (masked).
-    pub fn unscored_bins(&self) -> Vec<usize> {
-        self.verdicts.iter().enumerate().filter(|(_, v)| !v.is_scored()).map(|(b, _)| b).collect()
-    }
 }
 
 /// Bins per scoring task in [`SubspaceDetector::analyze_with_quality`]; fixed so the
@@ -371,7 +338,7 @@ mod tests {
         assert!(bins.contains(&250), "spike bin not flagged; flagged: {bins:?}");
         let dets = analysis.detections_at(250);
         assert!(dets.iter().any(|d| d.kind == StatisticKind::Spe));
-        assert!(dets[0].severity() > 1.0);
+        assert!(dets[0].value > dets[0].threshold);
     }
 
     #[test]
@@ -392,11 +359,8 @@ mod tests {
     fn clean_data_low_alarm_rate() {
         let x = traffic_with_spikes(600, 12, &[]);
         let analysis = SubspaceDetector::default().analyze(&x).unwrap();
-        assert!(
-            analysis.alarm_rate() < 0.02,
-            "clean alarm rate {} too high",
-            analysis.alarm_rate()
-        );
+        let rate = analysis.anomalous_bins().len() as f64 / analysis.spe.len() as f64;
+        assert!(rate < 0.02, "clean alarm rate {rate} too high");
     }
 
     #[test]
@@ -453,12 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn severity_infinite_for_zero_threshold() {
-        let d = Detection { bin: 0, kind: StatisticKind::Spe, value: 1.0, threshold: 0.0 };
-        assert!(d.severity().is_infinite());
-    }
-
-    #[test]
     fn masked_bins_never_alarm_and_stay_out_of_fit() {
         // Plant an enormous spike in a masked bin: without masking this
         // alarms loudly; with masking it must produce no detection at all.
@@ -474,8 +432,9 @@ mod tests {
         assert_eq!(qa.analysis.spe[120], 0.0);
         assert_eq!(qa.analysis.t2[120], 0.0);
         assert_eq!(qa.verdicts[120], BinVerdict::Degraded(DegradedReason::MaskedBin));
-        assert!(!qa.verdicts[120].is_scored());
-        assert_eq!(qa.unscored_bins(), vec![120]);
+        let masked = BinVerdict::Degraded(DegradedReason::MaskedBin);
+        let withheld: Vec<usize> = (0..400).filter(|&b| qa.verdicts[b] == masked).collect();
+        assert_eq!(withheld, [120]);
         assert_eq!(qa.analysis.model.num_train_bins(), 399, "masked row excluded from fit");
         // Series still span every bin.
         assert_eq!(qa.analysis.spe.len(), 400);
@@ -531,7 +490,6 @@ mod tests {
         let qa = SubspaceDetector::default().analyze_with_quality(&x, &q).unwrap();
         assert!(!qa.widened);
         assert_eq!(qa.verdicts[7], BinVerdict::Degraded(DegradedReason::ImputedBin));
-        assert!(qa.verdicts[7].is_scored());
         assert_eq!(qa.verdicts[8], BinVerdict::Scored);
     }
 

@@ -29,11 +29,6 @@ impl Diagnosis {
     pub fn analysis(&self, t: TrafficType) -> Option<&Analysis> {
         self.analyses.iter().find(|(tt, _)| *tt == t).map(|(_, a)| a)
     }
-
-    /// Total number of anomaly events found.
-    pub fn num_events(&self) -> usize {
-        self.events.len()
-    }
 }
 
 /// Runs detection + identification + merging over all three traffic
@@ -213,12 +208,12 @@ mod tests {
     fn clean_window_few_events() {
         let set = matrix_set(500, 10, &[], &[], &[]);
         let d = diagnose(&set, SubspaceConfig::default()).unwrap();
-        assert!(d.num_events() <= 6, "clean window produced {} events", d.num_events());
+        assert!(d.events.len() <= 6, "clean window produced {} events", d.events.len());
     }
 
     #[test]
     fn masked_bin_spike_yields_no_event_but_clean_spike_survives() {
-        use crate::detector::BinVerdict;
+        use crate::detector::{BinVerdict, DegradedReason};
         use odflow_flow::{BinStatus, DataQuality};
         // A huge flow-view spike at bin 150 — but the bin is masked, so
         // the quality-aware diagnosis must stay silent there while still
@@ -237,7 +232,7 @@ mod tests {
             "clean spike must still be detected"
         );
         assert_eq!(qd.verdicts.len(), 400);
-        assert!(!qd.verdicts[150].is_scored());
+        assert_eq!(qd.verdicts[150], BinVerdict::Degraded(DegradedReason::MaskedBin));
         assert_eq!(qd.verdicts[300], BinVerdict::Scored);
         assert!(!qd.widened);
         // The plain diagnosis on the same set *does* flag bin 150 — the

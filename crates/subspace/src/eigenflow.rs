@@ -151,25 +151,6 @@ impl EigenflowDecomposition {
         }
         self.singular_values.iter().take(k).map(|s| s * s).sum::<f64>() / self.total_energy
     }
-
-    /// Number of eigenflows needed to capture at least `fraction` of the
-    /// variance — the paper's "handful of eigenflows" observation is this
-    /// number being small relative to `p`. For truncated decompositions
-    /// this saturates at [`Self::rank`] when the retained triplets never
-    /// reach `fraction` of the (full-spectrum) energy.
-    pub fn effective_dimension(&self, fraction: f64) -> usize {
-        if self.total_energy <= 0.0 {
-            return 0;
-        }
-        let mut acc = 0.0;
-        for (i, s) in self.singular_values.iter().enumerate() {
-            acc += s * s;
-            if acc / self.total_energy >= fraction {
-                return i + 1;
-            }
-        }
-        self.rank()
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +178,6 @@ mod tests {
             "first eigenflow captures {}",
             d.variance_captured(1)
         );
-        assert!(d.effective_dimension(0.95) <= 2);
     }
 
     #[test]

@@ -232,7 +232,8 @@ mod tests {
         .unwrap();
         let mut row = clean.row(200).unwrap().to_vec();
         let axis = model.decomposition().loadings.col(0).unwrap();
-        let (big_j, _) = vecops::argmax(&axis.iter().map(|a| a.abs()).collect::<Vec<_>>()).unwrap();
+        let big_j =
+            (0..axis.len()).max_by(|&a, &b| axis[a].abs().total_cmp(&axis[b].abs())).unwrap();
         row[big_j] += 400.0;
         let t2 = model.t2(&row).unwrap();
         assert!(t2 > model.t2_threshold(), "setup: t2 {t2} must exceed threshold");

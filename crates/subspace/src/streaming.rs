@@ -35,11 +35,6 @@ impl StreamVerdict {
     pub fn is_anomalous(&self) -> bool {
         !self.detections.is_empty()
     }
-
-    /// `true` when the observation was actually scored (not masked).
-    pub fn is_scored(&self) -> bool {
-        !matches!(self.degraded, Some(DegradedReason::MaskedBin))
-    }
 }
 
 /// Streaming subspace detector with periodic refit.
@@ -350,7 +345,6 @@ mod tests {
         let v = det.push_with_status(&[], BinStatus::Masked).unwrap();
         assert_eq!(v.bin, 0);
         assert!(!v.is_anomalous());
-        assert!(!v.is_scored());
         assert_eq!(v.degraded, Some(DegradedReason::MaskedBin));
         assert_eq!(det.window.len(), before, "masked bin must not enter window");
         assert_eq!(det.bins_seen(), 1);
@@ -367,7 +361,6 @@ mod tests {
         let row = traffic(1, 8, 100).row(0).unwrap().to_vec();
         let v = det.push_with_status(&row, BinStatus::Imputed).unwrap();
         assert_eq!(v.degraded, Some(DegradedReason::ImputedBin));
-        assert!(v.is_scored());
         assert_eq!(det.window.len(), before, "imputed bin must not enter window");
         // Same row, clean status: identical statistics, and it trains.
         let mut det2 = OnlineDetector::new(&train, SubspaceConfig::default(), 10_000).unwrap();
