@@ -311,19 +311,26 @@ fn fit_wide(x: &Matrix, k: usize, method: EigenMethod) -> Result<SubspaceModel, 
 #[test]
 fn constant_window_gives_a_degenerate_model_not_nan() {
     // Every OD pair flat over the window (each at its own level): the
-    // centered data is exactly zero.
-    let x = Matrix::from_fn(30, 600, |_, j| 1e3 + j as f64);
-    for method in WIDE_METHODS {
-        let model = fit_wide(&x, 4, method).unwrap();
-        assert!(model.degenerate_residual(), "{method:?}");
-        assert!(model.spe_threshold().is_finite());
-        assert!(model.t2_threshold().is_finite());
-        let d = model.decomposition();
-        assert_eq!(d.total_energy, 0.0);
-        assert!(d.singular_values.iter().all(|s| s.is_finite()));
-        assert!(d.loadings.all_finite() && d.eigenflows.all_finite());
-        assert!(model.spe_series(&x).unwrap().iter().all(|&s| s == 0.0));
-        assert!(model.t2_series(&x).unwrap().iter().all(|t| t.is_finite()));
+    // centered data is exactly zero, the residual carries no variance.
+    // The wide window goes through the randomized arm and the row Gram,
+    // the paper-width ones (p = 121, fewer and more bins than OD pairs)
+    // through the dense solver.
+    let dense = [EigenMethod::Auto, EigenMethod::DenseTridiagonal];
+    for ((n, p), methods) in [((30, 600), WIDE_METHODS), ((30, 121), dense), ((200, 121), dense)] {
+        let x = Matrix::from_fn(n, p, |_, j| 1e3 + j as f64);
+        for method in methods {
+            let tag = format!("{n} x {p}, {method:?}");
+            let model = fit_wide(&x, 4, method).unwrap();
+            assert!(model.degenerate_residual(), "{tag}");
+            assert_eq!(model.spe_threshold(), 0.0, "{tag}");
+            assert!(model.t2_threshold().is_finite(), "{tag}");
+            let d = model.decomposition();
+            assert_eq!(d.total_energy, 0.0, "{tag}");
+            assert!(d.singular_values.iter().all(|s| s.is_finite()), "{tag}");
+            assert!(d.loadings.all_finite() && d.eigenflows.all_finite(), "{tag}");
+            assert!(model.spe_series(&x).unwrap().iter().all(|&s| s == 0.0), "{tag}");
+            assert!(model.t2_series(&x).unwrap().iter().all(|t| t.is_finite()), "{tag}");
+        }
     }
 }
 
