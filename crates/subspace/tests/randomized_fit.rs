@@ -4,11 +4,11 @@
 //! outcomes.
 //!
 //! The goldens are FNV-1a words over the exact bits of a fit — singular
-//! values, loadings, eigenflows, total energy, both thresholds and the SPE
-//! / T² series over the training window — for two fixtures under two
-//! methods. The randomized range finder's words were captured before that
-//! fit stopped copying the centered window; `Auto`'s, which factor the
-//! `n x n` row Gram, when `Auto` started resolving these shapes dense.
+//! values, the normal subspace's loadings, eigenflows, total energy, both
+//! thresholds and the SPE / T² series over the training window — for two
+//! fixtures under two methods. The words were re-keyed once, from the
+//! whole loadings panel to its leading `min(k, rank)` columns, on the code
+//! that still kept the whole panel, before fits stopped building the rest.
 //! Like the storm-day goldens, they are never re-pinned to make a refactor
 //! pass.
 
@@ -52,13 +52,16 @@ fn bits(values: &[f64]) -> u64 {
     fnv(values.iter().map(|v| v.to_bits()))
 }
 
-/// One word per pinned field, in a fixed order: σ, loadings, eigenflows,
-/// `[total_energy, SPE threshold, T² threshold]`, SPE series, T² series.
+/// One word per pinned field, in a fixed order: σ, the loadings of the
+/// normal subspace (the leading `min(k, rank)` columns, the ones scoring
+/// reads), eigenflows, `[total_energy, SPE threshold, T² threshold]`, SPE
+/// series, T² series.
 fn field_words(model: &SubspaceModel, x: &Matrix) -> [u64; 6] {
     let d = model.decomposition();
+    let normal: Vec<usize> = (0..model.config().k.min(d.rank())).collect();
     [
         bits(&d.singular_values),
-        bits(d.loadings.as_slice()),
+        bits(d.loadings.select_cols(&normal).unwrap().as_slice()),
         bits(d.eigenflows.as_slice()),
         bits(&[d.total_energy, model.spe_threshold(), model.t2_threshold()]),
         bits(&model.spe_series(x).unwrap()),
@@ -97,14 +100,14 @@ fn wide_randomized_fit_goldens_are_pinned() {
     // sketch, products banded across twenty 1024-column bands.
     assert_eq!(
         digest(&noisy_traffic(24, 20_000, 7), 10, SKETCH),
-        0xd8c4_d70f_7e93_8c0a,
+        0x24fd_1a33_1dd1_014f,
         "24 x 20000 drifted"
     );
     // An odd bin count, and three full 1024-column bands plus a ragged
     // five-column fourth.
     assert_eq!(
         digest(&noisy_traffic(17, 3 * 1024 + 5, 11), 4, SKETCH),
-        0x7671_c13a_47a7_c4fb,
+        0x8c76_e839_a8b6_c406,
         "17 x 3077 drifted"
     );
 }
@@ -117,12 +120,12 @@ fn wide_row_gram_fit_goldens_are_pinned() {
     assert!(EigenMethod::Auto.is_dense_for((17, 3 * 1024 + 5), 4));
     assert_eq!(
         digest(&noisy_traffic(24, 20_000, 7), 10, EigenMethod::Auto),
-        0x0498_fb58_e267_a1cd,
+        0x6525_2a66_2458_f58c,
         "24 x 20000 drifted"
     );
     assert_eq!(
         digest(&noisy_traffic(17, 3 * 1024 + 5, 11), 4, EigenMethod::Auto),
-        0xef57_f8de_f77b_77bf,
+        0x32da_3147_cb06_bfd7,
         "17 x 3077 drifted"
     );
 }
