@@ -27,9 +27,8 @@ use crate::svd::{thin_svd, Svd};
 /// time, hundreds of milliseconds at 512. A wider one with at most this
 /// many bins `n` goes through its `n x n` row Gram only while that costs
 /// no more than the randomized sketch it replaces: the row Gram's
-/// `O(n² p)` multiply-adds and `p x (n − 1)` loadings grow with `p` as the
-/// sketch's `O(n (k + oversample) p)` does, but `n / (k + oversample)`
-/// times faster. Every other window takes the randomized truncated solver.
+/// `O(n² p)` multiply-adds grow with `p` as the sketch's `O(n (k +
+/// oversample) p)` do, but `n / (k + oversample)` times faster. Every other window takes the randomized truncated solver.
 pub const AUTO_DENSE_MAX_DIM: usize = 512;
 
 /// How to compute the eigen/singular decomposition during model fitting.
@@ -63,8 +62,8 @@ pub enum EigenMethod {
     /// spectrum, bit-identical for every thread count. A window at most
     /// `max(n, AUTO_DENSE_MAX_DIM)` wide is factored through its `p x p`
     /// column Gram (memory and time `O(p²)` / `O(p³)`), a wider one through
-    /// its `n x n` row Gram (`O(n²)` / `O(n² p)`, beside the `p x r`
-    /// loadings).
+    /// its `n x n` row Gram (`O(n²)` / `O(n² p)`, beside the `p x k`
+    /// loadings of the `k` axes asked for).
     ///
     /// ```
     /// use odflow_linalg::{truncated_svd, EigenMethod, Matrix};
@@ -73,7 +72,9 @@ pub enum EigenMethod {
     ///     ((i * 3 + j * 7) % 11) as f64 + if i == j { 5.0 } else { 0.0 }
     /// });
     /// let (svd, _) = truncated_svd(&x, &[0.0; 24], 4, EigenMethod::DenseTridiagonal).unwrap();
-    /// assert_eq!(svd.rank(), 24); // the whole spectrum, whatever rank was asked
+    /// assert_eq!(svd.rank(), 24); // the whole spectrum, whatever rank was asked,
+    /// assert_eq!(svd.v.ncols(), 4); // and the axes asked for
+    /// let (svd, _) = truncated_svd(&x, &[0.0; 24], 24, EigenMethod::DenseTridiagonal).unwrap();
     /// assert!(svd.reconstruct().unwrap().approx_eq(&x, 1e-8));
     /// ```
     DenseTridiagonal,
@@ -144,6 +145,13 @@ impl EigenMethod {
 /// exactly, and the randomized path returns its `rank + oversample` sketch
 /// width. Size against the returned [`Svd::rank`], never the request.
 ///
+/// `rank` also sets what is built of `V`: exactly the top `min(rank, r)`
+/// right singular vectors (`r` = [`Svd::rank`]), while `sigma` and `u`
+/// keep every retained triplet. A model needs axes for its normal subspace
+/// only, and the tail enters its thresholds through σ alone; at 90 000 OD
+/// pairs each column left out is 0.7 MB. Ask for `r` or more (`min(n, p)`
+/// always is) to get the whole panel, as [`Svd::reconstruct`] needs.
+///
 /// The dense path's energy is `Σ σ²` over the spectrum it returns. Its
 /// column Gram (`p ≤ max(n, AUTO_DENSE_MAX_DIM)`) centers a copy of `x`;
 /// its row Gram (any wider window) reads `x` where it lies, subtracting μ
@@ -171,18 +179,19 @@ impl EigenMethod {
 /// assert_eq!(dense.sigma, auto.sigma);
 ///
 /// // A window wider than 512 with fewer bins goes through its 12 x 12 row
-/// // Gram: the triplets rebuild the centered window, to the Gram route's
-/// // √ε resolution.
+/// // Gram: asked for every direction, the triplets rebuild the centered
+/// // window, to the Gram route's √ε resolution.
 /// let wide = Matrix::from_fn(12, 600, |i, j| ((i * 5 + j * 3) % 13) as f64);
-/// let (row_gram, _) = truncated_svd(&wide, &column_means(&wide), 2, EigenMethod::Auto).unwrap();
+/// let (row_gram, _) = truncated_svd(&wide, &column_means(&wide), 12, EigenMethod::Auto).unwrap();
 /// let (centered, _) = center_columns(&wide).unwrap();
 /// assert!(row_gram.reconstruct().unwrap().approx_eq(&centered, 1e-6 * centered.max_abs()));
 ///
 /// // A sketch keeps its width of triplets, and still reports the energy
-/// // of the whole centered matrix.
+/// // of the whole centered matrix; V holds the 5 axes asked for.
 /// let sketch = EigenMethod::RandomizedTruncated { oversample: 3, power_iters: 2, seed: 1 };
 /// let (rnd, rnd_energy) = truncated_svd(&x, &means, 5, sketch).unwrap();
 /// assert!(rnd.rank() <= 8);
+/// assert_eq!(rnd.v.shape(), (40, 5));
 /// assert!((rnd_energy - energy).abs() <= 1e-9 * energy);
 /// ```
 pub fn truncated_svd(
@@ -202,15 +211,17 @@ pub fn truncated_svd(
     match method.resolve((n, p), rank) {
         EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
             let opts = RandomizedSvdOptions { oversample, power_iters, seed };
-            centered_randomized_svd(x, means, rank, opts)
+            centered_randomized_svd(x, means, rank, opts, rank)
         }
         // `resolve` never returns `Auto`.
         EigenMethod::DenseTridiagonal | EigenMethod::Auto => {
             if p > n.max(AUTO_DENSE_MAX_DIM) {
-                return centered_row_gram_svd(x, means);
+                return centered_row_gram_svd(x, means, rank);
             }
-            let svd = thin_svd(&subtract_means(x, means), 0.0)?;
+            let mut svd = thin_svd(&subtract_means(x, means), 0.0)?;
             let energy = svd.sigma.iter().map(|s| s * s).sum();
+            let leading: Vec<usize> = (0..rank.min(svd.rank())).collect();
+            svd.v = svd.v.select_cols(&leading)?;
             Ok((svd, energy))
         }
     }
@@ -262,6 +273,11 @@ mod tests {
         let x = Matrix::from_fn(12, 6, |i, j| ((i + 1) * (j + 2)) as f64 + (i as f64 * 0.3).sin());
         let (svd, _) = truncated_svd(&x, &[0.0; 6], 2, EigenMethod::DenseTridiagonal).unwrap();
         assert!(svd.rank() > 2, "asked for 2, the dense path keeps all {}", svd.rank());
+        // ...but builds the two axes asked for: the rank-2 approximation
+        // stands, the whole reconstruction is refused, not a panic.
+        assert_eq!((svd.u.ncols(), svd.v.ncols()), (svd.rank(), 2));
+        assert!(svd.reconstruct_rank(2).is_ok());
+        assert!(matches!(svd.reconstruct(), Err(LinalgError::ShapeMismatch { .. })));
     }
 
     #[test]
@@ -289,7 +305,9 @@ mod tests {
         for method in [EigenMethod::DenseTridiagonal, EigenMethod::Auto] {
             let (svd, e) = truncated_svd(&x, &centering.means, 4, method).unwrap();
             assert_eq!(svd.sigma, direct.sigma);
-            assert_eq!(svd.v.as_slice(), direct.v.as_slice());
+            assert_eq!(svd.u.as_slice(), direct.u.as_slice());
+            let leading = direct.v.select_cols(&[0, 1, 2, 3]).unwrap();
+            assert_eq!(svd.v.as_slice(), leading.as_slice());
             assert_eq!(e.to_bits(), energy.to_bits());
         }
 

@@ -35,12 +35,13 @@
 //! nothing `p`-sized is ever transposed (only the `n x m` products `Xc Ω`
 //! and `Xc Z` are, into the rows of `Qᵀ`). The panels `m x p` in size are
 //! alive one at a time: `Ωᵀ` for the one statement that sketches with it,
-//! `Zᵀ` for one power iteration, and the right singular vectors `V`
-//! (`p x r`, `r ≤ m`) at the end. The projection `B = Qᵀ Xc` is never
-//! stored: it is computed in column bands twice, once folded into the
-//! `m x m` matrix `B Bᵀ` and once, after that small eigenproblem, turned
-//! straight into its band's rows of `V = Bᵀ W` — one more `m x n x p`
-//! product in exchange for the panel. The kernels:
+//! `Zᵀ` for one power iteration, and the right singular vectors `V` at
+//! the end — a fit's `p x k`, the normal subspace only, though σ and `U`
+//! keep all `r ≤ m` triplets. The projection `B = Qᵀ Xc` is never stored:
+//! it is computed in column bands twice, once folded into the `m x m`
+//! matrix `B Bᵀ` and once, after that small eigenproblem, turned straight
+//! into its band's rows of `V = Bᵀ W` — one more `m x n x p` product in
+//! exchange for the panel. The kernels:
 //!
 //! * `Matrix::centered_matmul_nt` (`Xc Aᵀ`) for `Xc Ω` and `Xc Z`, rows
 //!   dotted with rows, each pair of rows of `X` centered once per k tile
@@ -154,13 +155,16 @@ pub const DEFAULT_SKETCH_SEED: u64 = 0x0DF1_0E16;
 /// }
 /// ```
 pub fn randomized_thin_svd(x: &Matrix, rank: usize, opts: RandomizedSvdOptions) -> Result<Svd> {
-    let (svd, _energy) = centered_randomized_svd(x, &vec![0.0; x.ncols()], rank, opts)?;
+    let zeros = vec![0.0; x.ncols()];
+    let (svd, _energy) = centered_randomized_svd(x, &zeros, rank, opts, usize::MAX)?;
     Ok(svd)
 }
 
 /// [`randomized_thin_svd`] of the column-centered `X − 1μᵀ` (μ = `means`,
 /// one per column of `x`), read where `x` lies, and the total energy
-/// `‖X − 1μᵀ‖²_F`. The fit's route; see the module docs.
+/// `‖X − 1μᵀ‖²_F`. The fit's route; see the module docs. `V` holds only
+/// the leading `min(v_cols, r)` right singular vectors (see
+/// [`factor_projection`]); σ and `U` keep every triplet.
 ///
 /// # Errors
 ///
@@ -171,6 +175,7 @@ pub(crate) fn centered_randomized_svd(
     means: &[f64],
     rank: usize,
     opts: RandomizedSvdOptions,
+    v_cols: usize,
 ) -> Result<(Svd, f64)> {
     let (n, p) = x.shape();
     if n == 0 || p == 0 || rank == 0 {
@@ -193,7 +198,7 @@ pub(crate) fn centered_randomized_svd(
         orthonormalize_rows(&mut qt);
     }
 
-    let svd = factor_projection(Some(&qt), x, means)?;
+    let svd = factor_projection(Some(&qt), x, means, v_cols)?;
     Ok((svd, energy))
 }
 
@@ -212,9 +217,9 @@ fn sketch_width((n, p): (usize, usize), rank: usize, oversample: usize) -> usize
 /// two per power iteration, and `B = Qᵀ Xc` twice, once into `B Bᵀ` and
 /// once into `V`. The row Gram makes two about `n` wide: `G`, then `V` over
 /// its up to `n − 1` triplets. So the row Gram wins while `2n ≤ (2q + 3) m`
-/// — `n ≤ 63` at `k = 10` and the default options, `n ≤ 42` at `k = 4` —
-/// and its `p x (n − 1)` loadings are then at most 3.5 times the sketch's
-/// `p x m` panel, and never larger than the window.
+/// — `n ≤ 63` at `k = 10` and the default options, `n ≤ 42` at `k = 4`.
+/// (A fit's `V` pass is narrower on both routes: it rotates the leading
+/// `k` columns of `W` only, and either route keeps a `p x k` panel.)
 ///
 /// Measured on 2 vCPUs at `p = 20 000` (best of three fits), the row Gram
 /// took 0.52× the sketch's time at `n = 64, k = 10` and 0.57× at `n = 48,
@@ -237,22 +242,26 @@ pub(crate) fn row_gram_within_sketch_cost(
 /// through its `n x n` row Gram `G = Xc Xcᵀ`, read where `x` lies, and its
 /// energy `Σ σ²`: the range finder's projection with the identity for `Q`
 /// — `B = Xc`, `B Bᵀ = G` — so `eigen_symmetric(G)` gives σ² and `U`, and
-/// one banded pass gives `V = Xcᵀ U Σ⁻¹`. Triplets below `√ε · σ_max` are
-/// dropped, as on the randomized route; what remains is every direction
-/// the data has, so the energy is their `Σ σ²`. The finiteness check is
-/// `G`'s diagonal: `G[i][i] = Σ_j (x_ij − μ_j)²` is a sum of squares, which
-/// no NaN or infinite centered value leaves finite, and `eigen_symmetric`
-/// refuses a non-finite input.
+/// one banded pass gives `V = Xcᵀ U Σ⁻¹` for the leading `min(v_cols, r)`
+/// triplets. Triplets below `√ε · σ_max` are dropped, as on the randomized
+/// route; what remains is every direction the data has, so the energy is
+/// their `Σ σ²`. The finiteness check is `G`'s diagonal: `G[i][i] = Σ_j
+/// (x_ij − μ_j)²` is a sum of squares, which no NaN or infinite centered
+/// value leaves finite, and `eigen_symmetric` refuses a non-finite input.
 ///
 /// # Errors
 ///
 /// [`LinalgError::Empty`] for a matrix with zero rows or columns;
 /// [`LinalgError::NonFinite`] for a non-finite centered value.
-pub(crate) fn centered_row_gram_svd(x: &Matrix, means: &[f64]) -> Result<(Svd, f64)> {
+pub(crate) fn centered_row_gram_svd(
+    x: &Matrix,
+    means: &[f64],
+    v_cols: usize,
+) -> Result<(Svd, f64)> {
     if x.nrows() == 0 || x.ncols() == 0 {
         return Err(LinalgError::Empty { op: "row_gram_svd" });
     }
-    let svd = factor_projection(None, x, means)?;
+    let svd = factor_projection(None, x, means, v_cols)?;
     let energy = svd.sigma.iter().map(|s| s * s).sum();
     Ok((svd, energy))
 }
@@ -262,7 +271,13 @@ pub(crate) fn centered_row_gram_svd(x: &Matrix, means: &[f64]) -> Result<(Svd, f
 /// identity): the `m x m` eigenproblem of `B Bᵀ` for `B = Qᵀ Xc`, whose
 /// eigenvalues are σ² and whose eigenvectors `W` rotate `Q` into `U`, then
 /// `V = Bᵀ W Σ⁻¹`. Triplets with σ below `√ε · σ_max` are dropped.
-fn factor_projection(qt: Option<&Matrix>, x: &Matrix, means: &[f64]) -> Result<Svd> {
+///
+/// σ and `U` keep every remaining triplet; `V` is built for the leading
+/// `min(v_cols, r)` only — the banded pass over the window rotates that
+/// many columns of `W`. Each element of `V` is its own ascending chain and
+/// each column's norm sums that column alone, so the columns built are the
+/// bits of the whole panel's leading columns.
+fn factor_projection(qt: Option<&Matrix>, x: &Matrix, means: &[f64], v_cols: usize) -> Result<Svd> {
     let (n, p) = x.shape();
     let eig = eigen_symmetric(&projected_gram(qt, x, means))?;
 
@@ -270,7 +285,8 @@ fn factor_projection(qt: Option<&Matrix>, x: &Matrix, means: &[f64]) -> Result<S
     if sigma_max == 0.0 {
         // All-zero input (or a sketch that annihilated it): degenerate SVD,
         // mirroring `thin_svd`'s convention.
-        return Ok(Svd { u: Matrix::zeros(n, 1), sigma: vec![0.0], v: Matrix::zeros(p, 1) });
+        let v = Matrix::zeros(p, v_cols.min(1));
+        return Ok(Svd { u: Matrix::zeros(n, 1), sigma: vec![0.0], v });
     }
     let cutoff = f64::EPSILON.sqrt() * sigma_max;
     let mut sigma = Vec::new();
@@ -283,17 +299,19 @@ fn factor_projection(qt: Option<&Matrix>, x: &Matrix, means: &[f64]) -> Result<S
         }
     }
     let w = eig.eigenvectors.select_cols(&keep)?;
+    let w_lead = eig.eigenvectors.select_cols(&keep[..keep.len().min(v_cols)])?;
 
-    // V = Bᵀ W Σ^{-1} (p x r), re-normalized per column to absorb rounding
-    // drift in the small singular values — the same guard `thin_svd` uses.
-    // Under the normalization the Σ^{-1} rescale cancels analytically
-    // (each raw column of Bᵀ W has norm σ_j), so only the exact column
-    // norms are applied: two row-major passes over the panel — one
-    // map_reduce accumulating all r squared norms (per-column partials
-    // summed in chunk order, so the reduction is deterministic) and one
-    // parallel scale — instead of 2r strided per-column sweeps.
-    let mut v = projected_rotation(qt, x, means, &w);
-    let r = sigma.len();
+    // V = Bᵀ W Σ^{-1} (p x r, r = the columns of `w_lead`), re-normalized
+    // per column to absorb rounding drift in the small singular values —
+    // the same guard `thin_svd` uses. Under the normalization the Σ^{-1}
+    // rescale cancels analytically (each raw column of Bᵀ W has norm σ_j),
+    // so only the exact column norms are applied: two row-major passes
+    // over the panel — one map_reduce accumulating all r squared norms
+    // (per-column partials summed in chunk order, so the reduction is
+    // deterministic) and one parallel scale — instead of 2r strided
+    // per-column sweeps.
+    let mut v = projected_rotation(qt, x, means, &w_lead);
+    let r = v.ncols();
     let vp = v.nrows();
     let data = v.as_mut_slice();
     debug_assert_eq!(data.len(), vp * r);
@@ -734,15 +752,33 @@ mod tests {
         }
     }
 
+    /// Asserts `narrow` is `full` with `V` cut to its leading `min(v_cols,
+    /// r)` columns, bit for bit: σ and `U` whole, and every column of `V`
+    /// that was built equal to the whole panel's.
+    fn assert_leading_loadings(full: &Svd, narrow: &Svd, v_cols: usize, tag: &str) {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&narrow.sigma), bits(&full.sigma), "sigma, {tag}");
+        assert_eq!(narrow.u.shape(), full.u.shape(), "{tag}");
+        assert_eq!(bits(narrow.u.as_slice()), bits(full.u.as_slice()), "u, {tag}");
+        let lead: Vec<usize> = (0..v_cols.min(full.rank())).collect();
+        let want = full.v.select_cols(&lead).unwrap();
+        assert_eq!(narrow.v.shape(), want.shape(), "{tag}");
+        assert_eq!(bits(narrow.v.as_slice()), bits(want.as_slice()), "v, {tag}");
+    }
+
     /// Asserts the copy-free route on `x` equals the materialized oracle
-    /// bit for bit — σ, U, V and the energy — at thread limits 1, 2 and 5.
+    /// bit for bit — σ, U, V and the energy — at thread limits 1, 2 and 5,
+    /// and that a `V` of the leading `rank` columns only is that panel's.
     fn assert_copy_free_matches(x: &Matrix, rank: usize, opts: RandomizedSvdOptions, tag: &str) {
         let (want, want_energy) = materialized_centered_svd(x, rank, opts);
         let means = crate::center::column_means(x);
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         for threads in [1usize, 2, 5] {
-            let (got, energy) = odflow_par::with_thread_limit(threads, || {
-                centered_randomized_svd(x, &means, rank, opts).unwrap()
+            let ((got, energy), (narrow, _)) = odflow_par::with_thread_limit(threads, || {
+                (
+                    centered_randomized_svd(x, &means, rank, opts, usize::MAX).unwrap(),
+                    centered_randomized_svd(x, &means, rank, opts, rank).unwrap(),
+                )
             });
             let tag = format!("{tag}, threads={threads}");
             assert_eq!(bits(&got.sigma), bits(&want.sigma), "sigma, {tag}");
@@ -751,6 +787,7 @@ mod tests {
             assert_eq!(got.v.shape(), want.v.shape(), "{tag}");
             assert_eq!(bits(got.v.as_slice()), bits(want.v.as_slice()), "v, {tag}");
             assert_eq!(energy.to_bits(), want_energy.to_bits(), "energy, {tag}");
+            assert_leading_loadings(&got, &narrow, rank, &format!("narrowed, {tag}"));
         }
     }
 
@@ -878,7 +915,7 @@ mod tests {
             assert!(want.rank() >= n.min(5) - 1, "case {case}: σ = {:?}", want.sigma);
             for threads in [1usize, 2, 5] {
                 let (got, energy) = odflow_par::with_thread_limit(threads, || {
-                    centered_row_gram_svd(&x, &means).unwrap()
+                    centered_row_gram_svd(&x, &means, usize::MAX).unwrap()
                 });
                 let tag = format!("case {case} ({n} x {p}), threads={threads}");
                 assert_eq!(bits(&got.sigma), bits(&want.sigma), "sigma, {tag}");
@@ -887,6 +924,15 @@ mod tests {
                 assert_eq!(got.v.shape(), want.v.shape(), "{tag}");
                 assert_eq!(bits(got.v.as_slice()), bits(want.v.as_slice()), "v, {tag}");
                 assert_eq!(energy.to_bits(), want_energy.to_bits(), "energy, {tag}");
+                // A fit's `V`: one column, and four — more than the
+                // two-bin windows have.
+                for v_cols in [1, 4] {
+                    let (narrow, narrow_energy) = odflow_par::with_thread_limit(threads, || {
+                        centered_row_gram_svd(&x, &means, v_cols).unwrap()
+                    });
+                    assert_eq!(narrow_energy.to_bits(), energy.to_bits(), "energy, {tag}");
+                    assert_leading_loadings(&got, &narrow, v_cols, &format!("{v_cols}, {tag}"));
+                }
             }
         }
     }
@@ -894,7 +940,8 @@ mod tests {
     #[test]
     fn row_gram_of_a_constant_window_is_the_zero_triplet() {
         let x = Matrix::from_fn(7, MATMUL_COL_BLOCK + 3, |_, j| 40.0 + j as f64);
-        let (svd, energy) = centered_row_gram_svd(&x, &crate::center::column_means(&x)).unwrap();
+        let means = crate::center::column_means(&x);
+        let (svd, energy) = centered_row_gram_svd(&x, &means, 4).unwrap();
         assert_eq!(svd.sigma, vec![0.0]);
         assert_eq!((svd.u.shape(), svd.v.shape()), ((7, 1), (MATMUL_COL_BLOCK + 3, 1)));
         assert_eq!(energy, 0.0);
@@ -904,14 +951,12 @@ mod tests {
     fn row_gram_refuses_non_finite_centered_values() {
         let mut x = leveled(6, 700, 3);
         let means = crate::center::column_means(&x);
+        let refused = |x: &Matrix| centered_row_gram_svd(x, &means, 4);
         x[(4, 650)] = f64::INFINITY;
-        assert!(matches!(centered_row_gram_svd(&x, &means), Err(LinalgError::NonFinite { .. })));
+        assert!(matches!(refused(&x), Err(LinalgError::NonFinite { .. })));
         x[(4, 650)] = f64::NAN;
-        assert!(matches!(centered_row_gram_svd(&x, &means), Err(LinalgError::NonFinite { .. })));
-        assert!(matches!(
-            centered_row_gram_svd(&Matrix::zeros(0, 700), &[0.0; 700]),
-            Err(LinalgError::Empty { .. })
-        ));
+        assert!(matches!(refused(&x), Err(LinalgError::NonFinite { .. })));
+        assert!(matches!(refused(&Matrix::zeros(0, 700)), Err(LinalgError::Empty { .. })));
     }
 
     #[test]
@@ -1016,7 +1061,8 @@ mod tests {
         let (xc, centering) = crate::center::center_columns(&x).unwrap();
         for seed in 0..5 {
             let opts = RandomizedSvdOptions { seed, ..RandomizedSvdOptions::default() };
-            let (svd, _) = centered_randomized_svd(&x, &centering.means, 2, opts).unwrap();
+            let (svd, _) =
+                centered_randomized_svd(&x, &centering.means, 2, opts, usize::MAX).unwrap();
             assert_eq!(svd.rank(), 2, "seed {seed}: σ = {:?}", svd.sigma);
             let xr = svd.reconstruct().unwrap();
             assert!(

@@ -22,7 +22,9 @@ pub struct Svd {
     /// Singular values, descending, length `r`.
     pub sigma: Vec<f64>,
     /// `p x r` matrix of right singular vectors (columns). Row `j` describes
-    /// how OD pair `j` loads onto each eigenflow.
+    /// how OD pair `j` loads onto each eigenflow. A [`crate::truncated_svd`]
+    /// result may hold only the leading columns — the axes its `rank` asked
+    /// for — and so be narrower than `sigma`.
     pub v: Matrix,
 }
 
@@ -34,6 +36,11 @@ impl Svd {
 
     /// Reconstructs the original matrix from the retained triplets:
     /// `U Σ V^T`. Exact (to rounding) when no truncation occurred.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::ShapeMismatch`] when `v` is narrower than `sigma` (a
+    /// [`crate::truncated_svd`] asked for fewer axes than it kept triplets).
     pub fn reconstruct(&self) -> Result<Matrix> {
         let us = scale_cols(&self.u, &self.sigma);
         us.matmul(&self.v.transpose())

@@ -821,24 +821,34 @@ mod tests {
         tenant.set_checkpoint_store(CheckpointStore::new(&dir, "t0"), None);
         let generator = scenario.generator();
         let mut seqs = vec![0u32; scenario.topology.num_pops()];
+        let counters = tenant.counters();
+        let get = TenantCounters::get;
+        // The deltas, by the bin whose close wrote them: bin b's frames
+        // close bin b − 1.
+        let mut deltas = Vec::new();
         for bin in 0..BINS {
+            let completes = get(&counters.checkpoint_complete);
             for frame in generator.frames_for_bin(bin, &mut seqs) {
                 tenant.ingest_frame(&frame);
             }
+            assert_eq!(get(&counters.checkpoints), bin as u64, "one generation per bin close");
+            if bin > 0 && get(&counters.checkpoint_complete) == completes {
+                deltas.push((bin - 1, get(&counters.checkpoint_last_bytes)));
+            }
         }
-        let counters = tenant.counters();
-        let get = TenantCounters::get;
-        assert_eq!(get(&counters.checkpoints), BINS as u64 - 1, "one generation per bin close");
         assert_eq!(get(&counters.checkpoint_errors), 0);
         let image = checkpoint::encode_state(&tenant.export_state()).len() as u64;
         // What the stream put into the window, each bin's rows and keys
         // once: the final image plus the keys sealing has dropped from it.
         let sealed = tenant.watermark.sealed_bins();
         assert_eq!(sealed, BINS - 1 - LATENESS_HORIZON_BINS);
-        let sealed_keys: f64 = (0..sealed)
-            .map(|b| tenant.shard.bin_row(b, TrafficType::Flows).unwrap().iter().sum::<f64>())
-            .sum();
-        let once = image + checkpoint::FLOW_KEY_LEN as u64 * sealed_keys as u64;
+        let keys: Vec<u64> = (0..BINS)
+            .map(|b| {
+                tenant.shard.bin_row(b, TrafficType::Flows).unwrap().iter().sum::<f64>() as u64
+            })
+            .collect();
+        let key_bytes = |bins: &[u64]| checkpoint::FLOW_KEY_LEN as u64 * bins.iter().sum::<u64>();
+        let once = image + key_bytes(&keys[..sealed]);
         assert!(image < once / 3, "the final image holds {image} of {once} bytes");
         let total = get(&counters.checkpoint_bytes);
         let completes = get(&counters.checkpoint_complete);
@@ -847,7 +857,30 @@ mod tests {
         // whenever the deltas have outgrown the record they follow.
         assert!(total <= 3 * once, "{total} bytes over all generations vs {once} once");
         assert!((2..BINS as u64 / 4).contains(&completes), "{completes} complete records");
-        assert!(get(&counters.checkpoint_last_bytes) < image / 4, "the last one was a delta");
+        // A delta carries what moved since the generation before it: the
+        // rows and keys of the bin it closed and of the one before, which
+        // late records may still touch, one window row, the new verdicts
+        // and the head — and the close that ends the training prefix
+        // carries the freshly fitted detector whole.
+        let state = tenant.export_state();
+        let detector = state.detector.as_ref().expect("the detector was fit");
+        let m = &detector.model.decomp;
+        let numbers = m.eigenflows.as_slice().len()
+            + m.loadings.as_slice().len()
+            + m.singular_values.len()
+            + 2 * m.centering.means.len()
+            + detector.window.iter().map(Vec::len).sum::<usize>();
+        let row_bytes = 8 * scenario.topology.num_od_pairs() as u64;
+        let fit_close = TenantConfig::abilene("t0", 0, BINS).train_bins - 1;
+        assert!(deltas.len() >= BINS / 2, "{} deltas", deltas.len());
+        assert!(deltas.iter().any(|&(closed, _)| closed == fit_close), "the fit's was a delta");
+        for &(closed, bytes) in &deltas {
+            let moved = closed.saturating_sub(1)..=closed;
+            let rows = 3 * row_bytes * moved.clone().count() as u64;
+            let fitted = if closed == fit_close { 8 * numbers as u64 } else { 0 };
+            let bound = rows + key_bytes(&keys[moved]) + fitted + row_bytes + 4096;
+            assert!(bytes <= bound, "the delta closing bin {closed}: {bytes} > {bound} bytes");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -919,5 +952,45 @@ mod tests {
             assert_eq!(r.t2.to_bits(), b.t2.to_bits());
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpointed_model_without_its_axes_is_refused_at_restore() {
+        // A checksummed record can carry any model shape: one with no
+        // spectrum, or fewer axes than its normal subspace, must come back
+        // as an error from the restore, never as a detector that panics.
+        let scenario = Scenario::paper_window(19, NUM_BINS).unwrap();
+        let mut tenant = tenant_over(&scenario, 6);
+        for f in &scenario_frames(&scenario) {
+            tenant.ingest_frame(f);
+        }
+        let good = tenant.export_state();
+        let restore = |state: &PipelineState| {
+            let decoded = checkpoint::decode_state(&checkpoint::encode_state(state)).unwrap();
+            let mut config = TenantConfig::abilene("t0", 0, NUM_BINS);
+            config.train_bins = 6;
+            TenantPipeline::restore(
+                config,
+                &scenario.topology,
+                IngressResolver::synthetic(&scenario.topology),
+                scenario.plan.build_route_table(1.0).unwrap(),
+                &decoded,
+                Arc::new(TenantCounters::default()),
+            )
+        };
+        assert!(restore(&good).is_ok());
+        let model = &good.detector.as_ref().expect("the detector was fit").model;
+        let (p, n, k) = (model.p, model.decomp.n, model.config.k);
+        let mut zero_rank = good.clone();
+        let decomp = &mut zero_rank.detector.as_mut().unwrap().model.decomp;
+        decomp.loadings = Matrix::zeros(p, 0);
+        decomp.eigenflows = Matrix::zeros(n, 0);
+        decomp.singular_values.clear();
+        let mut narrow = good.clone();
+        let decomp = &mut narrow.detector.as_mut().unwrap().model.decomp;
+        decomp.loadings = decomp.loadings.select_cols(&(0..k - 1).collect::<Vec<_>>()).unwrap();
+        for bad in [zero_rank, narrow] {
+            assert!(matches!(restore(&bad), Err(ServeError::Config(_))));
+        }
     }
 }

@@ -19,8 +19,13 @@ pub struct EigenflowDecomposition {
     /// `n x r` matrix whose columns are the unit-norm eigenflows
     /// (temporal patterns), strongest first.
     pub eigenflows: Matrix,
-    /// `p x r` matrix whose rows give each OD flow's loading onto each
-    /// eigenflow (the principal axes of the OD space).
+    /// Matrix whose rows give each OD flow's loading onto the leading
+    /// eigenflows (the principal axes of the OD space). A fit builds axes
+    /// for the rank it was asked for only: `p x min(rank, r)` from
+    /// [`Self::fit_with`] — a model's normal subspace, the only axes
+    /// scoring and identification read — and `p x r` from [`Self::fit`].
+    /// The rest of the spectrum stays in `eigenflows` and
+    /// `singular_values`, which the thresholds read.
     pub loadings: Matrix,
     /// Singular values of the centered data, descending; `σ_i²/(n-1)` is
     /// the variance captured by eigenflow `i`.
@@ -46,21 +51,22 @@ impl EigenflowDecomposition {
     /// the paper requires ("the multivariate mean ... for eigenflows is
     /// equal to zero by construction").
     ///
-    /// This is the exact dense path (full spectrum) whatever the shape. Use
-    /// [`Self::fit_with`] to choose — a window both long and wide (a week of
-    /// bins over `p ≈ 90 000` OD pairs) outgrows either dense Gram matrix
-    /// by design.
+    /// This is the exact dense path (full spectrum, every loadings column)
+    /// whatever the shape. Use [`Self::fit_with`] to choose — a window both
+    /// long and wide (a week of bins over `p ≈ 90 000` OD pairs) outgrows
+    /// either dense Gram matrix by design.
     ///
     /// # Errors
     ///
     /// * [`SubspaceError::InsufficientData`] unless `n >= 2` and `p >= 2`.
     /// * [`SubspaceError::Numeric`] for non-finite input.
     pub fn fit(x: &Matrix) -> Result<Self> {
-        Self::fit_with(x, 0, EigenMethod::DenseTridiagonal)
+        Self::fit_with(x, x.nrows().min(x.ncols()), EigenMethod::DenseTridiagonal)
     }
 
     /// Computes the decomposition with an explicit [`EigenMethod`],
-    /// retaining (at least) the top `rank` eigenflows.
+    /// retaining (at least) the top `rank` eigenflows, and the loadings of
+    /// the top `min(rank, r)` only (`rank` counts as 1 when it is 0).
     ///
     /// The dense method (`DenseTridiagonal`, or `Auto` resolving to it —
     /// whenever `p` is at most 512, or `n` few enough bins that the row
@@ -256,6 +262,13 @@ mod tests {
         let tri = EigenflowDecomposition::fit_with(&x, 4, EigenMethod::DenseTridiagonal).unwrap();
         assert!(!tri.truncated);
         assert_eq!(tri.rank(), 12);
+        // Axes for the four asked for; `fit` builds all twelve, and the
+        // four are its leading ones.
+        let all = EigenflowDecomposition::fit(&x).unwrap();
+        assert_eq!((tri.loadings.shape(), all.loadings.shape()), ((12, 4), (12, 12)));
+        let leading = all.loadings.select_cols(&[0, 1, 2, 3]).unwrap();
+        assert_eq!(tri.loadings.as_slice(), leading.as_slice());
+        assert_eq!(tri.singular_values, all.singular_values);
         let (centered, _) = center_columns(&x).unwrap();
         let energy = centered.frobenius_norm().powi(2);
         assert!((tri.total_energy - energy).abs() <= 1e-10 * (1.0 + energy));
@@ -268,6 +281,7 @@ mod tests {
         let d = EigenflowDecomposition::fit_with(&x, 3, method).unwrap();
         assert!(d.truncated, "rank {} of min(n,p)=30 must be truncated", d.rank());
         assert!(d.rank() <= 7, "rank {} should be at most k + oversample", d.rank());
+        assert_eq!(d.loadings.shape(), (30, 3), "axes for the three asked for");
         // The retained energy never exceeds the recorded total.
         let retained: f64 = d.singular_values.iter().map(|s| s * s).sum();
         assert!(retained <= d.total_energy * (1.0 + 1e-9));

@@ -243,9 +243,9 @@ impl SubspaceModel {
         self.center_into(x, &mut out.centered)?;
 
         // x̂ = P Pᵀ x_c over the top-k principal axes, in two sweeps of the
-        // row-major `p x r` loadings: scores first, then every element of
-        // x̂ as the score-weighted sum of its own loadings row, strongest
-        // axis first from 0.0.
+        // row-major loadings (`p x k`, or wider from an older snapshot):
+        // scores first, then every element of x̂ as the score-weighted sum
+        // of its own loadings row, strongest axis first from 0.0.
         self.axis_scores(&out.centered, &mut out.scores);
         let r = self.decomp.loadings.ncols();
         let axes = self.decomp.loadings.as_slice().chunks_exact(r);
@@ -347,17 +347,25 @@ impl SubspaceModel {
 
     /// Rebuilds a fitted model from a snapshot without refitting.
     ///
+    /// The decomposition keeps one eigenflow per singular value (`r` of
+    /// each, at least one) and loadings for at least the normal subspace's
+    /// `min(k, r)` axes and at most all `r` — a fit stores the former, a
+    /// snapshot written before fits did stores the latter, and both score
+    /// alike: scoring reads the leading `min(k, r)` columns only.
+    ///
     /// # Errors
     ///
     /// [`SubspaceError::DimensionMismatch`] when the snapshot's claimed OD
-    /// dimension does not match its decomposition (a corrupt or hand-built
-    /// snapshot must never produce a model that panics at scoring time).
+    /// dimension does not match its decomposition, or the decomposition's
+    /// own shapes break the rule above (a corrupt or hand-built snapshot
+    /// must never produce a model that panics at scoring time).
     pub fn from_state(s: ModelState) -> Result<Self> {
-        let r = s.decomp.loadings.ncols();
+        let r = s.decomp.singular_values.len();
+        let axes = s.config.k.min(r).max(1)..=r;
         let consistent = s.p > 0
             && s.decomp.loadings.nrows() == s.p
+            && axes.contains(&s.decomp.loadings.ncols())
             && s.decomp.eigenflows.ncols() == r
-            && s.decomp.singular_values.len() == r
             && s.decomp.centering.means.len() == s.p
             && s.decomp.centering.scales.len() == s.p;
         if !consistent {
@@ -624,6 +632,78 @@ mod tests {
             SubspaceModel::from_state(bad),
             Err(SubspaceError::DimensionMismatch { .. })
         ));
+    }
+
+    fn refused(state: ModelState) -> bool {
+        matches!(SubspaceModel::from_state(state), Err(SubspaceError::DimensionMismatch { .. }))
+    }
+
+    #[test]
+    fn a_zero_rank_snapshot_is_refused_not_scored() {
+        // No axes, no eigenflows, no spectrum: a model built from it would
+        // panic at its first score (loadings rows zero wide).
+        let x = traffic(300, 9, None);
+        let mut zero = SubspaceModel::fit_default(&x).unwrap().export_state();
+        zero.decomp.loadings = Matrix::zeros(9, 0);
+        zero.decomp.eigenflows = Matrix::zeros(300, 0);
+        zero.decomp.singular_values.clear();
+        assert!(refused(zero));
+    }
+
+    #[test]
+    fn snapshot_loadings_span_the_normal_subspace_and_no_more_than_the_spectrum() {
+        let x = traffic(300, 9, None);
+        let good = SubspaceModel::fit_default(&x).unwrap().export_state();
+        let r = good.decomp.rank();
+        assert_eq!(good.decomp.loadings.shape(), (9, 4), "a fit keeps the k = 4 axes");
+        let with_axes = |axes: usize| {
+            let mut s = good.clone();
+            let full = EigenflowDecomposition::fit(&x).unwrap().loadings;
+            s.decomp.loadings = full.select_cols(&(0..axes).collect::<Vec<_>>()).unwrap();
+            s
+        };
+        assert!(refused(with_axes(3)), "narrower than min(k, r)");
+        for axes in 4..=r {
+            assert!(SubspaceModel::from_state(with_axes(axes)).is_ok(), "{axes} of {r} axes");
+        }
+        // One eigenflow short of the spectrum.
+        let mut short = good.clone();
+        short.decomp.eigenflows = good.decomp.eigenflows.select_cols(&[0, 1, 2]).unwrap();
+        assert!(refused(short));
+        // More axes than singular values.
+        let mut wide = with_axes(r);
+        wide.decomp.singular_values.pop();
+        let kept: Vec<usize> = (0..r - 1).collect();
+        wide.decomp.eigenflows = good.decomp.eigenflows.select_cols(&kept).unwrap();
+        assert!(refused(wide));
+    }
+
+    #[test]
+    fn full_width_and_normal_subspace_snapshots_score_bit_identically() {
+        // A snapshot written before fits kept the normal subspace's axes
+        // only carries all r: both restore, and score the same bits.
+        let x = traffic(300, 9, None);
+        let model = SubspaceModel::fit_default(&x).unwrap();
+        let narrow = model.export_state();
+        let mut full = narrow.clone();
+        full.decomp.loadings = EigenflowDecomposition::fit(&x).unwrap().loadings;
+        assert_eq!(full.decomp.loadings.ncols(), full.decomp.rank());
+        let leading = full.decomp.loadings.select_cols(&[0, 1, 2, 3]).unwrap();
+        assert_eq!(narrow.decomp.loadings.as_slice(), leading.as_slice());
+        let (narrow, full) =
+            (SubspaceModel::from_state(narrow).unwrap(), SubspaceModel::from_state(full).unwrap());
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let spiked = traffic(300, 9, Some((120, 4, 400.0)));
+        for window in [&x, &spiked] {
+            assert_eq!(
+                bits(narrow.spe_series(window).unwrap()),
+                bits(full.spe_series(window).unwrap())
+            );
+            assert_eq!(
+                bits(narrow.t2_series(window).unwrap()),
+                bits(full.t2_series(window).unwrap())
+            );
+        }
     }
 
     #[test]
