@@ -28,7 +28,8 @@ use crate::svd::{thin_svd, Svd};
 /// many bins `n` goes through its `n x n` row Gram only while that costs
 /// no more than the randomized sketch it replaces: the row Gram's
 /// `O(n² p)` multiply-adds grow with `p` as the sketch's `O(n (k +
-/// oversample) p)` do, but `n / (k + oversample)` times faster. Every other window takes the randomized truncated solver.
+/// oversample) p)` do, but `n / (k + oversample)` times faster. Every
+/// other window takes the randomized truncated solver.
 pub const AUTO_DENSE_MAX_DIM: usize = 512;
 
 /// How to compute the eigen/singular decomposition during model fitting.

@@ -218,8 +218,10 @@ fn sketch_width((n, p): (usize, usize), rank: usize, oversample: usize) -> usize
 /// once into `V`. The row Gram makes two about `n` wide: `G`, then `V` over
 /// its up to `n − 1` triplets. So the row Gram wins while `2n ≤ (2q + 3) m`
 /// — `n ≤ 63` at `k = 10` and the default options, `n ≤ 42` at `k = 4`.
-/// (A fit's `V` pass is narrower on both routes: it rotates the leading
-/// `k` columns of `W` only, and either route keeps a `p x k` panel.)
+/// The count takes the row Gram's `V` pass as `n − 1` wide; a fit's is `k`
+/// wide (it builds `V` for its top `k` axes only), so the count overstates
+/// the row Gram, and the rule leaves it a wider margin than the figures
+/// below, which were taken with the wide pass.
 ///
 /// Measured on 2 vCPUs at `p = 20 000` (best of three fits), the row Gram
 /// took 0.52× the sketch's time at `n = 64, k = 10` and 0.57× at `n = 48,
