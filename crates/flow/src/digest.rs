@@ -7,15 +7,13 @@
 //! accounted for more than a fraction p of the total traffic ... it was
 //! considered dominant. We found that a value of p = 0.2 worked well" (§4).
 //!
-//! [`AttributeDigest`] summarizes the flow population of one (or several
-//! merged) `(bin, OD)` cells by every attribute the Table 2 rules test:
-//! traffic totals per source/destination address block and port, plus
-//! distinct endpoint counts. Source addresses are aggregated at /24 and
-//! destinations at /21 (the anonymization granularity — finer destination
-//! structure is unobservable in Abilene's data).
+//! [`AttributeDigest`] summarizes the flow population behind a detection
+//! (the `(bin, OD)` cells of one event) by every attribute the Table 2
+//! rules test: traffic totals per source /24 block, per port, and per
+//! (anonymized) destination address, plus distinct endpoint counts.
 
 use crate::record::FlowRecord;
-use odflow_net::{IpAddr, ANON_MASK};
+use odflow_net::IpAddr;
 use std::collections::BTreeMap;
 
 /// Byte/packet/flow totals attributed to one attribute value.
@@ -61,8 +59,6 @@ pub struct AttributeDigest {
     pub total: Counts,
     /// Totals per source /24 block.
     pub by_src_block: BTreeMap<u32, Counts>,
-    /// Totals per destination /21 block (anonymization granularity).
-    pub by_dst_block: BTreeMap<u32, Counts>,
     /// Totals per source port.
     pub by_src_port: BTreeMap<u16, Counts>,
     /// Totals per destination port.
@@ -85,39 +81,10 @@ impl AttributeDigest {
     pub fn add(&mut self, r: &FlowRecord) {
         self.total.add_record(r);
         self.by_src_block.entry(r.key.src_ip.0 & SRC_BLOCK_MASK).or_default().add_record(r);
-        self.by_dst_block.entry(r.key.dst_ip.0 & ANON_MASK).or_default().add_record(r);
         self.by_src_port.entry(r.key.src_port).or_default().add_record(r);
         self.by_dst_port.entry(r.key.dst_port).or_default().add_record(r);
         self.by_dst_addr.entry(r.key.dst_ip.0).or_default().add_record(r);
         self.by_dst_addr_port.entry((r.key.dst_ip.0, r.key.dst_port)).or_default().add_record(r);
-    }
-
-    /// Folds every record of `rs` into the digest.
-    pub fn add_all<'a>(&mut self, rs: impl IntoIterator<Item = &'a FlowRecord>) {
-        for r in rs {
-            self.add(r);
-        }
-    }
-
-    /// Merges another digest (e.g. the other OD flows of the same anomaly).
-    pub fn merge(&mut self, other: &AttributeDigest) {
-        self.total.bytes += other.total.bytes;
-        self.total.packets += other.total.packets;
-        self.total.flows += other.total.flows;
-        fn merge_map<K: Ord + Copy>(into: &mut BTreeMap<K, Counts>, from: &BTreeMap<K, Counts>) {
-            for (k, v) in from {
-                let e = into.entry(*k).or_default();
-                e.bytes += v.bytes;
-                e.packets += v.packets;
-                e.flows += v.flows;
-            }
-        }
-        merge_map(&mut self.by_src_block, &other.by_src_block);
-        merge_map(&mut self.by_dst_block, &other.by_dst_block);
-        merge_map(&mut self.by_src_port, &other.by_src_port);
-        merge_map(&mut self.by_dst_port, &other.by_dst_port);
-        merge_map(&mut self.by_dst_addr, &other.by_dst_addr);
-        merge_map(&mut self.by_dst_addr_port, &other.by_dst_addr_port);
     }
 
     /// The attribute value with the highest share of the given measure, as
@@ -274,16 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn dst_blocks_aggregate_at_anonymization_granularity() {
-        let mut d = AttributeDigest::new();
-        // 10.16.0.x and 10.16.7.x share an anonymized /21 block.
-        d.add(&rec([1, 1, 1, 1], [10, 16, 0, 5], 1, 80, 1, 10));
-        d.add(&rec([1, 1, 1, 2], [10, 16, 7, 9], 2, 80, 1, 10));
-        d.add(&rec([1, 1, 1, 3], [10, 16, 8, 1], 3, 80, 1, 10));
-        assert_eq!(d.by_dst_block.len(), 2);
-    }
-
-    #[test]
     fn scan_signature_packets_per_flow() {
         let mut d = AttributeDigest::new();
         // Probes: one packet per flow, distinct destinations.
@@ -311,20 +268,6 @@ mod tests {
         assert_eq!(d.distinct_src_blocks(), 11);
         assert!(d.src_blocks_for_share(TrafficType::Flows, 1.0) == 11);
         assert_eq!(AttributeDigest::new().src_blocks_for_share(TrafficType::Flows, 0.8), 0);
-    }
-
-    #[test]
-    fn merge_combines_maps() {
-        let mut a = AttributeDigest::new();
-        a.add(&rec([1, 1, 1, 1], [2, 2, 0, 0], 1, 80, 1, 100));
-        let mut b = AttributeDigest::new();
-        b.add(&rec([1, 1, 1, 9], [2, 2, 0, 0], 2, 80, 1, 300));
-        a.merge(&b);
-        assert_eq!(a.total.flows, 2.0);
-        assert_eq!(a.total.bytes, 400.0);
-        let (port, share) = a.dominant_dst_port(TrafficType::Bytes).unwrap();
-        assert_eq!(port, 80);
-        assert!((share - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -16,12 +16,15 @@
 //! 5. [`OdBinner`] — 5-minute binning into the three traffic views:
 //!    **#bytes, #packets, #IP-flows** ([`TrafficMatrixSet`]).
 //!
-//! The resolve→bin backend exists once, as [`BinShard`]:
-//! [`ShardedIngest`] fills one shard per bin range across threads, each
-//! writing its own rows of the window's matrices in place (bit-identical
-//! for any thread count), and [`MeasurementPipeline`] is the per-packet
-//! front end over a single full-window shard. Wire-format input enters
-//! through one admission step,
+//! Ingest starts after step 2: the scenario generator draws sampled
+//! minute-records directly and the daemon decodes NetFlow exports, so
+//! steps 1 and 2 are the §2.1 path for callers that start from packets.
+//! Records have one entry point, [`BinShard::push_sampled_record`], which
+//! anonymizes, resolves and bins: [`ShardedIngest`] fills one shard per
+//! bin range across threads, each writing its own rows of the window's
+//! matrices in place (bit-identical for any thread count), and
+//! [`MeasurementPipeline`] drives a single full-window shard. Wire-format
+//! input enters through one admission step,
 //! [`DataQuality::admit_frame`] (lossy decode into the quarantine
 //! counters, then exporter sequence tracking), and one lateness rule,
 //! [`Watermark::judge_frame`] (records of a sealed bin refused and

@@ -5,9 +5,10 @@
 //! flow" (§2.1). Ingress comes from router configuration (which interface
 //! the flow arrived on); egress from longest-prefix-match over the
 //! BGP+config routing table, *after* destination anonymization — matching
-//! the constraint the paper worked under. [`OdResolver`] performs both
-//! lookups and tracks the resolution statistics the paper reports (≥93% of
-//! flows, ≥90% of bytes).
+//! the constraint the paper worked under. The ingest shard
+//! ([`crate::BinShard`]) anonymizes each record before it resolves it;
+//! [`OdResolver`] performs both lookups and tracks the resolution
+//! statistics the paper reports (≥93% of flows, ≥90% of bytes).
 
 use crate::record::FlowRecord;
 use odflow_net::{CompiledRoutes, IngressResolver, RouteTable, Topology};
@@ -87,7 +88,6 @@ impl ResolutionStats {
 pub struct OdResolver {
     routing: Arc<Routing>,
     num_pops: usize,
-    anonymize: bool,
     stats: ResolutionStats,
 }
 
@@ -100,24 +100,19 @@ struct Routing {
 
 impl OdResolver {
     /// Creates a resolver over the routes installed in `routes` at this
-    /// moment (the table is compiled once, here). When `anonymize` is true
-    /// (the paper's setting), destination addresses are masked by 11 bits
-    /// before the egress lookup.
-    pub fn new(
-        topology: &Topology,
-        ingress: IngressResolver,
-        routes: RouteTable,
-        anonymize: bool,
-    ) -> OdResolver {
+    /// moment (the table is compiled once, here).
+    pub fn new(topology: &Topology, ingress: IngressResolver, routes: RouteTable) -> OdResolver {
         OdResolver {
             routing: Arc::new(Routing { ingress, routes: routes.compile() }),
             num_pops: topology.num_pops(),
-            anonymize,
             stats: ResolutionStats::default(),
         }
     }
 
-    /// Resolves one record, updating the running statistics.
+    /// Resolves one record, updating the running statistics. The egress
+    /// lookup takes the destination as given: anonymizing it is the
+    /// caller's step ([`crate::FlowKey::with_anonymized_dst`], which
+    /// [`crate::BinShard::push_sampled_record`] applies to every record).
     pub fn resolve(&mut self, record: &FlowRecord) -> OdResolution {
         // Ingress: was this record exported from an external interface?
         let Some(origin) = self.routing.ingress.ingress(record.router, record.interface) else {
@@ -128,13 +123,8 @@ impl OdResolver {
         self.stats.flows_total += 1;
         self.stats.bytes_total += record.bytes;
 
-        // Egress: LPM over the (possibly anonymized) destination.
-        let dst = if self.anonymize {
-            odflow_net::anonymize_dst(record.key.dst_ip)
-        } else {
-            record.key.dst_ip
-        };
-        let Some(egress) = self.routing.routes.egress(dst) else {
+        // Egress: LPM over the destination.
+        let Some(egress) = self.routing.routes.egress(record.key.dst_ip) else {
             return OdResolution::NoEgress;
         };
         if origin >= self.num_pops || egress >= self.num_pops {
@@ -174,7 +164,7 @@ mod tests {
         let plan = AddressPlan::synthetic(&t);
         let routes = plan.build_route_table(1.0).unwrap();
         let ingress = IngressResolver::synthetic(&t);
-        let resolver = OdResolver::new(&t, ingress, routes, true);
+        let resolver = OdResolver::new(&t, ingress, routes);
         (t, plan, resolver)
     }
 
@@ -224,17 +214,15 @@ mod tests {
     #[test]
     fn anonymization_does_not_break_resolution() {
         // /16 customer blocks are coarser than the /21 anonymization
-        // boundary, so resolution with and without anonymization agrees.
-        let (t, plan, _) = setup();
-        let routes = plan.build_route_table(1.0).unwrap();
-        let ingress = IngressResolver::synthetic(&t);
-        let mut with_anon = OdResolver::new(&t, ingress.clone(), routes.clone(), true);
-        let mut without = OdResolver::new(&t, ingress, routes, false);
+        // boundary, so a destination resolves as its anonymized self does.
+        let (t, plan, mut r) = setup();
         for pop in 0..t.num_pops() {
             for block in 0..4 {
                 let dst = plan.customer_addr(pop, block, 0x07FF); // low bits set
                 let rec = record(3, 0, dst, 100);
-                assert_eq!(with_anon.resolve(&rec), without.resolve(&rec));
+                let anon = FlowRecord { key: rec.key.with_anonymized_dst(), ..rec };
+                assert_ne!(anon.key.dst_ip, dst);
+                assert_eq!(r.resolve(&anon), r.resolve(&rec));
             }
         }
     }

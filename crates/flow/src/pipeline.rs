@@ -1,6 +1,6 @@
 //! End-to-end measurement pipeline.
 //!
-//! Wires the substrate together exactly as deployed on Abilene (§2.1):
+//! The measurement path as deployed on Abilene (§2.1):
 //!
 //! ```text
 //! packets at routers
@@ -13,68 +13,50 @@
 //!   -> TrafficMatrixSet (bytes / packets / flows)
 //! ```
 //!
-//! Two entry points:
-//! * [`MeasurementPipeline::push_packet`] — the full per-packet path, used
-//!   by integration tests and short-window examples.
-//! * [`MeasurementPipeline::push_sampled_record`] — accepts pre-sampled
-//!   flow records (the scenario generator's distributionally equivalent
-//!   shortcut for multi-week traces; see `odflow-flow::sampler`).
+//! Ingest starts after aggregation: the scenario generator draws sampled
+//! minute-records directly (the distributionally equivalent shortcut of
+//! `odflow-flow::sampler`) and the daemon reads NetFlow exports.
+//! [`PacketSampler`](crate::PacketSampler) and
+//! [`FlowAggregator`](crate::FlowAggregator) build the first two stages
+//! where packets are wanted, as `examples/netflow_pipeline.rs` does.
+//!
+//! [`MeasurementPipeline::push_sampled_record`] is the one record entry
+//! point: it anonymizes, resolves and bins each record.
 
-use crate::aggregate::{FlowAggregator, MINUTE_SECS};
 use crate::error::Result;
 use crate::matrix::{TrafficMatrixSet, BIN_SECS};
 use crate::od::ResolutionStats;
-use crate::packet::PacketObs;
 use crate::record::FlowRecord;
-use crate::sampler::PacketSampler;
 use crate::shard::{BinShard, ShardedIngest};
 
-/// Configuration for the measurement pipeline.
+/// The observation window of an ingest: where it starts, how wide its bins
+/// are, and how many there are.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// Packet sampling rate (Abilene: 0.01).
-    pub sampling_rate: f64,
-    /// PRNG seed for the sampler (determinism).
-    pub sampler_seed: u64,
-    /// Flow-aggregation window (Abilene: 60 s).
-    pub aggregation_secs: u64,
-    /// Analysis bin width (the paper: 300 s).
-    pub bin_secs: u64,
     /// Observation window start, trace-epoch seconds.
     pub start_secs: u64,
+    /// Analysis bin width (the paper: 300 s).
+    pub bin_secs: u64,
     /// Number of analysis bins in the window.
     pub num_bins: usize,
-    /// Apply Abilene's 11-bit destination anonymization before egress
-    /// resolution.
-    pub anonymize: bool,
 }
 
 impl PipelineConfig {
-    /// The paper's configuration for a window of `num_bins` 5-minute bins.
+    /// The paper's window of `num_bins` 5-minute bins from `start_secs`.
     pub fn abilene(start_secs: u64, num_bins: usize) -> PipelineConfig {
-        PipelineConfig {
-            sampling_rate: crate::sampler::ABILENE_SAMPLING_RATE,
-            sampler_seed: 0x0D_F1_0D,
-            aggregation_secs: MINUTE_SECS,
-            bin_secs: BIN_SECS,
-            start_secs,
-            num_bins,
-            anonymize: true,
-        }
+        PipelineConfig { start_secs, bin_secs: BIN_SECS, num_bins }
     }
 }
 
-/// The full measurement pipeline from packets (or pre-sampled records) to
-/// OD traffic matrices.
+/// Serial ingest: pre-sampled flow records in, OD traffic matrices out.
 ///
-/// The resolve→bin backend is a single full-window [`BinShard`] — the
-/// degenerate case of the sharded ingest engine ([`ShardedIngest`]), which
-/// is what guarantees the parallel sharded path and this serial pipeline
-/// agree bit-for-bit: they run the same per-record code.
+/// It holds a single full-window [`BinShard`] and finishes it through
+/// [`ShardedIngest::merge`], as a daemon tenant does. The parallel batch
+/// engine runs the same per-record code on its shards, which is what makes
+/// the two agree bit for bit.
 #[derive(Debug)]
 pub struct MeasurementPipeline {
-    sampler: PacketSampler,
-    aggregator: FlowAggregator,
+    engine: ShardedIngest,
     shard: BinShard,
 }
 
@@ -83,53 +65,28 @@ impl MeasurementPipeline {
     ///
     /// # Errors
     ///
-    /// Propagates configuration errors from the sampler/aggregator/binner.
+    /// Propagates window/OD-space validation errors from
+    /// [`ShardedIngest::new`].
     pub fn new(
         config: PipelineConfig,
         topology: &odflow_net::Topology,
         ingress: odflow_net::IngressResolver,
         routes: odflow_net::RouteTable,
     ) -> Result<Self> {
-        let sampler = PacketSampler::new(config.sampling_rate, config.sampler_seed)?;
-        // One aggregation window of reorder slack absorbs cross-router
-        // export jitter.
-        let aggregator = FlowAggregator::new(config.aggregation_secs, config.aggregation_secs)?;
         let engine = ShardedIngest::new(config, topology, ingress, routes)?;
-        let shard = engine.make_shard(0..config.num_bins)?;
-        Ok(MeasurementPipeline { sampler, aggregator, shard })
+        let shard = engine.make_shard(0..engine.num_bins())?;
+        Ok(MeasurementPipeline { engine, shard })
     }
 
-    /// Offers one packet to the pipeline (sampling decides whether it is
-    /// kept). Emitted minute-records are resolved and binned immediately.
+    /// Offers one pre-sampled flow record.
     ///
     /// # Errors
     ///
     /// Propagates binning errors other than out-of-window timestamps, which
     /// are counted in [`Self::dropped_out_of_window`] instead (trace edges
-    /// legitimately spill partial minutes).
-    pub fn push_packet(&mut self, pkt: &PacketObs) -> Result<()> {
-        if !self.sampler.sample() {
-            return Ok(());
-        }
-        let records = self.aggregator.push(pkt);
-        for r in records {
-            self.route_record(r)?;
-        }
-        Ok(())
-    }
-
-    /// Offers one pre-sampled flow record (the multi-week shortcut path).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::push_packet`].
+    /// legitimately spill partial minutes). A full-window shard cannot
+    /// misroute: every timestamp outside it is outside the window.
     pub fn push_sampled_record(&mut self, record: FlowRecord) -> Result<()> {
-        self.route_record(record)
-    }
-
-    fn route_record(&mut self, record: FlowRecord) -> Result<()> {
-        // A full-window shard cannot misroute: every out-of-sub-window
-        // timestamp is out of the global window and counted as a drop.
         self.shard.push_sampled_record(record)
     }
 
@@ -143,40 +100,32 @@ impl MeasurementPipeline {
         self.shard.dropped_out_of_window()
     }
 
-    /// `(observed, sampled)` packet counters.
-    pub fn sampler_counters(&self) -> (u64, u64) {
-        self.sampler.counters()
-    }
-
-    /// Flushes in-flight aggregation state and produces the traffic
-    /// matrices.
+    /// Produces the traffic matrices.
     ///
     /// # Errors
     ///
     /// [`FlowError::NoData`](crate::FlowError::NoData) if nothing was ever binned.
-    pub fn finalize(mut self) -> Result<(TrafficMatrixSet, ResolutionStats)> {
-        let tail = self.aggregator.flush();
-        for r in tail {
-            self.route_record(r)?;
-        }
-        self.shard.finalize()
+    pub fn finalize(self) -> Result<(TrafficMatrixSet, ResolutionStats)> {
+        let outcome = self.engine.merge(vec![self.shard])?;
+        Ok((outcome.matrices, outcome.stats))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::{FlowAggregator, MINUTE_SECS};
     use crate::error::FlowError;
     use crate::key::{FlowKey, Protocol};
+    use crate::packet::PacketObs;
     use odflow_net::{AddressPlan, IngressResolver, Topology};
 
-    fn build(num_bins: usize, rate: f64) -> (Topology, AddressPlan, MeasurementPipeline) {
+    fn build(num_bins: usize) -> (Topology, AddressPlan, MeasurementPipeline) {
         let t = Topology::abilene();
         let plan = AddressPlan::synthetic(&t);
         let routes = plan.build_route_table(1.0).unwrap();
         let ingress = IngressResolver::synthetic(&t);
-        let mut cfg = PipelineConfig::abilene(0, num_bins);
-        cfg.sampling_rate = rate;
+        let cfg = PipelineConfig::abilene(0, num_bins);
         let p = MeasurementPipeline::new(cfg, &t, ingress, routes).unwrap();
         (t, plan, p)
     }
@@ -191,13 +140,26 @@ mod tests {
         )
     }
 
+    /// One minute-record of `k` seen at `router` on `interface`.
+    fn minute(k: FlowKey, router: usize, interface: u32, window_start: u64) -> FlowRecord {
+        FlowRecord { key: k, router, interface, window_start, packets: 60, bytes: 6_000 }
+    }
+
     #[test]
     fn packet_path_end_to_end() {
-        // rate=1.0 so every packet is kept; one OD pair, steady traffic.
-        let (t, plan, mut p) = build(2, 1.0);
+        // The §2.1 stages after sampling: packets aggregated per minute,
+        // then the records binned. One OD pair, steady traffic.
+        let (t, plan, mut p) = build(2);
         let k = key(&plan, 1, 6, 80);
+        let mut aggregator = FlowAggregator::new(MINUTE_SECS, MINUTE_SECS).unwrap();
+        let mut records = Vec::new();
         for ts in 0..600 {
-            p.push_packet(&PacketObs::new(ts, 1, 0, k, 1000)).unwrap();
+            records.extend(aggregator.push(&PacketObs::new(ts, 1, 0, k, 1000)));
+        }
+        records.extend(aggregator.flush());
+        assert_eq!(records.len(), 10, "one record a minute");
+        for r in records {
+            p.push_sampled_record(r).unwrap();
         }
         let (set, stats) = p.finalize().unwrap();
         let od = t.od_index(1, 6).unwrap();
@@ -211,35 +173,8 @@ mod tests {
     }
 
     #[test]
-    fn sampling_thins_traffic() {
-        let (t, plan, mut p) = build(1, 0.01);
-        let k = key(&plan, 0, 2, 80);
-        let n = 100_000u64;
-        for i in 0..n {
-            // Spread packets over the bin.
-            p.push_packet(&PacketObs::new(i % 290, 0, 0, k, 100)).unwrap();
-        }
-        let (set, _) = p.finalize().unwrap();
-        let od = t.od_index(0, 2).unwrap();
-        let sampled_packets = set.packets.data[(0, od)];
-        // Expect ~1000 sampled packets, sd ≈ 31.5; allow 6 sigma.
-        assert!(
-            (sampled_packets - 1000.0).abs() < 200.0,
-            "sampled packets {sampled_packets} far from expectation"
-        );
-        let (observed, sampled) = p_counters_check(sampled_packets, n);
-        assert!(observed);
-        assert!(sampled);
-    }
-
-    // Helper returning tuple of sanity bools so failure points are clear.
-    fn p_counters_check(sampled: f64, n: u64) -> (bool, bool) {
-        (n == 100_000, sampled > 0.0)
-    }
-
-    #[test]
     fn unresolvable_traffic_excluded_but_counted() {
-        let (_, plan, mut p) = build(1, 1.0);
+        let (_, plan, mut p) = build(1);
         // Destination in unannounced space.
         let k = FlowKey::new(
             plan.customer_addr(0, 0, 1),
@@ -248,58 +183,31 @@ mod tests {
             80,
             Protocol::Tcp,
         );
-        for ts in 0..120 {
-            p.push_packet(&PacketObs::new(ts, 0, 0, k, 500)).unwrap();
-        }
-        let result = p.finalize();
+        p.push_sampled_record(minute(k, 0, 0, 0)).unwrap();
+        p.push_sampled_record(minute(k, 0, 0, 60)).unwrap();
+        let stats = p.resolution_stats();
+        assert_eq!((stats.flows_total, stats.flows_resolved), (2, 0));
         // Nothing resolvable was binned.
-        assert!(matches!(result, Err(FlowError::NoData)));
-    }
-
-    #[test]
-    fn resolution_rate_mixture_via_packets() {
-        let (t, plan, mut p) = build(1, 1.0);
-        let good = key(&plan, 0, 3, 80);
-        let bad = FlowKey::new(
-            plan.customer_addr(0, 0, 9),
-            plan.unannounced_addr(1, 1),
-            6,
-            80,
-            Protocol::Tcp,
-        );
-        for ts in 0..100 {
-            p.push_packet(&PacketObs::new(ts, 0, 0, good, 100)).unwrap();
-        }
-        for ts in 0..10 {
-            p.push_packet(&PacketObs::new(ts, 0, 0, bad, 100)).unwrap();
-        }
-        let (set, stats) = p.finalize().unwrap();
-        // Two minute-records for good (min 0..1? ts<100 -> one minute 0 rec
-        // + flush), one+ for bad; rates reflect record counts not packets.
-        assert!(stats.flow_rate() > 0.0 && stats.flow_rate() < 1.0);
-        let od = t.od_index(0, 3).unwrap();
-        assert_eq!(set.bytes.data[(0, od)], 100.0 * 100.0);
+        assert!(matches!(p.finalize(), Err(FlowError::NoData)));
     }
 
     #[test]
     fn transit_interface_not_double_counted() {
-        let (_, plan, mut p) = build(1, 1.0);
+        let (_, plan, mut p) = build(1);
         let k = key(&plan, 2, 4, 80);
-        // Same flow observed at its ingress router (iface 0) and at a
-        // transit router (backbone iface 100).
-        for ts in 0..60 {
-            p.push_packet(&PacketObs::new(ts, 2, 0, k, 100)).unwrap();
-            p.push_packet(&PacketObs::new(ts, 5, 100, k, 100)).unwrap();
-        }
+        // The same minute of one flow, exported by its ingress router
+        // (iface 0) and by a transit router (backbone iface 100).
+        p.push_sampled_record(minute(k, 2, 0, 0)).unwrap();
+        p.push_sampled_record(minute(k, 5, 100, 0)).unwrap();
         let (set, stats) = p.finalize().unwrap();
         assert_eq!(stats.transit_skipped, 1, "one transit minute-record skipped");
         let total_bytes: f64 = set.bytes.totals().iter().sum();
-        assert_eq!(total_bytes, 60.0 * 100.0, "transit copy must not inflate the matrix");
+        assert_eq!(total_bytes, 6_000.0, "transit copy must not inflate the matrix");
     }
 
     #[test]
     fn record_path_matches_packet_path_semantics() {
-        let (t, plan, mut p) = build(1, 1.0);
+        let (t, plan, mut p) = build(1);
         let rec = FlowRecord {
             key: key(&plan, 3, 7, 443),
             router: 3,
@@ -318,7 +226,7 @@ mod tests {
 
     #[test]
     fn out_of_window_records_dropped_quietly() {
-        let (_, plan, mut p) = build(1, 1.0);
+        let (_, plan, mut p) = build(1);
         let mut rec = FlowRecord {
             key: key(&plan, 0, 1, 80),
             router: 0,

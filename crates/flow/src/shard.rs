@@ -8,7 +8,8 @@
 //! ingest path is a driver over it: the batch engine
 //! ([`ShardedIngest::fill_shards`]) fills one shard per bin range, while
 //! [`MeasurementPipeline`](crate::MeasurementPipeline) and the daemon's
-//! per-tenant pipeline each hold a single shard spanning the window.
+//! per-tenant pipeline each hold a single shard spanning the window and
+//! finish it through [`ShardedIngest::merge`].
 //!
 //! ## The window is written once
 //!
@@ -93,7 +94,6 @@ pub struct BinShard<S = Vec<f64>> {
     first_bin: usize,
     resolver: OdResolver,
     binner: OdBinner<S>,
-    anonymize: bool,
     /// Global observation window (trace-epoch seconds, end exclusive) —
     /// records outside it are *dropped and counted*, records inside it but
     /// outside the shard's own sub-window are routing errors.
@@ -107,8 +107,9 @@ pub struct BinShard<S = Vec<f64>> {
 impl<S: DerefMut<Target = [f64]>> BinShard<S> {
     /// Offers one pre-sampled flow record.
     ///
-    /// Mirrors the serial pipeline's record path exactly: anonymize (when
-    /// configured), resolve (updating this shard's statistics), then bin.
+    /// The one record path of every ingest front end: anonymize the
+    /// destination (Abilene's 11 bits, §2.1), resolve (updating this
+    /// shard's statistics), then bin.
     /// Records outside the **global** observation window are counted in
     /// [`Self::dropped_out_of_window`] and accepted quietly, matching the
     /// serial pipeline's trace-edge behavior.
@@ -122,9 +123,7 @@ impl<S: DerefMut<Target = [f64]>> BinShard<S> {
     /// * [`FlowError::AlreadyFinalized`] for a resolvable record of a
     ///   [sealed](Self::seal) bin — any bin after [`Self::finish`].
     pub fn push_sampled_record(&mut self, mut record: FlowRecord) -> Result<()> {
-        if self.anonymize {
-            record.key = record.key.with_anonymized_dst();
-        }
+        record.key = record.key.with_anonymized_dst();
         match self.resolver.resolve(&record) {
             OdResolution::Resolved { od_index } => match self.binner.push(od_index, &record) {
                 Ok(()) => Ok(()),
@@ -219,17 +218,6 @@ impl<S: DerefMut<Target = [f64]>> BinShard<S> {
 }
 
 impl BinShard {
-    /// Finalizes a *full-window* shard into the traffic matrices — the
-    /// serial pipeline's endgame.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::NoData`] if the shard never accepted a record.
-    pub fn finalize(self) -> Result<(TrafficMatrixSet, ResolutionStats)> {
-        let stats = self.resolver.stats();
-        Ok((self.binner.finalize()?, stats))
-    }
-
     /// Snapshots everything this shard has accumulated into a
     /// [`ShardState`] — the crash-safe checkpoint path. Distinct 5-tuple
     /// sets are emitted in sorted order, so two shards that accepted the
@@ -441,7 +429,6 @@ pub struct ShardedIngest {
     bin_secs: u64,
     num_bins: usize,
     num_od: usize,
-    anonymize: bool,
     /// Stat-free resolver prototype cloned into every shard; the clones
     /// share its routing tables.
     resolver: OdResolver,
@@ -449,10 +436,9 @@ pub struct ShardedIngest {
 }
 
 impl ShardedIngest {
-    /// Builds an engine over the given routing state. The sampler fields of
-    /// `config` are ignored: sharded ingest consumes *pre-sampled* records
-    /// (the scenario generator's multi-week shortcut); the per-packet path
-    /// stays on [`crate::MeasurementPipeline`].
+    /// Builds an engine over the window `config` describes and the given
+    /// routing state. It consumes *pre-sampled* records: the scenario
+    /// generator's multi-week shortcut, or decoded NetFlow exports.
     ///
     /// # Errors
     ///
@@ -475,22 +461,14 @@ impl ShardedIngest {
             bin_secs: config.bin_secs,
             num_bins: config.num_bins,
             num_od: topology.num_od_pairs(),
-            anonymize: config.anonymize,
-            resolver: OdResolver::new(topology, ingress, routes, config.anonymize),
+            resolver: OdResolver::new(topology, ingress, routes),
             shard_bins: DEFAULT_SHARD_BINS.min(config.num_bins.div_ceil(SHORT_WINDOW_SHARDS)),
         })
     }
 
-    /// Overrides the shard grain (bins per shard, clamped to at least 1).
-    /// The grain affects load balance only — results are identical for
-    /// every grain.
-    #[must_use]
-    pub fn with_shard_bins(mut self, shard_bins: usize) -> Self {
-        self.shard_bins = shard_bins.max(1);
-        self
-    }
-
-    /// Bins per shard (the last shard may hold fewer).
+    /// Bins per shard (the last shard may hold fewer): the grain rule of
+    /// the module docs. The grain affects load balance only — results are
+    /// identical for every grain.
     pub fn shard_bins(&self) -> usize {
         self.shard_bins
     }
@@ -562,7 +540,6 @@ impl ShardedIngest {
             first_bin,
             resolver: self.resolver.clone(),
             binner,
-            anonymize: self.anonymize,
             window: self.window(),
             dropped_out_of_window: 0,
             dropped_late: 0,
@@ -830,9 +807,7 @@ mod tests {
         let routes = plan.build_route_table(1.0).unwrap();
         let ingress = IngressResolver::synthetic(&t);
         let cfg = PipelineConfig::abilene(0, num_bins);
-        let engine = ShardedIngest::new(cfg, &t, ingress.clone(), routes.clone())
-            .unwrap()
-            .with_shard_bins(4);
+        let engine = ShardedIngest::new(cfg, &t, ingress.clone(), routes.clone()).unwrap();
         let serial = MeasurementPipeline::new(cfg, &t, ingress, routes).unwrap();
         (t, plan, engine, serial)
     }
@@ -891,18 +866,18 @@ mod tests {
 
     #[test]
     fn shard_accounting_sums_to_serial_pipeline() {
-        // Satellite: dropped_out_of_window, resolution stats, and sampler
-        // counters must sum exactly across shards to the serial pipeline's
-        // values, on a stream with deliberate out-of-window records.
-        let num_bins = 13; // not a multiple of the shard grain
+        // dropped_out_of_window and resolution stats must sum exactly
+        // across shards to the serial pipeline's values, on a stream with
+        // deliberate out-of-window records.
+        let num_bins = 29; // not a multiple of the shard grain
         let (_, plan, engine, mut serial) = setup(num_bins);
+        assert_eq!((engine.shard_bins(), engine.num_shards()), (4, 8));
         let stream = mixed_stream(&plan, num_bins);
 
         for r in &stream {
             serial.push_sampled_record(*r).unwrap();
         }
         let serial_dropped = serial.dropped_out_of_window();
-        let serial_sampler = serial.sampler_counters();
         let (serial_set, serial_stats) = serial.finalize().unwrap();
 
         // Fill shards by hand so per-shard accounting is visible.
@@ -922,9 +897,6 @@ mod tests {
         assert_eq!(sum_dropped, serial_dropped, "dropped records must sum across shards");
         assert!(sum_dropped >= 18, "the stream carries deliberate out-of-window records");
         assert_eq!(sum_stats, serial_stats, "resolution stats must sum across shards");
-        // The record path never consults the packet sampler; the refactored
-        // serial pipeline must preserve that.
-        assert_eq!(serial_sampler, (0, 0));
 
         let merged = engine.ingest_records(&stream).unwrap();
         assert_eq!(merged.dropped_out_of_window, serial_dropped);
@@ -936,8 +908,9 @@ mod tests {
 
     #[test]
     fn ingest_records_matches_serial_for_any_thread_count() {
-        let num_bins = 9;
+        let num_bins = 25; // six shards of four bins and one of one
         let (_, plan, engine, mut serial) = setup(num_bins);
+        assert_eq!(engine.shard_bins(), 4);
         let stream = mixed_stream(&plan, num_bins);
         for r in &stream {
             serial.push_sampled_record(*r).unwrap();
@@ -958,8 +931,9 @@ mod tests {
 
     #[test]
     fn misrouted_in_window_record_is_an_error() {
-        let (_, plan, engine, _) = setup(12);
+        let (_, plan, engine, _) = setup(28);
         // Shard 0 owns bins 0..4; a bin-10 record is a routing bug.
+        assert_eq!(engine.shard_range(0), 0..4);
         let mut shard = engine.make_shard(engine.shard_range(0)).unwrap();
         let r = record(&plan, 0, 5, 10 * 300, 1);
         assert!(matches!(shard.push_sampled_record(r), Err(FlowError::TimestampOutOfRange { .. })));
@@ -1042,30 +1016,30 @@ mod tests {
 
     #[test]
     fn shard_grain_does_not_change_results() {
-        let num_bins = 11;
-        let (t, plan, _, _) = setup(num_bins);
-        let stream = mixed_stream(&plan, num_bins);
-        let routes = plan.build_route_table(1.0).unwrap();
-        let ingress = IngressResolver::synthetic(&t);
-        let cfg = PipelineConfig::abilene(0, num_bins);
-        let mut reference: Option<IngestOutcome> = None;
-        for &grain in &[1usize, 3, 5, 64] {
-            let engine = ShardedIngest::new(cfg, &t, ingress.clone(), routes.clone())
-                .unwrap()
-                .with_shard_bins(grain);
-            let merged = engine.ingest_records(&stream).unwrap();
-            if let Some(prev) = &reference {
-                assert_eq!(merged.stats, prev.stats, "grain={grain}");
-                assert_eq!(
-                    merged.matrices.bytes.data.as_slice(),
-                    prev.matrices.bytes.data.as_slice(),
-                    "grain={grain}"
-                );
-                assert_eq!(merged.dropped_out_of_window, prev.dropped_out_of_window);
-            } else {
-                reference = Some(merged);
+        // The grain follows the window: one bin a shard up to eight bins,
+        // then two, three, five, and the cap of 16 from 121 bins on. At
+        // each, the shards give what the single full-window shard gives.
+        let mut grains = Vec::new();
+        for num_bins in [7, 11, 19, 37, 130] {
+            let (_, plan, engine, mut serial) = setup(num_bins);
+            let stream = mixed_stream(&plan, num_bins);
+            for r in &stream {
+                serial.push_sampled_record(*r).unwrap();
             }
+            let dropped = serial.dropped_out_of_window();
+            let (set, stats) = serial.finalize().unwrap();
+            let merged = engine.ingest_records(&stream).unwrap();
+            let grain = engine.shard_bins();
+            assert_eq!(merged.stats, stats, "grain={grain}");
+            assert_eq!(merged.dropped_out_of_window, dropped, "grain={grain}");
+            for t in TrafficType::ALL {
+                let (got, want) =
+                    (merged.matrices.get(t).data.as_slice(), set.get(t).data.as_slice());
+                assert_eq!(got, want, "grain={grain}");
+            }
+            grains.push(grain);
         }
+        assert_eq!(grains, [1, 2, 3, 5, 16]);
     }
 
     /// Records from one exporter PoP spread across the window's bins,
@@ -1368,12 +1342,12 @@ mod tests {
         }
         assert_eq!(live.resolution_stats(), restored.resolution_stats());
         assert_eq!(live.dropped_out_of_window(), restored.dropped_out_of_window());
-        let (a, sa) = live.finalize().unwrap();
-        let (b, sb) = restored.finalize().unwrap();
-        assert_eq!(sa, sb);
-        assert_eq!(a.bytes.data.as_slice(), b.bytes.data.as_slice());
-        assert_eq!(a.packets.data.as_slice(), b.packets.data.as_slice());
-        assert_eq!(a.flows.data.as_slice(), b.flows.data.as_slice());
+        let a = engine.merge(vec![live]).unwrap();
+        let b = engine.merge(vec![restored]).unwrap();
+        assert_eq!(a.stats, b.stats);
+        for t in TrafficType::ALL {
+            assert_eq!(a.matrices.get(t).data.as_slice(), b.matrices.get(t).data.as_slice());
+        }
 
         // Wrong-geometry restore is rejected, not absorbed.
         let mut narrow = engine.make_shard(0..2).unwrap();

@@ -5,7 +5,8 @@
 //! resolution statistics and drop counters exactly — for any
 //! `ODFLOW_THREADS` (pinned here via `with_thread_limit` at 1 / typical /
 //! oversubscribed, mirroring the `par_equivalence` suites in
-//! `crates/linalg` and `crates/subspace`) and for any shard grain.
+//! `crates/linalg` and `crates/subspace`) and for every shard grain the
+//! grain rule gives a window.
 
 use odflow_flow::{
     FlowError, FlowKey, FlowRecord, MeasurementPipeline, PipelineConfig, Protocol, ResolutionStats,
@@ -72,7 +73,7 @@ fn run_serial(
     t: &Topology,
     plan: &AddressPlan,
     records: &[FlowRecord],
-) -> (TrafficMatrixSet, ResolutionStats, u64, (u64, u64)) {
+) -> (TrafficMatrixSet, ResolutionStats, u64) {
     let routes = plan.build_route_table(1.0).unwrap();
     let ingress = IngressResolver::synthetic(t);
     let mut pipe = MeasurementPipeline::new(cfg, t, ingress, routes).unwrap();
@@ -80,9 +81,8 @@ fn run_serial(
         pipe.push_sampled_record(*r).unwrap();
     }
     let dropped = pipe.dropped_out_of_window();
-    let sampler = pipe.sampler_counters();
     let (set, stats) = pipe.finalize().unwrap();
-    (set, stats, dropped, sampler)
+    (set, stats, dropped)
 }
 
 fn assert_bitwise_equal(a: &TrafficMatrixSet, b: &TrafficMatrixSet) {
@@ -114,16 +114,14 @@ fn sharded_ingest_equivalence_fixed_stream() {
             build_record(&plan, &spec, window_secs)
         })
         .collect();
-    let (set, stats, dropped, sampler) = run_serial(cfg, &t, &plan, &records);
+    let (set, stats, dropped) = run_serial(cfg, &t, &plan, &records);
     assert!(dropped > 0, "fixture must exercise the out-of-window path");
-    assert_eq!(sampler, (0, 0), "the record path never consults the sampler");
 
     let routes = plan.build_route_table(1.0).unwrap();
     let ingress = IngressResolver::synthetic(&t);
+    let engine = ShardedIngest::new(cfg, &t, ingress, routes).unwrap();
+    assert_eq!(engine.shard_bins(), 4);
     for &threads in &[1usize, 4, num_bins + 20] {
-        let engine = ShardedIngest::new(cfg, &t, ingress.clone(), routes.clone())
-            .unwrap()
-            .with_shard_bins(4);
         let outcome = with_thread_limit(threads, || engine.ingest_records(&records).unwrap());
         assert_eq!(outcome.stats, stats, "threads={threads}");
         assert_eq!(outcome.dropped_out_of_window, dropped, "threads={threads}");
@@ -164,7 +162,7 @@ fn in_place_engine_matches_serial_pipeline_for_every_window_length() {
     for num_bins in 1..=40usize {
         let cfg = PipelineConfig::abilene(0, num_bins);
         let records = fixed_stream(&plan, num_bins, 1500);
-        let (set, stats, dropped, _) = run_serial(cfg, &t, &plan, &records);
+        let (set, stats, dropped) = run_serial(cfg, &t, &plan, &records);
         assert!(dropped > 0, "fixture must exercise the out-of-window path");
         let engine = ShardedIngest::new(cfg, &t, ingress.clone(), routes.clone()).unwrap();
         assert_eq!(engine.shard_bins(), DEFAULT_SHARD_BINS.min(num_bins.div_ceil(8)));
@@ -201,17 +199,6 @@ fn grain_rule_caps_at_the_default_and_yields_to_an_override() {
         let e = engine(num_bins);
         assert_eq!((e.shard_bins(), e.num_shards()), (grain, shards), "bins={num_bins}");
     }
-    // An explicit grain wins over the rule, and changes no output.
-    let records = fixed_stream(&plan, 24, 1500);
-    let ruled = engine(24).ingest_records(&records).unwrap();
-    for grain in [1usize, 5, 16, 100] {
-        let e = engine(24).with_shard_bins(grain);
-        assert_eq!((e.shard_bins(), e.num_shards()), (grain, 24usize.div_ceil(grain)));
-        let outcome = e.ingest_records(&records).unwrap();
-        assert_eq!(outcome.stats, ruled.stats);
-        assert_bitwise_equal(&outcome.matrices, &ruled.matrices);
-    }
-    assert_eq!(engine(24).with_shard_bins(0).shard_bins(), 1, "clamped to at least one bin");
 }
 
 #[test]
@@ -225,7 +212,7 @@ fn fill_shards_routes_drops_to_the_last_shard_and_surfaces_push_errors() {
     let engine = ShardedIngest::new(cfg, &t, ingress, routes).unwrap();
     assert_eq!((engine.shard_bins(), engine.num_shards()), (2, 6));
     let records = fixed_stream(&plan, num_bins, 1500);
-    let (_, _, dropped, _) = run_serial(cfg, &t, &plan, &records);
+    let (_, _, dropped) = run_serial(cfg, &t, &plan, &records);
     let owner = |r: &FlowRecord| (r.window_start / 300).min(num_bins as u64 - 1) as usize / 2;
 
     // What lies past the window's end is offered to the last shard, which
@@ -274,15 +261,13 @@ proptest! {
     #[test]
     fn sharded_ingest_equivalence_randomized(
         specs in proptest::collection::vec(spec_strategy(), 50..400),
-        num_bins in 3usize..40,
-        shard_bins in 1usize..12,
+        num_bins in 3usize..40, // grains 1 to 5 under the rule
         threads in 2usize..24,
         start_secs in 0u64..100_000,
     ) {
         let t = Topology::abilene();
         let plan = AddressPlan::synthetic(&t);
-        let mut cfg = PipelineConfig::abilene(start_secs / 300 * 300, num_bins);
-        cfg.anonymize = num_bins % 2 == 0; // exercise both resolver modes
+        let cfg = PipelineConfig::abilene(start_secs / 300 * 300, num_bins);
         let window_secs = num_bins as u64 * 300;
         let records: Vec<FlowRecord> = specs
             .iter()
@@ -305,9 +290,7 @@ proptest! {
         let dropped = pipe.dropped_out_of_window();
         let serial = pipe.finalize();
 
-        let engine = ShardedIngest::new(cfg, &t, ingress, routes)
-            .unwrap()
-            .with_shard_bins(shard_bins);
+        let engine = ShardedIngest::new(cfg, &t, ingress, routes).unwrap();
         for &limit in &[1usize, threads, num_bins + 31] {
             let outcome = with_thread_limit(limit, || engine.ingest_records(&records));
             match (&serial, outcome) {

@@ -501,7 +501,9 @@ mod tests {
 
     fn digest_of(records: &[FlowRecord]) -> AttributeDigest {
         let mut d = AttributeDigest::new();
-        d.add_all(records.iter());
+        for r in records {
+            d.add(r);
+        }
         d
     }
 

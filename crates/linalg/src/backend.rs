@@ -6,8 +6,8 @@
 //! `p x p` column Gram `XᵀX` of the paper's tall windows (2016 bins × 121
 //! OD pairs), or the `n x n` row Gram `XXᵀ` of a window with few bins and
 //! many OD pairs (24 bins × 90 000 OD pairs is a 24 × 24 eigenproblem).
-//! The randomized range finder ([`crate::randomized_thin_svd`]) takes the
-//! windows long *and* wide, touching nothing larger than a
+//! The randomized range finder ([`EigenMethod::RandomizedTruncated`])
+//! takes the windows long *and* wide, touching nothing larger than a
 //! `p x (k + oversample)` panel. [`EigenMethod`] is the selector
 //! `SubspaceConfig` carries, and [`truncated_svd`] the one place it is
 //! acted on.
@@ -311,12 +311,6 @@ mod tests {
             assert_eq!(svd.v.as_slice(), leading.as_slice());
             assert_eq!(e.to_bits(), energy.to_bits());
         }
-
-        let method = EigenMethod::RandomizedTruncated { oversample: 6, power_iters: 2, seed: 7 };
-        let (via_enum, _) = truncated_svd(&x, &[0.0; 30], 4, method).unwrap();
-        let opts = RandomizedSvdOptions { oversample: 6, power_iters: 2, seed: 7 };
-        let direct = crate::randomized_thin_svd(&x, 4, opts).unwrap();
-        assert_eq!(via_enum.sigma, direct.sigma);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! a row-major [`Matrix`], symmetric eigendecomposition by blocked
 //! Householder tridiagonalization with implicit-shift QR
 //! ([`eigen_symmetric`]), thin SVD via the Gram eigenproblem ([`thin_svd`])
-//! or a randomized range finder ([`randomized_thin_svd`]), column
-//! centering, and covariance / scatter matrices.
+//! or a randomized range finder
+//! ([`EigenMethod::RandomizedTruncated`]), column centering, and
+//! covariance / scatter matrices.
 //!
 //! The paper this workspace reproduces (Lakhina, Crovella & Diot,
 //! *Characterization of Network-Wide Anomalies in Traffic Flows*, IMC 2004)
@@ -55,6 +56,6 @@ pub use eigen::eigen_symmetric as eigen_symmetric_auto;
 pub use eigen::{eigen_symmetric, EigenDecomposition};
 pub use error::{LinalgError, Result};
 pub use matrix::Matrix;
-pub use randomized::{randomized_thin_svd, RandomizedSvdOptions, DEFAULT_SKETCH_SEED};
+pub use randomized::{RandomizedSvdOptions, DEFAULT_SKETCH_SEED};
 pub use solve::solve;
 pub use svd::{thin_svd, Svd};

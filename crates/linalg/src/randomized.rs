@@ -23,8 +23,8 @@
 //! every kernel accumulates each output element in one ascending chain
 //! from 0.0, so the factorization is the copy's bit for bit. One row-major
 //! pass over `x` checks every centered value for finiteness and sums the
-//! total energy `‖Xc‖²_F` the fit needs for its unseen tail.
-//! [`randomized_thin_svd`] is the zero-offset case: `x − 0.0` is `x`.
+//! total energy `‖Xc‖²_F` the fit needs for its unseen tail. Zero means
+//! factor `x` itself: `x − 0.0` is `x`.
 //!
 //! ## Panels are stored vectors-in-rows
 //!
@@ -94,7 +94,27 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 
-/// Options for [`randomized_thin_svd`].
+/// Options of the randomized range finder, the parameters of
+/// [`crate::EigenMethod::RandomizedTruncated`].
+///
+/// # Examples
+///
+/// ```
+/// use odflow_linalg::{truncated_svd, EigenMethod, Matrix, RandomizedSvdOptions};
+///
+/// // Data with 3 dominant directions: the sketch recovers their σ.
+/// let x = Matrix::from_fn(40, 200, |i, j| {
+///     (1 + j % 3) as f64 * ((i * (1 + j % 3)) as f64 * 0.37).sin()
+/// });
+/// let zeros = [0.0; 200];
+/// let RandomizedSvdOptions { oversample, power_iters, seed } = RandomizedSvdOptions::default();
+/// let sketch = EigenMethod::RandomizedTruncated { oversample, power_iters, seed };
+/// let (rnd, _) = truncated_svd(&x, &zeros, 3, sketch).unwrap();
+/// let (exact, _) = truncated_svd(&x, &zeros, 3, EigenMethod::DenseTridiagonal).unwrap();
+/// for i in 0..3 {
+///     assert!((rnd.sigma[i] - exact.sigma[i]).abs() < 1e-6 * exact.sigma[0]);
+/// }
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RandomizedSvdOptions {
     /// Extra sketch columns beyond the requested rank. The projected
@@ -118,9 +138,11 @@ impl Default for RandomizedSvdOptions {
 /// selection so unconfigured runs are reproducible).
 pub const DEFAULT_SKETCH_SEED: u64 = 0x0DF1_0E16;
 
-/// Computes a truncated thin SVD `X ≈ U Σ V^T` of an `n x p` matrix,
-/// keeping (up to) the top `rank + oversample` triplets, without forming
-/// any `p x p` (or `n x n`) matrix.
+/// A truncated thin SVD `Xc ≈ U Σ Vᵀ` of the column-centered
+/// `Xc = X − 1μᵀ` (μ = `means`, one per column of `x`; zeros factor `x` as
+/// it is), read where `x` lies, keeping (up to) the top `rank +
+/// oversample` triplets, and the total energy `‖Xc‖²_F`. Nothing `p x p`
+/// (or `n x n`) is formed. The fit's route; see the module docs.
 ///
 /// The first `rank` triplets carry the range-finder's accuracy guarantee;
 /// the `oversample` extras are decreasingly accurate probes of the residual
@@ -129,47 +151,18 @@ pub const DEFAULT_SKETCH_SEED: u64 = 0x0DF1_0E16;
 /// σ_max`) are dropped: σ is the square root of an eigenvalue of the
 /// projected Gram matrix `B Bᵀ`, exact to about `ε · σ_max²`, so a smaller
 /// σ is rounding, not data — the floor [`crate::thin_svd`] states for its
-/// own Gram route.
+/// own Gram route. `V` holds only the leading `min(v_cols, r)` right
+/// singular vectors (see [`factor_projection`]); σ and `U` keep every
+/// triplet.
 ///
 /// # Errors
 ///
 /// * [`LinalgError::Empty`] for matrices with zero rows/columns or
 ///   `rank == 0`.
-/// * [`LinalgError::NonFinite`] when `x` contains NaN/infinities.
+/// * [`LinalgError::NonFinite`] for a non-finite *centered* value — a NaN
+///   in `x`, or a column whose mean overflows, say.
 /// * Propagates eigensolver errors from the projected problem
 ///   (practically unreachable for finite data).
-///
-/// # Examples
-///
-/// ```
-/// use odflow_linalg::{randomized_thin_svd, thin_svd, Matrix, RandomizedSvdOptions};
-///
-/// // Tall data with 3 dominant directions: the sketch recovers them.
-/// let x = Matrix::from_fn(40, 200, |i, j| {
-///     (1 + j % 3) as f64 * ((i * (1 + j % 3)) as f64 * 0.37).sin()
-/// });
-/// let rnd = randomized_thin_svd(&x, 3, RandomizedSvdOptions::default()).unwrap();
-/// let dense = thin_svd(&x, 0.0).unwrap();
-/// for i in 0..3 {
-///     assert!((rnd.sigma[i] - dense.sigma[i]).abs() < 1e-6 * dense.sigma[0]);
-/// }
-/// ```
-pub fn randomized_thin_svd(x: &Matrix, rank: usize, opts: RandomizedSvdOptions) -> Result<Svd> {
-    let zeros = vec![0.0; x.ncols()];
-    let (svd, _energy) = centered_randomized_svd(x, &zeros, rank, opts, usize::MAX)?;
-    Ok(svd)
-}
-
-/// [`randomized_thin_svd`] of the column-centered `X − 1μᵀ` (μ = `means`,
-/// one per column of `x`), read where `x` lies, and the total energy
-/// `‖X − 1μᵀ‖²_F`. The fit's route; see the module docs. `V` holds only
-/// the leading `min(v_cols, r)` right singular vectors (see
-/// [`factor_projection`]); σ and `U` keep every triplet.
-///
-/// # Errors
-///
-/// As [`randomized_thin_svd`], with [`LinalgError::NonFinite`] raised for
-/// a non-finite *centered* value — a column whose mean overflows, say.
 pub(crate) fn centered_randomized_svd(
     x: &Matrix,
     means: &[f64],
@@ -179,7 +172,7 @@ pub(crate) fn centered_randomized_svd(
 ) -> Result<(Svd, f64)> {
     let (n, p) = x.shape();
     if n == 0 || p == 0 || rank == 0 {
-        return Err(LinalgError::Empty { op: "randomized_thin_svd" });
+        return Err(LinalgError::Empty { op: "centered_randomized_svd" });
     }
     let energy = centered_energy(x, means)?;
     let m = sketch_width((n, p), rank, opts.oversample);
@@ -383,7 +376,7 @@ fn centered_energy(x: &Matrix, means: &[f64]) -> Result<f64> {
         }
     }
     if !finite {
-        return Err(LinalgError::NonFinite { op: "randomized_thin_svd" });
+        return Err(LinalgError::NonFinite { op: "centered_randomized_svd" });
     }
     let norm = sum.sqrt();
     Ok(norm * norm)
@@ -530,6 +523,13 @@ mod tests {
     use super::*;
     use crate::svd::thin_svd;
 
+    /// The range finder on `x` as it is (zero means), `V` for every
+    /// triplet.
+    fn uncentered_svd(x: &Matrix, rank: usize, opts: RandomizedSvdOptions) -> Result<Svd> {
+        let zeros = vec![0.0; x.ncols()];
+        centered_randomized_svd(x, &zeros, rank, opts, usize::MAX).map(|(svd, _)| svd)
+    }
+
     fn low_rank_plus_noise(n: usize, p: usize, rank: usize, noise: f64) -> Matrix {
         Matrix::from_fn(n, p, |i, j| {
             let mut v = 0.0;
@@ -671,7 +671,7 @@ mod tests {
             let want = parent_randomized_thin_svd(&x, rank, opts);
             for threads in [1usize, 2, 5] {
                 let got = odflow_par::with_thread_limit(threads, || {
-                    randomized_thin_svd(&x, rank, opts).unwrap()
+                    uncentered_svd(&x, rank, opts).unwrap()
                 });
                 let tag = format!("case {case} ({n} x {p}), threads={threads}");
                 let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
@@ -964,7 +964,7 @@ mod tests {
     #[test]
     fn matches_dense_on_low_rank_data() {
         let x = low_rank_plus_noise(60, 300, 4, 1e-6);
-        let rnd = randomized_thin_svd(&x, 4, RandomizedSvdOptions::default()).unwrap();
+        let rnd = uncentered_svd(&x, 4, RandomizedSvdOptions::default()).unwrap();
         let dense = thin_svd(&x, 0.0).unwrap();
         for i in 0..4 {
             let rel = (rnd.sigma[i] - dense.sigma[i]).abs() / dense.sigma[0];
@@ -977,7 +977,7 @@ mod tests {
         // p >> n: the regime the backend exists for. Correctness is checked
         // against the dense route (still feasible at this test size).
         let x = low_rank_plus_noise(24, 900, 5, 1e-3);
-        let rnd = randomized_thin_svd(&x, 5, RandomizedSvdOptions::default()).unwrap();
+        let rnd = uncentered_svd(&x, 5, RandomizedSvdOptions::default()).unwrap();
         let dense = thin_svd(&x, 0.0).unwrap();
         for i in 0..5 {
             let rel = (rnd.sigma[i] - dense.sigma[i]).abs() / dense.sigma[0];
@@ -995,7 +995,7 @@ mod tests {
     #[test]
     fn u_v_orthonormal_and_sigma_sorted() {
         let x = low_rank_plus_noise(50, 240, 6, 0.5);
-        let svd = randomized_thin_svd(&x, 6, RandomizedSvdOptions::default()).unwrap();
+        let svd = uncentered_svd(&x, 6, RandomizedSvdOptions::default()).unwrap();
         let r = svd.rank();
         let utu = svd.u.transpose().matmul(&svd.u).unwrap();
         let vtv = svd.v.transpose().matmul(&svd.v).unwrap();
@@ -1010,13 +1010,13 @@ mod tests {
     fn same_seed_bit_identical_different_seed_close() {
         let x = low_rank_plus_noise(40, 200, 3, 1e-4);
         let opts = RandomizedSvdOptions::default();
-        let a = randomized_thin_svd(&x, 3, opts).unwrap();
-        let b = randomized_thin_svd(&x, 3, opts).unwrap();
+        let a = uncentered_svd(&x, 3, opts).unwrap();
+        let b = uncentered_svd(&x, 3, opts).unwrap();
         assert_eq!(a.sigma, b.sigma);
         assert_eq!(a.u.as_slice(), b.u.as_slice());
         assert_eq!(a.v.as_slice(), b.v.as_slice());
 
-        let c = randomized_thin_svd(&x, 3, RandomizedSvdOptions { seed: 99, ..opts }).unwrap();
+        let c = uncentered_svd(&x, 3, RandomizedSvdOptions { seed: 99, ..opts }).unwrap();
         for i in 0..3 {
             assert!((a.sigma[i] - c.sigma[i]).abs() < 1e-8 * a.sigma[0]);
         }
@@ -1026,11 +1026,10 @@ mod tests {
     fn thread_count_invariant() {
         let x = low_rank_plus_noise(48, 400, 4, 0.1);
         let opts = RandomizedSvdOptions::default();
-        let serial = odflow_par::with_thread_limit(1, || randomized_thin_svd(&x, 4, opts).unwrap());
+        let serial = odflow_par::with_thread_limit(1, || uncentered_svd(&x, 4, opts).unwrap());
         for &threads in &[2usize, 8, 64] {
-            let par = odflow_par::with_thread_limit(threads, || {
-                randomized_thin_svd(&x, 4, opts).unwrap()
-            });
+            let par =
+                odflow_par::with_thread_limit(threads, || uncentered_svd(&x, 4, opts).unwrap());
             assert_eq!(par.sigma, serial.sigma, "threads={threads}");
             assert_eq!(par.u.as_slice(), serial.u.as_slice(), "threads={threads}");
             assert_eq!(par.v.as_slice(), serial.v.as_slice(), "threads={threads}");
@@ -1044,7 +1043,7 @@ mod tests {
         let x = Matrix::from_fn(30, 150, |i, j| {
             (i as f64 + 1.0) * (j as f64 * 0.1).sin() + (i as f64 * 0.3).cos() * (j as f64 + 1.0)
         });
-        let svd = randomized_thin_svd(&x, 2, RandomizedSvdOptions::default()).unwrap();
+        let svd = uncentered_svd(&x, 2, RandomizedSvdOptions::default()).unwrap();
         let xr = svd.reconstruct_rank(2).unwrap();
         assert!(xr.approx_eq(&x, 1e-7 * x.max_abs()), "rank-2 reconstruction off");
     }
@@ -1077,19 +1076,19 @@ mod tests {
     #[test]
     fn zero_matrix_degenerate() {
         let x = Matrix::zeros(10, 50);
-        let svd = randomized_thin_svd(&x, 3, RandomizedSvdOptions::default()).unwrap();
+        let svd = uncentered_svd(&x, 3, RandomizedSvdOptions::default()).unwrap();
         assert_eq!(svd.sigma, vec![0.0]);
     }
 
     #[test]
     fn rejects_empty_rank_zero_nonfinite() {
         let opts = RandomizedSvdOptions::default();
-        assert!(randomized_thin_svd(&Matrix::zeros(0, 5), 2, opts).is_err());
-        assert!(randomized_thin_svd(&Matrix::zeros(5, 0), 2, opts).is_err());
-        assert!(randomized_thin_svd(&Matrix::identity(4), 0, opts).is_err());
+        assert!(uncentered_svd(&Matrix::zeros(0, 5), 2, opts).is_err());
+        assert!(uncentered_svd(&Matrix::zeros(5, 0), 2, opts).is_err());
+        assert!(uncentered_svd(&Matrix::identity(4), 0, opts).is_err());
         let mut x = Matrix::identity(4);
         x[(2, 2)] = f64::NAN;
-        assert!(randomized_thin_svd(&x, 2, opts).is_err());
+        assert!(uncentered_svd(&x, 2, opts).is_err());
     }
 
     #[test]

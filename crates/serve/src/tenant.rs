@@ -43,8 +43,7 @@ use std::sync::Arc;
 pub struct TenantConfig {
     /// Tenant name, used as the metrics label.
     pub name: String,
-    /// Ingest window/binning configuration (sampler fields unused — the
-    /// daemon consumes pre-sampled export records).
+    /// The ingest window: start, bin width and number of bins.
     pub pipeline: PipelineConfig,
     /// Subspace detection configuration, for both the online detector and
     /// the flush-time batch diagnosis.

@@ -9,8 +9,7 @@ mod common;
 
 use odflow_flow::netflow::encode_datagrams;
 use odflow_flow::{
-    FlowKey, FlowRecord, OdResolution, OdResolver, PipelineConfig, WatermarkState,
-    LATENESS_HORIZON_BINS,
+    FlowKey, FlowRecord, OdResolution, OdResolver, WatermarkState, LATENESS_HORIZON_BINS,
 };
 use odflow_gen::{FaultEvent, FaultKind, FaultSchedule, FaultStormStats, Scenario};
 use odflow_net::IngressResolver;
@@ -106,13 +105,10 @@ fn resolved_pairs(
 ) -> (BTreeSet<(usize, FlowKey)>, u64) {
     let routes = scenario.plan.build_route_table(1.0).unwrap();
     let ingress = IngressResolver::synthetic(&scenario.topology);
-    let anonymize = PipelineConfig::abilene(0, NUM_BINS).anonymize;
-    let mut resolver = OdResolver::new(&scenario.topology, ingress, routes, anonymize);
+    let mut resolver = OdResolver::new(&scenario.topology, ingress, routes);
     let (mut pairs, mut landed) = (BTreeSet::new(), 0);
     for mut r in records.iter().copied() {
-        if anonymize {
-            r.key = r.key.with_anonymized_dst();
-        }
+        r.key = r.key.with_anonymized_dst();
         if let OdResolution::Resolved { od_index } = resolver.resolve(&r) {
             pairs.insert((od_index, r.key));
             landed += 1;

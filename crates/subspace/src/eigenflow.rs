@@ -23,9 +23,8 @@ pub struct EigenflowDecomposition {
     /// eigenflows (the principal axes of the OD space). A fit builds axes
     /// for the rank it was asked for only: `p x min(rank, r)` from
     /// [`Self::fit_with`] — a model's normal subspace, the only axes
-    /// scoring and identification read — and `p x r` from [`Self::fit`].
-    /// The rest of the spectrum stays in `eigenflows` and
-    /// `singular_values`, which the thresholds read.
+    /// scoring and identification read. The rest of the spectrum stays in
+    /// `eigenflows` and `singular_values`, which the thresholds read.
     pub loadings: Matrix,
     /// Singular values of the centered data, descending; `σ_i²/(n-1)` is
     /// the variance captured by eigenflow `i`.
@@ -47,26 +46,12 @@ pub struct EigenflowDecomposition {
 
 impl EigenflowDecomposition {
     /// Computes the eigenflow decomposition of a data matrix (rows =
-    /// timebins, columns = OD flows). Columns are mean-centered first, as
-    /// the paper requires ("the multivariate mean ... for eigenflows is
-    /// equal to zero by construction").
-    ///
-    /// This is the exact dense path (full spectrum, every loadings column)
-    /// whatever the shape. Use [`Self::fit_with`] to choose — a window both
-    /// long and wide (a week of bins over `p ≈ 90 000` OD pairs) outgrows
-    /// either dense Gram matrix by design.
-    ///
-    /// # Errors
-    ///
-    /// * [`SubspaceError::InsufficientData`] unless `n >= 2` and `p >= 2`.
-    /// * [`SubspaceError::Numeric`] for non-finite input.
-    pub fn fit(x: &Matrix) -> Result<Self> {
-        Self::fit_with(x, x.nrows().min(x.ncols()), EigenMethod::DenseTridiagonal)
-    }
-
-    /// Computes the decomposition with an explicit [`EigenMethod`],
+    /// timebins, columns = OD flows) with an explicit [`EigenMethod`],
     /// retaining (at least) the top `rank` eigenflows, and the loadings of
     /// the top `min(rank, r)` only (`rank` counts as 1 when it is 0).
+    /// Columns are mean-centered first, as the paper requires ("the
+    /// multivariate mean ... for eigenflows is equal to zero by
+    /// construction").
     ///
     /// The dense method (`DenseTridiagonal`, or `Auto` resolving to it —
     /// whenever `p` is at most 512, or `n` few enough bins that the row
@@ -174,10 +159,15 @@ mod tests {
         })
     }
 
+    /// The exact dense decomposition with every loadings column.
+    fn fit_full(x: &Matrix) -> Result<EigenflowDecomposition> {
+        EigenflowDecomposition::fit_with(x, x.nrows().min(x.ncols()), EigenMethod::DenseTridiagonal)
+    }
+
     #[test]
     fn shared_pattern_concentrates_variance() {
         let x = diurnal_matrix(288, 20);
-        let d = EigenflowDecomposition::fit(&x).unwrap();
+        let d = fit_full(&x).unwrap();
         // One shared diurnal pattern -> first eigenflow dominates.
         assert!(
             d.variance_captured(1) > 0.95,
@@ -189,7 +179,7 @@ mod tests {
     #[test]
     fn eigenflows_unit_norm_and_ordered() {
         let x = diurnal_matrix(100, 8);
-        let d = EigenflowDecomposition::fit(&x).unwrap();
+        let d = fit_full(&x).unwrap();
         for i in 0..d.rank() {
             let u = d.eigenflow(i).unwrap();
             let norm: f64 = u.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -205,7 +195,7 @@ mod tests {
         // Centered data => each eigenflow (column of U spanning the data)
         // has ~zero mean because column means were removed.
         let x = diurnal_matrix(150, 6);
-        let d = EigenflowDecomposition::fit(&x).unwrap();
+        let d = fit_full(&x).unwrap();
         // Reconstruct centered data, verify row means of columns vanish.
         let u0 = d.eigenflow(0).unwrap();
         let mean: f64 = u0.iter().sum::<f64>() / u0.len() as f64;
@@ -215,7 +205,7 @@ mod tests {
     #[test]
     fn eigenvalue_matches_score_variance() {
         let x = diurnal_matrix(200, 5);
-        let d = EigenflowDecomposition::fit(&x).unwrap();
+        let d = fit_full(&x).unwrap();
         // Scores z_i = sigma_i * u_i; sample variance of z_i should equal
         // eigenvalue_i (scores have zero mean by centering).
         for i in 0..2 {
@@ -234,7 +224,7 @@ mod tests {
     #[test]
     fn padded_spectrum_has_full_length() {
         let x = Matrix::from_fn(10, 6, |i, j| (i * j) as f64); // rank 2 at most
-        let d = EigenflowDecomposition::fit(&x).unwrap();
+        let d = fit_full(&x).unwrap();
         let ev = d.eigenvalues_padded(6);
         assert_eq!(ev.len(), 6);
         assert!(ev[5] >= 0.0);
@@ -242,14 +232,14 @@ mod tests {
 
     #[test]
     fn rejects_tiny_input() {
-        assert!(EigenflowDecomposition::fit(&Matrix::zeros(1, 5)).is_err());
-        assert!(EigenflowDecomposition::fit(&Matrix::zeros(5, 1)).is_err());
+        assert!(fit_full(&Matrix::zeros(1, 5)).is_err());
+        assert!(fit_full(&Matrix::zeros(5, 1)).is_err());
     }
 
     #[test]
     fn variance_captured_bounds() {
         let x = diurnal_matrix(50, 4);
-        let d = EigenflowDecomposition::fit(&x).unwrap();
+        let d = fit_full(&x).unwrap();
         assert_eq!(d.variance_captured(0), 0.0);
         assert!((d.variance_captured(d.rank()) - 1.0).abs() < 1e-12);
     }
@@ -262,9 +252,9 @@ mod tests {
         let tri = EigenflowDecomposition::fit_with(&x, 4, EigenMethod::DenseTridiagonal).unwrap();
         assert!(!tri.truncated);
         assert_eq!(tri.rank(), 12);
-        // Axes for the four asked for; `fit` builds all twelve, and the
-        // four are its leading ones.
-        let all = EigenflowDecomposition::fit(&x).unwrap();
+        // Axes for the four asked for; the full fit builds all twelve, and
+        // the four are its leading ones.
+        let all = fit_full(&x).unwrap();
         assert_eq!((tri.loadings.shape(), all.loadings.shape()), ((12, 4), (12, 12)));
         let leading = all.loadings.select_cols(&[0, 1, 2, 3]).unwrap();
         assert_eq!(tri.loadings.as_slice(), leading.as_slice());

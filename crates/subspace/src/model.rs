@@ -658,7 +658,9 @@ mod tests {
         assert_eq!(good.decomp.loadings.shape(), (9, 4), "a fit keeps the k = 4 axes");
         let with_axes = |axes: usize| {
             let mut s = good.clone();
-            let full = EigenflowDecomposition::fit(&x).unwrap().loadings;
+            let full = EigenflowDecomposition::fit_with(&x, 9, EigenMethod::DenseTridiagonal)
+                .unwrap()
+                .loadings;
             s.decomp.loadings = full.select_cols(&(0..axes).collect::<Vec<_>>()).unwrap();
             s
         };
@@ -686,7 +688,10 @@ mod tests {
         let model = SubspaceModel::fit_default(&x).unwrap();
         let narrow = model.export_state();
         let mut full = narrow.clone();
-        full.decomp.loadings = EigenflowDecomposition::fit(&x).unwrap().loadings;
+        full.decomp.loadings =
+            EigenflowDecomposition::fit_with(&x, 9, EigenMethod::DenseTridiagonal)
+                .unwrap()
+                .loadings;
         assert_eq!(full.decomp.loadings.ncols(), full.decomp.rank());
         let leading = full.decomp.loadings.select_cols(&[0, 1, 2, 3]).unwrap();
         assert_eq!(narrow.decomp.loadings.as_slice(), leading.as_slice());

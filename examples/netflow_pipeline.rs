@@ -13,7 +13,7 @@
 
 use odflow::flow::{
     netflow, FlowAggregator, FlowKey, OdBinner, OdResolution, OdResolver, PacketObs, PacketSampler,
-    Protocol,
+    Protocol, MINUTE_SECS,
 };
 use odflow::net::{AddressPlan, IngressResolver, Topology};
 use rand::Rng;
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Stage 2: 1% sampling + per-minute aggregation. ---
     let mut sampler = PacketSampler::new(0.01, 7)?;
-    let mut aggregator = FlowAggregator::new(60, 60)?;
+    let mut aggregator = FlowAggregator::new(MINUTE_SECS, MINUTE_SECS)?;
     let mut records = Vec::new();
     for p in &packets {
         if sampler.sample() {
@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Stage 4: anonymize + resolve to OD pairs + bin. ---
     let routes = plan.build_route_table(1.0)?;
     let ingress = IngressResolver::synthetic(&topology);
-    let mut resolver = OdResolver::new(&topology, ingress, routes, true);
+    let mut resolver = OdResolver::new(&topology, ingress, routes);
     let mut binner = OdBinner::new(0, 300, (horizon / 300) as usize, topology.num_od_pairs())?;
     for mut r in decoded {
         r.key = r.key.with_anonymized_dst();

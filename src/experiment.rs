@@ -181,7 +181,7 @@ fn run_with(
     let ingress = IngressResolver::synthetic(&scenario.topology);
     // Built once for every event digest of the run; its counters are
     // never read.
-    let mut resolver = OdResolver::new(&scenario.topology, ingress.clone(), routes.clone(), true);
+    let mut resolver = OdResolver::new(&scenario.topology, ingress.clone(), routes.clone());
     let mut pipe_cfg =
         PipelineConfig::abilene(scenario.config.start_secs, scenario.config.num_bins);
     // Honor the scenario's bin width (the abilene preset pins the paper's

@@ -35,7 +35,7 @@ fn matrices_via_wire(scenario: &Scenario) -> odflow::flow::TrafficMatrixSet {
     let generator = scenario.generator();
     let routes = scenario.plan.build_route_table(1.0).unwrap();
     let ingress = IngressResolver::synthetic(&scenario.topology);
-    let mut resolver = OdResolver::new(&scenario.topology, ingress, routes, true);
+    let mut resolver = OdResolver::new(&scenario.topology, ingress, routes);
     let mut binner = OdBinner::new(0, 300, 24, scenario.topology.num_od_pairs()).unwrap();
 
     for bin in 0..generator.num_bins() {
@@ -81,7 +81,7 @@ fn wire_path_preserves_resolution_rate() {
     let generator = scenario.generator();
     let routes = scenario.plan.build_route_table(1.0).unwrap();
     let ingress = IngressResolver::synthetic(&scenario.topology);
-    let mut resolver = OdResolver::new(&scenario.topology, ingress, routes, true);
+    let mut resolver = OdResolver::new(&scenario.topology, ingress, routes);
     for bin in 0..generator.num_bins() {
         for mut r in generator.records_for_bin(bin) {
             r.key = r.key.with_anonymized_dst();
