@@ -75,8 +75,10 @@ pub enum EigenMethod {
     /// let (svd, _) = truncated_svd(&x, &[0.0; 24], 4, EigenMethod::DenseTridiagonal).unwrap();
     /// assert_eq!(svd.rank(), 24); // the whole spectrum, whatever rank was asked,
     /// assert_eq!(svd.v.ncols(), 4); // and the axes asked for
+    /// // Every axis asked for: `X V Vᵀ` is `X`.
     /// let (svd, _) = truncated_svd(&x, &[0.0; 24], 24, EigenMethod::DenseTridiagonal).unwrap();
-    /// assert!(svd.reconstruct().unwrap().approx_eq(&x, 1e-8));
+    /// let projected = x.matmul(&svd.v).unwrap().matmul(&svd.v.transpose()).unwrap();
+    /// assert!(projected.approx_eq(&x, 1e-8));
     /// ```
     DenseTridiagonal,
     /// Halko-style randomized range finder: Gaussian sketch, a few power
@@ -138,7 +140,7 @@ impl EigenMethod {
 /// `‖X − 1μᵀ‖²_F` — the one dispatch point every fitting path goes
 /// through.
 ///
-/// Triplets come in descending σ order with orthonormal `U`/`V` panels, up
+/// Triplets come in descending σ order with an orthonormal `V` panel, up
 /// to the **numerical rank** of the data, which may be fewer than `rank`
 /// (numerically zero directions are dropped rather than returned as
 /// garbage) and may be more: the dense path returns the full spectrum, so
@@ -147,11 +149,14 @@ impl EigenMethod {
 /// width. Size against the returned [`Svd::rank`], never the request.
 ///
 /// `rank` also sets what is built of `V`: exactly the top `min(rank, r)`
-/// right singular vectors (`r` = [`Svd::rank`]), while `sigma` and `u`
-/// keep every retained triplet. A model needs axes for its normal subspace
-/// only, and the tail enters its thresholds through σ alone; at 90 000 OD
-/// pairs each column left out is 0.7 MB. Ask for `r` or more (`min(n, p)`
-/// always is) to get the whole panel, as [`Svd::reconstruct`] needs.
+/// right singular vectors (`r` = [`Svd::rank`]), while `sigma` keeps every
+/// retained triplet. A model needs axes for its normal subspace only, and
+/// the tail enters its thresholds through σ alone; at 90 000 OD pairs each
+/// column left out is 0.7 MB. Ask for `r` or more (`min(n, p)` always is)
+/// to get the whole panel. No route builds the left singular vectors: the
+/// column Gram's `V` comes straight from its eigenvectors, and the row
+/// Gram and the sketch turn their small eigenvectors into `V` and drop
+/// them.
 ///
 /// The dense path's energy is `Σ σ²` over the spectrum it returns. Its
 /// column Gram (`p ≤ max(n, AUTO_DENSE_MAX_DIM)`) centers a copy of `x`;
@@ -180,12 +185,15 @@ impl EigenMethod {
 /// assert_eq!(dense.sigma, auto.sigma);
 ///
 /// // A window wider than 512 with fewer bins goes through its 12 x 12 row
-/// // Gram: asked for every direction, the triplets rebuild the centered
-/// // window, to the Gram route's √ε resolution.
+/// // Gram. Its centered rows span eleven directions (one goes to the
+/// // mean), and their axes span the centered window, to the Gram route's
+/// // √ε resolution.
 /// let wide = Matrix::from_fn(12, 600, |i, j| ((i * 5 + j * 3) % 13) as f64);
 /// let (row_gram, _) = truncated_svd(&wide, &column_means(&wide), 12, EigenMethod::Auto).unwrap();
-/// let (centered, _) = center_columns(&wide).unwrap();
-/// assert!(row_gram.reconstruct().unwrap().approx_eq(&centered, 1e-6 * centered.max_abs()));
+/// let centered = center_columns(&wide).unwrap();
+/// let v = row_gram.v.select_cols(&(0..11).collect::<Vec<_>>()).unwrap();
+/// let projected = centered.matmul(&v).unwrap().matmul(&v.transpose()).unwrap();
+/// assert!(projected.approx_eq(&centered, 1e-6 * centered.max_abs()));
 ///
 /// // A sketch keeps its width of triplets, and still reports the energy
 /// // of the whole centered matrix; V holds the 5 axes asked for.
@@ -274,11 +282,12 @@ mod tests {
         let x = Matrix::from_fn(12, 6, |i, j| ((i + 1) * (j + 2)) as f64 + (i as f64 * 0.3).sin());
         let (svd, _) = truncated_svd(&x, &[0.0; 6], 2, EigenMethod::DenseTridiagonal).unwrap();
         assert!(svd.rank() > 2, "asked for 2, the dense path keeps all {}", svd.rank());
-        // ...but builds the two axes asked for: the rank-2 approximation
-        // stands, the whole reconstruction is refused, not a panic.
-        assert_eq!((svd.u.ncols(), svd.v.ncols()), (svd.rank(), 2));
-        assert!(svd.reconstruct_rank(2).is_ok());
-        assert!(matches!(svd.reconstruct(), Err(LinalgError::ShapeMismatch { .. })));
+        // ...but builds the two axes asked for, which are the top two:
+        // `VᵀXᵀXV = diag(σ₁², σ₂²)`.
+        assert_eq!(svd.v.ncols(), 2);
+        let xv = x.matmul(&svd.v).unwrap();
+        let sq = Matrix::from_diag(&[svd.sigma[0].powi(2), svd.sigma[1].powi(2)]);
+        assert!(xv.transpose().matmul(&xv).unwrap().approx_eq(&sq, 1e-10 * sq[(0, 0)]));
     }
 
     #[test]
@@ -300,13 +309,12 @@ mod tests {
     #[test]
     fn dispatch_matches_direct_calls() {
         let x = Matrix::from_fn(25, 30, |i, j| ((i * 5 + j * 3) % 13) as f64 - 6.0);
-        let (centered, centering) = crate::center::center_columns(&x).unwrap();
-        let direct = thin_svd(&centered, 0.0).unwrap();
+        let means = crate::center::column_means(&x);
+        let direct = thin_svd(&crate::center::center_columns(&x).unwrap(), 0.0).unwrap();
         let energy: f64 = direct.sigma.iter().map(|s| s * s).sum();
         for method in [EigenMethod::DenseTridiagonal, EigenMethod::Auto] {
-            let (svd, e) = truncated_svd(&x, &centering.means, 4, method).unwrap();
+            let (svd, e) = truncated_svd(&x, &means, 4, method).unwrap();
             assert_eq!(svd.sigma, direct.sigma);
-            assert_eq!(svd.u.as_slice(), direct.u.as_slice());
             let leading = direct.v.select_cols(&[0, 1, 2, 3]).unwrap();
             assert_eq!(svd.v.as_slice(), leading.as_slice());
             assert_eq!(e.to_bits(), energy.to_bits());

@@ -2,63 +2,23 @@
 //!
 //! The subspace method requires the OD-flow matrix `X` to have zero-mean
 //! columns before PCA ("the multivariate mean, which for eigenflows is equal
-//! to zero by construction" — §2.2 of the paper). [`Centering`] records the
-//! per-column offsets so new observations (streaming detection) can be
-//! transformed consistently with the training data.
+//! to zero by construction" — §2.2 of the paper). The per-column means
+//! ([`column_means`]) are all a model keeps of the transform: a new
+//! observation (streaming detection) is centered by subtracting them.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 
-/// How each column of a data matrix was transformed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Centering {
-    /// Per-column means subtracted from the data.
-    pub means: Vec<f64>,
-    /// Per-column scale divisors (all `1.0`: columns are centered, not
-    /// scaled).
-    pub scales: Vec<f64>,
-}
-
-impl Centering {
-    /// Number of columns this transform applies to.
-    pub fn ncols(&self) -> usize {
-        self.means.len()
-    }
-
-    /// Transform a single observation (row) in place: `x[j] = (x[j] - mean[j]) / scale[j]`.
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when the row length differs
-    /// from the training column count.
-    pub fn apply_row(&self, row: &mut [f64]) -> Result<()> {
-        if row.len() != self.means.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "Centering::apply_row",
-                lhs: (1, self.means.len()),
-                rhs: (1, row.len()),
-            });
-        }
-        for ((x, &m), &s) in row.iter_mut().zip(&self.means).zip(&self.scales) {
-            *x = (*x - m) / s;
-        }
-        Ok(())
-    }
-}
-
 /// Subtracts the column mean from every column of `x`.
-///
-/// Returns the centered matrix and the [`Centering`] (with unit scales).
 ///
 /// # Errors
 ///
 /// [`LinalgError::Empty`] if `x` has no rows.
-pub fn center_columns(x: &Matrix) -> Result<(Matrix, Centering)> {
+pub fn center_columns(x: &Matrix) -> Result<Matrix> {
     if x.nrows() == 0 {
         return Err(LinalgError::Empty { op: "center_columns" });
     }
-    let means = column_means(x);
-    let out = subtract_means(x, &means);
-    let scales = vec![1.0; x.ncols()];
-    Ok((out, Centering { means, scales }))
+    Ok(subtract_means(x, &column_means(x)))
 }
 
 /// A copy of `x` with `means[j]` subtracted from every element of column
@@ -135,30 +95,10 @@ mod tests {
 
     #[test]
     fn centering_zeroes_means() {
-        let (c, t) = center_columns(&sample()).unwrap();
+        let c = center_columns(&sample()).unwrap();
         let m = column_means(&c);
         assert!(m.iter().all(|&x| x.abs() < 1e-12));
-        assert_eq!(t.means, vec![3.0, 30.0]);
-        assert_eq!(t.scales, vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn apply_row_matches_the_centered_training_row() {
-        let x = sample();
-        let (c, t) = center_columns(&x).unwrap();
-        for i in 0..x.nrows() {
-            let mut row = x.row(i).unwrap().to_vec();
-            t.apply_row(&mut row).unwrap();
-            assert_eq!(row, c.row(i).unwrap());
-        }
-    }
-
-    #[test]
-    fn apply_row_shape_check() {
-        let (_, t) = center_columns(&sample()).unwrap();
-        let mut short = vec![1.0];
-        assert!(t.apply_row(&mut short).is_err());
-        assert_eq!(t.ncols(), 2);
+        assert_eq!(c.col(0).unwrap(), vec![-2.0, 0.0, 2.0]);
     }
 
     #[test]

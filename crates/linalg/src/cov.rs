@@ -29,7 +29,7 @@ pub fn covariance(x: &Matrix) -> Result<Matrix> {
     if x.nrows() < 2 {
         return Err(LinalgError::Empty { op: "covariance" });
     }
-    let (c, _) = center_columns(x)?;
+    let c = center_columns(x)?;
     let mut s = gram_txx(&c)?;
     s.scale_mut(1.0 / (x.nrows() as f64 - 1.0));
     Ok(s)

@@ -48,7 +48,7 @@ mod tridiag;
 pub mod vecops;
 
 pub use backend::{truncated_svd, EigenMethod, AUTO_DENSE_MAX_DIM};
-pub use center::{center_columns, column_means, Centering};
+pub use center::{center_columns, column_means};
 pub use cov::{covariance, scatter};
 /// [`eigen_symmetric`] under the name the frozen `e2e_bench` imports; the
 /// next `[benchmark]` PR switches that import and this line goes.

@@ -190,8 +190,9 @@ impl Matrix {
         Ok((0..self.rows).map(|i| self.data[i * self.cols + j]).collect())
     }
 
-    /// Set column `j` from a slice of length `nrows()`.
-    pub fn set_col(&mut self, j: usize, v: &[f64]) -> Result<()> {
+    /// Set column `j` from a slice of length `nrows()` (test oracles only).
+    #[cfg(test)]
+    pub(crate) fn set_col(&mut self, j: usize, v: &[f64]) -> Result<()> {
         if j >= self.cols {
             return Err(LinalgError::OutOfBounds { op: "set_col", index: j, bound: self.cols });
         }
@@ -338,7 +339,11 @@ impl Matrix {
     /// # Errors
     ///
     /// [`LinalgError::ShapeMismatch`] when `self.nrows() != rhs.nrows()`.
-    pub fn matmul_tn(&self, rhs: &Matrix) -> Result<Matrix> {
+    ///
+    /// The fit runs `tn_block` on bands it computes itself and never forms
+    /// both factors; this whole-matrix form is the test oracles'.
+    #[cfg(test)]
+    pub(crate) fn matmul_tn(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.rows != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul_tn",
@@ -873,6 +878,7 @@ const NT_ROW_BLOCK: usize = 4;
 const NT_K_TILE: usize = 256;
 
 /// Output rows per task of [`Matrix::matmul_tn`].
+#[cfg(test)]
 const TN_ROW_BLOCK: usize = 1024;
 
 /// Rows per parallel task in [`symv_block`]; fixed so the decomposition —

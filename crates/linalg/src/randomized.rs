@@ -36,8 +36,8 @@
 //! and `Xc Z` are, into the rows of `Qᵀ`). The panels `m x p` in size are
 //! alive one at a time: `Ωᵀ` for the one statement that sketches with it,
 //! `Zᵀ` for one power iteration, and the right singular vectors `V` at
-//! the end — a fit's `p x k`, the normal subspace only, though σ and `U`
-//! keep all `r ≤ m` triplets. The projection `B = Qᵀ Xc` is never stored:
+//! the end — a fit's `p x k`, the normal subspace only, though σ keeps all
+//! `r ≤ m` triplets. The projection `B = Qᵀ Xc` is never stored:
 //! it is computed in column bands twice, once folded into the `m x m`
 //! matrix `B Bᵀ` and once, after that small eigenproblem, turned straight
 //! into its band's rows of `V = Bᵀ W` — one more `m x n x p` product in
@@ -50,16 +50,18 @@
 //!   along the 90 000-wide side, each band of `X` centered into a scratch
 //!   band that its many rows of `A` then read from cache — behind
 //!   `Matrix::matmul_centered` for `Zᵀ` and behind both passes over `B`;
-//! * `nt_into` folding each group of `B`'s columns into `B Bᵀ`, `tn_block`
-//!   turning a band of `B` into rows of `V`, and [`Matrix::matmul_tn`] for
-//!   `U = Q W`.
+//! * `nt_into` folding each group of `B`'s columns into `B Bᵀ`, and
+//!   `tn_block` turning a band of `B` into rows of `V`.
+//!
+//! The left singular vectors `U = Q W` are never formed: nothing a model
+//! reads depends on them.
 //!
 //! ## The short side: the identity for `Q`
 //!
 //! With `Q = I` the projection is the window itself, `B = Xc`, and `B Bᵀ`
 //! is the `n x n` row Gram `G = Xc Xcᵀ`: the same two banded passes — `G`
 //! folded from centered column bands of `X`, then `V = Xcᵀ W Σ⁻¹` band by
-//! band — factor the window exactly, with `U = W`. The dense path takes
+//! band — factor the window exactly. The dense path takes
 //! this route for a window wider than it is long (24 bins × 90 000 OD
 //! pairs: a 24 × 24 eigenproblem, `≈ 5·10⁷` multiply-adds a pass). Its
 //! passes are `n` wide where the sketch's are `k + oversample`, so
@@ -152,8 +154,7 @@ pub const DEFAULT_SKETCH_SEED: u64 = 0x0DF1_0E16;
 /// projected Gram matrix `B Bᵀ`, exact to about `ε · σ_max²`, so a smaller
 /// σ is rounding, not data — the floor [`crate::thin_svd`] states for its
 /// own Gram route. `V` holds only the leading `min(v_cols, r)` right
-/// singular vectors (see [`factor_projection`]); σ and `U` keep every
-/// triplet.
+/// singular vectors (see [`factor_projection`]); σ keeps every triplet.
 ///
 /// # Errors
 ///
@@ -175,11 +176,20 @@ pub(crate) fn centered_randomized_svd(
         return Err(LinalgError::Empty { op: "centered_randomized_svd" });
     }
     let energy = centered_energy(x, means)?;
-    let m = sketch_width((n, p), rank, opts.oversample);
+    let qt = sketch_range(x, means, rank, opts);
+    let svd = factor_projection(Some(&qt), x, means, v_cols)?;
+    Ok((svd, energy))
+}
+
+/// The range finder: `Qᵀ` (`m x n`, orthonormal rows, `m` the sketch width)
+/// spanning what the sketch `opts` captures of the range of `Xc = X − 1μᵀ`
+/// for its top `rank` triplets.
+fn sketch_range(x: &Matrix, means: &[f64], rank: usize, opts: RandomizedSvdOptions) -> Matrix {
+    let m = sketch_width(x.shape(), rank, opts.oversample);
 
     // Y = Xc Ω with Ω ~ N(0, 1)^{p x m}, drawn from one seeded stream
     // (thread-count independent by construction); Qᵀ starts as Yᵀ.
-    let mut qt = x.centered_matmul_nt(means, &gaussian_sketch(m, p, opts.seed)).transpose();
+    let mut qt = x.centered_matmul_nt(means, &gaussian_sketch(m, x.ncols(), opts.seed)).transpose();
     orthonormalize_rows(&mut qt);
 
     // Power iterations Q <- orth(Xc orth(Xcᵀ Q)) tighten the captured range
@@ -190,9 +200,7 @@ pub(crate) fn centered_randomized_svd(
         qt = x.centered_matmul_nt(means, &zt).transpose();
         orthonormalize_rows(&mut qt);
     }
-
-    let svd = factor_projection(Some(&qt), x, means, v_cols)?;
-    Ok((svd, energy))
+    qt
 }
 
 /// Columns of the sketch for the top `rank` triplets of an `n x p` matrix:
@@ -236,8 +244,9 @@ pub(crate) fn row_gram_within_sketch_cost(
 /// The exact thin SVD of the column-centered `Xc = X − 1μᵀ` (μ = `means`)
 /// through its `n x n` row Gram `G = Xc Xcᵀ`, read where `x` lies, and its
 /// energy `Σ σ²`: the range finder's projection with the identity for `Q`
-/// — `B = Xc`, `B Bᵀ = G` — so `eigen_symmetric(G)` gives σ² and `U`, and
-/// one banded pass gives `V = Xcᵀ U Σ⁻¹` for the leading `min(v_cols, r)`
+/// — `B = Xc`, `B Bᵀ = G` — so `eigen_symmetric(G)` gives σ² and the left
+/// singular vectors `W`, and one banded pass gives `V = Xcᵀ W Σ⁻¹` for the
+/// leading `min(v_cols, r)`
 /// triplets. Triplets below `√ε · σ_max` are dropped, as on the randomized
 /// route; what remains is every direction the data has, so the energy is
 /// their `Σ σ²`. The finiteness check is `G`'s diagonal: `G[i][i] = Σ_j
@@ -264,24 +273,24 @@ pub(crate) fn centered_row_gram_svd(
 /// The SVD of `Xc = X − 1μᵀ` restricted to the range of the orthonormal
 /// rows of `qt` (`Qᵀ`, `m x n`), or of `Xc` itself when `qt` is `None` (the
 /// identity): the `m x m` eigenproblem of `B Bᵀ` for `B = Qᵀ Xc`, whose
-/// eigenvalues are σ² and whose eigenvectors `W` rotate `Q` into `U`, then
-/// `V = Bᵀ W Σ⁻¹`. Triplets with σ below `√ε · σ_max` are dropped.
+/// eigenvalues are σ² and whose eigenvectors `W` rotate `Q` onto the left
+/// singular vectors, then `V = Bᵀ W Σ⁻¹`. Triplets with σ below
+/// `√ε · σ_max` are dropped.
 ///
-/// σ and `U` keep every remaining triplet; `V` is built for the leading
+/// σ keeps every remaining triplet; `V` is built for the leading
 /// `min(v_cols, r)` only — the banded pass over the window rotates that
 /// many columns of `W`. Each element of `V` is its own ascending chain and
 /// each column's norm sums that column alone, so the columns built are the
 /// bits of the whole panel's leading columns.
 fn factor_projection(qt: Option<&Matrix>, x: &Matrix, means: &[f64], v_cols: usize) -> Result<Svd> {
-    let (n, p) = x.shape();
+    let p = x.ncols();
     let eig = eigen_symmetric(&projected_gram(qt, x, means))?;
 
     let sigma_max = eig.eigenvalues.first().copied().unwrap_or(0.0).max(0.0).sqrt();
     if sigma_max == 0.0 {
         // All-zero input (or a sketch that annihilated it): degenerate SVD,
         // mirroring `thin_svd`'s convention.
-        let v = Matrix::zeros(p, v_cols.min(1));
-        return Ok(Svd { u: Matrix::zeros(n, 1), sigma: vec![0.0], v });
+        return Ok(Svd { sigma: vec![0.0], v: Matrix::zeros(p, v_cols.min(1)) });
     }
     let cutoff = f64::EPSILON.sqrt() * sigma_max;
     let mut sigma = Vec::new();
@@ -293,7 +302,6 @@ fn factor_projection(qt: Option<&Matrix>, x: &Matrix, means: &[f64], v_cols: usi
             keep.push(i);
         }
     }
-    let w = eig.eigenvectors.select_cols(&keep)?;
     let w_lead = eig.eigenvectors.select_cols(&keep[..keep.len().min(v_cols)])?;
 
     // V = Bᵀ W Σ^{-1} (p x r, r = the columns of `w_lead`), re-normalized
@@ -351,13 +359,7 @@ fn factor_projection(qt: Option<&Matrix>, x: &Matrix, means: &[f64], v_cols: usi
             }
         }
     });
-
-    // U = Q W (n x r): rotate the orthonormal basis onto singular order.
-    let u = match qt {
-        Some(qt) => qt.matmul_tn(&w)?,
-        None => w,
-    };
-    Ok(Svd { u, sigma, v })
+    Ok(Svd { sigma, v })
 }
 
 /// `‖X − 1μᵀ‖²_F` in one row-major pass over `x`, which is also the check
@@ -617,7 +619,6 @@ mod tests {
             }
         }
         let w = eig.eigenvectors.select_cols(&keep).unwrap();
-        let u = q.matmul(&w).unwrap();
         let mut v = b.transpose().matmul(&w).unwrap();
         // Column norms summed per V_COL_BLOCK-row block, blocks combined in
         // order — the reduction the shipped code runs through `map_reduce`.
@@ -647,7 +648,7 @@ mod tests {
                 *val *= if norm > 1e-300 { 1.0 / norm } else { 1.0 };
             }
         }
-        Svd { u, sigma, v }
+        Svd { sigma, v }
     }
 
     #[test]
@@ -676,8 +677,6 @@ mod tests {
                 let tag = format!("case {case} ({n} x {p}), threads={threads}");
                 let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got.sigma), bits(&want.sigma), "sigma, {tag}");
-                assert_eq!(got.u.shape(), want.u.shape(), "{tag}");
-                assert_eq!(bits(got.u.as_slice()), bits(want.u.as_slice()), "u, {tag}");
                 assert_eq!(got.v.shape(), want.v.shape(), "{tag}");
                 assert_eq!(bits(got.v.as_slice()), bits(want.v.as_slice()), "v, {tag}");
             }
@@ -695,7 +694,7 @@ mod tests {
         rank: usize,
         opts: RandomizedSvdOptions,
     ) -> (Svd, f64) {
-        let (xc, _) = crate::center::center_columns(x).unwrap();
+        let xc = crate::center::center_columns(x).unwrap();
         let (n, p) = xc.shape();
         let m = (rank + opts.oversample).clamp(1, n.min(p));
         let mut qt = gaussian_sketch(m, p, opts.seed).matmul_nt(&xc).unwrap();
@@ -718,11 +717,10 @@ mod tests {
             .filter(|&(s, _)| s > f64::EPSILON.sqrt() * sigma_max)
             .unzip();
         let w = eig.eigenvectors.select_cols(&keep).unwrap();
-        let u = qt.matmul_tn(&w).unwrap();
         let mut v = b.matmul_tn(&w).unwrap();
         normalize_columns(&mut v);
         let f = xc.frobenius_norm();
-        (Svd { u, sigma, v }, f * f)
+        (Svd { sigma, v }, f * f)
     }
 
     /// Scales every column of `v` to unit norm, the norms summed per
@@ -755,13 +753,11 @@ mod tests {
     }
 
     /// Asserts `narrow` is `full` with `V` cut to its leading `min(v_cols,
-    /// r)` columns, bit for bit: σ and `U` whole, and every column of `V`
-    /// that was built equal to the whole panel's.
+    /// r)` columns, bit for bit: σ whole, and every column of `V` that was
+    /// built equal to the whole panel's.
     fn assert_leading_loadings(full: &Svd, narrow: &Svd, v_cols: usize, tag: &str) {
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&narrow.sigma), bits(&full.sigma), "sigma, {tag}");
-        assert_eq!(narrow.u.shape(), full.u.shape(), "{tag}");
-        assert_eq!(bits(narrow.u.as_slice()), bits(full.u.as_slice()), "u, {tag}");
         let lead: Vec<usize> = (0..v_cols.min(full.rank())).collect();
         let want = full.v.select_cols(&lead).unwrap();
         assert_eq!(narrow.v.shape(), want.shape(), "{tag}");
@@ -769,7 +765,7 @@ mod tests {
     }
 
     /// Asserts the copy-free route on `x` equals the materialized oracle
-    /// bit for bit — σ, U, V and the energy — at thread limits 1, 2 and 5,
+    /// bit for bit — σ, V and the energy — at thread limits 1, 2 and 5,
     /// and that a `V` of the leading `rank` columns only is that panel's.
     fn assert_copy_free_matches(x: &Matrix, rank: usize, opts: RandomizedSvdOptions, tag: &str) {
         let (want, want_energy) = materialized_centered_svd(x, rank, opts);
@@ -784,8 +780,6 @@ mod tests {
             });
             let tag = format!("{tag}, threads={threads}");
             assert_eq!(bits(&got.sigma), bits(&want.sigma), "sigma, {tag}");
-            assert_eq!(got.u.shape(), want.u.shape(), "{tag}");
-            assert_eq!(bits(got.u.as_slice()), bits(want.u.as_slice()), "u, {tag}");
             assert_eq!(got.v.shape(), want.v.shape(), "{tag}");
             assert_eq!(bits(got.v.as_slice()), bits(want.v.as_slice()), "v, {tag}");
             assert_eq!(energy.to_bits(), want_energy.to_bits(), "energy, {tag}");
@@ -870,17 +864,15 @@ mod tests {
     }
 
     /// The row-Gram route on a centered copy and the public kernels: `G =
-    /// Xc Xcᵀ` by `matmul_nt`, `U = W` its kept eigenvectors, `V = Xcᵀ W`
-    /// by `matmul_tn` normalized per column, the energy `Σ σ²`. Kept as the
+    /// Xc Xcᵀ` by `matmul_nt`, `W` its kept eigenvectors, `V = Xcᵀ W` by
+    /// `matmul_tn` normalized per column, the energy `Σ σ²`. Kept as the
     /// oracle the copy-free route must reproduce bit for bit.
     fn materialized_row_gram_svd(x: &Matrix) -> (Svd, f64) {
-        let (xc, _) = crate::center::center_columns(x).unwrap();
-        let (n, p) = xc.shape();
+        let xc = crate::center::center_columns(x).unwrap();
         let eig = eigen_symmetric(&xc.matmul_nt(&xc).unwrap()).unwrap();
         let sigma_max = eig.eigenvalues[0].max(0.0).sqrt();
         if sigma_max == 0.0 {
-            let svd = Svd { u: Matrix::zeros(n, 1), sigma: vec![0.0], v: Matrix::zeros(p, 1) };
-            return (svd, 0.0);
+            return (Svd { sigma: vec![0.0], v: Matrix::zeros(xc.ncols(), 1) }, 0.0);
         }
         let (sigma, keep): (Vec<f64>, Vec<usize>) = eig
             .eigenvalues
@@ -889,11 +881,11 @@ mod tests {
             .map(|(i, &l)| (l.max(0.0).sqrt(), i))
             .filter(|&(s, _)| s > f64::EPSILON.sqrt() * sigma_max)
             .unzip();
-        let u = eig.eigenvectors.select_cols(&keep).unwrap();
-        let mut v = xc.matmul_tn(&u).unwrap();
+        let w = eig.eigenvectors.select_cols(&keep).unwrap();
+        let mut v = xc.matmul_tn(&w).unwrap();
         normalize_columns(&mut v);
         let energy = sigma.iter().map(|s| s * s).sum();
-        (Svd { u, sigma, v }, energy)
+        (Svd { sigma, v }, energy)
     }
 
     #[test]
@@ -921,8 +913,6 @@ mod tests {
                 });
                 let tag = format!("case {case} ({n} x {p}), threads={threads}");
                 assert_eq!(bits(&got.sigma), bits(&want.sigma), "sigma, {tag}");
-                assert_eq!(got.u.shape(), want.u.shape(), "{tag}");
-                assert_eq!(bits(got.u.as_slice()), bits(want.u.as_slice()), "u, {tag}");
                 assert_eq!(got.v.shape(), want.v.shape(), "{tag}");
                 assert_eq!(bits(got.v.as_slice()), bits(want.v.as_slice()), "v, {tag}");
                 assert_eq!(energy.to_bits(), want_energy.to_bits(), "energy, {tag}");
@@ -945,7 +935,7 @@ mod tests {
         let means = crate::center::column_means(&x);
         let (svd, energy) = centered_row_gram_svd(&x, &means, 4).unwrap();
         assert_eq!(svd.sigma, vec![0.0]);
-        assert_eq!((svd.u.shape(), svd.v.shape()), ((7, 1), (MATMUL_COL_BLOCK + 3, 1)));
+        assert_eq!(svd.v.shape(), (MATMUL_COL_BLOCK + 3, 1));
         assert_eq!(energy, 0.0);
     }
 
@@ -994,12 +984,16 @@ mod tests {
 
     #[test]
     fn u_v_orthonormal_and_sigma_sorted() {
+        // The left singular vectors `U = Q W` (`W` orthogonal) are
+        // orthonormal exactly when the range basis `Q` is.
         let x = low_rank_plus_noise(50, 240, 6, 0.5);
-        let svd = uncentered_svd(&x, 6, RandomizedSvdOptions::default()).unwrap();
+        let opts = RandomizedSvdOptions::default();
+        let svd = uncentered_svd(&x, 6, opts).unwrap();
         let r = svd.rank();
-        let utu = svd.u.transpose().matmul(&svd.u).unwrap();
+        let qt = sketch_range(&x, &vec![0.0; x.ncols()], 6, opts);
+        let qqt = qt.matmul_nt(&qt).unwrap();
         let vtv = svd.v.transpose().matmul(&svd.v).unwrap();
-        assert!(utu.approx_eq(&Matrix::identity(r), 1e-8), "U^T U != I");
+        assert!(qqt.approx_eq(&Matrix::identity(qt.nrows()), 1e-8), "Q^T Q != I");
         assert!(vtv.approx_eq(&Matrix::identity(r), 1e-8), "V^T V != I");
         for w in svd.sigma.windows(2) {
             assert!(w[0] >= w[1] - 1e-9);
@@ -1013,7 +1007,6 @@ mod tests {
         let a = uncentered_svd(&x, 3, opts).unwrap();
         let b = uncentered_svd(&x, 3, opts).unwrap();
         assert_eq!(a.sigma, b.sigma);
-        assert_eq!(a.u.as_slice(), b.u.as_slice());
         assert_eq!(a.v.as_slice(), b.v.as_slice());
 
         let c = uncentered_svd(&x, 3, RandomizedSvdOptions { seed: 99, ..opts }).unwrap();
@@ -1031,21 +1024,29 @@ mod tests {
             let par =
                 odflow_par::with_thread_limit(threads, || uncentered_svd(&x, 4, opts).unwrap());
             assert_eq!(par.sigma, serial.sigma, "threads={threads}");
-            assert_eq!(par.u.as_slice(), serial.u.as_slice(), "threads={threads}");
             assert_eq!(par.v.as_slice(), serial.v.as_slice(), "threads={threads}");
         }
+    }
+
+    /// `X V_k V_kᵀ`: `x` projected onto its top `k` axes.
+    fn project_rank(x: &Matrix, svd: &Svd, k: usize) -> Matrix {
+        let vk = svd.v.select_cols(&(0..k).collect::<Vec<_>>()).unwrap();
+        x.matmul(&vk).unwrap().matmul(&vk.transpose()).unwrap()
     }
 
     #[test]
     fn exact_low_rank_recovered() {
         // Rank-2 exactly: the sketch captures the whole range, so the
-        // reconstruction is exact to rounding.
+        // rank-2 projection is exact to rounding, and `VᵀXᵀXV = diag(σ²)`.
         let x = Matrix::from_fn(30, 150, |i, j| {
             (i as f64 + 1.0) * (j as f64 * 0.1).sin() + (i as f64 * 0.3).cos() * (j as f64 + 1.0)
         });
         let svd = uncentered_svd(&x, 2, RandomizedSvdOptions::default()).unwrap();
-        let xr = svd.reconstruct_rank(2).unwrap();
+        let xr = project_rank(&x, &svd, 2);
         assert!(xr.approx_eq(&x, 1e-7 * x.max_abs()), "rank-2 reconstruction off");
+        let xv = x.matmul(&svd.v.select_cols(&[0, 1]).unwrap()).unwrap();
+        let sq = Matrix::from_diag(&[svd.sigma[0].powi(2), svd.sigma[1].powi(2)]);
+        assert!(xv.transpose().matmul(&xv).unwrap().approx_eq(&sq, 1e-9 * sq[(0, 0)]));
     }
 
     #[test]
@@ -1059,17 +1060,147 @@ mod tests {
             let (a, b) = ((i as f64 + 1.0) * (j as f64 * 0.1).sin(), (i as f64 * 0.3).cos());
             1e6 * (1.0 + j as f64) + a + b * (j as f64 + 1.0)
         });
-        let (xc, centering) = crate::center::center_columns(&x).unwrap();
+        let means = crate::center::column_means(&x);
+        let xc = crate::center::center_columns(&x).unwrap();
         for seed in 0..5 {
             let opts = RandomizedSvdOptions { seed, ..RandomizedSvdOptions::default() };
-            let (svd, _) =
-                centered_randomized_svd(&x, &centering.means, 2, opts, usize::MAX).unwrap();
+            let (svd, energy) = centered_randomized_svd(&x, &means, 2, opts, usize::MAX).unwrap();
             assert_eq!(svd.rank(), 2, "seed {seed}: σ = {:?}", svd.sigma);
-            let xr = svd.reconstruct().unwrap();
+            // Both directions kept: they carry the whole energy, and
+            // `Xc V Vᵀ` is `Xc`.
+            let kept: f64 = svd.sigma.iter().map(|s| s * s).sum();
+            assert!((kept - energy).abs() <= 1e-9 * energy, "seed {seed}: {kept} of {energy}");
+            let xr = project_rank(&xc, &svd, 2);
             assert!(
                 xr.approx_eq(&xc, 1e-6 * xc.max_abs()),
                 "seed {seed}: rank-2 reconstruction off"
             );
+        }
+    }
+
+    /// Seeded synthetic OD traffic: two shared temporal patterns with
+    /// per-column amplitude and phase, plus hash noise whose size varies by
+    /// column, so the spectrum has a real tail under the sketch width.
+    fn noisy_traffic(n: usize, p: usize, seed: u64) -> Matrix {
+        Matrix::from_fn(n, p, |i, j| {
+            let t = i as f64 / 288.0 * std::f64::consts::TAU * 12.0;
+            let amp = 15.0 + (j % 97) as f64;
+            let phase = 0.8 * (j % 4) as f64;
+            let psi = 1.1 * (j % 3) as f64;
+            let signal = amp * (2.0 + (t + phase).sin() + 0.8 * (2.0 * t + psi).sin());
+            let mut z = seed
+                ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ (j as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let noise = (z as f64 / u64::MAX as f64) - 0.5;
+            signal + (1.0 + (j % 7) as f64) * noise
+        })
+    }
+
+    /// The sine of the largest principal angle between the spans of the
+    /// first `k` columns of `a` and of `b` (orthonormal columns): the
+    /// spectral norm of `B_k − A_k (A_kᵀ B_k)`, read without the
+    /// cancellation `√(1 − cos²)` suffers at small angles.
+    fn largest_angle_sine(a: &Matrix, b: &Matrix, k: usize) -> f64 {
+        let idx: Vec<usize> = (0..k).collect();
+        let (ak, bk) = (a.select_cols(&idx).unwrap(), b.select_cols(&idx).unwrap());
+        let residual = bk.sub(&ak.matmul(&ak.matmul_tn(&bk).unwrap()).unwrap()).unwrap();
+        thin_svd(&residual, 0.0).unwrap().sigma[0]
+    }
+
+    /// Halko, Martinsson & Tropp (SIAM Rev. 2011), Corollary 10.10: the
+    /// expected spectral norm of what a rank-`k + oversample` sketch with
+    /// `q` power iterations leaves outside its range, from the exact
+    /// spectrum.
+    fn halko_expected_error(sigma: &[f64], k: usize, oversample: usize, q: usize) -> f64 {
+        let power = 2.0 * q as f64 + 1.0;
+        let (kf, pf) = (k as f64, oversample as f64);
+        let tail: f64 = sigma[k..].iter().map(|s| s.powf(2.0 * power)).sum();
+        let bound = (1.0 + (kf / (pf - 1.0)).sqrt()) * sigma[k].powf(power)
+            + std::f64::consts::E * (kf + pf).sqrt() / pf * tail.sqrt();
+        bound.powf(1.0 / power)
+    }
+
+    /// `‖(I − Q Qᵀ) Xc‖₂`, the spectral norm of what a sketch whose range
+    /// has the orthonormal basis `Qᵀ` (`qt`, `m x n`) leaves of the centered
+    /// window, read through the `n x n` row Gram `G = Xc Xcᵀ`: with `P = I −
+    /// Q Qᵀ`, `‖P Xc‖₂² = λ_max(P G P)`.
+    fn range_error(x: &Matrix, means: &[f64], qt: &Matrix) -> f64 {
+        let n = x.nrows();
+        let gram = projected_gram(None, x, means);
+        let residual = Matrix::identity(n).sub(&qt.matmul_tn(qt).unwrap()).unwrap();
+        let pgp = residual.matmul(&gram).unwrap().matmul(&residual).unwrap();
+        eigen_symmetric(&pgp).unwrap().eigenvalues[0].max(0.0).sqrt()
+    }
+
+    /// The sketch against the exact row-Gram factorization at the large
+    /// mesh's k = 10 on a 24 x 20 000 window, for 0, 1 and 2 power
+    /// iterations.
+    ///
+    /// The window's spectrum is four signal directions over a flat noise
+    /// floor: σ₅ … σ₂₃ lie within 7 % of each other, σ₁₁ / σ₁₀ ≈ 0.998. So
+    /// the top-10 axes past the fourth are a near-arbitrary pick among
+    /// nineteen near-equal noise directions, which no sketch of 18 columns
+    /// resolves. With the defaults (oversample 8, two power iterations, the
+    /// default seed) the sketch meets:
+    ///
+    /// * the top-4 (signal) σ within `1e-12` relative and axes within
+    ///   `1e-6` rad of the exact factorization's;
+    /// * the top-10 σ within 0.6 % relative (the noise σ read low), with
+    ///   the largest top-10 principal angle under 0.95 rad — the noise
+    ///   floor's arbitrary pick, not a fault of the range;
+    /// * a range error `‖(I − Q Qᵀ) Xc‖₂` of 0.999 σ₁₁ (1.145 and 1.000
+    ///   σ₁₁ at `q` = 0 and 1). Halko's Corollary 10.10 expects at most
+    ///   1.47 σ₁₁ (7.28 and 1.92 σ₁₁); no 18-dimensional range can do
+    ///   better than σ₁₉ = 0.971 σ₁₁ (Eckart–Young). The error is pinned
+    ///   within 5 % of that floor, where it sits at 2.9 % and a sketch
+    ///   without power iterations at 18 %.
+    ///
+    /// The σ error, the angle and the range error fall, or hold, as power
+    /// iterations are added.
+    #[test]
+    fn sketch_range_meets_the_halko_bound_against_the_exact_fit() {
+        let x = noisy_traffic(24, 20_000, 7);
+        let means = crate::center::column_means(&x);
+        let k = 10;
+        let (exact, _) = centered_row_gram_svd(&x, &means, k).unwrap();
+        assert_eq!(exact.rank(), 23, "the exact factorization keeps every direction");
+        let sigma = &exact.sigma;
+        let mut previous = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for q in 0..3 {
+            let opts =
+                RandomizedSvdOptions { oversample: 8, power_iters: q, seed: DEFAULT_SKETCH_SEED };
+            let (rnd, _) = centered_randomized_svd(&x, &means, k, opts, k).unwrap();
+            assert_eq!(rnd.rank(), k + 8, "q = {q}: the sketch keeps its whole width");
+            let s = &rnd.sigma;
+            let relative = (0..k).map(|i| (s[i] - sigma[i]).abs() / sigma[i]).fold(0.0, f64::max);
+            let sine = largest_angle_sine(&exact.v, &rnd.v, k);
+            let error = range_error(&x, &means, &sketch_range(&x, &means, k, opts));
+            let halko = halko_expected_error(sigma, k, 8, q);
+            println!(
+                "q = {q}: top-{k} σ {relative:.3e} relative, largest angle {:.3} rad, \
+                 range error {:.3} σ₁₁ (Halko {:.3} σ₁₁, floor σ₁₉ = {:.3} σ₁₁)",
+                sine.asin(),
+                error / sigma[k],
+                halko / sigma[k],
+                sigma[k + 8] / sigma[k],
+            );
+            assert!(error <= halko, "q = {q}: range error {error:e}, bound {halko:e}");
+            assert!(error >= sigma[k + 8] * (1.0 - 1e-12), "q = {q}: below Eckart–Young");
+            let grew = relative > previous.0 || sine > previous.1 || error > previous.2;
+            assert!(!grew, "q = {q}: the error grew");
+            previous = (relative, sine, error);
+            if q == 2 {
+                let signal = (0..4).map(|i| (s[i] - sigma[i]).abs() / sigma[i]).fold(0.0, f64::max);
+                assert!(signal <= 1e-12, "signal σ {signal:e} relative");
+                assert!(largest_angle_sine(&exact.v, &rnd.v, 4) <= 1e-6);
+                assert!(relative <= 6e-3, "top-{k} σ {relative:e} relative");
+                assert!(sine.asin() <= 0.95, "largest angle {} rad", sine.asin());
+                let floor = sigma[k + 8];
+                assert!(error <= 1.05 * floor, "range error {} σ₁₉", error / floor);
+            }
         }
     }
 

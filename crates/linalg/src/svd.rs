@@ -3,28 +3,28 @@
 //! The OD-flow matrix `X` is tall and skinny (`n ≈ 2016` five-minute bins in
 //! a week, `p = 121` OD pairs), so the thin SVD `X = U Σ V^T` is cheapest via
 //! the `p x p` eigenproblem of `X^T X`: the right singular vectors are its
-//! eigenvectors and `σ_i = sqrt(λ_i)`. This matches exactly how the paper
-//! computes **eigenflows**: the normalized columns of `X V` (the left
-//! singular vectors `u_i`) are the common temporal patterns, ordered by
-//! captured variance.
+//! eigenvectors and `σ_i = sqrt(λ_i)`. The subspace method reads the
+//! spectrum and the right singular vectors only — the principal axes of
+//! the OD space, and the variance each captures — so that is all an
+//! [`Svd`] holds. The paper's **eigenflows**, the left singular vectors
+//! `u_i = X v_i / σ_i`, are the common temporal patterns that explain why
+//! a low-dimensional normal subspace exists; no detector reads them, and a
+//! caller that wants one forms it from `X` and the triplet.
 
 use crate::eigen::eigen_symmetric;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-use crate::vecops;
 
-/// Thin SVD `X = U Σ V^T` of an `n x p` matrix with `n >= p` typically.
+/// The spectrum and right singular vectors of a thin SVD `X = U Σ Vᵀ` of
+/// an `n x p` matrix.
 #[derive(Debug, Clone)]
 pub struct Svd {
-    /// `n x r` matrix of left singular vectors (columns), `r = rank kept`.
-    /// For traffic matrices these are the paper's *eigenflows*.
-    pub u: Matrix,
     /// Singular values, descending, length `r`.
     pub sigma: Vec<f64>,
     /// `p x r` matrix of right singular vectors (columns). Row `j` describes
-    /// how OD pair `j` loads onto each eigenflow. A [`crate::truncated_svd`]
-    /// result may hold only the leading columns — the axes its `rank` asked
-    /// for — and so be narrower than `sigma`.
+    /// how OD pair `j` loads onto each principal axis. A
+    /// [`crate::truncated_svd`] result may hold only the leading columns —
+    /// the axes its `rank` asked for — and so be narrower than `sigma`.
     pub v: Matrix,
 }
 
@@ -33,44 +33,11 @@ impl Svd {
     pub fn rank(&self) -> usize {
         self.sigma.len()
     }
-
-    /// Reconstructs the original matrix from the retained triplets:
-    /// `U Σ V^T`. Exact (to rounding) when no truncation occurred.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] when `v` is narrower than `sigma` (a
-    /// [`crate::truncated_svd`] asked for fewer axes than it kept triplets).
-    pub fn reconstruct(&self) -> Result<Matrix> {
-        let us = scale_cols(&self.u, &self.sigma);
-        us.matmul(&self.v.transpose())
-    }
-
-    /// Reconstructs using only the top `k` triplets (rank-`k` approximation).
-    pub fn reconstruct_rank(&self, k: usize) -> Result<Matrix> {
-        let k = k.min(self.rank());
-        let idx: Vec<usize> = (0..k).collect();
-        let uk = self.u.select_cols(&idx)?;
-        let vk = self.v.select_cols(&idx)?;
-        let us = scale_cols(&uk, &self.sigma[..k]);
-        us.matmul(&vk.transpose())
-    }
 }
 
-/// Multiplies column `j` of `m` by `s[j]`.
-fn scale_cols(m: &Matrix, s: &[f64]) -> Matrix {
-    let mut out = m.clone();
-    for i in 0..out.nrows() {
-        let row = out.row_mut(i).expect("row within bounds");
-        for (v, &sj) in row.iter_mut().zip(s) {
-            *v *= sj;
-        }
-    }
-    out
-}
-
-/// Computes the thin SVD of `x`, dropping singular values below
-/// `rel_cutoff * σ_max` (pass `0.0` to keep all `min(n, p)` triplets).
+/// Computes the singular values and right singular vectors of `x`,
+/// dropping singular values below `rel_cutoff * σ_max` (pass `0.0` to keep
+/// all `min(n, p)` triplets).
 ///
 /// The singular values are square roots of the Gram matrix's eigenvalues
 /// ([`eigen_symmetric`]), which are exact to about `ε · λ_max`; a singular
@@ -79,10 +46,9 @@ fn scale_cols(m: &Matrix, s: &[f64]) -> Matrix {
 /// by accident. To read a numerical rank off the result, cut at `1e-6` or
 /// above.
 ///
-/// The `U = X V Σ⁻¹` column assembly fans out over the [`odflow_par`]
-/// pool; each column is extracted, rescaled, and re-normalized by exactly
-/// the serial arithmetic, so parallelism is fully transparent — same API,
-/// and bit-identical results for every thread count:
+/// The Gram product and the eigensolver fan out over the [`odflow_par`]
+/// pool with fixed blocking, so parallelism is fully transparent — same
+/// API, and bit-identical results for every thread count:
 ///
 /// ```
 /// use odflow_linalg::{thin_svd, Matrix};
@@ -91,7 +57,6 @@ fn scale_cols(m: &Matrix, s: &[f64]) -> Matrix {
 /// let parallel = thin_svd(&x, 0.0).unwrap();
 /// let serial = odflow_par::with_thread_limit(1, || thin_svd(&x, 0.0).unwrap());
 /// assert_eq!(parallel.sigma, serial.sigma);
-/// assert_eq!(parallel.u.as_slice(), serial.u.as_slice());
 /// assert_eq!(parallel.v.as_slice(), serial.v.as_slice());
 /// ```
 ///
@@ -126,41 +91,11 @@ pub fn thin_svd(x: &Matrix, rel_cutoff: f64) -> Result<Svd> {
     }
     if keep.is_empty() {
         // All-zero input: degenerate SVD with a single zero triplet.
-        return Ok(Svd {
-            u: Matrix::zeros(x.nrows(), 1),
-            sigma: vec![0.0],
-            v: Matrix::zeros(x.ncols(), 1),
-        });
+        return Ok(Svd { sigma: vec![0.0], v: Matrix::zeros(x.ncols(), 1) });
     }
 
     let v = eig.eigenvectors.select_cols(&keep)?;
-
-    // U = X V Σ^{-1}: extract/rescale/renormalize columns across the
-    // persistent pool, one column per task — cheap at pooled dispatch
-    // prices even for the small ranks the subspace method keeps. Columns
-    // are independent and each runs the exact serial arithmetic, so the
-    // assembly is bit-identical for any thread count (the doctest above
-    // pins this); writing the columns back happens serially in column
-    // order.
-    let xv = x.matmul(&v)?;
-    let rank = keep.len();
-    let mut u = Matrix::zeros(x.nrows(), rank);
-    let columns = odflow_par::map_chunks(rank, 1, |task| -> Result<Vec<f64>> {
-        let jj = task.start;
-        let mut col = xv.col(jj)?;
-        let s = sigma[jj];
-        if s > 1e-300 {
-            vecops::scale(&mut col, 1.0 / s);
-        }
-        // Guard against drift for tiny singular values.
-        vecops::normalize(&mut col);
-        Ok(col)
-    });
-    for (jj, col) in columns.into_iter().enumerate() {
-        u.set_col(jj, &col?)?;
-    }
-
-    Ok(Svd { u, sigma, v })
+    Ok(Svd { sigma, v })
 }
 
 #[cfg(test)]
@@ -174,12 +109,29 @@ mod tests {
         })
     }
 
+    /// `‖X − X V_k V_kᵀ‖_F`: what the top `k` axes leave of `x`.
+    fn rank_k_error(x: &Matrix, svd: &Svd, k: usize) -> f64 {
+        let vk = svd.v.select_cols(&(0..k).collect::<Vec<_>>()).unwrap();
+        let projected = x.matmul(&vk).unwrap().matmul(&vk.transpose()).unwrap();
+        x.sub(&projected).unwrap().frobenius_norm()
+    }
+
     #[test]
     fn reconstruction_exact_full_rank() {
+        // Every axis kept: `X V Vᵀ` is `X`, and `VᵀXᵀXV` is `diag(σ²)`.
         let x = data_matrix(12, 5);
         let svd = thin_svd(&x, 0.0).unwrap();
-        let xr = svd.reconstruct().unwrap();
-        assert!(xr.approx_eq(&x, 1e-8), "max err {}", xr.sub(&x).unwrap().max_abs());
+        assert_eq!(svd.rank(), 5);
+        let err = rank_k_error(&x, &svd, 5);
+        assert!(err < 1e-8, "max err {err}");
+        let xv = x.matmul(&svd.v).unwrap();
+        let sq: Vec<f64> = svd.sigma.iter().map(|s| s * s).collect();
+        let scale = 1.0 + sq[0];
+        assert!(xv
+            .transpose()
+            .matmul(&xv)
+            .unwrap()
+            .approx_eq(&Matrix::from_diag(&sq), 1e-10 * scale));
     }
 
     #[test]
@@ -194,13 +146,15 @@ mod tests {
 
     #[test]
     fn u_and_v_orthonormal() {
+        // `V` is orthonormal, and so is `U = X V Σ⁻¹`: `VᵀXᵀXV = diag(σ²)`.
         let x = data_matrix(25, 6);
         let svd = thin_svd(&x, 1e-10).unwrap();
-        let utu = svd.u.transpose().matmul(&svd.u).unwrap();
-        let vtv = svd.v.transpose().matmul(&svd.v).unwrap();
         let r = svd.rank();
-        assert!(utu.approx_eq(&Matrix::identity(r), 1e-8));
+        let vtv = svd.v.transpose().matmul(&svd.v).unwrap();
         assert!(vtv.approx_eq(&Matrix::identity(r), 1e-8));
+        let xv = x.matmul(&svd.v).unwrap();
+        let u = Matrix::from_fn(x.nrows(), r, |i, j| xv[(i, j)] / svd.sigma[j]);
+        assert!(u.transpose().matmul(&u).unwrap().approx_eq(&Matrix::identity(r), 1e-8));
     }
 
     #[test]
@@ -211,9 +165,9 @@ mod tests {
         let x = Matrix::from_fn(4, 3, |i, j| a[i] * b[j]);
         let svd = thin_svd(&x, 1e-9).unwrap();
         assert_eq!(svd.rank(), 1);
-        let expected_sigma = vecops::norm(&a) * vecops::norm(&b);
+        let expected_sigma = crate::vecops::norm(&a) * crate::vecops::norm(&b);
         assert!((svd.sigma[0] - expected_sigma).abs() < 1e-9);
-        assert!(svd.reconstruct().unwrap().approx_eq(&x, 1e-9));
+        assert!(rank_k_error(&x, &svd, 1) < 1e-9);
     }
 
     #[test]
@@ -222,7 +176,7 @@ mod tests {
         let svd = thin_svd(&x, 0.0).unwrap();
         let mut prev_err = f64::INFINITY;
         for k in 1..=svd.rank() {
-            let err = svd.reconstruct_rank(k).unwrap().sub(&x).unwrap().frobenius_norm();
+            let err = rank_k_error(&x, &svd, k);
             assert!(err <= prev_err + 1e-9, "rank-{k} error {err} > previous {prev_err}");
             prev_err = err;
         }
@@ -235,21 +189,9 @@ mod tests {
         let x = data_matrix(20, 6);
         let svd = thin_svd(&x, 0.0).unwrap();
         let k = 3;
-        let err = svd.reconstruct_rank(k).unwrap().sub(&x).unwrap().frobenius_norm();
+        let err = rank_k_error(&x, &svd, k);
         let tail: f64 = svd.sigma[k..].iter().map(|s| s * s).sum::<f64>().sqrt();
         assert!((err - tail).abs() < 1e-8, "err {err} vs tail {tail}");
-    }
-
-    #[test]
-    fn u_assembly_thread_invariant() {
-        let x = data_matrix(64, 10);
-        let serial = odflow_par::with_thread_limit(1, || thin_svd(&x, 0.0).unwrap());
-        for &threads in &[2usize, 5, 16, 1000] {
-            let par = odflow_par::with_thread_limit(threads, || thin_svd(&x, 0.0).unwrap());
-            assert_eq!(par.sigma, serial.sigma, "threads={threads}");
-            assert_eq!(par.u.as_slice(), serial.u.as_slice(), "threads={threads}");
-            assert_eq!(par.v.as_slice(), serial.v.as_slice(), "threads={threads}");
-        }
     }
 
     #[test]

@@ -137,19 +137,6 @@ pub fn mean(v: &[f64]) -> f64 {
     }
 }
 
-/// Normalize `v` to unit Euclidean norm in place.
-///
-/// Vectors whose norm is below `1e-300` are left untouched (a zero vector has
-/// no direction); returns `false` in that case, `true` otherwise.
-pub fn normalize(v: &mut [f64]) -> bool {
-    let n = norm(v);
-    if n < 1e-300 {
-        return false;
-    }
-    scale(v, 1.0 / n);
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,16 +227,6 @@ mod tests {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&v) - 5.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn normalize_unit_norm() {
-        let mut v = vec![3.0, 4.0];
-        assert!(normalize(&mut v));
-        assert!((norm(&v) - 1.0).abs() < 1e-12);
-        let mut z = vec![0.0, 0.0];
-        assert!(!normalize(&mut z));
-        assert_eq!(z, vec![0.0, 0.0]);
     }
 
     #[test]

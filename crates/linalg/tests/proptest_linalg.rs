@@ -50,7 +50,7 @@ proptest! {
 
     #[test]
     fn centering_zeroes_column_means(m in small_matrix(10, 6)) {
-        let (c, _) = center_columns(&m).unwrap();
+        let c = center_columns(&m).unwrap();
         for mean in column_means(&c) {
             prop_assert!(mean.abs() < 1e-9);
         }
@@ -94,25 +94,36 @@ proptest! {
 
     #[test]
     fn svd_reconstruction(m in small_matrix(10, 5)) {
+        // Every axis kept: `X V Vᵀ` is `X`, and `VᵀXᵀXV` is `diag(σ²)`.
         let svd = thin_svd(&m, 0.0).unwrap();
-        let r = svd.reconstruct().unwrap();
+        let xv = m.matmul(&svd.v).unwrap();
+        let r = xv.matmul(&svd.v.transpose()).unwrap();
         let scale = 1.0 + m.max_abs();
         prop_assert!(r.approx_eq(&m, 1e-6 * scale),
             "svd reconstruction error {}", r.sub(&m).unwrap().max_abs());
+        let sq: Vec<f64> = svd.sigma.iter().map(|s| s * s).collect();
+        let gram = xv.transpose().matmul(&xv).unwrap();
+        prop_assert!(gram.approx_eq(&Matrix::from_diag(&sq), 1e-9 * (1.0 + sq[0])),
+            "VᵀXᵀXV off diag(σ²) by {}", gram.sub(&Matrix::from_diag(&sq)).unwrap().max_abs());
     }
 
     #[test]
     fn svd_projection_pythagoras(m in small_matrix(10, 5)) {
         // For any k: ||X||_F^2 == ||X_k||_F^2 + ||X - X_k||_F^2
-        // (orthogonal projection).
+        // (orthogonal projection), and the residual's energy is the tail
+        // Σ_{i>k} σ_i² (Eckart–Young).
         let svd = thin_svd(&m, 0.0).unwrap();
         let k = svd.rank() / 2;
         if k == 0 { return Ok(()); }
-        let xk = svd.reconstruct_rank(k).unwrap();
+        let vk = svd.v.select_cols(&(0..k).collect::<Vec<_>>()).unwrap();
+        let xk = m.matmul(&vk).unwrap().matmul(&vk.transpose()).unwrap();
         let resid = m.sub(&xk).unwrap();
         let total = m.frobenius_norm().powi(2);
         let parts = xk.frobenius_norm().powi(2) + resid.frobenius_norm().powi(2);
         prop_assert!((total - parts).abs() < 1e-5 * (1.0 + total));
+        let tail: f64 = svd.sigma[k..].iter().map(|s| s * s).sum();
+        let resid_sq = resid.frobenius_norm().powi(2);
+        prop_assert!((resid_sq - tail).abs() < 1e-5 * (1.0 + total), "{resid_sq} vs tail {tail}");
     }
 
     #[test]

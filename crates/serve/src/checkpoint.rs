@@ -20,7 +20,10 @@
 //!   (none for a bin the lateness rule has sealed);
 //! * the detector — absent, whole (first fit, or a refit replaced the
 //!   model), or only the refit window's movement (rows dropped from the
-//!   front, rows gained at the back);
+//!   front, rows gained at the back). A whole model is the `p x min(k, r)`
+//!   loadings of its normal subspace, its `r` singular values, its `p`
+//!   training means and its frozen thresholds: nothing in it grows with
+//!   the training window's bins;
 //! * the verdicts issued since the previous generation.
 //!
 //! A **complete** record is the same thing with every bin dirty, the
@@ -67,7 +70,7 @@ use odflow_flow::{
     BinState, ExporterSeqState, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
     WatermarkState,
 };
-use odflow_linalg::{Centering, EigenMethod, Matrix};
+use odflow_linalg::{EigenMethod, Matrix};
 use odflow_net::IpAddr;
 use odflow_subspace::{
     DegradedReason, Detection, DetectorState, EigenflowDecomposition, ModelState, StatisticKind,
@@ -85,8 +88,10 @@ use std::sync::Arc;
 /// Leading bytes of every checkpoint record.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"ODFCKPT\0";
 
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// Current checkpoint format version. Version 4 dropped the eigenflows
+/// and the unit column scales from the model; older records are refused
+/// with [`CheckpointError::BadVersion`].
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Bytes of header before the payload: magic + version + length + checksum.
 pub const CHECKPOINT_HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -552,11 +557,9 @@ fn dec_subspace_config(d: &mut Dec<'_>) -> DecResult<SubspaceConfig> {
 }
 
 fn enc_model(e: &mut Enc, m: &ModelState) {
-    enc_matrix(e, &m.decomp.eigenflows);
     enc_matrix(e, &m.decomp.loadings);
     e.f64s(&m.decomp.singular_values);
-    e.f64s(&m.decomp.centering.means);
-    e.f64s(&m.decomp.centering.scales);
+    e.f64s(&m.decomp.means);
     e.usize(m.decomp.n);
     e.f64(m.decomp.total_energy);
     e.bool(m.decomp.truncated);
@@ -568,11 +571,9 @@ fn enc_model(e: &mut Enc, m: &ModelState) {
 }
 
 fn dec_model(d: &mut Dec<'_>) -> DecResult<ModelState> {
-    let eigenflows = dec_matrix(d)?;
     let loadings = dec_matrix(d)?;
     let singular_values = d.f64s()?;
     let means = d.f64s()?;
-    let scales = d.f64s()?;
     let n = d.usize_val()?;
     let total_energy = d.f64()?;
     let truncated = d.bool()?;
@@ -583,10 +584,9 @@ fn dec_model(d: &mut Dec<'_>) -> DecResult<ModelState> {
     let degenerate_residual = d.bool()?;
     Ok(ModelState {
         decomp: EigenflowDecomposition {
-            eigenflows,
             loadings,
             singular_values,
-            centering: Centering { means, scales },
+            means,
             n,
             total_energy,
             truncated,
@@ -834,8 +834,7 @@ impl Generation<'_> {
             DetectorPart::Absent => 0,
             DetectorPart::Whole(det) => {
                 let m = &det.model.decomp;
-                8 * (m.eigenflows.as_slice().len() + m.loadings.as_slice().len())
-                    + 8 * (m.singular_values.len() + 2 * m.centering.means.len())
+                8 * (m.loadings.as_slice().len() + m.singular_values.len() + m.means.len())
                     + rows(&det.window)
             }
             DetectorPart::Window { gained, .. } => rows(gained),
@@ -1550,11 +1549,9 @@ mod tests {
                 config: SubspaceConfig::default(),
                 model: ModelState {
                     decomp: EigenflowDecomposition {
-                        eigenflows: Matrix::from_vec(3, 2, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
-                            .unwrap(),
                         loadings: Matrix::from_vec(2, 2, vec![0.7, 0.8, 0.9, 1.0]).unwrap(),
                         singular_values: vec![5.0, 1.0],
-                        centering: Centering { means: vec![1.0, 2.0], scales: vec![1.0, 1.0] },
+                        means: vec![1.0, 2.0],
                         n: 3,
                         total_energy: 26.0,
                         truncated: false,
@@ -1627,6 +1624,28 @@ mod tests {
         let decoded = decode_state(&bytes).unwrap();
         assert!(decoded.detector.is_none());
         assert_eq!(encode_state(&decoded), bytes);
+    }
+
+    #[test]
+    fn a_fitted_model_encodes_to_the_same_length_whatever_its_training_bins() {
+        // The model is its normal subspace's axes, its spectrum and its
+        // training means: p-sized, never n-sized. A week of bins encodes to
+        // exactly the bytes a few hours do.
+        let (p, k) = (30, 4);
+        let encoded_len = |n: usize| {
+            let x = Matrix::from_fn(n, p, |i, j| {
+                let t = i as f64 / 288.0 * std::f64::consts::TAU;
+                (10.0 + j as f64) * (2.0 + (t + 0.3 * j as f64).sin())
+                    + ((i * 31 + j * 17) % 97) as f64 * 0.01
+            });
+            let config = SubspaceConfig { k, ..SubspaceConfig::default() };
+            let model = odflow_subspace::SubspaceModel::fit(&x, config).unwrap().export_state();
+            assert_eq!(model.decomp.loadings.shape(), (p, k), "n = {n}");
+            let mut e = Enc { buf: Vec::new() };
+            enc_model(&mut e, &model);
+            e.buf.len()
+        };
+        assert_eq!(encoded_len(200), encoded_len(2000));
     }
 
     #[test]

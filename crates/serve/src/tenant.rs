@@ -864,10 +864,9 @@ mod tests {
         let state = tenant.export_state();
         let detector = state.detector.as_ref().expect("the detector was fit");
         let m = &detector.model.decomp;
-        let numbers = m.eigenflows.as_slice().len()
-            + m.loadings.as_slice().len()
+        let numbers = m.loadings.as_slice().len()
             + m.singular_values.len()
-            + 2 * m.centering.means.len()
+            + m.means.len()
             + detector.window.iter().map(Vec::len).sum::<usize>();
         let row_bytes = 8 * scenario.topology.num_od_pairs() as u64;
         let fit_close = TenantConfig::abilene("t0", 0, BINS).train_bins - 1;
@@ -979,11 +978,10 @@ mod tests {
         };
         assert!(restore(&good).is_ok());
         let model = &good.detector.as_ref().expect("the detector was fit").model;
-        let (p, n, k) = (model.p, model.decomp.n, model.config.k);
+        let (p, k) = (model.p, model.config.k);
         let mut zero_rank = good.clone();
         let decomp = &mut zero_rank.detector.as_mut().unwrap().model.decomp;
         decomp.loadings = Matrix::zeros(p, 0);
-        decomp.eigenflows = Matrix::zeros(n, 0);
         decomp.singular_values.clear();
         let mut narrow = good.clone();
         let decomp = &mut narrow.detector.as_mut().unwrap().model.decomp;

@@ -1,9 +1,9 @@
 //! The checkpoint chain against its two references: the full state it
 //! stands for (at every generation of a faulted stream, the chain on
 //! disk folds to exactly the pipeline's complete image, late records and
-//! sealed bins included) and the format's committed goldens (v1 and v2
-//! files are refused by version, a v3 chain keeps loading and re-encodes
-//! to its own bytes).
+//! sealed bins included) and the format's committed goldens (v1, v2 and
+//! v3 files are refused by version, a v4 chain keeps loading and
+//! re-encodes to its own bytes).
 
 mod common;
 
@@ -233,19 +233,39 @@ fn golden_v2_chain_is_refused_by_version() {
     assert!(matches!(out.rejected[..], [(_, CheckpointError::BadVersion(2))]));
 }
 
-/// `golden_v3_chain.ckpt` is a slot file of this format. A 14-bin tenant
+/// `golden_v3_chain.ckpt` is a slot file the last v3 build wrote (the
+/// recipe of `golden_v4_chain.ckpt` below). Its models carry the
+/// eigenflows and unit column scales this build no longer keeps, so it is
+/// refused by version, as v1 and v2 are; a tenant whose slot is refused
+/// retrains from its training prefix.
+#[test]
+fn golden_v3_chain_is_refused_by_version() {
+    let bytes = golden("golden_v3_chain.ckpt");
+    let spans = common::record_spans(&bytes);
+    assert_eq!(spans.len(), 4, "a complete record, then three deltas");
+    assert!(matches!(decode_state(&bytes[spans[0].clone()]), Err(CheckpointError::BadVersion(3))));
+    let dir = scratch("golden_v3");
+    let store = CheckpointStore::new(&dir, "golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(&store.slot_paths()[1], &bytes).unwrap();
+    let out = store.load_newest();
+    assert!(out.state.is_none());
+    assert!(matches!(out.rejected[..], [(_, CheckpointError::BadVersion(3))]));
+}
+
+/// `golden_v4_chain.ckpt` is a slot file of this format. A 14-bin tenant
 /// over an anomaly-free Abilene scenario (`total_demand` 40, fitted at
 /// bin 6 with a randomized truncated backend to keep the loadings small)
 /// was killed after generation 8 and recovered, and wrote the complete
 /// record of generation 9 and the deltas of generations 10, 11 and 12.
 /// While bin 10 filled, every router re-exported its records of bin 1
 /// (sealed by then: refused and counted) and bin 7 (closed, not sealed:
-/// landed). Any build that speaks version 3 must load it to generation 12
+/// landed). Any build that speaks version 4 must load it to generation 12
 /// and re-encode its first record to the same bytes; a change that
 /// cannot is a new version.
 #[test]
-fn golden_v3_chain_loads_and_its_first_record_reencodes_to_itself() {
-    let bytes = golden("golden_v3_chain.ckpt");
+fn golden_v4_chain_loads_and_its_first_record_reencodes_to_itself() {
+    let bytes = golden("golden_v4_chain.ckpt");
     let spans = common::record_spans(&bytes);
     assert_eq!(spans.len(), 4, "a complete record, then three deltas");
     let first = &bytes[spans[0].clone()];
@@ -262,7 +282,7 @@ fn golden_v3_chain_loads_and_its_first_record_reencodes_to_itself() {
     assert!((0..2).all(|b| keys(&base, b) == 0) && (2..10).all(|b| keys(&base, b) > 0));
     assert_eq!(base.shard.dropped_late, 0);
 
-    let dir = scratch("golden_v3");
+    let dir = scratch("golden_v4");
     let store = CheckpointStore::new(&dir, "golden");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(&store.slot_paths()[1], &bytes).unwrap();

@@ -17,7 +17,7 @@ mod common;
 
 use common::record_spans;
 use odflow_gen::{Scenario, ScenarioConfig};
-use odflow_linalg::{Centering, EigenMethod, Matrix};
+use odflow_linalg::{EigenMethod, Matrix};
 use odflow_net::IpAddr;
 use odflow_net::{AddressPlan, IngressResolver, Topology};
 use odflow_serve::checkpoint::fnv1a64;
@@ -200,10 +200,9 @@ fn small_detector(f: &[f64]) -> DetectorState {
         config: SubspaceConfig::default(),
         model: ModelState {
             decomp: EigenflowDecomposition {
-                eigenflows: Matrix::from_vec(2, 2, f[0..4].to_vec()).unwrap(),
                 loadings: Matrix::from_vec(2, 2, f[4..8].to_vec()).unwrap(),
                 singular_values: f[8..10].to_vec(),
-                centering: Centering { means: f[10..12].to_vec(), scales: f[12..14].to_vec() },
+                means: f[10..12].to_vec(),
                 n: 2,
                 total_energy: f[14],
                 truncated: false,

@@ -9,29 +9,36 @@
 //! method rests on — "only a handful of eigenflows are sufficient to
 //! capture the dominant temporal patterns common to the hundreds of OD
 //! flows".
+//!
+//! The eigenflows explain *why* a low-dimensional normal subspace exists;
+//! the detector itself never reads them. It projects each observation onto
+//! the principal axes of the OD space and checks the residual against a
+//! threshold built from the spectrum. So a decomposition keeps the axes of
+//! the normal subspace, the spectrum and the training means — an amount
+//! that does not grow with the number of training bins — and eigenflow `i`
+//! of a training window `X` is `(X − 1μᵀ) v_i / σ_i` for whoever wants to
+//! plot it.
 
 use crate::error::{Result, SubspaceError};
-use odflow_linalg::{column_means, truncated_svd, Centering, EigenMethod, Matrix};
+use odflow_linalg::{column_means, truncated_svd, EigenMethod, Matrix};
 
-/// The eigenflow decomposition of an `n x p` OD traffic matrix.
+/// The eigenflow decomposition of an `n x p` OD traffic matrix: the
+/// principal axes of its normal subspace and its spectrum.
 #[derive(Debug, Clone)]
 pub struct EigenflowDecomposition {
-    /// `n x r` matrix whose columns are the unit-norm eigenflows
-    /// (temporal patterns), strongest first.
-    pub eigenflows: Matrix,
     /// Matrix whose rows give each OD flow's loading onto the leading
     /// eigenflows (the principal axes of the OD space). A fit builds axes
     /// for the rank it was asked for only: `p x min(rank, r)` from
     /// [`Self::fit_with`] — a model's normal subspace, the only axes
     /// scoring and identification read. The rest of the spectrum stays in
-    /// `eigenflows` and `singular_values`, which the thresholds read.
+    /// `singular_values`, which the thresholds read.
     pub loadings: Matrix,
     /// Singular values of the centered data, descending; `σ_i²/(n-1)` is
     /// the variance captured by eigenflow `i`.
     pub singular_values: Vec<f64>,
-    /// The column centering applied before decomposition (needed to project
-    /// new observations consistently).
-    pub centering: Centering,
+    /// The per-OD training means subtracted before decomposition (new
+    /// observations are centered with them).
+    pub means: Vec<f64>,
     /// Number of timebins the decomposition was fit on.
     pub n: usize,
     /// Total squared Frobenius energy of the centered training data — the
@@ -81,10 +88,9 @@ impl EigenflowDecomposition {
         let (svd, total_energy) = truncated_svd(x, &means, rank, method)?;
         Ok(EigenflowDecomposition {
             truncated: !method.is_dense_for((n, p), rank) && svd.rank() < n.min(p),
-            eigenflows: svd.u,
             loadings: svd.v,
             singular_values: svd.sigma,
-            centering: Centering { means, scales: vec![1.0; p] },
+            means,
             n,
             total_energy,
         })
@@ -93,11 +99,6 @@ impl EigenflowDecomposition {
     /// Number of eigenflows retained.
     pub fn rank(&self) -> usize {
         self.singular_values.len()
-    }
-
-    /// The `i`-th eigenflow as a timeseries.
-    pub fn eigenflow(&self, i: usize) -> Result<Vec<f64>> {
-        self.eigenflows.col(i).map_err(SubspaceError::from)
     }
 
     /// Variance captured by eigenflow `i` (the covariance eigenvalue
@@ -176,13 +177,22 @@ mod tests {
         );
     }
 
+    /// The scores of the training window `x` along axis `i`: `Xc v_i`.
+    fn scores(d: &EigenflowDecomposition, x: &Matrix, i: usize) -> Vec<f64> {
+        let axis = d.loadings.col(i).unwrap();
+        let score =
+            |r: &[f64]| r.iter().zip(&d.means).zip(&axis).map(|((x, m), a)| (x - m) * a).sum();
+        x.rows_iter().map(score).collect()
+    }
+
     #[test]
     fn eigenflows_unit_norm_and_ordered() {
         let x = diurnal_matrix(100, 8);
         let d = fit_full(&x).unwrap();
         for i in 0..d.rank() {
-            let u = d.eigenflow(i).unwrap();
-            let norm: f64 = u.iter().map(|v| v * v).sum::<f64>().sqrt();
+            // Eigenflow i is Xc v_i / σ_i.
+            let u = scores(&d, &x, i);
+            let norm = u.iter().map(|v| v * v).sum::<f64>().sqrt() / d.singular_values[i];
             assert!((norm - 1.0).abs() < 1e-8, "eigenflow {i} norm {norm}");
         }
         for w in d.singular_values.windows(2) {
@@ -191,28 +201,14 @@ mod tests {
     }
 
     #[test]
-    fn eigenflows_zero_mean() {
-        // Centered data => each eigenflow (column of U spanning the data)
-        // has ~zero mean because column means were removed.
-        let x = diurnal_matrix(150, 6);
-        let d = fit_full(&x).unwrap();
-        // Reconstruct centered data, verify row means of columns vanish.
-        let u0 = d.eigenflow(0).unwrap();
-        let mean: f64 = u0.iter().sum::<f64>() / u0.len() as f64;
-        assert!(mean.abs() < 0.05, "dominant eigenflow mean {mean}");
-    }
-
-    #[test]
     fn eigenvalue_matches_score_variance() {
         let x = diurnal_matrix(200, 5);
         let d = fit_full(&x).unwrap();
-        // Scores z_i = sigma_i * u_i; sample variance of z_i should equal
-        // eigenvalue_i (scores have zero mean by centering).
+        // The scores along axis i, z = Xc v_i, have zero mean (the data
+        // is centered), so their sample variance should equal eigenvalue_i.
         for i in 0..2 {
-            let u = d.eigenflow(i).unwrap();
-            let sigma = d.singular_values[i];
-            let var: f64 =
-                u.iter().map(|v| (sigma * v) * (sigma * v)).sum::<f64>() / (d.n as f64 - 1.0);
+            let z = scores(&d, &x, i);
+            let var: f64 = z.iter().map(|v| v * v).sum::<f64>() / (d.n as f64 - 1.0);
             assert!(
                 (var - d.eigenvalue(i)).abs() < 1e-6 * (1.0 + var),
                 "eigenvalue {i}: {} vs score variance {var}",
@@ -259,7 +255,7 @@ mod tests {
         let leading = all.loadings.select_cols(&[0, 1, 2, 3]).unwrap();
         assert_eq!(tri.loadings.as_slice(), leading.as_slice());
         assert_eq!(tri.singular_values, all.singular_values);
-        let (centered, _) = center_columns(&x).unwrap();
+        let centered = center_columns(&x).unwrap();
         let energy = centered.frobenius_norm().powi(2);
         assert!((tri.total_energy - energy).abs() <= 1e-10 * (1.0 + energy));
     }

@@ -243,8 +243,7 @@ impl SubspaceModel {
         self.center_into(x, &mut out.centered)?;
 
         // x̂ = P Pᵀ x_c over the top-k principal axes, in two sweeps of the
-        // row-major loadings (`p x k`, or wider from an older snapshot):
-        // scores first, then every element of x̂ as the score-weighted sum
+        // row-major `p x k` loadings: scores first, then every element of x̂ as the score-weighted sum
         // of its own loadings row, strongest axis first from 0.0.
         self.axis_scores(&out.centered, &mut out.scores);
         let r = self.decomp.loadings.ncols();
@@ -326,8 +325,8 @@ impl SubspaceModel {
             return Err(SubspaceError::DimensionMismatch { expected: self.p, got: x.len() });
         }
         centered.clear();
-        centered.extend_from_slice(x);
-        Ok(self.decomp.centering.apply_row(centered)?)
+        centered.extend(x.iter().zip(&self.decomp.means).map(|(x, m)| x - m));
+        Ok(())
     }
 
     /// Snapshots every number behind this fitted model. Restoring the
@@ -347,11 +346,9 @@ impl SubspaceModel {
 
     /// Rebuilds a fitted model from a snapshot without refitting.
     ///
-    /// The decomposition keeps one eigenflow per singular value (`r` of
-    /// each, at least one) and loadings for at least the normal subspace's
-    /// `min(k, r)` axes and at most all `r` — a fit stores the former, a
-    /// snapshot written before fits did stores the latter, and both score
-    /// alike: scoring reads the leading `min(k, r)` columns only.
+    /// The decomposition keeps at least one singular value (`r ≥ 1`), one
+    /// training mean per OD pair, and loadings for exactly the normal
+    /// subspace's `min(k, r)` axes — what a fit stores.
     ///
     /// # Errors
     ///
@@ -361,13 +358,10 @@ impl SubspaceModel {
     /// must never produce a model that panics at scoring time).
     pub fn from_state(s: ModelState) -> Result<Self> {
         let r = s.decomp.singular_values.len();
-        let axes = s.config.k.min(r).max(1)..=r;
         let consistent = s.p > 0
-            && s.decomp.loadings.nrows() == s.p
-            && axes.contains(&s.decomp.loadings.ncols())
-            && s.decomp.eigenflows.ncols() == r
-            && s.decomp.centering.means.len() == s.p
-            && s.decomp.centering.scales.len() == s.p;
+            && r >= 1
+            && s.decomp.loadings.shape() == (s.p, s.config.k.min(r).max(1))
+            && s.decomp.means.len() == s.p;
         if !consistent {
             return Err(SubspaceError::DimensionMismatch {
                 expected: s.p,
@@ -418,7 +412,7 @@ impl SubspaceModel {
 /// same floats, same thresholds — as the process that crashed.
 #[derive(Debug, Clone)]
 pub struct ModelState {
-    /// The eigenflow decomposition (axes, spectrum, centering).
+    /// The eigenflow decomposition (axes, spectrum, training means).
     pub decomp: EigenflowDecomposition,
     /// The fit-time configuration.
     pub config: SubspaceConfig,
@@ -640,12 +634,11 @@ mod tests {
 
     #[test]
     fn a_zero_rank_snapshot_is_refused_not_scored() {
-        // No axes, no eigenflows, no spectrum: a model built from it would
-        // panic at its first score (loadings rows zero wide).
+        // No axes, no spectrum: a model built from it would panic at its
+        // first score (loadings rows zero wide).
         let x = traffic(300, 9, None);
         let mut zero = SubspaceModel::fit_default(&x).unwrap().export_state();
         zero.decomp.loadings = Matrix::zeros(9, 0);
-        zero.decomp.eigenflows = Matrix::zeros(300, 0);
         zero.decomp.singular_values.clear();
         assert!(refused(zero));
     }
@@ -656,6 +649,7 @@ mod tests {
         let good = SubspaceModel::fit_default(&x).unwrap().export_state();
         let r = good.decomp.rank();
         assert_eq!(good.decomp.loadings.shape(), (9, 4), "a fit keeps the k = 4 axes");
+        assert!(SubspaceModel::from_state(good.clone()).is_ok());
         let with_axes = |axes: usize| {
             let mut s = good.clone();
             let full = EigenflowDecomposition::fit_with(&x, 9, EigenMethod::DenseTridiagonal)
@@ -664,51 +658,21 @@ mod tests {
             s.decomp.loadings = full.select_cols(&(0..axes).collect::<Vec<_>>()).unwrap();
             s
         };
+        // Exactly the min(k, r) = 4 axes: one fewer, and every wider panel
+        // up to the whole spectrum, are refused.
         assert!(refused(with_axes(3)), "narrower than min(k, r)");
-        for axes in 4..=r {
-            assert!(SubspaceModel::from_state(with_axes(axes)).is_ok(), "{axes} of {r} axes");
+        for axes in 5..=r {
+            assert!(refused(with_axes(axes)), "{axes} of {r} axes");
         }
-        // One eigenflow short of the spectrum.
+        // One mean short of the OD pairs.
         let mut short = good.clone();
-        short.decomp.eigenflows = good.decomp.eigenflows.select_cols(&[0, 1, 2]).unwrap();
+        short.decomp.means.pop();
         assert!(refused(short));
-        // More axes than singular values.
-        let mut wide = with_axes(r);
-        wide.decomp.singular_values.pop();
-        let kept: Vec<usize> = (0..r - 1).collect();
-        wide.decomp.eigenflows = good.decomp.eigenflows.select_cols(&kept).unwrap();
-        assert!(refused(wide));
-    }
-
-    #[test]
-    fn full_width_and_normal_subspace_snapshots_score_bit_identically() {
-        // A snapshot written before fits kept the normal subspace's axes
-        // only carries all r: both restore, and score the same bits.
-        let x = traffic(300, 9, None);
-        let model = SubspaceModel::fit_default(&x).unwrap();
-        let narrow = model.export_state();
-        let mut full = narrow.clone();
-        full.decomp.loadings =
-            EigenflowDecomposition::fit_with(&x, 9, EigenMethod::DenseTridiagonal)
-                .unwrap()
-                .loadings;
-        assert_eq!(full.decomp.loadings.ncols(), full.decomp.rank());
-        let leading = full.decomp.loadings.select_cols(&[0, 1, 2, 3]).unwrap();
-        assert_eq!(narrow.decomp.loadings.as_slice(), leading.as_slice());
-        let (narrow, full) =
-            (SubspaceModel::from_state(narrow).unwrap(), SubspaceModel::from_state(full).unwrap());
-        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        let spiked = traffic(300, 9, Some((120, 4, 400.0)));
-        for window in [&x, &spiked] {
-            assert_eq!(
-                bits(narrow.spe_series(window).unwrap()),
-                bits(full.spe_series(window).unwrap())
-            );
-            assert_eq!(
-                bits(narrow.t2_series(window).unwrap()),
-                bits(full.t2_series(window).unwrap())
-            );
-        }
+        // A spectrum of fewer singular values than the normal subspace
+        // has axes: min(k, r) shrinks below the loadings' width.
+        let mut thin = good.clone();
+        thin.decomp.singular_values.truncate(3);
+        assert!(refused(thin));
     }
 
     #[test]

@@ -146,11 +146,6 @@ fn tridiagonal_fit_is_thread_count_invariant() {
             par.decomposition().loadings.as_slice(),
             "loadings must be bit-identical (threads={threads})"
         );
-        assert_eq!(
-            serial.decomposition().eigenflows.as_slice(),
-            par.decomposition().eigenflows.as_slice(),
-            "eigenflows must be bit-identical (threads={threads})"
-        );
         assert_eq!(serial.spe_threshold().to_bits(), par.spe_threshold().to_bits());
         assert_eq!(serial.t2_threshold().to_bits(), par.t2_threshold().to_bits());
     }

@@ -46,8 +46,7 @@ fn per_axis_reference(
     x: &[f64],
 ) -> (Vec<f64>, Vec<f64>, Vec<f64>, f64, f64) {
     let decomp = model.decomposition();
-    let mut centered = x.to_vec();
-    decomp.centering.apply_row(&mut centered).unwrap();
+    let centered: Vec<f64> = x.iter().zip(&decomp.means).map(|(x, m)| x - m).collect();
     let k = model.config().k.min(decomp.rank());
     let r = decomp.loadings.ncols();
     let axes = decomp.loadings.as_slice();
