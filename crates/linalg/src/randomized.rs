@@ -246,10 +246,9 @@ pub(crate) fn row_gram_within_sketch_cost(
 /// energy `Σ σ²`: the range finder's projection with the identity for `Q`
 /// — `B = Xc`, `B Bᵀ = G` — so `eigen_symmetric(G)` gives σ² and the left
 /// singular vectors `W`, and one banded pass gives `V = Xcᵀ W Σ⁻¹` for the
-/// leading `min(v_cols, r)`
-/// triplets. Triplets below `√ε · σ_max` are dropped, as on the randomized
-/// route; what remains is every direction the data has, so the energy is
-/// their `Σ σ²`. The finiteness check is `G`'s diagonal: `G[i][i] = Σ_j
+/// leading `min(v_cols, r)` triplets. Triplets below `√ε · σ_max` are
+/// dropped, as on the randomized route; what remains is every direction
+/// the data has, so the energy is their `Σ σ²`. The finiteness check is `G`'s diagonal: `G[i][i] = Σ_j
 /// (x_ij − μ_j)²` is a sum of squares, which no NaN or infinite centered
 /// value leaves finite, and `eigen_symmetric` refuses a non-finite input.
 ///
