@@ -15,9 +15,9 @@
 //! the principal axes of the OD space and checks the residual against a
 //! threshold built from the spectrum. So a decomposition keeps the axes of
 //! the normal subspace, the spectrum and the training means — an amount
-//! that does not grow with the number of training bins — and eigenflow `i`
-//! of a training window `X` is `(X − 1μᵀ) v_i / σ_i` for whoever wants to
-//! plot it.
+//! that does not grow with the number of training bins. Eigenflow `i` of
+//! the normal subspace is `(X − 1μᵀ) v_i / σ_i` for whoever wants to plot
+//! it from the training window `X`.
 
 use crate::error::{Result, SubspaceError};
 use odflow_linalg::{column_means, truncated_svd, EigenMethod, Matrix};
