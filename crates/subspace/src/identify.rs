@@ -169,12 +169,164 @@ pub fn identify_t2(model: &SubspaceModel, x: &[f64], bin: usize) -> Result<Ident
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::StatisticKind;
     use crate::model::{SubspaceConfig, SubspaceModel};
     use crate::testutil;
     use odflow_linalg::Matrix;
 
     fn traffic(n: usize, p: usize) -> Matrix {
         testutil::traffic(n, p, 1.0, &[])
+    }
+
+    /// The dense reference: the statistic's form built whole as a `p × p`
+    /// matrix (`I − PPᵀ` for SPE, `Σ v vᵀ/λ` for T²) and `b = M x_c` by a
+    /// row-major matrix-vector loop, both fed through the same greedy.
+    struct DenseForm {
+        m: Matrix,
+        b: Vec<f64>,
+        v0: f64,
+        threshold: f64,
+        max_set: usize,
+    }
+
+    fn dense_form(model: &SubspaceModel, x: &[f64], kind: StatisticKind) -> Result<DenseForm> {
+        let split = model.split(x)?;
+        let p = split.centered.len();
+        let k = model.config().k.min(model.decomposition().rank());
+        let axes: Vec<(Vec<f64>, f64)> = (0..k)
+            .map(|i| {
+                let v = model.decomposition().loadings.col(i).unwrap();
+                (v, model.decomposition().eigenvalue(i))
+            })
+            .collect();
+        Ok(match kind {
+            StatisticKind::Spe => {
+                let m = Matrix::from_fn(p, p, |a, c| {
+                    let proj: f64 = axes.iter().map(|(v, _)| v[a] * v[c]).sum();
+                    if a == c {
+                        1.0 - proj
+                    } else {
+                        -proj
+                    }
+                });
+                DenseForm {
+                    m,
+                    v0: vecops::norm_sq(&split.residual),
+                    b: split.residual,
+                    threshold: model.spe_threshold(),
+                    max_set: p.saturating_sub(k).saturating_sub(1).max(1),
+                }
+            }
+            StatisticKind::T2 => {
+                let kept: Vec<&(Vec<f64>, f64)> =
+                    axes.iter().filter(|(_, l)| *l > 1e-300).collect();
+                let m =
+                    Matrix::from_fn(p, p, |a, c| kept.iter().map(|(v, l)| v[a] * v[c] / l).sum());
+                let b = (0..p)
+                    .map(|a| {
+                        m.row(a).unwrap().iter().zip(&split.centered).map(|(e, x)| e * x).sum()
+                    })
+                    .collect();
+                DenseForm {
+                    m,
+                    b,
+                    v0: model.t2(x)?,
+                    threshold: model.t2_threshold(),
+                    max_set: k.max(1),
+                }
+            }
+        })
+    }
+
+    impl DenseForm {
+        fn identify(&self, bin: usize) -> Result<Identification> {
+            if self.v0 <= self.threshold {
+                return Ok(Identification {
+                    od_flows: Vec::new(),
+                    initial_value: self.v0,
+                    final_value: self.v0,
+                });
+            }
+            greedy_quadratic(&self.m, &self.b, self.v0, self.threshold, self.max_set, bin)
+        }
+
+        /// The statistic with the flows of `set` reconstructed.
+        fn value_without(&self, set: &[usize]) -> f64 {
+            removal_value(&self.m, &self.b, self.v0, set).expect("non-singular removal set")
+        }
+    }
+
+    fn identify_kind(
+        model: &SubspaceModel,
+        x: &[f64],
+        kind: StatisticKind,
+        bin: usize,
+    ) -> Result<Identification> {
+        match kind {
+            StatisticKind::Spe => identify_spe(model, x, bin),
+            StatisticKind::T2 => identify_t2(model, x, bin),
+        }
+    }
+
+    #[test]
+    fn matches_dense_oracle_sweep() {
+        // SPE keeps the dense form's per-entry sums, so it is bit-equal;
+        // T²'s `b` may sum in another order than the dense loop.
+        let mut named = [0usize; 2];
+        for (p, k) in [(12, 4), (40, 4), (121, 4), (121, 10)] {
+            let clean = traffic(400, p);
+            let config = SubspaceConfig { k, ..SubspaceConfig::default() };
+            let model = SubspaceModel::fit(&clean, config).unwrap();
+            let spikes: [&[usize]; 5] = [&[0], &[p / 2], &[p - 1], &[1, p / 3], &[p / 4, p - 2]];
+            for bin in [37, 150, 290] {
+                for flows in spikes {
+                    for mag in [4.0, 40.0, 4000.0] {
+                        let mut row = clean.row(bin).unwrap().to_vec();
+                        for (rank, &f) in flows.iter().enumerate() {
+                            row[f] += mag / (rank + 1) as f64;
+                        }
+                        for (slot, kind) in
+                            [StatisticKind::Spe, StatisticKind::T2].into_iter().enumerate()
+                        {
+                            let got = identify_kind(&model, &row, kind, bin);
+                            let want = dense_form(&model, &row, kind).and_then(|d| d.identify(bin));
+                            let case =
+                                format!("p={p} k={k} bin={bin} flows={flows:?} mag={mag} {kind:?}");
+                            let (got, want) = match (got, want) {
+                                (Ok(g), Ok(w)) => (g, w),
+                                (g, w) => {
+                                    assert_eq!(g.err(), w.err(), "{case}");
+                                    continue;
+                                }
+                            };
+                            assert_eq!(got.od_flows, want.od_flows, "{case}");
+                            assert_eq!(
+                                got.initial_value.to_bits(),
+                                want.initial_value.to_bits(),
+                                "{case}"
+                            );
+                            match kind {
+                                StatisticKind::Spe => assert_eq!(
+                                    got.final_value.to_bits(),
+                                    want.final_value.to_bits(),
+                                    "{case}"
+                                ),
+                                StatisticKind::T2 => assert!(
+                                    (got.final_value - want.final_value).abs()
+                                        <= 1e-12 * want.initial_value,
+                                    "{case}: {} vs {}",
+                                    got.final_value,
+                                    want.final_value
+                                ),
+                            }
+                            named[slot] += usize::from(!got.od_flows.is_empty());
+                        }
+                    }
+                }
+            }
+        }
+        // Not vacuous: most cases alarm, and T² alarms on a good share.
+        assert!(named[0] >= 150 && named[1] >= 50, "identifications that named flows: {named:?}");
     }
 
     #[test]
@@ -266,8 +418,14 @@ mod tests {
         row[8] += 120.0;
         let id = identify_spe(&model, &row, 50).unwrap();
         assert!(id.od_flows.len() >= 2, "both spiked flows implicated: {:?}", id.od_flows);
-        // Greedy prefix property: the set minus its last element was
-        // still above threshold when the loop continued.
+        let dense = dense_form(&model, &row, StatisticKind::Spe).unwrap();
+        let (_, prefix) = id.od_flows.split_last().unwrap();
+        let without_prefix = dense.value_without(prefix);
+        assert!(
+            without_prefix > model.spe_threshold(),
+            "the set minus its last flow must stay above threshold: {without_prefix}"
+        );
+        assert!(dense.value_without(&id.od_flows) <= model.spe_threshold());
         assert!(id.final_value <= model.spe_threshold());
     }
 
