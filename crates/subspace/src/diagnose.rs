@@ -6,10 +6,10 @@
 //! threshold exceedance, and merge the resulting (traffic type, time,
 //! OD flow) triples into final [`AnomalyEvent`]s.
 
-use crate::detector::{Analysis, BinVerdict, StatisticKind, SubspaceDetector};
+use crate::detector::{Analysis, BinVerdict, SubspaceDetector};
 use crate::error::Result;
 use crate::events::{merge_detections, AnomalyEvent, DetectionTriple};
-use crate::identify::{identify_spe, identify_t2};
+use crate::identify::identify;
 use crate::model::SubspaceConfig;
 use odflow_flow::{DataQuality, TrafficMatrixSet, TrafficType};
 
@@ -62,7 +62,8 @@ pub struct QualityDiagnosis {
 /// [`SubspaceDetector::analyze_with_quality`]).
 ///
 /// For each flagged bin the responsible OD flows are identified per
-/// statistic (exact greedy for SPE, iterative greedy for T²) and unioned.
+/// statistic that fired (one greedy reconstruction over that statistic's
+/// quadratic form, see [`identify`]) and unioned.
 /// Identification failures at a bin degrade gracefully to an empty OD set
 /// rather than aborting the whole diagnosis — matching how the paper
 /// tolerates its ~10% unexplainable detections.
@@ -91,11 +92,7 @@ pub fn diagnose_with_quality(
             let row = matrix.data.row(bin)?;
             let mut flows: Vec<usize> = Vec::new();
             for d in qa.analysis.detections_at(bin) {
-                let result = match d.kind {
-                    StatisticKind::Spe => identify_spe(&qa.analysis.model, row, bin),
-                    StatisticKind::T2 => identify_t2(&qa.analysis.model, row, bin),
-                };
-                if let Ok(id) = result {
+                if let Ok(id) = identify(&qa.analysis.model, row, d.kind, bin) {
                     for f in id.od_flows {
                         if !flows.contains(&f) {
                             flows.push(f);

@@ -27,7 +27,17 @@
 //! The greedy loop adds the flow with the largest marginal reduction until
 //! the statistic is under threshold. Reconstruction is a minimization, so
 //! the statistic decreases monotonically and the loop always terminates.
+//!
+//! **No `p × p` form is built.** The greedy reads only `M_SS` for the
+//! current removal set and `b`, and both come off the model on demand: an
+//! entry of `M` is a k-long sum over two rows `L_a`, `L_c` of the
+//! row-major `p × k` loadings (`δ_ac − Σ_i L_ai L_ci` for SPE,
+//! `Σ_i L_ai L_ci / λ_i` for t²), and `b` is the residual `x̃` for SPE
+//! and `b_a = Σ_i L_ai z_i / λ_i` from the scores `z` for t². An alarm
+//! needing `s` flows costs `O(p · s² · k)` per greedy step, so
+//! identification runs at any mesh size the model fits.
 
+use crate::detector::StatisticKind;
 use crate::error::{Result, SubspaceError};
 use crate::model::SubspaceModel;
 use odflow_linalg::{solve, vecops, Matrix};
@@ -46,29 +56,29 @@ pub struct Identification {
 
 /// Greedy reconstruction-based identification over a quadratic form.
 ///
-/// `m` is the form's matrix, `b = M x_c`, `v0 = x_cᵀ M x_c`. Returns the
-/// removal set and the final value.
+/// `entry(a, c)` is the form's `M_ac`, `b = M x_c`, `v0 = x_cᵀ M x_c`.
+/// Returns the removal set and the final value.
 fn greedy_quadratic(
-    m: &Matrix,
+    entry: impl Fn(usize, usize) -> f64,
     b: &[f64],
     v0: f64,
     threshold: f64,
     max_set: usize,
     bin: usize,
 ) -> Result<Identification> {
-    let p = b.len();
-    let mut selected: Vec<usize> = Vec::new();
+    // The flows chosen so far, plus one last slot each candidate takes.
+    let mut set: Vec<usize> = vec![0];
     let mut current = v0;
 
-    while current > threshold && selected.len() < max_set {
+    while current > threshold && set.len() <= max_set {
+        let last = set.len() - 1;
         let mut best: Option<(usize, f64)> = None;
-        for cand in 0..p {
-            if selected.contains(&cand) {
+        for cand in 0..b.len() {
+            if set[..last].contains(&cand) {
                 continue;
             }
-            let mut set = selected.clone();
-            set.push(cand);
-            let Some(value) = removal_value(m, b, v0, &set) else {
+            set[last] = cand;
+            let Some(value) = removal_value(&entry, b, v0, &set) else {
                 continue; // singular subsystem: candidate not informative
             };
             match best {
@@ -77,99 +87,105 @@ fn greedy_quadratic(
             }
         }
         let Some((cand, value)) = best else { break };
-        selected.push(cand);
+        set[last] = cand;
+        set.push(0);
         current = value.max(0.0);
     }
+    set.pop();
 
     if current > threshold {
         return Err(SubspaceError::IdentificationFailed { bin });
     }
-    Ok(Identification { od_flows: selected, initial_value: v0, final_value: current })
+    Ok(Identification { od_flows: set, initial_value: v0, final_value: current })
 }
 
 /// `v0 - b_Sᵀ (M_SS)⁻¹ b_S`, or `None` when `M_SS` is singular.
-fn removal_value(m: &Matrix, b: &[f64], v0: f64, set: &[usize]) -> Option<f64> {
+fn removal_value(
+    entry: &impl Fn(usize, usize) -> f64,
+    b: &[f64],
+    v0: f64,
+    set: &[usize],
+) -> Option<f64> {
     let s = set.len();
-    let mss = Matrix::from_fn(s, s, |a, c| m[(set[a], set[c])]);
+    let mss = Matrix::from_fn(s, s, |a, c| entry(set[a], set[c]));
     let bs: Vec<f64> = set.iter().map(|&l| b[l]).collect();
     let delta = solve(&mss, &bs).ok()?;
     let reduction = vecops::dot(&bs, &delta);
     Some(v0 - reduction)
 }
 
-/// Identifies the smallest OD-flow set for an SPE exceedance at one
-/// observation.
+/// Identifies the smallest OD-flow set whose reconstruction brings the
+/// `kind` statistic of one observation under its threshold; the set is
+/// empty when the statistic already is.
 ///
 /// # Errors
 ///
-/// * Propagates dimension errors from the model.
+/// * [`SubspaceError::DimensionMismatch`] for wrong-length input.
 /// * [`SubspaceError::IdentificationFailed`] if reconstruction over all
 ///   non-singular removal sets cannot reach the threshold (degenerate
 ///   residual spaces).
-pub fn identify_spe(model: &SubspaceModel, x: &[f64], bin: usize) -> Result<Identification> {
+pub fn identify(
+    model: &SubspaceModel,
+    x: &[f64],
+    kind: StatisticKind,
+    bin: usize,
+) -> Result<Identification> {
     let split = model.split(x)?;
-    let threshold = model.spe_threshold();
-    let v0 = vecops::norm_sq(&split.residual);
+    let (v0, threshold) = match kind {
+        StatisticKind::Spe => (vecops::norm_sq(&split.residual), model.spe_threshold()),
+        StatisticKind::T2 => (model.t2_of_scores(&split.scores), model.t2_threshold()),
+    };
     if v0 <= threshold {
         return Ok(Identification { od_flows: Vec::new(), initial_value: v0, final_value: v0 });
     }
 
     let p = split.centered.len();
-    let k = model.config().k.min(model.decomposition().rank());
-    let mut axes: Vec<Vec<f64>> = Vec::with_capacity(k);
-    for i in 0..k {
-        axes.push(model.decomposition().loadings.col(i)?);
-    }
-    // M = I - P P^T ; b = M x_c = x̃.
-    let m = Matrix::from_fn(p, p, |a, c| {
-        let proj: f64 = axes.iter().map(|v| v[a] * v[c]).sum();
-        if a == c {
-            1.0 - proj
-        } else {
-            -proj
+    let k = split.scores.len();
+    let decomp = model.decomposition();
+    let r = decomp.loadings.ncols();
+    let row = |a: usize| &decomp.loadings.as_slice()[a * r..a * r + k];
+    match kind {
+        StatisticKind::Spe => {
+            // M = I - P Pᵀ ; b = M x_c = x̃.
+            let entry = |a: usize, c: usize| {
+                let proj: f64 = row(a).iter().zip(row(c)).map(|(u, v)| u * v).sum();
+                if a == c {
+                    1.0 - proj
+                } else {
+                    -proj
+                }
+            };
+            // The residual space has dimension p - k; cap the removal set
+            // below it so M_SS stays non-singular.
+            let max_set = p.saturating_sub(k).saturating_sub(1).max(1);
+            greedy_quadratic(entry, &split.residual, v0, threshold, max_set, bin)
         }
-    });
-    // The residual space has dimension p - k; cap the removal set below it
-    // so M_SS stays non-singular.
-    let max_set = p.saturating_sub(k).saturating_sub(1).max(1);
-    greedy_quadratic(&m, &split.residual, v0, threshold, max_set, bin)
-}
-
-/// Identifies the smallest OD-flow set for a T² exceedance at one
-/// observation.
-///
-/// # Errors
-///
-/// As for [`identify_spe`]. The t² form has rank `k`, so at most `k` flows
-/// are ever needed (reconstructing `k` generic coordinates can zero all
-/// `k` scores).
-pub fn identify_t2(model: &SubspaceModel, x: &[f64], bin: usize) -> Result<Identification> {
-    let centered = model.center(x)?;
-    let threshold = model.t2_threshold();
-    let v0 = model.t2_of_centered(&centered)?;
-    if v0 <= threshold {
-        return Ok(Identification { od_flows: Vec::new(), initial_value: v0, final_value: v0 });
-    }
-
-    let p = centered.len();
-    let k = model.config().k.min(model.decomposition().rank());
-    let mut axes: Vec<(Vec<f64>, f64)> = Vec::with_capacity(k);
-    for i in 0..k {
-        let lambda = model.decomposition().eigenvalue(i);
-        if lambda > 1e-300 {
-            axes.push((model.decomposition().loadings.col(i)?, lambda));
+        StatisticKind::T2 => {
+            // M = Σ v_i v_iᵀ / λ_i over the axes with variance ; b = M x_c.
+            // The form has rank k, so at most k flows are ever needed
+            // (reconstructing k generic coordinates can zero all k scores).
+            let axes: Vec<(usize, f64)> =
+                (0..k).map(|i| (i, decomp.eigenvalue(i))).filter(|&(_, l)| l > 1e-300).collect();
+            let entry = |a: usize, c: usize| {
+                let (la, lc) = (row(a), row(c));
+                axes.iter().map(|&(i, l)| la[i] * lc[i] / l).sum()
+            };
+            let weights: Vec<(usize, f64)> =
+                axes.iter().map(|&(i, l)| (i, split.scores[i] / l)).collect();
+            let b: Vec<f64> = (0..p)
+                .map(|a| {
+                    let la = row(a);
+                    weights.iter().map(|&(i, w)| la[i] * w).sum()
+                })
+                .collect();
+            greedy_quadratic(entry, &b, v0, threshold, k.max(1), bin)
         }
     }
-    // M = Σ v_i v_iᵀ / λ_i ; b = M x_c.
-    let m = Matrix::from_fn(p, p, |a, c| axes.iter().map(|(v, l)| v[a] * v[c] / l).sum());
-    let b = m.matvec(&centered).map_err(SubspaceError::from)?;
-    greedy_quadratic(&m, &b, v0, threshold, k.max(1), bin)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::StatisticKind;
     use crate::model::{SubspaceConfig, SubspaceModel};
     use crate::testutil;
     use odflow_linalg::Matrix;
@@ -247,24 +263,20 @@ mod tests {
                     final_value: self.v0,
                 });
             }
-            greedy_quadratic(&self.m, &self.b, self.v0, self.threshold, self.max_set, bin)
+            greedy_quadratic(
+                |a, c| self.m[(a, c)],
+                &self.b,
+                self.v0,
+                self.threshold,
+                self.max_set,
+                bin,
+            )
         }
 
         /// The statistic with the flows of `set` reconstructed.
         fn value_without(&self, set: &[usize]) -> f64 {
-            removal_value(&self.m, &self.b, self.v0, set).expect("non-singular removal set")
-        }
-    }
-
-    fn identify_kind(
-        model: &SubspaceModel,
-        x: &[f64],
-        kind: StatisticKind,
-        bin: usize,
-    ) -> Result<Identification> {
-        match kind {
-            StatisticKind::Spe => identify_spe(model, x, bin),
-            StatisticKind::T2 => identify_t2(model, x, bin),
+            removal_value(&|a, c| self.m[(a, c)], &self.b, self.v0, set)
+                .expect("non-singular removal set")
         }
     }
 
@@ -288,7 +300,7 @@ mod tests {
                         for (slot, kind) in
                             [StatisticKind::Spe, StatisticKind::T2].into_iter().enumerate()
                         {
-                            let got = identify_kind(&model, &row, kind, bin);
+                            let got = identify(&model, &row, kind, bin);
                             let want = dense_form(&model, &row, kind).and_then(|d| d.identify(bin));
                             let case =
                                 format!("p={p} k={k} bin={bin} flows={flows:?} mag={mag} {kind:?}");
@@ -335,7 +347,7 @@ mod tests {
         let model = SubspaceModel::fit_default(&clean).unwrap();
         let mut row = clean.row(100).unwrap().to_vec();
         row[7] += 200.0;
-        let id = identify_spe(&model, &row, 100).unwrap();
+        let id = identify(&model, &row, StatisticKind::Spe, 100).unwrap();
         assert_eq!(id.od_flows.first(), Some(&7), "spiked flow must rank first");
         assert!(id.od_flows.len() <= 2, "single spike needs few removals: {:?}", id.od_flows);
         assert!(id.final_value <= model.spe_threshold());
@@ -349,7 +361,7 @@ mod tests {
         let mut row = clean.row(100).unwrap().to_vec();
         row[2] += 250.0;
         row[9] += 200.0;
-        let id = identify_spe(&model, &row, 100).unwrap();
+        let id = identify(&model, &row, StatisticKind::Spe, 100).unwrap();
         assert!(id.od_flows.contains(&2), "flows found: {:?}", id.od_flows);
         assert!(id.od_flows.contains(&9), "flows found: {:?}", id.od_flows);
         // Ordered by culpability: larger spike first.
@@ -366,7 +378,7 @@ mod tests {
         let clean_spe = model.spe(clean.row(100).unwrap()).unwrap();
         let mut row = clean.row(100).unwrap().to_vec();
         row[7] += 200.0;
-        let id = identify_spe(&model, &row, 100).unwrap();
+        let id = identify(&model, &row, StatisticKind::Spe, 100).unwrap();
         assert!(
             id.final_value <= clean_spe * 1.5 + 1e-9,
             "final {} should be near clean level {clean_spe}",
@@ -389,7 +401,7 @@ mod tests {
         row[big_j] += 400.0;
         let t2 = model.t2(&row).unwrap();
         assert!(t2 > model.t2_threshold(), "setup: t2 {t2} must exceed threshold");
-        let id = identify_t2(&model, &row, 200).unwrap();
+        let id = identify(&model, &row, StatisticKind::T2, 200).unwrap();
         assert_eq!(id.od_flows.first(), Some(&big_j));
         assert!(id.od_flows.len() <= 4, "t² needs at most k flows: {:?}", id.od_flows);
         assert!(id.final_value <= model.t2_threshold());
@@ -400,10 +412,10 @@ mod tests {
         let clean = traffic(300, 10);
         let model = SubspaceModel::fit_default(&clean).unwrap();
         let row = clean.row(10).unwrap();
-        let id_spe = identify_spe(&model, row, 10).unwrap();
+        let id_spe = identify(&model, row, StatisticKind::Spe, 10).unwrap();
         assert!(id_spe.od_flows.is_empty());
         assert_eq!(id_spe.initial_value, id_spe.final_value);
-        let id_t2 = identify_t2(&model, row, 10).unwrap();
+        let id_t2 = identify(&model, row, StatisticKind::T2, 10).unwrap();
         assert!(id_t2.od_flows.is_empty());
     }
 
@@ -416,7 +428,7 @@ mod tests {
         let mut row = clean.row(50).unwrap().to_vec();
         row[3] += 280.0;
         row[8] += 120.0;
-        let id = identify_spe(&model, &row, 50).unwrap();
+        let id = identify(&model, &row, StatisticKind::Spe, 50).unwrap();
         assert!(id.od_flows.len() >= 2, "both spiked flows implicated: {:?}", id.od_flows);
         let dense = dense_form(&model, &row, StatisticKind::Spe).unwrap();
         let (_, prefix) = id.od_flows.split_last().unwrap();
@@ -430,10 +442,42 @@ mod tests {
     }
 
     #[test]
+    fn identifies_on_the_90k_mesh() {
+        // The `large_mesh` window: 24 bins of 90 000 OD pairs at k = 10,
+        // where a dense form would be 90 000² doubles (64.8 GB).
+        let (bin, p) = (12, 90_000);
+        let clean = traffic(24, p);
+        let config = SubspaceConfig { k: 10, ..SubspaceConfig::default() };
+        let model = SubspaceModel::fit(&clean, config).unwrap();
+
+        let spiked = 45_678;
+        let mut row = clean.row(bin).unwrap().to_vec();
+        row[spiked] += 1000.0;
+        let id = identify(&model, &row, StatisticKind::Spe, bin).unwrap();
+        assert!(id.initial_value > model.spe_threshold(), "setup: {}", id.initial_value);
+        assert_eq!(id.od_flows.first(), Some(&spiked), "{:?}", id.od_flows);
+        assert!(id.final_value <= model.spe_threshold());
+
+        // Shift the pair with axis 0's heaviest loading by twice what takes
+        // its own t² contribution, Σ_i (δ L_ji)² / λ_i, to the limit.
+        let decomp = model.decomposition();
+        let axis = decomp.loadings.col(0).unwrap();
+        let heavy = (0..p).max_by(|&a, &b| axis[a].abs().total_cmp(&axis[b].abs())).unwrap();
+        let per_unit: f64 =
+            (0..10).map(|i| decomp.loadings[(heavy, i)].powi(2) / decomp.eigenvalue(i)).sum();
+        let mut row = clean.row(bin).unwrap().to_vec();
+        row[heavy] += 2.0 * (model.t2_threshold() / per_unit).sqrt();
+        let id = identify(&model, &row, StatisticKind::T2, bin).unwrap();
+        assert!(id.initial_value > model.t2_threshold(), "setup: {}", id.initial_value);
+        assert_eq!(id.od_flows.first(), Some(&heavy), "{:?}", id.od_flows);
+        assert!(id.final_value <= model.t2_threshold());
+    }
+
+    #[test]
     fn dimension_mismatch_propagates() {
         let clean = traffic(300, 10);
         let model = SubspaceModel::fit_default(&clean).unwrap();
-        assert!(identify_spe(&model, &[1.0, 2.0], 0).is_err());
-        assert!(identify_t2(&model, &[1.0, 2.0], 0).is_err());
+        assert!(identify(&model, &[1.0, 2.0], StatisticKind::Spe, 0).is_err());
+        assert!(identify(&model, &[1.0, 2.0], StatisticKind::T2, 0).is_err());
     }
 }

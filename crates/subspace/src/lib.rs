@@ -15,8 +15,9 @@
 //!   from first-principles normal and F quantiles.
 //! * [`SubspaceDetector`] — fit + score + flag over a window (the
 //!   material of the paper's Figure 1).
-//! * [`identify_spe`] / [`identify_t2`] — the §4 procedure finding the
-//!   smallest OD-flow set that brings a statistic back under threshold.
+//! * [`identify`] — the §4 procedure finding the smallest OD-flow set
+//!   that brings a statistic back under threshold, read off the model's
+//!   loadings at any `p`.
 //! * [`merge_detections`] — §4's aggregation of (type, time, OD flow)
 //!   triples into B/P/F/BP/FP/BF/BFP anomaly events (Tables 1 & 3,
 //!   Figure 2).
@@ -79,7 +80,7 @@ pub use diagnose::{diagnose, diagnose_with_quality, Diagnosis, QualityDiagnosis}
 pub use eigenflow::EigenflowDecomposition;
 pub use error::{Result, SubspaceError};
 pub use events::{count_by_combination, merge_detections, AnomalyEvent, DetectionTriple, TypeSet};
-pub use identify::{identify_spe, identify_t2, Identification};
+pub use identify::{identify, Identification};
 pub use model::{ModelState, StateSplit, SubspaceConfig, SubspaceModel};
 // The eigen-backend selector is part of the fitting configuration; re-export
 // it so detector users configure backends without importing odflow_linalg.

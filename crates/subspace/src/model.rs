@@ -302,13 +302,8 @@ impl SubspaceModel {
     /// The t² statistic of one observation: the sum of squared
     /// unit-variance scores along the top-k axes.
     pub fn t2(&self, x: &[f64]) -> Result<f64> {
-        self.t2_of_centered(&self.center(x)?)
-    }
-
-    /// t² from an already-centered observation.
-    pub(crate) fn t2_of_centered(&self, centered: &[f64]) -> Result<f64> {
         let mut scores = Vec::new();
-        self.axis_scores(centered, &mut scores);
+        self.axis_scores(&self.center(x)?, &mut scores);
         Ok(self.t2_of_scores(&scores))
     }
 

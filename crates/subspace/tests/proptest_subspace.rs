@@ -2,7 +2,7 @@
 
 use odflow_linalg::{vecops, EigenMethod, Matrix};
 use odflow_subspace::{
-    identify_spe, merge_detections, DetectionTriple, SubspaceConfig, SubspaceDetector,
+    identify, merge_detections, DetectionTriple, StatisticKind, SubspaceConfig, SubspaceDetector,
     SubspaceModel, TypeSet,
 };
 use proptest::prelude::*;
@@ -165,7 +165,7 @@ proptest! {
         if model.spe(&row).unwrap() <= model.spe_threshold() {
             return Ok(()); // spike too small for this draw — nothing to identify
         }
-        let id = identify_spe(&model, &row, 0).unwrap();
+        let id = identify(&model, &row, StatisticKind::Spe, 0).unwrap();
         prop_assert!(!id.od_flows.is_empty());
         prop_assert!(id.final_value <= model.spe_threshold() + 1e-9);
         prop_assert!(id.final_value <= id.initial_value);
