@@ -38,11 +38,6 @@ impl Matrix {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    /// Creates a `rows x cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix { rows, cols, data: vec![value; rows * cols] }
-    }
-
     /// Creates the `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -361,68 +356,6 @@ impl Matrix {
         odflow_par::parallel_chunks(&mut out.data, row_block * m, |blk, out_rows| {
             tn_block(a, n, b, m, blk * row_block, out_rows);
         });
-        Ok(out)
-    }
-
-    /// Matrix-vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if self.cols != v.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matvec",
-                lhs: self.shape(),
-                rhs: (v.len(), 1),
-            });
-        }
-        Ok(self.rows_iter().map(|row| row.iter().zip(v).map(|(a, b)| a * b).sum()).collect())
-    }
-
-    /// Symmetric matrix-vector product `self * v` through the unrolled
-    /// [`crate::vecops::dot4`] row kernel, fanned out over row blocks on
-    /// the persistent [`odflow_par`] pool.
-    ///
-    /// The matrix must be square and is read full-row (both triangles), so
-    /// callers keep it explicitly symmetric — exactly how the blocked
-    /// Householder tridiagonalization maintains its working matrix. Each
-    /// output element is one `dot4` whose summation order depends only on
-    /// the dimension, so results are bit-identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::NotSquare`] for rectangular input,
-    /// [`LinalgError::ShapeMismatch`] when `v.len() != self.ncols()`.
-    pub fn symv(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare { op: "symv", shape: self.shape() });
-        }
-        if self.cols != v.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "symv",
-                lhs: self.shape(),
-                rhs: (v.len(), 1),
-            });
-        }
-        Ok(symv_block(&self.data, self.cols, 0, v))
-    }
-
-    /// Vector-matrix product `v^T * self`, returned as a plain vector.
-    pub fn vecmat(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if self.rows != v.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "vecmat",
-                lhs: (1, v.len()),
-                rhs: self.shape(),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (i, &vi) in v.iter().enumerate() {
-            if vi == 0.0 {
-                continue;
-            }
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (o, &r) in out.iter_mut().zip(row) {
-                *o += vi * r;
-            }
-        }
         Ok(out)
     }
 
@@ -1142,28 +1075,30 @@ mod tests {
     }
 
     #[test]
-    fn matvec_vecmat() {
-        let a = m22();
-        assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert_eq!(a.vecmat(&[1.0, 1.0]).unwrap(), vec![4.0, 6.0]);
-        assert!(a.matvec(&[1.0]).is_err());
-        assert!(a.vecmat(&[1.0, 2.0, 3.0]).is_err());
-    }
-
-    #[test]
-    fn symv_matches_matvec_on_symmetric_input() {
+    fn symv_block_matches_dot_reference() {
         let n = SYMV_ROW_BLOCK + 6; // spans two row blocks
         let a = Matrix::from_fn(n, n, |i, j| {
             let (lo, hi) = (i.min(j), i.max(j));
             ((lo * 7 + hi * 3) % 17) as f64 - 8.0
         });
-        let v: Vec<f64> = (0..n).map(|i| ((i * 11) % 5) as f64 - 2.0).collect();
-        let fast = a.symv(&v).unwrap();
-        let reference = a.matvec(&v).unwrap();
-        // Not bit-identical (dot4 vs dot accumulation order) but tight.
-        let scale: f64 = reference.iter().map(|x| x.abs()).fold(1.0, f64::max);
-        for (f, r) in fast.iter().zip(&reference) {
-            assert!((f - r).abs() <= 1e-12 * scale, "{f} vs {r}");
+        for lo in [0, 7] {
+            let v: Vec<f64> = (lo..n).map(|i| ((i * 11) % 5) as f64 - 2.0).collect();
+            let fast = symv_block(a.as_slice(), n, lo, &v);
+            let reference: Vec<f64> = (lo..n)
+                .map(|i| {
+                    let mut acc = 0.0;
+                    for (x, y) in a.row(i).unwrap()[lo..].iter().zip(&v) {
+                        acc += x * y;
+                    }
+                    acc
+                })
+                .collect();
+            assert_eq!(fast.len(), n - lo);
+            // Not bit-identical (dot4 vs sequential accumulation order) but tight.
+            let scale: f64 = reference.iter().map(|x| x.abs()).fold(1.0, f64::max);
+            for (f, r) in fast.iter().zip(&reference) {
+                assert!((f - r).abs() <= 1e-12 * scale, "lo={lo}: {f} vs {r}");
+            }
         }
     }
 
@@ -1172,25 +1107,18 @@ mod tests {
         let n = 2 * SYMV_ROW_BLOCK + 13; // three tasks, the last ragged
         let a = Matrix::from_fn(n, n, |i, j| 1.0 / ((i + j + 1) as f64));
         let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
-        let serial = odflow_par::with_thread_limit(1, || a.symv(&v).unwrap());
+        let symv = || symv_block(a.as_slice(), n, 0, &v);
+        let serial = odflow_par::with_thread_limit(1, symv);
         for &threads in &[4usize, 64] {
-            let par = odflow_par::with_thread_limit(threads, || a.symv(&v).unwrap());
+            let par = odflow_par::with_thread_limit(threads, symv);
             assert_eq!(par, serial, "threads={threads}");
         }
     }
 
     #[test]
-    fn symv_rejects_bad_shapes() {
-        let a = Matrix::zeros(2, 3);
-        assert!(matches!(a.symv(&[1.0, 2.0, 3.0]), Err(LinalgError::NotSquare { .. })));
-        let b = Matrix::identity(3);
-        assert!(matches!(b.symv(&[1.0, 2.0]), Err(LinalgError::ShapeMismatch { .. })));
-    }
-
-    #[test]
     fn elementwise_ops() {
         let a = m22();
-        let b = Matrix::filled(2, 2, 1.0);
+        let b = Matrix::from_fn(2, 2, |_, _| 1.0);
         assert_eq!(a.add(&b).unwrap()[(0, 0)], 2.0);
         assert_eq!(a.sub(&b).unwrap()[(1, 1)], 3.0);
         assert!(a.add(&Matrix::zeros(3, 3)).is_err());

@@ -121,8 +121,8 @@ mod tests {
         });
         let b: Vec<f64> = (0..n).map(|i| (i as f64) - 4.0).collect();
         let x = solve(&a, &b).unwrap();
-        let ax = a.matvec(&x).unwrap();
-        for (l, r) in ax.iter().zip(&b) {
+        let ax = a.matmul(&Matrix::from_vec(n, 1, x).unwrap()).unwrap();
+        for (l, r) in ax.as_slice().iter().zip(&b) {
             assert!((l - r).abs() < 1e-9, "residual too large: {l} vs {r}");
         }
     }

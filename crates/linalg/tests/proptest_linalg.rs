@@ -38,12 +38,12 @@ proptest! {
     #[test]
     fn matmul_associative_with_vector(m in small_matrix(6, 6)) {
         // (M^T M) v == M^T (M v)
-        let v: Vec<f64> = (0..m.ncols()).map(|i| (i as f64) - 1.5).collect();
+        let v = Matrix::from_fn(m.ncols(), 1, |i, _| (i as f64) - 1.5);
         let mtm = m.transpose().matmul(&m).unwrap();
-        let lhs = mtm.matvec(&v).unwrap();
-        let mv = m.matvec(&v).unwrap();
-        let rhs = m.transpose().matvec(&mv).unwrap();
-        for (a, b) in lhs.iter().zip(&rhs) {
+        let lhs = mtm.matmul(&v).unwrap();
+        let mv = m.matmul(&v).unwrap();
+        let rhs = m.transpose().matmul(&mv).unwrap();
+        for (a, b) in lhs.as_slice().iter().zip(rhs.as_slice()) {
             prop_assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()));
         }
     }
