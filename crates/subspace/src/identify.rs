@@ -161,7 +161,8 @@ pub fn identify(
             greedy_quadratic(entry, &split.residual, v0, threshold, max_set, bin)
         }
         StatisticKind::T2 => {
-            // M = Σ v_i v_iᵀ / λ_i over the axes with variance ; b = M x_c.
+            // M = Σ v_i v_iᵀ / λ_i over the axes with variance ;
+            // b = M x_c = Σ v_i z_i / λ_i from the scores z = Pᵀ x_c.
             // The form has rank k, so at most k flows are ever needed
             // (reconstructing k generic coordinates can zero all k scores).
             let axes: Vec<(usize, f64)> =
