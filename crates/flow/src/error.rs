@@ -29,13 +29,6 @@ pub enum FlowError {
         /// Human-readable reason.
         reason: String,
     },
-    /// An OD index was out of range for the topology.
-    BadOdIndex {
-        /// The offending index.
-        index: usize,
-        /// Number of OD pairs.
-        count: usize,
-    },
     /// The pipeline was finalized twice or used after finalization.
     AlreadyFinalized,
     /// No data was collected before finalization.
@@ -55,6 +48,12 @@ pub enum FlowError {
         /// Human-readable description of the mismatch.
         reason: String,
     },
+    /// An observation window too large to address: its end timestamp,
+    /// its cell count or the bytes of its storage overflow.
+    WindowOverflow {
+        /// Human-readable description of what overflows.
+        reason: String,
+    },
 }
 
 impl fmt::Display for FlowError {
@@ -70,9 +69,6 @@ impl fmt::Display for FlowError {
                 write!(f, "timestamp {ts} outside observation window [{start}, {end})")
             }
             FlowError::Codec { reason } => write!(f, "netflow codec error: {reason}"),
-            FlowError::BadOdIndex { index, count } => {
-                write!(f, "OD index {index} out of range (p = {count})")
-            }
             FlowError::AlreadyFinalized => write!(f, "measurement pipeline already finalized"),
             FlowError::NoData => write!(f, "no flow data collected"),
             FlowError::ShardGap { expected_bin, got_bin } => {
@@ -84,6 +80,7 @@ impl fmt::Display for FlowError {
             FlowError::WindowMisaligned { reason } => {
                 write!(f, "ingest window misaligned with record source: {reason}")
             }
+            FlowError::WindowOverflow { reason } => write!(f, "ingest window overflows: {reason}"),
         }
     }
 }
@@ -105,12 +102,14 @@ mod tests {
             .to_string()
             .contains("outside"));
         assert!(FlowError::Codec { reason: "short".into() }.to_string().contains("short"));
-        assert!(FlowError::BadOdIndex { index: 121, count: 121 }.to_string().contains("121"));
         assert!(FlowError::AlreadyFinalized.to_string().contains("finalized"));
         assert!(FlowError::NoData.to_string().contains("no flow data"));
         assert!(FlowError::ShardGap { expected_bin: 4, got_bin: 8 }.to_string().contains("tile"));
         assert!(FlowError::WindowMisaligned { reason: "bin width 60 vs 300".into() }
             .to_string()
             .contains("misaligned"));
+        assert!(FlowError::WindowOverflow { reason: "2^61 bins".into() }
+            .to_string()
+            .contains("overflows"));
     }
 }

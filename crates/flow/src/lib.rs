@@ -13,22 +13,24 @@
 //! 4. [`OdResolver`] — ingress attribution from router configs and egress
 //!    resolution by longest-prefix match over BGP+config tables, after
 //!    Abilene's 11-bit destination anonymization.
-//! 5. [`OdBinner`] — 5-minute binning into the three traffic views:
+//! 5. [`BinShard`] — 5-minute binning into the three traffic views:
 //!    **#bytes, #packets, #IP-flows** ([`TrafficMatrixSet`]).
 //!
 //! Ingest starts after step 2: the scenario generator draws sampled
 //! minute-records directly and the daemon decodes NetFlow exports, so
 //! steps 1 and 2 are the §2.1 path for callers that start from packets.
-//! Records have one entry point, [`BinShard::push_sampled_record`], which
-//! anonymizes, resolves and bins: [`ShardedIngest`] fills one shard per
-//! bin range across threads, each writing its own rows of the window's
-//! matrices in place (bit-identical for any thread count), and
-//! [`MeasurementPipeline`] drives a single full-window shard. Wire-format
-//! input enters through one admission step,
-//! [`DataQuality::admit_frame`] (lossy decode into the quarantine
-//! counters, then exporter sequence tracking), and one lateness rule,
-//! [`Watermark::judge_frame`] (records of a sealed bin refused and
-//! counted), whatever the driver.
+//! Steps 4 and 5 are one call: a [`BinShard`] owns the cells of a
+//! contiguous bin range, and [`BinShard::push_sampled_record`] — the only
+//! code that adds a record to a cell — anonymizes, resolves and bins it.
+//! [`ShardedIngest`] validates the window once, fills one shard per bin
+//! range across threads, each writing its own rows of the window's
+//! matrices in place (bit-identical for any thread count), and is the one
+//! place cells become a [`TrafficMatrixSet`]; [`MeasurementPipeline`]
+//! drives a single full-window shard. Wire-format input enters through
+//! one admission step, [`DataQuality::admit_frame`] (lossy decode into
+//! the quarantine counters, then exporter sequence tracking), and one
+//! lateness rule, [`Watermark::judge_frame`] (records of a sealed bin
+//! refused and counted), whatever the driver.
 //! [`AttributeDigest`] summarizes the raw flows behind a detection for the
 //! classification stage.
 
@@ -52,7 +54,7 @@ mod sampler;
 mod shard;
 
 pub use aggregate::{FlowAggregator, MINUTE_SECS};
-pub use binning::{BinState, DistinctFlows, OdBinner};
+pub use binning::{BinState, DistinctFlows};
 pub use digest::{AttributeDigest, Counts};
 pub use error::{FlowError, Result};
 pub use key::{FlowKey, Protocol};

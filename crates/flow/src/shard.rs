@@ -1,15 +1,21 @@
-//! Sharded measurement ingest — the one resolve→bin backend.
+//! Sharded measurement ingest: [`BinShard`], the binner, and
+//! [`ShardedIngest`], the engine that tiles a window with shards.
 //!
-//! The backend is a set of independent [`BinShard`]s, each owning a
-//! **contiguous range of analysis bins**: its own [`ResolutionStats`] over
-//! the engine's shared, immutable routing tables, its own [`OdBinner`] over
-//! the sub-window, and its own out-of-window drop counter. Shards share no
-//! mutable state, so record batches bin across threads with no locks. Every
-//! ingest path is a driver over it: the batch engine
-//! ([`ShardedIngest::fill_shards`]) fills one shard per bin range, while
+//! A [`BinShard`] owns a **contiguous range of analysis bins**: their
+//! three row-major cell vectors (bytes, packets, distinct flows), one
+//! [`DistinctFlows`] table per bin, the per-bin record counts, its own
+//! [`ResolutionStats`] over the engine's shared, immutable routing tables,
+//! and its drop counters. [`BinShard::push_sampled_record`] is the one
+//! place a record reaches a cell: it anonymizes the destination, resolves
+//! the OD pair, finds the bin, and either counts an out-of-window drop or
+//! adds the record to its cell. Shards share no mutable state, so record
+//! batches bin across threads with no locks. Every ingest path is a
+//! driver over shards: the batch engine ([`ShardedIngest::fill_shards`])
+//! fills one shard per bin range, while
 //! [`MeasurementPipeline`](crate::MeasurementPipeline) and the daemon's
 //! per-tenant pipeline each hold a single shard spanning the window and
-//! finish it through [`ShardedIngest::merge`].
+//! finish it through [`ShardedIngest::merge`]. [`ShardedIngest::new`]
+//! validates the window once, so minting a shard cannot fail on geometry.
 //!
 //! ## The window is written once
 //!
@@ -22,7 +28,8 @@
 //! resident together. A streaming consumer's single full-window shard owns
 //! its cells instead, [seals](BinShard::seal) its bins as its
 //! [`Watermark`] passes them, and [`ShardedIngest::merge`] moves the cells
-//! out.
+//! out. Either way [`ShardedIngest`] turns the cells into the
+//! [`TrafficMatrixSet`], in one place.
 //!
 //! Before a shard task scatters records into its rows it writes zero over
 //! them in address order. The values do not change; what changes is how
@@ -54,7 +61,7 @@
 //! short one (the 24-bin large-mesh window is 8 × 3 bins) from collapsing
 //! into one or two uneven shards that leave a worker idle.
 
-use crate::binning::{BinState, OdBinner};
+use crate::binning::{BinState, DistinctFlows};
 use crate::error::{FlowError, Result};
 use crate::key::FlowKey;
 use crate::lateness::{Watermark, WatermarkState};
@@ -65,6 +72,7 @@ use crate::pipeline::PipelineConfig;
 use crate::quality::{BinStatus, DataQuality, RepairPolicy};
 use crate::record::FlowRecord;
 use odflow_linalg::Matrix;
+use std::alloc::Layout;
 use std::ops::{DerefMut, Range};
 
 /// Most analysis bins a shard holds unless overridden: small enough that a
@@ -78,26 +86,47 @@ pub const DEFAULT_SHARD_BINS: usize = 16;
 /// the pools this runs on, so unequal bins even out.
 const SHORT_WINDOW_SHARDS: usize = 8;
 
-/// One independent slice of the ingest backend: resolves and bins records
-/// whose timestamps fall into its contiguous bin range.
+/// The binner of one contiguous bin range: resolves the records whose
+/// timestamps fall into it and accumulates them into its `(bin, OD)`
+/// cells — bytes, packets, and *distinct* IP flows.
 ///
 /// A shard covering the *full* window is exactly the serial pipeline's
 /// backend — [`crate::MeasurementPipeline`] is implemented as that
 /// degenerate single-shard case, which is what makes the sharded and serial
 /// paths equivalent by construction.
 ///
-/// `S` is the cell storage of its [`OdBinner`]: owned by default, or row
-/// ranges of the window's vectors lent by [`ShardedIngest::fill_shards`].
+/// `S` is where the three row-major `bin x od` cell vectors live: a shard
+/// owns them (`Vec<f64>`, the default — the serial pipeline, a daemon
+/// tenant), or accumulates into row ranges lent by
+/// [`ShardedIngest::fill_shards`] (`&mut [f64]`), which is how a window's
+/// cells are written exactly once. [`Self::push_sampled_record`] is the
+/// same code either way.
 #[derive(Debug)]
 pub struct BinShard<S = Vec<f64>> {
     /// Global index of the first bin this shard owns.
     first_bin: usize,
     resolver: OdResolver,
-    binner: OdBinner<S>,
     /// Global observation window (trace-epoch seconds, end exclusive) —
     /// records outside it are *dropped and counted*, records inside it but
-    /// outside the shard's own sub-window are routing errors.
+    /// outside the shard's own bins are routing errors.
     window: Range<u64>,
+    bin_secs: u64,
+    num_od: usize,
+    bytes: S,
+    packets: S,
+    flows: S,
+    /// The distinct `(OD, 5-tuple)` pairs behind `flows`, one table per
+    /// bin — empty for a sealed bin, and no tables at all once
+    /// [`Self::finish`] has run. Exact, not a sketch.
+    distinct: Vec<DistinctFlows>,
+    /// Bins `0..sealed` (shard coordinates) are sealed: tables freed,
+    /// records refused.
+    sealed: usize,
+    /// Records accepted per bin — the raw signal behind the
+    /// [`DataQuality`] outage/masking repair. Its length is the shard's
+    /// bin count.
+    bin_records: Vec<u64>,
+    records_accepted: u64,
     dropped_out_of_window: u64,
     /// Records a [`Watermark`] refused for a sealed bin before they
     /// reached this shard, counted here beside the out-of-window drops.
@@ -109,39 +138,63 @@ impl<S: DerefMut<Target = [f64]>> BinShard<S> {
     ///
     /// The one record path of every ingest front end: anonymize the
     /// destination (Abilene's 11 bits, §2.1), resolve (updating this
-    /// shard's statistics), then bin.
-    /// Records outside the **global** observation window are counted in
-    /// [`Self::dropped_out_of_window`] and accepted quietly, matching the
-    /// serial pipeline's trace-edge behavior.
+    /// shard's statistics), find the bin, then add the record to its
+    /// `(bin, OD)` cell. Records outside the **global** observation window
+    /// are counted in [`Self::dropped_out_of_window`] and accepted quietly,
+    /// matching the serial pipeline's trace-edge behavior.
     ///
     /// # Errors
     ///
     /// * [`FlowError::TimestampOutOfRange`] for a record inside the global
     ///   window but outside this shard's bin range — a routing bug in the
     ///   caller, never silently absorbed.
-    /// * [`FlowError::BadOdIndex`] for an OD index outside the matrix.
     /// * [`FlowError::AlreadyFinalized`] for a resolvable record of a
     ///   [sealed](Self::seal) bin — any bin after [`Self::finish`].
     pub fn push_sampled_record(&mut self, mut record: FlowRecord) -> Result<()> {
         record.key = record.key.with_anonymized_dst();
-        match self.resolver.resolve(&record) {
-            OdResolution::Resolved { od_index } => match self.binner.push(od_index, &record) {
-                Ok(()) => Ok(()),
-                Err(FlowError::TimestampOutOfRange { ts, .. }) if !self.window.contains(&ts) => {
-                    self.dropped_out_of_window += 1;
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            },
-            // Unresolvable and transit traffic is excluded from OD matrices
-            // — the paper's ~7% resolution loss.
-            _ => Ok(()),
+        // Unresolvable and transit traffic is excluded from OD matrices
+        // — the paper's ~7% resolution loss.
+        let OdResolution::Resolved { od_index } = self.resolver.resolve(&record) else {
+            return Ok(());
+        };
+        let ts = record.window_start;
+        if !self.window.contains(&ts) {
+            self.dropped_out_of_window += 1;
+            return Ok(());
         }
+        let Some(bin) = self.local_bin(((ts - self.window.start) / self.bin_secs) as usize) else {
+            let start = self.window.start + self.first_bin as u64 * self.bin_secs;
+            let end = start + self.bin_records.len() as u64 * self.bin_secs;
+            return Err(FlowError::TimestampOutOfRange { ts, start, end });
+        };
+        if bin < self.sealed || bin >= self.distinct.len() {
+            return Err(FlowError::AlreadyFinalized);
+        }
+        let (earlier, rest) = self.distinct.split_at_mut(bin);
+        let distinct = &mut rest[0];
+        if distinct.is_empty() {
+            // Consecutive bins hold about as many flows, so a bin's table
+            // opens at the size the bin before it came to and skips most
+            // of the doubling ladder.
+            distinct.reserve(earlier.last().map_or(0, DistinctFlows::len));
+        }
+        let cell = bin * self.num_od + od_index;
+        self.bytes[cell] += record.bytes as f64;
+        self.packets[cell] += record.packets as f64;
+        // An "IP flow" in a 5-minute bin is a distinct 5-tuple: the same
+        // key exported in two 1-minute windows of one bin is one flow.
+        // `ShardedIngest::new` keeps every OD index within 32 bits.
+        if distinct.insert(od_index as u32, record.key) {
+            self.flows[cell] += 1.0;
+        }
+        self.bin_records[bin] += 1;
+        self.records_accepted += 1;
+        Ok(())
     }
 
     /// The contiguous global bin range this shard owns.
     pub fn bins(&self) -> Range<usize> {
-        self.first_bin..self.first_bin + self.binner.num_bins()
+        self.first_bin..self.first_bin + self.bin_records.len()
     }
 
     /// Resolution statistics accumulated by this shard alone.
@@ -166,91 +219,195 @@ impl<S: DerefMut<Target = [f64]>> BinShard<S> {
     }
 
     /// Seals the window's first `bins` **global** bins (those of them this
-    /// shard owns): frees their distinct-flow tables and refuses their
-    /// records, while their rows stay readable — what a streaming consumer
-    /// does as its [`Watermark::sealed_bins`] grows. Sealing fewer bins
-    /// than are sealed already changes nothing.
+    /// shard owns, all of them if `bins` is larger): frees their
+    /// distinct-flow tables and refuses their records from here on, while
+    /// their rows — flow counts included — stay final and readable, and a
+    /// snapshot carries no 5-tuples for them. This is what a streaming
+    /// consumer does as its [`Watermark::sealed_bins`] grows. Sealing fewer
+    /// bins than are sealed already changes nothing.
     pub fn seal(&mut self, bins: usize) {
-        self.binner.seal(bins.saturating_sub(self.first_bin));
+        let bins = bins.saturating_sub(self.first_bin).min(self.bin_records.len());
+        for table in self.distinct.iter_mut().take(bins).skip(self.sealed) {
+            *table = DistinctFlows::default();
+        }
+        self.sealed = self.sealed.max(bins);
     }
 
     /// Records this shard accepted into cells.
     pub fn records_accepted(&self) -> u64 {
-        self.binner.records_accepted()
+        self.records_accepted
     }
 
     /// The accumulated row of **global** bin `bin` for one traffic view,
-    /// or `None` when this shard does not own that bin — the streaming tap
-    /// behind [`OdBinner::bin_row`], re-indexed into window coordinates.
+    /// or `None` when this shard does not own that bin.
+    ///
+    /// This is the streaming tap: a long-running collector closes bins as
+    /// its export watermark advances and feeds each closed row straight
+    /// into an online detector, while the shard keeps accumulating later
+    /// bins. Reading a row does not freeze it; sealing the bin does.
     pub fn bin_row(&self, bin: usize, t: TrafficType) -> Option<&[f64]> {
-        self.binner.bin_row(bin.checked_sub(self.first_bin)?, t)
+        let bin = self.local_bin(bin)?;
+        let cells = match t {
+            TrafficType::Bytes => &self.bytes,
+            TrafficType::Packets => &self.packets,
+            TrafficType::Flows => &self.flows,
+        };
+        cells.get(bin * self.num_od..(bin + 1) * self.num_od)
     }
 
     /// Records accepted so far into **global** bin `bin`, or `None` when
     /// this shard does not own that bin.
     pub fn bin_record_count(&self, bin: usize) -> Option<u64> {
-        self.binner.bin_record_count(bin.checked_sub(self.first_bin)?)
+        Some(self.bin_records[self.local_bin(bin)?])
     }
 
-    /// Declares this shard's bin range filled and frees its distinct-flow
-    /// tables, which no later step reads: the flow counts are already in
-    /// the cells. [`ShardedIngest::fill_shards`] ends every shard task with
-    /// this, so the 5-tuples of a window are never resident together;
+    /// Global bin `bin` in shard coordinates, or `None` when this shard
+    /// does not own it.
+    fn local_bin(&self, bin: usize) -> Option<usize> {
+        bin.checked_sub(self.first_bin).filter(|&b| b < self.bin_records.len())
+    }
+
+    /// Declares this shard's bin range filled: seals every bin and drops
+    /// the emptied tables themselves, which no later step reads — the
+    /// flow counts are already in the cells.
+    /// [`ShardedIngest::fill_shards`] ends every shard task with this, so
+    /// the 5-tuples of a window are never resident together;
     /// [`ShardedIngest::merge`] applies it to a shard that arrives
     /// unfinished. Idempotent.
     #[must_use]
     pub fn finish(mut self) -> Self {
-        self.binner.finish();
+        self.seal_all();
         self
+    }
+
+    /// Writes zero over every cell, in address order. Only for a shard no
+    /// record has reached: the cells are zero already, so nothing changes
+    /// but which thread first touches their pages, and in what order.
+    fn zero_cells(&mut self) {
+        debug_assert_eq!(self.records_accepted, 0);
+        for cells in [&mut self.bytes, &mut self.packets, &mut self.flows] {
+            cells.fill(0.0);
+        }
+    }
+
+    /// [`Self::finish`] in place.
+    fn seal_all(&mut self) {
+        self.sealed = self.bin_records.len();
+        self.distinct = Vec::new();
     }
 
     /// Distinct `(OD, 5-tuple)` pairs this shard holds in memory — zero
     /// once [finished](Self::finish).
     pub fn distinct_keys_live(&self) -> usize {
-        self.binner.distinct_keys_live()
+        self.distinct.iter().map(DistinctFlows::len).sum()
     }
 
     /// Bytes of distinct-flow table storage this shard owns — zero once
     /// [finished](Self::finish).
     pub fn distinct_table_bytes(&self) -> usize {
-        self.binner.distinct_table_bytes()
+        self.distinct.iter().map(DistinctFlows::table_bytes).sum()
     }
 }
 
 impl BinShard {
+    /// The sorted distinct 5-tuples of each cell of shard bin `bin` — all
+    /// empty for a sealed bin or a finished shard.
+    fn bin_keys(&self, bin: usize) -> Vec<Vec<FlowKey>> {
+        match self.distinct.get(bin) {
+            Some(table) => table.sorted_cells(self.num_od),
+            None => vec![Vec::new(); self.num_od],
+        }
+    }
+
     /// Snapshots everything this shard has accumulated into a
     /// [`ShardState`] — the crash-safe checkpoint path. Distinct 5-tuple
     /// sets are emitted in sorted order, so two shards that accepted the
     /// same records snapshot to identical state.
     pub fn export_state(&self) -> ShardState {
         ShardState {
+            bytes: self.bytes.clone(),
+            packets: self.packets.clone(),
+            flows: self.flows.clone(),
+            distinct: (0..self.bin_records.len()).flat_map(|bin| self.bin_keys(bin)).collect(),
+            bin_records: self.bin_records.clone(),
+            records_accepted: self.records_accepted,
             resolution: self.resolver.stats(),
             dropped_out_of_window: self.dropped_out_of_window,
             dropped_late: self.dropped_late,
-            ..self.binner.export_state()
         }
     }
 
-    /// Snapshots **global** bin `bin` alone, in O(row + keys) — what an
-    /// incremental checkpoint writes for a bin that received records —
-    /// or `None` when this shard does not own that bin.
+    /// Snapshots **global** bin `bin` alone — its three rows, its cells'
+    /// distinct 5-tuples (sorted) and its record count — in
+    /// O(row + keys log keys): what an incremental checkpoint writes for a
+    /// bin that received records. `None` when this shard does not own
+    /// that bin.
     pub fn export_bin(&self, bin: usize) -> Option<BinState> {
-        let mut state = self.binner.export_bin(bin.checked_sub(self.first_bin)?)?;
-        state.bin = bin;
-        Some(state)
+        let local = self.local_bin(bin)?;
+        let cells = local * self.num_od..(local + 1) * self.num_od;
+        Some(BinState {
+            bin,
+            records: self.bin_records[local],
+            bytes: self.bytes[cells.clone()].to_vec(),
+            packets: self.packets[cells.clone()].to_vec(),
+            flows: self.flows[cells].to_vec(),
+            distinct: self.bin_keys(local),
+        })
     }
 
     /// Replaces this shard's accumulation state with a snapshot taken
-    /// from a shard of identical geometry. Records pushed after the
-    /// restore accumulate bit-identically to the uninterrupted original —
-    /// the recovery contract of the serve-layer checkpointing.
+    /// from a shard of identical geometry. The distinct tables are rebuilt
+    /// by insertion and nothing stays sealed (the owner re-seals what its
+    /// watermark says) — membership is all [`Self::push_sampled_record`]
+    /// ever consults, so records pushed after the restore accumulate
+    /// bit-identically to the uninterrupted original: the recovery
+    /// contract of the serve-layer checkpointing.
     ///
     /// # Errors
     ///
     /// [`FlowError::Codec`] when the snapshot's cell shape does not match
-    /// this shard's window.
+    /// this shard's bins.
     pub fn restore_state(&mut self, state: &ShardState) -> Result<()> {
-        self.binner.restore_state(state)?;
+        let num_bins = self.bin_records.len();
+        let cells = num_bins * self.num_od;
+        let shape_ok = state.bytes.len() == cells
+            && state.packets.len() == cells
+            && state.flows.len() == cells
+            && state.distinct.len() == cells
+            && state.bin_records.len() == num_bins;
+        if !shape_ok {
+            return Err(FlowError::Codec {
+                reason: format!(
+                    "shard snapshot shape mismatch: {} cells expected, got {}/{}/{}/{} and {} bins",
+                    cells,
+                    state.bytes.len(),
+                    state.packets.len(),
+                    state.flows.len(),
+                    state.distinct.len(),
+                    state.bin_records.len()
+                ),
+            });
+        }
+        self.bytes.clone_from(&state.bytes);
+        self.packets.clone_from(&state.packets);
+        self.flows.clone_from(&state.flows);
+        self.distinct = state
+            .distinct
+            .chunks(self.num_od)
+            .map(|bin_cells| {
+                let mut table = DistinctFlows::new();
+                table.reserve(bin_cells.iter().map(Vec::len).sum());
+                for (od, keys) in (0u32..).zip(bin_cells) {
+                    for &key in keys {
+                        table.insert(od, key);
+                    }
+                }
+                table
+            })
+            .collect();
+        self.sealed = 0;
+        self.bin_records.clone_from(&state.bin_records);
+        self.records_accepted = state.records_accepted;
         self.resolver.restore_stats(state.resolution);
         self.dropped_out_of_window = state.dropped_out_of_window;
         self.dropped_late = state.dropped_late;
@@ -442,27 +599,49 @@ impl ShardedIngest {
     ///
     /// # Errors
     ///
-    /// Propagates window/OD-space validation errors from the binner
-    /// configuration.
+    /// * [`FlowError::InvalidBinWidth`] if `bin_secs == 0`.
+    /// * [`FlowError::NoData`] if the window or OD space is empty.
+    /// * [`FlowError::WindowOverflow`] if the window cannot be addressed:
+    ///   its end timestamp overflows `u64`, a cell vector or the per-bin
+    ///   tables would exceed `isize::MAX` bytes, or an OD index needs more
+    ///   than the 32 bits a distinct-flow slot keeps.
     pub fn new(
         config: PipelineConfig,
         topology: &odflow_net::Topology,
         ingress: odflow_net::IngressResolver,
         routes: odflow_net::RouteTable,
     ) -> Result<Self> {
-        if config.bin_secs == 0 {
+        let PipelineConfig { start_secs, bin_secs, num_bins } = config;
+        let num_od = topology.num_od_pairs();
+        if bin_secs == 0 {
             return Err(FlowError::InvalidBinWidth { width_secs: 0 });
         }
-        if config.num_bins == 0 || topology.num_od_pairs() == 0 {
+        if num_bins == 0 || num_od == 0 {
             return Err(FlowError::NoData);
         }
+        let overflow = |reason: String| Err(FlowError::WindowOverflow { reason });
+        if (num_bins as u64).checked_mul(bin_secs).and_then(|s| s.checked_add(start_secs)).is_none()
+        {
+            return overflow(format!(
+                "{num_bins} bins of {bin_secs} s from {start_secs} end past u64::MAX seconds"
+            ));
+        }
+        let cells = num_bins.checked_mul(num_od).filter(|&c| Layout::array::<f64>(c).is_ok());
+        if cells.is_none() || Layout::array::<DistinctFlows>(num_bins).is_err() {
+            return overflow(format!(
+                "{num_bins} bins x {num_od} OD pairs exceed isize::MAX bytes"
+            ));
+        }
+        if u32::try_from(num_od).is_err() {
+            return overflow(format!("{num_od} OD pairs exceed a 32-bit OD index"));
+        }
         Ok(ShardedIngest {
-            start_secs: config.start_secs,
-            bin_secs: config.bin_secs,
-            num_bins: config.num_bins,
-            num_od: topology.num_od_pairs(),
+            start_secs,
+            bin_secs,
+            num_bins,
+            num_od,
             resolver: OdResolver::new(topology, ingress, routes),
-            shard_bins: DEFAULT_SHARD_BINS.min(config.num_bins.div_ceil(SHORT_WINDOW_SHARDS)),
+            shard_bins: DEFAULT_SHARD_BINS.min(num_bins.div_ceil(SHORT_WINDOW_SHARDS)),
         })
     }
 
@@ -515,35 +694,29 @@ impl ShardedIngest {
         if bins.is_empty() || bins.end > self.num_bins {
             return Err(FlowError::NoData);
         }
-        let cells = || vec![0.0; bins.len() * self.num_od];
-        self.shard_over(bins.start, cells(), cells(), cells())
+        let cells = bins.len() * self.num_od;
+        Ok(self.shard_over(bins, vec![0.0; cells], vec![0.0; cells], vec![0.0; cells]))
     }
 
-    /// A shard starting at global bin `first_bin`, as many bins long as the
-    /// (zeroed) cell storage has rows.
-    fn shard_over<S: DerefMut<Target = [f64]>>(
-        &self,
-        first_bin: usize,
-        bytes: S,
-        packets: S,
-        flows: S,
-    ) -> Result<BinShard<S>> {
-        let binner = OdBinner::over(
-            self.start_secs + first_bin as u64 * self.bin_secs,
-            self.bin_secs,
-            self.num_od,
+    /// An empty shard over global bins `bins`, accumulating into the
+    /// given zeroed row-major cell storage of `bins.len()` rows.
+    fn shard_over<S>(&self, bins: Range<usize>, bytes: S, packets: S, flows: S) -> BinShard<S> {
+        BinShard {
+            first_bin: bins.start,
+            resolver: self.resolver.clone(),
+            window: self.window(),
+            bin_secs: self.bin_secs,
+            num_od: self.num_od,
             bytes,
             packets,
             flows,
-        )?;
-        Ok(BinShard {
-            first_bin,
-            resolver: self.resolver.clone(),
-            binner,
-            window: self.window(),
+            distinct: vec![DistinctFlows::new(); bins.len()],
+            sealed: 0,
+            bin_records: vec![0; bins.len()],
+            records_accepted: 0,
             dropped_out_of_window: 0,
             dropped_late: 0,
-        })
+        }
     }
 
     /// The shard responsible for timestamp `ts`: the owner of its bin, or —
@@ -587,17 +760,17 @@ impl ShardedIngest {
             .zip(packets.chunks_mut(rows))
             .zip(flows.chunks_mut(rows))
             .enumerate()
-            .map(|(i, ((b, p), f))| Ok((self.shard_over(i * self.shard_bins, b, p, f)?, Ok(()))))
-            .collect::<Result<Vec<(BinShard<&mut [f64]>, Result<()>)>>>()?;
+            .map(|(i, ((b, p), f))| (self.shard_over(self.shard_range(i), b, p, f), Ok(())))
+            .collect::<Vec<(BinShard<&mut [f64]>, Result<()>)>>();
         odflow_par::parallel_chunks(&mut shards, 1, |i, task| {
             let (shard, status) = &mut task[0];
             // The vectors come from the allocator as untouched zero pages.
             // Writing the shard's rows in address order first makes this
             // task fault them in sequentially (≈ 1.6 µs a page here) rather
             // than one random `+=` at a time (≈ 14 µs a page).
-            shard.binner.zero_cells();
+            shard.zero_cells();
             *status = fill(i, shard);
-            shard.binner.finish();
+            shard.seal_all();
         });
 
         let mut tally = ShardTally::default();
@@ -623,7 +796,7 @@ impl ShardedIngest {
     pub fn merge(&self, shards: Vec<BinShard>) -> Result<IngestOutcome> {
         let gap = |expected_bin, got_bin| Err(FlowError::ShardGap { expected_bin, got_bin });
         let mut shards = shards.into_iter();
-        let Some(mut shard) = shards.next() else { return gap(0, self.num_bins) };
+        let Some(shard) = shards.next() else { return gap(0, self.num_bins) };
         let bins = shard.bins();
         if bins.start != 0 {
             return gap(0, bins.start);
@@ -635,9 +808,8 @@ impl ShardedIngest {
         if let Some(extra) = shards.next() {
             return gap(self.num_bins, extra.bins().start);
         }
-        shard.binner.finish();
         let mut tally = ShardTally::default();
-        let (bytes, packets, flows) = tally.add(shard);
+        let (bytes, packets, flows) = tally.add(shard.finish());
         self.outcome(bytes, packets, flows, tally)
     }
 
@@ -787,10 +959,9 @@ impl ShardTally {
         self.stats.merge(&shard.resolver.stats());
         self.dropped += shard.dropped_out_of_window;
         self.late += shard.dropped_late;
-        self.accepted += shard.binner.records_accepted();
-        let (bytes, packets, flows, bin_records) = shard.binner.into_cells();
-        self.bin_records.extend(bin_records);
-        (bytes, packets, flows)
+        self.accepted += shard.records_accepted;
+        self.bin_records.extend(shard.bin_records);
+        (shard.bytes, shard.packets, shard.flows)
     }
 }
 
@@ -1411,5 +1582,31 @@ mod tests {
         let engine = ShardedIngest::new(cfg, &t, ingress, routes).unwrap();
         assert!(engine.make_shard(2..2).is_err());
         assert!(engine.make_shard(2..9).is_err());
+    }
+
+    #[test]
+    fn a_window_past_the_address_space_is_an_error() {
+        let t = Topology::abilene();
+        let routes = AddressPlan::synthetic(&t).build_route_table(1.0).unwrap();
+        let ingress = IngressResolver::synthetic(&t);
+        let new = |cfg| ShardedIngest::new(cfg, &t, ingress.clone(), routes.clone()).map(|_| ());
+        let overflow = |r: Result<()>| matches!(r, Err(FlowError::WindowOverflow { .. }));
+        // 2^61 bins x 121 OD pairs wraps usize; 2^56 bins x 121 cells do
+        // not, but their 8 bytes a cell exceed isize::MAX.
+        assert!(overflow(new(PipelineConfig::abilene(0, 1 << 61))));
+        assert!(overflow(new(PipelineConfig::abilene(0, 1 << 56))));
+        // The window's end wraps u64 seconds.
+        assert!(overflow(new(PipelineConfig::abilene(u64::MAX - 600, 3))));
+        let wide = PipelineConfig { start_secs: 0, bin_secs: u64::MAX / 2, num_bins: 3 };
+        assert!(overflow(new(wide)));
+        // At the edge: the window ends exactly at u64::MAX.
+        assert_eq!(new(PipelineConfig::abilene(u64::MAX - 900, 3)), Ok(()));
+        // With one OD pair the cells of 2^59 bins fit; their per-bin
+        // distinct-flow tables do not.
+        let one = Topology::synthetic_mesh(1).unwrap();
+        let routes = AddressPlan::synthetic(&one).build_route_table(1.0).unwrap();
+        let cfg = PipelineConfig::abilene(0, 1 << 59);
+        let r = ShardedIngest::new(cfg, &one, IngressResolver::synthetic(&one), routes);
+        assert!(overflow(r.map(|_| ())));
     }
 }

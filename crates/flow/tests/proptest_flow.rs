@@ -1,8 +1,8 @@
 //! Property-based tests for the measurement substrate.
 
 use odflow_flow::{
-    netflow, DistinctFlows, FlowAggregator, FlowKey, FlowRecord, OdBinner, PacketObs,
-    PipelineConfig, Protocol, ShardedIngest,
+    netflow, DistinctFlows, FlowAggregator, FlowKey, FlowRecord, PacketObs, PipelineConfig,
+    Protocol, ShardedIngest,
 };
 use odflow_net::{AddressPlan, IngressResolver, IpAddr, Topology};
 use proptest::prelude::*;
@@ -382,25 +382,42 @@ proptest! {
 
     #[test]
     fn binner_conserves_totals(
-        records in proptest::collection::vec(arb_record(), 1..300),
-        num_od in 1usize..121,
+        draws in proptest::collection::vec((arb_record(), 0usize..11), 1..300),
     ) {
-        let mut binner = OdBinner::new(0, 300, 20, num_od).unwrap();
+        // Every record resolves — it enters at a customer port, bound for
+        // a PoP's customer space — and the window's 18 bins end at minute
+        // 90, so the last tenth of the minutes fall outside it.
+        let t = Topology::abilene();
+        let plan = AddressPlan::synthetic(&t);
+        let engine = ShardedIngest::new(
+            PipelineConfig::abilene(0, 18),
+            &t,
+            IngressResolver::synthetic(&t),
+            plan.build_route_table(1.0).unwrap(),
+        )
+        .unwrap();
+        let mut shard = engine.make_shard(0..18).unwrap();
         let mut expect_bytes = 0.0;
         let mut expect_packets = 0.0;
-        for (i, r) in records.iter().enumerate() {
-            if r.window_start >= 20 * 300 {
-                continue;
+        for &(r, dst_pop) in &draws {
+            let dst_ip = plan.customer_addr(dst_pop, 0, r.key.dst_ip.0);
+            shard.push_sampled_record(FlowRecord {
+                key: FlowKey { dst_ip, ..r.key },
+                interface: 0,
+                ..r
+            })
+            .unwrap();
+            if r.window_start < 18 * 300 {
+                expect_bytes += r.bytes as f64;
+                expect_packets += r.packets as f64;
             }
-            binner.push(i % num_od, r).unwrap();
-            expect_bytes += r.bytes as f64;
-            expect_packets += r.packets as f64;
         }
-        if binner.records_accepted() == 0 {
+        let accepted = shard.records_accepted();
+        prop_assert_eq!(accepted + shard.dropped_out_of_window(), draws.len() as u64);
+        if accepted == 0 {
             return Ok(());
         }
-        let accepted = binner.records_accepted();
-        let set = binner.finalize().unwrap();
+        let set = engine.merge(vec![shard]).unwrap().matrices;
         let got_bytes: f64 = set.bytes.totals().iter().sum();
         let got_packets: f64 = set.packets.totals().iter().sum();
         prop_assert!((got_bytes - expect_bytes).abs() < 1e-6 * (1.0 + expect_bytes));

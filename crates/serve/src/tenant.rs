@@ -800,6 +800,20 @@ mod tests {
     }
 
     #[test]
+    fn a_window_past_the_address_space_is_refused_not_a_panic() {
+        // What `odflow_serve --bins 2305843009213693952` asks for.
+        let scenario = Scenario::paper_window(17, NUM_BINS).unwrap();
+        let routes = scenario.plan.build_route_table(1.0).unwrap();
+        let ingress = IngressResolver::synthetic(&scenario.topology);
+        let config = TenantConfig::abilene("t0", 0, 1 << 61);
+        let tenant = TenantPipeline::new(config, &scenario.topology, ingress, routes);
+        assert!(matches!(
+            tenant,
+            Err(ServeError::Flow(odflow_flow::FlowError::WindowOverflow { .. }))
+        ));
+    }
+
+    #[test]
     fn empty_window_flush_is_a_clean_error() {
         let scenario = Scenario::paper_window(17, NUM_BINS).unwrap();
         let tenant = tenant_over(&scenario, 0);

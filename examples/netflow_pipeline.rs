@@ -12,8 +12,8 @@
 #![forbid(unsafe_code)]
 
 use odflow::flow::{
-    netflow, FlowAggregator, FlowKey, OdBinner, OdResolution, OdResolver, PacketObs, PacketSampler,
-    Protocol, MINUTE_SECS,
+    netflow, FlowAggregator, FlowKey, MeasurementPipeline, PacketObs, PacketSampler,
+    PipelineConfig, Protocol, MINUTE_SECS,
 };
 use odflow::net::{AddressPlan, IngressResolver, Topology};
 use rand::Rng;
@@ -85,16 +85,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Stage 4: anonymize + resolve to OD pairs + bin. ---
     let routes = plan.build_route_table(1.0)?;
     let ingress = IngressResolver::synthetic(&topology);
-    let mut resolver = OdResolver::new(&topology, ingress, routes);
-    let mut binner = OdBinner::new(0, 300, (horizon / 300) as usize, topology.num_od_pairs())?;
-    for mut r in decoded {
-        r.key = r.key.with_anonymized_dst();
-        if let OdResolution::Resolved { od_index } = resolver.resolve(&r) {
-            binner.push(od_index, &r)?;
-        }
+    let config = PipelineConfig::abilene(0, (horizon / 300) as usize);
+    let mut pipeline = MeasurementPipeline::new(config, &topology, ingress, routes)?;
+    for r in decoded {
+        pipeline.push_sampled_record(r)?;
     }
-    let stats = resolver.stats();
-    let matrices = binner.finalize()?;
+    let (matrices, stats) = pipeline.finalize()?;
     println!(
         "stage 4: {:.1}% of flows resolved ({:.1}% of bytes); {} x {} traffic matrices",
         stats.flow_rate() * 100.0,

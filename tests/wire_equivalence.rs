@@ -3,9 +3,7 @@
 //! records, and the packet-level path agrees with the record-level
 //! shortcut in distribution.
 
-use odflow::flow::{
-    netflow, FlowRecord, MeasurementPipeline, OdBinner, OdResolution, OdResolver, PipelineConfig,
-};
+use odflow::flow::{netflow, FlowRecord, MeasurementPipeline, PipelineConfig};
 use odflow::gen::{Scenario, ScenarioConfig};
 use odflow::net::IngressResolver;
 
@@ -14,13 +12,18 @@ fn small_scenario(seed: u64) -> Scenario {
     Scenario::new(config, vec![]).unwrap()
 }
 
-/// Runs records through the normal in-memory pipeline.
-fn matrices_direct(scenario: &Scenario) -> odflow::flow::TrafficMatrixSet {
-    let generator = scenario.generator();
+/// An empty serial pipeline over the scenario's 24-bin window.
+fn pipeline(scenario: &Scenario) -> MeasurementPipeline {
     let routes = scenario.plan.build_route_table(1.0).unwrap();
     let ingress = IngressResolver::synthetic(&scenario.topology);
     let cfg = PipelineConfig::abilene(0, 24);
-    let mut pipeline = MeasurementPipeline::new(cfg, &scenario.topology, ingress, routes).unwrap();
+    MeasurementPipeline::new(cfg, &scenario.topology, ingress, routes).unwrap()
+}
+
+/// Runs records through the normal in-memory pipeline.
+fn matrices_direct(scenario: &Scenario) -> odflow::flow::TrafficMatrixSet {
+    let generator = scenario.generator();
+    let mut pipeline = pipeline(scenario);
     for bin in 0..generator.num_bins() {
         for r in generator.records_for_bin(bin) {
             pipeline.push_sampled_record(r).unwrap();
@@ -30,14 +33,10 @@ fn matrices_direct(scenario: &Scenario) -> odflow::flow::TrafficMatrixSet {
 }
 
 /// Serializes every record to NetFlow v5 datagrams, decodes them, then
-/// binning — the full wire round-trip.
+/// bins them — the full wire round-trip.
 fn matrices_via_wire(scenario: &Scenario) -> odflow::flow::TrafficMatrixSet {
     let generator = scenario.generator();
-    let routes = scenario.plan.build_route_table(1.0).unwrap();
-    let ingress = IngressResolver::synthetic(&scenario.topology);
-    let mut resolver = OdResolver::new(&scenario.topology, ingress, routes);
-    let mut binner = OdBinner::new(0, 300, 24, scenario.topology.num_od_pairs()).unwrap();
-
+    let mut pipeline = pipeline(scenario);
     for bin in 0..generator.num_bins() {
         // Group records per exporting router, as real collectors receive
         // them (the v5 engine_id carries the router).
@@ -45,19 +44,14 @@ fn matrices_via_wire(scenario: &Scenario) -> odflow::flow::TrafficMatrixSet {
         for router in 0..scenario.topology.num_pops() {
             let batch: Vec<FlowRecord> =
                 records.iter().filter(|r| r.router == router).copied().collect();
-            let dgrams = netflow::encode_datagrams(&batch, 0, router as u8, 100, 0);
-            for d in &dgrams {
-                let (_, decoded) = netflow::decode_datagram(d).unwrap();
-                for mut r in decoded {
-                    r.key = r.key.with_anonymized_dst();
-                    if let OdResolution::Resolved { od_index } = resolver.resolve(&r) {
-                        binner.push(od_index, &r).unwrap();
-                    }
+            for d in &netflow::encode_datagrams(&batch, 0, router as u8, 100, 0) {
+                for r in netflow::decode_datagram(d).unwrap().1 {
+                    pipeline.push_sampled_record(r).unwrap();
                 }
             }
         }
     }
-    binner.finalize().unwrap()
+    pipeline.finalize().unwrap().0
 }
 
 #[test]
@@ -79,16 +73,13 @@ fn wire_roundtrip_preserves_matrices() {
 fn wire_path_preserves_resolution_rate() {
     let scenario = small_scenario(0x22F8);
     let generator = scenario.generator();
-    let routes = scenario.plan.build_route_table(1.0).unwrap();
-    let ingress = IngressResolver::synthetic(&scenario.topology);
-    let mut resolver = OdResolver::new(&scenario.topology, ingress, routes);
+    let mut pipeline = pipeline(&scenario);
     for bin in 0..generator.num_bins() {
-        for mut r in generator.records_for_bin(bin) {
-            r.key = r.key.with_anonymized_dst();
-            let _ = resolver.resolve(&r);
+        for r in generator.records_for_bin(bin) {
+            pipeline.push_sampled_record(r).unwrap();
         }
     }
-    let rate = resolver.stats().flow_rate();
+    let rate = pipeline.resolution_stats().flow_rate();
     assert!(
         (rate - 0.94).abs() < 0.02,
         "resolution rate {rate:.3} should sit at the configured ~94%"
