@@ -132,24 +132,18 @@ pub enum DegradedReason {
     },
 }
 
-/// Per-bin quality-aware verdict.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BinVerdict {
-    /// Clean bin at full confidence: anomalous iff it appears in the
-    /// detection list.
-    Scored,
-    /// Verdict withheld ([`DegradedReason::MaskedBin`]) or weakened.
-    Degraded(DegradedReason),
-}
-
 /// [`Analysis`] augmented with per-bin quality verdicts.
 #[derive(Debug, Clone)]
 pub struct QualityAnalysis {
     /// The underlying analysis. Masked bins carry zero SPE/T² and never
     /// appear in `detections`.
     pub analysis: Analysis,
-    /// One verdict per bin, aligned with the analysis series.
-    pub verdicts: Vec<BinVerdict>,
+    /// One verdict per bin, aligned with the analysis series, in the form
+    /// [`StreamVerdict::degraded`](crate::StreamVerdict::degraded) takes:
+    /// `None` for a clean bin at full confidence (anomalous iff it appears
+    /// in `detections`), or why its verdict was withheld
+    /// ([`DegradedReason::MaskedBin`]) or weakened.
+    pub verdicts: Vec<Option<DegradedReason>>,
     /// The effective SPE threshold used (widened when `widened`).
     pub spe_threshold: f64,
     /// `true` when the imputed fraction exceeded
@@ -298,16 +292,16 @@ impl SubspaceDetector {
             detections.extend(chunk.detections);
         }
 
-        let verdicts: Vec<BinVerdict> = quality
+        let verdicts = quality
             .bins
             .iter()
             .map(|s| match s {
-                BinStatus::Masked => BinVerdict::Degraded(DegradedReason::MaskedBin),
-                BinStatus::Imputed => BinVerdict::Degraded(DegradedReason::ImputedBin),
+                BinStatus::Masked => Some(DegradedReason::MaskedBin),
+                BinStatus::Imputed => Some(DegradedReason::ImputedBin),
                 BinStatus::Ok if widened => {
-                    BinVerdict::Degraded(DegradedReason::WidenedThreshold { imputed_fraction })
+                    Some(DegradedReason::WidenedThreshold { imputed_fraction })
                 }
-                BinStatus::Ok => BinVerdict::Scored,
+                BinStatus::Ok => None,
             })
             .collect();
 
@@ -431,8 +425,8 @@ mod tests {
         assert!(qa.analysis.detections_at(120).is_empty(), "masked bin must not alarm");
         assert_eq!(qa.analysis.spe[120], 0.0);
         assert_eq!(qa.analysis.t2[120], 0.0);
-        assert_eq!(qa.verdicts[120], BinVerdict::Degraded(DegradedReason::MaskedBin));
-        let masked = BinVerdict::Degraded(DegradedReason::MaskedBin);
+        assert_eq!(qa.verdicts[120], Some(DegradedReason::MaskedBin));
+        let masked = Some(DegradedReason::MaskedBin);
         let withheld: Vec<usize> = (0..400).filter(|&b| qa.verdicts[b] == masked).collect();
         assert_eq!(withheld, [120]);
         assert_eq!(qa.analysis.model.num_train_bins(), 399, "masked row excluded from fit");
@@ -473,13 +467,10 @@ mod tests {
         );
         assert_eq!(
             qa.verdicts[0],
-            BinVerdict::Degraded(DegradedReason::ImputedBin),
+            Some(DegradedReason::ImputedBin),
             "imputed bins keep the more specific reason"
         );
-        assert!(matches!(
-            qa.verdicts[30],
-            BinVerdict::Degraded(DegradedReason::WidenedThreshold { .. })
-        ));
+        assert!(matches!(qa.verdicts[30], Some(DegradedReason::WidenedThreshold { .. })));
     }
 
     #[test]
@@ -489,8 +480,8 @@ mod tests {
         q.bins[7] = odflow_flow::BinStatus::Imputed; // 0.25% < bound
         let qa = SubspaceDetector::default().analyze_with_quality(&x, &q).unwrap();
         assert!(!qa.widened);
-        assert_eq!(qa.verdicts[7], BinVerdict::Degraded(DegradedReason::ImputedBin));
-        assert_eq!(qa.verdicts[8], BinVerdict::Scored);
+        assert_eq!(qa.verdicts[7], Some(DegradedReason::ImputedBin));
+        assert_eq!(qa.verdicts[8], None);
     }
 
     #[test]

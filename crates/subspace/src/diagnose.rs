@@ -6,7 +6,7 @@
 //! threshold exceedance, and merge the resulting (traffic type, time,
 //! OD flow) triples into final [`AnomalyEvent`]s.
 
-use crate::detector::{Analysis, BinVerdict, SubspaceDetector};
+use crate::detector::{Analysis, DegradedReason, SubspaceDetector};
 use crate::error::Result;
 use crate::events::{merge_detections, AnomalyEvent, DetectionTriple};
 use crate::identify::identify;
@@ -49,9 +49,12 @@ pub struct QualityDiagnosis {
     /// The merged diagnosis. Masked bins never contribute detections,
     /// triples, or events.
     pub diagnosis: Diagnosis,
-    /// One verdict per bin (shared by all three traffic views — quality
-    /// is a property of the ingest window, not of a view).
-    pub verdicts: Vec<BinVerdict>,
+    /// One verdict per bin, as [`QualityAnalysis::verdicts`] has it
+    /// (shared by all three traffic views — quality is a property of the
+    /// ingest window, not of a view).
+    ///
+    /// [`QualityAnalysis::verdicts`]: crate::QualityAnalysis::verdicts
+    pub verdicts: Vec<Option<DegradedReason>>,
     /// `true` when the SPE band was widened on any view.
     pub widened: bool,
 }
@@ -210,7 +213,6 @@ mod tests {
 
     #[test]
     fn masked_bin_spike_yields_no_event_but_clean_spike_survives() {
-        use crate::detector::{BinVerdict, DegradedReason};
         use odflow_flow::{BinStatus, DataQuality};
         // A huge flow-view spike at bin 150 — but the bin is masked, so
         // the quality-aware diagnosis must stay silent there while still
@@ -229,8 +231,8 @@ mod tests {
             "clean spike must still be detected"
         );
         assert_eq!(qd.verdicts.len(), 400);
-        assert_eq!(qd.verdicts[150], BinVerdict::Degraded(DegradedReason::MaskedBin));
-        assert_eq!(qd.verdicts[300], BinVerdict::Scored);
+        assert_eq!(qd.verdicts[150], Some(DegradedReason::MaskedBin));
+        assert_eq!(qd.verdicts[300], None);
         assert!(!qd.widened);
         // The plain diagnosis on the same set *does* flag bin 150 — the
         // degradation is doing real work.

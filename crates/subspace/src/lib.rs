@@ -32,7 +32,11 @@
 //! the ingest path's [`odflow_flow::DataQuality`] /
 //! [`odflow_flow::BinStatus`]: masked bins are never scored, imputed bins
 //! are marked, and heavily imputed windows widen the Jackson–Mudholkar
-//! band instead of alarming on repairs. `analyze`, [`diagnose`] and `push`
+//! band instead of alarming on repairs. Each bin's verdict is one
+//! `Option<`[`DegradedReason`]`>` on every path — `None` when it was
+//! scored at full confidence — in [`QualityAnalysis::verdicts`],
+//! [`QualityDiagnosis::verdicts`] and [`StreamVerdict::degraded`] alike.
+//! `analyze`, [`diagnose`] and `push`
 //! are the same calls under a pristine report, and one crate-private
 //! kernel on [`SubspaceModel`] is the only place a statistic is compared
 //! with a threshold.
@@ -73,8 +77,8 @@ pub(crate) mod testutil;
 mod tsq;
 
 pub use detector::{
-    Analysis, BinVerdict, DegradedReason, Detection, QualityAnalysis, StatisticKind,
-    SubspaceDetector, IMPUTED_FRACTION_BOUND, WIDEN_ALPHA_FACTOR,
+    Analysis, DegradedReason, Detection, QualityAnalysis, StatisticKind, SubspaceDetector,
+    IMPUTED_FRACTION_BOUND, WIDEN_ALPHA_FACTOR,
 };
 pub use diagnose::{diagnose, diagnose_with_quality, Diagnosis, QualityDiagnosis};
 pub use eigenflow::EigenflowDecomposition;

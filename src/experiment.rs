@@ -19,7 +19,7 @@ use odflow_gen::{FaultSchedule, FaultStormStats, Scenario, TraceGenerator};
 use odflow_linalg::Matrix;
 use odflow_net::{IngressResolver, RouteTable};
 use odflow_subspace::{
-    diagnose_with_quality, Analysis, AnomalyEvent, BinVerdict, Diagnosis, SubspaceConfig,
+    diagnose_with_quality, Analysis, AnomalyEvent, DegradedReason, Diagnosis, SubspaceConfig,
     SubspaceDetector,
 };
 
@@ -125,8 +125,9 @@ pub struct FaultedScenarioRun {
     pub quality: DataQuality,
     /// The fault engine's own accounting of what it injected.
     pub storm: FaultStormStats,
-    /// Per-bin quality verdicts from the detection stage.
-    pub verdicts: Vec<BinVerdict>,
+    /// Per-bin quality verdicts from the detection stage: `None` for a
+    /// bin scored at full confidence, else why it was degraded.
+    pub verdicts: Vec<Option<DegradedReason>>,
     /// `true` when the SPE band was widened by heavy imputation.
     pub widened: bool,
 }
