@@ -110,11 +110,6 @@ pub struct ServeConfig {
     /// Consecutive worker panics (without bin progress in between) before
     /// a tenant is quarantined instead of restarted.
     pub max_restarts: u32,
-    /// Base delay between worker restarts; doubles per consecutive
-    /// attempt, plus deterministic jitter.
-    pub restart_backoff: Duration,
-    /// Seed of the deterministic restart jitter.
-    pub restart_jitter_seed: u64,
 }
 
 impl Default for ServeConfig {
@@ -128,11 +123,16 @@ impl Default for ServeConfig {
             start_paused: false,
             checkpoint_dir: None,
             max_restarts: 3,
-            restart_backoff: Duration::from_millis(2),
-            restart_jitter_seed: 0x0df1_0c4e_c4e5_eed5,
         }
     }
 }
+
+/// Base delay between worker restarts; doubles per consecutive attempt,
+/// plus deterministic jitter (see [`restart_backoff`]).
+const RESTART_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Seed of the deterministic restart jitter.
+const RESTART_JITTER_SEED: u64 = 0x0df1_0c4e_c4e5_eed5;
 
 /// Shared control/observation state behind [`DaemonHandle`].
 #[derive(Debug)]
@@ -238,20 +238,12 @@ pub struct Daemon {
     specs: Vec<TenantSpec>,
     /// Checkpoint stores, one per pipeline (`None` when disabled).
     stores: Vec<Option<CheckpointStore>>,
-    policy: RestartPolicy,
+    max_restarts: u32,
     queue_caps: Vec<usize>,
     udp: Option<UdpSocket>,
     tcp: Option<TcpListener>,
     metrics_listener: Option<TcpListener>,
     tick: Duration,
-}
-
-/// The supervisor's restart parameters, lifted off [`ServeConfig`].
-#[derive(Debug, Clone, Copy)]
-struct RestartPolicy {
-    max_restarts: u32,
-    backoff: Duration,
-    jitter_seed: u64,
 }
 
 impl Daemon {
@@ -371,11 +363,7 @@ impl Daemon {
                 pipelines,
                 specs: config.tenants,
                 stores,
-                policy: RestartPolicy {
-                    max_restarts: config.max_restarts,
-                    backoff: config.restart_backoff,
-                    jitter_seed: config.restart_jitter_seed,
-                },
+                max_restarts: config.max_restarts,
                 queue_caps,
                 udp,
                 tcp,
@@ -421,7 +409,7 @@ impl Daemon {
             pipelines,
             specs,
             stores,
-            policy,
+            max_restarts,
             queue_caps,
             udp,
             tcp,
@@ -474,7 +462,7 @@ impl Daemon {
                     let supervisor = Supervisor {
                         spec,
                         store,
-                        policy,
+                        max_restarts,
                         queue,
                         control: control_ref,
                         sources: sources_ref,
@@ -862,7 +850,7 @@ fn serve_metrics_client(mut stream: TcpStream, control: &Control) {
 struct Supervisor<'a> {
     spec: TenantSpec,
     store: Option<CheckpointStore>,
-    policy: RestartPolicy,
+    max_restarts: u32,
     queue: Arc<BoundedQueue<FrameBatch>>,
     control: &'a Control,
     sources: &'a AtomicUsize,
@@ -921,14 +909,14 @@ impl Supervisor<'_> {
             TenantCounters::add(&counters.restarts, 1);
             let progressed = TenantCounters::get(&counters.bins_closed) > bins_before;
             consecutive = if progressed { 1 } else { consecutive + 1 };
-            if consecutive > self.policy.max_restarts {
+            if consecutive > self.max_restarts {
                 TenantCounters::set(&counters.quarantined, 1);
                 return TenantEnd::Failed {
                     name,
                     reason: format!("quarantined after {consecutive} consecutive worker panics"),
                 };
             }
-            std::thread::sleep(restart_backoff(self.policy, attempt));
+            std::thread::sleep(restart_backoff(attempt));
             match rebuild_pipeline(&self.spec, self.store.as_ref(), &counters) {
                 Ok((successor, _)) => pipeline = successor,
                 Err(e) => {
@@ -983,14 +971,15 @@ fn rebuild_pipeline(
 }
 
 /// Exponential backoff with deterministic splitmix64 jitter: attempt `k`
-/// sleeps `backoff * 2^min(k-1, 6)` plus up to one extra `backoff` of
-/// seeded jitter, so restarting tenants don't stampede in lockstep yet
-/// every run of the test suite sleeps identically.
-fn restart_backoff(policy: RestartPolicy, attempt: u64) -> Duration {
+/// sleeps `RESTART_BACKOFF * 2^min(k-1, 6)` plus up to one extra
+/// `RESTART_BACKOFF` of seeded jitter, so restarting tenants don't
+/// stampede in lockstep yet every run of the test suite sleeps
+/// identically.
+fn restart_backoff(attempt: u64) -> Duration {
     let exp = u32::try_from(attempt.saturating_sub(1).min(6)).unwrap_or(6);
-    let base = policy.backoff.saturating_mul(1 << exp);
-    let span = u64::try_from(policy.backoff.as_nanos()).unwrap_or(u64::MAX).max(1);
-    base + Duration::from_nanos(splitmix64(policy.jitter_seed ^ attempt) % span)
+    let base = RESTART_BACKOFF.saturating_mul(1 << exp);
+    let span = u64::try_from(RESTART_BACKOFF.as_nanos()).unwrap_or(u64::MAX).max(1);
+    base + Duration::from_nanos(splitmix64(RESTART_JITTER_SEED ^ attempt) % span)
 }
 
 /// SplitMix64 — the workspace's stateless jitter/hash primitive.
