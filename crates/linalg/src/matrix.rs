@@ -281,7 +281,11 @@ impl Matrix {
     /// # Errors
     ///
     /// [`LinalgError::ShapeMismatch`] when `self.ncols() != rhs.ncols()`.
-    pub fn matmul_nt(&self, rhs: &Matrix) -> Result<Matrix> {
+    ///
+    /// The fits reach this kernel through `centered_matmul_nt`; this
+    /// uncentered whole-matrix form is the test oracles'.
+    #[cfg(test)]
+    pub(crate) fn matmul_nt(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.cols {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul_nt",
@@ -437,7 +441,8 @@ impl Matrix {
     }
 
     /// Extract a sub-matrix of the given row indices, preserving order.
-    pub fn select_rows(&self, indices: &[usize]) -> Result<Matrix> {
+    #[cfg(test)]
+    pub(crate) fn select_rows(&self, indices: &[usize]) -> Result<Matrix> {
         for &i in indices {
             if i >= self.rows {
                 return Err(LinalgError::OutOfBounds {
@@ -456,7 +461,8 @@ impl Matrix {
     }
 
     /// `true` if the matrix is symmetric to within `tol` (absolute).
-    pub fn is_symmetric(&self, tol: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_symmetric(&self, tol: f64) -> bool {
         if !self.is_square() {
             return false;
         }

@@ -1,12 +1,15 @@
-//! Workspace smoke test: the facade re-export surface stays intact and a
-//! tiny scenario round-trips through the full pipeline quickly.
+//! Workspace smoke test: the facade re-export surface stays intact, a
+//! tiny scenario round-trips through the full pipeline quickly, and
+//! README's crate map names the workspace's crates.
 //!
 //! This is the cheapest possible guard against workspace-manifest rot: it
 //! touches one item from every re-exported crate, runs a minimal
-//! [`odflow::experiment::run_scenario`] end to end, and drives a 2-node
-//! topology through the routing substrate.
+//! [`odflow::experiment::run_scenario`] end to end, drives a 2-node
+//! topology through the routing substrate, and reads the manifests.
 
 use odflow::experiment::{run_scenario, ExperimentConfig};
+use std::collections::BTreeSet;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Every `odflow::{...}` re-export must resolve and expose its core items.
@@ -88,4 +91,54 @@ fn tiny_scenario_roundtrip_is_fast() {
     assert!(run.resolution.flow_rate() > 0.5, "most flows must resolve");
     assert!(run.truth.is_empty(), "no injected anomalies were scheduled");
     assert!(elapsed < Duration::from_secs(1), "tiny scenario took {elapsed:?}, budget is 1s");
+}
+
+/// The text between the first pair of backticks in `cell`.
+fn backticked(cell: &str) -> Option<&str> {
+    cell.split('`').nth(1)
+}
+
+/// The package name a `Cargo.toml` declares: its first `name = "…"`.
+fn package_name(manifest: &str) -> String {
+    let line = manifest.lines().find(|l| l.starts_with("name = ")).expect("package name");
+    line.trim_start_matches("name = ").trim_matches('"').to_owned()
+}
+
+/// README's crate table lists exactly the workspace's own crates — every
+/// member outside `vendor/`, and the root — each under its package name
+/// at its path: a crate added, renamed, moved or removed without its row
+/// fails here.
+#[test]
+fn readme_crate_table_lists_the_workspace_crates() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: &Path| std::fs::read_to_string(path).expect("readable workspace file");
+
+    let manifest = read(&root.join("Cargo.toml"));
+    let members = manifest
+        .lines()
+        .skip_while(|l| l.trim() != "members = [")
+        .skip(1)
+        .take_while(|l| l.trim() != "]")
+        .filter_map(|l| l.trim().strip_prefix('"')?.strip_suffix("\","))
+        .filter(|path| !path.starts_with("vendor/"));
+    let workspace: BTreeSet<(String, String)> = members
+        .chain(["."])
+        .map(|path| (package_name(&read(&root.join(path).join("Cargo.toml"))), path.to_owned()))
+        .collect();
+
+    let readme = read(&root.join("README.md"));
+    let table: BTreeSet<(String, String)> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| Crate | Path | Role |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').collect();
+            let cell = |i: usize| backticked(cells[i]).expect("backticked cell").to_owned();
+            (cell(1), cell(2))
+        })
+        .collect();
+
+    assert!(workspace.len() >= 11, "workspace crates {workspace:?}");
+    assert_eq!(table, workspace, "README's crate table against the workspace manifests");
 }
