@@ -187,7 +187,7 @@ pub fn dominance(study: &Study, out: &mut String) -> Vec<Check> {
     let mut accuracy_at = Vec::new();
     for p in [0.05, 0.1, paper_p, 0.4, 0.6, 0.8] {
         let config = ExperimentConfig {
-            rules: RuleConfig { dominance: DominanceConfig { threshold: p }, ..study.config.rules },
+            rules: RuleConfig { dominance: DominanceConfig { threshold: p } },
             ..study.config.clone()
         };
         let (accuracy, unknown, total) = study.week0_swept(p == paper_p, &config, |run| {

@@ -51,46 +51,38 @@ pub struct AnomalyObservation {
     pub digest: AttributeDigest,
 }
 
-/// Tunable thresholds of the rule engine.
-#[derive(Debug, Clone, Copy)]
+/// The rule engine's one tunable threshold.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RuleConfig {
     /// Dominance threshold (the paper's `p = 0.2`).
     pub dominance: DominanceConfig,
-    /// |volume_ratio - 1| below this is "no visible change" → FALSE-ALARM.
-    pub false_alarm_band: f64,
-    /// volume_ratio below this counts as a dip (OUTAGE / INGRESS-SHIFT).
-    pub dip_ratio: f64,
-    /// Mean bytes/packet above this is "byte-heavy" (POINT-MULTIPOINT).
-    pub heavy_bytes_per_packet: f64,
-    /// Mean packets/flow at or above this marks a high-rate point-to-point
-    /// transfer (ALPHA) — a single 5-tuple carrying thousands of packets
-    /// dwarfs the per-flow rate of any flood or crowd.
-    pub alpha_packets_per_flow: f64,
-    /// Packets/flow at or below this looks like probing (SCAN).
-    pub probe_packets_per_flow: f64,
-    /// Source /24 blocks at or below this count as "topologically
-    /// clustered" (flash crowd).
-    pub clustered_src_blocks: usize,
 }
 
-impl Default for RuleConfig {
-    fn default() -> Self {
-        RuleConfig {
-            dominance: DominanceConfig::default(),
-            false_alarm_band: 0.25,
-            dip_ratio: 0.6,
-            heavy_bytes_per_packet: 900.0,
-            // Transfers carry >>1 packet per flow even after the detection
-            // cells mix in background flows; floods sit near 2 because the
-            // flood's own flows dominate the denominator. 5 separates the
-            // regimes with margin on both sides (a dominant-source test
-            // keeps packet-dense floods out regardless).
-            alpha_packets_per_flow: 5.0,
-            probe_packets_per_flow: 1.5,
-            clustered_src_blocks: 8,
-        }
-    }
-}
+/// |volume_ratio - 1| at or below this is "no visible change" →
+/// FALSE-ALARM.
+const FALSE_ALARM_BAND: f64 = 0.25;
+
+/// volume_ratio below this counts as a dip (OUTAGE / INGRESS-SHIFT).
+const DIP_RATIO: f64 = 0.6;
+
+/// Mean bytes/packet at or above this is "byte-heavy" (POINT-MULTIPOINT).
+const HEAVY_BYTES_PER_PACKET: f64 = 900.0;
+
+/// Mean packets/flow at or above this marks a high-rate point-to-point
+/// transfer (ALPHA) — a single 5-tuple carrying thousands of packets
+/// dwarfs the per-flow rate of any flood or crowd. Transfers carry >>1
+/// packet per flow even after the detection cells mix in background
+/// flows; floods sit near 2 because the flood's own flows dominate the
+/// denominator. 5 separates the regimes with margin on both sides (a
+/// dominant-source test keeps packet-dense floods out regardless).
+const ALPHA_PACKETS_PER_FLOW: f64 = 5.0;
+
+/// Packets/flow at or below this looks like probing (SCAN).
+const PROBE_PACKETS_PER_FLOW: f64 = 1.5;
+
+/// Source /24 blocks at or below this count as "topologically clustered"
+/// (flash crowd).
+const CLUSTERED_SRC_BLOCKS: usize = 8;
 
 /// A classification with the evidence that produced it.
 #[derive(Debug, Clone)]
@@ -112,16 +104,16 @@ pub fn classify(obs: &AnomalyObservation, config: &RuleConfig) -> Result<Classif
     let mut evidence = Vec::new();
 
     // FALSE-ALARM: no distinctly unusual volume change.
-    if (obs.volume_ratio - 1.0).abs() <= config.false_alarm_band {
+    if (obs.volume_ratio - 1.0).abs() <= FALSE_ALARM_BAND {
         evidence.push(format!(
-            "volume ratio {:.2} within ±{:.2} of baseline",
-            obs.volume_ratio, config.false_alarm_band
+            "volume ratio {:.2} within ±{FALSE_ALARM_BAND:.2} of baseline",
+            obs.volume_ratio
         ));
         return Ok(Classification { class: AnomalyClass::FalseAlarm, evidence });
     }
 
     // Dips: OUTAGE vs INGRESS-SHIFT, decided by the counterpart spike.
-    if obs.volume_ratio < config.dip_ratio {
+    if obs.volume_ratio < DIP_RATIO {
         evidence.push(format!("traffic dip to {:.0}% of baseline", obs.volume_ratio * 100.0));
         if obs.counterpart_spike {
             evidence.push("matching spike on another OD flow (traffic moved)".into());
@@ -154,7 +146,7 @@ pub fn classify(obs: &AnomalyObservation, config: &RuleConfig) -> Result<Classif
     // floods and crowds: one transfer 5-tuple carries thousands of
     // packets, while DOS/FLASH flows carry a handful each.
     if !obs.types.contains(TrafficType::Flows)
-        && obs.digest.packets_per_flow() >= config.alpha_packets_per_flow
+        && obs.digest.packets_per_flow() >= ALPHA_PACKETS_PER_FLOW
     {
         let dom_p =
             DominantAttributes::evaluate(&obs.digest, TrafficType::Packets, config.dominance)?;
@@ -172,7 +164,7 @@ pub fn classify(obs: &AnomalyObservation, config: &RuleConfig) -> Result<Classif
     // SCAN: probing — one packet per flow from a dominant source, no
     // dominant (destination, port) combination. Checked before
     // POINT-MULTIPOINT: the probe signature is the more specific one.
-    if dom.packets_per_flow <= config.probe_packets_per_flow
+    if dom.packets_per_flow <= PROBE_PACKETS_PER_FLOW
         && dom.src_block.is_some()
         && dom.dst_addr_port.is_none()
     {
@@ -186,7 +178,7 @@ pub fn classify(obs: &AnomalyObservation, config: &RuleConfig) -> Result<Classif
     // POINT-MULTIPOINT: dominant source on a well-known *source* port
     // spraying many destinations with sustained (multi-packet) transfers,
     // byte/packet heavy.
-    if bytes_per_packet >= config.heavy_bytes_per_packet {
+    if bytes_per_packet >= HEAVY_BYTES_PER_PACKET {
         let dom_p =
             DominantAttributes::evaluate(&obs.digest, TrafficType::Packets, config.dominance)?;
         if let (Some((src, _)), Some((port, _))) = (dom_p.src_block, dom_p.src_port) {
@@ -221,7 +213,7 @@ pub fn classify(obs: &AnomalyObservation, config: &RuleConfig) -> Result<Classif
     // (pollution-robust share measure), spoofed floods need hundreds.
     if let Some((dst, share)) = dom.dst_addr {
         let clustered =
-            dom.src_blocks_for_80pct > 0 && dom.src_blocks_for_80pct <= config.clustered_src_blocks;
+            dom.src_blocks_for_80pct > 0 && dom.src_blocks_for_80pct <= CLUSTERED_SRC_BLOCKS;
         let service_port = dom.dst_port.is_some_and(|(p, _)| is_well_known_service(p));
         if clustered && service_port {
             evidence.push(format!(

@@ -506,7 +506,8 @@ impl<'a> TraceGenerator<'a> {
     /// retransmits deduplicated, survivors binned on the parallel sharded
     /// path), then
     /// [`IngestOutcome::repair`](odflow_flow::IngestOutcome::repair)
-    /// interpolates or masks outage bins under `policy`. The result is
+    /// interpolates or masks outage bins under the default
+    /// [`RepairPolicy`](odflow_flow::RepairPolicy). The result is
     /// bit-identical for any `ODFLOW_THREADS`: rendering, faulting and
     /// frame admission are serial and in order, and the fill stage is the
     /// determinism-pinned sharded path.
@@ -520,12 +521,11 @@ impl<'a> TraceGenerator<'a> {
         ingress: odflow_net::IngressResolver,
         routes: odflow_net::RouteTable,
         faults: &FaultSchedule,
-        policy: odflow_flow::RepairPolicy,
     ) -> odflow_flow::Result<(odflow_flow::IngestOutcome, FaultStormStats)> {
         let engine = self.engine(config, ingress, routes)?;
         let (frames, storm) = self.faulted_frames(Some(faults));
         let mut outcome = engine.ingest_datagrams(&frames)?;
-        outcome.repair(policy);
+        outcome.repair(odflow_flow::RepairPolicy::default());
         Ok((outcome, storm))
     }
 }
@@ -987,7 +987,7 @@ mod tests {
 
     #[test]
     fn faulted_path_with_no_faults_matches_record_path() {
-        use odflow_flow::{PipelineConfig, RepairPolicy};
+        use odflow_flow::PipelineConfig;
         use odflow_net::IngressResolver;
         let config = ScenarioConfig { num_bins: 24, total_demand: 400.0, ..Default::default() };
         let s = Scenario::new(config, vec![]).unwrap();
@@ -997,9 +997,7 @@ mod tests {
         let cfg = PipelineConfig::abilene(0, 24);
         let clean = g.bin_scenario(cfg, ingress.clone(), routes.clone()).unwrap();
         let no_faults = FaultSchedule::new(1, vec![]).unwrap();
-        let (faulted, storm) = g
-            .bin_scenario_faulted(cfg, ingress, routes, &no_faults, RepairPolicy::default())
-            .unwrap();
+        let (faulted, storm) = g.bin_scenario_faulted(cfg, ingress, routes, &no_faults).unwrap();
         assert_eq!(storm.frames_dropped_outage + storm.frames_dropped_loss, 0);
         assert!(storm.frames_offered > 0);
         assert_eq!(faulted.matrices.bytes.data.as_slice(), clean.matrices.bytes.data.as_slice());
@@ -1016,7 +1014,7 @@ mod tests {
 
     #[test]
     fn faulted_path_is_deterministic_across_thread_counts() {
-        use odflow_flow::{BinStatus, PipelineConfig, RepairPolicy};
+        use odflow_flow::{BinStatus, PipelineConfig};
         use odflow_net::IngressResolver;
         let config = ScenarioConfig { num_bins: 48, total_demand: 400.0, ..Default::default() };
         let s = Scenario::new(config, vec![]).unwrap();
@@ -1027,14 +1025,7 @@ mod tests {
         let faults = FaultSchedule::storm(99, 48).unwrap();
         let run = |threads: usize| {
             odflow_par::with_thread_limit(threads, || {
-                g.bin_scenario_faulted(
-                    cfg,
-                    ingress.clone(),
-                    routes.clone(),
-                    &faults,
-                    RepairPolicy::default(),
-                )
-                .unwrap()
+                g.bin_scenario_faulted(cfg, ingress.clone(), routes.clone(), &faults).unwrap()
             })
         };
         let (a, sa) = run(1);

@@ -13,7 +13,7 @@ use odflow_classify::{
 };
 use odflow_flow::{
     AttributeDigest, DataQuality, IngestOutcome, OdResolution, OdResolver, PipelineConfig,
-    RepairPolicy, ResolutionStats, TrafficMatrixSet, TrafficType,
+    ResolutionStats, TrafficMatrixSet, TrafficType,
 };
 use odflow_gen::{FaultSchedule, FaultStormStats, Scenario, TraceGenerator};
 use odflow_linalg::Matrix;
@@ -32,10 +32,11 @@ pub struct ExperimentConfig {
     pub rules: RuleConfig,
     /// Bins of tolerance when matching detections to ground truth.
     pub match_slack: usize,
-    /// Half-width (in bins) of the local window used to estimate an
-    /// event's baseline volume.
-    pub baseline_window: usize,
 }
+
+/// Half-width (in bins) of the local window used to estimate an event's
+/// baseline volume: two hours either side.
+const BASELINE_WINDOW: usize = 24;
 
 impl Default for ExperimentConfig {
     fn default() -> Self {
@@ -43,7 +44,6 @@ impl Default for ExperimentConfig {
             subspace: SubspaceConfig::default(),
             rules: RuleConfig::default(),
             match_slack: 2,
-            baseline_window: 24,
         }
     }
 }
@@ -141,9 +141,10 @@ impl FaultedScenarioRun {
 
 /// [`run_scenario`] under a deterministic fault storm: renders each bin as
 /// NetFlow v5 wire frames, mutates them through `faults`, ingests via the
-/// lossy quarantine-and-account path, repairs short outages under
-/// `policy`, and runs the same tail (masked bins are never scored; heavy
-/// imputation widens the SPE band).
+/// lossy quarantine-and-account path, repairs short outages under the
+/// default [`RepairPolicy`](odflow_flow::RepairPolicy), and runs the same
+/// tail (masked bins are never scored; heavy imputation widens the SPE
+/// band).
 ///
 /// Bit-identical for any `ODFLOW_THREADS`: the render→fault→decode stage
 /// is serial by construction, and both the record fill and the scoring
@@ -156,10 +157,9 @@ pub fn run_scenario_faulted(
     scenario: &Scenario,
     config: &ExperimentConfig,
     faults: &FaultSchedule,
-    policy: RepairPolicy,
 ) -> Result<FaultedScenarioRun, Box<dyn std::error::Error>> {
     run_with(scenario, config, |generator, pipe_cfg, ingress, routes| {
-        generator.bin_scenario_faulted(pipe_cfg, ingress, routes, faults, policy)
+        generator.bin_scenario_faulted(pipe_cfg, ingress, routes, faults)
     })
 }
 
@@ -268,9 +268,9 @@ fn classify_event(
         TrafficType::Bytes
     };
 
-    let mut volume_ratio = event_volume_ratio(matrices, event, measure, config.baseline_window);
-    let mut counterpart_spike = volume_ratio < 1.0
-        && has_counterpart_spike(matrices, event, measure, config.baseline_window, n);
+    let mut volume_ratio = event_volume_ratio(matrices, event, measure);
+    let mut counterpart_spike =
+        volume_ratio < 1.0 && has_counterpart_spike(matrices, event, measure, n);
 
     // The ingress-shift signature often lands *inside* one event: the
     // identification stage implicates both the drained OD flows and the
@@ -280,16 +280,7 @@ fn classify_event(
         let per_flow: Vec<f64> = event
             .od_flows
             .iter()
-            .map(|&od| {
-                ratio_for_flows(
-                    matrices,
-                    &[od],
-                    event.start_bin,
-                    event.end_bin(),
-                    measure,
-                    config.baseline_window,
-                )
-            })
+            .map(|&od| ratio_for_flows(matrices, &[od], event.start_bin, event.end_bin(), measure))
             .collect();
         let min = per_flow.iter().copied().fold(f64::INFINITY, f64::min);
         let max = per_flow.iter().copied().fold(0.0f64, f64::max);
@@ -342,9 +333,8 @@ fn event_volume_ratio(
     matrices: &TrafficMatrixSet,
     event: &AnomalyEvent,
     measure: TrafficType,
-    window: usize,
 ) -> f64 {
-    ratio_for_flows(matrices, &event.od_flows, event.start_bin, event.end_bin(), measure, window)
+    ratio_for_flows(matrices, &event.od_flows, event.start_bin, event.end_bin(), measure)
 }
 
 fn ratio_for_flows(
@@ -353,7 +343,6 @@ fn ratio_for_flows(
     start: usize,
     end: usize,
     measure: TrafficType,
-    window: usize,
 ) -> f64 {
     if flows.is_empty() {
         return 1.0;
@@ -372,8 +361,8 @@ fn ratio_for_flows(
     }
     let mut base_sum = 0.0;
     let mut base_cells = 0usize;
-    let lo = start.saturating_sub(window);
-    let hi = (end + window).min(n - 1);
+    let lo = start.saturating_sub(BASELINE_WINDOW);
+    let hi = (end + BASELINE_WINDOW).min(n - 1);
     for bin in lo..=hi {
         if bin >= start && bin <= end {
             continue;
@@ -403,7 +392,6 @@ fn has_counterpart_spike(
     matrices: &TrafficMatrixSet,
     event: &AnomalyEvent,
     measure: TrafficType,
-    window: usize,
     num_pops: usize,
 ) -> bool {
     let dipped_dests: std::collections::BTreeSet<usize> =
@@ -414,8 +402,7 @@ fn has_counterpart_spike(
             if event.od_flows.contains(&od) {
                 continue;
             }
-            let r =
-                ratio_for_flows(matrices, &[od], event.start_bin, event.end_bin(), measure, window);
+            let r = ratio_for_flows(matrices, &[od], event.start_bin, event.end_bin(), measure);
             if r.is_finite() && r > 1.5 {
                 return true;
             }

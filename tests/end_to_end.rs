@@ -147,7 +147,6 @@ fn outage_produces_dip_event() {
 
 use odflow::classify::score_events_with_mask;
 use odflow::experiment::{run_scenario_faulted, FaultedScenarioRun};
-use odflow::flow::RepairPolicy;
 use odflow::gen::FaultSchedule;
 use odflow::subspace::DegradedReason;
 
@@ -173,8 +172,7 @@ fn fault_storm_day() -> (Scenario, FaultSchedule) {
 
 fn run_fault_storm_day() -> FaultedScenarioRun {
     let (scenario, faults) = fault_storm_day();
-    run_scenario_faulted(&scenario, &ExperimentConfig::default(), &faults, RepairPolicy::default())
-        .unwrap()
+    run_scenario_faulted(&scenario, &ExperimentConfig::default(), &faults).unwrap()
 }
 
 #[test]
@@ -224,13 +222,7 @@ fn fault_storm_bit_identical_across_thread_counts() {
     let run_at = |threads: usize| {
         odflow::par::with_thread_limit(threads, || {
             let (scenario, faults) = fault_storm_day();
-            run_scenario_faulted(
-                &scenario,
-                &ExperimentConfig::default(),
-                &faults,
-                RepairPolicy::default(),
-            )
-            .unwrap()
+            run_scenario_faulted(&scenario, &ExperimentConfig::default(), &faults).unwrap()
         })
     };
     let a = run_at(1);
