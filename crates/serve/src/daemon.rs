@@ -39,14 +39,16 @@
 //!
 //! The TCP listener polls non-blocking sockets. After a sweep that moved
 //! nothing it sleeps an eighth of the time since bytes last arrived —
-//! never less than 50 µs, never more than [`ServeConfig::tick`]. A sender
-//! that pauses for a millisecond between bursts is therefore picked up
-//! within about a tenth of one, while a daemon nobody talks to is back to
-//! one poll per tick after eight ticks of quiet. Both constants are
-//! private: the floor is what the kernel's timer slack makes the shortest
-//! useful sleep, and the fraction bounds the wait *relative to the pause
-//! the peer itself chose*, so there is no traffic pattern a different
-//! value would suit better — and nothing for an operator to tune.
+//! never less than 50 µs, never more than one 5 ms tick, the daemon's
+//! poll granularity. A sender that pauses for a millisecond between
+//! bursts is therefore picked up within about a tenth of one, while a
+//! daemon nobody talks to is back to one poll per tick after eight ticks
+//! of quiet. The three constants are private: the floor is what the
+//! kernel's timer slack makes the shortest useful sleep, the fraction
+//! bounds the wait *relative to the pause the peer itself chose*, and the
+//! tick only caps what an idle daemon costs, so there is no traffic
+//! pattern a different value would suit better — and nothing for an
+//! operator to tune.
 //!
 //! ## Shutdown contract
 //!
@@ -97,8 +99,6 @@ pub struct ServeConfig {
     pub metrics_bind: Option<String>,
     /// The hosted tenants, in tenant-index (wire envelope byte) order.
     pub tenants: Vec<TenantSpec>,
-    /// Poll granularity for socket timeouts and worker wakeups.
-    pub tick: Duration,
     /// Start with tenant workers paused (admission keeps running) — used
     /// by the backpressure tests to fill queues deterministically. A
     /// drain overrides the pause so shutdown always completes.
@@ -119,13 +119,15 @@ impl Default for ServeConfig {
             tcp_bind: None,
             metrics_bind: None,
             tenants: Vec::new(),
-            tick: Duration::from_millis(5),
             start_paused: false,
             checkpoint_dir: None,
             max_restarts: 3,
         }
     }
 }
+
+/// Poll granularity for socket timeouts and worker wakeups.
+const TICK: Duration = Duration::from_millis(5);
 
 /// Base delay between worker restarts; doubles per consecutive attempt,
 /// plus deterministic jitter (see [`restart_backoff`]).
@@ -243,7 +245,6 @@ pub struct Daemon {
     udp: Option<UdpSocket>,
     tcp: Option<TcpListener>,
     metrics_listener: Option<TcpListener>,
-    tick: Duration,
 }
 
 impl Daemon {
@@ -368,7 +369,6 @@ impl Daemon {
                 udp,
                 tcp,
                 metrics_listener,
-                tick: config.tick,
             },
             recoveries,
         ))
@@ -414,7 +414,6 @@ impl Daemon {
             udp,
             tcp,
             metrics_listener,
-            tick,
         } = self;
         let n = pipelines.len();
         let queues: Vec<Arc<BoundedQueue<FrameBatch>>> =
@@ -439,19 +438,19 @@ impl Daemon {
             };
             if let Some(socket) = udp {
                 scope.execute(move || {
-                    run_udp_listener(&socket, adm, tick);
+                    run_udp_listener(&socket, adm);
                     close_on_last_source();
                 });
             }
             if let Some(listener) = tcp {
                 scope.execute(move || {
-                    run_tcp_listener(&listener, adm, tick);
+                    run_tcp_listener(&listener, adm);
                     close_on_last_source();
                 });
             }
             if let Some(listener) = metrics_listener {
                 let control_ref = &control;
-                scope.execute(move || run_metrics_endpoint(&listener, control_ref, tick));
+                scope.execute(move || run_metrics_endpoint(&listener, control_ref));
             }
             let tenants = pipelines.into_iter().zip(specs).zip(stores);
             for (idx, ((pipeline, spec), store)) in tenants.enumerate() {
@@ -466,7 +465,6 @@ impl Daemon {
                         queue,
                         control: control_ref,
                         sources: sources_ref,
-                        tick,
                     };
                     let end = supervisor.run(pipeline);
                     let mut slots = results_ref.lock().unwrap_or_else(PoisonError::into_inner);
@@ -580,8 +578,8 @@ impl Batcher<'_> {
 
 /// UDP listener loop: one datagram, one envelope, one admission — a batch
 /// of one through the same path as TCP's.
-fn run_udp_listener(socket: &UdpSocket, adm: &Admission<'_>, tick: Duration) {
-    if socket.set_read_timeout(Some(tick)).is_err() {
+fn run_udp_listener(socket: &UdpSocket, adm: &Admission<'_>) {
+    if socket.set_read_timeout(Some(TICK)).is_err() {
         TenantCounters::add(&adm.control.metrics.io_errors, 1);
         return;
     }
@@ -602,7 +600,7 @@ fn run_udp_listener(socket: &UdpSocket, adm: &Admission<'_>, tick: Duration) {
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(_) => {
                 TenantCounters::add(&adm.control.metrics.io_errors, 1);
-                std::thread::sleep(tick);
+                std::thread::sleep(TICK);
             }
         }
     }
@@ -627,10 +625,10 @@ const NAP_QUIET_DIVISOR: u32 = 8;
 
 /// How long to sleep after a sweep that moved nothing, `quiet` after the
 /// last one that did: the wait tracks how recently the peers last had
-/// something to say, so it needs no configuring — `tick` stays the
+/// something to say, so it needs no configuring — [`TICK`] stays the
 /// ceiling, for an idle daemon.
-fn idle_nap(quiet: Duration, tick: Duration) -> Duration {
-    (quiet / NAP_QUIET_DIVISOR).max(NAP_FLOOR).min(tick)
+fn idle_nap(quiet: Duration) -> Duration {
+    (quiet / NAP_QUIET_DIVISOR).max(NAP_FLOOR).min(TICK)
 }
 
 /// How a connection's turn ended.
@@ -707,7 +705,7 @@ fn connection_turn(
 /// runs every connection dry after the flag is seen — messages sent
 /// before the drain on any connection are admitted before the listener
 /// exits.
-fn run_tcp_listener(listener: &TcpListener, adm: &Admission<'_>, tick: Duration) {
+fn run_tcp_listener(listener: &TcpListener, adm: &Admission<'_>) {
     let metrics = &adm.control.metrics;
     let mut batcher = adm.batcher();
     let mut conns: Vec<(TcpStream, MessageReader)> = Vec::new();
@@ -751,7 +749,7 @@ fn run_tcp_listener(listener: &TcpListener, adm: &Admission<'_>, tick: Duration)
             last_moved = monotonic_now();
         } else {
             TenantCounters::add(&metrics.tcp_idle_polls, 1);
-            std::thread::sleep(idle_nap(last_moved.elapsed(), tick));
+            std::thread::sleep(idle_nap(last_moved.elapsed()));
         }
     }
     // Whatever partial message a still-open connection holds dies here.
@@ -761,14 +759,14 @@ fn run_tcp_listener(listener: &TcpListener, adm: &Admission<'_>, tick: Duration)
 
 /// Metrics endpoint loop: a hand-rolled HTTP/1.0 responder for
 /// `GET /metrics` (anything else is a 404).
-fn run_metrics_endpoint(listener: &TcpListener, control: &Control, tick: Duration) {
+fn run_metrics_endpoint(listener: &TcpListener, control: &Control) {
     while !control.draining.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => serve_metrics_client(stream, control),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(tick),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(TICK),
             Err(_) => {
                 TenantCounters::add(&control.metrics.io_errors, 1);
-                std::thread::sleep(tick);
+                std::thread::sleep(TICK);
             }
         }
     }
@@ -854,7 +852,6 @@ struct Supervisor<'a> {
     queue: Arc<BoundedQueue<FrameBatch>>,
     control: &'a Control,
     sources: &'a AtomicUsize,
-    tick: Duration,
 }
 
 /// The batch a tenant's worker is working through. The supervisor owns
@@ -887,14 +884,7 @@ impl Supervisor<'_> {
             let bins_before = TenantCounters::get(&counters.bins_closed);
             // lint:allow(no-panic-in-ingest) -- the audited supervision boundary: this is the one place worker unwinds are caught, classified, and turned into restart/quarantine policy
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run_tenant_worker(
-                    pipeline,
-                    &self.queue,
-                    &mut hand,
-                    self.control,
-                    self.sources,
-                    self.tick,
-                )
+                run_tenant_worker(pipeline, &self.queue, &mut hand, self.control, self.sources)
             }));
             let payload = match result {
                 Ok(end) => return end,
@@ -1000,7 +990,6 @@ fn run_tenant_worker(
     hand: &mut InHand,
     control: &Control,
     sources: &AtomicUsize,
-    tick: Duration,
 ) -> TenantEnd {
     let counters = pipeline.counters();
     loop {
@@ -1014,10 +1003,10 @@ fn run_tenant_worker(
         // A pause holds the worker (admission keeps filling the queue);
         // a drain overrides it so shutdown always completes.
         if control.paused && !control.draining.load(Ordering::SeqCst) {
-            std::thread::sleep(tick);
+            std::thread::sleep(TICK);
             continue;
         }
-        match queue.pop_timeout(tick) {
+        match queue.pop_timeout(TICK) {
             Pop::Item(batch) => {
                 if let Some(queued) = batch.queued_at() {
                     let waited = elapsed_nanos(queued);
@@ -1216,14 +1205,12 @@ mod tests {
 
     #[test]
     fn idle_nap_is_an_eighth_of_the_quiet_between_floor_and_tick() {
-        let tick = Duration::from_millis(5);
         let us = Duration::from_micros;
-        assert_eq!(idle_nap(Duration::ZERO, tick), NAP_FLOOR);
-        assert_eq!(idle_nap(us(399), tick), NAP_FLOOR);
-        assert_eq!(idle_nap(us(4_000), tick), us(500));
-        assert_eq!(idle_nap(us(40_000), tick), tick, "eight ticks of quiet: back to one per tick");
-        assert_eq!(idle_nap(Duration::from_secs(60), tick), tick);
-        assert_eq!(idle_nap(Duration::ZERO, us(10)), us(10), "a tick under the floor still caps");
+        assert_eq!(idle_nap(Duration::ZERO), NAP_FLOOR);
+        assert_eq!(idle_nap(us(399)), NAP_FLOOR);
+        assert_eq!(idle_nap(us(4_000)), us(500));
+        assert_eq!(idle_nap(us(40_000)), TICK, "eight ticks of quiet: back to one per tick");
+        assert_eq!(idle_nap(Duration::from_secs(60)), TICK);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Takes a scenario's NetFlow v5 export stream from
 //! [`TraceGenerator::faulted_frames`](odflow_gen::TraceGenerator::faulted_frames)
-//! — per-exporter sequence continuity and all, optionally degraded through
-//! a [`FaultSchedule`] — and sends every surviving frame to a daemon over a
-//! real socket. It is the very stream the batch wire path feeds
-//! `ingest_datagrams`, which is what makes daemon-vs-batch equivalence
-//! testable end to end.
+//! — per-exporter sequence continuity and all — and sends every frame to
+//! a daemon over a real socket ([`replay_frames`] sends any other stream,
+//! a degraded one included). It is the very stream the batch wire path
+//! feeds `ingest_datagrams`, which is what makes daemon-vs-batch
+//! equivalence testable end to end.
 //!
 //! Over TCP the stream is ordered and reliable, so a trailing
 //! [`CONTROL_DRAIN`](crate::wire::CONTROL_DRAIN) message is a precise
@@ -18,7 +18,7 @@
 use crate::daemon::splitmix64;
 use crate::wire::{self, CONTROL_TENANT};
 use crate::ServeError;
-use odflow_gen::{FaultSchedule, Scenario};
+use odflow_gen::Scenario;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::time::Duration;
@@ -39,55 +39,44 @@ pub struct LoadGenConfig {
     pub tenant: u8,
     /// Transport to replay over.
     pub transport: Transport,
-    /// Optional deterministic fault schedule degrading the frame stream
-    /// before it hits the wire.
-    pub faults: Option<FaultSchedule>,
     /// Send the drain control after the last frame (graceful shutdown).
     pub send_drain: bool,
-    /// TCP connect attempts before giving up. A daemon that is still
-    /// binding — or restarting after a crash — refuses the first few
-    /// connects; the generator retries instead of failing the replay.
-    pub connect_attempts: u32,
-    /// Base delay between connect attempts; doubles per attempt, plus
-    /// deterministic seeded jitter of up to one base delay.
-    pub connect_backoff: Duration,
-    /// Seed of the deterministic connect-retry jitter.
-    pub connect_jitter_seed: u64,
 }
 
 impl LoadGenConfig {
-    /// Replay to tenant 0 over `transport`, clean stream, with a
-    /// trailing drain.
+    /// Replay to tenant 0 over `transport`, with a trailing drain.
     #[must_use]
     pub fn new(transport: Transport) -> Self {
-        LoadGenConfig {
-            tenant: 0,
-            transport,
-            faults: None,
-            send_drain: true,
-            connect_attempts: 10,
-            connect_backoff: Duration::from_millis(10),
-            connect_jitter_seed: 0x10ad_6e4e_7d4e_7e57,
-        }
+        LoadGenConfig { tenant: 0, transport, send_drain: true }
     }
 }
+
+/// TCP connect attempts before giving up. A daemon that is still binding
+/// — or restarting after a crash — refuses the first few connects; the
+/// generator retries instead of failing the replay.
+const CONNECT_ATTEMPTS: u32 = 10;
+
+/// Base delay between connect attempts; doubles per attempt, plus
+/// deterministic seeded jitter of up to one base delay.
+const CONNECT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Seed of the deterministic connect-retry jitter.
+const CONNECT_JITTER_SEED: u64 = 0x10ad_6e4e_7d4e_7e57;
 
 /// Connects to `target` with bounded seeded-jitter retry-with-backoff:
 /// attempt `k` (from 0) sleeps `backoff * 2^min(k, 5)` plus jitter before
 /// retrying, tolerating a daemon still binding or mid-restart.
-fn connect_with_retry(target: SocketAddr, config: &LoadGenConfig) -> Result<TcpStream, ServeError> {
-    let attempts = config.connect_attempts.max(1);
+fn connect_with_retry(target: SocketAddr) -> Result<TcpStream, ServeError> {
     let mut last_err = None;
-    for attempt in 0..attempts {
+    for attempt in 0..CONNECT_ATTEMPTS {
         match TcpStream::connect(target) {
             Ok(stream) => return Ok(stream),
             Err(e) => last_err = Some(e),
         }
-        if attempt + 1 < attempts {
-            let exp = attempt.min(5);
-            let base = config.connect_backoff.saturating_mul(1 << exp);
-            let span = u64::try_from(config.connect_backoff.as_nanos()).unwrap_or(u64::MAX).max(1);
-            let jitter = splitmix64(config.connect_jitter_seed ^ u64::from(attempt)) % span;
+        if attempt + 1 < CONNECT_ATTEMPTS {
+            let base = CONNECT_BACKOFF.saturating_mul(1 << attempt.min(5));
+            let span = CONNECT_BACKOFF.as_nanos() as u64;
+            let jitter = splitmix64(CONNECT_JITTER_SEED ^ u64::from(attempt)) % span;
             std::thread::sleep(base + Duration::from_nanos(jitter));
         }
     }
@@ -99,9 +88,7 @@ fn connect_with_retry(target: SocketAddr, config: &LoadGenConfig) -> Result<TcpS
 /// What a replay actually put on the wire.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LoadReport {
-    /// Frames rendered by the generator (before faults).
-    pub frames_rendered: u64,
-    /// Frames sent after fault degradation.
+    /// Frames sent.
     pub frames_sent: u64,
     /// Envelope bytes written to the socket.
     pub bytes_sent: u64,
@@ -110,8 +97,7 @@ pub struct LoadReport {
 }
 
 /// Replays every bin of `scenario` against a daemon at `target`:
-/// [`replay_frames`] over the scenario's rendered (and, with
-/// `config.faults`, degraded) export stream.
+/// [`replay_frames`] over the scenario's rendered export stream.
 ///
 /// Frames go out in the exact order the batch path would decode them:
 /// bins ascending, PoP-exporter order within a bin, with `flow_sequence`
@@ -125,9 +111,8 @@ pub fn replay_scenario(
     target: SocketAddr,
     config: &LoadGenConfig,
 ) -> Result<LoadReport, ServeError> {
-    let (frames, storm) = scenario.generator().faulted_frames(config.faults.as_ref());
-    let report = replay_frames(&frames, target, config)?;
-    Ok(LoadReport { frames_rendered: storm.frames_offered, ..report })
+    let (frames, _) = scenario.generator().faulted_frames(None);
+    replay_frames(&frames, target, config)
 }
 
 /// Replays pre-rendered frames, as they are, against a daemon at `target`
@@ -145,14 +130,14 @@ pub fn replay_frames(
     target: SocketAddr,
     config: &LoadGenConfig,
 ) -> Result<LoadReport, ServeError> {
-    let mut report = LoadReport { frames_rendered: frames.len() as u64, ..LoadReport::default() };
+    let mut report = LoadReport::default();
     let mut sink = match config.transport {
         Transport::Udp => {
             let socket = UdpSocket::bind("127.0.0.1:0")?;
             socket.connect(target)?;
             Sink::Udp(socket)
         }
-        Transport::Tcp => Sink::Tcp(connect_with_retry(target, config)?),
+        Transport::Tcp => Sink::Tcp(connect_with_retry(target)?),
     };
     for frame in frames {
         report.bytes_sent += sink.send(config.tenant, frame)?;
@@ -240,7 +225,6 @@ mod tests {
         });
         pool.shutdown();
 
-        assert_eq!(report.frames_rendered, report.frames_sent);
         assert!(report.drain_sent);
         assert_eq!(messages.len() as u64, report.frames_sent + 1, "frames plus drain");
         let (last_tenant, last_payload) = messages.last().unwrap();

@@ -79,7 +79,6 @@ fn serve_roundtrip(
         });
         let report = replay_scenario(scenario, addr, &LoadGenConfig::new(Transport::Tcp)).unwrap();
         assert!(report.drain_sent);
-        assert_eq!(report.frames_rendered, report.frames_sent);
     });
     pool.shutdown();
     (slot.unwrap(), counters)
