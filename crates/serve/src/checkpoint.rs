@@ -18,12 +18,12 @@
 //!   record count moved since the previous generation): its record
 //!   count, its three rows and the sorted distinct 5-tuples of its cells
 //!   (none for a bin the lateness rule has sealed);
-//! * the detector — absent, whole (first fit, or a refit replaced the
-//!   model), or only the refit window's movement (rows dropped from the
-//!   front, rows gained at the back). A whole model is the `p x min(k, r)`
-//!   loadings of its normal subspace, its `r` singular values, its `p`
-//!   training means and its frozen thresholds: nothing in it grows with
-//!   the training window's bins;
+//! * the detector — absent, whole (its model and stream position, in the
+//!   generation that fitted it), or, while the model stands, only the
+//!   stream position. A whole model is its configuration, the
+//!   `p x min(k, r)` loadings of its normal subspace, its `r` singular
+//!   values, its `p` training means and its frozen thresholds: nothing in
+//!   it grows with the training window's bins;
 //! * the verdicts issued since the previous generation.
 //!
 //! A **complete** record is the same thing with every bin dirty, the
@@ -88,10 +88,11 @@ use std::sync::Arc;
 /// Leading bytes of every checkpoint record.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"ODFCKPT\0";
 
-/// Current checkpoint format version. Version 4 dropped the eigenflows
-/// and the unit column scales from the model; older records are refused
-/// with [`CheckpointError::BadVersion`].
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// Current checkpoint format version. Version 5 dropped the detector's
+/// refit window (version 4 had dropped the eigenflows and the unit column
+/// scales from the model); older records are refused with
+/// [`CheckpointError::BadVersion`].
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Bytes of header before the payload: magic + version + length + checksum.
 pub const CHECKPOINT_HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -599,38 +600,13 @@ fn dec_model(d: &mut Dec<'_>) -> DecResult<ModelState> {
     })
 }
 
-fn enc_rows(e: &mut Enc, rows: &[Vec<f64>]) {
-    e.usize(rows.len());
-    for row in rows {
-        e.f64s(row);
-    }
-}
-
-fn dec_rows(d: &mut Dec<'_>) -> DecResult<Vec<Vec<f64>>> {
-    let rows = d.len(8)?;
-    (0..rows).map(|_| d.f64s()).collect()
-}
-
 fn enc_detector(e: &mut Enc, s: &DetectorState) {
-    enc_subspace_config(e, s.config);
     enc_model(e, &s.model);
-    enc_rows(e, &s.window);
-    e.usize(s.window_len);
-    e.usize(s.refit_every);
-    e.usize(s.since_refit);
     e.usize(s.next_bin);
 }
 
 fn dec_detector(d: &mut Dec<'_>) -> DecResult<DetectorState> {
-    Ok(DetectorState {
-        config: dec_subspace_config(d)?,
-        model: dec_model(d)?,
-        window: dec_rows(d)?,
-        window_len: d.usize_val()?,
-        refit_every: d.usize_val()?,
-        since_refit: d.usize_val()?,
-        next_bin: d.usize_val()?,
-    })
+    Ok(DetectorState { model: dec_model(d)?, next_bin: d.usize_val()? })
 }
 
 fn enc_verdict(e: &mut Enc, v: &StreamVerdict) {
@@ -760,12 +736,10 @@ impl From<BinSegment<'_>> for BinState {
 pub(crate) enum DetectorPart<'a> {
     /// No detector is fitted.
     Absent,
-    /// The whole detector: it was fitted, or refitted, since the previous
-    /// generation.
+    /// The whole detector: it was fitted since the previous generation.
     Whole(Cow<'a, DetectorState>),
-    /// The model stands; the refit window lost `dropped` rows at the
-    /// front and gained `gained` at the back.
-    Window { since_refit: usize, next_bin: usize, dropped: usize, gained: Cow<'a, [Vec<f64>]> },
+    /// The model stands; the stream has moved on to `next_bin`.
+    Stands { next_bin: usize },
 }
 
 impl PipelineState {
@@ -821,7 +795,6 @@ impl Generation<'_> {
     /// Bytes the payload will need, to within the small fixed fields —
     /// what the encoder reserves up front.
     fn payload_len_hint(&self) -> usize {
-        let rows = |rows: &[Vec<f64>]| rows.iter().map(|r| 8 + 8 * r.len()).sum::<usize>();
         let bins: usize = self
             .bins
             .iter()
@@ -831,13 +804,11 @@ impl Generation<'_> {
             })
             .sum();
         let detector = match &self.detector {
-            DetectorPart::Absent => 0,
+            DetectorPart::Absent | DetectorPart::Stands { .. } => 0,
             DetectorPart::Whole(det) => {
                 let m = &det.model.decomp;
                 8 * (m.loadings.as_slice().len() + m.singular_values.len() + m.means.len())
-                    + rows(&det.window)
             }
-            DetectorPart::Window { gained, .. } => rows(gained),
         };
         let verdicts: usize = self.verdicts.iter().map(|v| 48 + 25 * v.detections.len()).sum();
         512 + 48 * self.exporters.len() + bins + detector + verdicts
@@ -882,12 +853,9 @@ impl Generation<'_> {
                 e.u8(1);
                 enc_detector(&mut e, det);
             }
-            DetectorPart::Window { since_refit, next_bin, dropped, gained } => {
+            DetectorPart::Stands { next_bin } => {
                 e.u8(2);
-                e.usize(*since_refit);
                 e.usize(*next_bin);
-                e.usize(*dropped);
-                enc_rows(&mut e, gained);
             }
         }
         e.usize(self.verdicts_before);
@@ -961,12 +929,7 @@ impl Generation<'static> {
         let detector = match d.u8()? {
             0 => DetectorPart::Absent,
             1 => DetectorPart::Whole(Cow::Owned(dec_detector(&mut d)?)),
-            2 => DetectorPart::Window {
-                since_refit: d.usize_val()?,
-                next_bin: d.usize_val()?,
-                dropped: d.usize_val()?,
-                gained: Cow::Owned(dec_rows(&mut d)?),
-            },
+            2 => DetectorPart::Stands { next_bin: d.usize_val()? },
             t => return corrupt(format!("detector tag {t}")),
         };
         let verdicts_before = d.usize_val()?;
@@ -1042,17 +1005,14 @@ impl Generation<'static> {
             ));
         }
         match (&self.detector, &state.detector) {
-            (DetectorPart::Absent, None) | (DetectorPart::Whole(_), _) => {}
+            (DetectorPart::Absent, None)
+            | (DetectorPart::Whole(_), _)
+            | (DetectorPart::Stands { .. }, Some(_)) => {}
             (DetectorPart::Absent, Some(_)) => {
                 return corrupt("the fitted detector vanished".to_owned());
             }
-            (DetectorPart::Window { .. }, None) => {
-                return corrupt("a window update needs a fitted detector".to_owned());
-            }
-            (DetectorPart::Window { dropped, gained, .. }, Some(det)) => {
-                if *dropped > det.window.len() || gained.iter().any(|r| r.len() != det.model.p) {
-                    return corrupt("window update does not fit the refit window".to_owned());
-                }
+            (DetectorPart::Stands { .. }, None) => {
+                return corrupt("a standing model needs a fitted detector".to_owned());
             }
         }
 
@@ -1071,12 +1031,7 @@ impl Generation<'static> {
         }
         match (self.detector, &mut state.detector) {
             (DetectorPart::Whole(det), slot) => *slot = Some(det.into_owned()),
-            (DetectorPart::Window { since_refit, next_bin, dropped, gained }, Some(det)) => {
-                det.window.drain(..dropped);
-                det.window.extend(gained.into_owned());
-                det.since_refit = since_refit;
-                det.next_bin = next_bin;
-            }
+            (DetectorPart::Stands { next_bin }, Some(det)) => det.next_bin = next_bin,
             _ => {}
         }
         state.live_verdicts.extend(self.verdicts.into_owned());
@@ -1546,7 +1501,6 @@ mod tests {
                 },
             )],
             detector: Some(DetectorState {
-                config: SubspaceConfig::default(),
                 model: ModelState {
                     decomp: EigenflowDecomposition {
                         loadings: Matrix::from_vec(2, 2, vec![0.7, 0.8, 0.9, 1.0]).unwrap(),
@@ -1562,10 +1516,6 @@ mod tests {
                     t2_threshold: 9.9,
                     degenerate_residual: false,
                 },
-                window: vec![vec![1.0, 2.0], vec![3.0, 4.0]],
-                window_len: 2,
-                refit_every: 0,
-                since_refit: 1,
                 next_bin: 4,
             }),
             live_verdicts: vec![
@@ -1743,7 +1693,7 @@ mod tests {
     }
 
     /// The generation after `sample_state(seq)`: bin 1 received records,
-    /// the refit window slid by one row, one more verdict was issued.
+    /// the detector scored one more bin and issued its verdict.
     fn sample_delta(prev: &PipelineState) -> (Generation<'static>, PipelineState) {
         let key = FlowKey::new(
             IpAddr::from_octets(10, 0, 0, 9),
@@ -1774,9 +1724,6 @@ mod tests {
         next.quarantine.frames_offered += 40;
         next.exporters[0].1.frames += 40;
         let det = next.detector.as_mut().unwrap();
-        det.window.remove(0);
-        det.window.push(vec![5.0, 6.0]);
-        det.since_refit += 1;
         det.next_bin += 1;
         next.live_verdicts.push(verdict.clone());
         let delta = Generation {
@@ -1793,12 +1740,7 @@ mod tests {
             num_bins: 2,
             num_od: 2,
             bins: vec![bin.into()],
-            detector: DetectorPart::Window {
-                since_refit: det.since_refit,
-                next_bin: det.next_bin,
-                dropped: 1,
-                gained: Cow::Owned(vec![vec![5.0, 6.0]]),
-            },
+            detector: DetectorPart::Stands { next_bin: det.next_bin },
             verdicts_before: prev.live_verdicts.len(),
             verdicts: Cow::Owned(vec![verdict]),
         };
@@ -1811,7 +1753,7 @@ mod tests {
         let (delta, second) = sample_delta(&first);
         let mut chain = encode_state(&first);
         let delta_bytes = delta.encode();
-        assert!(delta_bytes.len() < chain.len(), "one bin of two, one window row of two");
+        assert!(delta_bytes.len() < chain.len(), "one bin of two, no model");
         chain.extend_from_slice(&delta_bytes);
 
         let (state, failure) = load_chain(&chain);
@@ -1847,20 +1789,6 @@ mod tests {
         ends_at_first(encode_state(&first), "the same seq again");
         ends_at_first(Generation { verdicts_before: 2, ..delta() }.encode(), "a verdict gap");
         ends_at_first(Generation { num_bins: 3, ..delta() }.encode(), "another window");
-        let overdrawn = DetectorPart::Window {
-            since_refit: 2,
-            next_bin: 5,
-            dropped: 3,
-            gained: Cow::Owned(vec![]),
-        };
-        ends_at_first(Generation { detector: overdrawn, ..delta() }.encode(), "window overdrawn");
-        let wide = DetectorPart::Window {
-            since_refit: 2,
-            next_bin: 5,
-            dropped: 0,
-            gained: Cow::Owned(vec![vec![1.0; 3]]),
-        };
-        ends_at_first(Generation { detector: wide, ..delta() }.encode(), "row of another width");
         ends_at_first(
             Generation { detector: DetectorPart::Absent, ..delta() }.encode(),
             "the detector vanished",
@@ -1870,7 +1798,7 @@ mod tests {
         // record restarts the verdict count and is not one of them.
         ends_at_first(encode_state(&sample_state(6)), "a complete record mid-chain");
 
-        // Without a detector there is no window to move.
+        // Without a detector there is no model to stand.
         let mut unfitted = first.clone();
         unfitted.detector = None;
         let mut chain = encode_state(&unfitted);
@@ -1931,6 +1859,75 @@ mod tests {
             let len = std::fs::metadata(path).unwrap().len() as usize;
             let first = encode_state(&state).len();
             assert!(len > 0 && len <= 3 * first, "{len} vs a complete record of {first}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fitted_tenant_checkpoints_its_model_and_position_not_a_refit_window() {
+        // A tenant's detector is fitted once, at `train_bins`, and never
+        // refits: a generation carries it as its model (configuration
+        // included) and its stream position — the model's `p`-sized
+        // numbers whole in the generation that fits it and in every
+        // complete record after, never a row per training bin — and a
+        // delta after the fit carries the position alone.
+        const BINS: usize = 48;
+        let scenario = odflow_gen::Scenario::paper_window(37, BINS).unwrap();
+        let config = crate::TenantConfig::abilene("t0", 0, BINS);
+        let train_bins = config.train_bins;
+        let mut tenant = crate::TenantPipeline::new(
+            config,
+            &scenario.topology,
+            odflow_net::IngressResolver::synthetic(&scenario.topology),
+            scenario.plan.build_route_table(1.0).unwrap(),
+        )
+        .unwrap();
+        let dir = tmp_dir("no_refit_window");
+        let store = CheckpointStore::new(&dir, "t0");
+        tenant.set_checkpoint_store(store.clone(), None);
+        // The newest record on disk: whether it is a complete record, and
+        // the bytes its detector takes.
+        let newest = || {
+            let slots = store.slot_paths().map(|path| std::fs::read(path).unwrap_or_default());
+            let mut records = Vec::new();
+            for bytes in &slots {
+                let mut at = 0;
+                while let Ok((generation, used)) = Generation::decode(&bytes[at..]) {
+                    records.push((generation, at == 0));
+                    at += used;
+                }
+            }
+            let (mut generation, complete) =
+                records.into_iter().max_by_key(|(g, _)| g.seq).expect("a generation");
+            let with = generation.encode().len();
+            generation.detector = DetectorPart::Absent;
+            (complete, with - generation.encode().len())
+        };
+        let counters = tenant.counters();
+        let generator = scenario.generator();
+        let mut seqs = vec![0u32; scenario.topology.num_pops()];
+        let mut generations = Vec::new();
+        for bin in 0..BINS {
+            for frame in generator.frames_for_bin(bin, &mut seqs) {
+                let written = crate::TenantCounters::get(&counters.checkpoints);
+                tenant.ingest_frame(&frame);
+                if crate::TenantCounters::get(&counters.checkpoints) > written {
+                    generations.push(newest());
+                }
+            }
+        }
+        let state = tenant.export_state();
+        let m = &state.detector.as_ref().expect("the detector was fit").model.decomp;
+        let model = 8 * (m.loadings.as_slice().len() + m.singular_values.len() + m.means.len());
+        let fit = train_bins - 1;
+        assert!(generations[..fit].iter().all(|&(_, share)| share == 0), "unfitted");
+        let whole = generations[fit].1;
+        assert!(model < whole && whole <= model + 256, "{whole} bytes for a {model}-byte model");
+        let after = &generations[fit + 1..];
+        assert!(after.iter().any(|&(complete, _)| complete), "a complete record after the fit");
+        assert!(after.iter().any(|&(complete, _)| !complete), "a delta after the fit");
+        for &(complete, share) in after {
+            assert_eq!(share, if complete { whole } else { 8 }, "complete: {complete}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

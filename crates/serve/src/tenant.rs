@@ -48,15 +48,12 @@ pub struct TenantConfig {
     /// Subspace detection configuration, for both the online detector and
     /// the flush-time batch diagnosis.
     pub subspace: SubspaceConfig,
-    /// Bins of training prefix before the online detector fits; `0`
-    /// disables online detection (flush-time diagnosis still runs).
+    /// Bins of training prefix before the online detector fits, once —
+    /// it never refits; `0` disables online detection (flush-time
+    /// diagnosis still runs).
     pub train_bins: usize,
-    /// Online detector refit cadence (observations; `0` = never refit).
-    pub refit_every: usize,
     /// Capacity of the tenant's frame queue, in frames.
     pub queue_frames: usize,
-    /// Outage-repair policy applied at flush.
-    pub repair: RepairPolicy,
     /// Deterministic chaos-injection schedule ([`CrashSchedule`]) — the
     /// kill-point test harness. `None` (production) injects nothing. Held
     /// as an `Arc` so a restarted worker shares the consumed one-shot
@@ -74,9 +71,7 @@ impl TenantConfig {
             pipeline: PipelineConfig::abilene(start_secs, num_bins),
             subspace: SubspaceConfig::default(),
             train_bins: num_bins / 2,
-            refit_every: 0,
             queue_frames: 1024,
-            repair: RepairPolicy::default(),
             crash: None,
         }
     }
@@ -116,16 +111,8 @@ struct Checkpointer {
     sealed: usize,
     /// Verdicts the previous generation holds.
     verdicts: usize,
-    /// The detector at the previous generation, `None` while unfitted.
-    detector: Option<DetectorMark>,
-}
-
-/// Where a fitted detector stood when a generation was cut.
-#[derive(Debug, Clone, Copy)]
-struct DetectorMark {
-    refits: u64,
-    since_refit: usize,
-    window_rows: usize,
+    /// Whether the previous generation holds the fitted detector.
+    fitted: bool,
 }
 
 /// The per-tenant streaming state machine. Owned by exactly one worker
@@ -265,7 +252,7 @@ impl TenantPipeline {
             bin_records: Vec::new(),
             sealed: 0,
             verdicts: 0,
-            detector: None,
+            fitted: false,
         });
     }
 
@@ -343,8 +330,10 @@ impl TenantPipeline {
             |record| record.window_start,
             |record| {
                 // A full-window shard counts out-of-window records quietly;
-                // any other error (misroute, bad OD index) is impossible by
-                // construction but still must not panic or abort the frame.
+                // any other error (a bin outside the shard, a sealed bin) is
+                // impossible by construction — the shard spans the window
+                // and the watermark refuses a sealed bin's records first —
+                // but still must not panic or abort the frame.
                 if shard.push_sampled_record(record).is_err() {
                     TenantCounters::add(&counters.ingest_errors, 1);
                 }
@@ -412,11 +401,7 @@ impl TenantPipeline {
                     );
                     ckpt.sealed = self.watermark.sealed_bins();
                     ckpt.verdicts = self.live_verdicts.len();
-                    ckpt.detector = self.detector.as_ref().map(|d| DetectorMark {
-                        refits: d.refits(),
-                        since_refit: d.since_refit(),
-                        window_rows: d.window().len(),
-                    });
+                    ckpt.fitted = self.detector.is_some();
                     let c = &self.counters;
                     TenantCounters::add(&c.checkpoint_bytes, image.len() as u64);
                     TenantCounters::add(&c.checkpoint_complete, u64::from(complete));
@@ -433,8 +418,8 @@ impl TenantPipeline {
 
     /// The generation that follows the one `prev` describes: the head,
     /// the bins whose record count moved or that were sealed since, the
-    /// verdicts issued since, and the detector — whole if it was fitted or
-    /// refitted since, else only how its refit window moved.
+    /// verdicts issued since, and the detector — whole if it was fitted
+    /// since, else only its stream position.
     fn delta_since(&self, prev: &Checkpointer) -> Generation<'_> {
         let sealed = prev.sealed..self.watermark.sealed_bins();
         let dirty = (0..self.engine.num_bins()).filter(|&b| {
@@ -457,8 +442,8 @@ impl TenantPipeline {
             bins: dirty.filter_map(|b| self.shard.export_bin(b)).map(BinSegment::from).collect(),
             detector: match &self.detector {
                 None => DetectorPart::Absent,
-                Some(det) => window_moved(det, prev.detector)
-                    .unwrap_or_else(|| DetectorPart::Whole(Cow::Owned(det.export_state()))),
+                Some(det) if prev.fitted => DetectorPart::Stands { next_bin: det.bins_seen() },
+                Some(det) => DetectorPart::Whole(Cow::Owned(det.export_state())),
             },
             verdicts_before: prev.verdicts,
             verdicts: Cow::Borrowed(self.live_verdicts.get(prev.verdicts..).unwrap_or(&[])),
@@ -520,9 +505,10 @@ impl TenantPipeline {
         TenantCounters::add(&self.counters.detect_nanos, elapsed_nanos(t0));
     }
 
-    /// Fits the online detector on the accumulated training prefix. A
-    /// degenerate prefix (e.g. all-zero rows after heavy shedding) leaves
-    /// the detector off and counts an error — flush diagnosis still runs.
+    /// Fits the online detector, frozen, on the accumulated training
+    /// prefix. A degenerate prefix (e.g. all-zero rows after heavy
+    /// shedding) leaves the detector off and counts an error — flush
+    /// diagnosis still runs.
     fn fit_detector(&mut self) {
         let train = self.config.train_bins;
         let mut data = Vec::new();
@@ -536,9 +522,9 @@ impl TenantPipeline {
             }
         }
         let cols = data.len() / train.max(1);
-        let fitted = Matrix::from_vec(train, cols, data).ok().and_then(|m| {
-            OnlineDetector::new(&m, self.config.subspace, self.config.refit_every).ok()
-        });
+        let fitted = Matrix::from_vec(train, cols, data)
+            .ok()
+            .and_then(|m| OnlineDetector::new(&m, self.config.subspace, 0).ok());
         if fitted.is_none() {
             TenantCounters::add(&self.counters.ingest_errors, 1);
         }
@@ -569,7 +555,7 @@ impl TenantPipeline {
         TenantCounters::set(&self.counters.distinct_table_bytes, 0);
         outcome.quality.quarantine = self.quality.quarantine;
         outcome.quality.exporters = self.quality.exporters;
-        outcome.repair(self.config.repair);
+        outcome.repair(RepairPolicy::default());
         let (diagnosis, diagnosis_error) = match diagnose(&outcome.matrices, self.config.subspace) {
             Ok(d) => (Some(d), None),
             Err(e) => (None, Some(e.to_string())),
@@ -582,21 +568,6 @@ impl TenantPipeline {
             live_verdicts: self.live_verdicts,
         })
     }
-}
-
-/// How the refit window moved since the generation at which the
-/// detector stood at `prev` — or `None` when the model itself was fitted
-/// or replaced since.
-fn window_moved(det: &OnlineDetector, prev: Option<DetectorMark>) -> Option<DetectorPart<'_>> {
-    let prev = prev.filter(|prev| prev.refits == det.refits())?;
-    let gained = det.since_refit().checked_sub(prev.since_refit)?;
-    let kept = det.window().len().checked_sub(gained)?;
-    Some(DetectorPart::Window {
-        since_refit: det.since_refit(),
-        next_bin: det.bins_seen(),
-        dropped: prev.window_rows.checked_sub(kept)?,
-        gained: Cow::Borrowed(&det.window()[kept..]),
-    })
 }
 
 #[cfg(test)]
@@ -872,16 +843,12 @@ mod tests {
         assert!((2..BINS as u64 / 4).contains(&completes), "{completes} complete records");
         // A delta carries what moved since the generation before it: the
         // rows and keys of the bin it closed and of the one before, which
-        // late records may still touch, one window row, the new verdicts
-        // and the head — and the close that ends the training prefix
-        // carries the freshly fitted detector whole.
+        // late records may still touch, the new verdicts and the head —
+        // and the close that ends the training prefix carries the freshly
+        // fitted detector whole.
         let state = tenant.export_state();
-        let detector = state.detector.as_ref().expect("the detector was fit");
-        let m = &detector.model.decomp;
-        let numbers = m.loadings.as_slice().len()
-            + m.singular_values.len()
-            + m.means.len()
-            + detector.window.iter().map(Vec::len).sum::<usize>();
+        let m = &state.detector.as_ref().expect("the detector was fit").model.decomp;
+        let numbers = m.loadings.as_slice().len() + m.singular_values.len() + m.means.len();
         let row_bytes = 8 * scenario.topology.num_od_pairs() as u64;
         let fit_close = TenantConfig::abilene("t0", 0, BINS).train_bins - 1;
         assert!(deltas.len() >= BINS / 2, "{} deltas", deltas.len());
@@ -890,7 +857,7 @@ mod tests {
             let moved = closed.saturating_sub(1)..=closed;
             let rows = 3 * row_bytes * moved.clone().count() as u64;
             let fitted = if closed == fit_close { 8 * numbers as u64 } else { 0 };
-            let bound = rows + key_bytes(&keys[moved]) + fitted + row_bytes + 4096;
+            let bound = rows + key_bytes(&keys[moved]) + fitted + 4096;
             assert!(bytes <= bound, "the delta closing bin {closed}: {bytes} > {bound} bytes");
         }
         let _ = std::fs::remove_dir_all(&dir);

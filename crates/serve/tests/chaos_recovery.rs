@@ -18,7 +18,7 @@
 mod common;
 
 use odflow_flow::netflow::encode_datagrams;
-use odflow_flow::{FlowRecord, ShardedIngest, LATENESS_HORIZON_BINS};
+use odflow_flow::{FlowRecord, RepairPolicy, ShardedIngest, LATENESS_HORIZON_BINS};
 use odflow_gen::Scenario;
 use odflow_serve::wire;
 use odflow_serve::{
@@ -271,7 +271,7 @@ fn assert_matches_batch(label: &str, frames: &[Vec<u8>], flush: &TenantFlush) {
     for threads in [1usize, 4] {
         let (batch, diagnosis) = odflow_par::with_thread_limit(threads, || {
             let mut batch = engine.ingest_datagrams(frames).unwrap();
-            batch.repair(spec.config.repair);
+            batch.repair(RepairPolicy::default());
             let diagnosis = diagnose(&batch.matrices, spec.config.subspace).unwrap();
             (batch, diagnosis)
         });

@@ -1,9 +1,9 @@
 //! The checkpoint chain against its two references: the full state it
 //! stands for (at every generation of a faulted stream, the chain on
 //! disk folds to exactly the pipeline's complete image, late records and
-//! sealed bins included) and the format's committed goldens (v1, v2 and
-//! v3 files are refused by version, a v4 chain keeps loading and
-//! re-encodes to its own bytes).
+//! sealed bins included) and the format's committed goldens (v1 to v4
+//! files are refused by version, a v5 chain keeps loading and re-encodes
+//! to its own bytes).
 
 mod common;
 
@@ -83,10 +83,9 @@ fn faulted_frames(scenario: &Scenario) -> Vec<Vec<u8>> {
 fn tenant(scenario: &Scenario) -> TenantPipeline {
     let routes = scenario.plan.build_route_table(1.0).unwrap();
     let ingress = IngressResolver::synthetic(&scenario.topology);
-    let mut config = TenantConfig::abilene("t0", 0, NUM_BINS);
-    // Fit halfway, then refit every third clean bin: the chain sees the
-    // detector absent, whole (fit, refit) and as a window update.
-    config.refit_every = 3;
+    // Fit halfway: the chain sees the detector absent, whole (the fit, and
+    // each complete record after it) and standing.
+    let config = TenantConfig::abilene("t0", 0, NUM_BINS);
     TenantPipeline::new(config, &scenario.topology, ingress, routes).unwrap()
 }
 
@@ -234,7 +233,7 @@ fn golden_v2_chain_is_refused_by_version() {
 }
 
 /// `golden_v3_chain.ckpt` is a slot file the last v3 build wrote (the
-/// recipe of `golden_v4_chain.ckpt` below). Its models carry the
+/// recipe of `golden_v5_chain.ckpt` below). Its models carry the
 /// eigenflows and unit column scales this build no longer keeps, so it is
 /// refused by version, as v1 and v2 are; a tenant whose slot is refused
 /// retrains from its training prefix.
@@ -253,19 +252,48 @@ fn golden_v3_chain_is_refused_by_version() {
     assert!(matches!(out.rejected[..], [(_, CheckpointError::BadVersion(3))]));
 }
 
-/// `golden_v4_chain.ckpt` is a slot file of this format. A 14-bin tenant
-/// over an anomaly-free Abilene scenario (`total_demand` 40, fitted at
-/// bin 6 with a randomized truncated backend to keep the loadings small)
-/// was killed after generation 8 and recovered, and wrote the complete
-/// record of generation 9 and the deltas of generations 10, 11 and 12.
-/// While bin 10 filled, every router re-exported its records of bin 1
-/// (sealed by then: refused and counted) and bin 7 (closed, not sealed:
-/// landed). Any build that speaks version 4 must load it to generation 12
-/// and re-encode its first record to the same bytes; a change that
-/// cannot is a new version.
+/// `golden_v4_chain.ckpt` is a slot file the last v4 build wrote (the
+/// recipe of `golden_v5_chain.ckpt` below). Its detectors carry the refit
+/// window this build no longer keeps, so it is refused by version, as v1
+/// to v3 are; a tenant whose slot is refused retrains from its training
+/// prefix.
 #[test]
-fn golden_v4_chain_loads_and_its_first_record_reencodes_to_itself() {
+fn golden_v4_chain_is_refused_by_version() {
     let bytes = golden("golden_v4_chain.ckpt");
+    let spans = common::record_spans(&bytes);
+    assert_eq!(spans.len(), 4, "a complete record, then three deltas");
+    assert!(matches!(decode_state(&bytes[spans[0].clone()]), Err(CheckpointError::BadVersion(4))));
+    let dir = scratch("golden_v4");
+    let store = CheckpointStore::new(&dir, "golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(&store.slot_paths()[1], &bytes).unwrap();
+    let out = store.load_newest();
+    assert!(out.state.is_none());
+    assert!(matches!(out.rejected[..], [(_, CheckpointError::BadVersion(4))]));
+}
+
+/// `golden_v5_chain.ckpt` is a slot file of this format, recorded as
+/// every golden since v3: `Scenario::new(ScenarioConfig { seed: 20040519,
+/// num_bins: 14, total_demand: 40.0, .. }, vec![])`, no anomalies;
+/// `TenantConfig::abilene("golden", 0, 14)` with `train_bins` 6 and
+/// `EigenMethod::RandomizedTruncated { oversample: 2, power_iters: 1,
+/// seed: 5 }` (to keep the loadings small), checkpointing every bin
+/// close. The frames are `frames_for_bin` per bin with running
+/// per-router sequence numbers; after all of bin 10's frames, every
+/// router re-exports its records of bins 1 and 7 (in that order) in one
+/// `encode_datagrams` call stamped with bin 10's start, continuing its
+/// sequence — bin 1 is sealed by then (refused and counted), bin 7 closed
+/// but not sealed (landed). The tenant is dropped (killed) once
+/// generation 8 is durable and restored from `load_newest`; replaying
+/// from its cursor, it writes the complete record of generation 9 into
+/// the other slot and the deltas of generations 10, 11 and 12 after it,
+/// and that slot file is the golden. (The recipe reproduces
+/// `golden_v4_chain.ckpt` byte for byte on the last v4 build.) Any build
+/// that speaks version 5 must load it to generation 12 and re-encode its
+/// first record to the same bytes; a change that cannot is a new version.
+#[test]
+fn golden_v5_chain_loads_and_its_first_record_reencodes_to_itself() {
+    let bytes = golden("golden_v5_chain.ckpt");
     let spans = common::record_spans(&bytes);
     assert_eq!(spans.len(), 4, "a complete record, then three deltas");
     let first = &bytes[spans[0].clone()];
@@ -282,7 +310,7 @@ fn golden_v4_chain_loads_and_its_first_record_reencodes_to_itself() {
     assert!((0..2).all(|b| keys(&base, b) == 0) && (2..10).all(|b| keys(&base, b) > 0));
     assert_eq!(base.shard.dropped_late, 0);
 
-    let dir = scratch("golden_v4");
+    let dir = scratch("golden_v5");
     let store = CheckpointStore::new(&dir, "golden");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(&store.slot_paths()[1], &bytes).unwrap();

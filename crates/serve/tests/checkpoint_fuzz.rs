@@ -193,11 +193,10 @@ fn arb_state() -> impl Strategy<Value = PipelineState> {
 }
 
 /// A structurally valid 2-flow/2-component detector built from 16
-/// arbitrary float bit patterns — exercises the model/window codec
+/// arbitrary float bit patterns — exercises the model codec
 /// without needing a real fit.
 fn small_detector(f: &[f64]) -> DetectorState {
     DetectorState {
-        config: SubspaceConfig::default(),
         model: ModelState {
             decomp: EigenflowDecomposition {
                 loadings: Matrix::from_vec(2, 2, f[4..8].to_vec()).unwrap(),
@@ -213,10 +212,6 @@ fn small_detector(f: &[f64]) -> DetectorState {
             t2_threshold: f[0],
             degenerate_residual: false,
         },
-        window: vec![f[1..3].to_vec(), f[3..5].to_vec()],
-        window_len: 2,
-        refit_every: 0,
-        since_refit: 1,
         next_bin: 7,
     }
 }
@@ -532,9 +527,7 @@ fn retired_eigen_method_tag_is_refused_and_recovery_falls_back() {
 
     // The method tags are the bytes that move when the method does.
     let mut pinned = state.clone();
-    let detector = pinned.detector.as_mut().unwrap();
-    detector.config.method = EigenMethod::DenseTridiagonal;
-    detector.model.config.method = EigenMethod::DenseTridiagonal;
+    pinned.detector.as_mut().unwrap().model.config.method = EigenMethod::DenseTridiagonal;
     let (valid, other) = (encode_state(&state), encode_state(&pinned));
     let tags: Vec<usize> =
         (CHECKPOINT_HEADER_LEN..valid.len()).filter(|&i| valid[i] != other[i]).collect();

@@ -5,7 +5,9 @@
 //! and 4. Both paths judge frames with the one `Watermark`, so this holds
 //! by construction; the test is what notices if a path stops doing so.
 
-use odflow_flow::{PipelineConfig, ShardedIngest, TrafficType, LATENESS_HORIZON_BINS};
+use odflow_flow::{
+    PipelineConfig, RepairPolicy, ShardedIngest, TrafficType, LATENESS_HORIZON_BINS,
+};
 use odflow_gen::{Scenario, ScenarioConfig};
 use odflow_net::IngressResolver;
 use odflow_serve::{TenantConfig, TenantCounters, TenantPipeline};
@@ -100,7 +102,7 @@ proptest! {
         for threads in [1usize, 4] {
             let mut batch =
                 odflow_par::with_thread_limit(threads, || engine.ingest_datagrams(&frames).unwrap());
-            batch.repair(TenantConfig::abilene("t0", 0, BINS).repair);
+            batch.repair(RepairPolicy::default());
             for t in TrafficType::ALL {
                 prop_assert_eq!(
                     daemon.matrices.get(t).data.as_slice(),

@@ -4,7 +4,8 @@
 //! network-wide anomalies" as the goal (§6). [`OnlineDetector`] is that
 //! extension: fit the subspace model on a training window, then score each
 //! arriving 5-minute state vector against the frozen thresholds in O(k·p),
-//! refitting periodically so the normal model tracks slow traffic drift.
+//! optionally refitting periodically so the normal model tracks slow
+//! traffic drift.
 //! The detector is single-owner; a concurrent pipeline holds it behind a
 //! lock or feeds it from a channel (`examples/streaming_detector.rs`).
 
@@ -13,6 +14,7 @@ use crate::error::{Result, SubspaceError};
 use crate::model::{ModelState, StateSplit, SubspaceConfig, SubspaceModel};
 use odflow_flow::BinStatus;
 use odflow_linalg::Matrix;
+use std::collections::VecDeque;
 
 /// Outcome of scoring one streamed observation.
 #[derive(Debug, Clone)]
@@ -37,21 +39,17 @@ impl StreamVerdict {
     }
 }
 
-/// Streaming subspace detector with periodic refit.
+/// Streaming subspace detector, frozen or with periodic refit.
 #[derive(Debug)]
 pub struct OnlineDetector {
-    config: SubspaceConfig,
     model: SubspaceModel,
-    /// Recent observations retained for refitting.
-    window: Vec<Vec<f64>>,
-    /// Maximum retained window (also the refit window length).
-    window_len: usize,
-    /// Refit after this many new observations (0 = never refit).
+    /// Refit after this many clean observations (0 = never refit).
     refit_every: usize,
+    /// The latest clean observations, as many as the training rows, kept
+    /// only while `refit_every > 0`: what the next refit fits.
+    window: VecDeque<Vec<f64>>,
     since_refit: usize,
     next_bin: usize,
-    /// Refits performed since this detector was built or restored.
-    refits: u64,
     /// Reusable centered/normal/residual buffers: scoring a bin is
     /// allocation-free after the first push.
     scratch: StateSplit,
@@ -59,26 +57,27 @@ pub struct OnlineDetector {
 
 impl OnlineDetector {
     /// Fits the initial model on `training` (rows = bins) and prepares to
-    /// stream. `refit_every = 0` freezes the model forever.
+    /// stream. `refit_every = 0` freezes the model forever and keeps no
+    /// refit window; otherwise the last `training.nrows()` clean
+    /// observations are kept and refit every `refit_every` of them.
     ///
     /// # Errors
     ///
     /// Propagates model-fitting errors.
     pub fn new(training: &Matrix, config: SubspaceConfig, refit_every: usize) -> Result<Self> {
         let model = SubspaceModel::fit(training, config)?;
-        let window_len = training.nrows();
-        let window: Vec<Vec<f64>> = training.rows_iter().map(<[f64]>::to_vec).collect();
-        let scratch = StateSplit::with_dimension(training.ncols());
+        let window = if refit_every > 0 {
+            training.rows_iter().map(<[f64]>::to_vec).collect()
+        } else {
+            VecDeque::new()
+        };
         Ok(OnlineDetector {
-            config,
             model,
-            window,
-            window_len,
             refit_every,
+            window,
             since_refit: 0,
             next_bin: 0,
-            refits: 0,
-            scratch,
+            scratch: StateSplit::with_dimension(training.ncols()),
         })
     }
 
@@ -92,25 +91,7 @@ impl OnlineDetector {
         self.next_bin
     }
 
-    /// Refits performed since this detector was built or restored. While
-    /// it stands still the model is the one an earlier snapshot holds, so
-    /// an incremental snapshot need only carry the window's movement.
-    pub fn refits(&self) -> u64 {
-        self.refits
-    }
-
-    /// Clean observations folded into the refit window since the last
-    /// refit (or since the initial fit).
-    pub fn since_refit(&self) -> usize {
-        self.since_refit
-    }
-
-    /// The retained refit window, oldest row first.
-    pub fn window(&self) -> &[Vec<f64>] {
-        &self.window
-    }
-
-    /// Scores one clean observation and slides the training window:
+    /// Scores one clean observation and slides the refit window, if kept:
     /// [`push_with_status`](Self::push_with_status) at [`BinStatus::Ok`].
     ///
     /// # Errors
@@ -124,10 +105,10 @@ impl OnlineDetector {
     /// stream position.
     ///
     /// * [`BinStatus::Ok`] scores, and a row that raised no alarm slides
-    ///   into the refit window. Anomalous observations are *not* folded
-    ///   in — keeping the normal model clean of the anomalies it just
-    ///   flagged (standard practice; otherwise a sustained attack becomes
-    ///   "normal").
+    ///   into a refitting detector's window. Anomalous observations are
+    ///   *not* folded in — keeping the normal model clean of the anomalies
+    ///   it just flagged (standard practice; otherwise a sustained attack
+    ///   becomes "normal").
     /// * [`BinStatus::Imputed`] scores against the same thresholds (the
     ///   row is a plausible estimate) but is **never** folded into the
     ///   refit window — interpolated rows must not train the normal
@@ -155,13 +136,11 @@ impl OnlineDetector {
         };
         self.next_bin += 1;
 
-        if status == BinStatus::Ok && detections.is_empty() {
-            self.window.push(x.to_vec());
-            if self.window.len() > self.window_len {
-                self.window.remove(0);
-            }
+        if self.refit_every > 0 && status == BinStatus::Ok && detections.is_empty() {
+            self.window.pop_front();
+            self.window.push_back(x.to_vec());
             self.since_refit += 1;
-            if self.refit_every > 0 && self.since_refit >= self.refit_every {
+            if self.since_refit >= self.refit_every {
                 self.refit()?;
             }
         }
@@ -174,43 +153,31 @@ impl OnlineDetector {
         Ok(StreamVerdict { bin, spe, t2, detections, degraded })
     }
 
-    /// Snapshots the detector's full state — the fitted model's exact
-    /// floats, the sliding refit window, and the stream position. Restored
-    /// with [`Self::from_state`], scoring continues bit-identically to an
-    /// uninterrupted detector (the model is *not* refit on restore).
+    /// Snapshots what the detector scores with — the fitted model's exact
+    /// floats (its configuration included) and the stream position.
+    /// Restored with [`Self::from_state`], a frozen detector scores on
+    /// bit-identically to an uninterrupted one. The refit window is not
+    /// part of the snapshot: a detector built to refit restores frozen at
+    /// its current model.
     pub fn export_state(&self) -> DetectorState {
-        DetectorState {
-            config: self.config,
-            model: self.model.export_state(),
-            window: self.window.clone(),
-            window_len: self.window_len,
-            refit_every: self.refit_every,
-            since_refit: self.since_refit,
-            next_bin: self.next_bin,
-        }
+        DetectorState { model: self.model.export_state(), next_bin: self.next_bin }
     }
 
-    /// Rebuilds a streaming detector from a snapshot.
+    /// Rebuilds a frozen streaming detector from a snapshot.
     ///
     /// # Errors
     ///
     /// [`SubspaceError::DimensionMismatch`] when the snapshot's model is
-    /// internally inconsistent or a window row has the wrong dimension.
+    /// internally inconsistent.
     pub fn from_state(s: DetectorState) -> Result<Self> {
         let model = SubspaceModel::from_state(s.model)?;
         let p = model.num_od_pairs();
-        if let Some(row) = s.window.iter().find(|row| row.len() != p) {
-            return Err(SubspaceError::DimensionMismatch { expected: p, got: row.len() });
-        }
         Ok(OnlineDetector {
-            config: s.config,
             model,
-            window: s.window,
-            window_len: s.window_len,
-            refit_every: s.refit_every,
-            since_refit: s.since_refit,
+            refit_every: 0,
+            window: VecDeque::new(),
+            since_refit: 0,
             next_bin: s.next_bin,
-            refits: 0,
             scratch: StateSplit::with_dimension(p),
         })
     }
@@ -224,31 +191,20 @@ impl OnlineDetector {
             data.extend_from_slice(row);
         }
         let m = Matrix::from_vec(n, p, data).map_err(SubspaceError::from)?;
-        self.model = SubspaceModel::fit(&m, self.config)?;
+        self.model = SubspaceModel::fit(&m, self.model.config())?;
         self.since_refit = 0;
-        self.refits += 1;
         Ok(())
     }
 }
 
-/// Serializable snapshot of an [`OnlineDetector`]: the frozen model
-/// state, the sliding refit window, and the stream position. All fields
-/// are public so the serve layer's checkpoint codec can persist a live
+/// Serializable snapshot of an [`OnlineDetector`]: the frozen model state
+/// (its configuration included) and the stream position. All fields are
+/// public so the serve layer's checkpoint codec can persist a live
 /// detector across process crashes and restore it bit-exactly.
 #[derive(Debug, Clone)]
 pub struct DetectorState {
-    /// The fit configuration (reused by future refits).
-    pub config: SubspaceConfig,
-    /// The currently fitted model, frozen at its exact floats.
+    /// The fitted model, frozen at its exact floats.
     pub model: ModelState,
-    /// Recent clean observations retained for refitting, oldest first.
-    pub window: Vec<Vec<f64>>,
-    /// Maximum retained window length.
-    pub window_len: usize,
-    /// Refit cadence (0 = never refit).
-    pub refit_every: usize,
-    /// Clean observations accepted since the last refit.
-    pub since_refit: usize,
     /// Stream position: bins consumed so far.
     pub next_bin: usize,
 }
@@ -322,9 +278,11 @@ mod tests {
             }
         }
         // Every 50th clean observation refits and restarts the count.
-        assert!(det.refits() >= 1);
-        assert_eq!(det.refits() as usize * 50 + det.since_refit(), clean);
-        assert_eq!(det.window().len(), 120);
+        assert!(clean >= 50);
+        assert_eq!(det.since_refit, clean % 50);
+        assert_eq!(det.window.len(), 120);
+        let first = OnlineDetector::new(&train, SubspaceConfig::default(), 0).unwrap();
+        assert_ne!(det.model().spe_threshold().to_bits(), first.model().spe_threshold().to_bits());
         // After refits the thresholds remain positive and usable.
         assert!(det.model().spe_threshold() >= 0.0);
         assert!(det.model().t2_threshold() > 0.0);
@@ -338,9 +296,20 @@ mod tests {
     }
 
     #[test]
-    fn masked_push_skips_scoring_and_refit_window() {
+    fn a_frozen_detector_keeps_no_window() {
         let train = traffic(100, 8, 0);
         let mut det = OnlineDetector::new(&train, SubspaceConfig::default(), 0).unwrap();
+        for row in traffic(20, 8, 100).rows_iter() {
+            det.push(row).unwrap();
+        }
+        assert!(det.window.is_empty());
+        assert_eq!(det.since_refit, 0);
+    }
+
+    #[test]
+    fn masked_push_skips_scoring_and_refit_window() {
+        let train = traffic(100, 8, 0);
+        let mut det = OnlineDetector::new(&train, SubspaceConfig::default(), 10_000).unwrap();
         let before = det.window.len();
         let v = det.push_with_status(&[], BinStatus::Masked).unwrap();
         assert_eq!(v.bin, 0);
@@ -379,11 +348,10 @@ mod tests {
 
     #[test]
     fn detector_state_roundtrip_streams_bit_identically() {
-        // Mid-stream snapshot with refits enabled: the restored detector
-        // must score AND refit identically on the tail, including the
-        // shared refit schedule (since_refit survives the snapshot).
+        // Mid-stream snapshot of a frozen detector: the restored detector
+        // must score identically on the tail.
         let train = traffic(60, 8, 0);
-        let mut live = OnlineDetector::new(&train, SubspaceConfig::default(), 25).unwrap();
+        let mut live = OnlineDetector::new(&train, SubspaceConfig::default(), 0).unwrap();
         let stream = traffic(80, 8, 60);
         for row in stream.rows_iter().take(40) {
             live.push(row).unwrap();
@@ -391,21 +359,13 @@ mod tests {
         let snap = live.export_state();
         assert_eq!(snap.next_bin, 40);
         let mut restored = OnlineDetector::from_state(snap).unwrap();
-        for (a, b) in stream.rows_iter().skip(40).zip(stream.rows_iter().skip(40)) {
-            let va = live.push(a).unwrap();
-            let vb = restored.push(b).unwrap();
+        for row in stream.rows_iter().skip(40) {
+            let va = live.push(row).unwrap();
+            let vb = restored.push(row).unwrap();
             assert_eq!(va.bin, vb.bin);
             assert_eq!(va.spe.to_bits(), vb.spe.to_bits());
             assert_eq!(va.t2.to_bits(), vb.t2.to_bits());
         }
         assert_eq!(live.bins_seen(), restored.bins_seen());
-
-        // A window row of the wrong dimension is rejected.
-        let mut bad = live.export_state();
-        bad.window.push(vec![1.0; 3]);
-        assert!(matches!(
-            OnlineDetector::from_state(bad),
-            Err(SubspaceError::DimensionMismatch { .. })
-        ));
     }
 }
