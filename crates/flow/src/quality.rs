@@ -360,7 +360,8 @@ impl DataQuality {
     }
 
     /// Indices of imputed bins, ascending.
-    pub fn imputed_bins(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn imputed_bins(&self) -> Vec<usize> {
         self.bins
             .iter()
             .enumerate()
@@ -379,9 +380,9 @@ impl DataQuality {
     }
 
     /// `true` when every bin is measured and nothing was quarantined or
-    /// lost — the all-clear a daemon would check before trusting verdicts
-    /// at face value.
-    pub fn is_pristine(&self) -> bool {
+    /// lost.
+    #[cfg(test)]
+    pub(crate) fn is_pristine(&self) -> bool {
         self.quarantine.frames_rejected() == 0
             && self.quarantine.implausible_records == 0
             && self.exporters.lost_flows_total() == 0
