@@ -213,23 +213,32 @@ fn golden_v1_file_is_refused_by_version() {
     assert!(matches!(out.rejected[..], [(_, CheckpointError::BadVersion(1))]));
 }
 
+/// A committed slot file of format `version` — a complete record, then
+/// three deltas — is refused by version: its first record alone, and as
+/// the only slot a store holds.
+fn chain_is_refused_by_version(version: u32) {
+    let bytes = golden(&format!("golden_v{version}_chain.ckpt"));
+    let spans = common::record_spans(&bytes);
+    assert_eq!(spans.len(), 4, "a complete record, then three deltas");
+    let refused =
+        |e: &CheckpointError| matches!(e, CheckpointError::BadVersion(v) if *v == version);
+    assert!(decode_state(&bytes[spans[0].clone()]).is_err_and(|e| refused(&e)));
+    let dir = scratch(&format!("golden_v{version}"));
+    let store = CheckpointStore::new(&dir, "golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(&store.slot_paths()[1], &bytes).unwrap();
+    let out = store.load_newest();
+    assert!(out.state.is_none());
+    assert!(matches!(&out.rejected[..], [(_, e)] if refused(e)), "{:?}", out.rejected);
+}
+
 /// `golden_v2_chain.ckpt` is a slot file the last v2 build wrote (a
 /// recovered 10-bin tenant's complete record and three deltas). Its head
 /// carries neither the watermark's cap nor the late count, so this build
 /// refuses it by version, as it does v1.
 #[test]
 fn golden_v2_chain_is_refused_by_version() {
-    let bytes = golden("golden_v2_chain.ckpt");
-    let spans = common::record_spans(&bytes);
-    assert_eq!(spans.len(), 4, "a complete record, then three deltas");
-    assert!(matches!(decode_state(&bytes[spans[0].clone()]), Err(CheckpointError::BadVersion(2))));
-    let dir = scratch("golden_v2");
-    let store = CheckpointStore::new(&dir, "golden");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(&store.slot_paths()[1], &bytes).unwrap();
-    let out = store.load_newest();
-    assert!(out.state.is_none());
-    assert!(matches!(out.rejected[..], [(_, CheckpointError::BadVersion(2))]));
+    chain_is_refused_by_version(2);
 }
 
 /// `golden_v3_chain.ckpt` is a slot file the last v3 build wrote (the
@@ -239,17 +248,7 @@ fn golden_v2_chain_is_refused_by_version() {
 /// retrains from its training prefix.
 #[test]
 fn golden_v3_chain_is_refused_by_version() {
-    let bytes = golden("golden_v3_chain.ckpt");
-    let spans = common::record_spans(&bytes);
-    assert_eq!(spans.len(), 4, "a complete record, then three deltas");
-    assert!(matches!(decode_state(&bytes[spans[0].clone()]), Err(CheckpointError::BadVersion(3))));
-    let dir = scratch("golden_v3");
-    let store = CheckpointStore::new(&dir, "golden");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(&store.slot_paths()[1], &bytes).unwrap();
-    let out = store.load_newest();
-    assert!(out.state.is_none());
-    assert!(matches!(out.rejected[..], [(_, CheckpointError::BadVersion(3))]));
+    chain_is_refused_by_version(3);
 }
 
 /// `golden_v4_chain.ckpt` is a slot file the last v4 build wrote (the
@@ -259,17 +258,7 @@ fn golden_v3_chain_is_refused_by_version() {
 /// prefix.
 #[test]
 fn golden_v4_chain_is_refused_by_version() {
-    let bytes = golden("golden_v4_chain.ckpt");
-    let spans = common::record_spans(&bytes);
-    assert_eq!(spans.len(), 4, "a complete record, then three deltas");
-    assert!(matches!(decode_state(&bytes[spans[0].clone()]), Err(CheckpointError::BadVersion(4))));
-    let dir = scratch("golden_v4");
-    let store = CheckpointStore::new(&dir, "golden");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(&store.slot_paths()[1], &bytes).unwrap();
-    let out = store.load_newest();
-    assert!(out.state.is_none());
-    assert!(matches!(out.rejected[..], [(_, CheckpointError::BadVersion(4))]));
+    chain_is_refused_by_version(4);
 }
 
 /// `golden_v5_chain.ckpt` is a slot file of this format, recorded as
