@@ -26,8 +26,8 @@
 //!   refuses further records.
 //! * [`BinShard::finish`](crate::BinShard::finish) seals every bin. The
 //!   shard-filling tasks of the batch paths finish their shard as soon as
-//!   its bin range is rendered, so a window's keys are never resident
-//!   together.
+//!   its records are in; the fused generate→bin fill also seals each bin
+//!   once it is rendered, so it holds one bin's keys per worker.
 //!
 //! A table's slot order depends on the process-random hash keys, and it
 //! stops at the table's edge: [`DistinctFlows::insert`] answers new or

@@ -22,10 +22,13 @@
 //! The batch engine allocates the window's three row-major cell vectors
 //! and lends every shard the row range of its bins; a shard accumulates
 //! straight into those rows, and when the last shard is done the vectors
-//! *are* the traffic matrices — nothing is concatenated or copied. The
-//! task that fills a shard also [finishes](BinShard::finish) it, which
-//! frees its distinct-flow tables, so the 5-tuples of a window are never
-//! resident together. A streaming consumer's single full-window shard owns
+//! *are* the traffic matrices — nothing is concatenated or copied. A fill
+//! that renders bin after bin (the fused generate→bin path)
+//! [seals](BinShard::seal) each one as it finishes, so the 5-tuples
+//! resident are one bin's per filling worker; the one-shot record and
+//! frame drivers take a shard's records in arrival order, not bin by bin,
+//! and keep its tables until the task [finishes](BinShard::finish) the
+//! shard, which frees them. A streaming consumer's single full-window shard owns
 //! its cells instead, [seals](BinShard::seal) its bins as its
 //! [`Watermark`] passes them, and [`ShardedIngest::merge`] moves the cells
 //! out. Either way [`ShardedIngest`] turns the cells into the
@@ -122,6 +125,9 @@ pub struct BinShard<S = Vec<f64>> {
     /// Bins `0..sealed` (shard coordinates) are sealed: tables freed,
     /// records refused.
     sealed: usize,
+    /// Distinct pairs the last sealed bin's table held when it was freed:
+    /// the size hint for the first bin after it.
+    sealed_len: usize,
     /// Records accepted per bin — the raw signal behind the
     /// [`DataQuality`] outage/masking repair. Its length is the shard's
     /// bin count.
@@ -174,9 +180,14 @@ impl<S: DerefMut<Target = [f64]>> BinShard<S> {
         let distinct = &mut rest[0];
         if distinct.is_empty() {
             // Consecutive bins hold about as many flows, so a bin's table
-            // opens at the size the bin before it came to and skips most
-            // of the doubling ladder.
-            distinct.reserve(earlier.last().map_or(0, DistinctFlows::len));
+            // opens at the size the bin before it came to — read when that
+            // bin was sealed, if it is — and skips most of the doubling
+            // ladder.
+            distinct.reserve(if bin == self.sealed {
+                self.sealed_len
+            } else {
+                earlier[bin - 1].len()
+            });
         }
         let cell = bin * self.num_od + od_index;
         self.bytes[cell] += record.bytes as f64;
@@ -228,6 +239,7 @@ impl<S: DerefMut<Target = [f64]>> BinShard<S> {
     pub fn seal(&mut self, bins: usize) {
         let bins = bins.saturating_sub(self.first_bin).min(self.bin_records.len());
         for table in self.distinct.iter_mut().take(bins).skip(self.sealed) {
+            self.sealed_len = table.len();
             *table = DistinctFlows::default();
         }
         self.sealed = self.sealed.max(bins);
@@ -271,7 +283,8 @@ impl<S: DerefMut<Target = [f64]>> BinShard<S> {
     /// the emptied tables themselves, which no later step reads — the
     /// flow counts are already in the cells.
     /// [`ShardedIngest::fill_shards`] ends every shard task with this, so
-    /// the 5-tuples of a window are never resident together;
+    /// the 5-tuples resident are at most one shard's per filling worker —
+    /// one bin's, for a fill that seals each bin as it goes;
     /// [`ShardedIngest::merge`] applies it to a shard that arrives
     /// unfinished. Idempotent.
     #[must_use]
@@ -405,7 +418,7 @@ impl BinShard {
                 table
             })
             .collect();
-        self.sealed = 0;
+        (self.sealed, self.sealed_len) = (0, 0);
         self.bin_records.clone_from(&state.bin_records);
         self.records_accepted = state.records_accepted;
         self.resolver.restore_stats(state.resolution);
@@ -712,6 +725,7 @@ impl ShardedIngest {
             flows,
             distinct: vec![DistinctFlows::new(); bins.len()],
             sealed: 0,
+            sealed_len: 0,
             bin_records: vec![0; bins.len()],
             records_accepted: 0,
             dropped_out_of_window: 0,

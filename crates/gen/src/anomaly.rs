@@ -130,6 +130,13 @@ impl InjectedAnomaly {
         self.start_bin + self.duration_bins.saturating_sub(1)
     }
 
+    /// `true` for the kinds that reshape baseline means (OUTAGE and
+    /// INGRESS-SHIFT). Every other kind's [`Self::baseline_factor`] is
+    /// exactly 1.0 and its [`Self::shifted_in_mean`] exactly 0.0.
+    pub(crate) fn modifies_baseline(&self) -> bool {
+        matches!(self.kind, AnomalyKind::Outage | AnomalyKind::IngressShift)
+    }
+
     /// Multiplier applied to the baseline mean of `(origin, destination)`
     /// during the anomaly (1.0 = untouched). OUTAGE suppresses the involved
     /// pairs; INGRESS-SHIFT drains the old-ingress pairs.

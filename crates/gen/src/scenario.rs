@@ -318,14 +318,43 @@ impl<'a> TraceGenerator<'a> {
     /// materializing the bin. The fused generate→bin path renders whole
     /// shards of bins straight into the ingest engine this way.
     pub fn records_for_bin_into(&self, bin: usize, sink: &mut impl FnMut(FlowRecord)) {
+        let n = self.scenario.topology.num_pops();
+        self.records_for_cells_into(bin, 0..n * n, sink);
+    }
+
+    /// Renders the baseline records of the listed OD cells of one bin
+    /// (`origin * num_pops + destination`, ascending), then every active
+    /// anomaly's injected records: the records of
+    /// [`records_for_bin`](Self::records_for_bin) that those cells and the
+    /// anomalies contribute, in the same order.
+    /// [`records_for_bin_into`](Self::records_for_bin_into) is the case of
+    /// every cell.
+    ///
+    /// A baseline record of cell `(o, d)` is exported by router `o` on
+    /// interface 0 toward one of `d`'s customer blocks or unannounced
+    /// space, so it resolves to OD `(o, d)` or to nothing. Whatever of the
+    /// bin resolves into a set of OD pairs is therefore among the records
+    /// rendered for those cells.
+    ///
+    /// # Panics
+    ///
+    /// If a cell index is not below `num_pops²`.
+    pub fn records_for_cells_into(
+        &self,
+        bin: usize,
+        cells: impl IntoIterator<Item = usize>,
+        sink: &mut impl FnMut(FlowRecord),
+    ) {
         let cfg = &self.scenario.config;
         let n = self.scenario.topology.num_pops();
         let bin_start = self.bin_start(bin);
-        // Only anomalies active in this bin can perturb a mean, so the
-        // prefilter skips the O(|schedule|) scan per cell without changing
-        // a bit of the result (see `perturbed_mean`).
         let active: Vec<&InjectedAnomaly> =
             self.scenario.schedule.iter().filter(|a| a.active_in(bin)).collect();
+        // Only active OUTAGE and INGRESS-SHIFT anomalies can move a mean,
+        // so the per-cell fold skips the rest without changing a bit of the
+        // result (see `perturbed_mean`).
+        let modifiers: Vec<&InjectedAnomaly> =
+            active.iter().copied().filter(|a| a.modifies_baseline()).collect();
         // `base_mean` with its diurnal factor — two `rem_euclid` and a
         // `cos` that depend on (bin, origin) alone — evaluated once per
         // origin instead of once per cell: the same value in the same
@@ -333,23 +362,22 @@ impl<'a> TraceGenerator<'a> {
         // table covers every origin before the first cell is rendered.
         let diurnal: Vec<f64> = (0..n).map(|o| self.diurnal_multiplier(bin, o)).collect();
         let base = |o: PopId, d: PopId| self.gravity.od_mean(o, d) * diurnal[o];
-        for origin in 0..n {
-            for destination in 0..n {
-                let od = origin * n + destination;
-                let mean = perturbed_mean(bin, origin, destination, base, active.iter().copied());
-                let mut rng = cell_rng(cfg.seed, bin as u64, od as u64, Stream::Baseline);
-                synthesize_cell_into(
-                    &cfg.baseline,
-                    &self.scenario.plan,
-                    origin,
-                    destination,
-                    mean,
-                    bin_start,
-                    cfg.bin_secs,
-                    &mut rng,
-                    sink,
-                );
-            }
+        for od in cells {
+            assert!(od < n * n, "cell {od} outside the {n}-PoP OD space");
+            let (origin, destination) = (od / n, od % n);
+            let mean = perturbed_mean(bin, origin, destination, base, modifiers.iter().copied());
+            let mut rng = cell_rng(cfg.seed, bin as u64, od as u64, Stream::Baseline);
+            synthesize_cell_into(
+                &cfg.baseline,
+                &self.scenario.plan,
+                origin,
+                destination,
+                mean,
+                bin_start,
+                cfg.bin_secs,
+                &mut rng,
+                sink,
+            );
         }
         for a in &active {
             for r in a.synthesize(cfg.seed, bin, bin_start, cfg.bin_secs, &self.scenario.plan) {
@@ -390,9 +418,9 @@ impl<'a> TraceGenerator<'a> {
     /// bin's records never leave its shard, the result is bit-identical to
     /// pushing [`records_for_bin`](Self::records_for_bin) output through
     /// the serial [`odflow_flow::MeasurementPipeline`] — for any
-    /// `ODFLOW_THREADS`. A shard is finished once its range is rendered,
-    /// so the distinct 5-tuples resident at any moment are those of the
-    /// shards being filled, not the window's.
+    /// `ODFLOW_THREADS`. Each bin is [sealed](odflow_flow::BinShard::seal)
+    /// as soon as it is rendered, so the distinct 5-tuples resident at any
+    /// moment are those of one bin per filling worker.
     ///
     /// `config` must share the scenario's bin grid (same `start_secs` and
     /// `bin_secs` — bin-range shard routing relies on scenario bin `b`
@@ -430,6 +458,9 @@ impl<'a> TraceGenerator<'a> {
                 if let Some(e) = err {
                     return Err(e);
                 }
+                // Every record of bin `b` lies in bin `b`, so its table is
+                // done: free it before the next bin opens one.
+                shard.seal(bin + 1);
             }
             Ok(())
         })
@@ -533,8 +564,9 @@ impl<'a> TraceGenerator<'a> {
 /// Folds anomaly modifiers over the baseline mean `base(origin,
 /// destination)` of one cell of `bin`. The one implementation behind both
 /// [`TraceGenerator::effective_mean`] (full schedule) and the rendering hot
-/// path (per-bin active subset — bit-identical, since inactive modifiers
-/// multiply by exactly 1.0 and add exactly 0.0).
+/// path (the bin's active OUTAGE and INGRESS-SHIFT anomalies only). The two
+/// agree bit for bit: an inactive anomaly, and an active one of any other
+/// kind, multiplies by exactly 1.0 and adds exactly 0.0.
 fn perturbed_mean<'b>(
     bin: usize,
     origin: PopId,
@@ -1259,6 +1291,113 @@ mod tests {
         // The shift really reaches across origins in the bins compared.
         assert!(g.effective_mean(105, 8, 7) > g.base_mean(105, 8, 7));
         assert!(g.effective_mean(105, 2, 2) < g.base_mean(105, 2, 2) * 0.05);
+    }
+
+    /// A day over Abilene whose schedule holds one anomaly of every kind,
+    /// taken from the paper weeks (weeks 0–2 carry the three rare kinds)
+    /// and moved so that all of them start at bin 100.
+    fn every_kind_day() -> Scenario {
+        let mut schedule: Vec<InjectedAnomaly> = Vec::new();
+        for week in 0..3 {
+            for a in Scenario::paper_week(5, week).unwrap().schedule {
+                if schedule.iter().all(|held| held.kind != a.kind) {
+                    schedule.push(a);
+                }
+            }
+        }
+        for a in &mut schedule {
+            a.start_bin = 100;
+        }
+        assert_eq!(schedule.len(), 9, "every anomaly kind is scheduled");
+        let config = ScenarioConfig { num_bins: 288, ..Default::default() };
+        Scenario::new(config, schedule).unwrap()
+    }
+
+    /// Every active anomaly's records of `bin`, in render order.
+    fn anomaly_records(g: &TraceGenerator<'_>, bin: usize) -> Vec<FlowRecord> {
+        let (s, cfg) = (g.scenario(), &g.scenario().config);
+        s.schedule
+            .iter()
+            .flat_map(|a| a.synthesize(cfg.seed, bin, g.bin_start(bin), cfg.bin_secs, &s.plan))
+            .collect()
+    }
+
+    /// The baseline records `records_for_cells_into` renders for `cells`,
+    /// after checking that the bin's anomaly records follow them.
+    fn cell_records(g: &TraceGenerator<'_>, bin: usize, cells: &[usize]) -> Vec<FlowRecord> {
+        let mut out = Vec::new();
+        g.records_for_cells_into(bin, cells.iter().copied(), &mut |r| out.push(r));
+        let tail = anomaly_records(g, bin);
+        assert!(out.ends_with(&tail), "bin {bin}: anomaly records close the render");
+        out.truncate(out.len() - tail.len());
+        out
+    }
+
+    #[test]
+    fn every_rendered_record_lies_in_its_bin() {
+        // Per-bin sealing in `bin_scenario` relies on this: a record of
+        // bin b rendered after b is sealed would be refused.
+        let day = every_kind_day();
+        let mesh = Scenario::large_mesh_with(ScenarioConfig {
+            num_bins: 24,
+            ..ScenarioConfig::large_mesh()
+        })
+        .unwrap();
+        for s in [&day, &mesh] {
+            let g = s.generator();
+            let mut records = 0usize;
+            for bin in 0..g.num_bins() {
+                let span = g.bin_start(bin)..g.bin_start(bin) + s.config.bin_secs;
+                g.records_for_bin_into(bin, &mut |r| {
+                    assert!(span.contains(&r.window_start), "bin {bin}: {r:?}");
+                    records += 1;
+                });
+            }
+            assert!(records > 0);
+        }
+        assert!(day.schedule.iter().all(|a| a.active_in(100)), "the day's anomalies overlap");
+        assert!(mesh.schedule.iter().any(|a| a.active_in(12)), "the mesh window has anomalies");
+    }
+
+    #[test]
+    fn cell_subset_render_is_the_bin_render_restricted_to_those_cells() {
+        let s = every_kind_day();
+        let g = s.generator();
+        let p = s.topology.num_od_pairs();
+        for bin in [40usize, 100, 104] {
+            let mut full = g.records_for_bin(bin);
+            full.truncate(full.len() - anomaly_records(&g, bin).len());
+            let per_cell: Vec<Vec<FlowRecord>> =
+                (0..p).map(|od| cell_records(&g, bin, &[od])).collect();
+            assert_eq!(per_cell.concat(), full, "bin {bin}: cells render in OD order");
+            let some = [3usize, 17, 64, 120];
+            let picked: Vec<FlowRecord> =
+                some.iter().flat_map(|&od| per_cell[od].iter().copied()).collect();
+            assert_eq!(cell_records(&g, bin, &some), picked, "bin {bin}");
+            assert!(cell_records(&g, bin, &[]).is_empty());
+        }
+    }
+
+    #[test]
+    fn one_mesh_cell_renders_that_cell_and_the_anomalies_only() {
+        let cfg = ScenarioConfig { num_bins: 24, ..ScenarioConfig::large_mesh() };
+        let s = Scenario::large_mesh_with(cfg).unwrap();
+        let g = s.generator();
+        let n = s.topology.num_pops();
+        let bin =
+            s.schedule.iter().find(|a| a.kind == AnomalyKind::Alpha).expect("ALPHA").start_bin;
+        // Most mesh cells are empty in a bin; take the first one that is
+        // not.
+        let (od, cell) = (0..n * n)
+            .map(|od| (od, cell_records(&g, bin, &[od])))
+            .find(|(_, cell)| !cell.is_empty())
+            .expect("a cell with records");
+        let full = g.records_for_bin(bin);
+        assert!(cell.len() * 1000 < full.len(), "{} of {} records", cell.len(), full.len());
+        assert!(cell.iter().all(|r| r.router == od / n && r.interface == 0));
+        // The cell's records are a run of the whole bin's.
+        let at = full.iter().position(|r| *r == cell[0]).expect("first record of the cell");
+        assert_eq!(&full[at..at + cell.len()], cell.as_slice());
     }
 
     #[test]

@@ -293,8 +293,8 @@ fn classify_event(
         }
     }
 
-    // Rebuild the raw flows behind the event (bin-addressable generator) and
-    // digest only the records that resolve into the event's OD flows.
+    // Rebuild the raw flows behind the event (bin- and cell-addressable
+    // generator) and digest the records that resolve into its OD flows.
     let digest = event_digest(generator, resolver, event);
 
     let origins: std::collections::HashSet<usize> =
@@ -411,26 +411,141 @@ fn has_counterpart_spike(
     false
 }
 
-/// Digest of the raw flows behind an event: regenerates the event's bins
-/// and keeps records resolving into the event's OD flows.
+/// Digest of the raw flows behind an event: re-renders, for each of the
+/// event's bins, the baseline cells of the event's OD pairs and the bin's
+/// anomaly records, and keeps those that resolve into the event's OD
+/// pairs. Every other record of the bin resolves elsewhere or nowhere
+/// (see [`TraceGenerator::records_for_cells_into`]), so this is the
+/// digest of the whole bin's matching records, in the same order.
 fn event_digest(
     generator: &TraceGenerator<'_>,
     resolver: &mut OdResolver,
     event: &AnomalyEvent,
 ) -> AttributeDigest {
+    let mut cells = event.od_flows.clone();
+    cells.sort_unstable();
+    cells.dedup();
     let mut digest = AttributeDigest::new();
-    for bin in event.start_bin..=event.end_bin() {
-        if bin >= generator.num_bins() {
-            break;
-        }
-        for mut record in generator.records_for_bin(bin) {
+    for bin in event.start_bin..=event.end_bin().min(generator.num_bins().saturating_sub(1)) {
+        generator.records_for_cells_into(bin, cells.iter().copied(), &mut |mut record| {
             record.key = record.key.with_anonymized_dst();
             if let OdResolution::Resolved { od_index } = resolver.resolve(&record) {
-                if event.od_flows.contains(&od_index) {
+                if cells.binary_search(&od_index).is_ok() {
                     digest.add(&record);
                 }
             }
-        }
+        });
     }
     digest
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use odflow_gen::ScenarioConfig;
+    use odflow_subspace::TypeSet;
+
+    /// The digest as it was built before cells could be rendered alone:
+    /// every record of each of the event's bins, kept when it resolves
+    /// into the event's OD pairs.
+    fn full_bin_digest(
+        generator: &TraceGenerator<'_>,
+        resolver: &mut OdResolver,
+        event: &AnomalyEvent,
+    ) -> AttributeDigest {
+        let mut digest = AttributeDigest::new();
+        for bin in event.start_bin..=event.end_bin() {
+            if bin >= generator.num_bins() {
+                break;
+            }
+            for mut record in generator.records_for_bin(bin) {
+                record.key = record.key.with_anonymized_dst();
+                if let OdResolution::Resolved { od_index } = resolver.resolve(&record) {
+                    if event.od_flows.contains(&od_index) {
+                        digest.add(&record);
+                    }
+                }
+            }
+        }
+        digest
+    }
+
+    /// Every field of a digest, floats as their bits, keys widened.
+    fn digest_bits(d: &AttributeDigest) -> Vec<(u8, u64, [u64; 3])> {
+        let bits =
+            |c: &odflow_flow::Counts| [c.bytes.to_bits(), c.packets.to_bits(), c.flows.to_bits()];
+        let mut out = vec![(0, 0, bits(&d.total))];
+        out.extend(d.by_src_block.iter().map(|(&k, c)| (1, u64::from(k), bits(c))));
+        out.extend(d.by_src_port.iter().map(|(&k, c)| (2, u64::from(k), bits(c))));
+        out.extend(d.by_dst_port.iter().map(|(&k, c)| (3, u64::from(k), bits(c))));
+        out.extend(d.by_dst_addr.iter().map(|(&k, c)| (4, u64::from(k), bits(c))));
+        out.extend(
+            d.by_dst_addr_port
+                .iter()
+                .map(|(&(a, p), c)| (5, u64::from(a) << 16 | u64::from(p), bits(c))),
+        );
+        out
+    }
+
+    /// Checks every event's cell-rendered digest against the full-bin
+    /// oracle; returns each digest's flow total.
+    fn assert_digests_match(scenario: &Scenario, events: &[&AnomalyEvent]) -> Vec<f64> {
+        let generator = scenario.generator();
+        let routes = scenario.plan.build_route_table(1.0).unwrap();
+        let ingress = IngressResolver::synthetic(&scenario.topology);
+        let mut resolver = OdResolver::new(&scenario.topology, ingress, routes);
+        events
+            .iter()
+            .map(|event| {
+                let cells = event_digest(&generator, &mut resolver, event);
+                let oracle = full_bin_digest(&generator, &mut resolver, event);
+                assert_eq!(digest_bits(&cells), digest_bits(&oracle), "event {event:?}");
+                cells.total.flows
+            })
+            .collect()
+    }
+
+    #[test]
+    fn event_digests_equal_the_full_bin_oracle_on_the_paper_weeks() {
+        let mut checked = 0;
+        for scenario in Scenario::paper_four_weeks(ScenarioConfig::default().seed).unwrap() {
+            let run = run_scenario(&scenario, &ExperimentConfig::default()).unwrap();
+            let events: Vec<&AnomalyEvent> = run.classified.iter().map(|c| &c.event).collect();
+            checked += assert_digests_match(&scenario, &events).len();
+        }
+        assert!(checked > 300, "{checked} events");
+    }
+
+    #[test]
+    fn event_digests_equal_the_full_bin_oracle_on_a_storm_week() {
+        let week = Scenario::paper_week(ScenarioConfig::default().seed, 0).unwrap();
+        let faults = FaultSchedule::storm(week.config.seed, week.config.num_bins).unwrap();
+        let run = run_scenario_faulted(&week, &ExperimentConfig::default(), &faults).unwrap();
+        assert!(run.storm.frames_dropped_outage > 0, "the storm does damage");
+        let events: Vec<&AnomalyEvent> = run.run.classified.iter().map(|c| &c.event).collect();
+        assert!(assert_digests_match(&week, &events).len() > 50);
+    }
+
+    #[test]
+    fn a_one_pair_event_on_the_mesh_digests_its_cell_and_the_anomalies() {
+        let cfg = ScenarioConfig { num_bins: 24, ..ScenarioConfig::large_mesh() };
+        let scenario = Scenario::large_mesh_with(cfg).unwrap();
+        let n = scenario.topology.num_pops();
+        let events: Vec<AnomalyEvent> = scenario
+            .schedule
+            .iter()
+            .filter(|a| a.od_pairs.len() == 1)
+            .take(3)
+            .map(|a| AnomalyEvent {
+                types: TypeSet::single(TrafficType::Flows),
+                start_bin: a.start_bin,
+                duration_bins: a.duration_bins,
+                od_flows: vec![a.od_pairs[0].0 * n + a.od_pairs[0].1],
+            })
+            .collect();
+        let flows = assert_digests_match(&scenario, &events.iter().collect::<Vec<_>>());
+        // Each event's own anomaly resolves into its pair.
+        assert_eq!(flows.len(), 3);
+        assert!(flows.iter().all(|&f| f > 0.0), "{flows:?}");
+    }
 }
