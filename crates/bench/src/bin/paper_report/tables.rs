@@ -364,7 +364,7 @@ pub fn resolution(_: &Study, out: &mut String) -> Vec<Check> {
                 pipeline.push_sampled_record(record).expect("push");
             }
         }
-        let stats = pipeline.resolution_stats();
+        let stats = pipeline.shard().resolution_stats();
         full_coverage = (stats.flow_rate(), stats.byte_rate());
         rows.push((
             format!("{:.0}%", coverage * 100.0),

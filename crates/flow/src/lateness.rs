@@ -15,9 +15,10 @@
 //!
 //! Every admitted frame goes through [`Watermark::judge_frame`]: its
 //! records first, each against the watermark as it stood before the frame,
-//! then the frame's export time. The daemon's tenants and the batch
-//! datagram ingest both make that call, frame by frame in stream order,
-//! which is why they refuse exactly the same records.
+//! then the frame's export time. Only
+//! [`MeasurementPipeline::bin_frame`](crate::MeasurementPipeline::bin_frame)
+//! makes that call, for the daemon's tenants and the batch datagram ingest
+//! alike, which is why they refuse exactly the same records.
 //!
 //! A header is trusted no further than the data behind it: a frame raises
 //! the watermark at most to the end of the bin after the latest in-window
@@ -52,8 +53,8 @@ pub struct WatermarkState {
 }
 
 /// The export-time watermark of one observation window and the lateness
-/// rule it drives (see the module docs). Minted by
-/// [`ShardedIngest::watermark`](crate::ShardedIngest::watermark).
+/// rule it drives (see the module docs), as a
+/// [`MeasurementPipeline`](crate::MeasurementPipeline) holds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watermark {
     start_secs: u64,
@@ -95,7 +96,7 @@ impl Watermark {
     /// not sealed (records outside the window included: they are the
     /// binner's to count) — then raises the watermark on the frame's
     /// `export_secs`. Returns the number refused as late.
-    pub fn judge_frame<T>(
+    pub(crate) fn judge_frame<T>(
         &mut self,
         export_secs: u32,
         records: impl IntoIterator<Item = T>,

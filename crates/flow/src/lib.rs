@@ -22,15 +22,14 @@
 //! Steps 4 and 5 are one call: a [`BinShard`] owns the cells of a
 //! contiguous bin range, and [`BinShard::push_sampled_record`] — the only
 //! code that adds a record to a cell — anonymizes, resolves and bins it.
-//! [`ShardedIngest`] validates the window once, fills one shard per bin
-//! range across threads, each writing its own rows of the window's
-//! matrices in place (bit-identical for any thread count), and is the one
-//! place cells become a [`TrafficMatrixSet`]; [`MeasurementPipeline`]
-//! drives a single full-window shard. Wire-format input enters through
-//! one admission step, [`DataQuality::admit_frame`] (lossy decode into
-//! the quarantine counters, then exporter sequence tracking), and one
-//! lateness rule, [`Watermark::judge_frame`] (records of a sealed bin
-//! refused and counted), whatever the driver.
+//! [`ShardedIngest`] validates the window once and is the one place cells
+//! become a [`TrafficMatrixSet`]. Records reach cells by two routes: the
+//! fused render fills one shard per bin range across threads, in place
+//! (bit-identical for any thread count), and [`MeasurementPipeline`]
+//! drives one full-window shard — through
+//! [`MeasurementPipeline::ingest_frame`], the frame path of the daemon and
+//! the batch datagram ingest alike: lossy admission, then the
+//! [`Watermark`]'s lateness rule, binning and sealing.
 //! [`AttributeDigest`] summarizes the raw flows behind a detection for the
 //! classification stage.
 
@@ -62,7 +61,7 @@ pub use lateness::{Watermark, WatermarkState, LATENESS_HORIZON_BINS};
 pub use matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType, BIN_SECS};
 pub use od::{OdResolution, OdResolver, ResolutionStats};
 pub use packet::PacketObs;
-pub use pipeline::{MeasurementPipeline, PipelineConfig};
+pub use pipeline::{FrameTally, MeasurementPipeline, PipelineConfig};
 pub use quality::{
     BinStatus, DataQuality, ExporterSeq, ExporterSeqState, ExporterSeqStats, QuarantineClass,
     QuarantineStats, RepairPolicy,

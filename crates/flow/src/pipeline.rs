@@ -20,14 +20,21 @@
 //! [`FlowAggregator`](crate::FlowAggregator) build the first two stages
 //! where packets are wanted, as `examples/netflow_pipeline.rs` does.
 //!
-//! [`MeasurementPipeline::push_sampled_record`] is the one record entry
-//! point: it anonymizes, resolves and bins each record.
+//! Records reach cells by two routes: the fused render
+//! (`TraceGenerator::bin_scenario` in `odflow-gen`, through
+//! [`ShardedIngest::fill_shards`]), and a [`MeasurementPipeline`], whose
+//! [`ingest_frame`](MeasurementPipeline::ingest_frame) is the one body that
+//! turns an export frame into cells — for a daemon tenant frame by frame,
+//! for [`ShardedIngest::ingest_datagrams`] over a slice.
 
-use crate::error::Result;
+use crate::error::{FlowError, Result};
+use crate::lateness::{Watermark, WatermarkState};
 use crate::matrix::{TrafficMatrixSet, BIN_SECS};
+use crate::netflow::{decode_frame, DatagramHeader, FrameRecords};
 use crate::od::ResolutionStats;
+use crate::quality::DataQuality;
 use crate::record::FlowRecord;
-use crate::shard::{BinShard, ShardedIngest};
+use crate::shard::{BinShard, IngestOutcome, ShardState, ShardedIngest};
 
 /// The observation window of an ingest: where it starts, how wide its bins
 /// are, and how many there are.
@@ -48,16 +55,29 @@ impl PipelineConfig {
     }
 }
 
-/// Serial ingest: pre-sampled flow records in, OD traffic matrices out.
-///
-/// It holds a single full-window [`BinShard`] and finishes it through
-/// [`ShardedIngest::merge`], as a daemon tenant does. The parallel batch
-/// engine runs the same per-record code on its shards, which is what makes
-/// the two agree bit for bit.
+/// What binning one frame's records did.
+#[derive(Debug, Default, PartialEq)]
+pub struct FrameTally {
+    /// Records refused because the watermark had sealed their bin.
+    pub late: u64,
+    /// The shard's errors, in record order: impossible, as the shard spans
+    /// the window and the watermark refuses a sealed bin's records first.
+    pub refused: Vec<FlowError>,
+}
+
+/// Serial ingest: flow records or export frames in, OD traffic matrices
+/// out — a single full-window [`BinShard`], finished through
+/// [`ShardedIngest::merge`], and for frames the [`DataQuality`] counters
+/// and the window's [`Watermark`]. The bins the watermark seals are sealed
+/// in the shard, so only the 5-tuples of bins that can still change stay
+/// resident. The parallel fill runs the same per-record code on its
+/// shards, which is what makes the two agree bit for bit.
 #[derive(Debug)]
 pub struct MeasurementPipeline {
     engine: ShardedIngest,
     shard: BinShard,
+    quality: DataQuality,
+    watermark: Watermark,
 }
 
 impl MeasurementPipeline {
@@ -73,41 +93,154 @@ impl MeasurementPipeline {
         ingress: odflow_net::IngressResolver,
         routes: odflow_net::RouteTable,
     ) -> Result<Self> {
-        let engine = ShardedIngest::new(config, topology, ingress, routes)?;
-        let shard = engine.make_shard(0..engine.num_bins())?;
-        Ok(MeasurementPipeline { engine, shard })
+        Self::over(ShardedIngest::new(config, topology, ingress, routes)?)
     }
 
-    /// Offers one pre-sampled flow record.
+    fn over(engine: ShardedIngest) -> Result<Self> {
+        Ok(MeasurementPipeline {
+            shard: engine.make_shard(0..engine.num_bins())?,
+            quality: DataQuality::default(),
+            watermark: engine.watermark(WatermarkState::default()),
+            engine,
+        })
+    }
+
+    /// Resumes where a snapshot was cut: the shard, the watermark (whose
+    /// sealed bins are sealed again) and `quality`'s frame counters.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::Codec`] when the shard snapshot's shape is not the
+    /// window's.
+    pub fn restore(
+        &mut self,
+        shard: &ShardState,
+        watermark: WatermarkState,
+        quality: DataQuality,
+    ) -> Result<()> {
+        self.shard.restore_state(shard)?;
+        self.watermark = self.engine.watermark(watermark);
+        self.shard.seal(self.watermark.sealed_bins());
+        self.quality = quality;
+        Ok(())
+    }
+
+    /// Offers one export frame exactly as it came off the wire: admits it
+    /// and bins its records, unless it was quarantined or is a retransmit.
+    pub fn ingest_frame(&mut self, frame: &[u8]) -> FrameTally {
+        match self.admit_frame(frame) {
+            Some((header, Some(records))) => self.bin_frame(header.unix_secs, records),
+            _ => FrameTally::default(),
+        }
+    }
+
+    /// Lossy decode into the quarantine counters, then exporter sequence
+    /// tracking. `None` for a quarantined frame; else its header and its
+    /// plausible records, decoded as iterated — `None` in their place for
+    /// an exact retransmit, which is counted and not binned.
+    pub fn admit_frame<'a>(
+        &mut self,
+        frame: &'a [u8],
+    ) -> Option<(DatagramHeader, Option<FrameRecords<'a>>)> {
+        let (hdr, records) = decode_frame(frame, &mut self.quality.quarantine)?;
+        let exporters = &mut self.quality.exporters;
+        let fresh =
+            exporters.observe(hdr.engine_id, hdr.flow_sequence, hdr.count, hdr.sampling_interval);
+        Some((hdr, fresh.then_some(records)))
+    }
+
+    /// Judges an admitted frame's records against the watermark, pushes
+    /// those on time and counts the late ones, lets `export_secs` move the
+    /// watermark, and seals what it has sealed.
+    pub fn bin_frame(&mut self, export_secs: u32, records: FrameRecords<'_>) -> FrameTally {
+        let (shard, mut refused) = (&mut self.shard, Vec::new());
+        let late = self.watermark.judge_frame(
+            export_secs,
+            records,
+            |record| record.window_start,
+            |record| refused.extend(shard.push_sampled_record(record).err()),
+        );
+        self.shard.count_late(late);
+        self.shard.seal(self.watermark.sealed_bins());
+        FrameTally { late, refused }
+    }
+
+    /// Offers one pre-sampled flow record, past the watermark: records
+    /// that never were frames arrive in any order, so nothing is sealed.
     ///
     /// # Errors
     ///
     /// Propagates binning errors other than out-of-window timestamps, which
-    /// are counted in [`Self::dropped_out_of_window`] instead (trace edges
-    /// legitimately spill partial minutes). A full-window shard cannot
-    /// misroute: every timestamp outside it is outside the window.
+    /// are counted in [`BinShard::dropped_out_of_window`] instead (trace
+    /// edges legitimately spill partial minutes). A full-window shard
+    /// cannot misroute: every timestamp outside it is outside the window.
     pub fn push_sampled_record(&mut self, record: FlowRecord) -> Result<()> {
         self.shard.push_sampled_record(record)
     }
 
-    /// Resolution statistics accumulated so far.
-    pub fn resolution_stats(&self) -> ResolutionStats {
-        self.shard.resolution_stats()
+    /// The engine over this pipeline's window.
+    pub fn engine(&self) -> &ShardedIngest {
+        &self.engine
     }
 
-    /// Records that fell outside the observation window.
-    pub fn dropped_out_of_window(&self) -> u64 {
-        self.shard.dropped_out_of_window()
+    /// The full-window shard.
+    pub fn shard(&self) -> &BinShard {
+        &self.shard
+    }
+
+    /// The watermark as frames have moved it.
+    pub fn watermark(&self) -> &Watermark {
+        &self.watermark
+    }
+
+    /// The frame counters: quarantine and exporter sequences.
+    pub fn quality(&self) -> &DataQuality {
+        &self.quality
+    }
+
+    /// The window's outcome, frame counters attached.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::NoData`] if nothing was ever binned.
+    pub fn finish(self) -> Result<IngestOutcome> {
+        let mut outcome = self.engine.merge(vec![self.shard])?;
+        outcome.quality.quarantine = self.quality.quarantine;
+        outcome.quality.exporters = self.quality.exporters;
+        Ok(outcome)
     }
 
     /// Produces the traffic matrices.
     ///
     /// # Errors
     ///
-    /// [`FlowError::NoData`](crate::FlowError::NoData) if nothing was ever binned.
+    /// [`FlowError::NoData`] if nothing was ever binned.
     pub fn finalize(self) -> Result<(TrafficMatrixSet, ResolutionStats)> {
-        let outcome = self.engine.merge(vec![self.shard])?;
-        Ok((outcome.matrices, outcome.stats))
+        self.finish().map(|outcome| (outcome.matrices, outcome.stats))
+    }
+}
+
+impl ShardedIngest {
+    /// One-shot ingest of serialized NetFlow v5 export frames — the
+    /// hostile-telemetry entry point: a [`MeasurementPipeline`] over this
+    /// window takes the frames in input order, exactly as a daemon tenant
+    /// does, so records of sealed bins are refused and counted in
+    /// [`IngestOutcome::dropped_late`]. Serial, so the same for any
+    /// `ODFLOW_THREADS`. Callers expecting collector outages follow up
+    /// with [`IngestOutcome::repair`].
+    ///
+    /// # Errors
+    ///
+    /// The first of [`FrameTally::refused`], and [`FlowError::NoData`] if
+    /// no record was binned. Malformed frames are quarantined, not errors.
+    pub fn ingest_datagrams(&self, frames: &[impl AsRef<[u8]>]) -> Result<IngestOutcome> {
+        let mut pipeline = MeasurementPipeline::over(self.clone())?;
+        for frame in frames {
+            if let Some(e) = pipeline.ingest_frame(frame.as_ref()).refused.into_iter().next() {
+                return Err(e);
+            }
+        }
+        pipeline.finish()
     }
 }
 
@@ -117,6 +250,8 @@ mod tests {
     use crate::aggregate::{FlowAggregator, MINUTE_SECS};
     use crate::error::FlowError;
     use crate::key::{FlowKey, Protocol};
+    use crate::lateness::LATENESS_HORIZON_BINS;
+    use crate::netflow::encode_datagrams;
     use crate::packet::PacketObs;
     use odflow_net::{AddressPlan, IngressResolver, Topology};
 
@@ -185,7 +320,7 @@ mod tests {
         );
         p.push_sampled_record(minute(k, 0, 0, 0)).unwrap();
         p.push_sampled_record(minute(k, 0, 0, 60)).unwrap();
-        let stats = p.resolution_stats();
+        let stats = p.shard().resolution_stats();
         assert_eq!((stats.flows_total, stats.flows_resolved), (2, 0));
         // Nothing resolvable was binned.
         assert!(matches!(p.finalize(), Err(FlowError::NoData)));
@@ -236,10 +371,50 @@ mod tests {
             bytes: 1,
         };
         p.push_sampled_record(rec).unwrap();
-        assert_eq!(p.dropped_out_of_window(), 1);
+        assert_eq!(p.shard().dropped_out_of_window(), 1);
         rec.window_start = 0;
         p.push_sampled_record(rec).unwrap();
         let (set, _) = p.finalize().unwrap();
         assert_eq!(set.bytes.totals()[0], 1.0);
+    }
+
+    #[test]
+    fn the_frame_path_holds_the_keys_of_the_horizon_not_of_the_window() {
+        // Exporter 3 sends each bin's records in one burst stamped with the
+        // bin's start, every record its own 5-tuple, more of them in some
+        // bins than in others. Both frame routes, a tenant and the batch
+        // datagram ingest, are this call frame by frame.
+        const H: usize = LATENESS_HORIZON_BINS;
+        const BINS: usize = 6 * (H + 1);
+        let (_, plan, mut p) = build(BINS);
+        let (mut seq, mut frames, mut peak, mut keys) = (0u32, 0, 0, Vec::new());
+        for bin in 0..BINS {
+            let n = 20 + (bin * 7 % 13) as u32 * 5;
+            let records: Vec<FlowRecord> = (0..n)
+                .map(|i| {
+                    let k =
+                        key(&plan, 3, (i as usize % 10 + 4) % 11, (bin * 100) as u16 + i as u16);
+                    minute(k, 3, 0, bin as u64 * 300 + u64::from(i * 7 % 300))
+                })
+                .collect();
+            for frame in encode_datagrams(&records, bin as u32 * 300, 3, 100, seq) {
+                assert_eq!(p.ingest_frame(&frame), FrameTally::default());
+                frames += 1;
+                peak = peak.max(p.shard().distinct_keys_live());
+            }
+            seq += n;
+            keys.push(n as usize);
+            // Once bin `b` is full, bins b-H..=b are exactly what is held.
+            let held: usize = keys[bin.saturating_sub(H)..].iter().sum();
+            assert_eq!(p.shard().distinct_keys_live(), held, "after bin {bin}");
+        }
+        let horizon = |bin: usize| keys[bin.saturating_sub(H)..=bin].iter().sum::<usize>();
+        let widest = (0..BINS).map(horizon).max().unwrap();
+        assert_eq!(peak, widest, "never more than H + 1 bins of keys");
+        let outcome = p.finish().unwrap();
+        let window = outcome.matrices.flows.data.as_slice().iter().sum::<f64>() as usize;
+        assert_eq!(window, keys.iter().sum::<usize>());
+        assert!(window > 5 * peak, "{window} keys in the window, {peak} held at most");
+        assert_eq!((outcome.dropped_late, outcome.quality.quarantine.frames_accepted), (0, frames));
     }
 }

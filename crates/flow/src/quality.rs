@@ -14,7 +14,6 @@
 //! either accepted or lands in **exactly one** quarantine class, and every
 //! record of an accepted frame is either decoded or counted implausible.
 
-use crate::netflow::{decode_frame, DatagramHeader, FrameRecords};
 use std::collections::BTreeMap;
 
 /// Why a frame was quarantined. Each rejected frame increments exactly one
@@ -323,30 +322,6 @@ impl DataQuality {
             bin_records: vec![0; num_bins],
             bins: vec![BinStatus::Ok; num_bins],
         }
-    }
-
-    /// Admits one export frame exactly as it came off the wire — the one
-    /// step every wire-path ingest (batch, fault storm, daemon) shares:
-    /// lossy decode into the quarantine counters, then per-exporter
-    /// sequence tracking.
-    ///
-    /// `None` means the frame was quarantined. Otherwise the header comes
-    /// back with the frame's plausible records — borrowed from `frame` and
-    /// decoded as the caller iterates — or with `None` in their place when
-    /// the frame is an exact retransmit the collector dedup policy
-    /// discards. Either way the quarantine counters are final on return.
-    pub fn admit_frame<'a>(
-        &mut self,
-        frame: &'a [u8],
-    ) -> Option<(DatagramHeader, Option<FrameRecords<'a>>)> {
-        let (hdr, records) = decode_frame(frame, &mut self.quarantine)?;
-        let fresh = self.exporters.observe(
-            hdr.engine_id,
-            hdr.flow_sequence,
-            hdr.count,
-            hdr.sampling_interval,
-        );
-        Some((hdr, fresh.then_some(records)))
     }
 
     /// Indices of masked bins, ascending.

@@ -9,13 +9,14 @@
 //! place a record reaches a cell: it anonymizes the destination, resolves
 //! the OD pair, finds the bin, and either counts an out-of-window drop or
 //! adds the record to its cell. Shards share no mutable state, so record
-//! batches bin across threads with no locks. Every ingest path is a
-//! driver over shards: the batch engine ([`ShardedIngest::fill_shards`])
-//! fills one shard per bin range, while
-//! [`MeasurementPipeline`](crate::MeasurementPipeline) and the daemon's
-//! per-tenant pipeline each hold a single shard spanning the window and
-//! finish it through [`ShardedIngest::merge`]. [`ShardedIngest::new`]
-//! validates the window once, so minting a shard cannot fail on geometry.
+//! batches bin across threads with no locks. Shards are filled two ways:
+//! the fused render fills one shard per bin range through
+//! [`ShardedIngest::fill_shards`], and
+//! [`MeasurementPipeline`](crate::MeasurementPipeline) — the frame path of
+//! the daemon's tenants and of [`ShardedIngest::ingest_datagrams`] — holds
+//! a single shard spanning the window and finishes it through
+//! [`ShardedIngest::merge`]. [`ShardedIngest::new`] validates the window
+//! once, so minting a shard cannot fail on geometry.
 //!
 //! ## The window is written once
 //!
@@ -25,14 +26,13 @@
 //! *are* the traffic matrices — nothing is concatenated or copied. A fill
 //! that renders bin after bin (the fused generate→bin path)
 //! [seals](BinShard::seal) each one as it finishes, so the 5-tuples
-//! resident are one bin's per filling worker; the one-shot record and
-//! frame drivers take a shard's records in arrival order, not bin by bin,
-//! and keep its tables until the task [finishes](BinShard::finish) the
-//! shard, which frees them. A streaming consumer's single full-window shard owns
-//! its cells instead, [seals](BinShard::seal) its bins as its
-//! [`Watermark`] passes them, and [`ShardedIngest::merge`] moves the cells
-//! out. Either way [`ShardedIngest`] turns the cells into the
-//! [`TrafficMatrixSet`], in one place.
+//! resident are one bin's per filling worker, and the task
+//! [finishes](BinShard::finish) the shard, which frees its tables. The
+//! frame path's single full-window shard owns its cells instead,
+//! [seals](BinShard::seal) its bins as its [`Watermark`] passes them, and
+//! [`ShardedIngest::merge`] moves the cells out. Either way
+//! [`ShardedIngest`] turns the cells into the [`TrafficMatrixSet`], in one
+//! place.
 //!
 //! Before a shard task scatters records into its rows it writes zero over
 //! them in address order. The values do not change; what changes is how
@@ -69,7 +69,6 @@ use crate::error::{FlowError, Result};
 use crate::key::FlowKey;
 use crate::lateness::{Watermark, WatermarkState};
 use crate::matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType};
-use crate::netflow;
 use crate::od::{OdResolution, OdResolver, ResolutionStats};
 use crate::pipeline::PipelineConfig;
 use crate::quality::{BinStatus, DataQuality, RepairPolicy};
@@ -95,8 +94,8 @@ const SHORT_WINDOW_SHARDS: usize = 8;
 ///
 /// A shard covering the *full* window is exactly the serial pipeline's
 /// backend — [`crate::MeasurementPipeline`] is implemented as that
-/// degenerate single-shard case, which is what makes the sharded and serial
-/// paths equivalent by construction.
+/// degenerate single-shard case, which is what makes the parallel fill and
+/// the frame path equivalent by construction.
 ///
 /// `S` is where the three row-major `bin x od` cell vectors live: a shard
 /// owns them (`Vec<f64>`, the default — the serial pipeline, a daemon
@@ -220,11 +219,11 @@ impl<S: DerefMut<Target = [f64]>> BinShard<S> {
 
     /// Counts `records` a [`Watermark`] refused as late for this shard's
     /// window. They never reach the resolver or the cells.
-    pub fn count_late(&mut self, records: u64) {
+    pub(crate) fn count_late(&mut self, records: u64) {
         self.dropped_late += records;
     }
 
-    /// Records refused as late, as counted by [`Self::count_late`].
+    /// Records a [`Watermark`] refused as late for this shard's window.
     pub fn dropped_late(&self) -> u64 {
         self.dropped_late
     }
@@ -453,7 +452,7 @@ pub struct ShardState {
     pub resolution: ResolutionStats,
     /// Records dropped as outside the global window.
     pub dropped_out_of_window: u64,
-    /// Records refused as late (see [`BinShard::count_late`]).
+    /// Records refused as late (see [`BinShard::dropped_late`]).
     pub dropped_late: u64,
 }
 
@@ -520,8 +519,8 @@ pub struct IngestOutcome {
     /// Out-of-window records dropped, summed across shards.
     pub dropped_out_of_window: u64,
     /// Records refused as late: judged by the frame path's [`Watermark`]
-    /// to fall into a sealed bin. Always zero on the fused record path,
-    /// which has no watermark.
+    /// to fall into a sealed bin. Always zero on the fused render, which
+    /// has no watermark.
     pub dropped_late: u64,
     /// Data-quality accounting: quarantine counters (wire path), exporter
     /// sequence gaps, per-bin record counts, and per-bin repair status.
@@ -587,12 +586,13 @@ impl IngestOutcome {
 /// The sharded ingest engine over one observation window: it owns the
 /// window's geometry and routing state, never traffic.
 ///
-/// [`Self::fill_shards`] is the batch driver — it allocates the window's
-/// cells once, lends each shard its row range and runs the caller's fill
-/// on the [`odflow_par`] pool; the fused generate→bin path in `odflow-gen`
-/// and [`Self::ingest_records`] are both that call. A streaming consumer
-/// instead [mints](Self::make_shard) one owned shard spanning the window,
-/// feeds it for as long as it likes, and hands it to [`Self::merge`].
+/// [`Self::fill_shards`] is the parallel fill — it allocates the
+/// window's cells once, lends each shard its row range and runs the
+/// caller's fill on the [`odflow_par`] pool; the fused generate→bin path
+/// in `odflow-gen` is that call. The frame path
+/// ([`MeasurementPipeline`](crate::MeasurementPipeline)) instead
+/// [mints](Self::make_shard) one owned shard spanning the window, feeds it
+/// for as long as it likes, and hands it to [`Self::merge`].
 #[derive(Debug, Clone)]
 pub struct ShardedIngest {
     start_secs: u64,
@@ -665,12 +665,7 @@ impl ShardedIngest {
         self.shard_bins
     }
 
-    /// Number of shards the window splits into.
-    pub fn num_shards(&self) -> usize {
-        self.num_bins.div_ceil(self.shard_bins)
-    }
-
-    /// The contiguous bin range of shard `i`.
+    /// The contiguous bin range of shard `i`, empty past the last shard.
     pub fn shard_range(&self, i: usize) -> Range<usize> {
         let lo = i * self.shard_bins;
         lo..((lo + self.shard_bins).min(self.num_bins))
@@ -693,7 +688,7 @@ impl ShardedIngest {
 
     /// The lateness watermark over this window, standing where `state`
     /// says (`WatermarkState::default()` for a stream not yet begun).
-    pub fn watermark(&self, state: WatermarkState) -> Watermark {
+    pub(crate) fn watermark(&self, state: WatermarkState) -> Watermark {
         Watermark::new(self.start_secs, self.bin_secs, self.num_bins, state)
     }
 
@@ -731,17 +726,6 @@ impl ShardedIngest {
             dropped_out_of_window: 0,
             dropped_late: 0,
         }
-    }
-
-    /// The shard responsible for timestamp `ts`: the owner of its bin, or —
-    /// for out-of-window timestamps — the nearest edge shard, which counts
-    /// the drop.
-    fn shard_for_ts(&self, ts: u64) -> usize {
-        if ts < self.start_secs {
-            return 0;
-        }
-        let bin = ((ts - self.start_secs) / self.bin_secs) as usize;
-        bin.min(self.num_bins - 1) / self.shard_bins
     }
 
     /// The batch driver: allocates the window's three cell vectors, lends
@@ -864,95 +848,6 @@ impl ShardedIngest {
             quality,
         })
     }
-
-    /// One-shot ingest of a pre-materialized record batch: partitions the
-    /// stream by owning shard (stable, preserving per-bin record order) and
-    /// [fills the shards](Self::fill_shards) from their partitions.
-    ///
-    /// Bit-identical to pushing the same records through the serial
-    /// pipeline, for any `ODFLOW_THREADS`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`BinShard::push_sampled_record`] and [`Self::fill_shards`].
-    pub fn ingest_records(&self, records: &[FlowRecord]) -> Result<IngestOutcome> {
-        let mut partitions: Vec<Vec<&FlowRecord>> = vec![Vec::new(); self.num_shards()];
-        for r in records {
-            partitions[self.shard_for_ts(r.window_start)].push(r);
-        }
-        self.fill_shards(|i, shard| {
-            partitions[i].iter().try_for_each(|&r| shard.push_sampled_record(*r))
-        })
-    }
-
-    /// One-shot ingest of serialized NetFlow v5 export frames — the
-    /// hostile-telemetry entry point.
-    ///
-    /// Frames pass through [`DataQuality::admit_frame`] and the window's
-    /// [`Watermark`] **serially, in input order** (quarantine counters,
-    /// exporter sequence tracking and the lateness rule are all
-    /// order-sensitive, so this stage never parallelizes), exactly as a
-    /// daemon tenant takes them: a record of a sealed bin is refused and
-    /// counted in [`IngestOutcome::dropped_late`]. The stage keeps only
-    /// where each surviving record lies — eight bytes, not a decoded copy
-    /// of the stream — partitioned by owning shard; each shard's fill task
-    /// decodes its records from the frames, and the fill is the same as
-    /// [`Self::ingest_records`]'s. The returned outcome's quality report
-    /// carries the quarantine and exporter-gap accounting alongside the
-    /// per-bin record counts. Bit-identical for any `ODFLOW_THREADS`.
-    ///
-    /// Callers expecting collector outages follow up with
-    /// [`IngestOutcome::repair`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::ingest_records`]; [`FlowError::Codec`] for more than
-    /// `u32::MAX` frames. Malformed frames are quarantined, never errors.
-    pub fn ingest_datagrams(&self, frames: &[impl AsRef<[u8]> + Sync]) -> Result<IngestOutcome> {
-        let mut quality = DataQuality::default();
-        let mut watermark = self.watermark(WatermarkState::default());
-        let mut late = 0;
-        let mut partitions: Vec<Vec<WireRef>> = vec![Vec::new(); self.num_shards()];
-        for (at, frame) in frames.iter().enumerate() {
-            let Some((hdr, Some(records))) = quality.admit_frame(frame.as_ref()) else {
-                continue;
-            };
-            let frame = u32::try_from(at).map_err(|_| FlowError::Codec {
-                reason: format!("frame {at}: more frames than one call can index"),
-            })?;
-            late += watermark.judge_frame(
-                hdr.unix_secs,
-                records.positions(),
-                |&(_, secs)| secs,
-                |(record, secs)| {
-                    partitions[self.shard_for_ts(secs)].push(WireRef { frame, record });
-                },
-            );
-        }
-        let mut outcome = self.fill_shards(|i, shard| {
-            partitions[i].iter().try_for_each(|r| {
-                match netflow::record_at(frames[r.frame as usize].as_ref(), r.record) {
-                    Some(record) => shard.push_sampled_record(record),
-                    None => Err(FlowError::Codec {
-                        reason: format!("record {} of frame {} is gone", r.record, r.frame),
-                    }),
-                }
-            })
-        })?;
-        outcome.dropped_late = late;
-        outcome.quality.quarantine = quality.quarantine;
-        outcome.quality.exporters = quality.exporters;
-        Ok(outcome)
-    }
-}
-
-/// Record `record` of input frame `frame`: where an admitted wire record
-/// lies, in eight bytes where the decoded record takes 56 — what
-/// [`ShardedIngest::ingest_datagrams`] partitions.
-#[derive(Debug, Clone, Copy)]
-struct WireRef {
-    frame: u32,
-    record: u16,
 }
 
 /// What the shards of a window counted, summed in shard order (integers
@@ -995,6 +890,28 @@ mod tests {
         let engine = ShardedIngest::new(cfg, &t, ingress.clone(), routes.clone()).unwrap();
         let serial = MeasurementPipeline::new(cfg, &t, ingress, routes).unwrap();
         (t, plan, engine, serial)
+    }
+
+    /// The shards `engine` tiles its window with.
+    fn num_shards(engine: &ShardedIngest) -> usize {
+        (0..).take_while(|&i| !engine.shard_range(i).is_empty()).count()
+    }
+
+    /// The shard of `engine` whose [`ShardedIngest::shard_range`] holds
+    /// `r`'s bin — an edge shard for a record beyond that edge.
+    fn owner(engine: &ShardedIngest, r: &FlowRecord) -> usize {
+        let w = engine.window();
+        let bin = ((r.window_start.clamp(w.start, w.end - 1) - w.start) / 300) as usize;
+        (0..num_shards(engine)).position(|i| engine.shard_range(i).contains(&bin)).unwrap()
+    }
+
+    /// The parallel fill over a record stream: each shard takes its
+    /// records, in stream order.
+    fn fill(engine: &ShardedIngest, records: &[FlowRecord]) -> Result<IngestOutcome> {
+        engine.fill_shards(|i, shard| {
+            let mut mine = records.iter().filter(|r| owner(engine, r) == i);
+            mine.try_for_each(|r| shard.push_sampled_record(*r))
+        })
     }
 
     fn record(plan: &AddressPlan, src: usize, dst: usize, ts: u64, salt: u32) -> FlowRecord {
@@ -1056,22 +973,21 @@ mod tests {
         // deliberate out-of-window records.
         let num_bins = 29; // not a multiple of the shard grain
         let (_, plan, engine, mut serial) = setup(num_bins);
-        assert_eq!((engine.shard_bins(), engine.num_shards()), (4, 8));
+        assert_eq!((engine.shard_bins(), num_shards(&engine)), (4, 8));
         let stream = mixed_stream(&plan, num_bins);
 
         for r in &stream {
             serial.push_sampled_record(*r).unwrap();
         }
-        let serial_dropped = serial.dropped_out_of_window();
+        let serial_dropped = serial.shard().dropped_out_of_window();
         let (serial_set, serial_stats) = serial.finalize().unwrap();
 
         // Fill shards by hand so per-shard accounting is visible.
-        let mut shards: Vec<BinShard> = (0..engine.num_shards())
+        let mut shards: Vec<BinShard> = (0..num_shards(&engine))
             .map(|i| engine.make_shard(engine.shard_range(i)).unwrap())
             .collect();
         for r in &stream {
-            let idx = engine.shard_for_ts(r.window_start);
-            shards[idx].push_sampled_record(*r).unwrap();
+            shards[owner(&engine, r)].push_sampled_record(*r).unwrap();
         }
 
         let sum_dropped: u64 = shards.iter().map(super::BinShard::dropped_out_of_window).sum();
@@ -1083,7 +999,7 @@ mod tests {
         assert!(sum_dropped >= 18, "the stream carries deliberate out-of-window records");
         assert_eq!(sum_stats, serial_stats, "resolution stats must sum across shards");
 
-        let merged = engine.ingest_records(&stream).unwrap();
+        let merged = fill(&engine, &stream).unwrap();
         assert_eq!(merged.dropped_out_of_window, serial_dropped);
         assert_eq!(merged.stats, serial_stats);
         assert_eq!(merged.matrices.bytes.data.as_slice(), serial_set.bytes.data.as_slice());
@@ -1092,7 +1008,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_records_matches_serial_for_any_thread_count() {
+    fn sharded_fill_matches_serial_for_any_thread_count() {
         let num_bins = 25; // six shards of four bins and one of one
         let (_, plan, engine, mut serial) = setup(num_bins);
         assert_eq!(engine.shard_bins(), 4);
@@ -1102,8 +1018,7 @@ mod tests {
         }
         let (serial_set, serial_stats) = serial.finalize().unwrap();
         for &threads in &[1usize, 4, 64] {
-            let merged =
-                odflow_par::with_thread_limit(threads, || engine.ingest_records(&stream).unwrap());
+            let merged = odflow_par::with_thread_limit(threads, || fill(&engine, &stream).unwrap());
             assert_eq!(merged.stats, serial_stats, "threads={threads}");
             assert_eq!(
                 merged.matrices.bytes.data.as_slice(),
@@ -1185,7 +1100,7 @@ mod tests {
                 assert_eq!((shard.records_accepted(), shard.distinct_keys_live()), (0, 0));
                 stream
                     .iter()
-                    .filter(|r| engine.shard_for_ts(r.window_start) == i)
+                    .filter(|r| owner(&engine, r) == i)
                     .try_for_each(|r| shard.push_sampled_record(*r))
             })
             .unwrap();
@@ -1211,9 +1126,9 @@ mod tests {
             for r in &stream {
                 serial.push_sampled_record(*r).unwrap();
             }
-            let dropped = serial.dropped_out_of_window();
+            let dropped = serial.shard().dropped_out_of_window();
             let (set, stats) = serial.finalize().unwrap();
-            let merged = engine.ingest_records(&stream).unwrap();
+            let merged = fill(&engine, &stream).unwrap();
             let grain = engine.shard_bins();
             assert_eq!(merged.stats, stats, "grain={grain}");
             assert_eq!(merged.dropped_out_of_window, dropped, "grain={grain}");
@@ -1245,7 +1160,7 @@ mod tests {
         let (_, plan, engine, _) = setup(num_bins);
         let stream = exporter_stream(&plan, 3, num_bins, 180);
         let frames = crate::netflow::encode_datagrams(&stream, 0, 3, 100, 0);
-        let from_records = engine.ingest_records(&stream).unwrap();
+        let from_records = fill(&engine, &stream).unwrap();
         let from_wire = engine.ingest_datagrams(&frames).unwrap();
         assert_eq!(
             from_wire.matrices.bytes.data.as_slice(),
@@ -1334,8 +1249,6 @@ mod tests {
         });
         let outcome = engine.ingest_datagrams(&frames).unwrap();
         assert_eq!(outcome.dropped_late, 40, "bin 2's records are refused");
-        // What the admission stage keeps per record, against a decoded copy.
-        assert_eq!((std::mem::size_of::<WireRef>(), std::mem::size_of::<FlowRecord>()), (8, 56));
         let records = |o: &IngestOutcome, bin: usize| o.quality.bin_records[bin];
         assert_eq!(records(&outcome, 2), records(&clean, 2));
         assert_eq!(records(&outcome, 9), 2 * records(&clean, 9), "bin 9's land again");
@@ -1433,7 +1346,7 @@ mod tests {
                 stream.push(record(&plan, 0, dst, bin as u64 * 300 + 10, salt as u32 * 100 + i));
             }
         }
-        let mut outcome = engine.ingest_records(&stream).unwrap();
+        let mut outcome = fill(&engine, &stream).unwrap();
         assert_eq!(outcome.quality.bin_records[2], 0);
         assert!(outcome.quality.bins.iter().all(|s| *s == crate::BinStatus::Ok));
 
@@ -1461,12 +1374,12 @@ mod tests {
                 stream.push(record(&plan, 0, dst, bin as u64 * 300 + 10, salt as u32 * 100 + i));
             }
         }
-        let mut strict = engine.ingest_records(&stream).unwrap();
+        let mut strict = fill(&engine, &stream).unwrap();
         strict.repair(crate::RepairPolicy { max_interp_gap: 1 });
         assert_eq!(strict.quality.masked_bins(), vec![2, 3]);
         assert!(strict.quality.imputed_bins().is_empty());
 
-        let mut lenient = engine.ingest_records(&stream).unwrap();
+        let mut lenient = fill(&engine, &stream).unwrap();
         lenient.repair(crate::RepairPolicy { max_interp_gap: 2 });
         assert_eq!(lenient.quality.imputed_bins(), vec![2, 3]);
         let m = &lenient.matrices.bytes.data;

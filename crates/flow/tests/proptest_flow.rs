@@ -1,8 +1,8 @@
 //! Property-based tests for the measurement substrate.
 
 use odflow_flow::{
-    netflow, DistinctFlows, FlowAggregator, FlowKey, FlowRecord, PacketObs, PipelineConfig,
-    Protocol, ShardedIngest,
+    netflow, DistinctFlows, FlowAggregator, FlowKey, FlowRecord, MeasurementPipeline, PacketObs,
+    PipelineConfig, Protocol, ShardedIngest,
 };
 use odflow_net::{AddressPlan, IngressResolver, IpAddr, Topology};
 use proptest::prelude::*;
@@ -485,7 +485,11 @@ proptest! {
         }
         let mut expected = odflow_flow::QuarantineStats::default();
         let mut got = odflow_flow::QuarantineStats::default();
-        let mut quality = odflow_flow::DataQuality::default();
+        let t = Topology::abilene();
+        let routes = AddressPlan::synthetic(&t).build_route_table(1.0).unwrap();
+        let cfg = PipelineConfig::abilene(0, 1);
+        let mut pipeline =
+            MeasurementPipeline::new(cfg, &t, IngressResolver::synthetic(&t), routes).unwrap();
         for frame in &frames {
             let oracle = cursor_oracle::decode_datagram_lossy(frame, &mut expected);
             let lent = netflow::decode_frame(frame, &mut got);
@@ -498,10 +502,10 @@ proptest! {
             }
             // Through admission, twice: the retransmit is recognized by
             // its header, handed out with no records, and counted.
-            let before = quality.quarantine;
-            let first = quality.admit_frame(frame).map(|(_, records)| records.map(Iterator::count));
-            let once = quality.quarantine;
-            let again = quality.admit_frame(frame).map(|(_, records)| records.map(Iterator::count));
+            let before = pipeline.quality().quarantine;
+            let first = pipeline.admit_frame(frame).map(|(_, records)| records.map(Iterator::count));
+            let once = pipeline.quality().quarantine;
+            let again = pipeline.admit_frame(frame).map(|(_, records)| records.map(Iterator::count));
             if let Some(fresh) = first {
                 prop_assert_eq!(fresh, Some((once.records_accepted - before.records_accepted) as usize));
                 prop_assert_eq!(again, Some(None));
@@ -512,7 +516,7 @@ proptest! {
             for _ in 0..2 {
                 let _ = cursor_oracle::decode_datagram_lossy(frame, &mut twice);
             }
-            prop_assert_eq!(quality.quarantine, twice);
+            prop_assert_eq!(pipeline.quality().quarantine, twice);
         }
         prop_assert!(got.is_conserved());
     }

@@ -1,6 +1,7 @@
 //! Sharded/serial ingest equivalence.
 //!
-//! The sharded ingest engine must reproduce the serial
+//! The parallel fill (`ShardedIngest::fill_shards`, each shard fed the
+//! records of its `shard_range`) must reproduce the serial
 //! `MeasurementPipeline` **bitwise** — `TrafficMatrixSet` cell-for-cell,
 //! resolution statistics and drop counters exactly — for any
 //! `ODFLOW_THREADS` (pinned here via `with_thread_limit` at 1 / typical /
@@ -9,8 +10,8 @@
 //! grain rule gives a window.
 
 use odflow_flow::{
-    FlowError, FlowKey, FlowRecord, MeasurementPipeline, PipelineConfig, Protocol, ResolutionStats,
-    ShardedIngest, TrafficMatrixSet, DEFAULT_SHARD_BINS,
+    FlowError, FlowKey, FlowRecord, IngestOutcome, MeasurementPipeline, PipelineConfig, Protocol,
+    ResolutionStats, ShardedIngest, TrafficMatrixSet, DEFAULT_SHARD_BINS,
 };
 use odflow_net::{AddressPlan, IngressResolver, Topology};
 use odflow_par::with_thread_limit;
@@ -80,9 +81,31 @@ fn run_serial(
     for r in records {
         pipe.push_sampled_record(*r).unwrap();
     }
-    let dropped = pipe.dropped_out_of_window();
+    let dropped = pipe.shard().dropped_out_of_window();
     let (set, stats) = pipe.finalize().unwrap();
     (set, stats, dropped)
+}
+
+/// The shards `engine` tiles its window with.
+fn num_shards(engine: &ShardedIngest) -> usize {
+    (0..).take_while(|&i| !engine.shard_range(i).is_empty()).count()
+}
+
+/// The parallel fill over a record stream, partitioned here by
+/// `shard_range`: each shard takes, in stream order, the records of its
+/// bins, and an edge shard also those beyond its edge of the window.
+fn fill_by_shard_range(
+    engine: &ShardedIngest,
+    records: &[FlowRecord],
+) -> Result<IngestOutcome, FlowError> {
+    let w = engine.window();
+    let mut parts = vec![Vec::new(); num_shards(engine)];
+    for r in records {
+        let bin = ((r.window_start.clamp(w.start, w.end - 1) - w.start) / 300) as usize;
+        let owner = (0..num_shards(engine)).position(|i| engine.shard_range(i).contains(&bin));
+        parts[owner.unwrap()].push(*r);
+    }
+    engine.fill_shards(|i, shard| parts[i].iter().try_for_each(|r| shard.push_sampled_record(*r)))
 }
 
 fn assert_bitwise_equal(a: &TrafficMatrixSet, b: &TrafficMatrixSet) {
@@ -122,7 +145,8 @@ fn sharded_ingest_equivalence_fixed_stream() {
     let engine = ShardedIngest::new(cfg, &t, ingress, routes).unwrap();
     assert_eq!(engine.shard_bins(), 4);
     for &threads in &[1usize, 4, num_bins + 20] {
-        let outcome = with_thread_limit(threads, || engine.ingest_records(&records).unwrap());
+        let outcome =
+            with_thread_limit(threads, || fill_by_shard_range(&engine, &records).unwrap());
         assert_eq!(outcome.stats, stats, "threads={threads}");
         assert_eq!(outcome.dropped_out_of_window, dropped, "threads={threads}");
         assert_bitwise_equal(&outcome.matrices, &set);
@@ -166,12 +190,13 @@ fn in_place_engine_matches_serial_pipeline_for_every_window_length() {
         assert!(dropped > 0, "fixture must exercise the out-of-window path");
         let engine = ShardedIngest::new(cfg, &t, ingress.clone(), routes.clone()).unwrap();
         assert_eq!(engine.shard_bins(), DEFAULT_SHARD_BINS.min(num_bins.div_ceil(8)));
-        assert_eq!(engine.num_shards(), num_bins.div_ceil(engine.shard_bins()));
-        let shards = engine.num_shards();
+        assert_eq!(num_shards(&engine), num_bins.div_ceil(engine.shard_bins()));
+        let shards = num_shards(&engine);
         assert!((num_bins.min(5)..=8).contains(&shards), "bins={num_bins}: {shards} shards");
         grains.push(engine.shard_bins());
         for threads in [1usize, 2, 5] {
-            let outcome = with_thread_limit(threads, || engine.ingest_records(&records).unwrap());
+            let outcome =
+                with_thread_limit(threads, || fill_by_shard_range(&engine, &records).unwrap());
             assert_eq!(outcome.stats, stats, "bins={num_bins} threads={threads}");
             assert_eq!(outcome.dropped_out_of_window, dropped, "bins={num_bins}");
             assert_eq!(outcome.quality.bin_records.len(), num_bins);
@@ -197,7 +222,7 @@ fn grain_rule_caps_at_the_default_and_yields_to_an_override() {
         [(24usize, 3usize, 8usize), (127, 16, 8), (128, 16, 8), (129, 16, 9), (2016, 16, 126)]
     {
         let e = engine(num_bins);
-        assert_eq!((e.shard_bins(), e.num_shards()), (grain, shards), "bins={num_bins}");
+        assert_eq!((e.shard_bins(), num_shards(&e)), (grain, shards), "bins={num_bins}");
     }
 }
 
@@ -210,7 +235,7 @@ fn fill_shards_routes_drops_to_the_last_shard_and_surfaces_push_errors() {
     let num_bins = 11;
     let cfg = PipelineConfig::abilene(0, num_bins);
     let engine = ShardedIngest::new(cfg, &t, ingress, routes).unwrap();
-    assert_eq!((engine.shard_bins(), engine.num_shards()), (2, 6));
+    assert_eq!((engine.shard_bins(), num_shards(&engine)), (2, 6));
     let records = fixed_stream(&plan, num_bins, 1500);
     let (_, _, dropped) = run_serial(cfg, &t, &plan, &records);
     let owner = |r: &FlowRecord| (r.window_start / 300).min(num_bins as u64 - 1) as usize / 2;
@@ -223,7 +248,7 @@ fn fill_shards_routes_drops_to_the_last_shard_and_surfaces_push_errors() {
             for r in records.iter().filter(|r| owner(r) == i) {
                 shard.push_sampled_record(*r)?;
             }
-            let expect = if i + 1 == engine.num_shards() { dropped } else { 0 };
+            let expect = if i + 1 == num_shards(&engine) { dropped } else { 0 };
             assert_eq!(shard.dropped_out_of_window(), expect, "shard {i}");
             Ok(())
         })
@@ -287,12 +312,12 @@ proptest! {
         for r in &records {
             pipe.push_sampled_record(*r).unwrap();
         }
-        let dropped = pipe.dropped_out_of_window();
+        let dropped = pipe.shard().dropped_out_of_window();
         let serial = pipe.finalize();
 
         let engine = ShardedIngest::new(cfg, &t, ingress, routes).unwrap();
         for &limit in &[1usize, threads, num_bins + 31] {
-            let outcome = with_thread_limit(limit, || engine.ingest_records(&records));
+            let outcome = with_thread_limit(limit, || fill_by_shard_range(&engine, &records));
             match (&serial, outcome) {
                 (Ok((set, stats)), Ok(merged)) => {
                     prop_assert_eq!(&merged.stats, stats);

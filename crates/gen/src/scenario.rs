@@ -534,14 +534,13 @@ impl<'a> TraceGenerator<'a> {
     /// under `faults`, ingested through
     /// [`ShardedIngest::ingest_datagrams`](odflow_flow::ShardedIngest::ingest_datagrams)
     /// (malformed frames and implausible records quarantined, exact
-    /// retransmits deduplicated, survivors binned on the parallel sharded
-    /// path), then
-    /// [`IngestOutcome::repair`](odflow_flow::IngestOutcome::repair)
+    /// retransmits deduplicated, survivors binned frame by frame on the
+    /// daemon's frame path, each bin sealed as the watermark passes it),
+    /// then [`IngestOutcome::repair`](odflow_flow::IngestOutcome::repair)
     /// interpolates or masks outage bins under the default
-    /// [`RepairPolicy`](odflow_flow::RepairPolicy). The result is
-    /// bit-identical for any `ODFLOW_THREADS`: rendering, faulting and
-    /// frame admission are serial and in order, and the fill stage is the
-    /// determinism-pinned sharded path.
+    /// [`RepairPolicy`](odflow_flow::RepairPolicy). The result is the same
+    /// for any `ODFLOW_THREADS`: rendering, faulting and ingest are serial
+    /// and in order.
     ///
     /// # Errors
     ///
@@ -1082,11 +1081,16 @@ mod tests {
         let g = s.generator();
         let (frames, storm) = g.faulted_frames(None);
         assert_eq!(storm.frames_offered, frames.len() as u64);
-        let mut quality = odflow_flow::DataQuality::clean(4);
+        let routes = s.plan.build_route_table(1.0).unwrap();
+        let ingress = odflow_net::IngressResolver::synthetic(&s.topology);
+        let cfg = odflow_flow::PipelineConfig::abilene(0, 4);
+        let mut pipeline =
+            odflow_flow::MeasurementPipeline::new(cfg, &s.topology, ingress, routes).unwrap();
         for f in &frames {
-            let admitted = quality.admit_frame(f).expect("clean frame");
+            let admitted = pipeline.admit_frame(f).expect("clean frame");
             assert!(admitted.1.is_some(), "no frame of a clean stream is a retransmit");
         }
+        let quality = pipeline.quality();
         assert_eq!(quality.exporters.lost_flows_total(), 0, "continuous sequences show no loss");
         assert_eq!(quality.quarantine.frames_rejected(), 0);
         // The stream is the per-bin render with one set of counters.

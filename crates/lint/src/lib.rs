@@ -34,9 +34,10 @@
 //! [`report::Report`]; [`check_source`] lints one in-memory file (this is
 //! what the fixture tests drive).
 //!
-//! The report also carries the workspace's size and its public surface:
-//! the `pub` items nothing names and those only tests name (see
-//! [`surface`] for how they are counted and what the count cannot see).
+//! The report also carries the workspace's size — all lines, and the
+//! first-party lines outside test code — and its public surface: the
+//! `pub` items nothing names and those only tests name (see [`surface`]
+//! for how they are counted and what the count cannot see).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -128,7 +129,7 @@ pub fn lint_root(root: &Path) -> std::io::Result<Report> {
     let files = walk::rust_files(root)?;
     let mut diagnostics = Vec::new();
     let mut allows_used = 0usize;
-    let mut lines_scanned = 0usize;
+    let (mut lines_scanned, mut product_lines) = (0usize, 0usize);
     let mut crates: Vec<rules::CrateClass> = Vec::new();
     let mut first_party = Vec::new();
     for rel in &files {
@@ -142,7 +143,9 @@ pub fn lint_root(root: &Path) -> std::io::Result<Report> {
         allows_used += used;
         diagnostics.append(&mut diags);
         if !matches!(fc.class, rules::CrateClass::Vendor(_)) {
-            first_party.push((fc.rel, tokenize::lex(&source).tokens));
+            let tokens = tokenize::lex(&source).tokens;
+            product_lines += surface::product_lines(&fc.rel, &source, &tokens);
+            first_party.push((fc.rel, tokens));
         }
     }
     let (dead_pub_items, test_only_pub_items) = surface::pub_surface(&first_party);
@@ -151,6 +154,7 @@ pub fn lint_root(root: &Path) -> std::io::Result<Report> {
         root: root.display().to_string(),
         files_scanned: files.len(),
         lines_scanned,
+        product_lines,
         workspace_crates: crates.len(),
         diagnostics,
         allows_used,

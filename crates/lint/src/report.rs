@@ -44,6 +44,11 @@ pub struct Report {
     /// Lines in those files, first-party and vendored, tests and comments
     /// included — the workspace's size as a number a PR can move.
     pub lines_scanned: usize,
+    /// Of those, the first-party lines of product code: outside
+    /// `vendor/`, `tests/` directories and `#[cfg(test)]` items (see
+    /// [`crate::surface::product_lines`]) — the number the expected
+    /// direction is down for.
+    pub product_lines: usize,
     /// Crates the scanned files belong to: the root package, each
     /// `crates/<name>` member and each `vendor/<name>` shim.
     pub workspace_crates: usize,
@@ -73,10 +78,11 @@ impl Report {
         }
         if self.is_clean() {
             out.push_str(&format!(
-                "odflow_lint: clean — {} files, {} lines, {} crates, {} suppression(s) in use, \
-                 {} dead / {} test-only pub items\n",
+                "odflow_lint: clean — {} files, {} lines ({} product), {} crates, \
+                 {} suppression(s) in use, {} dead / {} test-only pub items\n",
                 self.files_scanned,
                 self.lines_scanned,
+                self.product_lines,
                 self.workspace_crates,
                 self.allows_used,
                 self.dead_pub_items.len(),
@@ -99,6 +105,7 @@ impl Report {
         s.push_str(&format!("  \"root\": {},\n", json_str(&self.root)));
         s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         s.push_str(&format!("  \"lines_scanned\": {},\n", self.lines_scanned));
+        s.push_str(&format!("  \"product_lines\": {},\n", self.product_lines));
         s.push_str(&format!("  \"workspace_crates\": {},\n", self.workspace_crates));
         s.push_str(&format!("  \"allows_used\": {},\n", self.allows_used));
         s.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
@@ -165,6 +172,7 @@ mod tests {
             root: "/w".into(),
             files_scanned: 3,
             lines_scanned: 410,
+            product_lines: 300,
             workspace_crates: 2,
             diagnostics: vec![Diagnostic {
                 rule: "no-raw-threads".into(),
@@ -194,7 +202,7 @@ mod tests {
         r.diagnostics.clear();
         assert!(r.is_clean());
         assert!(r.render_text().contains(
-            "clean — 3 files, 410 lines, 2 crates, 2 suppression(s) in use, \
+            "clean — 3 files, 410 lines (300 product), 2 crates, 2 suppression(s) in use, \
              1 dead / 0 test-only pub items"
         ));
     }
@@ -210,6 +218,7 @@ mod tests {
         assert!(j.contains("\"clean\": false"));
         assert!(j.contains("\"files_scanned\": 3"));
         assert!(j.contains("\"lines_scanned\": 410"));
+        assert!(j.contains("\"product_lines\": 300"));
         assert!(j.contains("\"workspace_crates\": 2"));
         assert!(j.contains("\"dead_pub_items\": [\"crates/a/src/lib.rs:3 unused\"],"));
         assert!(j.contains("\"test_only_pub_items\": [],"));

@@ -40,7 +40,7 @@ pub fn pub_surface(files: &[(String, Vec<Token>)]) -> (Vec<String>, Vec<String>)
     let mut refs: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
     let mut defs = Vec::new();
     for (rel, toks) in files {
-        let test_file = rel.starts_with("tests/") || rel.contains("/tests/");
+        let test_file = is_test_file(rel);
         let api = !test_file
             && (rel.starts_with("src/") || rel.starts_with("crates/") && rel.contains("/src/"))
             && !rel.contains("/src/bin/")
@@ -79,6 +79,32 @@ pub fn pub_surface(files: &[(String, Vec<Token>)]) -> (Vec<String>, Vec<String>)
         }
     }
     (dead, test_only)
+}
+
+/// Lines of first-party file `rel` (`source`, lexed to `toks`) outside
+/// test code: all but those of its `#[cfg(test)]` items, or none under a
+/// `tests/` directory.
+pub fn product_lines(rel: &str, source: &str, toks: &[Token]) -> usize {
+    if is_test_file(rel) {
+        return 0;
+    }
+    let lines = source.lines().count();
+    let mask = cfg_test_mask(toks);
+    let mut test = vec![false; lines + 1];
+    for (i, t) in toks.iter().enumerate().filter(|&(i, _)| mask[i]) {
+        // From the item's token before this one, so that the comments and
+        // blank lines between the two count with the item.
+        let from = if i > 0 && mask[i - 1] { toks[i - 1].line } else { t.line };
+        for line in test.iter_mut().take(t.line as usize + 1).skip(from as usize) {
+            *line = true;
+        }
+    }
+    lines - test.iter().filter(|&&t| t).count()
+}
+
+/// `true` for a file under a `tests/` directory: test code throughout.
+fn is_test_file(rel: &str) -> bool {
+    rel.starts_with("tests/") || rel.contains("/tests/")
 }
 
 /// Index of the name token of the item `pub` at `at` introduces, if it is
@@ -135,5 +161,24 @@ mod tests {
         let (dead, test_only) = scan(&files);
         assert_eq!(dead, vec!["crates/b/src/lib.rs:2 ffi"]);
         assert!(test_only.is_empty());
+    }
+
+    #[test]
+    fn product_lines_leave_out_test_items_and_test_files() {
+        let lib = "//! Docs.\n\
+                   pub fn f() {}\n\
+                   \n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   // A comment inside the item.\n\
+                   \n\
+                   \x20   fn t() {}\n\
+                   }\n\
+                   pub fn g() {}\n";
+        let lines = |rel: &str, src: &str| product_lines(rel, src, &lex(src).tokens);
+        assert_eq!(lines("crates/a/src/lib.rs", lib), 4);
+        assert_eq!(lines("examples/demo.rs", lib), 4);
+        assert_eq!(lines("crates/a/tests/t.rs", lib), 0);
+        assert_eq!(lines("crates/a/src/lib.rs", "fn main() {}"), 1);
     }
 }

@@ -27,6 +27,9 @@ fn live_workspace_is_clean() {
     );
     assert!(report.files_scanned > 50, "walk found only {} files", report.files_scanned);
     assert!(report.lines_scanned > 100 * report.files_scanned, "{} lines", report.lines_scanned);
+    // Vendored shims, test files and test modules are a good share of it.
+    let product = report.product_lines;
+    assert!(product > 0 && product < report.lines_scanned, "{product} product lines");
     // The root package, the `crates/` members, the `vendor/` shims.
     let dirs = |d: &str| {
         let entries = std::fs::read_dir(workspace_root().join(d)).expect(d);

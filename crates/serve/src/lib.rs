@@ -7,11 +7,12 @@
 //! over UDP datagrams and length-prefixed TCP streams (hand-rolled on
 //! `std::net` — the workspace is offline, no async runtime), routes each
 //! frame to a per-tenant pipeline over a bounded queue, and drives the
-//! existing ingest machinery —
-//! [`DataQuality::admit_frame`](odflow_flow::DataQuality::admit_frame) →
-//! [`Watermark`](odflow_flow::Watermark) →
-//! [`BinShard`](odflow_flow::BinShard) →
-//! [`OnlineDetector`](odflow_subspace::OnlineDetector) — as bins close.
+//! ingest's frame path —
+//! [`MeasurementPipeline::ingest_frame`](odflow_flow::MeasurementPipeline::ingest_frame)'s
+//! admission, [`Watermark`](odflow_flow::Watermark) and
+//! [`BinShard`](odflow_flow::BinShard), the body the batch datagram ingest
+//! runs too — then an
+//! [`OnlineDetector`](odflow_subspace::OnlineDetector) as bins close.
 //!
 //! Design invariants, in order of importance:
 //!

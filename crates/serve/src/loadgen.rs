@@ -4,8 +4,9 @@
 //! [`TraceGenerator::faulted_frames`](odflow_gen::TraceGenerator::faulted_frames)
 //! — per-exporter sequence continuity and all — and sends every frame to
 //! a daemon over a real socket ([`replay_frames`] sends any other stream,
-//! a degraded one included). It is the very stream the batch wire path
-//! feeds `ingest_datagrams`, which is what makes daemon-vs-batch
+//! a degraded one included). It is the very stream the batch
+//! `ingest_datagrams` takes, and its records are those the fused render
+//! bins without serializing them, which is what makes daemon-vs-batch
 //! equivalence testable end to end.
 //!
 //! Over TCP the stream is ordered and reliable, so a trailing

@@ -5,19 +5,19 @@
 //! dedicated worker thread; everything here is therefore plain `&mut
 //! self` single-threaded code, which is what makes the end state
 //! deterministic: frames decode **serially, in arrival order** (the
-//! quarantine and exporter-sequence accounting are order-sensitive) and
-//! records fill a **single full-window shard**, the degenerate grain the
-//! workspace's equivalence tests pin to the batch path.
+//! quarantine and exporter-sequence accounting are order-sensitive) into
+//! one [`MeasurementPipeline`], the frame path the batch
+//! `ShardedIngest::ingest_datagrams` drives over a slice — the same body,
+//! not a sibling the equivalence tests must prove equal.
 //!
-//! Bins close as the export-time [`Watermark`] passes their end; each
-//! closed bin's bytes row feeds the [`OnlineDetector`] (once a training
-//! prefix has accumulated). A closed bin still takes late records for
-//! [`LATENESS_HORIZON_BINS`](odflow_flow::LATENESS_HORIZON_BINS) bins;
-//! then the watermark seals it — its records are refused and counted, its
+//! Bins close as the pipeline's export-time watermark passes their end;
+//! each closed bin's bytes row feeds the [`OnlineDetector`] (once a
+//! training prefix has accumulated). A closed bin still takes late records
+//! for [`LATENESS_HORIZON_BINS`](odflow_flow::LATENESS_HORIZON_BINS) bins;
+//! then the pipeline seals it — its records are refused and counted, its
 //! distinct-flow table freed — so the shard holds the 5-tuples of the
-//! bins that can still change, not the window's. The watermark judges
-//! frames exactly as the batch `ShardedIngest::ingest_datagrams` does, and
-//! at drain [`TenantPipeline::flush`] merges the shard into the same
+//! bins that can still change, not the window's. At drain
+//! [`TenantPipeline::flush`] finishes the pipeline into the same
 //! [`IngestOutcome`] → repair → `diagnose` endgame as batch
 //! `run_scenario`, so daemon and batch verdicts are directly comparable.
 
@@ -28,8 +28,8 @@ use crate::checkpoint::{
 use crate::metrics::{elapsed_nanos, monotonic_now, TenantCounters};
 use crate::ServeError;
 use odflow_flow::{
-    BinShard, BinStatus, DataQuality, ExporterSeqStats, IngestOutcome, PipelineConfig,
-    RepairPolicy, ShardedIngest, TrafficType, Watermark, WatermarkState,
+    BinStatus, DataQuality, ExporterSeqStats, IngestOutcome, MeasurementPipeline, PipelineConfig,
+    RepairPolicy, TrafficType,
 };
 use odflow_linalg::Matrix;
 use odflow_subspace::{
@@ -121,16 +121,11 @@ struct Checkpointer {
 #[derive(Debug)]
 pub struct TenantPipeline {
     config: TenantConfig,
-    engine: ShardedIngest,
-    shard: BinShard,
-    /// Wire-path accounting (quarantine + exporter sequences); grafted
-    /// onto the merged outcome at flush, mirroring `ingest_datagrams`.
-    quality: DataQuality,
+    /// The frame path: admission, the watermark, the full-window shard.
+    pipeline: MeasurementPipeline,
     detector: Option<OnlineDetector>,
     /// Next bin index awaiting closure.
     next_close: usize,
-    /// Judges every frame's records and closes and seals bins.
-    watermark: Watermark,
     live_verdicts: Vec<StreamVerdict>,
     counters: Arc<TenantCounters>,
     /// Frames consumed off the queue so far — the checkpoint replay
@@ -156,15 +151,9 @@ impl TenantPipeline {
         ingress: odflow_net::IngressResolver,
         routes: odflow_net::RouteTable,
     ) -> Result<TenantPipeline, ServeError> {
-        let engine = ShardedIngest::new(config.pipeline, topology, ingress, routes)?;
-        let num_bins = engine.num_bins();
-        let shard = engine.make_shard(0..num_bins)?;
         Ok(TenantPipeline {
-            watermark: engine.watermark(WatermarkState::default()),
+            pipeline: MeasurementPipeline::new(config.pipeline, topology, ingress, routes)?,
             config,
-            engine,
-            shard,
-            quality: DataQuality::clean(num_bins),
             detector: None,
             next_close: 0,
             live_verdicts: Vec::new(),
@@ -200,15 +189,14 @@ impl TenantPipeline {
         state: &PipelineState,
         counters: Arc<TenantCounters>,
     ) -> Result<TenantPipeline, ServeError> {
-        let engine = ShardedIngest::new(config.pipeline, topology, ingress, routes)?;
-        let num_bins = engine.num_bins();
-        let watermark = engine.watermark(state.watermark);
-        let mut shard = engine.make_shard(0..num_bins)?;
-        shard.restore_state(&state.shard)?;
-        shard.seal(watermark.sealed_bins());
-        let mut quality = DataQuality::clean(num_bins);
-        quality.quarantine = state.quarantine;
-        quality.exporters = ExporterSeqStats::from_state(&state.exporters);
+        let mut pipeline = MeasurementPipeline::new(config.pipeline, topology, ingress, routes)?;
+        let quality = DataQuality {
+            quarantine: state.quarantine,
+            exporters: ExporterSeqStats::from_state(&state.exporters),
+            ..DataQuality::default()
+        };
+        pipeline.restore(&state.shard, state.watermark, quality)?;
+        let num_bins = config.pipeline.num_bins;
         let detector = match &state.detector {
             Some(ds) => Some(
                 OnlineDetector::from_state(ds.clone())
@@ -225,12 +213,9 @@ impl TenantPipeline {
         }
         Ok(TenantPipeline {
             config,
-            engine,
-            shard,
-            quality,
+            pipeline,
             detector,
             next_close,
-            watermark,
             live_verdicts: state.live_verdicts.clone(),
             counters,
             frames_ingested: state.frames_ingested,
@@ -276,10 +261,10 @@ impl TenantPipeline {
             seq: self.ckpt_seq,
             frames_ingested: self.frames_ingested,
             next_close: self.next_close as u64,
-            watermark: self.watermark.state(),
-            shard: self.shard.export_state(),
-            quarantine: self.quality.quarantine,
-            exporters: self.quality.exporters.export_state(),
+            watermark: self.pipeline.watermark().state(),
+            shard: self.pipeline.shard().export_state(),
+            quarantine: self.pipeline.quality().quarantine,
+            exporters: self.pipeline.quality().exporters.export_state(),
             detector: self.detector.as_ref().map(OnlineDetector::export_state),
             live_verdicts: self.live_verdicts.clone(),
         }
@@ -309,7 +294,7 @@ impl TenantPipeline {
         // always covers the frame whose bin close produced it.
         self.frames_ingested += 1;
         let t0 = monotonic_now();
-        let admitted = self.quality.admit_frame(frame);
+        let admitted = self.pipeline.admit_frame(frame);
         TenantCounters::add(&self.counters.decode_nanos, elapsed_nanos(t0));
         let Some((hdr, fresh)) = admitted else {
             TenantCounters::add(&self.counters.frames_quarantined, 1);
@@ -323,26 +308,11 @@ impl TenantPipeline {
         let t1 = monotonic_now();
         let counters = &self.counters;
         TenantCounters::add(&counters.records_decoded, records.len() as u64);
-        let shard = &mut self.shard;
-        let late = self.watermark.judge_frame(
-            hdr.unix_secs,
-            records,
-            |record| record.window_start,
-            |record| {
-                // A full-window shard counts out-of-window records quietly;
-                // any other error (a bin outside the shard, a sealed bin) is
-                // impossible by construction — the shard spans the window
-                // and the watermark refuses a sealed bin's records first —
-                // but still must not panic or abort the frame.
-                if shard.push_sampled_record(record).is_err() {
-                    TenantCounters::add(&counters.ingest_errors, 1);
-                }
-            },
-        );
-        if late > 0 {
-            self.shard.count_late(late);
-            TenantCounters::add(&counters.records_late_dropped, late);
-        }
+        let tally = self.pipeline.bin_frame(hdr.unix_secs, records);
+        // A record the shard refuses is impossible by construction, but
+        // still must not panic or abort the frame.
+        TenantCounters::add(&counters.ingest_errors, tally.refused.len() as u64);
+        TenantCounters::add(&counters.records_late_dropped, tally.late);
         TenantCounters::add(&counters.ingest_nanos, elapsed_nanos(t1));
 
         let closed_before = self.next_close;
@@ -355,9 +325,9 @@ impl TenantPipeline {
 
     /// Refreshes the gauges of what the shard's distinct-flow tables hold.
     fn publish_distinct_memory(&self) {
-        let c = &self.counters;
-        TenantCounters::set(&c.distinct_keys_live, self.shard.distinct_keys_live() as u64);
-        TenantCounters::set(&c.distinct_table_bytes, self.shard.distinct_table_bytes() as u64);
+        let (c, shard) = (&self.counters, self.pipeline.shard());
+        TenantCounters::set(&c.distinct_keys_live, shard.distinct_keys_live() as u64);
+        TenantCounters::set(&c.distinct_table_bytes, shard.distinct_table_bytes() as u64);
     }
 
     /// Fires the chaos schedule at a pipeline boundary, if one is armed.
@@ -395,11 +365,10 @@ impl TenantPipeline {
             match ckpt.writer.commit(&image) {
                 Ok(()) => {
                     self.ckpt_seq += 1;
+                    let shard = self.pipeline.shard();
                     ckpt.bin_records.clear();
-                    ckpt.bin_records.extend(
-                        (0..self.engine.num_bins()).filter_map(|b| self.shard.bin_record_count(b)),
-                    );
-                    ckpt.sealed = self.watermark.sealed_bins();
+                    ckpt.bin_records.extend(shard.bins().filter_map(|b| shard.bin_record_count(b)));
+                    ckpt.sealed = self.pipeline.watermark().sealed_bins();
                     ckpt.verdicts = self.live_verdicts.len();
                     ckpt.fitted = self.detector.is_some();
                     let c = &self.counters;
@@ -421,25 +390,26 @@ impl TenantPipeline {
     /// verdicts issued since, and the detector — whole if it was fitted
     /// since, else only its stream position.
     fn delta_since(&self, prev: &Checkpointer) -> Generation<'_> {
-        let sealed = prev.sealed..self.watermark.sealed_bins();
-        let dirty = (0..self.engine.num_bins()).filter(|&b| {
-            sealed.contains(&b)
-                || self.shard.bin_record_count(b) != prev.bin_records.get(b).copied()
+        let (shard, watermark) = (self.pipeline.shard(), self.pipeline.watermark());
+        let sealed = prev.sealed..watermark.sealed_bins();
+        let dirty = shard.bins().filter(|&b| {
+            sealed.contains(&b) || shard.bin_record_count(b) != prev.bin_records.get(b).copied()
         });
+        let quality = self.pipeline.quality();
         Generation {
             seq: self.ckpt_seq,
             frames_ingested: self.frames_ingested,
             next_close: self.next_close as u64,
-            watermark: self.watermark.state(),
-            records_accepted: self.shard.records_accepted(),
-            resolution: self.shard.resolution_stats(),
-            dropped_out_of_window: self.shard.dropped_out_of_window(),
-            dropped_late: self.shard.dropped_late(),
-            quarantine: self.quality.quarantine,
-            exporters: Cow::Owned(self.quality.exporters.export_state()),
-            num_bins: self.engine.num_bins(),
-            num_od: self.engine.num_od(),
-            bins: dirty.filter_map(|b| self.shard.export_bin(b)).map(BinSegment::from).collect(),
+            watermark: watermark.state(),
+            records_accepted: shard.records_accepted(),
+            resolution: shard.resolution_stats(),
+            dropped_out_of_window: shard.dropped_out_of_window(),
+            dropped_late: shard.dropped_late(),
+            quarantine: quality.quarantine,
+            exporters: Cow::Owned(quality.exporters.export_state()),
+            num_bins: self.pipeline.engine().num_bins(),
+            num_od: self.pipeline.engine().num_od(),
+            bins: dirty.filter_map(|b| shard.export_bin(b)).map(BinSegment::from).collect(),
             detector: match &self.detector {
                 None => DetectorPart::Absent,
                 Some(det) if prev.fitted => DetectorPart::Stands { next_bin: det.bins_seen() },
@@ -450,19 +420,18 @@ impl TenantPipeline {
         }
     }
 
-    /// Closes every bin whose end the watermark has passed, then seals
-    /// every bin it has passed by the lateness horizon.
+    /// Closes every bin whose end the watermark has passed; the pipeline
+    /// has sealed those it has passed by the lateness horizon.
     fn close_to_watermark(&mut self) {
         let (start_secs, bin_secs) =
             (self.config.pipeline.start_secs, self.config.pipeline.bin_secs);
-        let secs = self.watermark.state().secs;
+        let secs = self.pipeline.watermark().state().secs;
         if secs >= start_secs {
             TenantCounters::raise(&self.counters.watermark_bin, (secs - start_secs) / bin_secs);
         }
-        while self.next_close < self.watermark.closed_bins() {
+        while self.next_close < self.pipeline.watermark().closed_bins() {
             self.close_bin();
         }
-        self.shard.seal(self.watermark.sealed_bins());
     }
 
     /// Closes bin `self.next_close`: snapshots its bytes row, fits or
@@ -472,8 +441,9 @@ impl TenantPipeline {
         let bin = self.next_close;
         self.maybe_crash(CrashPoint::BeforeBinClose(bin));
         self.next_close += 1;
-        let row: Vec<f64> = self.shard.bin_row(bin, TrafficType::Bytes).unwrap_or(&[]).to_vec();
-        let status = match self.shard.bin_record_count(bin) {
+        let shard = self.pipeline.shard();
+        let row: Vec<f64> = shard.bin_row(bin, TrafficType::Bytes).unwrap_or(&[]).to_vec();
+        let status = match shard.bin_record_count(bin) {
             Some(n) if n > 0 => BinStatus::Ok,
             _ => BinStatus::Masked,
         };
@@ -513,7 +483,7 @@ impl TenantPipeline {
         let train = self.config.train_bins;
         let mut data = Vec::new();
         for b in 0..train {
-            match self.shard.bin_row(b, TrafficType::Bytes) {
+            match self.pipeline.shard().bin_row(b, TrafficType::Bytes) {
                 Some(row) => data.extend_from_slice(row),
                 None => {
                     TenantCounters::add(&self.counters.ingest_errors, 1);
@@ -531,10 +501,10 @@ impl TenantPipeline {
         self.detector = fitted;
     }
 
-    /// Drains the pipeline: closes every remaining bin, merges the shard,
-    /// grafts the wire-path quality accounting, repairs outage bins, and
-    /// runs the batch diagnosis — the same endgame as the batch wire path,
-    /// so the flush is comparable to `run_scenario` output.
+    /// Drains the pipeline: closes every remaining bin, finishes the frame
+    /// path into its outcome, repairs outage bins, and runs the batch
+    /// diagnosis — the same endgame as the batch wire path, so the flush is
+    /// comparable to `run_scenario` output.
     ///
     /// # Errors
     ///
@@ -542,19 +512,17 @@ impl TenantPipeline {
     /// (`FlowError::NoData`) — there is nothing to report.
     pub fn flush(mut self) -> Result<TenantFlush, ServeError> {
         self.maybe_crash(CrashPoint::BeforeFlush);
-        while self.next_close < self.engine.num_bins() {
+        while self.next_close < self.config.pipeline.num_bins {
             self.close_bin();
         }
         TenantCounters::set(
             &self.counters.exporter_lost_flows,
-            self.quality.exporters.lost_flows_total(),
+            self.pipeline.quality().exporters.lost_flows_total(),
         );
-        let mut outcome = self.engine.merge(vec![self.shard])?;
-        // The merge freed the shard's tables.
+        let mut outcome = self.pipeline.finish()?;
+        // The finish freed the shard's tables.
         TenantCounters::set(&self.counters.distinct_keys_live, 0);
         TenantCounters::set(&self.counters.distinct_table_bytes, 0);
-        outcome.quality.quarantine = self.quality.quarantine;
-        outcome.quality.exporters = self.quality.exporters;
         outcome.repair(RepairPolicy::default());
         let (diagnosis, diagnosis_error) = match diagnose(&outcome.matrices, self.config.subspace) {
             Ok(d) => (Some(d), None),
@@ -592,7 +560,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_flush_matches_batch_wire_ingest() {
+    fn streaming_flush_matches_the_fused_batch_render() {
         let scenario = Scenario::paper_window(7, NUM_BINS).unwrap();
         let frames = scenario_frames(&scenario);
 
@@ -610,27 +578,24 @@ mod tests {
         assert_eq!(TenantCounters::get(&counters.distinct_keys_live), 0);
         assert_eq!(TenantCounters::get(&counters.distinct_table_bytes), 0);
 
+        // The fused render bins the same records without serializing them.
         let routes = scenario.plan.build_route_table(1.0).unwrap();
         let ingress = IngressResolver::synthetic(&scenario.topology);
-        let engine = ShardedIngest::new(
-            PipelineConfig::abilene(0, NUM_BINS),
-            &scenario.topology,
-            ingress,
-            routes,
-        )
-        .unwrap();
-        let batch = engine.ingest_datagrams(&frames).unwrap();
-
-        assert_eq!(
-            flush.outcome.matrices.bytes.data.as_slice(),
-            batch.matrices.bytes.data.as_slice()
-        );
-        assert_eq!(
-            flush.outcome.matrices.flows.data.as_slice(),
-            batch.matrices.flows.data.as_slice()
-        );
+        let batch = scenario
+            .generator()
+            .bin_scenario(PipelineConfig::abilene(0, NUM_BINS), ingress, routes)
+            .unwrap();
+        for t in TrafficType::ALL {
+            assert_eq!(
+                flush.outcome.matrices.get(t).data.as_slice(),
+                batch.matrices.get(t).data.as_slice()
+            );
+        }
+        assert_eq!(flush.outcome.stats, batch.stats);
         assert_eq!(flush.outcome.quality.bin_records, batch.quality.bin_records);
-        assert_eq!(flush.outcome.quality.quarantine, batch.quality.quarantine);
+        let quarantine = &flush.outcome.quality.quarantine;
+        assert_eq!(quarantine.frames_accepted, frames.len() as u64);
+        assert!(quarantine.is_conserved() && quarantine.frames_rejected() == 0);
         assert_eq!((flush.outcome.dropped_late, batch.dropped_late), (0, 0));
         assert!(flush.diagnosis.is_some());
         // Decoded records include the unresolvable/transit share the
@@ -728,7 +693,10 @@ mod tests {
 
     #[test]
     fn a_tenant_holds_the_keys_of_the_horizon_not_of_the_window() {
-        const BINS: usize = 504;
+        // The bound is the frame path's own, asserted on
+        // `MeasurementPipeline::ingest_frame` in `odflow_flow`; here the
+        // gauges must report it as the tenant's pipeline holds it.
+        const BINS: usize = 4 * (LATENESS_HORIZON_BINS + 1);
         let config = odflow_gen::ScenarioConfig {
             seed: 31,
             num_bins: BINS,
@@ -741,33 +709,41 @@ mod tests {
         let mut config = TenantConfig::abilene("t0", 0, BINS);
         config.train_bins = 0;
         let mut tenant = TenantPipeline::new(config, &scenario.topology, ingress, routes).unwrap();
+        let (counters, get) = (tenant.counters(), TenantCounters::get);
         let generator = scenario.generator();
         let mut seqs = vec![0u32; scenario.topology.num_pops()];
-        // Keys held after every frame, and after the last frame of each bin.
-        let (mut peak, mut at_bin_end) = (0, Vec::new());
+        let mut peak = 0;
         for bin in 0..BINS {
             for frame in generator.frames_for_bin(bin, &mut seqs) {
+                let closed = get(&counters.bins_closed);
                 tenant.ingest_frame(&frame);
-                peak = peak.max(tenant.shard.distinct_keys_live());
+                if get(&counters.bins_closed) > closed {
+                    // A bin close refreshes both gauges to what is held.
+                    let shard = tenant.pipeline.shard();
+                    let keys = get(&counters.distinct_keys_live);
+                    assert_eq!(keys, shard.distinct_keys_live() as u64, "bin {bin}");
+                    let bytes = get(&counters.distinct_table_bytes);
+                    assert_eq!(bytes, shard.distinct_table_bytes() as u64, "bin {bin}");
+                    assert!(bytes >= keys * 20, "{keys} keys in {bytes} bytes");
+                    peak = peak.max(keys);
+                }
             }
-            at_bin_end.push(tenant.shard.distinct_keys_live());
         }
         let flush = tenant.flush().unwrap();
-        assert_eq!(flush.outcome.dropped_late, 0);
+        assert_eq!(
+            (get(&counters.distinct_keys_live), get(&counters.distinct_table_bytes)),
+            (0, 0)
+        );
         // Distinct (OD, 5-tuple) pairs per bin are its flow counts.
-        let keys: Vec<usize> = (0..BINS)
-            .map(|b| flush.outcome.matrices.flows.data.row(b).unwrap().iter().sum::<f64>() as usize)
+        let keys: Vec<u64> = (0..BINS)
+            .map(|b| flush.outcome.matrices.flows.data.row(b).unwrap().iter().sum::<f64>() as u64)
             .collect();
         let horizon =
-            |bin: usize| keys[bin.saturating_sub(LATENESS_HORIZON_BINS)..=bin].iter().sum();
-        // Once bin `b` is full, bins b-H..=b are exactly what is held.
-        for (bin, &held) in at_bin_end.iter().enumerate() {
-            assert_eq!(held, horizon(bin), "after bin {bin}");
-        }
+            |bin: usize| keys[bin.saturating_sub(LATENESS_HORIZON_BINS)..=bin].iter().sum::<u64>();
         let widest = (0..BINS).map(horizon).max().unwrap();
-        assert_eq!(peak, widest, "never more than H + 1 bins of keys");
-        let window: usize = keys.iter().sum();
-        assert!(window > 40 * peak, "{window} keys in the window, {peak} held at most");
+        assert!(peak > 0 && peak <= widest, "{peak} keys held, {widest} in H + 1 bins");
+        let window: u64 = keys.iter().sum();
+        assert!(window > 3 * peak, "{window} keys in the window, {peak} held at most");
     }
 
     #[test]
@@ -824,11 +800,12 @@ mod tests {
         let image = checkpoint::encode_state(&tenant.export_state()).len() as u64;
         // What the stream put into the window, each bin's rows and keys
         // once: the final image plus the keys sealing has dropped from it.
-        let sealed = tenant.watermark.sealed_bins();
+        let sealed = tenant.pipeline.watermark().sealed_bins();
         assert_eq!(sealed, BINS - 1 - LATENESS_HORIZON_BINS);
         let keys: Vec<u64> = (0..BINS)
             .map(|b| {
-                tenant.shard.bin_row(b, TrafficType::Flows).unwrap().iter().sum::<f64>() as u64
+                let row = tenant.pipeline.shard().bin_row(b, TrafficType::Flows).unwrap();
+                row.iter().sum::<f64>() as u64
             })
             .collect();
         let key_bytes = |bins: &[u64]| checkpoint::FLOW_KEY_LEN as u64 * bins.iter().sum::<u64>();

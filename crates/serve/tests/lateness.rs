@@ -1,9 +1,10 @@
 //! Daemon ≡ batch under delay: a stream whose frames are held back by up
 //! to twice the lateness horizon goes through a tenant and through the
 //! batch datagram ingest, and both must refuse exactly the same records —
-//! equal matrices, equal late and quarantine counts — at pool sizes 1
-//! and 4. Both paths judge frames with the one `Watermark`, so this holds
-//! by construction; the test is what notices if a path stops doing so.
+//! equal matrices, equal late and quarantine counts. Both paths bin frames
+//! through the one `MeasurementPipeline` body, so this holds by
+//! construction; the test is what notices if a path stops doing so, and
+//! its conservation check holds the body itself to account.
 
 use odflow_flow::{
     PipelineConfig, RepairPolicy, ShardedIngest, TrafficType, LATENESS_HORIZON_BINS,
@@ -99,20 +100,17 @@ proptest! {
         let engine =
             ShardedIngest::new(PipelineConfig::abilene(0, BINS), &scenario.topology, ingress, routes)
                 .unwrap();
-        for threads in [1usize, 4] {
-            let mut batch =
-                odflow_par::with_thread_limit(threads, || engine.ingest_datagrams(&frames).unwrap());
-            batch.repair(RepairPolicy::default());
-            for t in TrafficType::ALL {
-                prop_assert_eq!(
-                    daemon.matrices.get(t).data.as_slice(),
-                    batch.matrices.get(t).data.as_slice()
-                );
-            }
-            prop_assert_eq!(daemon.dropped_late, batch.dropped_late);
-            prop_assert_eq!(daemon.dropped_out_of_window, batch.dropped_out_of_window);
-            prop_assert_eq!(daemon.stats, batch.stats);
-            prop_assert_eq!(&daemon.quality, &batch.quality);
+        let mut batch = engine.ingest_datagrams(&frames).unwrap();
+        batch.repair(RepairPolicy::default());
+        for t in TrafficType::ALL {
+            prop_assert_eq!(
+                daemon.matrices.get(t).data.as_slice(),
+                batch.matrices.get(t).data.as_slice()
+            );
         }
+        prop_assert_eq!(daemon.dropped_late, batch.dropped_late);
+        prop_assert_eq!(daemon.dropped_out_of_window, batch.dropped_out_of_window);
+        prop_assert_eq!(daemon.stats, batch.stats);
+        prop_assert_eq!(&daemon.quality, &batch.quality);
     }
 }

@@ -79,7 +79,7 @@ fn wire_path_preserves_resolution_rate() {
             pipeline.push_sampled_record(r).unwrap();
         }
     }
-    let rate = pipeline.resolution_stats().flow_rate();
+    let rate = pipeline.shard().resolution_stats().flow_rate();
     assert!(
         (rate - 0.94).abs() < 0.02,
         "resolution rate {rate:.3} should sit at the configured ~94%"
