@@ -2,9 +2,9 @@
 //!
 //! The paper aggregates flows into 5-minute bins "to avoid synchronization
 //! issues that could have arisen in the data collection procedure" (§2.1),
-//! so a bin is a unit that closes. A frame path closes bins by a
-//! [`Watermark`] over the export times in the frames' headers, and one rule
-//! says how long a closed bin still takes late records:
+//! so a bin is a unit that closes. A [`Watermark`] over export times closes
+//! bins (a pushed record counts as a frame exported at its own start), and
+//! one rule says how long a closed bin still takes late records:
 //!
 //! * bin `b` is **closed** once the watermark reaches its end — a streaming
 //!   consumer scores the bin's row then;
@@ -17,8 +17,8 @@
 //! records first, each against the watermark as it stood before the frame,
 //! then the frame's export time. Only
 //! [`MeasurementPipeline::bin_frame`](crate::MeasurementPipeline::bin_frame)
-//! makes that call, for the daemon's tenants and the batch datagram ingest
-//! alike, which is why they refuse exactly the same records.
+//! makes that call, for the daemon's tenants, the batch datagram ingest and
+//! pushed records alike, which is why they refuse exactly the same records.
 //!
 //! A header is trusted no further than the data behind it: a frame raises
 //! the watermark at most to the end of the bin after the latest in-window
@@ -98,7 +98,7 @@ impl Watermark {
     /// `export_secs`. Returns the number refused as late.
     pub(crate) fn judge_frame<T>(
         &mut self,
-        export_secs: u32,
+        export_secs: u64,
         records: impl IntoIterator<Item = T>,
         record_secs: impl Fn(&T) -> u64,
         mut on_time: impl FnMut(T),
@@ -111,7 +111,7 @@ impl Watermark {
                 late += 1;
             }
         }
-        self.advance(u64::from(export_secs));
+        self.advance(export_secs);
         late
     }
 
@@ -172,7 +172,7 @@ mod tests {
     /// One frame exported at the start of `bin` carrying one record per
     /// entry of `records` (start times); the late count.
     fn frame(w: &mut Watermark, bin: usize, records: &[u64]) -> u64 {
-        w.judge_frame(bin_start(bin) as u32, records.iter().copied(), |&t| t, |_| {})
+        w.judge_frame(bin_start(bin), records.iter().copied(), |&t| t, |_| {})
     }
 
     #[test]
@@ -188,7 +188,7 @@ mod tests {
         assert_eq!(w.sealed_bins(), 3);
         let mut on_time = 0;
         let late = w.judge_frame(
-            bin_start(H + 3) as u32,
+            bin_start(H + 3),
             [bin_start(2), bin_start(3), bin_start(2) + 299, 5, bin_start(40)],
             |&t| t,
             |_| on_time += 1,
@@ -218,13 +218,13 @@ mod tests {
         frame(&mut w, 2, &[bin_start(2) + 5]);
         assert_eq!(w.closed_bins(), 2);
         // Far in the future, with or without records of its own.
-        w.judge_frame(u32::MAX, [bin_start(3)], |&t| t, |_| {});
+        w.judge_frame(u64::MAX, [bin_start(3)], |&t| t, |_| {});
         assert_eq!(w.state().secs, bin_start(5), "the end of bin 4, the bin after bin 3");
         assert_eq!((w.closed_bins(), w.sealed_bins()), (5, 0));
-        w.judge_frame(u32::MAX, std::iter::empty::<u64>(), |&t| t, |_| {});
+        w.judge_frame(u64::MAX, std::iter::empty::<u64>(), |&t| t, |_| {});
         assert_eq!(w.closed_bins(), 5, "an empty frame cannot move it further");
         // Records past the window move nothing either.
-        w.judge_frame(u32::MAX, [bin_start(40) + 1], |&t| t, |_| {});
+        w.judge_frame(u64::MAX, [bin_start(40) + 1], |&t| t, |_| {});
         assert_eq!(w.state().latest_record_secs, Some(bin_start(3)));
         assert_eq!(w.closed_bins(), 5);
         // An honest stream carries on exactly as before.
@@ -239,7 +239,7 @@ mod tests {
     fn the_watermark_stops_at_the_window_end() {
         let mut w = fresh();
         frame(&mut w, 39, &[bin_start(39)]);
-        w.judge_frame(u32::MAX, [bin_start(39) + 1], |&t| t, |_| {});
+        w.judge_frame(u64::MAX, [bin_start(39) + 1], |&t| t, |_| {});
         assert_eq!(w.state().secs, bin_start(41));
         assert_eq!((w.closed_bins(), w.sealed_bins()), (40, 41 - H));
     }

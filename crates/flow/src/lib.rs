@@ -26,10 +26,10 @@
 //! become a [`TrafficMatrixSet`]. Records reach cells by two routes: the
 //! fused render fills one shard per bin range across threads, in place
 //! (bit-identical for any thread count), and [`MeasurementPipeline`]
-//! drives one full-window shard — through
-//! [`MeasurementPipeline::ingest_frame`], the frame path of the daemon and
-//! the batch datagram ingest alike: lossy admission, then the
-//! [`Watermark`]'s lateness rule, binning and sealing.
+//! drives one full-window shard: the daemon's and the batch datagram
+//! ingest's frames through lossy admission, then frames and pushed records
+//! alike through [`MeasurementPipeline::bin_frame`] — the [`Watermark`]'s
+//! lateness rule, binning and sealing.
 //! [`AttributeDigest`] summarizes the raw flows behind a detection for the
 //! classification stage.
 

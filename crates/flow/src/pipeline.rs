@@ -23,9 +23,9 @@
 //! Records reach cells by two routes: the fused render
 //! (`TraceGenerator::bin_scenario` in `odflow-gen`, through
 //! [`ShardedIngest::fill_shards`]), and a [`MeasurementPipeline`], whose
-//! [`ingest_frame`](MeasurementPipeline::ingest_frame) is the one body that
-//! turns an export frame into cells — for a daemon tenant frame by frame,
-//! for [`ShardedIngest::ingest_datagrams`] over a slice.
+//! [`bin_frame`](MeasurementPipeline::bin_frame) is the one body that
+//! turns a frame's records into cells — a daemon tenant's, a slice's in
+//! [`ShardedIngest::ingest_datagrams`], and a lone pushed record's.
 
 use crate::error::{FlowError, Result};
 use crate::lateness::{Watermark, WatermarkState};
@@ -65,13 +65,13 @@ pub struct FrameTally {
     pub refused: Vec<FlowError>,
 }
 
-/// Serial ingest: flow records or export frames in, OD traffic matrices
+/// Serial ingest: export frames or flow records in, OD traffic matrices
 /// out — a single full-window [`BinShard`], finished through
-/// [`ShardedIngest::merge`], and for frames the [`DataQuality`] counters
-/// and the window's [`Watermark`]. The bins the watermark seals are sealed
-/// in the shard, so only the 5-tuples of bins that can still change stay
-/// resident. The parallel fill runs the same per-record code on its
-/// shards, which is what makes the two agree bit for bit.
+/// [`ShardedIngest::merge`], the frames' [`DataQuality`] counters and the
+/// window's [`Watermark`], which frames and lone records alike pass. The
+/// bins it seals are sealed in the shard, so only the 5-tuples of bins
+/// that can still change stay resident. The parallel fill runs the same
+/// per-record code on its shards, which is what makes the two agree bit for bit.
 #[derive(Debug)]
 pub struct MeasurementPipeline {
     engine: ShardedIngest,
@@ -129,7 +129,7 @@ impl MeasurementPipeline {
     /// and bins its records, unless it was quarantined or is a retransmit.
     pub fn ingest_frame(&mut self, frame: &[u8]) -> FrameTally {
         match self.admit_frame(frame) {
-            Some((header, Some(records))) => self.bin_frame(header.unix_secs, records),
+            Some((header, Some(records))) => self.bin_frame(header.unix_secs.into(), records),
             _ => FrameTally::default(),
         }
     }
@@ -149,10 +149,13 @@ impl MeasurementPipeline {
         Some((hdr, fresh.then_some(records)))
     }
 
-    /// Judges an admitted frame's records against the watermark, pushes
-    /// those on time and counts the late ones, lets `export_secs` move the
-    /// watermark, and seals what it has sealed.
-    pub fn bin_frame(&mut self, export_secs: u32, records: FrameRecords<'_>) -> FrameTally {
+    /// The one body behind every entry: judges a frame's records against
+    /// the watermark, pushes those on time and counts the late ones, lets
+    /// `export_secs` move the watermark, and seals what it has sealed.
+    pub fn bin_frame<R>(&mut self, export_secs: u64, records: R) -> FrameTally
+    where
+        R: IntoIterator<Item = FlowRecord>,
+    {
         let (shard, mut refused) = (&mut self.shard, Vec::new());
         let late = self.watermark.judge_frame(
             export_secs,
@@ -165,17 +168,16 @@ impl MeasurementPipeline {
         FrameTally { late, refused }
     }
 
-    /// Offers one pre-sampled flow record, past the watermark: records
-    /// that never were frames arrive in any order, so nothing is sealed.
+    /// Offers one pre-sampled flow record as a one-record frame exported at
+    /// its own start, under [`bin_frame`](Self::bin_frame)'s lateness rule:
+    /// a record of a sealed bin is counted late and lands in no cell.
     ///
     /// # Errors
     ///
-    /// Propagates binning errors other than out-of-window timestamps, which
-    /// are counted in [`BinShard::dropped_out_of_window`] instead (trace
-    /// edges legitimately spill partial minutes). A full-window shard
-    /// cannot misroute: every timestamp outside it is outside the window.
+    /// None arise, as [`FrameTally::refused`] says; out-of-window records
+    /// are counted in [`BinShard::dropped_out_of_window`] instead.
     pub fn push_sampled_record(&mut self, record: FlowRecord) -> Result<()> {
-        self.shard.push_sampled_record(record)
+        self.bin_frame(record.window_start, [record]).refused.pop().map_or(Ok(()), Err)
     }
 
     /// The engine over this pipeline's window.
@@ -236,9 +238,7 @@ impl ShardedIngest {
     pub fn ingest_datagrams(&self, frames: &[impl AsRef<[u8]>]) -> Result<IngestOutcome> {
         let mut pipeline = MeasurementPipeline::over(self.clone())?;
         for frame in frames {
-            if let Some(e) = pipeline.ingest_frame(frame.as_ref()).refused.into_iter().next() {
-                return Err(e);
-            }
+            pipeline.ingest_frame(frame.as_ref()).refused.into_iter().next().map_or(Ok(()), Err)?;
         }
         pipeline.finish()
     }
@@ -378,43 +378,100 @@ mod tests {
         assert_eq!(set.bytes.totals()[0], 1.0);
     }
 
-    #[test]
-    fn the_frame_path_holds_the_keys_of_the_horizon_not_of_the_window() {
-        // Exporter 3 sends each bin's records in one burst stamped with the
-        // bin's start, every record its own 5-tuple, more of them in some
-        // bins than in others. Both frame routes, a tenant and the batch
-        // datagram ingest, are this call frame by frame.
+    /// Exporter 3's records of `bin`, every one its own 5-tuple, more of
+    /// them in some bins than in others.
+    fn burst(plan: &AddressPlan, bin: usize) -> Vec<FlowRecord> {
+        let n = 20 + (bin * 7 % 13) as u32 * 5;
+        (0..n)
+            .map(|i| {
+                let k = key(plan, 3, (i as usize % 10 + 4) % 11, (bin * 100) as u16 + i as u16);
+                minute(k, 3, 0, bin as u64 * 300 + u64::from(i * 7 % 300))
+            })
+            .collect()
+    }
+
+    /// Feeds the bursts of `6 × (H + 1)` bins in order through `feed` and
+    /// checks that once bin `b` is in, bins `b - H..=b` are exactly what is
+    /// held. Returns the outcome and the most keys `H + 1` bins hold.
+    fn feed_bursts(
+        mut feed: impl FnMut(&mut MeasurementPipeline, usize, &[FlowRecord]),
+    ) -> (IngestOutcome, usize) {
         const H: usize = LATENESS_HORIZON_BINS;
         const BINS: usize = 6 * (H + 1);
         let (_, plan, mut p) = build(BINS);
-        let (mut seq, mut frames, mut peak, mut keys) = (0u32, 0, 0, Vec::new());
+        let mut keys = Vec::new();
         for bin in 0..BINS {
-            let n = 20 + (bin * 7 % 13) as u32 * 5;
-            let records: Vec<FlowRecord> = (0..n)
-                .map(|i| {
-                    let k =
-                        key(&plan, 3, (i as usize % 10 + 4) % 11, (bin * 100) as u16 + i as u16);
-                    minute(k, 3, 0, bin as u64 * 300 + u64::from(i * 7 % 300))
-                })
-                .collect();
-            for frame in encode_datagrams(&records, bin as u32 * 300, 3, 100, seq) {
-                assert_eq!(p.ingest_frame(&frame), FrameTally::default());
-                frames += 1;
-                peak = peak.max(p.shard().distinct_keys_live());
-            }
-            seq += n;
-            keys.push(n as usize);
-            // Once bin `b` is full, bins b-H..=b are exactly what is held.
+            let records = burst(&plan, bin);
+            feed(&mut p, bin, &records);
+            keys.push(records.len());
             let held: usize = keys[bin.saturating_sub(H)..].iter().sum();
             assert_eq!(p.shard().distinct_keys_live(), held, "after bin {bin}");
         }
         let horizon = |bin: usize| keys[bin.saturating_sub(H)..=bin].iter().sum::<usize>();
         let widest = (0..BINS).map(horizon).max().unwrap();
-        assert_eq!(peak, widest, "never more than H + 1 bins of keys");
         let outcome = p.finish().unwrap();
         let window = outcome.matrices.flows.data.as_slice().iter().sum::<f64>() as usize;
         assert_eq!(window, keys.iter().sum::<usize>());
-        assert!(window > 5 * peak, "{window} keys in the window, {peak} held at most");
-        assert_eq!((outcome.dropped_late, outcome.quality.quarantine.frames_accepted), (0, frames));
+        assert!(window > 5 * widest, "{window} keys in the window, {widest} in a horizon");
+        assert_eq!(outcome.dropped_late, 0);
+        (outcome, widest)
+    }
+
+    #[test]
+    fn the_frame_path_holds_the_keys_of_the_horizon_not_of_the_window() {
+        // Each bin's burst goes out in frames stamped with the bin's start.
+        // Both frame routes, a tenant and the batch datagram ingest, are
+        // this call frame by frame.
+        let (mut seq, mut frames, mut peak) = (0u32, 0, 0);
+        let (outcome, widest) = feed_bursts(|p, bin, records| {
+            for frame in encode_datagrams(records, bin as u32 * 300, 3, 100, seq) {
+                assert_eq!(p.ingest_frame(&frame), FrameTally::default());
+                frames += 1;
+                peak = peak.max(p.shard().distinct_keys_live());
+            }
+            seq += records.len() as u32;
+        });
+        assert_eq!(peak, widest, "never more than H + 1 bins of keys");
+        assert_eq!(outcome.quality.quarantine.frames_accepted, frames);
+    }
+
+    #[test]
+    fn the_record_entry_holds_the_keys_of_the_horizon_not_of_the_window() {
+        let mut peak = 0;
+        let (_, widest) = feed_bursts(|p, _, records| {
+            for &record in records {
+                p.push_sampled_record(record).unwrap();
+                peak = peak.max(p.shard().distinct_keys_live());
+            }
+        });
+        assert_eq!(peak, widest, "never more than H + 1 bins of keys");
+    }
+
+    #[test]
+    fn a_record_past_the_horizon_is_late_alone_as_in_a_frame() {
+        const H: usize = LATENESS_HORIZON_BINS;
+        let (_, plan, mut alone) = build(H + 4);
+        let (_, _, mut framed) = build(H + 4);
+        // Bin H + 2's record seals bins 0 and 1; then one of bin 1 comes.
+        let fresh = minute(key(&plan, 3, 8, 80), 3, 0, (H as u64 + 2) * 300);
+        let stale = minute(key(&plan, 3, 7, 443), 3, 0, 300 + 60);
+        alone.push_sampled_record(fresh).unwrap();
+        assert_eq!(alone.watermark().sealed_bins(), 2);
+        assert_eq!(alone.push_sampled_record(stale), Ok(()));
+        for (seq, r) in [fresh, stale].into_iter().enumerate() {
+            let frame = &encode_datagrams(&[r], r.window_start as u32, 3, 100, seq as u32)[0];
+            let late = u64::from(r == stale);
+            assert_eq!(framed.ingest_frame(frame), FrameTally { late, refused: vec![] });
+        }
+        let (alone, framed) = (alone.finish().unwrap(), framed.finish().unwrap());
+        for o in [&alone, &framed] {
+            assert_eq!((o.dropped_late, o.quality.bin_records[1]), (1, 0));
+            assert_eq!((o.stats.flows_total, o.stats.flows_resolved), (1, 1), "never resolved");
+        }
+        for t in crate::matrix::TrafficType::ALL {
+            let (a, f) = (alone.matrices.get(t), framed.matrices.get(t));
+            assert!(a.data.row(1).unwrap().iter().all(|&v| v == 0.0), "{t:?}: in no cell");
+            assert_eq!(a.data.as_slice(), f.data.as_slice(), "{t:?}");
+        }
     }
 }

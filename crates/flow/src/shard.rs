@@ -12,11 +12,11 @@
 //! batches bin across threads with no locks. Shards are filled two ways:
 //! the fused render fills one shard per bin range through
 //! [`ShardedIngest::fill_shards`], and
-//! [`MeasurementPipeline`](crate::MeasurementPipeline) — the frame path of
-//! the daemon's tenants and of [`ShardedIngest::ingest_datagrams`] — holds
-//! a single shard spanning the window and finishes it through
-//! [`ShardedIngest::merge`]. [`ShardedIngest::new`] validates the window
-//! once, so minting a shard cannot fail on geometry.
+//! [`MeasurementPipeline`](crate::MeasurementPipeline) — a daemon tenant,
+//! [`ShardedIngest::ingest_datagrams`] or a record pusher — holds a single
+//! shard spanning the window and finishes it through [`ShardedIngest::merge`];
+//! both seal every bin they are done with. [`ShardedIngest::new`] validates
+//! the window once, so minting a shard cannot fail on geometry.
 //!
 //! ## The window is written once
 //!
@@ -27,9 +27,9 @@
 //! that renders bin after bin (the fused generate→bin path)
 //! [seals](BinShard::seal) each one as it finishes, so the 5-tuples
 //! resident are one bin's per filling worker, and the task
-//! [finishes](BinShard::finish) the shard, which frees its tables. The
-//! frame path's single full-window shard owns its cells instead,
-//! [seals](BinShard::seal) its bins as its [`Watermark`] passes them, and
+//! [finishes](BinShard::finish) the shard, which frees its tables. A
+//! pipeline's full-window shard owns its cells instead, [seals](BinShard::seal)
+//! its bins as its [`Watermark`] passes them, and
 //! [`ShardedIngest::merge`] moves the cells out. Either way
 //! [`ShardedIngest`] turns the cells into the [`TrafficMatrixSet`], in one
 //! place.
@@ -95,7 +95,7 @@ const SHORT_WINDOW_SHARDS: usize = 8;
 /// A shard covering the *full* window is exactly the serial pipeline's
 /// backend — [`crate::MeasurementPipeline`] is implemented as that
 /// degenerate single-shard case, which is what makes the parallel fill and
-/// the frame path equivalent by construction.
+/// the pipeline equivalent by construction.
 ///
 /// `S` is where the three row-major `bin x od` cell vectors live: a shard
 /// owns them (`Vec<f64>`, the default — the serial pipeline, a daemon
@@ -518,8 +518,8 @@ pub struct IngestOutcome {
     pub stats: ResolutionStats,
     /// Out-of-window records dropped, summed across shards.
     pub dropped_out_of_window: u64,
-    /// Records refused as late: judged by the frame path's [`Watermark`]
-    /// to fall into a sealed bin. Always zero on the fused render, which
+    /// Records refused as late: judged by a pipeline's [`Watermark`] to
+    /// fall into a sealed bin. Always zero on the fused render, which
     /// has no watermark.
     pub dropped_late: u64,
     /// Data-quality accounting: quarantine counters (wire path), exporter
@@ -589,8 +589,8 @@ impl IngestOutcome {
 /// [`Self::fill_shards`] is the parallel fill — it allocates the
 /// window's cells once, lends each shard its row range and runs the
 /// caller's fill on the [`odflow_par`] pool; the fused generate→bin path
-/// in `odflow-gen` is that call. The frame path
-/// ([`MeasurementPipeline`](crate::MeasurementPipeline)) instead
+/// in `odflow-gen` is that call. A
+/// [`MeasurementPipeline`](crate::MeasurementPipeline) instead
 /// [mints](Self::make_shard) one owned shard spanning the window, feeds it
 /// for as long as it likes, and hands it to [`Self::merge`].
 #[derive(Debug, Clone)]
@@ -878,17 +878,18 @@ impl ShardTally {
 mod tests {
     use super::*;
     use crate::key::{FlowKey, Protocol};
-    use crate::pipeline::MeasurementPipeline;
     use odflow_net::{AddressPlan, IngressResolver, Topology};
 
-    fn setup(num_bins: usize) -> (Topology, AddressPlan, ShardedIngest, MeasurementPipeline) {
+    /// The engine over a window of `num_bins` bins and its full-window
+    /// shard, the serial reference: it takes records in any order.
+    fn setup(num_bins: usize) -> (Topology, AddressPlan, ShardedIngest, BinShard) {
         let t = Topology::abilene();
         let plan = AddressPlan::synthetic(&t);
         let routes = plan.build_route_table(1.0).unwrap();
         let ingress = IngressResolver::synthetic(&t);
         let cfg = PipelineConfig::abilene(0, num_bins);
-        let engine = ShardedIngest::new(cfg, &t, ingress.clone(), routes.clone()).unwrap();
-        let serial = MeasurementPipeline::new(cfg, &t, ingress, routes).unwrap();
+        let engine = ShardedIngest::new(cfg, &t, ingress, routes).unwrap();
+        let serial = engine.make_shard(0..num_bins).unwrap();
         (t, plan, engine, serial)
     }
 
@@ -979,8 +980,9 @@ mod tests {
         for r in &stream {
             serial.push_sampled_record(*r).unwrap();
         }
-        let serial_dropped = serial.shard().dropped_out_of_window();
-        let (serial_set, serial_stats) = serial.finalize().unwrap();
+        let serial_dropped = serial.dropped_out_of_window();
+        let IngestOutcome { matrices: serial_set, stats: serial_stats, .. } =
+            engine.merge(vec![serial]).unwrap();
 
         // Fill shards by hand so per-shard accounting is visible.
         let mut shards: Vec<BinShard> = (0..num_shards(&engine))
@@ -1016,7 +1018,8 @@ mod tests {
         for r in &stream {
             serial.push_sampled_record(*r).unwrap();
         }
-        let (serial_set, serial_stats) = serial.finalize().unwrap();
+        let IngestOutcome { matrices: serial_set, stats: serial_stats, .. } =
+            engine.merge(vec![serial]).unwrap();
         for &threads in &[1usize, 4, 64] {
             let merged = odflow_par::with_thread_limit(threads, || fill(&engine, &stream).unwrap());
             assert_eq!(merged.stats, serial_stats, "threads={threads}");
@@ -1126,8 +1129,8 @@ mod tests {
             for r in &stream {
                 serial.push_sampled_record(*r).unwrap();
             }
-            let dropped = serial.shard().dropped_out_of_window();
-            let (set, stats) = serial.finalize().unwrap();
+            let dropped = serial.dropped_out_of_window();
+            let IngestOutcome { matrices: set, stats, .. } = engine.merge(vec![serial]).unwrap();
             let merged = fill(&engine, &stream).unwrap();
             let grain = engine.shard_bins();
             assert_eq!(merged.stats, stats, "grain={grain}");

@@ -1,17 +1,20 @@
 //! Sharded/serial ingest equivalence.
 //!
 //! The parallel fill (`ShardedIngest::fill_shards`, each shard fed the
-//! records of its `shard_range`) must reproduce the serial
-//! `MeasurementPipeline` **bitwise** — `TrafficMatrixSet` cell-for-cell,
-//! resolution statistics and drop counters exactly — for any
-//! `ODFLOW_THREADS` (pinned here via `with_thread_limit` at 1 / typical /
-//! oversubscribed, mirroring the `par_equivalence` suites in
-//! `crates/linalg` and `crates/subspace`) and for every shard grain the
-//! grain rule gives a window.
+//! records of its `shard_range`) must reproduce the serial reference
+//! **bitwise** — `TrafficMatrixSet` cell-for-cell, resolution statistics
+//! and drop counters exactly — for any `ODFLOW_THREADS` (pinned here via
+//! `with_thread_limit` at 1 / typical / oversubscribed, mirroring the
+//! `par_equivalence` suites in `crates/linalg` and `crates/subspace`) and
+//! for every shard grain the grain rule gives a window. The reference is
+//! one full-window `BinShard` finished through `ShardedIngest::merge`,
+//! which takes records in any time order; a `MeasurementPipeline` would
+//! refuse a record older than its lateness horizon, and these streams are
+//! not in time order.
 
 use odflow_flow::{
-    FlowError, FlowKey, FlowRecord, IngestOutcome, MeasurementPipeline, PipelineConfig, Protocol,
-    ResolutionStats, ShardedIngest, TrafficMatrixSet, DEFAULT_SHARD_BINS,
+    FlowError, FlowKey, FlowRecord, IngestOutcome, PipelineConfig, Protocol, ShardedIngest,
+    TrafficMatrixSet, DEFAULT_SHARD_BINS,
 };
 use odflow_net::{AddressPlan, IngressResolver, Topology};
 use odflow_par::with_thread_limit;
@@ -69,21 +72,12 @@ fn build_record(plan: &AddressPlan, spec: &RecSpec, window_secs: u64) -> FlowRec
     }
 }
 
-fn run_serial(
-    cfg: PipelineConfig,
-    t: &Topology,
-    plan: &AddressPlan,
-    records: &[FlowRecord],
-) -> (TrafficMatrixSet, ResolutionStats, u64) {
-    let routes = plan.build_route_table(1.0).unwrap();
-    let ingress = IngressResolver::synthetic(t);
-    let mut pipe = MeasurementPipeline::new(cfg, t, ingress, routes).unwrap();
-    for r in records {
-        pipe.push_sampled_record(*r).unwrap();
-    }
-    let dropped = pipe.shard().dropped_out_of_window();
-    let (set, stats) = pipe.finalize().unwrap();
-    (set, stats, dropped)
+/// The serial reference: the records, in stream order, through one
+/// full-window shard.
+fn run_serial(engine: &ShardedIngest, records: &[FlowRecord]) -> Result<IngestOutcome, FlowError> {
+    let mut shard = engine.make_shard(0..engine.num_bins())?;
+    records.iter().try_for_each(|r| shard.push_sampled_record(*r))?;
+    engine.merge(vec![shard])
 }
 
 /// The shards `engine` tiles its window with.
@@ -137,19 +131,18 @@ fn sharded_ingest_equivalence_fixed_stream() {
             build_record(&plan, &spec, window_secs)
         })
         .collect();
-    let (set, stats, dropped) = run_serial(cfg, &t, &plan, &records);
-    assert!(dropped > 0, "fixture must exercise the out-of-window path");
-
     let routes = plan.build_route_table(1.0).unwrap();
     let ingress = IngressResolver::synthetic(&t);
     let engine = ShardedIngest::new(cfg, &t, ingress, routes).unwrap();
+    let serial = run_serial(&engine, &records).unwrap();
+    assert!(serial.dropped_out_of_window > 0, "fixture must exercise the out-of-window path");
     assert_eq!(engine.shard_bins(), 4);
     for &threads in &[1usize, 4, num_bins + 20] {
         let outcome =
             with_thread_limit(threads, || fill_by_shard_range(&engine, &records).unwrap());
-        assert_eq!(outcome.stats, stats, "threads={threads}");
-        assert_eq!(outcome.dropped_out_of_window, dropped, "threads={threads}");
-        assert_bitwise_equal(&outcome.matrices, &set);
+        assert_eq!(outcome.stats, serial.stats, "threads={threads}");
+        assert_eq!(outcome.dropped_out_of_window, serial.dropped_out_of_window);
+        assert_bitwise_equal(&outcome.matrices, &serial.matrices);
     }
 }
 
@@ -186,9 +179,9 @@ fn in_place_engine_matches_serial_pipeline_for_every_window_length() {
     for num_bins in 1..=40usize {
         let cfg = PipelineConfig::abilene(0, num_bins);
         let records = fixed_stream(&plan, num_bins, 1500);
-        let (set, stats, dropped) = run_serial(cfg, &t, &plan, &records);
-        assert!(dropped > 0, "fixture must exercise the out-of-window path");
         let engine = ShardedIngest::new(cfg, &t, ingress.clone(), routes.clone()).unwrap();
+        let serial = run_serial(&engine, &records).unwrap();
+        assert!(serial.dropped_out_of_window > 0, "fixture must exercise the out-of-window path");
         assert_eq!(engine.shard_bins(), DEFAULT_SHARD_BINS.min(num_bins.div_ceil(8)));
         assert_eq!(num_shards(&engine), num_bins.div_ceil(engine.shard_bins()));
         let shards = num_shards(&engine);
@@ -197,10 +190,10 @@ fn in_place_engine_matches_serial_pipeline_for_every_window_length() {
         for threads in [1usize, 2, 5] {
             let outcome =
                 with_thread_limit(threads, || fill_by_shard_range(&engine, &records).unwrap());
-            assert_eq!(outcome.stats, stats, "bins={num_bins} threads={threads}");
-            assert_eq!(outcome.dropped_out_of_window, dropped, "bins={num_bins}");
+            assert_eq!(outcome.stats, serial.stats, "bins={num_bins} threads={threads}");
+            assert_eq!(outcome.dropped_out_of_window, serial.dropped_out_of_window);
             assert_eq!(outcome.quality.bin_records.len(), num_bins);
-            assert_bitwise_equal(&outcome.matrices, &set);
+            assert_bitwise_equal(&outcome.matrices, &serial.matrices);
         }
     }
     grains.dedup();
@@ -237,7 +230,7 @@ fn fill_shards_routes_drops_to_the_last_shard_and_surfaces_push_errors() {
     let engine = ShardedIngest::new(cfg, &t, ingress, routes).unwrap();
     assert_eq!((engine.shard_bins(), num_shards(&engine)), (2, 6));
     let records = fixed_stream(&plan, num_bins, 1500);
-    let (_, _, dropped) = run_serial(cfg, &t, &plan, &records);
+    let dropped = run_serial(&engine, &records).unwrap().dropped_out_of_window;
     let owner = |r: &FlowRecord| (r.window_start / 300).min(num_bins as u64 - 1) as usize / 2;
 
     // What lies past the window's end is offered to the last shard, which
@@ -303,37 +296,22 @@ proptest! {
             })
             .collect();
 
-        // The serial pipeline may legitimately see zero accepted records
+        // The serial reference may legitimately see zero accepted records
         // (all unresolvable/out-of-window); both paths must agree then too.
         let routes = plan.build_route_table(1.0).unwrap();
         let ingress = IngressResolver::synthetic(&t);
-        let mut pipe =
-            MeasurementPipeline::new(cfg, &t, ingress.clone(), routes.clone()).unwrap();
-        for r in &records {
-            pipe.push_sampled_record(*r).unwrap();
-        }
-        let dropped = pipe.shard().dropped_out_of_window();
-        let serial = pipe.finalize();
-
         let engine = ShardedIngest::new(cfg, &t, ingress, routes).unwrap();
+        let serial = run_serial(&engine, &records);
         for &limit in &[1usize, threads, num_bins + 31] {
             let outcome = with_thread_limit(limit, || fill_by_shard_range(&engine, &records));
             match (&serial, outcome) {
-                (Ok((set, stats)), Ok(merged)) => {
-                    prop_assert_eq!(&merged.stats, stats);
-                    prop_assert_eq!(merged.dropped_out_of_window, dropped);
-                    prop_assert_eq!(
-                        merged.matrices.bytes.data.as_slice(),
-                        set.bytes.data.as_slice()
-                    );
-                    prop_assert_eq!(
-                        merged.matrices.packets.data.as_slice(),
-                        set.packets.data.as_slice()
-                    );
-                    prop_assert_eq!(
-                        merged.matrices.flows.data.as_slice(),
-                        set.flows.data.as_slice()
-                    );
+                (Ok(serial), Ok(merged)) => {
+                    prop_assert_eq!(&merged.stats, &serial.stats);
+                    prop_assert_eq!(merged.dropped_out_of_window, serial.dropped_out_of_window);
+                    let (set, got) = (&serial.matrices, &merged.matrices);
+                    prop_assert_eq!(got.bytes.data.as_slice(), set.bytes.data.as_slice());
+                    prop_assert_eq!(got.packets.data.as_slice(), set.packets.data.as_slice());
+                    prop_assert_eq!(got.flows.data.as_slice(), set.flows.data.as_slice());
                 }
                 (Err(se), Err(pe)) => prop_assert_eq!(se.clone(), pe),
                 (s, p) => prop_assert!(false, "serial {:?} vs sharded {:?} diverged", s, p),

@@ -19,7 +19,7 @@ use crate::faults::{FaultSchedule, FaultStormStats};
 use crate::flows::{synthesize_cell_into, BaselineParams};
 use crate::gravity::GravityModel;
 use crate::rng::{cell_rng, Stream};
-use odflow_flow::FlowRecord;
+use odflow_flow::{FlowRecord, MeasurementPipeline, ShardedIngest};
 use odflow_net::{AddressPlan, PopId, Topology};
 use rand::Rng;
 
@@ -386,14 +386,8 @@ impl<'a> TraceGenerator<'a> {
         }
     }
 
-    /// The sharded ingest engine over this scenario's network, after
-    /// checking that `config` shares the scenario's bin grid.
-    fn engine(
-        &self,
-        config: odflow_flow::PipelineConfig,
-        ingress: odflow_net::IngressResolver,
-        routes: odflow_net::RouteTable,
-    ) -> odflow_flow::Result<odflow_flow::ShardedIngest> {
+    /// Checks that `config` shares the scenario's bin grid.
+    fn check_grid(&self, config: odflow_flow::PipelineConfig) -> odflow_flow::Result<()> {
         let cfg = &self.scenario.config;
         if config.start_secs != cfg.start_secs || config.bin_secs != cfg.bin_secs {
             return Err(odflow_flow::FlowError::WindowMisaligned {
@@ -404,7 +398,7 @@ impl<'a> TraceGenerator<'a> {
                 ),
             });
         }
-        odflow_flow::ShardedIngest::new(config, &self.scenario.topology, ingress, routes)
+        Ok(())
     }
 
     /// The fused generate→bin path: renders every bin of the scenario
@@ -440,7 +434,8 @@ impl<'a> TraceGenerator<'a> {
         ingress: odflow_net::IngressResolver,
         routes: odflow_net::RouteTable,
     ) -> odflow_flow::Result<odflow_flow::IngestOutcome> {
-        let engine = self.engine(config, ingress, routes)?;
+        self.check_grid(config)?;
+        let engine = ShardedIngest::new(config, &self.scenario.topology, ingress, routes)?;
         let gen_bins = self.num_bins();
         engine.fill_shards(|_, shard| {
             let own = shard.bins();
@@ -507,9 +502,9 @@ impl<'a> TraceGenerator<'a> {
     /// every bin rendered by [`frames_for_bin`](Self::frames_for_bin) with
     /// sequence continuity across bins, each bin's frames passed through
     /// `faults` (when given) before the next is rendered. Bins ascending,
-    /// PoP-exporter order within a bin — the order both the batch wire
-    /// path and the load generator consume. The returned stats count the
-    /// frames rendered (`frames_offered`) and every mutation applied.
+    /// PoP-exporter order within a bin — the order the load generator sends
+    /// and [`bin_scenario_faulted`](Self::bin_scenario_faulted) ingests. The
+    /// returned stats count the frames rendered and every mutation applied.
     pub fn faulted_frames(
         &self,
         faults: Option<&FaultSchedule>,
@@ -530,13 +525,10 @@ impl<'a> TraceGenerator<'a> {
         (stream, storm)
     }
 
-    /// The fault-storm pipeline: [`faulted_frames`](Self::faulted_frames)
-    /// under `faults`, ingested through
-    /// [`ShardedIngest::ingest_datagrams`](odflow_flow::ShardedIngest::ingest_datagrams)
-    /// (malformed frames and implausible records quarantined, exact
-    /// retransmits deduplicated, survivors binned frame by frame on the
-    /// daemon's frame path, each bin sealed as the watermark passes it),
-    /// then [`IngestOutcome::repair`](odflow_flow::IngestOutcome::repair)
+    /// The fault-storm pipeline: each bin's frames, rendered and faulted as
+    /// by [`faulted_frames`](Self::faulted_frames), take the daemon's frame
+    /// path through one [`MeasurementPipeline`] before the next bin is
+    /// rendered; then [`IngestOutcome::repair`](odflow_flow::IngestOutcome::repair)
     /// interpolates or masks outage bins under the default
     /// [`RepairPolicy`](odflow_flow::RepairPolicy). The result is the same
     /// for any `ODFLOW_THREADS`: rendering, faulting and ingest are serial
@@ -552,9 +544,17 @@ impl<'a> TraceGenerator<'a> {
         routes: odflow_net::RouteTable,
         faults: &FaultSchedule,
     ) -> odflow_flow::Result<(odflow_flow::IngestOutcome, FaultStormStats)> {
-        let engine = self.engine(config, ingress, routes)?;
-        let (frames, storm) = self.faulted_frames(Some(faults));
-        let mut outcome = engine.ingest_datagrams(&frames)?;
+        self.check_grid(config)?;
+        let topology = &self.scenario.topology;
+        let mut pipeline = MeasurementPipeline::new(config, topology, ingress, routes)?;
+        let (mut storm, mut seqs) = (FaultStormStats::default(), vec![0u32; topology.num_pops()]);
+        for bin in 0..self.num_bins() {
+            let rendered = self.frames_for_bin(bin, &mut seqs);
+            for frame in faults.apply_to_frames(bin, rendered, &mut storm) {
+                pipeline.ingest_frame(&frame).refused.into_iter().next().map_or(Ok(()), Err)?;
+            }
+        }
+        let mut outcome = pipeline.finish()?;
         outcome.repair(odflow_flow::RepairPolicy::default());
         Ok((outcome, storm))
     }

@@ -308,7 +308,7 @@ impl TenantPipeline {
         let t1 = monotonic_now();
         let counters = &self.counters;
         TenantCounters::add(&counters.records_decoded, records.len() as u64);
-        let tally = self.pipeline.bin_frame(hdr.unix_secs, records);
+        let tally = self.pipeline.bin_frame(hdr.unix_secs.into(), records);
         // A record the shard refuses is impossible by construction, but
         // still must not panic or abort the frame.
         TenantCounters::add(&counters.ingest_errors, tally.refused.len() as u64);
