@@ -225,7 +225,8 @@ impl MeasurementPipeline {
 impl ShardedIngest {
     /// One-shot ingest of serialized NetFlow v5 export frames — the
     /// hostile-telemetry entry point: a [`MeasurementPipeline`] over this
-    /// window takes the frames in input order, exactly as a daemon tenant
+    /// window takes the frames in input order, each as the iterator yields
+    /// it (a lazy stream is never held whole), exactly as a daemon tenant
     /// does, so records of sealed bins are refused and counted in
     /// [`IngestOutcome::dropped_late`]. Serial, so the same for any
     /// `ODFLOW_THREADS`. Callers expecting collector outages follow up
@@ -235,7 +236,10 @@ impl ShardedIngest {
     ///
     /// The first of [`FrameTally::refused`], and [`FlowError::NoData`] if
     /// no record was binned. Malformed frames are quarantined, not errors.
-    pub fn ingest_datagrams(&self, frames: &[impl AsRef<[u8]>]) -> Result<IngestOutcome> {
+    pub fn ingest_datagrams(
+        &self,
+        frames: impl IntoIterator<Item = impl AsRef<[u8]>>,
+    ) -> Result<IngestOutcome> {
         let mut pipeline = MeasurementPipeline::over(self.clone())?;
         for frame in frames {
             pipeline.ingest_frame(frame.as_ref()).refused.into_iter().next().map_or(Ok(()), Err)?;

@@ -1238,7 +1238,7 @@ mod tests {
     #[test]
     fn ingest_datagrams_refuses_what_the_horizon_sealed() {
         let (_, plan, engine, _) = setup(20);
-        let clean = engine.ingest_datagrams(&stream_with(&plan, |_, _| (vec![], 0))).unwrap();
+        let clean = engine.ingest_datagrams(stream_with(&plan, |_, _| (vec![], 0))).unwrap();
         assert_eq!(clean.dropped_late, 0);
         // While bin 14 fills, exporter 3 re-exports bins 2 and 9: eight
         // bins past bin 13, bin 2 is sealed; bin 9 is closed, not sealed.
@@ -1276,7 +1276,7 @@ mod tests {
     #[test]
     fn a_far_future_header_closes_nothing_past_the_data() {
         let (_, plan, engine, _) = setup(20);
-        let clean = engine.ingest_datagrams(&stream_with(&plan, |_, _| (vec![], 0))).unwrap();
+        let clean = engine.ingest_datagrams(stream_with(&plan, |_, _| (vec![], 0))).unwrap();
         // After bin 5, exporter 9 sends one empty frame stamped u32::MAX.
         let frames = stream_with(&plan, |bin, _| {
             if bin != 5 {

@@ -19,7 +19,7 @@ use crate::faults::{FaultSchedule, FaultStormStats};
 use crate::flows::{synthesize_cell_into, BaselineParams};
 use crate::gravity::GravityModel;
 use crate::rng::{cell_rng, Stream};
-use odflow_flow::{FlowRecord, MeasurementPipeline, ShardedIngest};
+use odflow_flow::FlowRecord;
 use odflow_net::{AddressPlan, PopId, Topology};
 use rand::Rng;
 
@@ -386,8 +386,14 @@ impl<'a> TraceGenerator<'a> {
         }
     }
 
-    /// Checks that `config` shares the scenario's bin grid.
-    fn check_grid(&self, config: odflow_flow::PipelineConfig) -> odflow_flow::Result<()> {
+    /// The sharded ingest engine over this scenario's network, after
+    /// checking that `config` shares the scenario's bin grid.
+    fn engine(
+        &self,
+        config: odflow_flow::PipelineConfig,
+        ingress: odflow_net::IngressResolver,
+        routes: odflow_net::RouteTable,
+    ) -> odflow_flow::Result<odflow_flow::ShardedIngest> {
         let cfg = &self.scenario.config;
         if config.start_secs != cfg.start_secs || config.bin_secs != cfg.bin_secs {
             return Err(odflow_flow::FlowError::WindowMisaligned {
@@ -398,7 +404,7 @@ impl<'a> TraceGenerator<'a> {
                 ),
             });
         }
-        Ok(())
+        odflow_flow::ShardedIngest::new(config, &self.scenario.topology, ingress, routes)
     }
 
     /// The fused generate→bin path: renders every bin of the scenario
@@ -434,8 +440,7 @@ impl<'a> TraceGenerator<'a> {
         ingress: odflow_net::IngressResolver,
         routes: odflow_net::RouteTable,
     ) -> odflow_flow::Result<odflow_flow::IngestOutcome> {
-        self.check_grid(config)?;
-        let engine = ShardedIngest::new(config, &self.scenario.topology, ingress, routes)?;
+        let engine = self.engine(config, ingress, routes)?;
         let gen_bins = self.num_bins();
         engine.fill_shards(|_, shard| {
             let own = shard.bins();
@@ -498,37 +503,22 @@ impl<'a> TraceGenerator<'a> {
         frames
     }
 
-    /// The scenario's whole export stream as a collector would receive it:
-    /// every bin rendered by [`frames_for_bin`](Self::frames_for_bin) with
-    /// sequence continuity across bins, each bin's frames passed through
-    /// `faults` (when given) before the next is rendered. Bins ascending,
-    /// PoP-exporter order within a bin — the order the load generator sends
-    /// and [`bin_scenario_faulted`](Self::bin_scenario_faulted) ingests. The
-    /// returned stats count the frames rendered and every mutation applied.
-    pub fn faulted_frames(
-        &self,
-        faults: Option<&FaultSchedule>,
-    ) -> (Vec<Vec<u8>>, FaultStormStats) {
-        let mut storm = FaultStormStats::default();
+    /// The scenario's whole clean export stream as a collector would
+    /// receive it: every bin rendered by [`frames_for_bin`](Self::frames_for_bin)
+    /// with sequence continuity across bins. Bins ascending, PoP-exporter
+    /// order within a bin — the order the load generator sends and
+    /// [`bin_scenario_faulted`](Self::bin_scenario_faulted) ingests.
+    pub fn export_frames(&self) -> Vec<Vec<u8>> {
         let mut seqs = vec![0u32; self.scenario.topology.num_pops()];
-        let mut stream = Vec::new();
-        for bin in 0..self.num_bins() {
-            let frames = self.frames_for_bin(bin, &mut seqs);
-            match faults {
-                Some(schedule) => stream.extend(schedule.apply_to_frames(bin, frames, &mut storm)),
-                None => {
-                    storm.frames_offered += frames.len() as u64;
-                    stream.extend(frames);
-                }
-            }
-        }
-        (stream, storm)
+        (0..self.num_bins()).flat_map(|bin| self.frames_for_bin(bin, &mut seqs)).collect()
     }
 
-    /// The fault-storm pipeline: each bin's frames, rendered and faulted as
-    /// by [`faulted_frames`](Self::faulted_frames), take the daemon's frame
-    /// path through one [`MeasurementPipeline`] before the next bin is
-    /// rendered; then [`IngestOutcome::repair`](odflow_flow::IngestOutcome::repair)
+    /// The fault-storm pipeline: each bin's frames, rendered by
+    /// [`frames_for_bin`](Self::frames_for_bin) and passed through
+    /// `faults`, go to
+    /// [`ShardedIngest::ingest_datagrams`](odflow_flow::ShardedIngest::ingest_datagrams)
+    /// — the daemon's frame path — before the next bin is rendered; then
+    /// [`IngestOutcome::repair`](odflow_flow::IngestOutcome::repair)
     /// interpolates or masks outage bins under the default
     /// [`RepairPolicy`](odflow_flow::RepairPolicy). The result is the same
     /// for any `ODFLOW_THREADS`: rendering, faulting and ingest are serial
@@ -544,17 +534,13 @@ impl<'a> TraceGenerator<'a> {
         routes: odflow_net::RouteTable,
         faults: &FaultSchedule,
     ) -> odflow_flow::Result<(odflow_flow::IngestOutcome, FaultStormStats)> {
-        self.check_grid(config)?;
-        let topology = &self.scenario.topology;
-        let mut pipeline = MeasurementPipeline::new(config, topology, ingress, routes)?;
-        let (mut storm, mut seqs) = (FaultStormStats::default(), vec![0u32; topology.num_pops()]);
-        for bin in 0..self.num_bins() {
-            let rendered = self.frames_for_bin(bin, &mut seqs);
-            for frame in faults.apply_to_frames(bin, rendered, &mut storm) {
-                pipeline.ingest_frame(&frame).refused.into_iter().next().map_or(Ok(()), Err)?;
-            }
-        }
-        let mut outcome = pipeline.finish()?;
+        let engine = self.engine(config, ingress, routes)?;
+        let (mut storm, mut seqs) =
+            (FaultStormStats::default(), vec![0u32; self.scenario.topology.num_pops()]);
+        let frames = (0..self.num_bins()).flat_map(|bin| {
+            faults.apply_to_frames(bin, self.frames_for_bin(bin, &mut seqs), &mut storm)
+        });
+        let mut outcome = engine.ingest_datagrams(frames)?;
         outcome.repair(odflow_flow::RepairPolicy::default());
         Ok((outcome, storm))
     }
@@ -1079,8 +1065,8 @@ mod tests {
         let config = ScenarioConfig { num_bins: 4, total_demand: 300.0, ..Default::default() };
         let s = Scenario::new(config, vec![]).unwrap();
         let g = s.generator();
-        let (frames, storm) = g.faulted_frames(None);
-        assert_eq!(storm.frames_offered, frames.len() as u64);
+        let frames = g.export_frames();
+        assert!(!frames.is_empty());
         let routes = s.plan.build_route_table(1.0).unwrap();
         let ingress = odflow_net::IngressResolver::synthetic(&s.topology);
         let cfg = odflow_flow::PipelineConfig::abilene(0, 4);
@@ -1093,10 +1079,6 @@ mod tests {
         let quality = pipeline.quality();
         assert_eq!(quality.exporters.lost_flows_total(), 0, "continuous sequences show no loss");
         assert_eq!(quality.quarantine.frames_rejected(), 0);
-        // The stream is the per-bin render with one set of counters.
-        let mut seqs = vec![0u32; s.topology.num_pops()];
-        let direct: Vec<Vec<u8>> = (0..4).flat_map(|b| g.frames_for_bin(b, &mut seqs)).collect();
-        assert_eq!(frames, direct);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic loopback load generator.
 //!
 //! Takes a scenario's NetFlow v5 export stream from
-//! [`TraceGenerator::faulted_frames`](odflow_gen::TraceGenerator::faulted_frames)
+//! [`TraceGenerator::export_frames`](odflow_gen::TraceGenerator::export_frames)
 //! — per-exporter sequence continuity and all — and sends every frame to
 //! a daemon over a real socket ([`replay_frames`] sends any other stream,
 //! a degraded one included). It is the very stream the batch
@@ -112,8 +112,7 @@ pub fn replay_scenario(
     target: SocketAddr,
     config: &LoadGenConfig,
 ) -> Result<LoadReport, ServeError> {
-    let (frames, _) = scenario.generator().faulted_frames(None);
-    replay_frames(&frames, target, config)
+    replay_frames(&scenario.generator().export_frames(), target, config)
 }
 
 /// Replays pre-rendered frames, as they are, against a daemon at `target`

@@ -556,7 +556,7 @@ mod tests {
     }
 
     fn scenario_frames(scenario: &Scenario) -> Vec<Vec<u8>> {
-        scenario.generator().faulted_frames(None).0
+        scenario.generator().export_frames()
     }
 
     #[test]

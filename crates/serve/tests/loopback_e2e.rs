@@ -307,7 +307,7 @@ fn stream_cut_mid_message_is_counted_and_the_next_connection_is_served() {
         scope.execute(move || {
             *slot_ref = Some(daemon.run());
         });
-        let frames = scenario.generator().faulted_frames(None).0;
+        let frames = scenario.generator().export_frames();
         let message = odflow_serve::wire::encode_message(0, &frames[0]);
         let mut cut = std::net::TcpStream::connect(addr).unwrap();
         cut.write_all(&message[..message.len() / 2]).unwrap();
