@@ -383,14 +383,13 @@ mod tests {
         b.push_sampled_record(rec(&plan, 1, 30, 999, 3, 200)).unwrap();
         b.push_sampled_record(rec(&plan, 2, 310, 1001, 1, 50)).unwrap();
         let full = b.export_state();
-        let p = full.num_od();
-        for bin in 0..2 {
-            let one = b.export_bin(bin).unwrap();
-            assert_eq!((one.bin, one.records), (bin, full.bin_records[bin]));
-            assert_eq!(one.bytes, full.bytes[bin * p..(bin + 1) * p]);
-            assert_eq!(one.packets, full.packets[bin * p..(bin + 1) * p]);
-            assert_eq!(one.flows, full.flows[bin * p..(bin + 1) * p]);
-            assert_eq!(one.distinct, full.distinct[bin * p..(bin + 1) * p]);
+        assert_eq!(full.bins.len(), 2);
+        for (bin, one) in full.bins.iter().enumerate() {
+            assert_eq!((one.bin, Some(one.records)), (bin, b.bin_record_count(bin)));
+            assert_eq!(Some(&one.bytes[..]), b.bin_row(bin, TrafficType::Bytes));
+            assert_eq!(Some(&one.packets[..]), b.bin_row(bin, TrafficType::Packets));
+            assert_eq!(Some(&one.flows[..]), b.bin_row(bin, TrafficType::Flows));
+            assert_eq!(one, &b.export_bin(bin).unwrap());
         }
         assert_eq!(b.export_bin(0).unwrap().distinct[1].len(), 2, "sorted, both keys kept");
         assert!(b.export_bin(2).is_none());

@@ -29,7 +29,9 @@
 //! drives one full-window shard: the daemon's and the batch datagram
 //! ingest's frames through lossy admission, then frames and pushed records
 //! alike through [`MeasurementPipeline::bin_frame`] — the [`Watermark`]'s
-//! lateness rule, binning and sealing.
+//! lateness rule, binning and sealing. A shard's snapshot, [`ShardState`],
+//! is its window as [`BinState`]s, one per bin, plus its counters: the
+//! unit a checkpoint persists is the bin, whole or one at a time.
 //! [`AttributeDigest`] summarizes the raw flows behind a detection for the
 //! classification stage.
 
@@ -63,8 +65,8 @@ pub use od::{OdResolution, OdResolver, ResolutionStats};
 pub use packet::PacketObs;
 pub use pipeline::{FrameTally, MeasurementPipeline, PipelineConfig};
 pub use quality::{
-    BinStatus, DataQuality, ExporterSeq, ExporterSeqState, ExporterSeqStats, QuarantineClass,
-    QuarantineStats, RepairPolicy,
+    BinStatus, DataQuality, ExporterSeq, ExporterSeqStats, QuarantineClass, QuarantineStats,
+    RepairPolicy,
 };
 pub use record::FlowRecord;
 pub use sampler::{sample_packet_count, PacketSampler, ABILENE_SAMPLING_RATE};

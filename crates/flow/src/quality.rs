@@ -96,7 +96,9 @@ impl QuarantineStats {
     }
 }
 
-/// Per-exporter export-sequence accounting.
+/// Per-exporter export-sequence accounting, and the form a checkpoint
+/// persists: its fields are everything [`ExporterSeqStats::observe`]
+/// consults, so a tracker rebuilt from them continues bit-identically.
 ///
 /// NetFlow v5 `flow_sequence` is cumulative per exporter: the expected
 /// sequence of the next frame is the last frame's sequence plus its record
@@ -121,70 +123,13 @@ pub struct ExporterSeq {
     /// Highest advertised sampling interval seen — `lo != hi` is the
     /// sampling-rate-drift signature.
     pub sampling_hi: u16,
-    next_seq: Option<u32>,
-    last: Option<(u32, u16)>,
-}
-
-impl ExporterSeq {
-    /// Snapshots this exporter's tracking, including the private sequence
-    /// expectation — everything [`ExporterSeqStats::observe`] consults, so
-    /// a restored tracker continues bit-identically.
-    pub fn export_state(&self) -> ExporterSeqState {
-        ExporterSeqState {
-            frames: self.frames,
-            records: self.records,
-            lost_flows: self.lost_flows,
-            out_of_order: self.out_of_order,
-            duplicate_frames: self.duplicate_frames,
-            sampling_lo: self.sampling_lo,
-            sampling_hi: self.sampling_hi,
-            next_seq: self.next_seq,
-            last: self.last,
-        }
-    }
-
-    /// Rebuilds an exporter tracker from a snapshot.
-    pub fn from_state(s: ExporterSeqState) -> ExporterSeq {
-        ExporterSeq {
-            frames: s.frames,
-            records: s.records,
-            lost_flows: s.lost_flows,
-            out_of_order: s.out_of_order,
-            duplicate_frames: s.duplicate_frames,
-            sampling_lo: s.sampling_lo,
-            sampling_hi: s.sampling_hi,
-            next_seq: s.next_seq,
-            last: s.last,
-        }
-    }
-}
-
-/// Serializable snapshot of one exporter's [`ExporterSeq`] tracking. All
-/// fields are public — including the sequence expectation that
-/// [`ExporterSeq`] keeps private — so the serve layer's checkpoint codec
-/// can persist and restore live collectors without losing dedup or
-/// gap-detection context.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExporterSeqState {
-    /// Frames seen from this exporter.
-    pub frames: u64,
-    /// Records carried by those frames.
-    pub records: u64,
-    /// Flows lost to export-sequence gaps.
-    pub lost_flows: u64,
-    /// Frames that arrived out of sequence order.
-    pub out_of_order: u64,
-    /// Exact retransmits of the previous frame.
-    pub duplicate_frames: u64,
-    /// Lowest advertised sampling interval seen.
-    pub sampling_lo: u16,
-    /// Highest advertised sampling interval seen.
-    pub sampling_hi: u16,
-    /// The next expected cumulative flow sequence, `None` before the
-    /// first frame.
+    /// The next expected cumulative flow sequence: the high-water
+    /// `flow_sequence + count` so far, `None` before the first frame. A
+    /// frame above it opens a gap of lost flows, one below it is
+    /// reordered.
     pub next_seq: Option<u32>,
-    /// The previous frame's `(flow_sequence, count)` — the retransmit
-    /// dedup key.
+    /// The previous frame's `(flow_sequence, count)`, `None` before the
+    /// first frame — the retransmit dedup key.
     pub last: Option<(u32, u16)>,
 }
 
@@ -253,17 +198,15 @@ impl ExporterSeqStats {
 
     /// Snapshots every exporter's tracking, in ascending exporter-id
     /// order (the `BTreeMap` order — canonical by construction).
-    pub fn export_state(&self) -> Vec<(u8, ExporterSeqState)> {
-        self.exporters.iter().map(|(id, e)| (*id, e.export_state())).collect()
+    pub fn export_state(&self) -> Vec<(u8, ExporterSeq)> {
+        self.exporters.iter().map(|(id, e)| (*id, *e)).collect()
     }
 
     /// Rebuilds the full tracker set from a snapshot. Duplicate exporter
     /// ids keep the last entry (snapshots produced by
     /// [`Self::export_state`] never contain duplicates).
-    pub fn from_state(entries: &[(u8, ExporterSeqState)]) -> ExporterSeqStats {
-        ExporterSeqStats {
-            exporters: entries.iter().map(|(id, s)| (*id, ExporterSeq::from_state(*s))).collect(),
-        }
+    pub fn from_state(entries: &[(u8, ExporterSeq)]) -> ExporterSeqStats {
+        ExporterSeqStats { exporters: entries.iter().copied().collect() }
     }
 }
 

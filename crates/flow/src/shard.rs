@@ -66,7 +66,6 @@
 
 use crate::binning::{BinState, DistinctFlows};
 use crate::error::{FlowError, Result};
-use crate::key::FlowKey;
 use crate::lateness::{Watermark, WatermarkState};
 use crate::matrix::{TrafficMatrix, TrafficMatrixSet, TrafficType};
 use crate::od::{OdResolution, OdResolver, ResolutionStats};
@@ -322,26 +321,14 @@ impl<S: DerefMut<Target = [f64]>> BinShard<S> {
 }
 
 impl BinShard {
-    /// The sorted distinct 5-tuples of each cell of shard bin `bin` — all
-    /// empty for a sealed bin or a finished shard.
-    fn bin_keys(&self, bin: usize) -> Vec<Vec<FlowKey>> {
-        match self.distinct.get(bin) {
-            Some(table) => table.sorted_cells(self.num_od),
-            None => vec![Vec::new(); self.num_od],
-        }
-    }
-
     /// Snapshots everything this shard has accumulated into a
-    /// [`ShardState`] — the crash-safe checkpoint path. Distinct 5-tuple
-    /// sets are emitted in sorted order, so two shards that accepted the
-    /// same records snapshot to identical state.
+    /// [`ShardState`] — the crash-safe checkpoint path: every bin it owns
+    /// as [`Self::export_bin`] gives it, and its counters. Distinct
+    /// 5-tuple sets are emitted in sorted order, so two shards that
+    /// accepted the same records snapshot to identical state.
     pub fn export_state(&self) -> ShardState {
         ShardState {
-            bytes: self.bytes.clone(),
-            packets: self.packets.clone(),
-            flows: self.flows.clone(),
-            distinct: (0..self.bin_records.len()).flat_map(|bin| self.bin_keys(bin)).collect(),
-            bin_records: self.bin_records.clone(),
+            bins: self.bins().filter_map(|bin| self.export_bin(bin)).collect(),
             records_accepted: self.records_accepted,
             resolution: self.resolver.stats(),
             dropped_out_of_window: self.dropped_out_of_window,
@@ -350,10 +337,10 @@ impl BinShard {
     }
 
     /// Snapshots **global** bin `bin` alone — its three rows, its cells'
-    /// distinct 5-tuples (sorted) and its record count — in
-    /// O(row + keys log keys): what an incremental checkpoint writes for a
-    /// bin that received records. `None` when this shard does not own
-    /// that bin.
+    /// distinct 5-tuples (sorted; all empty for a sealed bin or a
+    /// finished shard) and its record count — in O(row + keys log keys):
+    /// what an incremental checkpoint writes for a bin that received
+    /// records. `None` when this shard does not own that bin.
     pub fn export_bin(&self, bin: usize) -> Option<BinState> {
         let local = self.local_bin(bin)?;
         let cells = local * self.num_od..(local + 1) * self.num_od;
@@ -363,13 +350,17 @@ impl BinShard {
             bytes: self.bytes[cells.clone()].to_vec(),
             packets: self.packets[cells.clone()].to_vec(),
             flows: self.flows[cells].to_vec(),
-            distinct: self.bin_keys(local),
+            distinct: match self.distinct.get(local) {
+                Some(table) => table.sorted_cells(self.num_od),
+                None => vec![Vec::new(); self.num_od],
+            },
         })
     }
 
     /// Replaces this shard's accumulation state with a snapshot taken
-    /// from a shard of identical geometry. The distinct tables are rebuilt
-    /// by insertion and nothing stays sealed (the owner re-seals what its
+    /// from a shard of identical geometry. Each bin's rows are copied
+    /// back and its distinct table rebuilt by insertion from its
+    /// [`BinState`]; nothing stays sealed (the owner re-seals what its
     /// watermark says) — membership is all [`Self::push_sampled_record`]
     /// ever consults, so records pushed after the restore accumulate
     /// bit-identically to the uninterrupted original: the recovery
@@ -377,48 +368,40 @@ impl BinShard {
     ///
     /// # Errors
     ///
-    /// [`FlowError::Codec`] when the snapshot's cell shape does not match
-    /// this shard's bins.
+    /// [`FlowError::Codec`] when the snapshot does not hold one bin per
+    /// bin of this shard, in order, each with rows as wide as the
+    /// shard's OD pairs. The shard is unchanged then.
     pub fn restore_state(&mut self, state: &ShardState) -> Result<()> {
-        let num_bins = self.bin_records.len();
-        let cells = num_bins * self.num_od;
-        let shape_ok = state.bytes.len() == cells
-            && state.packets.len() == cells
-            && state.flows.len() == cells
-            && state.distinct.len() == cells
-            && state.bin_records.len() == num_bins;
-        if !shape_ok {
+        let p = self.num_od;
+        let fits = |(bin, b): (usize, &BinState)| {
+            b.bin == bin
+                && [b.bytes.len(), b.packets.len(), b.flows.len(), b.distinct.len()] == [p; 4]
+        };
+        if state.bins.len() != self.bin_records.len() || !self.bins().zip(&state.bins).all(fits) {
             return Err(FlowError::Codec {
                 reason: format!(
-                    "shard snapshot shape mismatch: {} cells expected, got {}/{}/{}/{} and {} bins",
-                    cells,
-                    state.bytes.len(),
-                    state.packets.len(),
-                    state.flows.len(),
-                    state.distinct.len(),
-                    state.bin_records.len()
+                    "shard snapshot does not fit bins {:?} of {p} OD pairs",
+                    self.bins()
                 ),
             });
         }
-        self.bytes.clone_from(&state.bytes);
-        self.packets.clone_from(&state.packets);
-        self.flows.clone_from(&state.flows);
-        self.distinct = state
-            .distinct
-            .chunks(self.num_od)
-            .map(|bin_cells| {
-                let mut table = DistinctFlows::new();
-                table.reserve(bin_cells.iter().map(Vec::len).sum());
-                for (od, keys) in (0u32..).zip(bin_cells) {
-                    for &key in keys {
-                        table.insert(od, key);
-                    }
+        self.distinct.clear();
+        for (local, b) in state.bins.iter().enumerate() {
+            let cells = local * p..(local + 1) * p;
+            self.bytes[cells.clone()].copy_from_slice(&b.bytes);
+            self.packets[cells.clone()].copy_from_slice(&b.packets);
+            self.flows[cells].copy_from_slice(&b.flows);
+            self.bin_records[local] = b.records;
+            let mut table = DistinctFlows::new();
+            table.reserve(b.distinct.iter().map(Vec::len).sum());
+            for (od, keys) in (0u32..).zip(&b.distinct) {
+                for &key in keys {
+                    table.insert(od, key);
                 }
-                table
-            })
-            .collect();
+            }
+            self.distinct.push(table);
+        }
         (self.sealed, self.sealed_len) = (0, 0);
-        self.bin_records.clone_from(&state.bin_records);
         self.records_accepted = state.records_accepted;
         self.resolver.restore_stats(state.resolution);
         self.dropped_out_of_window = state.dropped_out_of_window;
@@ -428,24 +411,18 @@ impl BinShard {
 }
 
 /// Serializable snapshot of a [`BinShard`]'s full accumulation state:
-/// the three cell vectors, the distinct 5-tuples behind the flow counts,
-/// per-bin record counts, and every shard-side statistic. Produced by
-/// [`BinShard::export_state`] and consumed by [`BinShard::restore_state`];
-/// the serve layer's checkpoint codec persists it across process crashes.
+/// the window as its bins — each with its three rows, the sorted distinct
+/// 5-tuples behind its flow counts and its record count — and every
+/// shard-side statistic. Produced by [`BinShard::export_state`] and
+/// consumed by [`BinShard::restore_state`]; the serve layer's checkpoint
+/// codec persists it across process crashes, bin by bin.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardState {
-    /// Row-major `bin x od` byte sums.
-    pub bytes: Vec<f64>,
-    /// Row-major `bin x od` packet sums.
-    pub packets: Vec<f64>,
-    /// Row-major `bin x od` distinct-flow counts.
-    pub flows: Vec<f64>,
-    /// Distinct 5-tuples per cell, sorted ascending (canonical order) —
-    /// required so a restored shard deduplicates flows across the
-    /// snapshot boundary exactly as the uninterrupted shard would.
-    pub distinct: Vec<Vec<FlowKey>>,
-    /// Records accepted per bin.
-    pub bin_records: Vec<u64>,
+    /// One [`BinState`] per bin of the shard, ascending: entry `i` is the
+    /// shard's `i`-th bin. The distinct 5-tuples are required so a
+    /// restored shard deduplicates flows across the snapshot boundary
+    /// exactly as the uninterrupted shard would.
+    pub bins: Vec<BinState>,
     /// Total records accepted.
     pub records_accepted: u64,
     /// The shard's resolver statistics.
@@ -454,59 +431,6 @@ pub struct ShardState {
     pub dropped_out_of_window: u64,
     /// Records refused as late (see [`BinShard::dropped_late`]).
     pub dropped_late: u64,
-}
-
-impl ShardState {
-    /// The state of a shard of this geometry that has accepted nothing.
-    pub fn empty(num_bins: usize, num_od: usize) -> ShardState {
-        let cells = num_bins * num_od;
-        ShardState {
-            bytes: vec![0.0; cells],
-            packets: vec![0.0; cells],
-            flows: vec![0.0; cells],
-            distinct: vec![Vec::new(); cells],
-            bin_records: vec![0; num_bins],
-            records_accepted: 0,
-            resolution: ResolutionStats::default(),
-            dropped_out_of_window: 0,
-            dropped_late: 0,
-        }
-    }
-
-    /// OD pairs per bin, as the cell vectors imply (0 for no bins).
-    pub fn num_od(&self) -> usize {
-        self.bytes.len().checked_div(self.bin_records.len()).unwrap_or(0)
-    }
-
-    /// Overwrites one bin with a newer snapshot of it — how an
-    /// incremental checkpoint is folded into the state it follows.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::Codec`] when the bin lies outside the window or its
-    /// rows are not [`Self::num_od`] wide.
-    pub fn replace_bin(&mut self, bin: BinState) -> Result<()> {
-        let p = self.num_od();
-        let rows = [bin.bytes.len(), bin.packets.len(), bin.flows.len(), bin.distinct.len()];
-        if bin.bin >= self.bin_records.len() || rows != [p; 4] {
-            return Err(FlowError::Codec {
-                reason: format!(
-                    "bin {} with rows {rows:?} does not fit a {} x {p} shard",
-                    bin.bin,
-                    self.bin_records.len()
-                ),
-            });
-        }
-        let cells = bin.bin * p..(bin.bin + 1) * p;
-        self.bytes[cells.clone()].copy_from_slice(&bin.bytes);
-        self.packets[cells.clone()].copy_from_slice(&bin.packets);
-        self.flows[cells.clone()].copy_from_slice(&bin.flows);
-        for (cell, keys) in self.distinct[cells].iter_mut().zip(bin.distinct) {
-            *cell = keys;
-        }
-        self.bin_records[bin.bin] = bin.records;
-        Ok(())
-    }
 }
 
 /// Everything a sharded ingest run produces for its window.
@@ -1314,8 +1238,8 @@ mod tests {
         assert!(shard.distinct_keys_live() < keys_before);
         let snap = shard.export_state();
         assert_eq!(snap.dropped_late, 5);
-        assert!(snap.distinct[..3 * snap.num_od()].iter().all(Vec::is_empty));
-        assert!(snap.distinct[3 * snap.num_od()..].iter().any(|k| !k.is_empty()));
+        assert!(snap.bins[..3].iter().all(|b| b.distinct.iter().all(Vec::is_empty)));
+        assert!(snap.bins[3..].iter().any(|b| b.distinct.iter().any(|k| !k.is_empty())));
 
         let mut restored = engine.make_shard(0..num_bins).unwrap();
         restored.restore_state(&snap).unwrap();
@@ -1450,9 +1374,19 @@ mod tests {
             assert_eq!(a.matrices.get(t).data.as_slice(), b.matrices.get(t).data.as_slice());
         }
 
-        // Wrong-geometry restore is rejected, not absorbed.
+        // Wrong-geometry restore is rejected, not absorbed: too many bins,
+        // a bin out of place, a row of the wrong width.
         let mut narrow = engine.make_shard(0..2).unwrap();
         assert!(matches!(narrow.restore_state(&snap), Err(FlowError::Codec { .. })));
+        let mut fresh = engine.make_shard(0..num_bins).unwrap();
+        let untouched = fresh.export_state();
+        let mut stray = snap.clone();
+        stray.bins[0].bin = num_bins;
+        assert!(matches!(fresh.restore_state(&stray), Err(FlowError::Codec { .. })));
+        let mut short = snap.clone();
+        short.bins[0].flows.pop();
+        assert!(matches!(fresh.restore_state(&short), Err(FlowError::Codec { .. })));
+        assert_eq!(fresh.export_state(), untouched, "a refused snapshot changes nothing");
     }
 
     #[test]
@@ -1462,9 +1396,21 @@ mod tests {
         let stream = mixed_stream(&plan, num_bins);
         let (head, tail) = stream.split_at(stream.len() / 2);
         let mut shard = engine.make_shard(0..num_bins).unwrap();
+        let p = engine.num_od();
+        let empty = |bin| BinState {
+            bin,
+            records: 0,
+            bytes: vec![0.0; p],
+            packets: vec![0.0; p],
+            flows: vec![0.0; p],
+            distinct: vec![Vec::new(); p],
+        };
+        let fresh = shard.export_state();
+        assert_eq!(fresh.bins, (0..num_bins).map(empty).collect::<Vec<_>>());
+        assert_eq!(fresh.resolution, ResolutionStats::default());
         assert_eq!(
-            shard.export_state(),
-            ShardState::empty(num_bins, shard.export_state().num_od())
+            (fresh.records_accepted, fresh.dropped_out_of_window, fresh.dropped_late),
+            (0, 0, 0)
         );
         for r in head {
             shard.push_sampled_record(*r).unwrap();
@@ -1475,8 +1421,8 @@ mod tests {
         }
         let newer = shard.export_state();
         for bin in 0..num_bins {
-            if newer.bin_records[bin] != folded.bin_records[bin] {
-                folded.replace_bin(shard.export_bin(bin).unwrap()).unwrap();
+            if newer.bins[bin].records != folded.bins[bin].records {
+                folded.bins[bin] = shard.export_bin(bin).unwrap();
             }
         }
         folded.records_accepted = newer.records_accepted;
@@ -1484,13 +1430,6 @@ mod tests {
         folded.dropped_out_of_window = newer.dropped_out_of_window;
         assert_eq!(folded, newer);
 
-        // A bin outside the window or of the wrong width is rejected.
-        let mut stray = shard.export_bin(0).unwrap();
-        stray.bin = num_bins;
-        assert!(matches!(folded.replace_bin(stray), Err(FlowError::Codec { .. })));
-        let mut short = shard.export_bin(0).unwrap();
-        short.flows.pop();
-        assert!(matches!(folded.replace_bin(short), Err(FlowError::Codec { .. })));
         // Sub-window shards answer in window coordinates.
         let tail_shard = engine.make_shard(4..6).unwrap();
         assert!(tail_shard.export_bin(3).is_none());

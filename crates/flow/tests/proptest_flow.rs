@@ -2,7 +2,7 @@
 
 use odflow_flow::{
     netflow, DistinctFlows, FlowAggregator, FlowKey, FlowRecord, MeasurementPipeline, PacketObs,
-    PipelineConfig, Protocol, ShardedIngest,
+    PipelineConfig, Protocol, QuarantineStats, ShardedIngest,
 };
 use odflow_net::{AddressPlan, IngressResolver, IpAddr, Topology};
 use proptest::prelude::*;
@@ -27,6 +27,14 @@ fn arb_record() -> impl Strategy<Value = FlowRecord> {
             bytes,
         },
     )
+}
+
+/// `r` with its byte count pulled into the range real IPv4 packets span
+/// (20 to 65 535 bytes each), which the decode kernel's plausibility check
+/// requires of every record it passes.
+fn plausible(mut r: FlowRecord) -> FlowRecord {
+    r.bytes = r.bytes.clamp(20 * r.packets, 65_535 * r.packets);
+    r
 }
 
 /// The field-by-field cursor decoder the in-place kernel replaced, kept
@@ -307,11 +315,14 @@ proptest! {
         let state = live.export_state();
         prop_assert_eq!(&restored.export_state(), &state);
 
-        for (cell, keys) in state.distinct.iter().enumerate() {
-            let expect: Vec<FlowKey> =
-                oracle.iter().filter(|&&(c, _)| c == cell).map(|&(_, key)| key).collect();
-            prop_assert_eq!(keys, &expect, "cell {}", cell);
-            prop_assert_eq!(state.flows[cell], expect.len() as f64);
+        for (bin, b) in state.bins.iter().enumerate() {
+            for (od, keys) in b.distinct.iter().enumerate() {
+                let cell = bin * 121 + od;
+                let expect: Vec<FlowKey> =
+                    oracle.iter().filter(|&&(c, _)| c == cell).map(|&(_, key)| key).collect();
+                prop_assert_eq!(keys, &expect, "cell {}", cell);
+                prop_assert_eq!(b.flows[od], expect.len() as f64);
+            }
         }
         prop_assert_eq!(live.distinct_keys_live(), oracle.len());
         let filled = live.finish();
@@ -323,33 +334,38 @@ proptest! {
         // Engine id must fit u8 and ifIndex u16 on the v5 wire; constrain.
         let records: Vec<FlowRecord> = records
             .into_iter()
-            .map(|mut r| { r.router %= 256; r.interface %= 65_536; r })
+            .map(|mut r| { r.router %= 256; r.interface %= 65_536; plausible(r) })
             .collect();
         // All records in one datagram batch share the engine id; pin it.
         let router = records.first().map_or(0, |r| r.router);
         let records: Vec<FlowRecord> =
             records.into_iter().map(|mut r| { r.router = router; r }).collect();
         let dgrams = netflow::encode_datagrams(&records, 1234, router as u8, 100, 0);
+        let mut quarantine = QuarantineStats::default();
         let mut decoded = Vec::new();
         for d in &dgrams {
-            let (hdr, recs) = netflow::decode_datagram(d).unwrap();
+            let (hdr, recs) = netflow::decode_frame(d, &mut quarantine).unwrap();
             prop_assert_eq!(hdr.version, 5);
             prop_assert_eq!(hdr.unix_secs, 1234);
             decoded.extend(recs);
         }
+        prop_assert_eq!((quarantine.frames_rejected(), quarantine.implausible_records), (0, 0));
         prop_assert_eq!(decoded, records);
     }
 
     #[test]
     fn datagrams_fit_mtu(records in proptest::collection::vec(arb_record(), 1..200)) {
+        let records: Vec<FlowRecord> = records.into_iter().map(plausible).collect();
         let dgrams = netflow::encode_datagrams(&records, 0, 0, 100, 0);
         for d in &dgrams {
             prop_assert!(d.len() <= 1500, "datagram {} bytes exceeds MTU", d.len());
         }
+        let mut quarantine = QuarantineStats::default();
         let total: usize = dgrams
             .iter()
-            .map(|d| netflow::decode_datagram(d).unwrap().1.len())
+            .map(|d| netflow::decode_frame(d, &mut quarantine).map_or(0, |(_, recs)| recs.len()))
             .sum();
+        prop_assert_eq!((quarantine.frames_rejected(), quarantine.implausible_records), (0, 0));
         prop_assert_eq!(total, records.len());
     }
 

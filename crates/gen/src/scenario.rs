@@ -935,19 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_render_matches_collected_render() {
-        let s = Scenario::paper_week(3, 0).unwrap();
-        let g = s.generator();
-        // A bin inside an anomaly window, if any starts early enough.
-        for bin in [30usize, 100, 500] {
-            let collected = g.records_for_bin(bin);
-            let mut streamed = Vec::new();
-            g.records_for_bin_into(bin, &mut |r| streamed.push(r));
-            assert_eq!(collected, streamed, "bin {bin}");
-        }
-    }
-
-    #[test]
     fn bin_scenario_matches_serial_pipeline_for_any_thread_count() {
         use odflow_flow::{MeasurementPipeline, PipelineConfig};
         use odflow_net::IngressResolver;

@@ -15,9 +15,10 @@
 //!   the latest in-window record time that caps it, and the resolver,
 //!   out-of-window, late, quarantine and exporter-sequence counters;
 //! * the window geometry and one segment per **dirty bin** (a bin whose
-//!   record count moved since the previous generation): its record
-//!   count, its three rows and the sorted distinct 5-tuples of its cells
-//!   (none for a bin the lateness rule has sealed);
+//!   record count moved, or that was sealed, since the previous
+//!   generation): the bin's [`BinState`] — its record count, its three
+//!   rows and the sorted distinct 5-tuples of its cells (none for a bin
+//!   the lateness rule has sealed);
 //! * the detector — absent, whole (its model and stream position, in the
 //!   generation that fitted it), or, while the model stands, only the
 //!   stream position. A whole model is its configuration, the
@@ -27,7 +28,10 @@
 //! * the verdicts issued since the previous generation.
 //!
 //! A **complete** record is the same thing with every bin dirty, the
-//! detector whole and every verdict present; [`encode_state`] and
+//! detector whole and every verdict present. A [`ShardState`] is its
+//! window as those same [`BinState`]s, one per bin, so a complete record
+//! writes the snapshot's bins where they lie and a delta's segments
+//! replace bins of the state they are folded into; [`encode_state`] and
 //! [`decode_state`] are the codec at that setting. Decoding is total:
 //! arbitrary byte soup and bit-flipped records are rejected with a typed
 //! [`CheckpointError`], never a panic, and never an allocation the bytes
@@ -67,7 +71,7 @@
 //! ends byte-identical to an uninterrupted one.
 
 use odflow_flow::{
-    BinState, ExporterSeqState, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
+    BinState, ExporterSeq, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
     WatermarkState,
 };
 use odflow_linalg::{EigenMethod, Matrix};
@@ -198,7 +202,7 @@ pub struct PipelineState {
     /// Wire-path quarantine counters.
     pub quarantine: QuarantineStats,
     /// Per-exporter sequence tracking, ascending exporter id.
-    pub exporters: Vec<(u8, ExporterSeqState)>,
+    pub exporters: Vec<(u8, ExporterSeq)>,
     /// The fitted streaming detector, `None` before training completes.
     pub detector: Option<DetectorState>,
     /// Live verdicts issued so far.
@@ -457,7 +461,7 @@ fn dec_watermark(d: &mut Dec<'_>) -> DecResult<WatermarkState> {
     Ok(WatermarkState { secs, latest_record_secs })
 }
 
-fn enc_exporter(e: &mut Enc, s: &ExporterSeqState) {
+fn enc_exporter(e: &mut Enc, s: &ExporterSeq) {
     e.u64(s.frames);
     e.u64(s.records);
     e.u64(s.lost_flows);
@@ -476,30 +480,22 @@ fn enc_exporter(e: &mut Enc, s: &ExporterSeqState) {
     }
 }
 
-fn dec_exporter(d: &mut Dec<'_>) -> DecResult<ExporterSeqState> {
-    let frames = d.u64()?;
-    let records = d.u64()?;
-    let lost_flows = d.u64()?;
-    let out_of_order = d.u64()?;
-    let duplicate_frames = d.u64()?;
-    let sampling_lo = d.u16()?;
-    let sampling_hi = d.u16()?;
-    let next_seq = dec_opt_u32(d)?;
-    let last = match d.u8()? {
-        0 => None,
-        1 => Some((d.u32()?, d.u16()?)),
-        t => return corrupt(format!("option tag {t}")),
-    };
-    Ok(ExporterSeqState {
-        frames,
-        records,
-        lost_flows,
-        out_of_order,
-        duplicate_frames,
-        sampling_lo,
-        sampling_hi,
-        next_seq,
-        last,
+fn dec_exporter(d: &mut Dec<'_>) -> DecResult<ExporterSeq> {
+    // Fields are read in the order they are written.
+    Ok(ExporterSeq {
+        frames: d.u64()?,
+        records: d.u64()?,
+        lost_flows: d.u64()?,
+        out_of_order: d.u64()?,
+        duplicate_frames: d.u64()?,
+        sampling_lo: d.u16()?,
+        sampling_hi: d.u16()?,
+        next_seq: dec_opt_u32(d)?,
+        last: match d.u8()? {
+            0 => None,
+            1 => Some((d.u32()?, d.u16()?)),
+            t => return corrupt(format!("option tag {t}")),
+        },
     })
 }
 
@@ -678,54 +674,18 @@ pub(crate) struct Generation<'a> {
     pub(crate) dropped_out_of_window: u64,
     pub(crate) dropped_late: u64,
     pub(crate) quarantine: QuarantineStats,
-    pub(crate) exporters: Cow<'a, [(u8, ExporterSeqState)]>,
+    pub(crate) exporters: Cow<'a, [(u8, ExporterSeq)]>,
     /// Window geometry, so every record checks itself against the state
     /// it is folded into.
     pub(crate) num_bins: usize,
     pub(crate) num_od: usize,
-    /// The dirty bins, ascending.
-    pub(crate) bins: Vec<BinSegment<'a>>,
+    /// The dirty bins, ascending: borrowed from a snapshot, owned when
+    /// exported from a live shard or decoded.
+    pub(crate) bins: Vec<Cow<'a, BinState>>,
     pub(crate) detector: DetectorPart<'a>,
     /// Verdicts the previous generation already holds.
     pub(crate) verdicts_before: usize,
     pub(crate) verdicts: Cow<'a, [StreamVerdict]>,
-}
-
-/// One bin of a [`Generation`]: [`BinState`], borrowable.
-#[derive(Debug)]
-pub(crate) struct BinSegment<'a> {
-    bin: usize,
-    records: u64,
-    bytes: Cow<'a, [f64]>,
-    packets: Cow<'a, [f64]>,
-    flows: Cow<'a, [f64]>,
-    distinct: Cow<'a, [Vec<FlowKey>]>,
-}
-
-impl From<BinState> for BinSegment<'static> {
-    fn from(b: BinState) -> Self {
-        BinSegment {
-            bin: b.bin,
-            records: b.records,
-            bytes: Cow::Owned(b.bytes),
-            packets: Cow::Owned(b.packets),
-            flows: Cow::Owned(b.flows),
-            distinct: Cow::Owned(b.distinct),
-        }
-    }
-}
-
-impl From<BinSegment<'_>> for BinState {
-    fn from(b: BinSegment<'_>) -> Self {
-        BinState {
-            bin: b.bin,
-            records: b.records,
-            bytes: b.bytes.into_owned(),
-            packets: b.packets.into_owned(),
-            flows: b.flows.into_owned(),
-            distinct: b.distinct.into_owned(),
-        }
-    }
 }
 
 /// The detector's share of a [`Generation`].
@@ -742,21 +702,15 @@ pub(crate) enum DetectorPart<'a> {
     Stands { next_bin: usize },
 }
 
+/// OD pairs per bin of a snapshot's window, as its rows are wide (0 for
+/// a window of no bins): the `p` a record declares and is checked by.
+fn num_od(shard: &ShardState) -> usize {
+    shard.bins.first().map_or(0, |b| b.bytes.len())
+}
+
 impl PipelineState {
     /// This state as a generation with everything dirty.
     fn complete(&self) -> Generation<'_> {
-        let (n, p) = (self.shard.bin_records.len(), self.shard.num_od());
-        fn row<T>(cells: &[T], bin: usize, p: usize) -> &[T] {
-            cells.get(bin * p..(bin + 1) * p).unwrap_or(&[])
-        }
-        let bins = (0..n).map(|bin| BinSegment {
-            bin,
-            records: self.shard.bin_records[bin],
-            bytes: Cow::Borrowed(row(&self.shard.bytes, bin, p)),
-            packets: Cow::Borrowed(row(&self.shard.packets, bin, p)),
-            flows: Cow::Borrowed(row(&self.shard.flows, bin, p)),
-            distinct: Cow::Borrowed(row(&self.shard.distinct, bin, p)),
-        });
         Generation {
             seq: self.seq,
             frames_ingested: self.frames_ingested,
@@ -768,9 +722,9 @@ impl PipelineState {
             dropped_late: self.shard.dropped_late,
             quarantine: self.quarantine,
             exporters: Cow::Borrowed(&self.exporters),
-            num_bins: n,
-            num_od: p,
-            bins: bins.collect(),
+            num_bins: self.shard.bins.len(),
+            num_od: num_od(&self.shard),
+            bins: self.shard.bins.iter().map(Cow::Borrowed).collect(),
             detector: match &self.detector {
                 None => DetectorPart::Absent,
                 Some(det) => DetectorPart::Whole(Cow::Borrowed(det)),
@@ -843,7 +797,7 @@ impl Generation<'_> {
             e.f64_row(&b.bytes);
             e.f64_row(&b.packets);
             e.f64_row(&b.flows);
-            for keys in b.distinct.iter() {
+            for keys in &b.distinct {
                 e.keys(keys);
             }
         }
@@ -913,7 +867,7 @@ impl Generation<'static> {
         let num_od = d.usize_val()?;
         // Bin index, record count, three rows and a key count per cell.
         let n_bins = d.len(num_od.saturating_mul(32).saturating_add(16))?;
-        let mut bins: Vec<BinSegment<'static>> = Vec::with_capacity(n_bins);
+        let mut bins: Vec<Cow<'static, BinState>> = Vec::with_capacity(n_bins);
         for _ in 0..n_bins {
             let bin = d.usize_val()?;
             if bin >= num_bins || bins.last().is_some_and(|prev| prev.bin >= bin) {
@@ -924,7 +878,7 @@ impl Generation<'static> {
             let packets = d.f64_row(num_od)?;
             let flows = d.f64_row(num_od)?;
             let distinct = (0..num_od).map(|_| d.keys()).collect::<DecResult<Vec<_>>>()?;
-            bins.push(BinState { bin, records, bytes, packets, flows, distinct }.into());
+            bins.push(Cow::Owned(BinState { bin, records, bytes, packets, flows, distinct }));
         }
         let detector = match d.u8()? {
             0 => DetectorPart::Absent,
@@ -963,18 +917,25 @@ impl Generation<'static> {
     }
 
     /// The state a complete record holds; a delta is rejected.
-    fn into_state(self) -> DecResult<PipelineState> {
+    fn into_state(mut self) -> DecResult<PipelineState> {
         // Segments are ascending and inside the window, so as many as
-        // there are bins is all of them.
+        // there are bins is all of them: segment `i` is bin `i`.
         if self.bins.len() != self.num_bins || self.verdicts_before != 0 {
             return corrupt("a chain must start with a complete record".to_owned());
         }
+        let bins = std::mem::take(&mut self.bins).into_iter().map(Cow::into_owned).collect();
         let mut state = PipelineState {
             seq: self.seq,
             frames_ingested: 0,
             next_close: 0,
             watermark: WatermarkState::default(),
-            shard: ShardState::empty(self.num_bins, self.num_od),
+            shard: ShardState {
+                bins,
+                records_accepted: 0,
+                resolution: ResolutionStats::default(),
+                dropped_out_of_window: 0,
+                dropped_late: 0,
+            },
             quarantine: QuarantineStats::default(),
             exporters: Vec::new(),
             detector: None,
@@ -985,16 +946,15 @@ impl Generation<'static> {
     }
 
     /// Overwrites in `state` what this generation carries, after checking
-    /// that all of it fits.
+    /// that all of it fits. Decoding has checked each bin segment against
+    /// the generation's geometry, so matching geometries are all a bin
+    /// needs to take its place.
     fn apply(self, state: &mut PipelineState) -> DecResult<()> {
-        let shard = &state.shard;
-        if self.num_bins != shard.bin_records.len() || self.num_od != shard.num_od() {
+        let (num_bins, p) = (state.shard.bins.len(), num_od(&state.shard));
+        if (self.num_bins, self.num_od) != (num_bins, p) {
             return corrupt(format!(
-                "a {} x {} generation does not fit a {} x {} window",
-                self.num_bins,
-                self.num_od,
-                shard.bin_records.len(),
-                shard.num_od()
+                "a {} x {} generation does not fit a {num_bins} x {p} window",
+                self.num_bins, self.num_od
             ));
         }
         if self.verdicts_before != state.live_verdicts.len() {
@@ -1026,8 +986,9 @@ impl Generation<'static> {
         state.shard.dropped_late = self.dropped_late;
         state.quarantine = self.quarantine;
         state.exporters = self.exporters.into_owned();
-        for b in self.bins {
-            state.shard.replace_bin(b.into()).or_else(|e| corrupt(e.to_string()))?;
+        for b in self.bins.into_iter().map(Cow::into_owned) {
+            let bin = b.bin;
+            state.shard.bins[bin] = b;
         }
         match (self.detector, &mut state.detector) {
             (DetectorPart::Whole(det), slot) => *slot = Some(det.into_owned()),
@@ -1040,9 +1001,9 @@ impl Generation<'static> {
 }
 
 /// Serializes a pipeline snapshot into a self-verifying complete record
-/// (header + checksummed payload). The shard's cell vectors must have
-/// the `bins x od` shape its `bin_records` implies, as every
-/// [`ShardState`] a shard exports has.
+/// (header + checksummed payload). Entry `i` of the shard's bins must be
+/// bin `i`, every row as wide as the first bin's, as in every
+/// [`ShardState`] a shard exports.
 #[must_use]
 pub fn encode_state(state: &PipelineState) -> Vec<u8> {
     state.complete().encode()
@@ -1457,16 +1418,24 @@ mod tests {
             next_close: 7,
             watermark: WatermarkState { secs: 2100, latest_record_secs: Some(2345) },
             shard: ShardState {
-                bytes: vec![1.5, 0.0, 2.25, 3.5],
-                packets: vec![1.0, 0.0, 2.0, 3.0],
-                flows: vec![1.0, 0.0, 1.0, 2.0],
-                distinct: vec![
-                    vec![key(1000)],
-                    vec![],
-                    vec![key(1001)],
-                    vec![key(1002), key(1003)],
+                bins: vec![
+                    BinState {
+                        bin: 0,
+                        records: 2,
+                        bytes: vec![1.5, 0.0],
+                        packets: vec![1.0, 0.0],
+                        flows: vec![1.0, 0.0],
+                        distinct: vec![vec![key(1000)], vec![]],
+                    },
+                    BinState {
+                        bin: 1,
+                        records: 3,
+                        bytes: vec![2.25, 3.5],
+                        packets: vec![2.0, 3.0],
+                        flows: vec![1.0, 2.0],
+                        distinct: vec![vec![key(1001)], vec![key(1002), key(1003)]],
+                    },
                 ],
-                bin_records: vec![2, 3],
                 records_accepted: 5,
                 resolution: ResolutionStats {
                     flows_total: 9,
@@ -1489,7 +1458,7 @@ mod tests {
             },
             exporters: vec![(
                 3,
-                ExporterSeqState {
+                ExporterSeq {
                     frames: 40,
                     records: 99,
                     lost_flows: 30,
@@ -1497,7 +1466,7 @@ mod tests {
                     sampling_hi: 100,
                     next_seq: Some(140),
                     last: Some((110, 30)),
-                    ..ExporterSeqState::default()
+                    ..ExporterSeq::default()
                 },
             )],
             detector: Some(DetectorState {
@@ -1719,7 +1688,7 @@ mod tests {
         next.watermark.secs += 300;
         next.watermark.latest_record_secs = Some(2645);
         next.shard.dropped_late += 2;
-        next.shard.replace_bin(bin.clone()).unwrap();
+        next.shard.bins[1] = bin.clone();
         next.shard.records_accepted += 6;
         next.quarantine.frames_offered += 40;
         next.exporters[0].1.frames += 40;
@@ -1739,7 +1708,7 @@ mod tests {
             exporters: Cow::Owned(next.exporters.clone()),
             num_bins: 2,
             num_od: 2,
-            bins: vec![bin.into()],
+            bins: vec![Cow::Owned(bin)],
             detector: DetectorPart::Stands { next_bin: det.next_bin },
             verdicts_before: prev.live_verdicts.len(),
             verdicts: Cow::Owned(vec![verdict]),
@@ -1812,16 +1781,15 @@ mod tests {
     fn bin_segments_must_ascend_inside_the_window() {
         let first = sample_state(5);
         let (delta, _) = sample_delta(&first);
-        let seg = |bin: usize| -> BinSegment<'static> {
-            BinState {
+        let seg = |bin: usize| {
+            Cow::Owned(BinState {
                 bin,
                 records: 1,
                 bytes: vec![0.0; 2],
                 packets: vec![0.0; 2],
                 flows: vec![0.0; 2],
                 distinct: vec![vec![]; 2],
-            }
-            .into()
+            })
         };
         for bins in [vec![seg(1), seg(0)], vec![seg(1), seg(1)], vec![seg(2)]] {
             let bytes = Generation { bins, ..sample_delta(&first).0 }.encode();

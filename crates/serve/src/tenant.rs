@@ -22,8 +22,8 @@
 //! `run_scenario`, so daemon and batch verdicts are directly comparable.
 
 use crate::checkpoint::{
-    self, BinSegment, ChainWriter, CheckpointStore, CrashPoint, CrashSchedule, DetectorPart,
-    Generation, PipelineState,
+    self, ChainWriter, CheckpointStore, CrashPoint, CrashSchedule, DetectorPart, Generation,
+    PipelineState,
 };
 use crate::metrics::{elapsed_nanos, monotonic_now, TenantCounters};
 use crate::ServeError;
@@ -409,7 +409,7 @@ impl TenantPipeline {
             exporters: Cow::Owned(quality.exporters.export_state()),
             num_bins: self.pipeline.engine().num_bins(),
             num_od: self.pipeline.engine().num_od(),
-            bins: dirty.filter_map(|b| shard.export_bin(b)).map(BinSegment::from).collect(),
+            bins: dirty.filter_map(|b| shard.export_bin(b)).map(Cow::Owned).collect(),
             detector: match &self.detector {
                 None => DetectorPart::Absent,
                 Some(det) if prev.fitted => DetectorPart::Stands { next_bin: det.bins_seen() },

@@ -91,8 +91,7 @@ fn tenant(scenario: &Scenario) -> TenantPipeline {
 
 /// The `(OD, 5-tuple)` pairs a state holds for one bin.
 fn bin_keys(state: &PipelineState, bin: usize) -> BTreeSet<(usize, FlowKey)> {
-    let p = state.shard.num_od();
-    let cells = state.shard.distinct[bin * p..(bin + 1) * p].iter().enumerate();
+    let cells = state.shard.bins[bin].distinct.iter().enumerate();
     cells.flat_map(|(od, keys)| keys.iter().map(move |&k| (od, k))).collect()
 }
 
@@ -124,7 +123,6 @@ fn chain_tracks_pipeline(tag: &str, scenario: &Scenario, frames: &[Vec<u8>]) -> 
     let mut pipeline = tenant(scenario);
     pipeline.set_checkpoint_store(store.clone(), None);
     let counters = pipeline.counters();
-    let p = scenario.topology.num_od_pairs();
     // The late bin at each generation: its record count and the late
     // drops, its flow counts, its 5-tuples.
     let (mut generations, mut late_bin) = (0, Vec::new());
@@ -146,8 +144,8 @@ fn chain_tracks_pipeline(tag: &str, scenario: &Scenario, frames: &[Vec<u8>]) -> 
             encode_state(&on_disk) == encode_state(&live),
             "generation {generations}: the chain folded to another state than the pipeline's"
         );
-        let flows = live.shard.flows[LATE_BIN * p..(LATE_BIN + 1) * p].to_vec();
-        let point = (live.shard.bin_records[LATE_BIN], live.shard.dropped_late);
+        let flows = live.shard.bins[LATE_BIN].flows.clone();
+        let point = (live.shard.bins[LATE_BIN].records, live.shard.dropped_late);
         late_bin.push((point, flows, bin_keys(&live, LATE_BIN)));
     }
     assert_eq!(TenantCounters::get(&counters.checkpoint_errors), 0);
@@ -313,7 +311,7 @@ fn golden_v5_chain_loads_and_its_first_record_reencodes_to_itself() {
     assert!(newest.frames_ingested > base.frames_ingested);
     assert_eq!(newest.watermark, WatermarkState { secs: 3900, latest_record_secs: Some(3900) });
     assert_eq!(newest.shard.dropped_late, 31);
-    assert_eq!(newest.shard.bin_records[1], base.shard.bin_records[1]);
-    assert!(newest.shard.bin_records[7] > base.shard.bin_records[7]);
+    assert_eq!(newest.shard.bins[1].records, base.shard.bins[1].records);
+    assert!(newest.shard.bins[7].records > base.shard.bins[7].records);
     assert!((0..5).all(|b| keys(&newest, b) == 0) && keys(&newest, 7) > 0);
 }

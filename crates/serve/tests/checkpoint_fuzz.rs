@@ -10,7 +10,7 @@
 //! error while the buffer stays inside its stated bound.
 
 use odflow_flow::{
-    ExporterSeqState, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
+    BinState, ExporterSeq, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
     WatermarkState,
 };
 mod common;
@@ -47,7 +47,7 @@ fn arb_f64_bits() -> impl Strategy<Value = f64> {
     any::<u64>().prop_map(f64::from_bits)
 }
 
-fn arb_exporter() -> impl Strategy<Value = (u8, ExporterSeqState)> {
+fn arb_exporter() -> impl Strategy<Value = (u8, ExporterSeq)> {
     (
         any::<u8>(),
         any::<u64>(),
@@ -60,7 +60,7 @@ fn arb_exporter() -> impl Strategy<Value = (u8, ExporterSeqState)> {
         .prop_map(|(id, frames, records, lost_flows, sampling, next_seq, last)| {
             (
                 id,
-                ExporterSeqState {
+                ExporterSeq {
                     frames,
                     records,
                     lost_flows,
@@ -68,7 +68,7 @@ fn arb_exporter() -> impl Strategy<Value = (u8, ExporterSeqState)> {
                     sampling_hi: sampling,
                     next_seq,
                     last,
-                    ..ExporterSeqState::default()
+                    ..ExporterSeq::default()
                 },
             )
         })
@@ -105,8 +105,9 @@ fn arb_verdict() -> impl Strategy<Value = StreamVerdict> {
         })
 }
 
-/// A full pipeline snapshot with a consistent shard shape (`bins x od`
-/// cells), arbitrary float bit patterns, and an optional small detector.
+/// A full pipeline snapshot with a consistent shard shape (`bins` bins of
+/// `od`-wide rows), arbitrary float bit patterns, and an optional small
+/// detector.
 fn arb_state() -> impl Strategy<Value = PipelineState> {
     (1usize..5, 1usize..5).prop_flat_map(|(bins, od)| {
         let cells = bins * od;
@@ -161,11 +162,19 @@ fn arb_state() -> impl Strategy<Value = PipelineState> {
                         next_close,
                         watermark: WatermarkState { secs: watermark, latest_record_secs },
                         shard: ShardState {
-                            bytes,
-                            packets,
-                            flows,
-                            distinct,
-                            bin_records,
+                            bins: (bin_records.iter().enumerate())
+                                .map(|(bin, &records)| {
+                                    let row = bin * od..(bin + 1) * od;
+                                    BinState {
+                                        bin,
+                                        records,
+                                        bytes: bytes[row.clone()].to_vec(),
+                                        packets: packets[row.clone()].to_vec(),
+                                        flows: flows[row.clone()].to_vec(),
+                                        distinct: distinct[row].to_vec(),
+                                    }
+                                })
+                                .collect(),
                             records_accepted,
                             resolution: ResolutionStats {
                                 flows_total: counts[0],
@@ -322,8 +331,14 @@ proptest! {
         prop_assert_eq!(decoded.frames_ingested, state.frames_ingested);
         prop_assert_eq!(decoded.watermark, state.watermark);
         prop_assert_eq!(decoded.shard.dropped_late, state.shard.dropped_late);
-        prop_assert_eq!(decoded.shard.bin_records, state.shard.bin_records);
-        prop_assert_eq!(decoded.shard.distinct, state.shard.distinct);
+        let records = |s: &PipelineState| -> Vec<(usize, u64)> {
+            s.shard.bins.iter().map(|b| (b.bin, b.records)).collect()
+        };
+        let distinct = |s: &PipelineState| -> Vec<Vec<Vec<FlowKey>>> {
+            s.shard.bins.iter().map(|b| b.distinct.clone()).collect()
+        };
+        prop_assert_eq!(records(&decoded), records(&state));
+        prop_assert_eq!(distinct(&decoded), distinct(&state));
         prop_assert_eq!(decoded.quarantine, state.quarantine);
         prop_assert_eq!(decoded.exporters, state.exporters);
         prop_assert_eq!(decoded.live_verdicts.len(), state.live_verdicts.len());

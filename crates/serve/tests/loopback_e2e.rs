@@ -284,6 +284,133 @@ fn stalled_metrics_client_is_reaped_not_serviced() {
     pool.shutdown();
 }
 
+/// Runs `probe` against the metrics endpoint of a bound, running daemon,
+/// then drains it.
+fn with_metrics_endpoint(probe: impl FnOnce(std::net::SocketAddr)) {
+    let scenario = Scenario::paper_window(5, 6).unwrap();
+    let daemon = Daemon::bind(ServeConfig {
+        metrics_bind: Some("127.0.0.1:0".to_owned()),
+        tenants: vec![abilene_spec(6, &scenario)],
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = daemon.metrics_addr().unwrap();
+    let handle = daemon.handle();
+    let pool = scoped_pool::Pool::new(1);
+    pool.scoped(|scope| {
+        scope.execute(move || {
+            let _ = daemon.run();
+        });
+        probe(addr);
+        handle.drain();
+    });
+    pool.shutdown();
+}
+
+/// Sends `request`, closes the sending half, and returns whatever the
+/// endpoint answers: nothing for a reaped client.
+fn exchange(addr: std::net::SocketAddr, request: &[u8]) -> Vec<u8> {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+    let _ = stream.write_all(request);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut reply = Vec::new();
+    let _ = stream.read_to_end(&mut reply);
+    reply
+}
+
+/// A well-formed scrape, which must get a 200: the reaped-client count
+/// its page reports.
+fn scrape_reaped(addr: std::net::SocketAddr) -> u64 {
+    let page = String::from_utf8(exchange(addr, b"GET /metrics HTTP/1.0\r\n\r\n")).unwrap();
+    assert!(page.starts_with("HTTP/1.0 200 OK"), "the next scrape is served: {page:?}");
+    let line =
+        page.lines().find_map(|l| l.strip_prefix("odflow_serve_metrics_clients_reaped_total "));
+    line.unwrap().parse().unwrap()
+}
+
+/// Byte soup of 0 to 2048 bytes, half of it carrying a header terminator
+/// somewhere: the endpoint answers a 404 when the terminator lies within
+/// its 1024-byte cap and reaps the client otherwise, never panics, and
+/// serves the next well-formed scrape.
+#[test]
+fn metrics_reader_answers_or_reaps_byte_soup_of_any_length() {
+    with_metrics_endpoint(|addr| {
+        // splitmix64: a seeded, dependency-free byte source.
+        let mut state = 0x0DF1_0C4B_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut reaped = scrape_reaped(addr);
+        let lens =
+            [0, 1, 3, 4, 5, 17, 64, 255, 511, 1000, 1020, 1023, 1024, 1025, 1400, 2047, 2048];
+        for (case, len) in lens.into_iter().enumerate() {
+            let mut soup: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            if case % 2 == 1 && len >= 4 {
+                let at = next() as usize % (len - 3);
+                soup[at..at + 4].copy_from_slice(b"\r\n\r\n");
+            }
+            let answered = soup[..len.min(1024)].windows(4).any(|w| w == b"\r\n\r\n");
+            let reply = exchange(addr, &soup);
+            if !answered {
+                assert!(reply.is_empty(), "{len} bytes: a reaped client gets no response");
+            } else if len <= 1024 {
+                assert!(reply.starts_with(b"HTTP/1.0 404"), "{len} bytes: not a scrape");
+            } else {
+                // Bytes past the cap stay unread, so the close may reset
+                // the connection before the client reads the 404.
+                assert!(reply.is_empty() || reply.starts_with(b"HTTP/1.0 404"), "{len} bytes");
+            }
+            let now = scrape_reaped(addr);
+            assert_eq!(now, reaped + u64::from(!answered), "{len} bytes, case {case}");
+            reaped = now;
+        }
+    });
+}
+
+/// A request over the 1024-byte cap, a client that hangs up before its
+/// blank line, and one that trickles its request past the 250 ms
+/// deadline are each reaped unanswered and counted, and the endpoint
+/// serves the next well-formed scrape after each.
+#[test]
+fn metrics_reader_reaps_oversized_cut_short_and_trickled_requests() {
+    with_metrics_endpoint(|addr| {
+        let mut reaped = scrape_reaped(addr);
+        let mut oversized = b"GET /metrics HTTP/1.0\r\nX-Pad: ".to_vec();
+        oversized.resize(1100, b'a');
+        oversized.extend_from_slice(b"\r\n\r\n");
+        assert!(exchange(addr, &oversized).is_empty(), "over the cap: reaped");
+        reaped += 1;
+        assert_eq!(scrape_reaped(addr), reaped);
+
+        let mut cut = std::net::TcpStream::connect(addr).unwrap();
+        cut.write_all(b"GET /metrics HTTP/1.0\r\n").unwrap();
+        drop(cut);
+        reaped += 1;
+        assert_eq!(scrape_reaped(addr), reaped, "a client gone before its blank line");
+
+        // 46 bytes 25 ms apart: the blank line would come ≈ 1.1 s in, long
+        // after the deadline; writes fail once the endpoint has hung up.
+        let request = b"GET /metrics HTTP/1.0\r\nUser-Agent: trickle\r\n\r\n";
+        let mut slow = std::net::TcpStream::connect(addr).unwrap();
+        slow.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+        for byte in request {
+            if slow.write_all(std::slice::from_ref(byte)).is_err() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(25));
+        }
+        let mut reply = Vec::new();
+        let _ = slow.read_to_end(&mut reply);
+        assert!(reply.is_empty(), "a trickled request is reaped, not answered");
+        reaped += 1;
+        assert_eq!(scrape_reaped(addr), reaped, "the trickle moved the reaped count");
+    });
+}
+
 /// A peer that hangs up mid-message loses bytes no frame counter can
 /// see; the daemon counts the cut stream on its own line, offers nothing
 /// of it to the tenant, and serves the next connection as if nothing had

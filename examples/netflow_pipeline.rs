@@ -13,7 +13,7 @@
 
 use odflow::flow::{
     netflow, FlowAggregator, FlowKey, MeasurementPipeline, PacketObs, PacketSampler,
-    PipelineConfig, Protocol, MINUTE_SECS,
+    PipelineConfig, Protocol, QuarantineStats, MINUTE_SECS,
 };
 use odflow::net::{AddressPlan, IngressResolver, Topology};
 use rand::Rng;
@@ -72,9 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Stage 3: NetFlow v5 wire round-trip. ---
     let datagrams = netflow::encode_datagrams(&records, 0, 0, 100, 0);
     let wire_bytes: usize = datagrams.iter().map(Vec::len).sum();
+    let mut quarantine = QuarantineStats::default();
     let mut decoded = Vec::new();
     for d in &datagrams {
-        decoded.extend(netflow::decode_datagram(d)?.1);
+        decoded.extend(netflow::decode_frame(d, &mut quarantine).ok_or("frame quarantined")?.1);
     }
     assert_eq!(decoded.len(), records.len(), "wire round-trip must be lossless");
     println!(

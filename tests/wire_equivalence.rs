@@ -3,7 +3,7 @@
 //! records, and the packet-level path agrees with the record-level
 //! shortcut in distribution.
 
-use odflow::flow::{netflow, FlowRecord, MeasurementPipeline, PipelineConfig};
+use odflow::flow::{netflow, FlowRecord, MeasurementPipeline, PipelineConfig, QuarantineStats};
 use odflow::gen::{Scenario, ScenarioConfig};
 use odflow::net::IngressResolver;
 
@@ -32,11 +32,13 @@ fn matrices_direct(scenario: &Scenario) -> odflow::flow::TrafficMatrixSet {
     pipeline.finalize().unwrap().0
 }
 
-/// Serializes every record to NetFlow v5 datagrams, decodes them, then
-/// bins them — the full wire round-trip.
+/// Serializes every record to NetFlow v5 datagrams, decodes them through
+/// the lossy kernel (which must quarantine nothing), then bins them — the
+/// full wire round-trip.
 fn matrices_via_wire(scenario: &Scenario) -> odflow::flow::TrafficMatrixSet {
     let generator = scenario.generator();
     let mut pipeline = pipeline(scenario);
+    let mut quarantine = QuarantineStats::default();
     for bin in 0..generator.num_bins() {
         // Group records per exporting router, as real collectors receive
         // them (the v5 engine_id carries the router).
@@ -45,12 +47,13 @@ fn matrices_via_wire(scenario: &Scenario) -> odflow::flow::TrafficMatrixSet {
             let batch: Vec<FlowRecord> =
                 records.iter().filter(|r| r.router == router).copied().collect();
             for d in &netflow::encode_datagrams(&batch, 0, router as u8, 100, 0) {
-                for r in netflow::decode_datagram(d).unwrap().1 {
+                for r in netflow::decode_frame(d, &mut quarantine).unwrap().1 {
                     pipeline.push_sampled_record(r).unwrap();
                 }
             }
         }
     }
+    assert_eq!((quarantine.frames_rejected(), quarantine.implausible_records), (0, 0));
     pipeline.finalize().unwrap().0
 }
 
