@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use odflow::classify::{score_events, AnomalyClass, MatchReport};
 use odflow::experiment::run_scenario;
-use odflow::flow::{MeasurementPipeline, PipelineConfig};
+use odflow::flow::PipelineConfig;
 use odflow::gen::{AnomalyKind, InjectedAnomaly, ScanMode, Scenario, ScenarioConfig};
 use odflow::net::IngressResolver;
 use odflow::subspace::count_by_combination;
@@ -352,19 +352,10 @@ pub fn resolution(_: &Study, out: &mut String) -> Vec<Check> {
     for coverage in [0.25, 0.5, 0.75, 1.0] {
         let routes = scenario.plan.build_route_table(coverage).expect("routes");
         let ingress = IngressResolver::synthetic(&scenario.topology);
-        let mut pipeline = MeasurementPipeline::new(
-            PipelineConfig::abilene(0, 288),
-            &scenario.topology,
-            ingress,
-            routes,
-        )
-        .expect("pipeline");
-        for bin in 0..generator.num_bins() {
-            for record in generator.records_for_bin(bin) {
-                pipeline.push_sampled_record(record).expect("push");
-            }
-        }
-        let stats = pipeline.shard().resolution_stats();
+        let stats = generator
+            .bin_scenario(PipelineConfig::abilene(0, 288), ingress, routes)
+            .expect("ingest")
+            .stats;
         full_coverage = (stats.flow_rate(), stats.byte_rate());
         rows.push((
             format!("{:.0}%", coverage * 100.0),

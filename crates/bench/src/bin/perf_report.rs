@@ -36,7 +36,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use odflow::linalg::{eigen_symmetric, scatter, EigenMethod, DEFAULT_SKETCH_SEED};
-use odflow::subspace::{EigenflowDecomposition, SubspaceDetector, SubspaceModel};
+use odflow::subspace::{analyze, EigenflowDecomposition, SubspaceConfig, SubspaceModel};
 use odflow_bench::{traffic_matrix, PERF_STAGES};
 
 /// Which stages this invocation measures: all of them, or the `--stage`
@@ -261,7 +261,7 @@ fn main() {
         }
         if filter.enabled("detector") {
             stages.push(run_stage("detector", "n=2016 p=121 analyze".into(), reps, || {
-                SubspaceDetector::default().analyze(&x).unwrap()
+                analyze(&x, SubspaceConfig::default()).unwrap()
             }));
         }
     }

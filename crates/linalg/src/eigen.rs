@@ -39,11 +39,6 @@ pub struct EigenDecomposition {
 }
 
 impl EigenDecomposition {
-    /// The `k`-th eigenvector (column of [`Self::eigenvectors`]) as a `Vec`.
-    pub fn eigenvector(&self, k: usize) -> Result<Vec<f64>> {
-        self.eigenvectors.col(k)
-    }
-
     /// Fraction of total variance captured by the top `k` eigenvalues.
     ///
     /// Negative eigenvalues (numerical noise around zero for rank-deficient
@@ -409,7 +404,7 @@ mod tests {
         assert!((e.eigenvalues[0] - 3.0).abs() < 1e-12);
         assert!((e.eigenvalues[1] - 1.0).abs() < 1e-12);
         // Eigenvector for lambda=3 is (1,1)/sqrt(2) up to sign.
-        let v0 = e.eigenvector(0).unwrap();
+        let v0 = e.eigenvectors.col(0).unwrap();
         assert!((v0[0].abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
         assert!((v0[0] - v0[1]).abs() < 1e-12);
     }

@@ -777,7 +777,8 @@ fn run_metrics_endpoint(listener: &TcpListener, control: &Control) {
 /// (`\r\n\r\n`) within [`METRICS_READ_DEADLINE`]; a client that idles,
 /// trickles bytes, or never terminates is reaped (connection dropped,
 /// counted) instead of parking the endpoint thread — one slow scraper
-/// must never block every other scraper behind it.
+/// must never block every other scraper behind it. A client that closes
+/// before sending a byte is neither answered nor counted.
 fn serve_metrics_client(mut stream: TcpStream, control: &Control) {
     /// Largest request the endpoint accepts; `GET /metrics HTTP/1.0` plus
     /// ordinary scraper headers is a few hundred bytes.
@@ -794,6 +795,9 @@ fn serve_metrics_client(mut stream: TcpStream, control: &Control) {
             break false;
         }
         match stream.read(&mut req[have..]) {
+            // A peer gone before its first byte is a health probe (a TCP
+            // connect check), not a stalled scraper: nothing to reap.
+            Ok(0) if have == 0 => return,
             Ok(0) => break false,
             Ok(n) => {
                 have += n;

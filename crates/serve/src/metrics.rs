@@ -220,7 +220,8 @@ pub struct ServeMetrics {
     /// Control messages honoured (drain requests).
     pub control_messages: AtomicU64,
     /// Metrics clients reaped for idling or trickling past the read
-    /// deadline without completing a request.
+    /// deadline without completing a request. A client that hangs up
+    /// before sending a byte (a health probe) is not counted.
     pub metrics_clients_reaped: AtomicU64,
     /// Latency from socket admission to worker dequeue.
     pub enqueue_latency: LatencyHistogram,

@@ -3,11 +3,10 @@
 //! The paper's §2.2 extension: the Q statistic (SPE) alone misses anomalies
 //! large enough to be captured *inside* the normal subspace, so detection
 //! runs both statistics and flags a timebin when either exceeds its
-//! threshold. [`SubspaceDetector::analyze_with_quality`] fits the model and
-//! returns the full statistic timeseries (the material of the paper's
-//! Figure 1) plus the flagged bins, degrading by the ingest path's
-//! [`DataQuality`] report; [`SubspaceDetector::analyze`] is the same call
-//! under a pristine report.
+//! threshold. [`analyze_with_quality`] fits the model and returns the full
+//! statistic timeseries (the material of the paper's Figure 1) plus the
+//! flagged bins, degrading by the ingest path's [`DataQuality`] report;
+//! [`analyze`] is the same call under a pristine report.
 
 use crate::error::{Result, SubspaceError};
 use crate::model::{StateSplit, SubspaceConfig, SubspaceModel};
@@ -81,12 +80,23 @@ pub struct Analysis {
     pub model: SubspaceModel,
     /// `||x||²` per bin — the paper's Figure 1 top row ("State Vector").
     pub state_norm_sq: Vec<f64>,
-    /// `||x̃||²` per bin — Figure 1 middle row ("Residual Vector").
+    /// `||x̃||²` per bin — Figure 1 middle row ("Residual Vector"); 0 at a
+    /// masked bin.
     pub spe: Vec<f64>,
-    /// t² per bin — Figure 1 bottom row.
+    /// t² per bin — Figure 1 bottom row; 0 at a masked bin.
     pub t2: Vec<f64>,
-    /// All threshold exceedances, ordered by bin.
+    /// All threshold exceedances, ordered by bin. Masked bins never
+    /// appear.
     pub detections: Vec<Detection>,
+    /// One verdict per bin, aligned with the series, in the form
+    /// [`StreamVerdict::degraded`](crate::StreamVerdict::degraded) takes:
+    /// `None` for a clean bin at full confidence (anomalous iff it appears
+    /// in `detections`), or why its verdict was withheld
+    /// ([`DegradedReason::MaskedBin`]) or weakened.
+    pub verdicts: Vec<Option<DegradedReason>>,
+    /// The effective SPE threshold: the model's, or the widened band when
+    /// heavy imputation widened it.
+    pub spe_threshold: f64,
 }
 
 impl Analysis {
@@ -106,8 +116,7 @@ impl Analysis {
 
 /// Imputed-bin fraction above which the quality-aware path stops trusting
 /// the fitted residual variance at full confidence and widens the
-/// Jackson–Mudholkar band (see
-/// [`SubspaceDetector::analyze_with_quality`]).
+/// Jackson–Mudholkar band (see [`analyze_with_quality`]).
 pub const IMPUTED_FRACTION_BOUND: f64 = 0.02;
 
 /// Confidence-level multiplier used when widening: the SPE threshold is
@@ -132,186 +141,148 @@ pub enum DegradedReason {
     },
 }
 
-/// [`Analysis`] augmented with per-bin quality verdicts.
-#[derive(Debug, Clone)]
-pub struct QualityAnalysis {
-    /// The underlying analysis. Masked bins carry zero SPE/T² and never
-    /// appear in `detections`.
-    pub analysis: Analysis,
-    /// One verdict per bin, aligned with the analysis series, in the form
-    /// [`StreamVerdict::degraded`](crate::StreamVerdict::degraded) takes:
-    /// `None` for a clean bin at full confidence (anomalous iff it appears
-    /// in `detections`), or why its verdict was withheld
-    /// ([`DegradedReason::MaskedBin`]) or weakened.
-    pub verdicts: Vec<Option<DegradedReason>>,
-    /// The effective SPE threshold used (widened when `widened`).
-    pub spe_threshold: f64,
-    /// `true` when the imputed fraction exceeded
-    /// [`IMPUTED_FRACTION_BOUND`] and the SPE band was widened.
-    pub widened: bool,
+/// `true` when `quality`'s imputed fraction exceeds
+/// [`IMPUTED_FRACTION_BOUND`], so the SPE band is widened.
+pub(crate) fn widens(quality: &DataQuality) -> bool {
+    quality.imputed_fraction() > IMPUTED_FRACTION_BOUND
 }
 
-/// Bins per scoring task in [`SubspaceDetector::analyze_with_quality`]; fixed so the
-/// chunk decomposition (and hence the merged output order) never depends on
-/// the thread count. Scoring regions dispatch onto the persistent
-/// `odflow_par` pool; chunk bodies are single-threaded (per the pool's
-/// no-nesting contract) and reuse one scratch split per chunk.
+/// Bins per scoring task in [`analyze_with_quality`]; fixed so the chunk
+/// decomposition (and hence the merged output order) never depends on the
+/// thread count. Scoring regions dispatch onto the persistent `odflow_par`
+/// pool; chunk bodies are single-threaded (per the pool's no-nesting
+/// contract) and reuse one scratch split per chunk.
 const SCORE_CHUNK_BINS: usize = 64;
 
-/// Detector facade: fit + score + flag in one call.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SubspaceDetector {
-    /// Model configuration (defaults to the paper's `k = 4`, `α = 0.001`).
-    pub config: SubspaceConfig,
+/// Fits the subspace model to `x` (rows = timebins, columns = OD pairs)
+/// and evaluates both statistics on every row: [`analyze_with_quality`]
+/// under a pristine quality report.
+///
+/// # Errors
+///
+/// Propagates model-fitting errors (shape, degeneracy).
+pub fn analyze(x: &Matrix, config: SubspaceConfig) -> Result<Analysis> {
+    analyze_with_quality(x, config, &DataQuality::clean(x.nrows()))
 }
 
-impl SubspaceDetector {
-    /// Creates a detector with explicit configuration.
-    pub fn new(config: SubspaceConfig) -> Self {
-        SubspaceDetector { config }
+/// Quality-aware [`analyze`]: consumes the ingest path's [`DataQuality`]
+/// report and degrades gracefully instead of scoring repaired data as if
+/// it were measured.
+///
+/// * **Masked** bins (outages too long to interpolate) are excluded from
+///   the model fit and never scored: their SPE/T² entries are 0, they
+///   produce no detections, and their verdict is
+///   [`DegradedReason::MaskedBin`].
+/// * **Imputed** bins are scored (their rows are plausible estimates) but
+///   their verdicts carry [`DegradedReason::ImputedBin`].
+/// * When the imputed fraction exceeds [`IMPUTED_FRACTION_BOUND`], the SPE
+///   threshold is recomputed at `alpha * `[`WIDEN_ALPHA_FACTOR`] — the
+///   residual variance estimate is contaminated by interpolation, so only
+///   higher-confidence exceedances alarm — and every scored clean bin's
+///   verdict becomes [`DegradedReason::WidenedThreshold`].
+///
+/// Scoring runs over a fixed-grain chunk decomposition, so the output is
+/// identical for every `ODFLOW_THREADS`.
+///
+/// # Errors
+///
+/// [`SubspaceError::DimensionMismatch`] when the quality report's bin
+/// count differs from the matrix rows; model-fitting errors propagate
+/// (including [`SubspaceError::InsufficientData`] when masking leaves
+/// fewer clean bins than normal-subspace dimensions).
+pub fn analyze_with_quality(
+    x: &Matrix,
+    config: SubspaceConfig,
+    quality: &DataQuality,
+) -> Result<Analysis> {
+    let n = x.nrows();
+    if quality.bins.len() != n {
+        return Err(SubspaceError::DimensionMismatch { expected: n, got: quality.bins.len() });
+    }
+    let p = x.ncols();
+    let masked = |bin: usize| quality.bins[bin] == BinStatus::Masked;
+
+    // Masked rows are synthetic zeros — folding them into the fit would
+    // teach the model a fake "dead network" mode and shift the mean. Fit
+    // on the surviving rows only.
+    let model = if (0..n).any(masked) {
+        let clean_rows: Vec<usize> = (0..n).filter(|&b| !masked(b)).collect();
+        let mut data = Vec::with_capacity(clean_rows.len() * p);
+        for &b in &clean_rows {
+            data.extend_from_slice(x.row(b)?);
+        }
+        let train = Matrix::from_vec(clean_rows.len(), p, data)?;
+        SubspaceModel::fit(&train, config)?
+    } else {
+        SubspaceModel::fit(x, config)?
+    };
+
+    let imputed_fraction = quality.imputed_fraction();
+    let widened = widens(quality);
+    let spe_threshold = if widened {
+        model.spe_threshold_at(config.alpha * WIDEN_ALPHA_FACTOR)?
+    } else {
+        model.spe_threshold()
+    };
+
+    /// Scores for one chunk of rows, in row order.
+    struct ChunkScores {
+        state_norm_sq: Vec<f64>,
+        spe: Vec<f64>,
+        t2: Vec<f64>,
+        detections: Vec<Detection>,
     }
 
-    /// Fits the subspace model to `x` (rows = timebins, columns = OD pairs)
-    /// and evaluates both statistics on every row:
-    /// [`analyze_with_quality`](Self::analyze_with_quality) under a
-    /// pristine quality report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-fitting errors (shape, degeneracy).
-    pub fn analyze(&self, x: &Matrix) -> Result<Analysis> {
-        Ok(self.analyze_with_quality(x, &DataQuality::clean(x.nrows()))?.analysis)
-    }
-
-    /// Quality-aware [`analyze`](Self::analyze): consumes the ingest
-    /// path's [`DataQuality`] report and degrades gracefully instead of
-    /// scoring repaired data as if it were measured.
-    ///
-    /// * **Masked** bins (outages too long to interpolate) are excluded
-    ///   from the model fit and never scored: their SPE/T² entries are 0,
-    ///   they produce no detections, and their verdict is
-    ///   [`DegradedReason::MaskedBin`].
-    /// * **Imputed** bins are scored (their rows are plausible estimates)
-    ///   but their verdicts carry [`DegradedReason::ImputedBin`].
-    /// * When the imputed fraction exceeds [`IMPUTED_FRACTION_BOUND`],
-    ///   the SPE threshold is recomputed at
-    ///   `alpha * `[`WIDEN_ALPHA_FACTOR`] — the residual variance estimate
-    ///   is contaminated by interpolation, so only higher-confidence
-    ///   exceedances alarm — and every scored clean bin's verdict becomes
-    ///   [`DegradedReason::WidenedThreshold`].
-    ///
-    /// A pristine quality report reproduces [`analyze`](Self::analyze)
-    /// bit for bit. Scoring runs over the same fixed-grain chunk
-    /// decomposition, so the output is identical for every
-    /// `ODFLOW_THREADS`.
-    ///
-    /// # Errors
-    ///
-    /// [`SubspaceError::DimensionMismatch`] when the quality report's bin
-    /// count differs from the matrix rows; model-fitting errors propagate
-    /// (including [`SubspaceError::InsufficientData`] when masking leaves
-    /// fewer clean bins than normal-subspace dimensions).
-    pub fn analyze_with_quality(
-        &self,
-        x: &Matrix,
-        quality: &DataQuality,
-    ) -> Result<QualityAnalysis> {
-        let n = x.nrows();
-        if quality.bins.len() != n {
-            return Err(SubspaceError::DimensionMismatch { expected: n, got: quality.bins.len() });
-        }
-        let p = x.ncols();
-        let masked = |bin: usize| quality.bins[bin] == BinStatus::Masked;
-
-        // Masked rows are synthetic zeros — folding them into the fit
-        // would teach the model a fake "dead network" mode and shift the
-        // mean. Fit on the surviving rows only.
-        let model = if (0..n).any(masked) {
-            let clean_rows: Vec<usize> = (0..n).filter(|&b| !masked(b)).collect();
-            let mut data = Vec::with_capacity(clean_rows.len() * p);
-            for &b in &clean_rows {
-                data.extend_from_slice(x.row(b)?);
-            }
-            let train = Matrix::from_vec(clean_rows.len(), p, data)?;
-            SubspaceModel::fit(&train, self.config)?
-        } else {
-            SubspaceModel::fit(x, self.config)?
+    // Each bin's SPE/T² is an independent projection, so a week of bins
+    // scores on all cores; chunks merge in bin order and each bin runs the
+    // exact serial per-row arithmetic.
+    let score_chunk = |bins: std::ops::Range<usize>| -> Result<ChunkScores> {
+        let mut out = ChunkScores {
+            state_norm_sq: Vec::with_capacity(bins.len()),
+            spe: Vec::with_capacity(bins.len()),
+            t2: Vec::with_capacity(bins.len()),
+            detections: Vec::new(),
         };
-
-        let imputed_fraction = quality.imputed_fraction();
-        let widened = imputed_fraction > IMPUTED_FRACTION_BOUND;
-        let spe_threshold = if widened {
-            model.spe_threshold_at(self.config.alpha * WIDEN_ALPHA_FACTOR)?
-        } else {
-            model.spe_threshold()
-        };
-
-        /// Scores for one chunk of rows, in row order.
-        struct ChunkScores {
-            state_norm_sq: Vec<f64>,
-            spe: Vec<f64>,
-            t2: Vec<f64>,
-            detections: Vec<Detection>,
-        }
-
-        // Each bin's SPE/T² is an independent projection, so a week of
-        // bins scores on all cores; chunks merge in bin order and each bin
-        // runs the exact serial per-row arithmetic.
-        let score_chunk = |bins: std::ops::Range<usize>| -> Result<ChunkScores> {
-            let mut out = ChunkScores {
-                state_norm_sq: Vec::with_capacity(bins.len()),
-                spe: Vec::with_capacity(bins.len()),
-                t2: Vec::with_capacity(bins.len()),
-                detections: Vec::new(),
+        // One scratch split per chunk: scoring allocates nothing per bin.
+        let mut split = StateSplit::with_dimension(p);
+        for bin in bins {
+            let row = x.row(bin)?;
+            out.state_norm_sq.push(vecops::norm_sq(row));
+            let (spe, t2) = if masked(bin) {
+                (0.0, 0.0)
+            } else {
+                model.score_into(row, bin, spe_threshold, &mut split, &mut out.detections)?
             };
-            // One scratch split per chunk: scoring allocates nothing per bin.
-            let mut split = StateSplit::with_dimension(p);
-            for bin in bins {
-                let row = x.row(bin)?;
-                out.state_norm_sq.push(vecops::norm_sq(row));
-                let (spe, t2) = if masked(bin) {
-                    (0.0, 0.0)
-                } else {
-                    model.score_into(row, bin, spe_threshold, &mut split, &mut out.detections)?
-                };
-                out.spe.push(spe);
-                out.t2.push(t2);
-            }
-            Ok(out)
-        };
-
-        let mut state_norm_sq = Vec::with_capacity(n);
-        let mut spe = Vec::with_capacity(n);
-        let mut t2 = Vec::with_capacity(n);
-        let mut detections = Vec::new();
-        for chunk in odflow_par::map_chunks(n, SCORE_CHUNK_BINS, score_chunk) {
-            let chunk = chunk?;
-            state_norm_sq.extend(chunk.state_norm_sq);
-            spe.extend(chunk.spe);
-            t2.extend(chunk.t2);
-            detections.extend(chunk.detections);
+            out.spe.push(spe);
+            out.t2.push(t2);
         }
+        Ok(out)
+    };
 
-        let verdicts = quality
-            .bins
-            .iter()
-            .map(|s| match s {
-                BinStatus::Masked => Some(DegradedReason::MaskedBin),
-                BinStatus::Imputed => Some(DegradedReason::ImputedBin),
-                BinStatus::Ok if widened => {
-                    Some(DegradedReason::WidenedThreshold { imputed_fraction })
-                }
-                BinStatus::Ok => None,
-            })
-            .collect();
-
-        Ok(QualityAnalysis {
-            analysis: Analysis { model, state_norm_sq, spe, t2, detections },
-            verdicts,
-            spe_threshold,
-            widened,
-        })
+    let mut state_norm_sq = Vec::with_capacity(n);
+    let mut spe = Vec::with_capacity(n);
+    let mut t2 = Vec::with_capacity(n);
+    let mut detections = Vec::new();
+    for chunk in odflow_par::map_chunks(n, SCORE_CHUNK_BINS, score_chunk) {
+        let chunk = chunk?;
+        state_norm_sq.extend(chunk.state_norm_sq);
+        spe.extend(chunk.spe);
+        t2.extend(chunk.t2);
+        detections.extend(chunk.detections);
     }
+
+    let verdicts = quality
+        .bins
+        .iter()
+        .map(|s| match s {
+            BinStatus::Masked => Some(DegradedReason::MaskedBin),
+            BinStatus::Imputed => Some(DegradedReason::ImputedBin),
+            BinStatus::Ok if widened => Some(DegradedReason::WidenedThreshold { imputed_fraction }),
+            BinStatus::Ok => None,
+        })
+        .collect();
+
+    Ok(Analysis { model, state_norm_sq, spe, t2, detections, verdicts, spe_threshold })
 }
 
 #[cfg(test)]
@@ -327,7 +298,7 @@ mod tests {
         // Moderate spike: too small to claim a top-4 eigenflow slot, so it
         // must surface in the residual (SPE).
         let x = traffic_with_spikes(500, 12, &[(250, 3, 150.0)]);
-        let analysis = SubspaceDetector::default().analyze(&x).unwrap();
+        let analysis = analyze(&x, SubspaceConfig::default()).unwrap();
         let bins = analysis.anomalous_bins();
         assert!(bins.contains(&250), "spike bin not flagged; flagged: {bins:?}");
         let dets = analysis.detections_at(250);
@@ -342,7 +313,7 @@ mod tests {
         // exactly the paper's §2.2 argument for adding T²: the union of the
         // two statistics must still flag the bin.
         let x = traffic_with_spikes(500, 12, &[(250, 3, 2000.0)]);
-        let analysis = SubspaceDetector::default().analyze(&x).unwrap();
+        let analysis = analyze(&x, SubspaceConfig::default()).unwrap();
         assert!(
             analysis.anomalous_bins().contains(&250),
             "huge spike must be flagged by SPE or T²"
@@ -352,7 +323,7 @@ mod tests {
     #[test]
     fn clean_data_low_alarm_rate() {
         let x = traffic_with_spikes(600, 12, &[]);
-        let analysis = SubspaceDetector::default().analyze(&x).unwrap();
+        let analysis = analyze(&x, SubspaceConfig::default()).unwrap();
         let rate = analysis.anomalous_bins().len() as f64 / analysis.spe.len() as f64;
         assert!(rate < 0.02, "clean alarm rate {rate} too high");
     }
@@ -360,7 +331,7 @@ mod tests {
     #[test]
     fn series_lengths_match_bins() {
         let x = traffic_with_spikes(300, 8, &[]);
-        let analysis = SubspaceDetector::default().analyze(&x).unwrap();
+        let analysis = analyze(&x, SubspaceConfig::default()).unwrap();
         assert_eq!(analysis.state_norm_sq.len(), 300);
         assert_eq!(analysis.spe.len(), 300);
         assert_eq!(analysis.t2.len(), 300);
@@ -372,7 +343,7 @@ mod tests {
         // from the residual: SPE's diurnal range is tiny relative to the
         // state vector's.
         let x = traffic_with_spikes(576, 10, &[]);
-        let analysis = SubspaceDetector::default().analyze(&x).unwrap();
+        let analysis = analyze(&x, SubspaceConfig::default()).unwrap();
         let range = |v: &[f64]| {
             let max = v.iter().copied().fold(f64::MIN, f64::max);
             let min = v.iter().copied().fold(f64::MAX, f64::min);
@@ -393,7 +364,7 @@ mod tests {
     fn multiple_spikes_all_detected() {
         let spikes = [(100, 2, 350.0), (200, 7, 350.0), (300, 9, 350.0)];
         let x = traffic_with_spikes(500, 12, &spikes);
-        let analysis = SubspaceDetector::default().analyze(&x).unwrap();
+        let analysis = analyze(&x, SubspaceConfig::default()).unwrap();
         let bins = analysis.anomalous_bins();
         for &(b, _, _) in &spikes {
             assert!(bins.contains(&b), "spike at {b} missed");
@@ -403,7 +374,7 @@ mod tests {
     #[test]
     fn detections_ordered_by_bin() {
         let x = traffic_with_spikes(400, 10, &[(50, 1, 300.0), (350, 2, 300.0)]);
-        let analysis = SubspaceDetector::default().analyze(&x).unwrap();
+        let analysis = analyze(&x, SubspaceConfig::default()).unwrap();
         let bins: Vec<usize> = analysis.detections.iter().map(|d| d.bin).collect();
         let mut sorted = bins.clone();
         sorted.sort_unstable();
@@ -421,17 +392,17 @@ mod tests {
         x[(120, 4)] = 50_000.0;
         let mut q = DataQuality::clean(400);
         q.bins[120] = odflow_flow::BinStatus::Masked;
-        let qa = SubspaceDetector::default().analyze_with_quality(&x, &q).unwrap();
-        assert!(qa.analysis.detections_at(120).is_empty(), "masked bin must not alarm");
-        assert_eq!(qa.analysis.spe[120], 0.0);
-        assert_eq!(qa.analysis.t2[120], 0.0);
+        let qa = analyze_with_quality(&x, SubspaceConfig::default(), &q).unwrap();
+        assert!(qa.detections_at(120).is_empty(), "masked bin must not alarm");
+        assert_eq!(qa.spe[120], 0.0);
+        assert_eq!(qa.t2[120], 0.0);
         assert_eq!(qa.verdicts[120], Some(DegradedReason::MaskedBin));
         let masked = Some(DegradedReason::MaskedBin);
         let withheld: Vec<usize> = (0..400).filter(|&b| qa.verdicts[b] == masked).collect();
         assert_eq!(withheld, [120]);
-        assert_eq!(qa.analysis.model.num_train_bins(), 399, "masked row excluded from fit");
+        assert_eq!(qa.model.decomposition().n, 399, "masked row excluded from fit");
         // Series still span every bin.
-        assert_eq!(qa.analysis.spe.len(), 400);
+        assert_eq!(qa.spe.len(), 400);
     }
 
     #[test]
@@ -442,11 +413,8 @@ mod tests {
         }
         let mut q = DataQuality::clean(400);
         q.bins[120] = odflow_flow::BinStatus::Masked;
-        let qa = SubspaceDetector::default().analyze_with_quality(&x, &q).unwrap();
-        assert!(
-            qa.analysis.anomalous_bins().contains(&250),
-            "clean-bin anomaly must survive degradation"
-        );
+        let qa = analyze_with_quality(&x, SubspaceConfig::default(), &q).unwrap();
+        assert!(qa.anomalous_bins().contains(&250), "clean-bin anomaly must survive degradation");
     }
 
     #[test]
@@ -456,14 +424,12 @@ mod tests {
         for b in 0..20 {
             q.bins[b] = odflow_flow::BinStatus::Imputed; // 5% > bound
         }
-        let det = SubspaceDetector::default();
-        let qa = det.analyze_with_quality(&x, &q).unwrap();
-        assert!(qa.widened);
+        let qa = analyze_with_quality(&x, SubspaceConfig::default(), &q).unwrap();
         assert!(
-            qa.spe_threshold > qa.analysis.model.spe_threshold(),
+            qa.spe_threshold > qa.model.spe_threshold(),
             "widened band {} must exceed nominal {}",
             qa.spe_threshold,
-            qa.analysis.model.spe_threshold()
+            qa.model.spe_threshold()
         );
         assert_eq!(
             qa.verdicts[0],
@@ -478,8 +444,8 @@ mod tests {
         let x = traffic_with_spikes(400, 10, &[]);
         let mut q = DataQuality::clean(400);
         q.bins[7] = odflow_flow::BinStatus::Imputed; // 0.25% < bound
-        let qa = SubspaceDetector::default().analyze_with_quality(&x, &q).unwrap();
-        assert!(!qa.widened);
+        let qa = analyze_with_quality(&x, SubspaceConfig::default(), &q).unwrap();
+        assert_eq!(qa.spe_threshold, qa.model.spe_threshold(), "nominal band kept");
         assert_eq!(qa.verdicts[7], Some(DegradedReason::ImputedBin));
         assert_eq!(qa.verdicts[8], None);
     }
@@ -488,13 +454,13 @@ mod tests {
     fn quality_length_mismatch_rejected() {
         let x = traffic_with_spikes(100, 8, &[]);
         let q = DataQuality::clean(99);
-        assert!(SubspaceDetector::default().analyze_with_quality(&x, &q).is_err());
+        assert!(analyze_with_quality(&x, SubspaceConfig::default(), &q).is_err());
     }
 
     #[test]
     fn detections_at_missing_bin_empty() {
         let x = traffic_with_spikes(300, 8, &[]);
-        let analysis = SubspaceDetector::default().analyze(&x).unwrap();
+        let analysis = analyze(&x, SubspaceConfig::default()).unwrap();
         // A bin with no detections yields an empty set.
         let quiet_bin = (0..300).find(|b| analysis.detections_at(*b).is_empty()).unwrap();
         assert!(analysis.detections_at(quiet_bin).is_empty());

@@ -6,7 +6,7 @@
 //! threshold exceedance, and merge the resulting (traffic type, time,
 //! OD flow) triples into final [`AnomalyEvent`]s.
 
-use crate::detector::{Analysis, DegradedReason, SubspaceDetector};
+use crate::detector::{analyze_with_quality, widens, Analysis, DegradedReason};
 use crate::error::Result;
 use crate::events::{merge_detections, AnomalyEvent, DetectionTriple};
 use crate::identify::identify;
@@ -20,14 +20,24 @@ pub struct Diagnosis {
     pub analyses: Vec<(TrafficType, Analysis)>,
     /// All identified detection triples (the paper's §4 input set).
     pub triples: Vec<DetectionTriple>,
-    /// Final merged anomaly events (the unit of Tables 1 and 3).
+    /// Final merged anomaly events (the unit of Tables 1 and 3). Masked
+    /// bins never contribute detections, triples, or events.
     pub events: Vec<AnomalyEvent>,
+    /// `true` when heavy imputation widened the SPE band (on every view:
+    /// quality is a property of the ingest window, not of a view).
+    pub widened: bool,
 }
 
 impl Diagnosis {
     /// The analysis for one traffic type.
     pub fn analysis(&self, t: TrafficType) -> Option<&Analysis> {
         self.analyses.iter().find(|(tt, _)| *tt == t).map(|(_, a)| a)
+    }
+
+    /// One verdict per bin, as [`Analysis::verdicts`] has it: the three
+    /// views share one quality report, so they share their verdicts.
+    pub fn verdicts(&self) -> &[Option<DegradedReason>] {
+        self.analyses.first().map_or(&[], |(_, a)| &a.verdicts)
     }
 }
 
@@ -39,30 +49,13 @@ impl Diagnosis {
 /// Propagates model-fitting failures (shape/degeneracy). Identification
 /// failures are absorbed as [`diagnose_with_quality`] describes.
 pub fn diagnose(set: &TrafficMatrixSet, config: SubspaceConfig) -> Result<Diagnosis> {
-    Ok(diagnose_with_quality(set, config, &DataQuality::clean(set.num_bins()))?.diagnosis)
-}
-
-/// A [`Diagnosis`] carrying the per-bin quality verdicts of the
-/// degradation-aware path.
-#[derive(Debug, Clone)]
-pub struct QualityDiagnosis {
-    /// The merged diagnosis. Masked bins never contribute detections,
-    /// triples, or events.
-    pub diagnosis: Diagnosis,
-    /// One verdict per bin, as [`QualityAnalysis::verdicts`] has it
-    /// (shared by all three traffic views — quality is a property of the
-    /// ingest window, not of a view).
-    ///
-    /// [`QualityAnalysis::verdicts`]: crate::QualityAnalysis::verdicts
-    pub verdicts: Vec<Option<DegradedReason>>,
-    /// `true` when the SPE band was widened on any view.
-    pub widened: bool,
+    diagnose_with_quality(set, config, &DataQuality::clean(set.num_bins()))
 }
 
 /// Runs quality-aware detection + identification + merging over all three
 /// traffic views: masked bins are excluded from model fits and produce no
 /// events, and a heavily imputed window widens the SPE band (see
-/// [`SubspaceDetector::analyze_with_quality`]).
+/// [`analyze_with_quality`]).
 ///
 /// For each flagged bin the responsible OD flows are identified per
 /// statistic that fired (one greedy reconstruction over that statistic's
@@ -80,22 +73,18 @@ pub fn diagnose_with_quality(
     set: &TrafficMatrixSet,
     config: SubspaceConfig,
     quality: &DataQuality,
-) -> Result<QualityDiagnosis> {
-    let detector = SubspaceDetector::new(config);
+) -> Result<Diagnosis> {
     let mut analyses = Vec::with_capacity(3);
     let mut triples = Vec::new();
-    let mut verdicts = Vec::new();
-    let mut widened = false;
 
     for t in [TrafficType::Bytes, TrafficType::Packets, TrafficType::Flows] {
         let matrix = set.get(t);
-        let qa = detector.analyze_with_quality(&matrix.data, quality)?;
-        widened |= qa.widened;
-        for bin in qa.analysis.anomalous_bins() {
+        let analysis = analyze_with_quality(&matrix.data, config, quality)?;
+        for bin in analysis.anomalous_bins() {
             let row = matrix.data.row(bin)?;
             let mut flows: Vec<usize> = Vec::new();
-            for d in qa.analysis.detections_at(bin) {
-                if let Ok(id) = identify(&qa.analysis.model, row, d.kind, bin) {
+            for d in analysis.detections_at(bin) {
+                if let Ok(id) = identify(&analysis.model, row, d.kind, bin) {
                     for f in id.od_flows {
                         if !flows.contains(&f) {
                             flows.push(f);
@@ -105,12 +94,11 @@ pub fn diagnose_with_quality(
             }
             triples.push(DetectionTriple { traffic_type: t, bin, od_flows: flows });
         }
-        verdicts = qa.verdicts;
-        analyses.push((t, qa.analysis));
+        analyses.push((t, analysis));
     }
 
     let events = merge_detections(&triples);
-    Ok(QualityDiagnosis { diagnosis: Diagnosis { analyses, triples, events }, verdicts, widened })
+    Ok(Diagnosis { analyses, triples, events, widened: widens(quality) })
 }
 
 #[cfg(test)]
@@ -222,17 +210,14 @@ mod tests {
         q.bins[150] = BinStatus::Masked;
         let qd = diagnose_with_quality(&set, SubspaceConfig::default(), &q).unwrap();
         assert!(
-            !qd.diagnosis.events.iter().any(|e| e.covers_bin(150)),
+            !qd.events.iter().any(|e| e.covers_bin(150)),
             "masked bin must not produce an event: {:?}",
-            qd.diagnosis.events
+            qd.events
         );
-        assert!(
-            qd.diagnosis.events.iter().any(|e| e.covers_bin(300)),
-            "clean spike must still be detected"
-        );
-        assert_eq!(qd.verdicts.len(), 400);
-        assert_eq!(qd.verdicts[150], Some(DegradedReason::MaskedBin));
-        assert_eq!(qd.verdicts[300], None);
+        assert!(qd.events.iter().any(|e| e.covers_bin(300)), "clean spike must still be detected");
+        assert_eq!(qd.verdicts().len(), 400);
+        assert_eq!(qd.verdicts()[150], Some(DegradedReason::MaskedBin));
+        assert_eq!(qd.verdicts()[300], None);
         assert!(!qd.widened);
         // The plain diagnosis on the same set *does* flag bin 150 — the
         // degradation is doing real work.

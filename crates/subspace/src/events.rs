@@ -58,11 +58,6 @@ impl TypeSet {
         self.0 & bit != 0
     }
 
-    /// Union of two sets.
-    pub fn union(self, other: TypeSet) -> TypeSet {
-        TypeSet(self.0 | other.0)
-    }
-
     /// Number of types present.
     pub fn len(&self) -> usize {
         self.0.count_ones() as usize

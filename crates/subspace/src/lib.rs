@@ -13,8 +13,8 @@
 //!   (normal-subspace scores vs `T²_{k,n,α}`).
 //! * [`q_threshold`] / [`t2_threshold`] — those two thresholds, computed
 //!   from first-principles normal and F quantiles.
-//! * [`SubspaceDetector`] — fit + score + flag over a window (the
-//!   material of the paper's Figure 1).
+//! * [`analyze`] — fit + score + flag over a window (the material of the
+//!   paper's Figure 1).
 //! * [`identify`] — the §4 procedure finding the smallest OD-flow set
 //!   that brings a statistic back under threshold, read off the model's
 //!   loadings at any `p`.
@@ -27,34 +27,31 @@
 //!   toward.
 //!
 //! Data quality is an argument of each of these, not a second entry
-//! point. [`SubspaceDetector::analyze_with_quality`],
+//! point or a wrapper type. [`analyze_with_quality`],
 //! [`diagnose_with_quality`] and [`OnlineDetector::push_with_status`] take
 //! the ingest path's [`odflow_flow::DataQuality`] /
 //! [`odflow_flow::BinStatus`]: masked bins are never scored, imputed bins
 //! are marked, and heavily imputed windows widen the Jackson–Mudholkar
 //! band instead of alarming on repairs. Each bin's verdict is one
 //! `Option<`[`DegradedReason`]`>` on every path — `None` when it was
-//! scored at full confidence — in [`QualityAnalysis::verdicts`],
-//! [`QualityDiagnosis::verdicts`] and [`StreamVerdict::degraded`] alike.
-//! `analyze`, [`diagnose`] and `push`
-//! are the same calls under a pristine report, and one crate-private
-//! kernel on [`SubspaceModel`] is the only place a statistic is compared
-//! with a threshold.
+//! scored at full confidence — in [`Analysis::verdicts`],
+//! [`Diagnosis::verdicts`] and [`StreamVerdict::degraded`] alike.
+//! [`analyze`], [`diagnose`] and `push` are the same calls under a
+//! pristine report, and one crate-private kernel on [`SubspaceModel`] is
+//! the only place a statistic is compared with a threshold.
 //!
 //! ## Quick example
 //!
 //! ```
 //! use odflow_linalg::Matrix;
-//! use odflow_subspace::{SubspaceConfig, SubspaceDetector};
+//! use odflow_subspace::{analyze, SubspaceConfig};
 //!
 //! // 300 bins of 6 OD flows sharing a diurnal trend, with a spike.
 //! let mut x = Matrix::from_fn(300, 6, |i, j| {
 //!     (10.0 + j as f64) * (2.0 + (i as f64 / 288.0 * std::f64::consts::TAU).sin())
 //! });
 //! x[(123, 2)] += 500.0;
-//! let analysis = SubspaceDetector::new(SubspaceConfig::default())
-//!     .analyze(&x)
-//!     .unwrap();
+//! let analysis = analyze(&x, SubspaceConfig::default()).unwrap();
 //! assert!(analysis.anomalous_bins().contains(&123));
 //! ```
 
@@ -77,10 +74,10 @@ pub(crate) mod testutil;
 mod tsq;
 
 pub use detector::{
-    Analysis, DegradedReason, Detection, QualityAnalysis, StatisticKind, SubspaceDetector,
+    analyze, analyze_with_quality, Analysis, DegradedReason, Detection, StatisticKind,
     IMPUTED_FRACTION_BOUND, WIDEN_ALPHA_FACTOR,
 };
-pub use diagnose::{diagnose, diagnose_with_quality, Diagnosis, QualityDiagnosis};
+pub use diagnose::{diagnose, diagnose_with_quality, Diagnosis};
 pub use eigenflow::EigenflowDecomposition;
 pub use error::{Result, SubspaceError};
 pub use events::{count_by_combination, merge_detections, AnomalyEvent, DetectionTriple, TypeSet};

@@ -178,11 +178,6 @@ impl SubspaceModel {
         self.p
     }
 
-    /// Number of training timebins.
-    pub fn num_train_bins(&self) -> usize {
-        self.decomp.n
-    }
-
     /// The underlying eigenflow decomposition.
     pub fn decomposition(&self) -> &EigenflowDecomposition {
         &self.decomp
@@ -679,6 +674,6 @@ mod tests {
         assert!(model.t2_threshold() > 0.0);
         assert_eq!(model.config().k, 3);
         assert_eq!(model.num_od_pairs(), 9);
-        assert_eq!(model.num_train_bins(), 300);
+        assert_eq!(model.decomposition().n, 300);
     }
 }

@@ -16,7 +16,7 @@
 
 use odflow_linalg::{thin_svd, EigenMethod, Matrix};
 use odflow_par::with_thread_limit;
-use odflow_subspace::{SubspaceConfig, SubspaceDetector, SubspaceModel};
+use odflow_subspace::{analyze, SubspaceConfig, SubspaceModel};
 use proptest::prelude::*;
 
 /// Synthetic OD traffic: a few shared temporal patterns + hash noise, with
@@ -112,13 +112,10 @@ fn abilene_scale_backends_agree() {
     .unwrap();
     assert_models_agree(&dense, &rnd, k, &x);
 
-    let dense_det = SubspaceDetector::default().analyze(&x).unwrap();
-    let rnd_det = SubspaceDetector::new(SubspaceConfig {
-        method: randomized(17),
-        ..SubspaceConfig::default()
-    })
-    .analyze(&x)
-    .unwrap();
+    let dense_det = analyze(&x, SubspaceConfig::default()).unwrap();
+    let rnd_det =
+        analyze(&x, SubspaceConfig { method: randomized(17), ..SubspaceConfig::default() })
+            .unwrap();
     assert_eq!(dense_det.anomalous_bins(), rnd_det.anomalous_bins());
     for (d, r) in dense_det.detections.iter().zip(&rnd_det.detections) {
         assert_eq!(d.bin, r.bin);
@@ -157,11 +154,11 @@ fn abilene_default_detection_is_byte_identical_across_thread_counts() {
     // produces byte-identical output — statistics, thresholds, verdicts —
     // for serial, typical, and oversubscribed pools.
     let x = traffic(400, 121, &[(150, 40, 4000.0), (290, 7, 3500.0)]);
-    let analyze =
-        |threads| with_thread_limit(threads, || SubspaceDetector::default().analyze(&x).unwrap());
-    let serial = analyze(1);
+    let analyze_at =
+        |threads| with_thread_limit(threads, || analyze(&x, SubspaceConfig::default()).unwrap());
+    let serial = analyze_at(1);
     for &threads in &[4usize, 64] {
-        let par = analyze(threads);
+        let par = analyze_at(threads);
         assert_eq!(serial.anomalous_bins(), par.anomalous_bins(), "threads={threads}");
         assert_eq!(serial.detections.len(), par.detections.len());
         for (a, b) in serial.detections.iter().zip(&par.detections) {

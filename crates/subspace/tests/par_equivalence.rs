@@ -1,13 +1,13 @@
 //! Parallel/serial equivalence of batch detection.
 //!
-//! `SubspaceDetector::analyze` fans SPE/T² scoring over row chunks; the
+//! `analyze` fans SPE/T² scoring over row chunks; the
 //! merged output must match the one-thread serial fallback within 1e-10 —
 //! and, since every bin runs identical arithmetic, exactly — for any pool
 //! size, including oversubscribed pools with more threads than bins.
 
 use odflow_linalg::Matrix;
 use odflow_par::with_thread_limit;
-use odflow_subspace::{Analysis, SubspaceDetector};
+use odflow_subspace::{analyze, Analysis, SubspaceConfig};
 use proptest::prelude::*;
 
 /// Synthetic OD traffic: 4-dimensional shared signal + hash noise, with an
@@ -56,10 +56,10 @@ fn assert_analyses_equal(a: &Analysis, b: &Analysis) {
 #[test]
 fn analyze_matches_across_thread_counts_with_spikes() {
     let x = traffic(500, 12, Some((250, 3, 300.0)));
-    let detector = SubspaceDetector::default();
-    let serial = with_thread_limit(1, || detector.analyze(&x).unwrap());
-    let typical = with_thread_limit(4, || detector.analyze(&x).unwrap());
-    let oversub = with_thread_limit(x.nrows() + 9, || detector.analyze(&x).unwrap());
+    let config = SubspaceConfig::default();
+    let serial = with_thread_limit(1, || analyze(&x, config).unwrap());
+    let typical = with_thread_limit(4, || analyze(&x, config).unwrap());
+    let oversub = with_thread_limit(x.nrows() + 9, || analyze(&x, config).unwrap());
     assert_analyses_equal(&serial, &typical);
     assert_analyses_equal(&serial, &oversub);
     assert!(serial.anomalous_bins().contains(&250), "the spike must still be flagged");
@@ -70,9 +70,9 @@ fn analyze_chunk_boundaries_are_thread_invariant() {
     // Bin counts straddling the fixed 64-bin scoring chunk.
     for &n in &[63usize, 64, 65, 129] {
         let x = traffic(n, 8, None);
-        let detector = SubspaceDetector::default();
-        let serial = with_thread_limit(1, || detector.analyze(&x).unwrap());
-        let wide = with_thread_limit(16, || detector.analyze(&x).unwrap());
+        let config = SubspaceConfig::default();
+        let serial = with_thread_limit(1, || analyze(&x, config).unwrap());
+        let wide = with_thread_limit(16, || analyze(&x, config).unwrap());
         assert_analyses_equal(&serial, &wide);
     }
 }
@@ -89,9 +89,9 @@ proptest! {
         spike_mag in 50.0f64..500.0,
     ) {
         let x = traffic(n, p, Some((spike_bin, p / 2, spike_mag)));
-        let detector = SubspaceDetector::default();
-        let serial = with_thread_limit(1, || detector.analyze(&x).unwrap());
-        let parallel = with_thread_limit(threads, || detector.analyze(&x).unwrap());
+        let config = SubspaceConfig::default();
+        let serial = with_thread_limit(1, || analyze(&x, config).unwrap());
+        let parallel = with_thread_limit(threads, || analyze(&x, config).unwrap());
         assert_analyses_equal(&serial, &parallel);
     }
 }

@@ -2,7 +2,7 @@
 
 use odflow_linalg::{vecops, EigenMethod, Matrix};
 use odflow_subspace::{
-    identify, merge_detections, DetectionTriple, StatisticKind, SubspaceConfig, SubspaceDetector,
+    analyze, identify, merge_detections, DetectionTriple, StatisticKind, SubspaceConfig,
     SubspaceModel, TypeSet,
 };
 use proptest::prelude::*;
@@ -103,7 +103,7 @@ proptest! {
             _ => EigenMethod::DenseTridiagonal,
         };
         let config = SubspaceConfig { k, method, ..SubspaceConfig::default() };
-        let analysis = SubspaceDetector::new(config).analyze(&x).unwrap();
+        let analysis = analyze(&x, config).unwrap();
         let model = &analysis.model;
         if shape == 1 {
             prop_assert_eq!(model.decomposition().rank(), k, "a k-column sketch keeps k triplets");
@@ -216,9 +216,16 @@ proptest! {
             if bits & 4 != 0 { s.insert(Packets); }
             s
         };
+        // The union as event merging builds it: insert the other's types.
+        let union = |mut into: TypeSet, from: TypeSet| {
+            for t in [Bytes, Flows, Packets] {
+                if from.contains(t) { into.insert(t); }
+            }
+            into
+        };
         let (sa, sb) = (build(a), build(b));
-        prop_assert_eq!(sa.union(sb), sb.union(sa));
-        let u = sa.union(sb);
+        prop_assert_eq!(union(sa, sb), union(sb, sa));
+        let u = union(sa, sb);
         prop_assert!(u.len() >= sa.len().max(sb.len()));
         for t in [Bytes, Flows, Packets] {
             prop_assert_eq!(u.contains(t), sa.contains(t) || sb.contains(t));

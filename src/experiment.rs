@@ -12,15 +12,14 @@ use odflow_classify::{
     classify, AnomalyClass, AnomalyObservation, RuleConfig, ScoredEvent, TruthLabel,
 };
 use odflow_flow::{
-    AttributeDigest, DataQuality, IngestOutcome, OdResolution, OdResolver, PipelineConfig,
-    ResolutionStats, TrafficMatrixSet, TrafficType,
+    AttributeDigest, DataQuality, OdResolution, OdResolver, PipelineConfig, ResolutionStats,
+    TrafficMatrixSet, TrafficType,
 };
 use odflow_gen::{FaultSchedule, FaultStormStats, Scenario, TraceGenerator};
 use odflow_linalg::Matrix;
-use odflow_net::{IngressResolver, RouteTable};
+use odflow_net::IngressResolver;
 use odflow_subspace::{
-    diagnose_with_quality, Analysis, AnomalyEvent, DegradedReason, Diagnosis, SubspaceConfig,
-    SubspaceDetector,
+    analyze, diagnose_with_quality, Analysis, AnomalyEvent, Diagnosis, SubspaceConfig,
 };
 
 /// Configuration of a full experiment run.
@@ -68,7 +67,12 @@ pub struct ScenarioRun {
     pub matrices: TrafficMatrixSet,
     /// OD resolution statistics (the paper's ≥93% / ≥90% claim).
     pub resolution: ResolutionStats,
-    /// Detection output for all three traffic views.
+    /// The ingest path's quality report (quarantine, exporter gaps,
+    /// per-bin status after repair); pristine on the clean path.
+    pub quality: DataQuality,
+    /// Detection output for all three traffic views, degraded by
+    /// `quality`: masked bins are never scored, and the per-bin verdicts
+    /// are [`Diagnosis::verdicts`].
     pub diagnosis: Diagnosis,
     /// Final classified events.
     pub classified: Vec<ClassifiedEvent>,
@@ -103,40 +107,7 @@ pub fn run_scenario(
     scenario: &Scenario,
     config: &ExperimentConfig,
 ) -> Result<ScenarioRun, Box<dyn std::error::Error>> {
-    // §2.1: the measurement path — the fused engine renders each shard's
-    // bin range straight into its per-thread OD binners (no intermediate
-    // record batches, which is what the four-week batch workload times)
-    // and merges deterministically; the result is bit-identical to the
-    // serial record-by-record pipeline for any `ODFLOW_THREADS`.
-    let run = run_with(scenario, config, |generator, pipe_cfg, ingress, routes| {
-        Ok((generator.bin_scenario(pipe_cfg, ingress, routes)?, FaultStormStats::default()))
-    })?;
-    Ok(run.run)
-}
-
-/// The complete result of one fault-storm scenario run.
-#[derive(Debug)]
-pub struct FaultedScenarioRun {
-    /// Everything [`run_scenario`] produces, computed through the
-    /// degradation-aware path.
-    pub run: ScenarioRun,
-    /// The ingest path's quality report (quarantine, exporter gaps,
-    /// per-bin status after repair).
-    pub quality: DataQuality,
-    /// The fault engine's own accounting of what it injected.
-    pub storm: FaultStormStats,
-    /// Per-bin quality verdicts from the detection stage: `None` for a
-    /// bin scored at full confidence, else why it was degraded.
-    pub verdicts: Vec<Option<DegradedReason>>,
-    /// `true` when the SPE band was widened by heavy imputation.
-    pub widened: bool,
-}
-
-impl FaultedScenarioRun {
-    /// Bins whose verdicts were withheld (masked by repair).
-    pub fn masked_bins(&self) -> Vec<usize> {
-        self.quality.masked_bins()
-    }
+    Ok(run_with(scenario, config, None)?.0)
 }
 
 /// [`run_scenario`] under a deterministic fault storm: renders each bin as
@@ -144,7 +115,8 @@ impl FaultedScenarioRun {
 /// lossy quarantine-and-account path, repairs short outages under the
 /// default [`RepairPolicy`](odflow_flow::RepairPolicy), and runs the same
 /// tail (masked bins are never scored; heavy imputation widens the SPE
-/// band).
+/// band). Returns the run with the fault engine's own accounting of what
+/// it injected.
 ///
 /// Bit-identical for any `ODFLOW_THREADS`: the render→fault→decode stage
 /// is serial by construction, and both the record fill and the scoring
@@ -157,26 +129,22 @@ pub fn run_scenario_faulted(
     scenario: &Scenario,
     config: &ExperimentConfig,
     faults: &FaultSchedule,
-) -> Result<FaultedScenarioRun, Box<dyn std::error::Error>> {
-    run_with(scenario, config, |generator, pipe_cfg, ingress, routes| {
-        generator.bin_scenario_faulted(pipe_cfg, ingress, routes, faults)
-    })
+) -> Result<(ScenarioRun, FaultStormStats), Box<dyn std::error::Error>> {
+    run_with(scenario, config, Some(faults))
 }
 
-/// The one scenario runner. The two public runners differ only in
-/// `ingest` — how the generator's traffic becomes OD matrices and a
-/// quality report; the clean path's report is pristine, so its diagnosis
-/// is the plain one.
+/// The one scenario runner; the two public runners differ only in
+/// `faults`. Without it, §2.1's measurement path is the fused engine: each
+/// shard's bin range renders straight into its OD binners (no intermediate
+/// record batches, which is what the four-week batch workload times) and
+/// merges deterministically, bit-identical to the serial record-by-record
+/// pipeline for any `ODFLOW_THREADS`. Its quality report is pristine, so
+/// its diagnosis is the plain one.
 fn run_with(
     scenario: &Scenario,
     config: &ExperimentConfig,
-    ingest: impl FnOnce(
-        &TraceGenerator<'_>,
-        PipelineConfig,
-        IngressResolver,
-        RouteTable,
-    ) -> odflow_flow::Result<(IngestOutcome, FaultStormStats)>,
-) -> Result<FaultedScenarioRun, Box<dyn std::error::Error>> {
+    faults: Option<&FaultSchedule>,
+) -> Result<(ScenarioRun, FaultStormStats), Box<dyn std::error::Error>> {
     let generator = scenario.generator();
     let routes = scenario.plan.build_route_table(1.0)?;
     let ingress = IngressResolver::synthetic(&scenario.topology);
@@ -188,28 +156,24 @@ fn run_with(
     // Honor the scenario's bin width (the abilene preset pins the paper's
     // 300 s): a mismatched window would misroute shard-local records.
     pipe_cfg.bin_secs = scenario.config.bin_secs;
-    let (outcome, storm) = ingest(&generator, pipe_cfg, ingress, routes)?;
+    let (outcome, storm) = match faults {
+        None => (generator.bin_scenario(pipe_cfg, ingress, routes)?, FaultStormStats::default()),
+        Some(faults) => generator.bin_scenario_faulted(pipe_cfg, ingress, routes, faults)?,
+    };
     let (matrices, resolution, quality) = (outcome.matrices, outcome.stats, outcome.quality);
 
     // §2.2-§3: subspace detection on all three views; §4 step 1-2: merge.
-    let qd = diagnose_with_quality(&matrices, config.subspace, &quality)?;
+    let diagnosis = diagnose_with_quality(&matrices, config.subspace, &quality)?;
 
     // §4 step 3: classify each event.
-    let classified = qd
-        .diagnosis
+    let classified = diagnosis
         .events
         .iter()
         .map(|event| classify_event(scenario, &generator, &mut resolver, &matrices, event, config))
         .collect();
 
     let truth = truth_labels(scenario);
-    Ok(FaultedScenarioRun {
-        run: ScenarioRun { matrices, resolution, diagnosis: qd.diagnosis, classified, truth },
-        quality,
-        storm,
-        verdicts: qd.verdicts,
-        widened: qd.widened,
-    })
+    Ok((ScenarioRun { matrices, resolution, quality, diagnosis, classified, truth }, storm))
 }
 
 /// Fits a subspace model to one traffic matrix and scores every bin — the
@@ -230,7 +194,7 @@ pub fn detect_matrix(
     x: &Matrix,
     config: SubspaceConfig,
 ) -> Result<Analysis, Box<dyn std::error::Error>> {
-    Ok(SubspaceDetector::new(config).analyze(x)?)
+    Ok(analyze(x, config)?)
 }
 
 /// Maps the generator's schedule into scoring labels.
@@ -520,9 +484,10 @@ mod tests {
     fn event_digests_equal_the_full_bin_oracle_on_a_storm_week() {
         let week = Scenario::paper_week(ScenarioConfig::default().seed, 0).unwrap();
         let faults = FaultSchedule::storm(week.config.seed, week.config.num_bins).unwrap();
-        let run = run_scenario_faulted(&week, &ExperimentConfig::default(), &faults).unwrap();
-        assert!(run.storm.frames_dropped_outage > 0, "the storm does damage");
-        let events: Vec<&AnomalyEvent> = run.run.classified.iter().map(|c| &c.event).collect();
+        let (run, storm) =
+            run_scenario_faulted(&week, &ExperimentConfig::default(), &faults).unwrap();
+        assert!(storm.frames_dropped_outage > 0, "the storm does damage");
+        let events: Vec<&AnomalyEvent> = run.classified.iter().map(|c| &c.event).collect();
         assert!(assert_digests_match(&week, &events).len() > 50);
     }
 

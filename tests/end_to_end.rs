@@ -146,8 +146,8 @@ fn outage_produces_dip_event() {
 // ---------------------------------------------------------------------------
 
 use odflow::classify::score_events_with_mask;
-use odflow::experiment::{run_scenario_faulted, FaultedScenarioRun};
-use odflow::gen::FaultSchedule;
+use odflow::experiment::{run_scenario_faulted, ScenarioRun};
+use odflow::gen::{FaultSchedule, FaultStormStats};
 use odflow::subspace::DegradedReason;
 
 /// One day with Table-3 anomalies in clean bins plus one whose evidence a
@@ -170,39 +170,40 @@ fn fault_storm_day() -> (Scenario, FaultSchedule) {
     (scenario, faults)
 }
 
-fn run_fault_storm_day() -> FaultedScenarioRun {
+fn run_fault_storm_day() -> (ScenarioRun, FaultStormStats) {
     let (scenario, faults) = fault_storm_day();
     run_scenario_faulted(&scenario, &ExperimentConfig::default(), &faults).unwrap()
 }
 
 #[test]
 fn fault_storm_clean_bin_anomalies_still_detected() {
-    let fr = run_fault_storm_day();
-    let masked = fr.masked_bins();
+    let (run, _) = run_fault_storm_day();
+    let masked = run.quality.masked_bins();
     assert!(!masked.is_empty(), "the 4-bin outage must mask bins");
     assert!(masked.contains(&237), "masked bins {masked:?} should cover the long outage");
 
     // Scoring under the mask: the outage-buried DOS is excluded from the
     // truth set, the two clean-bin anomalies must both be found.
-    let report = score_events_with_mask(&fr.run.truth, &fr.run.scored_events(), 2, &masked);
+    let report = score_events_with_mask(&run.truth, &run.scored_events(), 2, &masked);
     assert_eq!(report.false_negatives, 0, "clean-bin anomalies must survive the storm: {report:?}");
     assert_eq!(report.true_positives, 2, "{report:?}");
 }
 
 #[test]
 fn fault_storm_masked_bins_degrade_instead_of_alarming() {
-    let fr = run_fault_storm_day();
-    let masked = fr.masked_bins();
-    assert_eq!(fr.verdicts.len(), 288);
+    let (run, storm) = run_fault_storm_day();
+    let masked = run.quality.masked_bins();
+    let verdicts = run.diagnosis.verdicts();
+    assert_eq!(verdicts.len(), 288);
 
     // Every masked bin is verdicted degraded as MaskedBin, never scored.
     for &b in &masked {
-        assert_eq!(fr.verdicts[b], Some(DegradedReason::MaskedBin), "bin {b} was masked by repair");
+        assert_eq!(verdicts[b], Some(DegradedReason::MaskedBin), "bin {b} was masked by repair");
     }
     // And no classified event claims evidence from a masked bin — the
     // detector must stay silent where the data was destroyed, including
     // over the outage-buried DOS injection.
-    for c in &fr.run.classified {
+    for c in &run.classified {
         assert!(
             !masked.iter().any(|&b| c.event.covers_bin(b)),
             "event {:?} alarms on masked bins {masked:?}",
@@ -211,10 +212,10 @@ fn fault_storm_masked_bins_degrade_instead_of_alarming() {
     }
 
     // The ingest accounting stayed conserved through the whole storm.
-    assert!(fr.quality.quarantine.is_conserved(), "{:?}", fr.quality.quarantine);
-    assert!(fr.quality.quarantine.frames_rejected() > 0, "corruption must quarantine frames");
-    assert!(fr.storm.frames_dropped_outage > 0);
-    assert!(fr.quality.exporters.lost_flows_total() > 0, "loss must show up as sequence gaps");
+    assert!(run.quality.quarantine.is_conserved(), "{:?}", run.quality.quarantine);
+    assert!(run.quality.quarantine.frames_rejected() > 0, "corruption must quarantine frames");
+    assert!(storm.frames_dropped_outage > 0);
+    assert!(run.quality.exporters.lost_flows_total() > 0, "loss must show up as sequence gaps");
 }
 
 #[test]
@@ -225,17 +226,17 @@ fn fault_storm_bit_identical_across_thread_counts() {
             run_scenario_faulted(&scenario, &ExperimentConfig::default(), &faults).unwrap()
         })
     };
-    let a = run_at(1);
-    let b = run_at(4);
-    assert_eq!(a.run.matrices.bytes.data.as_slice(), b.run.matrices.bytes.data.as_slice());
-    assert_eq!(a.run.matrices.packets.data.as_slice(), b.run.matrices.packets.data.as_slice());
-    assert_eq!(a.run.matrices.flows.data.as_slice(), b.run.matrices.flows.data.as_slice());
+    let (a, a_storm) = run_at(1);
+    let (b, b_storm) = run_at(4);
+    assert_eq!(a.matrices.bytes.data.as_slice(), b.matrices.bytes.data.as_slice());
+    assert_eq!(a.matrices.packets.data.as_slice(), b.matrices.packets.data.as_slice());
+    assert_eq!(a.matrices.flows.data.as_slice(), b.matrices.flows.data.as_slice());
     assert_eq!(a.quality.bins, b.quality.bins);
     assert_eq!(a.quality.quarantine, b.quality.quarantine);
-    assert_eq!(a.verdicts, b.verdicts);
-    assert_eq!(a.widened, b.widened);
-    assert_eq!(a.storm, b.storm);
-    assert_eq!(a.run.scored_events(), b.run.scored_events());
+    assert_eq!(a.diagnosis.verdicts(), b.diagnosis.verdicts());
+    assert_eq!(a.diagnosis.widened, b.diagnosis.widened);
+    assert_eq!(a_storm, b_storm);
+    assert_eq!(a.scored_events(), b.scored_events());
 }
 
 #[test]
@@ -270,7 +271,6 @@ fn detection_identifies_correct_od_flow() {
 // ODFLOW_THREADS=1 and =4 runs.
 // ---------------------------------------------------------------------------
 
-use odflow::experiment::ScenarioRun;
 use odflow::subspace::{count_by_combination, StatisticKind};
 
 /// What is pinned of one run: the FNV-1a of the canonical verdict bytes
@@ -324,7 +324,7 @@ fn fault_storm_day_goldens_are_pinned() {
         "run_scenario drifted from the pinned storm day"
     );
     assert_eq!(
-        golden(&run_fault_storm_day().run),
+        golden(&run_fault_storm_day().0),
         (
             0x3fa0_43a8_c55b_5b51,
             [2, 2, 2, 0, 0, 2, 0],
