@@ -76,18 +76,6 @@ impl GravityModel {
         let sum = self.weight_sum;
         self.total_demand * self.weights[origin] * self.weights[destination] / (sum * sum)
     }
-
-    /// All `p = n²` OD means in flattened `origin * n + destination` order.
-    pub fn od_means(&self) -> Vec<f64> {
-        let n = self.num_pops();
-        let mut v = Vec::with_capacity(n * n);
-        for o in 0..n {
-            for d in 0..n {
-                v.push(self.od_mean(o, d));
-            }
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +85,8 @@ mod tests {
     #[test]
     fn means_sum_to_total_demand() {
         let g = GravityModel::new(GravityModel::abilene_weights(), 1000.0).unwrap();
-        let total: f64 = g.od_means().iter().sum();
+        let n = g.num_pops();
+        let total: f64 = (0..n * n).map(|od| g.od_mean(od / n, od % n)).sum();
         assert!((total - 1000.0).abs() < 1e-9);
     }
 
@@ -123,7 +112,7 @@ mod tests {
     fn self_pairs_included() {
         // The paper's p = 121 includes same-PoP pairs.
         let g = GravityModel::new(GravityModel::abilene_weights(), 100.0).unwrap();
-        assert_eq!(g.od_means().len(), 121);
+        assert_eq!(g.num_pops().pow(2), 121);
         assert!(g.od_mean(0, 0) > 0.0);
     }
 

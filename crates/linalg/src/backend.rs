@@ -12,14 +12,13 @@
 //! `SubspaceConfig` carries, and [`truncated_svd`] the one place it is
 //! acted on.
 
-use crate::center::subtract_means;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::randomized::{
     centered_randomized_svd, centered_row_gram_svd, row_gram_within_sketch_cost,
     RandomizedSvdOptions, DEFAULT_SKETCH_SEED,
 };
-use crate::svd::{thin_svd, Svd};
+use crate::svd::{centered_thin_svd, Svd};
 
 /// Largest Gram dimension [`EigenMethod::Auto`] factors exactly. A window
 /// with at most this many OD pairs `p` stays on the dense exact path
@@ -158,14 +157,13 @@ impl EigenMethod {
 /// Gram and the sketch turn their small eigenvectors into `V` and drop
 /// them.
 ///
-/// The dense path's energy is `Σ σ²` over the spectrum it returns. Its
-/// column Gram (`p ≤ max(n, AUTO_DENSE_MAX_DIM)`) centers a copy of `x`;
-/// its row Gram (any wider window) reads `x` where it lies, subtracting μ
-/// from each element as it loads it, and drops triplets below
-/// `√ε · σ_max` as rounding, not data. The randomized path reads `x` the
-/// same way, and its energy — whose excess over the retained `Σ σ²` is
-/// the tail the truncation leaves unseen — is one row-major pass over `x`
-/// that doubles as the finiteness check of the centered values.
+/// No route copies `x`: each subtracts μ from an element as it loads it.
+/// The dense path's energy is `Σ σ²` over the spectrum it returns, from
+/// the column Gram (`p ≤ max(n, AUTO_DENSE_MAX_DIM)`) or the row Gram (any
+/// wider window, which drops triplets below `√ε · σ_max` as rounding, not
+/// data). The randomized path's energy — whose excess over the retained
+/// `Σ σ²` is the tail the truncation leaves unseen — is one row-major pass
+/// over `x` that doubles as the finiteness check of the centered values.
 ///
 /// # Errors
 ///
@@ -176,7 +174,7 @@ impl EigenMethod {
 /// # Examples
 ///
 /// ```
-/// use odflow_linalg::{center_columns, column_means, truncated_svd, EigenMethod, Matrix};
+/// use odflow_linalg::{column_means, truncated_svd, EigenMethod, Matrix};
 ///
 /// let x = Matrix::from_fn(30, 40, |i, j| ((i * 3 + j * 7) % 11) as f64);
 /// let means = column_means(&x);
@@ -189,8 +187,9 @@ impl EigenMethod {
 /// // mean), and their axes span the centered window, to the Gram route's
 /// // √ε resolution.
 /// let wide = Matrix::from_fn(12, 600, |i, j| ((i * 5 + j * 3) % 13) as f64);
-/// let (row_gram, _) = truncated_svd(&wide, &column_means(&wide), 12, EigenMethod::Auto).unwrap();
-/// let centered = center_columns(&wide).unwrap();
+/// let wide_means = column_means(&wide);
+/// let (row_gram, _) = truncated_svd(&wide, &wide_means, 12, EigenMethod::Auto).unwrap();
+/// let centered = Matrix::from_fn(12, 600, |i, j| wide[(i, j)] - wide_means[j]);
 /// let v = row_gram.v.select_cols(&(0..11).collect::<Vec<_>>()).unwrap();
 /// let projected = centered.matmul(&v).unwrap().matmul(&v.transpose()).unwrap();
 /// assert!(projected.approx_eq(&centered, 1e-6 * centered.max_abs()));
@@ -227,7 +226,7 @@ pub fn truncated_svd(
             if p > n.max(AUTO_DENSE_MAX_DIM) {
                 return centered_row_gram_svd(x, means, rank);
             }
-            let mut svd = thin_svd(&subtract_means(x, means), 0.0)?;
+            let mut svd = centered_thin_svd(x, means, 0.0)?;
             let energy = svd.sigma.iter().map(|s| s * s).sum();
             let leading: Vec<usize> = (0..rank.min(svd.rank())).collect();
             svd.v = svd.v.select_cols(&leading)?;
@@ -310,7 +309,7 @@ mod tests {
     fn dispatch_matches_direct_calls() {
         let x = Matrix::from_fn(25, 30, |i, j| ((i * 5 + j * 3) % 13) as f64 - 6.0);
         let means = crate::center::column_means(&x);
-        let direct = thin_svd(&crate::center::center_columns(&x).unwrap(), 0.0).unwrap();
+        let direct = crate::thin_svd(&crate::center::centered_copy(&x), 0.0).unwrap();
         let energy: f64 = direct.sigma.iter().map(|s| s * s).sum();
         for method in [EigenMethod::DenseTridiagonal, EigenMethod::Auto] {
             let (svd, e) = truncated_svd(&x, &means, 4, method).unwrap();
@@ -318,6 +317,24 @@ mod tests {
             let leading = direct.v.select_cols(&[0, 1, 2, 3]).unwrap();
             assert_eq!(svd.v.as_slice(), leading.as_slice());
             assert_eq!(e.to_bits(), energy.to_bits());
+        }
+    }
+
+    #[test]
+    fn column_gram_refuses_centered_values_that_overflow() {
+        // Every input and every mean is finite, but column 0's first value
+        // lies ≈ 1.9e308 from its mean: the centered window is not finite.
+        let mut x = Matrix::from_fn(5, 3, |i, j| (i * 3 + j) as f64);
+        for (i, v) in [1.6e308, -1.6e308, -1.6e308, 1.0, 2.0].into_iter().enumerate() {
+            x[(i, 0)] = v;
+        }
+        let means = crate::center::column_means(&x);
+        assert!(x.all_finite() && means.iter().all(|m| m.is_finite()));
+        for method in [EigenMethod::DenseTridiagonal, EigenMethod::Auto] {
+            assert!(matches!(
+                truncated_svd(&x, &means, 2, method),
+                Err(LinalgError::NonFinite { op: "thin_svd" })
+            ));
         }
     }
 

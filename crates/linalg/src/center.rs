@@ -4,40 +4,14 @@
 //! columns before PCA ("the multivariate mean, which for eigenflows is equal
 //! to zero by construction" — §2.2 of the paper). The per-column means
 //! ([`column_means`]) are all a model keeps of the transform: a new
-//! observation (streaming detection) is centered by subtracting them.
+//! observation (streaming detection) is centered by subtracting them, and
+//! every fit route subtracts them from each element of `X` as it loads it,
+//! so no centered copy of the window is ever made.
 
-use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 
-/// Subtracts the column mean from every column of `x`.
-///
-/// # Errors
-///
-/// [`LinalgError::Empty`] if `x` has no rows.
-pub fn center_columns(x: &Matrix) -> Result<Matrix> {
-    if x.nrows() == 0 {
-        return Err(LinalgError::Empty { op: "center_columns" });
-    }
-    Ok(subtract_means(x, &column_means(x)))
-}
-
-/// A copy of `x` with `means[j]` subtracted from every element of column
-/// `j`.
-pub(crate) fn subtract_means(x: &Matrix, means: &[f64]) -> Matrix {
-    let p = x.ncols().max(1);
-    let mut out = x.clone();
-    odflow_par::parallel_chunks(out.as_mut_slice(), CENTER_ROW_BLOCK * p, |_, rows| {
-        for row in rows.chunks_exact_mut(p) {
-            for (v, &m) in row.iter_mut().zip(means) {
-                *v -= m;
-            }
-        }
-    });
-    out
-}
-
-/// Rows per parallel block for centering passes. Fixed so the block-ordered
-/// reduction in [`column_means`] is deterministic for any thread count.
+/// Rows per parallel block of [`column_means`]. Fixed so the block-ordered
+/// reduction is deterministic for any thread count.
 /// Region dispatch goes through the persistent `odflow_par` pool (a queue
 /// push per block, not a thread spawn), so the block size is chosen for
 /// cache residency and load balance alone.
@@ -79,9 +53,18 @@ pub fn column_means(x: &Matrix) -> Vec<f64> {
     means
 }
 
+/// `x` with its column means subtracted, materialized: the oracle the fit
+/// routes, which center each element as they load it, must reproduce.
+#[cfg(test)]
+pub(crate) fn centered_copy(x: &Matrix) -> Matrix {
+    let means = column_means(x);
+    Matrix::from_fn(x.nrows(), x.ncols(), |i, j| x[(i, j)] - means[j])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{covariance, truncated_svd, EigenMethod, LinalgError};
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[vec![1.0, 10.0], vec![3.0, 30.0], vec![5.0, 50.0]]).unwrap()
@@ -95,7 +78,7 @@ mod tests {
 
     #[test]
     fn centering_zeroes_means() {
-        let c = center_columns(&sample()).unwrap();
+        let c = centered_copy(&sample());
         let m = column_means(&c);
         assert!(m.iter().all(|&x| x.abs() < 1e-12));
         assert_eq!(c.col(0).unwrap(), vec![-2.0, 0.0, 2.0]);
@@ -103,6 +86,11 @@ mod tests {
 
     #[test]
     fn empty_input_rejected() {
-        assert!(center_columns(&Matrix::zeros(0, 3)).is_err());
+        // The routes that center: a window without rows has no mean to
+        // subtract.
+        let x = Matrix::zeros(0, 3);
+        assert!(matches!(covariance(&x), Err(LinalgError::Empty { .. })));
+        let dense = truncated_svd(&x, &[0.0; 3], 1, EigenMethod::DenseTridiagonal);
+        assert!(matches!(dense, Err(LinalgError::Empty { .. })));
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! PCA in the subspace method diagonalizes `X^T X` (the scatter matrix of the
 //! centered OD-flow timeseries). We expose both the raw scatter matrix and
-//! the unbiased sample covariance.
+//! the unbiased sample covariance, both through the dense fit's Gram kernel.
 
-use crate::center::center_columns;
+use crate::center::column_means;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 
@@ -15,7 +15,7 @@ pub fn scatter(x: &Matrix) -> Result<Matrix> {
     if x.nrows() == 0 {
         return Err(LinalgError::Empty { op: "scatter" });
     }
-    gram_txx(x)
+    Ok(gram_txx(x, &vec![0.0; x.ncols()]))
 }
 
 /// Unbiased sample covariance matrix of the columns of `x`
@@ -29,8 +29,7 @@ pub fn covariance(x: &Matrix) -> Result<Matrix> {
     if x.nrows() < 2 {
         return Err(LinalgError::Empty { op: "covariance" });
     }
-    let c = center_columns(x)?;
-    let mut s = gram_txx(&c)?;
+    let mut s = gram_txx(x, &column_means(x));
     s.scale_mut(1.0 / (x.nrows() as f64 - 1.0));
     Ok(s)
 }
@@ -40,24 +39,21 @@ pub fn covariance(x: &Matrix) -> Result<Matrix> {
 /// pool size.
 const GRAM_ROW_BLOCK: usize = 128;
 
-/// Computes `X^T X` exploiting symmetry — a `syrk`-style rank-n update.
-///
-/// Each row block accumulates `S += r^T r` into a packed upper-triangle
-/// buffer with contiguous slice arithmetic (no per-element `Index` calls in
-/// the inner loop); blocks run in parallel on the persistent pool and
-/// partial triangles are summed in block order, so the result is identical
-/// for every thread count.
-///
-/// Within a block, rows are folded **four at a time**: one pass over the
-/// packed triangle applies `r₀ᵀr₀ + r₁ᵀr₁ + r₂ᵀr₂ + r₃ᵀr₃`, quartering the
-/// triangle's load/store traffic — the dominant cost once `p(p+1)/2`
-/// doubles outgrow L2 (p = 512 is a 1 MB triangle). The four updates to
-/// each element are sequenced in ascending row order, exactly as the
-/// one-row-at-a-time loop would, so the unroll never changes a bit.
-fn gram_txx(x: &Matrix) -> Result<Matrix> {
+/// Computes `(X − 1μᵀ)ᵀ(X − 1μᵀ)` (μ = `means`; zeros give `XᵀX`) with
+/// a `syrk`-style rank-n update into a packed upper triangle. Row blocks
+/// run on the pool and their partial triangles are summed in block order
+/// as they finish: identical for every thread count, about one triangle
+/// per thread alive. Rows are folded **four at a time** (a quarter of the
+/// triangle's load/store traffic), each group centered into a `4 x p`
+/// scratch as it is loaded (`x − μ`, the double a centered copy holds),
+/// so nothing `n x p` is allocated. Each element's four updates run in
+/// ascending row order, as a one-row loop over a centered copy's would,
+/// and a block's last group is padded with zero rows, which add `+0.0` to
+/// sums that began at `+0.0` (so are never `-0.0`): no bit changes.
+pub(crate) fn gram_txx(x: &Matrix, means: &[f64]) -> Matrix {
     let (n, p) = x.shape();
     if p == 0 {
-        return Ok(Matrix::zeros(0, 0));
+        return Matrix::zeros(0, 0);
     }
     let tri_len = p * (p + 1) / 2;
     let data = x.as_slice();
@@ -66,12 +62,17 @@ fn gram_txx(x: &Matrix) -> Result<Matrix> {
         GRAM_ROW_BLOCK,
         |rows| {
             let mut buf = vec![0.0f64; tri_len];
-            let mut i = rows.start;
-            while i + 4 <= rows.end {
-                let r0 = &data[i * p..(i + 1) * p];
-                let r1 = &data[(i + 1) * p..(i + 2) * p];
-                let r2 = &data[(i + 2) * p..(i + 3) * p];
-                let r3 = &data[(i + 3) * p..(i + 4) * p];
+            let mut quad = vec![0.0f64; 4 * p];
+            for group in data[rows.start * p..rows.end * p].chunks(4 * p) {
+                let (live, pad) = quad.split_at_mut(group.len());
+                for (row, out) in group.chunks_exact(p).zip(live.chunks_exact_mut(p)) {
+                    for (d, (&v, &mu)) in out.iter_mut().zip(row.iter().zip(means)) {
+                        *d = v - mu;
+                    }
+                }
+                pad.fill(0.0);
+                let (r01, r23) = quad.split_at(2 * p);
+                let ((r0, r1), (r2, r3)) = (r01.split_at(p), r23.split_at(p));
                 let mut base = 0;
                 for a in 0..p {
                     let (ra0, ra1, ra2, ra3) = (r0[a], r1[a], r2[a], r3[a]);
@@ -87,22 +88,6 @@ fn gram_txx(x: &Matrix) -> Result<Matrix> {
                     }
                     base += p - a;
                 }
-                i += 4;
-            }
-            // Row remainder (block length not a multiple of 4): one row at
-            // a time, same ascending order.
-            while i < rows.end {
-                let row = &data[i * p..(i + 1) * p];
-                let mut base = 0;
-                for a in 0..p {
-                    let ra = row[a];
-                    let dst = &mut buf[base..base + p - a];
-                    for (d, &rb) in dst.iter_mut().zip(&row[a..]) {
-                        *d += ra * rb;
-                    }
-                    base += p - a;
-                }
-                i += 1;
             }
             buf
         },
@@ -127,7 +112,7 @@ fn gram_txx(x: &Matrix) -> Result<Matrix> {
         }
         base += p - a;
     }
-    Ok(s)
+    s
 }
 
 #[cfg(test)]
@@ -181,6 +166,31 @@ mod tests {
                 let s = odflow_par::with_thread_limit(threads, || scatter(&x).unwrap());
                 assert_eq!(s.as_slice(), reference.as_slice(), "n={n} threads={threads}");
             }
+        }
+    }
+
+    #[test]
+    fn centering_at_load_matches_a_centered_copy_bitwise() {
+        // Shapes with remainders past multiples of 4 and of GRAM_ROW_BLOCK,
+        // the paper's week among them; means far from zero so every
+        // centered double differs from its input.
+        for &(n, p) in &[(2016usize, 121usize), (130, 7), (5, 3)] {
+            let x = Matrix::from_fn(n, p, |i, j| {
+                1e4 * (j as f64 + 1.0) + ((i * 37 + j * 11) % 97) as f64 / 7.0
+            });
+            let centered = crate::center::centered_copy(&x);
+            let want = scatter(&centered).unwrap();
+            let means = column_means(&x);
+            for threads in [1usize, 2, 4] {
+                let got = odflow_par::with_thread_limit(threads, || gram_txx(&x, &means));
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{n} x {p}, threads={threads}");
+            }
+            let cov = covariance(&x).unwrap();
+            let mut scaled = want.clone();
+            scaled.scale_mut(1.0 / (n as f64 - 1.0));
+            assert_eq!(cov.as_slice(), scaled.as_slice(), "covariance, {n} x {p}");
         }
     }
 

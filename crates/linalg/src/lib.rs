@@ -5,7 +5,7 @@
 //! Householder tridiagonalization with implicit-shift QR
 //! ([`eigen_symmetric`]), thin SVD via the Gram eigenproblem ([`thin_svd`])
 //! or a randomized range finder
-//! ([`EigenMethod::RandomizedTruncated`]), column centering, and
+//! ([`EigenMethod::RandomizedTruncated`]), column means, and
 //! covariance / scatter matrices.
 //!
 //! The paper this workspace reproduces (Lakhina, Crovella & Diot,
@@ -48,7 +48,7 @@ mod tridiag;
 pub mod vecops;
 
 pub use backend::{truncated_svd, EigenMethod, AUTO_DENSE_MAX_DIM};
-pub use center::{center_columns, column_means};
+pub use center::column_means;
 pub use cov::{covariance, scatter};
 /// [`eigen_symmetric`] under the name the frozen `e2e_bench` imports; the
 /// next `[benchmark]` PR switches that import and this line goes.

@@ -683,7 +683,7 @@ mod tests {
     }
 
     /// The fit's route before it read the window where it lies: a centered
-    /// copy from `center_columns`, then the range finder on the public
+    /// copy of `x`, then the range finder on the public
     /// kernels with `B = Qᵀ Xc` stored whole (`m x p`) beside `V`, and the
     /// energy from the copy's Frobenius norm. Kept as the oracle the
     /// copy-free route must reproduce bit for bit. (Its rank cutoff is the
@@ -693,7 +693,7 @@ mod tests {
         rank: usize,
         opts: RandomizedSvdOptions,
     ) -> (Svd, f64) {
-        let xc = crate::center::center_columns(x).unwrap();
+        let xc = crate::center::centered_copy(x);
         let (n, p) = xc.shape();
         let m = (rank + opts.oversample).clamp(1, n.min(p));
         let mut qt = gaussian_sketch(m, p, opts.seed).matmul_nt(&xc).unwrap();
@@ -867,7 +867,7 @@ mod tests {
     /// `matmul_tn` normalized per column, the energy `Σ σ²`. Kept as the
     /// oracle the copy-free route must reproduce bit for bit.
     fn materialized_row_gram_svd(x: &Matrix) -> (Svd, f64) {
-        let xc = crate::center::center_columns(x).unwrap();
+        let xc = crate::center::centered_copy(x);
         let eig = eigen_symmetric(&xc.matmul_nt(&xc).unwrap()).unwrap();
         let sigma_max = eig.eigenvalues[0].max(0.0).sqrt();
         if sigma_max == 0.0 {
@@ -1060,7 +1060,7 @@ mod tests {
             1e6 * (1.0 + j as f64) + a + b * (j as f64 + 1.0)
         });
         let means = crate::center::column_means(&x);
-        let xc = crate::center::center_columns(&x).unwrap();
+        let xc = crate::center::centered_copy(&x);
         for seed in 0..5 {
             let opts = RandomizedSvdOptions { seed, ..RandomizedSvdOptions::default() };
             let (svd, energy) = centered_randomized_svd(&x, &means, 2, opts, usize::MAX).unwrap();

@@ -66,14 +66,25 @@ impl Svd {
 /// * [`LinalgError::NonFinite`] when `x` contains NaN/infinities.
 /// * Propagates eigensolver errors (practically unreachable for finite data).
 pub fn thin_svd(x: &Matrix, rel_cutoff: f64) -> Result<Svd> {
+    centered_thin_svd(x, &vec![0.0; x.ncols()], rel_cutoff)
+}
+
+/// [`thin_svd`] (the zero-means case) of `X − 1μᵀ` (μ = `means`), read
+/// where `x` lies: the finiteness check and the Gram subtract μ from each
+/// element as they load it, so the bits are a centered copy's and nothing
+/// `n x p` is allocated. A finite `x` whose centered values overflow is
+/// [`LinalgError::NonFinite`] too.
+pub(crate) fn centered_thin_svd(x: &Matrix, means: &[f64], rel_cutoff: f64) -> Result<Svd> {
     if x.nrows() == 0 || x.ncols() == 0 {
         return Err(LinalgError::Empty { op: "thin_svd" });
     }
-    if !x.all_finite() {
+    let finite =
+        x.rows_iter().all(|row| row.iter().zip(means).all(|(&v, &mu)| (v - mu).is_finite()));
+    if !finite {
         return Err(LinalgError::NonFinite { op: "thin_svd" });
     }
 
-    let gram = crate::cov::scatter(x)?; // X^T X, p x p
+    let gram = crate::cov::gram_txx(x, means); // (X − 1μᵀ)ᵀ(X − 1μᵀ), p x p
     let eig = eigen_symmetric(&gram)?;
 
     let sigma_max = eig.eigenvalues.first().copied().unwrap_or(0.0).max(0.0).sqrt();

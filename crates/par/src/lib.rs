@@ -19,14 +19,15 @@
 //!   publishes an atomic chunk counter, queues one claim-loop task per
 //!   participating worker, runs the same claim loop on the calling thread,
 //!   and joins on a region latch. Task claim order is dynamic (load
-//!   balance); every combinator writes results into per-chunk slots, so
-//!   claim order is unobservable.
-//! * **Regions do not nest.** A region opened from inside a pool task runs
-//!   the serial fallback inline on that worker instead of queueing —
-//!   nested fan-out from workers that peers might be waiting on is how
-//!   fixed-size pools deadlock. Keep task bodies single-threaded (every
-//!   kernel in this workspace does); a nested region is correct, just
-//!   serial.
+//!   balance); every combinator writes results into per-chunk slots or
+//!   folds them in chunk index order, so claim order is unobservable.
+//! * **Regions do not nest.** A region opened from inside a pool task, or
+//!   from a [`map_reduce`] map (whose participants wait for their
+//!   predecessors' chunks), runs the serial fallback inline instead of
+//!   queueing — nested fan-out from threads that peers might be waiting on
+//!   is how fixed-size pools deadlock. Keep task bodies single-threaded
+//!   (every kernel in this workspace does); a nested region is correct,
+//!   just serial.
 //! * **Shutdown.** The global pool lives until process exit; parked
 //!   workers cost a few kB of stack each and no CPU. (The underlying
 //!   [`scoped_pool::Pool`] supports explicit shutdown — after which tasks
@@ -73,8 +74,9 @@
 
 use std::cell::Cell;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 
 /// Environment variable overriding the global pool size.
 pub const THREADS_ENV: &str = "ODFLOW_THREADS";
@@ -187,9 +189,9 @@ fn runs_serially(num_tasks: usize) -> bool {
 /// Tasks are claimed dynamically (atomic counter) for load balance; callers
 /// that need determinism must make each task's effect independent of claim
 /// order, which every combinator in this crate does by writing to per-task
-/// slots. The serial fallback — one thread allowed, or a region opened from
-/// inside a pool task — runs every task inline on the caller, in index
-/// order.
+/// slots or folding in task index order. The serial fallback — one thread
+/// allowed, or a region opened from inside a pool task — runs every task
+/// inline on the caller, in index order.
 fn run_region(num_tasks: usize, run_task: &(impl Fn(usize) + Sync)) {
     if num_tasks == 0 {
         return;
@@ -309,13 +311,51 @@ pub fn map_chunks<A: Send>(
 ///
 /// Because the fold order is the chunk order (not completion order),
 /// floating-point reductions are deterministic for every thread count.
+///
+/// Partials are folded as they finish, not collected first: a chunk's
+/// result waits only until its predecessors are in the running fold, so at
+/// most one partial per participating thread is alive beside it.
 pub fn map_reduce<A: Send>(
     n: usize,
     grain: usize,
     map: impl Fn(Range<usize>) -> A + Sync,
-    reduce: impl Fn(A, A) -> A,
+    reduce: impl Fn(A, A) -> A + Sync,
 ) -> Option<A> {
-    map_chunks(n, grain, map).into_iter().reduce(reduce)
+    let (tasks, grain) = chunk_ranges(n, grain);
+    // `(next, acc)`: chunks `0..next` are folded into `acc`. A panicking
+    // participant sets `next` past every chunk, so nobody waits for it and
+    // the region joins and re-throws; a panicking `reduce` took `acc` and
+    // left `next` short of the rest, so the poisoned state is still whole.
+    let fold = Mutex::new((0usize, None));
+    let turn = Condvar::new();
+    let lock = || fold.lock().unwrap_or_else(PoisonError::into_inner);
+    run_region(tasks, &|t| {
+        let folded = catch_unwind(AssertUnwindSafe(|| {
+            // A region `map` opens runs inline: workers may be waiting for
+            // this chunk. Chunks are claimed in index order and every claimed
+            // chunk is being mapped, so the lowest unfolded chunk's owner
+            // never waits.
+            let value = with_thread_limit(1, || map(t * grain..((t + 1) * grain).min(n)));
+            let mut f = lock();
+            while f.0 < t {
+                f = turn.wait(f).unwrap_or_else(PoisonError::into_inner);
+            }
+            if f.0 == t {
+                f.1 = Some(match f.1.take() {
+                    Some(acc) => reduce(acc, value),
+                    None => value,
+                });
+                f.0 += 1;
+                turn.notify_all();
+            }
+        }));
+        if let Err(panic) = folded {
+            lock().0 = usize::MAX;
+            turn.notify_all();
+            resume_unwind(panic);
+        }
+    });
+    fold.into_inner().expect("a panicking fold re-throws before this").1
 }
 
 #[cfg(test)]
@@ -395,6 +435,64 @@ mod tests {
     }
 
     #[test]
+    fn map_reduce_folds_as_chunks_finish() {
+        // A partial that counts how many of its kind are alive.
+        struct Partial<'a> {
+            sum: f64,
+            alive: &'a AtomicUsize,
+        }
+        impl<'a> Partial<'a> {
+            fn new(sum: f64, alive: &'a AtomicUsize, peak: &AtomicUsize) -> Self {
+                peak.fetch_max(alive.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                Partial { sum, alive }
+            }
+        }
+        impl Drop for Partial<'_> {
+            fn drop(&mut self) {
+                self.alive.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        // Magnitudes from 1 to 1e16 with both signs: f64 addition of these
+        // rounds differently in every association.
+        let value = |t: usize| {
+            let sign = if t.is_multiple_of(2) { 1.0 } else { -1.0 };
+            sign * (1.0 + ((t * 7919) % 13) as f64) * 10f64.powi(4 * (t % 5) as i32)
+        };
+        let (n, grain) = (61usize, 1usize);
+        let serial = (0..n).map(value).reduce(|a, b| a + b).unwrap();
+        let reversed = (0..n).rev().map(value).reduce(|a, b| a + b).unwrap();
+        assert_ne!(serial.to_bits(), reversed.to_bits(), "the data must be order-sensitive");
+
+        for limit in [1usize, 2, 4] {
+            let (alive, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let total = with_thread_limit(limit, || {
+                map_reduce(
+                    n,
+                    grain,
+                    |r| {
+                        // Uneven chunk times, so chunks finish out of order.
+                        if r.start % 3 == 0 {
+                            std::thread::sleep(std::time::Duration::from_micros(300));
+                        }
+                        Partial::new(value(r.start), &alive, &peak)
+                    },
+                    |mut acc, block| {
+                        acc.sum += block.sum;
+                        acc
+                    },
+                )
+                .unwrap()
+            });
+            assert_eq!(total.sum.to_bits(), serial.to_bits(), "limit {limit}");
+            drop(total);
+            assert_eq!(alive.load(Ordering::SeqCst), 0, "limit {limit}");
+            let participants = if limit == 1 { 1 } else { limit.min(pool().capacity() + 1) };
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(peak <= participants + 1, "limit {limit}: {peak} partials alive at once");
+        }
+    }
+
+    #[test]
     fn map_reduce_empty_is_none() {
         assert!(map_reduce(0, 8, |_| 1u32, |a, b| a + b).is_none());
     }
@@ -458,6 +556,31 @@ mod tests {
             });
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn map_reduce_panics_propagate_past_waiting_successors() {
+        // Chunk 0 panics after its successors finished and wait to be
+        // folded behind it: they must give up, and the region re-throw.
+        for limit in [2usize, 4] {
+            let result = std::panic::catch_unwind(|| {
+                with_thread_limit(limit, || {
+                    map_reduce(
+                        16,
+                        1,
+                        |r| {
+                            if r.start == 0 {
+                                std::thread::sleep(std::time::Duration::from_millis(5));
+                                panic!("chunk failure");
+                            }
+                            r.start
+                        },
+                        |a, b| a + b,
+                    )
+                })
+            });
+            assert!(result.is_err(), "limit {limit}");
+        }
     }
 
     #[test]

@@ -64,12 +64,13 @@ impl EigenflowDecomposition {
     /// whenever `p` is at most 512, or `n` few enough bins that the row
     /// Gram costs no more than the sketch) keeps the full spectrum whatever
     /// `rank` is, so its [`Self::total_energy`] is exactly the retained
-    /// `Σ σ²` and the decomposition is never `truncated`. It factors a
-    /// centered copy's `p x p` Gram while `p ≤ max(n, 512)`, and a wider
-    /// window's `n x n` row Gram read where `x` lies, dropping triplets
-    /// below `√ε · σ_max` as rounding. The randomized method keeps
-    /// `rank + oversample` triplets and never copies `x`: its products
-    /// subtract the column means as they load each element, and one
+    /// `Σ σ²` and the decomposition is never `truncated`. It factors the
+    /// `p x p` column Gram while `p ≤ max(n, 512)`, and a wider window's
+    /// `n x n` row Gram, dropping triplets below `√ε · σ_max` as
+    /// rounding; either Gram is built from `x` where it lies, each element
+    /// centered as it is loaded. The randomized method keeps
+    /// `rank + oversample` triplets and never copies `x` either: its
+    /// products subtract the column means as they load each element, and one
     /// row-major pass over `x` — the finiteness check of the centered
     /// values — sums the energy `Σ (x − μ)²` that fixes the unseen tail.
     ///
@@ -148,7 +149,6 @@ impl EigenflowDecomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odflow_linalg::center_columns;
 
     /// A synthetic OD matrix: a shared diurnal pattern with per-column
     /// amplitudes, plus small deterministic noise.
@@ -255,7 +255,8 @@ mod tests {
         let leading = all.loadings.select_cols(&[0, 1, 2, 3]).unwrap();
         assert_eq!(tri.loadings.as_slice(), leading.as_slice());
         assert_eq!(tri.singular_values, all.singular_values);
-        let centered = center_columns(&x).unwrap();
+        let means = column_means(&x);
+        let centered = Matrix::from_fn(90, 12, |i, j| x[(i, j)] - means[j]);
         let energy = centered.frobenius_norm().powi(2);
         assert!((tri.total_energy - energy).abs() <= 1e-10 * (1.0 + energy));
     }

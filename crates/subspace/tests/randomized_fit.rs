@@ -14,9 +14,7 @@
 //! Like the storm-day goldens, they are never re-pinned to make a refactor
 //! pass.
 
-use odflow_linalg::{
-    center_columns, column_means, thin_svd, EigenMethod, Matrix, DEFAULT_SKETCH_SEED,
-};
+use odflow_linalg::{column_means, thin_svd, EigenMethod, Matrix, DEFAULT_SKETCH_SEED};
 use odflow_par::with_thread_limit;
 use odflow_subspace::{
     q_threshold, t2_threshold, EigenflowDecomposition, ModelState, SubspaceConfig, SubspaceError,
@@ -149,13 +147,15 @@ fn largest_angle_sine(a: &Matrix, b: &Matrix, k: usize) -> f64 {
 /// `SubspaceModel::fit` takes them.
 fn column_gram_model(x: &Matrix, config: SubspaceConfig) -> SubspaceModel {
     let (n, p) = x.shape();
-    let svd = thin_svd(&center_columns(x).unwrap(), 0.0).unwrap();
+    let means = column_means(x);
+    let centered = Matrix::from_fn(n, p, |i, j| x[(i, j)] - means[j]);
+    let svd = thin_svd(&centered, 0.0).unwrap();
     let normal: Vec<usize> = (0..config.k.min(svd.rank())).collect();
     let decomp = EigenflowDecomposition {
         total_energy: svd.sigma.iter().map(|s| s * s).sum(),
         loadings: svd.v.select_cols(&normal).unwrap(),
         singular_values: svd.sigma,
-        means: column_means(x),
+        means,
         n,
         truncated: false,
     };
