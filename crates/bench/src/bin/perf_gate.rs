@@ -276,11 +276,14 @@ mod tests {
 
     #[test]
     fn missing_required_flags_absent_stages() {
-        // The sample report only has gram + matmul: every other kernel row
+        // The sample report only has gram + matmul: every other row
         // must be reported missing.
         let stages = parse_stages(SAMPLE);
         let missing = missing_required(&stages);
-        assert_eq!(missing, ["fanout", "eigen_tridiag", "model_fit", "detector", "wide_fit"]);
+        assert_eq!(
+            missing,
+            ["fanout", "eigen_tridiag", "model_fit", "detector", "wide_fit", "render"]
+        );
     }
 
     #[test]
@@ -330,7 +333,7 @@ mod tests {
                 parallel_ms: 1.0,
             })
             .collect();
-        assert_eq!(stages.len(), 7, "the kernel rows and nothing else");
+        assert_eq!(stages.len(), 8, "the kernel rows, the generator's row and nothing else");
         assert!(missing_required(&stages).is_empty());
     }
 }

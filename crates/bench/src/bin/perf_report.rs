@@ -3,10 +3,11 @@
 //!
 //! Times the kernels no `e2e_bench` workload isolates — the fan-out
 //! dispatch microbench, Gram matrix, blocked matmul, dense
-//! eigendecomposition, subspace model fit, batch detection and a wide
-//! window's fit by row Gram and by sketch — twice:
+//! eigendecomposition, subspace model fit, batch detection, a wide
+//! window's fit by row Gram and by sketch, and the traffic generator's
+//! rendering of a fixed bin sample — twice:
 //! once with the pool pinned to a single thread (the serial baseline) and
-//! once with the full pool. Whole-system numbers (generator, ingest, the
+//! once with the full pool. Whole-system numbers (fused ingest, the
 //! 90k-OD mesh, the daemon, checkpoints) are `e2e_bench`'s, where a
 //! verifier checks the run that was timed. Emits a machine-readable
 //! `BENCH_pipeline.json` — stamped with the pool size and kind
@@ -35,9 +36,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use odflow::gen::Scenario;
 use odflow::linalg::{eigen_symmetric, scatter, EigenMethod, DEFAULT_SKETCH_SEED};
 use odflow::subspace::{analyze, EigenflowDecomposition, SubspaceConfig, SubspaceModel};
-use odflow_bench::{traffic_matrix, PERF_STAGES};
+use odflow_bench::{traffic_matrix, HARNESS_SEED, PERF_STAGES};
 
 /// Which stages this invocation measures: all of them, or the `--stage`
 /// selection.
@@ -57,6 +59,8 @@ struct StageResult {
     workload: String,
     serial_ms: f64,
     parallel_ms: f64,
+    /// Serial nanoseconds per record, on a stage that renders records.
+    ns_per_record: Option<f64>,
 }
 
 impl StageResult {
@@ -89,7 +93,7 @@ fn run_stage<R>(
 ) -> StageResult {
     let serial_ms = odflow_par::with_thread_limit(1, || time_best_ms(reps, &mut f));
     let parallel_ms = time_best_ms(reps, &mut f);
-    let result = StageResult { name, workload, serial_ms, parallel_ms };
+    let result = StageResult { name, workload, serial_ms, parallel_ms, ns_per_record: None };
     println!(
         "  {:<10} {:<28} serial {:>9.2} ms   parallel {:>9.2} ms   speedup {:>5.2}x",
         result.name,
@@ -142,9 +146,11 @@ fn write_json(path: &str, quick: bool, stages: &[StageResult]) -> std::io::Resul
     let one_core = odflow_par::hardware_threads() <= 1;
     for (i, s) in stages.iter().enumerate() {
         let speedup = if one_core { "null".to_owned() } else { format!("{:.3}", s.speedup()) };
+        let per_record =
+            s.ns_per_record.map(|ns| format!(", \"ns_per_record\": {ns:.1}")).unwrap_or_default();
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"workload\": \"{}\", \"serial_ms\": {:.3}, \
-             \"parallel_ms\": {:.3}, \"speedup\": {speedup}}}{}\n",
+             \"parallel_ms\": {:.3}, \"speedup\": {speedup}{per_record}}}{}\n",
             json_escape(s.name),
             json_escape(&s.workload),
             s.serial_ms,
@@ -287,6 +293,33 @@ fn main() {
                 }));
             }
         }
+    }
+
+    // The traffic generator: 32 bins spread over a paper week, each
+    // rendered through `records_for_bin_into` (the pool takes bins in the
+    // parallel column). Most of a record's cost is the ChaCha keystream
+    // behind every cell, so the row also reads in ns per record.
+    if filter.enabled("render") {
+        let scenario = Scenario::paper_week(HARNESS_SEED, 0).expect("the paper week is valid");
+        let (generator, bins, sample) = (scenario.generator(), scenario.config.num_bins, 32);
+        let render_bins = |chunk: std::ops::Range<usize>| {
+            let mut records = 0usize;
+            for i in chunk {
+                generator.records_for_bin_into(i * bins / sample, &mut |r| {
+                    black_box(r);
+                    records += 1;
+                });
+            }
+            records
+        };
+        let render = || odflow_par::map_reduce(sample, 1, render_bins, |a, b| a + b).unwrap_or(0);
+        let records = render();
+        let workload = format!("paper week {sample} bins {records} records");
+        let mut stage = run_stage("render", workload, reps.max(3), render);
+        let ns = stage.serial_ms * 1e6 / records.max(1) as f64;
+        println!("  {:<10} {ns:.1} ns/record serial", "");
+        stage.ns_per_record = Some(ns);
+        stages.push(stage);
     }
 
     match write_json(&out_path, quick, &stages) {

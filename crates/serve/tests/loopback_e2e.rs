@@ -307,6 +307,16 @@ fn with_metrics_endpoint(probe: impl FnOnce(std::net::SocketAddr)) {
     pool.shutdown();
 }
 
+/// splitmix64 from `state`: a seeded, dependency-free byte source.
+fn splitmix64(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
 /// Sends `request`, closes the sending half, and returns whatever the
 /// endpoint answers: nothing for a reaped client.
 fn exchange(addr: std::net::SocketAddr, request: &[u8]) -> Vec<u8> {
@@ -319,14 +329,18 @@ fn exchange(addr: std::net::SocketAddr, request: &[u8]) -> Vec<u8> {
     reply
 }
 
+/// The value of the daemon-wide counter `name` on a metrics page.
+fn page_counter(page: &str, name: &str) -> u64 {
+    let line = page.lines().find_map(|l| l.strip_prefix(name).and_then(|v| v.strip_prefix(' ')));
+    line.unwrap_or_else(|| panic!("{name} missing from {page}")).parse().unwrap()
+}
+
 /// A well-formed scrape, which must get a 200: the reaped-client count
 /// its page reports.
 fn scrape_reaped(addr: std::net::SocketAddr) -> u64 {
     let page = String::from_utf8(exchange(addr, b"GET /metrics HTTP/1.0\r\n\r\n")).unwrap();
     assert!(page.starts_with("HTTP/1.0 200 OK"), "the next scrape is served: {page:?}");
-    let line =
-        page.lines().find_map(|l| l.strip_prefix("odflow_serve_metrics_clients_reaped_total "));
-    line.unwrap().parse().unwrap()
+    page_counter(&page, "odflow_serve_metrics_clients_reaped_total")
 }
 
 /// Byte soup of 0 to 2048 bytes, half of it carrying a header terminator
@@ -337,14 +351,7 @@ fn scrape_reaped(addr: std::net::SocketAddr) -> u64 {
 #[test]
 fn metrics_reader_answers_or_reaps_byte_soup_of_any_length() {
     with_metrics_endpoint(|addr| {
-        // splitmix64: a seeded, dependency-free byte source.
-        let mut state = 0x0DF1_0C4B_u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = splitmix64(0x0DF1_0C4B);
         let mut reaped = scrape_reaped(addr);
         let lens =
             [0, 1, 3, 4, 5, 17, 64, 255, 511, 1000, 1020, 1023, 1024, 1025, 1400, 2047, 2048];
@@ -467,4 +474,169 @@ fn stream_cut_mid_message_is_counted_and_the_next_connection_is_served() {
     assert!(page.contains("odflow_serve_tcp_connections_total 2"));
     assert!(page.contains(&format!("odflow_serve_tcp_messages_total {}", sent + 1)));
     assert!(page.contains(&format!("odflow_serve_enqueue_latency_samples_total {sent}")));
+}
+
+/// Drains the daemon when dropped. A scope joins the daemon's run, which
+/// ends only on a drain, so a probe holding one fails on a failed
+/// assertion instead of hanging.
+struct DrainOnDrop<'a>(&'a odflow_serve::DaemonHandle);
+
+impl Drop for DrainOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.drain();
+    }
+}
+
+/// Byte soup of 0 to 1 500 bytes at a bound daemon's UDP socket, seeded:
+/// empty datagrams, unknown tenants, garbage on the control tenant and
+/// mangled frames for the registered tenant. Every datagram moves
+/// `udp_datagrams`, an empty one and control garbage move
+/// `envelope_errors`, unknown tenants their own line, and the tenant's
+/// frames quarantine class by class as the lossy decoder classes them —
+/// nothing panics or restarts. A clean frame and a `/metrics` scrape are
+/// served afterwards.
+#[test]
+fn udp_envelope_byte_soup_is_counted_and_quarantined_by_class() {
+    use odflow_flow::netflow::decode_datagram_lossy;
+    use odflow_flow::QuarantineStats;
+    use odflow_serve::wire::{encode_datagram, CONTROL_TENANT};
+
+    let scenario = Scenario::paper_window(11, 6).unwrap();
+    let daemon = Daemon::bind(ServeConfig {
+        udp_bind: Some("127.0.0.1:0".to_owned()),
+        metrics_bind: Some("127.0.0.1:0".to_owned()),
+        tenants: vec![abilene_spec(6, &scenario)],
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let (udp, metrics) = (daemon.udp_addr().unwrap(), daemon.metrics_addr().unwrap());
+    let handle = daemon.handle();
+    let counters = handle.tenant_counters(0).unwrap();
+    let frames = scenario.generator().export_frames();
+    let mut next = splitmix64(0x0DF1_0D6A);
+    let mut soup = |len: usize| -> Vec<u8> { (0..len).map(|_| next() as u8).collect() };
+
+    // The tenant's datagrams, mangled one way each in turn, from frames
+    // other than the clean one sent last.
+    let mut mangled = Vec::new();
+    for case in 0..40usize {
+        let base = &frames[1 + case];
+        let pick = soup(8);
+        let at = usize::from(pick[0]) | usize::from(pick[1]) << 8;
+        let frame = match case % 5 {
+            // Cut inside the 24-byte header.
+            0 => base[..at % 24].to_vec(),
+            // A version other than 5.
+            1 => [&[pick[2], pick[3] | 0x80][..], &base[2..]].concat(),
+            // Cut inside the records: fewer than the header's count.
+            2 => base[..24 + at % (base.len() - 24)].to_vec(),
+            // Trailing bytes past the header's count.
+            3 => [&base[..], &soup(1 + at % 200)[..]].concat(),
+            // Soup of any length up to a full datagram.
+            _ => soup(at % 1_500),
+        };
+        mangled.push(frame);
+    }
+    let mut expected = QuarantineStats::default();
+    for frame in &mangled {
+        let _ = decode_datagram_lossy(frame, &mut expected);
+    }
+    assert!(
+        [expected.truncated_header, expected.wrong_version, expected.truncated_frame]
+            .iter()
+            .chain([&expected.oversized_frame])
+            .all(|&n| n >= 8),
+        "every class is exercised: {expected:?}"
+    );
+
+    let mut datagrams = Vec::new();
+    let (mut empty, mut unknown, mut control) = (0u64, 0u64, 0u64);
+    for (case, frame) in mangled.iter().enumerate() {
+        datagrams.push(encode_datagram(0, frame));
+        match case % 3 {
+            0 => {
+                datagrams.push(Vec::new());
+                empty += 1;
+            }
+            1 => {
+                let tenant = 1 + soup(1)[0] % 0xFE;
+                let len = usize::from(soup(1)[0]) * 6;
+                datagrams.push(encode_datagram(tenant, &soup(len)));
+                unknown += 1;
+            }
+            _ => {
+                let len = 1 + usize::from(soup(1)[0]) * 5;
+                datagrams.push(encode_datagram(CONTROL_TENANT, &soup(len)));
+                control += 1;
+            }
+        }
+    }
+    let clean = &frames[0];
+    let mut clean_stats = QuarantineStats::default();
+    let (clean_hdr, _) = decode_datagram_lossy(clean, &mut clean_stats).unwrap();
+
+    let mut slot: Option<DaemonReport> = None;
+    let pool = scoped_pool::Pool::new(1);
+    pool.scoped(|scope| {
+        let slot_ref = &mut slot;
+        scope.execute(move || {
+            *slot_ref = Some(daemon.run());
+        });
+        let _drain = DrainOnDrop(&handle);
+        let socket = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        let await_page = |what: &str, done: &dyn Fn(&str) -> bool| {
+            let mut waited_ms = 0;
+            loop {
+                let page = handle.metrics_text();
+                if done(&page) {
+                    return page;
+                }
+                assert!(waited_ms < 10_000, "{what} never showed: {page}");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                waited_ms += 1;
+            }
+        };
+        // One datagram at a time, each seen before the next is sent, so
+        // the socket's receive queue never overflows.
+        for (sent, datagram) in datagrams.iter().enumerate() {
+            socket.send_to(datagram, udp).unwrap();
+            let want = sent as u64 + 1;
+            await_page("a datagram", &|p| page_counter(p, "odflow_serve_udp_datagrams_total") == want);
+        }
+        let offered = mangled.len() as u64;
+        let page = await_page("the tenant's frames", &|_| {
+            TenantCounters::get(&counters.frames_quarantined) == expected.frames_rejected()
+                && TenantCounters::get(&counters.frames_offered) == offered
+        });
+        assert_eq!(page_counter(&page, "odflow_serve_envelope_errors_total"), empty + control);
+        assert_eq!(page_counter(&page, "odflow_serve_unknown_tenant_total"), unknown);
+        assert_eq!(page_counter(&page, "odflow_serve_control_messages_total"), 0);
+
+        let decoded = TenantCounters::get(&counters.records_decoded);
+        socket.send_to(&encode_datagram(0, clean), udp).unwrap();
+        let want = decoded + u64::from(clean_hdr.count);
+        await_page("the clean frame's records", &|_| {
+            TenantCounters::get(&counters.records_decoded) == want
+        });
+        let scrape = exchange(metrics, b"GET /metrics HTTP/1.0\r\n\r\n");
+        let scrape = String::from_utf8(scrape).unwrap();
+        assert!(scrape.starts_with("HTTP/1.0 200 OK"), "{scrape}");
+        let want = datagrams.len() as u64 + 1;
+        assert_eq!(page_counter(&scrape, "odflow_serve_udp_datagrams_total"), want);
+        for line in ["restarts_total", "quarantined"] {
+            assert!(scrape.contains(&format!("odflow_serve_tenant_{line}{{tenant=\"abilene\"}} 0")));
+        }
+    });
+    pool.shutdown();
+    let TenantEnd::Flushed(flush) = &slot.unwrap().tenants[0] else {
+        panic!("the tenant must flush");
+    };
+    let q = &flush.outcome.quality.quarantine;
+    assert!(q.is_conserved());
+    let by_class = |q: &QuarantineStats| {
+        [q.truncated_header, q.wrong_version, q.truncated_frame, q.oversized_frame]
+    };
+    assert_eq!(by_class(q), by_class(&expected));
+    assert_eq!(q.frames_offered, expected.frames_offered + 1);
+    assert_eq!(q.frames_accepted, expected.frames_accepted + 1);
 }
