@@ -5,11 +5,6 @@ use std::fmt;
 /// Errors produced by `odflow-flow` operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowError {
-    /// A sampling rate was outside `(0, 1]`.
-    InvalidSamplingRate {
-        /// The rejected rate.
-        rate: f64,
-    },
     /// A bin width or aggregation window was zero.
     InvalidBinWidth {
         /// The rejected width in seconds.
@@ -59,9 +54,6 @@ pub enum FlowError {
 impl fmt::Display for FlowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FlowError::InvalidSamplingRate { rate } => {
-                write!(f, "sampling rate must be in (0, 1], got {rate}")
-            }
             FlowError::InvalidBinWidth { width_secs } => {
                 write!(f, "bin width must be positive, got {width_secs}s")
             }
@@ -96,7 +88,6 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(FlowError::InvalidSamplingRate { rate: 0.0 }.to_string().contains("(0, 1]"));
         assert!(FlowError::InvalidBinWidth { width_secs: 0 }.to_string().contains("positive"));
         assert!(FlowError::TimestampOutOfRange { ts: 5, start: 10, end: 20 }
             .to_string()

@@ -35,6 +35,11 @@ pub const RECORD_LEN: usize = 48;
 /// Maximum records per datagram (v5 convention: 30 fits in a 1500-byte MTU).
 pub const MAX_RECORDS_PER_DATAGRAM: usize = 30;
 
+/// Abilene's deployed packet sampling rate: "Sampling is random, capturing
+/// 1% of all packets entering every router" (§2.1). An export header
+/// carries it as its sampling interval, `1/rate` packets per sample.
+pub const ABILENE_SAMPLING_RATE: f64 = 0.01;
+
 /// Parsed export datagram header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatagramHeader {

@@ -1,11 +1,10 @@
 //! End-to-end measurement pipeline.
 //!
-//! The measurement path as deployed on Abilene (§2.1):
+//! The measurement path as deployed on Abilene (§2.1), from the routers'
+//! per-minute flow records on:
 //!
 //! ```text
-//! packets at routers
-//!   -> 1% Bernoulli sampling            (sampler)
-//!   -> per-minute 5-tuple aggregation   (aggregate)
+//! per-minute 5-tuple flow records     (record; 1%-sampled packets)
 //!   -> NetFlow-style export             (netflow; optional wire round-trip)
 //!   -> destination anonymization        (net::anonymize)
 //!   -> ingress/egress OD resolution     (od)
@@ -13,12 +12,9 @@
 //!   -> TrafficMatrixSet (bytes / packets / flows)
 //! ```
 //!
-//! Ingest starts after aggregation: the scenario generator draws sampled
-//! minute-records directly (the distributionally equivalent shortcut of
-//! `odflow-flow::sampler`) and the daemon reads NetFlow exports.
-//! [`PacketSampler`](crate::PacketSampler) and
-//! [`FlowAggregator`](crate::FlowAggregator) build the first two stages
-//! where packets are wanted, as `examples/netflow_pipeline.rs` does.
+//! The scenario generator synthesizes the records and the daemon decodes
+//! them from NetFlow exports; the routers' packet sampling and per-minute
+//! aggregation happened before the data was exported, as in the paper.
 //!
 //! Records reach cells by two routes: the fused render
 //! (`TraceGenerator::bin_scenario` in `odflow-gen`, through
@@ -251,12 +247,11 @@ impl ShardedIngest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{FlowAggregator, MINUTE_SECS};
     use crate::error::FlowError;
     use crate::key::{FlowKey, Protocol};
     use crate::lateness::LATENESS_HORIZON_BINS;
     use crate::netflow::encode_datagrams;
-    use crate::packet::PacketObs;
+    use crate::record::MINUTE_SECS;
     use odflow_net::{AddressPlan, IngressResolver, Topology};
 
     fn build(num_bins: usize) -> (Topology, AddressPlan, MeasurementPipeline) {
@@ -285,19 +280,13 @@ mod tests {
     }
 
     #[test]
-    fn packet_path_end_to_end() {
-        // The §2.1 stages after sampling: packets aggregated per minute,
-        // then the records binned. One OD pair, steady traffic.
+    fn minute_records_bin_end_to_end() {
+        // The §2.1 records binned: one OD pair's steady traffic, a record
+        // a minute of 60 sampled packets of 1000 bytes each.
         let (t, plan, mut p) = build(2);
         let k = key(&plan, 1, 6, 80);
-        let mut aggregator = FlowAggregator::new(MINUTE_SECS, MINUTE_SECS).unwrap();
-        let mut records = Vec::new();
-        for ts in 0..600 {
-            records.extend(aggregator.push(&PacketObs::new(ts, 1, 0, k, 1000)));
-        }
-        records.extend(aggregator.flush());
-        assert_eq!(records.len(), 10, "one record a minute");
-        for r in records {
+        for m in 0..10 {
+            let r = FlowRecord { bytes: 60 * 1000, ..minute(k, 1, 0, m * MINUTE_SECS) };
             p.push_sampled_record(r).unwrap();
         }
         let (set, stats) = p.finalize().unwrap();

@@ -1,13 +1,21 @@
-//! Flow records — the unit of measurement export.
+//! Flow records — where ingest starts.
 //!
-//! After sampling, packets are "aggregated at the 5-tuple IP-flow level ...
-//! every minute using Juniper's Traffic Sampling. The number of bytes and
-//! packets in each sampled IP flow are also recorded" (§2.1).
-//! [`FlowRecord`] is one such export record: a 5-tuple observed at a router
-//! during one aggregation minute, with sampled byte/packet totals.
+//! Abilene's routers sampled 1% of the packets they forwarded, and the
+//! samples were "aggregated at the 5-tuple IP-flow level ... every minute
+//! using Juniper's Traffic Sampling. The number of bytes and packets in
+//! each sampled IP flow are also recorded" (§2.1). Those records are the
+//! data the paper worked from, and the pipeline's input here: the scenario
+//! generator synthesizes them and the daemon decodes them from NetFlow
+//! exports. [`FlowRecord`] is one of them: a 5-tuple observed at a router
+//! during one [`MINUTE_SECS`] window, with its sampled byte and packet
+//! totals.
 
 use crate::key::FlowKey;
 use odflow_net::PopId;
+
+/// The aggregation window of a [`FlowRecord`]: Abilene's routers exported
+/// their flow records every minute.
+pub const MINUTE_SECS: u64 = 60;
 
 /// One exported flow record (post-sampling, one aggregation window).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,49 +32,4 @@ pub struct FlowRecord {
     pub packets: u64,
     /// Sampled bytes in the window.
     pub bytes: u64,
-}
-
-impl FlowRecord {
-    /// Merges another record for the same key/window into this one
-    /// (used when re-binning 1-minute records into 5-minute bins).
-    pub fn absorb(&mut self, other: &FlowRecord) {
-        debug_assert_eq!(self.key, other.key, "absorb requires identical keys");
-        self.packets += other.packets;
-        self.bytes += other.bytes;
-        self.window_start = self.window_start.min(other.window_start);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::key::Protocol;
-    use odflow_net::IpAddr;
-
-    fn rec(window_start: u64, packets: u64, bytes: u64) -> FlowRecord {
-        FlowRecord {
-            key: FlowKey::new(
-                IpAddr::from_octets(10, 0, 0, 1),
-                IpAddr::from_octets(10, 16, 0, 1),
-                1000,
-                80,
-                Protocol::Tcp,
-            ),
-            router: 0,
-            interface: 0,
-            window_start,
-            packets,
-            bytes,
-        }
-    }
-
-    #[test]
-    fn absorb_sums_counts_and_keeps_earliest_window() {
-        let mut a = rec(120, 3, 4500);
-        let b = rec(60, 2, 3000);
-        a.absorb(&b);
-        assert_eq!(a.packets, 5);
-        assert_eq!(a.bytes, 7500);
-        assert_eq!(a.window_start, 60);
-    }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests for the measurement substrate.
 
 use odflow_flow::{
-    netflow, DistinctFlows, FlowAggregator, FlowKey, FlowRecord, MeasurementPipeline, PacketObs,
-    PipelineConfig, Protocol, QuarantineStats, ShardedIngest,
+    netflow, DistinctFlows, FlowKey, FlowRecord, MeasurementPipeline, PipelineConfig, Protocol,
+    QuarantineStats, ShardedIngest,
 };
 use odflow_net::{AddressPlan, IngressResolver, IpAddr, Topology};
 use proptest::prelude::*;
@@ -367,33 +367,6 @@ proptest! {
             .sum();
         prop_assert_eq!((quarantine.frames_rejected(), quarantine.implausible_records), (0, 0));
         prop_assert_eq!(total, records.len());
-    }
-
-    #[test]
-    fn aggregator_conserves_packets_and_bytes(
-        pkts in proptest::collection::vec((0u64..600, 0u16..8, 40u32..1500), 1..300),
-    ) {
-        let mut agg = FlowAggregator::new(60, 0).unwrap();
-        let mut out = Vec::new();
-        let mut sorted = pkts.clone();
-        sorted.sort_by_key(|(ts, _, _)| *ts);
-        let mut total_bytes = 0u64;
-        for (ts, port, bytes) in &sorted {
-            let key = FlowKey::new(
-                IpAddr(1),
-                IpAddr(2),
-                1000 + port,
-                80,
-                Protocol::Tcp,
-            );
-            out.extend(agg.push(&PacketObs::new(*ts, 0, 0, key, *bytes)));
-            total_bytes += *bytes as u64;
-        }
-        out.extend(agg.flush());
-        let agg_packets: u64 = out.iter().map(|r| r.packets).sum();
-        let agg_bytes: u64 = out.iter().map(|r| r.bytes).sum();
-        prop_assert_eq!(agg_packets, sorted.len() as u64);
-        prop_assert_eq!(agg_bytes, total_bytes);
     }
 
     #[test]

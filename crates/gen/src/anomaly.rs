@@ -8,8 +8,9 @@
 //! (traffic disappears or moves), which is how those events manifest in
 //! real data.
 
+use crate::flows::minutes_in;
 use crate::rng::{cell_rng, Stream};
-use odflow_flow::{FlowKey, FlowRecord, Protocol, TrafficType};
+use odflow_flow::{FlowKey, FlowRecord, Protocol, TrafficType, MINUTE_SECS};
 use odflow_net::{AddressPlan, IpAddr, PopId};
 use rand::Rng;
 
@@ -242,7 +243,7 @@ impl InjectedAnomaly {
         let packets = (self.intensity * (0.9 + 0.2 * rng.gen::<f64>())) as u64;
         let bytes_per_packet = if self.packet_bytes > 0 { self.packet_bytes as u64 } else { 1500 };
         let key = FlowKey::new(src, dst, self.port, self.port, Protocol::Tcp);
-        let minutes = (bin_secs / 60).max(1);
+        let minutes = minutes_in(bin_secs);
         // The transfer spans the bin; export one record per minute, as the
         // per-minute aggregation would.
         let per_minute = (packets / minutes).max(1);
@@ -251,7 +252,7 @@ impl InjectedAnomaly {
                 key,
                 router: origin,
                 interface: 0,
-                window_start: bin_start + m * 60,
+                window_start: bin_start + m * MINUTE_SECS,
                 packets: per_minute,
                 bytes: per_minute * bytes_per_packet,
             })
@@ -272,7 +273,7 @@ impl InjectedAnomaly {
         let mut actors = self.actor_rng(trace_seed);
         let victim_pop = self.od_pairs[0].1;
         let victim = plan.customer_addr(victim_pop, 0, actors.gen());
-        let minutes = (bin_secs / 60).max(1);
+        let minutes = minutes_in(bin_secs);
         let ppf = if self.packets_per_flow > 0.0 { self.packets_per_flow } else { 2.0 };
         let mut out = Vec::new();
         for (pi, &(origin, _)) in self.od_pairs.iter().enumerate() {
@@ -293,7 +294,7 @@ impl InjectedAnomaly {
                     ),
                     router: origin,
                     interface: 0,
-                    window_start: bin_start + rng.gen_range(0..minutes) * 60,
+                    window_start: bin_start + rng.gen_range(0..minutes) * MINUTE_SECS,
                     packets,
                     bytes: packets * 40,
                 });
@@ -321,7 +322,7 @@ impl InjectedAnomaly {
         let mut rng = self.bin_rng(trace_seed, bin, 0);
         let flows = (self.intensity * (0.8 + 0.4 * rng.gen::<f64>())) as u64;
         let ppf = if self.packets_per_flow > 0.0 { self.packets_per_flow } else { 5.0 };
-        let minutes = (bin_secs / 60).max(1);
+        let minutes = minutes_in(bin_secs);
         (0..flows)
             .map(|_| {
                 let block = client_blocks[rng.gen_range(0..client_blocks.len())];
@@ -339,7 +340,7 @@ impl InjectedAnomaly {
                     ),
                     router: origin,
                     interface: 0,
-                    window_start: bin_start + rng.gen_range(0..minutes) * 60,
+                    window_start: bin_start + rng.gen_range(0..minutes) * MINUTE_SECS,
                     packets,
                     bytes: packets * bpp,
                 }
@@ -364,7 +365,7 @@ impl InjectedAnomaly {
         let fixed_target = plan.customer_addr(dest, 0, actors.gen());
         let mut rng = self.bin_rng(trace_seed, bin, 0);
         let flows = (self.intensity * (0.8 + 0.4 * rng.gen::<f64>())) as u64;
-        let minutes = (bin_secs / 60).max(1);
+        let minutes = minutes_in(bin_secs);
         (0..flows)
             .map(|i| {
                 let (dst, dport) = match self.scan_mode {
@@ -385,7 +386,7 @@ impl InjectedAnomaly {
                     ),
                     router: origin,
                     interface: 0,
-                    window_start: bin_start + rng.gen_range(0..minutes) * 60,
+                    window_start: bin_start + rng.gen_range(0..minutes) * MINUTE_SECS,
                     packets: 1,
                     bytes: 40,
                 }
@@ -404,7 +405,7 @@ impl InjectedAnomaly {
         bin_secs: u64,
         plan: &AddressPlan,
     ) -> Vec<FlowRecord> {
-        let minutes = (bin_secs / 60).max(1);
+        let minutes = minutes_in(bin_secs);
         let mut out = Vec::new();
         for (pi, &(origin, dest)) in self.od_pairs.iter().enumerate() {
             let mut rng = self.bin_rng(trace_seed, bin, pi);
@@ -425,7 +426,7 @@ impl InjectedAnomaly {
                     ),
                     router: origin,
                     interface: 0,
-                    window_start: bin_start + rng.gen_range(0..minutes) * 60,
+                    window_start: bin_start + rng.gen_range(0..minutes) * MINUTE_SECS,
                     packets,
                     bytes: packets * 404, // SQL-Snake-sized probe payload
                 });
@@ -452,7 +453,7 @@ impl InjectedAnomaly {
         // intensity = packets per bin, spread over ~60 receivers.
         let receivers = 60u64;
         let packets_per_receiver = ((self.intensity / receivers as f64).max(1.0)) as u64;
-        let minutes = (bin_secs / 60).max(1);
+        let minutes = minutes_in(bin_secs);
         (0..receivers)
             .map(|_| {
                 let dst = plan.customer_addr(dest, rng.gen_range(0..4), rng.gen());
@@ -466,7 +467,7 @@ impl InjectedAnomaly {
                     ),
                     router: origin,
                     interface: 0,
-                    window_start: bin_start + rng.gen_range(0..minutes) * 60,
+                    window_start: bin_start + rng.gen_range(0..minutes) * MINUTE_SECS,
                     packets: packets_per_receiver,
                     bytes: packets_per_receiver * 1000,
                 }

@@ -10,9 +10,15 @@
 
 use crate::error::{GenError, Result};
 use crate::rng::{lognormal_noise, poisson};
-use odflow_flow::{FlowKey, FlowRecord, Protocol};
+use odflow_flow::{FlowKey, FlowRecord, Protocol, MINUTE_SECS};
 use odflow_net::{AddressPlan, PopId};
 use rand::Rng;
+
+/// The [`MINUTE_SECS`] export windows a bin of `bin_secs` spans, at least
+/// one: a rendered record starts in one of them.
+pub(crate) fn minutes_in(bin_secs: u64) -> u64 {
+    (bin_secs / MINUTE_SECS).max(1)
+}
 
 /// Parameters of the baseline traffic population.
 #[derive(Debug, Clone, Copy)]
@@ -186,7 +192,7 @@ pub fn synthesize_cell_into(
 ) {
     let noisy_mean = mean_flows * lognormal_noise(params.noise_sigma, rng);
     let count = poisson(noisy_mean, rng);
-    let minutes = (bin_secs / 60).max(1);
+    let minutes = minutes_in(bin_secs);
     for _ in 0..count {
         let src_ip = plan.customer_addr(
             origin,
@@ -230,7 +236,7 @@ pub fn synthesize_cell_into(
             key,
             router: origin,
             interface: 0,
-            window_start: bin_start + rng.gen_range(0..minutes) * 60,
+            window_start: bin_start + rng.gen_range(0..minutes) * MINUTE_SECS,
             packets,
             bytes,
         });
@@ -300,7 +306,7 @@ mod tests {
             assert_eq!(r.router, 4);
             assert_eq!(r.interface, 0);
             assert!(r.window_start >= 600 && r.window_start < 900);
-            assert_eq!(r.window_start % 60, 0, "windows land on minute boundaries");
+            assert_eq!(r.window_start % MINUTE_SECS, 0, "windows land on minute boundaries");
             assert!(r.packets >= 1);
             assert!(r.bytes >= 40, "at least one minimal packet");
         }

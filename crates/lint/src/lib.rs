@@ -36,8 +36,9 @@
 //!
 //! The report also carries the workspace's size — all lines, and the
 //! first-party lines outside test code — and its public surface: the
-//! `pub` items nothing names and those only tests name (see [`surface`]
-//! for how they are counted and what the count cannot see).
+//! `pub` items nothing names, those only tests name and those only
+//! examples name (see [`surface`] for how they are counted and what the
+//! count cannot see).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -148,7 +149,8 @@ pub fn lint_root(root: &Path) -> std::io::Result<Report> {
             first_party.push((fc.rel, tokens));
         }
     }
-    let (dead_pub_items, test_only_pub_items) = surface::pub_surface(&first_party);
+    let (dead_pub_items, test_only_pub_items, example_only_pub_items) =
+        surface::pub_surface(&first_party);
     diagnostics.sort_by(|a, b| (&a.path, a.line, a.col).cmp(&(&b.path, b.line, b.col)));
     Ok(Report {
         root: root.display().to_string(),
@@ -160,6 +162,7 @@ pub fn lint_root(root: &Path) -> std::io::Result<Report> {
         allows_used,
         dead_pub_items,
         test_only_pub_items,
+        example_only_pub_items,
     })
 }
 

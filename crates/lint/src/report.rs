@@ -61,6 +61,9 @@ pub struct Report {
     pub dead_pub_items: Vec<String>,
     /// `pub` items only test code names, as `path:line name`.
     pub test_only_pub_items: Vec<String>,
+    /// `pub` items no product code names but an example does, as
+    /// `path:line name`.
+    pub example_only_pub_items: Vec<String>,
 }
 
 impl Report {
@@ -79,14 +82,15 @@ impl Report {
         if self.is_clean() {
             out.push_str(&format!(
                 "odflow_lint: clean — {} files, {} lines ({} product), {} crates, \
-                 {} suppression(s) in use, {} dead / {} test-only pub items\n",
+                 {} suppression(s) in use, {} dead / {} test-only / {} example-only pub items\n",
                 self.files_scanned,
                 self.lines_scanned,
                 self.product_lines,
                 self.workspace_crates,
                 self.allows_used,
                 self.dead_pub_items.len(),
-                self.test_only_pub_items.len()
+                self.test_only_pub_items.len(),
+                self.example_only_pub_items.len()
             ));
         } else {
             out.push_str(&format!(
@@ -120,6 +124,7 @@ impl Report {
         for (key, items) in [
             ("dead_pub_items", &self.dead_pub_items),
             ("test_only_pub_items", &self.test_only_pub_items),
+            ("example_only_pub_items", &self.example_only_pub_items),
         ] {
             let items: Vec<String> = items.iter().map(|i| json_str(i)).collect();
             s.push_str(&format!("  \"{key}\": [{}],\n", items.join(", ")));
@@ -184,6 +189,7 @@ mod tests {
             allows_used: 2,
             dead_pub_items: vec!["crates/a/src/lib.rs:3 unused".into()],
             test_only_pub_items: Vec::new(),
+            example_only_pub_items: vec!["crates/a/src/lib.rs:9 demo_only".into()],
         }
     }
 
@@ -203,7 +209,7 @@ mod tests {
         assert!(r.is_clean());
         assert!(r.render_text().contains(
             "clean — 3 files, 410 lines (300 product), 2 crates, 2 suppression(s) in use, \
-             1 dead / 0 test-only pub items"
+             1 dead / 0 test-only / 1 example-only pub items"
         ));
     }
 
@@ -222,6 +228,7 @@ mod tests {
         assert!(j.contains("\"workspace_crates\": 2"));
         assert!(j.contains("\"dead_pub_items\": [\"crates/a/src/lib.rs:3 unused\"],"));
         assert!(j.contains("\"test_only_pub_items\": [],"));
+        assert!(j.contains("\"example_only_pub_items\": [\"crates/a/src/lib.rs:9 demo_only\"],"));
         assert!(j.contains("\"rules\": [\"no-ambient-nondeterminism\""));
     }
 }

@@ -1,13 +1,16 @@
-//! The surface count: `pub` items that nothing, or only test code, names.
+//! The surface count: `pub` items that nothing, only test code, or only
+//! examples name.
 //!
 //! A report, not a rule: the gate stays clean whatever it finds. Every
 //! `pub fn`/`struct`/`enum`/`trait`/`type`/`const`/`static` of a library
 //! source (`src/` and `crates/<name>/src/`, binaries excepted) is looked up
-//! by name among the identifiers of every first-party file. Examples and
-//! binaries — the frozen benchmark harness included — are consumers; code
-//! under a `tests/` directory or inside a `#[cfg(test)]` item is test code.
-//! An item is *dead* when no identifier outside its own definition names it,
-//! and *test-only* when only test code does.
+//! by name among the identifiers of every first-party file. Binaries — the
+//! frozen benchmark harness included — are product consumers and examples
+//! are consumers of their own kind; code under a `tests/` directory or
+//! inside a `#[cfg(test)]` item is test code. An item is *dead* when no
+//! identifier outside its own definition names it, *test-only* when only
+//! test code does, and *example-only* when examples name it and no product
+//! code does, whatever the tests do.
 //!
 //! Names inside `use` declarations are not counted (a `pub use` re-export
 //! is not a caller), and doc comments are not tokens, so a doc example does
@@ -33,14 +36,15 @@ const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const
 /// Qualifiers that may sit between `pub` and the item keyword.
 const QUALIFIERS: &[&str] = &["const", "unsafe", "async", "extern"];
 
-/// `(dead, test_only)` over `files` (workspace-relative path and tokens),
-/// each item as `path:line name`, in file order.
-pub fn pub_surface(files: &[(String, Vec<Token>)]) -> (Vec<String>, Vec<String>) {
-    // name -> (product references, test references)
-    let mut refs: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+/// `(dead, test_only, example_only)` over `files` (workspace-relative path
+/// and tokens), each item as `path:line name`, in file order.
+pub fn pub_surface(files: &[(String, Vec<Token>)]) -> (Vec<String>, Vec<String>, Vec<String>) {
+    // name -> [product, example, test] references
+    let mut refs: BTreeMap<&str, [usize; 3]> = BTreeMap::new();
     let mut defs = Vec::new();
     for (rel, toks) in files {
         let test_file = is_test_file(rel);
+        let example = rel.starts_with("examples/") || rel.contains("/examples/");
         let api = !test_file
             && (rel.starts_with("src/") || rel.starts_with("crates/") && rel.contains("/src/"))
             && !rel.contains("/src/bin/")
@@ -62,23 +66,20 @@ pub fn pub_surface(files: &[(String, Vec<Token>)]) -> (Vec<String>, Vec<String>)
                     defs.push((format!("{rel}:{} {}", toks[n].line, toks[n].text), &toks[n].text));
                 }
             }
-            let counts = refs.entry(&t.text).or_default();
-            if test_file || in_test[i] {
-                counts.1 += 1;
-            } else {
-                counts.0 += 1;
-            }
+            let kind = if test_file || in_test[i] { 2 } else { usize::from(example) };
+            refs.entry(&t.text).or_default()[kind] += 1;
         }
     }
-    let (mut dead, mut test_only) = (Vec::new(), Vec::new());
+    let (mut dead, mut test_only, mut example_only) = (Vec::new(), Vec::new(), Vec::new());
     for (at, name) in defs {
         match refs.get(name.as_str()).copied().unwrap_or_default() {
-            (0, 0) => dead.push(at),
-            (0, _) => test_only.push(at),
+            [0, 0, 0] => dead.push(at),
+            [0, 0, _] => test_only.push(at),
+            [0, _, _] => example_only.push(at),
             _ => {}
         }
     }
-    (dead, test_only)
+    (dead, test_only, example_only)
 }
 
 /// Lines of first-party file `rel` (`source`, lexed to `toks`) outside
@@ -129,7 +130,7 @@ mod tests {
     use super::*;
     use crate::tokenize::lex;
 
-    fn scan(files: &[(&str, &str)]) -> (Vec<String>, Vec<String>) {
+    fn scan(files: &[(&str, &str)]) -> (Vec<String>, Vec<String>, Vec<String>) {
         let lexed: Vec<_> = files.iter().map(|(p, s)| (p.to_string(), lex(s).tokens)).collect();
         pub_surface(&lexed)
     }
@@ -147,9 +148,10 @@ mod tests {
             ("examples/demo.rs", "use a::unused;\nfn main() { a::called(); }"),
             ("crates/a/tests/t.rs", "fn t() { let _ = a::OnlyTested; }"),
         ];
-        let (dead, test_only) = scan(&files);
+        let (dead, test_only, example_only) = scan(&files);
         assert_eq!(dead, vec!["crates/a/src/lib.rs:3 unused"]);
         assert_eq!(test_only, vec!["crates/a/src/lib.rs:4 OnlyTested"]);
+        assert_eq!(example_only, vec!["crates/a/src/lib.rs:2 called"]);
     }
 
     #[test]
@@ -158,9 +160,9 @@ mod tests {
             ("crates/b/src/bin/tool/main.rs", "pub fn local() {}\nfn main() { b::api(); }"),
             ("crates/b/src/lib.rs", "pub fn api() {}\npub extern \"C\" fn ffi() {}"),
         ];
-        let (dead, test_only) = scan(&files);
+        let (dead, test_only, example_only) = scan(&files);
         assert_eq!(dead, vec!["crates/b/src/lib.rs:2 ffi"]);
-        assert!(test_only.is_empty());
+        assert!(test_only.is_empty() && example_only.is_empty());
     }
 
     #[test]

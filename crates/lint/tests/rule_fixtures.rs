@@ -10,6 +10,8 @@
 use odflow_lint::check_source;
 use odflow_lint::report::Diagnostic;
 use odflow_lint::rules::{CrateClass, FileClass};
+use odflow_lint::surface::pub_surface;
+use odflow_lint::tokenize::lex;
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -173,6 +175,26 @@ fn malformed_allows_are_reported() {
     let (diags, _) = check_source(&member("flow"), &fixture("malformed_allow.rs"));
     assert_eq!(count(&diags, "malformed-allow"), 2, "{diags:?}");
     assert!(diags.iter().any(|d| d.message.contains("unknown rule")), "{diags:?}");
+}
+
+#[test]
+fn surface_tells_example_only_items_from_product_and_test_ones() {
+    let files: Vec<(String, Vec<_>)> = [
+        ("crates/lib/src/lib.rs", fixture("surface_lib.rs")),
+        ("examples/demo.rs", fixture("surface_example.rs")),
+        ("crates/lib/src/bin/tool.rs", "fn main() { lib::run_by_binary(); }".to_owned()),
+        ("crates/lib/tests/t.rs", "fn t() { lib::shown_and_tested(); }".to_owned()),
+    ]
+    .into_iter()
+    .map(|(rel, source)| (rel.to_owned(), lex(&source).tokens))
+    .collect();
+    let (dead, test_only, example_only) = pub_surface(&files);
+    assert_eq!(dead, ["crates/lib/src/lib.rs:11 Unnamed"]);
+    assert_eq!(test_only, ["crates/lib/src/lib.rs:9 tested_only"]);
+    assert_eq!(
+        example_only,
+        ["crates/lib/src/lib.rs:3 shown_in_example", "crates/lib/src/lib.rs:5 shown_and_tested"]
+    );
 }
 
 #[test]

@@ -175,19 +175,12 @@ fn run_daemon(config: ServeConfig, frames: &[Vec<u8>]) -> DaemonReport {
 
 fn drive_daemon(daemon: Daemon, frames: &[Vec<u8>]) -> DaemonReport {
     let addr = daemon.tcp_addr().unwrap();
-    let mut slot: Option<DaemonReport> = None;
-    let pool = scoped_pool::Pool::new(1);
-    pool.scoped(|scope| {
-        let slot_ref = &mut slot;
-        scope.execute(move || {
-            *slot_ref = Some(daemon.run());
-        });
+    let (report, ()) = common::with_daemon(daemon, |_| {
         let report = replay_frames(frames, addr, &LoadGenConfig::new(Transport::Tcp)).unwrap();
         assert_eq!(report.frames_sent, frames.len() as u64);
         assert!(report.drain_sent);
     });
-    pool.shutdown();
-    slot.unwrap()
+    report
 }
 
 /// Canonical byte encoding of a diagnosis (same scheme as the loopback
@@ -612,13 +605,7 @@ fn persistently_panicking_tenant_quarantines_without_disturbing_neighbors() {
     .unwrap();
     let addr = daemon.tcp_addr().unwrap();
     let handle = daemon.handle();
-    let mut slot: Option<DaemonReport> = None;
-    let pool = scoped_pool::Pool::new(1);
-    pool.scoped(|scope| {
-        let slot_ref = &mut slot;
-        scope.execute(move || {
-            *slot_ref = Some(daemon.run());
-        });
+    let (report, ()) = common::with_daemon(daemon, |_| {
         // Interleave the same frame stream to both tenants on one TCP
         // connection, then drain.
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
@@ -630,8 +617,6 @@ fn persistently_panicking_tenant_quarantines_without_disturbing_neighbors() {
         stream.flush().unwrap();
         stream.shutdown(std::net::Shutdown::Write).unwrap();
     });
-    pool.shutdown();
-    let report = slot.unwrap();
 
     // Tenant 0 was quarantined after max_restarts+1 consecutive panics.
     let TenantEnd::Failed { name, reason } = &report.tenants[0] else {

@@ -8,6 +8,8 @@
 //! `ODFLOW_THREADS` limits of 1 and 4; the daemon's per-tenant path is
 //! serial by construction, so all three must agree bit for bit.
 
+mod common;
+
 use odflow::experiment::{run_scenario, ExperimentConfig};
 use odflow_gen::Scenario;
 use odflow_net::IngressResolver;
@@ -70,18 +72,11 @@ fn serve_roundtrip(
     let daemon = Daemon::bind(config).unwrap();
     let addr = daemon.tcp_addr().unwrap();
     let counters = daemon.handle().tenant_counters(0).unwrap();
-    let mut slot: Option<DaemonReport> = None;
-    let pool = scoped_pool::Pool::new(1);
-    pool.scoped(|scope| {
-        let slot_ref = &mut slot;
-        scope.execute(move || {
-            *slot_ref = Some(daemon.run());
-        });
+    let (report, ()) = common::with_daemon(daemon, |_| {
         let report = replay_scenario(scenario, addr, &LoadGenConfig::new(Transport::Tcp)).unwrap();
         assert!(report.drain_sent);
     });
-    pool.shutdown();
-    (slot.unwrap(), counters)
+    (report, counters)
 }
 
 #[test]
@@ -165,19 +160,9 @@ fn backpressure_sheds_beyond_capacity_and_accounts_exactly() {
     .unwrap();
     let addr = daemon.tcp_addr().unwrap();
     let handle = daemon.handle();
-    let mut slot: Option<DaemonReport> = None;
-    let mut sent = 0u64;
-    let pool = scoped_pool::Pool::new(1);
-    pool.scoped(|scope| {
-        let slot_ref = &mut slot;
-        scope.execute(move || {
-            *slot_ref = Some(daemon.run());
-        });
-        let report = replay_scenario(&scenario, addr, &LoadGenConfig::new(Transport::Tcp)).unwrap();
-        sent = report.frames_sent;
+    let (report, sent) = common::with_daemon(daemon, |_| {
+        replay_scenario(&scenario, addr, &LoadGenConfig::new(Transport::Tcp)).unwrap().frames_sent
     });
-    pool.shutdown();
-    let report = slot.unwrap();
 
     let counters = handle.tenant_counters(0).unwrap();
     let get = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::SeqCst);
@@ -213,12 +198,7 @@ fn metrics_endpoint_serves_plain_text_counters() {
     })
     .unwrap();
     let addr = daemon.metrics_addr().unwrap();
-    let handle = daemon.handle();
-    let pool = scoped_pool::Pool::new(1);
-    pool.scoped(|scope| {
-        scope.execute(move || {
-            let _ = daemon.run();
-        });
+    common::with_daemon(daemon, |handle| {
         let fetch = |path: &str| -> String {
             let mut stream = std::net::TcpStream::connect(addr).unwrap();
             stream.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
@@ -236,7 +216,6 @@ fn metrics_endpoint_serves_plain_text_counters() {
         assert!(missing.starts_with("HTTP/1.0 404"));
         handle.drain();
     });
-    pool.shutdown();
 }
 
 /// A scraper that never finishes its request header is reaped — the
@@ -254,12 +233,7 @@ fn stalled_metrics_client_is_reaped_not_serviced() {
     })
     .unwrap();
     let addr = daemon.metrics_addr().unwrap();
-    let handle = daemon.handle();
-    let pool = scoped_pool::Pool::new(1);
-    pool.scoped(|scope| {
-        scope.execute(move || {
-            let _ = daemon.run();
-        });
+    common::with_daemon(daemon, |handle| {
         // Partial request: no terminating blank line, and the socket is
         // held open. The server must hang up on us, not wait forever.
         let mut stalled = std::net::TcpStream::connect(addr).unwrap();
@@ -281,7 +255,6 @@ fn stalled_metrics_client_is_reaped_not_serviced() {
         assert!(page.contains("odflow_serve_metrics_clients_reaped_total 1"));
         handle.drain();
     });
-    pool.shutdown();
 }
 
 /// Runs `probe` against the metrics endpoint of a bound, running daemon,
@@ -295,16 +268,10 @@ fn with_metrics_endpoint(probe: impl FnOnce(std::net::SocketAddr)) {
     })
     .unwrap();
     let addr = daemon.metrics_addr().unwrap();
-    let handle = daemon.handle();
-    let pool = scoped_pool::Pool::new(1);
-    pool.scoped(|scope| {
-        scope.execute(move || {
-            let _ = daemon.run();
-        });
+    common::with_daemon(daemon, |handle| {
         probe(addr);
         handle.drain();
     });
-    pool.shutdown();
 }
 
 /// splitmix64 from `state`: a seeded, dependency-free byte source.
@@ -435,14 +402,7 @@ fn stream_cut_mid_message_is_counted_and_the_next_connection_is_served() {
     .unwrap();
     let addr = daemon.tcp_addr().unwrap();
     let handle = daemon.handle();
-    let mut slot: Option<DaemonReport> = None;
-    let mut sent = 0u64;
-    let pool = scoped_pool::Pool::new(1);
-    pool.scoped(|scope| {
-        let slot_ref = &mut slot;
-        scope.execute(move || {
-            *slot_ref = Some(daemon.run());
-        });
+    let (report, sent) = common::with_daemon(daemon, |handle| {
         let frames = scenario.generator().export_frames();
         let message = odflow_serve::wire::encode_message(0, &frames[0]);
         let mut cut = std::net::TcpStream::connect(addr).unwrap();
@@ -459,13 +419,11 @@ fn stream_cut_mid_message_is_counted_and_the_next_connection_is_served() {
         let offered = || counters.frames_offered.load(std::sync::atomic::Ordering::SeqCst);
         assert_eq!(offered(), 0, "half a message is no frame");
 
-        let report = replay_scenario(&scenario, addr, &LoadGenConfig::new(Transport::Tcp)).unwrap();
-        sent = report.frames_sent;
+        replay_scenario(&scenario, addr, &LoadGenConfig::new(Transport::Tcp)).unwrap().frames_sent
     });
-    pool.shutdown();
     let counters = handle.tenant_counters(0).unwrap();
     assert_eq!(counters.frames_offered.load(std::sync::atomic::Ordering::SeqCst), sent);
-    let TenantEnd::Flushed(flush) = &slot.unwrap().tenants[0] else {
+    let TenantEnd::Flushed(flush) = &report.tenants[0] else {
         panic!("the tenant must flush");
     };
     assert_eq!(flush.outcome.quality.quarantine.frames_accepted, sent);
@@ -474,17 +432,6 @@ fn stream_cut_mid_message_is_counted_and_the_next_connection_is_served() {
     assert!(page.contains("odflow_serve_tcp_connections_total 2"));
     assert!(page.contains(&format!("odflow_serve_tcp_messages_total {}", sent + 1)));
     assert!(page.contains(&format!("odflow_serve_enqueue_latency_samples_total {sent}")));
-}
-
-/// Drains the daemon when dropped. A scope joins the daemon's run, which
-/// ends only on a drain, so a probe holding one fails on a failed
-/// assertion instead of hanging.
-struct DrainOnDrop<'a>(&'a odflow_serve::DaemonHandle);
-
-impl Drop for DrainOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.drain();
-    }
 }
 
 /// Byte soup of 0 to 1 500 bytes at a bound daemon's UDP socket, seeded:
@@ -575,14 +522,7 @@ fn udp_envelope_byte_soup_is_counted_and_quarantined_by_class() {
     let mut clean_stats = QuarantineStats::default();
     let (clean_hdr, _) = decode_datagram_lossy(clean, &mut clean_stats).unwrap();
 
-    let mut slot: Option<DaemonReport> = None;
-    let pool = scoped_pool::Pool::new(1);
-    pool.scoped(|scope| {
-        let slot_ref = &mut slot;
-        scope.execute(move || {
-            *slot_ref = Some(daemon.run());
-        });
-        let _drain = DrainOnDrop(&handle);
+    let (report, ()) = common::with_daemon(daemon, |handle| {
         let socket = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
         let await_page = |what: &str, done: &dyn Fn(&str) -> bool| {
             let mut waited_ms = 0;
@@ -601,7 +541,9 @@ fn udp_envelope_byte_soup_is_counted_and_quarantined_by_class() {
         for (sent, datagram) in datagrams.iter().enumerate() {
             socket.send_to(datagram, udp).unwrap();
             let want = sent as u64 + 1;
-            await_page("a datagram", &|p| page_counter(p, "odflow_serve_udp_datagrams_total") == want);
+            await_page("a datagram", &|p| {
+                page_counter(p, "odflow_serve_udp_datagrams_total") == want
+            });
         }
         let offered = mangled.len() as u64;
         let page = await_page("the tenant's frames", &|_| {
@@ -626,9 +568,9 @@ fn udp_envelope_byte_soup_is_counted_and_quarantined_by_class() {
         for line in ["restarts_total", "quarantined"] {
             assert!(scrape.contains(&format!("odflow_serve_tenant_{line}{{tenant=\"abilene\"}} 0")));
         }
+        handle.drain();
     });
-    pool.shutdown();
-    let TenantEnd::Flushed(flush) = &slot.unwrap().tenants[0] else {
+    let TenantEnd::Flushed(flush) = &report.tenants[0] else {
         panic!("the tenant must flush");
     };
     let q = &flush.outcome.quality.quarantine;

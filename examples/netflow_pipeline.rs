@@ -1,9 +1,9 @@
-//! The packet-level measurement path, end to end and on the wire:
-//! per-packet observations -> 1% Bernoulli sampling -> per-minute 5-tuple
-//! aggregation -> NetFlow-v5-style export datagrams -> decode -> 11-bit
-//! destination anonymization -> ingress/egress OD resolution -> 5-minute
-//! traffic matrices. This is §2.1 of the paper as running code, including
-//! the wire format round-trip.
+//! The measurement path from flow records, end to end and on the wire:
+//! per-minute 5-tuple flow records (what Abilene's routers exported after
+//! 1% packet sampling) -> NetFlow-v5 export frames -> decode in place ->
+//! 11-bit destination anonymization -> ingress/egress OD resolution ->
+//! 5-minute traffic matrices. This is §2.1 of the paper as running code,
+//! including the wire format round-trip, over a half-hour paper window.
 //!
 //! ```sh
 //! cargo run --release --example netflow_pipeline
@@ -11,89 +11,62 @@
 
 #![forbid(unsafe_code)]
 
-use odflow::flow::{
-    netflow, FlowAggregator, FlowKey, MeasurementPipeline, PacketObs, PacketSampler,
-    PipelineConfig, Protocol, QuarantineStats, MINUTE_SECS,
-};
-use odflow::net::{AddressPlan, IngressResolver, Topology};
-use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
+use odflow::flow::{netflow, MeasurementPipeline, PipelineConfig, QuarantineStats};
+use odflow::gen::Scenario;
+use odflow::net::IngressResolver;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let topology = Topology::abilene();
-    let plan = AddressPlan::synthetic(&topology);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
+    let scenario = Scenario::paper_window(99, 6)?;
+    let generator = scenario.generator();
+    let pops = scenario.topology.num_pops();
 
-    // --- Stage 1: raw packets at the routers (30 minutes of traffic). ---
-    let horizon = 1800u64;
-    let mut packets = Vec::new();
-    for origin in 0..topology.num_pops() {
-        for flow in 0..120 {
-            let dest = (origin + 1 + flow % (topology.num_pops() - 1)) % topology.num_pops();
-            let key = FlowKey::new(
-                plan.customer_addr(origin, flow % 4, rng.gen()),
-                plan.customer_addr(dest, flow % 4, rng.gen()),
-                rng.gen_range(1024..=65000),
-                [80u16, 443, 53, 25][flow % 4],
-                Protocol::Tcp,
-            );
-            let n_packets = rng.gen_range(50..2500);
-            for _ in 0..n_packets {
-                packets.push(PacketObs::new(
-                    rng.gen_range(0..horizon),
-                    origin,
-                    0,
-                    key,
-                    [40u32, 576, 1500][rng.gen_range(0..3)],
-                ));
-            }
-        }
-    }
-    packets.sort_by_key(|p| p.ts);
-    println!("stage 1: {} packets offered at {} routers", packets.len(), topology.num_pops());
-
-    // --- Stage 2: 1% sampling + per-minute aggregation. ---
-    let mut sampler = PacketSampler::new(0.01, 7)?;
-    let mut aggregator = FlowAggregator::new(MINUTE_SECS, MINUTE_SECS)?;
+    // --- Stage 1: the routers' per-minute flow records (30 minutes). ---
+    // Listed bin by bin and exporter by exporter, the order the export
+    // frames carry them in.
     let mut records = Vec::new();
-    for p in &packets {
-        if sampler.sample() {
-            records.extend(aggregator.push(p));
+    for bin in 0..generator.num_bins() {
+        let bin_records = generator.records_for_bin(bin);
+        for router in 0..pops {
+            records.extend(bin_records.iter().filter(|r| r.router == router).copied());
         }
     }
-    records.extend(aggregator.flush());
-    let (observed, sampled) = sampler.counters();
+    let packets: u64 = records.iter().map(|r| r.packets).sum();
     println!(
-        "stage 2: sampled {sampled}/{observed} packets ({:.2}%), {} flow records",
-        sampled as f64 / observed as f64 * 100.0,
+        "stage 1: {} flow records ({packets} sampled packets) from {pops} routers",
         records.len()
     );
 
-    // --- Stage 3: NetFlow v5 wire round-trip. ---
-    let datagrams = netflow::encode_datagrams(&records, 0, 0, 100, 0);
-    let wire_bytes: usize = datagrams.iter().map(Vec::len).sum();
+    // --- Stage 2: NetFlow v5 wire round-trip. ---
+    let frames = generator.export_frames();
+    let wire_bytes: usize = frames.iter().map(Vec::len).sum();
     let mut quarantine = QuarantineStats::default();
     let mut decoded = Vec::new();
-    for d in &datagrams {
-        decoded.extend(netflow::decode_frame(d, &mut quarantine).ok_or("frame quarantined")?.1);
+    let mut interval = 0;
+    for frame in &frames {
+        let (header, frame_records) =
+            netflow::decode_frame(frame, &mut quarantine).ok_or("frame quarantined")?;
+        interval = header.sampling_interval;
+        decoded.extend(frame_records);
     }
-    assert_eq!(decoded.len(), records.len(), "wire round-trip must be lossless");
+    assert_eq!(decoded, records, "wire round-trip must be lossless");
     println!(
-        "stage 3: {} datagrams, {wire_bytes} bytes on the wire, round-trip lossless",
-        datagrams.len()
+        "stage 2: {} frames, {wire_bytes} bytes on the wire, sampling interval {interval}, \
+         round-trip lossless",
+        frames.len()
     );
 
-    // --- Stage 4: anonymize + resolve to OD pairs + bin. ---
-    let routes = plan.build_route_table(1.0)?;
-    let ingress = IngressResolver::synthetic(&topology);
-    let config = PipelineConfig::abilene(0, (horizon / 300) as usize);
-    let mut pipeline = MeasurementPipeline::new(config, &topology, ingress, routes)?;
-    for r in decoded {
-        pipeline.push_sampled_record(r)?;
+    // --- Stage 3: decode in place + anonymize + resolve to OD pairs + bin. ---
+    let routes = scenario.plan.build_route_table(1.0)?;
+    let ingress = IngressResolver::synthetic(&scenario.topology);
+    let config = PipelineConfig::abilene(scenario.config.start_secs, generator.num_bins());
+    let mut pipeline = MeasurementPipeline::new(config, &scenario.topology, ingress, routes)?;
+    let mut late = 0;
+    for frame in &frames {
+        late += pipeline.ingest_frame(frame).late;
     }
     let (matrices, stats) = pipeline.finalize()?;
     println!(
-        "stage 4: {:.1}% of flows resolved ({:.1}% of bytes); {} x {} traffic matrices",
+        "stage 3: {:.1}% of flows resolved ({:.1}% of bytes), {late} late; {} x {} traffic matrices",
         stats.flow_rate() * 100.0,
         stats.byte_rate() * 100.0,
         matrices.num_bins(),
@@ -102,6 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let totals = matrices.packets.totals();
     println!("packets per 5-minute bin: {totals:?}");
-    println!("pipeline complete: packets -> NetFlow wire -> OD traffic matrices");
+    println!("pipeline complete: flow records -> NetFlow wire -> OD traffic matrices");
     Ok(())
 }
