@@ -4,7 +4,7 @@
 //! Times the kernels no `e2e_bench` workload isolates — the fan-out
 //! dispatch microbench, Gram matrix, blocked matmul, dense
 //! eigendecomposition, subspace model fit, batch detection, a wide
-//! window's fit by row Gram and by sketch, and the traffic generator's
+//! window's fit by row Gram, and the traffic generator's
 //! rendering of a fixed bin sample — twice:
 //! once with the pool pinned to a single thread (the serial baseline) and
 //! once with the full pool. Whole-system numbers (fused ingest, the
@@ -37,7 +37,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use odflow::gen::Scenario;
-use odflow::linalg::{eigen_symmetric, scatter, EigenMethod, DEFAULT_SKETCH_SEED};
+use odflow::linalg::{eigen_symmetric, scatter};
 use odflow::subspace::{analyze, EigenflowDecomposition, SubspaceConfig, SubspaceModel};
 use odflow_bench::{traffic_matrix, HARNESS_SEED, PERF_STAGES};
 
@@ -272,26 +272,17 @@ fn main() {
         }
     }
 
-    // A wide window fitted both ways `Auto` chooses between: the exact row
-    // Gram (`DenseTridiagonal` on a window wider than 512) and the default
-    // sketch, at the large mesh's 24 bins, at the most bins `Auto` gives
-    // the row Gram for k = 10 (63), and past that (96).
+    // A wide window's exact fit through its row Gram, at the large mesh's
+    // 24 bins, at 63 and 96, and at a day's 288, where its `O(n² p)` cost
+    // is the price of every fit being exact.
     if filter.enabled("wide_fit") {
         let p = 20_000;
-        let sketch = EigenMethod::RandomizedTruncated {
-            oversample: 8,
-            power_iters: 2,
-            seed: DEFAULT_SKETCH_SEED,
-        };
-        let routes = [("row-gram", EigenMethod::DenseTridiagonal), ("sketch", sketch)];
-        for n in [24usize, 63, 96] {
+        for n in [24usize, 63, 96, 288] {
             let x = traffic_matrix(n, p);
-            for (route, method) in routes {
-                let workload = format!("n={n} p={p} k=10 {route}");
-                stages.push(run_stage("wide_fit", workload, reps, || {
-                    EigenflowDecomposition::fit_with(&x, 10, method).unwrap()
-                }));
-            }
+            let workload = format!("n={n} p={p} k=10 row-gram");
+            stages.push(run_stage("wide_fit", workload, reps, || {
+                EigenflowDecomposition::fit_with(&x, 10).unwrap()
+            }));
         }
     }
 

@@ -64,7 +64,7 @@ pub(crate) fn centered_copy(x: &Matrix) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{covariance, truncated_svd, EigenMethod, LinalgError};
+    use crate::{covariance, truncated_svd, LinalgError};
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[vec![1.0, 10.0], vec![3.0, 30.0], vec![5.0, 50.0]]).unwrap()
@@ -90,7 +90,7 @@ mod tests {
         // subtract.
         let x = Matrix::zeros(0, 3);
         assert!(matches!(covariance(&x), Err(LinalgError::Empty { .. })));
-        let dense = truncated_svd(&x, &[0.0; 3], 1, EigenMethod::DenseTridiagonal);
+        let dense = truncated_svd(&x, &[0.0; 3], 1);
         assert!(matches!(dense, Err(LinalgError::Empty { .. })));
     }
 }

@@ -4,10 +4,9 @@
 //! PCA on the OD-flow timeseries reduces to diagonalizing the `p x p`
 //! covariance (or scatter) matrix `X^T X`, with `p = 121` OD pairs for the
 //! Abilene-like topology. [`eigen_symmetric`] is the one dense solver in
-//! the workspace, at every dimension from the randomized backend's
-//! `(k + oversample)²` projected problem up to the largest Gram matrix —
-//! `p x p`, or `n x n` for a window with fewer bins than OD pairs —
-//! [`crate::EigenMethod::Auto`] keeps dense: the direct-method pipeline
+//! the workspace, for every Gram matrix [`crate::truncated_svd`] factors —
+//! `p x p`, or `n x n` for a window wider than it is long — and for the
+//! covariance matrices beside it: the direct-method pipeline
 //! every dense LAPACK eigensolver uses, here with a blocked `dsytrd`-style
 //! panel reduction ([`crate::householder`]: compact-WY back-transform,
 //! rank-2k trailing update) and a `dsteqr`-style QR stage with batched
@@ -508,8 +507,8 @@ mod tests {
     #[test]
     fn tridiagonal_matches_jacobi_eigenvalues() {
         // From the sizes where the Householder stage is empty (1, 2) or a
-        // single reflector (3), through the randomized backend's
-        // (k + oversample)² = 18 x 18 problem, to several panels.
+        // single reflector (3), through a row Gram's 18 x 18 problem, to
+        // several panels.
         for &n in &[1usize, 2, 3, 8, 18, 33, 72] {
             let b = Matrix::from_fn(n + 9, n, |i, j| {
                 (((i * 29 + j * 13) % 127) as f64 / 127.0 - 0.5) + if i == j { 0.4 } else { 0.0 }

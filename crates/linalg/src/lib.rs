@@ -3,9 +3,8 @@
 //! Self-contained dense linear algebra used by the `odflow` workspace:
 //! a row-major [`Matrix`], symmetric eigendecomposition by blocked
 //! Householder tridiagonalization with implicit-shift QR
-//! ([`eigen_symmetric`]), thin SVD via the Gram eigenproblem ([`thin_svd`])
-//! or a randomized range finder
-//! ([`EigenMethod::RandomizedTruncated`]), column means, and
+//! ([`eigen_symmetric`]), exact thin SVD via the Gram eigenproblem
+//! ([`thin_svd`], and [`truncated_svd`] for a model fit), column means, and
 //! covariance / scatter matrices.
 //!
 //! The paper this workspace reproduces (Lakhina, Crovella & Diot,
@@ -15,10 +14,11 @@
 //! eigenproblem. The same kernels factor wide windows too —
 //! [`truncated_svd`] takes a window of few bins over many OD pairs (a
 //! `24 x 90 000` mesh window) exactly through its `n x n` row Gram, read
-//! where it lies, and a window wide on both sides through the randomized
-//! solver. Everything is implemented from scratch so the workspace carries
-//! no external numerics dependency (Rust PCA tooling being thin is exactly
-//! why).
+//! where it lies. Every fit is exact; past 512 OD pairs its cost grows as
+//! `O(n² p)`, so a window long *and* wide (a week of a mesh) is slow rather
+//! than approximate. Everything is implemented from scratch so the
+//! workspace carries no external numerics dependency (Rust PCA tooling
+//! being thin is exactly why).
 //!
 //! ## Quick example
 //!
@@ -41,7 +41,7 @@ mod eigen;
 mod error;
 mod householder;
 mod matrix;
-mod randomized;
+mod row_gram;
 mod solve;
 mod svd;
 mod tridiag;
@@ -56,6 +56,5 @@ pub use eigen::eigen_symmetric as eigen_symmetric_auto;
 pub use eigen::{eigen_symmetric, EigenDecomposition};
 pub use error::{LinalgError, Result};
 pub use matrix::Matrix;
-pub use randomized::{RandomizedSvdOptions, DEFAULT_SKETCH_SEED};
 pub use solve::solve;
 pub use svd::{thin_svd, Svd};

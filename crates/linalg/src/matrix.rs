@@ -282,8 +282,8 @@ impl Matrix {
     ///
     /// [`LinalgError::ShapeMismatch`] when `self.ncols() != rhs.ncols()`.
     ///
-    /// The fits reach this kernel through `centered_matmul_nt`; this
-    /// uncentered whole-matrix form is the test oracles'.
+    /// The row Gram folds its bands into `G` through `nt_into`; this
+    /// whole-matrix form is the test oracles'.
     #[cfg(test)]
     pub(crate) fn matmul_nt(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.cols {
@@ -294,37 +294,8 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        nt_into(&self.data, None, &rhs.data, self.cols, &mut out.data, true);
+        nt_into(&self.data, &rhs.data, self.cols, &mut out.data, true);
         Ok(out)
-    }
-
-    /// `(self − 1μᵀ) · rhsᵀ` (μ = `means`, one per column of `self`)
-    /// without centering a copy of `self`: each task centers the k tile of
-    /// the two rows it is about to dot into a scratch pair, once for every
-    /// row of `rhs`. `x − μ` is the double a centered copy would hold, so
-    /// the product is bit-identical to [`Self::matmul_nt`] on that copy.
-    /// Shapes are the caller's to check.
-    pub(crate) fn centered_matmul_nt(&self, means: &[f64], rhs: &Matrix) -> Matrix {
-        debug_assert_eq!((self.cols, means.len()), (rhs.cols, rhs.cols));
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        nt_into(&self.data, Some(means), &rhs.data, self.cols, &mut out.data, true);
-        out
-    }
-
-    /// `self · (rhs − 1μᵀ)` (μ = `rhs_means`) without centering a copy of
-    /// `rhs`, banded by columns whatever the shape: each task centers its
-    /// band of `rhs` into a scratch band ([`centered_band_product`]). Every
-    /// output element accumulates in ascending-k order from 0.0, so the
-    /// result is bit-identical to [`Self::matmul`] on a centered copy.
-    /// Shapes are the caller's to check.
-    pub(crate) fn matmul_centered(&self, rhs: &Matrix, rhs_means: &[f64]) -> Matrix {
-        debug_assert_eq!((self.cols, rhs_means.len()), (rhs.rows, rhs.cols));
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let mut bands = column_bands(&mut out.data, rhs.cols);
-        odflow_par::parallel_chunks(&mut bands, 1, |c, band| {
-            centered_band_product(self, rhs, rhs_means, band_cols(c, 0..rhs.cols), &mut band[0]);
-        });
-        out
     }
 
     /// Matrix product with the left factor transposed, `selfᵀ * rhs`, for
@@ -366,11 +337,6 @@ impl Matrix {
     /// Element-wise sum `self + rhs`.
     pub fn add(&self, rhs: &Matrix) -> Result<Matrix> {
         self.zip_with(rhs, "add", |a, b| a + b)
-    }
-
-    /// Element-wise difference `self - rhs`.
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "sub", |a, b| a - b)
     }
 
     fn zip_with(
@@ -638,9 +604,9 @@ fn matmul_block(
 /// allocator hands a large zeroed matrix over as untouched pages, and a
 /// page whose first access is the read half of a `+=` is faulted in twice
 /// (the shared zero page, then a private copy on the store); with two
-/// pool workers doing that at once, the 18 x 90 000 `Qᵀ X` of the
-/// randomized fit took 54 ms on the reference VM against 8 ms when every
-/// page's first access is this store.
+/// pool workers doing that at once, an 18 x 90 000 product took 54 ms on
+/// the reference VM against 8 ms when every page's first access is this
+/// store.
 fn touch_zeroed(block: &mut [f64]) {
     block.fill(0.0);
 }
@@ -651,25 +617,16 @@ fn k_tile<'a>(data: &'a [f64], width: usize, r: usize, k: &Range<usize>) -> &'a 
 }
 
 /// The body of [`Matrix::matmul_nt`]: `out` (row-major `n x m`) gains
-/// `(a − 1μᵀ) · bᵀ` for row-major `a` (`n x inner`) and `b` (`m x inner`),
-/// μ = `a_means` (nothing subtracted when `None`). Tasks are bands of
-/// output rows; each walks the reduction in [`NT_K_TILE`] tiles so a tile
-/// of `b` serves every row of the band from cache, and advances a 2 × 4
-/// block of elements at a time — the pair of `a` rows centered into a
-/// scratch pair first when there are means, once for all of `b`. Every
-/// element continues its one ascending-k chain from its current value, so
-/// folding a wide product into `out` tile by tile, or call by call over
-/// consecutive column ranges, is bit-identical to one call over the whole
-/// range. `fresh` marks a newly allocated all-zero `out`, which each task
-/// stores over before reading (see [`touch_zeroed`]).
-pub(crate) fn nt_into(
-    a: &[f64],
-    a_means: Option<&[f64]>,
-    b: &[f64],
-    inner: usize,
-    out: &mut [f64],
-    fresh: bool,
-) {
+/// `a · bᵀ` for row-major `a` (`n x inner`) and `b` (`m x inner`). Tasks
+/// are bands of output rows; each walks the reduction in [`NT_K_TILE`]
+/// tiles so a tile of `b` serves every row of the band from cache, and
+/// advances a 2 × 4 block of elements at a time. Every element continues
+/// its one ascending-k chain from its current value, so folding a wide
+/// product into `out` tile by tile, or call by call over consecutive
+/// column ranges, is bit-identical to one call over the whole range.
+/// `fresh` marks a newly allocated all-zero `out`, which each task stores
+/// over before reading (see [`touch_zeroed`]).
+pub(crate) fn nt_into(a: &[f64], b: &[f64], inner: usize, out: &mut [f64], fresh: bool) {
     if inner == 0 || a.is_empty() || b.is_empty() {
         return;
     }
@@ -679,7 +636,6 @@ pub(crate) fn nt_into(
         if fresh {
             touch_zeroed(out_rows);
         }
-        let mut centered = Vec::new();
         for k0 in (0..inner).step_by(NT_K_TILE) {
             let k = k0..(k0 + NT_K_TILE).min(inner);
             // Row `r`'s share of this k tile. A 2 x 4 block of elements
@@ -689,15 +645,7 @@ pub(crate) fn nt_into(
             for (pair, out_pair) in out_rows.chunks_mut(2 * m).enumerate() {
                 let i = blk * row_block + 2 * pair;
                 let (out0, out1) = out_pair.split_at_mut(m);
-                let (mut a0, mut a1) = (tile(a, i, n - 1), tile(a, i + 1, n - 1));
-                if let Some(means) = a_means {
-                    centered.clear();
-                    for row in [a0, a1] {
-                        let row = row.iter().zip(&means[k.clone()]);
-                        centered.extend(row.map(|(&v, &mu)| v - mu));
-                    }
-                    (a0, a1) = centered.split_at(k.len());
-                }
+                let (a0, a1) = (tile(a, i, n - 1), tile(a, i + 1, n - 1));
                 for j in (0..m).step_by(4) {
                     let w = (m - j).min(4);
                     let mut acc = [[0.0f64; 4]; 2];
@@ -754,28 +702,6 @@ pub(crate) fn band_cols(c: usize, span: Range<usize>) -> Range<usize> {
     c0..(c0 + MATMUL_COL_BLOCK).min(span.end)
 }
 
-/// Columns `cols` of `a · (x − 1μᵀ)` (μ = `means`): `out[r]` receives
-/// row `r`'s share. The band of `x` is centered into a scratch band
-/// (`x.nrows() x cols.len()`, a few hundred kB at a sketch's width) and
-/// the product reads it from cache through [`matmul_block`], so every
-/// element accumulates in ascending-k order from 0.0 — the bits of
-/// [`Matrix::matmul`] on a centered copy, which is never made.
-pub(crate) fn centered_band_product(
-    a: &Matrix,
-    x: &Matrix,
-    means: &[f64],
-    cols: Range<usize>,
-    out: &mut [&mut [f64]],
-) {
-    let width = cols.len();
-    let mut band = Vec::with_capacity(x.rows * width);
-    for row in x.rows_iter() {
-        let centered = row[cols.clone()].iter().zip(&means[cols.clone()]);
-        band.extend(centered.map(|(&v, &mu)| v - mu));
-    }
-    matmul_block(&a.data, a.cols, &band, width, 0, 0..width, out);
-}
-
 /// The 2 × 4 block of dots `a_r · b_c` behind [`Matrix::matmul_nt`], over
 /// one k tile: `acc[r][c]` gains `a_r[k] * b_c[k]` for every `k` of the
 /// (equal-length) slices, ascending — eight separate chains, each the
@@ -809,8 +735,8 @@ const MATMUL_ROW_BLOCK: usize = 16;
 pub(crate) const MATMUL_COL_BLOCK: usize = 1024;
 
 /// Output rows per task of [`Matrix::matmul_nt`]: every task streams all
-/// of `rhs` once, so bands are as tall as still leaves a sketch-width
-/// product (18 rows) several tasks to share out.
+/// of `rhs` once, so bands are as tall as still leaves the row Gram of a
+/// short window (24 rows) several tasks to share out.
 const NT_ROW_BLOCK: usize = 4;
 
 /// Reduction-dimension tile of [`Matrix::matmul_nt`]: 2 kB of each row.
@@ -1126,7 +1052,6 @@ mod tests {
         let a = m22();
         let b = Matrix::from_fn(2, 2, |_, _| 1.0);
         assert_eq!(a.add(&b).unwrap()[(0, 0)], 2.0);
-        assert_eq!(a.sub(&b).unwrap()[(1, 1)], 3.0);
         assert!(a.add(&Matrix::zeros(3, 3)).is_err());
     }
 

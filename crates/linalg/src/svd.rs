@@ -124,7 +124,7 @@ mod tests {
     fn rank_k_error(x: &Matrix, svd: &Svd, k: usize) -> f64 {
         let vk = svd.v.select_cols(&(0..k).collect::<Vec<_>>()).unwrap();
         let projected = x.matmul(&vk).unwrap().matmul(&vk.transpose()).unwrap();
-        x.sub(&projected).unwrap().frobenius_norm()
+        x.add(&projected.scaled(-1.0)).unwrap().frobenius_norm()
     }
 
     #[test]

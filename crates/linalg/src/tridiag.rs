@@ -241,7 +241,11 @@ mod tests {
         let a = tridiag_matrix(&d, &e);
         // A = Z diag(vals) Z^T.
         let rebuilt = z.matmul(&Matrix::from_diag(&vals)).unwrap().matmul(&z.transpose()).unwrap();
-        assert!(rebuilt.approx_eq(&a, 1e-10), "max err {}", rebuilt.sub(&a).unwrap().max_abs());
+        assert!(
+            rebuilt.approx_eq(&a, 1e-10),
+            "max err {}",
+            rebuilt.add(&a.scaled(-1.0)).unwrap().max_abs()
+        );
         let ztz = z.transpose().matmul(&z).unwrap();
         assert!(ztz.approx_eq(&Matrix::identity(n), 1e-10));
         // Trace preserved.

@@ -108,16 +108,6 @@ pub fn scale(v: &mut [f64], s: f64) {
     }
 }
 
-/// Element-wise difference `a - b` as a new vector.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "sub: length mismatch {} vs {}", a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
 /// Element-wise sum `a + b` as a new vector.
 ///
 /// # Panics
@@ -219,7 +209,8 @@ mod tests {
     fn add_sub_roundtrip() {
         let a = vec![1.0, 2.0];
         let b = vec![0.5, -0.5];
-        assert_eq!(sub(&add(&a, &b), &b), a);
+        let minus_b: Vec<f64> = b.iter().map(|y| -y).collect();
+        assert_eq!(add(&add(&a, &b), &minus_b), a);
     }
 
     #[test]

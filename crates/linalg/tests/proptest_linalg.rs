@@ -64,7 +64,7 @@ proptest! {
             .matmul(&v.transpose()).unwrap();
         let scale = 1.0 + s.max_abs();
         prop_assert!(recon.approx_eq(&s, 1e-7 * scale),
-            "reconstruction error {}", recon.sub(&s).unwrap().max_abs());
+            "reconstruction error {}", recon.add(&s.scaled(-1.0)).unwrap().max_abs());
     }
 
     #[test]
@@ -99,11 +99,11 @@ proptest! {
         let r = xv.matmul(&svd.v.transpose()).unwrap();
         let scale = 1.0 + m.max_abs();
         prop_assert!(r.approx_eq(&m, 1e-6 * scale),
-            "svd reconstruction error {}", r.sub(&m).unwrap().max_abs());
+            "svd reconstruction error {}", r.add(&m.scaled(-1.0)).unwrap().max_abs());
         let sq: Vec<f64> = svd.sigma.iter().map(|s| s * s).collect();
         let gram = xv.transpose().matmul(&xv).unwrap();
         prop_assert!(gram.approx_eq(&Matrix::from_diag(&sq), 1e-9 * (1.0 + sq[0])),
-            "VᵀXᵀXV off diag(σ²) by {}", gram.sub(&Matrix::from_diag(&sq)).unwrap().max_abs());
+            "VᵀXᵀXV off diag(σ²) by {}", gram.add(&Matrix::from_diag(&sq).scaled(-1.0)).unwrap().max_abs());
     }
 
     #[test]
@@ -116,7 +116,7 @@ proptest! {
         if k == 0 { return Ok(()); }
         let vk = svd.v.select_cols(&(0..k).collect::<Vec<_>>()).unwrap();
         let xk = m.matmul(&vk).unwrap().matmul(&vk.transpose()).unwrap();
-        let resid = m.sub(&xk).unwrap();
+        let resid = m.add(&xk.scaled(-1.0)).unwrap();
         let total = m.frobenius_norm().powi(2);
         let parts = xk.frobenius_norm().powi(2) + resid.frobenius_norm().powi(2);
         prop_assert!((total - parts).abs() < 1e-5 * (1.0 + total));
@@ -145,7 +145,7 @@ proptest! {
         // Splitting v into (v - proj) and proj on a random axis e_0:
         let mut proj = vec![0.0; v.len()];
         proj[0] = v[0];
-        let resid = vecops::sub(&v, &proj);
+        let resid: Vec<f64> = v.iter().zip(&proj).map(|(a, b)| a - b).collect();
         let total = vecops::norm_sq(&v);
         let parts = vecops::norm_sq(&proj) + vecops::norm_sq(&resid);
         prop_assert!((total - parts).abs() < 1e-9 * (1.0 + total));

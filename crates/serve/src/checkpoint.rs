@@ -74,7 +74,7 @@ use odflow_flow::{
     BinState, ExporterSeq, FlowKey, Protocol, QuarantineStats, ResolutionStats, ShardState,
     WatermarkState,
 };
-use odflow_linalg::{EigenMethod, Matrix};
+use odflow_linalg::Matrix;
 use odflow_net::IpAddr;
 use odflow_subspace::{
     DegradedReason, Detection, DetectorState, EigenflowDecomposition, ModelState, StatisticKind,
@@ -92,11 +92,12 @@ use std::sync::Arc;
 /// Leading bytes of every checkpoint record.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"ODFCKPT\0";
 
-/// Current checkpoint format version. Version 5 dropped the detector's
-/// refit window (version 4 had dropped the eigenflows and the unit column
-/// scales from the model); older records are refused with
-/// [`CheckpointError::BadVersion`].
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// Current checkpoint format version. Version 6 dropped the model's
+/// truncation flag and its configuration's eigen-method tag, which every
+/// fit now makes exactly (version 5 had dropped the detector's refit
+/// window, version 4 the eigenflows and the unit column scales); older
+/// records are refused with [`CheckpointError::BadVersion`].
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Bytes of header before the payload: magic + version + length + checksum.
 pub const CHECKPOINT_HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -515,42 +516,13 @@ fn dec_matrix(d: &mut Dec<'_>) -> DecResult<Matrix> {
         .or_else(|e| corrupt(format!("matrix shape: {e}")))
 }
 
-/// Tags are the file format: 1 belonged to a retired method and is not
-/// reused, so a file carrying it decodes as corrupt.
-fn enc_method(e: &mut Enc, m: EigenMethod) {
-    match m {
-        EigenMethod::Auto => e.u8(0),
-        EigenMethod::DenseTridiagonal => e.u8(2),
-        EigenMethod::RandomizedTruncated { oversample, power_iters, seed } => {
-            e.u8(3);
-            e.usize(oversample);
-            e.usize(power_iters);
-            e.u64(seed);
-        }
-    }
-}
-
-fn dec_method(d: &mut Dec<'_>) -> DecResult<EigenMethod> {
-    match d.u8()? {
-        0 => Ok(EigenMethod::Auto),
-        2 => Ok(EigenMethod::DenseTridiagonal),
-        3 => Ok(EigenMethod::RandomizedTruncated {
-            oversample: d.usize_val()?,
-            power_iters: d.usize_val()?,
-            seed: d.u64()?,
-        }),
-        t => corrupt(format!("eigen method tag {t}")),
-    }
-}
-
 fn enc_subspace_config(e: &mut Enc, c: SubspaceConfig) {
     e.usize(c.k);
     e.f64(c.alpha);
-    enc_method(e, c.method);
 }
 
 fn dec_subspace_config(d: &mut Dec<'_>) -> DecResult<SubspaceConfig> {
-    Ok(SubspaceConfig { k: d.usize_val()?, alpha: d.f64()?, method: dec_method(d)? })
+    Ok(SubspaceConfig { k: d.usize_val()?, alpha: d.f64()?, ..SubspaceConfig::default() })
 }
 
 fn enc_model(e: &mut Enc, m: &ModelState) {
@@ -559,7 +531,6 @@ fn enc_model(e: &mut Enc, m: &ModelState) {
     e.f64s(&m.decomp.means);
     e.usize(m.decomp.n);
     e.f64(m.decomp.total_energy);
-    e.bool(m.decomp.truncated);
     enc_subspace_config(e, m.config);
     e.usize(m.p);
     e.f64(m.spe_threshold);
@@ -573,21 +544,13 @@ fn dec_model(d: &mut Dec<'_>) -> DecResult<ModelState> {
     let means = d.f64s()?;
     let n = d.usize_val()?;
     let total_energy = d.f64()?;
-    let truncated = d.bool()?;
     let config = dec_subspace_config(d)?;
     let p = d.usize_val()?;
     let spe_threshold = d.f64()?;
     let t2_threshold = d.f64()?;
     let degenerate_residual = d.bool()?;
     Ok(ModelState {
-        decomp: EigenflowDecomposition {
-            loadings,
-            singular_values,
-            means,
-            n,
-            total_energy,
-            truncated,
-        },
+        decomp: EigenflowDecomposition { loadings, singular_values, means, n, total_energy },
         config,
         p,
         spe_threshold,
@@ -1477,7 +1440,6 @@ mod tests {
                         means: vec![1.0, 2.0],
                         n: 3,
                         total_energy: 26.0,
-                        truncated: false,
                     },
                     config: SubspaceConfig::default(),
                     p: 2,

@@ -1,8 +1,8 @@
 //! The checkpoint chain against its two references: the full state it
 //! stands for (at every generation of a faulted stream, the chain on
 //! disk folds to exactly the pipeline's complete image, late records and
-//! sealed bins included) and the format's committed goldens (v1 to v4
-//! files are refused by version, a v5 chain keeps loading and re-encodes
+//! sealed bins included) and the format's committed goldens (v1 to v5
+//! files are refused by version, a v6 chain keeps loading and re-encodes
 //! to its own bytes).
 
 mod common;
@@ -240,7 +240,7 @@ fn golden_v2_chain_is_refused_by_version() {
 }
 
 /// `golden_v3_chain.ckpt` is a slot file the last v3 build wrote (the
-/// recipe of `golden_v5_chain.ckpt` below). Its models carry the
+/// recipe of `golden_v6_chain.ckpt` below). Its models carry the
 /// eigenflows and unit column scales this build no longer keeps, so it is
 /// refused by version, as v1 and v2 are; a tenant whose slot is refused
 /// retrains from its training prefix.
@@ -250,7 +250,7 @@ fn golden_v3_chain_is_refused_by_version() {
 }
 
 /// `golden_v4_chain.ckpt` is a slot file the last v4 build wrote (the
-/// recipe of `golden_v5_chain.ckpt` below). Its detectors carry the refit
+/// recipe of `golden_v6_chain.ckpt` below). Its detectors carry the refit
 /// window this build no longer keeps, so it is refused by version, as v1
 /// to v3 are; a tenant whose slot is refused retrains from its training
 /// prefix.
@@ -259,13 +259,23 @@ fn golden_v4_chain_is_refused_by_version() {
     chain_is_refused_by_version(4);
 }
 
-/// `golden_v5_chain.ckpt` is a slot file of this format, recorded as
+/// `golden_v5_chain.ckpt` is a slot file the last v5 build wrote (the
+/// recipe of `golden_v6_chain.ckpt` below, its tenant fitted by a
+/// randomized sketch). Its models carry a truncation flag and an
+/// eigen-method tag this build no longer keeps, so it is refused by
+/// version, as v1 to v4 are; a tenant whose slot is refused retrains from
+/// its training prefix.
+#[test]
+fn golden_v5_chain_is_refused_by_version() {
+    chain_is_refused_by_version(5);
+}
+
+/// `golden_v6_chain.ckpt` is a slot file of this format, recorded as
 /// every golden since v3: `Scenario::new(ScenarioConfig { seed: 20040519,
 /// num_bins: 14, total_demand: 40.0, .. }, vec![])`, no anomalies;
-/// `TenantConfig::abilene("golden", 0, 14)` with `train_bins` 6 and
-/// `EigenMethod::RandomizedTruncated { oversample: 2, power_iters: 1,
-/// seed: 5 }` (to keep the loadings small), checkpointing every bin
-/// close. The frames are `frames_for_bin` per bin with running
+/// `TenantConfig::abilene("golden", 0, 14)` with `train_bins` 6 and the
+/// default `SubspaceConfig` (v3 to v5 fitted the tenant with a randomized
+/// sketch instead), checkpointing every bin close. The frames are `frames_for_bin` per bin with running
 /// per-router sequence numbers; after all of bin 10's frames, every
 /// router re-exports its records of bins 1 and 7 (in that order) in one
 /// `encode_datagrams` call stamped with bin 10's start, continuing its
@@ -274,13 +284,14 @@ fn golden_v4_chain_is_refused_by_version() {
 /// generation 8 is durable and restored from `load_newest`; replaying
 /// from its cursor, it writes the complete record of generation 9 into
 /// the other slot and the deltas of generations 10, 11 and 12 after it,
-/// and that slot file is the golden. (The recipe reproduces
-/// `golden_v4_chain.ckpt` byte for byte on the last v4 build.) Any build
-/// that speaks version 5 must load it to generation 12 and re-encode its
-/// first record to the same bytes; a change that cannot is a new version.
+/// and that slot file is the golden. (The recipe, with the sketch,
+/// reproduces `golden_v5_chain.ckpt` byte for byte on the last v5 build.)
+/// Any build that speaks version 6 must load it to generation 12 and
+/// re-encode its first record to the same bytes; a change that cannot is a
+/// new version.
 #[test]
-fn golden_v5_chain_loads_and_its_first_record_reencodes_to_itself() {
-    let bytes = golden("golden_v5_chain.ckpt");
+fn golden_v6_chain_loads_and_its_first_record_reencodes_to_itself() {
+    let bytes = golden("golden_v6_chain.ckpt");
     let spans = common::record_spans(&bytes);
     assert_eq!(spans.len(), 4, "a complete record, then three deltas");
     let first = &bytes[spans[0].clone()];
@@ -297,7 +308,7 @@ fn golden_v5_chain_loads_and_its_first_record_reencodes_to_itself() {
     assert!((0..2).all(|b| keys(&base, b) == 0) && (2..10).all(|b| keys(&base, b) > 0));
     assert_eq!(base.shard.dropped_late, 0);
 
-    let dir = scratch("golden_v5");
+    let dir = scratch("golden_v6");
     let store = CheckpointStore::new(&dir, "golden");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(&store.slot_paths()[1], &bytes).unwrap();

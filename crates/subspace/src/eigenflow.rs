@@ -20,7 +20,7 @@
 //! it from the training window `X`.
 
 use crate::error::{Result, SubspaceError};
-use odflow_linalg::{column_means, truncated_svd, EigenMethod, Matrix};
+use odflow_linalg::{column_means, truncated_svd, Matrix};
 
 /// The eigenflow decomposition of an `n x p` OD traffic matrix: the
 /// principal axes of its normal subspace and its spectrum.
@@ -42,53 +42,38 @@ pub struct EigenflowDecomposition {
     /// Number of timebins the decomposition was fit on.
     pub n: usize,
     /// Total squared Frobenius energy of the centered training data — the
-    /// sum of σ² over the **full** spectrum, even when only the top
-    /// triplets were retained. Denominator of every variance fraction.
+    /// sum of σ² over the full spectrum. Denominator of every variance
+    /// fraction.
     pub total_energy: f64,
-    /// `true` when the decomposition retains fewer triplets than the data
-    /// supports (a truncated backend); the unretained tail energy is
-    /// `total_energy - Σ σ_i²`.
-    pub truncated: bool,
 }
 
 impl EigenflowDecomposition {
     /// Computes the eigenflow decomposition of a data matrix (rows =
-    /// timebins, columns = OD flows) with an explicit [`EigenMethod`],
-    /// retaining (at least) the top `rank` eigenflows, and the loadings of
-    /// the top `min(rank, r)` only (`rank` counts as 1 when it is 0).
-    /// Columns are mean-centered first, as the paper requires ("the
-    /// multivariate mean ... for eigenflows is equal to zero by
+    /// timebins, columns = OD flows): the full spectrum, and the loadings
+    /// of the top `min(rank, r)` eigenflows only (`rank` counts as 1 when
+    /// it is 0). Columns are mean-centered first, as the paper requires
+    /// ("the multivariate mean ... for eigenflows is equal to zero by
     /// construction").
     ///
-    /// The dense method (`DenseTridiagonal`, or `Auto` resolving to it —
-    /// whenever `p` is at most 512, or `n` few enough bins that the row
-    /// Gram costs no more than the sketch) keeps the full spectrum whatever
-    /// `rank` is, so its [`Self::total_energy`] is exactly the retained
-    /// `Σ σ²` and the decomposition is never `truncated`. It factors the
-    /// `p x p` column Gram while `p ≤ max(n, 512)`, and a wider window's
-    /// `n x n` row Gram, dropping triplets below `√ε · σ_max` as
-    /// rounding; either Gram is built from `x` where it lies, each element
-    /// centered as it is loaded. The randomized method keeps
-    /// `rank + oversample` triplets and never copies `x` either: its
-    /// products subtract the column means as they load each element, and one
-    /// row-major pass over `x` — the finiteness check of the centered
-    /// values — sums the energy `Σ (x − μ)²` that fixes the unseen tail.
+    /// The fit is exact ([`truncated_svd`]): the `p x p` column Gram while
+    /// `p ≤ max(n, 512)`, and a wider window's `n x n` row Gram, dropping
+    /// triplets below `√ε · σ_max` as rounding. Either Gram is built from
+    /// `x` where it lies, each element centered as it is loaded, and
+    /// [`Self::total_energy`] is exactly the retained `Σ σ²`.
     ///
     /// # Errors
     ///
     /// * [`SubspaceError::InsufficientData`] unless `n >= 2` and `p >= 2`.
-    /// * Numeric errors from the selected solver, non-finite centered
+    /// * Numeric errors from the solver, non-finite centered
     ///   values among them.
-    pub fn fit_with(x: &Matrix, rank: usize, method: EigenMethod) -> Result<Self> {
+    pub fn fit_with(x: &Matrix, rank: usize) -> Result<Self> {
         let (n, p) = x.shape();
         if n < 2 || p < 2 {
             return Err(SubspaceError::InsufficientData { n, p, need: "need n >= 2 and p >= 2" });
         }
         let means = column_means(x);
-        let rank = rank.max(1);
-        let (svd, total_energy) = truncated_svd(x, &means, rank, method)?;
+        let (svd, total_energy) = truncated_svd(x, &means, rank.max(1))?;
         Ok(EigenflowDecomposition {
-            truncated: !method.is_dense_for((n, p), rank) && svd.rank() < n.min(p),
             loadings: svd.v,
             singular_values: svd.sigma,
             means,
@@ -109,35 +94,18 @@ impl EigenflowDecomposition {
         s * s / (self.n as f64 - 1.0)
     }
 
-    /// All covariance eigenvalues, descending, extended to length `p`.
-    ///
-    /// A full (dense) decomposition pads with zeros, exactly as before:
-    /// rank-deficient data has fewer positive singular values than OD
-    /// pairs, and the Q-statistic needs the full spectrum. A **truncated**
-    /// decomposition instead spreads the unretained tail energy
-    /// (`total_energy - Σ σ_i²`, known exactly from the centered data)
-    /// uniformly over the unseen `p - r` dimensions: the tail *sum* φ₁ is
-    /// then exact, while the power sums φ₂/φ₃ are the minimum consistent
-    /// with it (Jensen), making the resulting Jackson-Mudholkar threshold
-    /// slightly conservative rather than blind to unseen variance.
+    /// All covariance eigenvalues, descending, padded with zeros to
+    /// length `p`: rank-deficient data (fewer bins than OD pairs, or
+    /// directions the row Gram drops as rounding) has fewer positive
+    /// singular values than OD pairs, and the Q-statistic reads a spectrum
+    /// of `p`.
     pub fn eigenvalues_padded(&self, p: usize) -> Vec<f64> {
         let mut ev: Vec<f64> = (0..self.rank()).map(|i| self.eigenvalue(i)).collect();
-        if self.truncated && ev.len() < p {
-            let explained: f64 = ev.iter().sum();
-            let denom = (self.n as f64 - 1.0).max(1.0);
-            let missing = (self.total_energy / denom - explained).max(0.0);
-            let tail = p - ev.len();
-            ev.resize(p, missing / tail as f64);
-        } else {
-            ev.resize(p.max(ev.len()), 0.0);
-        }
+        ev.resize(p.max(ev.len()), 0.0);
         ev
     }
 
     /// Fraction of total variance captured by the top `k` eigenflows.
-    ///
-    /// The denominator is the full-spectrum energy even for truncated
-    /// decompositions, so the fraction never overstates coverage.
     pub fn variance_captured(&self, k: usize) -> f64 {
         if self.total_energy <= 0.0 {
             return 0.0;
@@ -162,7 +130,7 @@ mod tests {
 
     /// The exact dense decomposition with every loadings column.
     fn fit_full(x: &Matrix) -> Result<EigenflowDecomposition> {
-        EigenflowDecomposition::fit_with(x, x.nrows().min(x.ncols()), EigenMethod::DenseTridiagonal)
+        EigenflowDecomposition::fit_with(x, x.nrows().min(x.ncols()))
     }
 
     #[test]
@@ -245,8 +213,7 @@ mod tests {
         // Full spectrum whatever rank is asked, and its energy agrees with
         // what the data says without any eigensolver: ‖centered X‖²_F.
         let x = diurnal_matrix(90, 12);
-        let tri = EigenflowDecomposition::fit_with(&x, 4, EigenMethod::DenseTridiagonal).unwrap();
-        assert!(!tri.truncated);
+        let tri = EigenflowDecomposition::fit_with(&x, 4).unwrap();
         assert_eq!(tri.rank(), 12);
         // Axes for the four asked for; the full fit builds all twelve, and
         // the four are its leading ones.
@@ -259,44 +226,5 @@ mod tests {
         let centered = Matrix::from_fn(90, 12, |i, j| x[(i, j)] - means[j]);
         let energy = centered.frobenius_norm().powi(2);
         assert!((tri.total_energy - energy).abs() <= 1e-10 * (1.0 + energy));
-    }
-
-    #[test]
-    fn fit_with_randomized_truncates_and_tracks_energy() {
-        let x = diurnal_matrix(80, 30);
-        let method = EigenMethod::RandomizedTruncated { oversample: 4, power_iters: 2, seed: 11 };
-        let d = EigenflowDecomposition::fit_with(&x, 3, method).unwrap();
-        assert!(d.truncated, "rank {} of min(n,p)=30 must be truncated", d.rank());
-        assert!(d.rank() <= 7, "rank {} should be at most k + oversample", d.rank());
-        assert_eq!(d.loadings.shape(), (30, 3), "axes for the three asked for");
-        // The retained energy never exceeds the recorded total.
-        let retained: f64 = d.singular_values.iter().map(|s| s * s).sum();
-        assert!(retained <= d.total_energy * (1.0 + 1e-9));
-        // One dominant diurnal pattern: the first eigenflow still carries
-        // almost everything of the *full* energy.
-        assert!(d.variance_captured(1) > 0.9, "captured {}", d.variance_captured(1));
-    }
-
-    #[test]
-    fn truncated_padding_spreads_tail_energy() {
-        let x = diurnal_matrix(60, 20);
-        let method = EigenMethod::RandomizedTruncated { oversample: 2, power_iters: 1, seed: 5 };
-        let d = EigenflowDecomposition::fit_with(&x, 2, method).unwrap();
-        let ev = d.eigenvalues_padded(20);
-        assert_eq!(ev.len(), 20);
-        // Exactness of the tail *sum*: padded spectrum accounts for the
-        // full centered energy.
-        let total: f64 = ev.iter().sum();
-        let expected = d.total_energy / (d.n as f64 - 1.0);
-        assert!(
-            (total - expected).abs() < 1e-6 * expected.max(1.0),
-            "padded sum {total} vs full energy {expected}"
-        );
-        // Tail entries are uniform and nonnegative.
-        let tail = &ev[d.rank()..];
-        assert!(tail.iter().all(|&v| v >= 0.0));
-        for w in tail.windows(2) {
-            assert_eq!(w[0], w[1]);
-        }
     }
 }

@@ -83,9 +83,6 @@ pub use error::{Result, SubspaceError};
 pub use events::{count_by_combination, merge_detections, AnomalyEvent, DetectionTriple, TypeSet};
 pub use identify::{identify, Identification};
 pub use model::{ModelState, StateSplit, SubspaceConfig, SubspaceModel};
-// The eigen-backend selector is part of the fitting configuration; re-export
-// it so detector users configure backends without importing odflow_linalg.
-pub use odflow_linalg::EigenMethod;
 pub use qstat::q_threshold;
 pub use streaming::{DetectorState, OnlineDetector, StreamVerdict};
 pub use tsq::t2_threshold;

@@ -26,36 +26,16 @@ use odflow_linalg::{vecops, EigenMethod, Matrix};
 ///
 /// # Examples
 ///
-/// The eigen-backend is part of the configuration: the default
-/// [`EigenMethod::Auto`] stays on the exact dense path while the window
-/// has at most 512 OD pairs, or few enough bins that its row Gram costs no
-/// more than a randomized sketch, and takes the randomized truncated
-/// solver otherwise.
-///
 /// ```
-/// use odflow_linalg::EigenMethod;
 /// use odflow_subspace::SubspaceConfig;
 ///
-/// // The paper's defaults: k = 4, 99.9% confidence, Auto backend.
+/// // The paper's defaults: k = 4, 99.9% confidence.
 /// let cfg = SubspaceConfig::default();
-/// let dense = |shape| cfg.method.is_dense_for(shape, cfg.k);
-/// assert!(dense((2016, 121))); // Abilene week: dense, exact
-/// assert!(dense((2016, 512))); // mid-size: still dense
-/// assert!(dense((24, 90_000))); // two hours of a large mesh: exact
-/// assert!(!dense((288, 90_000))); // a day of it: randomized
-/// assert!(!dense((2016, 90_000))); // a week of it: randomized
+/// assert_eq!((cfg.k, cfg.alpha), (4, 0.001));
 ///
-/// // Pinning an explicit backend (e.g. for reproducing a CI run):
-/// let pinned = SubspaceConfig {
-///     k: 10,
-///     method: EigenMethod::RandomizedTruncated {
-///         oversample: 8,
-///         power_iters: 2,
-///         seed: 42,
-///     },
-///     ..SubspaceConfig::default()
-/// };
-/// assert_eq!(pinned.k, 10);
+/// // A larger normal subspace, as the large-mesh runs use:
+/// let mesh = SubspaceConfig { k: 10, ..SubspaceConfig::default() };
+/// assert_eq!(mesh.k, 10);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct SubspaceConfig {
@@ -64,10 +44,10 @@ pub struct SubspaceConfig {
     /// False-alarm rate for both thresholds. The paper's figures use the
     /// 99.9% confidence level, i.e. `alpha = 0.001`.
     pub alpha: f64,
-    /// Eigen-backend used at fit time (see [`EigenMethod`]). `Auto` — the
-    /// default — picks the dense exact solver when the window has at most
-    /// 512 OD pairs or few enough bins, and the randomized truncated solver
-    /// otherwise.
+    /// Always [`EigenMethod::Auto`]: every fit is the exact one, its Gram
+    /// chosen by the window's shape. The field stays because the frozen
+    /// `e2e_bench` names it; the next `[benchmark]` PR drops that name and
+    /// this field goes.
     pub method: EigenMethod,
 }
 
@@ -122,10 +102,9 @@ pub struct SubspaceModel {
 
 impl SubspaceModel {
     /// Fits the model to an `n x p` traffic matrix (rows = 5-minute bins,
-    /// columns = OD pairs) using the eigen-backend selected by
-    /// `config.method` ([`EigenMethod::Auto`] by default: the exact dense
-    /// solver while `p` is at most 512 or the window's bins few enough for
-    /// its row Gram, randomized truncated otherwise).
+    /// columns = OD pairs) exactly: through the `p x p` column Gram while
+    /// `p ≤ max(n, 512)`, through the `n x n` row Gram of a wider window.
+    /// The SPE threshold reads the whole spectrum the fit returns.
     ///
     /// # Errors
     ///
@@ -146,7 +125,7 @@ impl SubspaceModel {
                 need: "need more timebins than normal-subspace dimensions",
             });
         }
-        let decomp = EigenflowDecomposition::fit_with(x, config.k, config.method)?;
+        let decomp = EigenflowDecomposition::fit_with(x, config.k)?;
         let eigenvalues = decomp.eigenvalues_padded(p);
 
         // `None`: exactly low-rank training data, no residual variance.
@@ -642,9 +621,7 @@ mod tests {
         assert!(SubspaceModel::from_state(good.clone()).is_ok());
         let with_axes = |axes: usize| {
             let mut s = good.clone();
-            let full = EigenflowDecomposition::fit_with(&x, 9, EigenMethod::DenseTridiagonal)
-                .unwrap()
-                .loadings;
+            let full = EigenflowDecomposition::fit_with(&x, 9).unwrap().loadings;
             s.decomp.loadings = full.select_cols(&(0..axes).collect::<Vec<_>>()).unwrap();
             s
         };

@@ -1,20 +1,18 @@
-//! Fits of wide windows — fewer bins than OD pairs, the large-mesh shape:
-//! every output bit pinned, the exact fit checked against the column Gram
-//! of a centered copy, and the inputs that must not reach a fit turned into
-//! typed outcomes. The sketch's range against Halko's bound is a unit test
-//! of `odflow_linalg`'s randomized module, which owns the range basis.
+//! Fits of wide windows — fewer bins than OD pairs, the large-mesh shape —
+//! through the exact `n x n` row Gram: every output bit pinned, the fit
+//! checked against the column Gram of a centered copy, and the inputs that
+//! must not reach a fit turned into typed outcomes.
 //!
 //! The goldens are FNV-1a words over the exact bits of a fit — singular
 //! values, the normal subspace's loadings, total energy, both thresholds
-//! and the SPE / T² series over the training window — for two fixtures
-//! under two methods. The words were re-keyed twice, each time on the code
-//! that still built what the new key leaves out: from the whole loadings
-//! panel to its leading `min(k, rank)` columns before fits stopped building
-//! the rest, and without the eigenflows before fits stopped building them.
-//! Like the storm-day goldens, they are never re-pinned to make a refactor
-//! pass.
+//! and the SPE / T² series over the training window — for three fixtures.
+//! The words were re-keyed twice, each time on the code that still built
+//! what the new key leaves out: from the whole loadings panel to its
+//! leading `min(k, rank)` columns before fits stopped building the rest,
+//! and without the eigenflows before fits stopped building them. Like the
+//! storm-day goldens, they are never re-pinned to make a refactor pass.
 
-use odflow_linalg::{column_means, thin_svd, EigenMethod, Matrix, DEFAULT_SKETCH_SEED};
+use odflow_linalg::{column_means, thin_svd, Matrix};
 use odflow_par::with_thread_limit;
 use odflow_subspace::{
     q_threshold, t2_threshold, EigenflowDecomposition, ModelState, SubspaceConfig, SubspaceError,
@@ -23,7 +21,7 @@ use odflow_subspace::{
 
 /// Seeded synthetic OD traffic: two shared temporal patterns with
 /// per-column amplitude and phase, plus hash noise whose size varies by
-/// column, so the spectrum has a real tail under the sketch width.
+/// column, so the spectrum has a real tail.
 fn noisy_traffic(n: usize, p: usize, seed: u64) -> Matrix {
     Matrix::from_fn(n, p, |i, j| {
         let t = i as f64 / 288.0 * std::f64::consts::TAU * 12.0;
@@ -70,19 +68,13 @@ fn field_words(model: &SubspaceModel, x: &Matrix) -> [u64; 5] {
     ]
 }
 
-/// The randomized range finder with the options `Auto` has always given
-/// it: an 8-column oversample, two power iterations, the default seed.
-const SKETCH: EigenMethod =
-    EigenMethod::RandomizedTruncated { oversample: 8, power_iters: 2, seed: DEFAULT_SKETCH_SEED };
-
-/// Fits `x` under `method` at the serial fallback and at the default pool,
-/// and returns the digest both must share.
-fn digest(x: &Matrix, k: usize, method: EigenMethod) -> u64 {
-    let cfg = SubspaceConfig { k, method, ..SubspaceConfig::default() };
+/// Fits `x` at the serial fallback and at the default pool, and returns
+/// the digest both must share.
+fn digest(x: &Matrix, k: usize) -> u64 {
+    let cfg = SubspaceConfig { k, ..SubspaceConfig::default() };
     let fit = || {
         let model = SubspaceModel::fit(x, cfg).unwrap();
         let d = model.decomposition();
-        assert_eq!(d.truncated, !method.is_dense_for(x.shape(), k));
         // Every retained σ is data, far above any rank cutoff.
         assert!(d.singular_values[d.rank() - 1] > 1e-4 * d.singular_values[0]);
         field_words(&model, x)
@@ -96,38 +88,26 @@ fn digest(x: &Matrix, k: usize, method: EigenMethod) -> u64 {
 }
 
 #[test]
-fn wide_randomized_fit_goldens_are_pinned() {
-    // The large-mesh shape in miniature: 24 bins, k = 10, an 18-wide
-    // sketch, products banded across twenty 1024-column bands.
+fn wide_row_gram_fit_goldens_are_pinned() {
+    // The large-mesh shape in miniature: 24 bins, k = 10, the 24 x 24 row
+    // Gram folded from twenty 1024-column bands.
     assert_eq!(
-        digest(&noisy_traffic(24, 20_000, 7), 10, SKETCH),
-        0xf381_ca03_f4c8_00c6,
+        digest(&noisy_traffic(24, 20_000, 7), 10),
+        0x1900_a4b5_67c1_e49a,
         "24 x 20000 drifted"
     );
     // An odd bin count, and three full 1024-column bands plus a ragged
     // five-column fourth.
     assert_eq!(
-        digest(&noisy_traffic(17, 3 * 1024 + 5, 11), 4, SKETCH),
-        0x3e68_3277_131d_cf41,
-        "17 x 3077 drifted"
-    );
-}
-
-#[test]
-fn wide_row_gram_fit_goldens_are_pinned() {
-    // The same two windows under `Auto`, which now factors their 24 x 24
-    // and 17 x 17 row Grams: the complete spectrum, nothing truncated.
-    assert!(EigenMethod::Auto.is_dense_for((24, 20_000), 10));
-    assert!(EigenMethod::Auto.is_dense_for((17, 3 * 1024 + 5), 4));
-    assert_eq!(
-        digest(&noisy_traffic(24, 20_000, 7), 10, EigenMethod::Auto),
-        0x1900_a4b5_67c1_e49a,
-        "24 x 20000 drifted"
-    );
-    assert_eq!(
-        digest(&noisy_traffic(17, 3 * 1024 + 5, 11), 4, EigenMethod::Auto),
+        digest(&noisy_traffic(17, 3 * 1024 + 5, 11), 4),
         0x7c65_3c27_3e47_8e51,
         "17 x 3077 drifted"
+    );
+    // 96 bins at k = 10: a 96 x 96 row Gram.
+    assert_eq!(
+        digest(&noisy_traffic(96, 20_000, 13), 10),
+        0x39f2_2707_f8a7_c062,
+        "96 x 20000 drifted"
     );
 }
 
@@ -138,7 +118,8 @@ fn wide_row_gram_fit_goldens_are_pinned() {
 fn largest_angle_sine(a: &Matrix, b: &Matrix, k: usize) -> f64 {
     let idx: Vec<usize> = (0..k).collect();
     let (ak, bk) = (a.select_cols(&idx).unwrap(), b.select_cols(&idx).unwrap());
-    let residual = bk.sub(&ak.matmul(&ak.transpose().matmul(&bk).unwrap()).unwrap()).unwrap();
+    let projected = ak.matmul(&ak.transpose().matmul(&bk).unwrap()).unwrap();
+    let residual = bk.add(&projected.scaled(-1.0)).unwrap();
     thin_svd(&residual, 0.0).unwrap().sigma[0]
 }
 
@@ -157,7 +138,6 @@ fn column_gram_model(x: &Matrix, config: SubspaceConfig) -> SubspaceModel {
         singular_values: svd.sigma,
         means,
         n,
-        truncated: false,
     };
     let spe_threshold =
         q_threshold(&decomp.eigenvalues_padded(p), config.k, config.alpha).unwrap().unwrap();
@@ -178,7 +158,6 @@ fn row_gram_fit_agrees_with_the_column_gram_of_a_centered_copy() {
         let row = SubspaceModel::fit(&x, config).unwrap();
         let col = column_gram_model(&x, config);
         let (rd, cd) = (row.decomposition(), col.decomposition());
-        assert!(!rd.truncated);
         let tag = format!("{n} x {p}");
 
         // σ relative to σ_max over every direction the centered data has
@@ -211,37 +190,29 @@ fn row_gram_fit_agrees_with_the_column_gram_of_a_centered_copy() {
     }
 }
 
-/// Both methods a wide window can be fitted with: `Auto`'s own choice and
-/// the explicit range finder.
-const WIDE_METHODS: [EigenMethod; 2] = [EigenMethod::Auto, SKETCH];
-
-fn fit_wide(x: &Matrix, k: usize, method: EigenMethod) -> Result<SubspaceModel, SubspaceError> {
-    SubspaceModel::fit(x, SubspaceConfig { k, method, ..SubspaceConfig::default() })
+fn fit_wide(x: &Matrix, k: usize) -> Result<SubspaceModel, SubspaceError> {
+    SubspaceModel::fit(x, SubspaceConfig { k, ..SubspaceConfig::default() })
 }
 
 #[test]
 fn constant_window_gives_a_degenerate_model_not_nan() {
     // Every OD pair flat over the window (each at its own level): the
     // centered data is exactly zero, the residual carries no variance.
-    // The wide window goes through the randomized arm and the row Gram,
-    // the paper-width ones (p = 121, fewer and more bins than OD pairs)
-    // through the dense solver.
-    let dense = [EigenMethod::Auto, EigenMethod::DenseTridiagonal];
-    for ((n, p), methods) in [((30, 600), WIDE_METHODS), ((30, 121), dense), ((200, 121), dense)] {
+    // The wide window goes through the row Gram, the paper-width ones
+    // (p = 121, fewer and more bins than OD pairs) through the column Gram.
+    for (n, p) in [(30, 600), (30, 121), (200, 121)] {
         let x = Matrix::from_fn(n, p, |_, j| 1e3 + j as f64);
-        for method in methods {
-            let tag = format!("{n} x {p}, {method:?}");
-            let model = fit_wide(&x, 4, method).unwrap();
-            assert!(model.degenerate_residual(), "{tag}");
-            assert_eq!(model.spe_threshold(), 0.0, "{tag}");
-            assert!(model.t2_threshold().is_finite(), "{tag}");
-            let d = model.decomposition();
-            assert_eq!(d.total_energy, 0.0, "{tag}");
-            assert!(d.singular_values.iter().all(|s| s.is_finite()), "{tag}");
-            assert!(d.loadings.all_finite(), "{tag}");
-            assert!(model.spe_series(&x).unwrap().iter().all(|&s| s == 0.0), "{tag}");
-            assert!(model.t2_series(&x).unwrap().iter().all(|t| t.is_finite()), "{tag}");
-        }
+        let tag = format!("{n} x {p}");
+        let model = fit_wide(&x, 4).unwrap();
+        assert!(model.degenerate_residual(), "{tag}");
+        assert_eq!(model.spe_threshold(), 0.0, "{tag}");
+        assert!(model.t2_threshold().is_finite(), "{tag}");
+        let d = model.decomposition();
+        assert_eq!(d.total_energy, 0.0, "{tag}");
+        assert!(d.singular_values.iter().all(|s| s.is_finite()), "{tag}");
+        assert!(d.loadings.all_finite(), "{tag}");
+        assert!(model.spe_series(&x).unwrap().iter().all(|&s| s == 0.0), "{tag}");
+        assert!(model.t2_series(&x).unwrap().iter().all(|t| t.is_finite()), "{tag}");
     }
 }
 
@@ -261,13 +232,11 @@ fn non_finite_centered_values_are_refused() {
         huge
     };
     for x in [nan, huge(1.0), huge(-1.0)] {
-        for method in WIDE_METHODS {
-            match fit_wide(&x, 4, method) {
-                Err(SubspaceError::Numeric { reason }) => {
-                    assert!(reason.contains("NaN or infinite"), "{method:?}: {reason}");
-                }
-                other => panic!("{method:?}: expected a non-finite refusal, got {other:?}"),
+        match fit_wide(&x, 4) {
+            Err(SubspaceError::Numeric { reason }) => {
+                assert!(reason.contains("NaN or infinite"), "{reason}");
             }
+            other => panic!("expected a non-finite refusal, got {other:?}"),
         }
     }
 }
@@ -276,16 +245,11 @@ fn non_finite_centered_values_are_refused() {
 fn too_few_bins_is_insufficient_data() {
     let x = noisy_traffic(4, 700, 5);
     let one_bin = noisy_traffic(1, 700, 5);
-    for method in WIDE_METHODS {
-        for k in [4, 6] {
-            assert!(
-                matches!(fit_wide(&x, k, method), Err(SubspaceError::InsufficientData { .. })),
-                "{method:?}, k={k}"
-            );
-        }
-        assert!(matches!(
-            EigenflowDecomposition::fit_with(&one_bin, 4, method),
-            Err(SubspaceError::InsufficientData { .. })
-        ));
+    for k in [4, 6] {
+        assert!(matches!(fit_wide(&x, k), Err(SubspaceError::InsufficientData { .. })), "k={k}");
     }
+    assert!(matches!(
+        EigenflowDecomposition::fit_with(&one_bin, 4),
+        Err(SubspaceError::InsufficientData { .. })
+    ));
 }

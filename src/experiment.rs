@@ -179,13 +179,10 @@ fn run_with(
 /// Fits a subspace model to one traffic matrix and scores every bin — the
 /// detection stage of [`run_scenario`] in isolation.
 ///
-/// The eigen-backend comes from `config.method`: with the default
-/// [`odflow_subspace::EigenMethod::Auto`] this runs the exact dense solver
-/// on the paper's `p x p` Gram at 121 OD pairs and on the `n x n` row Gram
-/// of a short large-mesh window (24 bins × 90 000 OD pairs), and the
-/// randomized truncated solver on a wide window with more bins than its
-/// row Gram can factor for the sketch's cost. This is the stage
-/// `e2e_bench`'s `large_mesh` workload times after ingest.
+/// The fit is exact whatever the shape: the paper's `p x p` Gram at 121
+/// OD pairs, and the `n x n` row Gram of a short large-mesh window (24 bins
+/// × 90 000 OD pairs). This is the stage `e2e_bench`'s `large_mesh`
+/// workload times after ingest.
 ///
 /// # Errors
 ///
