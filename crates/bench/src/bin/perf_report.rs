@@ -245,8 +245,9 @@ fn main() {
     }
 
     // The dense eigensolver at the paper's dimension (the only dense size a
-    // benchmark workload runs, where its regions are one inline task), at
-    // a mid-size mesh, and at `Auto`'s dense ceiling, where they fan out.
+    // benchmark workload runs, where its regions are one inline task), and
+    // at 256 and 512 OD pairs, where they fan out: the column Gram of a
+    // window with at least that many bins.
     if filter.enabled("eigen_tridiag") {
         for &d in &[121usize, 256, 512] {
             let x = traffic_matrix(2 * d, d);
@@ -257,19 +258,24 @@ fn main() {
         }
     }
 
-    // Subspace model fit and batch detection at the paper's week scale.
-    if filter.enabled("model_fit") || filter.enabled("detector") {
-        let x = traffic_matrix(2016, 121);
-        if filter.enabled("model_fit") {
-            stages.push(run_stage("model_fit", "n=2016 p=121".into(), reps, || {
+    // Subspace model fit at the paper's week scale, and at the daemon's
+    // 48- and 96-bin windows over the same 121 OD pairs (the online fit
+    // and the flush of `serve_tcp_checkpointed`), which take the row Gram.
+    if filter.enabled("model_fit") {
+        for n in [2016usize, 48, 96] {
+            let x = traffic_matrix(n, 121);
+            stages.push(run_stage("model_fit", format!("n={n} p=121"), reps, || {
                 SubspaceModel::fit_default(&x).unwrap()
             }));
         }
-        if filter.enabled("detector") {
-            stages.push(run_stage("detector", "n=2016 p=121 analyze".into(), reps, || {
-                analyze(&x, SubspaceConfig::default()).unwrap()
-            }));
-        }
+    }
+
+    // Batch detection at the paper's week scale.
+    if filter.enabled("detector") {
+        let x = traffic_matrix(2016, 121);
+        stages.push(run_stage("detector", "n=2016 p=121 analyze".into(), reps, || {
+            analyze(&x, SubspaceConfig::default()).unwrap()
+        }));
     }
 
     // A wide window's exact fit through its row Gram, at the large mesh's

@@ -90,7 +90,7 @@ mod tests {
         // subtract.
         let x = Matrix::zeros(0, 3);
         assert!(matches!(covariance(&x), Err(LinalgError::Empty { .. })));
-        let dense = truncated_svd(&x, &[0.0; 3], 1);
+        let dense = truncated_svd(&x, 1);
         assert!(matches!(dense, Err(LinalgError::Empty { .. })));
     }
 }

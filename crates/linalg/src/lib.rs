@@ -12,9 +12,9 @@
 //! performs PCA over an `n x p` multivariate timeseries of origin-destination
 //! flow traffic with `p = 121`: tall-skinny data, a small dense symmetric
 //! eigenproblem. The same kernels factor wide windows too —
-//! [`truncated_svd`] takes a window of few bins over many OD pairs (a
+//! [`truncated_svd`] takes a window with fewer bins than OD pairs (a
 //! `24 x 90 000` mesh window) exactly through its `n x n` row Gram, read
-//! where it lies. Every fit is exact; past 512 OD pairs its cost grows as
+//! where it lies. Every fit is exact; on a wide window its cost grows as
 //! `O(n² p)`, so a window long *and* wide (a week of a mesh) is slow rather
 //! than approximate. Everything is implemented from scratch so the
 //! workspace carries no external numerics dependency (Rust PCA tooling
@@ -27,7 +27,7 @@
 //!
 //! // 8 observations of 3 correlated variables.
 //! let x = Matrix::from_fn(8, 3, |i, j| ((i + 1) * (j + 1)) as f64);
-//! let svd = thin_svd(&x, 1e-6).unwrap(); // above the Gram route's √ε floor
+//! let svd = thin_svd(&x).unwrap(); // drops σ below the Gram route's √ε floor
 //! assert_eq!(svd.rank(), 1); // perfectly correlated -> rank 1
 //! ```
 
@@ -47,7 +47,7 @@ mod svd;
 mod tridiag;
 pub mod vecops;
 
-pub use backend::{truncated_svd, EigenMethod, AUTO_DENSE_MAX_DIM};
+pub use backend::{truncated_svd, EigenMethod};
 pub use center::column_means;
 pub use cov::{covariance, scatter};
 /// [`eigen_symmetric`] under the name the frozen `e2e_bench` imports; the

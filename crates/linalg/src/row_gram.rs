@@ -36,24 +36,19 @@
 //! is combined in chunk order, so the factorization is **bit-identical for
 //! every thread count** — the contract of the column Gram route.
 
-use crate::eigen::eigen_symmetric;
 use crate::error::{LinalgError, Result};
 use crate::matrix::{band_cols, column_bands, nt_into, tn_block, Matrix, MATMUL_COL_BLOCK};
-use crate::svd::Svd;
+use crate::svd::{factor_gram, Svd};
 use std::ops::Range;
 
 /// The exact thin SVD of the column-centered `Xc = X − 1μᵀ` (μ = `means`)
-/// through its `n x n` row Gram `G = Xc Xcᵀ`, read where `x` lies, and its
-/// energy `Σ σ²`: `eigen_symmetric(G)` gives σ² and the left singular
-/// vectors `W`, and one banded pass gives `V = Xcᵀ W Σ⁻¹` for the leading
-/// `min(v_cols, r)` triplets. Triplets below `√ε · σ_max` are dropped: σ²
-/// is an eigenvalue of `G`, exact to about `ε · σ_max²`, so a smaller σ is
-/// rounding, not data — the floor [`crate::thin_svd`] states for its own
-/// Gram route. What remains is every direction the data has, so the
-/// energy is their `Σ σ²`. The finiteness check is `G`'s diagonal:
-/// `G[i][i] = Σ_j (x_ij − μ_j)²` is a sum of squares, which no NaN or
-/// infinite centered value leaves finite, and `eigen_symmetric` refuses a
-/// non-finite input.
+/// through its `n x n` row Gram `G = Xc Xcᵀ`, read where `x` lies:
+/// `eigen_symmetric(G)` gives σ² and the left singular vectors `W`, the
+/// triplets kept are [`factor_gram`]'s (at most `max_rank`), and one banded
+/// pass gives `V = Xcᵀ W Σ⁻¹` for the leading `min(v_cols, r)` of them. The
+/// finiteness check is `G`'s diagonal: `G[i][i] = Σ_j (x_ij − μ_j)²` is a
+/// sum of squares, which no NaN or infinite centered value leaves finite,
+/// and `eigen_symmetric` refuses a non-finite input.
 ///
 /// σ keeps every triplet; `V` is built for the leading `min(v_cols, r)`
 /// only — the banded pass over the window rotates that many columns of
@@ -68,43 +63,29 @@ use std::ops::Range;
 pub(crate) fn centered_row_gram_svd(
     x: &Matrix,
     means: &[f64],
+    max_rank: usize,
     v_cols: usize,
-) -> Result<(Svd, f64)> {
+) -> Result<Svd> {
     let p = x.ncols();
     if x.nrows() == 0 || p == 0 {
         return Err(LinalgError::Empty { op: "row_gram_svd" });
     }
-    let eig = eigen_symmetric(&row_gram(x, means))?;
+    factor_gram(&row_gram(x, means), p, max_rank, v_cols, |w| {
+        let mut v = right_vectors(x, means, &w);
+        normalize_columns(&mut v);
+        v
+    })
+}
 
-    let sigma_max = eig.eigenvalues.first().copied().unwrap_or(0.0).max(0.0).sqrt();
-    if sigma_max == 0.0 {
-        // A constant window: degenerate SVD, mirroring `thin_svd`'s
-        // convention.
-        return Ok((Svd { sigma: vec![0.0], v: Matrix::zeros(p, v_cols.min(1)) }, 0.0));
-    }
-    let cutoff = f64::EPSILON.sqrt() * sigma_max;
-    let mut sigma = Vec::new();
-    let mut keep = Vec::new();
-    for (i, &l) in eig.eigenvalues.iter().enumerate() {
-        let s = l.max(0.0).sqrt();
-        if s > cutoff {
-            sigma.push(s);
-            keep.push(i);
-        }
-    }
-    let w_lead = eig.eigenvectors.select_cols(&keep[..keep.len().min(v_cols)])?;
-
-    // V = Xcᵀ W Σ^{-1} (p x r, r = the columns of `w_lead`), re-normalized
-    // per column to absorb rounding drift in the small singular values —
-    // the same guard `thin_svd` uses. Under the normalization the Σ^{-1}
-    // rescale cancels analytically (each raw column of Xcᵀ W has norm σ_j),
-    // so only the exact column norms are applied: two row-major passes
-    // over the panel — one map_reduce accumulating all r squared norms
-    // (per-column partials summed in chunk order, so the reduction is
-    // deterministic) and one parallel scale — instead of 2r strided
-    // per-column sweeps.
-    let mut v = right_vectors(x, means, &w_lead);
-    let r = v.ncols();
+/// Scales each column of the `p x r` panel `v = Xcᵀ W` to unit norm. That
+/// is `V = Xcᵀ W Σ⁻¹` up to rounding: each raw column has norm σ_j, and the
+/// exact norm also absorbs the drift of the small singular values. Two
+/// row-major passes over the panel — one map_reduce accumulating all r
+/// squared norms (per-column partials summed in chunk order, so the
+/// reduction is deterministic) and one parallel scale — instead of 2r
+/// strided per-column sweeps.
+fn normalize_columns(v: &mut Matrix) {
+    let (p, r) = v.shape();
     let data = v.as_mut_slice();
     let norms_sq = odflow_par::map_reduce(
         p,
@@ -147,8 +128,6 @@ pub(crate) fn centered_row_gram_svd(
             }
         }
     });
-    let energy = sigma.iter().map(|s| s * s).sum();
-    Ok((Svd { sigma, v }, energy))
 }
 
 /// Columns of `Xc` centered, then folded into `G`, per round of
@@ -229,9 +208,9 @@ mod tests {
         })
     }
 
-    /// Scales every column of `v` to unit norm, the norms summed per
+    /// [`normalize_columns`] on one thread: the norms summed per
     /// `V_COL_BLOCK`-row block and the blocks combined in order.
-    fn normalize_columns(v: &mut Matrix) {
+    fn normalize_serially(v: &mut Matrix) {
         let r = v.ncols();
         let norms_sq = v
             .as_slice()
@@ -283,28 +262,19 @@ mod tests {
     }
 
     /// The row-Gram route on a centered copy and the public kernels: `G =
-    /// Xc Xcᵀ` by `matmul_nt`, `W` its kept eigenvectors, `V = Xcᵀ W` by
-    /// `matmul_tn` normalized per column, the energy `Σ σ²`. Kept as the
-    /// oracle the copy-free route must reproduce bit for bit.
-    fn materialized_row_gram_svd(x: &Matrix) -> (Svd, f64) {
+    /// Xc Xcᵀ` by `matmul_nt`, `V = Xcᵀ W` by `matmul_tn` normalized per
+    /// column, the triplets kept by the shared rule with the centered
+    /// window's cap `n − 1`. Kept as the oracle the copy-free route must
+    /// reproduce bit for bit.
+    fn materialized_row_gram_svd(x: &Matrix) -> Svd {
         let xc = crate::center::centered_copy(x);
-        let eig = eigen_symmetric(&xc.matmul_nt(&xc).unwrap()).unwrap();
-        let sigma_max = eig.eigenvalues[0].max(0.0).sqrt();
-        if sigma_max == 0.0 {
-            return (Svd { sigma: vec![0.0], v: Matrix::zeros(xc.ncols(), 1) }, 0.0);
-        }
-        let (sigma, keep): (Vec<f64>, Vec<usize>) = eig
-            .eigenvalues
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l.max(0.0).sqrt(), i))
-            .filter(|&(s, _)| s > f64::EPSILON.sqrt() * sigma_max)
-            .unzip();
-        let w = eig.eigenvectors.select_cols(&keep).unwrap();
-        let mut v = xc.matmul_tn(&w).unwrap();
-        normalize_columns(&mut v);
-        let energy = sigma.iter().map(|s| s * s).sum();
-        (Svd { sigma, v }, energy)
+        let gram = xc.matmul_nt(&xc).unwrap();
+        factor_gram(&gram, xc.ncols(), x.nrows() - 1, usize::MAX, |w| {
+            let mut v = xc.matmul_tn(&w).unwrap();
+            normalize_serially(&mut v);
+            v
+        })
+        .unwrap()
     }
 
     #[test]
@@ -324,24 +294,23 @@ mod tests {
         for (case, (&p, n)) in widths.iter().zip([2usize, 24, 17, 9, 2, 24]).enumerate() {
             let x = leveled(n, p, 5.min(n));
             let means = crate::center::column_means(&x);
-            let (want, want_energy) = materialized_row_gram_svd(&x);
-            assert!(want.rank() >= n.min(5) - 1, "case {case}: σ = {:?}", want.sigma);
+            let want = materialized_row_gram_svd(&x);
+            let rank = want.rank();
+            assert!(rank >= n.min(5) - 1 && rank < n, "case {case}: σ = {:?}", want.sigma);
             for threads in [1usize, 2, 5] {
-                let (got, energy) = odflow_par::with_thread_limit(threads, || {
-                    centered_row_gram_svd(&x, &means, usize::MAX).unwrap()
+                let got = odflow_par::with_thread_limit(threads, || {
+                    centered_row_gram_svd(&x, &means, n - 1, usize::MAX).unwrap()
                 });
                 let tag = format!("case {case} ({n} x {p}), threads={threads}");
                 assert_eq!(bits(&got.sigma), bits(&want.sigma), "sigma, {tag}");
                 assert_eq!(got.v.shape(), want.v.shape(), "{tag}");
                 assert_eq!(bits(got.v.as_slice()), bits(want.v.as_slice()), "v, {tag}");
-                assert_eq!(energy.to_bits(), want_energy.to_bits(), "energy, {tag}");
                 // A fit's `V`: one column, and four — more than the
                 // two-bin windows have.
                 for v_cols in [1, 4] {
-                    let (narrow, narrow_energy) = odflow_par::with_thread_limit(threads, || {
-                        centered_row_gram_svd(&x, &means, v_cols).unwrap()
+                    let narrow = odflow_par::with_thread_limit(threads, || {
+                        centered_row_gram_svd(&x, &means, n - 1, v_cols).unwrap()
                     });
-                    assert_eq!(narrow_energy.to_bits(), energy.to_bits(), "energy, {tag}");
                     assert_leading_loadings(&got, &narrow, v_cols, &format!("{v_cols}, {tag}"));
                 }
             }
@@ -352,17 +321,16 @@ mod tests {
     fn row_gram_of_a_constant_window_is_the_zero_triplet() {
         let x = Matrix::from_fn(7, MATMUL_COL_BLOCK + 3, |_, j| 40.0 + j as f64);
         let means = crate::center::column_means(&x);
-        let (svd, energy) = centered_row_gram_svd(&x, &means, 4).unwrap();
+        let svd = centered_row_gram_svd(&x, &means, 6, 4).unwrap();
         assert_eq!(svd.sigma, vec![0.0]);
         assert_eq!(svd.v.shape(), (MATMUL_COL_BLOCK + 3, 1));
-        assert_eq!(energy, 0.0);
     }
 
     #[test]
     fn row_gram_refuses_non_finite_centered_values() {
         let mut x = leveled(6, 700, 3);
         let means = crate::center::column_means(&x);
-        let refused = |x: &Matrix| centered_row_gram_svd(x, &means, 4);
+        let refused = |x: &Matrix| centered_row_gram_svd(x, &means, 5, 4);
         x[(4, 650)] = f64::INFINITY;
         assert!(matches!(refused(&x), Err(LinalgError::NonFinite { .. })));
         x[(4, 650)] = f64::NAN;

@@ -94,7 +94,7 @@ proptest! {
     #[test]
     fn svd_reconstruction(m in small_matrix(10, 5)) {
         // Every axis kept: `X V Vᵀ` is `X`, and `VᵀXᵀXV` is `diag(σ²)`.
-        let svd = thin_svd(&m, 0.0).unwrap();
+        let svd = thin_svd(&m).unwrap();
         let xv = m.matmul(&svd.v).unwrap();
         let r = xv.matmul(&svd.v.transpose()).unwrap();
         let scale = 1.0 + m.max_abs();
@@ -111,7 +111,7 @@ proptest! {
         // For any k: ||X||_F^2 == ||X_k||_F^2 + ||X - X_k||_F^2
         // (orthogonal projection), and the residual's energy is the tail
         // Σ_{i>k} σ_i² (Eckart–Young).
-        let svd = thin_svd(&m, 0.0).unwrap();
+        let svd = thin_svd(&m).unwrap();
         let k = svd.rank() / 2;
         if k == 0 { return Ok(()); }
         let vk = svd.v.select_cols(&(0..k).collect::<Vec<_>>()).unwrap();

@@ -286,9 +286,12 @@ fn golden_v5_chain_is_refused_by_version() {
 /// the other slot and the deltas of generations 10, 11 and 12 after it,
 /// and that slot file is the golden. (The recipe, with the sketch,
 /// reproduces `golden_v5_chain.ckpt` byte for byte on the last v5 build.)
-/// Any build that speaks version 6 must load it to generation 12 and
-/// re-encode its first record to the same bytes; a change that cannot is a
-/// new version.
+/// It was recorded when the tenant's 6 × 121 training window was fitted
+/// through its column Gram; a fit now takes the row Gram of a window with
+/// fewer bins than OD pairs, so the recipe writes other model bits today,
+/// but the format is unchanged and the file still loads. Any build that
+/// speaks version 6 must load it to generation 12 and re-encode its first
+/// record to the same bytes; a change that cannot is a new version.
 #[test]
 fn golden_v6_chain_loads_and_its_first_record_reencodes_to_itself() {
     let bytes = golden("golden_v6_chain.ckpt");

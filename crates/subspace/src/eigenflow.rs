@@ -20,7 +20,7 @@
 //! it from the training window `X`.
 
 use crate::error::{Result, SubspaceError};
-use odflow_linalg::{column_means, truncated_svd, Matrix};
+use odflow_linalg::{truncated_svd, Matrix};
 
 /// The eigenflow decomposition of an `n x p` OD traffic matrix: the
 /// principal axes of its normal subspace and its spectrum.
@@ -56,10 +56,12 @@ impl EigenflowDecomposition {
     /// construction").
     ///
     /// The fit is exact ([`truncated_svd`]): the `p x p` column Gram while
-    /// `p ≤ max(n, 512)`, and a wider window's `n x n` row Gram, dropping
-    /// triplets below `√ε · σ_max` as rounding. Either Gram is built from
-    /// `x` where it lies, each element centered as it is loaded, and
-    /// [`Self::total_energy`] is exactly the retained `Σ σ²`.
+    /// `p ≤ n`, and a wider window's `n x n` row Gram. Either keeps the
+    /// triplets above `√ε · σ_max`, at most `n − 1` of them — the rank of a
+    /// window centered on its own means, which [`truncated_svd`] computes
+    /// and returns. Either Gram is built from `x` where it lies, each
+    /// element centered as it is loaded, and [`Self::total_energy`] is
+    /// exactly the retained `Σ σ²`.
     ///
     /// # Errors
     ///
@@ -71,8 +73,7 @@ impl EigenflowDecomposition {
         if n < 2 || p < 2 {
             return Err(SubspaceError::InsufficientData { n, p, need: "need n >= 2 and p >= 2" });
         }
-        let means = column_means(x);
-        let (svd, total_energy) = truncated_svd(x, &means, rank.max(1))?;
+        let (svd, means, total_energy) = truncated_svd(x, rank.max(1))?;
         Ok(EigenflowDecomposition {
             loadings: svd.v,
             singular_values: svd.sigma,
@@ -95,10 +96,9 @@ impl EigenflowDecomposition {
     }
 
     /// All covariance eigenvalues, descending, padded with zeros to
-    /// length `p`: rank-deficient data (fewer bins than OD pairs, or
-    /// directions the row Gram drops as rounding) has fewer positive
-    /// singular values than OD pairs, and the Q-statistic reads a spectrum
-    /// of `p`.
+    /// length `p`: a fit keeps at most `n − 1` singular values and drops
+    /// those at rounding level, so it can hold fewer than OD pairs, and
+    /// the Q-statistic reads a spectrum of `p`.
     pub fn eigenvalues_padded(&self, p: usize) -> Vec<f64> {
         let mut ev: Vec<f64> = (0..self.rank()).map(|i| self.eigenvalue(i)).collect();
         ev.resize(p.max(ev.len()), 0.0);
@@ -117,6 +117,7 @@ impl EigenflowDecomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odflow_linalg::column_means;
 
     /// A synthetic OD matrix: a shared diurnal pattern with per-column
     /// amplitudes, plus small deterministic noise.

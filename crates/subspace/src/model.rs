@@ -103,8 +103,9 @@ pub struct SubspaceModel {
 impl SubspaceModel {
     /// Fits the model to an `n x p` traffic matrix (rows = 5-minute bins,
     /// columns = OD pairs) exactly: through the `p x p` column Gram while
-    /// `p ≤ max(n, 512)`, through the `n x n` row Gram of a wider window.
-    /// The SPE threshold reads the whole spectrum the fit returns.
+    /// `p ≤ n`, through the `n x n` row Gram of a wider window. The SPE
+    /// threshold reads the whole spectrum the fit returns: at most `n − 1`
+    /// singular values, those above rounding.
     ///
     /// # Errors
     ///

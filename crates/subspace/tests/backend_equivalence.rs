@@ -7,7 +7,9 @@
 //!   and **identical** SPE/T² verdicts bin by bin;
 //! * across `ODFLOW_THREADS ∈ {1, typical, oversubscribed}` the column-Gram
 //!   fit and the default detection output are **bit-identical**, and an
-//!   injected spike fires whatever the pool.
+//!   injected spike fires whatever the pool;
+//! * integer-residue windows of 2–12 bins over 512 and 600 OD pairs fit,
+//!   keeping at most `n − 1` directions.
 //!
 //! (The eigensolver's own oracle — cyclic Jacobi — is in `odflow_linalg`'s
 //! `eigen.rs` unit tests, the only place that can see it; the row Gram's
@@ -83,7 +85,7 @@ fn principal_angle_cosines(a: &Matrix, b: &Matrix, k: usize) -> Vec<f64> {
     let ak = a.select_cols(&idx).unwrap();
     let bk = b.select_cols(&idx).unwrap();
     let overlap = ak.transpose().matmul(&bk).unwrap();
-    thin_svd(&overlap, 0.0).unwrap().sigma
+    thin_svd(&overlap).unwrap().sigma
 }
 
 /// Asserts the equivalence contract between two models fit to `x` by
@@ -187,6 +189,26 @@ fn tridiagonal_fit_is_thread_count_invariant() {
         );
         assert_eq!(serial.spe_threshold().to_bits(), par.spe_threshold().to_bits());
         assert_eq!(serial.t2_threshold().to_bits(), par.t2_threshold().to_bits());
+    }
+}
+
+#[test]
+fn residue_windows_fit_within_the_centered_rank() {
+    // `x_ij = (5i + 3j) mod 13 + (ij mod 7)`: its 512 x 512 column Gram
+    // does not converge at 2–4 bins. Every one of these windows is wider
+    // than it is long, so the fit takes the row Gram, which does; no fit
+    // keeps more than n − 1 directions, at one thread or at the default
+    // pool, and the two are bit-identical.
+    for (n, p) in [(2, 512), (3, 512), (4, 512), (12, 512), (12, 600)] {
+        let x = Matrix::from_fn(n, p, |i, j| ((i * 5 + j * 3) % 13) as f64 + (i * j % 7) as f64);
+        let cfg = SubspaceConfig { k: 4.min(n - 1), ..SubspaceConfig::default() };
+        let serial = with_thread_limit(1, || SubspaceModel::fit(&x, cfg)).unwrap();
+        let pooled = SubspaceModel::fit(&x, cfg).unwrap();
+        let (sd, pd) = (serial.decomposition(), pooled.decomposition());
+        assert!(pd.rank() < n, "{n} x {p}: rank {}", pd.rank());
+        assert_eq!(sd.singular_values, pd.singular_values, "{n} x {p}");
+        assert_eq!(sd.loadings.as_slice(), pd.loadings.as_slice(), "{n} x {p}");
+        assert_eq!(serial.spe_threshold().to_bits(), pooled.spe_threshold().to_bits());
     }
 }
 

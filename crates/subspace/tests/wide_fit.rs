@@ -120,7 +120,7 @@ fn largest_angle_sine(a: &Matrix, b: &Matrix, k: usize) -> f64 {
     let (ak, bk) = (a.select_cols(&idx).unwrap(), b.select_cols(&idx).unwrap());
     let projected = ak.matmul(&ak.transpose().matmul(&bk).unwrap()).unwrap();
     let residual = bk.add(&projected.scaled(-1.0)).unwrap();
-    thin_svd(&residual, 0.0).unwrap().sigma[0]
+    thin_svd(&residual).unwrap().sigma[0]
 }
 
 /// The model the paper's own route fits: the `p x p` column Gram of a
@@ -130,7 +130,7 @@ fn column_gram_model(x: &Matrix, config: SubspaceConfig) -> SubspaceModel {
     let (n, p) = x.shape();
     let means = column_means(x);
     let centered = Matrix::from_fn(n, p, |i, j| x[(i, j)] - means[j]);
-    let svd = thin_svd(&centered, 0.0).unwrap();
+    let svd = thin_svd(&centered).unwrap();
     let normal: Vec<usize> = (0..config.k.min(svd.rank())).collect();
     let decomp = EigenflowDecomposition {
         total_energy: svd.sigma.iter().map(|s| s * s).sum(),
