@@ -102,16 +102,6 @@ impl DominantAttributes {
             packets_per_flow: digest.packets_per_flow(),
         })
     }
-
-    /// `true` when nothing at all is dominant — the signature of OUTAGE /
-    /// INGRESS-SHIFT events in Table 2 ("No dominant attribute").
-    pub fn none_dominant(&self) -> bool {
-        self.src_block.is_none()
-            && self.dst_addr.is_none()
-            && self.src_port.is_none()
-            && self.dst_port.is_none()
-            && self.dst_addr_port.is_none()
-    }
 }
 
 /// Well-known service ports the flash-crowd heuristic accepts as plausible
@@ -201,7 +191,13 @@ mod tests {
         }
         let dom = DominantAttributes::evaluate(&d, TrafficType::Flows, DominanceConfig::default())
             .unwrap();
-        assert!(dom.none_dominant(), "{dom:?}");
+        // Table 2's "No dominant attribute": the OUTAGE / INGRESS-SHIFT
+        // signature.
+        assert!(dom.src_block.is_none(), "{dom:?}");
+        assert!(dom.dst_addr.is_none(), "{dom:?}");
+        assert!(dom.src_port.is_none(), "{dom:?}");
+        assert!(dom.dst_port.is_none(), "{dom:?}");
+        assert!(dom.dst_addr_port.is_none(), "{dom:?}");
     }
 
     #[test]

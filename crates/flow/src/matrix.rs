@@ -79,15 +79,6 @@ impl TrafficMatrix {
         self.start_secs + i as u64 * self.bin_secs
     }
 
-    /// The timebin index covering timestamp `ts`, if within range.
-    pub fn bin_for(&self, ts: u64) -> Option<usize> {
-        if ts < self.start_secs {
-            return None;
-        }
-        let i = ((ts - self.start_secs) / self.bin_secs) as usize;
-        (i < self.num_bins()).then_some(i)
-    }
-
     /// Total traffic across all OD pairs per timebin (`sum over columns`).
     pub fn totals(&self) -> Vec<f64> {
         self.data.rows_iter().map(|r| r.iter().sum()).collect()
@@ -162,11 +153,6 @@ mod tests {
         assert_eq!(m.num_od_pairs(), 4);
         assert_eq!(m.bin_start(0), 1000);
         assert_eq!(m.bin_start(3), 1000 + 900);
-        assert_eq!(m.bin_for(1000), Some(0));
-        assert_eq!(m.bin_for(1299), Some(0));
-        assert_eq!(m.bin_for(1300), Some(1));
-        assert_eq!(m.bin_for(999), None);
-        assert_eq!(m.bin_for(1000 + 10 * 300), None);
     }
 
     #[test]

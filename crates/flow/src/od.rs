@@ -11,7 +11,7 @@
 //! statistics the paper reports (≥93% of flows, ≥90% of bytes).
 
 use crate::record::FlowRecord;
-use odflow_net::{CompiledRoutes, IngressResolver, RouteTable, Topology};
+use odflow_net::{IngressResolver, RouteTable, Topology};
 use std::sync::Arc;
 
 /// Outcome of resolving one flow record to an OD pair.
@@ -95,15 +95,14 @@ pub struct OdResolver {
 #[derive(Debug)]
 struct Routing {
     ingress: IngressResolver,
-    routes: CompiledRoutes,
+    routes: RouteTable,
 }
 
 impl OdResolver {
-    /// Creates a resolver over the routes installed in `routes` at this
-    /// moment (the table is compiled once, here).
+    /// Creates a resolver over `ingress` and the egress table `routes`.
     pub fn new(topology: &Topology, ingress: IngressResolver, routes: RouteTable) -> OdResolver {
         OdResolver {
-            routing: Arc::new(Routing { ingress, routes: routes.compile() }),
+            routing: Arc::new(Routing { ingress, routes }),
             num_pops: topology.num_pops(),
             stats: ResolutionStats::default(),
         }

@@ -194,14 +194,6 @@ impl FaultSchedule {
         &self.events
     }
 
-    /// Whether `bin` falls inside a full collector blackout
-    /// (`ExporterOutage { exporter: None }`).
-    pub fn is_blackout(&self, bin: usize) -> bool {
-        self.events
-            .iter()
-            .any(|e| e.active_in(bin) && e.kind == FaultKind::ExporterOutage { exporter: None })
-    }
-
     /// A canonical mixed storm covering every fault class, scaled to a
     /// window of `num_bins` bins: loss, corruption, truncation,
     /// duplication, reordering, sampling drift, counter overflow, a
@@ -424,8 +416,10 @@ mod tests {
         let mut st = FaultStormStats::default();
         assert!(blackout.apply_to_frames(1, frames(3, 60, 0), &mut st).is_empty());
         assert_eq!(st.frames_dropped_outage, 2);
-        assert!(blackout.is_blackout(1));
-        assert!(!blackout.is_blackout(4));
+        // The blackout spans bins 0..4: bin 4's frames pass untouched.
+        let after = frames(3, 60, 0);
+        assert_eq!(blackout.apply_to_frames(4, after.clone(), &mut st), after);
+        assert_eq!(st.frames_dropped_outage, 2);
 
         let single = one_event(FaultKind::ExporterOutage { exporter: Some(3) });
         let mut mixed = frames(3, 30, 0);
@@ -433,8 +427,9 @@ mod tests {
         let mut st = FaultStormStats::default();
         let out = single.apply_to_frames(0, mixed, &mut st);
         assert_eq!(out.len(), 1);
+        // A one-exporter outage is not a blackout: the other exporter's
+        // frame survives.
         assert_eq!(out[0][OFF_ENGINE_ID], 5);
-        assert!(!single.is_blackout(0), "a one-exporter outage is not a blackout");
     }
 
     #[test]

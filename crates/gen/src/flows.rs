@@ -147,37 +147,10 @@ pub fn draw_packet_bytes(rng: &mut impl Rng) -> u32 {
 ///
 /// Records carry `router = origin`, `interface = 0` (customer port) so the
 /// OD resolver attributes ingress exactly as the paper's procedure does.
-#[allow(clippy::too_many_arguments)]
-pub fn synthesize_cell(
-    params: &BaselineParams,
-    plan: &AddressPlan,
-    origin: PopId,
-    destination: PopId,
-    mean_flows: f64,
-    bin_start: u64,
-    bin_secs: u64,
-    rng: &mut impl Rng,
-) -> Vec<FlowRecord> {
-    let mut records = Vec::new();
-    synthesize_cell_into(
-        params,
-        plan,
-        origin,
-        destination,
-        mean_flows,
-        bin_start,
-        bin_secs,
-        rng,
-        &mut |r| records.push(r),
-    );
-    records
-}
-
-/// Streaming variant of [`synthesize_cell`]: emits each record through
-/// `sink` instead of materializing a vector. The fused generate→bin path
+///
+/// Each record goes to `sink` as it is drawn: the fused generate→bin path
 /// renders whole bins straight into ingest shards this way, so a scenario
-/// run never allocates per-cell record buffers. Draws the exact same RNG
-/// sequence as [`synthesize_cell`] — the two are bit-identical.
+/// run never allocates per-cell record buffers.
 #[allow(clippy::too_many_arguments)]
 pub fn synthesize_cell_into(
     params: &BaselineParams,
@@ -253,6 +226,33 @@ mod tests {
         AddressPlan::synthetic(&Topology::abilene())
     }
 
+    /// One cell's records, collected from the streaming sink.
+    #[allow(clippy::too_many_arguments)]
+    fn cell_records(
+        params: &BaselineParams,
+        plan: &AddressPlan,
+        origin: PopId,
+        destination: PopId,
+        mean_flows: f64,
+        bin_start: u64,
+        bin_secs: u64,
+        rng: &mut impl Rng,
+    ) -> Vec<FlowRecord> {
+        let mut records = Vec::new();
+        synthesize_cell_into(
+            params,
+            plan,
+            origin,
+            destination,
+            mean_flows,
+            bin_start,
+            bin_secs,
+            rng,
+            &mut |r| records.push(r),
+        );
+        records
+    }
+
     #[test]
     fn default_params_validate() {
         BaselineParams::default().validate().unwrap();
@@ -276,8 +276,8 @@ mod tests {
         let params = BaselineParams::default();
         let mut r1 = cell_rng(1, 2, 3, Stream::Baseline);
         let mut r2 = cell_rng(1, 2, 3, Stream::Baseline);
-        let a = synthesize_cell(&params, &plan, 0, 5, 20.0, 0, 300, &mut r1);
-        let b = synthesize_cell(&params, &plan, 0, 5, 20.0, 0, 300, &mut r2);
+        let a = cell_records(&params, &plan, 0, 5, 20.0, 0, 300, &mut r1);
+        let b = cell_records(&params, &plan, 0, 5, 20.0, 0, 300, &mut r2);
         assert_eq!(a, b);
     }
 
@@ -289,7 +289,7 @@ mod tests {
         let trials = 300;
         for i in 0..trials {
             let mut rng = cell_rng(7, i, 0, Stream::Baseline);
-            total += synthesize_cell(&params, &plan, 1, 2, 15.0, 0, 300, &mut rng).len();
+            total += cell_records(&params, &plan, 1, 2, 15.0, 0, 300, &mut rng).len();
         }
         let mean = total as f64 / trials as f64;
         assert!((mean - 15.0).abs() < 1.0, "mean flows {mean}");
@@ -299,8 +299,7 @@ mod tests {
     fn records_attributed_to_origin_router_customer_iface() {
         let plan = setup();
         let mut rng = cell_rng(1, 0, 0, Stream::Baseline);
-        let recs =
-            synthesize_cell(&BaselineParams::default(), &plan, 4, 9, 30.0, 600, 300, &mut rng);
+        let recs = cell_records(&BaselineParams::default(), &plan, 4, 9, 30.0, 600, 300, &mut rng);
         assert!(!recs.is_empty());
         for r in &recs {
             assert_eq!(r.router, 4);
@@ -321,7 +320,7 @@ mod tests {
         let mut total = 0usize;
         for i in 0..200 {
             let mut rng = cell_rng(11, i, 5, Stream::Baseline);
-            for r in synthesize_cell(&params, &plan, 0, 3, 50.0, 0, 300, &mut rng) {
+            for r in cell_records(&params, &plan, 0, 3, 50.0, 0, 300, &mut rng) {
                 total += 1;
                 // Unannounced space is 172.16/12 in the synthetic plan.
                 if r.key.dst_ip.octets()[0] == 172 {
@@ -361,7 +360,7 @@ mod tests {
     fn zero_mean_produces_no_records() {
         let plan = setup();
         let mut rng = cell_rng(1, 0, 0, Stream::Baseline);
-        let recs = synthesize_cell(&BaselineParams::default(), &plan, 0, 1, 0.0, 0, 300, &mut rng);
+        let recs = cell_records(&BaselineParams::default(), &plan, 0, 1, 0.0, 0, 300, &mut rng);
         assert!(recs.is_empty());
     }
 
@@ -375,11 +374,11 @@ mod tests {
         for i in 0..100 {
             let mut r1 = cell_rng(5, i, 0, Stream::Baseline);
             let mut r2 = cell_rng(5, i, 0, Stream::Baseline);
-            packets_heavy += synthesize_cell(&heavy, &plan, 0, 1, 20.0, 0, 300, &mut r1)
+            packets_heavy += cell_records(&heavy, &plan, 0, 1, 20.0, 0, 300, &mut r1)
                 .iter()
                 .map(|r| r.packets)
                 .sum::<u64>();
-            packets_light += synthesize_cell(&light, &plan, 0, 1, 20.0, 0, 300, &mut r2)
+            packets_light += cell_records(&light, &plan, 0, 1, 20.0, 0, 300, &mut r2)
                 .iter()
                 .map(|r| r.packets)
                 .sum::<u64>();

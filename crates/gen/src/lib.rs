@@ -41,7 +41,7 @@ pub use anomaly::{AnomalyKind, InjectedAnomaly, ScanMode};
 pub use diurnal::{DiurnalModel, ABILENE_TZ_OFFSET_HOURS, DAY_SECS, WEEK_SECS};
 pub use error::{GenError, Result};
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultStormStats};
-pub use flows::{draw_dst_port, draw_packet_bytes, synthesize_cell, BaselineParams};
+pub use flows::{draw_dst_port, draw_packet_bytes, BaselineParams};
 pub use gravity::GravityModel;
 pub use rng::{cell_rng, lognormal_noise, poisson, Stream};
 pub use scenario::{Scenario, ScenarioConfig, TraceGenerator, BINS_PER_WEEK, LARGE_MESH_POPS};

@@ -34,13 +34,6 @@ pub fn anonymize_dst(dst: IpAddr) -> IpAddr {
     IpAddr(dst.0 & ANON_MASK)
 }
 
-/// `true` if two addresses are indistinguishable after anonymization —
-/// useful for tests that assert the pipeline never relies on anonymized
-/// bits.
-pub fn same_anon_block(a: IpAddr, b: IpAddr) -> bool {
-    anonymize_dst(a) == anonymize_dst(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,17 +69,15 @@ mod tests {
         let a = IpAddr::from_octets(10, 0, 0, 1);
         let b = IpAddr::from_octets(10, 0, 7, 255); // same /21 block
         let c = IpAddr::from_octets(10, 0, 8, 0); // next block
-        assert!(same_anon_block(a, b));
-        assert!(!same_anon_block(a, c));
+        assert_eq!(anonymize_dst(a), anonymize_dst(b));
+        assert_ne!(anonymize_dst(a), anonymize_dst(c));
     }
 
     #[test]
     fn egress_resolution_survives_anonymization() {
         // A /16 route table resolves anonymized addresses identically.
-        use crate::bgp::{RouteSource, RouteTable};
-        use crate::prefix::Prefix;
-        let mut t = RouteTable::new();
-        t.install("10.5.0.0/16".parse::<Prefix>().unwrap(), 3, RouteSource::Bgp);
+        use crate::prefix::RouteTable;
+        let t = RouteTable::from_routes(&[("10.5.0.0/16".parse().unwrap(), 3)]);
         let dst = IpAddr::from_octets(10, 5, 200, 77);
         assert_eq!(t.egress(dst), t.egress(anonymize_dst(dst)));
         assert_eq!(t.egress(anonymize_dst(dst)), Some(3));

@@ -6,178 +6,18 @@
 //! this procedure the authors resolve "more than 93% of all IP flows
 //! (accounting for more than 90% of the total byte traffic)".
 //!
-//! [`RouteTable`] reproduces this: a longest-prefix-match table mapping
-//! destination prefixes to egress PoPs, deliberately *incomplete* so that a
-//! realistic fraction of traffic fails resolution. It is the structure
-//! routes are installed into; [`RouteTable::compile`] freezes it into
-//! [`CompiledRoutes`], the per-record lookup form. [`AddressPlan`] is the
-//! synthetic address layout that stands in for Abilene's real customer and
-//! peer address space.
+//! [`AddressPlan`] is the synthetic address layout that stands in for
+//! Abilene's real customer and peer address space, and
+//! [`AddressPlan::build_route_table`] its routing state: the plan's
+//! `(prefix, egress PoP)` routes, built once into the one
+//! longest-prefix-match table, [`RouteTable`], in prefix-length order, and
+//! checked against a linear scan over the same routes. The table is
+//! deliberately *incomplete*, so that a realistic fraction of traffic
+//! fails resolution.
 
 use crate::error::Result;
-use crate::prefix::{IpAddr, Prefix, PrefixTrie};
+use crate::prefix::{IpAddr, Prefix, RouteTable};
 use crate::topology::{PopId, Topology};
-
-/// Where a route was learned from — mirrors the paper's two-source
-/// resolution (BGP tables augmented with router configuration files).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteSource {
-    /// Learned from BGP (peers and large customers).
-    Bgp,
-    /// Added from router configuration files (customer interfaces whose
-    /// addresses do not appear in BGP).
-    Config,
-}
-
-/// A single routing-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouteEntry {
-    /// Egress PoP for traffic matching the prefix.
-    pub egress: PopId,
-    /// Provenance of the entry.
-    pub source: RouteSource,
-}
-
-/// Longest-prefix-match routing table mapping destination IPs to egress
-/// PoPs.
-#[derive(Debug, Clone)]
-pub struct RouteTable {
-    trie: PrefixTrie<RouteEntry>,
-}
-
-impl Default for RouteTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RouteTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        RouteTable { trie: PrefixTrie::new() }
-    }
-
-    /// Installs a route. Later insertions for the same prefix replace
-    /// earlier ones (as a fresh daily table computation would).
-    pub fn install(&mut self, prefix: Prefix, egress: PopId, source: RouteSource) {
-        self.trie.insert(prefix, RouteEntry { egress, source });
-    }
-
-    /// Resolves the egress PoP for a destination address, or `None` when no
-    /// prefix matches (the paper's unresolvable ~7%).
-    pub fn egress(&self, dst: IpAddr) -> Option<PopId> {
-        self.trie.lookup(dst).map(|e| e.egress)
-    }
-
-    /// Full entry lookup including provenance.
-    pub fn lookup(&self, dst: IpAddr) -> Option<&RouteEntry> {
-        self.trie.lookup(dst)
-    }
-
-    /// Number of installed prefixes.
-    pub fn len(&self) -> usize {
-        self.trie.len()
-    }
-
-    /// `true` when no routes are installed.
-    pub fn is_empty(&self) -> bool {
-        self.trie.is_empty()
-    }
-
-    /// Freezes the installed routes into the lookup form the per-record
-    /// path resolves against. The result answers [`CompiledRoutes::egress`]
-    /// exactly as [`Self::egress`] does at the moment of the call; routes
-    /// installed afterwards are not seen.
-    ///
-    /// # Panics
-    ///
-    /// If an installed egress PoP id does not fit in 32 bits — PoP ids are
-    /// indices into a [`Topology`], far below that.
-    pub fn compile(&self) -> CompiledRoutes {
-        let mut slots = vec![Slot::default(); STRIDE_SLOTS];
-        // Pre-order: a covering prefix is written before the more specific
-        // ones inside it, so within a node the longest match ends on top.
-        for (prefix, entry) in self.trie.entries() {
-            let egress = u32::try_from(entry.egress)
-                .ok()
-                .and_then(|pop| pop.checked_add(1))
-                .expect("PoP ids are topology indices and fit in 32 bits");
-            let (addr, len) = (prefix.network().0, u32::from(prefix.len()));
-            // Walk down through every whole stride the prefix is strictly
-            // longer than, creating nodes on the way.
-            let (mut node, mut depth) = (0usize, 0u32);
-            while len > depth + STRIDE_BITS {
-                let at = node + stride_byte(addr, depth);
-                if slots[at].child == 0 {
-                    slots[at].child = u32::try_from(slots.len() / STRIDE_SLOTS)
-                        .expect("a table of 32-bit addresses has fewer than 2^32 nodes");
-                    slots.resize(slots.len() + STRIDE_SLOTS, Slot::default());
-                }
-                node = slots[at].child as usize * STRIDE_SLOTS;
-                depth += STRIDE_BITS;
-            }
-            // Controlled prefix expansion: the `len - depth` bits left fix
-            // the top of this node's byte, the rest of the byte is free.
-            let first = node + stride_byte(addr, depth);
-            let span = 1usize << (depth + STRIDE_BITS - len);
-            for slot in &mut slots[first..first + span] {
-                slot.egress = egress;
-            }
-        }
-        CompiledRoutes { slots }
-    }
-}
-
-/// Address bits one node of [`CompiledRoutes`] consumes.
-const STRIDE_BITS: u32 = 8;
-/// Slots per node: one per value of the stride's byte.
-const STRIDE_SLOTS: usize = 1 << STRIDE_BITS;
-
-/// The byte of `addr` that a node `depth` bits down indexes by.
-fn stride_byte(addr: u32, depth: u32) -> usize {
-    ((addr >> (32 - STRIDE_BITS - depth)) & 0xFF) as usize
-}
-
-/// One slot of a stride-8 node, 8 bytes: the best route among the
-/// prefixes this node holds that cover the slot, and the node one stride
-/// further down, each `0` when absent (node 0 is the root, never a child).
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    /// Egress PoP id plus one.
-    egress: u32,
-    /// Index of the child node.
-    child: u32,
-}
-
-/// A [`RouteTable`] frozen for lookup: a multibit trie of 8-bit strides,
-/// so a destination resolves in at most four dependent loads where the
-/// binary trie takes one per prefix bit. Built once by
-/// [`RouteTable::compile`], immutable afterwards; provenance is dropped —
-/// the record path only asks for the egress PoP.
-#[derive(Debug, Clone)]
-pub struct CompiledRoutes {
-    /// Nodes of [`STRIDE_SLOTS`] slots each, root first.
-    slots: Vec<Slot>,
-}
-
-impl CompiledRoutes {
-    /// The egress PoP of the most specific installed prefix containing
-    /// `dst`, or `None` when no prefix matches.
-    pub fn egress(&self, dst: IpAddr) -> Option<PopId> {
-        let (mut node, mut best) = (0usize, 0u32);
-        for depth in [0, 8, 16, 24] {
-            let slot = self.slots[node + stride_byte(dst.0, depth)];
-            if slot.egress != 0 {
-                best = slot.egress;
-            }
-            if slot.child == 0 {
-                break;
-            }
-            node = slot.child as usize * STRIDE_SLOTS;
-        }
-        best.checked_sub(1).map(|pop| pop as PopId)
-    }
-}
 
 /// The synthetic address plan for the measured network.
 ///
@@ -323,27 +163,20 @@ impl AddressPlan {
 
     /// Builds the routing table the measurement pipeline uses for egress
     /// resolution. `config_coverage` in `[0, 1]` controls what fraction of
-    /// each PoP's customer blocks appear (first from BGP, then from config
-    /// files); the remainder — plus all unannounced space — stays
-    /// unresolvable. The paper's setup corresponds to full coverage of
-    /// announced space (`1.0`) with ~7% of traffic addressed to unannounced
-    /// space.
+    /// each PoP's customer blocks appear in the table (the first
+    /// `round(coverage · blocks)` of them); the remainder — plus all
+    /// unannounced space — stays unresolvable. Every peer prefix is routed.
+    /// The paper's setup corresponds to full coverage of announced space
+    /// (`1.0`) with ~7% of traffic addressed to unannounced space.
     pub fn build_route_table(&self, config_coverage: f64) -> Result<RouteTable> {
-        let mut table = RouteTable::new();
+        let mut routes = Vec::new();
         for (pop, blocks) in self.customer.iter().enumerate() {
             let covered =
                 ((blocks.len() as f64) * config_coverage.clamp(0.0, 1.0)).round() as usize;
-            for (j, &prefix) in blocks.iter().enumerate().take(covered) {
-                // First block arrives via BGP, the rest via config files —
-                // mirroring the paper's augmentation step.
-                let source = if j == 0 { RouteSource::Bgp } else { RouteSource::Config };
-                table.install(prefix, pop, source);
-            }
+            routes.extend(blocks.iter().take(covered).map(|&prefix| (prefix, pop)));
         }
-        for &(prefix, pop) in &self.peers {
-            table.install(prefix, pop, RouteSource::Bgp);
-        }
-        Ok(table)
+        routes.extend_from_slice(&self.peers);
+        Ok(RouteTable::from_routes(&routes))
     }
 }
 
@@ -439,24 +272,20 @@ mod tests {
 
     #[test]
     fn partial_coverage_drops_blocks() {
-        let (_, p) = plan();
+        let (t, p) = plan();
+        let resolved = |table: &RouteTable| {
+            (0..t.num_pops())
+                .flat_map(|pop| (0..AddressPlan::BLOCKS_PER_POP).map(move |b| (pop, b)))
+                .filter(|&(pop, b)| table.egress(p.customer_addr(pop, b, 1)).is_some())
+                .count()
+        };
         let table_half = p.build_route_table(0.5).unwrap();
         let table_full = p.build_route_table(1.0).unwrap();
-        assert!(table_half.len() < table_full.len());
-        // First block (BGP-learned) is always covered at 0.5.
+        assert!(resolved(&table_half) < resolved(&table_full));
+        // The first block is always covered at 0.5.
         assert!(table_half.egress(p.customer_addr(0, 0, 1)).is_some());
         // Last block is not.
         assert!(table_half.egress(p.customer_addr(0, 3, 1)).is_none());
-    }
-
-    #[test]
-    fn provenance_recorded() {
-        let (_, p) = plan();
-        let table = p.build_route_table(1.0).unwrap();
-        let bgp = table.lookup(p.customer_addr(2, 0, 9)).unwrap();
-        assert_eq!(bgp.source, RouteSource::Bgp);
-        let cfg = table.lookup(p.customer_addr(2, 1, 9)).unwrap();
-        assert_eq!(cfg.source, RouteSource::Config);
     }
 
     #[test]
@@ -470,29 +299,29 @@ mod tests {
 
     #[test]
     fn empty_table_resolves_nothing() {
-        let t = RouteTable::new();
-        assert!(t.is_empty());
+        let t = RouteTable::from_routes(&[]);
         assert_eq!(t.egress("10.0.0.1".parse().unwrap()), None);
+        assert_eq!(t.egress("255.255.255.255".parse().unwrap()), None);
     }
 
     #[test]
     fn compiled_routes_answer_as_the_table_does() {
-        let mut t = RouteTable::new();
-        assert_eq!(t.compile().egress("10.0.0.1".parse().unwrap()), None);
-        // Lengths on and off the 8-bit stride, nested, installed longest
-        // first so the order of installation cannot be what decides.
-        for (text, pop) in [
+        // Lengths on and off the 8-bit stride, nested, listed longest
+        // first so the order of the routes cannot be what decides; the /16
+        // is routed again, and the later route wins.
+        let routes: Vec<(Prefix, PopId)> = [
             ("10.1.2.3/32", 6),
             ("10.1.2.0/23", 5),
             ("10.1.0.0/16", 4),
             ("10.0.0.0/9", 3),
             ("10.0.0.0/8", 2),
             ("0.0.0.0/0", 1),
-        ] {
-            t.install(text.parse().unwrap(), pop, RouteSource::Bgp);
-        }
-        t.install("10.1.0.0/16".parse().unwrap(), 7, RouteSource::Config);
-        let compiled = t.compile();
+            ("10.1.0.0/16", 7),
+        ]
+        .iter()
+        .map(|&(text, pop)| (text.parse().unwrap(), pop))
+        .collect();
+        let compiled = RouteTable::from_routes(&routes);
         for (addr, pop) in [
             ("10.1.2.3", 6),
             ("10.1.2.4", 5),
@@ -504,21 +333,22 @@ mod tests {
             ("255.255.255.255", 1),
         ] {
             let addr: IpAddr = addr.parse().unwrap();
+            // The route list read as a table: the longest prefix holding
+            // `addr`, the last listed of equals.
+            let table = routes
+                .iter()
+                .filter(|(p, _)| p.contains(addr))
+                .max_by_key(|(p, _)| p.len())
+                .map(|&(_, pop)| pop);
             assert_eq!(compiled.egress(addr), Some(pop), "{addr}");
-            assert_eq!(compiled.egress(addr), t.egress(addr), "{addr}");
+            assert_eq!(compiled.egress(addr), table, "{addr}");
         }
-        // A route installed after compilation is not seen.
-        t.install("11.0.0.0/8".parse().unwrap(), 9, RouteSource::Bgp);
-        assert_eq!(compiled.egress("11.0.0.0".parse().unwrap()), Some(1));
     }
 
     #[test]
     fn route_replacement() {
-        let mut t = RouteTable::new();
         let pre: Prefix = "10.0.0.0/16".parse().unwrap();
-        t.install(pre, 3, RouteSource::Bgp);
-        t.install(pre, 5, RouteSource::Config);
+        let t = RouteTable::from_routes(&[(pre, 3), (pre, 5)]);
         assert_eq!(t.egress("10.0.1.1".parse().unwrap()), Some(5));
-        assert_eq!(t.len(), 1);
     }
 }

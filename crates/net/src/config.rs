@@ -32,8 +32,6 @@ pub struct Interface {
     pub index: u32,
     /// Role parsed from the configuration.
     pub role: InterfaceRole,
-    /// Free-form description line (e.g. `"to-customer:CALREN"`).
-    pub description: String,
 }
 
 /// A router's interface configuration.
@@ -123,24 +121,12 @@ impl IngressResolver {
             .collect();
         let mut configs = Vec::with_capacity(topology.num_pops());
         for pop in 0..topology.num_pops() {
-            let mut interfaces = vec![Interface {
-                index: 0,
-                role: InterfaceRole::Customer,
-                description: format!("to-customers:{}", topology.pops()[pop].code),
-            }];
+            let mut interfaces = vec![Interface { index: 0, role: InterfaceRole::Customer }];
             if coastal.contains(&pop) {
-                interfaces.push(Interface {
-                    index: 1,
-                    role: InterfaceRole::Peer,
-                    description: format!("to-peer-research-net:{}", topology.pops()[pop].code),
-                });
+                interfaces.push(Interface { index: 1, role: InterfaceRole::Peer });
             }
-            for (k, &(nb, _)) in topology.neighbors(pop).expect("pop in range").iter().enumerate() {
-                interfaces.push(Interface {
-                    index: 100 + k as u32,
-                    role: InterfaceRole::Backbone,
-                    description: format!("backbone-to:{}", topology.pops()[nb].code),
-                });
+            for k in 0..topology.neighbors(pop).expect("pop in range").len() {
+                interfaces.push(Interface { index: 100 + k as u32, role: InterfaceRole::Backbone });
             }
             configs.push(RouterConfig { pop, interfaces });
         }
@@ -222,8 +208,8 @@ mod tests {
         let cfg = RouterConfig {
             pop: 0,
             interfaces: vec![
-                Interface { index: 0, role: InterfaceRole::Customer, description: "c".into() },
-                Interface { index: 7, role: InterfaceRole::Backbone, description: "b".into() },
+                Interface { index: 0, role: InterfaceRole::Customer },
+                Interface { index: 7, role: InterfaceRole::Backbone },
             ],
         };
         assert!(cfg.is_external(0));
@@ -237,11 +223,7 @@ mod tests {
         let t = Topology::abilene();
         let configs = vec![RouterConfig {
             pop: 3,
-            interfaces: vec![Interface {
-                index: 5,
-                role: InterfaceRole::Peer,
-                description: "peer".into(),
-            }],
+            interfaces: vec![Interface { index: 5, role: InterfaceRole::Peer }],
         }];
         let r = IngressResolver::new(&t, configs).unwrap();
         assert_eq!(r.ingress(3, 5), Some(3));

@@ -12,20 +12,6 @@ pub enum NetError {
         /// Number of PoPs in the topology.
         count: usize,
     },
-    /// A link endpoint pair does not exist in the topology.
-    UnknownLink {
-        /// Link source PoP.
-        from: usize,
-        /// Link destination PoP.
-        to: usize,
-    },
-    /// The topology graph is disconnected; no route exists between the PoPs.
-    NoRoute {
-        /// Source PoP.
-        from: usize,
-        /// Destination PoP.
-        to: usize,
-    },
     /// A prefix string failed to parse.
     InvalidPrefix {
         /// The rejected text.
@@ -49,8 +35,6 @@ impl fmt::Display for NetError {
             NetError::UnknownPop { pop, count } => {
                 write!(f, "unknown PoP index {pop} (topology has {count} PoPs)")
             }
-            NetError::UnknownLink { from, to } => write!(f, "no link between PoPs {from} and {to}"),
-            NetError::NoRoute { from, to } => write!(f, "no route from PoP {from} to PoP {to}"),
             NetError::InvalidPrefix { text } => write!(f, "invalid prefix: {text:?}"),
             NetError::InvalidPrefixLen { len } => write!(f, "invalid prefix length {len} (max 32)"),
             NetError::InvalidTopology { reason } => write!(f, "invalid topology: {reason}"),
@@ -70,10 +54,8 @@ mod tests {
     #[test]
     fn display_variants() {
         assert!(NetError::UnknownPop { pop: 12, count: 11 }.to_string().contains("12"));
-        assert!(NetError::NoRoute { from: 0, to: 3 }.to_string().contains("no route"));
         assert!(NetError::InvalidPrefix { text: "x/y".into() }.to_string().contains("x/y"));
         assert!(NetError::InvalidPrefixLen { len: 40 }.to_string().contains("40"));
-        assert!(NetError::UnknownLink { from: 1, to: 2 }.to_string().contains("no link"));
         assert!(NetError::InvalidTopology { reason: "self-loop".into() }
             .to_string()
             .contains("self-loop"));

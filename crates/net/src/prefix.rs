@@ -2,15 +2,16 @@
 //!
 //! Egress-PoP resolution in the paper (§2.1) walks BGP/ISIS routing tables:
 //! given a destination IP, find the most specific matching prefix and read
-//! off the egress PoP. [`PrefixTrie`] implements the standard binary trie
-//! used by routing software for exactly this query. It is the structure
-//! routes are installed into, one dependent load per address bit; the
-//! per-record path looks up in [`crate::CompiledRoutes`], compiled from it,
-//! and the trie is what the tests hold that table against.
+//! off the egress PoP. [`RouteTable`] is the one table that answers this
+//! query: a multibit trie of 8-bit strides, built once from its routes in
+//! prefix-length order. The tests hold it against a linear scan over the
+//! same routes.
 
 use crate::error::{NetError, Result};
+use crate::topology::PopId;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// An IPv4 address held as a host-order `u32`.
 ///
@@ -110,12 +111,6 @@ impl Prefix {
         (addr.0 & Self::mask(self.len)) == self.network
     }
 
-    /// `true` if `other` is fully contained in `self` (is more specific or
-    /// equal).
-    pub fn covers(&self, other: &Prefix) -> bool {
-        other.len >= self.len && (other.network & Self::mask(self.len)) == self.network
-    }
-
     /// First address of the prefix.
     pub fn first(&self) -> IpAddr {
         IpAddr(self.network)
@@ -154,114 +149,96 @@ impl FromStr for Prefix {
     }
 }
 
-/// A binary trie mapping prefixes to values, answering longest-prefix-match
-/// queries — the core routing-table data structure.
+/// Address bits one node of a [`RouteTable`] consumes.
+const STRIDE_BITS: u32 = 8;
+/// Slots per node: one per value of the stride's byte.
+const STRIDE_SLOTS: usize = 1 << STRIDE_BITS;
+
+/// The byte of `addr` that a node `depth` bits down indexes by.
+fn stride_byte(addr: u32, depth: u32) -> usize {
+    ((addr >> (32 - STRIDE_BITS - depth)) & 0xFF) as usize
+}
+
+/// One slot of a stride-8 node, 8 bytes: the best route among the
+/// prefixes this node holds that cover the slot, and the node one stride
+/// further down, each `0` when absent (node 0 is the root, never a child).
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Egress PoP id plus one.
+    egress: u32,
+    /// Index of the child node.
+    child: u32,
+}
+
+/// Longest-prefix-match routing table mapping destination IPs to egress
+/// PoPs: a multibit trie of 8-bit strides, so a destination resolves in at
+/// most four dependent loads. Built once by [`RouteTable::from_routes`],
+/// immutable afterwards: a clone shares the slots instead of copying them.
 #[derive(Debug, Clone)]
-pub struct PrefixTrie<T> {
-    nodes: Vec<TrieNode<T>>,
-    len: usize,
+pub struct RouteTable {
+    /// Nodes of [`STRIDE_SLOTS`] slots each, root first.
+    slots: Arc<[Slot]>,
 }
 
-#[derive(Debug, Clone)]
-struct TrieNode<T> {
-    children: [Option<usize>; 2],
-    value: Option<T>,
-}
-
-impl<T> Default for PrefixTrie<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> PrefixTrie<T> {
-    /// Creates an empty trie.
-    pub fn new() -> Self {
-        PrefixTrie { nodes: vec![TrieNode { children: [None, None], value: None }], len: 0 }
-    }
-
-    /// Number of prefixes stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if no prefixes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts (or replaces) the value for a prefix. Returns the previous
-    /// value when replacing.
-    pub fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
-        let mut node = 0usize;
-        for depth in 0..prefix.len() {
-            let bit = ((prefix.network().0 >> (31 - depth)) & 1) as usize;
-            node = match self.nodes[node].children[bit] {
-                Some(child) => child,
-                None => {
-                    let idx = self.nodes.len();
-                    self.nodes.push(TrieNode { children: [None, None], value: None });
-                    self.nodes[node].children[bit] = Some(idx);
-                    idx
+impl RouteTable {
+    /// Builds the table from `(prefix, egress)` routes. The routes are
+    /// written shortest prefix first (a stable sort by length), so a
+    /// covering prefix never overwrites a more specific one, and of two
+    /// routes for the same prefix the later one wins.
+    ///
+    /// # Panics
+    ///
+    /// If an egress PoP id does not fit in 32 bits — PoP ids are indices
+    /// into a [`crate::Topology`], far below that.
+    pub fn from_routes(routes: &[(Prefix, PopId)]) -> RouteTable {
+        let mut by_len: Vec<&(Prefix, PopId)> = routes.iter().collect();
+        by_len.sort_by_key(|(prefix, _)| prefix.len());
+        let mut slots = vec![Slot::default(); STRIDE_SLOTS];
+        for &&(prefix, pop) in &by_len {
+            let egress = u32::try_from(pop)
+                .ok()
+                .and_then(|pop| pop.checked_add(1))
+                .expect("PoP ids are topology indices and fit in 32 bits");
+            let (addr, len) = (prefix.network().0, u32::from(prefix.len()));
+            // Walk down through every whole stride the prefix is strictly
+            // longer than, creating nodes on the way.
+            let (mut node, mut depth) = (0usize, 0u32);
+            while len > depth + STRIDE_BITS {
+                let at = node + stride_byte(addr, depth);
+                if slots[at].child == 0 {
+                    slots[at].child = u32::try_from(slots.len() / STRIDE_SLOTS)
+                        .expect("a table of 32-bit addresses has fewer than 2^32 nodes");
+                    slots.resize(slots.len() + STRIDE_SLOTS, Slot::default());
                 }
-            };
-        }
-        let prev = self.nodes[node].value.replace(value);
-        if prev.is_none() {
-            self.len += 1;
-        }
-        prev
-    }
-
-    /// Longest-prefix-match lookup: the value of the most specific prefix
-    /// containing `addr`, if any.
-    pub fn lookup(&self, addr: IpAddr) -> Option<&T> {
-        let mut node = 0usize;
-        let mut best = self.nodes[0].value.as_ref();
-        for depth in 0..32 {
-            let bit = ((addr.0 >> (31 - depth)) & 1) as usize;
-            match self.nodes[node].children[bit] {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = self.nodes[node].value.as_ref() {
-                        best = Some(v);
-                    }
-                }
-                None => break,
+                node = slots[at].child as usize * STRIDE_SLOTS;
+                depth += STRIDE_BITS;
+            }
+            // Controlled prefix expansion: the `len - depth` bits left fix
+            // the top of this node's byte, the rest of the byte is free.
+            let first = node + stride_byte(addr, depth);
+            let span = 1usize << (depth + STRIDE_BITS - len);
+            for slot in &mut slots[first..first + span] {
+                slot.egress = egress;
             }
         }
-        best
+        RouteTable { slots: slots.into() }
     }
 
-    /// Exact-match lookup for a specific prefix.
-    pub fn get(&self, prefix: &Prefix) -> Option<&T> {
-        let mut node = 0usize;
-        for depth in 0..prefix.len() {
-            let bit = ((prefix.network().0 >> (31 - depth)) & 1) as usize;
-            node = self.nodes[node].children[bit]?;
-        }
-        self.nodes[node].value.as_ref()
-    }
-
-    /// Every stored prefix with its value, in trie pre-order: a prefix
-    /// comes before every more specific prefix it covers, siblings in
-    /// ascending address order. That is the order a compiler of the table
-    /// needs — writing entries in sequence lets the longer prefix win.
-    pub fn entries(&self) -> Vec<(Prefix, &T)> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut stack = vec![(0usize, 0u32, 0u8)];
-        while let Some((node, network, len)) = stack.pop() {
-            if let Some(v) = self.nodes[node].value.as_ref() {
-                out.push((Prefix { network, len }, v));
+    /// The egress PoP of the most specific prefix containing `dst`, or
+    /// `None` when no prefix matches (the paper's unresolvable ~7%).
+    pub fn egress(&self, dst: IpAddr) -> Option<PopId> {
+        let (mut node, mut best) = (0usize, 0u32);
+        for depth in [0, 8, 16, 24] {
+            let slot = self.slots[node + stride_byte(dst.0, depth)];
+            if slot.egress != 0 {
+                best = slot.egress;
             }
-            // The 1-branch is pushed first so the 0-branch pops first.
-            for bit in [1u32, 0] {
-                if let Some(child) = self.nodes[node].children[bit as usize] {
-                    stack.push((child, network | (bit << (31 - len)), len + 1));
-                }
+            if slot.child == 0 {
+                break;
             }
+            node = slot.child as usize * STRIDE_SLOTS;
         }
-        out
+        best.checked_sub(1).map(|pop| pop as PopId)
     }
 }
 
@@ -301,15 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_covers() {
-        let wide: Prefix = "10.0.0.0/8".parse().unwrap();
-        let narrow: Prefix = "10.1.0.0/16".parse().unwrap();
-        assert!(wide.covers(&narrow));
-        assert!(!narrow.covers(&wide));
-        assert!(wide.covers(&wide));
-    }
-
-    #[test]
     fn prefix_range_and_size() {
         let p: Prefix = "10.1.0.0/16".parse().unwrap();
         assert_eq!(p.first().to_string(), "10.1.0.0");
@@ -320,69 +288,35 @@ mod tests {
         assert_eq!(host.first(), host.last());
     }
 
+    /// A table over `(text, egress)` routes.
+    fn table(routes: &[(&str, PopId)]) -> RouteTable {
+        let routes: Vec<(Prefix, PopId)> =
+            routes.iter().map(|&(text, pop)| (text.parse().unwrap(), pop)).collect();
+        RouteTable::from_routes(&routes)
+    }
+
     #[test]
     fn trie_longest_prefix_match() {
-        let mut t = PrefixTrie::new();
-        t.insert("10.0.0.0/8".parse().unwrap(), "coarse");
-        t.insert("10.1.0.0/16".parse().unwrap(), "fine");
-        t.insert("10.1.2.0/24".parse().unwrap(), "finest");
-
-        assert_eq!(t.lookup("10.1.2.3".parse().unwrap()), Some(&"finest"));
-        assert_eq!(t.lookup("10.1.9.9".parse().unwrap()), Some(&"fine"));
-        assert_eq!(t.lookup("10.200.0.1".parse().unwrap()), Some(&"coarse"));
-        assert_eq!(t.lookup("11.0.0.1".parse().unwrap()), None);
-        assert_eq!(t.len(), 3);
+        let t = table(&[("10.0.0.0/8", 1), ("10.1.0.0/16", 2), ("10.1.2.0/24", 3)]);
+        assert_eq!(t.egress("10.1.2.3".parse().unwrap()), Some(3));
+        assert_eq!(t.egress("10.1.9.9".parse().unwrap()), Some(2));
+        assert_eq!(t.egress("10.200.0.1".parse().unwrap()), Some(1));
+        assert_eq!(t.egress("11.0.0.1".parse().unwrap()), None);
     }
 
     #[test]
     fn trie_default_route() {
-        let mut t = PrefixTrie::new();
-        t.insert("0.0.0.0/0".parse().unwrap(), 99);
-        t.insert("10.0.0.0/8".parse().unwrap(), 1);
-        assert_eq!(t.lookup("10.5.5.5".parse().unwrap()), Some(&1));
-        assert_eq!(t.lookup("200.0.0.1".parse().unwrap()), Some(&99));
-    }
-
-    #[test]
-    fn trie_replace_returns_previous() {
-        let mut t = PrefixTrie::new();
-        let p: Prefix = "10.0.0.0/8".parse().unwrap();
-        assert_eq!(t.insert(p, 1), None);
-        assert_eq!(t.insert(p, 2), Some(1));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(&p), Some(&2));
-    }
-
-    #[test]
-    fn trie_exact_get() {
-        let mut t = PrefixTrie::new();
-        t.insert("10.1.0.0/16".parse().unwrap(), 7);
-        assert_eq!(t.get(&"10.1.0.0/16".parse().unwrap()), Some(&7));
-        assert_eq!(t.get(&"10.0.0.0/8".parse().unwrap()), None);
-        assert!(!t.is_empty());
-        assert!(PrefixTrie::<u8>::new().is_empty());
-    }
-
-    #[test]
-    fn entries_list_covering_prefixes_first() {
-        let mut t = PrefixTrie::new();
-        for (text, v) in
-            [("10.1.2.0/24", 3), ("0.0.0.0/0", 0), ("10.1.0.0/16", 2), ("9.0.0.0/8", 1)]
-        {
-            t.insert(text.parse().unwrap(), v);
-        }
-        let listed: Vec<(String, i32)> =
-            t.entries().into_iter().map(|(p, &v)| (p.to_string(), v)).collect();
-        let expect = [("0.0.0.0/0", 0), ("9.0.0.0/8", 1), ("10.1.0.0/16", 2), ("10.1.2.0/24", 3)];
-        assert_eq!(listed, expect.map(|(p, v)| (p.to_string(), v)));
-        assert!(PrefixTrie::<u8>::new().entries().is_empty());
+        let t = table(&[("0.0.0.0/0", 99), ("10.0.0.0/8", 1)]);
+        assert_eq!(t.egress("10.5.5.5".parse().unwrap()), Some(1));
+        assert_eq!(t.egress("200.0.0.1".parse().unwrap()), Some(99));
+        assert_eq!(t.egress("255.255.255.255".parse().unwrap()), Some(99));
     }
 
     #[test]
     fn trie_host_routes() {
-        let mut t = PrefixTrie::new();
-        t.insert("1.2.3.4/32".parse().unwrap(), "host");
-        assert_eq!(t.lookup("1.2.3.4".parse().unwrap()), Some(&"host"));
-        assert_eq!(t.lookup("1.2.3.5".parse().unwrap()), None);
+        let t = table(&[("1.2.3.4/32", 8)]);
+        assert_eq!(t.egress("1.2.3.4".parse().unwrap()), Some(8));
+        assert_eq!(t.egress("1.2.3.5".parse().unwrap()), None);
+        assert_eq!(t.egress("1.2.3.3".parse().unwrap()), None);
     }
 }

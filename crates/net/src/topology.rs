@@ -22,20 +22,16 @@ pub struct Pop {
     pub city: String,
 }
 
-/// An undirected backbone circuit between two PoPs with an IGP metric.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// An undirected backbone circuit between two PoPs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     /// One endpoint.
     pub a: PopId,
     /// The other endpoint.
     pub b: PopId,
-    /// IGP (ISIS-style) metric; lower is preferred by SPF.
-    pub igp_metric: f64,
-    /// Link capacity in bits per second (Abilene ran OC-192 ≈ 9.95 Gb/s).
-    pub capacity_bps: f64,
 }
 
-/// An immutable backbone topology: PoPs plus undirected weighted links.
+/// An immutable backbone topology: PoPs plus undirected links.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     pops: Vec<Pop>,
@@ -113,7 +109,7 @@ impl Topology {
     }
 
     /// The Abilene Internet2 backbone as of the paper's 2003 measurement
-    /// period: 11 PoPs, 14 OC-192 circuits, uniform IGP metrics.
+    /// period: 11 PoPs, 14 OC-192 circuits.
     ///
     /// PoP order (and thus [`PopId`] assignment) is alphabetical by code,
     /// matching the convention used in the paper's OD-flow indexing.
@@ -134,7 +130,6 @@ impl Topology {
         ] {
             b = b.pop(code, city);
         }
-        const OC192: f64 = 9.953e9;
         for (a, bb) in [
             ("ATLA", "HSTN"),
             ("ATLA", "IPLS"),
@@ -151,16 +146,16 @@ impl Topology {
             ("NYCM", "WASH"),
             ("SNVA", "STTL"),
         ] {
-            b = b.link_by_code(a, bb, 1.0, OC192).expect("abilene links are valid");
+            b = b.link_by_code(a, bb).expect("abilene links are valid");
         }
         b.build().expect("abilene topology is valid")
     }
 
     /// A synthetic hundreds-of-PoP backbone for bigger-than-Abilene
     /// studies: a ring for baseline connectivity plus deterministic chord
-    /// circuits (stride ≈ `n/8`) that keep the diameter low, all OC-192
-    /// with uniform metrics. PoP codes are `"M000"`, `"M001"`, … in id
-    /// order, so the layout is fully reproducible.
+    /// circuits (stride ≈ `n/8`) that keep the diameter low. PoP codes
+    /// are `"M000"`, `"M001"`, … in id order, so the layout is fully
+    /// reproducible.
     ///
     /// # Errors
     ///
@@ -170,13 +165,12 @@ impl Topology {
         for i in 0..num_pops {
             b = b.pop(&format!("M{i:03}"), &format!("Mesh PoP {i}"));
         }
-        const OC192: f64 = 9.953e9;
         let mut seen = std::collections::HashSet::new();
         let mut add = |b: TopologyBuilder, x: usize, y: usize| -> TopologyBuilder {
             if x == y || !seen.insert((x.min(y), x.max(y))) {
                 return b;
             }
-            b.link(x, y, 1.0, OC192)
+            b.link(x, y)
         };
         for i in 0..num_pops {
             b = add(b, i, (i + 1) % num_pops);
@@ -210,8 +204,8 @@ impl TopologyBuilder {
     }
 
     /// Adds an undirected link between PoP ids.
-    pub fn link(mut self, a: PopId, b: PopId, igp_metric: f64, capacity_bps: f64) -> Self {
-        self.links.push(Link { a, b, igp_metric, capacity_bps });
+    pub fn link(mut self, a: PopId, b: PopId) -> Self {
+        self.links.push(Link { a, b });
         self
     }
 
@@ -220,13 +214,7 @@ impl TopologyBuilder {
     /// # Errors
     ///
     /// [`NetError::InvalidTopology`] if either code is unknown.
-    pub fn link_by_code(
-        mut self,
-        a: &str,
-        b: &str,
-        igp_metric: f64,
-        capacity_bps: f64,
-    ) -> Result<Self> {
+    pub fn link_by_code(mut self, a: &str, b: &str) -> Result<Self> {
         let find = |code: &str, pops: &[Pop]| {
             pops.iter().position(|p| p.code.eq_ignore_ascii_case(code)).ok_or_else(|| {
                 NetError::InvalidTopology { reason: format!("unknown PoP code {code:?}") }
@@ -234,7 +222,7 @@ impl TopologyBuilder {
         };
         let ia = find(a, &self.pops)?;
         let ib = find(b, &self.pops)?;
-        self.links.push(Link { a: ia, b: ib, igp_metric, capacity_bps });
+        self.links.push(Link { a: ia, b: ib });
         Ok(self)
     }
 
@@ -243,7 +231,7 @@ impl TopologyBuilder {
     /// # Errors
     ///
     /// [`NetError::InvalidTopology`] for: zero PoPs, out-of-range link
-    /// endpoints, self-loops, duplicate links, or non-positive metrics.
+    /// endpoints, self-loops or duplicate links.
     pub fn build(self) -> Result<Topology> {
         if self.pops.is_empty() {
             return Err(NetError::InvalidTopology { reason: "no PoPs".into() });
@@ -265,11 +253,6 @@ impl TopologyBuilder {
             if !seen.insert(key) {
                 return Err(NetError::InvalidTopology {
                     reason: format!("duplicate link {}-{}", key.0, key.1),
-                });
-            }
-            if !(l.igp_metric > 0.0) || !(l.capacity_bps > 0.0) {
-                return Err(NetError::InvalidTopology {
-                    reason: format!("non-positive metric/capacity on link {}-{}", l.a, l.b),
                 });
             }
         }
@@ -350,25 +333,17 @@ mod tests {
     #[test]
     fn builder_rejects_invalid() {
         assert!(TopologyBuilder::new().build().is_err());
-        let self_loop = TopologyBuilder::new().pop("A", "a").link(0, 0, 1.0, 1.0).build();
+        let self_loop = TopologyBuilder::new().pop("A", "a").link(0, 0).build();
         assert!(self_loop.is_err());
-        let dup = TopologyBuilder::new()
-            .pop("A", "a")
-            .pop("B", "b")
-            .link(0, 1, 1.0, 1.0)
-            .link(1, 0, 1.0, 1.0)
-            .build();
+        let dup = TopologyBuilder::new().pop("A", "a").pop("B", "b").link(0, 1).link(1, 0).build();
         assert!(dup.is_err());
-        let oob = TopologyBuilder::new().pop("A", "a").link(0, 5, 1.0, 1.0).build();
+        let oob = TopologyBuilder::new().pop("A", "a").link(0, 5).build();
         assert!(oob.is_err());
-        let bad_metric =
-            TopologyBuilder::new().pop("A", "a").pop("B", "b").link(0, 1, 0.0, 1.0).build();
-        assert!(bad_metric.is_err());
     }
 
     #[test]
     fn builder_by_code_unknown_pop() {
-        let r = TopologyBuilder::new().pop("A", "a").link_by_code("A", "NOPE", 1.0, 1.0);
+        let r = TopologyBuilder::new().pop("A", "a").link_by_code("A", "NOPE");
         assert!(r.is_err());
     }
 

@@ -1,18 +1,81 @@
 //! Property-based tests for prefix matching and routing.
 
 use odflow_net::{
-    AddressPlan, IngressResolver, Interface, InterfaceRole, IpAddr, Prefix, PrefixTrie,
-    RouteSource, RouteTable, RouterConfig, Topology,
+    AddressPlan, IngressResolver, Interface, InterfaceRole, IpAddr, PopId, Prefix, RouteTable,
+    RouterConfig, Topology,
 };
 use proptest::prelude::*;
 
-/// Reference longest-prefix-match by linear scan.
-fn linear_lpm(entries: &[(Prefix, u32)], addr: IpAddr) -> Option<u32> {
-    entries.iter().filter(|(p, _)| p.contains(addr)).max_by_key(|(p, _)| p.len()).map(|&(_, v)| v)
+/// Reference longest-prefix-match by linear scan: the longest prefix
+/// containing `addr`, and of the routes for it the last one listed
+/// (`max_by_key` keeps the last maximum).
+fn linear_lpm(routes: &[(Prefix, PopId)], addr: IpAddr) -> Option<PopId> {
+    routes
+        .iter()
+        .filter(|(p, _)| p.contains(addr))
+        .max_by_key(|(p, _)| p.len())
+        .map(|&(_, pop)| pop)
 }
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Prefix::new(IpAddr(addr), len).unwrap())
+}
+
+/// Routes drawn in pairs over one address, a prefix and a shorter one, so
+/// nesting is the rule; the few distinct /0../2 and the repeated draws
+/// route a prefix again with a different egress.
+fn arb_nested_routes() -> impl Strategy<Value = Vec<(Prefix, PopId)>> {
+    proptest::collection::vec((any::<u32>(), 0u8..=32, 0u8..=32, 0usize..300), 0..40).prop_map(
+        |draws| {
+            draws
+                .into_iter()
+                .flat_map(|(addr, len, shorter, pop)| {
+                    [(len, pop), (shorter.min(len), pop + 1)]
+                        .map(|(len, pop)| (Prefix::new(IpAddr(addr), len).unwrap(), pop))
+                })
+                .collect()
+        },
+    )
+}
+
+/// Reference trie, one address bit per level: a route sits at the node
+/// its prefix's bits lead to, replacing any earlier route there, and a
+/// lookup keeps the last route it passes on the way down.
+struct BitTrie {
+    /// Children for bit 0 and bit 1 (`0` when absent: node 0 is the root,
+    /// never a child), and the route stored at the node.
+    nodes: Vec<([usize; 2], Option<PopId>)>,
+}
+
+impl BitTrie {
+    fn new(routes: &[(Prefix, PopId)]) -> BitTrie {
+        let mut trie = BitTrie { nodes: vec![([0, 0], None)] };
+        for &(prefix, pop) in routes {
+            let mut node = 0;
+            for depth in 0..u32::from(prefix.len()) {
+                let bit = (prefix.network().0 >> (31 - depth) & 1) as usize;
+                if trie.nodes[node].0[bit] == 0 {
+                    trie.nodes.push(([0, 0], None));
+                    trie.nodes[node].0[bit] = trie.nodes.len() - 1;
+                }
+                node = trie.nodes[node].0[bit];
+            }
+            trie.nodes[node].1 = Some(pop);
+        }
+        trie
+    }
+
+    fn lookup(&self, addr: IpAddr) -> Option<PopId> {
+        let (mut node, mut best) = (0, self.nodes[0].1);
+        for depth in 0..32 {
+            node = self.nodes[node].0[(addr.0 >> (31 - depth) & 1) as usize];
+            if node == 0 {
+                break;
+            }
+            best = self.nodes[node].1.or(best);
+        }
+        best
+    }
 }
 
 /// The addresses where a prefix's answer can change: its two ends and
@@ -21,17 +84,17 @@ fn boundaries(p: Prefix) -> [IpAddr; 4] {
     [p.first(), p.last(), IpAddr(p.first().0.wrapping_sub(1)), IpAddr(p.last().0.wrapping_add(1))]
 }
 
-/// Compiled lookup against the trie it was compiled from, at `probes`
-/// and at every boundary of `prefixes`.
-fn check_compiled(
+/// The table's lookup against the linear scan over its routes, at
+/// `probes` and at every boundary of `prefixes`.
+fn check_against_linear_scan(
     table: &RouteTable,
+    routes: &[(Prefix, PopId)],
     prefixes: &[Prefix],
     probes: &[u32],
 ) -> Result<(), TestCaseError> {
-    let compiled = table.compile();
     let edges = prefixes.iter().flat_map(|&p| boundaries(p));
     for addr in probes.iter().map(|&a| IpAddr(a)).chain(edges) {
-        prop_assert_eq!(compiled.egress(addr), table.egress(addr), "at {}", addr);
+        prop_assert_eq!(table.egress(addr), linear_lpm(routes, addr), "at {}", addr);
     }
     Ok(())
 }
@@ -40,7 +103,6 @@ fn arb_interface() -> impl Strategy<Value = Interface> {
     (0u32..6, 0usize..3).prop_map(|(index, role)| Interface {
         index,
         role: [InterfaceRole::Customer, InterfaceRole::Peer, InterfaceRole::Backbone][role],
-        description: String::new(),
     })
 }
 
@@ -49,26 +111,55 @@ proptest! {
 
     #[test]
     fn compiled_routes_match_the_trie(
-        // Each draw installs a prefix and a shorter one over the same
-        // address, so nesting is the rule; the few distinct /0../2 and the
-        // repeated draws re-install prefixes with a different egress.
-        installs in proptest::collection::vec((any::<u32>(), 0u8..=32, 0u8..=32, 0usize..300), 0..40),
+        routes in arb_nested_routes(),
         probes in proptest::collection::vec(any::<u32>(), 0..40),
     ) {
-        let mut table = RouteTable::new();
-        let mut prefixes = Vec::new();
-        for &(addr, len, shorter, pop) in &installs {
-            for (len, pop) in [(len, pop), (shorter.min(len), pop + 1)] {
-                let prefix = Prefix::new(IpAddr(addr), len).unwrap();
-                table.install(prefix, pop, RouteSource::Bgp);
-                prefixes.push(prefix);
-            }
+        let compiled = RouteTable::from_routes(&routes);
+        let trie = BitTrie::new(&routes);
+        let edges = routes.iter().flat_map(|&(p, _)| boundaries(p));
+        for addr in probes.iter().map(|&a| IpAddr(a)).chain(edges) {
+            prop_assert_eq!(compiled.egress(addr), trie.lookup(addr), "at {}", addr);
         }
-        check_compiled(&table, &prefixes, &probes)?;
     }
 
     #[test]
-    fn compiled_routes_match_the_trie_on_the_address_plans(
+    fn trie_matches_linear_scan(
+        routes in proptest::collection::vec((arb_prefix(), 0usize..300), 0..40),
+        probes in proptest::collection::vec(any::<u32>(), 0..40),
+    ) {
+        let prefixes: Vec<Prefix> = routes.iter().map(|&(p, _)| p).collect();
+        let table = RouteTable::from_routes(&routes);
+        check_against_linear_scan(&table, &routes, &prefixes, &probes)?;
+    }
+
+    #[test]
+    fn route_order_does_not_decide(
+        routes in arb_nested_routes(),
+        probes in proptest::collection::vec(any::<u32>(), 0..40),
+    ) {
+        // One route per prefix, the last one drawn: reversing the list then
+        // changes nothing the table may answer, so the length sort alone
+        // must decide which route a covering prefix leaves on top.
+        let mut distinct: Vec<(Prefix, PopId)> = Vec::new();
+        for &(p, pop) in &routes {
+            match distinct.iter_mut().find(|(q, _)| *q == p) {
+                Some(slot) => slot.1 = pop,
+                None => distinct.push((p, pop)),
+            }
+        }
+        let prefixes: Vec<Prefix> = distinct.iter().map(|&(p, _)| p).collect();
+        let forward = RouteTable::from_routes(&distinct);
+        check_against_linear_scan(&forward, &distinct, &prefixes, &probes)?;
+        distinct.reverse();
+        let backward = RouteTable::from_routes(&distinct);
+        let edges = prefixes.iter().flat_map(|&p| boundaries(p));
+        for addr in probes.iter().map(|&a| IpAddr(a)).chain(edges) {
+            prop_assert_eq!(backward.egress(addr), forward.egress(addr), "at {}", addr);
+        }
+    }
+
+    #[test]
+    fn trie_matches_linear_scan_on_the_address_plans(
         probes in proptest::collection::vec(any::<u32>(), 0..60),
         coverage in 0u32..=4,
         mesh in 12usize..80,
@@ -79,12 +170,21 @@ proptest! {
             AddressPlan::synthetic_large(&Topology::synthetic_mesh(mesh).unwrap()),
         ] {
             let table = plan.build_route_table(coverage).unwrap();
+            // The routes the plan announces at this coverage, as
+            // `build_route_table` documents them.
+            let mut routes: Vec<(Prefix, PopId)> = Vec::new();
+            for pop in 0..plan.num_pops() {
+                let blocks = plan.customer_prefixes(pop);
+                let covered = (blocks.len() as f64 * coverage).round() as usize;
+                routes.extend(blocks[..covered].iter().map(|&p| (p, pop)));
+            }
+            routes.extend_from_slice(plan.peer_prefixes());
             let mut prefixes: Vec<Prefix> = plan.unannounced_prefixes().to_vec();
             prefixes.extend(plan.peer_prefixes().iter().map(|&(p, _)| p));
             for pop in 0..plan.num_pops() {
                 prefixes.extend_from_slice(plan.customer_prefixes(pop));
             }
-            check_compiled(&table, &prefixes, &probes)?;
+            check_against_linear_scan(&table, &routes, &prefixes, &probes)?;
         }
     }
 
@@ -116,29 +216,6 @@ proptest! {
                 prop_assert_eq!(resolver.ingress(router, interface), linear);
             }
         }
-    }
-
-    #[test]
-    fn trie_matches_linear_scan(
-        entries in proptest::collection::vec((arb_prefix(), any::<u32>()), 0..40),
-        addr in any::<u32>(),
-    ) {
-        // Deduplicate by prefix: the trie replaces, the linear scan must see
-        // the *last* value for a duplicate prefix to agree.
-        let mut dedup: Vec<(Prefix, u32)> = Vec::new();
-        for (p, v) in &entries {
-            if let Some(slot) = dedup.iter_mut().find(|(q, _)| q == p) {
-                slot.1 = *v;
-            } else {
-                dedup.push((*p, *v));
-            }
-        }
-        let mut trie = PrefixTrie::new();
-        for &(p, v) in &dedup {
-            trie.insert(p, v);
-        }
-        let addr = IpAddr(addr);
-        prop_assert_eq!(trie.lookup(addr).copied(), linear_lpm(&dedup, addr));
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn two_node_topology_routes() {
     let t = odflow::net::TopologyBuilder::new()
         .pop("AAA", "Alpha")
         .pop("BBB", "Beta")
-        .link(0, 1, 1.0, 10e9)
+        .link(0, 1)
         .build()
         .expect("2-node topology");
     assert_eq!(t.num_pops(), 2);
