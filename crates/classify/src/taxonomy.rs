@@ -84,7 +84,7 @@ mod tests {
 
     #[test]
     fn labels_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for c in AnomalyClass::ALL {
             assert!(seen.insert(c.label()), "duplicate label {}", c.label());
         }

@@ -114,6 +114,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "the test checks `FlowKey`'s `Hash` itself")]
     fn key_equality_and_hash() {
         use std::collections::HashSet;
         let a = FlowKey::new(ip("1.2.3.4"), ip("5.6.7.8"), 1234, 80, Protocol::Tcp);

@@ -34,6 +34,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A library reports through return values and metrics, never the terminal.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+// Hostile wire input is quarantined and accounted, never a reason to abort.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod binning;
 mod digest;

@@ -543,7 +543,7 @@ mod tests {
         let d = digest_of(&recs);
         // Single 5-tuple: one flow only, huge bytes, MTU packets.
         assert_eq!(d.total.flows, 5.0, "one record per minute, same key");
-        let distinct: std::collections::HashSet<_> = recs.iter().map(|r| r.key).collect();
+        let distinct: std::collections::BTreeSet<_> = recs.iter().map(|r| r.key).collect();
         assert_eq!(distinct.len(), 1, "ALPHA is a single source-destination pair");
         let (_, src_share) = d.dominant_src_block(TrafficType::Bytes).unwrap();
         assert!(src_share > 0.99);
@@ -570,7 +570,7 @@ mod tests {
     fn ddos_spans_multiple_origins() {
         let a = base(AnomalyKind::Ddos, vec![(0, 8), (1, 8), (2, 8)], 900.0, 113);
         let recs = a.synthesize(7, 10, 0, 300, &plan());
-        let routers: std::collections::HashSet<_> = recs.iter().map(|r| r.router).collect();
+        let routers: std::collections::BTreeSet<_> = recs.iter().map(|r| r.router).collect();
         assert_eq!(routers.len(), 3);
         // All toward one victim.
         let d = digest_of(&recs);

@@ -1,12 +1,11 @@
-//! The `odflow_lint` gate binary.
+//! The `odflow_lint` report binary.
 //!
 //! ```text
-//! odflow_lint --workspace [--json] [--quiet]
+//! odflow_lint --workspace [--json]
 //! odflow_lint --root <path> [--json]
-//! odflow_lint --rules
 //! ```
 //!
-//! Exit status: 0 clean, 1 violations found, 2 usage or I/O error.
+//! Exit status: 0 reported, 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
 
@@ -20,33 +19,22 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut want_workspace = false;
     let mut want_json = false;
-    let mut quiet = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => want_workspace = true,
             "--json" => want_json = true,
-            "--quiet" => quiet = true,
-            "--rules" => {
-                for r in odflow_lint::rules::RULES {
-                    println!("{:<28} {}", r.name, r.summary);
-                }
-                return ExitCode::SUCCESS;
-            }
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage("--root requires a path"),
             },
             "--help" | "-h" => {
                 println!(
-                    "odflow_lint: workspace invariant gate\n\n\
-                     USAGE: odflow_lint (--workspace | --root <path>) [--json] [--quiet]\n\
-                     \x20      odflow_lint --rules\n\n\
-                     --workspace  lint the enclosing cargo workspace (found from the cwd)\n\
-                     --root PATH  lint the tree rooted at PATH\n\
-                     --json       also write {JSON_REPORT} at the lint root\n\
-                     --quiet      suppress per-violation output (summary only)\n\
-                     --rules      list the enforced rules and exit"
+                    "odflow_lint: workspace size and pub-surface report\n\n\
+                     USAGE: odflow_lint (--workspace | --root <path>) [--json]\n\n\
+                     --workspace  report on the enclosing cargo workspace (found from the cwd)\n\
+                     --root PATH  report on the tree rooted at PATH\n\
+                     --json       also write {JSON_REPORT} at the root"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -80,25 +68,10 @@ fn main() -> ExitCode {
             eprintln!("odflow_lint: writing {}: {e}", path.display());
             return ExitCode::from(2);
         }
-        if !quiet {
-            println!("wrote {}", path.display());
-        }
+        println!("wrote {}", path.display());
     }
-
-    if quiet {
-        let text = report.render_text();
-        if let Some(summary) = text.lines().last() {
-            println!("{summary}");
-        }
-    } else {
-        print!("{}", report.render_text());
-    }
-
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    print!("{}", report.render_text());
+    ExitCode::SUCCESS
 }
 
 fn usage(msg: &str) -> ExitCode {

@@ -1,8 +1,7 @@
 //! The surface count: `pub` items that nothing, only test code, or only
 //! examples name.
 //!
-//! A report, not a rule: the gate stays clean whatever it finds. Every
-//! `pub fn`/`struct`/`enum`/`trait`/`type`/`const`/`static` of a library
+//! Every `pub fn`/`struct`/`enum`/`trait`/`type`/`const`/`static` of a library
 //! source (`src/` and `crates/<name>/src/`, binaries excepted) is looked up
 //! by name among the identifiers of every first-party file. Binaries — the
 //! frozen benchmark harness included — are product consumers and examples
@@ -26,7 +25,6 @@
 //! * a name imported under `as` another name looks dead;
 //! * trait methods and struct fields are not `pub` items here at all.
 
-use crate::rules::cfg_test_mask;
 use crate::tokenize::{TokKind, Token};
 use std::collections::BTreeMap;
 
@@ -103,6 +101,49 @@ pub fn product_lines(rel: &str, source: &str, toks: &[Token]) -> usize {
     lines - test.iter().filter(|&&t| t).count()
 }
 
+/// Marks every token inside a `#[cfg(test)]`-gated item: from the `#` of
+/// the attribute through the item's closing brace (or terminating `;` for
+/// brace-less items such as `#[cfg(test)] use …;`).
+fn cfg_test_mask(toks: &[Token]) -> Vec<bool> {
+    let mut mask = vec![false; toks.len()];
+    let mut i = 0usize;
+    while i + 6 < toks.len() {
+        let is_attr = toks[i].is_punct('#')
+            && toks[i + 1].is_punct('[')
+            && toks[i + 2].is_ident("cfg")
+            && toks[i + 3].is_punct('(')
+            && toks[i + 4].is_ident("test")
+            && toks[i + 5].is_punct(')')
+            && toks[i + 6].is_punct(']');
+        if !is_attr {
+            i += 1;
+            continue;
+        }
+        let mut depth = 0usize;
+        let mut j = i + 7;
+        let end = loop {
+            match toks.get(j) {
+                None => break toks.len(),
+                Some(t) if t.is_punct(';') && depth == 0 => break j + 1,
+                Some(t) if t.is_punct('{') => depth += 1,
+                Some(t) if t.is_punct('}') && depth > 0 => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break j + 1;
+                    }
+                }
+                _ => {}
+            }
+            j += 1;
+        };
+        for m in &mut mask[i..end] {
+            *m = true;
+        }
+        i = end;
+    }
+    mask
+}
+
 /// `true` for a file under a `tests/` directory: test code throughout.
 fn is_test_file(rel: &str) -> bool {
     rel.starts_with("tests/") || rel.contains("/tests/")
@@ -131,7 +172,7 @@ mod tests {
     use crate::tokenize::lex;
 
     fn scan(files: &[(&str, &str)]) -> (Vec<String>, Vec<String>, Vec<String>) {
-        let lexed: Vec<_> = files.iter().map(|(p, s)| (p.to_string(), lex(s).tokens)).collect();
+        let lexed: Vec<_> = files.iter().map(|(p, s)| (p.to_string(), lex(s))).collect();
         pub_surface(&lexed)
     }
 
@@ -177,10 +218,12 @@ mod tests {
                    \x20   fn t() {}\n\
                    }\n\
                    pub fn g() {}\n";
-        let lines = |rel: &str, src: &str| product_lines(rel, src, &lex(src).tokens);
+        let lines = |rel: &str, src: &str| product_lines(rel, src, &lex(src));
         assert_eq!(lines("crates/a/src/lib.rs", lib), 4);
         assert_eq!(lines("examples/demo.rs", lib), 4);
         assert_eq!(lines("crates/a/tests/t.rs", lib), 0);
         assert_eq!(lines("crates/a/src/lib.rs", "fn main() {}"), 1);
+        // A brace-less `#[cfg(test)]` item ends at its `;`.
+        assert_eq!(lines("crates/a/src/lib.rs", "#[cfg(test)]\nuse a::b;\npub fn f() {}"), 1);
     }
 }

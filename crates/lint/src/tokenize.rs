@@ -1,21 +1,11 @@
-//! A hand-rolled Rust lexer sufficient for invariant linting.
+//! A hand-rolled Rust lexer sufficient for the surface scan.
 //!
-//! The rules in [`crate::rules`] match on *token* sequences, so the lexer's
-//! one job is to never confuse code with non-code: string literals, char
-//! literals, lifetimes, raw strings/identifiers, and (nested) comments must
-//! all be consumed without leaking identifier-looking fragments. Everything
-//! else — numbers, punctuation — only needs positions, not precise shapes.
-//!
-//! Line comments are additionally scanned for the suppression grammar
-//!
-//! ```text
-//! // lint:allow(rule-name) -- reason the violation is acceptable
-//! ```
-//!
-//! which is parsed into [`AllowDirective`]s; a directive on line `L`
-//! suppresses findings on line `L + 1`. A comment that *mentions*
-//! `lint:allow` but does not parse becomes a [`CommentIssue`] so typos fail
-//! the gate instead of silently suppressing nothing.
+//! The scan in [`crate::surface`] matches on *token* sequences, so the
+//! lexer's one job is to never confuse code with non-code: string
+//! literals, char literals, lifetimes, raw strings/identifiers, and
+//! (nested) comments must all be consumed without leaking
+//! identifier-looking fragments. Everything else — numbers, punctuation —
+//! only needs positions, not precise shapes.
 
 /// Classification of one lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,44 +45,13 @@ impl Token {
     }
 }
 
-/// A parsed `// lint:allow(rule) -- reason` comment.
-#[derive(Debug, Clone)]
-pub struct AllowDirective {
-    /// The rule name inside the parentheses.
-    pub rule: String,
-    /// The justification after ` -- ` (never empty).
-    pub reason: String,
-    /// 1-based line of the comment; findings on `line + 1` are suppressed.
-    pub line: u32,
-}
-
-/// A malformed suppression comment (mentions `lint:allow` but fails to
-/// parse). Always a gate failure — a typo must not silently allow nothing.
-#[derive(Debug, Clone)]
-pub struct CommentIssue {
-    /// 1-based line of the offending comment.
-    pub line: u32,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-/// The result of lexing one source file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Code tokens in source order (comments and whitespace dropped).
-    pub tokens: Vec<Token>,
-    /// Well-formed suppression directives.
-    pub allows: Vec<AllowDirective>,
-    /// Suppression comments that failed to parse.
-    pub malformed: Vec<CommentIssue>,
-}
-
-/// Lexes `source` into tokens plus suppression directives.
+/// Lexes `source` into its code tokens, in source order (comments and
+/// whitespace dropped).
 ///
 /// The lexer is lossy by design (numbers keep only approximate extents,
 /// literals keep no text) but is exact about *boundaries*: nothing inside a
 /// string, char, lifetime, or comment ever becomes an identifier token.
-pub fn lex(source: &str) -> Lexed {
+pub fn lex(source: &str) -> Vec<Token> {
     Lexer::new(source).run()
 }
 
@@ -101,7 +60,7 @@ struct Lexer {
     pos: usize,
     line: u32,
     col: u32,
-    out: Lexed,
+    out: Vec<Token>,
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -114,7 +73,7 @@ fn is_ident_continue(c: char) -> bool {
 
 impl Lexer {
     fn new(source: &str) -> Self {
-        Lexer { chars: source.chars().collect(), pos: 0, line: 1, col: 1, out: Lexed::default() }
+        Lexer { chars: source.chars().collect(), pos: 0, line: 1, col: 1, out: Vec::new() }
     }
 
     fn peek(&self, ahead: usize) -> Option<char> {
@@ -135,10 +94,10 @@ impl Lexer {
     }
 
     fn push(&mut self, kind: TokKind, text: String, line: u32, col: u32) {
-        self.out.tokens.push(Token { kind, text, line, col });
+        self.out.push(Token { kind, text, line, col });
     }
 
-    fn run(mut self) -> Lexed {
+    fn run(mut self) -> Vec<Token> {
         while let Some(c) = self.peek(0) {
             let (line, col) = (self.line, self.col);
             if c.is_whitespace() {
@@ -181,25 +140,10 @@ impl Lexer {
         text
     }
 
-    /// `//` comment: consume to end of line and scan for the allow grammar.
-    ///
-    /// Doc comments (`///`, `//!`) are exempt from directive parsing — they
-    /// are prose, and this crate's own documentation must be free to *show*
-    /// the grammar without enacting it. Directives live in plain `//`
-    /// comments only.
+    /// `//` comment (doc comments included): consume to end of line.
     fn line_comment(&mut self) {
-        let line = self.line;
-        let is_doc = matches!(self.peek(2), Some('/' | '!'));
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
-        }
-        if !is_doc {
-            self.scan_allow(&text, line);
         }
     }
 
@@ -393,50 +337,6 @@ impl Lexer {
             }
         }
     }
-
-    /// Parses the allow grammar out of one line comment's text.
-    fn scan_allow(&mut self, comment: &str, line: u32) {
-        let Some(at) = comment.find("lint:allow") else {
-            return;
-        };
-        let rest = &comment[at + "lint:allow".len()..];
-        let fail = |msg: &str| CommentIssue { line, message: msg.to_string() };
-        let Some(rest) = rest.strip_prefix('(') else {
-            self.out.malformed.push(fail("expected `(` after `lint:allow`"));
-            return;
-        };
-        let Some(close) = rest.find(')') else {
-            self.out.malformed.push(fail("unclosed `(` in `lint:allow(...)`"));
-            return;
-        };
-        let rule = rest[..close].trim();
-        if rule.is_empty()
-            || !rule.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-        {
-            self.out
-                .malformed
-                .push(fail("rule name must be non-empty kebab-case, e.g. `ordered-iteration`"));
-            return;
-        }
-        let after = &rest[close + 1..];
-        let Some(reason) = after.trim_start().strip_prefix("--") else {
-            self.out.malformed.push(fail(
-                "expected ` -- reason` after `lint:allow(rule)`; an allow without a \
-                 justification is not accepted",
-            ));
-            return;
-        };
-        let reason = reason.trim();
-        if reason.is_empty() {
-            self.out.malformed.push(fail("the justification after ` -- ` must be non-empty"));
-            return;
-        }
-        self.out.allows.push(AllowDirective {
-            rule: rule.to_string(),
-            reason: reason.to_string(),
-            line,
-        });
-    }
 }
 
 #[cfg(test)]
@@ -444,15 +344,15 @@ mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
-        lex(src).tokens.into_iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text).collect()
+        lex(src).into_iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text).collect()
     }
 
     #[test]
     fn idents_and_puncts_positioned() {
-        let l = lex("let x = a.b;\nfn f() {}");
-        assert!(l.tokens[0].is_ident("let"));
-        assert_eq!((l.tokens[0].line, l.tokens[0].col), (1, 1));
-        let f = l.tokens.iter().find(|t| t.is_ident("fn")).unwrap();
+        let toks = lex("let x = a.b;\nfn f() {}");
+        assert!(toks[0].is_ident("let"));
+        assert_eq!((toks[0].line, toks[0].col), (1, 1));
+        let f = toks.iter().find(|t| t.is_ident("fn")).unwrap();
         assert_eq!((f.line, f.col), (2, 1));
     }
 
@@ -485,11 +385,11 @@ mod tests {
 
     #[test]
     fn char_and_lifetime_disambiguated() {
-        let l = lex("fn f<'a>(x: &'a str) { let c = 'x'; let q = '\\''; }");
-        assert!(l.tokens.iter().any(|t| t.kind == TokKind::Lifetime && t.text == "a"));
-        assert!(!l.tokens.iter().any(|t| t.is_ident("x") && t.line == 0));
+        let toks = lex("fn f<'a>(x: &'a str) { let c = 'x'; let q = '\\''; }");
+        assert!(toks.iter().any(|t| t.kind == TokKind::Lifetime && t.text == "a"));
+        assert!(!toks.iter().any(|t| t.is_ident("x") && t.line == 0));
         // The char literals produce Literal tokens, not idents.
-        assert_eq!(l.tokens.iter().filter(|t| t.kind == TokKind::Literal).count(), 2);
+        assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Literal).count(), 2);
     }
 
     #[test]
@@ -505,47 +405,9 @@ mod tests {
 
     #[test]
     fn numbers_do_not_eat_ranges() {
-        let l = lex("for i in 0..10 { a[i] = 1e-3; }");
-        let dots = l.tokens.iter().filter(|t| t.is_punct('.')).count();
+        let toks = lex("for i in 0..10 { a[i] = 1e-3; }");
+        let dots = toks.iter().filter(|t| t.is_punct('.')).count();
         assert_eq!(dots, 2, "0..10 keeps both dots");
-        assert!(l.tokens.iter().any(|t| t.is_ident("for")));
-    }
-
-    #[test]
-    fn allow_directive_parses() {
-        let l = lex("// lint:allow(ordered-iteration) -- keys sorted on the next line\nx();");
-        assert_eq!(l.allows.len(), 1);
-        assert_eq!(l.allows[0].rule, "ordered-iteration");
-        assert_eq!(l.allows[0].line, 1);
-        assert!(l.allows[0].reason.contains("sorted"));
-        assert!(l.malformed.is_empty());
-    }
-
-    #[test]
-    fn malformed_allow_reported() {
-        for bad in [
-            "// lint:allow ordered-iteration -- x",
-            "// lint:allow(ordered-iteration)",
-            "// lint:allow(ordered-iteration) -- ",
-            "// lint:allow(Ordered_Iteration) -- caps",
-            "// lint:allow() -- empty",
-        ] {
-            let l = lex(bad);
-            assert_eq!(l.allows.len(), 0, "{bad}");
-            assert_eq!(l.malformed.len(), 1, "{bad}");
-        }
-    }
-
-    #[test]
-    fn doc_comments_may_mention_the_grammar_without_enacting_it() {
-        for doc in [
-            "/// lint:allow(no-raw-threads) -- shown in documentation\nx();",
-            "//! // lint:allow(rule-name) -- grammar example\nx();",
-            "/// malformed mention: lint:allow without parens\nx();",
-        ] {
-            let l = lex(doc);
-            assert!(l.allows.is_empty(), "{doc}");
-            assert!(l.malformed.is_empty(), "{doc}");
-        }
+        assert!(toks.iter().any(|t| t.is_ident("for")));
     }
 }

@@ -1,13 +1,35 @@
 //! Deterministic workspace file discovery and path classification.
 //!
 //! No globbing library: a sorted recursive descent over the workspace,
-//! skipping build output (`target/`), VCS metadata (`.git/`), and lint
-//! fixture corpora (`tests/fixtures/` — those files *contain* violations
-//! on purpose).
+//! skipping build output (`target/`), hidden directories (`.git/`) and
+//! fixture corpora (`tests/fixtures/`: sources that exist to be scanned or
+//! linted on their own, such as the seeded-violation package).
 
-use crate::rules::{CrateClass, FileClass};
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// Which workspace population a file belongs to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CrateClass {
+    /// A first-party workspace member under `crates/<name>`.
+    Member(String),
+    /// The root `odflow` package (`src/`, `tests/`, `examples/`).
+    Root,
+    /// A vendored shim under `vendor/<name>`.
+    Vendor(String),
+}
+
+/// Where one discovered file sits in the workspace.
+#[derive(Debug, Clone)]
+pub struct FileClass {
+    /// Workspace-relative path with `/` separators.
+    pub rel: String,
+    /// Which crate population the file belongs to.
+    pub class: CrateClass,
+    /// `true` if this file is a compilation root (`lib.rs`, `main.rs`,
+    /// `src/bin/*.rs`, `examples/*.rs`).
+    pub is_compilation_root: bool,
+}
 
 /// All `.rs` files under `root`, workspace-relative, in sorted order.
 ///

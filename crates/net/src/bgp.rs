@@ -213,7 +213,7 @@ mod tests {
     fn large_plan_blocks_are_disjoint() {
         let t = Topology::synthetic_mesh(64).unwrap();
         let p = AddressPlan::synthetic_large(&t);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for pop in 0..64 {
             for pre in p.customer_prefixes(pop) {
                 assert_eq!(pre.len(), 21);
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn customer_blocks_disjoint_across_pops() {
         let (_, p) = plan();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for pop in 0..p.num_pops() {
             for pre in p.customer_prefixes(pop) {
                 assert!(seen.insert(pre.network().0), "duplicate block {pre}");

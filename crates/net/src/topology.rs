@@ -165,7 +165,7 @@ impl Topology {
         for i in 0..num_pops {
             b = b.pop(&format!("M{i:03}"), &format!("Mesh PoP {i}"));
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut add = |b: TopologyBuilder, x: usize, y: usize| -> TopologyBuilder {
             if x == y || !seen.insert((x.min(y), x.max(y))) {
                 return b;
@@ -237,7 +237,7 @@ impl TopologyBuilder {
             return Err(NetError::InvalidTopology { reason: "no PoPs".into() });
         }
         let n = self.pops.len();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for l in &self.links {
             if l.a >= n || l.b >= n {
                 return Err(NetError::InvalidTopology {

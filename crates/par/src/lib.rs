@@ -71,6 +71,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A library reports through return values and metrics, never the terminal.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -105,10 +107,13 @@ pub fn hardware_threads() -> usize {
 
 /// The process-wide default pool size: `ODFLOW_THREADS` if set to a positive
 /// integer, otherwise [`hardware_threads`]. Read once and cached.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned THREADS_ENV read; every other crate inherits it through this cached default"
+)]
 pub fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        // lint:allow(env-read-containment) -- the one sanctioned THREADS_ENV read; every other crate inherits it through this cached default
         std::env::var(THREADS_ENV)
             .ok()
             .as_deref()
@@ -330,6 +335,10 @@ pub fn map_reduce<A: Send>(
     let turn = Condvar::new();
     let lock = || fold.lock().unwrap_or_else(PoisonError::into_inner);
     run_region(tasks, &|t| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a panicking chunk must release the chunks waiting to fold behind it; the region re-throws the unwind once it joins"
+        )]
         let folded = catch_unwind(AssertUnwindSafe(|| {
             // A region `map` opens runs inline: workers may be waiting for
             // this chunk. Chunks are claimed in index order and every claimed
@@ -524,6 +533,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "`ThreadId` is not `Ord`; the set is only counted")]
     fn pool_actually_uses_multiple_threads_when_allowed() {
         use std::collections::HashSet;
         let ids = Mutex::new(HashSet::new());
@@ -546,6 +556,7 @@ mod tests {
 
     #[test]
     fn panics_propagate_from_workers() {
+        #[expect(clippy::disallowed_methods, reason = "the test observes the re-thrown unwind")]
         let result = std::panic::catch_unwind(|| {
             with_thread_limit(4, || {
                 parallel_for(16, 1, |r| {
@@ -563,6 +574,7 @@ mod tests {
         // Chunk 0 panics after its successors finished and wait to be
         // folded behind it: they must give up, and the region re-throw.
         for limit in [2usize, 4] {
+            #[expect(clippy::disallowed_methods, reason = "the test observes the re-thrown unwind")]
             let result = std::panic::catch_unwind(|| {
                 with_thread_limit(limit, || {
                     map_reduce(

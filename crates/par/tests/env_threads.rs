@@ -9,7 +9,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 #[test]
 fn odflow_threads_env_pins_the_pool() {
     // Must run before any other call touches the cached default.
-    // lint:allow(env-read-containment) -- this test exists to exercise the THREADS_ENV plumbing end to end
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test exists to exercise the THREADS_ENV plumbing end to end"
+    )]
     std::env::set_var(odflow_par::THREADS_ENV, "1");
     assert_eq!(odflow_par::default_threads(), 1);
     assert_eq!(odflow_par::max_threads(), 1);

@@ -90,6 +90,7 @@ proptest! {
 #[test]
 fn thread_limit_restored_when_body_panics() {
     let before = odflow_par::max_threads();
+    #[expect(clippy::disallowed_methods, reason = "the test observes the re-thrown unwind")]
     let result = catch_unwind(AssertUnwindSafe(|| {
         odflow_par::with_thread_limit(3, || {
             assert_eq!(odflow_par::max_threads(), 3);
@@ -103,6 +104,7 @@ fn thread_limit_restored_when_body_panics() {
 #[test]
 fn thread_limit_restored_when_region_task_panics() {
     let before = odflow_par::max_threads();
+    #[expect(clippy::disallowed_methods, reason = "the test observes the re-thrown unwind")]
     let result = catch_unwind(AssertUnwindSafe(|| {
         odflow_par::with_thread_limit(4, || {
             odflow_par::parallel_for(32, 1, |r| {

@@ -18,6 +18,15 @@
 //! supplies a default UDP bind address.
 
 #![forbid(unsafe_code)]
+// Hostile wire input is quarantined and accounted, never a reason to abort.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use odflow_net::{AddressPlan, IngressResolver, Topology};
 use odflow_serve::{Daemon, ServeConfig, TenantConfig, TenantEnd, TenantSpec};
@@ -55,7 +64,10 @@ fn real_main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     if udp_bind.is_none() && tcp_bind.is_none() {
-        // lint:allow(env-read-containment) -- documented operator knob: ODFLOW_SERVE_BIND supplies the default UDP bind when no --udp/--tcp flag is passed
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "documented operator knob: ODFLOW_SERVE_BIND supplies the default UDP bind when no --udp/--tcp flag is passed"
+        )]
         if let Ok(addr) = std::env::var("ODFLOW_SERVE_BIND") {
             udp_bind = Some(addr);
         }

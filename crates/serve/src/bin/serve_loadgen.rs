@@ -14,6 +14,15 @@
 //! control).
 
 #![forbid(unsafe_code)]
+// Hostile wire input is quarantined and accounted, never a reason to abort.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use odflow_gen::Scenario;
 use odflow_serve::{replay_scenario, LoadGenConfig, Transport};

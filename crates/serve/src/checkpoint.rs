@@ -1346,8 +1346,12 @@ pub struct CrashPayload {
 /// Raises an injected crash as a panic carrying [`CrashPayload`]. Only
 /// the chaos harness unwinds through here; the supervision boundary in
 /// the daemon catches it.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::panic,
+    reason = "the deterministic chaos-injection point: this unwind is thrown on purpose and caught at the audited supervision boundary in daemon.rs"
+)]
 pub(crate) fn trigger_crash(point: CrashPoint, kind: CrashKind) -> ! {
-    // lint:allow(no-panic-in-ingest) -- the deterministic chaos-injection point: this unwind is thrown on purpose and caught at the audited supervision boundary in daemon.rs
     panic_any(CrashPayload { point, kind })
 }
 

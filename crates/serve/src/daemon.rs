@@ -886,7 +886,10 @@ impl Supervisor<'_> {
         let mut hand = InHand::default();
         loop {
             let bins_before = TenantCounters::get(&counters.bins_closed);
-            // lint:allow(no-panic-in-ingest) -- the audited supervision boundary: this is the one place worker unwinds are caught, classified, and turned into restart/quarantine policy
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the audited supervision boundary: this is the one place worker unwinds are caught, classified, and turned into restart/quarantine policy"
+            )]
             let result = catch_unwind(AssertUnwindSafe(|| {
                 run_tenant_worker(pipeline, &self.queue, &mut hand, self.control, self.sources)
             }));

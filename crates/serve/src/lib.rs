@@ -18,8 +18,8 @@
 //!
 //! 1. **Never panic on wire input.** Every byte that arrives off a
 //!    socket flows into the quarantine/`DataQuality` accounting of
-//!    `odflow_flow`; the `no-panic-in-ingest` lint rule covers this
-//!    crate's sources.
+//!    `odflow_flow`; this crate's roots deny `unwrap`/`expect`/`panic!`
+//!    under clippy.
 //! 2. **Never grow without bound.** Every inter-stage queue is a
 //!    [`BoundedQueue`]; overload drops frames *and counts them* per
 //!    tenant instead of buffering to death. A tenant keeps the distinct
@@ -43,6 +43,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A library reports through return values and metrics, never the terminal.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+// Hostile wire input is quarantined and accounted, never a reason to abort.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod checkpoint;
 pub mod daemon;

@@ -11,13 +11,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The daemon's single clock read, wrapped so the ambient-nondeterminism
-/// lint audit has exactly one sanctioned call site. Timing here feeds
+/// The daemon's single clock read, wrapped so the `disallowed_methods`
+/// ban on `Instant::now` has exactly one sanctioned call site. Timing here feeds
 /// operator metrics only — never detection math, which stays driven by
 /// the `unix_secs` timestamps inside the frames themselves.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "operator-facing metrics timer; detection math is driven by frame-embedded timestamps, never by this clock"
+)]
 pub fn monotonic_now() -> Instant {
-    // lint:allow(no-ambient-nondeterminism) -- operator-facing metrics timer; detection math is driven by frame-embedded timestamps, never by this clock
     Instant::now()
 }
 

@@ -57,6 +57,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A library reports through return values and metrics, never the terminal.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 mod detector;
 mod diagnose;

@@ -45,7 +45,7 @@ mod tests {
 
     #[test]
     fn hash_noise_bounded_and_varied() {
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for i in 0..50 {
             for j in 0..10 {
                 let v = hash_noise(i, j);

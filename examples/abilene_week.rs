@@ -22,7 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.schedule.len()
     );
 
-    // lint:allow(no-ambient-nondeterminism) -- wall-clock timing printed for the operator, never fed into results
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock timing printed for the operator, never fed into results"
+    )]
     let t0 = std::time::Instant::now();
     let run = run_scenario(&scenario, &ExperimentConfig::default())?;
     println!("pipeline completed in {:.1}s", t0.elapsed().as_secs_f64());

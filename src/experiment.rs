@@ -258,7 +258,7 @@ fn classify_event(
     // generator) and digest the records that resolve into its OD flows.
     let digest = event_digest(generator, resolver, event);
 
-    let origins: std::collections::HashSet<usize> =
+    let origins: std::collections::BTreeSet<usize> =
         event.od_flows.iter().map(|od| od / n).collect();
 
     let obs = AnomalyObservation {

@@ -81,7 +81,10 @@ fn tiny_scenario_roundtrip_is_fast() {
     };
     let scenario = odflow::gen::Scenario::new(config, vec![]).expect("scenario");
 
-    // lint:allow(no-ambient-nondeterminism) -- wall-clock budget assertion on the tiny scenario, not part of any result
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock budget assertion on the tiny scenario, not part of any result"
+    )]
     let start = Instant::now();
     let run = run_scenario(&scenario, &ExperimentConfig::default()).expect("run");
     let elapsed = start.elapsed();
